@@ -18,7 +18,11 @@
 //!   links, `rows_out` monotonicity through Filter/Project/Rename/Intersect,
 //!   probe aggregation, and resident-peak conventions (zero on the
 //!   materializing backends, nonzero for producing streaming runs),
-//! * parameter rebinding stability on prepared statements.
+//! * parameter rebinding stability on prepared statements,
+//! * plan-cache transparency: a parameter-free SQL formulation run twice on
+//!   one engine (cold, then cached) and once more after a catalog mutation
+//!   that replaces a table it reads equals the reference evaluator on the
+//!   matching snapshot every time.
 
 use crate::grammar::{CaseSpec, QueryForm};
 use div_algebra::{Relation, Value};
@@ -325,6 +329,9 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
             if !params.is_empty() {
                 report.executions += check_rebinding(spec, &catalog, sql, params)
                     .map_err(|detail| mismatch(formulation.name, "prepared/rebind", detail))?;
+            } else {
+                report.executions += check_plan_cache(spec, &catalog, sql)
+                    .map_err(|detail| mismatch(formulation.name, "plan-cache", detail))?;
             }
         }
     }
@@ -366,6 +373,51 @@ fn check_rebinding(
         executions += 2;
     }
     Ok(executions)
+}
+
+/// Plan-cache check of one parameter-free SQL statement; returns the number
+/// of executions. The mutation halves the divisor, so a one-row divisor
+/// becomes empty — the case where a cached plan that relied on a
+/// data-dependent law would be unsound if it outlived its snapshot.
+fn check_plan_cache(spec: &CaseSpec, catalog: &Catalog, sql: &str) -> Result<usize, String> {
+    let reference = |catalog: &Catalog| {
+        let query = div_sql::parse_query(sql).map_err(|e| format!("parse failed: {e}"))?;
+        let logical = div_sql::translate_query(&query, catalog)
+            .map_err(|e| format!("translate failed: {e}"))?;
+        div_expr::evaluate(&logical, catalog).map_err(|e| format!("evaluation failed: {e}"))
+    };
+    let engine = Engine::new(catalog.clone());
+    let run = |round: &str, expected: &Relation| {
+        let got = engine
+            .query_collect(sql)
+            .map_err(|e| format!("{round} run failed: {e}"))?
+            .relation;
+        if &got != expected {
+            return Err(format!(
+                "{round} run disagrees with the reference evaluator\nexpected: {}\nactual: {}",
+                render(expected),
+                render(&got),
+            ));
+        }
+        Ok(())
+    };
+    let expected = reference(catalog)?;
+    run("cold", &expected)?;
+    run("cached", &expected)?;
+    if engine.compile_count() != 1 {
+        return Err(format!(
+            "the repeated statement compiled {} times",
+            engine.compile_count()
+        ));
+    }
+
+    let mut divisor = spec.divisor.clone();
+    divisor.rows.truncate(divisor.rows.len() / 2);
+    engine.mutate_catalog(|c| {
+        c.register(divisor.name.as_str(), divisor.relation());
+    });
+    run("post-mutation", &reference(&engine.catalog())?)?;
+    Ok(3)
 }
 
 fn alternate_values(original: &Value) -> Value {

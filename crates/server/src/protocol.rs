@@ -42,7 +42,9 @@ pub enum ErrorCode {
     UnboundParameter,
     /// A binding names a parameter the statement does not declare.
     UnknownParameter,
-    /// The prepared plan is stale and transparent re-prepare also failed.
+    /// The prepared plan is stale. Sessions re-prepare a stale statement on
+    /// the catalog snapshot they then execute on, so no request this server
+    /// serves ends with it; the code stays for `div_sql::Error::StalePlan`.
     StalePlan,
     /// `EXECUTE` named a statement this session never prepared.
     UnknownStatement,
@@ -444,13 +446,23 @@ impl<'a> Iterator for SemicolonGroups<'a> {
 
 /// Encode one value as its wire literal.
 pub fn encode_value(value: &Value) -> String {
+    let mut out = String::new();
+    encode_value_into(&mut out, value);
+    out
+}
+
+/// Append the wire literal of `value` to `out`.
+fn encode_value_into(out: &mut String, value: &Value) {
     match value {
-        Value::Null => "NULL".to_string(),
-        Value::Bool(true) => "TRUE".to_string(),
-        Value::Bool(false) => "FALSE".to_string(),
-        Value::Int(i) => i.to_string(),
+        Value::Null => out.push_str("NULL"),
+        Value::Bool(true) => out.push_str("TRUE"),
+        Value::Bool(false) => out.push_str("FALSE"),
+        Value::Int(i) => {
+            use std::fmt::Write;
+            write!(out, "{i}").expect("writing to a String cannot fail");
+        }
         Value::Str(s) => {
-            let mut out = String::with_capacity(s.len() + 2);
+            out.reserve(s.len() + 2);
             out.push('\'');
             for c in s.chars() {
                 match c {
@@ -463,25 +475,37 @@ pub fn encode_value(value: &Value) -> String {
                 }
             }
             out.push('\'');
-            out
         }
         Value::Set(items) => {
-            let inner: Vec<String> = items.iter().map(encode_value).collect();
-            format!("{{{}}}", inner.join(", "))
+            out.push('{');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                encode_value_into(out, item);
+            }
+            out.push('}');
         }
     }
 }
 
 /// Encode one result tuple as a `ROW` data line.
 pub fn encode_row(values: &[Value]) -> String {
-    let mut out = String::from("ROW ");
+    let mut out = String::new();
+    encode_row_into(&mut out, values);
+    out
+}
+
+/// Append the `ROW` data line of one result tuple (no newline) to `out`, so
+/// a session can encode a whole result into one reused buffer.
+pub fn encode_row_into(out: &mut String, values: &[Value]) {
+    out.push_str("ROW ");
     for (i, v) in values.iter().enumerate() {
         if i > 0 {
             out.push('\t');
         }
-        out.push_str(&encode_value(v));
+        encode_value_into(out, v);
     }
-    out
 }
 
 /// Encode a result schema as a `SCHEMA` data line.

@@ -8,7 +8,9 @@
 //! short instead of forcing full materialization.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{self, code_for, encode_row, encode_schema, err_line, ErrorCode, Request};
+use crate::protocol::{
+    self, code_for, encode_row_into, encode_schema, err_line, ErrorCode, Request,
+};
 use crate::server::ServerConfig;
 use div_algebra::Relation;
 use div_sql::{CancelToken, Engine, Error, Params, PreparedStatement, QueryGuard};
@@ -360,18 +362,16 @@ fn serve_request(
                 Err(Error::StalePlan { .. }) => {
                     // The catalog moved under the cached plan. Re-prepare
                     // transparently: the client keeps its statement name and
-                    // never sees a stale result. The retry reuses the guard
-                    // (same token, same deadline arm time): to the client
-                    // this is still one statement.
-                    match engine.prepare(statement.sql()) {
-                        Ok(fresh) => {
+                    // never sees a stale result. Plan and cursor come from
+                    // one catalog snapshot, so no further mutation can make
+                    // this attempt stale in turn. It reuses the guard (same
+                    // token, same deadline arm time): to the client this is
+                    // still one statement.
+                    match engine.prepare_execute_guarded(statement.sql(), &bound, guard) {
+                        Ok((fresh, cursor)) => {
                             ServerMetrics::bump(&metrics.stale_replans);
-                            let retry = fresh.execute_guarded(engine, &bound, guard);
                             prepared.insert(name, fresh);
-                            match retry {
-                                Ok(cursor) => return stream_cursor(cursor, metrics, writer),
-                                Err(err) => engine_error(&err, metrics, writer),
-                            }
+                            return stream_cursor(cursor, metrics, writer);
                         }
                         Err(err) => engine_error(&err, metrics, writer),
                     }
@@ -536,6 +536,7 @@ fn stream_cursor(
         return RequestOutcome::ClientGone;
     }
     let mut rows: u64 = 0;
+    let mut line = String::new();
     for batch in cursor.by_ref() {
         let batch = match batch {
             Ok(batch) => batch,
@@ -552,18 +553,16 @@ fn stream_cursor(
             }
         };
         for i in 0..batch.num_rows() {
-            let tuple = batch.row(i);
-            let line = encode_row(tuple.values());
-            if writer
-                .write_all(line.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .is_err()
-            {
+            line.clear();
+            encode_row_into(&mut line, batch.row(i).values());
+            line.push('\n');
+            if writer.write_all(line.as_bytes()).is_err() {
                 return RequestOutcome::ClientGone;
             }
-            rows += 1;
-            ServerMetrics::bump(&metrics.rows_streamed);
         }
+        let streamed = batch.num_rows() as u64;
+        rows += streamed;
+        metrics.rows_streamed.fetch_add(streamed, Ordering::Relaxed);
         // Flush per batch: the client sees results incrementally and a
         // vanished client surfaces as a write error on the next batch.
         if writer.flush().is_err() {

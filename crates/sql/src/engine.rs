@@ -20,15 +20,20 @@
 //! scans. [`Engine::query_collect`] keeps the pre-cursor one-call shape
 //! ([`QueryOutput`]) for callers that want the whole relation at once.
 //!
-//! On top of the pipeline the engine adds the two session features a system
+//! On top of the pipeline the engine adds the session features a system
 //! serving repeated traffic needs:
 //!
-//! * **Prepared statements** ([`Engine::prepare`]): the optimized physical
-//!   plan is compiled once and cached; every execution re-binds the
-//!   statement's `$name` parameters and streams the cached plan, skipping
-//!   parse, translate, optimization and planning entirely. The statement
-//!   records the catalog version it was compiled against and refuses to run
-//!   against a mutated catalog ([`Error::StalePlan`]).
+//! * **A plan cache behind every SQL entry point**: the optimized physical
+//!   plan is a pure function of (SQL text, catalog snapshot), so it is
+//!   compiled once and cached under the SQL text. A repeated ad-hoc
+//!   [`Engine::query`] and an explicit [`Engine::prepare`] are answered
+//!   from the same bounded cache; each statement takes one catalog snapshot
+//!   and both validates and executes its plan against it.
+//! * **Prepared statements** ([`Engine::prepare`]): every execution re-binds
+//!   the statement's `$name` parameters and streams the cached plan,
+//!   skipping parse, translate, optimization and planning entirely. The
+//!   statement records the catalog version it was compiled against and
+//!   refuses to run against a mutated catalog ([`Error::StalePlan`]).
 //! * **EXPLAIN** ([`Engine::explain`], [`Engine::explain_analyze`]): a
 //!   structured [`Explain`] report — logical plan before and after the
 //!   rewrite, the laws that fired, cost estimates, the chosen physical
@@ -84,7 +89,7 @@ use div_rewrite::engine::AppliedRule;
 use div_rewrite::optimizer::{CostEstimate, CostModel};
 use div_rewrite::{OptimizedPlan, Optimizer, RewriteContext, RuleSet};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -448,7 +453,7 @@ impl EngineBuilder {
             optimize: self.optimize,
             compile_count: AtomicU64::new(0),
             metrics: Arc::new(EngineMetrics::default()),
-            prepared_cache: Mutex::new(BTreeMap::new()),
+            plan_cache: Mutex::new(PlanCache::default()),
         }
     }
 }
@@ -475,15 +480,71 @@ pub struct Engine {
     optimize: bool,
     compile_count: AtomicU64,
     metrics: Arc<EngineMetrics>,
-    /// Compiled statements keyed by SQL text, so repeated
-    /// [`Engine::prepare`] calls for the same statement reuse one
-    /// compilation. Entries are validated against the catalog version on
-    /// lookup; the cache is bounded by [`PREPARED_CACHE_CAPACITY`].
-    prepared_cache: Mutex<BTreeMap<String, PreparedStatement>>,
+    /// The one way SQL text becomes a physical plan: see [`PlanCache`].
+    plan_cache: Mutex<PlanCache>,
 }
 
-/// Maximum number of statements the engine's prepared-plan cache retains.
+/// Maximum number of statements the engine's plan cache retains.
 const PREPARED_CACHE_CAPACITY: usize = 128;
+
+/// Compiled statements keyed by exact SQL text. An entry answers a lookup
+/// only for the catalog version it was compiled against, so a catalog
+/// mutation invalidates every entry without touching the cache. Bounded by
+/// [`PREPARED_CACHE_CAPACITY`]; on overflow the least recently used entry
+/// goes, so a stream of one-off statements cannot evict the hot set.
+#[derive(Debug, Default)]
+struct PlanCache {
+    entries: HashMap<String, CacheEntry>,
+    /// Logical clock of the recency order: bumped on every hit and insert.
+    tick: u64,
+}
+
+#[derive(Debug)]
+struct CacheEntry {
+    statement: PreparedStatement,
+    last_used: u64,
+}
+
+impl PlanCache {
+    /// The cached statement for `sql`, if it was compiled against
+    /// `catalog_version`.
+    fn get(&mut self, sql: &str, catalog_version: u64) -> Option<PreparedStatement> {
+        let entry = self.entries.get_mut(sql)?;
+        if entry.statement.catalog_version() != catalog_version {
+            return None;
+        }
+        self.tick += 1;
+        entry.last_used = self.tick;
+        Some(entry.statement.clone())
+    }
+
+    fn insert(&mut self, statement: PreparedStatement) {
+        if let Some(entry) = self.entries.get(statement.sql()) {
+            // Version stamps only grow: a compilation that raced a catalog
+            // mutation must not replace the plan of the newer snapshot.
+            if entry.statement.catalog_version() > statement.catalog_version() {
+                return;
+            }
+        } else if self.entries.len() >= PREPARED_CACHE_CAPACITY {
+            let coldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(sql, _)| sql.clone());
+            if let Some(coldest) = coldest {
+                self.entries.remove(&coldest);
+            }
+        }
+        self.tick += 1;
+        self.entries.insert(
+            statement.sql().to_string(),
+            CacheEntry {
+                statement,
+                last_used: self.tick,
+            },
+        );
+    }
+}
 
 /// A statement compiled down to its optimized physical plan.
 ///
@@ -492,8 +553,16 @@ const PREPARED_CACHE_CAPACITY: usize = 128;
 /// → optimize → plan) ran exactly once, at prepare time; each execution only
 /// substitutes the `$name` parameter bindings into a copy of the cached plan
 /// template and runs it.
+///
+/// The statement is a handle: clones (and the engine's plan cache) share one
+/// compiled value.
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
+    inner: Arc<StatementInner>,
+}
+
+#[derive(Debug)]
+struct StatementInner {
     sql: String,
     template: Arc<PhysicalPlan>,
     parameters: BTreeSet<String>,
@@ -597,9 +666,14 @@ impl Engine {
         self.optimize
     }
 
-    /// How many statements this engine has compiled (parse → translate →
-    /// optimize → plan). Executing a [`PreparedStatement`] does *not*
-    /// compile, which is the point of preparing:
+    /// How many compilations (parse → translate → optimize → plan) this
+    /// engine has really run. Executing a [`PreparedStatement`] does *not*
+    /// compile, which is the point of preparing — and neither does a
+    /// repeated ad-hoc [`Engine::query`] of the same SQL text against an
+    /// unchanged catalog, which is answered from the plan cache. What still
+    /// compiles every time: the first sight of a text, any text after a
+    /// catalog mutation, [`Engine::query_with_params`] with bindings,
+    /// [`Engine::stream_logical`] and `EXPLAIN`.
     ///
     /// ```
     /// use div_algebra::relation;
@@ -615,6 +689,9 @@ impl Engine {
     ///     stmt.execute_collect(&engine, &Params::new().bind("color", color))?;
     /// }
     /// assert_eq!(engine.compile_count(), 1); // still one compilation
+    /// engine.query("SELECT p# FROM parts")?;
+    /// engine.query("SELECT p# FROM parts")?; // served from the plan cache
+    /// assert_eq!(engine.compile_count(), 2);
     /// # Ok::<(), div_sql::Error>(())
     /// ```
     pub fn compile_count(&self) -> u64 {
@@ -623,8 +700,8 @@ impl Engine {
 
     /// A point-in-time snapshot of the session-wide metrics registry:
     /// queries executed, rows returned, the parse/optimize/plan/execute
-    /// time split, the execution-latency histogram, prepared-statement
-    /// cache hits and misses, and per-rewrite-law application counts.
+    /// time split, the execution-latency histogram, plan-cache hits and
+    /// misses, and per-rewrite-law application counts.
     ///
     /// The snapshot renders as text ([`fmt::Display`]) or JSON
     /// ([`MetricsSnapshot::to_json`]).
@@ -655,8 +732,11 @@ impl Engine {
         Ok(query)
     }
 
-    /// Parse, translate, optimize and plan `sql`, and open a streaming
-    /// [`Cursor`] over the result.
+    /// Open a streaming [`Cursor`] over the result of `sql`.
+    ///
+    /// The plan comes from the engine's plan cache: the first sight of a
+    /// SQL text (and the first after a catalog mutation) parses, translates,
+    /// optimizes and plans it; a repeated text is served the cached plan.
     ///
     /// The cursor is an iterator of columnar batches: execution proceeds
     /// only as far as the consumer pulls, so `cursor.take(1)` or an early
@@ -691,7 +771,7 @@ impl Engine {
     /// Statements with `$name` parameters cannot run ad hoc — prepare them
     /// and bind values, or use [`Engine::query_with_params`].
     pub fn query(&self, sql: &str) -> Result<Cursor> {
-        self.query_with_params(sql, &Params::new())
+        self.open(sql, &Params::new(), None)
     }
 
     /// [`Engine::query`] with `$name` parameter bindings applied.
@@ -700,14 +780,11 @@ impl Engine {
     /// placeholders still unresolved — the bindings are known here, so they
     /// are substituted into the logical plan *before* the optimizer runs and
     /// the query gets the same rewrite search as its all-literal equivalent.
+    /// Such a plan depends on the bound values, so it is compiled for this
+    /// call alone and never cached; with no bindings this is
+    /// [`Engine::query`].
     pub fn query_with_params(&self, sql: &str, params: &Params) -> Result<Cursor> {
-        // One snapshot for the whole statement: compile and execute see the
-        // same catalog version even under concurrent `mutate_catalog`.
-        let catalog = self.catalog();
-        let query = self.parse_timed(sql)?;
-        check_bindings(params, &query.parameters())?;
-        let compiled = self.compile_parsed(&query, params, &catalog)?;
-        self.cursor_for(&compiled.physical, &catalog)
+        self.open(sql, params, None)
     }
 
     /// [`Engine::query_with_params`] under an explicit [`QueryGuard`]:
@@ -735,11 +812,58 @@ impl Engine {
     /// # Ok::<(), div_sql::Error>(())
     /// ```
     pub fn query_guarded(&self, sql: &str, params: &Params, guard: QueryGuard) -> Result<Cursor> {
+        self.open(sql, params, Some(guard))
+    }
+
+    /// The body of every ad-hoc entry point. One snapshot for the whole
+    /// statement: the plan is validated (or compiled) against the same
+    /// catalog it then executes on, even under concurrent `mutate_catalog`.
+    /// Without a caller's `guard` the config-derived one is armed when the
+    /// cursor opens.
+    fn open(&self, sql: &str, params: &Params, guard: Option<QueryGuard>) -> Result<Cursor> {
         let catalog = self.catalog();
+        let guard = || guard.unwrap_or_else(|| QueryGuard::from_config(&self.config));
+        if params.is_empty() {
+            return self
+                .plan_on(sql, &catalog)?
+                .open_on(self, &catalog, params, guard());
+        }
+        // Known bindings go into the logical plan before the optimizer runs,
+        // where data-dependent laws may rely on their values: such a plan is
+        // this call's alone.
         let query = self.parse_timed(sql)?;
         check_bindings(params, &query.parameters())?;
         let compiled = self.compile_parsed(&query, params, &catalog)?;
-        self.cursor_guarded(&compiled.physical, &catalog, &self.config, guard)
+        self.cursor_guarded(&compiled.physical, &catalog, &self.config, guard())
+    }
+
+    /// The one way SQL text becomes a physical plan: the cached statement
+    /// for exactly this text if it was compiled against `catalog`'s version,
+    /// else a fresh compilation against `catalog`, which replaces it. The
+    /// caller must execute the statement on the same `catalog`.
+    fn plan_on(&self, sql: &str, catalog: &Arc<Catalog>) -> Result<PreparedStatement> {
+        let catalog_version = catalog.version();
+        let cached = self.plan_cache.lock().get(sql, catalog_version);
+        self.metrics.record_prepared_cache(cached.is_some());
+        if let Some(statement) = cached {
+            return Ok(statement);
+        }
+        // Compile outside the lock. Two threads that miss on one text both
+        // compile it: a compilation is shorter than parking the second.
+        let query = self.parse_timed(sql)?;
+        let parameters = query.parameters();
+        let compiled = self.compile_parsed(&query, &Params::new(), catalog)?;
+        let statement = PreparedStatement {
+            inner: Arc::new(StatementInner {
+                sql: sql.to_string(),
+                template: Arc::new(compiled.physical),
+                parameters,
+                catalog_version,
+                applied: compiled.applied,
+            }),
+        };
+        self.plan_cache.lock().insert(statement.clone());
+        Ok(statement)
     }
 
     /// [`Engine::query`], fully collected: the compatibility shim that
@@ -778,51 +902,40 @@ impl Engine {
         let started = Instant::now();
         let physical = plan_query(&optimized.plan, &self.config)?;
         self.metrics.add_plan(started.elapsed());
-        self.cursor_for(&physical, &catalog)
+        let guard = QueryGuard::from_config(&self.config);
+        self.cursor_guarded(&physical, &catalog, &self.config, guard)
     }
 
     /// Compile `sql` into a [`PreparedStatement`] holding the optimized
     /// physical plan. See [`PreparedStatement`] for the execution contract.
     ///
-    /// Preparing the same SQL text twice against an unchanged catalog is
-    /// answered from a bounded per-engine plan cache without recompiling
-    /// (the returned statements share one plan `Arc`); catalog mutations
-    /// invalidate cached entries. Hits and misses are counted in
-    /// [`Engine::metrics`].
+    /// The statement comes from the same bounded plan cache that serves
+    /// [`Engine::query`]: a text already compiled against the unchanged
+    /// catalog — by an earlier `prepare` or an ad-hoc query — is not
+    /// compiled again (the returned statements share one plan `Arc`);
+    /// catalog mutations invalidate cached entries. Hits and misses are
+    /// counted in [`Engine::metrics`].
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
-        // One snapshot for the whole prepare: the cache-validity check and
-        // the recorded `catalog_version` agree even if a concurrent
-        // `mutate_catalog` lands mid-call.
-        let catalog = self.catalog();
         self.metrics.record_prepare();
-        if let Some(cached) = self.prepared_cache.lock().get(sql) {
-            if cached.catalog_version == catalog.version() {
-                self.metrics.record_prepared_cache(true);
-                return Ok(cached.clone());
-            }
-        }
-        self.metrics.record_prepared_cache(false);
-        let query = self.parse_timed(sql)?;
-        let declared = query.parameters();
-        let compiled = self.compile_parsed(&query, &Params::new(), &catalog)?;
-        let statement = PreparedStatement {
-            sql: sql.to_string(),
-            template: Arc::new(compiled.physical),
-            parameters: declared,
-            catalog_version: catalog.version(),
-            applied: compiled.applied,
-        };
-        let mut cache = self.prepared_cache.lock();
-        if cache.len() >= PREPARED_CACHE_CAPACITY && !cache.contains_key(sql) {
-            // Bound the cache by evicting an arbitrary entry (the map is
-            // small and keyed by SQL text; LRU precision is not worth a
-            // recency list here).
-            if let Some(evict) = cache.keys().next().cloned() {
-                cache.remove(&evict);
-            }
-        }
-        cache.insert(sql.to_string(), statement.clone());
-        Ok(statement)
+        self.plan_on(sql, &self.catalog())
+    }
+
+    /// [`Engine::prepare`] and [`PreparedStatement::execute_guarded`] on
+    /// one catalog snapshot: the statement is current for exactly the
+    /// catalog the cursor reads, so — unlike the two calls made separately
+    /// — this cannot fail with [`Error::StalePlan`], however many
+    /// mutations land meanwhile. A serving session re-prepares a stale
+    /// statement through this entry.
+    pub fn prepare_execute_guarded(
+        &self,
+        sql: &str,
+        params: &Params,
+        guard: QueryGuard,
+    ) -> Result<(PreparedStatement, Cursor)> {
+        let catalog = self.catalog();
+        let statement = self.plan_on(sql, &catalog)?;
+        let cursor = statement.open_on(self, &catalog, params, guard)?;
+        Ok((statement, cursor))
     }
 
     /// Compile `sql` and report the whole pipeline without executing it.
@@ -854,8 +967,9 @@ impl Engine {
         // span-timing flag on for this one execution.
         let mut config = self.config;
         config.tracing = true;
+        let guard = QueryGuard::from_config(&config);
         let output = self
-            .cursor_with_config(&compiled.physical, &catalog, &config)?
+            .cursor_guarded(&compiled.physical, &catalog, &config, guard)?
             .collect()?;
         Ok(self.explain_from(sql, compiled, Some(output.stats), &catalog))
     }
@@ -949,27 +1063,10 @@ impl Engine {
         Ok(self.optimizer.optimize(logical, &ctx)?)
     }
 
-    /// Open a streaming cursor over a fully bound physical plan against one
-    /// catalog snapshot, rejecting plans that still carry `$name`
-    /// placeholders.
-    fn cursor_for(&self, physical: &PhysicalPlan, catalog: &Catalog) -> Result<Cursor> {
-        self.cursor_with_config(physical, catalog, &self.config)
-    }
-
-    /// [`Engine::cursor_for`] with an overridden planner configuration
-    /// (used by `explain_analyze` to force span timing on).
-    fn cursor_with_config(
-        &self,
-        physical: &PhysicalPlan,
-        catalog: &Catalog,
-        config: &PlannerConfig,
-    ) -> Result<Cursor> {
-        // The config-derived guard arms the engine-default deadline/budget
-        // here, at cursor-open time.
-        self.cursor_guarded(physical, catalog, config, QueryGuard::from_config(config))
-    }
-
-    /// The guard-explicit cursor opener every execution path funnels into.
+    /// The cursor opener every execution path funnels into: streams a fully
+    /// bound physical plan over one catalog snapshot, rejecting plans that
+    /// still carry `$name` placeholders. Build `guard` immediately before
+    /// the call — its deadline is already running.
     fn cursor_guarded(
         &self,
         physical: &PhysicalPlan,
@@ -1006,30 +1103,30 @@ fn check_bindings(params: &Params, declared: &BTreeSet<String>) -> Result<()> {
 impl PreparedStatement {
     /// The SQL text the statement was prepared from.
     pub fn sql(&self) -> &str {
-        &self.sql
+        &self.inner.sql
     }
 
     /// The `$name` parameters the statement declares.
     pub fn parameters(&self) -> &BTreeSet<String> {
-        &self.parameters
+        &self.inner.parameters
     }
 
     /// The cached physical plan template (parameters still unbound). The
     /// `Arc` is shared, not copied, across [`PreparedStatement::clone`] —
     /// pointer identity demonstrates that executions reuse one compilation.
     pub fn plan(&self) -> &Arc<PhysicalPlan> {
-        &self.template
+        &self.inner.template
     }
 
     /// The rewrite laws the optimizer applied when the statement was
     /// prepared.
     pub fn laws_applied(&self) -> &[AppliedRule] {
-        &self.applied
+        &self.inner.applied
     }
 
     /// Catalog version the statement was compiled against.
     pub fn catalog_version(&self) -> u64 {
-        self.catalog_version
+        self.inner.catalog_version
     }
 
     /// Bind `params` into a copy of the cached plan and open a streaming
@@ -1065,20 +1162,35 @@ impl PreparedStatement {
         // catalog under a plan that just passed validation.
         let catalog = engine.catalog();
         let catalog_version = catalog.version();
-        if catalog_version != self.catalog_version {
+        if catalog_version != self.inner.catalog_version {
             return Err(Error::StalePlan {
-                prepared_version: self.catalog_version,
+                prepared_version: self.inner.catalog_version,
                 catalog_version,
             });
         }
-        check_bindings(params, &self.parameters)?;
+        self.open_on(engine, &catalog, params, guard)
+    }
+
+    /// Bind `params` and stream the plan over `catalog`, which the caller
+    /// has established to be the snapshot the statement was compiled
+    /// against.
+    fn open_on(
+        &self,
+        engine: &Engine,
+        catalog: &Catalog,
+        params: &Params,
+        guard: QueryGuard,
+    ) -> Result<Cursor> {
+        debug_assert_eq!(catalog.version(), self.inner.catalog_version);
+        check_bindings(params, &self.inner.parameters)?;
+        let config = engine.planner_config();
         if params.is_empty() {
             // Nothing to substitute — stream the cached template directly
             // (`cursor_guarded` still rejects unbound placeholders).
-            return engine.cursor_guarded(&self.template, &catalog, engine.planner_config(), guard);
+            return engine.cursor_guarded(&self.inner.template, catalog, config, guard);
         }
-        let bound = self.template.bind_parameters(params.map());
-        engine.cursor_guarded(&bound, &catalog, engine.planner_config(), guard)
+        let bound = self.inner.template.bind_parameters(params.map());
+        engine.cursor_guarded(&bound, catalog, config, guard)
     }
 
     /// [`PreparedStatement::execute`], fully collected into a
@@ -1430,6 +1542,165 @@ mod tests {
     }
 
     #[test]
+    fn repeated_ad_hoc_queries_are_served_from_the_plan_cache() {
+        let engine = Engine::new(catalog());
+        let first = engine.query_collect(Q2).unwrap();
+        let second = engine.query_collect(Q2).unwrap();
+        assert_eq!(first.relation, second.relation);
+        assert_eq!(engine.compile_count(), 1, "the second query is a hit");
+        // `prepare` is answered from the entry the ad-hoc query filled.
+        let stmt = engine.prepare(Q2).unwrap();
+        assert!(Arc::ptr_eq(stmt.plan(), engine.prepare(Q2).unwrap().plan()));
+        assert_eq!(engine.compile_count(), 1);
+        let metrics = engine.metrics();
+        assert_eq!(metrics.prepared_cache_misses, 1);
+        assert_eq!(metrics.prepared_cache_hits, 3);
+        assert_eq!(metrics.statements_prepared, 2, "explicit prepares only");
+        assert_eq!(metrics.queries_executed, 2);
+    }
+
+    #[test]
+    fn catalog_mutation_invalidates_cached_ad_hoc_plans() {
+        let engine = Engine::new(catalog());
+        let before = engine.query_collect(Q2).unwrap().relation;
+        assert_eq!(before, relation! { ["s#"] => [1], [2] });
+        engine.mutate_catalog(|c| {
+            c.register(
+                "parts",
+                relation! { ["p#", "color"] => [1, "blue"], [2, "blue"], [3, "blue"] },
+            );
+        });
+        let after = engine.query_collect(Q2).unwrap().relation;
+        assert_eq!(after, relation! { ["s#"] => [2] }, "the new rows are seen");
+        assert_eq!(engine.compile_count(), 2, "the stale entry was recompiled");
+        engine.query_collect(Q2).unwrap();
+        assert_eq!(engine.compile_count(), 2, "and cached again");
+    }
+
+    #[test]
+    fn cached_parameterized_plans_still_reject_a_missing_binding() {
+        let engine = Engine::new(catalog());
+        for _ in 0..2 {
+            assert_eq!(
+                engine.query(Q2_PARAM).unwrap_err(),
+                Error::UnboundParameter {
+                    parameter: "color".into()
+                }
+            );
+        }
+        assert_eq!(
+            engine.compile_count(),
+            1,
+            "the second call ran the cached plan"
+        );
+    }
+
+    #[test]
+    fn bound_ad_hoc_queries_bypass_the_plan_cache() {
+        // Law 4's registry shape: the selection on the divisor is replicated
+        // onto the dividend — sound only for a divisor known to be non-empty,
+        // so it may fire on a bound literal but never on a cached `$p` plan.
+        let mut c = Catalog::new();
+        c.register(
+            "r1",
+            relation! { ["a", "b"] =>
+            [1, 1], [1, 4], [2, 1], [2, 2], [2, 3], [2, 4],
+            [3, 1], [3, 3], [3, 4], [4, 1], [4, 3] },
+        );
+        c.register("r2", relation! { ["b"] => [1], [3], [4] });
+        let engine = Engine::new(c);
+        let sql = "SELECT * FROM r1 DIVIDE BY (SELECT * FROM r2 WHERE r2.b < $p) AS d \
+                   ON r1.b = d.b";
+        let law_4 = |engine: &Engine| {
+            let laws = engine.metrics().law_applications;
+            laws.iter()
+                .filter(|(rule, _)| rule.starts_with("law-04"))
+                .map(|(_, n)| *n)
+                .sum::<u64>()
+        };
+        for round in 1..=2u64 {
+            let out = engine
+                .query_collect_with_params(sql, &Params::new().bind("p", 3i64))
+                .unwrap();
+            assert_eq!(out.relation, relation! { ["a"] => [1], [2], [3], [4] });
+            assert_eq!(
+                engine.compile_count(),
+                round,
+                "bound queries always compile"
+            );
+            assert_eq!(law_4(&engine), round, "Law 4 fires on the bound literal");
+        }
+        let metrics = engine.metrics();
+        assert_eq!(
+            (metrics.prepared_cache_hits, metrics.prepared_cache_misses),
+            (0, 0),
+            "the cache was not consulted"
+        );
+        // Nor filled: the cached plan of the same text is compiled now, with
+        // `$p` unresolved, and Law 4 stays out of it.
+        let stmt = engine.prepare(sql).unwrap();
+        assert_eq!(engine.metrics().prepared_cache_misses, 1);
+        assert!(stmt
+            .laws_applied()
+            .iter()
+            .all(|a| !a.rule.starts_with("law-04")));
+    }
+
+    #[test]
+    fn one_off_statements_cannot_evict_the_hot_statement() {
+        let engine = Engine::new(catalog());
+        engine.query_collect(Q2).unwrap();
+        for i in 0..200 {
+            let one_off = format!("SELECT s# FROM supplies WHERE p# = {i}");
+            engine.query_collect(&one_off).unwrap();
+            if i % 100 == 99 {
+                // Touched once per 100 one-offs: recent enough to survive a
+                // cache of 128 under LRU, whatever its key sorts like.
+                engine.query_collect(Q2).unwrap();
+            }
+        }
+        assert_eq!(
+            engine.compile_count(),
+            201,
+            "the hot statement compiled once"
+        );
+        assert_eq!(
+            engine.plan_cache.lock().entries.len(),
+            PREPARED_CACHE_CAPACITY,
+            "the cache stays bounded"
+        );
+        assert_eq!(engine.metrics().prepared_cache_hits, 2);
+    }
+
+    #[test]
+    fn prepare_execute_binds_plan_and_cursor_to_one_snapshot() {
+        let engine = Engine::new(catalog());
+        let stale = engine.prepare(Q2_PARAM).unwrap();
+        engine.mutate_catalog(|c| {
+            c.register("new_table", relation! { ["x"] => [1] });
+        });
+        let blue = Params::new().bind("color", "blue");
+        assert!(matches!(
+            stale.execute(&engine, &blue),
+            Err(Error::StalePlan { .. })
+        ));
+        let guard = QueryGuard::from_config(engine.planner_config());
+        let (fresh, cursor) = engine
+            .prepare_execute_guarded(stale.sql(), &blue, guard)
+            .unwrap();
+        assert_eq!(
+            cursor.collect_relation().unwrap(),
+            relation! { ["s#"] => [1], [2] }
+        );
+        assert_eq!(fresh.catalog_version(), engine.catalog().version());
+        assert_eq!(
+            engine.metrics().statements_prepared,
+            1,
+            "not an explicit prepare"
+        );
+    }
+
+    #[test]
     fn prepared_statements_detect_catalog_mutation() {
         let engine = Engine::new(catalog());
         let stmt = engine.prepare(Q2).unwrap();
@@ -1501,14 +1772,10 @@ mod tests {
         // Two known catalog states: divisor = {1} (state A, answer {1, 2})
         // vs divisor = {1, 2, 3} (state B, answer {2}). Concurrent readers
         // must always see exactly one of the two answers.
+        // Every reader issues the same SQL text, so they share one plan-cache
+        // entry that the mutator keeps invalidating under them.
         let engine = Arc::new(Engine::new(catalog()));
-        let expected_a = engine
-            .query_collect(
-                "SELECT s# FROM supplies AS s DIVIDE BY \
-                            (SELECT p# FROM parts WHERE color = 'blue') AS p ON s.p# = p.p#",
-            )
-            .unwrap()
-            .relation;
+        let expected_a = engine.query_collect(Q2).unwrap().relation;
         let expected_b = relation! { ["s#"] => [2] };
         let stop = Arc::new(AtomicBool::new(false));
         let mutator = {
@@ -1535,13 +1802,7 @@ mod tests {
                 let (a, b) = (expected_a.clone(), expected_b.clone());
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        let got = engine
-                            .query_collect(
-                                "SELECT s# FROM supplies AS s DIVIDE BY \
-                                 (SELECT p# FROM parts WHERE color = 'blue') AS p ON s.p# = p.p#",
-                            )
-                            .unwrap()
-                            .relation;
+                        let got = engine.query_collect(Q2).unwrap().relation;
                         assert!(got == a || got == b, "torn catalog state observed: {got:?}");
                     }
                 })
@@ -1552,6 +1813,12 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         mutator.join().unwrap();
+        let metrics = engine.metrics();
+        assert_eq!(
+            metrics.prepared_cache_hits + metrics.prepared_cache_misses,
+            1 + 4 * 50,
+            "every query went through the plan cache"
+        );
     }
 
     #[test]

@@ -56,8 +56,17 @@ fn main() {
     }
     let stats = cursor.finish_stats();
     println!(
-        "  {} batches, {} output rows, peak {} resident rows\n",
+        "  {} batches, {} output rows, peak {} resident rows",
         batches, stats.output_rows, stats.peak_resident_rows
+    );
+    // Repeated ad-hoc SQL is served from the engine's plan cache: the
+    // second `query(q2)` did not parse, rewrite or plan again.
+    let metrics = engine.metrics();
+    println!(
+        "  compilations so far: {} (plan cache: {} hit, {} miss)\n",
+        engine.compile_count(),
+        metrics.prepared_cache_hits,
+        metrics.prepared_cache_misses
     );
 
     // 3. EXPLAIN: what would the engine do? The report shows the logical
@@ -93,7 +102,8 @@ fn main() {
         println!("  {color}: {} suppliers", out.relation.len());
     }
     println!(
-        "compilations: {} (one prepare; executions bind into the cached plan)",
+        "compilations: {} (Q2 once, two EXPLAINs, one prepare; executions bind \
+         into the cached plan)",
         engine.compile_count()
     );
 }

@@ -78,8 +78,8 @@ fn run_mix(
                             rows += r.rows.len();
                             latencies.push(elapsed);
                         }
-                        // Retryable wire errors (BUSY, a STALE_PLAN race in
-                        // the mutating mix) don't contribute a latency.
+                        // Retryable wire errors (BUSY) don't contribute a
+                        // latency.
                         Err(err) if err.is_retryable() => {}
                         Err(div_server::ClientError::Server { .. }) => {}
                         Err(err) => panic!("bench request failed: {err}"),

@@ -117,7 +117,8 @@ fn fuzz_differential_smoke() {
 
 /// The engine's metrics registry reconciles with per-cursor stats under a
 /// generated workload: one query per generated case, counting executions,
-/// returned rows, prepared statements and plan-cache hits.
+/// returned rows, prepared statements and plan-cache hits (every SQL entry
+/// point looks its text up in the one plan cache, ad-hoc `query` included).
 #[test]
 fn engine_metrics_reconcile_under_generated_workloads() {
     // One shared catalog: the first generated spec's tables.
@@ -127,9 +128,10 @@ fn engine_metrics_reconcile_under_generated_workloads() {
 
     let mut executed = 0u64;
     let mut rows = 0u64;
+    let adhoc_sql = spec.divide_by_sql(false);
     for round in 0..8u64 {
         let output = engine
-            .query_collect(&spec.divide_by_sql(false))
+            .query_collect(&adhoc_sql)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
         executed += 1;
         rows += output.relation.len() as u64;
@@ -137,7 +139,8 @@ fn engine_metrics_reconcile_under_generated_workloads() {
         assert_eq!(output.stats.output_rows, output.relation.len());
     }
 
-    // Prepared path: same SQL prepared twice → one miss, one cache hit.
+    // Prepared path: same SQL prepared twice → at most one miss (none when
+    // the text is the ad-hoc one, already cached), the rest cache hits.
     let sql = spec.divide_by_sql(true);
     let has_params = sql.contains('$');
     let params = match spec.divisor_filter.as_ref().and_then(|f| f.param.clone()) {
@@ -171,11 +174,18 @@ fn engine_metrics_reconcile_under_generated_workloads() {
         "rows_returned diverged from the relations actually materialized"
     );
     assert_eq!(snapshot.statements_prepared - base.statements_prepared, 2);
+    // Ten plan-cache lookups (8 ad-hoc + 2 prepares): one miss per distinct
+    // SQL text, everything else a hit.
+    let distinct_texts = if sql == adhoc_sql { 1 } else { 2 };
     assert_eq!(
         snapshot.prepared_cache_misses - base.prepared_cache_misses,
-        1
+        distinct_texts
     );
-    assert_eq!(snapshot.prepared_cache_hits - base.prepared_cache_hits, 1);
+    assert_eq!(
+        snapshot.prepared_cache_hits - base.prepared_cache_hits,
+        10 - distinct_texts
+    );
+    assert_eq!(engine.compile_count(), distinct_texts);
 }
 
 /// Regression: preparing a query whose divisor filter is `$parameterized`

@@ -25,9 +25,7 @@ fn relation_rows(relation: &Relation) -> Vec<Vec<Value>> {
     relation.tuples().map(|t| t.values().to_vec()).collect()
 }
 
-/// Run one workload iteration, retrying the retryable wire errors (`BUSY`,
-/// plus `STALE_PLAN` for the unlucky schedule where the catalog moves again
-/// between a session's transparent re-prepare and its execution).
+/// Run one workload iteration, retrying the retryable wire errors (`BUSY`).
 fn run_with_retry(
     mut attempt: impl FnMut() -> Result<Vec<Vec<Value>>, ClientError>,
 ) -> Vec<Vec<Value>> {
@@ -37,10 +35,6 @@ fn run_with_retry(
             Err(err) if err.is_retryable() => {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            Err(ClientError::Server {
-                code: Some(div_server::ErrorCode::StalePlan),
-                ..
-            }) => {}
             Err(other) => panic!("workload failed: {other}"),
         }
     }
@@ -192,6 +186,96 @@ fn concurrent_clients_survive_catalog_mutations_without_torn_results() {
         snapshot.queries_executed
     );
     client.close().unwrap();
+    server.shutdown();
+}
+
+/// A served `EXECUTE` never answers `ERR STALE_PLAN`, however fast the
+/// catalog moves: the session's transparent re-prepare takes its plan and
+/// its cursor from one snapshot, so a second `MUTATE` landing right behind
+/// the first cannot make the fresh plan stale before it runs.
+#[test]
+fn served_execute_never_reports_stale_plan_under_back_to_back_mutations() {
+    const EXECUTES: usize = 1500;
+    let data = generate(&ScenarioConfig {
+        family: ScenarioFamily::Rbac,
+        entities: 20,
+        items: 6,
+        membership: 0.6,
+        full_entities: 0.2,
+        null_density: 0.0,
+        ..ScenarioConfig::default()
+    });
+    let names = data.names();
+    let divisor_b = Relation::from_rows([names.item_column], vec![vec![Value::from("role0")]])
+        .expect("one-column divisor");
+    let expected_a = sorted_rows(&data.dividend.divide(&data.divisor).unwrap());
+    let expected_b = sorted_rows(&data.dividend.divide(&divisor_b).unwrap());
+    assert_ne!(expected_a, expected_b, "the two states are distinguishable");
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(Engine::new(data.catalog())),
+        ServerConfig {
+            workers: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
+
+    // Two writers, each sending REGISTER after REGISTER with no pause, so
+    // mutations arrive in pairs as close together as the server admits.
+    let start = Arc::new(std::sync::Barrier::new(3));
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2)
+        .map(|_| {
+            let (start, stop) = (Arc::clone(&start), Arc::clone(&stop));
+            let states = [relation_rows(&divisor_b), relation_rows(&data.divisor)];
+            let (table, column) = (names.divisor_table, names.item_column);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("writer connects");
+                start.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    for rows in &states {
+                        client
+                            .register(table, &[column], rows)
+                            .expect("mutation accepted");
+                    }
+                }
+                let _ = client.close();
+            })
+        })
+        .collect();
+
+    let mut reader = Client::connect(addr).expect("reader connects");
+    reader
+        .prepare("workload", &data.small_divide_sql())
+        .expect("prepare succeeds");
+    start.wait();
+    for i in 0..EXECUTES {
+        let mut rows = reader
+            .execute("workload", &[])
+            .unwrap_or_else(|err| panic!("EXECUTE {i} failed: {err}"))
+            .rows;
+        rows.sort();
+        assert!(
+            rows == expected_a || rows == expected_b,
+            "EXECUTE {i}: {} rows match neither table state",
+            rows.len()
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    for writer in writers {
+        writer.join().expect("writer thread");
+    }
+
+    let metrics = server.metrics();
+    assert!(
+        metrics.stale_replans.load(Ordering::Relaxed) > 0,
+        "no EXECUTE met a moved catalog: the race was not exercised"
+    );
+    assert_eq!(metrics.requests_failed.load(Ordering::Relaxed), 0);
+    reader.close().unwrap();
     server.shutdown();
 }
 
