@@ -85,26 +85,6 @@ impl Relation {
         self.tuples.iter()
     }
 
-    /// Iterate over the tuples strictly after `last` in the deterministic
-    /// (sorted) order, or over all tuples when `last` is `None`.
-    ///
-    /// This is the resumption primitive behind chunked scans: a consumer
-    /// that remembers the last tuple of the previous chunk re-enters the
-    /// sorted set in O(log n) instead of re-skipping a prefix, and holds no
-    /// borrow on the relation between chunks.
-    pub fn tuples_after<'a>(
-        &'a self,
-        last: Option<&Tuple>,
-    ) -> Box<dyn Iterator<Item = &'a Tuple> + 'a> {
-        match last {
-            None => Box::new(self.tuples.iter()),
-            Some(t) => Box::new(
-                self.tuples
-                    .range::<Tuple, _>((std::ops::Bound::Excluded(t), std::ops::Bound::Unbounded)),
-            ),
-        }
-    }
-
     /// `true` if the relation contains exactly this tuple.
     pub fn contains(&self, tuple: &Tuple) -> bool {
         self.tuples.contains(tuple)

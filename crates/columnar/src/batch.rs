@@ -6,6 +6,7 @@ use crate::key_vector::{cross_matcher, KeyVector};
 use crate::keys::RowKey;
 use crate::Result;
 use div_algebra::{AlgebraError, Relation, Schema, Tuple, Value};
+use std::ops::Range;
 
 /// A batch of rows in columnar layout.
 ///
@@ -62,14 +63,20 @@ impl ColumnarBatch {
     /// [`ColumnarBatch::to_relation`].
     pub fn from_relation(relation: &Relation) -> Self {
         let tuples: Vec<&Tuple> = relation.tuples().collect();
-        let rows = tuples.len();
-        let columns = (0..relation.schema().arity())
+        ColumnarBatch::from_tuples(relation.schema().clone(), &tuples)
+    }
+
+    /// Convert `tuples` (each of the schema's arity) to columnar layout, in
+    /// the given order; every column picks its representation from these
+    /// rows alone ([`Column::from_values`]).
+    pub(crate) fn from_tuples(schema: Schema, tuples: &[&Tuple]) -> Self {
+        let columns = (0..schema.arity())
             .map(|c| Column::from_values(tuples.iter().map(|t| &t.values()[c])))
             .collect();
         ColumnarBatch {
-            schema: relation.schema().clone(),
+            schema,
             columns,
-            rows,
+            rows: tuples.len(),
         }
     }
 
@@ -137,6 +144,21 @@ impl ColumnarBatch {
             schema: self.schema.clone(),
             columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
             rows: indices.len(),
+        }
+    }
+
+    /// A new batch holding the rows of `range`, in order: what
+    /// [`ColumnarBatch::gather`] returns for the same consecutive indices,
+    /// copied per column as one range.
+    pub fn slice(&self, range: Range<usize>) -> ColumnarBatch {
+        ColumnarBatch {
+            schema: self.schema.clone(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| c.slice(range.clone()))
+                .collect(),
+            rows: range.len(),
         }
     }
 
@@ -246,6 +268,55 @@ mod tests {
         let deduped = doubled.dedup();
         assert_eq!(deduped.num_rows(), 3);
         assert_eq!(deduped.to_relation().unwrap(), rel);
+    }
+
+    #[test]
+    fn slice_equals_gather_of_the_same_range_for_every_column_kind() {
+        let rows = |nulls: bool| -> Vec<Vec<Value>> {
+            (0..7i64)
+                .map(|i| {
+                    let null_here = nulls && i % 3 == 1;
+                    let or_null = |v: Value| if null_here { Value::Null } else { v };
+                    vec![
+                        Value::Int(i),
+                        or_null(Value::Int(i * 10)),
+                        or_null(Value::Bool(i % 2 == 0)),
+                        or_null(Value::str(["x", "y", "z"][i as usize % 3])),
+                        // Int, string and set values in one attribute: `Mixed`.
+                        match i % 3 {
+                            0 => Value::Int(i),
+                            1 => Value::str("m"),
+                            _ => Value::set([i]),
+                        },
+                    ]
+                })
+                .collect()
+        };
+        for nulls in [false, true] {
+            let rel = Relation::from_rows(["k", "i", "b", "s", "m"], rows(nulls)).unwrap();
+            let batch = ColumnarBatch::from_relation(&rel);
+            assert!(
+                matches!(batch.column(1), Column::Int { validity, .. } if validity.is_some() == nulls)
+            );
+            assert!(
+                matches!(batch.column(2), Column::Bool { validity, .. } if validity.is_some() == nulls)
+            );
+            assert!(matches!(batch.column(3), Column::Str(s) if s.validity.is_some() == nulls));
+            assert!(matches!(batch.column(4), Column::Mixed(_)));
+            let n = batch.num_rows();
+            for start in 0..=n {
+                for end in start..=n {
+                    let indices: Vec<usize> = (start..end).collect();
+                    assert_eq!(
+                        batch.slice(start..end),
+                        batch.gather(&indices),
+                        "range {start}..{end}, nulls = {nulls}"
+                    );
+                }
+            }
+            assert_eq!(batch.slice(0..n), batch);
+            assert_eq!(batch.slice(3..3).num_rows(), 0);
+        }
     }
 
     #[test]

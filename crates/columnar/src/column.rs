@@ -2,6 +2,7 @@
 
 use div_algebra::Value;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A single column of a [`ColumnarBatch`](crate::ColumnarBatch).
 ///
@@ -254,95 +255,170 @@ impl Column {
         }
     }
 
+    /// A new column holding the rows of `range`, in order — the contiguous
+    /// special case of [`Column::gather`] (same result, no index vector). A
+    /// string column keeps its whole dictionary.
+    pub fn slice(&self, range: Range<usize>) -> Column {
+        let slice_validity =
+            |validity: &Option<Vec<bool>>| validity.as_ref().map(|v| v[range.clone()].to_vec());
+        match self {
+            Column::Int { values, validity } => Column::Int {
+                values: values[range.clone()].to_vec(),
+                validity: slice_validity(validity),
+            },
+            Column::Bool { values, validity } => Column::Bool {
+                values: values[range.clone()].to_vec(),
+                validity: slice_validity(validity),
+            },
+            Column::Str(s) => Column::Str(StrColumn {
+                dict: s.dict.clone(),
+                codes: s.codes[range.clone()].to_vec(),
+                validity: slice_validity(&s.validity),
+            }),
+            Column::Mixed(values) => Column::Mixed(values[range].to_vec()),
+        }
+    }
+
     /// Concatenate two columns, unifying representations.
     ///
     /// Same-typed columns merge natively (string dictionaries are remapped);
     /// mismatched types degrade to [`Column::Mixed`], never losing values.
+    /// The result is a fresh column, so folding `concat` over many chunks
+    /// re-copies the accumulated rows every step; to glue many chunks use
+    /// [`concat_batches`](crate::partition::concat_batches), which appends
+    /// in place.
     pub fn concat(&self, other: &Column) -> Column {
-        fn concat_validity(
-            a: &Option<Vec<bool>>,
-            b: &Option<Vec<bool>>,
-            a_len: usize,
-            b_len: usize,
-        ) -> Option<Vec<bool>> {
-            if a.is_none() && b.is_none() {
-                return None;
-            }
-            let mut out = a.clone().unwrap_or_else(|| vec![true; a_len]);
-            out.extend(b.clone().unwrap_or_else(|| vec![true; b_len]));
-            Some(out)
+        let mut acc = ColumnAppender::new(self.clone());
+        acc.append(other);
+        acc.finish()
+    }
+}
+
+/// Appends columns to one growing column in place, with the semantics of a
+/// left fold of [`Column::concat`] at a cost linear in the rows appended.
+///
+/// `Int`/`Bool` columns extend their value vector (a validity mask appears
+/// the first time either side has one); `Str` columns extend the dictionary
+/// in first-occurrence order through one lookup map that lives as long as
+/// the appender, so no chunk re-hashes the dictionary accumulated so far;
+/// the first kind mismatch turns the accumulator into [`Column::Mixed`],
+/// which it then stays.
+#[derive(Debug)]
+pub(crate) struct ColumnAppender {
+    column: Column,
+    /// Dictionary entry → code of the accumulated `Str` column; built on
+    /// the first string append.
+    lookup: Option<HashMap<Box<str>, u32>>,
+}
+
+/// Extend `acc` (the mask of `acc_len` accumulated rows) with the mask of
+/// `other_len` further rows, materializing all-valid masks only when one
+/// side has NULLs.
+fn append_validity(
+    acc: &mut Option<Vec<bool>>,
+    acc_len: usize,
+    other: &Option<Vec<bool>>,
+    other_len: usize,
+) {
+    if acc.is_none() && other.is_none() {
+        return;
+    }
+    let mask = acc.get_or_insert_with(|| vec![true; acc_len]);
+    match other {
+        Some(other) => mask.extend_from_slice(other),
+        None => mask.resize(acc_len + other_len, true),
+    }
+}
+
+impl ColumnAppender {
+    /// Start from `first` (taken as is: appending nothing returns it
+    /// unchanged).
+    pub(crate) fn new(first: Column) -> ColumnAppender {
+        ColumnAppender {
+            column: first,
+            lookup: None,
         }
-        match (self, other) {
+    }
+
+    /// Reserve room for `additional` more rows.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        match &mut self.column {
+            Column::Int { values, .. } => values.reserve(additional),
+            Column::Bool { values, .. } => values.reserve(additional),
+            Column::Str(s) => s.codes.reserve(additional),
+            Column::Mixed(values) => values.reserve(additional),
+        }
+    }
+
+    /// Append the rows of `other`.
+    pub(crate) fn append(&mut self, other: &Column) {
+        match (&mut self.column, other) {
             (
+                Column::Int { values, validity },
                 Column::Int {
-                    values: av,
-                    validity: aval,
-                },
-                Column::Int {
-                    values: bv,
-                    validity: bval,
+                    values: other_values,
+                    validity: other_validity,
                 },
             ) => {
-                let mut values = av.clone();
-                values.extend_from_slice(bv);
-                Column::Int {
-                    values,
-                    validity: concat_validity(aval, bval, av.len(), bv.len()),
-                }
+                append_validity(validity, values.len(), other_validity, other_values.len());
+                values.extend_from_slice(other_values);
             }
             (
+                Column::Bool { values, validity },
                 Column::Bool {
-                    values: av,
-                    validity: aval,
-                },
-                Column::Bool {
-                    values: bv,
-                    validity: bval,
+                    values: other_values,
+                    validity: other_validity,
                 },
             ) => {
-                let mut values = av.clone();
-                values.extend_from_slice(bv);
-                Column::Bool {
-                    values,
-                    validity: concat_validity(aval, bval, av.len(), bv.len()),
-                }
+                append_validity(validity, values.len(), other_validity, other_values.len());
+                values.extend_from_slice(other_values);
             }
-            (Column::Str(a), Column::Str(b)) => {
-                let mut dict = a.dict.clone();
-                let mut lookup: HashMap<Box<str>, u32> = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.clone(), i as u32))
-                    .collect();
-                let remap: Vec<u32> = b
+            (Column::Str(acc), Column::Str(other)) => {
+                let lookup = self.lookup.get_or_insert_with(|| {
+                    acc.dict
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| (s.clone(), i as u32))
+                        .collect()
+                });
+                let dict = &mut acc.dict;
+                let remap: Vec<u32> = other
                     .dict
                     .iter()
-                    .map(|s| {
-                        *lookup.entry(s.clone()).or_insert_with(|| {
+                    .map(|s| match lookup.get(s) {
+                        Some(&code) => code,
+                        None => {
+                            let code = dict.len() as u32;
                             dict.push(s.clone());
-                            (dict.len() - 1) as u32
-                        })
+                            lookup.insert(s.clone(), code);
+                            code
+                        }
                     })
                     .collect();
-                let mut codes = a.codes.clone();
-                codes.extend(b.codes.iter().map(|&c| remap[c as usize]));
-                Column::Str(StrColumn {
-                    dict,
-                    codes,
-                    validity: concat_validity(
-                        &a.validity,
-                        &b.validity,
-                        a.codes.len(),
-                        b.codes.len(),
-                    ),
-                })
+                append_validity(
+                    &mut acc.validity,
+                    acc.codes.len(),
+                    &other.validity,
+                    other.codes.len(),
+                );
+                acc.codes
+                    .extend(other.codes.iter().map(|&c| remap[c as usize]));
             }
-            _ => {
-                let mut values: Vec<Value> = (0..self.len()).map(|i| self.value(i)).collect();
+            (Column::Mixed(values), other) => {
                 values.extend((0..other.len()).map(|i| other.value(i)));
-                Column::Mixed(values)
+            }
+            (acc, other) => {
+                let mut values: Vec<Value> = (0..acc.len()).map(|i| acc.value(i)).collect();
+                values.extend((0..other.len()).map(|i| other.value(i)));
+                self.column = Column::Mixed(values);
+                self.lookup = None;
             }
         }
+    }
+
+    /// The accumulated column.
+    pub(crate) fn finish(self) -> Column {
+        self.column
     }
 }
 

@@ -22,6 +22,11 @@
 //!   operators — a Graefe-style bitmap [hash divide](kernels::hash_divide)
 //!   and a counting [great divide](kernels::hash_great_divide) — all working
 //!   on column slices with a primitive `i64` fast path;
+//! * [`segment`] / [`zone`] — the resident columnar form of an in-memory
+//!   table ([`TableSegments`]: 1024-row chunks converted once, each with
+//!   per-column min/max [`ColumnZone`]s) and the one zone-map
+//!   implementation both that and the `.divcol` file format use to skip
+//!   chunks under a pushed-down filter ([`chunk_may_match`]);
 //! * [`partition`] — hash partitioning of batches on key columns, the
 //!   primitive behind the paper's partition-parallel strategies for Law 2
 //!   (dividend partitioned on the quotient attributes `A`) and Law 13
@@ -71,14 +76,18 @@ pub mod kernels;
 pub mod key_vector;
 pub mod keys;
 pub mod partition;
+pub mod segment;
 pub mod stream;
+pub mod zone;
 
 pub use batch::ColumnarBatch;
 pub use column::{Column, StrColumn};
 pub use hash_table::{GroupIndex, KeyTable};
 pub use key_vector::KeyVector;
 pub use keys::RowKey;
+pub use segment::{Segment, TableSegments, DEFAULT_CHUNK_ROWS};
 pub use stream::{GroupStore, StreamingDistinct};
+pub use zone::{chunk_may_match, column_zone, ColumnZone};
 
 /// Result alias: columnar kernels report the same errors as the reference
 /// algebra operators they mirror.

@@ -25,6 +25,7 @@
 //! distribution is correct.
 
 use crate::batch::ColumnarBatch;
+use crate::column::ColumnAppender;
 use crate::hash_table::{fast_range, mix};
 use crate::key_vector::KeyVector;
 
@@ -117,8 +118,7 @@ pub fn split_even(batch: &ColumnarBatch, partitions: usize) -> Vec<ColumnarBatch
         .map(|p| {
             let start = (p * chunk).min(rows);
             let end = ((p + 1) * chunk).min(rows);
-            let indices: Vec<usize> = (start..end).collect();
-            batch.gather(&indices)
+            batch.slice(start..end)
         })
         .collect()
 }
@@ -136,26 +136,37 @@ pub fn split_even(batch: &ColumnarBatch, partitions: usize) -> Vec<ColumnarBatch
 /// differently-shaped columns would mislabel data.
 pub fn concat_batches(batches: &[ColumnarBatch]) -> Option<ColumnarBatch> {
     let (first, rest) = batches.split_first()?;
-    let mut columns = first.columns().to_vec();
-    let mut rows = first.num_rows();
+    let rest_rows: usize = rest.iter().map(ColumnarBatch::num_rows).sum();
+    // One accumulator per column, appended to in place: every row is copied
+    // once however many batches there are.
+    let mut columns: Vec<ColumnAppender> = first
+        .columns()
+        .iter()
+        .map(|col| {
+            let mut acc = ColumnAppender::new(col.clone());
+            acc.reserve(rest_rows);
+            acc
+        })
+        .collect();
     for batch in rest {
         assert_eq!(batch.schema(), first.schema(), "partition schema drift");
         for (acc, col) in columns.iter_mut().zip(batch.columns()) {
-            *acc = acc.concat(col);
+            acc.append(col);
         }
-        rows += batch.num_rows();
     }
     Some(ColumnarBatch::from_parts(
         first.schema().clone(),
-        columns,
-        rows,
+        columns.into_iter().map(ColumnAppender::finish).collect(),
+        first.num_rows() + rest_rows,
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_algebra::relation;
+    use crate::Column;
+    use div_algebra::{relation, Value};
+    use proptest::prelude::*;
 
     fn sample() -> ColumnarBatch {
         let mut rows = Vec::new();
@@ -219,6 +230,127 @@ mod tests {
             "hash partitioning permutes rows but never loses or invents any"
         );
         assert!(concat_batches(&[]).is_none());
+    }
+
+    /// The definition `concat_batches` must agree with: fold
+    /// [`Column::concat`] over the parts, column by column.
+    fn fold_concat(parts: &[ColumnarBatch]) -> Option<ColumnarBatch> {
+        let (first, rest) = parts.split_first()?;
+        let mut columns = first.columns().to_vec();
+        for part in rest {
+            for (folded, col) in columns.iter_mut().zip(part.columns()) {
+                *folded = folded.concat(col);
+            }
+        }
+        let rows = parts.iter().map(ColumnarBatch::num_rows).sum();
+        Some(ColumnarBatch::from_parts(
+            first.schema().clone(),
+            columns,
+            rows,
+        ))
+    }
+
+    /// A column of `rows` rows whose kind, NULLs and values all derive from
+    /// `seed`: mostly the "home" kind of its position (so same-kind merges
+    /// dominate), sometimes another kind (so the `Mixed` degradation runs).
+    fn random_column(home: u64, rows: usize, mut seed: u64) -> Column {
+        let mut next = move || {
+            seed = mix(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            seed
+        };
+        let kind = if next() % 4 == 0 { next() % 4 } else { home };
+        let with_nulls = next() % 2 == 0;
+        let values: Vec<Value> = (0..rows)
+            .map(|_| {
+                let r = next();
+                if with_nulls && r % 3 == 0 {
+                    return Value::Null;
+                }
+                match kind {
+                    0 => Value::Int((r % 5) as i64),
+                    1 => Value::Bool(r % 2 == 0),
+                    2 => Value::str(["red", "green", "blue", "grey", "pink"][(r % 5) as usize]),
+                    _ => match r % 3 {
+                        0 => Value::Int((r % 7) as i64),
+                        1 => Value::str("m"),
+                        _ => Value::set([(r % 4) as i64]),
+                    },
+                }
+            })
+            .collect();
+        Column::from_values(values.iter())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Dictionary order, codes, validity masks and the points where a
+        /// column turns `Mixed` are identical to the fold, not merely the
+        /// values (`ColumnarBatch: PartialEq` compares representations).
+        #[test]
+        fn concat_batches_equals_the_fold_of_column_concat(
+            parts in prop::collection::vec((0usize..6, 0u64..u64::MAX), 1..9),
+        ) {
+            let schema = div_algebra::Schema::of(["i", "b", "s", "m"]);
+            let parts: Vec<ColumnarBatch> = parts
+                .iter()
+                .map(|&(rows, seed)| {
+                    let columns = (0..4)
+                        .map(|c| random_column(c, rows, seed ^ mix(c)))
+                        .collect();
+                    ColumnarBatch::from_parts(schema.clone(), columns, rows)
+                })
+                .collect();
+            prop_assert_eq!(concat_batches(&parts), fold_concat(&parts));
+        }
+    }
+
+    #[test]
+    fn concat_batches_degrades_a_kind_mismatch_to_mixed() {
+        let schema = div_algebra::Schema::of(["v"]);
+        let part = |values: &[Value]| {
+            ColumnarBatch::from_parts(
+                schema.clone(),
+                vec![Column::from_values(values.iter())],
+                values.len(),
+            )
+        };
+        let parts = [
+            part(&[Value::Int(1), Value::Null]),
+            part(&[Value::str("x")]),
+            part(&[Value::Int(2)]),
+        ];
+        let glued = concat_batches(&parts).unwrap();
+        assert_eq!(
+            glued.column(0),
+            &Column::Mixed(vec![
+                Value::Int(1),
+                Value::Null,
+                Value::str("x"),
+                Value::Int(2)
+            ])
+        );
+        assert_eq!(Some(glued), fold_concat(&parts));
+    }
+
+    #[test]
+    fn concat_batches_keeps_first_occurrence_dictionary_order() {
+        let schema = div_algebra::Schema::of(["s"]);
+        let part = |values: &[&str]| {
+            let values: Vec<Value> = values.iter().map(|s| Value::str(*s)).collect();
+            ColumnarBatch::from_parts(
+                schema.clone(),
+                vec![Column::from_values(values.iter())],
+                values.len(),
+            )
+        };
+        let parts = [part(&["b", "a"]), part(&["c", "a"]), part(&["c", "d", "b"])];
+        let glued = concat_batches(&parts).unwrap();
+        let strs = glued.column(0).as_str_column().unwrap();
+        let dict: Vec<&str> = strs.dict.iter().map(|s| &**s).collect();
+        assert_eq!(dict, vec!["b", "a", "c", "d"]);
+        assert_eq!(strs.codes, vec![0, 1, 2, 1, 2, 3, 0]);
+        assert_eq!(strs.validity, None);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::{ExprError, ExternalTable, Result, SchemaProvider};
 use div_algebra::{Relation, Schema};
+use div_columnar::TableSegments;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -31,6 +32,15 @@ pub struct ForeignKey {
 /// One catalog entry: either an in-memory relation or a handle to an
 /// external (file-backed) table.
 ///
+/// An in-memory entry has two representations of the same rows: the
+/// [`Relation`] it was registered with (the interchange and
+/// reference-evaluator type) and, from the first streaming scan on, its
+/// columnar [`TableSegments`] — converted once per registered table, not
+/// once per query. The cell is [`Arc`]'d, so catalog clones (the
+/// copy-on-write step of a mutation) share the conversion, and a
+/// re-`register` under the same name starts a fresh entry with a fresh
+/// cell.
+///
 /// External entries carry a lazily-populated materialization cache so the
 /// `&Relation`-returning lookups ([`Catalog::table`]) keep working: the
 /// first such lookup loads the file, later ones (and catalog clones, which
@@ -39,7 +49,10 @@ pub struct ForeignKey {
 /// [`Catalog::external`].
 #[derive(Debug, Clone)]
 enum TableEntry {
-    Memory(Arc<Relation>),
+    Memory {
+        relation: Arc<Relation>,
+        segments: Arc<OnceLock<Arc<TableSegments>>>,
+    },
     External {
         table: Arc<dyn ExternalTable>,
         cache: Arc<OnceLock<Arc<Relation>>>,
@@ -51,7 +64,7 @@ impl TableEntry {
     /// caching) an external table on first use.
     fn resolve(&self) -> Result<&Arc<Relation>> {
         match self {
-            TableEntry::Memory(rel) => Ok(rel),
+            TableEntry::Memory { relation, .. } => Ok(relation),
             TableEntry::External { table, cache } => {
                 if let Some(rel) = cache.get() {
                     return Ok(rel);
@@ -68,14 +81,14 @@ impl TableEntry {
     /// entries, only after materialization for external ones).
     fn resident(&self) -> Option<&Relation> {
         match self {
-            TableEntry::Memory(rel) => Some(rel),
+            TableEntry::Memory { relation, .. } => Some(relation),
             TableEntry::External { cache, .. } => cache.get().map(Arc::as_ref),
         }
     }
 
     fn schema(&self) -> &Schema {
         match self {
-            TableEntry::Memory(rel) => rel.schema(),
+            TableEntry::Memory { relation, .. } => relation.schema(),
             TableEntry::External { table, .. } => table.schema(),
         }
     }
@@ -86,8 +99,8 @@ impl TableEntry {
 /// Tables are stored behind [`Arc`]s, so cloning a catalog (the
 /// copy-on-write step of `div_sql::Engine::mutate_catalog`) copies only the
 /// name map, and executors can hold shared handles to the tables they scan
-/// ([`Catalog::table_shared`]) that outlive subsequent catalog mutations —
-/// the foundation of snapshot isolation for concurrent serving.
+/// ([`Catalog::table_segments`]) that outlive subsequent catalog mutations
+/// — the foundation of snapshot isolation for concurrent serving.
 ///
 /// A table may alternatively be *external* — backed by a file through the
 /// [`ExternalTable`] trait and registered with
@@ -145,8 +158,13 @@ impl Catalog {
 
     /// Register (or replace) a table.
     pub fn register(&mut self, name: impl Into<String>, relation: Relation) -> &mut Self {
-        self.tables
-            .insert(name.into(), TableEntry::Memory(Arc::new(relation)));
+        self.tables.insert(
+            name.into(),
+            TableEntry::Memory {
+                relation: Arc::new(relation),
+                segments: Arc::new(OnceLock::new()),
+            },
+        );
         self.version = next_version();
         self
     }
@@ -211,11 +229,9 @@ impl Catalog {
     }
 
     /// Look up a table as a shared handle. The handle stays valid (and the
-    /// data immutable) even if the catalog is mutated or dropped afterwards
-    /// — streaming scans hold these so an in-flight query keeps reading the
-    /// snapshot it was planned against. External tables are materialized
-    /// (once) to produce the handle; streaming scans avoid this by asking
-    /// for [`Catalog::external`] first.
+    /// data immutable) even if the catalog is mutated or dropped
+    /// afterwards. External tables are materialized (once) to produce the
+    /// handle.
     pub fn table_shared(&self, name: &str) -> Result<Arc<Relation>> {
         self.tables
             .get(name)
@@ -223,6 +239,33 @@ impl Catalog {
                 table: name.to_string(),
             })
             .and_then(|entry| entry.resolve().cloned())
+    }
+
+    /// The columnar segments of the in-memory table `name`: what a
+    /// streaming scan reads. The first call converts the relation
+    /// ([`TableSegments::from_relation`]; `register` itself converts
+    /// nothing), every later call — on this catalog or any clone that still
+    /// holds the same registration — returns the same [`Arc`]. Like
+    /// [`Catalog::table_shared`], the handle outlives catalog mutations, so
+    /// an in-flight scan keeps reading the snapshot it was compiled against.
+    ///
+    /// External tables have no resident segments — they are scanned off
+    /// their file through [`Catalog::external`] — so asking for them is an
+    /// error, as is an unknown name.
+    pub fn table_segments(&self, name: &str) -> Result<Arc<TableSegments>> {
+        match self.tables.get(name) {
+            None => Err(ExprError::UnknownTable {
+                table: name.to_string(),
+            }),
+            Some(TableEntry::Memory { relation, segments }) => {
+                Ok(Arc::clone(segments.get_or_init(|| {
+                    Arc::new(TableSegments::from_relation(relation))
+                })))
+            }
+            Some(TableEntry::External { .. }) => Err(ExprError::invalid(format!(
+                "table {name} is external: scan it through its file, not resident segments"
+            ))),
+        }
     }
 
     /// `true` if a table with this name is registered.
@@ -494,6 +537,28 @@ mod tests {
         // Dropping the table entirely does not invalidate the handle either.
         c.unregister("parts").unwrap();
         assert_eq!(snapshot.len(), 2);
+    }
+
+    #[test]
+    fn segments_are_built_once_per_registration_and_shared_by_clones() {
+        let mut c = catalog();
+        let first = c.table_segments("parts").unwrap();
+        assert_eq!(first.num_rows(), 2);
+        assert!(Arc::ptr_eq(&first, &c.table_segments("parts").unwrap()));
+        // A clone mutated elsewhere still shares the conversion...
+        let mut clone = c.clone();
+        clone.register("other", relation! { ["x"] => [1] });
+        assert!(Arc::ptr_eq(&first, &clone.table_segments("parts").unwrap()));
+        // ...a new registration under the same name does not, and the old
+        // handle keeps the old rows.
+        c.register("parts", relation! { ["p#", "color"] => [9, "green"] });
+        let fresh = c.table_segments("parts").unwrap();
+        assert!(!Arc::ptr_eq(&first, &fresh));
+        assert_eq!((first.num_rows(), fresh.num_rows()), (2, 1));
+        assert!(matches!(
+            c.table_segments("nope").unwrap_err(),
+            ExprError::UnknownTable { .. }
+        ));
     }
 
     #[test]

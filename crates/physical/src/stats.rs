@@ -77,9 +77,11 @@ pub struct ExecStats {
     /// regression tests assert on this after cancelled / deadline-tripped /
     /// budget-tripped drains. Always `0` on the materializing backends.
     pub resident_rows_on_finish: usize,
-    /// Chunks of an attached (file-backed) table the scan skipped without
-    /// reading because the chunk's zone maps proved the pushed-down filter
-    /// cannot match any row in it.
+    /// Chunks a streaming scan skipped without emitting — resident segments
+    /// of an in-memory table, on-disk chunks of an attached one (those are
+    /// not even read) — because the chunk's zone maps proved the pushed-down
+    /// filter cannot match any row in it. Their rows are not in
+    /// `rows_scanned`.
     pub chunks_skipped: usize,
     /// Spill partition files created by the hybrid hash operators (every
     /// recursion level counts its own files).

@@ -7,9 +7,11 @@
 //! [`PhysicalPlan`] into a tree of [`BatchStream`] operators instead —
 //! the classic Volcano iterator protocol (Graefe), batch-at-a-time:
 //!
-//! * **scans** chunk base tables into batches of
-//!   [`PlannerConfig::batch_size`] rows, lazily — an unconsumed stream never
-//!   touches the rest of the table;
+//! * **scans** emit a base table's columnar chunks — the resident
+//!   segments of an in-memory table, the decoded chunks of an attached
+//!   file — in batches of at most [`PlannerConfig::batch_size`] rows, one
+//!   pull at a time: an unconsumed stream never touches the rest of the
+//!   table, and a pushed-down filter skips chunks its zone maps exclude;
 //! * **pipelining operators** (filter, project, rename, union, the
 //!   nested-loop theta-join's probe side) transform one chunk at a time.
 //!   Projection and union keep set semantics with a streaming distinct
@@ -54,9 +56,9 @@ use crate::planner::PlannerConfig;
 use crate::stats::ExecStats;
 use crate::trace::{OperatorId, QueryTrace};
 use crate::Result;
-use div_algebra::{AlgebraError, Predicate, Relation, Schema, Tuple};
+use div_algebra::{AlgebraError, Predicate, Schema};
 use div_columnar::kernels::{self, JoinBuild, KernelOutput, StreamingGreatDivide};
-use div_columnar::{partition, Column, ColumnarBatch, StreamingDistinct};
+use div_columnar::{chunk_may_match, partition, ColumnarBatch, StreamingDistinct, TableSegments};
 use div_expr::{Catalog, ExprError};
 use std::sync::Arc;
 use std::time::Instant;
@@ -302,8 +304,7 @@ impl ChunkCursor {
             return self.batch.take();
         }
         let end = (self.pos + ctx.batch_size).min(rows);
-        let indices: Vec<usize> = (self.pos..end).collect();
-        let chunk = self.batch.as_ref()?.gather(&indices);
+        let chunk = self.batch.as_ref()?.slice(self.pos..end);
         self.pos = end;
         if self.pos >= rows {
             self.release(ctx);
@@ -322,67 +323,78 @@ impl ChunkCursor {
 // Source operators
 // ---------------------------------------------------------------------------
 
-/// Chunked scan over a base table: rows are converted to columnar chunks
-/// lazily, so an early-terminated consumer never pays for the rest of the
-/// table.
+/// Chunked scan over an in-memory base table, reading the table's resident
+/// columnar segments ([`Catalog::table_segments`]): no row is converted per
+/// query. Chunks are consecutive row ranges of at most `batch_size` rows
+/// that never straddle a segment — a whole segment is emitted as a clone of
+/// its column vectors, a shorter range as a slice — and they are produced
+/// one pull at a time, so an early-terminated consumer never copies the
+/// rest of the table.
 ///
-/// The scan holds a *shared snapshot handle* ([`Arc<Relation>`], from
-/// [`Catalog::table_shared`]) instead of a borrow, which is what frees the
-/// whole operator tree — and therefore `div_sql`'s `Cursor` — from the
-/// catalog's lifetime: a concurrent catalog mutation swaps the table out of
-/// the catalog, while this scan keeps streaming the snapshot it was
-/// compiled against. Between chunks the scan remembers only the last tuple
-/// emitted and re-enters the table's sorted tuple set in O(log n)
-/// ([`Relation::tuples_after`]).
+/// The scan holds a *shared snapshot handle* ([`Arc<TableSegments>`])
+/// instead of a borrow, which is what frees the whole operator tree — and
+/// therefore `div_sql`'s `Cursor` — from the catalog's lifetime: a
+/// concurrent catalog mutation swaps the table out of the catalog, while
+/// this scan keeps streaming the snapshot it was compiled against.
+///
+/// When a parent filter pushed its predicate down here, a segment whose
+/// zone maps exclude it is skipped whole and counted in
+/// [`ExecStats::chunks_skipped`], exactly as [`ExternalScanStream`] skips
+/// file chunks.
 struct ScanStream {
     meta: OpMeta,
-    schema: Schema,
-    table: Arc<Relation>,
-    /// Last tuple of the previous chunk — the resumption key. `None` before
-    /// the first chunk.
-    last: Option<Tuple>,
-    done: bool,
+    table: Arc<TableSegments>,
+    predicate: Option<Predicate>,
+    /// The segment being emitted and the first row of it not yet emitted.
+    segment: usize,
+    offset: usize,
 }
 
 impl ScanStream {
-    fn new(meta: OpMeta, table: Arc<Relation>) -> ScanStream {
+    fn new(meta: OpMeta, table: Arc<TableSegments>, predicate: Option<Predicate>) -> ScanStream {
         ScanStream {
             meta,
-            schema: table.schema().clone(),
             table,
-            last: None,
-            done: false,
+            predicate,
+            segment: 0,
+            offset: 0,
         }
     }
 }
 
 impl BatchStream for ScanStream {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.table.schema()
     }
 
     fn next_batch(&mut self, ctx: &mut StreamContext) -> Result<Option<ColumnarBatch>> {
-        if self.done {
-            return Ok(None);
+        while let Some(segment) = self.table.segments().get(self.segment) {
+            if self.offset == 0
+                && self.predicate.as_ref().is_some_and(|predicate| {
+                    !chunk_may_match(predicate, self.table.schema(), segment.zones())
+                })
+            {
+                ctx.stats.chunks_skipped += 1;
+                self.segment += 1;
+                continue;
+            }
+            let batch = segment.batch();
+            let rows = batch.num_rows();
+            let end = (self.offset + ctx.batch_size).min(rows);
+            let chunk = if self.offset == 0 && end == rows {
+                batch.clone()
+            } else {
+                batch.slice(self.offset..end)
+            };
+            if end == rows {
+                self.segment += 1;
+                self.offset = 0;
+            } else {
+                self.offset = end;
+            }
+            return self.meta.emit(ctx, chunk);
         }
-        let rows: Vec<&Tuple> = self
-            .table
-            .tuples_after(self.last.as_ref())
-            .take(ctx.batch_size)
-            .collect();
-        if rows.is_empty() {
-            self.done = true;
-            return Ok(None);
-        }
-        if rows.len() < ctx.batch_size {
-            self.done = true;
-        }
-        let columns: Vec<Column> = (0..self.schema.arity())
-            .map(|c| Column::from_values(rows.iter().map(|t| &t.values()[c])))
-            .collect();
-        let chunk = ColumnarBatch::from_parts(self.schema.clone(), columns, rows.len());
-        self.last = rows.last().map(|t| (*t).clone());
-        self.meta.emit(ctx, chunk)
+        Ok(None)
     }
 
     fn close(&mut self, ctx: &mut StreamContext) {
@@ -1118,8 +1130,9 @@ fn schema_mismatch(left: &Schema, right: &Schema, operation: &'static str) -> Ex
 
 /// Compile a physical plan into a streaming operator tree rooted at a
 /// [`BatchStream`]. Schema inference and validation happen here, before any
-/// batch flows; the returned stream borrows the catalog's base tables (no
-/// table is copied until its rows are actually pulled).
+/// batch flows; the returned stream shares the catalog's base tables (an
+/// in-memory table is converted to columnar segments by the first scan
+/// compiled over it, and no chunk is copied until it is actually pulled).
 pub fn compile_stream(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -1144,9 +1157,9 @@ fn compile(
 }
 
 /// Like [`compile`], but with a predicate the *immediate* plan node may
-/// push down — only the `TableScan` arm consumes it (handing it to an
-/// attached table's zone-map-skipping scan); every other node ignores it,
-/// so a pushdown never crosses more than one plan edge.
+/// push down — only the `TableScan` arm consumes it (handing it to the
+/// zone-map-skipping scan of a resident or attached table); every other
+/// node ignores it, so a pushdown never crosses more than one plan edge.
 fn compile_with_pushdown(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -1188,7 +1201,11 @@ fn compile_node(
     Ok(match plan {
         PhysicalPlan::TableScan { table } => match catalog.external(table) {
             Some(external) => Box::new(ExternalScanStream::new(meta, external, pushdown.cloned())),
-            None => Box::new(ScanStream::new(meta, catalog.table_shared(table)?)),
+            None => Box::new(ScanStream::new(
+                meta,
+                catalog.table_segments(table)?,
+                pushdown.cloned(),
+            )),
         },
         PhysicalPlan::Values { relation } => {
             // Inline constants are owned by the plan, which does not outlive
@@ -1204,7 +1221,7 @@ fn compile_node(
         PhysicalPlan::Filter { input, predicate } => Box::new(FilterStream {
             meta,
             // The filter's own predicate is offered to its child as a
-            // pushdown (consumed only by attached-table scans, whose zone
+            // pushdown (consumed only by table scans, whose zone
             // maps may then skip whole chunks). The filter still re-applies
             // the predicate — chunk skipping is conservative, not exact.
             child: compile_with_pushdown(
@@ -1493,8 +1510,7 @@ impl BatchStream for ValuesStream {
             return Ok(None);
         }
         let end = (self.pos + ctx.batch_size).min(self.batch.num_rows());
-        let indices: Vec<usize> = (self.pos..end).collect();
-        let chunk = self.batch.gather(&indices);
+        let chunk = self.batch.slice(self.pos..end);
         self.pos = end;
         self.meta.emit(ctx, chunk)
     }
@@ -1657,7 +1673,7 @@ mod tests {
     use crate::planner::plan_query;
     #[cfg(feature = "failpoints")]
     use crate::FailAction;
-    use div_algebra::{relation, AggregateCall, CompareOp};
+    use div_algebra::{relation, AggregateCall, CompareOp, Relation};
     use div_expr::PlanBuilder;
 
     fn catalog() -> Catalog {

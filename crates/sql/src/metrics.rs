@@ -117,7 +117,7 @@ impl EngineMetrics {
 
     /// Fold one finished execution's out-of-core statistics into the
     /// session counters: spill traffic from the hybrid hash operators and
-    /// zone-map chunk skips from attached-table scans.
+    /// zone-map chunk skips from table scans.
     pub(crate) fn record_exec_stats(&self, stats: &div_physical::ExecStats) {
         if stats.spill_partitions > 0 {
             self.queries_spilled.fetch_add(1, Ordering::Relaxed);
@@ -229,8 +229,8 @@ pub struct MetricsSnapshot {
     pub spill_rows_written: u64,
     /// Total rows read back from spill files.
     pub spill_rows_read: u64,
-    /// Total attached-table chunks skipped via zone maps under pushed-down
-    /// filters.
+    /// Total table chunks (resident segments and attached-file chunks)
+    /// skipped via zone maps under pushed-down filters.
     pub chunks_skipped: u64,
 }
 

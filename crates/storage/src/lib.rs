@@ -34,9 +34,12 @@ pub mod spill;
 pub mod table;
 
 pub use checksum::crc32;
-pub use codec::{chunk_may_match, ColumnZone};
 pub use spill::{SpillHandle, SpillManager, SpillWriter};
-pub use table::{TableReader, TableScanCursor, TableWriter, DEFAULT_CHUNK_ROWS};
+pub use table::{TableReader, TableScanCursor, TableWriter};
+
+// Zone maps and the default chunk size are shared with the resident
+// segments of in-memory tables, so they live in `div-columnar`.
+pub use div_columnar::{chunk_may_match, ColumnZone, DEFAULT_CHUNK_ROWS};
 
 use std::fmt;
 

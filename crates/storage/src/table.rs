@@ -21,12 +21,10 @@
 //! the leading magic via [`StorageError::BadMagic`].
 
 use crate::checksum::crc32;
-use crate::codec::{
-    self, chunk_may_match, put_str, put_u16, put_u32, put_u64, ByteReader, ColumnZone,
-};
+use crate::codec::{self, put_str, put_u16, put_u32, put_u64, ByteReader};
 use crate::{Result, StorageError};
 use div_algebra::{Predicate, Relation, Schema};
-use div_columnar::ColumnarBatch;
+use div_columnar::{chunk_may_match, column_zone, ColumnZone, ColumnarBatch};
 use div_expr::{ExprError, ExternalScan, ExternalTable};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -36,8 +34,6 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: [u8; 8] = *b"DIVCOL01";
 /// Footer payload version.
 const FORMAT_VERSION: u16 = 1;
-/// Default rows per chunk when writing a whole relation.
-pub const DEFAULT_CHUNK_ROWS: usize = 1024;
 
 fn io_err(context: &str, err: std::io::Error) -> StorageError {
     StorageError::Io {
@@ -117,7 +113,7 @@ impl TableWriter {
             return Ok(());
         }
         let payload = codec::encode_chunk(batch);
-        let zones = batch.columns().iter().map(codec::column_zone).collect();
+        let zones = batch.columns().iter().map(column_zone).collect();
         self.chunks.push(ChunkMeta {
             offset: self.offset,
             len: payload.len() as u64,
@@ -180,8 +176,7 @@ impl TableWriter {
         let mut start = 0;
         while start < rows {
             let end = (start + chunk_rows).min(rows);
-            let indices: Vec<usize> = (start..end).collect();
-            writer.write_batch(&batch.gather(&indices))?;
+            writer.write_batch(&batch.slice(start..end))?;
             start = end;
         }
         writer.finish()
