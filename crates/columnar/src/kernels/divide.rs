@@ -103,28 +103,6 @@ impl GroupState {
 pub fn hash_divide(dividend: &ColumnarBatch, divisor: &ColumnarBatch) -> Result<KernelOutput> {
     let layout = DivideLayout::resolve(dividend.schema(), divisor.schema())?;
     let a_keys = KeyVector::build(dividend, &layout.dividend_a);
-    divide_core(dividend, divisor, &layout, &a_keys)
-}
-
-/// [`hash_divide`] with the dividend's quotient-attribute (`A`) key vector
-/// precomputed — built over the `A` columns in
-/// `sch(dividend) − sch(divisor)` order, exactly what the Law-2
-/// partitioning step of `div_physical::parallel_columnar` already hashed.
-pub fn hash_divide_prehashed(
-    dividend: &ColumnarBatch,
-    divisor: &ColumnarBatch,
-    a_keys: &KeyVector,
-) -> Result<KernelOutput> {
-    let layout = DivideLayout::resolve(dividend.schema(), divisor.schema())?;
-    divide_core(dividend, divisor, &layout, a_keys)
-}
-
-fn divide_core(
-    dividend: &ColumnarBatch,
-    divisor: &ColumnarBatch,
-    layout: &DivideLayout,
-    a_keys: &KeyVector,
-) -> Result<KernelOutput> {
     let quotient_refs: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
 
     // Empty divisor: the containment test is vacuously true, every dividend
@@ -158,10 +136,10 @@ fn divide_core(
     let same_a = cross_matcher(
         dividend,
         &layout.dividend_a,
-        a_keys,
+        &a_keys,
         dividend,
         &layout.dividend_a,
-        a_keys,
+        &a_keys,
     );
     let mut a_index = GroupIndex::with_capacity(rows.min(1 << 20));
     let mut states: Vec<GroupState> = Vec::new();
@@ -442,19 +420,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn prehashed_entry_point_matches() {
-        let dividend = ColumnarBatch::from_relation(&relation! {
-            ["a", "b"] => [1, 1], [1, 2], [2, 1]
-        });
-        let divisor = ColumnarBatch::from_relation(&relation! { ["b"] => [1], [2] });
-        let layout = DivideLayout::resolve(dividend.schema(), divisor.schema()).unwrap();
-        let a_keys = KeyVector::build(&dividend, &layout.dividend_a);
-        let plain = hash_divide(&dividend, &divisor).unwrap();
-        let prehashed = hash_divide_prehashed(&dividend, &divisor, &a_keys).unwrap();
-        assert_eq!(plain.batch, prehashed.batch);
-        assert_eq!(plain.probes, prehashed.probes);
     }
 }

@@ -70,44 +70,16 @@ pub fn hash_great_divide(
     dividend: &ColumnarBatch,
     divisor: &ColumnarBatch,
 ) -> Result<KernelOutput> {
-    great_divide_core(dividend, divisor, None)
-}
-
-/// [`hash_great_divide`] with the divisor's group-attribute (`C`) key
-/// vector precomputed — built over the `C` columns in
-/// `sch(divisor) − sch(dividend)` order, exactly what the Law-13
-/// partitioning step of `div_physical::parallel_columnar` already hashed.
-pub fn hash_great_divide_prehashed(
-    dividend: &ColumnarBatch,
-    divisor: &ColumnarBatch,
-    divisor_c_keys: &KeyVector,
-) -> Result<KernelOutput> {
-    great_divide_core(dividend, divisor, Some(divisor_c_keys))
-}
-
-fn great_divide_core(
-    dividend: &ColumnarBatch,
-    divisor: &ColumnarBatch,
-    divisor_c_keys: Option<&KeyVector>,
-) -> Result<KernelOutput> {
     let layout = GreatDivideLayout::resolve(dividend.schema(), divisor.schema())?;
     if layout.group.is_empty() {
         // Darwen & Date: with no group attributes `C` the operator *is* the
-        // small divide (a prehashed C vector keys on zero columns and is of
-        // no use to it).
+        // small divide.
         return hash_divide(dividend, divisor);
     }
 
     // Normalize the divisor's B and C key columns once per batch.
     let divisor_b_keys = KeyVector::build(divisor, &layout.divisor_b);
-    let c_keys_built;
-    let c_keys = match divisor_c_keys {
-        Some(keys) => keys,
-        None => {
-            c_keys_built = KeyVector::build(divisor, &layout.divisor_c);
-            &c_keys_built
-        }
-    };
+    let c_keys = KeyVector::build(divisor, &layout.divisor_c);
     let same_divisor_b = cross_matcher(
         divisor,
         &layout.divisor_b,
@@ -119,10 +91,10 @@ fn great_divide_core(
     let same_c = cross_matcher(
         divisor,
         &layout.divisor_c,
-        c_keys,
+        &c_keys,
         divisor,
         &layout.divisor_c,
-        c_keys,
+        &c_keys,
     );
 
     // Dense ids for the distinct shared `B` values and the `C` groups, plus
@@ -605,23 +577,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn prehashed_entry_point_matches() {
-        let dividend = ColumnarBatch::from_relation(&relation! {
-            ["a", "b"] => [1, 1], [1, 2], [2, 1]
-        });
-        let divisor = ColumnarBatch::from_relation(&relation! {
-            ["b", "c"] => [1, 1], [2, 1], [1, 2]
-        });
-        let c_cols = divisor
-            .projection_indices(&["c"])
-            .expect("group attribute resolves");
-        let c_keys = KeyVector::build(&divisor, &c_cols);
-        let plain = hash_great_divide(&dividend, &divisor).unwrap();
-        let prehashed = hash_great_divide_prehashed(&dividend, &divisor, &c_keys).unwrap();
-        assert_eq!(plain.batch, prehashed.batch);
-        assert_eq!(plain.probes, prehashed.probes);
     }
 }

@@ -3,10 +3,7 @@
 //! Keys are normalized once per batch ([`KeyVector`]) and the build side
 //! goes into an open-addressing [`GroupIndex`] plus a
 //! CSR row list — no
-//! per-row `Value` materialization, no SipHash. The `_prehashed` entry
-//! points accept key vectors computed upstream (by
-//! `div_physical::parallel_columnar`'s partitioning step), so
-//! partition-parallel runs hash each row once, not twice.
+//! per-row `Value` materialization, no SipHash.
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{index_rows, index_rows_tracked, GroupIndex};
@@ -265,45 +262,21 @@ pub fn hash_natural_join(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<
     let (left_key, right_key) = join_key_columns(left.schema(), right.schema())?;
     let left_keys = KeyVector::build(left, &left_key);
     let right_keys = KeyVector::build(right, &right_key);
-    natural_join_core(left, right, &left_key, &right_key, &left_keys, &right_keys)
-}
-
-/// [`hash_natural_join`] with both sides' key vectors precomputed (over the
-/// common attributes, in the left schema's common-attribute order — the
-/// layout [`KeyVector::build`] on the join key columns produces).
-pub fn hash_natural_join_prehashed(
-    left: &ColumnarBatch,
-    right: &ColumnarBatch,
-    left_keys: &KeyVector,
-    right_keys: &KeyVector,
-) -> Result<KernelOutput> {
-    let (left_key, right_key) = join_key_columns(left.schema(), right.schema())?;
-    natural_join_core(left, right, &left_key, &right_key, left_keys, right_keys)
-}
-
-fn natural_join_core(
-    left: &ColumnarBatch,
-    right: &ColumnarBatch,
-    left_key: &[usize],
-    right_key: &[usize],
-    left_keys: &KeyVector,
-    right_keys: &KeyVector,
-) -> Result<KernelOutput> {
     let right_extra = extra_attributes(left.schema(), right.schema());
     let right_extra_idx = right.projection_indices(&right_extra)?;
 
     // Build: dense group ids over the right rows, then a CSR layout listing
     // each group's rows in ascending order. Probe with the whole left side.
-    let (index, gid_of) = index_rows_tracked(right, right_key, right_keys);
+    let (index, gid_of) = index_rows_tracked(right, &right_key, &right_keys);
     let (offsets, rows_csr) = csr_from_gids(&gid_of, index.len());
     let out_schema = left.schema().natural_union(right.schema());
     Ok(natural_probe(
         left,
-        left_key,
-        left_keys,
+        &left_key,
+        &left_keys,
         right,
-        right_key,
-        right_keys,
+        &right_key,
+        &right_keys,
         &index,
         &offsets,
         &rows_csr,
@@ -322,44 +295,16 @@ pub fn hash_semi_join(
     let (left_key, right_key) = join_key_columns(left.schema(), right.schema())?;
     let left_keys = KeyVector::build(left, &left_key);
     let right_keys = KeyVector::build(right, &right_key);
-    semi_join_core(
-        left,
-        right,
-        anti,
-        &left_key,
-        &right_key,
-        &left_keys,
-        &right_keys,
-    )
-}
-
-/// [`hash_semi_join`] with both sides' key vectors precomputed (same
-/// contract as [`hash_natural_join_prehashed`]).
-pub fn hash_semi_join_prehashed(
-    left: &ColumnarBatch,
-    right: &ColumnarBatch,
-    anti: bool,
-    left_keys: &KeyVector,
-    right_keys: &KeyVector,
-) -> Result<KernelOutput> {
-    let (left_key, right_key) = join_key_columns(left.schema(), right.schema())?;
-    semi_join_core(
-        left, right, anti, &left_key, &right_key, left_keys, right_keys,
-    )
-}
-
-fn semi_join_core(
-    left: &ColumnarBatch,
-    right: &ColumnarBatch,
-    anti: bool,
-    left_key: &[usize],
-    right_key: &[usize],
-    left_keys: &KeyVector,
-    right_keys: &KeyVector,
-) -> Result<KernelOutput> {
-    let index = index_rows(right, right_key, right_keys);
+    let index = index_rows(right, &right_key, &right_keys);
     Ok(semi_probe(
-        left, left_key, left_keys, right, right_key, right_keys, &index, anti,
+        left,
+        &left_key,
+        &left_keys,
+        right,
+        &right_key,
+        &right_keys,
+        &index,
+        anti,
     ))
 }
 
@@ -425,25 +370,6 @@ mod tests {
             .natural_join(&r.to_relation().unwrap())
             .unwrap();
         assert_eq!(out.batch.to_relation().unwrap(), expected);
-    }
-
-    #[test]
-    fn prehashed_entry_points_match_the_building_ones() {
-        let (supplies, parts) = inputs();
-        let (lk, rk) = join_key_columns(supplies.schema(), parts.schema()).unwrap();
-        let left_keys = KeyVector::build(&supplies, &lk);
-        let right_keys = KeyVector::build(&parts, &rk);
-        let natural = hash_natural_join(&supplies, &parts).unwrap();
-        let prehashed =
-            hash_natural_join_prehashed(&supplies, &parts, &left_keys, &right_keys).unwrap();
-        assert_eq!(natural.batch, prehashed.batch);
-        assert_eq!(natural.probes, prehashed.probes);
-        for anti in [false, true] {
-            let a = hash_semi_join(&supplies, &parts, anti).unwrap();
-            let b =
-                hash_semi_join_prehashed(&supplies, &parts, anti, &left_keys, &right_keys).unwrap();
-            assert_eq!(a.batch, b.batch);
-        }
     }
 
     #[test]

@@ -15,15 +15,10 @@ pub mod project;
 pub mod set_ops;
 
 pub use aggregate::hash_aggregate;
-pub use divide::{hash_divide, hash_divide_prehashed, quotient_schema, StreamingDivide};
+pub use divide::{hash_divide, quotient_schema, StreamingDivide};
 pub use filter::filter;
-pub use great_divide::{
-    great_quotient_schema, hash_great_divide, hash_great_divide_prehashed, StreamingGreatDivide,
-};
-pub use join::{
-    hash_natural_join, hash_natural_join_prehashed, hash_semi_join, hash_semi_join_prehashed,
-    JoinBuild, KernelOutput,
-};
+pub use great_divide::{great_quotient_schema, hash_great_divide, StreamingGreatDivide};
+pub use join::{hash_natural_join, hash_semi_join, JoinBuild, KernelOutput};
 pub use product::{cross_product, cross_product_slice, theta_join};
 pub use project::{project, rename, union};
 pub use set_ops::{difference, intersect};

@@ -96,10 +96,8 @@ pub fn value_code(value: &Value) -> u64 {
 
 /// A batch's key columns normalized to one dense `u64` code per row.
 ///
-/// Built once per batch per operator (or once per *partition pipeline* when
-/// the physical layer reuses partition-time hashes via the `_prehashed`
-/// kernel entry points). See the module docs for the code-assignment
-/// contract.
+/// Built once per batch per operator. See the module docs for the
+/// code-assignment contract.
 #[derive(Debug, Clone)]
 pub struct KeyVector {
     codes: Vec<u64>,
@@ -177,7 +175,7 @@ impl KeyVector {
 
     /// The codes of `indices`-selected rows, in that order — the key-vector
     /// counterpart of [`ColumnarBatch::gather`], used to carry
-    /// partition-time hashes into per-partition kernels.
+    /// partition-time hashes alongside each partition's rows.
     pub fn gather(&self, indices: &[usize]) -> KeyVector {
         KeyVector {
             codes: indices.iter().map(|&i| self.codes[i]).collect(),

@@ -27,10 +27,10 @@
 //!   per-column min/max [`ColumnZone`]s) and the one zone-map
 //!   implementation both that and the `.divcol` file format use to skip
 //!   chunks under a pushed-down filter ([`chunk_may_match`]);
-//! * [`partition`] — hash partitioning of batches on key columns, the
-//!   primitive behind the paper's partition-parallel strategies for Law 2
-//!   (dividend partitioned on the quotient attributes `A`) and Law 13
-//!   (divisor partitioned on the group attributes `C`);
+//! * [`partition`] — hash partitioning of batches on key columns (the
+//!   routing the spilling operators of `div-physical` partition their
+//!   inputs with) and the linear concatenation that drains chunks back
+//!   into one batch;
 //! * [`key_vector`] / [`hash_table`] — the vectorized key pipeline every
 //!   hash-consuming kernel runs on: [`KeyVector`] normalizes a batch's key
 //!   columns **once per batch** into dense `u64` codes (raw-`i64` fast
@@ -42,9 +42,8 @@
 //!   allocating reference representation the key pipeline is checked
 //!   against (and for row-at-a-time consumers).
 //!
-//! The executor that walks physical plans (and the scoped-thread driver that
-//! runs kernels on partitions concurrently) lives in `div-physical`
-//! (`ExecutionBackend::Columnar`); this crate deliberately depends only on
+//! The executor that walks physical plans lives in `div-physical`
+//! (`StreamExecutor`); this crate deliberately depends only on
 //! `div-algebra` so the physical layer can layer on top.
 //!
 //! The division pipeline in miniature — convert, divide, convert back:

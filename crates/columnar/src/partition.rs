@@ -18,11 +18,8 @@
 //! agreeing on the key always land in the same bucket (the disjointness
 //! the laws require) regardless of the batch's column encodings.
 //! [`hash_partition_keyed`] additionally returns each partition's gathered
-//! key vector, so the per-partition kernels (via their `_prehashed` entry
-//! points) reuse the partition-time hashes instead of hashing every row a
-//! second time. [`split_even`] is the key-free variant used to parallelize
-//! kernels without a partitioning key (e.g. filters), where any row
-//! distribution is correct.
+//! key vector, and [`hash_partition_seeded`] re-randomizes the routing per
+//! recursion level for the spilling operators.
 
 use crate::batch::ColumnarBatch;
 use crate::column::ColumnAppender;
@@ -62,9 +59,7 @@ pub fn hash_partition(
 }
 
 /// [`hash_partition`], additionally returning each partition's key vector
-/// (the partition-time row hashes gathered alongside the rows), so
-/// downstream kernels can consume the codes via their `_prehashed` entry
-/// points instead of re-normalizing every partition.
+/// (the partition-time row hashes gathered alongside the rows).
 pub fn hash_partition_keyed(
     batch: &ColumnarBatch,
     key_columns: &[usize],
@@ -103,30 +98,10 @@ pub fn hash_partition_seeded(
         .collect()
 }
 
-/// Split `batch` into `partitions` contiguous, near-equal row ranges.
-///
-/// Unlike [`hash_partition`] no key is consulted; use this for operators
-/// (like filters) that are correct under any row distribution.
-pub fn split_even(batch: &ColumnarBatch, partitions: usize) -> Vec<ColumnarBatch> {
-    let partitions = partitions.max(1);
-    if partitions == 1 {
-        return vec![batch.clone()];
-    }
-    let rows = batch.num_rows();
-    let chunk = rows.div_ceil(partitions).max(1);
-    (0..partitions)
-        .map(|p| {
-            let start = (p * chunk).min(rows);
-            let end = ((p + 1) * chunk).min(rows);
-            batch.slice(start..end)
-        })
-        .collect()
-}
-
 /// Concatenate partition results back into one batch, in partition order.
 ///
 /// All batches must share the first batch's schema (they do by construction
-/// when they came out of [`hash_partition`] / [`split_even`] followed by a
+/// when they came out of [`hash_partition`] followed by a
 /// schema-preserving kernel). Returns `None` for an empty slice, since there
 /// is no schema to make an empty batch from.
 ///
@@ -165,7 +140,7 @@ pub fn concat_batches(batches: &[ColumnarBatch]) -> Option<ColumnarBatch> {
 mod tests {
     use super::*;
     use crate::Column;
-    use div_algebra::{relation, Value};
+    use div_algebra::Value;
     use proptest::prelude::*;
 
     fn sample() -> ColumnarBatch {
@@ -204,18 +179,6 @@ mod tests {
         let parts = hash_partition(&batch, &[0], 1);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0], batch);
-        assert_eq!(split_even(&batch, 1)[0], batch);
-    }
-
-    #[test]
-    fn split_even_covers_all_rows_in_order() {
-        let batch = sample();
-        for partitions in [2, 3, 7, 100] {
-            let parts = split_even(&batch, partitions);
-            assert_eq!(parts.len(), partitions);
-            let glued = concat_batches(&parts).unwrap();
-            assert_eq!(glued, batch, "partitions = {partitions}");
-        }
     }
 
     #[test]
@@ -384,9 +347,5 @@ mod tests {
         let empty = ColumnarBatch::empty(div_algebra::Schema::of(["a", "b"]));
         let parts = hash_partition(&empty, &[0], 3);
         assert!(parts.iter().all(|p| p.num_rows() == 0));
-        let relation = relation! { ["a", "b"] => [1, 1] };
-        let one = ColumnarBatch::from_relation(&relation);
-        let parts = split_even(&one, 5);
-        assert_eq!(parts.iter().map(ColumnarBatch::num_rows).sum::<usize>(), 1);
     }
 }

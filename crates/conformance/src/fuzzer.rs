@@ -197,6 +197,7 @@ mod tests {
             "great divides: {}",
             report.great_divides
         );
-        assert!(report.executions > 600);
+        // Six strategies per formulation, at least one formulation per case.
+        assert!(report.executions > 6 * 60);
     }
 }

@@ -22,8 +22,8 @@
 //! `divide=small|great` key implies the query) drives the case.
 //!
 //! The runner executes each case across the differential matrix — streaming
-//! engine with and without the optimizer, parallelism 1 and 4, plus the
-//! materializing row and columnar backends — asserts every strategy agrees,
+//! engine with and without the optimizer at batch sizes 1024 and 3, plus
+//! the materializing row executor — asserts every strategy agrees,
 //! and compares the agreed result against the `expect` block. Running with
 //! `CONFORMANCE_BLESS=1` re-records the `expect` blocks in place instead.
 
@@ -32,7 +32,7 @@ use crate::laws;
 use div_algebra::{Relation, Value};
 use div_datagen::scenarios::{self, ScenarioConfig, ScenarioFamily};
 use div_expr::Catalog;
-use div_physical::{execute_with_config, plan_query, ExecutionBackend, PlannerConfig};
+use div_physical::{execute_with_config, plan_query, PlannerConfig};
 use div_rewrite::{RewriteContext, RewriteEngine};
 use div_sql::{translate_query, Engine, Params};
 use std::collections::BTreeSet;
@@ -513,8 +513,8 @@ fn run_sql_matrix(case: &GoldenCase, catalog: &Catalog, sql: &str) -> Result<Rel
     for (name, value) in &case.params {
         params = params.bind(name.clone(), value.clone());
     }
-    // For the materializing compatibility paths, substitute parameters as
-    // literals (the compat entry points have no parameter surface).
+    // For the materializing row executor, substitute parameters as
+    // literals (`execute_with_config` has no parameter surface).
     let mut literal_sql = sql.to_string();
     for (name, value) in &case.params {
         literal_sql = literal_sql.replace(&format!("${name}"), &sql_literal(value));
@@ -537,51 +537,32 @@ fn run_sql_matrix(case: &GoldenCase, catalog: &Catalog, sql: &str) -> Result<Rel
         }
     };
 
-    // Streaming engine: optimizer {on, off} × parallelism {1, 4}.
-    for (optimize, parallelism, batch) in [
-        (true, 1, 1024),
-        (true, 4, 3),
-        (false, 1, 3),
-        (false, 4, 1024),
-    ] {
-        let mut builder = Engine::builder(catalog.clone()).planner_config(
-            PlannerConfig::default()
-                .parallelism(parallelism)
-                .batch_size(batch),
-        );
+    // Streaming engine: optimizer {on, off} × batch size {1024, 3}.
+    for (optimize, batch) in [(true, 1024), (true, 3), (false, 3), (false, 1024)] {
+        let mut builder =
+            Engine::builder(catalog.clone()).planner_config(PlannerConfig::with_batch_size(batch));
         if !optimize {
             builder = builder.without_optimizer();
         }
         let engine = builder.build();
+        let label = format!("stream/opt={optimize}/b={batch}");
         let output = engine
             .query_collect_with_params(sql, &params)
-            .map_err(|e| {
-                format!(
-                    "{}: stream opt={optimize} p={parallelism} failed: {e}",
-                    case.name
-                )
-            })?;
-        check(
-            &format!("stream/opt={optimize}/p={parallelism}"),
-            output.relation,
-        )?;
+            .map_err(|e| format!("{}: {label} failed: {e}", case.name))?;
+        check(&label, output.relation)?;
     }
 
-    // Materializing compatibility backends over the translated plan.
+    // The materializing row executor over the translated plan.
     let query = div_sql::parse_query(&literal_sql)
         .map_err(|e| format!("{}: parse failed: {e}", case.name))?;
     let logical = translate_query(&query, catalog)
         .map_err(|e| format!("{}: translation failed: {e}", case.name))?;
-    for backend in ExecutionBackend::ALL {
-        for parallelism in [1usize, 4] {
-            let config = PlannerConfig::with_backend(backend).parallelism(parallelism);
-            let physical = plan_query(&logical, &config)
-                .map_err(|e| format!("{}: planning ({}) failed: {e}", case.name, backend.name()))?;
-            let (relation, _stats) = execute_with_config(&physical, catalog, &config)
-                .map_err(|e| format!("{}: {} failed: {e}", case.name, backend.name()))?;
-            check(&format!("{}/p={parallelism}", backend.name()), relation)?;
-        }
-    }
+    let config = PlannerConfig::default();
+    let physical = plan_query(&logical, &config)
+        .map_err(|e| format!("{}: planning (row) failed: {e}", case.name))?;
+    let (relation, _stats) = execute_with_config(&physical, catalog, &config)
+        .map_err(|e| format!("{}: row failed: {e}", case.name))?;
+    check("row", relation)?;
 
     Ok(reference.expect("at least one strategy ran"))
 }

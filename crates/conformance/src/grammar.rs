@@ -181,7 +181,7 @@ pub enum QueryForm {
         params: Vec<(String, Value)>,
     },
     /// A logical plan executed through `Engine::execute_logical` and the
-    /// materializing backends.
+    /// materializing row executor.
     Logical(LogicalPlan),
 }
 

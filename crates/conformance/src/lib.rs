@@ -10,7 +10,7 @@
 //!   (`DIVIDE BY`, double `NOT EXISTS`, set-difference, anti-join,
 //!   `γ`-count, `$param`ized variants).
 //! * [`oracle`] — executes each formulation across {optimizer-on,
-//!   optimizer-off} × {row, columnar, streaming} × parallelism {1, 4},
+//!   optimizer-off} × {streaming at batch size 1024 and 3, row},
 //!   asserting byte-identical relations and `ExecStats` / span-tree
 //!   invariants.
 //! * [`shrink`] — greedy case minimization once a mismatch is found.

@@ -5,19 +5,18 @@
 //! formulation** of the case across the full execution matrix
 //!
 //! ```text
-//! {optimizer-on, optimizer-off} × {streaming, row, columnar} × parallelism {1, 4}
+//! {optimizer-on, optimizer-off} × {streaming at batch_size 1024, streaming at batch_size 3, row}
 //! ```
 //!
-//! (streaming through [`div_sql::Engine`], row/columnar through the
-//! materializing compatibility layer with a manually-run optimizer), and
-//! demands:
+//! (streaming through [`div_sql::Engine`], row through the materializing
+//! reference executor with a manually-run optimizer), and demands:
 //!
 //! * byte-identical relations from every strategy,
 //! * cross-formulation agreement up to column order,
 //! * `ExecStats` / span-tree consistency: pre-order ids, tree-shaped child
 //!   links, `rows_out` monotonicity through Filter/Project/Rename/Intersect,
 //!   probe aggregation, and resident-peak conventions (zero on the
-//!   materializing backends, nonzero for producing streaming runs),
+//!   row executor, nonzero for producing streaming runs),
 //! * parameter rebinding stability on prepared statements,
 //! * plan-cache transparency: a parameter-free SQL formulation run twice on
 //!   one engine (cold, then cached) and once more after a catalog mutation
@@ -27,7 +26,7 @@
 use crate::grammar::{CaseSpec, QueryForm};
 use div_algebra::{Relation, Value};
 use div_expr::{Catalog, LogicalPlan};
-use div_physical::{execute_with_config, plan_query, ExecStats, ExecutionBackend, PlannerConfig};
+use div_physical::{execute_with_config, plan_query, ExecStats, PlannerConfig};
 use div_rewrite::{Optimizer, RewriteContext};
 use div_sql::{Engine, Params};
 use std::fmt;
@@ -78,98 +77,42 @@ struct Strategy {
 
 enum Exec {
     /// Through the SQL engine's streaming cursor.
-    Streaming {
-        parallelism: usize,
-        batch_size: usize,
-    },
-    /// Through the materializing compatibility layer.
-    Compat {
-        backend: ExecutionBackend,
-        parallelism: usize,
-    },
+    Streaming { batch_size: usize },
+    /// Through the materializing row executor.
+    Compat,
 }
 
 fn strategies() -> Vec<Strategy> {
     vec![
         Strategy {
-            name: "stream/opt/p1",
+            name: "stream/opt",
             optimize: true,
-            exec: Exec::Streaming {
-                parallelism: 1,
-                batch_size: 1024,
-            },
+            exec: Exec::Streaming { batch_size: 1024 },
         },
         Strategy {
-            name: "stream/opt/p4/b3",
+            name: "stream/opt/b3",
             optimize: true,
-            exec: Exec::Streaming {
-                parallelism: 4,
-                batch_size: 3,
-            },
+            exec: Exec::Streaming { batch_size: 3 },
         },
         Strategy {
-            name: "stream/raw/p1/b3",
+            name: "stream/raw/b3",
             optimize: false,
-            exec: Exec::Streaming {
-                parallelism: 1,
-                batch_size: 3,
-            },
+            exec: Exec::Streaming { batch_size: 3 },
         },
         Strategy {
-            name: "stream/raw/p4",
+            name: "stream/raw",
             optimize: false,
-            exec: Exec::Streaming {
-                parallelism: 4,
-                batch_size: 1024,
-            },
+            exec: Exec::Streaming { batch_size: 1024 },
         },
         Strategy {
             name: "row/opt",
             optimize: true,
-            exec: Exec::Compat {
-                backend: ExecutionBackend::RowAtATime,
-                parallelism: 1,
-            },
+            exec: Exec::Compat,
         },
         Strategy {
             name: "row/raw",
             optimize: false,
-            exec: Exec::Compat {
-                backend: ExecutionBackend::RowAtATime,
-                parallelism: 1,
-            },
-        },
-        Strategy {
-            name: "columnar/opt/p1",
-            optimize: true,
-            exec: Exec::Compat {
-                backend: ExecutionBackend::Columnar,
-                parallelism: 1,
-            },
-        },
-        Strategy {
-            name: "columnar/raw/p1",
-            optimize: false,
-            exec: Exec::Compat {
-                backend: ExecutionBackend::Columnar,
-                parallelism: 1,
-            },
-        },
-        Strategy {
-            name: "columnar/opt/p4",
-            optimize: true,
-            exec: Exec::Compat {
-                backend: ExecutionBackend::Columnar,
-                parallelism: 4,
-            },
-        },
-        Strategy {
-            name: "columnar/raw/p4",
-            optimize: false,
-            exec: Exec::Compat {
-                backend: ExecutionBackend::Columnar,
-                parallelism: 4,
-            },
+            exec: Exec::Compat,
         },
     ]
 }
@@ -202,7 +145,7 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
         report.formulations += 1;
 
         // The formulation's own logical plan (parameters substituted), used
-        // both as its exact expected result and by the compat backends.
+        // both as its exact expected result and by the row executor.
         let logical = match &formulation.form {
             QueryForm::Sql { params, .. } => {
                 // Translate the literal-substituted rendering: the engine
@@ -250,13 +193,8 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
         let optimized = optimize(&logical, &catalog);
         for strategy in strategies() {
             let outcome = match &strategy.exec {
-                Exec::Streaming {
-                    parallelism,
-                    batch_size,
-                } => {
-                    let config = PlannerConfig::default()
-                        .parallelism(*parallelism)
-                        .batch_size(*batch_size);
+                Exec::Streaming { batch_size } => {
+                    let config = PlannerConfig::with_batch_size(*batch_size);
                     let mut builder = Engine::builder(catalog.clone()).planner_config(config);
                     if !strategy.optimize {
                         builder = builder.without_optimizer();
@@ -278,11 +216,8 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                     }
                     .map_err(|e| e.to_string())
                 }
-                Exec::Compat {
-                    backend,
-                    parallelism,
-                } => {
-                    let config = PlannerConfig::with_backend(*backend).parallelism(*parallelism);
+                Exec::Compat => {
+                    let config = PlannerConfig::default();
                     let plan = if strategy.optimize {
                         &optimized
                     } else {
@@ -313,12 +248,7 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                 ));
             }
             let streaming = matches!(strategy.exec, Exec::Streaming { .. });
-            let parallelism = match &strategy.exec {
-                Exec::Streaming { parallelism, .. } | Exec::Compat { parallelism, .. } => {
-                    *parallelism
-                }
-            };
-            if let Err(detail) = check_stats(&stats, &relation, streaming, parallelism) {
+            if let Err(detail) = check_stats(&stats, &relation, streaming) {
                 return Err(mismatch(formulation.name, strategy.name, detail));
             }
         }
@@ -445,12 +375,7 @@ fn optimize(plan: &LogicalPlan, catalog: &Catalog) -> LogicalPlan {
 }
 
 /// `ExecStats` / span-tree invariants shared by every strategy.
-pub fn check_stats(
-    stats: &ExecStats,
-    relation: &Relation,
-    streaming: bool,
-    parallelism: usize,
-) -> Result<(), String> {
+pub fn check_stats(stats: &ExecStats, relation: &Relation, streaming: bool) -> Result<(), String> {
     if stats.output_rows != relation.len() {
         return Err(format!(
             "output_rows = {} but the result has {} tuples",
@@ -460,7 +385,7 @@ pub fn check_stats(
     }
     if !streaming && stats.peak_resident_batches != 0 {
         return Err(format!(
-            "materializing backend reported peak_resident_batches = {}",
+            "row executor reported peak_resident_batches = {}",
             stats.peak_resident_batches
         ));
     }
@@ -497,7 +422,7 @@ pub fn check_stats(
             seen_as_child[child.0] = true;
         }
     }
-    if parallelism <= 1 && ops[0].rows_out != stats.output_rows {
+    if ops[0].rows_out != stats.output_rows {
         return Err(format!(
             "root operator {} reports rows_out = {} but output_rows = {}",
             ops[0].label, ops[0].rows_out, stats.output_rows
@@ -563,6 +488,6 @@ mod tests {
         let spec = CaseSpec::generate(3);
         let report = check_case(&spec).expect("seed 3 conforms");
         assert!(report.formulations >= 2);
-        assert!(report.executions >= 10 * report.formulations);
+        assert!(report.executions >= 6 * report.formulations);
     }
 }

@@ -13,9 +13,9 @@
 //! * [`rewrite`] — the seventeen algebraic laws, theorems, rewrite engine and
 //!   cost-based optimizer,
 //! * [`physical`] — special-purpose division algorithms, physical planner,
-//!   partition-parallel execution, and the row/columnar backend selector,
+//!   the row reference executor and the streaming columnar executor,
 //! * [`columnar`] — the columnar batch representation and vectorized
-//!   division kernels behind `ExecutionBackend::Columnar`,
+//!   division kernels the streaming executor runs on,
 //! * [`sql`] — the `DIVIDE BY … ON` SQL dialect of Section 4,
 //! * [`mining`] — frequent itemset discovery via the great divide (Section 3),
 //! * [`datagen`] — workload generators used by the examples, tests and
@@ -54,14 +54,11 @@ pub mod prelude {
     pub use div_columnar::ColumnarBatch;
     pub use div_expr::{evaluate, plans_equivalent_on, Catalog, LogicalPlan, PlanBuilder};
     pub use div_physical::{
-        execute, execute_on_backend, execute_with_config, execute_with_stats, plan_query,
-        DivisionAlgorithm, ExecutionBackend, GreatDivideAlgorithm, OperatorId, OperatorStats,
-        PlannerConfig, QueryTrace, StreamExecutor,
+        execute, execute_with_config, execute_with_stats, plan_query, DivisionAlgorithm,
+        GreatDivideAlgorithm, OperatorId, OperatorStats, PlannerConfig, QueryTrace, StreamExecutor,
     };
     pub use div_rewrite::optimizer::CostModel;
     pub use div_rewrite::{Optimizer, RewriteContext, RewriteEngine, RuleSet};
-    #[allow(deprecated)] // deliberate: the deprecated shim stays reachable through the facade
-    pub use div_sql::run_query;
     pub use div_sql::{
         parse_query, translate_query, Cursor, Engine, EngineBuilder, EngineMetrics, Explain,
         MetricsSnapshot, Params, PreparedStatement, QueryOutput,

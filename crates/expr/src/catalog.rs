@@ -192,7 +192,7 @@ impl Catalog {
 
     /// The external-table handle behind `name`, if `name` is registered as
     /// an external table. In-memory tables and unknown names return `None`
-    /// — callers fall back to [`Catalog::table_shared`].
+    /// — callers fall back to [`Catalog::table_segments`].
     pub fn external(&self, name: &str) -> Option<Arc<dyn ExternalTable>> {
         match self.tables.get(name) {
             Some(TableEntry::External { table, .. }) => Some(Arc::clone(table)),
@@ -228,26 +228,13 @@ impl Catalog {
             .and_then(|entry| entry.resolve().map(Arc::as_ref))
     }
 
-    /// Look up a table as a shared handle. The handle stays valid (and the
-    /// data immutable) even if the catalog is mutated or dropped
-    /// afterwards. External tables are materialized (once) to produce the
-    /// handle.
-    pub fn table_shared(&self, name: &str) -> Result<Arc<Relation>> {
-        self.tables
-            .get(name)
-            .ok_or_else(|| ExprError::UnknownTable {
-                table: name.to_string(),
-            })
-            .and_then(|entry| entry.resolve().cloned())
-    }
-
     /// The columnar segments of the in-memory table `name`: what a
     /// streaming scan reads. The first call converts the relation
     /// ([`TableSegments::from_relation`]; `register` itself converts
     /// nothing), every later call — on this catalog or any clone that still
-    /// holds the same registration — returns the same [`Arc`]. Like
-    /// [`Catalog::table_shared`], the handle outlives catalog mutations, so
-    /// an in-flight scan keeps reading the snapshot it was compiled against.
+    /// holds the same registration — returns the same [`Arc`]. The handle
+    /// outlives catalog mutations, so an in-flight scan keeps reading the
+    /// snapshot it was compiled against.
     ///
     /// External tables have no resident segments — they are scanned off
     /// their file through [`Catalog::external`] — so asking for them is an
@@ -522,21 +509,6 @@ mod tests {
             c.unregister("parts").unwrap_err(),
             ExprError::UnknownTable { .. }
         ));
-    }
-
-    #[test]
-    fn shared_table_handles_survive_catalog_mutation() {
-        let mut c = catalog();
-        let snapshot = c.table_shared("parts").unwrap();
-        assert_eq!(snapshot.len(), 2);
-        // Replacing the table gives later readers the new data, while the
-        // handle keeps reading the relation it was taken from.
-        c.register("parts", relation! { ["p#", "color"] => [9, "green"] });
-        assert_eq!(snapshot.len(), 2);
-        assert_eq!(c.table("parts").unwrap().len(), 1);
-        // Dropping the table entirely does not invalidate the handle either.
-        c.unregister("parts").unwrap();
-        assert_eq!(snapshot.len(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   optionally skipping whole chunks whose zone maps prove that a
 //!   pushed-down predicate cannot match ([`ExternalScan::chunks_skipped`]);
 //! * [`ExternalTable::materialize`] loads the whole table into a
-//!   [`Relation`] for the materializing backends and metadata validation
+//!   [`Relation`] for the materializing row executor and metadata validation
 //!   paths (`declare_unique` etc.), cached by the catalog after the first
 //!   load.
 //!

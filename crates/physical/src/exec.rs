@@ -1,9 +1,9 @@
-//! The *materializing* row executor — now the compatibility layer.
+//! The *materializing* row executor — the reference executor.
 //!
 //! This executor evaluates every operator on its fully materialized input
 //! and returns one whole [`Relation`]: the right tool for measuring
 //! algorithms and intermediate-result volumes, and the reference the
-//! differential tests compare every other strategy against. The *default
+//! differential tests compare the streaming executor against. The *default
 //! execution path* of the system, however, is the streaming executor of
 //! [`crate::stream`] (Volcano-style `open`/`next_batch`/`close` over
 //! columnar chunks), which `div_sql`'s `Engine` serves through its
@@ -20,7 +20,7 @@ use crate::division;
 use crate::great_divide;
 use crate::guard::QueryGuard;
 use crate::plan::PhysicalPlan;
-use crate::planner::{ExecutionBackend, PlannerConfig};
+use crate::planner::PlannerConfig;
 use crate::stats::ExecStats;
 use crate::trace::{OperatorId, QueryTrace};
 use crate::Result;
@@ -28,24 +28,23 @@ use div_algebra::{Relation, Tuple};
 use div_expr::{Catalog, ExprError};
 use std::collections::HashMap;
 
-/// Execute a physical plan against a catalog (row backend).
+/// Execute a physical plan against a catalog.
 pub fn execute(plan: &PhysicalPlan, catalog: &Catalog) -> Result<Relation> {
-    exec_root(plan, catalog, false, &QueryGuard::default()).map(|(relation, _)| relation)
+    execute_with_stats(plan, catalog).map(|(relation, _)| relation)
 }
 
-/// Execute a physical plan and return the execution statistics as well
-/// (row backend).
+/// Execute a physical plan and return the execution statistics as well.
 pub fn execute_with_stats(plan: &PhysicalPlan, catalog: &Catalog) -> Result<(Relation, ExecStats)> {
-    execute_on_backend(plan, catalog, ExecutionBackend::RowAtATime)
+    exec_root(plan, catalog, false, &QueryGuard::default())
 }
 
-/// Row-backend entry point: runs the plan with a per-operator trace
-/// (wall-clock spans only when `timing` is on) and publishes the finished
-/// tree as [`ExecStats::operators`]. The guard is consulted once per
+/// The one entry point behind every `execute*`: runs the plan with a
+/// per-operator trace (wall-clock spans only when `timing` is on) and
+/// publishes the finished tree as [`ExecStats::operators`]. The guard is consulted once per
 /// operator, after its output materializes — coarser than the streaming
 /// executor's per-batch checks, but enough to stop a runaway plan between
 /// operators.
-pub(crate) fn exec_root(
+fn exec_root(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     timing: bool,
@@ -67,41 +66,14 @@ pub(crate) fn exec_root(
     Ok((result, stats))
 }
 
-/// Execute a physical plan on an explicitly chosen backend (single-threaded;
-/// use [`execute_with_config`] to select partition parallelism as well).
+/// Execute a physical plan honouring the [`PlannerConfig`]'s governance
+/// limits (deadline, memory budget) and its `tracing` flag.
 ///
-/// Both backends return identical relations; the statistics differ only in
-/// the backend-internal operator labels (see [`crate::columnar_exec`]).
-///
-/// This is the *materializing* compatibility entry point: the whole result
-/// (and every intermediate) is built before anything is returned. New code
-/// that wants memory bounded by the pipeline, incremental consumption or
-/// early termination should drive a [`StreamExecutor`](crate::stream::StreamExecutor)
+/// This is the *materializing* entry point: the whole result (and every
+/// intermediate) is built before anything is returned. Code that wants
+/// memory bounded by the pipeline, incremental consumption or early
+/// termination drives a [`StreamExecutor`](crate::stream::StreamExecutor)
 /// instead.
-#[doc(alias = "StreamExecutor")]
-#[doc(alias = "compile_stream")]
-pub fn execute_on_backend(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    backend: ExecutionBackend,
-) -> Result<(Relation, ExecStats)> {
-    match backend {
-        ExecutionBackend::RowAtATime => exec_root(plan, catalog, false, &QueryGuard::default()),
-        ExecutionBackend::Columnar => {
-            crate::columnar_exec::execute_columnar_with_stats(plan, catalog)
-        }
-    }
-}
-
-/// Execute a physical plan on the backend the [`PlannerConfig`] selects,
-/// honoring [`PlannerConfig::parallelism`] on the columnar backend (the row
-/// backend parallelizes at the operator level instead, via
-/// [`crate::parallel`]).
-///
-/// Like [`execute_on_backend`], this is the *materializing* compatibility
-/// entry point; the streaming equivalent is
-/// [`StreamExecutor::new`](crate::stream::StreamExecutor::new) followed by a
-/// pull loop.
 #[doc(alias = "StreamExecutor")]
 #[doc(alias = "compile_stream")]
 pub fn execute_with_config(
@@ -109,20 +81,15 @@ pub fn execute_with_config(
     catalog: &Catalog,
     config: &PlannerConfig,
 ) -> Result<(Relation, ExecStats)> {
-    let guard = QueryGuard::from_config(config);
-    match config.backend {
-        ExecutionBackend::RowAtATime => exec_root(plan, catalog, config.tracing, &guard),
-        ExecutionBackend::Columnar => crate::columnar_exec::exec_columnar_root(
-            plan,
-            catalog,
-            config.parallelism,
-            config.tracing,
-            &guard,
-        ),
-    }
+    exec_root(
+        plan,
+        catalog,
+        config.tracing,
+        &QueryGuard::from_config(config),
+    )
 }
 
-pub(crate) fn exec_node(
+fn exec_node(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     stats: &mut ExecStats,
@@ -241,7 +208,7 @@ pub(crate) fn exec_node(
         plan,
         PhysicalPlan::TableScan { .. } | PhysicalPlan::Values { .. }
     );
-    // On a materializing backend the operator's whole output is the
+    // On the materializing executor the operator's whole output is the
     // resident quantity the budget meters.
     guard.check(result.len(), &plan.label())?;
     stats.record(&plan.label(), result.len(), is_scan, is_root);
@@ -450,7 +417,7 @@ mod tests {
         assert_eq!(result, relation! { ["s#"] => [1], [2] });
         assert_eq!(stats.output_rows, 2);
         assert!(stats.rows_scanned >= 9);
-        assert!(stats.rows_per_operator.contains_key("MergeSortDivision"));
+        assert_eq!(stats.operators[0].label, "Divide[merge-sort-division]");
 
         // Aggregate the quotient (how many qualifying suppliers?).
         let agg = PhysicalPlan::HashAggregate {

@@ -10,9 +10,9 @@
 //!   emission boundary of the streaming executor — so a runaway operator is
 //!   stopped within one batch of the limit, and the batch that tripped is
 //!   rolled back from the resident accounting before the error propagates;
-//! * after every operator of the materializing executors ([`crate::exec`],
-//!   [`crate::columnar_exec`]), where the operator's full output is the
-//!   resident quantity.
+//! * after every operator of the materializing row executor
+//!   ([`crate::exec`]), where the operator's full output is the resident
+//!   quantity.
 //!
 //! Checks are cooperative and cheap: an ungoverned guard (the default) is
 //! one branch per batch; a governed one adds an atomic load and, when a

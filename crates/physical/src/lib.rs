@@ -16,25 +16,20 @@
 //!   benchmarks measure,
 //! * [`great_divide`] — group-loop, hash and sort-based algorithms for the
 //!   great divide,
-//! * [`plan`] / [`exec`] — a physical plan tree and an executor that tracks
-//!   per-operator row counts and intermediate-result sizes,
+//! * [`plan`] / [`exec`] — a physical plan tree and the materializing *row*
+//!   executor that tracks per-operator row counts and intermediate-result
+//!   sizes: the reference every differential test compares against,
 //! * [`planner`] — lowering from [`div_expr::LogicalPlan`] with a configurable
 //!   choice of division/join algorithm,
 //! * [`parallel`] — partition-parallel *row* division following the
 //!   strategies the paper attaches to Law 2 (dividend range partitioning
 //!   under condition `c2`) and Law 13 (divisor hash partitioning on the
-//!   group attributes `C`),
-//! * [`columnar_exec`] — the batch-at-a-time executor over
-//!   [`div_columnar::ColumnarBatch`]es, selected through
-//!   [`planner::ExecutionBackend::Columnar`]; every operator runs on a
-//!   vectorized kernel (no row fallback),
-//! * [`parallel_columnar`] — the same Law 2 / Law 13 partition strategies
-//!   applied to the *columnar* kernels: batches are hash-partitioned and the
-//!   divide/great-divide/join/filter kernels run on crossbeam scoped threads,
-//!   selected through [`planner::PlannerConfig::parallelism`],
+//!   group attributes `C`) — a paper artifact with its own benches, not an
+//!   executor path,
 //! * [`stream`] — the Volcano-style streaming executor
-//!   ([`stream::StreamExecutor`]): scans chunk base tables into
-//!   [`planner::PlannerConfig::batch_size`]-row batches, pipelineable
+//!   ([`stream::StreamExecutor`]), the one columnar executor: scans chunk
+//!   base tables into [`planner::PlannerConfig::batch_size`]-row batches,
+//!   pipelineable
 //!   operators transform them one at a time, and only genuinely blocking
 //!   operators buffer — memory scales with pipeline depth, not with the
 //!   largest intermediate, and early-terminated consumers short-circuit the
@@ -42,25 +37,26 @@
 //! * [`guard`] — cooperative query governance: a per-cursor
 //!   [`guard::QueryGuard`] (cancellation token, wall-clock deadline,
 //!   resident-row budget) checked at every batch boundary of the streaming
-//!   executor and every operator of the materializing ones,
+//!   executor and every operator of the row executor,
 //! * [`failpoint`] — named fault-injection sites at operator
 //!   open/next_batch/close, armed per-test (cargo feature `failpoints`,
 //!   on by default; disarmed cost is one relaxed atomic load),
 //! * [`trace`] — the observability layer: a per-operator span tree
 //!   ([`trace::QueryTrace`]) recording rows, probes, retained state and
 //!   (when [`planner::PlannerConfig::tracing`] is on) wall-clock time for
-//!   every operator of every execution path; finished traces land in
+//!   every operator of both executors; finished traces land in
 //!   [`stats::ExecStats::operators`] and feed `EXPLAIN ANALYZE`.
 //!
 //! All algorithms are validated against the reference semantics of
 //! [`div_algebra`] by unit tests here and by the cross-crate property tests in
 //! `tests/physical_vs_reference.rs`.
 //!
-//! Running one plan on all three execution strategies:
+//! Running one plan on both executors — the row reference and the streaming
+//! executor `div_sql`'s `Engine` serves:
 //!
 //! ```
 //! use div_expr::{Catalog, PlanBuilder};
-//! use div_physical::{execute_with_config, plan_query, ExecutionBackend, PlannerConfig};
+//! use div_physical::{execute_with_config, plan_query, PlannerConfig, StreamExecutor};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.register(
@@ -72,30 +68,27 @@
 //!     .divide(PlanBuilder::scan("wanted"))
 //!     .build();
 //!
-//! let row = PlannerConfig::default(); // row-at-a-time
-//! let columnar = PlannerConfig::with_backend(ExecutionBackend::Columnar);
-//! let parallel = PlannerConfig::with_parallelism(4); // columnar, 4 partitions
-//! let mut results = Vec::new();
-//! for config in [row, columnar, parallel] {
-//!     let plan = plan_query(&logical, &config)?;
-//!     results.push(execute_with_config(&plan, &catalog, &config)?.0);
+//! let config = PlannerConfig::default();
+//! let plan = plan_query(&logical, &config)?;
+//! let (row, _) = execute_with_config(&plan, &catalog, &config)?;
+//! let mut stream = StreamExecutor::new(&plan, &catalog, &config)?;
+//! let mut streamed = div_algebra::Relation::empty(stream.schema().clone());
+//! while let Some(chunk) = stream.next_batch()? {
+//!     streamed = streamed.union(&chunk.to_relation()?)?;
 //! }
-//! assert_eq!(results[0], results[1]);
-//! assert_eq!(results[1], results[2]);
+//! assert_eq!(row, streamed);
 //! # Ok::<(), div_expr::ExprError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod columnar_exec;
 pub mod division;
 pub mod exec;
 pub mod failpoint;
 pub mod great_divide;
 pub mod guard;
 pub mod parallel;
-pub mod parallel_columnar;
 pub mod plan;
 pub mod planner;
 pub mod stats;
@@ -103,16 +96,13 @@ pub mod stream;
 mod stream_spill;
 pub mod trace;
 
-pub use columnar_exec::{
-    execute_columnar, execute_columnar_parallel_with_stats, execute_columnar_with_stats,
-};
 pub use division::DivisionAlgorithm;
-pub use exec::{execute, execute_on_backend, execute_with_config, execute_with_stats};
+pub use exec::{execute, execute_with_config, execute_with_stats};
 pub use failpoint::FailAction;
 pub use great_divide::GreatDivideAlgorithm;
 pub use guard::{CancelToken, QueryGuard};
 pub use plan::PhysicalPlan;
-pub use planner::{plan_query, ExecutionBackend, PlannerConfig};
+pub use planner::{plan_query, PlannerConfig};
 pub use stats::ExecStats;
 pub use stream::{compile_stream, BatchStream, StreamContext, StreamExecutor};
 pub use trace::{OperatorId, OperatorStats, QueryTrace};

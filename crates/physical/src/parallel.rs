@@ -18,9 +18,9 @@
 //! These entry points run *kernels* over relations, not plans, so the
 //! per-worker [`ExecStats`] carry no operator span tree
 //! ([`ExecStats::operators`] stays empty; [`ExecStats::merge`] treats
-//! empty trees as a no-op). Plan-level parallel execution with full
-//! per-operator attribution goes through
-//! [`crate::columnar_exec`] / [`crate::parallel_columnar`] instead.
+//! empty trees as a no-op). No executor calls this module: it reproduces
+//! the paper's two parallelization strategies for the `law02_*` / `law13_*`
+//! benches.
 
 use crate::division::{self, DivisionAlgorithm};
 use crate::great_divide::{self, GreatDivideAlgorithm};
@@ -264,11 +264,11 @@ mod tests {
 
     #[test]
     fn merged_stats_keep_per_operator_granularity() {
-        // Worker statistics must merge per-operator maps (summing counts)
-        // rather than dropping them: with the dividend partitioned on the
-        // quotient attributes the per-partition `HashDivision` output rows
-        // sum to exactly the quotient cardinality, and that sum must survive
-        // the merge. The root cardinality is recorded too.
+        // Worker statistics must merge (summing counts) rather than be
+        // dropped: with the dividend partitioned on the quotient attributes
+        // the per-partition `HashDivision` output rows sum to exactly the
+        // quotient cardinality, and that sum must survive the merge. The
+        // root cardinality is recorded too.
         let dividend = dividend();
         let divisor = divisor();
         let expected = dividend.divide(&divisor).unwrap();
@@ -282,9 +282,9 @@ mod tests {
             .unwrap();
             assert_eq!(result, expected);
             assert_eq!(
-                stats.rows_per_operator.get("HashDivision").copied(),
-                Some(expected.len()),
-                "partitions = {partitions}: per-operator counts must sum across workers"
+                stats.intermediate_tuples,
+                expected.len(),
+                "partitions = {partitions}: per-worker counts must sum across workers"
             );
             assert_eq!(stats.output_rows, expected.len());
         }

@@ -14,38 +14,6 @@ use crate::Result;
 use div_expr::LogicalPlan;
 use std::time::Duration;
 
-/// The executor a plan runs on.
-///
-/// The physical plan tree is backend-neutral; the backend decides *how* each
-/// operator is evaluated. [`ExecutionBackend::RowAtATime`] is the original
-/// tuple-materializing executor of [`crate::exec`];
-/// [`ExecutionBackend::Columnar`] routes **every** operator through the
-/// batch kernels of [`div_columnar`] (optionally partition-parallel, see
-/// [`PlannerConfig::parallelism`]). Both backends produce identical
-/// relations and compatible [`crate::ExecStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecutionBackend {
-    /// Tuple-at-a-time execution over materialized [`div_algebra::Relation`]s.
-    #[default]
-    RowAtATime,
-    /// Batch-at-a-time execution over [`div_columnar::ColumnarBatch`]es.
-    Columnar,
-}
-
-impl ExecutionBackend {
-    /// Both backends, for exhaustive differential testing.
-    pub const ALL: [ExecutionBackend; 2] =
-        [ExecutionBackend::RowAtATime, ExecutionBackend::Columnar];
-
-    /// Short display name (used in benchmark output).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutionBackend::RowAtATime => "row",
-            ExecutionBackend::Columnar => "columnar",
-        }
-    }
-}
-
 /// Configuration of the logical-to-physical mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
@@ -53,21 +21,11 @@ pub struct PlannerConfig {
     pub division_algorithm: DivisionAlgorithm,
     /// Algorithm used for every great-divide node.
     pub great_divide_algorithm: GreatDivideAlgorithm,
-    /// Executor the plan is intended to run on (consumed by
-    /// [`crate::exec::execute_with_config`]).
-    pub backend: ExecutionBackend,
-    /// Partition count for the partition-parallel columnar kernels (Law 2
-    /// partitions the dividend on the quotient attributes, Law 13 the
-    /// divisor groups; filters and hash joins partition likewise). `1` (the
-    /// default) executes single-threaded; the value is clamped to ≥ 1.
-    /// Consulted by [`ExecutionBackend::Columnar`] and by the per-chunk
-    /// filter kernels of the streaming executor ([`crate::stream`]).
-    pub parallelism: usize,
     /// Chunk size of the streaming executor ([`crate::stream`]): scans emit
     /// base tables in batches of at most this many rows, and every
     /// pipelining operator processes one such batch at a time. Clamped to
     /// ≥ 1; defaults to [`PlannerConfig::DEFAULT_BATCH_SIZE`]. Ignored by
-    /// the materializing backends.
+    /// the row executor.
     pub batch_size: usize,
     /// Record wall-clock spans in the per-operator trace
     /// ([`crate::trace`]). Row, probe and retained-state attribution is
@@ -78,15 +36,15 @@ pub struct PlannerConfig {
     /// Wall-clock deadline for query execution, measured from cursor open.
     /// Enforced cooperatively by [`crate::guard::QueryGuard`] at every
     /// batch boundary of the streaming executor and at every operator
-    /// boundary of the materializing executors; a trip surfaces
+    /// boundary of the row executor; a trip surfaces
     /// [`div_expr::ExprError::DeadlineExceeded`]. `None` (the default)
     /// disables the check.
     pub deadline: Option<Duration>,
     /// Resident-row memory budget: the maximum rows the streaming executor
     /// may hold resident (in-flight batches plus blocking-operator state,
     /// the quantity tracked as `peak_resident_rows`) at any batch boundary.
-    /// The materializing executors check each operator's output cardinality
-    /// against the same ceiling. A trip surfaces
+    /// The row executor checks each operator's output cardinality against
+    /// the same ceiling. A trip surfaces
     /// [`div_expr::ExprError::MemoryBudget`]. `None` (the default) disables
     /// the check.
     pub memory_budget_rows: Option<usize>,
@@ -107,8 +65,6 @@ impl Default for PlannerConfig {
         PlannerConfig {
             division_algorithm: DivisionAlgorithm::HashDivision,
             great_divide_algorithm: GreatDivideAlgorithm::HashSets,
-            backend: ExecutionBackend::RowAtATime,
-            parallelism: 1,
             batch_size: PlannerConfig::DEFAULT_BATCH_SIZE,
             tracing: false,
             deadline: None,
@@ -138,33 +94,6 @@ impl PlannerConfig {
             great_divide_algorithm: algorithm,
             ..PlannerConfig::default()
         }
-    }
-
-    /// Default configuration with a specific execution backend.
-    pub fn with_backend(backend: ExecutionBackend) -> Self {
-        PlannerConfig {
-            backend,
-            ..PlannerConfig::default()
-        }
-    }
-
-    /// This configuration with the backend replaced.
-    pub fn backend(mut self, backend: ExecutionBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Default configuration running the columnar backend with the given
-    /// partition parallelism.
-    pub fn with_parallelism(parallelism: usize) -> Self {
-        PlannerConfig::with_backend(ExecutionBackend::Columnar).parallelism(parallelism)
-    }
-
-    /// This configuration with the partition parallelism replaced (clamped
-    /// to ≥ 1).
-    pub fn parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
     }
 
     /// Default configuration with a specific streaming batch size.

@@ -16,15 +16,8 @@
 //!   [`OperatorId`](crate::trace::OperatorId), with that operator's own
 //!   rows in/out, probes, retained peak and (when tracing is enabled)
 //!   wall-clock spans. This is the tree `EXPLAIN ANALYZE` renders.
-//!
-//! The older `rows_per_operator` map survives as a *deprecated aggregated
-//! view*: it keys by label, so two operators with the same label merge into
-//! one entry, and kernel-level pseudo-operators (e.g. `ColumnarHashDivision`
-//! inside a `Divide` node) appear alongside plan operators. Prefer the
-//! `operators` tree for anything positional.
 
 use crate::trace::OperatorStats;
-use std::collections::BTreeMap;
 
 /// Aggregated execution statistics for one plan execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -40,13 +33,6 @@ pub struct ExecStats {
     /// Total tuple comparisons / hash probes performed by division and join
     /// algorithms (a proxy for CPU work).
     pub probes: usize,
-    /// Tuples produced per operator *label* — the legacy aggregated view.
-    ///
-    /// Deprecated in favor of [`ExecStats::operators`]: labels are not
-    /// unique (two identical `Filter`s merge into one entry) and kernel
-    /// pseudo-operators are mixed in. Kept for compatibility; it will not
-    /// grow new information.
-    pub rows_per_operator: BTreeMap<String, usize>,
     /// Number of operator executions recorded (plan operators plus
     /// kernel-level pseudo-operators; summed across parallel partitions).
     pub operators_executed: usize,
@@ -64,7 +50,7 @@ pub struct ExecStats {
     /// plus blocking-operator state (build sides, buffered inputs, distinct
     /// stores). Base-table snapshots held by scans are excluded — they
     /// belong to the catalog, not the pipeline. Always `0` on the
-    /// materializing backends.
+    /// row executor.
     pub peak_resident_batches: usize,
     /// Peak number of rows across the resident batches above. For a
     /// pipeline of streaming operators this is O(pipeline depth ×
@@ -75,7 +61,7 @@ pub struct ExecStats {
     /// root pipeline was closed). Must be `0`: any other value means an
     /// operator leaked accounting on an abort path. The governance
     /// regression tests assert on this after cancelled / deadline-tripped /
-    /// budget-tripped drains. Always `0` on the materializing backends.
+    /// budget-tripped drains. Always `0` on the row executor.
     pub resident_rows_on_finish: usize,
     /// Chunks a streaming scan skipped without emitting — resident segments
     /// of an in-memory table, on-disk chunks of an attached one (those are
@@ -95,8 +81,10 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Record one operator execution.
-    pub fn record(&mut self, label: &str, output_rows: usize, is_scan: bool, is_root: bool) {
+    /// Record one operator execution. The label names the operator at the
+    /// call site only; per-operator attribution lives in
+    /// [`ExecStats::operators`].
+    pub fn record(&mut self, _label: &str, output_rows: usize, is_scan: bool, is_root: bool) {
         self.operators_executed += 1;
         if is_scan {
             self.rows_scanned += output_rows;
@@ -107,7 +95,6 @@ impl ExecStats {
         if is_root {
             self.output_rows = output_rows;
         }
-        *self.rows_per_operator.entry(label.to_string()).or_insert(0) += output_rows;
     }
 
     /// Record probe/comparison work done inside an operator.
@@ -146,9 +133,6 @@ impl ExecStats {
         self.spill_partitions += other.spill_partitions;
         self.spill_rows_written += other.spill_rows_written;
         self.spill_rows_read += other.spill_rows_read;
-        for (label, rows) in &other.rows_per_operator {
-            *self.rows_per_operator.entry(label.clone()).or_insert(0) += rows;
-        }
         if self.operators.is_empty() {
             self.operators = other.operators.clone();
         } else if same_shape(&self.operators, &other.operators) {
@@ -186,7 +170,6 @@ mod tests {
         assert_eq!(stats.max_intermediate, 40);
         assert_eq!(stats.output_rows, 10);
         assert_eq!(stats.operators_executed, 3);
-        assert_eq!(stats.rows_per_operator["HashDivision"], 40);
     }
 
     #[test]
@@ -206,7 +189,6 @@ mod tests {
         assert_eq!(a.intermediate_tuples, 55);
         assert_eq!(a.max_intermediate, 50);
         assert_eq!(a.probes, 10);
-        assert_eq!(a.rows_per_operator["div"], 55);
         assert_eq!(a.peak_resident_batches, 5);
         assert_eq!(a.peak_resident_rows, 100);
     }

@@ -1,9 +1,9 @@
 //! The streaming (Volcano-style pull) executor: `open`/`next_batch`/`close`
 //! operators over [`ColumnarBatch`] chunks.
 //!
-//! The materializing executors ([`crate::exec`], [`crate::columnar_exec`])
-//! evaluate every operator on its *whole* input, so memory scales with the
-//! largest intermediate result. This module compiles the same
+//! The materializing row executor ([`crate::exec`]) evaluates every
+//! operator on its *whole* input, so memory scales with the largest
+//! intermediate result. This module compiles the same
 //! [`PhysicalPlan`] into a tree of [`BatchStream`] operators instead —
 //! the classic Volcano iterator protocol (Graefe), batch-at-a-time:
 //!
@@ -29,7 +29,7 @@
 //!   explicit blocking boundaries: they buffer their inputs, run the batch
 //!   kernel once, and re-chunk the result downstream.
 //!
-//! Statistics follow the discipline of the materializing executors (one
+//! Statistics follow the discipline of the materializing executor (one
 //! [`ExecStats::record`] per operator, scans into `rows_scanned`, the root
 //! into `output_rows`, kernel probes into `probes`) — with one difference
 //! that is the point of the design: an operator records what it *actually
@@ -72,7 +72,6 @@ pub struct StreamContext {
     pub stats: ExecStats,
     trace: QueryTrace,
     batch_size: usize,
-    parallelism: usize,
     resident_rows: usize,
     resident_batches: usize,
     guard: QueryGuard,
@@ -84,7 +83,6 @@ impl StreamContext {
             stats: ExecStats::default(),
             trace: QueryTrace::from_plan(plan).with_timing(config.tracing),
             batch_size: config.batch_size.max(1),
-            parallelism: config.parallelism.max(1),
             resident_rows: 0,
             resident_batches: 0,
             guard,
@@ -489,9 +487,7 @@ impl BatchStream for ExternalScanStream {
 // Pipelining operators
 // ---------------------------------------------------------------------------
 
-/// Predicate filter: one chunk in, at most one chunk out. Honors
-/// [`PlannerConfig::parallelism`] through the partition-parallel filter
-/// kernel.
+/// Predicate filter: one chunk in, at most one chunk out.
 struct FilterStream {
     meta: OpMeta,
     child: Box<dyn BatchStream>,
@@ -505,13 +501,9 @@ impl BatchStream for FilterStream {
 
     fn next_batch(&mut self, ctx: &mut StreamContext) -> Result<Option<ColumnarBatch>> {
         while let Some(chunk) = self.child.next_batch(ctx)? {
-            let filtered = crate::parallel_columnar::parallel_filter_batches(
-                &chunk,
-                &self.predicate,
-                ctx.parallelism,
-            );
+            let filtered = kernels::filter(&chunk, &self.predicate);
             consumed(ctx, &chunk);
-            let out = filtered?;
+            let out = filtered.map_err(ExprError::from)?;
             if out.num_rows() > 0 {
                 return self.meta.emit(ctx, out);
             }
@@ -1719,7 +1711,9 @@ mod tests {
             assert_eq!(got, expected, "batch_size {batch_size}");
             assert_eq!(stats.output_rows, row_stats.output_rows);
             assert_eq!(stats.rows_scanned, row_stats.rows_scanned);
-            assert!(stats.rows_per_operator.contains_key("ColumnarHashDivision"));
+            assert_eq!(stats.operators[0].label, "Divide[hash-division]");
+            // Every plan operator plus the divide kernel's pseudo-operator.
+            assert_eq!(stats.operators_executed, plan.operator_count() + 1);
             assert!(stats.peak_resident_batches > 0);
         }
     }

@@ -5,10 +5,9 @@
 //! [`PhysicalPlan`] gets a stable [`OperatorId`] — its position in a
 //! pre-order depth-first walk of the plan tree — and an
 //! [`OperatorStats`] node recording what that one operator did: rows in and
-//! out, hash probes, peak retained rows, and wall-clock time. Identifying
-//! operators by position instead of by label fixes the lossy
-//! `rows_per_operator` label aggregation, where two operators with the same
-//! label (two identical `Filter`s, say) merged into one entry.
+//! out, hash probes, peak retained rows, and wall-clock time. Operators are
+//! identified by position, not by label, so two operators with the same
+//! label (two identical `Filter`s, say) stay two entries.
 //!
 //! Timing granularity follows the executor:
 //!
@@ -18,10 +17,9 @@
 //!   accumulated with one [`Instant`] pair per call, never per row, and
 //!   only when tracing is enabled
 //!   ([`PlannerConfig::tracing`](crate::PlannerConfig::tracing));
-//! * the **materializing backends** ([`crate::exec`],
-//!   [`crate::columnar_exec`]) evaluate each operator exactly once, so they
-//!   record a single execution span (stored in
-//!   [`OperatorStats::time_next_ns`]).
+//! * the **materializing row executor** ([`crate::exec`]) evaluates each
+//!   operator exactly once, so it records a single execution span (stored
+//!   in [`OperatorStats::time_next_ns`]).
 //!
 //! All recorded times are *inclusive*: an operator's span contains its
 //! children's spans, exactly like `EXPLAIN ANALYZE` output in mainstream
@@ -31,8 +29,8 @@
 //! finished node list lands in
 //! [`ExecStats::operators`](crate::ExecStats::operators). Equality on
 //! [`OperatorStats`] deliberately ignores the time fields so that
-//! differential tests can compare statistics across backends and partition
-//! counts without tripping over wall-clock noise.
+//! differential tests can compare statistics across executions without
+//! tripping over wall-clock noise.
 
 use crate::plan::PhysicalPlan;
 use std::fmt;
@@ -83,14 +81,14 @@ pub struct OperatorStats {
     pub probes: usize,
     /// Peak rows retained in cross-batch state (build sides, distinct
     /// stores, coverage state, blocking buffers). `0` for pure pipeline
-    /// operators and on the materializing backends.
+    /// operators and on the row executor.
     pub peak_retained_rows: usize,
     /// Nanoseconds spent constructing the operator (streaming `open`
     /// phase, inclusive of children). `0` when tracing is off.
     pub time_open_ns: u64,
     /// Nanoseconds spent producing batches, cumulative over every
-    /// `next_batch` call, inclusive of children. The materializing
-    /// backends store their single whole-operator execution span here.
+    /// `next_batch` call, inclusive of children. The row executor stores
+    /// its single whole-operator execution span here.
     /// `0` when tracing is off.
     pub time_next_ns: u64,
     /// Nanoseconds spent closing the operator, inclusive of children.
@@ -124,7 +122,7 @@ impl OperatorStats {
 impl PartialEq for OperatorStats {
     fn eq(&self, other: &Self) -> bool {
         // Wall-clock fields are excluded on purpose: differential tests
-        // assert statistics equality across backends and partition counts.
+        // assert statistics equality across executions.
         self.id == other.id
             && self.label == other.label
             && self.rows_in == other.rows_in
@@ -225,7 +223,7 @@ impl QueryTrace {
     }
 
     /// Accumulate time into the `next_batch` phase of this operator (also
-    /// the single execution span of the materializing backends).
+    /// the single execution span of the row executor).
     pub fn add_next(&mut self, id: OperatorId, elapsed: Duration) {
         if let Some(node) = self.node(id) {
             node.time_next_ns += elapsed.as_nanos() as u64;

@@ -1,10 +1,9 @@
 //! The [`Engine`] facade: the paper's whole pipeline behind one session API.
 //!
-//! The pre-engine free functions (`run_query`, `compile_query`) wired the
-//! parser straight into the physical planner, *skipping the contribution of
-//! the paper* — the seventeen rewrite laws and the cost model that picks
-//! among the plans they generate. [`Engine::query`] runs the full pipeline
-//! with the optimizer in the loop by default:
+//! Wiring the parser straight into the physical planner would *skip the
+//! contribution of the paper* — the seventeen rewrite laws and the cost
+//! model that picks among the plans they generate. [`Engine::query`] runs
+//! the full pipeline with the optimizer in the loop by default:
 //!
 //! ```text
 //! SQL text ──parse──► AST ──translate──► LogicalPlan
@@ -82,8 +81,7 @@ use div_algebra::{Relation, Schema, Value};
 use div_columnar::ColumnarBatch;
 use div_expr::{Catalog, LogicalPlan};
 use div_physical::{
-    plan_query, ExecStats, ExecutionBackend, OperatorStats, PhysicalPlan, PlannerConfig,
-    QueryGuard, StreamExecutor,
+    plan_query, ExecStats, OperatorStats, PhysicalPlan, PlannerConfig, QueryGuard, StreamExecutor,
 };
 use div_rewrite::engine::AppliedRule;
 use div_rewrite::optimizer::{CostEstimate, CostModel};
@@ -205,24 +203,14 @@ pub struct Cursor {
 }
 
 impl Cursor {
-    /// Start a streaming execution of `physical` over `catalog`. This is
-    /// the engine-room constructor shared by [`Engine::query`],
-    /// [`PreparedStatement::execute`] and the deprecated free-function
-    /// shims; it does *not* check for unbound parameters (the engine does).
-    /// The compiled operator tree captures shared handles to the scanned
-    /// tables, so the returned cursor does not borrow `catalog`.
-    pub(crate) fn over(
-        physical: &PhysicalPlan,
-        catalog: &Catalog,
-        config: &PlannerConfig,
-    ) -> Result<Cursor> {
-        Cursor::over_guarded(physical, catalog, config, QueryGuard::from_config(config))
-    }
-
-    /// [`Cursor::over`] with an explicit [`QueryGuard`] — the constructor
-    /// behind [`Engine::query_guarded`]. The guard's deadline (if any) was
-    /// armed when the guard was built, so callers should build it
-    /// immediately before opening the cursor.
+    /// Start a streaming execution of `physical` over `catalog` — the one
+    /// constructor, behind [`Engine::query`], [`Engine::query_guarded`] and
+    /// [`PreparedStatement::execute`]; it does *not* check for unbound
+    /// parameters (the engine does). The compiled operator tree captures
+    /// shared handles to the scanned tables, so the returned cursor does
+    /// not borrow `catalog`. The guard's deadline (if any) was armed when
+    /// the guard was built, so callers should build it immediately before
+    /// opening the cursor.
     pub(crate) fn over_guarded(
         physical: &PhysicalPlan,
         catalog: &Catalog,
@@ -350,11 +338,11 @@ impl Drop for Cursor {
 /// use div_sql::Engine;
 ///
 /// let engine = Engine::builder(Catalog::new())
-///     .planner_config(PlannerConfig::with_parallelism(4))
+///     .planner_config(PlannerConfig::with_batch_size(256))
 ///     .rule_set(RuleSet::default_rules())
 ///     .cost_model(CostModel::default())
 ///     .build();
-/// assert_eq!(engine.planner_config().parallelism, 4);
+/// assert_eq!(engine.planner_config().batch_size, 256);
 /// ```
 #[derive(Debug)]
 pub struct EngineBuilder {
@@ -367,10 +355,8 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// Replace the planner configuration (division algorithms, streaming
-    /// `batch_size`, `parallelism`). The engine always executes through the
-    /// streaming path; `config.backend` only selects the executor of the
-    /// materializing compatibility layer (`div_physical::execute_with_config`),
-    /// which differential tests run side by side with the engine.
+    /// `batch_size`, governance limits). The engine always executes through
+    /// the streaming path.
     pub fn planner_config(mut self, config: PlannerConfig) -> Self {
         self.config = config;
         self
@@ -608,19 +594,6 @@ impl Engine {
     /// once sees one consistent catalog version across any number of reads.
     pub fn catalog(&self) -> Arc<Catalog> {
         Arc::clone(&self.catalog.read())
-    }
-
-    /// Mutable access to the catalog through exclusive engine ownership.
-    ///
-    /// Deprecated: it requires `&mut Engine`, which a shared
-    /// (`Arc<Engine>`) serving deployment cannot produce — use
-    /// [`Engine::mutate_catalog`], which works through `&self`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Engine::mutate_catalog, which works through a shared engine"
-    )]
-    pub fn catalog_mut(&mut self) -> &mut Catalog {
-        Arc::make_mut(self.catalog.get_mut())
     }
 
     /// Apply a catalog mutation atomically and swap in the successor
@@ -1003,8 +976,6 @@ impl Engine {
             alternatives_considered: compiled.alternatives_considered,
             physical: compiled.physical,
             estimated_rows,
-            backend: self.config.backend,
-            parallelism: self.config.parallelism,
             batch_size: self.config.batch_size,
             stats,
         }
@@ -1230,16 +1201,6 @@ pub struct Explain {
     /// [`PhysicalPlan::explain`]. `explain_analyze` lines these up against
     /// the measured per-operator row counts.
     pub estimated_rows: Vec<f64>,
-    /// The [`ExecutionBackend`] of the engine's [`PlannerConfig`]. The
-    /// engine itself always executes through the streaming path; this is
-    /// the backend the *materializing compatibility layer*
-    /// (`div_physical::execute_with_config`) would use for the same config
-    /// — relevant for differential testing.
-    pub backend: ExecutionBackend,
-    /// Partition parallelism of the engine's [`PlannerConfig`] (consulted
-    /// by the streaming executor's per-chunk filter kernels and by the
-    /// materializing compatibility layer's partition-parallel kernels).
-    pub parallelism: usize,
     /// Chunk size of the streaming execution.
     pub batch_size: usize,
     /// Measured execution statistics — `Some` only for
@@ -1363,11 +1324,8 @@ impl fmt::Display for Explain {
         )?;
         writeln!(
             f,
-            "physical plan (execution=streaming, batch_size={}, parallelism={}, \
-             compat backend={}):",
+            "physical plan (execution=streaming, batch_size={}):",
             self.batch_size,
-            self.parallelism,
-            self.backend.name(),
         )?;
         for line in self.physical.explain().lines() {
             writeln!(f, "  {line}")?;
@@ -1376,8 +1334,8 @@ impl fmt::Display for Explain {
             writeln!(f, "execution stats:")?;
             writeln!(
                 f,
-                "  executed via:        streaming executor (batch_size={}, parallelism={})",
-                self.batch_size, self.parallelism
+                "  executed via:        streaming executor (batch_size={})",
+                self.batch_size
             )?;
             writeln!(f, "  output rows:         {}", stats.output_rows)?;
             writeln!(f, "  rows scanned:        {}", stats.rows_scanned)?;
@@ -1716,20 +1674,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_catalog_mut_still_invalidates_prepared_statements() {
-        let mut engine = Engine::new(catalog());
-        let stmt = engine.prepare(Q2).unwrap();
-        engine
-            .catalog_mut()
-            .register("new_table", relation! { ["x"] => [1] });
-        assert!(matches!(
-            stmt.execute(&engine, &Params::new()),
-            Err(Error::StalePlan { .. })
-        ));
-    }
-
-    #[test]
     fn engine_is_send_and_sync() {
         fn assert_shareable<T: Send + Sync>() {}
         fn assert_sendable<T: Send>() {}
@@ -1856,10 +1800,7 @@ mod tests {
         let rendered = explain.to_string();
         assert!(rendered.contains("logical plan (before rewrite):"));
         assert!(rendered.contains("rewrite:"));
-        assert!(rendered.contains(
-            "physical plan (execution=streaming, batch_size=1024, parallelism=1, \
-             compat backend=row):"
-        ));
+        assert!(rendered.contains("physical plan (execution=streaming, batch_size=1024):"));
         assert!(!rendered.contains("execution stats:"));
 
         let analyzed = engine.explain_analyze(sql).unwrap();

@@ -58,7 +58,6 @@ pub mod lexer;
 pub mod lower;
 pub mod metrics;
 pub mod parser;
-pub mod run;
 
 pub use ast::{Query, SelectItem, SqlCondition, SqlOperand, TableFactor, TableReference};
 pub use div_physical::{CancelToken, QueryGuard};
@@ -68,5 +67,3 @@ pub use lexer::{tokenize, Token};
 pub use lower::translate_query;
 pub use metrics::{EngineMetrics, MetricsSnapshot};
 pub use parser::{parse_query, ParseError};
-#[allow(deprecated)]
-pub use run::{compile_query, run_query};

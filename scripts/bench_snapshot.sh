@@ -5,7 +5,6 @@
 # Usage: scripts/bench_snapshot.sh [bench] [output.json]
 #
 #   scripts/bench_snapshot.sh                  # key_pipeline -> BENCH_key_pipeline.json
-#   scripts/bench_snapshot.sh streaming        # streaming    -> BENCH_streaming.json
 #   scripts/bench_snapshot.sh serving          # serving      -> BENCH_serving.json
 #
 # Each snapshot records per-benchmark median iteration times in nanoseconds
@@ -13,9 +12,6 @@
 #
 #   * key_pipeline pairs `keyvector` labels against their `rowkey` replicas
 #     (vectorized key pipeline vs the pre-pipeline kernels);
-#   * streaming pairs `cursor` labels against their `materialized`
-#     counterparts (streaming executor vs whole-batch columnar execution —
-#     the `first_batch` rows are the pagination-latency win);
 #   * observability pairs `untraced` labels against their `traced`
 #     counterparts (per-operator wall-clock tracing off vs on — the
 #     "speedup" is the tracing overhead, expected close to 1.0);
@@ -52,10 +48,6 @@ key_pipeline)
     fast="keyvector"
     slow="rowkey"
     ;;
-streaming)
-    fast="cursor"
-    slow="materialized"
-    ;;
 observability)
     fast="untraced"
     slow="traced"
@@ -69,7 +61,7 @@ out_of_core)
     slow="spilled"
     ;;
 *)
-    echo "unknown bench '$bench' (expected key_pipeline, streaming, observability, governance or out_of_core)" >&2
+    echo "unknown bench '$bench' (expected key_pipeline, observability, governance or out_of_core)" >&2
     exit 1
     ;;
 esac

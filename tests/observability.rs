@@ -3,8 +3,8 @@
 //! report, and the engine's session metrics registry — exercised through
 //! the public facade only.
 //!
-//! The core differential check: for every plan shape and every execution
-//! path (row, columnar, streaming), the per-operator tree must be
+//! The core differential check: for every plan shape and both execution
+//! paths (row, streaming), the per-operator tree must be
 //! *internally consistent* with the query-level aggregates the executors
 //! have always reported — scans sum to `rows_scanned`, the root matches
 //! `output_rows`, per-node probes sum to `probes` — and the tree must have
@@ -33,8 +33,8 @@ fn catalog() -> Catalog {
 }
 
 /// The plan-shape sweep: one representative per operator family, plus the
-/// collision shape (two identically-labelled filters) the old
-/// `rows_per_operator` map could not tell apart.
+/// collision shape (two identically-labelled filters) a label-keyed view
+/// could not tell apart.
 fn plan_shapes() -> Vec<(&'static str, LogicalPlan)> {
     let blue_parts = || {
         PlanBuilder::scan("parts")
@@ -180,18 +180,13 @@ fn span_trees_reconcile_with_aggregates_on_every_path_and_shape() {
     let catalog = catalog();
     for (shape, logical) in plan_shapes() {
         let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        let row = PlannerConfig::with_backend(ExecutionBackend::RowAtATime);
-        let (_, row_stats) = execute_with_config(&physical, &catalog, &row).unwrap();
+        let (_, row_stats) = execute_with_stats(&physical, &catalog).unwrap();
         assert_tree_consistent("row", shape, &physical, &row_stats);
-
-        let col = PlannerConfig::with_backend(ExecutionBackend::Columnar);
-        let (_, col_stats) = execute_with_config(&physical, &catalog, &col).unwrap();
-        assert_tree_consistent("columnar", shape, &physical, &col_stats);
 
         let stats = stream_stats(&physical, &catalog, &PlannerConfig::default());
         assert_tree_consistent("streaming", shape, &physical, &stats);
 
-        // The shape of the tree (labels) is identical across paths even
+        // The shape of the tree (labels) is identical on both paths even
         // though probe counts and retained peaks legitimately differ.
         let shape_of = |s: &division::physical::ExecStats| {
             s.operators
@@ -199,15 +194,14 @@ fn span_trees_reconcile_with_aggregates_on_every_path_and_shape() {
                 .map(|o| o.label.clone())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(shape_of(&row_stats), shape_of(&col_stats), "{shape}");
         assert_eq!(shape_of(&row_stats), shape_of(&stats), "{shape}");
     }
 }
 
 #[test]
 fn same_labelled_operators_keep_separate_spans() {
-    // Two stacked identical filters: the deprecated label-keyed map merges
-    // them into one entry; the span tree must not.
+    // Two stacked identical filters: a label-keyed view would merge them
+    // into one entry; the span tree must not.
     let catalog = catalog();
     let logical = PlanBuilder::scan("supplies")
         .select(Predicate::eq_value("p#", 2))
@@ -221,9 +215,6 @@ fn same_labelled_operators_keep_separate_spans() {
     // Both filters pass the same 3 rows, but they are attributed per node…
     assert_eq!(stats.operators[0].rows_out, 3);
     assert_eq!(stats.operators[1].rows_out, 3);
-    // …while the label-keyed view lumps them together (2 labels, 3 nodes).
-    assert_eq!(stats.rows_per_operator.len(), 2);
-    assert_eq!(stats.rows_per_operator[&stats.operators[0].label], 6);
 }
 
 #[test]
@@ -279,16 +270,13 @@ fn span_timing_is_gated_by_the_tracing_flag() {
     // untraced trees compare equal node for node.
     assert_eq!(untraced.operators, traced.operators);
 
-    // The materializing paths honor the flag too.
-    for backend in ExecutionBackend::ALL {
-        let config = PlannerConfig::with_backend(backend).tracing(true);
-        let (_, stats) = execute_with_config(&physical, &catalog, &config).unwrap();
-        assert!(
-            stats.operators.iter().any(|op| op.timed()),
-            "{} backend traces when asked",
-            backend.name()
-        );
-    }
+    // The materializing row executor honors the flag too.
+    let config = PlannerConfig::default().tracing(true);
+    let (_, stats) = execute_with_config(&physical, &catalog, &config).unwrap();
+    assert!(
+        stats.operators.iter().any(|op| op.timed()),
+        "the row executor traces when asked"
+    );
 }
 
 #[test]

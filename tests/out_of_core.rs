@@ -18,7 +18,7 @@
 
 use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
 use div_expr::{Catalog, LogicalPlan, PlanBuilder};
-use div_physical::{execute_on_backend, plan_query, ExecutionBackend, PlannerConfig};
+use div_physical::{execute_with_stats, plan_query, PlannerConfig};
 use div_sql::{Engine, QueryOutput};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -59,7 +59,7 @@ fn catalog() -> Catalog {
     c
 }
 
-/// The same eleven plan shapes the backend-differential property sweeps
+/// The same eleven plan shapes the executor-differential property sweeps
 /// (`tests/physical_vs_reference.rs`), one per operator family.
 fn shapes() -> Vec<LogicalPlan> {
     vec![
@@ -151,8 +151,7 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let mut spilled_shapes = 0usize;
     for (shape_idx, logical) in shapes().into_iter().enumerate() {
         let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        let (expected, _) =
-            execute_on_backend(&physical, &c, ExecutionBackend::RowAtATime).unwrap();
+        let (expected, _) = execute_with_stats(&physical, &c).unwrap();
 
         // Unlimited: the spill variants are compiled but must never
         // activate, and the result is the in-memory one.

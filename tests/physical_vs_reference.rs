@@ -1,31 +1,33 @@
 //! Property tests: every physical division / great-divide algorithm (and the
 //! partition-parallel executions) agrees with the reference set semantics of
-//! `div-algebra` on random inputs, and all execution strategies — row,
-//! columnar, and partition-parallel columnar at several partition counts —
-//! return byte-identical relations with consistent `ExecStats` row
-//! accounting on every plan shape tested here.
+//! `div-algebra` on random inputs, and both executors — the row reference
+//! and the streaming executor at several batch sizes — return byte-identical
+//! relations with consistent `ExecStats` row accounting on every plan shape
+//! tested here.
 
 use div_columnar::ColumnarBatch;
 use div_physical::division::{divide_with, DivisionAlgorithm};
 use div_physical::great_divide::{great_divide_with, GreatDivideAlgorithm};
 use div_physical::parallel::{parallel_divide, parallel_great_divide};
-use div_physical::{execute_on_backend, ExecStats, PhysicalPlan};
+use div_physical::{ExecStats, PhysicalPlan};
 use division::prelude::*;
 use proptest::prelude::*;
 
-/// The execution strategies the differential tests sweep: the row backend,
-/// the single-threaded columnar backend, and the Law 2 / Law 13
-/// partition-parallel columnar backend at 2 and 7 partitions.
-fn execution_configs() -> Vec<(&'static str, PlannerConfig)> {
-    vec![
-        ("row", PlannerConfig::default()),
-        (
-            "columnar",
-            PlannerConfig::with_backend(ExecutionBackend::Columnar),
-        ),
-        ("parallel-columnar/2", PlannerConfig::with_parallelism(2)),
-        ("parallel-columnar/7", PlannerConfig::with_parallelism(7)),
-    ]
+/// Drain a [`StreamExecutor`] over `physical` at `batch_size` into a relation.
+fn drain_stream(
+    physical: &PhysicalPlan,
+    catalog: &Catalog,
+    batch_size: usize,
+) -> (Relation, ExecStats) {
+    let config = PlannerConfig::with_batch_size(batch_size);
+    let mut stream = StreamExecutor::new(physical, catalog, &config).unwrap();
+    let mut out = Relation::empty(stream.schema().clone());
+    while let Some(batch) = stream.next_batch().unwrap() {
+        for row in 0..batch.num_rows() {
+            out.insert(batch.row(row)).unwrap();
+        }
+    }
+    (out, stream.finish())
 }
 
 fn ab_pairs(max_rows: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -162,9 +164,9 @@ proptest! {
         prop_assert_eq!(batch.to_relation().unwrap(), relation);
     }
 
-    /// The row and columnar backends return identical relations (and agree
-    /// on the output cardinality they report) on every plan shape this file
-    /// exercises, over random catalogs.
+    /// The row executor and the streaming columnar executor return identical
+    /// relations (and agree on the cardinalities they report) on every plan
+    /// shape this file exercises, over random catalogs.
     #[test]
     fn columnar_backend_matches_row_backend(
         supplies in ab_pairs(40),
@@ -190,10 +192,9 @@ proptest! {
     }
 }
 
-/// The plan shapes the backend-differential property sweeps: one per
+/// The plan shapes the executor-differential property sweeps: one per
 /// vectorized operator family — the original seven, plus shapes centered on
-/// the five operators that used to fall back to the row executor
-/// (intersection, difference, Cartesian product, theta-join, aggregation).
+/// intersection, difference, Cartesian product, theta-join and aggregation.
 fn differential_plans() -> Vec<PhysicalPlan> {
     differential_logical_plans()
         .into_iter()
@@ -277,22 +278,30 @@ fn differential_logical_plans() -> Vec<LogicalPlan> {
     ]
 }
 
-/// Execute `plan` on every execution strategy of [`execution_configs`] and
-/// assert byte-identical relations and consistent `ExecStats` row accounting
-/// (output cardinality and scanned rows are strategy-independent).
+/// Execute `plan` on the row executor and on a drained [`StreamExecutor`]
+/// at batch sizes that split, straddle and exceed the inputs, and assert
+/// byte-identical relations and consistent `ExecStats` row accounting: the
+/// output cardinality always, the scanned rows whenever no zone map let a
+/// pushed-down filter skip a chunk, and no resident row leaked.
 fn assert_backends_agree(physical: &PhysicalPlan, catalog: &Catalog) {
-    let (row_result, row_stats) =
-        execute_on_backend(physical, catalog, ExecutionBackend::RowAtATime).unwrap();
-    for (name, config) in execution_configs() {
-        let (result, stats) = execute_with_config(physical, catalog, &config).unwrap();
+    let (row_result, row_stats) = execute_with_stats(physical, catalog).unwrap();
+    for batch_size in [1usize, 3, 1024] {
+        let name = format!("stream/b{batch_size}");
+        let (result, stats) = drain_stream(physical, catalog, batch_size);
         assert_eq!(result, row_result, "{name} diverges on plan:\n{physical}");
         assert_eq!(
             stats.output_rows, row_stats.output_rows,
             "{name}: output_rows diverge on plan:\n{physical}"
         );
+        if stats.chunks_skipped == 0 {
+            assert_eq!(
+                stats.rows_scanned, row_stats.rows_scanned,
+                "{name}: rows_scanned diverge on plan:\n{physical}"
+            );
+        }
         assert_eq!(
-            stats.rows_scanned, row_stats.rows_scanned,
-            "{name}: rows_scanned diverge on plan:\n{physical}"
+            stats.resident_rows_on_finish, 0,
+            "{name}: resident rows leaked on plan:\n{physical}"
         );
     }
 }
@@ -300,10 +309,10 @@ fn assert_backends_agree(physical: &PhysicalPlan, catalog: &Catalog) {
 #[test]
 fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
     // The streaming-API differential: for all eleven differential plan
-    // shapes, at parallelism 1 and 4 and across chunk geometries (batch
-    // sizes that divide, straddle and exceed the inputs), the relation
-    // collected from an `Engine` `Cursor` must be byte-identical to the row
-    // backend's, with matching `output_rows`.
+    // shapes, across chunk geometries (batch sizes that divide, straddle
+    // and exceed the inputs), the relation collected from an `Engine`
+    // `Cursor` must be byte-identical to the row executor's, with matching
+    // `output_rows`.
     let mut catalog = Catalog::new();
     catalog.register(
         "supplies",
@@ -317,34 +326,26 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
 
     for (shape_idx, logical) in differential_logical_plans().into_iter().enumerate() {
         let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        let (expected, row_stats) =
-            execute_on_backend(&physical, &catalog, ExecutionBackend::RowAtATime).unwrap();
-        for parallelism in [1usize, 4] {
-            for batch_size in [1usize, 3, 4096] {
-                let config = PlannerConfig::default()
-                    .parallelism(parallelism)
-                    .batch_size(batch_size);
-                let engine = Engine::builder(catalog.clone())
-                    .planner_config(config)
-                    .without_optimizer() // differential: compare the raw plan
-                    .build();
-                let cursor = engine.stream_logical(&logical).unwrap();
-                let output = cursor.collect().unwrap();
-                assert_eq!(
-                    output.relation, expected,
-                    "shape #{shape_idx} diverges at parallelism {parallelism}, \
-                     batch_size {batch_size}:\n{logical}"
-                );
-                assert_eq!(
-                    output.stats.output_rows, row_stats.output_rows,
-                    "shape #{shape_idx}: output_rows diverge at parallelism {parallelism}, \
-                     batch_size {batch_size}"
-                );
-                assert_eq!(
-                    output.stats.rows_scanned, row_stats.rows_scanned,
-                    "shape #{shape_idx}: fully drained cursors scan everything exactly once"
-                );
-            }
+        let (expected, row_stats) = execute_with_stats(&physical, &catalog).unwrap();
+        for batch_size in [1usize, 3, 4096] {
+            let engine = Engine::builder(catalog.clone())
+                .planner_config(PlannerConfig::with_batch_size(batch_size))
+                .without_optimizer() // differential: compare the raw plan
+                .build();
+            let cursor = engine.stream_logical(&logical).unwrap();
+            let output = cursor.collect().unwrap();
+            assert_eq!(
+                output.relation, expected,
+                "shape #{shape_idx} diverges at batch_size {batch_size}:\n{logical}"
+            );
+            assert_eq!(
+                output.stats.output_rows, row_stats.output_rows,
+                "shape #{shape_idx}: output_rows diverge at batch_size {batch_size}"
+            );
+            assert_eq!(
+                output.stats.rows_scanned, row_stats.rows_scanned,
+                "shape #{shape_idx}: fully drained cursors scan everything exactly once"
+            );
         }
     }
 }
@@ -379,10 +380,10 @@ fn cursor_take_one_short_circuits_the_source_scan() {
 fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
     // The optimizer-in-the-loop differential: for all eleven differential
     // plan shapes, `Engine::execute_logical` (rewrite optimizer ON, the
-    // default) must return byte-identical relations to the raw
-    // `plan_query` → `execute_with_config` pipeline (optimizer OFF), on the
-    // row backend, the columnar backend and the partition-parallel columnar
-    // backend, at parallelism 1 and 4 each.
+    // default; streaming executor) must return byte-identical relations to
+    // the raw `plan_query` → `execute_with_config` pipeline (optimizer OFF;
+    // row executor), at a batch size that splits the inputs and one that
+    // exceeds them.
     let mut catalog = Catalog::new();
     catalog.register(
         "supplies",
@@ -394,23 +395,11 @@ fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
         relation! { ["p#", "c"] => [1, 1], [2, 1], [1, 2], [3, 2], [2, 3] },
     );
 
-    let strategy_configs: Vec<(String, PlannerConfig)> =
-        [ExecutionBackend::RowAtATime, ExecutionBackend::Columnar]
-            .into_iter()
-            .flat_map(|backend| {
-                [1usize, 4].into_iter().map(move |parallelism| {
-                    (
-                        format!("{}/p{parallelism}", backend.name()),
-                        PlannerConfig::with_backend(backend).parallelism(parallelism),
-                    )
-                })
-            })
-            .collect();
-
     for (shape_idx, logical) in differential_logical_plans().into_iter().enumerate() {
-        for (name, config) in &strategy_configs {
+        for batch_size in [3usize, 1024] {
+            let config = PlannerConfig::with_batch_size(batch_size);
             let optimizing = Engine::builder(catalog.clone())
-                .planner_config(*config)
+                .planner_config(config)
                 .build();
             assert!(
                 optimizing.optimizer_enabled(),
@@ -418,17 +407,17 @@ fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
             );
             let optimized_out = optimizing.execute_logical(&logical).unwrap();
 
-            let raw_physical = plan_query(&logical, config).unwrap();
+            let raw_physical = plan_query(&logical, &config).unwrap();
             let (raw_relation, raw_stats) =
-                execute_with_config(&raw_physical, &catalog, config).unwrap();
+                execute_with_config(&raw_physical, &catalog, &config).unwrap();
 
             assert_eq!(
                 optimized_out.relation, raw_relation,
-                "shape #{shape_idx} diverges on {name}:\n{logical}"
+                "shape #{shape_idx} diverges at batch_size {batch_size}:\n{logical}"
             );
             assert_eq!(
                 optimized_out.stats.output_rows, raw_stats.output_rows,
-                "shape #{shape_idx}: output_rows diverge on {name}"
+                "shape #{shape_idx}: output_rows diverge at batch_size {batch_size}"
             );
         }
     }
@@ -521,10 +510,10 @@ fn backends_agree_on_the_suppliers_parts_generator() {
 #[test]
 fn all_strategies_agree_on_skewed_zipf_baskets() {
     // Skewed market baskets from `div-datagen` (Zipf item popularity,
-    // s = 1.3): a handful of hot items dominate the dividend, so the Law 2
-    // quotient-attribute partitions and the Law 13 divisor-group partitions
-    // are heavily imbalanced — exactly the adversarial case for the
-    // partition-parallel merge. Every strategy must still return the same
+    // s = 1.3): a handful of hot items dominate the dividend, so a few
+    // quotient groups (Law 2's partitioning attribute) and divisor groups
+    // (Law 13's) hold most of the rows — the adversarial case for the
+    // group-id coverage state. Both executors must still return the same
     // bytes and the same row accounting.
     use division::datagen::baskets::{self, candidates_relation};
     use division::datagen::BasketConfig;
@@ -547,8 +536,8 @@ fn all_strategies_agree_on_skewed_zipf_baskets() {
     let law13 = PlanBuilder::scan("transactions")
         .great_divide(PlanBuilder::scan("candidates"))
         .build();
-    // Law 2 workload: transactions ÷ (one candidate itemset), dividend
-    // partitioned on the quotient attribute `tid`.
+    // Law 2 workload: transactions ÷ (one candidate itemset), quotient
+    // attribute `tid`.
     let law2 = PlanBuilder::scan("transactions")
         .divide(
             PlanBuilder::scan("candidates")

@@ -267,8 +267,7 @@ fn explain_is_structured_and_analyze_measures() {
         "EXPLAIN ",
         "logical plan (before rewrite):",
         "estimated cost:",
-        "physical plan (execution=streaming, batch_size=1024, parallelism=1, \
-         compat backend=row):",
+        "physical plan (execution=streaming, batch_size=1024):",
         "execution stats:",
     ] {
         assert!(rendered.contains(section), "missing section {section:?}");
@@ -276,22 +275,15 @@ fn explain_is_structured_and_analyze_measures() {
 }
 
 #[test]
-fn engine_serves_every_backend_and_parallelism() {
+fn engine_serves_every_batch_size() {
     let catalog = textbook_catalog();
     let expected = relation! { ["s#"] => [1], [2] };
-    for backend in ExecutionBackend::ALL {
-        for parallelism in [1usize, 4] {
-            let engine = Engine::builder(catalog.clone())
-                .planner_config(PlannerConfig::with_backend(backend).parallelism(parallelism))
-                .build();
-            let output = engine.query_collect(Q2).unwrap();
-            assert_eq!(
-                output.relation,
-                expected,
-                "backend {} parallelism {parallelism}",
-                backend.name()
-            );
-            assert_eq!(output.stats.output_rows, 2);
-        }
+    for batch_size in [1usize, 3, 1024] {
+        let engine = Engine::builder(catalog.clone())
+            .planner_config(PlannerConfig::with_batch_size(batch_size))
+            .build();
+        let output = engine.query_collect(Q2).unwrap();
+        assert_eq!(output.relation, expected, "batch_size {batch_size}");
+        assert_eq!(output.stats.output_rows, 2);
     }
 }

@@ -1,7 +1,6 @@
 //! Integration tests of the streaming execution API: the `Engine`'s
-//! incremental `Cursor`, its compatibility shims, and the peak-resident
-//! accounting of the streaming executor — exercised through the public
-//! facade only.
+//! incremental `Cursor` and the peak-resident accounting of the streaming
+//! executor — exercised through the public facade only.
 
 use division::prelude::*;
 
@@ -86,8 +85,8 @@ fn dropping_a_cursor_early_is_safe_and_cheap() {
 fn deep_pipeline_peak_is_bounded_by_batch_size_not_table_size() {
     // The streaming pitch end to end: a deep filter pipeline over a 30k-row
     // table with batch_size 128 keeps the executor's peak resident rows at
-    // a small multiple of the batch size, while the materializing backend's
-    // largest intermediate is table-sized.
+    // a small multiple of the batch size, while the materializing row
+    // executor's largest intermediate is table-sized.
     let table_rows = 30_000usize;
     let mut c = Catalog::new();
     let rows: Vec<Vec<i64>> = (0..table_rows as i64).map(|i| vec![i, i % 13]).collect();
@@ -104,19 +103,15 @@ fn deep_pipeline_peak_is_bounded_by_batch_size_not_table_size() {
         output.stats.peak_resident_rows,
         table_rows
     );
-    // Reference point: the materializing columnar backend holds a
-    // table-sized intermediate for the same query.
-    let materializing = Engine::builder(c)
-        .planner_config(PlannerConfig::with_backend(ExecutionBackend::Columnar))
-        .build();
-    let analyzed = materializing.explain(sql).unwrap();
-    let (_, mat_stats) = execute_with_config(
-        &analyzed.physical,
-        &materializing.catalog(),
-        materializing.planner_config(),
-    )
-    .unwrap();
-    assert!(mat_stats.max_intermediate >= 12);
+    // Reference point: the materializing row executor holds a table-sized
+    // intermediate for the same plan.
+    let physical = engine.explain(sql).unwrap().physical;
+    let (_, mat_stats) = execute_with_stats(&physical, &c).unwrap();
+    assert!(
+        mat_stats.max_intermediate >= table_rows / 2,
+        "the filter's materialized output ({} rows) is table-sized",
+        mat_stats.max_intermediate
+    );
     assert_eq!(
         mat_stats.peak_resident_rows, 0,
         "materializing path reports no peaks"
@@ -158,16 +153,4 @@ fn blocking_operators_still_stream_their_output_in_chunks() {
         "peak {} suggests leaked or double-counted chunks",
         stats.peak_resident_rows
     );
-}
-
-#[test]
-fn run_query_shim_routes_through_the_cursor() {
-    // The deprecated free function now collects a Cursor internally: same
-    // bytes, same output accounting, streaming kernel labels in the stats.
-    #[allow(deprecated)]
-    let (relation, stats) = run_query(Q2, &catalog(), &PlannerConfig::default()).unwrap();
-    assert_eq!(relation, relation! { ["s#"] => [1], [2] });
-    assert_eq!(stats.output_rows, 2);
-    assert!(stats.rows_per_operator.contains_key("ColumnarHashDivision"));
-    assert!(stats.peak_resident_batches > 0);
 }
