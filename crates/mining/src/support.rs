@@ -99,7 +99,7 @@ fn count_with_scan(
         let item = t.values()[1].as_int().expect("item is an integer");
         baskets.entry(tid).or_default().insert(item);
     }
-    stats.record("PerCandidateScan/baskets", baskets.len(), false, false);
+    stats.record(baskets.len(), false, false);
     let mut out: BTreeMap<i64, usize> = BTreeMap::new();
     let mut probes = 0usize;
     for (id, items) in candidates {
@@ -113,7 +113,7 @@ fn count_with_scan(
         out.insert(*id, count);
     }
     stats.add_probes(probes);
-    stats.record("PerCandidateScan", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok((out, stats))
 }
 

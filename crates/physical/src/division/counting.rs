@@ -50,7 +50,7 @@ pub fn divide(
             out.insert(candidate).map_err(ExprError::from)?;
         }
     }
-    stats.record("CountingDivision", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok(out)
 }
 

@@ -59,7 +59,7 @@ pub fn divide(
             out.insert(candidate).map_err(ExprError::from)?;
         }
     }
-    stats.record("HashDivision", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok(out)
 }
 

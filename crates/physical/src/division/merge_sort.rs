@@ -55,7 +55,7 @@ pub fn divide(
         }
     }
     stats.add_probes(probes);
-    stats.record("MergeSortDivision", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok(out)
 }
 

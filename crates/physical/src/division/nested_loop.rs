@@ -53,7 +53,7 @@ pub fn divide(
         out.insert(candidate).map_err(ExprError::from)?;
     }
     stats.add_probes(probes);
-    stats.record("NestedLoopDivision", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok(out)
 }
 

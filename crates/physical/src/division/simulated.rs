@@ -25,11 +25,11 @@ pub fn divide(
     let quotient_refs: Vec<&str> = ctx.quotient_names.iter().map(String::as_str).collect();
     // π_A(r1)
     let candidates = dividend.project(&quotient_refs).map_err(ExprError::from)?;
-    stats.record("Simulated/π_A(r1)", candidates.len(), false, false);
+    stats.record(candidates.len(), false, false);
 
     // π_A(r1) × r2  — the quadratic step.
     let all_pairs = candidates.product(divisor).map_err(ExprError::from)?;
-    stats.record("Simulated/π_A(r1)×r2", all_pairs.len(), false, false);
+    stats.record(all_pairs.len(), false, false);
 
     // (π_A(r1) × r2) − r1
     let conformed_dividend = dividend
@@ -38,17 +38,17 @@ pub fn divide(
     let missing = all_pairs
         .difference(&conformed_dividend)
         .map_err(ExprError::from)?;
-    stats.record("Simulated/missing-pairs", missing.len(), false, false);
+    stats.record(missing.len(), false, false);
 
     // π_A(...)
     let disqualified = missing.project(&quotient_refs).map_err(ExprError::from)?;
-    stats.record("Simulated/π_A(missing)", disqualified.len(), false, false);
+    stats.record(disqualified.len(), false, false);
 
     // π_A(r1) − π_A(...)
     let result = candidates
         .difference(&disqualified)
         .map_err(ExprError::from)?;
-    stats.record("SimulatedDivision", result.len(), false, false);
+    stats.record(result.len(), false, false);
     Ok(result)
 }
 

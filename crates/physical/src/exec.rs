@@ -211,7 +211,7 @@ fn exec_node(
     // On the materializing executor the operator's whole output is the
     // resident quantity the budget meters.
     guard.check(result.len(), &plan.label())?;
-    stats.record(&plan.label(), result.len(), is_scan, is_root);
+    stats.record(result.len(), is_scan, is_root);
     trace.set_rows_out(id, result.len());
     if let Some(started) = started {
         // One inclusive execution span per operator — the materializing

@@ -150,7 +150,7 @@ fn group_loop(
                 .insert(t.project(&ctx.divisor_b))
                 .map_err(ExprError::from)?;
         }
-        stats.record("GroupLoop/divisor-group", group.len(), false, false);
+        stats.record(group.len(), false, false);
         let quotient =
             division::divide_with(dividend, &group, DivisionAlgorithm::HashDivision, stats)?;
         for a_value in quotient.tuples() {
@@ -158,7 +158,7 @@ fn group_loop(
                 .map_err(ExprError::from)?;
         }
     }
-    stats.record("GroupLoopGreatDivision", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok(out)
 }
 
@@ -196,7 +196,7 @@ fn hash_sets(
         }
     }
     stats.add_probes(probes);
-    stats.record("HashSetsGreatDivision", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok(out)
 }
 
@@ -257,7 +257,7 @@ fn sort_merge(
         }
     }
     stats.add_probes(probes);
-    stats.record("SortMergeGreatDivision", out.len(), false, false);
+    stats.record(out.len(), false, false);
     Ok(out)
 }
 

@@ -106,18 +106,21 @@ impl QueryGuard {
 
     /// This guard preferring spill-to-disk over aborting on memory
     /// pressure. The budget check itself is unchanged — it remains the
-    /// backstop — but operators that *can* spill consult
-    /// [`QueryGuard::spill_budget`] and partition to disk before the
-    /// budget would trip.
+    /// backstop — but the hybrid operators (hash join, divide, grouped
+    /// aggregation) consult [`QueryGuard::spill_budget`] and partition to
+    /// disk before the budget would trip. The preference applies to any
+    /// budget this guard carries, including one attached later with
+    /// [`QueryGuard::with_budget_rows`].
     pub fn with_spill(mut self, spill: bool) -> Self {
         self.spill = spill;
         self
     }
 
-    /// The resident-row threshold at which spilling operators should start
+    /// The resident-row threshold at which the hybrid operators start
     /// partitioning to disk: the memory budget when spilling is enabled,
-    /// `None` otherwise (operators then run fully in memory and the budget,
-    /// if any, aborts).
+    /// `None` otherwise (they then run fully in memory and the budget, if
+    /// any, aborts). This is the one place that decides whether a
+    /// statement may spill; nothing else reads the configuration for it.
     pub fn spill_budget(&self) -> Option<usize> {
         if self.spill {
             self.budget_rows

@@ -93,7 +93,6 @@ pub mod plan;
 pub mod planner;
 pub mod stats;
 pub mod stream;
-mod stream_spill;
 pub mod trace;
 
 pub use division::DivisionAlgorithm;

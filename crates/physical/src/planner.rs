@@ -48,15 +48,18 @@ pub struct PlannerConfig {
     /// [`div_expr::ExprError::MemoryBudget`]. `None` (the default) disables
     /// the check.
     pub memory_budget_rows: Option<usize>,
-    /// Spill to disk instead of aborting when the memory budget would trip.
-    /// When `true` *and* a [`PlannerConfig::memory_budget_rows`] budget is
-    /// set, the streaming executor compiles the hybrid partitioned-hash
-    /// variants of hash join, divide and aggregation: they stay in memory
-    /// while the build state fits, partition their inputs to disk (via
-    /// `div-storage` spill files) when the budget would trip, and recurse
-    /// per partition — Graefe's hybrid hash-division design. Without a
-    /// budget the flag is inert. Defaults to `false`: the budget aborts
-    /// with [`div_expr::ExprError::MemoryBudget`] as before.
+    /// Spill to disk instead of aborting when a memory budget would trip.
+    /// Read only by [`QueryGuard::from_config`](crate::guard::QueryGuard::from_config),
+    /// which passes it on as the guard's spill preference; the streaming
+    /// executor's hash join, divide and grouped aggregation are hybrid
+    /// partitioned-hash operators that consult the *guard*: they stay in
+    /// memory while their build input fits, partition it to disk (via
+    /// `div-storage` spill files) when any budget the guard carries —
+    /// [`PlannerConfig::memory_budget_rows`], a serving session's default,
+    /// a caller's own — would trip, and recurse per partition (Graefe's
+    /// hybrid hash-division design). Without a budget the flag is inert.
+    /// Defaults to `false`: a budget aborts with
+    /// [`div_expr::ExprError::MemoryBudget`].
     pub spill_to_disk: bool,
 }
 

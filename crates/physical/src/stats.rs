@@ -81,10 +81,9 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Record one operator execution. The label names the operator at the
-    /// call site only; per-operator attribution lives in
-    /// [`ExecStats::operators`].
-    pub fn record(&mut self, _label: &str, output_rows: usize, is_scan: bool, is_root: bool) {
+    /// Record one operator execution (per-operator attribution lives in
+    /// [`ExecStats::operators`]).
+    pub fn record(&mut self, output_rows: usize, is_scan: bool, is_root: bool) {
         self.operators_executed += 1;
         if is_scan {
             self.rows_scanned += output_rows;
@@ -162,9 +161,9 @@ mod tests {
     #[test]
     fn record_distinguishes_scans_intermediates_and_root() {
         let mut stats = ExecStats::default();
-        stats.record("TableScan(r1)", 100, true, false);
-        stats.record("HashDivision", 40, false, false);
-        stats.record("Filter", 10, false, true);
+        stats.record(100, true, false);
+        stats.record(40, false, false);
+        stats.record(10, false, true);
         assert_eq!(stats.rows_scanned, 100);
         assert_eq!(stats.intermediate_tuples, 40);
         assert_eq!(stats.max_intermediate, 40);
@@ -175,13 +174,13 @@ mod tests {
     #[test]
     fn merge_accumulates_and_takes_max() {
         let mut a = ExecStats::default();
-        a.record("scan", 10, true, false);
-        a.record("div", 5, false, false);
+        a.record(10, true, false);
+        a.record(5, false, false);
         a.add_probes(7);
         a.note_resident(2, 100);
         let mut b = ExecStats::default();
-        b.record("scan", 20, true, false);
-        b.record("div", 50, false, false);
+        b.record(20, true, false);
+        b.record(50, false, false);
         b.add_probes(3);
         b.note_resident(5, 60);
         a.merge(&b);

@@ -1,0 +1,347 @@
+use super::*;
+use crate::exec::execute_with_stats;
+use crate::guard::CancelToken;
+use crate::planner::plan_query;
+#[cfg(feature = "failpoints")]
+use crate::FailAction;
+use div_algebra::{relation, AggregateCall, CompareOp, Relation};
+use div_expr::{ExprError, PlanBuilder};
+
+fn catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.register(
+        "supplies",
+        relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1], [2, 2], [2, 3], [3, 2] },
+    );
+    c.register(
+        "parts",
+        relation! { ["p#", "color"] => [1, "blue"], [2, "blue"], [3, "red"] },
+    );
+    c
+}
+
+fn collect(stream: &mut StreamExecutor) -> Relation {
+    let mut out = Relation::empty(stream.schema().clone());
+    while let Some(batch) = stream.next_batch().unwrap() {
+        for i in 0..batch.num_rows() {
+            out.insert(batch.row(i)).unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn streamed_q2_matches_the_row_backend_including_stats_totals() {
+    let c = catalog();
+    let logical = PlanBuilder::scan("supplies")
+        .divide(
+            PlanBuilder::scan("parts")
+                .select(div_algebra::Predicate::eq_value("color", "blue"))
+                .project(["p#"]),
+        )
+        .build();
+    for batch_size in [1, 2, 1024] {
+        let config = PlannerConfig::default().batch_size(batch_size);
+        let plan = plan_query(&logical, &config).unwrap();
+        let (expected, row_stats) = execute_with_stats(&plan, &c).unwrap();
+        let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+        let got = collect(&mut stream);
+        let stats = stream.finish();
+        assert_eq!(got, expected, "batch_size {batch_size}");
+        assert_eq!(stats.output_rows, row_stats.output_rows);
+        assert_eq!(stats.rows_scanned, row_stats.rows_scanned);
+        assert_eq!(stats.operators[0].label, "Divide[hash-division]");
+        // Every plan operator plus the divide kernel's pseudo-operator.
+        assert_eq!(stats.operators_executed, plan.operator_count() + 1);
+        assert!(stats.peak_resident_batches > 0);
+    }
+}
+
+#[test]
+fn early_termination_short_circuits_the_scan() {
+    let mut c = Catalog::new();
+    let rows: Vec<Vec<i64>> = (0..10_000).map(|i| vec![i, i % 7]).collect();
+    c.register("big", Relation::from_rows(["a", "b"], rows).unwrap());
+    let logical = PlanBuilder::scan("big")
+        .select(div_algebra::Predicate::cmp_value("b", CompareOp::LtEq, 6))
+        .build();
+    let config = PlannerConfig::default().batch_size(64);
+    let plan = plan_query(&logical, &config).unwrap();
+    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let first = stream.next_batch().unwrap().expect("at least one batch");
+    assert!(first.num_rows() > 0);
+    let stats = stream.finish();
+    assert!(
+        stats.rows_scanned < 10_000,
+        "scan must stop short, scanned {}",
+        stats.rows_scanned
+    );
+    assert_eq!(stats.rows_scanned, 64);
+}
+
+#[test]
+fn deep_pipeline_keeps_peak_resident_rows_bounded_by_batch_size() {
+    // The satellite pin: a filter/project pipeline over a chunked scan
+    // holds O(batch_size) rows, not O(table). Depth 4 pipeline
+    // (scan → filter → filter → project) over 20k rows, batch 256:
+    // resident = a few in-flight chunks + the distinct store (7 rows).
+    let mut c = Catalog::new();
+    let rows: Vec<Vec<i64>> = (0..20_000).map(|i| vec![i, i % 7]).collect();
+    c.register("big", Relation::from_rows(["a", "b"], rows).unwrap());
+    let logical = PlanBuilder::scan("big")
+        .select(div_algebra::Predicate::cmp_value("a", CompareOp::GtEq, 0))
+        .select(div_algebra::Predicate::cmp_value("b", CompareOp::LtEq, 6))
+        .project(["b"])
+        .build();
+    let config = PlannerConfig::default().batch_size(256);
+    let plan = plan_query(&logical, &config).unwrap();
+    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let got = collect(&mut stream);
+    assert_eq!(got.len(), 7);
+    let stats = stream.finish();
+    assert_eq!(stats.output_rows, 7);
+    assert_eq!(stats.rows_scanned, 20_000);
+    assert!(
+        stats.peak_resident_rows <= 8 * 256,
+        "peak {} must be O(batch_size), table is 20000 rows",
+        stats.peak_resident_rows
+    );
+    // The materializing executor, by contrast, holds a full-table
+    // intermediate.
+    let (_, row_stats) = execute_with_stats(&plan, &c).unwrap();
+    assert!(row_stats.max_intermediate >= 20_000);
+}
+
+#[test]
+fn every_operator_shape_streams_identically_to_the_row_backend() {
+    let c = catalog();
+    let shapes = vec![
+        PlanBuilder::scan("supplies")
+            .natural_join(PlanBuilder::scan("parts"))
+            .build(),
+        PlanBuilder::scan("supplies")
+            .semi_join(PlanBuilder::scan("parts"))
+            .union(PlanBuilder::scan("supplies").anti_semi_join(PlanBuilder::scan("parts")))
+            .build(),
+        PlanBuilder::scan("supplies")
+            .rename([("p#", "x")])
+            .difference(PlanBuilder::values(relation! { ["s#", "x"] => [1, 1] }))
+            .build(),
+        PlanBuilder::scan("supplies")
+            .intersect(
+                PlanBuilder::scan("supplies").select(div_algebra::Predicate::cmp_value(
+                    "p#",
+                    CompareOp::Lt,
+                    3,
+                )),
+            )
+            .build(),
+        PlanBuilder::scan("parts")
+            .project(["p#"])
+            .rename([("p#", "x")])
+            .product(
+                PlanBuilder::scan("parts")
+                    .project(["p#"])
+                    .rename([("p#", "y")]),
+            )
+            .build(),
+        PlanBuilder::scan("supplies")
+            .theta_join(
+                PlanBuilder::scan("parts")
+                    .rename([("p#", "q")])
+                    .project(["q"]),
+                div_algebra::Predicate::cmp_attrs("p#", CompareOp::Lt, "q"),
+            )
+            .build(),
+        PlanBuilder::scan("supplies")
+            .group_aggregate(["s#"], [AggregateCall::count("p#", "n")])
+            .build(),
+        PlanBuilder::scan("supplies")
+            .great_divide(PlanBuilder::scan("parts"))
+            .build(),
+    ];
+    for logical in shapes {
+        for batch_size in [1, 3, 1024] {
+            let config = PlannerConfig::default().batch_size(batch_size);
+            let plan = plan_query(&logical, &config).unwrap();
+            let (expected, row_stats) = execute_with_stats(&plan, &c).unwrap();
+            let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+            let got = collect(&mut stream);
+            let stats = stream.finish();
+            assert_eq!(got, expected, "batch_size {batch_size} plan:\n{plan}");
+            assert_eq!(
+                stats.output_rows, row_stats.output_rows,
+                "batch_size {batch_size} plan:\n{plan}"
+            );
+            assert_eq!(
+                stats.rows_scanned, row_stats.rows_scanned,
+                "batch_size {batch_size} plan:\n{plan}"
+            );
+        }
+    }
+}
+
+#[test]
+fn compile_errors_surface_before_execution() {
+    let c = catalog();
+    let missing = PhysicalPlan::TableScan {
+        table: "nope".into(),
+    };
+    assert!(StreamExecutor::new(&missing, &c, &PlannerConfig::default()).is_err());
+    // A small divide whose divisor attribute is not in the dividend is
+    // rejected at compile time, before any batch flows.
+    let bad_divide = PhysicalPlan::Divide {
+        dividend: Box::new(PhysicalPlan::TableScan {
+            table: "supplies".into(),
+        }),
+        divisor: Box::new(PhysicalPlan::TableScan {
+            table: "parts".into(),
+        }),
+        algorithm: crate::division::DivisionAlgorithm::HashDivision,
+    };
+    assert!(StreamExecutor::new(&bad_divide, &c, &PlannerConfig::default()).is_err());
+}
+
+#[test]
+fn schema_is_known_before_execution_and_empty_results_keep_it() {
+    let c = catalog();
+    let logical = PlanBuilder::scan("supplies")
+        .select(div_algebra::Predicate::cmp_value("s#", CompareOp::Gt, 99))
+        .project(["s#"])
+        .build();
+    let config = PlannerConfig::default();
+    let plan = plan_query(&logical, &config).unwrap();
+    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    assert_eq!(stream.schema().names(), vec!["s#"]);
+    assert!(stream.next_batch().unwrap().is_none());
+    let stats = stream.finish();
+    assert_eq!(stats.output_rows, 0);
+}
+
+/// A big self-product: |big| × |big| = 4M output rows, the runaway shape
+/// governance exists to stop.
+fn runaway_product() -> (Catalog, div_expr::LogicalPlan) {
+    let mut c = Catalog::new();
+    let rows: Vec<Vec<i64>> = (0..2_000).map(|i| vec![i]).collect();
+    c.register("big", Relation::from_rows(["a"], rows.clone()).unwrap());
+    c.register("big2", Relation::from_rows(["b"], rows).unwrap());
+    let logical = PlanBuilder::scan("big")
+        .product(PlanBuilder::scan("big2"))
+        .build();
+    (c, logical)
+}
+
+fn drain_to_error(stream: &mut StreamExecutor) -> ExprError {
+    loop {
+        match stream.next_batch() {
+            Ok(Some(_)) => continue,
+            Ok(None) => panic!("stream finished without tripping the guard"),
+            Err(err) => return err,
+        }
+    }
+}
+
+#[test]
+fn cancellation_aborts_mid_drain_and_residency_drains_to_zero() {
+    let (c, logical) = runaway_product();
+    let config = PlannerConfig::default().batch_size(64);
+    let plan = plan_query(&logical, &config).unwrap();
+    let token = CancelToken::new();
+    let guard = QueryGuard::default().with_token(token.clone());
+    let mut stream = StreamExecutor::with_guard(&plan, &c, &config, guard).unwrap();
+    assert!(stream.next_batch().unwrap().is_some(), "runs until tripped");
+    token.cancel();
+    let err = drain_to_error(&mut stream);
+    assert!(matches!(err, ExprError::Cancelled { .. }), "got {err}");
+    // Fused after the error, and teardown releases every resident row.
+    assert!(stream.next_batch().unwrap().is_none());
+    let stats = stream.finish();
+    assert_eq!(stats.resident_rows_on_finish, 0);
+}
+
+#[test]
+fn deadline_aborts_within_one_batch_boundary() {
+    let (c, logical) = runaway_product();
+    let config = PlannerConfig::default()
+        .batch_size(64)
+        .deadline(std::time::Duration::from_millis(50));
+    let plan = plan_query(&logical, &config).unwrap();
+    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    // The deadline was armed at construction. Let it lapse before pulling,
+    // so the trip does not depend on how fast the host drains the product:
+    // the very first batch boundary must observe it.
+    std::thread::sleep(std::time::Duration::from_millis(60));
+    let err = stream.next_batch().unwrap_err();
+    assert!(
+        matches!(err, ExprError::DeadlineExceeded { limit_ms: 50, .. }),
+        "got {err}"
+    );
+    let stats = stream.finish();
+    assert_eq!(stats.resident_rows_on_finish, 0);
+}
+
+#[test]
+fn memory_budget_aborts_the_blocking_build_and_reports_the_operator() {
+    let (c, logical) = runaway_product();
+    // Budget below the drained input size: the product's buffered
+    // inputs (2000 + 2000 rows) blow the 1000-row budget during build.
+    let config = PlannerConfig::default()
+        .batch_size(64)
+        .memory_budget_rows(1_000);
+    let plan = plan_query(&logical, &config).unwrap();
+    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let err = drain_to_error(&mut stream);
+    match err {
+        ExprError::MemoryBudget {
+            operator,
+            budget_rows,
+            resident_rows,
+        } => {
+            assert_eq!(budget_rows, 1_000);
+            assert!(resident_rows > 1_000);
+            assert!(!operator.is_empty());
+        }
+        other => panic!("expected MemoryBudget, got {other}"),
+    }
+    let stats = stream.finish();
+    assert_eq!(stats.resident_rows_on_finish, 0);
+}
+
+#[test]
+fn governed_but_untripped_stream_matches_the_ungoverned_result() {
+    let c = catalog();
+    let logical = PlanBuilder::scan("supplies")
+        .natural_join(PlanBuilder::scan("parts"))
+        .build();
+    let ungoverned = PlannerConfig::default().batch_size(2);
+    let governed = ungoverned
+        .deadline(std::time::Duration::from_secs(60))
+        .memory_budget_rows(1_000_000);
+    let plan = plan_query(&logical, &ungoverned).unwrap();
+    let mut base = StreamExecutor::new(&plan, &c, &ungoverned).unwrap();
+    let expected = collect(&mut base);
+    let mut stream = StreamExecutor::new(&plan, &c, &governed).unwrap();
+    let got = collect(&mut stream);
+    assert_eq!(got, expected);
+    assert_eq!(stream.finish().resident_rows_on_finish, 0);
+}
+
+#[cfg(feature = "failpoints")]
+#[test]
+fn failpoint_error_mid_stream_leaves_no_resident_rows() {
+    let _serial = crate::failpoint::test_serial();
+    crate::failpoint::disarm_all();
+    let c = catalog();
+    let logical = PlanBuilder::scan("supplies")
+        .natural_join(PlanBuilder::scan("parts"))
+        .build();
+    let config = PlannerConfig::default().batch_size(2);
+    let plan = plan_query(&logical, &config).unwrap();
+    crate::failpoint::arm("HashJoin.next_batch", FailAction::Error("chaos".into()));
+    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let err = drain_to_error(&mut stream);
+    crate::failpoint::disarm_all();
+    assert!(err.to_string().contains("failpoint HashJoin.next_batch"));
+    let stats = stream.finish();
+    assert_eq!(stats.resident_rows_on_finish, 0);
+}

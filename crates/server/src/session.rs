@@ -569,6 +569,9 @@ fn stream_cursor(
             return RequestOutcome::ClientGone;
         }
     }
+    // Fold the finished execution's spill and chunk-skip counters into the
+    // engine's metrics registry (a dropped cursor reports only its latency).
+    cursor.finish_stats();
     match terminal(writer, &format!("OK {rows} rows")) {
         Ok(()) => RequestOutcome::Continue,
         Err(_) => RequestOutcome::ClientGone,

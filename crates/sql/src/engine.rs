@@ -404,10 +404,12 @@ impl EngineBuilder {
 
     /// Let blocking hash operators spill to disk instead of aborting when
     /// the memory budget would trip — shorthand for
-    /// [`PlannerConfig::spill_to_disk`]. Only meaningful together with
-    /// [`EngineBuilder::with_memory_budget`]: without a budget there is no
-    /// pressure signal and the flag is inert. Results are byte-identical to
-    /// the in-memory operators; `ExecStats::spill_partitions` (and the
+    /// [`PlannerConfig::spill_to_disk`]. It applies to any budget a
+    /// statement's guard carries — [`EngineBuilder::with_memory_budget`],
+    /// a serving session's default, a caller's guard built with
+    /// `QueryGuard::from_config(engine.planner_config())` — and is inert
+    /// without one: there is no pressure signal. Results are byte-identical
+    /// to the in-memory run; `ExecStats::spill_partitions` (and the
     /// `spill` counters in [`crate::MetricsSnapshot`]) show whether a query
     /// actually spilled.
     pub fn with_spill_to_disk(mut self, spill: bool) -> Self {

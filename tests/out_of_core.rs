@@ -4,9 +4,10 @@
 //! * Across the eleven differential plan shapes, executions under a
 //!   resident-row budget with `spill_to_disk` produce relations
 //!   byte-identical to the unbudgeted in-memory run — at an effectively
-//!   unlimited budget (spill compiled but never triggered), at the measured
+//!   unlimited budget (spilling armed but never triggered), at the measured
 //!   in-memory peak (exact fit, proactive spilling kicks in), and at the
-//!   spilled run's own peak (tiny). In every budgeted run,
+//!   spilled run's own peak (tiny), whether that budget comes from the
+//!   config or rides on the guard alone. In every budgeted run,
 //!   `peak_resident_rows` stays at or under the budget.
 //! * A dividend far larger than the budget forces *recursive*
 //!   re-partitioning: `spill_rows_written` exceeding the input cardinality
@@ -18,7 +19,9 @@
 
 use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
 use div_expr::{Catalog, LogicalPlan, PlanBuilder};
-use div_physical::{execute_with_stats, plan_query, PlannerConfig};
+use div_physical::{
+    execute_with_stats, plan_query, ExecStats, PlannerConfig, QueryGuard, StreamExecutor,
+};
 use div_sql::{Engine, QueryOutput};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -141,20 +144,42 @@ fn run_spilling(catalog: &Catalog, logical: &LogicalPlan, budget: usize) -> Quer
         .unwrap_or_else(|err| panic!("budget {budget} aborted instead of spilling: {err}"))
 }
 
+/// The same run with the budget carried by the guard alone: the config
+/// asks for spilling but names no budget — the shape `div_server`'s
+/// `statement_guard` builds from `ServerConfig::default_budget_rows`.
+fn run_guard_budget(
+    catalog: &Catalog,
+    logical: &LogicalPlan,
+    budget: usize,
+) -> (Relation, ExecStats) {
+    let config = PlannerConfig::default().batch_size(4).spill_to_disk(true);
+    let guard = QueryGuard::from_config(&config).with_budget_rows(budget);
+    let plan = plan_query(logical, &config).unwrap();
+    let mut stream = StreamExecutor::with_guard(&plan, catalog, &config, guard).unwrap();
+    let mut out = Relation::empty(stream.schema().clone());
+    while let Some(batch) = stream
+        .next_batch()
+        .unwrap_or_else(|err| panic!("budget {budget} aborted instead of spilling: {err}"))
+    {
+        out = out.union(&batch.to_relation().unwrap()).unwrap();
+    }
+    (out, stream.finish())
+}
+
 #[test]
 fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let c = catalog();
-    // Shapes whose blocking state lives in a *spilling* operator (divide,
-    // hash join family, grouped aggregation) — these must demonstrably hit
-    // disk at the two tight budgets.
-    let spillable: &[usize] = &[0, 3, 5];
+    // Shapes whose blocking state lives in a hybrid operator (divide, great
+    // divide, hash join family, grouped aggregation) — these must
+    // demonstrably hit disk at the tightest budget.
+    let spillable: &[usize] = &[0, 2, 3, 5];
     let mut spilled_shapes = 0usize;
     for (shape_idx, logical) in shapes().into_iter().enumerate() {
         let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
         let (expected, _) = execute_with_stats(&physical, &c).unwrap();
 
-        // Unlimited: the spill variants are compiled but must never
-        // activate, and the result is the in-memory one.
+        // Unlimited: spilling is armed but must never activate, and the
+        // result is the in-memory one.
         let unlimited = run_spilling(&c, &logical, 1_000_000);
         assert_eq!(unlimited.relation, expected, "shape #{shape_idx} unlimited");
         assert_eq!(
@@ -183,6 +208,16 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
             tiny.stats.peak_resident_rows <= tiny_budget,
             "shape #{shape_idx}: peak {} exceeds tiny budget {tiny_budget}",
             tiny.stats.peak_resident_rows
+        );
+
+        // Where the budget came from must not matter: the hybrid operators
+        // consult the guard, never the config.
+        let (relation, guarded) = run_guard_budget(&c, &logical, tiny_budget);
+        assert_eq!(relation, expected, "shape #{shape_idx} guard-carried");
+        assert_eq!(
+            (guarded.peak_resident_rows, guarded.spill_partitions),
+            (tiny.stats.peak_resident_rows, tiny.stats.spill_partitions),
+            "shape #{shape_idx}: guard-carried budget {tiny_budget} ran differently"
         );
 
         if exact.stats.spill_partitions > 0 || tiny.stats.spill_partitions > 0 {
@@ -298,4 +333,40 @@ fn attached_table_larger_than_budget_streams_through_a_served_query() {
 
     client.close().unwrap();
     server.shutdown();
+}
+
+#[test]
+fn a_callers_plain_guard_keeps_the_divide_streaming() {
+    // The engine's config asks for spilling under a 300-row budget, but the
+    // caller's guard replaces the config-derived one and carries no budget:
+    // nothing can spill, so the divide must consume its 2,000-row dividend
+    // straight into coverage state instead of buffering it.
+    let (groups, parts, batch_size) = (400, 5, 16);
+    let (dividend, divisor) = div_bench::division_workload(groups as i64, parts as i64, 1);
+    let mut c = Catalog::new();
+    c.register("supplies", dividend);
+    c.register("wanted", divisor);
+    let engine = Engine::builder(c)
+        .planner_config(PlannerConfig::default().batch_size(batch_size))
+        .with_memory_budget(300)
+        .with_spill_to_disk(true)
+        .build();
+    let guard = QueryGuard::default().with_token(div_sql::CancelToken::new());
+    let output = engine
+        .query_guarded(
+            "SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b",
+            &div_sql::Params::new(),
+            guard,
+        )
+        .unwrap()
+        .collect()
+        .unwrap();
+    assert_eq!(output.relation.len(), groups);
+    assert_eq!(output.stats.spill_partitions, 0);
+    let streaming_peak = parts + groups + 4 * batch_size;
+    assert!(
+        output.stats.peak_resident_rows <= streaming_peak,
+        "peak {} is not the streaming divide's (<= {streaming_peak})",
+        output.stats.peak_resident_rows
+    );
 }

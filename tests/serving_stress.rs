@@ -428,6 +428,41 @@ fn default_memory_budget_aborts_with_the_typed_wire_error() {
     server.shutdown();
 }
 
+/// The same server-default budget on an engine that may spill: the budget
+/// reaches the divide through the statement's guard alone (the engine's own
+/// config names none), and the statement spills instead of aborting.
+#[test]
+fn default_memory_budget_spills_when_the_engine_allows_it() {
+    let (dividend, divisor) = div_bench::division_workload(400, 5, 1);
+    let mut catalog = div_expr::Catalog::new();
+    catalog.register("supplies", dividend);
+    catalog.register("wanted", divisor);
+    let engine = Arc::new(
+        Engine::builder(catalog)
+            .planner_config(div_physical::PlannerConfig::default().batch_size(16))
+            .with_spill_to_disk(true)
+            .build(),
+    );
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        ServerConfig {
+            // Well under the 2,000-row dividend.
+            default_budget_rows: Some(300),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let result = client
+        .query("SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b")
+        .unwrap();
+    assert_eq!(result.rows.len(), 400);
+    assert!(engine.metrics().queries_spilled >= 1);
+    client.close().unwrap();
+    server.shutdown();
+}
+
 /// A client with a [`RetryPolicy`] rides out admission-control rejection:
 /// it reconnects with backoff until the saturated server frees up.
 #[test]

@@ -154,3 +154,58 @@ fn blocking_operators_still_stream_their_output_in_chunks() {
         stats.peak_resident_rows
     );
 }
+
+#[test]
+fn budget_free_divide_never_buffers_its_dividend() {
+    // 20,000 dividend rows in 200 quotient groups, batch 64, no budget: the
+    // divide consumes the dividend into coverage state, so the executor
+    // holds divisor + groups + a few in-flight chunks — never the dividend.
+    let (groups, parts, batch_size) = (200, 100, 64);
+    let (dividend, wanted) = div_bench::division_workload(groups as i64, parts as i64, 1);
+    // A great-divide divisor over the same parts: 4 groups of 25.
+    let (_, grouped) = div_bench::great_divide_workload(1, parts as i64, 4, 25);
+    assert!(dividend.len() >= 20_000);
+    let mut c = Catalog::new();
+    c.register("supplies", dividend);
+    c.register("wanted", wanted);
+    c.register("grouped", grouped);
+    let small = PlanBuilder::scan("supplies")
+        .divide(PlanBuilder::scan("wanted"))
+        .build();
+    let great = PlanBuilder::scan("supplies")
+        .great_divide(PlanBuilder::scan("grouped"))
+        .build();
+    let config = PlannerConfig::default().batch_size(batch_size);
+    for (logical, label) in [(small, "Divide"), (great, "GreatDivide")] {
+        let run = |config: PlannerConfig| {
+            let plan = plan_query(&logical, &config).unwrap();
+            let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+            while stream.next_batch().unwrap().is_some() {}
+            stream.finish()
+        };
+        let stats = run(config);
+        assert_eq!(stats.rows_scanned, groups * parts + parts, "{label}");
+        // (The great divide's quotient has one row per dividend group and
+        // divisor group, so its output can outgrow its coverage state.)
+        assert!(
+            stats.peak_resident_rows <= parts + groups.max(stats.output_rows) + 4 * batch_size,
+            "{label}: peak {} means the dividend was buffered",
+            stats.peak_resident_rows
+        );
+        let node = &stats.operators[0];
+        assert!(node.label.starts_with(label), "{}", node.label);
+        assert_eq!(node.peak_retained_rows, parts + groups, "{label}");
+
+        // Spilling armed against a budget that never triggers: the same
+        // operator, the same definition of every per-node counter.
+        let armed = run(config.spill_to_disk(true).memory_budget_rows(usize::MAX));
+        assert_eq!(armed.spill_partitions, 0, "{label}");
+        let armed_node = &armed.operators[0];
+        assert_eq!(armed_node.rows_out, node.rows_out, "{label}");
+        assert_eq!(armed_node.probes, node.probes, "{label}");
+        assert_eq!(
+            armed_node.peak_retained_rows, node.peak_retained_rows,
+            "{label}"
+        );
+    }
+}
