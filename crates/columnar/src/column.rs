@@ -330,6 +330,14 @@ fn append_validity(
     }
 }
 
+/// Dictionary entry → code, for an accumulated `Str` column's dictionary.
+fn dict_lookup(dict: &[Box<str>]) -> HashMap<Box<str>, u32> {
+    dict.iter()
+        .enumerate()
+        .map(|(i, s)| (s.clone(), i as u32))
+        .collect()
+}
+
 impl ColumnAppender {
     /// Start from `first` (taken as is: appending nothing returns it
     /// unchanged).
@@ -374,13 +382,7 @@ impl ColumnAppender {
                 values.extend_from_slice(other_values);
             }
             (Column::Str(acc), Column::Str(other)) => {
-                let lookup = self.lookup.get_or_insert_with(|| {
-                    acc.dict
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| (s.clone(), i as u32))
-                        .collect()
-                });
+                let lookup = self.lookup.get_or_insert_with(|| dict_lookup(&acc.dict));
                 let dict = &mut acc.dict;
                 let remap: Vec<u32> = other
                     .dict
@@ -410,6 +412,73 @@ impl ColumnAppender {
             (acc, other) => {
                 let mut values: Vec<Value> = (0..acc.len()).map(|i| acc.value(i)).collect();
                 values.extend((0..other.len()).map(|i| other.value(i)));
+                self.column = Column::Mixed(values);
+                self.lookup = None;
+            }
+        }
+    }
+
+    /// Append rows `indices` of `other`, in the given order: the result of
+    /// `append(&other.gather(indices))` without the intermediate column. A
+    /// string column only takes over the dictionary entries the gathered
+    /// rows use.
+    pub(crate) fn append_gather(&mut self, other: &Column, indices: &[usize]) {
+        match (&mut self.column, other) {
+            (
+                Column::Int { values, validity },
+                Column::Int {
+                    values: other_values,
+                    validity: other_validity,
+                },
+            ) => {
+                let gathered = gather_validity(other_validity, indices);
+                append_validity(validity, values.len(), &gathered, indices.len());
+                values.extend(indices.iter().map(|&i| other_values[i]));
+            }
+            (
+                Column::Bool { values, validity },
+                Column::Bool {
+                    values: other_values,
+                    validity: other_validity,
+                },
+            ) => {
+                let gathered = gather_validity(other_validity, indices);
+                append_validity(validity, values.len(), &gathered, indices.len());
+                values.extend(indices.iter().map(|&i| other_values[i]));
+            }
+            (Column::Str(acc), Column::Str(other)) => {
+                let lookup = self.lookup.get_or_insert_with(|| dict_lookup(&acc.dict));
+                let gathered = gather_validity(&other.validity, indices);
+                append_validity(&mut acc.validity, acc.codes.len(), &gathered, indices.len());
+                const UNMAPPED: u32 = u32::MAX;
+                let mut remap = vec![UNMAPPED; other.dict.len()];
+                let dict = &mut acc.dict;
+                acc.codes.extend(indices.iter().map(|&i| {
+                    if matches!(&other.validity, Some(v) if !v[i]) {
+                        return 0;
+                    }
+                    let code = other.codes[i] as usize;
+                    if remap[code] == UNMAPPED {
+                        let entry = &other.dict[code];
+                        remap[code] = match lookup.get(entry) {
+                            Some(&code) => code,
+                            None => {
+                                let code = dict.len() as u32;
+                                dict.push(entry.clone());
+                                lookup.insert(entry.clone(), code);
+                                code
+                            }
+                        };
+                    }
+                    remap[code]
+                }));
+            }
+            (Column::Mixed(values), other) => {
+                values.extend(indices.iter().map(|&i| other.value(i)));
+            }
+            (acc, other) => {
+                let mut values: Vec<Value> = (0..acc.len()).map(|i| acc.value(i)).collect();
+                values.extend(indices.iter().map(|&i| other.value(i)));
                 self.column = Column::Mixed(values);
                 self.lookup = None;
             }

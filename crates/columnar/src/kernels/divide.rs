@@ -184,6 +184,33 @@ pub fn quotient_schema(dividend: &Schema, divisor: &Schema) -> Result<Schema> {
     dividend.project(&quotient_refs)
 }
 
+/// What a frozen consume ([`StreamingDivide::consume_frozen`],
+/// [`StreamingGreatDivide::consume_frozen`](crate::kernels::StreamingGreatDivide::consume_frozen))
+/// did with one chunk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrozenConsume {
+    /// Probes performed: one per row that was consumed (with the same
+    /// empty-divisor exception as the unfrozen consume).
+    pub probes: usize,
+    /// The chunk rows that were *not* consumed — their quotient-attribute
+    /// value belongs to no resident group — in chunk order.
+    pub leftover: Vec<usize>,
+}
+
+impl FrozenConsume {
+    /// From a chunk-wise group lookup: rows that resolved to a group were
+    /// consumed (one probe each), the others are left over.
+    pub(crate) fn of(found: &[Option<u32>]) -> FrozenConsume {
+        let leftover: Vec<usize> = (0..found.len())
+            .filter(|&row| found[row].is_none())
+            .collect();
+        FrozenConsume {
+            probes: found.len() - leftover.len(),
+            leftover,
+        }
+    }
+}
+
 /// Small divide with a prebuilt divisor and a *streamed* dividend — the
 /// streaming-friendly entry point behind `div_physical::stream`.
 ///
@@ -196,6 +223,11 @@ pub fn quotient_schema(dividend: &Schema, divisor: &Schema) -> Result<Schema> {
 /// not the dividend size. The quotient itself is only known once the whole
 /// dividend has been consumed: [`StreamingDivide::finish`] emits it, making
 /// the operator's *output* (but not its input) a blocking boundary.
+///
+/// When even the group set is too much to keep, the state can be *frozen*:
+/// [`StreamingDivide::consume_frozen`] keeps folding in the rows of the
+/// groups it holds and hands the others back, so a caller can divide those
+/// elsewhere — quotient partitioning with one partition resident.
 #[derive(Debug)]
 pub struct StreamingDivide {
     divisor: ColumnarBatch,
@@ -237,34 +269,63 @@ impl StreamingDivide {
     /// divisor, exactly matching [`hash_divide`]'s accounting (its
     /// empty-divisor projection path probes nothing).
     pub fn consume(&mut self, chunk: &ColumnarBatch) -> usize {
-        let rows = chunk.num_rows();
         let interned = self.a_store.intern_chunk(chunk);
         while self.states.len() < self.a_store.len() {
             self.states.push(GroupState::new(self.words));
         }
+        self.cover(chunk, |row| Some(interned.gids[row]));
+        self.probes_for(chunk.num_rows())
+    }
+
+    /// [`StreamingDivide::consume`] with the group set *frozen*: rows of
+    /// groups seen before are folded in as usual, rows of unseen groups are
+    /// left alone and reported back, and no group is added. This is the
+    /// resident half of quotient partitioning (Law 2): every group this
+    /// state holds stays complete as long as it is shown the whole dividend,
+    /// while the leftover rows — key-disjoint from every resident group —
+    /// can be divided elsewhere and the two quotients unioned.
+    pub fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> FrozenConsume {
+        let found = self.a_store.lookup_chunk(chunk);
+        self.cover(chunk, |row| found[row]);
+        let mut frozen = FrozenConsume::of(&found);
+        frozen.probes = self.probes_for(frozen.probes);
+        frozen
+    }
+
+    /// Set the divisor-coverage bit of every chunk row `gid_of` assigns to
+    /// a group.
+    fn cover(&mut self, chunk: &ColumnarBatch, gid_of: impl Fn(usize) -> Option<u32>) {
         if self.divisor_len == 0 {
-            return 0;
+            return;
         }
-        {
-            let b_keys = KeyVector::build(chunk, &self.dividend_b);
-            let same_b = cross_matcher(
-                chunk,
-                &self.dividend_b,
-                &b_keys,
-                &self.divisor,
-                &self.divisor_b,
-                &self.divisor_b_keys,
-            );
-            for row in 0..rows {
-                let b_id = self
-                    .b_index
-                    .get(b_keys.code(row), |other| same_b(row, other));
-                if let Some(b_id) = b_id {
-                    self.states[interned.gids[row] as usize].set(b_id);
-                }
+        let b_keys = KeyVector::build(chunk, &self.dividend_b);
+        let same_b = cross_matcher(
+            chunk,
+            &self.dividend_b,
+            &b_keys,
+            &self.divisor,
+            &self.divisor_b,
+            &self.divisor_b_keys,
+        );
+        for row in 0..chunk.num_rows() {
+            let Some(gid) = gid_of(row) else { continue };
+            let b_id = self
+                .b_index
+                .get(b_keys.code(row), |other| same_b(row, other));
+            if let Some(b_id) = b_id {
+                self.states[gid as usize].set(b_id);
             }
         }
-        rows
+    }
+
+    /// Probes charged for `rows` consumed rows: an empty divisor probes
+    /// nothing.
+    fn probes_for(&self, rows: usize) -> usize {
+        if self.divisor_len == 0 {
+            0
+        } else {
+            rows
+        }
     }
 
     /// Number of quotient-attribute groups retained so far.

@@ -16,7 +16,7 @@
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{GroupIndex, PairTable};
-use crate::kernels::divide::{hash_divide, StreamingDivide};
+use crate::kernels::divide::{hash_divide, FrozenConsume, StreamingDivide};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::GroupStore;
@@ -230,7 +230,10 @@ pub fn great_quotient_schema(dividend: &Schema, divisor: &Schema) -> Result<Sche
 /// [`StreamingGreatDivide::consume`] call folds one dividend chunk into the
 /// id-based `(A, C)` coverage counters, which survive across chunks because
 /// they key on dense ids rather than rows. Like [`StreamingDivide`], the
-/// output is emitted only by [`StreamingGreatDivide::finish`].
+/// output is emitted only by [`StreamingGreatDivide::finish`], and the
+/// dividend-group set can be frozen
+/// ([`StreamingGreatDivide::consume_frozen`]) so that only rows of resident
+/// groups are counted and the rest are handed back.
 ///
 /// With no group attributes `C` the operator *is* the small divide (Darwen
 /// & Date), and this type transparently degrades to [`StreamingDivide`].
@@ -351,6 +354,17 @@ impl StreamingGreatDivide {
         }
     }
 
+    /// [`StreamingGreatDivide::consume`] with the group set frozen (see
+    /// [`StreamingDivide::consume_frozen`]): rows of dividend groups seen
+    /// before are counted, rows of unseen groups are handed back as
+    /// [`FrozenConsume::leftover`] and no group is added.
+    pub fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> FrozenConsume {
+        match self {
+            StreamingGreatDivide::Small(divide) => divide.consume_frozen(chunk),
+            StreamingGreatDivide::Great(state) => state.consume_frozen(chunk),
+        }
+    }
+
     /// Number of dividend groups retained so far.
     pub fn groups(&self) -> usize {
         match self {
@@ -371,8 +385,22 @@ impl StreamingGreatDivide {
 
 impl GreatDivideState {
     fn consume(&mut self, chunk: &ColumnarBatch) -> usize {
-        let rows = chunk.num_rows();
         let interned = self.a_store.intern_chunk(chunk);
+        self.count(chunk, |row| Some(interned.gids[row]));
+        chunk.num_rows()
+    }
+
+    /// The frozen counterpart of `consume`: only rows of groups already in
+    /// `a_store` are counted; the rest are reported back untouched.
+    fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> FrozenConsume {
+        let found = self.a_store.lookup_chunk(chunk);
+        self.count(chunk, |row| found[row]);
+        FrozenConsume::of(&found)
+    }
+
+    /// Bump the `(A, C)` coverage counters for every chunk row `gid_of`
+    /// assigns to a dividend group.
+    fn count(&mut self, chunk: &ColumnarBatch, gid_of: impl Fn(usize) -> Option<u32>) {
         let b_keys = KeyVector::build(chunk, &self.dividend_b);
         let same_b = cross_matcher(
             chunk,
@@ -382,8 +410,8 @@ impl GreatDivideState {
             &self.divisor_b,
             &self.divisor_b_keys,
         );
-        for row in 0..rows {
-            let a_gid = interned.gids[row];
+        for row in 0..chunk.num_rows() {
+            let Some(a_gid) = gid_of(row) else { continue };
             let b_id = self.b_ids.get(b_keys.code(row), |other| same_b(row, other));
             if let Some(b_id) = b_id {
                 // A duplicate (A, B) pair — within or across chunks — must
@@ -400,7 +428,6 @@ impl GreatDivideState {
                 }
             }
         }
-        rows
     }
 
     fn finish(self) -> Result<ColumnarBatch> {
@@ -441,7 +468,9 @@ impl GreatDivideState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_algebra::{relation, Relation};
+    use crate::Column;
+    use div_algebra::{relation, Relation, Value};
+    use proptest::prelude::*;
 
     fn check(dividend: &Relation, divisor: &Relation) {
         let expected = dividend.great_divide(divisor).unwrap();
@@ -525,6 +554,106 @@ mod tests {
         let dividend = ColumnarBatch::from_relation(&relation! { ["a", "b"] => [1, 1] });
         let disjoint = ColumnarBatch::from_relation(&relation! { ["x", "y"] => [1, 1] });
         assert!(hash_great_divide(&dividend, &disjoint).is_err());
+    }
+
+    /// A two-or-one-column batch straight from values (NULLs included),
+    /// each column's representation picked by [`Column::from_values`].
+    fn batch_of(names: &[&str], rows: &[Vec<Value>]) -> ColumnarBatch {
+        let columns = (0..names.len())
+            .map(|c| Column::from_values(rows.iter().map(|row| &row[c]).collect::<Vec<_>>()))
+            .collect();
+        ColumnarBatch::from_parts(Schema::of(names.iter().copied()), columns, rows.len())
+    }
+
+    /// `0` is NULL; everything else an int or — `strings` — a dictionary
+    /// string, so key codes are inexact and matches are verified.
+    fn key_value(v: u32, strings: bool) -> Value {
+        match (v, strings) {
+            (0, _) => Value::Null,
+            (v, false) => Value::Int(i64::from(v)),
+            (v, true) => {
+                Value::str(["", "ann", "bob", "cy", "dee", "eve", "fay", "gus"][v as usize])
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Quotient partitioning with a resident part (Law 2): freeze the
+        /// group set after `freeze` chunks, keep consuming the rows of the
+        /// resident groups, divide the leftover rows with a fresh state —
+        /// the two quotients are disjoint and their union is the one-shot
+        /// kernel's, and every dividend row is probed exactly once.
+        #[test]
+        fn frozen_consume_plus_leftover_is_the_whole_quotient(
+            dividend in prop::collection::vec((0u32..8, 0u32..5), 0..60),
+            divisor in prop::collection::vec((0u32..5, 1u32..4), 0..8),
+            shape in 0u32..4,
+            chunk_rows in 1usize..7,
+            freeze in 0usize..12,
+        ) {
+            let (great, strings) = (shape & 1 == 1, shape & 2 == 2);
+            let dividend_rows: Vec<Vec<Value>> = dividend
+                .iter()
+                .map(|&(a, b)| vec![key_value(a, strings), key_value(b, strings)])
+                .collect();
+            let divisor_rows: Vec<Vec<Value>> = divisor
+                .iter()
+                .map(|&(b, c)| vec![key_value(b, strings), Value::Int(i64::from(c))])
+                .collect();
+            let whole_dividend = batch_of(&["a", "b"], &dividend_rows);
+            let divisor = if great {
+                batch_of(&["b", "c"], &divisor_rows)
+            } else {
+                batch_of(&["b"], &divisor_rows)
+            };
+            let whole = if great {
+                hash_great_divide(&whole_dividend, &divisor).unwrap()
+            } else {
+                hash_divide(&whole_dividend, &divisor).unwrap()
+            };
+
+            let mut resident =
+                StreamingGreatDivide::new(whole_dividend.schema(), divisor.clone()).unwrap();
+            let mut probes = 0;
+            let mut leftovers = Vec::new();
+            // Each chunk is built from its own values, so string chunks
+            // carry dictionaries the state has never seen.
+            for (n, rows) in dividend_rows.chunks(chunk_rows).enumerate() {
+                let chunk = batch_of(&["a", "b"], rows);
+                if n < freeze {
+                    probes += resident.consume(&chunk);
+                } else {
+                    let groups = resident.groups();
+                    let frozen = resident.consume_frozen(&chunk);
+                    prop_assert_eq!(resident.groups(), groups, "a frozen state grew");
+                    probes += frozen.probes;
+                    leftovers.push(chunk.gather(&frozen.leftover));
+                }
+            }
+            let mut overflow =
+                StreamingGreatDivide::new(whole_dividend.schema(), divisor.clone()).unwrap();
+            for chunk in &leftovers {
+                probes += overflow.consume(chunk);
+            }
+            let resident = resident.finish().unwrap();
+            let overflow = overflow.finish().unwrap();
+            prop_assert_eq!(probes, whole.probes);
+            prop_assert_eq!(
+                resident.num_rows() + overflow.num_rows(),
+                whole.batch.num_rows(),
+                "resident and overflow quotients overlap or lose rows"
+            );
+            prop_assert_eq!(
+                resident
+                    .to_relation()
+                    .unwrap()
+                    .union(&overflow.to_relation().unwrap())
+                    .unwrap(),
+                whole.batch.to_relation().unwrap()
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod project;
 pub mod set_ops;
 
 pub use aggregate::hash_aggregate;
-pub use divide::{hash_divide, quotient_schema, StreamingDivide};
+pub use divide::{hash_divide, quotient_schema, FrozenConsume, StreamingDivide};
 pub use filter::filter;
 pub use great_divide::{great_quotient_schema, hash_great_divide, StreamingGreatDivide};
 pub use join::{hash_natural_join, hash_semi_join, JoinBuild, KernelOutput};

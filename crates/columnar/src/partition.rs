@@ -18,13 +18,15 @@
 //! agreeing on the key always land in the same bucket (the disjointness
 //! the laws require) regardless of the batch's column encodings.
 //! [`hash_partition_keyed`] additionally returns each partition's gathered
-//! key vector, and [`hash_partition_seeded`] re-randomizes the routing per
-//! recursion level for the spilling operators.
+//! key vector; [`partition_rows`] is the routing decision alone, with a seed
+//! that re-randomizes it per recursion level, and [`BatchAppender`] the
+//! per-partition accumulator — together the spilling operators' write path.
 
 use crate::batch::ColumnarBatch;
 use crate::column::ColumnAppender;
 use crate::hash_table::{fast_range, mix};
 use crate::key_vector::KeyVector;
+use div_algebra::Schema;
 
 /// Hash-partition `batch` into `partitions` buckets on the given key
 /// columns. Every output batch keeps the full schema; rows with equal keys
@@ -65,37 +67,120 @@ pub fn hash_partition_keyed(
     key_columns: &[usize],
     partitions: usize,
 ) -> Vec<(ColumnarBatch, KeyVector)> {
-    hash_partition_seeded(batch, key_columns, partitions, 0)
-}
-
-/// [`hash_partition_keyed`] with a routing seed folded into every key code
-/// before mixing. Seed `0` is byte-identical to [`hash_partition_keyed`].
-///
-/// The seed exists for *recursive* partitioning (Graefe-style hybrid hash
-/// spilling): all rows of one level-`n` partition share a routing hash by
-/// construction, so re-partitioning them with the same function would put
-/// everything back into a single bucket. Deriving a fresh seed per
-/// recursion level re-randomizes the routing while preserving the key
-/// disjointness guarantee (equal keys still land together, at every level).
-pub fn hash_partition_seeded(
-    batch: &ColumnarBatch,
-    key_columns: &[usize],
-    partitions: usize,
-    seed: u64,
-) -> Vec<(ColumnarBatch, KeyVector)> {
     let partitions = partitions.max(1);
     let keys = KeyVector::build(batch, key_columns);
     if partitions == 1 {
         return vec![(batch.clone(), keys)];
     }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); partitions];
-    for row in 0..batch.num_rows() {
-        buckets[fast_range(mix(keys.code(row) ^ seed), partitions)].push(row);
-    }
-    buckets
+    route(&keys, partitions, 0)
         .into_iter()
         .map(|rows| (batch.gather(&rows), keys.gather(&rows)))
         .collect()
+}
+
+/// The routing decision alone: `result[p]` lists, in row order, the rows of
+/// `batch` that belong to partition `p` of `partitions` (clamped to at least
+/// 1). Seed `0` routes exactly like [`hash_partition`]; nothing is gathered,
+/// so a caller that appends the rows somewhere else (the spill writers'
+/// per-partition buffers, via [`BatchAppender::append_rows`]) copies each
+/// row once.
+///
+/// The seed is folded into every key code before mixing. It exists for
+/// *recursive* partitioning (Graefe-style hybrid hash spilling): all rows of
+/// one level-`n` partition share a routing hash by construction, so
+/// re-partitioning them with the same function would put everything back
+/// into a single bucket. Deriving a fresh seed per recursion level
+/// re-randomizes the routing while preserving the key disjointness
+/// guarantee (equal keys still land together, at every level).
+pub fn partition_rows(
+    batch: &ColumnarBatch,
+    key_columns: &[usize],
+    partitions: usize,
+    seed: u64,
+) -> Vec<Vec<usize>> {
+    route(
+        &KeyVector::build(batch, key_columns),
+        partitions.max(1),
+        seed,
+    )
+}
+
+fn route(keys: &KeyVector, partitions: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); partitions];
+    for (row, &code) in keys.codes().iter().enumerate() {
+        buckets[fast_range(mix(code ^ seed), partitions)].push(row);
+    }
+    buckets
+}
+
+/// A batch that grows in place: rows picked out of other batches are
+/// appended straight onto its columns (each row copied once — the
+/// gather-into-the-accumulator counterpart of [`concat_batches`]), and
+/// [`BatchAppender::take`] hands the accumulated rows over as one
+/// [`ColumnarBatch`]. The spill writers keep one per partition file so that
+/// what reaches disk is full chunks, not one sliver per routed batch.
+#[derive(Debug)]
+pub struct BatchAppender {
+    schema: Schema,
+    /// `None` while empty: the first append decides each column's
+    /// representation, exactly as a gather of those rows would.
+    columns: Option<Vec<ColumnAppender>>,
+    rows: usize,
+}
+
+impl BatchAppender {
+    /// An empty appender for batches of `schema`.
+    pub fn new(schema: Schema) -> BatchAppender {
+        BatchAppender {
+            schema,
+            columns: None,
+            rows: 0,
+        }
+    }
+
+    /// Rows accumulated since the last [`BatchAppender::take`].
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Append rows `rows` of `batch` (in the given order).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `batch` does not carry this appender's schema.
+    pub fn append_rows(&mut self, batch: &ColumnarBatch, rows: &[usize]) {
+        assert_eq!(batch.schema(), &self.schema, "partition schema drift");
+        match &mut self.columns {
+            Some(columns) => {
+                for (acc, col) in columns.iter_mut().zip(batch.columns()) {
+                    acc.append_gather(col, rows);
+                }
+            }
+            None => {
+                self.columns = Some(
+                    batch
+                        .columns()
+                        .iter()
+                        .map(|col| ColumnAppender::new(col.gather(rows)))
+                        .collect(),
+                );
+            }
+        }
+        self.rows += rows.len();
+    }
+
+    /// The accumulated rows as one batch; the appender is empty afterwards.
+    pub fn take(&mut self) -> ColumnarBatch {
+        let rows = std::mem::take(&mut self.rows);
+        match self.columns.take() {
+            Some(columns) => ColumnarBatch::from_parts(
+                self.schema.clone(),
+                columns.into_iter().map(ColumnAppender::finish).collect(),
+                rows,
+            ),
+            None => ColumnarBatch::empty(self.schema.clone()),
+        }
+    }
 }
 
 /// Concatenate partition results back into one batch, in partition order.
@@ -266,6 +351,70 @@ mod tests {
                 .collect();
             prop_assert_eq!(concat_batches(&parts), fold_concat(&parts));
         }
+
+        /// Appending picked rows in place holds the same values, in the
+        /// same order, as gathering each pick and concatenating — across
+        /// `take` cycles, kind mismatches and NULL-bearing string columns.
+        #[test]
+        fn batch_appender_equals_gather_then_concat(
+            parts in prop::collection::vec((0usize..6, 0u64..u64::MAX), 1..9),
+            take_every in 1usize..4,
+        ) {
+            let schema = div_algebra::Schema::of(["i", "b", "s", "m"]);
+            let mut appender = BatchAppender::new(schema.clone());
+            let mut picked: Vec<ColumnarBatch> = Vec::new();
+            for (n, &(rows, seed)) in parts.iter().enumerate() {
+                let columns = (0..4)
+                    .map(|c| random_column(c, rows, seed ^ mix(c)))
+                    .collect();
+                let part = ColumnarBatch::from_parts(schema.clone(), columns, rows);
+                // Every other row, then the first row again: order and
+                // duplicates must survive.
+                let mut pick: Vec<usize> = (0..rows).step_by(2).collect();
+                pick.extend((rows > 0).then_some(0));
+                appender.append_rows(&part, &pick);
+                picked.push(part.gather(&pick));
+                if (n + 1) % take_every == 0 || n + 1 == parts.len() {
+                    let expected = concat_batches(&picked).unwrap();
+                    prop_assert_eq!(appender.num_rows(), expected.num_rows());
+                    let got = appender.take();
+                    prop_assert_eq!(got.num_rows(), expected.num_rows());
+                    for row in 0..expected.num_rows() {
+                        prop_assert_eq!(got.row(row), expected.row(row));
+                    }
+                    prop_assert_eq!(appender.num_rows(), 0);
+                    picked.clear();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partition_rows_is_the_routing_of_hash_partition() {
+        let batch = sample();
+        let parts = hash_partition(&batch, &[0], 5);
+        let routed = partition_rows(&batch, &[0], 5, 0);
+        assert_eq!(routed.len(), 5);
+        for (part, rows) in parts.iter().zip(&routed) {
+            assert_eq!(*part, batch.gather(rows));
+        }
+        // A different seed regroups the rows but never separates equal keys.
+        let reseeded = partition_rows(&batch, &[0], 5, 0x9E37_79B9_7F4A_7C15);
+        assert_ne!(routed, reseeded);
+        for rows in &reseeded {
+            for &row in rows {
+                let key = batch.key_at(row, &[0]);
+                let home = reseeded
+                    .iter()
+                    .filter(|bucket| bucket.iter().any(|&r| batch.key_at(r, &[0]) == key))
+                    .count();
+                assert_eq!(home, 1);
+            }
+        }
+        assert_eq!(
+            BatchAppender::new(batch.schema().clone()).take().num_rows(),
+            0
+        );
     }
 
     #[test]

@@ -40,6 +40,8 @@ pub struct ChunkInterned {
 /// The cross-batch analogue of [`GroupIndex`](crate::GroupIndex): assigns
 /// dense group ids in first-occurrence order and retains each group's key
 /// columns so later chunks can verify inexact code matches against them.
+/// [`GroupStore::intern_chunk`] grows the group set;
+/// [`GroupStore::lookup_chunk`] resolves a chunk against it read-only.
 ///
 /// ```
 /// use div_algebra::{relation, Schema};
@@ -163,18 +165,25 @@ impl GroupStore {
         ChunkInterned { gids, fresh }
     }
 
-    /// The group id previously assigned to row `row` of `chunk` (keyed on
-    /// this store's key columns), if its key has been interned.
-    pub fn get(&self, chunk: &ColumnarBatch, row: usize) -> Option<u32> {
+    /// Look every row of `chunk` up without interning anything: the group
+    /// id previously assigned to its key, or `None` for a key this store has
+    /// never seen. One [`KeyVector`] per chunk and the same
+    /// verify-on-inexact-code path as [`GroupStore::intern_chunk`] — the
+    /// read-only half of it, for an operator whose group set is frozen.
+    pub fn lookup_chunk(&self, chunk: &ColumnarBatch) -> Vec<Option<u32>> {
         let keys = KeyVector::build(chunk, &self.key_cols);
         let verify = !(keys.exact() && self.store_exact);
-        self.table.get(keys.code(row), |gid| {
-            if !verify {
-                return true;
-            }
-            let (segment, local) = self.locate(gid);
-            keys_equal(chunk, &self.key_cols, row, segment, &self.store_cols, local)
-        })
+        (0..chunk.num_rows())
+            .map(|row| {
+                self.table.get(keys.code(row), |gid| {
+                    if !verify {
+                        return true;
+                    }
+                    let (segment, local) = self.locate(gid);
+                    keys_equal(chunk, &self.key_cols, row, segment, &self.store_cols, local)
+                })
+            })
+            .collect()
     }
 
     /// All group representatives (key columns only), one row per group in
@@ -263,10 +272,11 @@ mod tests {
             store.intern_chunk(&chunk(&relation! { ["who", "v"] => ["ann", 3], ["cy", 4] }));
         assert_eq!(second.fresh, vec![false, true]);
         assert_eq!(store.len(), 3);
-        let lookup_chunk = chunk(&relation! { ["who", "v"] => ["bob", 9] });
-        assert_eq!(store.get(&lookup_chunk, 0), Some(1));
-        let missing = chunk(&relation! { ["who", "v"] => ["dee", 9] });
-        assert_eq!(store.get(&missing, 0), None);
+        // The read-only lookup resolves a whole chunk at once — against a
+        // dictionary the store never saw — and interns nothing.
+        let probe = chunk(&relation! { ["who", "v"] => ["bob", 9], ["cy", 1], ["dee", 9] });
+        assert_eq!(store.lookup_chunk(&probe), vec![Some(1), Some(2), None]);
+        assert_eq!(store.len(), 3);
     }
 
     #[test]

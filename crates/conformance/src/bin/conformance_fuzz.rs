@@ -58,6 +58,7 @@ fn main() {
                 report.empty_divisors,
                 report.parameterized
             );
+            println!("per strategy: {}", report.strategy_summary());
         }
         Err(mismatch) => {
             eprintln!("FAIL: {mismatch}");

@@ -20,7 +20,7 @@
 //! | `CONFORMANCE_ARTIFACT` | path for the failing-case repro file | none    |
 
 use crate::grammar::CaseSpec;
-use crate::oracle::{check_case, Mismatch};
+use crate::oracle::{check_case, Mismatch, StrategyTally, STRATEGY_NAMES};
 use crate::shrink::shrink;
 use std::path::PathBuf;
 
@@ -98,6 +98,28 @@ pub struct FuzzReport {
     pub empty_divisors: u64,
     /// Cases carrying a `$param`.
     pub parameterized: u64,
+    /// Executed / declined / spilled executions per strategy, in
+    /// [`STRATEGY_NAMES`] order.
+    pub strategies: [StrategyTally; STRATEGY_NAMES.len()],
+}
+
+impl FuzzReport {
+    /// One `name executed/declined/spilled` entry per strategy — the line
+    /// the fuzz drivers print, so a budgeted strategy that declines
+    /// everything (or never spills) is visible in the log.
+    pub fn strategy_summary(&self) -> String {
+        STRATEGY_NAMES
+            .iter()
+            .zip(&self.strategies)
+            .map(|(name, t)| {
+                format!(
+                    "{name} {} executed / {} declined / {} spilled",
+                    t.executed, t.declined, t.spilled
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("; ")
+    }
 }
 
 /// The per-case seed for case `index` of a run based on `base`. Case 0 uses
@@ -126,6 +148,9 @@ pub fn run(config: &FuzzConfig) -> Result<FuzzReport, Box<Mismatch>> {
                 report.cases += 1;
                 report.formulations += case_report.formulations;
                 report.executions += case_report.executions;
+                for (total, case) in report.strategies.iter_mut().zip(&case_report.strategies) {
+                    total.absorb(case);
+                }
                 if spec.is_great() {
                     report.great_divides += 1;
                 }
@@ -197,7 +222,21 @@ mod tests {
             "great divides: {}",
             report.great_divides
         );
-        // Six strategies per formulation, at least one formulation per case.
+        // Six unbudgeted strategies per formulation, at least one
+        // formulation per case.
         assert!(report.executions > 6 * 60);
+        // The budgeted strategy must do all three: answer in memory, answer
+        // after spilling, and decline.
+        let spill = report.strategies[STRATEGY_NAMES
+            .iter()
+            .position(|name| *name == "stream/raw/b3/spill")
+            .expect("the budgeted strategy")];
+        assert!(spill.spilled > 0, "{}", report.strategy_summary());
+        assert!(
+            spill.executed > spill.spilled,
+            "{}",
+            report.strategy_summary()
+        );
+        assert!(spill.declined > 0, "{}", report.strategy_summary());
     }
 }

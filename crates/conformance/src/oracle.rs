@@ -9,9 +9,16 @@
 //! ```
 //!
 //! (streaming through [`div_sql::Engine`], row through the materializing
-//! reference executor with a manually-run optimizer), and demands:
+//! reference executor with a manually-run optimizer) plus one out-of-core
+//! strategy — the raw plan, streaming at batch_size 3 under a
+//! [`SPILL_BUDGET_ROWS`]-row memory budget with `spill_to_disk` — and
+//! demands:
 //!
-//! * byte-identical relations from every strategy,
+//! * byte-identical relations from every strategy — the budgeted one may
+//!   instead *decline* with the typed memory-budget error (a plan whose
+//!   state cannot spill: a distinct set, a product), which is tallied, never
+//!   compared; when it answers, its peak stays within the budget and nothing
+//!   is left resident,
 //! * cross-formulation agreement up to column order,
 //! * `ExecStats` / span-tree consistency: pre-order ids, tree-shaped child
 //!   links, `rows_out` monotonicity through Filter/Project/Rename/Intersect,
@@ -60,6 +67,27 @@ impl fmt::Display for Mismatch {
     }
 }
 
+/// What one execution strategy did over a case (or, summed, a fuzz run).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StrategyTally {
+    /// Executions that produced a result, which was compared.
+    pub executed: usize,
+    /// Executions that ended in the typed memory-budget error instead —
+    /// only a budgeted strategy may decline.
+    pub declined: usize,
+    /// Executed runs that wrote spill partitions.
+    pub spilled: usize,
+}
+
+impl StrategyTally {
+    /// Add `other`'s counts to this tally.
+    pub fn absorb(&mut self, other: &StrategyTally) {
+        self.executed += other.executed;
+        self.declined += other.declined;
+        self.spilled += other.spilled;
+    }
+}
+
 /// Tally of what one case exercised.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CaseReport {
@@ -67,12 +95,17 @@ pub struct CaseReport {
     pub formulations: usize,
     /// Number of strategy executions compared.
     pub executions: usize,
+    /// Executed / declined / spilled per strategy, in [`STRATEGY_NAMES`]
+    /// order.
+    pub strategies: [StrategyTally; STRATEGY_NAMES.len()],
 }
 
 struct Strategy {
     name: &'static str,
     optimize: bool,
     exec: Exec,
+    /// Resident-row budget, with spilling to disk enabled under it.
+    budget: Option<usize>,
 }
 
 enum Exec {
@@ -82,40 +115,72 @@ enum Exec {
     Compat,
 }
 
-fn strategies() -> Vec<Strategy> {
-    vec![
-        Strategy {
-            name: "stream/opt",
-            optimize: true,
-            exec: Exec::Streaming { batch_size: 1024 },
-        },
-        Strategy {
-            name: "stream/opt/b3",
-            optimize: true,
-            exec: Exec::Streaming { batch_size: 3 },
-        },
-        Strategy {
-            name: "stream/raw/b3",
-            optimize: false,
-            exec: Exec::Streaming { batch_size: 3 },
-        },
-        Strategy {
-            name: "stream/raw",
-            optimize: false,
-            exec: Exec::Streaming { batch_size: 1024 },
-        },
-        Strategy {
-            name: "row/opt",
-            optimize: true,
-            exec: Exec::Compat,
-        },
-        Strategy {
-            name: "row/raw",
-            optimize: false,
-            exec: Exec::Compat,
-        },
-    ]
+/// The resident-row budget of the `stream/raw/b3/spill` strategy: with
+/// 3-row batches the hybrid operators start spilling at a handful of rows
+/// of state, which the generated cases (up to 28 dividend and 6 divisor
+/// rows) reach often, while the smallest ones still run in memory.
+pub const SPILL_BUDGET_ROWS: usize = 16;
+
+const fn strategy(
+    name: &'static str,
+    optimize: bool,
+    exec: Exec,
+    budget: Option<usize>,
+) -> Strategy {
+    Strategy {
+        name,
+        optimize,
+        exec,
+        budget,
+    }
 }
+
+const STRATEGIES: [Strategy; 7] = [
+    strategy(
+        "stream/opt",
+        true,
+        Exec::Streaming { batch_size: 1024 },
+        None,
+    ),
+    strategy(
+        "stream/opt/b3",
+        true,
+        Exec::Streaming { batch_size: 3 },
+        None,
+    ),
+    strategy(
+        "stream/raw/b3",
+        false,
+        Exec::Streaming { batch_size: 3 },
+        None,
+    ),
+    strategy(
+        "stream/raw",
+        false,
+        Exec::Streaming { batch_size: 1024 },
+        None,
+    ),
+    strategy(
+        "stream/raw/b3/spill",
+        false,
+        Exec::Streaming { batch_size: 3 },
+        Some(SPILL_BUDGET_ROWS),
+    ),
+    strategy("row/opt", true, Exec::Compat, None),
+    strategy("row/raw", false, Exec::Compat, None),
+];
+
+/// The execution strategies' names, in the order
+/// [`CaseReport::strategies`] is indexed.
+pub const STRATEGY_NAMES: [&str; STRATEGIES.len()] = {
+    let mut names = [""; STRATEGIES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = STRATEGIES[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// Run one case through the full matrix. `Ok` carries execution tallies;
 /// `Err` carries the first mismatch found.
@@ -191,10 +256,13 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
         }
 
         let optimized = optimize(&logical, &catalog);
-        for strategy in strategies() {
+        for (strategy, tally) in STRATEGIES.iter().zip(&mut report.strategies) {
             let outcome = match &strategy.exec {
                 Exec::Streaming { batch_size } => {
-                    let config = PlannerConfig::with_batch_size(*batch_size);
+                    let mut config = PlannerConfig::with_batch_size(*batch_size);
+                    if let Some(budget) = strategy.budget {
+                        config = config.memory_budget_rows(budget).spill_to_disk(true);
+                    }
                     let mut builder = Engine::builder(catalog.clone()).planner_config(config);
                     if !strategy.optimize {
                         builder = builder.without_optimizer();
@@ -214,7 +282,6 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                             engine.execute_logical(plan).map(|o| (o.relation, o.stats))
                         }
                     }
-                    .map_err(|e| e.to_string())
                 }
                 Exec::Compat => {
                     let config = PlannerConfig::default();
@@ -225,17 +292,29 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                     };
                     plan_query(plan, &config)
                         .and_then(|physical| execute_with_config(&physical, &catalog, &config))
-                        .map_err(|e| e.to_string())
+                        .map_err(div_sql::Error::from)
                 }
             };
-            let (relation, stats) = outcome.map_err(|e| {
-                mismatch(
-                    formulation.name,
-                    strategy.name,
-                    format!("execution failed: {e}"),
-                )
-            })?;
+            let (relation, stats) = match outcome {
+                Ok(output) => output,
+                // State that cannot spill (a distinct set, a product) may
+                // honestly not fit: the typed budget error is the one
+                // acceptable non-answer, and only under a budget.
+                Err(div_sql::Error::MemoryBudget { .. }) if strategy.budget.is_some() => {
+                    tally.declined += 1;
+                    continue;
+                }
+                Err(e) => {
+                    return Err(mismatch(
+                        formulation.name,
+                        strategy.name,
+                        format!("execution failed: {e}"),
+                    ))
+                }
+            };
             report.executions += 1;
+            tally.executed += 1;
+            tally.spilled += usize::from(stats.spill_partitions > 0);
             if relation != expected {
                 return Err(mismatch(
                     formulation.name,
@@ -250,6 +329,18 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
             let streaming = matches!(strategy.exec, Exec::Streaming { .. });
             if let Err(detail) = check_stats(&stats, &relation, streaming) {
                 return Err(mismatch(formulation.name, strategy.name, detail));
+            }
+            if let Some(budget) = strategy.budget {
+                if stats.peak_resident_rows > budget || stats.resident_rows_on_finish != 0 {
+                    return Err(mismatch(
+                        formulation.name,
+                        strategy.name,
+                        format!(
+                            "budget {budget}: peak_resident_rows = {}, resident_rows_on_finish = {}",
+                            stats.peak_resident_rows, stats.resident_rows_on_finish
+                        ),
+                    ));
+                }
             }
         }
 
@@ -488,6 +579,19 @@ mod tests {
         let spec = CaseSpec::generate(3);
         let report = check_case(&spec).expect("seed 3 conforms");
         assert!(report.formulations >= 2);
+        // Every unbudgeted strategy answers every formulation; the budgeted
+        // one answers or declines.
         assert!(report.executions >= 6 * report.formulations);
+        for (name, tally) in STRATEGY_NAMES.iter().zip(&report.strategies) {
+            assert_eq!(
+                tally.executed + tally.declined,
+                report.formulations,
+                "{name}"
+            );
+            assert!(
+                tally.declined == 0 || *name == "stream/raw/b3/spill",
+                "{name} declined"
+            );
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! first output row — set intersection / difference, grouped aggregation
 //! and the Cartesian product.
 
-use super::spill::{load_spill_batch, spill_margin, Drained, LeafOutput, SpillSink};
+use super::spill::{load_spill_batch, spillable_rows, Drained, LeafOutput, SpillInput, SpillSink};
 use super::StreamContext;
 use super::{consolidate, drain_to_batch, BatchStream, ChunkCursor, OpMeta, RetainedState};
 use crate::Result;
@@ -145,19 +145,21 @@ impl AggregateStream {
         let input_schema = self.child.schema().clone();
         // A global aggregate has nothing to partition on.
         let threshold = ctx.spill_threshold().filter(|_| !self.key_cols.is_empty());
-        let sink = SpillSink::new(input_schema.clone(), self.key_cols.clone(), threshold);
-        match sink.drain(&mut self.child, ctx)? {
+        let input = SpillInput {
+            label: &self.meta.label,
+            schema: &input_schema,
+            key_cols: &self.key_cols,
+        };
+        match SpillSink::new(input, threshold).drain(&mut self.child, ctx)? {
             Drained::Buffered(chunks) => {
                 let batch = consolidate(ctx, &self.meta.label, &input_schema, chunks)?;
                 Ok(LeafOutput::in_memory(self.aggregate(ctx, batch)?))
             }
             Drained::Spilled(manager, first) => {
-                let threshold = threshold.expect("spilled only under a budget");
-                let margin = spill_margin(ctx);
                 // During a leaf both the consolidated input and its
                 // aggregate (≤ input rows) are resident.
-                let fits = move |rows: usize| 2 * rows + margin <= threshold;
-                LeafOutput::plan(ctx, manager, &input_schema, &self.key_cols, first, fits)
+                let bound = spillable_rows(ctx) / 2;
+                LeafOutput::plan(ctx, manager, input, first, bound)
             }
         }
     }

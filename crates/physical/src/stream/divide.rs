@@ -1,30 +1,39 @@
 //! Division: the small and the great divide.
 
-use super::spill::{next_resident_chunk, open_spill, spill_margin, Drained, LeafOutput, SpillSink};
+use super::spill::{
+    level0_fanout, next_resident_chunk, open_spill, spill_seed, spillable_rows, state_overflows,
+    LeafOutput, PartitionWriters, SpillInput,
+};
 use super::{consumed, drain_to_batch, BatchStream, OpMeta, RetainedState, StreamContext};
 use crate::Result;
 use div_algebra::Schema;
-use div_columnar::kernels::StreamingGreatDivide;
+use div_columnar::kernels::{FrozenConsume, StreamingGreatDivide};
 use div_columnar::ColumnarBatch;
 use div_expr::ExprError;
+use div_storage::{SpillHandle, SpillManager};
 
 /// Hybrid hash division (small and great). The divisor is always
 /// materialized in memory; the dividend is *consumed* chunk-at-a-time into
-/// coverage state (memory ∝ divisor + quotient groups, never the dividend).
-/// The quotient is only known at the end, so the output is a blocking
-/// boundary.
+/// coverage state (memory ∝ divisor + quotient groups, never the dividend)
+/// under any guard. The quotient is only known at the end, so the output is
+/// a blocking boundary.
 ///
 /// `StreamingGreatDivide` degrades to the small divide exactly when the
 /// divisor has no attributes of its own — which is the planner's
 /// precondition for `PhysicalPlan::Divide` — so one state type serves both
 /// division nodes.
 ///
-/// Under a spill budget the *dividend* is buffered and, when it approaches
-/// the budget, partitioned to disk on the quotient attributes with the
-/// divisor replicated into every partition. That preserves the quotient
-/// (Law 2 of the division framework): each leaf's quotient rows are exactly
-/// the full quotient's rows for the quotient-attribute values hashed into
-/// that leaf.
+/// What can outgrow a spill budget is therefore the *state*, and that is
+/// what the operator watches. When divisor + groups approach the budget
+/// ([`state_overflows`]) the resident group set is frozen: rows of resident
+/// groups are still consumed — every resident group has seen the whole
+/// dividend by the end of input — and rows of groups the state has not
+/// met are partitioned to disk on the quotient attributes, to be divided
+/// leaf by leaf against the replicated divisor afterwards. Resident and
+/// spilled groups are key-disjoint, so the union of their quotients is the
+/// quotient (Law 2 of the division framework; the hybrid form of Graefe's
+/// quotient partitioning). A dividend whose state fits is never written
+/// anywhere, whatever its length.
 pub(super) struct DivideStream {
     meta: OpMeta,
     dividend: Box<dyn BatchStream>,
@@ -32,43 +41,109 @@ pub(super) struct DivideStream {
     schema: Schema,
     /// Set by the build phase.
     state: Option<LeafOutput>,
-    /// The divisor replicated into every on-disk leaf (spilled runs only).
+    /// The divisor replicated into every on-disk leaf (overflowed runs only).
     leaf_divisor: Option<ColumnarBatch>,
     /// Divisor rows plus the coverage groups of the pass in progress.
     retained: RetainedState,
-    /// Quotient rows computed so far, over all leaves.
+    /// Quotient rows computed so far, over the resident part and all leaves.
     kernel_rows: usize,
 }
 
-/// The one consume loop: feed every (acquired) chunk `next_chunk` yields
-/// through the coverage state of a fresh [`StreamingGreatDivide`] and
-/// return the acquired quotient. `keep` rows of `retained` — a replicated
-/// divisor — outlive the pass.
+/// What an overflowed pass leaves on disk: the spill directory and the
+/// sealed partition files of the rows its frozen state did not take.
+type Overflowed = (SpillManager, Vec<SpillHandle>);
+
+/// One pass of the division: feed every (acquired) chunk `next_chunk`
+/// yields through the coverage state of a fresh [`StreamingGreatDivide`]
+/// and return the acquired quotient.
+///
+/// `quotient_cols` — the dividend's quotient-attribute columns — lets the
+/// pass overflow: given them (the live dividend), a state that approaches
+/// the spill budget is frozen and the rows it does not take are written to
+/// the partition files returned next to the quotient. A leaf pass gives
+/// `None`: its input was sized to fit, and the budget backstop decides
+/// about a level-capped one that does not.
+///
+/// The divisor's rows stay under `retained` when more passes follow: after
+/// an overflow, and after every leaf.
 fn divide_chunks(
     ctx: &mut StreamContext,
     meta: &OpMeta,
     retained: &mut RetainedState,
     dividend_schema: &Schema,
     divisor: ColumnarBatch,
-    keep: usize,
+    quotient_cols: Option<&[usize]>,
     mut next_chunk: impl FnMut(&mut StreamContext) -> Result<Option<ColumnarBatch>>,
-) -> Result<ColumnarBatch> {
+) -> Result<(ColumnarBatch, Option<Overflowed>)> {
     let divisor_rows = divisor.num_rows();
     let mut state = StreamingGreatDivide::new(dividend_schema, divisor).map_err(ExprError::from)?;
-    while let Some(chunk) = next_chunk(ctx)? {
-        let probes = state.consume(&chunk);
-        ctx.add_probes(meta.id, probes);
-        consumed(ctx, &chunk);
-        retained.grow_to(ctx, meta.id, divisor_rows + state.groups());
-        // The coverage state itself can outgrow the budget even though
-        // each consumed chunk passed its own check.
-        ctx.check_guard(&meta.label)?;
-    }
+    let mut overflow: Option<(SpillManager, PartitionWriters)> = None;
+    let mut consume_all = || -> Result<()> {
+        while let Some(chunk) = next_chunk(ctx)? {
+            // Each dividend row is probed once, where it is consumed: here,
+            // or in the leaf its partition file ends up in.
+            let probes = match overflow.as_mut() {
+                None => {
+                    let probes = state.consume(&chunk);
+                    consumed(ctx, &chunk);
+                    probes
+                }
+                Some((_, writers)) => {
+                    let FrozenConsume { probes, leftover } = state.consume_frozen(&chunk);
+                    consumed(ctx, &chunk);
+                    if leftover.len() == chunk.num_rows() {
+                        writers.route(ctx, &chunk)?;
+                    } else if !leftover.is_empty() {
+                        writers.route(ctx, &chunk.gather(&leftover))?;
+                    }
+                    probes
+                }
+            };
+            ctx.add_probes(meta.id, probes);
+            retained.grow_to(ctx, meta.id, divisor_rows + state.groups());
+            // The coverage state itself can outgrow the budget even though
+            // each consumed chunk passed its own check.
+            ctx.check_guard(&meta.label)?;
+            if let (None, Some(key_cols)) = (overflow.as_ref(), quotient_cols) {
+                if state_overflows(ctx) {
+                    // Freeze: from here on the state takes only rows of
+                    // the groups it already holds.
+                    let mut manager = SpillManager::new().map_err(ExprError::from)?;
+                    let fanout = level0_fanout(ctx);
+                    let input = SpillInput {
+                        label: &meta.label,
+                        schema: dividend_schema,
+                        key_cols,
+                    };
+                    let writers =
+                        PartitionWriters::create(&mut manager, ctx, input, spill_seed(0), fanout)?;
+                    overflow = Some((manager, writers));
+                }
+            }
+        }
+        Ok(())
+    };
+    let spilled = match (consume_all(), overflow) {
+        (Ok(()), None) => None,
+        (Ok(()), Some((manager, writers))) => Some((manager, writers.finish(ctx)?)),
+        (Err(err), overflow) => {
+            // Rows still sitting in the write buffers die with the pass.
+            if let Some((_, mut writers)) = overflow {
+                writers.rollback(ctx);
+            }
+            return Err(err);
+        }
+    };
     let quotient = state.finish().map_err(ExprError::from)?;
+    let keep = if quotient_cols.is_none() || spilled.is_some() {
+        divisor_rows
+    } else {
+        0
+    };
     retained.release(ctx);
     retained.grow_to(ctx, meta.id, keep);
     ctx.acquire(quotient.num_rows(), 1);
-    Ok(quotient)
+    Ok((quotient, spilled))
 }
 
 impl DivideStream {
@@ -90,8 +165,9 @@ impl DivideStream {
         }
     }
 
-    /// Build phase: materialize the divisor, then run the dividend through
-    /// the coverage state — or, under pressure, out to disk.
+    /// Build phase: materialize the divisor, then run the live dividend
+    /// through the coverage state — and, past the budget, its unseen groups
+    /// out to disk.
     fn build(&mut self, ctx: &mut StreamContext) -> Result<LeafOutput> {
         let DivideStream {
             meta,
@@ -108,50 +184,43 @@ impl DivideStream {
         ctx.release(divisor_rows, 1);
         retained.grow_to(ctx, meta.id, divisor_rows);
         let dividend_schema = dividend.schema().clone();
+        // The quotient attributes: dividend attributes the divisor lacks.
+        let key_names = dividend_schema.difference_attributes(divisor.schema());
+        let key_refs: Vec<&str> = key_names.iter().map(String::as_str).collect();
+        let key_cols = dividend_schema
+            .projection_indices(&key_refs)
+            .map_err(ExprError::from)?;
 
-        let quotient = if let Some(threshold) = ctx.spill_threshold() {
-            // The quotient attributes: dividend attributes the divisor lacks.
-            let key_names = dividend_schema.difference_attributes(divisor.schema());
-            let key_refs: Vec<&str> = key_names.iter().map(String::as_str).collect();
-            let key_cols = dividend_schema
-                .projection_indices(&key_refs)
-                .map_err(ExprError::from)?;
-            let sink = SpillSink::new(dividend_schema.clone(), key_cols.clone(), Some(threshold));
-            let mut chunks = match sink.drain(dividend, ctx)? {
-                Drained::Buffered(chunks) => chunks.into_iter(),
-                Drained::Spilled(manager, first) => {
-                    let margin = spill_margin(ctx);
-                    // A leaf fits when the replicated divisor, the leaf's
-                    // coverage state (≤ its row count) and one in-flight
-                    // chunk stay under the budget together.
-                    let fits = move |rows: usize| divisor_rows + rows + margin <= threshold;
-                    *leaf_divisor = Some(divisor);
-                    return LeafOutput::plan(
-                        ctx,
-                        manager,
-                        &dividend_schema,
-                        &key_cols,
-                        first,
-                        fits,
-                    );
-                }
-            };
-            // The budget never triggered: the buffered chunks, in arrival
-            // order, give the same quotient as the live stream.
-            let quotient = divide_chunks(ctx, meta, retained, &dividend_schema, divisor, 0, |_| {
-                Ok(chunks.next())
-            });
-            // Only an error leaves chunks behind.
-            chunks.for_each(|chunk| consumed(ctx, &chunk));
-            quotient?
-        } else {
-            // Nothing to spill against: stream the live dividend.
-            divide_chunks(ctx, meta, retained, &dividend_schema, divisor, 0, |ctx| {
-                dividend.next_batch(ctx)
-            })?
-        };
+        let (quotient, spilled) = divide_chunks(
+            ctx,
+            meta,
+            retained,
+            &dividend_schema,
+            divisor.clone(),
+            Some(&key_cols),
+            |ctx| dividend.next_batch(ctx),
+        )?;
         *kernel_rows = quotient.num_rows();
-        Ok(LeafOutput::in_memory(quotient))
+        let Some((manager, first)) = spilled else {
+            return Ok(LeafOutput::in_memory(quotient));
+        };
+        *leaf_divisor = Some(divisor);
+        // A leaf fits when the replicated divisor, the leaf's coverage
+        // state (≤ its row count) and one in-flight chunk stay under the
+        // budget together.
+        let bound = spillable_rows(ctx).saturating_sub(divisor_rows);
+        let input = SpillInput {
+            label: &meta.label,
+            schema: &dividend_schema,
+            key_cols: &key_cols,
+        };
+        match LeafOutput::plan(ctx, manager, input, first, bound) {
+            Ok(leaves) => Ok(leaves.with_result(quotient)),
+            Err(err) => {
+                ctx.release(quotient.num_rows(), 1);
+                Err(err)
+            }
+        }
     }
 }
 
@@ -179,14 +248,14 @@ impl BatchStream for DivideStream {
             .next(ctx, |ctx, leaf| {
                 let divisor = leaf_divisor.as_ref().expect("leaves imply a divisor");
                 let mut cursor = open_spill(&leaf)?;
-                let quotient = divide_chunks(
+                let (quotient, _) = divide_chunks(
                     ctx,
                     meta,
                     retained,
                     dividend.schema(),
                     divisor.clone(),
-                    divisor.num_rows(),
-                    |ctx| next_resident_chunk(ctx, &mut cursor),
+                    None,
+                    |ctx| next_resident_chunk(ctx, &meta.label, &mut cursor),
                 )?;
                 leaf.delete();
                 *kernel_rows += quotient.num_rows();

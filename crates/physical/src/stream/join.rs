@@ -1,8 +1,8 @@
 //! Build-probe operators: a materialized table side, a streamed probe side.
 
 use super::spill::{
-    load_spill_batch, next_resident_chunk, open_spill, repartition, spill_margin, spill_seed,
-    Drained, PartitionWriters, SpillSink, MAX_SPILL_LEVELS,
+    load_spill_batch, next_resident_chunk, open_spill, repartition, spill_seed, spillable_rows,
+    split_fanout, Drained, PartitionWriters, SpillInput, SpillSink, MAX_SPILL_LEVELS,
 };
 use super::{
     consolidate, consumed, drain_to_batch, BatchStream, OpMeta, RetainedState, StreamContext,
@@ -103,13 +103,24 @@ impl HashJoinStream {
             .projection_indices(&key_refs)
             .map_err(ExprError::from)?;
 
-        let threshold = ctx.spill_threshold();
-        let sink = SpillSink::new(right_schema.clone(), build_keys.clone(), threshold);
+        let label = self.meta.label.clone();
+        let build_input = SpillInput {
+            label: &label,
+            schema: &right_schema,
+            key_cols: &build_keys,
+        };
+        let probe_input = SpillInput {
+            label: &label,
+            schema: &left_schema,
+            key_cols: &probe_keys,
+        };
+
+        let sink = SpillSink::new(build_input, ctx.spill_threshold());
         let drained = sink.drain(&mut self.right, ctx)?;
         self.right.close(ctx);
         let (mut manager, build_first) = match drained {
             Drained::Buffered(chunks) => {
-                let batch = consolidate(ctx, &self.meta.label, &right_schema, chunks)?;
+                let batch = consolidate(ctx, &label, &right_schema, chunks)?;
                 let build = self.load(ctx, batch)?;
                 self.current = Some(JoinLeaf { build, probe: None });
                 return Ok(());
@@ -118,23 +129,14 @@ impl HashJoinStream {
         };
 
         // Spilled: the probe side goes to disk too, routed with the same
-        // level-0 seed on the same key attributes.
-        let mut probe_writers = PartitionWriters::create(
-            &mut manager,
-            ctx,
-            &left_schema,
-            probe_keys.clone(),
-            spill_seed(0),
-        )?;
-        while let Some(chunk) = self.left.next_batch(ctx)? {
-            let routed = probe_writers.route(ctx, &chunk);
-            consumed(ctx, &chunk);
-            routed?;
-        }
-        let probe_first = probe_writers.finish()?;
+        // level-0 seed on the same key attributes into as many files.
+        let fanout = build_first.len();
+        let probe_first =
+            PartitionWriters::create(&mut manager, ctx, probe_input, spill_seed(0), fanout)?
+                .drain(ctx, |ctx| self.left.next_batch(ctx))?;
 
-        let threshold = threshold.expect("spilled only under a budget");
-        let margin = spill_margin(ctx);
+        // A pair is a leaf when its build side — what gets loaded — fits.
+        let bound = spillable_rows(ctx);
         let mut work: Vec<((SpillHandle, SpillHandle), usize)> = build_first
             .into_iter()
             .zip(probe_first)
@@ -150,14 +152,13 @@ impl HashJoinStream {
             if skippable {
                 build.delete();
                 probe.delete();
-            } else if build.rows() + margin <= threshold || level >= MAX_SPILL_LEVELS {
+            } else if build.rows() <= bound || level >= MAX_SPILL_LEVELS {
                 self.pairs.push((build, probe));
             } else {
                 let seed = spill_seed(level);
-                let builds =
-                    repartition(ctx, &mut manager, &right_schema, &build_keys, build, seed)?;
-                let probes =
-                    repartition(ctx, &mut manager, &left_schema, &probe_keys, probe, seed)?;
+                let fanout = split_fanout(ctx, build.rows(), bound);
+                let builds = repartition(ctx, &mut manager, build_input, build, seed, fanout)?;
+                let probes = repartition(ctx, &mut manager, probe_input, probe, seed, fanout)?;
                 work.extend(builds.into_iter().zip(probes).map(|pair| (pair, level + 1)));
             }
         }
@@ -209,7 +210,7 @@ impl BatchStream for HashJoinStream {
                     Some(chunk) => chunk,
                     None => return Ok(None),
                 },
-                Some(cursor) => match next_resident_chunk(ctx, cursor)? {
+                Some(cursor) => match next_resident_chunk(ctx, &self.meta.label, cursor)? {
                     Some(chunk) => chunk,
                     None => {
                         self.retained.release(ctx);

@@ -31,11 +31,13 @@
 //!
 //! There is exactly one operator per plan node. Hash join, divide and
 //! grouped aggregation are *hybrid*: in memory until the [`QueryGuard`]
-//! carries a spill budget ([`QueryGuard::spill_budget`]) that their build
-//! input approaches, partitioned to disk and served partition by partition
-//! from then on (`spill.rs`). The guard — wherever its budget came from:
-//! the config, a serving session's default, a caller — is the only thing
-//! that decides; compilation never looks at it.
+//! carries a spill budget ([`QueryGuard::spill_budget`]) that what they
+//! keep approaches — the join's build input, the aggregate's input, the
+//! divide's coverage state (never its dividend, which streams under any
+//! guard) — and from then on what does not fit is partitioned to disk and
+//! served partition by partition (`spill.rs`). The guard — wherever its
+//! budget came from: the config, a serving session's default, a caller — is
+//! the only thing that decides; compilation never looks at it.
 //!
 //! One file per operator family: this file holds what every operator
 //! shares (context, trait, `OpMeta`, `RetainedState`, `ChunkCursor`,
@@ -96,6 +98,8 @@ pub struct StreamContext {
     batch_size: usize,
     resident_rows: usize,
     resident_batches: usize,
+    /// High-water mark of `resident_rows` since the last guard check.
+    unchecked_peak: usize,
     guard: QueryGuard,
 }
 
@@ -107,6 +111,7 @@ impl StreamContext {
             batch_size: config.batch_size.max(1),
             resident_rows: 0,
             resident_batches: 0,
+            unchecked_peak: 0,
             guard,
         }
     }
@@ -126,6 +131,7 @@ impl StreamContext {
     fn acquire(&mut self, rows: usize, batches: usize) {
         self.resident_rows += rows;
         self.resident_batches += batches;
+        self.unchecked_peak = self.unchecked_peak.max(self.resident_rows);
         self.stats
             .note_resident(self.resident_batches, self.resident_rows);
     }
@@ -136,10 +142,17 @@ impl StreamContext {
         self.resident_batches = self.resident_batches.saturating_sub(batches);
     }
 
-    /// Consult the query guard against the current resident footprint,
-    /// attributing a trip to `label`.
-    fn check_guard(&self, label: &str) -> Result<()> {
-        self.guard.check(self.resident_rows, label)
+    /// Consult the query guard, attributing a trip to `label`. What the
+    /// budget is held against is the footprint's high-water mark since the
+    /// previous check, not just its current value: a transient excess
+    /// between two boundaries (an input chunk and the copy of its rows in
+    /// retained state, say) has already been recorded in
+    /// [`ExecStats::peak_resident_rows`], so it must abort here rather than
+    /// let a run report success with a peak above its budget.
+    fn check_guard(&mut self, label: &str) -> Result<()> {
+        // (`acquire` keeps the mark at or above the current footprint.)
+        let peak = std::mem::replace(&mut self.unchecked_peak, self.resident_rows);
+        self.guard.check(peak, label)
     }
 
     /// The resident-row threshold at which spilling operators should start

@@ -1,32 +1,49 @@
 //! The out-of-core half of the hybrid hash operators (join, divide / great
-//! divide, grouped aggregation): the sink that buffers or partitions their
-//! build input, the partition files, recursive re-partitioning and the leaf
-//! worklist the operators serve from.
+//! divide, grouped aggregation): the partition files and the buffered
+//! writers that fill them, the sink that buffers or partitions a build
+//! input, recursive re-partitioning and the leaf worklist the operators
+//! serve from.
 //!
 //! This is Graefe's hybrid hash design, which the hash-division family this
 //! workspace reproduces is explicitly built on:
 //!
-//! 1. **Stay in memory while it fits.** A [`SpillSink`] buffers the build
-//!    input. With no spill budget on the guard
+//! 1. **Spill what does not fit — and only that.** Every operator watches
+//!    the thing it actually keeps. The join and the aggregate keep their
+//!    (build) input, so a [`SpillSink`] buffers it and, when the statement's
+//!    resident footprint comes within a safety margin of the budget (two
+//!    batches — the trigger must fire *before* a child emission would trip
+//!    the [`crate::guard::QueryGuard`], whose check lives at the emit
+//!    boundary), partitions everything buffered plus everything still
+//!    arriving. The divide keeps coverage *state* (divisor + quotient
+//!    groups) and reads its dividend once, so its trigger
+//!    ([`state_overflows`]) watches the state: when that nears the budget
+//!    the resident groups are frozen, keep consuming their own rows, and
+//!    only rows of groups the state has never met are partitioned
+//!    (`divide.rs`). With no spill budget on the guard
 //!    ([`QueryGuard::spill_budget`](crate::guard::QueryGuard::spill_budget)
-//!    is `None`) it never does anything else — that *is* the in-memory
-//!    operator; with one, an input that ends before the budget is
-//!    approached is fed to the same kernel — same code path, same result,
-//!    no IO.
-//! 2. **Partition to disk under pressure.** When the global resident
-//!    footprint comes within a safety margin of the budget (two batches —
-//!    the trigger must fire *before* a child emission would trip the
-//!    [`crate::guard::QueryGuard`], whose check lives at the emit boundary),
-//!    everything buffered plus everything still arriving is routed into
-//!    [`SPILL_FANOUT`] spill files by the hash of the operator's key:
-//!    the join's common attributes, the division's quotient attributes
-//!    (Law 2: partitioning the dividend on the quotient attributes with the
-//!    divisor replicated preserves the quotient), aggregation's grouping
-//!    attributes. Key-disjoint partitions make per-partition results
-//!    independent, so their union is the exact operator result.
-//! 3. **Recurse per partition.** A partition that still does not fit is
-//!    re-partitioned from disk with a fresh level seed
-//!    ([`div_columnar::partition::hash_partition_seeded`] — all rows of one
+//!    is `None`) no trigger ever fires — that *is* the in-memory operator;
+//!    with one, an input or a state that stays under it runs the same code
+//!    path with no IO.
+//! 2. **Partition at a budget-derived fan-out, in full chunks.** Rows are
+//!    routed by the hash of the operator's key — the join's common
+//!    attributes, the division's quotient attributes (Law 2: partitioning
+//!    the dividend on the quotient attributes with the divisor replicated
+//!    preserves the quotient), aggregation's grouping attributes — into
+//!    [`level0_fanout`] files: as many as full-chunk write buffers fit in
+//!    the budget (memory over buffer size, floor 4, cap 32).
+//!    [`PartitionWriters`] coalesces the routed rows per partition and
+//!    writes a chunk when it has `batch_size` rows; the buffers are counted
+//!    as resident rows, and under pressure the largest is written early, so
+//!    they shrink with the budget instead of breaking it. Key-disjoint
+//!    partitions make per-partition results independent, so their union is
+//!    the exact operator result.
+//! 3. **Recurse per partition, by its size.** Each operator states its leaf
+//!    bound as a row count (join: the build side fits; aggregate: input
+//!    plus result fit; divide: divisor plus one group per row fit). A
+//!    partition over the bound is re-partitioned from disk into
+//!    [`split_fanout`] files — its row count over the bound, with headroom
+//!    for skew — under a fresh level seed
+//!    ([`div_columnar::partition::partition_rows`] — all rows of one
 //!    partition share their level-0 routing hash, so recursion *must*
 //!    re-seed), up to [`MAX_SPILL_LEVELS`]; a level-capped partition (every
 //!    row sharing one key) is served anyway and the budget backstop aborts
@@ -36,9 +53,10 @@
 //! live in a per-operator [`SpillManager`] temp directory, and are deleted
 //! eagerly as they are consumed; the manager's `Drop` removes the directory
 //! on *every* exit path, including mid-spill errors. The `spill.write` /
-//! `spill.read` failpoints fire before every file write / chunk read, so
-//! the chaos suite can fault either direction of the traffic. Spill volume
-//! is reported as [`ExecStats::spill_partitions`] /
+//! `spill.read` failpoints fire before every file write / open and chunk
+//! read, so the chaos suite can fault either direction of the traffic; a
+//! chunk read back is acquired and guard-checked like any emitted chunk.
+//! Spill volume is reported as [`ExecStats::spill_partitions`] /
 //! [`ExecStats::spill_rows_written`] / [`ExecStats::spill_rows_read`].
 //!
 //! [`ExecStats::spill_partitions`]: crate::stats::ExecStats::spill_partitions
@@ -48,14 +66,19 @@
 use super::{collect_chunks, consolidate, consumed, BatchStream, ChunkCursor, StreamContext};
 use crate::Result;
 use div_algebra::Schema;
-use div_columnar::{partition, ColumnarBatch};
+use div_columnar::partition::{self, BatchAppender};
+use div_columnar::ColumnarBatch;
 use div_expr::ExprError;
 use div_storage::{SpillHandle, SpillManager, SpillWriter, TableScanCursor};
 
-/// Fan-out of every partitioning pass. Small on purpose: each level divides
-/// the data by ~4, so even a tiny budget reaches a fitting partition within
-/// a few levels, and the file count stays bounded.
-const SPILL_FANOUT: usize = 4;
+/// Floor of a partitioning pass's fan-out: even a budget too small for four
+/// full-chunk write buffers splits four ways (the buffers shrink instead),
+/// so a tiny budget still reaches a fitting partition within a few levels.
+const MIN_FANOUT: usize = 4;
+
+/// Cap of a partitioning pass's fan-out: past this, more open files cost
+/// more than a deeper recursion saves.
+const MAX_FANOUT: usize = 32;
 
 /// Recursion depth cap. A partition that still exceeds the budget after
 /// this many re-partitionings is dominated by one key value; further
@@ -64,8 +87,9 @@ const SPILL_FANOUT: usize = 4;
 pub(super) const MAX_SPILL_LEVELS: usize = 6;
 
 /// Routing seed for recursion level `level` (level 0 — the first, in-line
-/// partitioning pass — uses seed 0, the plain [`partition::hash_partition_keyed`]
-/// routing). The odd multiplier is the golden-ratio mixing constant.
+/// partitioning pass — uses seed 0, the plain
+/// [`partition::hash_partition`] routing). The odd multiplier is the
+/// golden-ratio mixing constant.
 pub(super) fn spill_seed(level: usize) -> u64 {
     (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -76,6 +100,51 @@ pub(super) fn spill_seed(level: usize) -> u64 {
 /// cannot trip the guard first.
 pub(super) fn spill_margin(ctx: &StreamContext) -> usize {
     2 * ctx.batch_size()
+}
+
+/// The rows a hybrid operator can plan with: the spill budget less the
+/// safety margin. Every leaf bound is a share of this.
+pub(super) fn spillable_rows(ctx: &StreamContext) -> usize {
+    ctx.spill_threshold()
+        .unwrap_or(usize::MAX)
+        .saturating_sub(spill_margin(ctx))
+}
+
+/// Fan-out of a first-level partitioning pass (the join's two sides, the
+/// aggregate's input, the divide's overflow): the number of full-chunk
+/// (`batch_size`-row) write buffers that fit in [`spillable_rows`] —
+/// Graefe's memory-over-buffer rule — within [`MIN_FANOUT`] and
+/// [`MAX_FANOUT`]. Re-partitioning passes are sized from their file's row
+/// count instead ([`split_fanout`]).
+pub(super) fn level0_fanout(ctx: &StreamContext) -> usize {
+    (spillable_rows(ctx) / ctx.batch_size()).clamp(MIN_FANOUT, MAX_FANOUT)
+}
+
+/// The divide's overflow trigger: `true` once the statement's resident
+/// rows — the divide's divisor and coverage groups plus whatever its
+/// neighbours hold — leave less than the margin plus room for the overflow
+/// pass's write buffers under the budget. That room is a quarter of
+/// [`spillable_rows`] (no more than [`MAX_FANOUT`] full chunks): what
+/// hybrid hashing sets aside for its output partitions before it hands the
+/// rest to the resident one. The pass still fans out [`level0_fanout`]
+/// ways — one pass over smaller chunks is cheaper than a second pass over
+/// full ones — and its buffers flush under pressure, so a state that keeps
+/// growing into the room costs chunk size, not correctness.
+pub(super) fn state_overflows(ctx: &StreamContext) -> bool {
+    let room = (spillable_rows(ctx) / 4).min(MAX_FANOUT * ctx.batch_size());
+    ctx.spill_threshold()
+        .is_some_and(|threshold| ctx.resident_rows + spill_margin(ctx) + room > threshold)
+}
+
+/// How many files an oversized partition of `rows` rows is re-partitioned
+/// into so that each piece meets the operator's leaf bound: `rows / bound`
+/// with half as much again for skew, at least 2 and at most a whole-input
+/// pass's fan-out. The file's exact row count is known, so a partition
+/// barely over the bound is halved, not split seventeen ways.
+pub(super) fn split_fanout(ctx: &StreamContext, rows: usize, bound: usize) -> usize {
+    (3 * rows)
+        .div_ceil(2 * bound.max(1))
+        .clamp(2, level0_fanout(ctx))
 }
 
 /// Write one batch to a spill file, counting it and honoring the
@@ -100,26 +169,26 @@ pub(super) fn open_spill(handle: &SpillHandle) -> Result<TableScanCursor> {
 }
 
 /// Pull the next chunk off a spill cursor, counting the rows read. The
-/// chunk is *not* acquired (re-partitioning routes it straight back out).
-fn next_spill_chunk(
+/// chunk is acquired and guard-checked like a chunk a child stream emitted
+/// (`label` is the operator the guard blames): the leaf bounds only cover
+/// the reading operator's own state, so next to a neighbour's an in-flight
+/// chunk can be what no longer fits, and a long re-partitioning or
+/// matchless probe emits nothing for a deadline or cancellation to be
+/// noticed at.
+pub(super) fn next_resident_chunk(
     ctx: &mut StreamContext,
+    label: &str,
     cursor: &mut TableScanCursor,
 ) -> Result<Option<ColumnarBatch>> {
     crate::failpoint::hit("spill", "read")?;
     let chunk = cursor.next_chunk().map_err(ExprError::from)?;
-    ctx.stats.spill_rows_read += chunk.as_ref().map_or(0, ColumnarBatch::num_rows);
-    Ok(chunk)
-}
-
-/// [`next_spill_chunk`] for an operator that keeps the chunk resident: it
-/// is acquired, like a chunk a child stream emitted.
-pub(super) fn next_resident_chunk(
-    ctx: &mut StreamContext,
-    cursor: &mut TableScanCursor,
-) -> Result<Option<ColumnarBatch>> {
-    let chunk = next_spill_chunk(ctx, cursor)?;
     if let Some(chunk) = &chunk {
+        ctx.stats.spill_rows_read += chunk.num_rows();
         ctx.acquire(chunk.num_rows(), 1);
+        if let Err(err) = ctx.check_guard(label) {
+            consumed(ctx, chunk);
+            return Err(err);
+        }
     }
     Ok(chunk)
 }
@@ -134,16 +203,41 @@ pub(super) fn load_spill_batch(
     handle: SpillHandle,
 ) -> Result<ColumnarBatch> {
     let mut cursor = open_spill(&handle)?;
-    let chunks = collect_chunks(ctx, |ctx| next_resident_chunk(ctx, &mut cursor))?;
+    let chunks = collect_chunks(ctx, |ctx| next_resident_chunk(ctx, label, &mut cursor))?;
     drop(cursor);
     handle.delete();
     consolidate(ctx, label, schema, chunks)
 }
 
+/// One partitioned input of a hybrid operator: whose it is (the operator
+/// label the guard blames), its schema, and the key columns it is routed on.
+#[derive(Clone, Copy)]
+pub(super) struct SpillInput<'a> {
+    pub(super) label: &'a str,
+    pub(super) schema: &'a Schema,
+    pub(super) key_cols: &'a [usize],
+}
+
+/// One partition of a pass: its spill file and the rows routed to it that
+/// have not been written yet.
+struct Partition {
+    writer: SpillWriter,
+    buffer: BatchAppender,
+}
+
 /// One fan-out's worth of open spill files plus the routing that feeds
-/// them: rows are distributed by the seeded hash of their key columns.
+/// them: rows are distributed by the seeded hash of their key columns and
+/// coalesced per partition, so what reaches a file is a full `batch_size`-row
+/// chunk — or, when the statement's resident rows come within the margin of
+/// the budget, the largest buffer there is. The buffered rows are resident
+/// rows like any other: acquired as they are appended, released as they are
+/// written, and rolled back by [`PartitionWriters::rollback`] when the pass
+/// dies. Because the flush follows the *measured* footprint, the buffers
+/// only ever use memory nobody else holds: under a tiny budget, or next to
+/// a neighbour's state, they shrink towards unbuffered writes instead of
+/// tripping the guard.
 pub(super) struct PartitionWriters {
-    writers: Vec<SpillWriter>,
+    parts: Vec<Partition>,
     key_cols: Vec<usize>,
     seed: u64,
 }
@@ -152,65 +246,153 @@ impl PartitionWriters {
     pub(super) fn create(
         manager: &mut SpillManager,
         ctx: &mut StreamContext,
-        schema: &Schema,
-        key_cols: Vec<usize>,
+        input: SpillInput,
         seed: u64,
+        fanout: usize,
     ) -> Result<PartitionWriters> {
-        let mut writers = Vec::with_capacity(SPILL_FANOUT);
-        for _ in 0..SPILL_FANOUT {
-            writers.push(
-                manager
-                    .create_file(schema.clone())
+        let mut parts = Vec::with_capacity(fanout);
+        for _ in 0..fanout {
+            parts.push(Partition {
+                writer: manager
+                    .create_file(input.schema.clone())
                     .map_err(ExprError::from)?,
-            );
+                buffer: BatchAppender::new(input.schema.clone()),
+            });
             ctx.stats.spill_partitions += 1;
         }
         Ok(PartitionWriters {
-            writers,
-            key_cols,
+            parts,
+            key_cols: input.key_cols.to_vec(),
             seed,
         })
     }
 
-    /// Route one chunk into the partition files.
+    /// Route one chunk into the partition buffers, writing out what is
+    /// full. The chunk itself must no longer be accounted — a caller holding
+    /// an acquired chunk releases it first, so a routed row is counted
+    /// once, wherever it currently sits. On an error the buffers are rolled
+    /// back here.
     pub(super) fn route(&mut self, ctx: &mut StreamContext, chunk: &ColumnarBatch) -> Result<()> {
-        let parts =
-            partition::hash_partition_seeded(chunk, &self.key_cols, self.writers.len(), self.seed);
-        for (writer, (part, _keys)) in self.writers.iter_mut().zip(parts) {
-            if part.num_rows() > 0 {
-                spill_write(ctx, writer, &part)?;
+        let routed = self.try_route(ctx, chunk);
+        if routed.is_err() {
+            self.rollback(ctx);
+        }
+        routed
+    }
+
+    fn try_route(&mut self, ctx: &mut StreamContext, chunk: &ColumnarBatch) -> Result<()> {
+        let full = ctx.batch_size();
+        let buckets = partition::partition_rows(chunk, &self.key_cols, self.parts.len(), self.seed);
+        for (part, rows) in self.parts.iter_mut().zip(&buckets) {
+            let mut rows = rows.as_slice();
+            while !rows.is_empty() {
+                let space = full - part.buffer.num_rows();
+                let (fitting, rest) = rows.split_at(space.min(rows.len()));
+                ctx.acquire(fitting.len(), usize::from(part.buffer.num_rows() == 0));
+                part.buffer.append_rows(chunk, fitting);
+                if part.buffer.num_rows() == full {
+                    part.flush(ctx)?;
+                }
+                rows = rest;
             }
+        }
+        // Under pressure a partial chunk is better than a budget abort:
+        // largest first, so what is written is as full as it can be.
+        while ctx
+            .spill_threshold()
+            .is_some_and(|threshold| ctx.resident_rows + spill_margin(ctx) > threshold)
+        {
+            let Some(largest) = self
+                .parts
+                .iter_mut()
+                .filter(|part| part.buffer.num_rows() > 0)
+                .max_by_key(|part| part.buffer.num_rows())
+            else {
+                break;
+            };
+            largest.flush(ctx)?;
         }
         Ok(())
     }
 
-    /// Seal all files into readable handles (in partition order).
-    pub(super) fn finish(self) -> Result<Vec<SpillHandle>> {
-        self.writers
+    /// Route every (acquired) chunk `next` yields and seal the files; the
+    /// buffers' accounting is rolled back whichever step fails.
+    pub(super) fn drain(
+        mut self,
+        ctx: &mut StreamContext,
+        mut next: impl FnMut(&mut StreamContext) -> Result<Option<ColumnarBatch>>,
+    ) -> Result<Vec<SpillHandle>> {
+        loop {
+            match next(ctx) {
+                Ok(Some(chunk)) => {
+                    consumed(ctx, &chunk);
+                    self.route(ctx, &chunk)?;
+                }
+                Ok(None) => return self.finish(ctx),
+                Err(err) => {
+                    self.rollback(ctx);
+                    return Err(err);
+                }
+            }
+        }
+    }
+
+    /// Write out what is still buffered and seal all files into readable
+    /// handles (in partition order).
+    pub(super) fn finish(mut self, ctx: &mut StreamContext) -> Result<Vec<SpillHandle>> {
+        let flushed = self
+            .parts
+            .iter_mut()
+            .filter(|part| part.buffer.num_rows() > 0)
+            .try_for_each(|part| part.flush(ctx));
+        if let Err(err) = flushed {
+            self.rollback(ctx);
+            return Err(err);
+        }
+        self.parts
             .into_iter()
-            .map(|w| w.finish().map_err(ExprError::from))
+            .map(|part| part.writer.finish().map_err(ExprError::from))
             .collect()
+    }
+
+    /// Drop whatever is buffered and release its accounting (error paths;
+    /// idempotent).
+    pub(super) fn rollback(&mut self, ctx: &mut StreamContext) {
+        for part in &mut self.parts {
+            let rows = part.buffer.take().num_rows();
+            ctx.release(rows, usize::from(rows > 0));
+        }
     }
 }
 
-/// Re-partition one on-disk partition into [`SPILL_FANOUT`] fresh files
+impl Partition {
+    /// Write the buffered rows as one chunk. They leave the buffer — and
+    /// the accounting — whether or not the write succeeds.
+    fn flush(&mut self, ctx: &mut StreamContext) -> Result<()> {
+        let batch = self.buffer.take();
+        ctx.release(batch.num_rows(), 1);
+        spill_write(ctx, &mut self.writer, &batch)
+    }
+}
+
+/// Re-partition one on-disk partition of `input` into `fanout` fresh files
 /// with the given level seed, deleting the source file.
 pub(super) fn repartition(
     ctx: &mut StreamContext,
     manager: &mut SpillManager,
-    schema: &Schema,
-    key_cols: &[usize],
+    input: SpillInput,
     handle: SpillHandle,
     seed: u64,
+    fanout: usize,
 ) -> Result<Vec<SpillHandle>> {
-    let mut writers = PartitionWriters::create(manager, ctx, schema, key_cols.to_vec(), seed)?;
+    let writers = PartitionWriters::create(manager, ctx, input, seed, fanout)?;
     let mut cursor = open_spill(&handle)?;
-    while let Some(chunk) = next_spill_chunk(ctx, &mut cursor)? {
-        writers.route(ctx, &chunk)?;
-    }
+    let split = writers.drain(ctx, |ctx| {
+        next_resident_chunk(ctx, input.label, &mut cursor)
+    })?;
     drop(cursor);
     handle.delete();
-    writers.finish()
+    Ok(split)
 }
 
 /// The build-side accumulator of every hybrid operator: buffers chunks in
@@ -218,11 +400,10 @@ pub(super) fn repartition(
 /// the spill trigger fires, then becomes a disk router. Without a
 /// `threshold` the trigger never fires. Chunks handed to
 /// [`SpillSink::push`] are *always* balanced — buffered ones stay
-/// accounted until consumed or rolled back, routed ones are released as
-/// they hit disk.
-pub(super) struct SpillSink {
-    schema: Schema,
-    key_cols: Vec<usize>,
+/// accounted until consumed or rolled back, routed ones are accounted in
+/// the partition buffers until they hit disk.
+pub(super) struct SpillSink<'a> {
+    input: SpillInput<'a>,
     threshold: Option<usize>,
     buffered: Vec<ColumnarBatch>,
     spill: Option<(SpillManager, PartitionWriters)>,
@@ -236,11 +417,10 @@ pub(super) enum Drained {
     Spilled(SpillManager, Vec<SpillHandle>),
 }
 
-impl SpillSink {
-    pub(super) fn new(schema: Schema, key_cols: Vec<usize>, threshold: Option<usize>) -> SpillSink {
+impl<'a> SpillSink<'a> {
+    pub(super) fn new(input: SpillInput<'a>, threshold: Option<usize>) -> SpillSink<'a> {
         SpillSink {
-            schema,
-            key_cols,
+            input,
             threshold,
             buffered: Vec::new(),
             spill: None,
@@ -250,9 +430,8 @@ impl SpillSink {
     /// Accept one child-emitted chunk (already acquired by the emitter).
     fn push(&mut self, ctx: &mut StreamContext, chunk: ColumnarBatch) -> Result<()> {
         if let Some((_, writers)) = self.spill.as_mut() {
-            let routed = writers.route(ctx, &chunk);
             consumed(ctx, &chunk);
-            return routed;
+            return writers.route(ctx, &chunk);
         }
         self.buffered.push(chunk);
         if let Some(threshold) = self.threshold {
@@ -263,24 +442,20 @@ impl SpillSink {
         Ok(())
     }
 
-    /// Switch to disk: create the spill directory and flush everything
+    /// Switch to disk: create the spill directory and move everything
     /// buffered through the partitioner. Accounting for every buffered
     /// chunk is released here whether routing succeeds or not.
     fn activate(&mut self, ctx: &mut StreamContext) -> Result<()> {
         let mut manager = SpillManager::new().map_err(ExprError::from)?;
-        let mut writers = PartitionWriters::create(
-            &mut manager,
-            ctx,
-            &self.schema,
-            self.key_cols.clone(),
-            spill_seed(0),
-        )?;
+        let fanout = level0_fanout(ctx);
+        let mut writers =
+            PartitionWriters::create(&mut manager, ctx, self.input, spill_seed(0), fanout)?;
         let mut first_err = None;
         for chunk in self.buffered.drain(..) {
+            consumed(ctx, &chunk);
             if first_err.is_none() {
                 first_err = writers.route(ctx, &chunk).err();
             }
-            consumed(ctx, &chunk);
         }
         if let Some(err) = first_err {
             return Err(err);
@@ -289,10 +464,14 @@ impl SpillSink {
         Ok(())
     }
 
-    /// Release the accounting of anything still buffered (error path).
+    /// Release the accounting of anything still buffered — whole chunks
+    /// before activation, the partition buffers after (error path).
     fn rollback(&mut self, ctx: &mut StreamContext) {
         for chunk in self.buffered.drain(..) {
             consumed(ctx, &chunk);
+        }
+        if let Some((_, writers)) = self.spill.as_mut() {
+            writers.rollback(ctx);
         }
     }
 
@@ -316,7 +495,7 @@ impl SpillSink {
         }
         Ok(match self.spill {
             None => Drained::Buffered(self.buffered),
-            Some((manager, writers)) => Drained::Spilled(manager, writers.finish()?),
+            Some((manager, writers)) => Drained::Spilled(manager, writers.finish(ctx)?),
         })
     }
 }
@@ -336,33 +515,31 @@ pub(super) struct LeafOutput {
 impl LeafOutput {
     /// The whole (acquired) result of an input that stayed in memory.
     pub(super) fn in_memory(result: ColumnarBatch) -> LeafOutput {
-        LeafOutput {
-            out: ChunkCursor::new(result),
-            ..LeafOutput::default()
-        }
+        LeafOutput::default().with_result(result)
     }
 
-    /// Recursively split the first-pass partitions until each satisfies
-    /// `fits` (on its row count) or the level cap is reached; empty
-    /// partitions are dropped. What remains is the leaf worklist.
+    /// Recursively split the first-pass partitions until each holds at most
+    /// `bound` rows — the operator's leaf bound — or the level cap is
+    /// reached; empty partitions are dropped. What remains is the leaf
+    /// worklist.
     pub(super) fn plan(
         ctx: &mut StreamContext,
         mut manager: SpillManager,
-        schema: &Schema,
-        key_cols: &[usize],
+        input: SpillInput,
         first: Vec<SpillHandle>,
-        fits: impl Fn(usize) -> bool,
+        bound: usize,
     ) -> Result<LeafOutput> {
         let mut work: Vec<(SpillHandle, usize)> = first.into_iter().map(|h| (h, 1)).collect();
         let mut leaves = Vec::new();
         while let Some((handle, level)) = work.pop() {
             if handle.rows() == 0 {
                 handle.delete();
-            } else if fits(handle.rows()) || level >= MAX_SPILL_LEVELS {
+            } else if handle.rows() <= bound || level >= MAX_SPILL_LEVELS {
                 leaves.push(handle);
             } else {
                 let seed = spill_seed(level);
-                let split = repartition(ctx, &mut manager, schema, key_cols, handle, seed)?;
+                let fanout = split_fanout(ctx, handle.rows(), bound);
+                let split = repartition(ctx, &mut manager, input, handle, seed, fanout)?;
                 work.extend(split.into_iter().map(|h| (h, level + 1)));
             }
         }
@@ -371,6 +548,13 @@ impl LeafOutput {
             leaves,
             out: ChunkCursor::default(),
         })
+    }
+
+    /// Serve `result` — the (acquired) output of the part of the input that
+    /// stayed in memory — ahead of the leaves.
+    pub(super) fn with_result(mut self, result: ColumnarBatch) -> LeafOutput {
+        self.out = ChunkCursor::new(result);
+        self
     }
 
     /// The next output chunk (for the caller to `emit`), running `leaf` on

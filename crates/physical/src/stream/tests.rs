@@ -345,3 +345,98 @@ fn failpoint_error_mid_stream_leaves_no_resident_rows() {
     let stats = stream.finish();
     assert_eq!(stats.resident_rows_on_finish, 0);
 }
+
+/// Route `chunks` chunks of `batch_size` rows (997 distinct keys in column
+/// `k`, a running row number in `v`) through a fresh
+/// [`spill::PartitionWriters`] under `budget` and return, per file, its row
+/// and chunk counts, plus the nominal flush size: a full chunk, or — when
+/// the budget cannot hold one per partition — an even share of what it can.
+fn route_and_count(
+    batch_size: usize,
+    budget: usize,
+    chunks: usize,
+) -> (Vec<(usize, usize)>, usize) {
+    let config = PlannerConfig::default()
+        .batch_size(batch_size)
+        .memory_budget_rows(budget)
+        .spill_to_disk(true);
+    let plan = plan_query(&PlanBuilder::scan("supplies").build(), &config).unwrap();
+    let mut ctx = StreamContext::new(&plan, &config, QueryGuard::from_config(&config));
+    let schema = Schema::of(["k", "v"]);
+    let mut manager = div_storage::SpillManager::new().unwrap();
+    let fanout = spill::level0_fanout(&ctx);
+    let input = spill::SpillInput {
+        label: "test",
+        schema: &schema,
+        key_cols: &[0],
+    };
+    let mut writers =
+        spill::PartitionWriters::create(&mut manager, &mut ctx, input, 0, fanout).unwrap();
+    let mut routed = Vec::new();
+    for c in 0..chunks {
+        let rows: Vec<Vec<i64>> = (0..batch_size)
+            .map(|r| {
+                vec![
+                    ((c * batch_size + r) % 997) as i64,
+                    (c * batch_size + r) as i64,
+                ]
+            })
+            .collect();
+        routed.extend(rows.iter().map(|row| row[1]));
+        let chunk = ColumnarBatch::from_relation(&Relation::from_rows(["k", "v"], rows).unwrap());
+        writers.route(&mut ctx, &chunk).unwrap();
+        assert!(
+            ctx.resident_rows + spill::spill_margin(&ctx) <= budget,
+            "write buffers hold {} rows under budget {budget}",
+            ctx.resident_rows
+        );
+    }
+    let handles = writers.finish(&mut ctx).unwrap();
+    assert_eq!(handles.len(), fanout);
+    assert_eq!(ctx.resident_rows, 0, "finish left buffered rows accounted");
+    assert_eq!(ctx.stats.spill_rows_written, chunks * batch_size);
+    let mut read_back = Vec::new();
+    let mut files = Vec::new();
+    for handle in &handles {
+        let reader = handle.open().unwrap();
+        assert_eq!(reader.row_count(), handle.rows());
+        files.push((handle.rows(), reader.chunk_count()));
+        let mut cursor = reader.scan(None).unwrap();
+        while let Some(chunk) = cursor.next_chunk().unwrap() {
+            assert!(
+                chunk.num_rows() <= batch_size,
+                "a spill chunk outgrew the batch size"
+            );
+            let (values, _) = chunk.column(1).as_int_slice().unwrap();
+            read_back.extend_from_slice(values);
+        }
+    }
+    read_back.sort_unstable();
+    assert_eq!(
+        read_back, routed,
+        "rows lost or invented on the way to disk"
+    );
+    let flush_rows = batch_size.min(spill::spillable_rows(&ctx) / fanout);
+    (files, flush_rows)
+}
+
+#[test]
+fn partition_writers_coalesce_routed_rows_into_full_chunks() {
+    // Room for a full chunk per partition: 18 files, 64-row chunks.
+    let (files, flush_rows) = route_and_count(64, 64 * 20, 64);
+    assert_eq!((files.len(), flush_rows), (18, 64));
+    // A budget that cannot hold four full chunks: the buffers shrink (the
+    // largest is written whenever the footprint nears the budget), the
+    // fan-out stays at its floor.
+    let (tight, tight_flush) = route_and_count(64, 300, 64);
+    assert_eq!((tight.len(), tight_flush), (4, 43));
+    for (files, flush_rows) in [(files, flush_rows), (tight, tight_flush)] {
+        for (rows, chunk_count) in files {
+            assert!(rows > 0, "997 keys leave no partition empty");
+            assert!(
+                chunk_count <= rows.div_ceil(flush_rows) + 1,
+                "{rows} rows in {chunk_count} chunks (flush size {flush_rows})"
+            );
+        }
+    }
+}

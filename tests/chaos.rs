@@ -322,53 +322,74 @@ fn spill_faults_abort_cleanly_and_leave_no_files() {
         .batch_size(4)
         .memory_budget_rows(24)
         .spill_to_disk(true);
-    let plan = plan_query(
-        &PlanBuilder::scan("supplies")
-            .divide(PlanBuilder::scan("wanted"))
-            .build(),
-        &config,
-    )
-    .unwrap();
     let guard = || div_physical::QueryGuard::from_config(&config);
     let dirs_before = live_spill_dirs();
+    // Two ways of having rows in flight when the fault lands. The divide's
+    // 60 groups + 5 divisor rows overflow the 24-row budget, so its first
+    // write happens in the frozen pass — resident groups held, unseen
+    // groups' rows sitting in the partition buffers. The self-join's build
+    // side is partitioned whole, and its first write finds the other
+    // partitions' buffers occupied.
+    let plans = [
+        (
+            PlanBuilder::scan("supplies")
+                .divide(PlanBuilder::scan("wanted"))
+                .build(),
+            60,
+        ),
+        (
+            PlanBuilder::scan("supplies")
+                .natural_join(PlanBuilder::scan("supplies"))
+                .build(),
+            300,
+        ),
+    ];
+    for (logical, rows) in plans {
+        let plan = plan_query(&logical, &config).unwrap();
+        let label = plan.label();
 
-    // The clean run under this budget genuinely spills and cleans up.
-    let (baseline, stats) = drive(&plan, &c, &config, guard());
-    let baseline = baseline.expect("clean spilling run");
-    assert_eq!(baseline.len(), 60, "all 60 groups are complete");
-    let stats = stats.unwrap();
-    assert!(stats.spill_partitions > 0, "budget 24 must force spilling");
-    assert_eq!(stats.resident_rows_on_finish, 0);
-    assert_eq!(
-        live_spill_dirs(),
-        dirs_before,
-        "clean run leaked spill dirs"
-    );
-
-    for site in ["spill.write", "spill.read"] {
-        failpoint::arm(site, FailAction::Error("spill chaos".into()));
-        let (result, stats) = drive(&plan, &c, &config, guard());
-        failpoint::disarm(site);
-        let err = result.expect_err(site);
+        // The clean run under this budget genuinely spills and cleans up.
+        let (baseline, stats) = drive(&plan, &c, &config, guard());
+        let baseline = baseline.expect("clean spilling run");
+        assert_eq!(baseline.len(), rows, "{label}");
+        let stats = stats.unwrap();
         assert!(
-            err.to_string().contains(&format!("failpoint {site}")),
-            "site {site} surfaced as {err}"
+            stats.spill_partitions > 0,
+            "{label}: budget 24 must force spilling"
         );
-        assert_eq!(
-            stats.unwrap().resident_rows_on_finish,
-            0,
-            "site {site} leaked resident rows"
-        );
+        assert!(stats.peak_resident_rows <= 24, "{label}");
+        assert_eq!(stats.resident_rows_on_finish, 0, "{label}");
         assert_eq!(
             live_spill_dirs(),
             dirs_before,
-            "site {site} left spill files behind"
+            "{label}: clean run leaked spill dirs"
         );
-    }
 
-    // And the same plan still runs clean after the chaos.
-    let (after, _) = drive(&plan, &c, &config, guard());
-    assert_eq!(after.unwrap(), baseline);
+        for site in ["spill.write", "spill.read"] {
+            failpoint::arm(site, FailAction::Error("spill chaos".into()));
+            let (result, stats) = drive(&plan, &c, &config, guard());
+            failpoint::disarm(site);
+            let err = result.expect_err(site);
+            assert!(
+                err.to_string().contains(&format!("failpoint {site}")),
+                "{label}: site {site} surfaced as {err}"
+            );
+            assert_eq!(
+                stats.unwrap().resident_rows_on_finish,
+                0,
+                "{label}: site {site} leaked resident rows (pending write buffers?)"
+            );
+            assert_eq!(
+                live_spill_dirs(),
+                dirs_before,
+                "{label}: site {site} left spill files behind"
+            );
+        }
+
+        // And the same plan still runs clean after the chaos.
+        let (after, _) = drive(&plan, &c, &config, guard());
+        assert_eq!(after.unwrap(), baseline, "{label}");
+    }
 }
 
 /// `attach.open` chaos over the wire: a fault while opening the table file

@@ -106,6 +106,7 @@ fn fuzz_differential_smoke() {
         report.empty_divisors,
         report.parameterized
     );
+    eprintln!("per strategy: {}", report.strategy_summary());
     assert_eq!(report.cases, config.cases);
     // The grammar must keep exercising the interesting corners.
     if config.cases >= 300 {

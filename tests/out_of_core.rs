@@ -9,10 +9,13 @@
 //!   spilled run's own peak (tiny), whether that budget comes from the
 //!   config or rides on the guard alone. In every budgeted run,
 //!   `peak_resident_rows` stays at or under the budget.
-//! * A dividend far larger than the budget forces *recursive*
-//!   re-partitioning: `spill_rows_written` exceeding the input cardinality
-//!   is the observable evidence that partitions were rewritten at deeper
-//!   levels, and the quotient still matches the reference evaluation.
+//! * The divide spills on its coverage *state*, not on its input: a
+//!   dividend twenty times the budget whose divisor + groups fit never
+//!   touches disk; one whose groups do not fit keeps the groups it holds,
+//!   writes strictly fewer rows than it read, and — when the budget is
+//!   tight enough — forces *recursive* re-partitioning (more partition
+//!   files than a single pass can open), the quotient still matching the
+//!   reference evaluation.
 //! * Attached file-backed tables larger than the budget stream through a
 //!   served `QUERY` chunk-at-a-time, and `EXPLAIN ANALYZE` surfaces the
 //!   zone-map chunk skipping.
@@ -240,14 +243,9 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     );
 }
 
-#[test]
-fn oversized_dividend_recurses_through_multiple_spill_levels() {
-    // 500 quotient groups x 10 parts each = 5000 dividend rows, every group
-    // complete, against a 256-row budget: first-level partitions are still
-    // far over the leaf-fit bound, so they must be re-partitioned at least
-    // once more. Each rewrite counts every row again in
-    // `spill_rows_written`, so written >= 2x the input is the recursion
-    // evidence.
+/// 500 quotient groups x 10 parts each = 5000 dividend rows, every group
+/// complete, and the 10-part divisor.
+fn five_hundred_groups() -> (Catalog, LogicalPlan, Relation) {
     let mut c = Catalog::new();
     c.register(
         "supplies",
@@ -266,12 +264,16 @@ fn oversized_dividend_recurses_through_multiple_spill_levels() {
         .build();
     let expected = div_expr::evaluate(&logical, &c).unwrap();
     assert_eq!(expected.len(), 500);
+    (c, logical, expected)
+}
 
+fn run_five_hundred_groups(batch_size: usize) -> QueryOutput {
+    let (c, logical, expected) = five_hundred_groups();
     let config = PlannerConfig::default()
-        .batch_size(64)
+        .batch_size(batch_size)
         .memory_budget_rows(256)
         .spill_to_disk(true);
-    let engine = Engine::builder(c.clone())
+    let engine = Engine::builder(c)
         .planner_config(config)
         .without_optimizer()
         .build();
@@ -282,17 +284,107 @@ fn oversized_dividend_recurses_through_multiple_spill_levels() {
         "peak {} exceeds the 256-row budget",
         output.stats.peak_resident_rows
     );
-    assert!(
-        output.stats.spill_rows_written >= 2 * 5000,
-        "spill_rows_written = {} shows no recursive re-partitioning",
-        output.stats.spill_rows_written
-    );
+    assert_eq!(output.stats.resident_rows_on_finish, 0);
     assert!(
         output.stats.spill_rows_read >= output.stats.spill_rows_written,
         "every spilled row must be read back (written {}, read {})",
         output.stats.spill_rows_written,
         output.stats.spill_rows_read
     );
+    output
+}
+
+#[test]
+fn oversized_dividend_recurses_through_multiple_spill_levels() {
+    // 510 rows of coverage state against a 256-row budget: the divide
+    // freezes the groups it holds and partitions the rest, and with 64-row
+    // batches the budget leaves so little room that the first-level
+    // partitions are still far over the leaf bound — they must be
+    // re-partitioned at least once more. One pass opens at most 32 files
+    // (the fan-out cap), so more partition files than that is the recursion
+    // evidence. (This used to be `spill_rows_written >= 2 x the dividend`:
+    // true while every dividend row went to disk at least twice, which is
+    // the waste the coverage-state trigger removed.)
+    let output = run_five_hundred_groups(64);
+    assert!(
+        output.stats.spill_partitions > 32,
+        "{} partition files show no recursive re-partitioning",
+        output.stats.spill_partitions
+    );
+    assert!(output.stats.spill_rows_written > 0);
+}
+
+#[test]
+fn overflow_spills_only_the_groups_that_are_not_resident() {
+    // The same dividend with 8-row batches: the margin is small, the
+    // resident state takes some 170 groups and the overflow's partitions
+    // all meet the leaf bound, so a single pass (at most 32 files) wrote
+    // everything that was ever written — and that is strictly less than
+    // the dividend, because the resident groups' rows never leave memory.
+    let output = run_five_hundred_groups(8);
+    let stats = &output.stats;
+    assert!(
+        stats.spill_rows_written > 0,
+        "510 rows of state fit in 256?"
+    );
+    assert!(
+        stats.spill_partitions <= 32,
+        "{} files: not a single pass",
+        stats.spill_partitions
+    );
+    assert!(
+        stats.spill_rows_written < 5000,
+        "the first pass wrote {} of 5000 dividend rows",
+        stats.spill_rows_written
+    );
+    assert_eq!(stats.spill_rows_read, stats.spill_rows_written);
+    // Every dividend row was probed exactly once, resident or spilled.
+    assert_eq!(stats.operators[0].probes, 5000);
+}
+
+#[test]
+fn coverage_state_that_fits_never_touches_disk() {
+    // 20,000 dividend rows against a 1,000-row budget — twenty times over —
+    // but in 200 quotient groups: divisor + groups is 300 rows of state,
+    // which fits, so the dividend streams through and nothing is written.
+    let (groups, parts, batch_size, budget) = (200, 100, 64, 1_000);
+    let (dividend, wanted) = div_bench::division_workload(groups as i64, parts as i64, 1);
+    let (_, grouped) = div_bench::great_divide_workload(1, parts as i64, 4, 25);
+    assert!(dividend.len() >= 20_000);
+    let mut c = Catalog::new();
+    c.register("supplies", dividend);
+    c.register("wanted", wanted);
+    c.register("grouped", grouped);
+    let small = PlanBuilder::scan("supplies")
+        .divide(PlanBuilder::scan("wanted"))
+        .build();
+    let great = PlanBuilder::scan("supplies")
+        .great_divide(PlanBuilder::scan("grouped"))
+        .build();
+    let config = PlannerConfig::default()
+        .batch_size(batch_size)
+        .memory_budget_rows(budget)
+        .spill_to_disk(true);
+    for (logical, label) in [(small, "Divide"), (great, "GreatDivide")] {
+        let expected = div_expr::evaluate(&logical, &c).unwrap();
+        let engine = Engine::builder(c.clone())
+            .planner_config(config)
+            .without_optimizer()
+            .build();
+        let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+        assert_eq!(output.relation, expected, "{label}");
+        let stats = &output.stats;
+        assert_eq!(stats.spill_partitions, 0, "{label}");
+        assert_eq!(stats.spill_rows_written, 0, "{label}");
+        assert!(
+            stats.peak_resident_rows <= budget,
+            "{label}: peak {}",
+            stats.peak_resident_rows
+        );
+        let node = &stats.operators[0];
+        assert!(node.label.starts_with(label), "{}", node.label);
+        assert_eq!(node.peak_retained_rows, parts + groups, "{label}");
+    }
 }
 
 #[test]
