@@ -3,7 +3,6 @@
 use crate::column::Column;
 use crate::hash_table::GroupIndex;
 use crate::key_vector::{cross_matcher, KeyVector};
-use crate::keys::RowKey;
 use crate::Result;
 use div_algebra::{AlgebraError, Relation, Schema, Tuple, Value};
 use std::ops::Range;
@@ -126,11 +125,6 @@ impl ColumnarBatch {
     /// Materialize row `row` as a [`Tuple`].
     pub fn row(&self, row: usize) -> Tuple {
         Tuple::new(self.columns.iter().map(|c| c.value(row)))
-    }
-
-    /// The grouping/join key of `row` over the given column positions.
-    pub fn key_at(&self, row: usize, key_columns: &[usize]) -> RowKey {
-        RowKey::from_batch_row(self, key_columns, row)
     }
 
     /// Positions of the named attributes in this batch's schema.

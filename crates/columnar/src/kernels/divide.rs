@@ -6,7 +6,9 @@
 //! and groups whose bitmap fills up are emitted. One pass over the dividend,
 //! no intermediate tuples beyond the per-group bitmaps — exactly the
 //! intermediate-result profile the paper demands from a special-purpose
-//! operator.
+//! operator. There is one implementation, [`StreamingDivide`], which takes
+//! the dividend chunk by chunk; [`hash_divide`] is that kernel fed the whole
+//! dividend as its only chunk.
 //!
 //! Both key sides run on [`KeyVector`] codes consumed by open-addressing
 //! tables: a plain non-NULL `i64` column normalizes to raw codes (the former
@@ -19,7 +21,6 @@
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{index_rows, GroupIndex};
 use crate::kernels::join::KernelOutput;
-use crate::kernels::project;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::GroupStore;
 use crate::Result;
@@ -99,78 +100,14 @@ impl GroupState {
     }
 }
 
-/// Batch-native small divide `dividend ÷ divisor`.
+/// Batch-native small divide `dividend ÷ divisor`: [`StreamingDivide`] fed
+/// the whole dividend as one chunk.
 pub fn hash_divide(dividend: &ColumnarBatch, divisor: &ColumnarBatch) -> Result<KernelOutput> {
-    let layout = DivideLayout::resolve(dividend.schema(), divisor.schema())?;
-    let a_keys = KeyVector::build(dividend, &layout.dividend_a);
-    let quotient_refs: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
-
-    // Empty divisor: the containment test is vacuously true, every dividend
-    // group qualifies (matching the reference semantics).
-    if divisor.num_rows() == 0 {
-        return Ok(KernelOutput {
-            batch: project::project(dividend, &quotient_refs)?,
-            probes: 0,
-        });
-    }
-
-    let rows = dividend.num_rows();
-
-    // Dense ids for the divisor's distinct B-tuples.
-    let divisor_b_keys = KeyVector::build(divisor, &layout.divisor_b);
-    let b_index = index_rows(divisor, &layout.divisor_b, &divisor_b_keys);
-    let divisor_len = b_index.len();
-    let words = divisor_len.div_ceil(64);
-
-    // One pass over the dividend: look up each row's B id, intern its A
-    // group, set the bit.
-    let dividend_b_keys = KeyVector::build(dividend, &layout.dividend_b);
-    let same_b = cross_matcher(
-        dividend,
-        &layout.dividend_b,
-        &dividend_b_keys,
-        divisor,
-        &layout.divisor_b,
-        &divisor_b_keys,
-    );
-    let same_a = cross_matcher(
-        dividend,
-        &layout.dividend_a,
-        &a_keys,
-        dividend,
-        &layout.dividend_a,
-        &a_keys,
-    );
-    let mut a_index = GroupIndex::with_capacity(rows.min(1 << 20));
-    let mut states: Vec<GroupState> = Vec::new();
-    for row in 0..rows {
-        let b_id = b_index.get(dividend_b_keys.code(row), |other| same_b(row, other));
-        let Some(b_id) = b_id else { continue };
-        let (gid, is_new) = a_index.intern(a_keys.code(row), row, |other| same_a(row, other));
-        if is_new {
-            states.push(GroupState::new(words));
-        }
-        states[gid as usize].set(b_id);
-    }
-
-    // Qualifying groups, in first-occurrence order.
-    let qualifying: Vec<usize> = states
-        .iter()
-        .enumerate()
-        .filter(|(_, state)| state.covered as usize == divisor_len)
-        .map(|(gid, _)| a_index.first_row(gid as u32))
-        .collect();
-
-    // Gather only the quotient columns; the B columns never need to move.
-    let schema = dividend.schema().project(&quotient_refs)?;
-    let columns = layout
-        .dividend_a
-        .iter()
-        .map(|&c| dividend.column(c).gather(&qualifying))
-        .collect();
+    let mut state = StreamingDivide::new(dividend.schema(), divisor.clone())?;
+    let probes = state.consume(dividend);
     Ok(KernelOutput {
-        batch: ColumnarBatch::from_parts(schema, columns, qualifying.len()),
-        probes: rows,
+        batch: state.finish(),
+        probes,
     })
 }
 
@@ -217,10 +154,9 @@ impl FrozenConsume {
 /// The divisor's distinct `B`-tuples are id-indexed once at construction;
 /// [`StreamingDivide::consume`] then folds dividend chunks into per-group
 /// coverage bitmaps without ever concatenating the dividend. Retained state
-/// is one representative row per quotient group plus one bitmap per group —
-/// the same profile as the one-shot [`hash_divide`] — so a deep pipeline can
-/// feed the divide batch-at-a-time with memory bounded by the group count,
-/// not the dividend size. The quotient itself is only known once the whole
+/// is one representative row per quotient group plus one bitmap per group,
+/// so a deep pipeline can feed the divide batch-at-a-time with memory
+/// bounded by the group count, not the dividend size. The quotient itself is only known once the whole
 /// dividend has been consumed: [`StreamingDivide::finish`] emits it, making
 /// the operator's *output* (but not its input) a blocking boundary.
 ///
@@ -266,8 +202,7 @@ impl StreamingDivide {
 
     /// Fold one dividend chunk into the per-group coverage state. Returns
     /// the probes performed — one per chunk row, or zero for an empty
-    /// divisor, exactly matching [`hash_divide`]'s accounting (its
-    /// empty-divisor projection path probes nothing).
+    /// divisor (every group qualifies, nothing is looked up).
     pub fn consume(&mut self, chunk: &ColumnarBatch) -> usize {
         let interned = self.a_store.intern_chunk(chunk);
         while self.states.len() < self.a_store.len() {
@@ -355,7 +290,7 @@ impl StreamingDivide {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use div_algebra::{relation, Relation};
 
@@ -436,6 +371,14 @@ mod tests {
         check(&dividend, &divisor);
     }
 
+    /// The batch's rows cut into consecutive chunks of `chunk_size`.
+    pub(crate) fn chunks_of(batch: &ColumnarBatch, chunk_size: usize) -> Vec<ColumnarBatch> {
+        (0..batch.num_rows())
+            .step_by(chunk_size)
+            .map(|start| batch.slice(start..(start + chunk_size).min(batch.num_rows())))
+            .collect()
+    }
+
     #[test]
     fn streaming_divide_matches_the_one_shot_kernel() {
         let cases: Vec<(Relation, Relation)> = vec![
@@ -459,24 +402,24 @@ mod tests {
             ),
         ];
         for (dividend, divisor) in cases {
+            // The one-shot kernel is the streaming one fed a single chunk,
+            // so both are held against the reference, not each other.
+            let expected = dividend.divide(&divisor).unwrap();
             let dividend = ColumnarBatch::from_relation(&dividend);
             let divisor = ColumnarBatch::from_relation(&divisor);
             let whole = hash_divide(&dividend, &divisor).unwrap();
+            assert_eq!(whole.batch.to_relation().unwrap(), expected);
             for chunk_size in [1, 2, 100] {
                 let mut streaming =
                     StreamingDivide::new(dividend.schema(), divisor.clone()).unwrap();
-                let mut probes = 0;
-                let mut start = 0;
-                while start < dividend.num_rows() {
-                    let end = (start + chunk_size).min(dividend.num_rows());
-                    let indices: Vec<usize> = (start..end).collect();
-                    probes += streaming.consume(&dividend.gather(&indices));
-                    start = end;
-                }
-                assert_eq!(probes, whole.probes, "probe accounting matches the kernel");
+                let probes: usize = chunks_of(&dividend, chunk_size)
+                    .iter()
+                    .map(|chunk| streaming.consume(chunk))
+                    .sum();
+                assert_eq!(probes, whole.probes, "chunking changes no probe count");
                 assert_eq!(
                     streaming.finish().to_relation().unwrap(),
-                    whole.batch.to_relation().unwrap(),
+                    expected,
                     "chunk size {chunk_size}"
                 );
             }

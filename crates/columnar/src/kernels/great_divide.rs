@@ -7,7 +7,10 @@
 //! to. A `(dividend group, divisor group)` pair qualifies exactly when its
 //! counter reaches the divisor group's size. Work is proportional to
 //! `|dividend| * avg(groups per B-value)` instead of the pairwise
-//! `|A-groups| * |C-groups|` subset tests of the row algorithms.
+//! `|A-groups| * |C-groups|` subset tests of the row algorithms. There is
+//! one implementation, [`StreamingGreatDivide`], which takes the dividend
+//! chunk by chunk; [`hash_great_divide`] is that kernel fed the whole
+//! dividend as its only chunk.
 //!
 //! All grouping runs over [`KeyVector`] codes in open-addressing tables;
 //! the pair-keyed bookkeeping (`(B, C)` and `(A, B)` dedup, `(A, C)`
@@ -16,7 +19,7 @@
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{GroupIndex, PairTable};
-use crate::kernels::divide::{hash_divide, FrozenConsume, StreamingDivide};
+use crate::kernels::divide::{FrozenConsume, StreamingDivide};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::GroupStore;
@@ -65,147 +68,17 @@ impl GreatDivideLayout {
     }
 }
 
-/// Batch-native great divide `dividend ÷* divisor`.
+/// Batch-native great divide `dividend ÷* divisor`: [`StreamingGreatDivide`]
+/// fed the whole dividend as one chunk.
 pub fn hash_great_divide(
     dividend: &ColumnarBatch,
     divisor: &ColumnarBatch,
 ) -> Result<KernelOutput> {
-    let layout = GreatDivideLayout::resolve(dividend.schema(), divisor.schema())?;
-    if layout.group.is_empty() {
-        // Darwen & Date: with no group attributes `C` the operator *is* the
-        // small divide.
-        return hash_divide(dividend, divisor);
-    }
-
-    // Normalize the divisor's B and C key columns once per batch.
-    let divisor_b_keys = KeyVector::build(divisor, &layout.divisor_b);
-    let c_keys = KeyVector::build(divisor, &layout.divisor_c);
-    let same_divisor_b = cross_matcher(
-        divisor,
-        &layout.divisor_b,
-        &divisor_b_keys,
-        divisor,
-        &layout.divisor_b,
-        &divisor_b_keys,
-    );
-    let same_c = cross_matcher(
-        divisor,
-        &layout.divisor_c,
-        &c_keys,
-        divisor,
-        &layout.divisor_c,
-        &c_keys,
-    );
-
-    // Dense ids for the distinct shared `B` values and the `C` groups, plus
-    // the inverted `B id -> divisor group ids` index.
-    let divisor_rows = divisor.num_rows();
-    let mut b_ids = GroupIndex::with_capacity(divisor_rows);
-    let mut c_groups = GroupIndex::with_capacity(divisor_rows);
-    let mut c_size: Vec<u32> = Vec::new();
-    let mut groups_of_b: Vec<Vec<u32>> = Vec::new();
-    let mut seen_divisor = PairTable::with_capacity(divisor_rows);
-    for i in 0..divisor_rows {
-        let (b_id, b_new) =
-            b_ids.intern(divisor_b_keys.code(i), i, |other| same_divisor_b(i, other));
-        if b_new {
-            groups_of_b.push(Vec::new());
-        }
-        let (c_gid, c_new) = c_groups.intern(c_keys.code(i), i, |other| same_c(i, other));
-        if c_new {
-            c_size.push(0);
-        }
-        // Count each (B, C) combination once: batches fed through the public
-        // kernel API may transiently hold duplicate rows.
-        if seen_divisor.insert(b_id, c_gid) {
-            c_size[c_gid as usize] += 1;
-            groups_of_b[b_id as usize].push(c_gid);
-        }
-    }
-
-    // Stream the dividend: assign dividend group ids on first sight and bump
-    // the (dividend group, divisor group) counters.
-    let rows = dividend.num_rows();
-    let dividend_a_keys = KeyVector::build(dividend, &layout.dividend_a);
-    let dividend_b_keys = KeyVector::build(dividend, &layout.dividend_b);
-    let same_a = cross_matcher(
-        dividend,
-        &layout.dividend_a,
-        &dividend_a_keys,
-        dividend,
-        &layout.dividend_a,
-        &dividend_a_keys,
-    );
-    let same_b = cross_matcher(
-        dividend,
-        &layout.dividend_b,
-        &dividend_b_keys,
-        divisor,
-        &layout.divisor_b,
-        &divisor_b_keys,
-    );
-    let mut a_groups = GroupIndex::with_capacity(rows.min(1 << 20));
-    let mut counters = PairTable::with_capacity(rows.min(1 << 20));
-    let mut counter_pairs: Vec<(u32, u32)> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    let mut seen_dividend = PairTable::with_capacity(rows.min(1 << 20));
-    for row in 0..rows {
-        let (a_gid, _) =
-            a_groups.intern(dividend_a_keys.code(row), row, |other| same_a(row, other));
-        let b_id = b_ids.get(dividend_b_keys.code(row), |other| same_b(row, other));
-        if let Some(b_id) = b_id {
-            // Likewise, a duplicate (A, B) dividend row must not inflate the
-            // coverage counters.
-            if seen_dividend.insert(a_gid, b_id) {
-                for &c_gid in &groups_of_b[b_id as usize] {
-                    let (slot, is_new) = counters.intern(a_gid, c_gid);
-                    if is_new {
-                        counter_pairs.push((a_gid, c_gid));
-                        counts.push(0);
-                    }
-                    counts[slot as usize] += 1;
-                }
-            }
-        }
-    }
-
-    // Qualifying pairs, in deterministic (dividend group, divisor group)
-    // order.
-    let mut qualifying: Vec<(u32, u32)> = counter_pairs
-        .iter()
-        .zip(&counts)
-        .filter_map(|(&(a_gid, c_gid), &count)| {
-            (count == c_size[c_gid as usize]).then_some((a_gid, c_gid))
-        })
-        .collect();
-    qualifying.sort_unstable();
-
-    // Assemble the output: A columns gathered from dividend group
-    // representatives, C columns from divisor group representatives.
-    let dividend_rows: Vec<usize> = qualifying
-        .iter()
-        .map(|&(a_gid, _)| a_groups.first_row(a_gid))
-        .collect();
-    let divisor_group_rows: Vec<usize> = qualifying
-        .iter()
-        .map(|&(_, c_gid)| c_groups.first_row(c_gid))
-        .collect();
-    let mut out_names: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
-    out_names.extend(layout.group.iter().map(String::as_str));
-    let out_schema = Schema::new(out_names)?;
-    // Gather only the output columns (A from the dividend, C from the
-    // divisor); the B columns never need to move.
-    let mut columns = Vec::with_capacity(out_schema.arity());
-    for &c in &layout.dividend_a {
-        columns.push(dividend.column(c).gather(&dividend_rows));
-    }
-    for &c in &layout.divisor_c {
-        columns.push(divisor.column(c).gather(&divisor_group_rows));
-    }
-    let out_rows = qualifying.len();
+    let mut state = StreamingGreatDivide::new(dividend.schema(), divisor.clone())?;
+    let probes = state.consume(dividend);
     Ok(KernelOutput {
-        batch: ColumnarBatch::from_parts(out_schema, columns, out_rows),
-        probes: rows,
+        batch: state.finish()?,
+        probes,
     })
 }
 
@@ -224,8 +97,8 @@ pub fn great_quotient_schema(dividend: &Schema, divisor: &Schema) -> Result<Sche
 }
 
 /// Great divide with a prebuilt divisor and a *streamed* dividend — the
-/// counting formulation of [`hash_great_divide`] with its dividend pass cut
-/// into chunks. The divisor-side indexes (`B` ids, `C` groups, the inverted
+/// counting formulation with its dividend pass cut into chunks. The
+/// divisor-side indexes (`B` ids, `C` groups, the inverted
 /// `B → groups` lists) are built once at construction; every
 /// [`StreamingGreatDivide::consume`] call folds one dividend chunk into the
 /// id-based `(A, C)` coverage counters, which survive across chunks because
@@ -281,9 +154,8 @@ impl StreamingGreatDivide {
         let quotient_refs: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
         let key_schema = dividend_schema.project(&quotient_refs)?;
 
-        // Divisor-side prep, identical to the one-shot kernel: dense ids for
-        // the distinct `B` values and `C` groups, sizes, and the inverted
-        // `B id -> divisor group ids` lists.
+        // Divisor-side prep: dense ids for the distinct `B` values and `C`
+        // groups, sizes, and the inverted `B id -> divisor group ids` lists.
         let divisor_b_keys = KeyVector::build(&divisor, &layout.divisor_b);
         let c_keys = KeyVector::build(&divisor, &layout.divisor_c);
         let divisor_rows = divisor.num_rows();
@@ -319,6 +191,8 @@ impl StreamingGreatDivide {
                 if c_new {
                     c_size.push(0);
                 }
+                // Count each (B, C) combination once: batches fed through
+                // the public kernel API may transiently hold duplicate rows.
                 if seen_divisor.insert(b_id, c_gid) {
                     c_size[c_gid as usize] += 1;
                     groups_of_b[b_id as usize].push(c_gid);
@@ -346,7 +220,7 @@ impl StreamingGreatDivide {
     }
 
     /// Fold one dividend chunk into the coverage counters. Returns the
-    /// probes performed (one per chunk row, matching [`hash_great_divide`]).
+    /// probes performed (one per chunk row).
     pub fn consume(&mut self, chunk: &ColumnarBatch) -> usize {
         match self {
             StreamingGreatDivide::Small(divide) => divide.consume(chunk),
@@ -468,6 +342,7 @@ impl GreatDivideState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::divide::tests::chunks_of;
     use crate::Column;
     use div_algebra::{relation, Relation, Value};
     use proptest::prelude::*;
@@ -583,8 +458,9 @@ mod tests {
         /// Quotient partitioning with a resident part (Law 2): freeze the
         /// group set after `freeze` chunks, keep consuming the rows of the
         /// resident groups, divide the leftover rows with a fresh state —
-        /// the two quotients are disjoint and their union is the one-shot
-        /// kernel's, and every dividend row is probed exactly once.
+        /// the two quotients are disjoint and their union is the unfrozen
+        /// kernel's (itself the reference operator's), and every dividend
+        /// row is probed exactly once.
         #[test]
         fn frozen_consume_plus_leftover_is_the_whole_quotient(
             dividend in prop::collection::vec((0u32..8, 0u32..5), 0..60),
@@ -608,11 +484,16 @@ mod tests {
             } else {
                 batch_of(&["b"], &divisor_rows)
             };
-            let whole = if great {
-                hash_great_divide(&whole_dividend, &divisor).unwrap()
+            // Unfrozen, in one chunk — anchored at the reference operator.
+            let whole = hash_great_divide(&whole_dividend, &divisor).unwrap();
+            let (dividend_rel, divisor_rel) =
+                (whole_dividend.to_relation().unwrap(), divisor.to_relation().unwrap());
+            let reference = if great {
+                dividend_rel.great_divide(&divisor_rel)
             } else {
-                hash_divide(&whole_dividend, &divisor).unwrap()
+                dividend_rel.divide(&divisor_rel)
             };
+            prop_assert_eq!(whole.batch.to_relation().unwrap(), reference.unwrap());
 
             let mut resident =
                 StreamingGreatDivide::new(whole_dividend.schema(), divisor.clone()).unwrap();
@@ -680,9 +561,13 @@ mod tests {
             ),
         ];
         for (dividend, divisor) in cases {
+            // The one-shot kernel is the streaming one fed a single chunk,
+            // so both are held against the reference, not each other.
+            let expected = dividend.great_divide(&divisor).unwrap();
             let dividend = ColumnarBatch::from_relation(&dividend);
             let divisor = ColumnarBatch::from_relation(&divisor);
             let whole = hash_great_divide(&dividend, &divisor).unwrap();
+            assert_eq!(whole.batch.to_relation().unwrap(), expected);
             assert_eq!(
                 great_quotient_schema(dividend.schema(), divisor.schema()).unwrap(),
                 *whole.batch.schema()
@@ -690,18 +575,14 @@ mod tests {
             for chunk_size in [1, 3, 100] {
                 let mut streaming =
                     StreamingGreatDivide::new(dividend.schema(), divisor.clone()).unwrap();
-                let mut probes = 0;
-                let mut start = 0;
-                while start < dividend.num_rows() {
-                    let end = (start + chunk_size).min(dividend.num_rows());
-                    let indices: Vec<usize> = (start..end).collect();
-                    probes += streaming.consume(&dividend.gather(&indices));
-                    start = end;
-                }
-                assert_eq!(probes, dividend.num_rows());
+                let probes: usize = chunks_of(&dividend, chunk_size)
+                    .iter()
+                    .map(|chunk| streaming.consume(chunk))
+                    .sum();
+                assert_eq!(probes, whole.probes, "chunking changes no probe count");
                 assert_eq!(
                     streaming.finish().unwrap().to_relation().unwrap(),
-                    whole.batch.to_relation().unwrap(),
+                    expected,
                     "chunk size {chunk_size}"
                 );
             }

@@ -1,9 +1,9 @@
 //! Batch-level key normalization: one dense `u64` code per row, computed
 //! once per batch.
 //!
-//! The first columnar backend materialized a [`RowKey`](crate::RowKey) enum
-//! per row per operator — cloning [`Value`]s, allocating a `Vec<Value>` for
-//! composite keys — and pushed it through SipHash `HashMap`s. The hash
+//! Materializing a key object per row per operator — cloning [`Value`]s,
+//! allocating a `Vec<Value>` for composite keys — and pushing it through
+//! SipHash `HashMap`s is what this module exists to avoid. The hash
 //! division family (Graefe, ICDE 1989; Graefe & Cole, TODS 1995) wins
 //! precisely because per-tuple hash work is cheap, so this module makes the
 //! key machinery vectorized and allocation-free: [`KeyVector::build`]
@@ -174,8 +174,7 @@ impl KeyVector {
     }
 
     /// The codes of `indices`-selected rows, in that order — the key-vector
-    /// counterpart of [`ColumnarBatch::gather`], used to carry
-    /// partition-time hashes alongside each partition's rows.
+    /// counterpart of [`ColumnarBatch::gather`].
     pub fn gather(&self, indices: &[usize]) -> KeyVector {
         KeyVector {
             codes: indices.iter().map(|&i| self.codes[i]).collect(),

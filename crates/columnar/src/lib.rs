@@ -19,28 +19,28 @@
 //!   dictionary entry), projection with set-semantics deduplication, hash
 //!   natural/semi/anti joins, union/intersection/difference, Cartesian
 //!   product and theta-join, hash aggregation, and the two division
-//!   operators — a Graefe-style bitmap [hash divide](kernels::hash_divide)
-//!   and a counting [great divide](kernels::hash_great_divide) — all working
-//!   on column slices with a primitive `i64` fast path;
+//!   operators — a Graefe-style bitmap hash divide
+//!   ([`kernels::StreamingDivide`]) and a counting great divide
+//!   ([`kernels::StreamingGreatDivide`]), each consuming its dividend chunk
+//!   by chunk, with [`kernels::hash_divide`] / [`kernels::hash_great_divide`]
+//!   the same kernels fed one chunk — all working on column slices with a
+//!   primitive `i64` fast path;
 //! * [`segment`] / [`zone`] — the resident columnar form of an in-memory
-//!   table ([`TableSegments`]: 1024-row chunks converted once, each with
-//!   per-column min/max [`ColumnZone`]s) and the one zone-map
-//!   implementation both that and the `.divcol` file format use to skip
-//!   chunks under a pushed-down filter ([`chunk_may_match`]);
-//! * [`partition`] — hash partitioning of batches on key columns (the
-//!   routing the spilling operators of `div-physical` partition their
-//!   inputs with) and the linear concatenation that drains chunks back
-//!   into one batch;
+//!   table ([`TableSegments`]: 1024-row chunks converted once and shared
+//!   by every scan, each with per-column min/max [`ColumnZone`]s) and the
+//!   one zone-map implementation both that and the `.divcol` file format
+//!   use to skip chunks under a pushed-down filter ([`chunk_may_match`]);
+//! * [`partition`] — hash routing of a batch's rows on key columns (what
+//!   the spilling operators of `div-physical` partition their inputs
+//!   with) and the linear concatenation that drains chunks back into one
+//!   batch;
 //! * [`key_vector`] / [`hash_table`] — the vectorized key pipeline every
 //!   hash-consuming kernel runs on: [`KeyVector`] normalizes a batch's key
 //!   columns **once per batch** into dense `u64` codes (raw-`i64` fast
 //!   path, per-dictionary-entry string hashing, NULL sentinel, composite
 //!   fold) and the open-addressing [`KeyTable`]/[`GroupIndex`] consume the
 //!   codes with stored-code tags plus verify-on-collision — no `Value` is
-//!   cloned and no `Vec` is allocated per row;
-//! * [`RowKey`] — encoding-independent hashable row keys, retained as the
-//!   allocating reference representation the key pipeline is checked
-//!   against (and for row-at-a-time consumers).
+//!   cloned and no `Vec` is allocated per row.
 //!
 //! The executor that walks physical plans lives in `div-physical`
 //! (`StreamExecutor`); this crate deliberately depends only on
@@ -73,7 +73,6 @@ pub mod column;
 pub mod hash_table;
 pub mod kernels;
 pub mod key_vector;
-pub mod keys;
 pub mod partition;
 pub mod segment;
 pub mod stream;
@@ -83,7 +82,6 @@ pub use batch::ColumnarBatch;
 pub use column::{Column, StrColumn};
 pub use hash_table::{GroupIndex, KeyTable};
 pub use key_vector::KeyVector;
-pub use keys::RowKey;
 pub use segment::{Segment, TableSegments, DEFAULT_CHUNK_ROWS};
 pub use stream::{GroupStore, StreamingDistinct};
 pub use zone::{chunk_may_match, column_zone, ColumnZone};

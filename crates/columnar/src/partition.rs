@@ -1,26 +1,16 @@
-//! Hash partitioning of columnar batches for partition-parallel execution.
+//! Hash routing of a batch's rows, and the linear concatenation that drains
+//! chunks back into one batch.
 //!
-//! The paper attaches explicit parallelization strategies to two laws:
-//!
-//! * **Law 2 + condition `c2`** (Section 5.1.1): hash-partition the dividend
-//!   on the quotient attributes `A`; the partitions' quotient prefixes are
-//!   disjoint by construction, so each partition can be divided
-//!   independently and the partial quotients unioned.
-//! * **Law 13** (Section 5.2.1): hash-partition the divisor on the group
-//!   attributes `C`; each node runs the great divide of the (shared)
-//!   dividend against its divisor slice.
-//!
-//! [`hash_partition`] is the batch-level primitive both strategies share:
-//! the key columns are normalized **once per batch** into a
-//! [`KeyVector`] (no per-row hasher construction, no
-//! per-row key materialization) and each code is routed with a
-//! splitmix-mixed multiply-based fast reduction (no modulo bias), so rows
-//! agreeing on the key always land in the same bucket (the disjointness
-//! the laws require) regardless of the batch's column encodings.
-//! [`hash_partition_keyed`] additionally returns each partition's gathered
-//! key vector; [`partition_rows`] is the routing decision alone, with a seed
-//! that re-randomizes it per recursion level, and [`BatchAppender`] the
-//! per-partition accumulator — together the spilling operators' write path.
+//! [`partition_rows`] is the routing decision: the key columns are
+//! normalized **once per batch** into a [`KeyVector`] (no per-row hasher
+//! construction, no per-row key materialization) and each code is routed
+//! with a splitmix-mixed multiply-based fast reduction (no modulo bias), so
+//! rows agreeing on the key always land in the same bucket regardless of
+//! the batch's column encodings — the disjointness quotient partitioning
+//! (Law 2 with condition `c2`, Section 5.1.1 of the paper) requires. A seed
+//! re-randomizes the routing per recursion level, and [`BatchAppender`] is
+//! the per-partition accumulator — together the spilling operators' write
+//! path.
 
 use crate::batch::ColumnarBatch;
 use crate::column::ColumnAppender;
@@ -28,60 +18,12 @@ use crate::hash_table::{fast_range, mix};
 use crate::key_vector::KeyVector;
 use div_algebra::Schema;
 
-/// Hash-partition `batch` into `partitions` buckets on the given key
-/// columns. Every output batch keeps the full schema; rows with equal keys
-/// land in the same bucket, and every input row lands in exactly one bucket.
-///
-/// `partitions` is clamped to at least 1. With an empty `key_columns` list
-/// every row hashes identically, so all rows land in one bucket — the
-/// degenerate but correct behavior for key-less operators.
-///
-/// ```
-/// use div_algebra::relation;
-/// use div_columnar::{partition::hash_partition, ColumnarBatch};
-///
-/// let batch = ColumnarBatch::from_relation(&relation! {
-///     ["a", "b"] => [1, 10], [1, 20], [2, 10], [3, 30]
-/// });
-/// let parts = hash_partition(&batch, &[0], 2);
-/// // A partition: every row lands in exactly one bucket...
-/// assert_eq!(parts.iter().map(ColumnarBatch::num_rows).sum::<usize>(), 4);
-/// // ...and rows agreeing on the key (here a = 1) share a bucket.
-/// assert!(parts.iter().any(|p| p.num_rows() >= 2));
-/// ```
-pub fn hash_partition(
-    batch: &ColumnarBatch,
-    key_columns: &[usize],
-    partitions: usize,
-) -> Vec<ColumnarBatch> {
-    hash_partition_keyed(batch, key_columns, partitions)
-        .into_iter()
-        .map(|(part, _)| part)
-        .collect()
-}
-
-/// [`hash_partition`], additionally returning each partition's key vector
-/// (the partition-time row hashes gathered alongside the rows).
-pub fn hash_partition_keyed(
-    batch: &ColumnarBatch,
-    key_columns: &[usize],
-    partitions: usize,
-) -> Vec<(ColumnarBatch, KeyVector)> {
-    let partitions = partitions.max(1);
-    let keys = KeyVector::build(batch, key_columns);
-    if partitions == 1 {
-        return vec![(batch.clone(), keys)];
-    }
-    route(&keys, partitions, 0)
-        .into_iter()
-        .map(|rows| (batch.gather(&rows), keys.gather(&rows)))
-        .collect()
-}
-
 /// The routing decision alone: `result[p]` lists, in row order, the rows of
 /// `batch` that belong to partition `p` of `partitions` (clamped to at least
-/// 1). Seed `0` routes exactly like [`hash_partition`]; nothing is gathered,
-/// so a caller that appends the rows somewhere else (the spill writers'
+/// 1). Rows with equal keys land in the same bucket and every row lands in
+/// exactly one; with an empty `key_columns` list every row hashes
+/// identically, so all rows land in one bucket. Nothing is gathered, so a
+/// caller that appends the rows somewhere else (the spill writers'
 /// per-partition buffers, via [`BatchAppender::append_rows`]) copies each
 /// row once.
 ///
@@ -98,15 +40,9 @@ pub fn partition_rows(
     partitions: usize,
     seed: u64,
 ) -> Vec<Vec<usize>> {
-    route(
-        &KeyVector::build(batch, key_columns),
-        partitions.max(1),
-        seed,
-    )
-}
-
-fn route(keys: &KeyVector, partitions: usize, seed: u64) -> Vec<Vec<usize>> {
+    let partitions = partitions.max(1);
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); partitions];
+    let keys = KeyVector::build(batch, key_columns);
     for (row, &code) in keys.codes().iter().enumerate() {
         buckets[fast_range(mix(code ^ seed), partitions)].push(row);
     }
@@ -186,9 +122,9 @@ impl BatchAppender {
 /// Concatenate partition results back into one batch, in partition order.
 ///
 /// All batches must share the first batch's schema (they do by construction
-/// when they came out of [`hash_partition`] followed by a
-/// schema-preserving kernel). Returns `None` for an empty slice, since there
-/// is no schema to make an empty batch from.
+/// when they are the chunks of one stream or partition file). Returns
+/// `None` for an empty slice, since there is no schema to make an empty
+/// batch from.
 ///
 /// # Panics
 ///
@@ -225,8 +161,9 @@ pub fn concat_batches(batches: &[ColumnarBatch]) -> Option<ColumnarBatch> {
 mod tests {
     use super::*;
     use crate::Column;
-    use div_algebra::Value;
+    use div_algebra::{Tuple, Value};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn sample() -> ColumnarBatch {
         let mut rows = Vec::new();
@@ -238,18 +175,29 @@ mod tests {
         ColumnarBatch::from_relation(&div_algebra::Relation::from_rows(["a", "b"], rows).unwrap())
     }
 
-    #[test]
-    fn hash_partition_is_a_partition_with_disjoint_keys() {
-        let batch = sample();
-        let parts = hash_partition(&batch, &[0], 4);
-        assert_eq!(parts.len(), 4);
-        let total: usize = parts.iter().map(ColumnarBatch::num_rows).sum();
-        assert_eq!(total, batch.num_rows());
-        // Key disjointness (the laws' precondition): the same `a` value never
-        // appears in two different partitions.
-        let key_sets: Vec<std::collections::HashSet<crate::RowKey>> = parts
+    /// The routed rows of every bucket, gathered.
+    fn split(batch: &ColumnarBatch, keys: &[usize], partitions: usize) -> Vec<ColumnarBatch> {
+        partition_rows(batch, keys, partitions, 0)
             .iter()
-            .map(|p| (0..p.num_rows()).map(|r| p.key_at(r, &[0])).collect())
+            .map(|rows| batch.gather(rows))
+            .collect()
+    }
+
+    /// The distinct keys of `rows`, as projected tuples.
+    fn key_set(batch: &ColumnarBatch, keys: &[usize], rows: &[usize]) -> BTreeSet<Tuple> {
+        rows.iter()
+            .map(|&row| Tuple::new(keys.iter().map(|&c| batch.value_at(row, c))))
+            .collect()
+    }
+
+    /// Every row is in exactly one bucket and no key is in two.
+    fn assert_partition(batch: &ColumnarBatch, keys: &[usize], routed: &[Vec<usize>]) {
+        let mut rows: Vec<usize> = routed.iter().flatten().copied().collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..batch.num_rows()).collect::<Vec<_>>());
+        let key_sets: Vec<BTreeSet<Tuple>> = routed
+            .iter()
+            .map(|rows| key_set(batch, keys, rows))
             .collect();
         for i in 0..key_sets.len() {
             for j in (i + 1)..key_sets.len() {
@@ -259,17 +207,30 @@ mod tests {
     }
 
     #[test]
+    fn hash_partition_is_a_partition_with_disjoint_keys() {
+        let batch = sample();
+        let routed = partition_rows(&batch, &[0], 4, 0);
+        assert_eq!(routed.len(), 4);
+        // Key disjointness (the laws' precondition): the same `a` value never
+        // appears in two different partitions.
+        assert_partition(&batch, &[0], &routed);
+        assert!(routed.iter().filter(|rows| !rows.is_empty()).count() > 1);
+    }
+
+    #[test]
     fn single_partition_is_the_identity() {
         let batch = sample();
-        let parts = hash_partition(&batch, &[0], 1);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0], batch);
+        for partitions in [0, 1] {
+            let parts = split(&batch, &[0], partitions);
+            assert_eq!(parts.len(), 1);
+            assert_eq!(parts[0], batch);
+        }
     }
 
     #[test]
     fn concat_batches_restores_hash_partitions_as_a_set() {
         let batch = sample();
-        let parts = hash_partition(&batch, &[0, 1], 3);
+        let parts = split(&batch, &[0, 1], 3);
         let glued = concat_batches(&parts).unwrap();
         assert_eq!(glued.num_rows(), batch.num_rows());
         assert_eq!(
@@ -390,27 +351,13 @@ mod tests {
     }
 
     #[test]
-    fn partition_rows_is_the_routing_of_hash_partition() {
+    fn reseeding_regroups_rows_but_never_separates_equal_keys() {
         let batch = sample();
-        let parts = hash_partition(&batch, &[0], 5);
         let routed = partition_rows(&batch, &[0], 5, 0);
-        assert_eq!(routed.len(), 5);
-        for (part, rows) in parts.iter().zip(&routed) {
-            assert_eq!(*part, batch.gather(rows));
-        }
-        // A different seed regroups the rows but never separates equal keys.
         let reseeded = partition_rows(&batch, &[0], 5, 0x9E37_79B9_7F4A_7C15);
+        assert_eq!((routed.len(), reseeded.len()), (5, 5));
         assert_ne!(routed, reseeded);
-        for rows in &reseeded {
-            for &row in rows {
-                let key = batch.key_at(row, &[0]);
-                let home = reseeded
-                    .iter()
-                    .filter(|bucket| bucket.iter().any(|&r| batch.key_at(r, &[0]) == key))
-                    .count();
-                assert_eq!(home, 1);
-            }
-        }
+        assert_partition(&batch, &[0], &reseeded);
         assert_eq!(
             BatchAppender::new(batch.schema().clone()).take().num_rows(),
             0
@@ -466,26 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn keyed_partitioning_carries_the_partition_time_hashes() {
-        let batch = sample();
-        for partitions in [1, 3] {
-            for (part, keys) in hash_partition_keyed(&batch, &[0], partitions) {
-                // The gathered key vector is exactly what a per-partition
-                // rebuild would produce — reuse loses nothing.
-                let rebuilt = crate::key_vector::KeyVector::build(&part, &[0]);
-                assert_eq!(keys.codes(), rebuilt.codes());
-                assert_eq!(keys.exact(), rebuilt.exact());
-            }
-        }
-    }
-
-    #[test]
     fn empty_key_routes_everything_to_one_bucket() {
         let batch = sample();
-        let parts = hash_partition(&batch, &[], 4);
-        let occupied: Vec<usize> = parts
+        let occupied: Vec<usize> = partition_rows(&batch, &[], 4, 0)
             .iter()
-            .map(ColumnarBatch::num_rows)
+            .map(Vec::len)
             .filter(|&n| n > 0)
             .collect();
         assert_eq!(occupied, vec![batch.num_rows()]);
@@ -494,7 +426,8 @@ mod tests {
     #[test]
     fn empty_batch_partitions_are_empty() {
         let empty = ColumnarBatch::empty(div_algebra::Schema::of(["a", "b"]));
-        let parts = hash_partition(&empty, &[0], 3);
+        let parts = split(&empty, &[0], 3);
+        assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|p| p.num_rows() == 0));
     }
 }

@@ -13,6 +13,7 @@
 use crate::batch::ColumnarBatch;
 use crate::zone::{column_zone, ColumnZone};
 use div_algebra::{Relation, Schema, Tuple};
+use std::sync::Arc;
 
 /// Rows per chunk: of a resident table's segments and, by default, of a
 /// `.divcol` file written from a whole relation.
@@ -40,11 +41,13 @@ impl Segment {
 
 /// An immutable in-memory table in columnar layout: consecutive
 /// [`DEFAULT_CHUNK_ROWS`]-row segments (the last may be shorter; none is
-/// empty) in the source relation's sorted order.
+/// empty) in the source relation's sorted order. The segments sit behind
+/// one [`Arc`]: a clone is a second handle on the same rows, which is what
+/// a scan cursor holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSegments {
     schema: Schema,
-    segments: Vec<Segment>,
+    segments: Arc<[Segment]>,
     rows: usize,
 }
 
@@ -68,7 +71,7 @@ impl TableSegments {
         }
         TableSegments {
             schema: relation.schema().clone(),
-            segments,
+            segments: segments.into(),
             rows: relation.len(),
         }
     }
@@ -78,8 +81,9 @@ impl TableSegments {
         &self.schema
     }
 
-    /// The segments, in row order.
-    pub fn segments(&self) -> &[Segment] {
+    /// The segments, in row order. Cloning the [`Arc`] is how a scan keeps
+    /// reading them after the catalog has moved on.
+    pub fn segments(&self) -> &Arc<[Segment]> {
         &self.segments
     }
 

@@ -222,15 +222,26 @@ mod tests {
             "great divides: {}",
             report.great_divides
         );
-        // Six unbudgeted strategies per formulation, at least one
+        // Seven unbudgeted strategies per formulation, at least one
         // formulation per case.
-        assert!(report.executions > 6 * 60);
+        assert!(report.executions > 7 * 60);
+        let tally = |strategy: &str| {
+            report.strategies[STRATEGY_NAMES
+                .iter()
+                .position(|name| *name == strategy)
+                .expect("a strategy of the matrix")]
+        };
+        // Attached tables answer everything registered ones do.
+        let attached = tally("stream/raw/b3/attached");
+        assert_eq!(
+            (attached.executed, attached.declined),
+            (report.formulations, 0),
+            "{}",
+            report.strategy_summary()
+        );
         // The budgeted strategy must do all three: answer in memory, answer
         // after spilling, and decline.
-        let spill = report.strategies[STRATEGY_NAMES
-            .iter()
-            .position(|name| *name == "stream/raw/b3/spill")
-            .expect("the budgeted strategy")];
+        let spill = tally("stream/raw/b3/spill");
         assert!(spill.spilled > 0, "{}", report.strategy_summary());
         assert!(
             spill.executed > spill.spilled,

@@ -11,14 +11,18 @@
 //! (streaming through [`div_sql::Engine`], row through the materializing
 //! reference executor with a manually-run optimizer) plus one out-of-core
 //! strategy — the raw plan, streaming at batch_size 3 under a
-//! [`SPILL_BUDGET_ROWS`]-row memory budget with `spill_to_disk` — and
+//! [`SPILL_BUDGET_ROWS`]-row memory budget with `spill_to_disk` — and one
+//! attached-residency strategy — the raw plan, streaming at batch_size 3,
+//! over a catalog whose tables are `.divcol` files with
+//! [`ATTACHED_CHUNK_ROWS`]-row chunks instead of registered rows — and
 //! demands:
 //!
 //! * byte-identical relations from every strategy — the budgeted one may
 //!   instead *decline* with the typed memory-budget error (a plan whose
 //!   state cannot spill: a distinct set, a product), which is tallied, never
 //!   compared; when it answers, its peak stays within the budget and nothing
-//!   is left resident,
+//!   is left resident; the attached one leaves no table loaded in its
+//!   catalog,
 //! * cross-formulation agreement up to column order,
 //! * `ExecStats` / span-tree consistency: pre-order ids, tree-shaped child
 //!   links, `rows_out` monotonicity through Filter/Project/Rename/Intersect,
@@ -36,7 +40,11 @@ use div_expr::{Catalog, LogicalPlan};
 use div_physical::{execute_with_config, plan_query, ExecStats, PlannerConfig};
 use div_rewrite::{Optimizer, RewriteContext};
 use div_sql::{Engine, Params};
+use div_storage::{TableReader, TableWriter};
 use std::fmt;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A differential mismatch or invariant violation, with everything needed
 /// to replay it.
@@ -106,6 +114,8 @@ struct Strategy {
     exec: Exec,
     /// Resident-row budget, with spilling to disk enabled under it.
     budget: Option<usize>,
+    /// Run over the [`AttachedCatalog`] instead of the registered rows.
+    attached: bool,
 }
 
 enum Exec {
@@ -121,6 +131,12 @@ enum Exec {
 /// rows) reach often, while the smallest ones still run in memory.
 pub const SPILL_BUDGET_ROWS: usize = 16;
 
+/// Rows per chunk of the `stream/raw/b3/attached` strategy's files: small
+/// enough that the generated tables (up to 28 rows) span several chunks,
+/// so zone maps skip some, and larger than the strategy's 3-row batches, so
+/// chunks are served in pieces.
+pub const ATTACHED_CHUNK_ROWS: usize = 4;
+
 const fn strategy(
     name: &'static str,
     optimize: bool,
@@ -132,10 +148,11 @@ const fn strategy(
         optimize,
         exec,
         budget,
+        attached: false,
     }
 }
 
-const STRATEGIES: [Strategy; 7] = [
+const STRATEGIES: [Strategy; 8] = [
     strategy(
         "stream/opt",
         true,
@@ -166,6 +183,15 @@ const STRATEGIES: [Strategy; 7] = [
         Exec::Streaming { batch_size: 3 },
         Some(SPILL_BUDGET_ROWS),
     ),
+    Strategy {
+        attached: true,
+        ..strategy(
+            "stream/raw/b3/attached",
+            false,
+            Exec::Streaming { batch_size: 3 },
+            None,
+        )
+    },
     strategy("row/opt", true, Exec::Compat, None),
     strategy("row/raw", false, Exec::Compat, None),
 ];
@@ -181,6 +207,44 @@ pub const STRATEGY_NAMES: [&str; STRATEGIES.len()] = {
     }
     names
 };
+
+/// A catalog's tables, each written to a `.divcol` file with
+/// [`ATTACHED_CHUNK_ROWS`]-row chunks in a directory of its own and attached
+/// under its name. The directory is removed when this is dropped — on
+/// every exit path of the case that made it.
+struct AttachedCatalog {
+    catalog: Catalog,
+    dir: PathBuf,
+}
+
+impl AttachedCatalog {
+    fn of(registered: &Catalog) -> Result<AttachedCatalog, String> {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let mut attached = AttachedCatalog {
+            catalog: Catalog::new(),
+            dir: std::env::temp_dir().join(format!(
+                "div_conformance_{}_{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            )),
+        };
+        std::fs::create_dir_all(&attached.dir).map_err(|e| e.to_string())?;
+        for (name, relation) in registered.tables() {
+            let path = attached.dir.join(format!("{name}.divcol"));
+            TableWriter::write_relation(&path, relation, ATTACHED_CHUNK_ROWS)
+                .and_then(|()| TableReader::open(&path))
+                .map(|reader| attached.catalog.register_external(name, Arc::new(reader)))
+                .map_err(|e| format!("attaching {name}: {e}"))?;
+        }
+        Ok(attached)
+    }
+}
+
+impl Drop for AttachedCatalog {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
 
 /// Run one case through the full matrix. `Ok` carries execution tallies;
 /// `Err` carries the first mismatch found.
@@ -204,6 +268,8 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
         )
     })?;
     let canonical_reference = canonicalize(&reference);
+    let attached = AttachedCatalog::of(&catalog)
+        .map_err(|e| mismatch("native", "stream/raw/b3/attached", e))?;
 
     let mut report = CaseReport::default();
     for formulation in spec.formulations() {
@@ -263,7 +329,12 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                     if let Some(budget) = strategy.budget {
                         config = config.memory_budget_rows(budget).spill_to_disk(true);
                     }
-                    let mut builder = Engine::builder(catalog.clone()).planner_config(config);
+                    let tables = if strategy.attached {
+                        &attached.catalog
+                    } else {
+                        &catalog
+                    };
+                    let mut builder = Engine::builder(tables.clone()).planner_config(config);
                     if !strategy.optimize {
                         builder = builder.without_optimizer();
                     }
@@ -339,6 +410,17 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                             "budget {budget}: peak_resident_rows = {}, resident_rows_on_finish = {}",
                             stats.peak_resident_rows, stats.resident_rows_on_finish
                         ),
+                    ));
+                }
+            }
+            // The engine's catalog shares its entries with this one, so a
+            // table it had materialized would show up here.
+            if strategy.attached {
+                if let Some((name, _)) = attached.catalog.tables().next() {
+                    return Err(mismatch(
+                        formulation.name,
+                        strategy.name,
+                        format!("attached table {name} was loaded into the catalog"),
                     ));
                 }
             }
@@ -581,7 +663,7 @@ mod tests {
         assert!(report.formulations >= 2);
         // Every unbudgeted strategy answers every formulation; the budgeted
         // one answers or declines.
-        assert!(report.executions >= 6 * report.formulations);
+        assert!(report.executions >= 7 * report.formulations);
         for (name, tally) in STRATEGY_NAMES.iter().zip(&report.strategies) {
             assert_eq!(
                 tally.executed + tally.declined,

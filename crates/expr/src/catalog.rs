@@ -9,7 +9,7 @@
 //! the rewrite rules can check these preconditions the way a real optimizer
 //! would (from schema metadata, not by scanning the data).
 
-use crate::{ExprError, ExternalTable, Result, SchemaProvider};
+use crate::{ExprError, Result, SchemaProvider, TableSource};
 use div_algebra::{Relation, Schema};
 use div_columnar::TableSegments;
 use std::collections::BTreeMap;
@@ -29,67 +29,68 @@ pub struct ForeignKey {
     pub to_attributes: Vec<String>,
 }
 
-/// One catalog entry: either an in-memory relation or a handle to an
-/// external (file-backed) table.
+/// One catalog entry: the same table as rows and as a scannable source.
 ///
-/// An in-memory entry has two representations of the same rows: the
-/// [`Relation`] it was registered with (the interchange and
-/// reference-evaluator type) and, from the first streaming scan on, its
-/// columnar [`TableSegments`] — converted once per registered table, not
-/// once per query. The cell is [`Arc`]'d, so catalog clones (the
-/// copy-on-write step of a mutation) share the conversion, and a
-/// re-`register` under the same name starts a fresh entry with a fresh
-/// cell.
-///
-/// External entries carry a lazily-populated materialization cache so the
-/// `&Relation`-returning lookups ([`Catalog::table`]) keep working: the
-/// first such lookup loads the file, later ones (and catalog clones, which
-/// share the [`Arc`]'d cell) reuse the loaded copy. Streaming executors
-/// never touch the cache — they scan chunk-at-a-time through
-/// [`Catalog::external`].
+/// Registration fills one of the two cells — [`Catalog::register`] the
+/// rows, [`Catalog::register_external`] the source — and first use derives
+/// the other: a streaming scan of registered rows converts them once into
+/// resident [`TableSegments`], a [`Catalog::table`] lookup of an attached
+/// file materializes it once. Both cells are [`Arc`]'d, so catalog clones
+/// (the copy-on-write step of a mutation) share whatever was derived, and a
+/// re-registration under the same name starts a fresh entry with fresh
+/// cells.
 #[derive(Debug, Clone)]
-enum TableEntry {
-    Memory {
-        relation: Arc<Relation>,
-        segments: Arc<OnceLock<Arc<TableSegments>>>,
-    },
-    External {
-        table: Arc<dyn ExternalTable>,
-        cache: Arc<OnceLock<Arc<Relation>>>,
-    },
+struct TableEntry {
+    rows: Arc<OnceLock<Arc<Relation>>>,
+    source: Arc<OnceLock<Arc<dyn TableSource>>>,
 }
 
 impl TableEntry {
-    /// The entry as a shared in-memory relation, materializing (and
-    /// caching) an external table on first use.
-    fn resolve(&self) -> Result<&Arc<Relation>> {
-        match self {
-            TableEntry::Memory { relation, .. } => Ok(relation),
-            TableEntry::External { table, cache } => {
-                if let Some(rel) = cache.get() {
-                    return Ok(rel);
-                }
-                let loaded = Arc::new(table.materialize()?);
-                // A concurrent materialization may have won the race; both
-                // loaded the same file, so either copy is fine.
-                Ok(cache.get_or_init(|| loaded))
-            }
-        }
+    /// The rows, when registration did not fill the source.
+    fn registered_rows(&self) -> &Arc<Relation> {
+        self.rows.get().expect("registration fills rows or source")
     }
 
-    /// The relation if it is resident in memory (always for `Memory`
-    /// entries, only after materialization for external ones).
-    fn resident(&self) -> Option<&Relation> {
-        match self {
-            TableEntry::Memory { relation, .. } => Some(relation),
-            TableEntry::External { cache, .. } => cache.get().map(Arc::as_ref),
+    /// The source, when registration did not fill the rows.
+    fn registered_source(&self) -> &Arc<dyn TableSource> {
+        self.source
+            .get()
+            .expect("registration fills rows or source")
+    }
+
+    /// The entry as a relation, materializing (and caching) an attached
+    /// table on first use.
+    fn rows(&self) -> Result<&Arc<Relation>> {
+        if let Some(rows) = self.rows.get() {
+            return Ok(rows);
         }
+        let loaded = Arc::new(self.registered_source().materialize()?);
+        // A concurrent materialization may have won the race; both read
+        // the same source, so either copy is fine.
+        Ok(self.rows.get_or_init(|| loaded))
+    }
+
+    /// The entry as a scannable source, converting (and caching) registered
+    /// rows on first use.
+    fn source(&self) -> &Arc<dyn TableSource> {
+        self.source
+            .get_or_init(|| Arc::new(TableSegments::from_relation(self.registered_rows())))
     }
 
     fn schema(&self) -> &Schema {
-        match self {
-            TableEntry::Memory { relation, .. } => relation.schema(),
-            TableEntry::External { table, .. } => table.schema(),
+        match self.rows.get() {
+            Some(rows) => rows.schema(),
+            None => self.registered_source().schema(),
+        }
+    }
+
+    /// From the source's metadata once there is a source (so the answer for
+    /// an attached file stays its footer's, materialized or not), else from
+    /// the registered rows.
+    fn row_count(&self) -> usize {
+        match self.source.get() {
+            Some(source) => source.row_count(),
+            None => self.registered_rows().len(),
         }
     }
 }
@@ -99,14 +100,14 @@ impl TableEntry {
 /// Tables are stored behind [`Arc`]s, so cloning a catalog (the
 /// copy-on-write step of `div_sql::Engine::mutate_catalog`) copies only the
 /// name map, and executors can hold shared handles to the tables they scan
-/// ([`Catalog::table_segments`]) that outlive subsequent catalog mutations
-/// — the foundation of snapshot isolation for concurrent serving.
+/// ([`Catalog::source`]) that outlive subsequent catalog mutations — the
+/// foundation of snapshot isolation for concurrent serving.
 ///
-/// A table may alternatively be *external* — backed by a file through the
-/// [`ExternalTable`] trait and registered with
-/// [`register_external`](Catalog::register_external) — in which case the
-/// catalog holds only the handle and (after first use) a cached
-/// materialization.
+/// A table is registered either as rows ([`Catalog::register`]) or as an
+/// attached [`TableSource`] such as a `div-storage` file
+/// ([`Catalog::register_external`]); every table of either kind is scanned
+/// through [`Catalog::source`], counted through [`Catalog::row_count`] and
+/// available as a [`Relation`] through [`Catalog::table`].
 #[derive(Debug, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, TableEntry>,
@@ -156,103 +157,84 @@ impl Catalog {
         self.version
     }
 
-    /// Register (or replace) a table.
+    /// Register (or replace) a table. Nothing is converted here: the
+    /// columnar segments are built by the first [`Catalog::source`] call.
     pub fn register(&mut self, name: impl Into<String>, relation: Relation) -> &mut Self {
-        self.tables.insert(
-            name.into(),
-            TableEntry::Memory {
-                relation: Arc::new(relation),
-                segments: Arc::new(OnceLock::new()),
-            },
-        );
-        self.version = next_version();
-        self
+        let entry = TableEntry {
+            rows: Arc::new(OnceLock::from(Arc::new(relation))),
+            source: Arc::default(),
+        };
+        self.insert(name.into(), entry)
     }
 
     /// Register (or replace) a table backed by an external store (a
     /// `div-storage` file, typically). The catalog keeps only the handle;
-    /// the data is read chunk-at-a-time by streaming scans
-    /// ([`Catalog::external`]) and materialized into RAM at most once, on
-    /// the first [`Catalog::table`]-style lookup.
+    /// streaming scans read the data chunk-at-a-time through it, planning
+    /// reads its [`TableSource::row_count`], and it is materialized into RAM
+    /// at most once, by the first [`Catalog::table`] lookup.
     pub fn register_external(
         &mut self,
         name: impl Into<String>,
-        table: Arc<dyn ExternalTable>,
+        table: Arc<dyn TableSource>,
     ) -> &mut Self {
-        self.tables.insert(
-            name.into(),
-            TableEntry::External {
-                table,
-                cache: Arc::new(OnceLock::new()),
-            },
-        );
+        let entry = TableEntry {
+            rows: Arc::default(),
+            source: Arc::new(OnceLock::from(table)),
+        };
+        self.insert(name.into(), entry)
+    }
+
+    fn insert(&mut self, name: String, entry: TableEntry) -> &mut Self {
+        self.tables.insert(name, entry);
         self.version = next_version();
         self
     }
 
-    /// The external-table handle behind `name`, if `name` is registered as
-    /// an external table. In-memory tables and unknown names return `None`
-    /// — callers fall back to [`Catalog::table_segments`].
-    pub fn external(&self, name: &str) -> Option<Arc<dyn ExternalTable>> {
-        match self.tables.get(name) {
-            Some(TableEntry::External { table, .. }) => Some(Arc::clone(table)),
-            _ => None,
-        }
-    }
-
-    /// Remove a table (and every constraint that mentions it). Returns the
-    /// removed relation (materializing an external table if it was never
-    /// loaded), or an [`ExprError::UnknownTable`] error when no such table
-    /// is registered. Bumps the catalog version.
-    pub fn unregister(&mut self, name: &str) -> Result<Arc<Relation>> {
-        let removed = self
-            .tables
-            .remove(name)
-            .ok_or_else(|| ExprError::UnknownTable {
-                table: name.to_string(),
-            })?;
-        self.unique_keys.remove(name);
-        self.foreign_keys
-            .retain(|fk| fk.from_table != name && fk.to_table != name);
-        self.version = next_version();
-        Ok(Arc::clone(removed.resolve()?))
-    }
-
-    /// Look up a table, materializing an external table on first use.
-    pub fn table(&self, name: &str) -> Result<&Relation> {
+    fn entry(&self, name: &str) -> Result<&TableEntry> {
         self.tables
             .get(name)
             .ok_or_else(|| ExprError::UnknownTable {
                 table: name.to_string(),
             })
-            .and_then(|entry| entry.resolve().map(Arc::as_ref))
     }
 
-    /// The columnar segments of the in-memory table `name`: what a
-    /// streaming scan reads. The first call converts the relation
-    /// ([`TableSegments::from_relation`]; `register` itself converts
-    /// nothing), every later call — on this catalog or any clone that still
-    /// holds the same registration — returns the same [`Arc`]. The handle
-    /// outlives catalog mutations, so an in-flight scan keeps reading the
-    /// snapshot it was compiled against.
-    ///
-    /// External tables have no resident segments — they are scanned off
-    /// their file through [`Catalog::external`] — so asking for them is an
-    /// error, as is an unknown name.
-    pub fn table_segments(&self, name: &str) -> Result<Arc<TableSegments>> {
-        match self.tables.get(name) {
-            None => Err(ExprError::UnknownTable {
-                table: name.to_string(),
-            }),
-            Some(TableEntry::Memory { relation, segments }) => {
-                Ok(Arc::clone(segments.get_or_init(|| {
-                    Arc::new(TableSegments::from_relation(relation))
-                })))
-            }
-            Some(TableEntry::External { .. }) => Err(ExprError::invalid(format!(
-                "table {name} is external: scan it through its file, not resident segments"
-            ))),
-        }
+    /// Remove a table (and every constraint that mentions it), or report an
+    /// [`ExprError::UnknownTable`] when no such table is registered. Bumps
+    /// the catalog version. The table's data is not touched: dropping an
+    /// attached file neither reads it nor needs it to still exist.
+    pub fn unregister(&mut self, name: &str) -> Result<()> {
+        self.entry(name)?;
+        self.tables.remove(name);
+        self.unique_keys.remove(name);
+        self.foreign_keys
+            .retain(|fk| fk.from_table != name && fk.to_table != name);
+        self.version = next_version();
+        Ok(())
+    }
+
+    /// Look up a table as rows, materializing an attached table on first
+    /// use. This is the reference path (the reference evaluator, the row
+    /// executor, constraint validation); streaming execution and planning
+    /// go through [`Catalog::source`] and [`Catalog::row_count`] and never
+    /// load a file.
+    pub fn table(&self, name: &str) -> Result<&Relation> {
+        self.entry(name)?.rows().map(Arc::as_ref)
+    }
+
+    /// What a streaming scan of `name` reads. For registered rows the
+    /// first call converts them ([`TableSegments::from_relation`]); every
+    /// later call — on this catalog or any clone that still holds the same
+    /// registration — returns the same [`Arc`], as it does from the start
+    /// for an attached table. The handle outlives catalog mutations, so an
+    /// in-flight scan keeps reading the snapshot it was compiled against.
+    pub fn source(&self, name: &str) -> Result<Arc<dyn TableSource>> {
+        self.entry(name).map(|entry| Arc::clone(entry.source()))
+    }
+
+    /// The number of rows of `name`, from whichever representation the
+    /// entry already has — nothing is converted and no file is read.
+    pub fn row_count(&self, name: &str) -> Result<usize> {
+        self.entry(name).map(TableEntry::row_count)
     }
 
     /// `true` if a table with this name is registered.
@@ -262,13 +244,14 @@ impl Catalog {
 
     /// Iterate over `(name, relation)` pairs in name order.
     ///
-    /// Only memory-resident data is yielded: external tables appear after
-    /// their first materializing lookup and are silently skipped before it
-    /// (this iterator cannot fail and must not do IO).
+    /// Only rows already in memory are yielded: an attached table appears
+    /// after its first materializing [`Catalog::table`] lookup and is
+    /// silently skipped before it (this iterator cannot fail and must not
+    /// do IO).
     pub fn tables(&self) -> impl Iterator<Item = (&str, &Relation)> + '_ {
         self.tables
             .iter()
-            .filter_map(|(n, entry)| entry.resident().map(|r| (n.as_str(), r)))
+            .filter_map(|(n, entry)| Some((n.as_str(), entry.rows.get()?.as_ref())))
     }
 
     /// Number of registered tables.
@@ -499,8 +482,7 @@ mod tests {
         c.declare_foreign_key("supplies", &["p#"], "parts", &["p#"])
             .unwrap();
         let before = c.version();
-        let removed = c.unregister("parts").unwrap();
-        assert_eq!(removed.schema().names(), vec!["p#", "color"]);
+        c.unregister("parts").unwrap();
         assert!(!c.contains_table("parts"));
         assert!(!c.is_unique("parts", &["p#"]));
         assert!(c.foreign_keys().is_empty());
@@ -514,23 +496,44 @@ mod tests {
     #[test]
     fn segments_are_built_once_per_registration_and_shared_by_clones() {
         let mut c = catalog();
-        let first = c.table_segments("parts").unwrap();
-        assert_eq!(first.num_rows(), 2);
-        assert!(Arc::ptr_eq(&first, &c.table_segments("parts").unwrap()));
+        assert_eq!(c.row_count("parts").unwrap(), 2);
+        let first = c.source("parts").unwrap();
+        assert_eq!(first.row_count(), 2);
+        assert!(Arc::ptr_eq(&first, &c.source("parts").unwrap()));
         // A clone mutated elsewhere still shares the conversion...
         let mut clone = c.clone();
         clone.register("other", relation! { ["x"] => [1] });
-        assert!(Arc::ptr_eq(&first, &clone.table_segments("parts").unwrap()));
+        assert!(Arc::ptr_eq(&first, &clone.source("parts").unwrap()));
         // ...a new registration under the same name does not, and the old
         // handle keeps the old rows.
         c.register("parts", relation! { ["p#", "color"] => [9, "green"] });
-        let fresh = c.table_segments("parts").unwrap();
+        let fresh = c.source("parts").unwrap();
         assert!(!Arc::ptr_eq(&first, &fresh));
-        assert_eq!((first.num_rows(), fresh.num_rows()), (2, 1));
-        assert!(matches!(
-            c.table_segments("nope").unwrap_err(),
-            ExprError::UnknownTable { .. }
-        ));
+        assert_eq!((first.row_count(), fresh.row_count()), (2, 1));
+        assert_eq!(c.row_count("parts").unwrap(), 1);
+        for missing in [c.source("nope").map(drop), c.row_count("nope").map(drop)] {
+            assert!(matches!(
+                missing.unwrap_err(),
+                ExprError::UnknownTable { .. }
+            ));
+        }
+    }
+
+    #[test]
+    fn an_attached_source_is_rows_only_after_a_table_lookup() {
+        let rows = relation! { ["p#", "color"] => [1, "blue"], [2, "red"] };
+        let attached: Arc<dyn TableSource> = Arc::new(TableSegments::from_relation(&rows));
+        let mut c = Catalog::new();
+        c.register_external("parts", Arc::clone(&attached));
+        assert_eq!(c.row_count("parts").unwrap(), 2);
+        assert!(Arc::ptr_eq(&attached, &c.source("parts").unwrap()));
+        assert_eq!(
+            c.table_schema("parts").unwrap().names(),
+            vec!["p#", "color"]
+        );
+        assert_eq!(c.tables().count(), 0, "nothing above materializes");
+        assert_eq!(c.table("parts").unwrap(), &rows);
+        assert_eq!(c.tables().count(), 1);
     }
 
     #[test]

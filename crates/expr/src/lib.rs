@@ -49,7 +49,7 @@ pub use catalog::Catalog;
 pub use equivalence::{plans_equivalent_on, EquivalenceReport};
 pub use error::ExprError;
 pub use eval::{evaluate, evaluate_with_stats, EvalStats};
-pub use external::{ExternalScan, ExternalTable};
+pub use external::{ChunkScan, TableSource};
 pub use plan::{LogicalPlan, Transformed};
 pub use schema::{infer_schema, SchemaProvider};
 

@@ -4,22 +4,24 @@ use super::blocking::{AggregateStream, BlockingStream, ProductStream};
 use super::divide::DivideStream;
 use super::join::{HashJoinStream, JoinKind, ThetaJoinStream};
 use super::pipeline::{FilterStream, ProjectStream, RenameStream, UnionStream};
-use super::scan::{ExternalScanStream, ScanStream, ValuesStream};
+use super::scan::ScanStream;
 use super::{BatchStream, OpMeta, StreamContext};
 use crate::plan::PhysicalPlan;
 use crate::planner::PlannerConfig;
 use crate::trace::{OperatorId, QueryTrace};
 use crate::Result;
 use div_algebra::{AlgebraError, Predicate, Schema};
-use div_columnar::{kernels, ColumnarBatch};
+use div_columnar::{kernels, ColumnarBatch, TableSegments};
 use div_expr::{Catalog, ExprError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Compile a physical plan into a streaming operator tree rooted at a
 /// [`BatchStream`]. Schema inference and validation happen here, before any
-/// batch flows; the returned stream shares the catalog's base tables (an
-/// in-memory table is converted to columnar segments by the first scan
-/// compiled over it, and no chunk is copied until it is actually pulled).
+/// batch flows; the returned stream shares the catalog's base tables
+/// (registered rows are converted to columnar segments by the first scan
+/// compiled over them; no file is opened and no chunk is copied until it is
+/// actually pulled).
 pub fn compile_stream(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -61,7 +63,7 @@ impl Compiler<'_> {
 
     /// Compile one node. `pushdown` is a predicate the *immediate* plan
     /// node may push down — only the `TableScan` arm consumes it (handing
-    /// it to the zone-map-skipping scan of a resident or attached table);
+    /// it to the table source, whose zone maps may then skip whole chunks);
     /// every other node ignores it, so a pushdown never crosses more than
     /// one plan edge.
     fn compile(
@@ -112,17 +114,18 @@ impl Compiler<'_> {
         pushdown: Option<&Predicate>,
     ) -> Result<Box<dyn BatchStream>> {
         Ok(match plan {
-            PhysicalPlan::TableScan { table } => match self.catalog.external(table) {
-                Some(external) => {
-                    Box::new(ExternalScanStream::new(meta, external, pushdown.cloned()))
-                }
-                None => Box::new(ScanStream::new(
-                    meta,
-                    self.catalog.table_segments(table)?,
-                    pushdown.cloned(),
-                )),
-            },
-            PhysicalPlan::Values { relation } => Box::new(ValuesStream::new(meta, relation)),
+            PhysicalPlan::TableScan { table } => Box::new(ScanStream::new(
+                meta,
+                self.catalog.source(table)?,
+                pushdown.cloned(),
+            )),
+            // Inline constants are owned by the plan, which does not outlive
+            // compilation: the stream gets its own columnar copy.
+            PhysicalPlan::Values { relation } => Box::new(ScanStream::new(
+                meta,
+                Arc::new(TableSegments::from_relation(relation)),
+                None,
+            )),
             PhysicalPlan::Filter { input, predicate } => {
                 // The filter's own predicate is offered to its child as a
                 // pushdown (consumed only by table scans, whose zone maps

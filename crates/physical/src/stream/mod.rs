@@ -7,11 +7,12 @@
 //! [`PhysicalPlan`] into a tree of [`BatchStream`] operators instead —
 //! the classic Volcano iterator protocol (Graefe), batch-at-a-time:
 //!
-//! * **scans** emit a base table's columnar chunks — the resident
-//!   segments of an in-memory table, the decoded chunks of an attached
-//!   file — in batches of at most [`PlannerConfig::batch_size`] rows, one
-//!   pull at a time: an unconsumed stream never touches the rest of the
-//!   table, and a pushed-down filter skips chunks its zone maps exclude;
+//! * **the scan** emits the chunks of a [`div_expr::TableSource`] — the
+//!   resident segments of a registered table, the decoded chunks of an
+//!   attached file, an inline `Values` relation — in batches of at most
+//!   [`PlannerConfig::batch_size`] rows, one pull at a time: an unconsumed
+//!   stream never touches the rest of the table, and a pushed-down filter
+//!   lets the source skip chunks its zone maps exclude;
 //! * **pipelining operators** (filter, project, rename, union, the
 //!   nested-loop theta-join's probe side) transform one chunk at a time.
 //!   Projection and union keep set semantics with a streaming distinct
@@ -53,8 +54,9 @@
 //! did*, so a consumer that stops early (drop, `take(n)`) leaves
 //! `rows_scanned` strictly below the table cardinality. In addition the
 //! executor tracks every batch it materializes (in-flight chunks, blocking
-//! buffers, build and distinct state — but not the scans' base tables,
-//! which belong to the catalog) and reports the high-water mark as
+//! buffers, build and distinct state — but not what a scan reads from: the
+//! catalog's segments, or the one file chunk it is serving in pieces) and
+//! reports the high-water mark as
 //! [`ExecStats::peak_resident_batches`] / [`ExecStats::peak_resident_rows`]:
 //! for a pipeline of streaming operators that peak is O(depth ×
 //! batch_size), not O(table).

@@ -87,8 +87,8 @@ const MAX_FANOUT: usize = 32;
 pub(super) const MAX_SPILL_LEVELS: usize = 6;
 
 /// Routing seed for recursion level `level` (level 0 — the first, in-line
-/// partitioning pass — uses seed 0, the plain
-/// [`partition::hash_partition`] routing). The odd multiplier is the
+/// partitioning pass — uses seed 0, the unseeded
+/// [`partition::partition_rows`] routing). The odd multiplier is the
 /// golden-ratio mixing constant.
 pub(super) fn spill_seed(level: usize) -> u64 {
     (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -111,8 +111,8 @@ impl CostModel {
         match plan {
             LogicalPlan::Scan { table } => ctx
                 .catalog()
-                .and_then(|c| c.table(table).ok())
-                .map(|r| r.len() as f64)
+                .and_then(|c| c.row_count(table).ok())
+                .map(|rows| rows as f64)
                 .unwrap_or(Self::DEFAULT_TABLE_CARDINALITY),
             LogicalPlan::Values { relation } => relation.len() as f64,
             LogicalPlan::Select { input, predicate } => {

@@ -15,9 +15,11 @@
 //!   min/max zone maps, CRC-32 on every chunk and on the footer) that
 //!   round-trips every [`div_algebra::Relation`] losslessly;
 //! * [`TableScanCursor`] — chunk-at-a-time reads with zone-map chunk
-//!   skipping under a pushed-down [`div_algebra::Predicate`], implementing
-//!   [`div_expr::ExternalTable`] / [`div_expr::ExternalScan`] so a file
-//!   can be attached to the catalog and scanned without materializing;
+//!   skipping under a pushed-down [`div_algebra::Predicate`]. The reader
+//!   and its cursor implement [`div_expr::TableSource`] /
+//!   [`div_expr::ChunkScan`], so a file attached to the catalog is counted
+//!   from its footer and scanned by the same operator as a registered
+//!   table, without ever being loaded;
 //! * [`SpillManager`] — temp-directory lifecycle for spill partitions,
 //!   which reuse the same file format (same checksums, same cursors).
 //!

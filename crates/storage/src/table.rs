@@ -25,7 +25,7 @@ use crate::codec::{self, put_str, put_u16, put_u32, put_u64, ByteReader};
 use crate::{Result, StorageError};
 use div_algebra::{Predicate, Relation, Schema};
 use div_columnar::{chunk_may_match, column_zone, ColumnZone, ColumnarBatch};
-use div_expr::{ExprError, ExternalScan, ExternalTable};
+use div_expr::{ChunkScan, ExprError, TableSource};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -418,7 +418,7 @@ impl TableScanCursor {
     }
 }
 
-impl ExternalTable for TableReader {
+impl TableSource for TableReader {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -427,20 +427,12 @@ impl ExternalTable for TableReader {
         self.rows as usize
     }
 
-    fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    fn open_scan(&self, predicate: Option<&Predicate>) -> div_expr::Result<Box<dyn ExternalScan>> {
+    fn open_scan(&self, predicate: Option<&Predicate>) -> div_expr::Result<Box<dyn ChunkScan>> {
         Ok(Box::new(self.scan(predicate)?))
-    }
-
-    fn materialize(&self) -> div_expr::Result<Relation> {
-        Ok(self.to_relation()?)
     }
 }
 
-impl ExternalScan for TableScanCursor {
+impl ChunkScan for TableScanCursor {
     fn next_chunk(&mut self) -> div_expr::Result<Option<ColumnarBatch>> {
         TableScanCursor::next_chunk(self).map_err(ExprError::from)
     }

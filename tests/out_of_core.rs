@@ -18,7 +18,8 @@
 //!   reference evaluation.
 //! * Attached file-backed tables larger than the budget stream through a
 //!   served `QUERY` chunk-at-a-time, and `EXPLAIN ANALYZE` surfaces the
-//!   zone-map chunk skipping.
+//!   zone-map chunk skipping. Neither planning nor streaming loads the file
+//!   into the catalog, and `DROP` does not read what it drops.
 
 use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
 use div_expr::{Catalog, LogicalPlan, PlanBuilder};
@@ -392,8 +393,9 @@ fn attached_table_larger_than_budget_streams_through_a_served_query() {
     use div_server::{Client, Server, ServerConfig};
     use std::sync::Arc;
 
-    // A 10k-row file in 256-row chunks: far over the 600-row budget, so the
-    // served query can only succeed by streaming chunk-at-a-time.
+    // A 10k-row file in 256-row chunks, far over the 600-row budget: the
+    // served query streams it chunk-at-a-time, and the catalog — which the
+    // budget does not meter — never holds its rows.
     let path = temp_path("served");
     let _cleanup = RemoveOnDrop(path.clone());
     let big = Relation::from_rows(["a", "b"], (0..10_000i64).map(|i| vec![i, i % 7])).unwrap();
@@ -422,7 +424,103 @@ fn attached_table_larger_than_budget_streams_through_a_served_query() {
         analyzed.contains("chunks skipped:"),
         "EXPLAIN ANALYZE must surface zone-map skipping:\n{analyzed}"
     );
+    assert_eq!(
+        server.engine().catalog().tables().count(),
+        0,
+        "serving an attached table must not materialize it"
+    );
 
+    client.close().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn planning_and_streaming_never_load_an_attached_table() {
+    let path = temp_path("unloaded");
+    let _cleanup = RemoveOnDrop(path.clone());
+    let big = Relation::from_rows(["a", "b"], (0..5_000i64).map(|i| vec![i / 7, i % 7])).unwrap();
+    div_storage::TableWriter::write_relation(&path, &big, 1024).unwrap();
+    let mut c = Catalog::new();
+    c.register_external(
+        "big",
+        std::sync::Arc::new(div_storage::TableReader::open(&path).unwrap()),
+    );
+    c.register("wanted", relation! { ["b"] => [1], [2], [3] });
+    let resident = |engine: &Engine| -> Vec<String> {
+        let catalog = engine.catalog();
+        catalog.tables().map(|(name, _)| name.to_string()).collect()
+    };
+
+    for optimizer in [true, false] {
+        let builder = Engine::builder(c.clone());
+        let engine = if optimizer {
+            builder.build()
+        } else {
+            builder.without_optimizer().build()
+        };
+        for sql in [
+            "SELECT a, b FROM big WHERE b = 3",
+            "SELECT a FROM big AS s DIVIDE BY wanted AS w ON s.b = w.b",
+        ] {
+            let drained = engine.query(sql).unwrap().collect().unwrap();
+            assert!(!drained.relation.is_empty(), "{sql}");
+            engine.prepare(sql).unwrap();
+            engine.explain(sql).unwrap();
+            engine.explain_analyze(sql).unwrap();
+            assert_eq!(
+                resident(&engine),
+                ["wanted"],
+                "optimizer {optimizer}, {sql}: the attached table became resident"
+            );
+        }
+    }
+
+    // The reference path is the one way the file becomes rows.
+    assert_eq!(c.table("big").unwrap(), &big);
+    assert_eq!(c.tables().count(), 2);
+}
+
+#[test]
+fn drop_does_not_read_the_file_it_detaches() {
+    use div_server::{Client, Server, ServerConfig};
+    use std::sync::Arc;
+
+    let path = temp_path("dropped");
+    let cleanup = RemoveOnDrop(path.clone());
+    let rows = Relation::from_rows(["a", "b"], (0..100i64).map(|i| vec![i, i % 7])).unwrap();
+    div_storage::TableWriter::write_relation(&path, &rows, 16).unwrap();
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(Engine::new(Catalog::new())),
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .attach("gone", path.to_str().expect("utf-8 temp path"))
+        .unwrap();
+
+    // The file disappears under the registration (which never read more
+    // than its footer); DROP still succeeds …
+    drop(cleanup);
+    assert!(!path.exists());
+    let dropped = client.exchange("MUTATE DROP gone").unwrap();
+    assert!(
+        dropped
+            .last()
+            .is_some_and(|line| line.starts_with("OK version ")),
+        "{dropped:?}"
+    );
+    assert!(!server.engine().catalog().contains_table("gone"));
+    // … the name is unknown from then on, and the pool keeps serving.
+    let err = client.query("SELECT a FROM gone").unwrap_err();
+    assert!(err.to_string().contains("gone"), "{err}");
+    client.ping().unwrap();
+    let mut second = Client::connect(server.local_addr()).unwrap();
+    second.ping().unwrap();
+
+    second.close().unwrap();
     client.close().unwrap();
     server.shutdown();
 }

@@ -1,14 +1,17 @@
-//! Resident columnar tables: an in-memory table is converted to columnar
-//! segments once (on its first scan), and every scan after that emits
-//! slices of those segments.
+//! The scan path on both residencies: registered rows are converted to
+//! columnar segments once (on their first scan), an attached `.divcol` file
+//! is decoded chunk by chunk, and one scan operator serves either in
+//! batches of at most `batch_size` rows.
 //!
 //! * the scan's chunks, at any batch size, are the table — same rows, same
 //!   order, same column representations as one whole-table conversion —
-//!   and an early-terminated scan reports only what it emitted;
-//! * a pushed-down filter skips the segments its zone maps exclude without
-//!   changing the result, never skips a segment with NULLs in the compared
-//!   column (the comparison's type error survives), and `EXPLAIN ANALYZE`
-//!   shows the skips;
+//!   no batch exceeds `batch_size`, a bare filtered scan keeps a few
+//!   batches resident whatever the source's chunk size, and an
+//!   early-terminated scan reports only what it emitted;
+//! * a pushed-down filter skips the chunks its zone maps exclude — the
+//!   same ones on both residencies — without changing the result, never
+//!   skips a chunk with NULLs in the compared column (the comparison's
+//!   type error survives), and `EXPLAIN ANALYZE` shows the skips;
 //! * the segments belong to one registration: queries and unrelated
 //!   catalog mutations share them, a re-`REGISTER` of the name gets fresh
 //!   ones, and a cursor opened before that keeps draining the old rows;
@@ -22,6 +25,7 @@ use div_physical::{
     QueryGuard, StreamExecutor,
 };
 use div_sql::Engine;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const ROWS: i64 = 2_500;
@@ -59,10 +63,48 @@ fn table() -> Relation {
     .unwrap()
 }
 
-fn catalog_with(name: &str) -> Catalog {
+/// How the table under test reaches the catalog.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Residency {
+    /// `Catalog::register`: rows in RAM, segments on first scan.
+    Registered,
+    /// `Catalog::register_external` of a `.divcol` file with 1024-row
+    /// chunks — the geometry of the resident segments, so chunk counts and
+    /// zone maps agree between the two.
+    Attached,
+}
+
+const RESIDENCIES: [Residency; 2] = [Residency::Registered, Residency::Attached];
+
+/// The backing file of an attached table; removed on drop.
+struct TableFile(std::path::PathBuf);
+
+impl Drop for TableFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// A catalog holding [`table`] under `name`, and the file behind it when
+/// it is attached.
+fn catalog_with(name: &str, residency: Residency) -> (Catalog, Option<TableFile>) {
     let mut c = Catalog::new();
-    c.register(name, table());
-    c
+    if residency == Residency::Registered {
+        c.register(name, table());
+        return (c, None);
+    }
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let file = TableFile(std::env::temp_dir().join(format!(
+        "div_resident_tables_{}_{}.divcol",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    )));
+    div_storage::TableWriter::write_relation(&file.0, &table(), 1024).unwrap();
+    c.register_external(
+        name,
+        Arc::new(div_storage::TableReader::open(&file.0).unwrap()),
+    );
+    (c, Some(file))
 }
 
 fn scan_plan(table: &str, config: &PlannerConfig) -> PhysicalPlan {
@@ -90,107 +132,142 @@ fn drive(
 
 #[test]
 fn scan_chunks_are_the_table_at_every_batch_size() {
-    let c = catalog_with("t");
-    let whole = ColumnarBatch::from_relation(c.table("t").unwrap());
-    for batch_size in [1, 3, 256, 1024, 4096] {
-        let config = PlannerConfig::default().batch_size(batch_size);
-        let plan = scan_plan("t", &config);
-        let (chunks, stats) = drive(&plan, &c, &config, QueryGuard::default());
-        let chunks = chunks.unwrap();
-        assert!(
-            chunks
-                .iter()
-                .all(|chunk| (1..=batch_size).contains(&chunk.num_rows())),
-            "batch_size {batch_size}: chunk sizes {:?}",
-            chunks
-                .iter()
-                .map(ColumnarBatch::num_rows)
-                .collect::<Vec<_>>()
-        );
-        // Representation-equal, not just value-equal: validity masks,
-        // dictionary order and codes, and the `Int` → `Mixed` degradation
-        // of `m` all come out as a whole-table conversion makes them.
-        assert_eq!(
-            concat_batches(&chunks).unwrap(),
-            whole,
-            "batch_size {batch_size}"
-        );
-        assert_eq!(stats.rows_scanned, ROWS as usize);
-        assert_eq!(stats.chunks_skipped, 0);
-        assert_eq!(stats.resident_rows_on_finish, 0);
+    let whole = ColumnarBatch::from_relation(&table());
+    for residency in RESIDENCIES {
+        let (c, _file) = catalog_with("t", residency);
+        for batch_size in [1, 3, 8, 256, 1024, 4096] {
+            let at = format!("{residency:?}, batch_size {batch_size}");
+            let config = PlannerConfig::default().batch_size(batch_size);
+            let plan = scan_plan("t", &config);
+            let (chunks, stats) = drive(&plan, &c, &config, QueryGuard::default());
+            let chunks = chunks.unwrap();
+            assert!(
+                chunks
+                    .iter()
+                    .all(|chunk| (1..=batch_size).contains(&chunk.num_rows())),
+                "{at}: chunk sizes {:?}",
+                chunks
+                    .iter()
+                    .map(ColumnarBatch::num_rows)
+                    .collect::<Vec<_>>()
+            );
+            // Representation-equal, not just value-equal: validity masks,
+            // dictionary order and codes, and the `Int` → `Mixed`
+            // degradation of `m` all come out as a whole-table conversion
+            // makes them.
+            assert_eq!(concat_batches(&chunks).unwrap(), whole, "{at}");
+            assert_eq!(stats.rows_scanned, ROWS as usize, "{at}");
+            assert_eq!(stats.chunks_skipped, 0, "{at}");
+            assert_eq!(stats.resident_rows_on_finish, 0, "{at}");
 
-        // take(1): the scan reports the one chunk it emitted.
-        let mut executor = StreamExecutor::new(&plan, &c, &config).unwrap();
-        let first = executor.next_batch().unwrap().unwrap();
-        let stats = executor.finish();
-        assert_eq!(stats.rows_scanned, first.num_rows());
-        assert!(stats.rows_scanned < ROWS as usize);
+            // take(1): the scan reports the one chunk it emitted.
+            let mut executor = StreamExecutor::new(&plan, &c, &config).unwrap();
+            let first = executor.next_batch().unwrap().unwrap();
+            let stats = executor.finish();
+            assert_eq!(stats.rows_scanned, first.num_rows(), "{at}");
+            assert!(stats.rows_scanned < ROWS as usize, "{at}");
+
+            // A bare filtered scan holds a few batches, not a source chunk.
+            let filtered = plan_query(
+                &PlanBuilder::scan("t")
+                    .select(Predicate::eq_value("b", true))
+                    .build(),
+                &config,
+            )
+            .unwrap();
+            let (chunks, stats) = drive(&filtered, &c, &config, QueryGuard::default());
+            let rows: usize = chunks.unwrap().iter().map(ColumnarBatch::num_rows).sum();
+            assert_eq!(rows, (ROWS as usize).div_ceil(3), "{at}");
+            assert!(
+                stats.peak_resident_rows <= 3 * batch_size,
+                "{at}: peak {}",
+                stats.peak_resident_rows
+            );
+        }
+        assert_eq!(
+            c.tables().count(),
+            usize::from(residency == Residency::Registered),
+            "{residency:?}: streaming scans load no file into the catalog"
+        );
     }
 }
 
 #[test]
 fn pushed_down_filters_skip_segments_without_changing_results() {
-    let c = catalog_with("t");
-    let engine = Engine::builder(c.clone()).without_optimizer().build();
-    for (predicate, skipped, scanned) in [
-        // Only the last segment can hold k >= 2300 …
-        (Predicate::cmp_value("k", CompareOp::GtEq, 2300), 2, 452),
-        // … only the first a string this small …
-        (Predicate::eq_value("s", "s0005"), 2, 1024),
-        // … and none k < 0, while k >= 0 skips nothing.
-        (Predicate::cmp_value("k", CompareOp::Lt, 0), 3, 0),
-        (
-            Predicate::cmp_value("k", CompareOp::GtEq, 0),
-            0,
-            ROWS as usize,
-        ),
-        // Bool and mixed-kind columns have no zones: never skipped.
-        (Predicate::eq_value("b", true), 0, ROWS as usize),
-    ] {
-        let logical = PlanBuilder::scan("t").select(predicate.clone()).build();
-        let expected = div_expr::evaluate(&logical, &c).unwrap();
-        let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
-        assert_eq!(output.relation, expected, "{predicate}");
-        assert_eq!(output.stats.chunks_skipped, skipped, "{predicate}");
-        assert_eq!(output.stats.rows_scanned, scanned, "{predicate}");
+    // The reference evaluator reads rows; give it its own registered copy so
+    // that the attached catalog is only ever streamed.
+    let (reference_catalog, _) = catalog_with("t", Residency::Registered);
+    for residency in RESIDENCIES {
+        let (c, _file) = catalog_with("t", residency);
+        for (predicate, skipped, scanned) in [
+            // Only the last segment can hold k >= 2300 …
+            (Predicate::cmp_value("k", CompareOp::GtEq, 2300), 2, 452),
+            // … only the first a string this small …
+            (Predicate::eq_value("s", "s0005"), 2, 1024),
+            // … and none k < 0, while k >= 0 skips nothing.
+            (Predicate::cmp_value("k", CompareOp::Lt, 0), 3, 0),
+            (
+                Predicate::cmp_value("k", CompareOp::GtEq, 0),
+                0,
+                ROWS as usize,
+            ),
+            // Bool and mixed-kind columns have no zones: never skipped.
+            (Predicate::eq_value("b", true), 0, ROWS as usize),
+        ] {
+            let at = format!("{residency:?}, {predicate}");
+            let logical = PlanBuilder::scan("t").select(predicate.clone()).build();
+            let expected = div_expr::evaluate(&logical, &reference_catalog).unwrap();
+            for batch_size in [3, 1024] {
+                let engine = Engine::builder(c.clone())
+                    .without_optimizer()
+                    .planner_config(PlannerConfig::default().batch_size(batch_size))
+                    .build();
+                let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+                assert_eq!(output.relation, expected, "{at}");
+                assert_eq!(output.stats.chunks_skipped, skipped, "{at}");
+                assert_eq!(output.stats.rows_scanned, scanned, "{at}");
+            }
+        }
+
+        // Every segment has NULLs in `n`, and comparing NULL is a type error:
+        // no segment may be skipped, or the error would depend on the data
+        // layout. The reference evaluator and the scan agree on the error.
+        let on_nulls = PlanBuilder::scan("t")
+            .select(Predicate::cmp_value("n", CompareOp::Lt, 0))
+            .build();
+        let reference = div_expr::evaluate(&on_nulls, &reference_catalog).unwrap_err();
+        assert!(reference.to_string().contains("type error"), "{reference}");
+        let config = PlannerConfig::default();
+        let plan = plan_query(&on_nulls, &config).unwrap();
+        let (result, stats) = drive(&plan, &c, &config, QueryGuard::default());
+        assert_eq!(result.unwrap_err().to_string(), reference.to_string());
+        assert_eq!(stats.chunks_skipped, 0, "{residency:?}");
+        assert_eq!(stats.resident_rows_on_finish, 0, "{residency:?}");
+
+        let analyzed = Engine::builder(c.clone())
+            .without_optimizer()
+            .build()
+            .explain_analyze("SELECT k, s FROM t WHERE k >= 2300")
+            .unwrap();
+        assert_eq!(analyzed.stats.as_ref().unwrap().chunks_skipped, 2);
+        assert!(
+            analyzed.to_string().contains("chunks skipped:      2"),
+            "EXPLAIN ANALYZE must show the skipped segments:\n{analyzed}"
+        );
     }
-
-    // Every segment has NULLs in `n`, and comparing NULL is a type error:
-    // no segment may be skipped, or the error would depend on the data
-    // layout. The reference evaluator and the scan agree on the error.
-    let on_nulls = PlanBuilder::scan("t")
-        .select(Predicate::cmp_value("n", CompareOp::Lt, 0))
-        .build();
-    let reference = div_expr::evaluate(&on_nulls, &c).unwrap_err();
-    assert!(reference.to_string().contains("type error"), "{reference}");
-    let config = PlannerConfig::default();
-    let plan = plan_query(&on_nulls, &config).unwrap();
-    let (result, stats) = drive(&plan, &c, &config, QueryGuard::default());
-    assert_eq!(result.unwrap_err().to_string(), reference.to_string());
-    assert_eq!(stats.chunks_skipped, 0);
-    assert_eq!(stats.resident_rows_on_finish, 0);
-
-    let analyzed = engine
-        .explain_analyze("SELECT k, s FROM t WHERE k >= 2300")
-        .unwrap();
-    assert_eq!(analyzed.stats.as_ref().unwrap().chunks_skipped, 2);
-    assert!(
-        analyzed.to_string().contains("chunks skipped:      2"),
-        "EXPLAIN ANALYZE must show the skipped segments:\n{analyzed}"
-    );
 }
 
 #[test]
 fn segments_are_built_once_per_registration() {
-    let engine = Engine::new(catalog_with("t"));
+    let engine = Engine::new(catalog_with("t", Residency::Registered).0);
     let count = |sql: &str| engine.query(sql).unwrap().collect().unwrap().relation.len();
     assert_eq!(count("SELECT k FROM t"), ROWS as usize);
-    let segments = engine.catalog().table_segments("t").unwrap();
-    assert_eq!(segments.num_rows(), ROWS as usize);
+    let segments = engine.catalog().source("t").unwrap();
+    assert_eq!(segments.row_count(), ROWS as usize);
     assert_eq!(count("SELECT k, s FROM t WHERE k < 10"), 10);
     assert!(Arc::ptr_eq(
         &segments,
-        &engine.catalog().table_segments("t").unwrap()
+        &engine.catalog().source("t").unwrap()
     ));
     // Registering a *different* table clones the catalog; the clone shares
     // the conversion.
@@ -199,7 +276,7 @@ fn segments_are_built_once_per_registration() {
     });
     assert!(Arc::ptr_eq(
         &segments,
-        &engine.catalog().table_segments("t").unwrap()
+        &engine.catalog().source("t").unwrap()
     ));
 
     // A cursor opened before the table is replaced keeps its snapshot.
@@ -211,9 +288,9 @@ fn segments_are_built_once_per_registration() {
             Relation::from_rows(["k"], (0..5i64).map(|k| [k])).unwrap(),
         );
     });
-    let fresh = engine.catalog().table_segments("t").unwrap();
+    let fresh = engine.catalog().source("t").unwrap();
     assert!(!Arc::ptr_eq(&segments, &fresh));
-    assert_eq!(fresh.num_rows(), 5);
+    assert_eq!(fresh.row_count(), 5);
     for batch in cursor {
         drained += batch.unwrap().num_rows();
     }
@@ -241,56 +318,58 @@ fn aborting_mid_scan_leaks_no_resident_rows() {
     let _serial = failpoint::test_serial();
     let _cleanup = DisarmOnDrop;
     failpoint::disarm_all();
-    let c = catalog_with("t_abort");
-    let config = PlannerConfig::default().batch_size(256);
-    let plan = scan_plan("t_abort", &config);
+    for residency in RESIDENCIES {
+        let (c, _file) = catalog_with("t_abort", residency);
+        let config = PlannerConfig::default().batch_size(256);
+        let plan = scan_plan("t_abort", &config);
 
-    // Guard trip: cancelled after the first chunk.
-    let token = CancelToken::new();
-    let guard = QueryGuard::default().with_token(token.clone());
-    let mut executor = StreamExecutor::with_guard(&plan, &c, &config, guard).unwrap();
-    assert_eq!(executor.next_batch().unwrap().unwrap().num_rows(), 256);
-    token.cancel();
-    let err = executor.next_batch().unwrap_err();
-    assert!(matches!(err, ExprError::Cancelled { .. }), "{err}");
-    let stats = executor.finish();
-    assert_eq!(stats.resident_rows_on_finish, 0);
-    assert_eq!(stats.rows_scanned, 256);
+        // Guard trip: cancelled after the first chunk.
+        let token = CancelToken::new();
+        let guard = QueryGuard::default().with_token(token.clone());
+        let mut executor = StreamExecutor::with_guard(&plan, &c, &config, guard).unwrap();
+        assert_eq!(executor.next_batch().unwrap().unwrap().num_rows(), 256);
+        token.cancel();
+        let err = executor.next_batch().unwrap_err();
+        assert!(matches!(err, ExprError::Cancelled { .. }), "{err}");
+        let stats = executor.finish();
+        assert_eq!(stats.resident_rows_on_finish, 0);
+        assert_eq!(stats.rows_scanned, 256);
 
-    // Injected fault: armed after the first chunk.
-    let mut executor = StreamExecutor::new(&plan, &c, &config).unwrap();
-    assert_eq!(executor.next_batch().unwrap().unwrap().num_rows(), 256);
-    failpoint::arm(
-        "TableScan(t_abort).next_batch",
-        FailAction::Error("mid-scan".into()),
-    );
-    let err = executor.next_batch().unwrap_err();
-    failpoint::disarm_all();
-    assert!(
-        err.to_string()
-            .contains("failpoint TableScan(t_abort).next_batch"),
-        "{err}"
-    );
-    let stats = executor.finish();
-    assert_eq!(stats.resident_rows_on_finish, 0);
-    assert_eq!(stats.rows_scanned, 256);
+        // Injected fault: armed after the first chunk.
+        let mut executor = StreamExecutor::new(&plan, &c, &config).unwrap();
+        assert_eq!(executor.next_batch().unwrap().unwrap().num_rows(), 256);
+        failpoint::arm(
+            "TableScan(t_abort).next_batch",
+            FailAction::Error("mid-scan".into()),
+        );
+        let err = executor.next_batch().unwrap_err();
+        failpoint::disarm_all();
+        assert!(
+            err.to_string()
+                .contains("failpoint TableScan(t_abort).next_batch"),
+            "{err}"
+        );
+        let stats = executor.finish();
+        assert_eq!(stats.resident_rows_on_finish, 0);
+        assert_eq!(stats.rows_scanned, 256);
 
-    // Budget trip: a blocking operator buffering the scan's chunks under a
-    // budget smaller than the table trips inside its drain.
-    let blocking = plan_query(
-        &PlanBuilder::scan("t_abort")
-            .intersect(PlanBuilder::scan("t_abort"))
-            .build(),
-        &config,
-    )
-    .unwrap();
-    let (result, stats) = drive(
-        &blocking,
-        &c,
-        &config,
-        QueryGuard::default().with_budget_rows(600),
-    );
-    let err = result.unwrap_err();
-    assert!(matches!(err, ExprError::MemoryBudget { .. }), "{err}");
-    assert_eq!(stats.resident_rows_on_finish, 0);
+        // Budget trip: a blocking operator buffering the scan's chunks under a
+        // budget smaller than the table trips inside its drain.
+        let blocking = plan_query(
+            &PlanBuilder::scan("t_abort")
+                .intersect(PlanBuilder::scan("t_abort"))
+                .build(),
+            &config,
+        )
+        .unwrap();
+        let (result, stats) = drive(
+            &blocking,
+            &c,
+            &config,
+            QueryGuard::default().with_budget_rows(600),
+        );
+        let err = result.unwrap_err();
+        assert!(matches!(err, ExprError::MemoryBudget { .. }), "{err}");
+        assert_eq!(stats.resident_rows_on_finish, 0);
+    }
 }
