@@ -6,7 +6,7 @@
 //! code vector — the classic dictionary-encoding win. Anything the fast paths
 //! cannot prove well-typed falls back to the row-at-a-time reference
 //! evaluator ([`div_algebra::Predicate::eval`]) for the whole batch, so error
-//! semantics (including `And`/`Or` short-circuiting) match the row backend
+//! semantics (including `And`/`Or` short-circuiting) match the reference
 //! exactly.
 
 use crate::batch::ColumnarBatch;
@@ -124,7 +124,7 @@ fn compare_column_value(column: &Column, op: CompareOp, constant: &Value) -> Res
         }
         _ => {
             // Generic path: per-row reference comparison (reports the same
-            // type errors as the row backend).
+            // type errors as the reference).
             (0..column.len())
                 .map(|i| op.eval(&column.value(i), constant))
                 .collect()

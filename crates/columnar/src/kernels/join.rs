@@ -12,8 +12,8 @@ use crate::Result;
 use div_algebra::Schema;
 
 /// A kernel result: the output batch plus the probe count the executor feeds
-/// into [`ExecStats`](https://docs.rs/div-physical) (one probe per left row,
-/// matching the row backend's accounting).
+/// into [`ExecStats`](https://docs.rs/div-physical) (one probe per left
+/// row).
 #[derive(Debug, Clone)]
 pub struct KernelOutput {
     /// The produced batch.
@@ -255,7 +255,7 @@ impl JoinBuild {
 }
 
 /// Hash-based natural join on all common attributes: build on the right,
-/// probe with the left. Mirrors the row executor's `hash_natural_join`
+/// probe with the left. Mirrors [`div_algebra::Relation::natural_join`]
 /// (including the output schema: left attributes, then right-only
 /// attributes).
 pub fn hash_natural_join(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<KernelOutput> {

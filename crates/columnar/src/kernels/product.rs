@@ -2,8 +2,7 @@
 //!
 //! The paper's product laws (Laws 8, 9, Section 5.1.5) and the theta-join
 //! definition `r1 ⋈_θ r2 = σ_θ(r1 × r2)` (Appendix A) both bottom out in the
-//! Cartesian product, which was the last join-family operator still running
-//! on the row executor. The columnar product is assembled with two gathers —
+//! Cartesian product. The columnar product is assembled with two gathers —
 //! every left row index repeated `|right|` times and the right indices tiled
 //! `|left|` times — so no per-tuple `Value` allocation happens; the
 //! theta-join then evaluates its predicate with the vectorized
@@ -71,8 +70,7 @@ pub fn cross_product_slice(
 
 /// Nested-loop theta-join `left ⋈_θ right = σ_θ(left × right)`, mirroring
 /// [`div_algebra::Relation::theta_join`]. Reports one probe per considered
-/// row pair (`|left| · |right|`), matching the row executor's accounting for
-/// its `NestedLoopJoin` operator.
+/// row pair (`|left| · |right|`).
 pub fn theta_join(
     left: &ColumnarBatch,
     right: &ColumnarBatch,

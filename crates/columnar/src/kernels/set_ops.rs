@@ -1,9 +1,8 @@
 //! Batch-native set intersection and difference.
 //!
-//! These close part of the row-fallback gap left by the first columnar
-//! backend: `σ`/`π`-heavy plans produced by the paper's rewrite laws for
-//! intersection and difference (Laws 5–7, Section 5.1.3/5.1.4) previously
-//! forced the whole subtree back onto the row executor. Both kernels mirror
+//! `σ`/`π`-heavy plans produced by the paper's rewrite laws for
+//! intersection and difference (Laws 5–7, Section 5.1.3/5.1.4) run on
+//! these kernels. Both mirror
 //! [`div_algebra::Relation::intersect`] / [`Relation::difference`]
 //! semantics exactly: union-compatible schemas are required, the right
 //! operand is conformed to the left operand's attribute order, and the

@@ -2,7 +2,8 @@
 //!
 //! Columnar vectorized execution backend for the *division-laws* workspace.
 //!
-//! The row executor in `div-physical` materializes `Vec<Tuple>`-style
+//! Row-at-a-time evaluation (the reference evaluator, the division
+//! algorithm family of `div-physical`) materializes `Vec<Tuple>`-style
 //! relations at every operator, so per-row allocation and enum dispatch
 //! dominate the very measurements (per-tuple work, intermediate-result
 //! volume) the paper cares about. This crate provides the batch-at-a-time

@@ -22,19 +22,19 @@
 //! `divide=small|great` key implies the query) drives the case.
 //!
 //! The runner executes each case across the differential matrix — streaming
-//! engine with and without the optimizer at batch sizes 1024 and 3, plus
-//! the materializing row executor — asserts every strategy agrees,
+//! engine with and without the optimizer at batch sizes 1024 and 3 —
+//! asserts every strategy agrees,
 //! and compares the agreed result against the `expect` block. Running with
 //! `CONFORMANCE_BLESS=1` re-records the `expect` blocks in place instead.
 
-use crate::grammar::{sql_literal, CaseSpec};
+use crate::grammar::CaseSpec;
 use crate::laws;
 use div_algebra::{Relation, Value};
 use div_datagen::scenarios::{self, ScenarioConfig, ScenarioFamily};
 use div_expr::Catalog;
-use div_physical::{execute_with_config, plan_query, PlannerConfig};
+use div_physical::PlannerConfig;
 use div_rewrite::{RewriteContext, RewriteEngine};
-use div_sql::{translate_query, Engine, Params};
+use div_sql::{Engine, Params};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -513,13 +513,6 @@ fn run_sql_matrix(case: &GoldenCase, catalog: &Catalog, sql: &str) -> Result<Rel
     for (name, value) in &case.params {
         params = params.bind(name.clone(), value.clone());
     }
-    // For the materializing row executor, substitute parameters as
-    // literals (`execute_with_config` has no parameter surface).
-    let mut literal_sql = sql.to_string();
-    for (name, value) in &case.params {
-        literal_sql = literal_sql.replace(&format!("${name}"), &sql_literal(value));
-    }
-
     let mut reference: Option<Relation> = None;
     let mut check = |label: &str, relation: Relation| -> Result<(), String> {
         match &reference {
@@ -551,18 +544,6 @@ fn run_sql_matrix(case: &GoldenCase, catalog: &Catalog, sql: &str) -> Result<Rel
             .map_err(|e| format!("{}: {label} failed: {e}", case.name))?;
         check(&label, output.relation)?;
     }
-
-    // The materializing row executor over the translated plan.
-    let query = div_sql::parse_query(&literal_sql)
-        .map_err(|e| format!("{}: parse failed: {e}", case.name))?;
-    let logical = translate_query(&query, catalog)
-        .map_err(|e| format!("{}: translation failed: {e}", case.name))?;
-    let config = PlannerConfig::default();
-    let physical = plan_query(&logical, &config)
-        .map_err(|e| format!("{}: planning (row) failed: {e}", case.name))?;
-    let (relation, _stats) = execute_with_config(&physical, catalog, &config)
-        .map_err(|e| format!("{}: row failed: {e}", case.name))?;
-    check("row", relation)?;
 
     Ok(reference.expect("at least one strategy ran"))
 }

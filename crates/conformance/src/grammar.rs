@@ -180,8 +180,7 @@ pub enum QueryForm {
         /// Name/value bindings for `$name` parameters in the text.
         params: Vec<(String, Value)>,
     },
-    /// A logical plan executed through `Engine::execute_logical` and the
-    /// materializing row executor.
+    /// A logical plan executed through `Engine::execute_logical`.
     Logical(LogicalPlan),
 }
 

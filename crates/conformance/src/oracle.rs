@@ -5,11 +5,12 @@
 //! formulation** of the case across the full execution matrix
 //!
 //! ```text
-//! {optimizer-on, optimizer-off} × {streaming at batch_size 1024, streaming at batch_size 3, row}
+//! {optimizer-on, optimizer-off} × {streaming at batch_size 1024, streaming at batch_size 3}
 //! ```
 //!
-//! (streaming through [`div_sql::Engine`], row through the materializing
-//! reference executor with a manually-run optimizer) plus one out-of-core
+//! (streaming through [`div_sql::Engine`]) plus one optimizer-only check —
+//! the reference evaluator over the plan a manually-run optimizer rewrote,
+//! so an optimizer bug shows apart from an executor bug — one out-of-core
 //! strategy — the raw plan, streaming at batch_size 3 under a
 //! [`SPILL_BUDGET_ROWS`]-row memory budget with `spill_to_disk` — and one
 //! attached-residency strategy — the raw plan, streaming at batch_size 3,
@@ -26,8 +27,8 @@
 //! * cross-formulation agreement up to column order,
 //! * `ExecStats` / span-tree consistency: pre-order ids, tree-shaped child
 //!   links, `rows_out` monotonicity through Filter/Project/Rename/Intersect,
-//!   probe aggregation, and resident-peak conventions (zero on the
-//!   row executor, nonzero for producing streaming runs),
+//!   probe aggregation, and a nonzero resident peak for every run that
+//!   produced rows,
 //! * parameter rebinding stability on prepared statements,
 //! * plan-cache transparency: a parameter-free SQL formulation run twice on
 //!   one engine (cold, then cached) and once more after a catalog mutation
@@ -37,7 +38,7 @@
 use crate::grammar::{CaseSpec, QueryForm};
 use div_algebra::{Relation, Value};
 use div_expr::{Catalog, LogicalPlan};
-use div_physical::{execute_with_config, plan_query, ExecStats, PlannerConfig};
+use div_physical::{ExecStats, PlannerConfig};
 use div_rewrite::{Optimizer, RewriteContext};
 use div_sql::{Engine, Params};
 use div_storage::{TableReader, TableWriter};
@@ -111,18 +112,13 @@ pub struct CaseReport {
 struct Strategy {
     name: &'static str,
     optimize: bool,
-    exec: Exec,
+    /// Batch size of the SQL engine's streaming cursor; `None` evaluates the
+    /// optimized plan with the reference evaluator instead.
+    batch_size: Option<usize>,
     /// Resident-row budget, with spilling to disk enabled under it.
     budget: Option<usize>,
     /// Run over the [`AttachedCatalog`] instead of the registered rows.
     attached: bool,
-}
-
-enum Exec {
-    /// Through the SQL engine's streaming cursor.
-    Streaming { batch_size: usize },
-    /// Through the materializing row executor.
-    Compat,
 }
 
 /// The resident-row budget of the `stream/raw/b3/spill` strategy: with
@@ -140,60 +136,34 @@ pub const ATTACHED_CHUNK_ROWS: usize = 4;
 const fn strategy(
     name: &'static str,
     optimize: bool,
-    exec: Exec,
+    batch_size: Option<usize>,
     budget: Option<usize>,
 ) -> Strategy {
     Strategy {
         name,
         optimize,
-        exec,
+        batch_size,
         budget,
         attached: false,
     }
 }
 
-const STRATEGIES: [Strategy; 8] = [
-    strategy(
-        "stream/opt",
-        true,
-        Exec::Streaming { batch_size: 1024 },
-        None,
-    ),
-    strategy(
-        "stream/opt/b3",
-        true,
-        Exec::Streaming { batch_size: 3 },
-        None,
-    ),
-    strategy(
-        "stream/raw/b3",
-        false,
-        Exec::Streaming { batch_size: 3 },
-        None,
-    ),
-    strategy(
-        "stream/raw",
-        false,
-        Exec::Streaming { batch_size: 1024 },
-        None,
-    ),
+const STRATEGIES: [Strategy; 7] = [
+    strategy("stream/opt", true, Some(1024), None),
+    strategy("stream/opt/b3", true, Some(3), None),
+    strategy("stream/raw/b3", false, Some(3), None),
+    strategy("stream/raw", false, Some(1024), None),
     strategy(
         "stream/raw/b3/spill",
         false,
-        Exec::Streaming { batch_size: 3 },
+        Some(3),
         Some(SPILL_BUDGET_ROWS),
     ),
     Strategy {
         attached: true,
-        ..strategy(
-            "stream/raw/b3/attached",
-            false,
-            Exec::Streaming { batch_size: 3 },
-            None,
-        )
+        ..strategy("stream/raw/b3/attached", false, Some(3), None)
     },
-    strategy("row/opt", true, Exec::Compat, None),
-    strategy("row/raw", false, Exec::Compat, None),
+    strategy("reference/opt", true, None, None),
 ];
 
 /// The execution strategies' names, in the order
@@ -275,8 +245,9 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
     for formulation in spec.formulations() {
         report.formulations += 1;
 
-        // The formulation's own logical plan (parameters substituted), used
-        // both as its exact expected result and by the row executor.
+        // The formulation's own logical plan (parameters substituted): its
+        // evaluation is the exact expected result, and its optimized form
+        // is what the `reference/opt` strategy evaluates.
         let logical = match &formulation.form {
             QueryForm::Sql { params, .. } => {
                 // Translate the literal-substituted rendering: the engine
@@ -323,47 +294,52 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
 
         let optimized = optimize(&logical, &catalog);
         for (strategy, tally) in STRATEGIES.iter().zip(&mut report.strategies) {
-            let outcome = match &strategy.exec {
-                Exec::Streaming { batch_size } => {
-                    let mut config = PlannerConfig::with_batch_size(*batch_size);
-                    if let Some(budget) = strategy.budget {
-                        config = config.memory_budget_rows(budget).spill_to_disk(true);
-                    }
-                    let tables = if strategy.attached {
-                        &attached.catalog
-                    } else {
-                        &catalog
-                    };
-                    let mut builder = Engine::builder(tables.clone()).planner_config(config);
-                    if !strategy.optimize {
-                        builder = builder.without_optimizer();
-                    }
-                    let engine = builder.build();
-                    match &formulation.form {
-                        QueryForm::Sql { sql, params } if params.is_empty() => {
-                            engine.query_collect(sql).map(|o| (o.relation, o.stats))
-                        }
-                        QueryForm::Sql { sql, params } => {
-                            let bound = bind(params);
-                            engine
-                                .query_collect_with_params(sql, &bound)
-                                .map(|o| (o.relation, o.stats))
-                        }
-                        QueryForm::Logical(plan) => {
-                            engine.execute_logical(plan).map(|o| (o.relation, o.stats))
-                        }
-                    }
+            let Some(batch_size) = strategy.batch_size else {
+                let relation = div_expr::evaluate(&optimized, &catalog).map_err(|e| {
+                    mismatch(
+                        formulation.name,
+                        strategy.name,
+                        format!("evaluation of the optimized plan failed: {e}"),
+                    )
+                })?;
+                report.executions += 1;
+                tally.executed += 1;
+                if relation != expected {
+                    return Err(mismatch(
+                        formulation.name,
+                        strategy.name,
+                        format!(
+                            "the optimized plan disagrees with the original\nexpected: {}\nactual: {}",
+                            render(&expected),
+                            render(&relation),
+                        ),
+                    ));
                 }
-                Exec::Compat => {
-                    let config = PlannerConfig::default();
-                    let plan = if strategy.optimize {
-                        &optimized
-                    } else {
-                        &logical
-                    };
-                    plan_query(plan, &config)
-                        .and_then(|physical| execute_with_config(&physical, &catalog, &config))
-                        .map_err(div_sql::Error::from)
+                continue;
+            };
+            let mut config = PlannerConfig::with_batch_size(batch_size);
+            if let Some(budget) = strategy.budget {
+                config = config.memory_budget_rows(budget).spill_to_disk(true);
+            }
+            let tables = if strategy.attached {
+                &attached.catalog
+            } else {
+                &catalog
+            };
+            let mut builder = Engine::builder(tables.clone()).planner_config(config);
+            if !strategy.optimize {
+                builder = builder.without_optimizer();
+            }
+            let engine = builder.build();
+            let outcome = match &formulation.form {
+                QueryForm::Sql { sql, params } if params.is_empty() => {
+                    engine.query_collect(sql).map(|o| (o.relation, o.stats))
+                }
+                QueryForm::Sql { sql, params } => engine
+                    .query_collect_with_params(sql, &bind(params))
+                    .map(|o| (o.relation, o.stats)),
+                QueryForm::Logical(plan) => {
+                    engine.execute_logical(plan).map(|o| (o.relation, o.stats))
                 }
             };
             let (relation, stats) = match outcome {
@@ -397,8 +373,7 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                     ),
                 ));
             }
-            let streaming = matches!(strategy.exec, Exec::Streaming { .. });
-            if let Err(detail) = check_stats(&stats, &relation, streaming) {
+            if let Err(detail) = check_stats(&stats, &relation) {
                 return Err(mismatch(formulation.name, strategy.name, detail));
             }
             if let Some(budget) = strategy.budget {
@@ -547,8 +522,8 @@ fn optimize(plan: &LogicalPlan, catalog: &Catalog) -> LogicalPlan {
         .unwrap_or_else(|_| plan.clone())
 }
 
-/// `ExecStats` / span-tree invariants shared by every strategy.
-pub fn check_stats(stats: &ExecStats, relation: &Relation, streaming: bool) -> Result<(), String> {
+/// `ExecStats` / span-tree invariants shared by every executing strategy.
+pub fn check_stats(stats: &ExecStats, relation: &Relation) -> Result<(), String> {
     if stats.output_rows != relation.len() {
         return Err(format!(
             "output_rows = {} but the result has {} tuples",
@@ -556,13 +531,7 @@ pub fn check_stats(stats: &ExecStats, relation: &Relation, streaming: bool) -> R
             relation.len()
         ));
     }
-    if !streaming && stats.peak_resident_batches != 0 {
-        return Err(format!(
-            "row executor reported peak_resident_batches = {}",
-            stats.peak_resident_batches
-        ));
-    }
-    if streaming && stats.output_rows > 0 && stats.peak_resident_batches == 0 {
+    if stats.output_rows > 0 && stats.peak_resident_batches == 0 {
         return Err("streaming run produced rows with peak_resident_batches = 0".to_string());
     }
 
@@ -663,7 +632,7 @@ mod tests {
         assert!(report.formulations >= 2);
         // Every unbudgeted strategy answers every formulation; the budgeted
         // one answers or declines.
-        assert!(report.executions >= 7 * report.formulations);
+        assert!(report.executions >= 6 * report.formulations);
         for (name, tally) in STRATEGY_NAMES.iter().zip(&report.strategies) {
             assert_eq!(
                 tally.executed + tally.declined,

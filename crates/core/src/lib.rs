@@ -12,8 +12,8 @@
 //! * [`expr`] — logical plans, catalog, reference evaluator,
 //! * [`rewrite`] — the seventeen algebraic laws, theorems, rewrite engine and
 //!   cost-based optimizer,
-//! * [`physical`] — special-purpose division algorithms, physical planner,
-//!   the row reference executor and the streaming columnar executor,
+//! * [`physical`] — special-purpose division algorithms, physical planner
+//!   and the streaming columnar executor,
 //! * [`columnar`] — the columnar batch representation and vectorized
 //!   division kernels the streaming executor runs on,
 //! * [`sql`] — the `DIVIDE BY … ON` SQL dialect of Section 4,
@@ -54,8 +54,8 @@ pub mod prelude {
     pub use div_columnar::ColumnarBatch;
     pub use div_expr::{evaluate, plans_equivalent_on, Catalog, LogicalPlan, PlanBuilder};
     pub use div_physical::{
-        execute, execute_with_config, execute_with_stats, plan_query, DivisionAlgorithm,
-        GreatDivideAlgorithm, OperatorId, OperatorStats, PlannerConfig, QueryTrace, StreamExecutor,
+        plan_query, DivisionAlgorithm, GreatDivideAlgorithm, OperatorId, OperatorStats,
+        PlannerConfig, QueryTrace, StreamExecutor,
     };
     pub use div_rewrite::optimizer::CostModel;
     pub use div_rewrite::{Optimizer, RewriteContext, RewriteEngine, RuleSet};
@@ -84,8 +84,12 @@ mod tests {
         let ctx = RewriteContext::with_catalog(&catalog);
         let rewritten = engine.rewrite(&plan, &ctx).unwrap().plan;
         assert_eq!(evaluate(&rewritten, &catalog).unwrap(), logical);
-        let physical = plan_query(&plan, &PlannerConfig::default()).unwrap();
-        assert_eq!(execute(&physical, &catalog).unwrap(), logical);
+        let config = PlannerConfig::default();
+        let physical = plan_query(&plan, &config).unwrap();
+        let mut stream = StreamExecutor::new(&physical, &catalog, &config).unwrap();
+        let batch = stream.next_batch().unwrap().expect("one quotient row");
+        assert_eq!(batch.to_relation().unwrap(), logical);
+        assert!(stream.next_batch().unwrap().is_none());
         assert_eq!(logical, relation! { ["a"] => [1] });
     }
 }

@@ -50,8 +50,7 @@ pub trait TableSource: Debug + Send + Sync {
     fn open_scan(&self, predicate: Option<&Predicate>) -> Result<Box<dyn ChunkScan>>;
 
     /// Load the entire table into an in-memory [`Relation`]. Used by the
-    /// reference evaluator, the row executor and catalog metadata
-    /// validation; the catalog caches the result so a file is read at most
+    /// reference evaluator and catalog metadata validation; the catalog caches the result so a file is read at most
     /// once per catalog entry.
     fn materialize(&self) -> Result<Relation> {
         let mut scan = self.open_scan(None)?;

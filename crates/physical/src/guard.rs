@@ -4,15 +4,11 @@
 //! The streaming executor of [`crate::stream`] already *accounts* for every
 //! resident row (PR 5's `peak_resident_rows`); this module turns that
 //! accounting into *enforcement*. A [`QueryGuard`] is built once per cursor
-//! (deadline measured from construction, i.e. cursor open) and consulted:
-//!
-//! * at every [`BatchStream::next_batch`](crate::stream::BatchStream)
-//!   emission boundary of the streaming executor — so a runaway operator is
-//!   stopped within one batch of the limit, and the batch that tripped is
-//!   rolled back from the resident accounting before the error propagates;
-//! * after every operator of the materializing row executor
-//!   ([`crate::exec`]), where the operator's full output is the resident
-//!   quantity.
+//! (deadline measured from construction, i.e. cursor open) and consulted at
+//! every [`BatchStream::next_batch`](crate::stream::BatchStream) emission
+//! boundary of the streaming executor — so a runaway operator is stopped
+//! within one batch of the limit, and the batch that tripped is rolled back
+//! from the resident accounting before the error propagates.
 //!
 //! Checks are cooperative and cheap: an ungoverned guard (the default) is
 //! one branch per batch; a governed one adds an atomic load and, when a

@@ -16,47 +16,49 @@
 //!   benchmarks measure,
 //! * [`great_divide`] — group-loop, hash and sort-based algorithms for the
 //!   great divide,
-//! * [`plan`] / [`exec`] — a physical plan tree and the materializing *row*
-//!   executor that tracks per-operator row counts and intermediate-result
-//!   sizes: the reference every differential test compares against,
-//! * [`planner`] — lowering from [`div_expr::LogicalPlan`] with a configurable
-//!   choice of division/join algorithm,
+//! * [`plan`] — the physical plan tree: the paper's "mapping of logical
+//!   operators to physical operators" (Section 7),
+//! * [`planner`] — lowering from [`div_expr::LogicalPlan`],
 //! * [`parallel`] — partition-parallel *row* division following the
 //!   strategies the paper attaches to Law 2 (dividend range partitioning
 //!   under condition `c2`) and Law 13 (divisor hash partitioning on the
 //!   group attributes `C`) — a paper artifact with its own benches, not an
 //!   executor path,
 //! * [`stream`] — the Volcano-style streaming executor
-//!   ([`stream::StreamExecutor`]), the one columnar executor: scans chunk
-//!   base tables into [`planner::PlannerConfig::batch_size`]-row batches,
-//!   pipelineable
-//!   operators transform them one at a time, and only genuinely blocking
-//!   operators buffer — memory scales with pipeline depth, not with the
-//!   largest intermediate, and early-terminated consumers short-circuit the
-//!   scans. This is the executor behind `div_sql`'s incremental `Cursor`,
+//!   ([`stream::StreamExecutor`]), the one way to run a [`PhysicalPlan`]:
+//!   scans chunk base tables into [`planner::PlannerConfig::batch_size`]-row
+//!   batches, pipelineable operators transform them one at a time, and only
+//!   genuinely blocking operators buffer — memory scales with pipeline
+//!   depth, not with the largest intermediate, and early-terminated
+//!   consumers short-circuit the scans. This is the executor behind
+//!   `div_sql`'s incremental `Cursor`,
 //! * [`guard`] — cooperative query governance: a per-cursor
 //!   [`guard::QueryGuard`] (cancellation token, wall-clock deadline,
 //!   resident-row budget) checked at every batch boundary of the streaming
-//!   executor and every operator of the row executor,
+//!   executor,
 //! * [`failpoint`] — named fault-injection sites at operator
 //!   open/next_batch/close, armed per-test (cargo feature `failpoints`,
 //!   on by default; disarmed cost is one relaxed atomic load),
 //! * [`trace`] — the observability layer: a per-operator span tree
 //!   ([`trace::QueryTrace`]) recording rows, probes, retained state and
 //!   (when [`planner::PlannerConfig::tracing`] is on) wall-clock time for
-//!   every operator of both executors; finished traces land in
+//!   every operator; finished traces land in
 //!   [`stats::ExecStats::operators`] and feed `EXPLAIN ANALYZE`.
 //!
-//! All algorithms are validated against the reference semantics of
-//! [`div_algebra`] by unit tests here and by the cross-crate property tests in
+//! The division algorithms are a library: callers pick one explicitly
+//! ([`division::divide_with`], [`great_divide::great_divide_with`],
+//! [`parallel`]). The streaming executor runs its own hash division, and
+//! every algorithm — and every executed plan — is validated against the
+//! reference semantics of [`div_algebra`] / [`div_expr::evaluate`] by unit
+//! tests here and by the cross-crate property tests in
 //! `tests/physical_vs_reference.rs`.
 //!
-//! Running one plan on both executors — the row reference and the streaming
-//! executor `div_sql`'s `Engine` serves:
+//! Running a plan on the streaming executor `div_sql`'s `Engine` serves,
+//! checked against the reference evaluator:
 //!
 //! ```
-//! use div_expr::{Catalog, PlanBuilder};
-//! use div_physical::{execute_with_config, plan_query, PlannerConfig, StreamExecutor};
+//! use div_expr::{evaluate, Catalog, PlanBuilder};
+//! use div_physical::{plan_query, PlannerConfig, StreamExecutor};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.register(
@@ -70,13 +72,12 @@
 //!
 //! let config = PlannerConfig::default();
 //! let plan = plan_query(&logical, &config)?;
-//! let (row, _) = execute_with_config(&plan, &catalog, &config)?;
 //! let mut stream = StreamExecutor::new(&plan, &catalog, &config)?;
 //! let mut streamed = div_algebra::Relation::empty(stream.schema().clone());
 //! while let Some(chunk) = stream.next_batch()? {
 //!     streamed = streamed.union(&chunk.to_relation()?)?;
 //! }
-//! assert_eq!(row, streamed);
+//! assert_eq!(streamed, evaluate(&logical, &catalog)?);
 //! # Ok::<(), div_expr::ExprError>(())
 //! ```
 
@@ -84,7 +85,6 @@
 #![warn(missing_docs)]
 
 pub mod division;
-pub mod exec;
 pub mod failpoint;
 pub mod great_divide;
 pub mod guard;
@@ -96,7 +96,6 @@ pub mod stream;
 pub mod trace;
 
 pub use division::DivisionAlgorithm;
-pub use exec::{execute, execute_with_config, execute_with_stats};
 pub use failpoint::FailAction;
 pub use great_divide::GreatDivideAlgorithm;
 pub use guard::{CancelToken, QueryGuard};

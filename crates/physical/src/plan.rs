@@ -1,7 +1,5 @@
 //! The physical plan tree.
 
-use crate::division::DivisionAlgorithm;
-use crate::great_divide::GreatDivideAlgorithm;
 use div_algebra::{AggregateCall, Predicate, Relation, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -9,10 +7,10 @@ use std::fmt;
 /// A physical execution plan.
 ///
 /// The shape mirrors [`div_expr::LogicalPlan`], but every node is a concrete
-/// algorithm: joins are hash- or nested-loop based, and the division nodes
-/// carry the [`DivisionAlgorithm`] / [`GreatDivideAlgorithm`] the planner
-/// selected — the paper's "mapping of logical operators to physical
-/// operators" (Section 7).
+/// algorithm — the paper's "mapping of logical operators to physical
+/// operators" (Section 7): joins are hash- or nested-loop based, and both
+/// division nodes run the streaming hash division of
+/// [`crate::stream`] (labelled `Divide[hash]` / `GreatDivide[hash]`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
     /// Scan of a catalog table.
@@ -113,23 +111,19 @@ pub enum PhysicalPlan {
         /// Aggregate list.
         aggregates: Vec<AggregateCall>,
     },
-    /// Small divide with an explicit algorithm choice.
+    /// Small divide (hash division).
     Divide {
         /// Dividend input.
         dividend: Box<PhysicalPlan>,
         /// Divisor input.
         divisor: Box<PhysicalPlan>,
-        /// Selected algorithm.
-        algorithm: DivisionAlgorithm,
     },
-    /// Great divide with an explicit algorithm choice.
+    /// Great divide (hash division per divisor group).
     GreatDivide {
         /// Dividend input.
         dividend: Box<PhysicalPlan>,
         /// Divisor input.
         divisor: Box<PhysicalPlan>,
-        /// Selected algorithm.
-        algorithm: GreatDivideAlgorithm,
     },
 }
 
@@ -157,10 +151,8 @@ impl PhysicalPlan {
             PhysicalPlan::HashAggregate { group_by, .. } => {
                 format!("HashAggregate({})", group_by.join(", "))
             }
-            PhysicalPlan::Divide { algorithm, .. } => format!("Divide[{}]", algorithm.name()),
-            PhysicalPlan::GreatDivide { algorithm, .. } => {
-                format!("GreatDivide[{}]", algorithm.name())
-            }
+            PhysicalPlan::Divide { .. } => "Divide[hash]".to_string(),
+            PhysicalPlan::GreatDivide { .. } => "GreatDivide[hash]".to_string(),
         }
     }
 
@@ -180,12 +172,8 @@ impl PhysicalPlan {
             | PhysicalPlan::HashJoin { left, right }
             | PhysicalPlan::HashSemiJoin { left, right }
             | PhysicalPlan::HashAntiSemiJoin { left, right } => vec![left, right],
-            PhysicalPlan::Divide {
-                dividend, divisor, ..
-            }
-            | PhysicalPlan::GreatDivide {
-                dividend, divisor, ..
-            } => vec![dividend, divisor],
+            PhysicalPlan::Divide { dividend, divisor }
+            | PhysicalPlan::GreatDivide { dividend, divisor } => vec![dividend, divisor],
         }
     }
 
@@ -307,23 +295,13 @@ impl PhysicalPlan {
                 group_by: group_by.clone(),
                 aggregates: aggregates.clone(),
             },
-            PhysicalPlan::Divide {
-                dividend,
-                divisor,
-                algorithm,
-            } => PhysicalPlan::Divide {
+            PhysicalPlan::Divide { dividend, divisor } => PhysicalPlan::Divide {
                 dividend: Box::new(dividend.bind_parameters(bindings)),
                 divisor: Box::new(divisor.bind_parameters(bindings)),
-                algorithm: *algorithm,
             },
-            PhysicalPlan::GreatDivide {
-                dividend,
-                divisor,
-                algorithm,
-            } => PhysicalPlan::GreatDivide {
+            PhysicalPlan::GreatDivide { dividend, divisor } => PhysicalPlan::GreatDivide {
                 dividend: Box::new(dividend.bind_parameters(bindings)),
                 divisor: Box::new(divisor.bind_parameters(bindings)),
-                algorithm: *algorithm,
             },
         }
     }
@@ -367,7 +345,6 @@ mod tests {
                     }),
                     predicate: Predicate::eq_value("color", "blue"),
                 }),
-                algorithm: DivisionAlgorithm::HashDivision,
             }),
             attributes: vec!["s#".into()],
         }
@@ -378,7 +355,7 @@ mod tests {
         let plan = sample();
         assert_eq!(plan.operator_count(), 5);
         assert!(plan.label().starts_with("Project"));
-        assert!(plan.explain().contains("Divide[hash-division]"));
+        assert!(plan.explain().contains("Divide[hash]"));
         assert!(plan.to_string().contains("TableScan(parts)"));
     }
 

@@ -2,13 +2,14 @@
 //!
 //! This is the second half of query optimization in the paper's terminology
 //! (Section 7): after the logical rewrite (done by `div-rewrite`), each
-//! logical operator is mapped to a physical operator. The mapping is driven by
-//! a [`PlannerConfig`], which most importantly selects the division
-//! algorithms; the benchmark harness sweeps that choice to reproduce the
-//! algorithm comparisons.
+//! logical operator is mapped to a physical operator. Each logical operator
+//! has exactly one physical operator today, so the mapping is fixed; the
+//! [`PlannerConfig`] carries the execution settings of the streaming
+//! executor (chunk size, tracing, governance, spilling) that travel with a
+//! plan. The paper's algorithm comparison is not a planner choice: callers
+//! run the algorithm family of [`crate::division`] and
+//! [`crate::great_divide`] directly.
 
-use crate::division::DivisionAlgorithm;
-use crate::great_divide::GreatDivideAlgorithm;
 use crate::plan::PhysicalPlan;
 use crate::Result;
 use div_expr::LogicalPlan;
@@ -17,34 +18,27 @@ use std::time::Duration;
 /// Configuration of the logical-to-physical mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
-    /// Algorithm used for every small-divide node.
-    pub division_algorithm: DivisionAlgorithm,
-    /// Algorithm used for every great-divide node.
-    pub great_divide_algorithm: GreatDivideAlgorithm,
     /// Chunk size of the streaming executor ([`crate::stream`]): scans emit
     /// base tables in batches of at most this many rows, and every
     /// pipelining operator processes one such batch at a time. Clamped to
-    /// ≥ 1; defaults to [`PlannerConfig::DEFAULT_BATCH_SIZE`]. Ignored by
-    /// the row executor.
+    /// ≥ 1; defaults to [`PlannerConfig::DEFAULT_BATCH_SIZE`].
     pub batch_size: usize,
     /// Record wall-clock spans in the per-operator trace
     /// ([`crate::trace`]). Row, probe and retained-state attribution is
-    /// always on (it is O(1) bookkeeping the executors do anyway); this
+    /// always on (it is O(1) bookkeeping the executor does anyway); this
     /// flag only gates the `Instant` reads. Defaults to `false`; the
     /// `Engine` turns it on for `explain_analyze`.
     pub tracing: bool,
     /// Wall-clock deadline for query execution, measured from cursor open.
     /// Enforced cooperatively by [`crate::guard::QueryGuard`] at every
-    /// batch boundary of the streaming executor and at every operator
-    /// boundary of the row executor; a trip surfaces
+    /// batch boundary of the streaming executor; a trip surfaces
     /// [`div_expr::ExprError::DeadlineExceeded`]. `None` (the default)
     /// disables the check.
     pub deadline: Option<Duration>,
     /// Resident-row memory budget: the maximum rows the streaming executor
     /// may hold resident (in-flight batches plus blocking-operator state,
     /// the quantity tracked as `peak_resident_rows`) at any batch boundary.
-    /// The row executor checks each operator's output cardinality against
-    /// the same ceiling. A trip surfaces
+    /// A trip surfaces
     /// [`div_expr::ExprError::MemoryBudget`]. `None` (the default) disables
     /// the check.
     pub memory_budget_rows: Option<usize>,
@@ -66,8 +60,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            division_algorithm: DivisionAlgorithm::HashDivision,
-            great_divide_algorithm: GreatDivideAlgorithm::HashSets,
             batch_size: PlannerConfig::DEFAULT_BATCH_SIZE,
             tracing: false,
             deadline: None,
@@ -82,22 +74,6 @@ impl PlannerConfig {
     /// normalization, small enough that a handful of resident batches stay
     /// cache-friendly.
     pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-    /// Default configuration with a specific small-divide algorithm.
-    pub fn with_division_algorithm(algorithm: DivisionAlgorithm) -> Self {
-        PlannerConfig {
-            division_algorithm: algorithm,
-            ..PlannerConfig::default()
-        }
-    }
-
-    /// Default configuration with a specific great-divide algorithm.
-    pub fn with_great_divide_algorithm(algorithm: GreatDivideAlgorithm) -> Self {
-        PlannerConfig {
-            great_divide_algorithm: algorithm,
-            ..PlannerConfig::default()
-        }
-    }
 
     /// Default configuration with a specific streaming batch size.
     pub fn with_batch_size(batch_size: usize) -> Self {
@@ -145,8 +121,14 @@ impl PlannerConfig {
     }
 }
 
-/// Map a logical plan to a physical plan under the given configuration.
-pub fn plan_query(logical: &LogicalPlan, config: &PlannerConfig) -> Result<PhysicalPlan> {
+/// Map a logical plan to a physical plan. No lowering decision depends on
+/// the configuration: it is accepted so that a plan and the settings it will
+/// run under travel through one call.
+pub fn plan_query(logical: &LogicalPlan, _config: &PlannerConfig) -> Result<PhysicalPlan> {
+    lower(logical)
+}
+
+fn lower(logical: &LogicalPlan) -> Result<PhysicalPlan> {
     let physical = match logical {
         LogicalPlan::Scan { table } => PhysicalPlan::TableScan {
             table: table.clone(),
@@ -155,70 +137,68 @@ pub fn plan_query(logical: &LogicalPlan, config: &PlannerConfig) -> Result<Physi
             relation: relation.clone(),
         },
         LogicalPlan::Select { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(plan_query(input, config)?),
+            input: Box::new(lower(input)?),
             predicate: predicate.clone(),
         },
         LogicalPlan::Project { input, attributes } => PhysicalPlan::Project {
-            input: Box::new(plan_query(input, config)?),
+            input: Box::new(lower(input)?),
             attributes: attributes.clone(),
         },
         LogicalPlan::Rename { input, renames } => PhysicalPlan::Rename {
-            input: Box::new(plan_query(input, config)?),
+            input: Box::new(lower(input)?),
             renames: renames.clone(),
         },
         LogicalPlan::Union { left, right } => PhysicalPlan::Union {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::Intersect { left, right } => PhysicalPlan::Intersect {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::Difference { left, right } => PhysicalPlan::Difference {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::Product { left, right } => PhysicalPlan::CrossProduct {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::ThetaJoin {
             left,
             right,
             predicate,
         } => PhysicalPlan::NestedLoopJoin {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
             predicate: predicate.clone(),
         },
         LogicalPlan::NaturalJoin { left, right } => PhysicalPlan::HashJoin {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::SemiJoin { left, right } => PhysicalPlan::HashSemiJoin {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::AntiSemiJoin { left, right } => PhysicalPlan::HashAntiSemiJoin {
-            left: Box::new(plan_query(left, config)?),
-            right: Box::new(plan_query(right, config)?),
+            left: Box::new(lower(left)?),
+            right: Box::new(lower(right)?),
         },
         LogicalPlan::SmallDivide { dividend, divisor } => PhysicalPlan::Divide {
-            dividend: Box::new(plan_query(dividend, config)?),
-            divisor: Box::new(plan_query(divisor, config)?),
-            algorithm: config.division_algorithm,
+            dividend: Box::new(lower(dividend)?),
+            divisor: Box::new(lower(divisor)?),
         },
         LogicalPlan::GreatDivide { dividend, divisor } => PhysicalPlan::GreatDivide {
-            dividend: Box::new(plan_query(dividend, config)?),
-            divisor: Box::new(plan_query(divisor, config)?),
-            algorithm: config.great_divide_algorithm,
+            dividend: Box::new(lower(dividend)?),
+            divisor: Box::new(lower(divisor)?),
         },
         LogicalPlan::GroupAggregate {
             input,
             group_by,
             aggregates,
         } => PhysicalPlan::HashAggregate {
-            input: Box::new(plan_query(input, config)?),
+            input: Box::new(lower(input)?),
             group_by: group_by.clone(),
             aggregates: aggregates.clone(),
         },
@@ -229,8 +209,8 @@ pub fn plan_query(logical: &LogicalPlan, config: &PlannerConfig) -> Result<Physi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
-    use div_algebra::{relation, Predicate};
+    use crate::stream::StreamExecutor;
+    use div_algebra::{relation, Relation};
     use div_expr::{evaluate, Catalog, PlanBuilder};
 
     fn catalog() -> Catalog {
@@ -246,41 +226,15 @@ mod tests {
         c
     }
 
-    fn q2_plan() -> div_expr::LogicalPlan {
-        PlanBuilder::scan("supplies")
-            .divide(
-                PlanBuilder::scan("parts")
-                    .select(Predicate::eq_value("color", "blue"))
-                    .project(["p#"]),
-            )
-            .build()
-    }
-
-    #[test]
-    fn planner_maps_division_algorithm_choice() {
-        let logical = q2_plan();
-        for algorithm in DivisionAlgorithm::ALL {
-            let physical =
-                plan_query(&logical, &PlannerConfig::with_division_algorithm(algorithm)).unwrap();
-            assert!(physical.explain().contains(algorithm.name()));
+    /// Drain the streaming execution of `plan` into a relation.
+    fn run(plan: &PhysicalPlan, catalog: &Catalog) -> Relation {
+        let config = PlannerConfig::default();
+        let mut stream = StreamExecutor::new(plan, catalog, &config).unwrap();
+        let mut out = Relation::empty(stream.schema().clone());
+        while let Some(batch) = stream.next_batch().unwrap() {
+            out = out.union(&batch.to_relation().unwrap()).unwrap();
         }
-    }
-
-    #[test]
-    fn physical_results_match_logical_evaluation_for_every_algorithm() {
-        let c = catalog();
-        let logical = q2_plan();
-        let expected = evaluate(&logical, &c).unwrap();
-        for algorithm in DivisionAlgorithm::ALL {
-            let physical =
-                plan_query(&logical, &PlannerConfig::with_division_algorithm(algorithm)).unwrap();
-            assert_eq!(
-                execute(&physical, &c).unwrap(),
-                expected,
-                "{}",
-                algorithm.name()
-            );
-        }
+        out
     }
 
     #[test]
@@ -292,29 +246,7 @@ mod tests {
         assert!(matches!(hash, PhysicalPlan::HashJoin { .. }));
         // The physical join produces the same rows as the reference semantics.
         let c = catalog();
-        assert_eq!(execute(&hash, &c).unwrap(), evaluate(&logical, &c).unwrap());
-    }
-
-    #[test]
-    fn great_divide_lowering_covers_all_algorithms() {
-        let c = catalog();
-        let logical = PlanBuilder::scan("supplies")
-            .great_divide(PlanBuilder::scan("parts"))
-            .build();
-        let expected = evaluate(&logical, &c).unwrap();
-        for algorithm in GreatDivideAlgorithm::ALL {
-            let physical = plan_query(
-                &logical,
-                &PlannerConfig::with_great_divide_algorithm(algorithm),
-            )
-            .unwrap();
-            assert_eq!(
-                execute(&physical, &c).unwrap(),
-                expected,
-                "{}",
-                algorithm.name()
-            );
-        }
+        assert_eq!(run(&hash, &c), evaluate(&logical, &c).unwrap());
     }
 
     #[test]
@@ -333,9 +265,6 @@ mod tests {
             .group_aggregate(["s#"], [div_algebra::AggregateCall::count("part", "n")])
             .build();
         let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        assert_eq!(
-            execute(&physical, &c).unwrap(),
-            evaluate(&logical, &c).unwrap()
-        );
+        assert_eq!(run(&physical, &c), evaluate(&logical, &c).unwrap());
     }
 }

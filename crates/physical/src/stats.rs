@@ -49,8 +49,7 @@ pub struct ExecStats {
     /// during a *streaming* execution ([`crate::stream`]): in-flight chunks
     /// plus blocking-operator state (build sides, buffered inputs, distinct
     /// stores). Base-table snapshots held by scans are excluded — they
-    /// belong to the catalog, not the pipeline. Always `0` on the
-    /// row executor.
+    /// belong to the catalog, not the pipeline.
     pub peak_resident_batches: usize,
     /// Peak number of rows across the resident batches above. For a
     /// pipeline of streaming operators this is O(pipeline depth ×
@@ -61,7 +60,7 @@ pub struct ExecStats {
     /// root pipeline was closed). Must be `0`: any other value means an
     /// operator leaked accounting on an abort path. The governance
     /// regression tests assert on this after cancelled / deadline-tripped /
-    /// budget-tripped drains. Always `0` on the row executor.
+    /// budget-tripped drains.
     pub resident_rows_on_finish: usize,
     /// Chunks a streaming scan skipped without emitting — resident segments
     /// of an in-memory table, on-disk chunks of an attached one (those are

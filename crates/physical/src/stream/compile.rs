@@ -192,12 +192,8 @@ impl Compiler<'_> {
                 group_by,
                 aggregates,
             )?),
-            PhysicalPlan::Divide {
-                dividend, divisor, ..
-            }
-            | PhysicalPlan::GreatDivide {
-                dividend, divisor, ..
-            } => {
+            PhysicalPlan::Divide { dividend, divisor }
+            | PhysicalPlan::GreatDivide { dividend, divisor } => {
                 let dividend = self.child(dividend)?;
                 let divisor = self.child(divisor)?;
                 let schema = if matches!(plan, PhysicalPlan::GreatDivide { .. }) {

@@ -1,11 +1,11 @@
 //! The streaming (Volcano-style pull) executor: `open`/`next_batch`/`close`
 //! operators over [`ColumnarBatch`] chunks.
 //!
-//! The materializing row executor ([`crate::exec`]) evaluates every
-//! operator on its *whole* input, so memory scales with the largest
-//! intermediate result. This module compiles the same
-//! [`PhysicalPlan`] into a tree of [`BatchStream`] operators instead —
-//! the classic Volcano iterator protocol (Graefe), batch-at-a-time:
+//! This is the one executor of a [`PhysicalPlan`]: it compiles the plan into
+//! a tree of [`BatchStream`] operators — the classic Volcano iterator
+//! protocol (Graefe), batch-at-a-time — so memory scales with the pipeline
+//! depth rather than with the largest intermediate result. Its results are
+//! checked against the reference evaluator [`div_expr::evaluate`]:
 //!
 //! * **the scan** emits the chunks of a [`div_expr::TableSource`] — the
 //!   resident segments of a registered table, the decoded chunks of an
@@ -47,12 +47,11 @@
 //! `divide.rs` and `blocking.rs` are the operators; `spill.rs` is the
 //! partition-file machinery the hybrid ones share.
 //!
-//! Statistics follow the discipline of the materializing executor (one
-//! [`ExecStats::record`] per operator, scans into `rows_scanned`, the root
-//! into `output_rows`, kernel probes into `probes`) — with one difference
-//! that is the point of the design: an operator records what it *actually
-//! did*, so a consumer that stops early (drop, `take(n)`) leaves
-//! `rows_scanned` strictly below the table cardinality. In addition the
+//! Statistics are one [`ExecStats::record`] per operator (scans into
+//! `rows_scanned`, the root into `output_rows`, kernel probes into
+//! `probes`), and an operator records what it *actually did*: a consumer
+//! that stops early (drop, `take(n)`) leaves `rows_scanned` strictly below
+//! the table cardinality. In addition the
 //! executor tracks every batch it materializes (in-flight chunks, blocking
 //! buffers, build and distinct state — but not what a scan reads from: the
 //! catalog's segments, or the one file chunk it is serving in pieces) and

@@ -1,11 +1,10 @@
 use super::*;
-use crate::exec::execute_with_stats;
 use crate::guard::CancelToken;
 use crate::planner::plan_query;
 #[cfg(feature = "failpoints")]
 use crate::FailAction;
 use div_algebra::{relation, AggregateCall, CompareOp, Relation};
-use div_expr::{ExprError, PlanBuilder};
+use div_expr::{evaluate, evaluate_with_stats, ExprError, PlanBuilder};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -30,6 +29,17 @@ fn collect(stream: &mut StreamExecutor) -> Relation {
     out
 }
 
+/// Rows of every `TableScan` / `Values` leaf of `plan`: what a full drain
+/// scans when no zone map lets a scan skip a chunk.
+fn leaf_rows(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
+    match plan {
+        PhysicalPlan::TableScan { table } => catalog.row_count(table).unwrap(),
+        PhysicalPlan::Values { relation } => relation.len(),
+        _ => plan.children().iter().map(|c| leaf_rows(c, catalog)).sum(),
+    }
+}
+
+/// The streaming executor against the row-at-a-time reference evaluator.
 #[test]
 fn streamed_q2_matches_the_row_backend_including_stats_totals() {
     let c = catalog();
@@ -40,17 +50,17 @@ fn streamed_q2_matches_the_row_backend_including_stats_totals() {
                 .project(["p#"]),
         )
         .build();
+    let expected = evaluate(&logical, &c).unwrap();
     for batch_size in [1, 2, 1024] {
         let config = PlannerConfig::default().batch_size(batch_size);
         let plan = plan_query(&logical, &config).unwrap();
-        let (expected, row_stats) = execute_with_stats(&plan, &c).unwrap();
         let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
         let got = collect(&mut stream);
         let stats = stream.finish();
         assert_eq!(got, expected, "batch_size {batch_size}");
-        assert_eq!(stats.output_rows, row_stats.output_rows);
-        assert_eq!(stats.rows_scanned, row_stats.rows_scanned);
-        assert_eq!(stats.operators[0].label, "Divide[hash-division]");
+        assert_eq!(stats.output_rows, expected.len());
+        assert_eq!(stats.rows_scanned, leaf_rows(&plan, &c));
+        assert_eq!(stats.operators[0].label, "Divide[hash]");
         // Every plan operator plus the divide kernel's pseudo-operator.
         assert_eq!(stats.operators_executed, plan.operator_count() + 1);
         assert!(stats.peak_resident_batches > 0);
@@ -106,12 +116,13 @@ fn deep_pipeline_keeps_peak_resident_rows_bounded_by_batch_size() {
         "peak {} must be O(batch_size), table is 20000 rows",
         stats.peak_resident_rows
     );
-    // The materializing executor, by contrast, holds a full-table
-    // intermediate.
-    let (_, row_stats) = execute_with_stats(&plan, &c).unwrap();
-    assert!(row_stats.max_intermediate >= 20_000);
+    // The materializing reference evaluator, by contrast, holds a
+    // full-table intermediate.
+    let (_, eval_stats) = evaluate_with_stats(&logical, &c).unwrap();
+    assert!(eval_stats.max_intermediate >= 20_000);
 }
 
+/// Every operator family against the row-at-a-time reference evaluator.
 #[test]
 fn every_operator_shape_streams_identically_to_the_row_backend() {
     let c = catalog();
@@ -161,20 +172,22 @@ fn every_operator_shape_streams_identically_to_the_row_backend() {
             .build(),
     ];
     for logical in shapes {
+        let expected = evaluate(&logical, &c).unwrap();
         for batch_size in [1, 3, 1024] {
             let config = PlannerConfig::default().batch_size(batch_size);
             let plan = plan_query(&logical, &config).unwrap();
-            let (expected, row_stats) = execute_with_stats(&plan, &c).unwrap();
             let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
             let got = collect(&mut stream);
             let stats = stream.finish();
             assert_eq!(got, expected, "batch_size {batch_size} plan:\n{plan}");
             assert_eq!(
-                stats.output_rows, row_stats.output_rows,
+                stats.output_rows,
+                expected.len(),
                 "batch_size {batch_size} plan:\n{plan}"
             );
             assert_eq!(
-                stats.rows_scanned, row_stats.rows_scanned,
+                stats.rows_scanned,
+                leaf_rows(&plan, &c),
                 "batch_size {batch_size} plan:\n{plan}"
             );
         }
@@ -197,7 +210,6 @@ fn compile_errors_surface_before_execution() {
         divisor: Box::new(PhysicalPlan::TableScan {
             table: "parts".into(),
         }),
-        algorithm: crate::division::DivisionAlgorithm::HashDivision,
     };
     assert!(StreamExecutor::new(&bad_divide, &c, &PlannerConfig::default()).is_err());
 }

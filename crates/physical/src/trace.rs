@@ -9,17 +9,11 @@
 //! identified by position, not by label, so two operators with the same
 //! label (two identical `Filter`s, say) stay two entries.
 //!
-//! Timing granularity follows the executor:
-//!
-//! * the **streaming executor** ([`crate::stream`]) splits wall-clock time
-//!   into the Volcano phases `open` (operator-tree compilation),
-//!   `next_batch` (cumulative across all pulls) and `close`. Deltas are
-//!   accumulated with one [`Instant`] pair per call, never per row, and
-//!   only when tracing is enabled
-//!   ([`PlannerConfig::tracing`](crate::PlannerConfig::tracing));
-//! * the **materializing row executor** ([`crate::exec`]) evaluates each
-//!   operator exactly once, so it records a single execution span (stored
-//!   in [`OperatorStats::time_next_ns`]).
+//! The streaming executor ([`crate::stream`]) splits wall-clock time into
+//! the Volcano phases `open` (operator-tree compilation), `next_batch`
+//! (cumulative across all pulls) and `close`. Deltas are accumulated with
+//! one [`Instant`] pair per call, never per row, and only when tracing is
+//! enabled ([`PlannerConfig::tracing`](crate::PlannerConfig::tracing)).
 //!
 //! All recorded times are *inclusive*: an operator's span contains its
 //! children's spans, exactly like `EXPLAIN ANALYZE` output in mainstream
@@ -40,9 +34,9 @@ use std::time::{Duration, Instant};
 /// depth-first walk (the root is `0`, a node's id precedes all of its
 /// descendants' ids, and siblings number left to right).
 ///
-/// Every executor assigns ids with the same walk, so the id of an operator
-/// is identical across the row, columnar and streaming paths — and matches
-/// the line order of [`PhysicalPlan::explain`].
+/// The trace skeleton and the stream compiler assign ids with the same
+/// walk, so the id of an operator matches the line order of
+/// [`PhysicalPlan::explain`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OperatorId(pub usize);
 
@@ -81,15 +75,13 @@ pub struct OperatorStats {
     pub probes: usize,
     /// Peak rows retained in cross-batch state (build sides, distinct
     /// stores, coverage state, blocking buffers). `0` for pure pipeline
-    /// operators and on the row executor.
+    /// operators.
     pub peak_retained_rows: usize,
     /// Nanoseconds spent constructing the operator (streaming `open`
     /// phase, inclusive of children). `0` when tracing is off.
     pub time_open_ns: u64,
     /// Nanoseconds spent producing batches, cumulative over every
-    /// `next_batch` call, inclusive of children. The row executor stores
-    /// its single whole-operator execution span here.
-    /// `0` when tracing is off.
+    /// `next_batch` call, inclusive of children. `0` when tracing is off.
     pub time_next_ns: u64,
     /// Nanoseconds spent closing the operator, inclusive of children.
     /// `0` when tracing is off.
@@ -142,7 +134,7 @@ impl Eq for OperatorStats {}
 /// flat, id-indexed node list stored in
 /// [`ExecStats::operators`](crate::ExecStats::operators). Recording row
 /// counts, probes and retained state is always on (it is O(1) bookkeeping
-/// the executors already did in aggregate); the `Instant`-based wall-clock
+/// the executor already does in aggregate); the `Instant`-based wall-clock
 /// spans are taken only when timing is enabled.
 #[derive(Debug, Default)]
 pub struct QueryTrace {
@@ -222,8 +214,7 @@ impl QueryTrace {
         }
     }
 
-    /// Accumulate time into the `next_batch` phase of this operator (also
-    /// the single execution span of the row executor).
+    /// Accumulate time into the `next_batch` phase of this operator.
     pub fn add_next(&mut self, id: OperatorId, elapsed: Duration) {
         if let Some(node) = self.node(id) {
             node.time_next_ns += elapsed.as_nanos() as u64;
@@ -269,7 +260,6 @@ fn build_skeleton(plan: &PhysicalPlan, nodes: &mut Vec<OperatorStats>) -> Operat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::division::DivisionAlgorithm;
     use div_algebra::Predicate;
 
     fn sample() -> PhysicalPlan {
@@ -284,7 +274,6 @@ mod tests {
                     }),
                     predicate: Predicate::eq_value("color", "blue"),
                 }),
-                algorithm: DivisionAlgorithm::HashDivision,
             }),
             attributes: vec!["s#".into()],
         }

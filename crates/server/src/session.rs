@@ -16,7 +16,7 @@ use div_algebra::Relation;
 use div_sql::{CancelToken, Engine, Error, Params, PreparedStatement, QueryGuard};
 use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -85,6 +85,14 @@ impl Drop for ArmedStatement<'_> {
 /// idle deadline.
 const POLL_TICK: Duration = Duration::from_millis(50);
 
+/// Input a server-initiated close discards, at most, while it waits for the
+/// client to close its side.
+const LINGER_BYTES: usize = 64 * 1024;
+
+/// How long a server-initiated close waits, at most, for the client to
+/// close its side.
+const LINGER_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// Why the session's line reader stopped producing.
 enum ReadOutcome {
     /// One complete request line (without the trailing newline).
@@ -148,12 +156,7 @@ impl<'a> LineReader<'a> {
             match (&mut &*self.stream).read(&mut chunk) {
                 Ok(0) => return ReadOutcome::Disconnected,
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
+                Err(e) if poll_tick_passed(&e) => continue,
                 Err(_) => return ReadOutcome::Disconnected,
             }
         }
@@ -215,31 +218,27 @@ pub(crate) fn run_session(
             ReadOutcome::TooLarge => {
                 ServerMetrics::bump(&metrics.requests_served);
                 ServerMetrics::bump(&metrics.requests_failed);
-                let _ = terminal(
-                    &mut writer,
-                    &err_line(
-                        ErrorCode::TooLarge,
-                        &format!(
-                            "request exceeds {} bytes; closing connection",
-                            config.max_request_bytes
-                        ),
-                    ),
+                let message = format!(
+                    "request exceeds {} bytes; closing connection",
+                    config.max_request_bytes
                 );
-                return;
+                return close_with(&mut writer, &stream, ErrorCode::TooLarge, &message);
             }
             ReadOutcome::IdleTimeout => {
-                let _ = terminal(
+                return close_with(
                     &mut writer,
-                    &err_line(ErrorCode::Timeout, "idle connection closed"),
+                    &stream,
+                    ErrorCode::Timeout,
+                    "idle connection closed",
                 );
-                return;
             }
             ReadOutcome::Shutdown => {
-                let _ = terminal(
+                return close_with(
                     &mut writer,
-                    &err_line(ErrorCode::Shutdown, "server is shutting down"),
+                    &stream,
+                    ErrorCode::Shutdown,
+                    "server is shutting down",
                 );
-                return;
             }
             ReadOutcome::Disconnected => return,
         }
@@ -260,6 +259,46 @@ fn terminal(writer: &mut BufWriter<TcpStream>, line: &str) -> io::Result<()> {
     writer.write_all(line.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()
+}
+
+/// Close the session from the server side with a terminal `ERR code`.
+///
+/// Closing a socket that still holds unread input makes the kernel reset
+/// the connection, and a reset can destroy the terminal line before the
+/// client reads it. So this is a lingering close: flush the terminal, shut
+/// down the write side (the client reads the terminal, then EOF), and
+/// discard input until the client closes its side, [`LINGER_BYTES`] have
+/// been discarded or [`LINGER_TIMEOUT`] has passed. Only then does the
+/// caller drop the socket.
+fn close_with(
+    writer: &mut BufWriter<TcpStream>,
+    stream: &TcpStream,
+    code: ErrorCode,
+    message: &str,
+) {
+    if terminal(writer, &err_line(code, message)).is_err() {
+        return;
+    }
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    let mut discarded = 0;
+    let mut chunk = [0u8; 4096];
+    while discarded < LINGER_BYTES && Instant::now() < deadline {
+        match (&mut &*stream).read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => discarded += n,
+            Err(e) if poll_tick_passed(&e) => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// Whether a read failed only because [`POLL_TICK`] passed with no input.
+fn poll_tick_passed(err: &io::Error) -> bool {
+    matches!(
+        err.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Build the guard for one statement: the engine's configured defaults,

@@ -354,8 +354,8 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Replace the planner configuration (division algorithms, streaming
-    /// `batch_size`, governance limits). The engine always executes through
+    /// Replace the planner configuration (streaming `batch_size`, tracing,
+    /// governance limits). The engine always executes through
     /// the streaming path.
     pub fn planner_config(mut self, config: PlannerConfig) -> Self {
         self.config = config;

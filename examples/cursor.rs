@@ -70,7 +70,8 @@ fn main() {
         table_rows / stats.rows_scanned.max(1),
     );
 
-    // 3. Bounded memory on a deep pipeline, vs the same plan materialized.
+    // 3. Bounded memory on a deep pipeline, vs the same plan materialized by
+    //    the reference evaluator.
     let deep = "SELECT p# FROM supplies WHERE s# < 1500 AND p# < 50";
     let output = engine.query_collect(deep).expect("query runs");
     println!("deep pipeline `{deep}`");
@@ -80,12 +81,8 @@ fn main() {
         engine.planner_config().batch_size,
     );
     let explain = engine.explain(deep).expect("explain compiles");
-    let (_, mat) = execute_with_config(
-        &explain.physical,
-        &engine.catalog(),
-        engine.planner_config(),
-    )
-    .expect("materializing run");
+    let (_, mat) = div_expr::evaluate_with_stats(&explain.optimized, &engine.catalog())
+        .expect("materializing run");
     println!(
         "  materializing: max intermediate  = {:>6} (whole filtered table)",
         mat.max_intermediate

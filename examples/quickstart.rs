@@ -1,9 +1,11 @@
 //! Quickstart: build the paper's Figure 1 relations, run the small and great
-//! divide, apply a law with the rewrite engine, and execute the plan with a
-//! special-purpose physical operator.
+//! divide, apply a law with the rewrite engine, execute the plan on the
+//! streaming executor, and run one algorithm of the paper's division family
+//! explicitly.
 //!
 //! Run with `cargo run --example quickstart`.
 
+use division::physical::{division::divide_with, ExecStats};
 use division::prelude::*;
 
 fn main() {
@@ -27,8 +29,18 @@ fn main() {
         r1.great_divide(&r2_groups).unwrap()
     );
 
+    // The algorithm family the paper compares is a library: each call names
+    // its algorithm.
+    let mut stats = ExecStats::default();
+    let merged = divide_with(&r1, &r2, DivisionAlgorithm::MergeSortDivision, &mut stats).unwrap();
+    println!(
+        "r1 ÷ r2 by {} ({} probes):\n{merged}",
+        DivisionAlgorithm::MergeSortDivision.name(),
+        stats.probes
+    );
+
     // The same query as a logical plan, rewritten by the laws and executed by
-    // a physical division algorithm.
+    // the streaming executor.
     let mut catalog = Catalog::new();
     catalog.register("r1", r1);
     catalog.register("r2", r2);
@@ -47,16 +59,18 @@ fn main() {
         outcome.plan
     );
 
-    let physical = plan_query(
-        &outcome.plan,
-        &PlannerConfig::with_division_algorithm(DivisionAlgorithm::HashDivision),
-    )
-    .unwrap();
+    let config = PlannerConfig::default();
+    let physical = plan_query(&outcome.plan, &config).unwrap();
     println!("physical plan:\n{physical}");
-    let (result, stats) = execute_with_stats(&physical, &catalog).unwrap();
+    let mut stream = StreamExecutor::new(&physical, &catalog, &config).unwrap();
+    let mut result = Relation::empty(stream.schema().clone());
+    while let Some(batch) = stream.next_batch().unwrap() {
+        result = result.union(&batch.to_relation().unwrap()).unwrap();
+    }
+    let stats = stream.finish();
     println!("result:\n{result}");
     println!(
-        "executed {} operators, scanned {} rows, produced {} intermediate tuples",
-        stats.operators_executed, stats.rows_scanned, stats.intermediate_tuples
+        "executed {} operators, scanned {} rows, peak {} resident rows",
+        stats.operators_executed, stats.rows_scanned, stats.peak_resident_rows
     );
 }

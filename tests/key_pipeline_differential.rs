@@ -15,7 +15,7 @@
 //!   verify-against-source-batch path must tell them apart.
 //!
 //! Each kernel's output relation must be byte-identical to the reference
-//! `div-algebra` operator (which the row backend executes directly).
+//! `div-algebra` operator.
 
 use div_columnar::key_vector::{BOOL_FALSE_CODE, NULL_CODE};
 use div_columnar::partition::{concat_batches, partition_rows};

@@ -22,10 +22,8 @@
 //!   into the catalog, and `DROP` does not read what it drops.
 
 use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
-use div_expr::{Catalog, LogicalPlan, PlanBuilder};
-use div_physical::{
-    execute_with_stats, plan_query, ExecStats, PlannerConfig, QueryGuard, StreamExecutor,
-};
+use div_expr::{evaluate, Catalog, LogicalPlan, PlanBuilder};
+use div_physical::{plan_query, ExecStats, PlannerConfig, QueryGuard, StreamExecutor};
 use div_sql::{Engine, QueryOutput};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -179,8 +177,7 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let spillable: &[usize] = &[0, 2, 3, 5];
     let mut spilled_shapes = 0usize;
     for (shape_idx, logical) in shapes().into_iter().enumerate() {
-        let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        let (expected, _) = execute_with_stats(&physical, &c).unwrap();
+        let expected = evaluate(&logical, &c).unwrap();
 
         // Unlimited: spilling is armed but must never activate, and the
         // result is the in-memory one.

@@ -1,9 +1,10 @@
 //! Property tests: every physical division / great-divide algorithm (and the
-//! partition-parallel executions) agrees with the reference set semantics of
-//! `div-algebra` on random inputs, and both executors — the row reference
-//! and the streaming executor at several batch sizes — return byte-identical
-//! relations with consistent `ExecStats` row accounting on every plan shape
-//! tested here.
+//! partition-parallel executions), called explicitly, agrees with the
+//! reference set semantics of `div-algebra` on random inputs, and the
+//! streaming executor at several batch sizes returns relations
+//! byte-identical to the row-at-a-time reference evaluator
+//! (`div_expr::evaluate`), with consistent `ExecStats` row accounting, on
+//! every plan shape tested here.
 
 use div_columnar::ColumnarBatch;
 use div_physical::division::{divide_with, DivisionAlgorithm};
@@ -126,12 +127,15 @@ proptest! {
         prop_assert_eq!(result, expected);
     }
 
-    /// Whole physical plans (planner + executor) match the logical reference
-    /// evaluator for the Q2 query shape, for every division algorithm.
+    /// Whole physical plans (planner + streaming executor) match the logical
+    /// reference evaluator for the Q2 and great-divide query shapes, and so
+    /// does every algorithm of the family, each called explicitly on the
+    /// same tables.
     #[test]
     fn physical_plans_match_logical_evaluation(
         supplies in ab_pairs(40),
         wanted in prop::collection::vec(0..6i64, 0..6),
+        groups in prop::collection::vec((0..6i64, 0..4i64), 0..12),
     ) {
         let mut catalog = Catalog::new();
         catalog.register(
@@ -142,14 +146,33 @@ proptest! {
             "wanted",
             Relation::from_rows(["p#"], wanted.iter().map(|p| vec![*p])).unwrap(),
         );
-        let logical = PlanBuilder::scan("supplies")
+        catalog.register(
+            "grouped",
+            Relation::from_rows(["p#", "c"], groups.iter().map(|(b, c)| vec![*b, *c])).unwrap(),
+        );
+        let table = |name: &str| catalog.table(name).unwrap();
+        let small = PlanBuilder::scan("supplies")
             .divide(PlanBuilder::scan("wanted"))
             .build();
-        let expected = evaluate(&logical, &catalog).unwrap();
+        let expected = evaluate(&small, &catalog).unwrap();
+        prop_assert_eq!(&run_plan(&small, &catalog), &expected);
         for algorithm in DivisionAlgorithm::ALL {
-            let physical =
-                plan_query(&logical, &PlannerConfig::with_division_algorithm(algorithm)).unwrap();
-            let result = execute(&physical, &catalog).unwrap();
+            let mut stats = ExecStats::default();
+            let result =
+                divide_with(table("supplies"), table("wanted"), algorithm, &mut stats).unwrap();
+            prop_assert_eq!(&result, &expected, "algorithm {}", algorithm.name());
+        }
+
+        let great = PlanBuilder::scan("supplies")
+            .great_divide(PlanBuilder::scan("grouped"))
+            .build();
+        let expected = evaluate(&great, &catalog).unwrap();
+        prop_assert_eq!(&run_plan(&great, &catalog), &expected);
+        for algorithm in GreatDivideAlgorithm::ALL {
+            let mut stats = ExecStats::default();
+            let result =
+                great_divide_with(table("supplies"), table("grouped"), algorithm, &mut stats)
+                    .unwrap();
             prop_assert_eq!(&result, &expected, "algorithm {}", algorithm.name());
         }
     }
@@ -164,9 +187,9 @@ proptest! {
         prop_assert_eq!(batch.to_relation().unwrap(), relation);
     }
 
-    /// The row executor and the streaming columnar executor return identical
-    /// relations (and agree on the cardinalities they report) on every plan
-    /// shape this file exercises, over random catalogs.
+    /// The streaming columnar executor returns the row-at-a-time reference
+    /// evaluator's relation (and reports cardinalities consistent with it)
+    /// on every plan shape this file exercises, over random catalogs.
     #[test]
     fn columnar_backend_matches_row_backend(
         supplies in ab_pairs(40),
@@ -186,8 +209,8 @@ proptest! {
             "grouped",
             Relation::from_rows(["p#", "c"], groups.iter().map(|(b, c)| vec![*b, *c])).unwrap(),
         );
-        for physical in differential_plans() {
-            assert_backends_agree(&physical, &catalog);
+        for logical in differential_logical_plans() {
+            assert_backends_agree(&logical, &catalog);
         }
     }
 }
@@ -195,16 +218,6 @@ proptest! {
 /// The plan shapes the executor-differential property sweeps: one per
 /// vectorized operator family — the original seven, plus shapes centered on
 /// intersection, difference, Cartesian product, theta-join and aggregation.
-fn differential_plans() -> Vec<PhysicalPlan> {
-    differential_logical_plans()
-        .into_iter()
-        .map(|logical| plan_query(&logical, &PlannerConfig::default()).unwrap())
-        .collect()
-}
-
-/// The logical shapes behind [`differential_plans`], exposed separately so
-/// the engine-vs-raw differential test can run them through the optimizing
-/// [`Engine`] pipeline as well.
 fn differential_logical_plans() -> Vec<LogicalPlan> {
     let q2 = PlanBuilder::scan("supplies")
         .divide(PlanBuilder::scan("wanted"))
@@ -278,24 +291,44 @@ fn differential_logical_plans() -> Vec<LogicalPlan> {
     ]
 }
 
-/// Execute `plan` on the row executor and on a drained [`StreamExecutor`]
-/// at batch sizes that split, straddle and exceed the inputs, and assert
-/// byte-identical relations and consistent `ExecStats` row accounting: the
-/// output cardinality always, the scanned rows whenever no zone map let a
-/// pushed-down filter skip a chunk, and no resident row leaked.
-fn assert_backends_agree(physical: &PhysicalPlan, catalog: &Catalog) {
-    let (row_result, row_stats) = execute_with_stats(physical, catalog).unwrap();
+/// Rows of every `TableScan` / `Values` leaf of `plan`: what a full drain
+/// scans when no zone map lets a scan skip a chunk.
+fn leaf_rows(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
+    match plan {
+        PhysicalPlan::TableScan { table } => catalog.row_count(table).unwrap(),
+        PhysicalPlan::Values { relation } => relation.len(),
+        _ => plan.children().iter().map(|c| leaf_rows(c, catalog)).sum(),
+    }
+}
+
+/// Plan `logical` and drain it through the streaming executor.
+fn run_plan(logical: &LogicalPlan, catalog: &Catalog) -> Relation {
+    let physical = plan_query(logical, &PlannerConfig::default()).unwrap();
+    drain_stream(&physical, catalog, PlannerConfig::DEFAULT_BATCH_SIZE).0
+}
+
+/// Evaluate `logical` with the reference evaluator, then run its physical
+/// plan on a drained [`StreamExecutor`] at batch sizes that split, straddle
+/// and exceed the inputs, and assert byte-identical relations and consistent
+/// `ExecStats` row accounting: the output cardinality always, every leaf row
+/// scanned whenever no zone map let a pushed-down filter skip a chunk, and
+/// no resident row leaked.
+fn assert_backends_agree(logical: &LogicalPlan, catalog: &Catalog) {
+    let expected = evaluate(logical, catalog).unwrap();
+    let physical = plan_query(logical, &PlannerConfig::default()).unwrap();
     for batch_size in [1usize, 3, 1024] {
         let name = format!("stream/b{batch_size}");
-        let (result, stats) = drain_stream(physical, catalog, batch_size);
-        assert_eq!(result, row_result, "{name} diverges on plan:\n{physical}");
+        let (result, stats) = drain_stream(&physical, catalog, batch_size);
+        assert_eq!(result, expected, "{name} diverges on plan:\n{physical}");
         assert_eq!(
-            stats.output_rows, row_stats.output_rows,
+            stats.output_rows,
+            expected.len(),
             "{name}: output_rows diverge on plan:\n{physical}"
         );
         if stats.chunks_skipped == 0 {
             assert_eq!(
-                stats.rows_scanned, row_stats.rows_scanned,
+                stats.rows_scanned,
+                leaf_rows(&physical, catalog),
                 "{name}: rows_scanned diverge on plan:\n{physical}"
             );
         }
@@ -311,8 +344,8 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
     // The streaming-API differential: for all eleven differential plan
     // shapes, across chunk geometries (batch sizes that divide, straddle
     // and exceed the inputs), the relation collected from an `Engine`
-    // `Cursor` must be byte-identical to the row executor's, with matching
-    // `output_rows`.
+    // `Cursor` must be byte-identical to the reference evaluator's, with
+    // matching `output_rows`.
     let mut catalog = Catalog::new();
     catalog.register(
         "supplies",
@@ -326,7 +359,7 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
 
     for (shape_idx, logical) in differential_logical_plans().into_iter().enumerate() {
         let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        let (expected, row_stats) = execute_with_stats(&physical, &catalog).unwrap();
+        let expected = evaluate(&logical, &catalog).unwrap();
         for batch_size in [1usize, 3, 4096] {
             let engine = Engine::builder(catalog.clone())
                 .planner_config(PlannerConfig::with_batch_size(batch_size))
@@ -339,11 +372,13 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
                 "shape #{shape_idx} diverges at batch_size {batch_size}:\n{logical}"
             );
             assert_eq!(
-                output.stats.output_rows, row_stats.output_rows,
+                output.stats.output_rows,
+                expected.len(),
                 "shape #{shape_idx}: output_rows diverge at batch_size {batch_size}"
             );
             assert_eq!(
-                output.stats.rows_scanned, row_stats.rows_scanned,
+                output.stats.rows_scanned,
+                leaf_rows(&physical, &catalog),
                 "shape #{shape_idx}: fully drained cursors scan everything exactly once"
             );
         }
@@ -381,9 +416,8 @@ fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
     // The optimizer-in-the-loop differential: for all eleven differential
     // plan shapes, `Engine::execute_logical` (rewrite optimizer ON, the
     // default; streaming executor) must return byte-identical relations to
-    // the raw `plan_query` → `execute_with_config` pipeline (optimizer OFF;
-    // row executor), at a batch size that splits the inputs and one that
-    // exceeds them.
+    // the reference evaluator over the raw plan, at a batch size that splits
+    // the inputs and one that exceeds them.
     let mut catalog = Catalog::new();
     catalog.register(
         "supplies",
@@ -396,6 +430,7 @@ fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
     );
 
     for (shape_idx, logical) in differential_logical_plans().into_iter().enumerate() {
+        let raw_relation = evaluate(&logical, &catalog).unwrap();
         for batch_size in [3usize, 1024] {
             let config = PlannerConfig::with_batch_size(batch_size);
             let optimizing = Engine::builder(catalog.clone())
@@ -406,17 +441,13 @@ fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
                 "optimizer must be the default"
             );
             let optimized_out = optimizing.execute_logical(&logical).unwrap();
-
-            let raw_physical = plan_query(&logical, &config).unwrap();
-            let (raw_relation, raw_stats) =
-                execute_with_config(&raw_physical, &catalog, &config).unwrap();
-
             assert_eq!(
                 optimized_out.relation, raw_relation,
                 "shape #{shape_idx} diverges at batch_size {batch_size}:\n{logical}"
             );
             assert_eq!(
-                optimized_out.stats.output_rows, raw_stats.output_rows,
+                optimized_out.stats.output_rows,
+                raw_relation.len(),
                 "shape #{shape_idx}: output_rows diverge at batch_size {batch_size}"
             );
         }
@@ -503,8 +534,7 @@ fn backends_agree_on_the_suppliers_parts_generator() {
                 .project(["p#"]),
         )
         .build();
-    let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-    assert_backends_agree(&physical, &catalog);
+    assert_backends_agree(&logical, &catalog);
 }
 
 #[test]
@@ -513,8 +543,8 @@ fn all_strategies_agree_on_skewed_zipf_baskets() {
     // s = 1.3): a handful of hot items dominate the dividend, so a few
     // quotient groups (Law 2's partitioning attribute) and divisor groups
     // (Law 13's) hold most of the rows — the adversarial case for the
-    // group-id coverage state. Both executors must still return the same
-    // bytes and the same row accounting.
+    // group-id coverage state. The streaming executor must still return the
+    // reference evaluator's bytes, with consistent row accounting.
     use division::datagen::baskets::{self, candidates_relation};
     use division::datagen::BasketConfig;
 
@@ -546,8 +576,7 @@ fn all_strategies_agree_on_skewed_zipf_baskets() {
         )
         .build();
     for logical in [law13, law2] {
-        let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        assert_backends_agree(&physical, &catalog);
+        assert_backends_agree(&logical, &catalog);
     }
 }
 

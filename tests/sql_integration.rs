@@ -100,27 +100,26 @@ fn q1_q2_q3_agree_on_generated_workloads() {
     }
 }
 
+/// EXPLAIN names the division operator that runs, and the executed span
+/// tree carries the same label.
 #[test]
-fn sql_plans_run_through_the_physical_layer_with_every_algorithm() {
+fn sql_plans_report_the_divide_that_ran() {
     let catalog = suppliers_parts_catalog(40, 15, 0.6);
-    let logical = translate_query(&parse_query(Q2).unwrap(), &catalog).unwrap();
-    let expected = evaluate(&logical, &catalog).unwrap();
-    for algorithm in DivisionAlgorithm::ALL {
-        let engine = Engine::builder(catalog.clone())
-            .planner_config(PlannerConfig::with_division_algorithm(algorithm))
-            .build();
-        let explain = engine.explain(Q2).unwrap();
+    let engine = Engine::new(catalog.clone());
+    for (sql, label) in [(Q2, "Divide[hash]"), (Q1, "GreatDivide[hash]")] {
+        let logical = translate_query(&parse_query(sql).unwrap(), &catalog).unwrap();
+        let explain = engine.explain(sql).unwrap();
         assert!(
-            explain.physical.explain().contains(algorithm.name()),
-            "planner config must drive the division algorithm ({})",
-            algorithm.name()
+            explain.physical.explain().contains(label),
+            "EXPLAIN names {label}:\n{}",
+            explain.physical
         );
-        assert_eq!(
-            engine.query_collect(Q2).unwrap().relation,
-            expected,
-            "{}",
-            algorithm.name()
+        let output = engine.query_collect(sql).unwrap();
+        assert!(
+            output.stats.operators.iter().any(|op| op.label == label),
+            "the executed span tree carries {label}"
         );
+        assert_eq!(output.relation, evaluate(&logical, &catalog).unwrap());
     }
 }
 

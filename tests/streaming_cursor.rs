@@ -85,8 +85,8 @@ fn dropping_a_cursor_early_is_safe_and_cheap() {
 fn deep_pipeline_peak_is_bounded_by_batch_size_not_table_size() {
     // The streaming pitch end to end: a deep filter pipeline over a 30k-row
     // table with batch_size 128 keeps the executor's peak resident rows at
-    // a small multiple of the batch size, while the materializing row
-    // executor's largest intermediate is table-sized.
+    // a small multiple of the batch size, while the materializing reference
+    // evaluator's largest intermediate is table-sized.
     let table_rows = 30_000usize;
     let mut c = Catalog::new();
     let rows: Vec<Vec<i64>> = (0..table_rows as i64).map(|i| vec![i, i % 13]).collect();
@@ -103,18 +103,14 @@ fn deep_pipeline_peak_is_bounded_by_batch_size_not_table_size() {
         output.stats.peak_resident_rows,
         table_rows
     );
-    // Reference point: the materializing row executor holds a table-sized
-    // intermediate for the same plan.
-    let physical = engine.explain(sql).unwrap().physical;
-    let (_, mat_stats) = execute_with_stats(&physical, &c).unwrap();
+    // Reference point: the materializing reference evaluator holds a
+    // table-sized intermediate for the same plan.
+    let logical = engine.explain(sql).unwrap().optimized;
+    let (_, eval_stats) = div_expr::evaluate_with_stats(&logical, &c).unwrap();
     assert!(
-        mat_stats.max_intermediate >= table_rows / 2,
+        eval_stats.max_intermediate >= table_rows / 2,
         "the filter's materialized output ({} rows) is table-sized",
-        mat_stats.max_intermediate
-    );
-    assert_eq!(
-        mat_stats.peak_resident_rows, 0,
-        "materializing path reports no peaks"
+        eval_stats.max_intermediate
     );
 }
 
