@@ -27,13 +27,11 @@ impl AggregateFunction {
         match self {
             AggregateFunction::Count => Ok(Value::Int(values.len() as i64)),
             AggregateFunction::Sum => {
-                let mut total = 0i64;
+                let mut total = 0i128;
                 for v in values {
-                    total += v.as_int().ok_or_else(|| AlgebraError::InvalidAggregate {
-                        reason: format!("SUM over non-integer value `{v}`"),
-                    })?;
+                    total += i128::from(AggregateFunction::sum_operand(v)?);
                 }
-                Ok(Value::Int(total))
+                Ok(Value::Int(AggregateFunction::sum_total(total)?))
             }
             AggregateFunction::Min => {
                 values
@@ -54,6 +52,25 @@ impl AggregateFunction {
                     })
             }
         }
+    }
+
+    /// The integer `SUM` adds for `value`: only a non-NULL integer has one.
+    pub fn sum_operand(value: &Value) -> Result<i64> {
+        value
+            .as_int()
+            .ok_or_else(|| AlgebraError::InvalidAggregate {
+                reason: format!("SUM over non-integer value `{value}`"),
+            })
+    }
+
+    /// The `SUM` of a group whose exact total is `total`, or the typed error
+    /// when it leaves the `i64` range. Totals are kept exact (in `i128`,
+    /// which no group can overflow) rather than checked per addition, so the
+    /// verdict does not depend on the order the values are added in.
+    pub fn sum_total(total: i128) -> Result<i64> {
+        i64::try_from(total).map_err(|_| AlgebraError::InvalidAggregate {
+            reason: format!("SUM of {total} overflows a 64-bit integer"),
+        })
     }
 
     /// Name used in plan displays (`count`, `sum`, …).
@@ -255,6 +272,20 @@ mod tests {
         assert!(r
             .group_aggregate(&["g"], &[AggregateCall::sum("v", "s")])
             .is_err());
+    }
+
+    #[test]
+    fn sum_overflow_is_a_typed_error_whatever_the_order() {
+        let sum = AggregateFunction::Sum;
+        let over = [Value::Int(i64::MAX), Value::Int(1)];
+        assert!(matches!(
+            sum.eval(&over),
+            Err(AlgebraError::InvalidAggregate { .. })
+        ));
+        // A total back in range is a result, even where a running i64 sum
+        // would have overflowed on the way.
+        let back = [Value::Int(i64::MAX), Value::Int(1), Value::Int(-1)];
+        assert_eq!(sum.eval(&back).unwrap(), Value::Int(i64::MAX));
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl GreatDivideState {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernels::divide::tests::chunks_of;
     use crate::Column;
@@ -431,9 +431,10 @@ mod tests {
         assert!(hash_great_divide(&dividend, &disjoint).is_err());
     }
 
-    /// A two-or-one-column batch straight from values (NULLs included),
-    /// each column's representation picked by [`Column::from_values`].
-    fn batch_of(names: &[&str], rows: &[Vec<Value>]) -> ColumnarBatch {
+    /// A batch straight from values (NULLs included), each column's
+    /// representation picked by [`Column::from_values`] — so one chunk's
+    /// column may be typed where the next one's is not.
+    pub(crate) fn batch_of(names: &[&str], rows: &[Vec<Value>]) -> ColumnarBatch {
         let columns = (0..names.len())
             .map(|c| Column::from_values(rows.iter().map(|row| &row[c]).collect::<Vec<_>>()))
             .collect();
@@ -442,7 +443,7 @@ mod tests {
 
     /// `0` is NULL; everything else an int or — `strings` — a dictionary
     /// string, so key codes are inexact and matches are verified.
-    fn key_value(v: u32, strings: bool) -> Value {
+    pub(crate) fn key_value(v: u32, strings: bool) -> Value {
         match (v, strings) {
             (0, _) => Value::Null,
             (v, false) => Value::Int(i64::from(v)),

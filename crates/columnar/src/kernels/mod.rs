@@ -14,7 +14,7 @@ pub mod product;
 pub mod project;
 pub mod set_ops;
 
-pub use aggregate::hash_aggregate;
+pub use aggregate::{hash_aggregate, StreamingAggregate};
 pub use divide::{hash_divide, quotient_schema, FrozenConsume, StreamingDivide};
 pub use filter::filter;
 pub use great_divide::{great_quotient_schema, hash_great_divide, StreamingGreatDivide};

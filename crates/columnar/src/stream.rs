@@ -56,7 +56,7 @@ pub struct ChunkInterned {
 /// assert_eq!(second.fresh, vec![true, false]); // "red" was seen in chunk `a`
 /// assert_eq!(store.len(), 3);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GroupStore {
     key_schema: Schema,
     key_cols: Vec<usize>,
@@ -102,6 +102,11 @@ impl GroupStore {
     /// `true` when no group has been interned.
     pub fn is_empty(&self) -> bool {
         self.groups == 0
+    }
+
+    /// The chunk columns this store groups on.
+    pub fn key_cols(&self) -> &[usize] {
+        &self.key_cols
     }
 
     /// Locate the retained representative of `gid`.

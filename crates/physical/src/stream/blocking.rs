@@ -1,13 +1,19 @@
-//! Blocking boundaries: operators that buffer whole inputs before their
-//! first output row — set intersection / difference, grouped aggregation
-//! and the Cartesian product.
+//! Blocking boundaries: operators whose first output row waits for the end
+//! of their input. Set intersection / difference and the Cartesian product
+//! buffer their inputs; grouped aggregation only keeps its groups — one
+//! accumulator row each — and watches that state against the spill budget
+//! the way the divide does.
 
-use super::spill::{load_spill_batch, spillable_rows, Drained, LeafOutput, SpillInput, SpillSink};
+use super::spill::{
+    grouped_pass, next_resident_chunk, open_spill, spillable_rows, GroupedState, LeafOutput,
+    SpillInput,
+};
 use super::StreamContext;
-use super::{consolidate, drain_to_batch, BatchStream, ChunkCursor, OpMeta, RetainedState};
+use super::{drain_to_batch, BatchStream, ChunkCursor, OpMeta, RetainedState};
 use crate::Result;
 use div_algebra::{AggregateCall, Schema};
-use div_columnar::{kernels, ColumnarBatch};
+use div_columnar::kernels::{self, FrozenConsume, StreamingAggregate};
+use div_columnar::ColumnarBatch;
 use div_expr::ExprError;
 
 /// A whole-batch set kernel: [`kernels::intersect`] or
@@ -93,21 +99,54 @@ impl BatchStream for BlockingStream {
     }
 }
 
-/// Hybrid hash aggregation: buffer the input, run the batch kernel once,
-/// serve the result in chunks. Under a spill budget the input is
-/// partitioned on the *grouping* attributes when it approaches the budget,
-/// so every group lands wholly inside one partition and the per-partition
-/// aggregates are exact — their union is the full result. A global
-/// aggregate (no `GROUP BY`) has nothing to partition on and never spills.
+/// Hybrid hash aggregation: the input is *consumed* chunk-at-a-time into
+/// one accumulator row per group ([`StreamingAggregate`]) under any guard,
+/// so what is retained is the groups, never the input. The result is only
+/// known at the end, so the output is a blocking boundary.
+///
+/// What can outgrow a spill budget is therefore the group set, and that is
+/// what the operator watches, exactly like the divide: when it approaches
+/// the budget ([`state_overflows`](super::spill::state_overflows)) the
+/// resident groups are frozen and keep accumulating their own rows, and
+/// rows of groups the state has not met are partitioned to disk on the
+/// grouping attributes, to be aggregated leaf by leaf afterwards. Every
+/// group lands wholly in memory or wholly in one partition, so the union of
+/// the results is the aggregate. A global aggregate (no `GROUP BY`) holds
+/// one group and never spills.
 pub(super) struct AggregateStream {
     meta: OpMeta,
     child: Box<dyn BatchStream>,
-    group_by: Vec<String>,
-    /// Input columns of the grouping attributes: the partitioning key.
-    key_cols: Vec<usize>,
-    aggregates: Vec<AggregateCall>,
-    schema: Schema,
+    /// Never fed: it carries the output schema and the grouping columns
+    /// (the partitioning key), and every pass starts from a clone of it.
+    blank: StreamingAggregate,
     state: Option<LeafOutput>,
+    /// The groups of the pass in progress.
+    retained: RetainedState,
+}
+
+/// The accumulator rows are the grouped state of an aggregate pass.
+impl GroupedState for StreamingAggregate {
+    fn consume(&mut self, chunk: &ColumnarBatch) -> Result<usize> {
+        // Probes count divisor and build-side lookups; grouping has none.
+        StreamingAggregate::consume(self, chunk).map_err(ExprError::from)?;
+        Ok(0)
+    }
+
+    fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> Result<FrozenConsume> {
+        let frozen = StreamingAggregate::consume_frozen(self, chunk).map_err(ExprError::from)?;
+        Ok(FrozenConsume {
+            probes: 0,
+            ..frozen
+        })
+    }
+
+    fn groups(&self) -> usize {
+        StreamingAggregate::groups(self)
+    }
+
+    fn finish(self) -> Result<ColumnarBatch> {
+        StreamingAggregate::finish(self).map_err(ExprError::from)
+    }
 }
 
 impl AggregateStream {
@@ -117,89 +156,76 @@ impl AggregateStream {
         group_by: &[String],
         aggregates: &[AggregateCall],
     ) -> Result<AggregateStream> {
-        let mut names = group_by.to_vec();
-        for agg in aggregates {
-            child
-                .schema()
-                .require(&agg.input)
-                .map_err(ExprError::from)?;
-            names.push(agg.output.clone());
-        }
-        let key_refs: Vec<&str> = group_by.iter().map(String::as_str).collect();
-        let key_cols = child
-            .schema()
-            .projection_indices(&key_refs)
-            .map_err(ExprError::from)?;
+        let refs: Vec<&str> = group_by.iter().map(String::as_str).collect();
+        let blank =
+            StreamingAggregate::new(child.schema(), &refs, aggregates).map_err(ExprError::from)?;
         Ok(AggregateStream {
             meta,
             child,
-            group_by: group_by.to_vec(),
-            key_cols,
-            aggregates: aggregates.to_vec(),
-            schema: Schema::new(names).map_err(ExprError::from)?,
+            blank,
             state: None,
+            retained: RetainedState::default(),
         })
     }
 
+    /// Build phase: run the live input through the accumulators — and, past
+    /// the budget, its unseen groups out to disk.
     fn build(&mut self, ctx: &mut StreamContext) -> Result<LeafOutput> {
-        let input_schema = self.child.schema().clone();
-        // A global aggregate has nothing to partition on.
-        let threshold = ctx.spill_threshold().filter(|_| !self.key_cols.is_empty());
+        let AggregateStream {
+            meta,
+            child,
+            blank,
+            retained,
+            ..
+        } = self;
+        let input_schema = child.schema().clone();
         let input = SpillInput {
-            label: &self.meta.label,
+            label: &meta.label,
             schema: &input_schema,
-            key_cols: &self.key_cols,
+            key_cols: blank.key_cols(),
         };
-        match SpillSink::new(input, threshold).drain(&mut self.child, ctx)? {
-            Drained::Buffered(chunks) => {
-                let batch = consolidate(ctx, &self.meta.label, &input_schema, chunks)?;
-                Ok(LeafOutput::in_memory(self.aggregate(ctx, batch)?))
-            }
-            Drained::Spilled(manager, first) => {
-                // During a leaf both the consolidated input and its
-                // aggregate (≤ input rows) are resident.
-                let bound = spillable_rows(ctx) / 2;
-                LeafOutput::plan(ctx, manager, input, first, bound)
-            }
-        }
-    }
-
-    /// Run the aggregation kernel over one consolidated (and already
-    /// acquired) input batch, swapping the accounting to the result.
-    fn aggregate(&self, ctx: &mut StreamContext, batch: ColumnarBatch) -> Result<ColumnarBatch> {
-        let refs: Vec<&str> = self.group_by.iter().map(String::as_str).collect();
-        let result = kernels::hash_aggregate(&batch, &refs, &self.aggregates);
-        let input_rows = batch.num_rows();
-        ctx.release(input_rows, 1);
-        let result = result.map_err(ExprError::from)?;
-        ctx.trace
-            .note_retained(self.meta.id, input_rows + result.num_rows());
-        ctx.acquire(result.num_rows(), 1);
-        if let Err(err) = ctx.check_guard(&self.meta.label) {
-            ctx.release(result.num_rows(), 1);
-            return Err(err);
-        }
-        Ok(result)
+        // A global aggregate has nothing to partition on.
+        let overflow = (!input.key_cols.is_empty()).then_some(input);
+        let (result, spilled) =
+            grouped_pass(ctx, meta, retained, blank.clone(), 0, overflow, |ctx| {
+                child.next_batch(ctx)
+            })?;
+        // A leaf's groups never outnumber its rows, so a leaf fits when its
+        // rows and one in-flight chunk do.
+        LeafOutput::after_pass(ctx, result, spilled, input, spillable_rows(ctx))
     }
 }
 
 impl BatchStream for AggregateStream {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.blank.schema()
     }
 
     fn next_batch(&mut self, ctx: &mut StreamContext) -> Result<Option<ColumnarBatch>> {
-        let mut state = match self.state.take() {
-            Some(state) => state,
-            None => self.build(ctx)?,
-        };
-        let chunk = state.next(ctx, |ctx, leaf| {
-            let batch = load_spill_batch(ctx, &self.meta.label, self.child.schema(), leaf)?;
-            self.aggregate(ctx, batch)
-        });
-        self.state = Some(state);
-        match chunk? {
-            Some(chunk) => self.meta.emit(ctx, chunk),
+        if self.state.is_none() {
+            self.state = Some(self.build(ctx)?);
+        }
+        let AggregateStream {
+            meta,
+            blank,
+            state,
+            retained,
+            ..
+        } = self;
+        let chunk = state
+            .as_mut()
+            .expect("built above")
+            .next(ctx, |ctx, leaf| {
+                let mut cursor = open_spill(&leaf)?;
+                let (result, _) =
+                    grouped_pass(ctx, meta, retained, blank.clone(), 0, None, |ctx| {
+                        next_resident_chunk(ctx, &meta.label, &mut cursor)
+                    })?;
+                leaf.delete();
+                Ok(result)
+            })?;
+        match chunk {
+            Some(chunk) => meta.emit(ctx, chunk),
             None => Ok(None),
         }
     }
@@ -209,6 +235,7 @@ impl BatchStream for AggregateStream {
         if let Some(mut state) = self.state.take() {
             state.release(ctx);
         }
+        self.retained.release(ctx);
         self.child.close(ctx);
     }
 }

@@ -1,16 +1,15 @@
 //! Division: the small and the great divide.
 
 use super::spill::{
-    level0_fanout, next_resident_chunk, open_spill, spill_seed, spillable_rows, state_overflows,
-    LeafOutput, PartitionWriters, SpillInput,
+    grouped_pass, next_resident_chunk, open_spill, spillable_rows, GroupedState, LeafOutput,
+    Overflowed, SpillInput,
 };
-use super::{consumed, drain_to_batch, BatchStream, OpMeta, RetainedState, StreamContext};
+use super::{drain_to_batch, BatchStream, OpMeta, RetainedState, StreamContext};
 use crate::Result;
 use div_algebra::Schema;
 use div_columnar::kernels::{FrozenConsume, StreamingGreatDivide};
 use div_columnar::ColumnarBatch;
 use div_expr::ExprError;
-use div_storage::{SpillHandle, SpillManager};
 
 /// Hybrid hash division (small and great). The divisor is always
 /// materialized in memory; the dividend is *consumed* chunk-at-a-time into
@@ -49,101 +48,47 @@ pub(super) struct DivideStream {
     kernel_rows: usize,
 }
 
-/// What an overflowed pass leaves on disk: the spill directory and the
-/// sealed partition files of the rows its frozen state did not take.
-type Overflowed = (SpillManager, Vec<SpillHandle>);
+/// The coverage state is the grouped state of a divide pass.
+impl GroupedState for StreamingGreatDivide {
+    fn consume(&mut self, chunk: &ColumnarBatch) -> Result<usize> {
+        Ok(StreamingGreatDivide::consume(self, chunk))
+    }
 
-/// One pass of the division: feed every (acquired) chunk `next_chunk`
-/// yields through the coverage state of a fresh [`StreamingGreatDivide`]
-/// and return the acquired quotient.
-///
-/// `quotient_cols` — the dividend's quotient-attribute columns — lets the
-/// pass overflow: given them (the live dividend), a state that approaches
-/// the spill budget is frozen and the rows it does not take are written to
-/// the partition files returned next to the quotient. A leaf pass gives
-/// `None`: its input was sized to fit, and the budget backstop decides
-/// about a level-capped one that does not.
-///
-/// The divisor's rows stay under `retained` when more passes follow: after
-/// an overflow, and after every leaf.
-fn divide_chunks(
+    fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> Result<FrozenConsume> {
+        Ok(StreamingGreatDivide::consume_frozen(self, chunk))
+    }
+
+    fn groups(&self) -> usize {
+        StreamingGreatDivide::groups(self)
+    }
+
+    fn finish(self) -> Result<ColumnarBatch> {
+        StreamingGreatDivide::finish(self).map_err(ExprError::from)
+    }
+}
+
+/// One division pass over the chunks `next_chunk` yields: a fresh coverage
+/// state against `divisor`, which stays counted next to it.
+fn divide_pass(
     ctx: &mut StreamContext,
     meta: &OpMeta,
     retained: &mut RetainedState,
     dividend_schema: &Schema,
     divisor: ColumnarBatch,
-    quotient_cols: Option<&[usize]>,
-    mut next_chunk: impl FnMut(&mut StreamContext) -> Result<Option<ColumnarBatch>>,
+    overflow: Option<SpillInput>,
+    next_chunk: impl FnMut(&mut StreamContext) -> Result<Option<ColumnarBatch>>,
 ) -> Result<(ColumnarBatch, Option<Overflowed>)> {
     let divisor_rows = divisor.num_rows();
-    let mut state = StreamingGreatDivide::new(dividend_schema, divisor).map_err(ExprError::from)?;
-    let mut overflow: Option<(SpillManager, PartitionWriters)> = None;
-    let mut consume_all = || -> Result<()> {
-        while let Some(chunk) = next_chunk(ctx)? {
-            // Each dividend row is probed once, where it is consumed: here,
-            // or in the leaf its partition file ends up in.
-            let probes = match overflow.as_mut() {
-                None => {
-                    let probes = state.consume(&chunk);
-                    consumed(ctx, &chunk);
-                    probes
-                }
-                Some((_, writers)) => {
-                    let FrozenConsume { probes, leftover } = state.consume_frozen(&chunk);
-                    consumed(ctx, &chunk);
-                    if leftover.len() == chunk.num_rows() {
-                        writers.route(ctx, &chunk)?;
-                    } else if !leftover.is_empty() {
-                        writers.route(ctx, &chunk.gather(&leftover))?;
-                    }
-                    probes
-                }
-            };
-            ctx.add_probes(meta.id, probes);
-            retained.grow_to(ctx, meta.id, divisor_rows + state.groups());
-            // The coverage state itself can outgrow the budget even though
-            // each consumed chunk passed its own check.
-            ctx.check_guard(&meta.label)?;
-            if let (None, Some(key_cols)) = (overflow.as_ref(), quotient_cols) {
-                if state_overflows(ctx) {
-                    // Freeze: from here on the state takes only rows of
-                    // the groups it already holds.
-                    let mut manager = SpillManager::new().map_err(ExprError::from)?;
-                    let fanout = level0_fanout(ctx);
-                    let input = SpillInput {
-                        label: &meta.label,
-                        schema: dividend_schema,
-                        key_cols,
-                    };
-                    let writers =
-                        PartitionWriters::create(&mut manager, ctx, input, spill_seed(0), fanout)?;
-                    overflow = Some((manager, writers));
-                }
-            }
-        }
-        Ok(())
-    };
-    let spilled = match (consume_all(), overflow) {
-        (Ok(()), None) => None,
-        (Ok(()), Some((manager, writers))) => Some((manager, writers.finish(ctx)?)),
-        (Err(err), overflow) => {
-            // Rows still sitting in the write buffers die with the pass.
-            if let Some((_, mut writers)) = overflow {
-                writers.rollback(ctx);
-            }
-            return Err(err);
-        }
-    };
-    let quotient = state.finish().map_err(ExprError::from)?;
-    let keep = if quotient_cols.is_none() || spilled.is_some() {
-        divisor_rows
-    } else {
-        0
-    };
-    retained.release(ctx);
-    retained.grow_to(ctx, meta.id, keep);
-    ctx.acquire(quotient.num_rows(), 1);
-    Ok((quotient, spilled))
+    let state = StreamingGreatDivide::new(dividend_schema, divisor).map_err(ExprError::from)?;
+    grouped_pass(
+        ctx,
+        meta,
+        retained,
+        state,
+        divisor_rows,
+        overflow,
+        next_chunk,
+    )
 }
 
 impl DivideStream {
@@ -191,36 +136,29 @@ impl DivideStream {
             .projection_indices(&key_refs)
             .map_err(ExprError::from)?;
 
-        let (quotient, spilled) = divide_chunks(
-            ctx,
-            meta,
-            retained,
-            &dividend_schema,
-            divisor.clone(),
-            Some(&key_cols),
-            |ctx| dividend.next_batch(ctx),
-        )?;
-        *kernel_rows = quotient.num_rows();
-        let Some((manager, first)) = spilled else {
-            return Ok(LeafOutput::in_memory(quotient));
-        };
-        *leaf_divisor = Some(divisor);
-        // A leaf fits when the replicated divisor, the leaf's coverage
-        // state (≤ its row count) and one in-flight chunk stay under the
-        // budget together.
-        let bound = spillable_rows(ctx).saturating_sub(divisor_rows);
         let input = SpillInput {
             label: &meta.label,
             schema: &dividend_schema,
             key_cols: &key_cols,
         };
-        match LeafOutput::plan(ctx, manager, input, first, bound) {
-            Ok(leaves) => Ok(leaves.with_result(quotient)),
-            Err(err) => {
-                ctx.release(quotient.num_rows(), 1);
-                Err(err)
-            }
+        let (quotient, spilled) = divide_pass(
+            ctx,
+            meta,
+            retained,
+            &dividend_schema,
+            divisor.clone(),
+            Some(input),
+            |ctx| dividend.next_batch(ctx),
+        )?;
+        *kernel_rows = quotient.num_rows();
+        if spilled.is_some() {
+            *leaf_divisor = Some(divisor);
         }
+        // A leaf fits when the replicated divisor, the leaf's coverage
+        // state (≤ its row count) and one in-flight chunk stay under the
+        // budget together.
+        let bound = spillable_rows(ctx).saturating_sub(divisor_rows);
+        LeafOutput::after_pass(ctx, quotient, spilled, input, bound)
     }
 }
 
@@ -248,7 +186,7 @@ impl BatchStream for DivideStream {
             .next(ctx, |ctx, leaf| {
                 let divisor = leaf_divisor.as_ref().expect("leaves imply a divisor");
                 let mut cursor = open_spill(&leaf)?;
-                let (quotient, _) = divide_chunks(
+                let (quotient, _) = divide_pass(
                     ctx,
                     meta,
                     retained,

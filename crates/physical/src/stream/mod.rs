@@ -25,7 +25,10 @@
 //!   dividend chunk-at-a-time into group-id-based coverage state
 //!   ([`div_columnar::kernels::StreamingGreatDivide`]); only their output
 //!   is a blocking boundary;
-//! * **aggregation** buffers its input and runs the batch kernel once;
+//! * **aggregation** *consumes* its input chunk-at-a-time into one
+//!   accumulator row per group
+//!   ([`div_columnar::kernels::StreamingAggregate`]); like the divides,
+//!   only its output is a blocking boundary;
 //! * **intersection, difference and Cartesian product** remain explicit
 //!   blocking boundaries: they buffer their inputs, run the batch kernel,
 //!   and re-chunk the result downstream.
@@ -33,8 +36,8 @@
 //! There is exactly one operator per plan node. Hash join, divide and
 //! grouped aggregation are *hybrid*: in memory until the [`QueryGuard`]
 //! carries a spill budget ([`QueryGuard::spill_budget`]) that what they
-//! keep approaches — the join's build input, the aggregate's input, the
-//! divide's coverage state (never its dividend, which streams under any
+//! keep approaches — the join's build input, the divide's coverage state
+//! and the aggregate's groups (never their input, which streams under any
 //! guard) — and from then on what does not fit is partitioned to disk and
 //! served partition by partition (`spill.rs`). The guard — wherever its
 //! budget came from: the config, a serving session's default, a caller — is
@@ -193,6 +196,9 @@ struct OpMeta {
     is_scan: bool,
     is_root: bool,
     closed: bool,
+    /// Every row emitted so far (debug builds): streams are sets.
+    #[cfg(debug_assertions)]
+    emitted_rows: Option<div_columnar::StreamingDistinct>,
 }
 
 impl OpMeta {
@@ -207,6 +213,8 @@ impl OpMeta {
             ),
             is_root,
             closed: false,
+            #[cfg(debug_assertions)]
+            emitted_rows: None,
         }
     }
 
@@ -217,6 +225,14 @@ impl OpMeta {
     /// operator's emissions funnel through here, so cancellation, deadline
     /// and budget are all observed within one batch boundary. The
     /// `{label}.next_batch` failpoint fires here too.
+    ///
+    /// Every stream is a set — scans read sets (a registered table is a
+    /// relation; an attached file's writer refused every repeated row) and
+    /// every operator keeps or restores distinctness — and the kernels rely
+    /// on it (the aggregate counts every row it is shown). Debug builds
+    /// check it here: each operator keeps every row it emitted and panics
+    /// on a repeat, in every strategy, spill read-back included. Release
+    /// builds pay nothing.
     fn emit(
         &mut self,
         ctx: &mut StreamContext,
@@ -230,6 +246,20 @@ impl OpMeta {
             ctx.release(rows, 1);
             self.emitted -= rows;
             return Err(err);
+        }
+        #[cfg(debug_assertions)]
+        {
+            let seen = self.emitted_rows.get_or_insert_with(|| {
+                div_columnar::StreamingDistinct::new(batch.schema().clone())
+            });
+            let fresh = seen.push(&batch).num_rows();
+            assert_eq!(
+                fresh,
+                rows,
+                "{} emitted {} rows it had emitted before",
+                self.label,
+                rows - fresh
+            );
         }
         Ok(Some(batch))
     }

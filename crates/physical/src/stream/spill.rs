@@ -1,26 +1,28 @@
 //! The out-of-core half of the hybrid hash operators (join, divide / great
 //! divide, grouped aggregation): the partition files and the buffered
-//! writers that fill them, the sink that buffers or partitions a build
-//! input, recursive re-partitioning and the leaf worklist the operators
-//! serve from.
+//! writers that fill them, the join's sink that buffers or partitions its
+//! build input, the grouped pass the divide and the aggregate share,
+//! recursive re-partitioning and the leaf worklist those two serve from.
 //!
 //! This is Graefe's hybrid hash design, which the hash-division family this
 //! workspace reproduces is explicitly built on:
 //!
 //! 1. **Spill what does not fit — and only that.** Every operator watches
-//!    the thing it actually keeps. The join and the aggregate keep their
-//!    (build) input, so a [`SpillSink`] buffers it and, when the statement's
-//!    resident footprint comes within a safety margin of the budget (two
-//!    batches — the trigger must fire *before* a child emission would trip
-//!    the [`crate::guard::QueryGuard`], whose check lives at the emit
+//!    the thing it actually keeps. The join keeps its build input, so a
+//!    [`SpillSink`] buffers it and, when the statement's resident footprint
+//!    comes within a safety margin of the budget (two batches — the trigger
+//!    must fire *before* a child emission would trip the
+//!    [`crate::guard::QueryGuard`], whose check lives at the emit
 //!    boundary), partitions everything buffered plus everything still
-//!    arriving. The divide keeps coverage *state* (divisor + quotient
-//!    groups) and reads its dividend once, so its trigger
+//!    arriving. The divide and the aggregate keep grouped *state* — the
+//!    divide's divisor + quotient groups, the aggregate's one accumulator
+//!    row per group — and read their input once, so their trigger
 //!    ([`state_overflows`]) watches the state: when that nears the budget
 //!    the resident groups are frozen, keep consuming their own rows, and
-//!    only rows of groups the state has never met are partitioned
-//!    (`divide.rs`). With no spill budget on the guard
-//!    ([`QueryGuard::spill_budget`](crate::guard::QueryGuard::spill_budget)
+//!    only rows of groups the state has never met are partitioned. One
+//!    loop, [`grouped_pass`], does this for both, over the
+//!    [`GroupedState`] each kernel implements. With no spill budget on the
+//!    guard ([`QueryGuard::spill_budget`](crate::guard::QueryGuard::spill_budget)
 //!    is `None`) no trigger ever fires — that *is* the in-memory operator;
 //!    with one, an input or a state that stays under it runs the same code
 //!    path with no IO.
@@ -38,8 +40,8 @@
 //!    partitions make per-partition results independent, so their union is
 //!    the exact operator result.
 //! 3. **Recurse per partition, by its size.** Each operator states its leaf
-//!    bound as a row count (join: the build side fits; aggregate: input
-//!    plus result fit; divide: divisor plus one group per row fit). A
+//!    bound as a row count (join: the build side fits; aggregate: one group
+//!    per row fits; divide: divisor plus one group per row fit). A
 //!    partition over the bound is re-partitioned from disk into
 //!    [`split_fanout`] files — its row count over the bound, with headroom
 //!    for skew — under a fresh level seed
@@ -63,9 +65,13 @@
 //! [`ExecStats::spill_rows_written`]: crate::stats::ExecStats::spill_rows_written
 //! [`ExecStats::spill_rows_read`]: crate::stats::ExecStats::spill_rows_read
 
-use super::{collect_chunks, consolidate, consumed, BatchStream, ChunkCursor, StreamContext};
+use super::{
+    collect_chunks, consolidate, consumed, BatchStream, ChunkCursor, OpMeta, RetainedState,
+    StreamContext,
+};
 use crate::Result;
 use div_algebra::Schema;
+use div_columnar::kernels::FrozenConsume;
 use div_columnar::partition::{self, BatchAppender};
 use div_columnar::ColumnarBatch;
 use div_expr::ExprError;
@@ -111,7 +117,7 @@ pub(super) fn spillable_rows(ctx: &StreamContext) -> usize {
 }
 
 /// Fan-out of a first-level partitioning pass (the join's two sides, the
-/// aggregate's input, the divide's overflow): the number of full-chunk
+/// divide's and the aggregate's overflow): the number of full-chunk
 /// (`batch_size`-row) write buffers that fit in [`spillable_rows`] —
 /// Graefe's memory-over-buffer rule — within [`MIN_FANOUT`] and
 /// [`MAX_FANOUT`]. Re-partitioning passes are sized from their file's row
@@ -120,10 +126,11 @@ pub(super) fn level0_fanout(ctx: &StreamContext) -> usize {
     (spillable_rows(ctx) / ctx.batch_size()).clamp(MIN_FANOUT, MAX_FANOUT)
 }
 
-/// The divide's overflow trigger: `true` once the statement's resident
-/// rows — the divide's divisor and coverage groups plus whatever its
-/// neighbours hold — leave less than the margin plus room for the overflow
-/// pass's write buffers under the budget. That room is a quarter of
+/// The grouped operators' overflow trigger: `true` once the statement's
+/// resident rows — the pass's state (divisor and coverage groups, or
+/// accumulator rows) plus whatever its neighbours hold — leave less than
+/// the margin plus room for the overflow pass's write buffers under the
+/// budget. That room is a quarter of
 /// [`spillable_rows`] (no more than [`MAX_FANOUT`] full chunks): what
 /// hybrid hashing sets aside for its output partitions before it hands the
 /// rest to the resident one. The pass still fans out [`level0_fanout`]
@@ -395,7 +402,7 @@ pub(super) fn repartition(
     Ok(split)
 }
 
-/// The build-side accumulator of every hybrid operator: buffers chunks in
+/// The build-side accumulator of the hybrid join: buffers chunks in
 /// memory (they remain under their emitters' resident accounting) until
 /// the spill trigger fires, then becomes a disk router. Without a
 /// `threshold` the trigger never fires. Chunks handed to
@@ -500,10 +507,125 @@ impl<'a> SpillSink<'a> {
     }
 }
 
-/// What a partitioned blocking operator (divide, aggregate) serves from
-/// once its input is drained: a worklist of on-disk leaf partitions — empty
-/// when the input never spilled — and the chunked result of the partition
-/// being served.
+/// A grouped state one pass of a hybrid divide or aggregate folds its input
+/// into — the divide's coverage groups ([`StreamingGreatDivide`]), the
+/// aggregate's accumulator rows ([`StreamingAggregate`]) — and that can be
+/// *frozen*: from then on it takes only rows of the groups it holds, and
+/// hands the others back. That is what lets [`grouped_pass`] overflow
+/// without giving up the groups it already has.
+///
+/// [`StreamingGreatDivide`]: div_columnar::kernels::StreamingGreatDivide
+/// [`StreamingAggregate`]: div_columnar::kernels::StreamingAggregate
+pub(super) trait GroupedState {
+    /// Fold one chunk in, adding the groups it introduces; the kernel
+    /// probes it performed.
+    fn consume(&mut self, chunk: &ColumnarBatch) -> Result<usize>;
+    /// Fold in the rows of resident groups only; the rest are left over.
+    fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> Result<FrozenConsume>;
+    /// Groups held — the state's resident rows.
+    fn groups(&self) -> usize;
+    /// The pass's result, one row per qualifying group.
+    fn finish(self) -> Result<ColumnarBatch>;
+}
+
+/// What an overflowed pass leaves on disk: the spill directory and the
+/// sealed partition files of the rows its frozen state did not take.
+pub(super) type Overflowed = (SpillManager, Vec<SpillHandle>);
+
+/// One pass of a grouped operator: fold every (acquired) chunk
+/// `next_chunk` yields into `state` and return the acquired result.
+///
+/// `kept_rows` are rows the operator holds next to the state for the whole
+/// pass (the divide's divisor); they are counted with the groups under
+/// `retained`, and stay there when more passes follow — after an overflow,
+/// and after every leaf.
+///
+/// `overflow` — the pass's input, routed on its grouping columns — lets
+/// the pass overflow: a state that approaches the spill budget
+/// ([`state_overflows`]) is frozen, and the rows it does not take are
+/// written to the partition files returned next to the result. Resident
+/// and spilled groups are key-disjoint, so the results of the pass and of
+/// the files are disjoint too and their union is the operator's. A leaf
+/// pass gives `None`: its input was sized to fit, and the budget backstop
+/// decides about a level-capped one that does not.
+pub(super) fn grouped_pass(
+    ctx: &mut StreamContext,
+    meta: &OpMeta,
+    retained: &mut RetainedState,
+    mut state: impl GroupedState,
+    kept_rows: usize,
+    overflow: Option<SpillInput>,
+    mut next_chunk: impl FnMut(&mut StreamContext) -> Result<Option<ColumnarBatch>>,
+) -> Result<(ColumnarBatch, Option<Overflowed>)> {
+    let mut writers: Option<(SpillManager, PartitionWriters)> = None;
+    let mut consume_all = || -> Result<()> {
+        while let Some(chunk) = next_chunk(ctx)? {
+            // Each input row is folded in once, where it is consumed: here,
+            // or in the leaf its partition file ends up in.
+            let probes = match writers.as_mut() {
+                None => {
+                    let probes = state.consume(&chunk);
+                    consumed(ctx, &chunk);
+                    probes?
+                }
+                Some((_, writers)) => {
+                    let frozen = state.consume_frozen(&chunk);
+                    consumed(ctx, &chunk);
+                    let FrozenConsume { probes, leftover } = frozen?;
+                    if leftover.len() == chunk.num_rows() {
+                        writers.route(ctx, &chunk)?;
+                    } else if !leftover.is_empty() {
+                        writers.route(ctx, &chunk.gather(&leftover))?;
+                    }
+                    probes
+                }
+            };
+            ctx.add_probes(meta.id, probes);
+            retained.grow_to(ctx, meta.id, kept_rows + state.groups());
+            // The state itself can outgrow the budget even though each
+            // consumed chunk passed its own check.
+            ctx.check_guard(&meta.label)?;
+            if let (None, Some(input)) = (writers.as_ref(), overflow) {
+                if state_overflows(ctx) {
+                    // Freeze: from here on the state takes only rows of
+                    // the groups it already holds.
+                    let mut manager = SpillManager::new().map_err(ExprError::from)?;
+                    let fanout = level0_fanout(ctx);
+                    let partitions =
+                        PartitionWriters::create(&mut manager, ctx, input, spill_seed(0), fanout)?;
+                    writers = Some((manager, partitions));
+                }
+            }
+        }
+        Ok(())
+    };
+    let spilled = match (consume_all(), writers) {
+        (Ok(()), None) => None,
+        (Ok(()), Some((manager, writers))) => Some((manager, writers.finish(ctx)?)),
+        (Err(err), writers) => {
+            // Rows still sitting in the write buffers die with the pass.
+            if let Some((_, mut writers)) = writers {
+                writers.rollback(ctx);
+            }
+            return Err(err);
+        }
+    };
+    let result = state.finish()?;
+    let keep = if overflow.is_none() || spilled.is_some() {
+        kept_rows
+    } else {
+        0
+    };
+    retained.release(ctx);
+    retained.grow_to(ctx, meta.id, keep);
+    ctx.acquire(result.num_rows(), 1);
+    Ok((result, spilled))
+}
+
+/// What a grouped operator (divide, aggregate) serves from once its input
+/// is drained: the chunked result of the partition being served and a
+/// worklist of on-disk leaf partitions — empty when the first pass never
+/// overflowed.
 #[derive(Default)]
 pub(super) struct LeafOutput {
     /// Owns the spill directory for the lifetime of the serve phase.
@@ -513,48 +635,45 @@ pub(super) struct LeafOutput {
 }
 
 impl LeafOutput {
-    /// The whole (acquired) result of an input that stayed in memory.
-    pub(super) fn in_memory(result: ColumnarBatch) -> LeafOutput {
-        LeafOutput::default().with_result(result)
-    }
-
-    /// Recursively split the first-pass partitions until each holds at most
-    /// `bound` rows — the operator's leaf bound — or the level cap is
-    /// reached; empty partitions are dropped. What remains is the leaf
-    /// worklist.
-    pub(super) fn plan(
+    /// Serve the (acquired) `result` of a first [`grouped_pass`] — and, when
+    /// it overflowed, the leaves its partition files of `input` split into:
+    /// each is recursively re-partitioned until it holds at most `bound`
+    /// rows — the operator's leaf bound — or the level cap is reached;
+    /// empty partitions are dropped.
+    pub(super) fn after_pass(
         ctx: &mut StreamContext,
-        mut manager: SpillManager,
+        result: ColumnarBatch,
+        spilled: Option<Overflowed>,
         input: SpillInput,
-        first: Vec<SpillHandle>,
         bound: usize,
     ) -> Result<LeafOutput> {
+        let mut output = LeafOutput {
+            out: ChunkCursor::new(result),
+            ..LeafOutput::default()
+        };
+        let Some((mut manager, first)) = spilled else {
+            return Ok(output);
+        };
         let mut work: Vec<(SpillHandle, usize)> = first.into_iter().map(|h| (h, 1)).collect();
-        let mut leaves = Vec::new();
         while let Some((handle, level)) = work.pop() {
             if handle.rows() == 0 {
                 handle.delete();
             } else if handle.rows() <= bound || level >= MAX_SPILL_LEVELS {
-                leaves.push(handle);
+                output.leaves.push(handle);
             } else {
                 let seed = spill_seed(level);
                 let fanout = split_fanout(ctx, handle.rows(), bound);
-                let split = repartition(ctx, &mut manager, input, handle, seed, fanout)?;
-                work.extend(split.into_iter().map(|h| (h, level + 1)));
+                match repartition(ctx, &mut manager, input, handle, seed, fanout) {
+                    Ok(split) => work.extend(split.into_iter().map(|h| (h, level + 1))),
+                    Err(err) => {
+                        output.release(ctx);
+                        return Err(err);
+                    }
+                }
             }
         }
-        Ok(LeafOutput {
-            _manager: Some(manager),
-            leaves,
-            out: ChunkCursor::default(),
-        })
-    }
-
-    /// Serve `result` — the (acquired) output of the part of the input that
-    /// stayed in memory — ahead of the leaves.
-    pub(super) fn with_result(mut self, result: ColumnarBatch) -> LeafOutput {
-        self.out = ChunkCursor::new(result);
-        self
+        output._manager = Some(manager);
+        Ok(output)
     }
 
     /// The next output chunk (for the caller to `emit`), running `leaf` on

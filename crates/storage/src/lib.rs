@@ -13,7 +13,8 @@
 //! * [`TableWriter`] / [`TableReader`] — a chunked columnar file format
 //!   (dictionary + RLE string encoding, RLE-or-plain integers, per-column
 //!   min/max zone maps, CRC-32 on every chunk and on the footer) that
-//!   round-trips every [`div_algebra::Relation`] losslessly;
+//!   round-trips every [`div_algebra::Relation`] losslessly and, like a
+//!   relation, holds a set: the writer refuses a repeated row;
 //! * [`TableScanCursor`] — chunk-at-a-time reads with zone-map chunk
 //!   skipping under a pushed-down [`div_algebra::Predicate`]. The reader
 //!   and its cursor implement [`div_expr::TableSource`] /
@@ -86,6 +87,11 @@ pub enum StorageError {
         /// Human-readable description.
         reason: String,
     },
+    /// A batch repeated a row already in the table: a table is a set.
+    DuplicateRow {
+        /// The table being written.
+        context: String,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -108,6 +114,9 @@ impl fmt::Display for StorageError {
             ),
             StorageError::Corrupt { context } => write!(f, "corrupt table file: {context}"),
             StorageError::Schema { reason } => write!(f, "schema error: {reason}"),
+            StorageError::DuplicateRow { context } => {
+                write!(f, "duplicate row refused: {context} already holds it")
+            }
         }
     }
 }

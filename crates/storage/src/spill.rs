@@ -62,7 +62,7 @@ impl SpillManager {
         self.next_file += 1;
         self.files_created += 1;
         Ok(SpillWriter {
-            writer: TableWriter::create(&path, schema)?,
+            writer: TableWriter::create_unchecked(&path, schema)?,
             rows: 0,
         })
     }

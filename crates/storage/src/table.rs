@@ -24,7 +24,7 @@ use crate::checksum::crc32;
 use crate::codec::{self, put_str, put_u16, put_u32, put_u64, ByteReader};
 use crate::{Result, StorageError};
 use div_algebra::{Predicate, Relation, Schema};
-use div_columnar::{chunk_may_match, column_zone, ColumnZone, ColumnarBatch};
+use div_columnar::{chunk_may_match, column_zone, ColumnZone, ColumnarBatch, GroupStore};
 use div_expr::{ChunkScan, ExprError, TableSource};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -32,8 +32,9 @@ use std::path::{Path, PathBuf};
 
 /// Leading and trailing file magic (`DIVCOL` + format version digits).
 pub const MAGIC: [u8; 8] = *b"DIVCOL01";
-/// Footer payload version.
-const FORMAT_VERSION: u16 = 1;
+/// Footer payload version. Since version 2 a file holds a set: its writer
+/// refuses a repeated row, so a file of an earlier version is not read.
+const FORMAT_VERSION: u16 = 2;
 
 fn io_err(context: &str, err: std::io::Error) -> StorageError {
     StorageError::Io {
@@ -59,6 +60,11 @@ pub(crate) struct ChunkMeta {
 /// Dropping a writer without finishing leaves a file with no valid trailer
 /// — readers reject it, so a crash mid-write cannot be mistaken for a
 /// complete table.
+///
+/// A table is a set, and the executor's operators rely on every scan being
+/// one: a batch that repeats a row — of itself or of an earlier batch — is
+/// refused with [`StorageError::DuplicateRow`] and nothing of it is
+/// written. To check, the writer keeps one copy of every row it wrote.
 #[derive(Debug)]
 pub struct TableWriter {
     file: File,
@@ -67,11 +73,24 @@ pub struct TableWriter {
     offset: u64,
     rows: u64,
     chunks: Vec<ChunkMeta>,
+    /// The rows written so far; `None` when they are distinct by
+    /// construction ([`TableWriter::create_unchecked`]).
+    written: Option<GroupStore>,
 }
 
 impl TableWriter {
     /// Create (truncating) `path` and write the file header.
     pub fn create(path: impl AsRef<Path>, schema: Schema) -> Result<TableWriter> {
+        let written = GroupStore::new(schema.clone(), (0..schema.arity()).collect());
+        let mut writer = TableWriter::create_unchecked(path, schema)?;
+        writer.written = Some(written);
+        Ok(writer)
+    }
+
+    /// [`TableWriter::create`] for rows the caller knows to be distinct — a
+    /// relation's, or a spill partition's, which is part of one executor
+    /// stream — so none are kept to check them.
+    pub(crate) fn create_unchecked(path: impl AsRef<Path>, schema: Schema) -> Result<TableWriter> {
         let path = path.as_ref().to_path_buf();
         let mut file =
             File::create(&path).map_err(|e| io_err(&format!("create {}", path.display()), e))?;
@@ -84,6 +103,7 @@ impl TableWriter {
             offset: MAGIC.len() as u64,
             rows: 0,
             chunks: Vec::new(),
+            written: None,
         })
     }
 
@@ -98,7 +118,8 @@ impl TableWriter {
     }
 
     /// Append one batch as one chunk. Empty batches are ignored; the batch
-    /// schema must equal the writer's schema.
+    /// schema must equal the writer's schema, and no row of it may have
+    /// been written before.
     pub fn write_batch(&mut self, batch: &ColumnarBatch) -> Result<()> {
         if batch.schema() != &self.schema {
             return Err(StorageError::Schema {
@@ -111,6 +132,17 @@ impl TableWriter {
         }
         if batch.num_rows() == 0 {
             return Ok(());
+        }
+        if let Some(written) = &mut self.written {
+            // Check before interning, so a refused batch leaves no trace.
+            if batch.dedup().num_rows() < batch.num_rows()
+                || written.lookup_chunk(batch).iter().any(Option::is_some)
+            {
+                return Err(StorageError::DuplicateRow {
+                    context: self.path.display().to_string(),
+                });
+            }
+            written.intern_chunk(batch);
         }
         let payload = codec::encode_chunk(batch);
         let zones = batch.columns().iter().map(column_zone).collect();
@@ -164,6 +196,7 @@ impl TableWriter {
     }
 
     /// Convenience: write `relation` to `path` in chunks of `chunk_rows`.
+    /// A relation is a set, so its rows are not kept to be checked.
     pub fn write_relation(
         path: impl AsRef<Path>,
         relation: &Relation,
@@ -171,7 +204,7 @@ impl TableWriter {
     ) -> Result<()> {
         let chunk_rows = chunk_rows.max(1);
         let batch = ColumnarBatch::from_relation(relation);
-        let mut writer = TableWriter::create(path, batch.schema().clone())?;
+        let mut writer = TableWriter::create_unchecked(path, batch.schema().clone())?;
         let rows = batch.num_rows();
         let mut start = 0;
         while start < rows {
@@ -516,6 +549,32 @@ mod tests {
             writer.write_batch(&wrong),
             Err(StorageError::Schema { .. })
         ));
+    }
+
+    #[test]
+    fn repeated_rows_are_refused_and_leave_no_trace() {
+        let path = temp_path("repeats.divt");
+        let mut writer = TableWriter::create(&path, Schema::of(["g", "v"])).unwrap();
+        let first = ColumnarBatch::from_relation(&relation! { ["g", "v"] => [1, 1], [1, 2] });
+        writer.write_batch(&first).unwrap();
+        // A repeat of an earlier batch, and a repeat within one batch.
+        let again = ColumnarBatch::from_relation(&relation! { ["g", "v"] => [2, 1], [1, 2] });
+        let twice =
+            ColumnarBatch::from_relation(&relation! { ["g", "v"] => [3, 3] }).gather(&[0, 0]);
+        for batch in [&first, &again, &twice] {
+            assert!(matches!(
+                writer.write_batch(batch),
+                Err(StorageError::DuplicateRow { .. })
+            ));
+        }
+        // Nothing of a refused batch was written or remembered.
+        let fresh = ColumnarBatch::from_relation(&relation! { ["g", "v"] => [2, 1], [3, 3] });
+        writer.write_batch(&fresh).unwrap();
+        assert_eq!(writer.rows(), 4);
+        writer.finish().unwrap();
+        let reader = TableReader::open(&path).unwrap();
+        assert_eq!(reader.row_count(), 4);
+        assert_eq!(reader.to_relation().unwrap().len(), 4);
     }
 
     #[test]

@@ -325,15 +325,21 @@ fn spill_faults_abort_cleanly_and_leave_no_files() {
     let guard = || div_physical::QueryGuard::from_config(&config);
     let dirs_before = live_spill_dirs();
     // Two ways of having rows in flight when the fault lands. The divide's
-    // 60 groups + 5 divisor rows overflow the 24-row budget, so its first
-    // write happens in the frozen pass — resident groups held, unseen
-    // groups' rows sitting in the partition buffers. The self-join's build
-    // side is partitioned whole, and its first write finds the other
-    // partitions' buffers occupied.
+    // 60 groups + 5 divisor rows, and the aggregate's 60 groups, overflow
+    // the 24-row budget, so their first write happens in the frozen pass —
+    // resident groups held, unseen groups' rows sitting in the partition
+    // buffers. The self-join's build side is partitioned whole, and its
+    // first write finds the other partitions' buffers occupied.
     let plans = [
         (
             PlanBuilder::scan("supplies")
                 .divide(PlanBuilder::scan("wanted"))
+                .build(),
+            60,
+        ),
+        (
+            PlanBuilder::scan("supplies")
+                .group_aggregate(["s#"], [AggregateCall::count("p#", "n")])
                 .build(),
             60,
         ),

@@ -21,7 +21,7 @@
 //!   zone-map chunk skipping. Neither planning nor streaming loads the file
 //!   into the catalog, and `DROP` does not read what it drops.
 
-use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
+use div_algebra::{relation, AggregateCall, AggregateFunction, CompareOp, Predicate, Relation};
 use div_expr::{evaluate, Catalog, LogicalPlan, PlanBuilder};
 use div_physical::{plan_query, ExecStats, PlannerConfig, QueryGuard, StreamExecutor};
 use div_sql::{Engine, QueryOutput};
@@ -173,8 +173,13 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let c = catalog();
     // Shapes whose blocking state lives in a hybrid operator (divide, great
     // divide, hash join family, grouped aggregation) — these must
-    // demonstrably hit disk at the tightest budget.
-    let spillable: &[usize] = &[0, 2, 3, 5];
+    // demonstrably hit disk at the tightest budget. The aggregate keeps one
+    // row per group, so where a narrowing projection's distinct store sits
+    // on top of it (shape 5) that store, not the aggregate, sets the peak:
+    // there the aggregate holds exactly its groups at every budget. The
+    // bare aggregate (shape 10) is the one whose own state sets the peak.
+    let spillable: &[usize] = &[0, 2, 3, 10];
+    let aggregate_under_projection = 5;
     let mut spilled_shapes = 0usize;
     for (shape_idx, logical) in shapes().into_iter().enumerate() {
         let expected = evaluate(&logical, &c).unwrap();
@@ -233,6 +238,26 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
                 tiny.stats.spill_partitions > 0,
                 "shape #{shape_idx} (spillable) never hit disk at budget {tiny_budget}"
             );
+        }
+        if shape_idx == aggregate_under_projection {
+            // The projection keeps one row per group, so the result counts
+            // the groups.
+            for (run, stats) in [
+                ("unlimited", &unlimited.stats),
+                ("exact-fit", &exact.stats),
+                ("tiny", &tiny.stats),
+            ] {
+                let node = stats
+                    .operators
+                    .iter()
+                    .find(|op| op.label.starts_with("HashAggregate"))
+                    .expect("shape #5 aggregates");
+                assert_eq!(
+                    node.peak_retained_rows,
+                    expected.len(),
+                    "shape #{shape_idx} {run}: the aggregate kept more than its groups"
+                );
+            }
         }
     }
     assert!(
@@ -386,6 +411,98 @@ fn coverage_state_that_fits_never_touches_disk() {
 }
 
 #[test]
+fn aggregate_state_that_fits_never_touches_disk() {
+    // 20,000 input rows against a 1,000-row budget — twenty times over —
+    // but in 200 groups: the aggregate keeps one accumulator row per group,
+    // so the input streams through and nothing is written.
+    let (groups, parts, batch_size, budget) = (200, 100, 64, 1_000);
+    let (supplies, _) = div_bench::division_workload(groups as i64, parts as i64, 1);
+    assert_eq!(supplies.len(), groups * parts);
+    let mut c = Catalog::new();
+    c.register("supplies", supplies);
+    let logical = PlanBuilder::scan("supplies")
+        .group_aggregate(
+            ["a"],
+            [
+                AggregateCall::count("b", "n"),
+                AggregateCall::sum("b", "total"),
+            ],
+        )
+        .build();
+    let expected = evaluate(&logical, &c).unwrap();
+    let config = PlannerConfig::default()
+        .batch_size(batch_size)
+        .memory_budget_rows(budget)
+        .spill_to_disk(true);
+    let engine = Engine::builder(c)
+        .planner_config(config)
+        .without_optimizer()
+        .build();
+    let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+    assert_eq!(output.relation, expected);
+    let stats = &output.stats;
+    assert_eq!(stats.spill_partitions, 0);
+    assert_eq!(stats.spill_rows_written, 0);
+    assert!(
+        stats.peak_resident_rows <= budget,
+        "peak {}",
+        stats.peak_resident_rows
+    );
+    let node = &stats.operators[0];
+    assert!(node.label.starts_with("HashAggregate"), "{}", node.label);
+    assert_eq!(node.peak_retained_rows, groups);
+}
+
+#[test]
+fn aggregate_overflow_spills_only_the_groups_that_are_not_resident() {
+    // 500 groups of 10 rows against a 256-row budget in 8-row batches: the
+    // aggregate freezes the groups it holds, keeps accumulating their rows,
+    // and writes only the rows of the other groups — in one pass (at most
+    // 32 files), strictly fewer rows than its input.
+    let (c, _, _) = five_hundred_groups();
+    let logical = PlanBuilder::scan("supplies")
+        .group_aggregate(
+            ["s#"],
+            [
+                AggregateCall::count("p#", "n"),
+                AggregateCall::new(AggregateFunction::Max, "p#", "top"),
+            ],
+        )
+        .build();
+    let expected = evaluate(&logical, &c).unwrap();
+    assert_eq!(expected.len(), 500);
+    let config = PlannerConfig::default()
+        .batch_size(8)
+        .memory_budget_rows(256)
+        .spill_to_disk(true);
+    let engine = Engine::builder(c)
+        .planner_config(config)
+        .without_optimizer()
+        .build();
+    let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+    assert_eq!(output.relation, expected);
+    let stats = &output.stats;
+    assert!(
+        stats.peak_resident_rows <= 256,
+        "peak {}",
+        stats.peak_resident_rows
+    );
+    assert_eq!(stats.resident_rows_on_finish, 0);
+    assert!(stats.spill_rows_written > 0, "500 groups fit in 256?");
+    assert!(
+        stats.spill_partitions <= 32,
+        "{} files: not a single pass",
+        stats.spill_partitions
+    );
+    assert!(
+        stats.spill_rows_written < 5000,
+        "the first pass wrote {} of 5000 input rows",
+        stats.spill_rows_written
+    );
+    assert_eq!(stats.spill_rows_read, stats.spill_rows_written);
+}
+
+#[test]
 fn attached_table_larger_than_budget_streams_through_a_served_query() {
     use div_server::{Client, Server, ServerConfig};
     use std::sync::Arc;
@@ -475,6 +592,37 @@ fn planning_and_streaming_never_load_an_attached_table() {
     // The reference path is the one way the file becomes rows.
     assert_eq!(c.table("big").unwrap(), &big);
     assert_eq!(c.tables().count(), 2);
+}
+
+#[test]
+fn an_attached_file_is_a_set_so_a_grouped_count_matches_the_reference() {
+    // The aggregate counts every row it is shown, so a scan must not show
+    // one twice. The writer refuses a batch repeating a row, so a file that
+    // gets attached holds a set, like the relation the reference reads it as.
+    use div_columnar::ColumnarBatch;
+    use div_storage::{StorageError, TableReader, TableWriter};
+
+    let path = temp_path("repeats");
+    let _cleanup = RemoveOnDrop(path.clone());
+    let first = ColumnarBatch::from_relation(&relation! { ["g", "v"] => [1, 1], [1, 2], [2, 1] });
+    let mut writer = TableWriter::create(&path, first.schema().clone()).unwrap();
+    writer.write_batch(&first).unwrap();
+    let err = writer.write_batch(&first).unwrap_err();
+    assert!(matches!(err, StorageError::DuplicateRow { .. }), "{err}");
+    let rest = ColumnarBatch::from_relation(&relation! { ["g", "v"] => [2, 2], [3, 1] });
+    writer.write_batch(&rest).unwrap();
+    writer.finish().unwrap();
+
+    let mut c = Catalog::new();
+    c.register_external("t", std::sync::Arc::new(TableReader::open(&path).unwrap()));
+    let logical = PlanBuilder::scan("t")
+        .group_aggregate(["g"], [AggregateCall::count("v", "n")])
+        .build();
+    let engine = Engine::builder(c.clone()).without_optimizer().build();
+    let streamed = engine.stream_logical(&logical).unwrap().collect().unwrap();
+    let counts = relation! { ["g", "n"] => [1, 2], [2, 2], [3, 1] };
+    assert_eq!(streamed.relation, counts);
+    assert_eq!(evaluate(&logical, &c).unwrap(), counts);
 }
 
 #[test]

@@ -597,3 +597,40 @@ fn div_bench_workload(groups: i64, items: i64) -> (Relation, Relation) {
         Relation::from_rows(["b"], divisor_rows).unwrap(),
     )
 }
+
+#[test]
+fn sum_overflow_is_a_typed_error_on_every_path() {
+    use div_algebra::AlgebraError;
+    use div_expr::ExprError;
+    let over = relation! { ["g", "v"] => [1, i64::MAX], [1, 1], [2, 5] };
+    let sum = [AggregateCall::sum("v", "total")];
+    let is_overflow = |err: &AlgebraError| matches!(err, AlgebraError::InvalidAggregate { .. });
+
+    let reference = over.group_aggregate(&["g"], &sum).unwrap_err();
+    assert!(is_overflow(&reference), "reference: {reference}");
+
+    let kernel =
+        div_columnar::kernels::hash_aggregate(&ColumnarBatch::from_relation(&over), &["g"], &sum)
+            .unwrap_err();
+    assert!(is_overflow(&kernel), "hash_aggregate: {kernel}");
+
+    let mut catalog = Catalog::new();
+    catalog.register("over", over);
+    let logical = PlanBuilder::scan("over")
+        .group_aggregate(["g"], sum.clone())
+        .build();
+    for batch_size in [1, 1024] {
+        let engine = Engine::builder(catalog.clone())
+            .planner_config(PlannerConfig::with_batch_size(batch_size))
+            .build();
+        let err = engine
+            .stream_logical(&logical)
+            .unwrap()
+            .collect()
+            .unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Plan(ExprError::Algebra(inner)) if is_overflow(inner)),
+            "stream_logical at batch {batch_size}: {err}"
+        );
+    }
+}

@@ -140,12 +140,18 @@ fn blocking_operators_still_stream_their_output_in_chunks() {
     assert!(batches >= 1_000 / 64, "the blocking result is re-chunked");
     let stats = cursor.finish_stats();
     assert_eq!(stats.output_rows, 1_000);
-    // Resident accounting across a blocking boundary: the buffered input
-    // (1000 rows) and the aggregate result (1000 rows) coexist briefly,
-    // plus a few in-flight chunks — but served chunks must not be
-    // double-counted or leak, so the peak stays near 2× the blocking state.
+    // Resident accounting across a blocking boundary: the aggregate keeps
+    // one row per group (1000), never its input, and its result replaces
+    // that state — plus a few in-flight chunks; served chunks must not be
+    // double-counted or leak.
+    let node = stats
+        .operators
+        .iter()
+        .find(|op| op.label.starts_with("HashAggregate"))
+        .expect("an aggregate node");
+    assert_eq!(node.peak_retained_rows, 1_000, "groups, not input + result");
     assert!(
-        stats.peak_resident_rows <= 2_600,
+        stats.peak_resident_rows <= 1_300,
         "peak {} suggests leaked or double-counted chunks",
         stats.peak_resident_rows
     );
