@@ -10,9 +10,13 @@
 //! well-typed ones.
 //!
 //! All integers are little-endian. Decoding is bounds-checked everywhere
-//! and returns [`StorageError::Corrupt`] instead of panicking: corrupted
-//! input that slips past the CRC (it cannot, but defense in depth is free
-//! here) still surfaces as a typed error.
+//! and returns [`StorageError::Corrupt`] instead of panicking. The CRCs
+//! catch damage, not a crafted file whose CRCs were recomputed, so every
+//! count read from the bytes is bounded by the bytes that must back it
+//! (`ByteReader::backed`) before anything is allocated for it: a file
+//! cannot make the reader reserve more than a small multiple of its own
+//! size (run-length columns aside, which expand to the chunk's row count
+//! only after their runs are checked to add up to it).
 
 use crate::{Result, StorageError};
 use div_algebra::{Schema, Value};
@@ -78,6 +82,32 @@ impl<'a> ByteReader<'a> {
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    /// `count` items of `width` bytes each, as one slice.
+    fn take_items(&mut self, count: usize, width: usize) -> Result<&'a [u8]> {
+        let n = count
+            .checked_mul(width)
+            .ok_or_else(|| self.corrupt("items"))?;
+        self.take(n)
+    }
+
+    /// `count`, if the unread bytes can back `count` items of at least
+    /// `min_bytes` each. A count read from a file is trusted only that far,
+    /// and is checked before anything sized by it is allocated: a crafted
+    /// count is then a typed error, not an allocation failure that aborts
+    /// the process.
+    pub(crate) fn backed(&self, count: usize, min_bytes: usize) -> Result<usize> {
+        match count.checked_mul(min_bytes) {
+            Some(n) if n <= self.buf.len() - self.pos => Ok(count),
+            _ => Err(self.corrupt(&format!("count {count} ({min_bytes} B each)"))),
+        }
+    }
+
+    /// A `u32` count of items that need at least `min_bytes` each.
+    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let count = self.u32()? as usize;
+        self.backed(count, min_bytes)
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8> {
@@ -187,26 +217,42 @@ fn put_i64s(buf: &mut Vec<u8>, values: &[i64]) {
     }
 }
 
+/// Split a run-length encoding (`u32` run count, then `(u32 len, value)`
+/// runs of `run_width` bytes) into its runs, after checking that the run
+/// lengths add up to exactly `rows` — so the caller's `rows`-sized
+/// allocation is what the runs fill, whatever the file claims.
+fn read_runs<'a>(
+    r: &mut ByteReader<'a>,
+    rows: usize,
+    run_width: usize,
+    column: &str,
+) -> Result<impl Iterator<Item = (usize, &'a [u8])>> {
+    let runs = r.u32()? as usize;
+    let runs = r
+        .take_items(runs, run_width)?
+        .chunks_exact(run_width)
+        .map(|run| {
+            let (len, value) = run.split_at(4);
+            let len = u32::from_le_bytes(len.try_into().expect("a run starts with a u32"));
+            (len as usize, value)
+        });
+    let total: u64 = runs.clone().map(|(len, _)| len as u64).sum();
+    if total != rows as u64 {
+        return Err(StorageError::Corrupt {
+            context: format!("rle runs cover {total} of {rows} rows in {column} column"),
+        });
+    }
+    Ok(runs)
+}
+
 fn read_i64s(r: &mut ByteReader<'_>, rows: usize) -> Result<Vec<i64>> {
+    let value = |b: &[u8]| i64::from_le_bytes(b.try_into().expect("8-byte value"));
     match r.u8()? {
-        ENC_PLAIN => (0..rows).map(|_| r.i64()).collect(),
+        ENC_PLAIN => Ok(r.take_items(rows, 8)?.chunks_exact(8).map(value).collect()),
         ENC_RLE => {
-            let runs = r.u32()? as usize;
             let mut out = Vec::with_capacity(rows);
-            for _ in 0..runs {
-                let len = r.u32()? as usize;
-                let value = r.i64()?;
-                if out.len() + len > rows {
-                    return Err(StorageError::Corrupt {
-                        context: "rle overrun in int column".into(),
-                    });
-                }
-                out.extend(std::iter::repeat_n(value, len));
-            }
-            if out.len() != rows {
-                return Err(StorageError::Corrupt {
-                    context: "rle underrun in int column".into(),
-                });
+            for (len, v) in read_runs(r, rows, 12, "int")? {
+                out.extend(std::iter::repeat_n(value(v), len));
             }
             Ok(out)
         }
@@ -241,25 +287,13 @@ fn put_u32s(buf: &mut Vec<u8>, values: &[u32]) {
 }
 
 fn read_u32s(r: &mut ByteReader<'_>, rows: usize) -> Result<Vec<u32>> {
+    let value = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte value"));
     match r.u8()? {
-        ENC_PLAIN => (0..rows).map(|_| r.u32()).collect(),
+        ENC_PLAIN => Ok(r.take_items(rows, 4)?.chunks_exact(4).map(value).collect()),
         ENC_RLE => {
-            let runs = r.u32()? as usize;
             let mut out = Vec::with_capacity(rows);
-            for _ in 0..runs {
-                let len = r.u32()? as usize;
-                let value = r.u32()?;
-                if out.len() + len > rows {
-                    return Err(StorageError::Corrupt {
-                        context: "rle overrun in code column".into(),
-                    });
-                }
-                out.extend(std::iter::repeat_n(value, len));
-            }
-            if out.len() != rows {
-                return Err(StorageError::Corrupt {
-                    context: "rle underrun in code column".into(),
-                });
+            for (len, v) in read_runs(r, rows, 8, "code")? {
+                out.extend(std::iter::repeat_n(value(v), len));
             }
             Ok(out)
         }
@@ -360,7 +394,7 @@ pub(crate) fn read_column(r: &mut ByteReader<'_>, rows: usize) -> Result<Column>
         }
         COL_STR => {
             let validity = read_validity(r, rows)?;
-            let dict_len = r.u32()? as usize;
+            let dict_len = r.count(4)?;
             let mut dict = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
                 dict.push(r.str()?.into());
@@ -378,7 +412,7 @@ pub(crate) fn read_column(r: &mut ByteReader<'_>, rows: usize) -> Result<Column>
             }))
         }
         COL_MIXED => {
-            let mut values = Vec::with_capacity(rows);
+            let mut values = Vec::with_capacity(r.backed(rows, 1)?);
             for _ in 0..rows {
                 values.push(read_value(r)?);
             }

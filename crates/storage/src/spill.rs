@@ -8,16 +8,51 @@
 //! dropped, which is what makes cleanup automatic on *every* exit path of a
 //! spilling operator: success, budget abort, cancellation, or a failpoint
 //! error mid-spill all unwind through the operator's owned manager.
+//!
+//! A process that dies without unwinding (killed, aborted) leaves its
+//! directories behind, so the first manager of each process sweeps the temp
+//! dir for directories of processes that no longer exist.
 
 use crate::{Result, StorageError, TableReader, TableWriter};
 use div_algebra::Schema;
 use div_columnar::ColumnarBatch;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Once;
 
 /// Process-wide counter so concurrent queries (and tests) get distinct
 /// spill directories.
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
+
+/// Remove every `div-spill-{pid}-{n}` entry of `dir` whose process is gone:
+/// `{pid}` parses, is not this process, and has no `/proc/{pid}`. Where
+/// `/proc` does not exist, liveness cannot be told and nothing is removed.
+/// A live process in another PID namespace sharing `dir` would look dead,
+/// so `dir` is assumed private to one namespace, as a temp dir is.
+fn sweep_stale_dirs(dir: &Path) {
+    let proc = Path::new("/proc");
+    if !proc.is_dir() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let own = std::process::id();
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let pid = name
+            .to_str()
+            .and_then(|name| name.strip_prefix("div-spill-"))
+            .and_then(|rest| rest.split_once('-'))
+            .filter(|(_, n)| n.parse::<u64>().is_ok())
+            .and_then(|(pid, _)| pid.parse::<u32>().ok());
+        if let Some(pid) = pid {
+            if pid != own && !proc.join(pid.to_string()).exists() {
+                let _ = std::fs::remove_dir_all(entry.path());
+            }
+        }
+    }
+}
 
 /// Owns a temporary directory of spill files; removes it on drop.
 #[derive(Debug)]
@@ -28,8 +63,12 @@ pub struct SpillManager {
 }
 
 impl SpillManager {
-    /// Create a fresh spill directory under the system temp dir.
+    /// Create a fresh spill directory under the system temp dir. The first
+    /// call in a process also removes the directories that dead processes
+    /// left there.
     pub fn new() -> Result<SpillManager> {
+        static SWEEP: Once = Once::new();
+        SWEEP.call_once(|| sweep_stale_dirs(&std::env::temp_dir()));
         let dir = std::env::temp_dir().join(format!(
             "div-spill-{}-{}",
             std::process::id(),
@@ -151,6 +190,31 @@ mod tests {
         assert_eq!(manager.files_created(), 1);
         drop(manager);
         assert!(!dir.exists(), "spill dir must be removed on drop");
+    }
+
+    #[test]
+    fn the_sweep_removes_only_directories_of_dead_processes() {
+        if !Path::new("/proc").is_dir() {
+            return; // no liveness to read, so the sweep removes nothing
+        }
+        let root = std::env::temp_dir().join(format!("div_spill_sweep_{}", std::process::id()));
+        let dead = root.join("div-spill-4294967295-0");
+        let kept = [
+            format!("div-spill-{}-0", std::process::id()),
+            "div-spill-1-0".to_string(),
+            "div-spill-x".to_string(),
+        ];
+        std::fs::create_dir_all(&dead).unwrap();
+        std::fs::write(dead.join("part-000000.divt"), b"left by a crash").unwrap();
+        for name in &kept {
+            std::fs::create_dir_all(root.join(name)).unwrap();
+        }
+        sweep_stale_dirs(&root);
+        assert!(!dead.exists(), "a dead process's directory is removed");
+        for name in &kept {
+            assert!(root.join(name).is_dir(), "{name} is kept");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

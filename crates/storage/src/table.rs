@@ -287,7 +287,10 @@ impl TableReader {
         if version != FORMAT_VERSION {
             return Err(StorageError::UnsupportedVersion { found: version });
         }
-        let arity = fr.u32()? as usize;
+        // Counts are bounded by the footer bytes behind them (a name is at
+        // least its 4-byte length, a chunk entry 24 bytes plus a 1-byte tag
+        // per zone), so the allocations below are too.
+        let arity = fr.count(4)?;
         let mut names = Vec::with_capacity(arity);
         for _ in 0..arity {
             names.push(fr.str()?);
@@ -296,7 +299,7 @@ impl TableReader {
             context: format!("{display}: invalid schema in footer: {e}"),
         })?;
         let rows = fr.u64()?;
-        let chunk_count = fr.u32()? as usize;
+        let chunk_count = fr.count(24 + arity)?;
         let mut chunks = Vec::with_capacity(chunk_count);
         let mut expected_rows = 0u64;
         for _ in 0..chunk_count {
@@ -304,7 +307,7 @@ impl TableReader {
             let len = fr.u64()?;
             let chunk_rows = fr.u32()?;
             let crc = fr.u32()?;
-            let mut zones = Vec::with_capacity(arity);
+            let mut zones = Vec::with_capacity(fr.backed(arity, 1)?);
             for _ in 0..arity {
                 zones.push(codec::read_zone(&mut fr)?);
             }
