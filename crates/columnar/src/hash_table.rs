@@ -230,10 +230,10 @@ impl GroupIndex {
     }
 }
 
-/// A set of `(u32, u32)` id pairs packed into injective `u64` codes — the
-/// allocation-free replacement for the `HashSet<(u32, u32)>` /
-/// `HashMap<(u32, u32), _>` bookkeeping of the counting great divide.
-/// Pair codes are injective, so membership needs no verification.
+/// Dense slot ids for `(u32, u32)` id pairs packed into injective `u64`
+/// codes — the allocation-free replacement for the `HashMap<(u32, u32), _>`
+/// coverage counters of the counting great divide. Pair codes are
+/// injective, so membership needs no verification.
 #[derive(Debug, Clone)]
 pub struct PairTable {
     table: KeyTable,
@@ -261,12 +261,6 @@ impl PairTable {
     /// `true` when no pair is stored.
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
-    }
-
-    /// Insert the pair; `true` when it was not present before.
-    #[inline]
-    pub fn insert(&mut self, a: u32, b: u32) -> bool {
-        self.table.get_or_insert(pair_code(a, b), 0, |_| true).1
     }
 
     /// Map the pair to a dense slot id (first-occurrence order), for use as
@@ -402,9 +396,10 @@ mod tests {
     #[test]
     fn pair_table_dedups_and_interns() {
         let mut pairs = PairTable::with_capacity(2);
-        assert!(pairs.insert(1, 2));
-        assert!(!pairs.insert(1, 2));
-        assert!(pairs.insert(2, 1), "order matters");
+        assert!(pairs.intern(1, 2).1);
+        assert!(!pairs.intern(1, 2).1);
+        assert!(pairs.intern(2, 1).1, "order matters");
+        assert_eq!(pairs.len(), 2);
         let mut interned = PairTable::with_capacity(2);
         assert_eq!(interned.intern(7, 7), (0, true));
         assert_eq!(interned.intern(7, 8), (1, true));

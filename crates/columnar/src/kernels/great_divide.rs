@@ -13,9 +13,17 @@
 //! dividend as its only chunk.
 //!
 //! All grouping runs over [`KeyVector`] codes in open-addressing tables;
-//! the pair-keyed bookkeeping (`(B, C)` and `(A, B)` dedup, `(A, C)`
-//! counters) packs the dense ids into injective `u64` codes consumed by
-//! [`PairTable`]s, so the dividend stream allocates nothing per row.
+//! the `(A, C)` counters pack the dense ids into injective `u64` codes
+//! consumed by a [`PairTable`], so the dividend stream allocates nothing per
+//! row.
+//!
+//! Set inputs: a counter counts every dividend row it is shown, and a group
+//! size every divisor row, so a repeated `(A, B)` or `(B, C)` pair would
+//! inflate them. [`StreamingGreatDivide`] trusts both inputs to be sets —
+//! every stream of the executor is duplicate-free, which debug builds assert
+//! at every operator's emit, and the dividend's attributes are exactly `A ∪
+//! B`, the divisor's exactly `B ∪ C`. [`hash_great_divide`] takes any batches
+//! through the public API, so it deduplicates both at the wrapper.
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{GroupIndex, PairTable};
@@ -69,13 +77,14 @@ impl GreatDivideLayout {
 }
 
 /// Batch-native great divide `dividend ÷* divisor`: [`StreamingGreatDivide`]
-/// fed the whole dividend as one chunk.
+/// over the deduplicated divisor, fed the deduplicated dividend as one
+/// chunk.
 pub fn hash_great_divide(
     dividend: &ColumnarBatch,
     divisor: &ColumnarBatch,
 ) -> Result<KernelOutput> {
-    let mut state = StreamingGreatDivide::new(dividend.schema(), divisor.clone())?;
-    let probes = state.consume(dividend);
+    let mut state = StreamingGreatDivide::new(dividend.schema(), divisor.dedup())?;
+    let probes = state.consume(&dividend.dedup());
     Ok(KernelOutput {
         batch: state.finish()?,
         probes,
@@ -110,6 +119,10 @@ pub fn great_quotient_schema(dividend: &Schema, divisor: &Schema) -> Result<Sche
 ///
 /// With no group attributes `C` the operator *is* the small divide (Darwen
 /// & Date), and this type transparently degrades to [`StreamingDivide`].
+///
+/// Precondition: the divisor and the dividend chunks taken together are
+/// sets — no row is shown twice, within a chunk or across chunks (see the
+/// module docs).
 #[derive(Debug)]
 pub enum StreamingGreatDivide {
     /// Degenerate form: the divisor has no `C` attributes.
@@ -137,7 +150,6 @@ pub struct GreatDivideState {
     counters: PairTable,
     counter_pairs: Vec<(u32, u32)>,
     counts: Vec<u32>,
-    seen_dividend: PairTable,
 }
 
 impl StreamingGreatDivide {
@@ -163,7 +175,6 @@ impl StreamingGreatDivide {
         let mut c_groups = GroupIndex::with_capacity(divisor_rows);
         let mut c_size: Vec<u32> = Vec::new();
         let mut groups_of_b: Vec<Vec<u32>> = Vec::new();
-        let mut seen_divisor = PairTable::with_capacity(divisor_rows);
         {
             let same_divisor_b = cross_matcher(
                 &divisor,
@@ -191,12 +202,10 @@ impl StreamingGreatDivide {
                 if c_new {
                     c_size.push(0);
                 }
-                // Count each (B, C) combination once: batches fed through
-                // the public kernel API may transiently hold duplicate rows.
-                if seen_divisor.insert(b_id, c_gid) {
-                    c_size[c_gid as usize] += 1;
-                    groups_of_b[b_id as usize].push(c_gid);
-                }
+                // The divisor is a set over `B ∪ C`: every row is a new
+                // (B, C) pair.
+                c_size[c_gid as usize] += 1;
+                groups_of_b[b_id as usize].push(c_gid);
             }
         }
         Ok(StreamingGreatDivide::Great(Box::new(GreatDivideState {
@@ -215,7 +224,6 @@ impl StreamingGreatDivide {
             counters: PairTable::with_capacity(0),
             counter_pairs: Vec::new(),
             counts: Vec::new(),
-            seen_dividend: PairTable::with_capacity(0),
         })))
     }
 
@@ -287,19 +295,16 @@ impl GreatDivideState {
         for row in 0..chunk.num_rows() {
             let Some(a_gid) = gid_of(row) else { continue };
             let b_id = self.b_ids.get(b_keys.code(row), |other| same_b(row, other));
-            if let Some(b_id) = b_id {
-                // A duplicate (A, B) pair — within or across chunks — must
-                // not inflate the coverage counters.
-                if self.seen_dividend.insert(a_gid, b_id) {
-                    for &c_gid in &self.groups_of_b[b_id as usize] {
-                        let (slot, is_new) = self.counters.intern(a_gid, c_gid);
-                        if is_new {
-                            self.counter_pairs.push((a_gid, c_gid));
-                            self.counts.push(0);
-                        }
-                        self.counts[slot as usize] += 1;
-                    }
+            // The dividend is a set over `A ∪ B`: each row is a new (A, B)
+            // pair and counts once.
+            let Some(b_id) = b_id else { continue };
+            for &c_gid in &self.groups_of_b[b_id as usize] {
+                let (slot, is_new) = self.counters.intern(a_gid, c_gid);
+                if is_new {
+                    self.counter_pairs.push((a_gid, c_gid));
+                    self.counts.push(0);
                 }
+                self.counts[slot as usize] += 1;
             }
         }
     }
@@ -346,6 +351,7 @@ pub(crate) mod tests {
     use crate::Column;
     use div_algebra::{relation, Relation, Value};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn check(dividend: &Relation, divisor: &Relation) {
         let expected = dividend.great_divide(divisor).unwrap();
@@ -403,10 +409,11 @@ pub(crate) mod tests {
 
     #[test]
     fn duplicate_rows_do_not_inflate_coverage_counters() {
-        // Batches built through the public API may hold duplicate rows; a
-        // duplicated (a, b) pair must not make a group look like it covers
-        // more of a divisor group than it does. Group a=1 covers only b=1,
-        // so it must NOT qualify for the two-element divisor group c=9.
+        // Batches built through the public API may hold duplicate rows, and
+        // the one-shot wrapper deduplicates them: a duplicated (a, b) pair
+        // must not make a group look like it covers more of a divisor group
+        // than it does. Group a=1 covers only b=1, so it must NOT qualify
+        // for the two-element divisor group c=9.
         let dividend = ColumnarBatch::from_relation(&relation! { ["a", "b"] => [1, 1] });
         let doubled_dividend = dividend.gather(&[0, 0]);
         let divisor = ColumnarBatch::from_relation(&relation! { ["b", "c"] => [1, 9], [2, 9] });
@@ -470,6 +477,10 @@ pub(crate) mod tests {
             chunk_rows in 1usize..7,
             freeze in 0usize..12,
         ) {
+            // The streaming state's inputs are sets; `key_value` is
+            // injective, so distinct pairs make distinct rows.
+            let set = |pairs: Vec<(u32, u32)>| pairs.into_iter().collect::<BTreeSet<_>>();
+            let (dividend, divisor) = (set(dividend), set(divisor));
             let (great, strings) = (shape & 1 == 1, shape & 2 == 2);
             let dividend_rows: Vec<Vec<Value>> = dividend
                 .iter()
@@ -483,7 +494,7 @@ pub(crate) mod tests {
             let divisor = if great {
                 batch_of(&["b", "c"], &divisor_rows)
             } else {
-                batch_of(&["b"], &divisor_rows)
+                batch_of(&["b"], &divisor_rows).dedup()
             };
             // Unfrozen, in one chunk — anchored at the reference operator.
             let whole = hash_great_divide(&whole_dividend, &divisor).unwrap();

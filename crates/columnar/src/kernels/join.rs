@@ -6,7 +6,7 @@
 //! per-row `Value` materialization, no SipHash.
 
 use crate::batch::ColumnarBatch;
-use crate::hash_table::{index_rows, index_rows_tracked, GroupIndex};
+use crate::hash_table::{index_rows_tracked, GroupIndex};
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::Result;
 use div_algebra::Schema;
@@ -116,41 +116,18 @@ fn natural_probe(
     }
 }
 
-/// The shared semi/anti probe loop: keep the left rows whose key does
-/// (`anti = false`) or does not (`anti = true`) appear in `index`.
-#[allow(clippy::too_many_arguments)]
-fn semi_probe(
-    left: &ColumnarBatch,
-    left_key: &[usize],
-    left_keys: &KeyVector,
-    right: &ColumnarBatch,
-    right_key: &[usize],
-    right_keys: &KeyVector,
-    index: &GroupIndex,
-    anti: bool,
-) -> KernelOutput {
-    let same_key = cross_matcher(left, left_key, left_keys, right, right_key, right_keys);
-    let mut mask = Vec::with_capacity(left.num_rows());
-    let mut probes = 0usize;
-    for i in 0..left.num_rows() {
-        probes += 1;
-        let matched = index
-            .get(left_keys.code(i), |other| same_key(i, other))
-            .is_some();
-        mask.push(matched != anti);
-    }
-    KernelOutput {
-        batch: left.select_by_mask(&mask),
-        probes,
-    }
-}
-
 /// A hash-join build side prepared once and probed chunk-at-a-time — the
-/// streaming-friendly entry point behind `div_physical::stream`'s join
-/// operators. The build batch is hashed and CSR-indexed exactly once;
-/// every probe chunk then streams through [`JoinBuild::probe_natural`] /
-/// [`JoinBuild::probe_semi`] without the per-call rebuild the one-shot
-/// kernels ([`hash_natural_join`], [`hash_semi_join`]) pay.
+/// one join kernel `div_physical::stream`'s hash join runs. The build batch
+/// is hashed and CSR-indexed exactly once; every probe chunk then streams
+/// through [`JoinBuild::probe_natural`] / [`JoinBuild::probe_semi`] without
+/// the per-call rebuild the one-shot [`hash_natural_join`] pays.
+///
+/// The key is every attribute the two schemas share, in the probe schema's
+/// order, and inexact code matches are verified against the build batch
+/// ([`keys_equal`](crate::key_vector::keys_equal)). For union-compatible
+/// schemas the shared attributes are all of them, so
+/// [`JoinBuild::probe_semi`] keys whole rows: it is set intersection, and
+/// with `anti` set difference, whatever the build side's column order.
 ///
 /// ```
 /// use div_algebra::relation;
@@ -238,19 +215,31 @@ impl JoinBuild {
     }
 
     /// Semi-join (`anti = false`) or anti-semi-join (`anti = true`) one
-    /// probe chunk against the prepared build side.
+    /// probe chunk against the prepared build side: keep the chunk rows
+    /// whose key does (does not) appear in it, one probe per row.
     pub fn probe_semi(&self, chunk: &ColumnarBatch, anti: bool) -> Result<KernelOutput> {
         let chunk_keys = KeyVector::build(chunk, &self.probe_key);
-        Ok(semi_probe(
+        let same_key = cross_matcher(
             chunk,
             &self.probe_key,
             &chunk_keys,
             &self.build,
             &self.build_key,
             &self.build_keys,
-            &self.index,
-            anti,
-        ))
+        );
+        let mask: Vec<bool> = (0..chunk.num_rows())
+            .map(|i| {
+                let matched = self
+                    .index
+                    .get(chunk_keys.code(i), |other| same_key(i, other))
+                    .is_some();
+                matched != anti
+            })
+            .collect();
+        Ok(KernelOutput {
+            batch: chunk.select_by_mask(&mask),
+            probes: chunk.num_rows(),
+        })
     }
 }
 
@@ -282,29 +271,6 @@ pub fn hash_natural_join(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<
         &rows_csr,
         &right_extra_idx,
         out_schema,
-    ))
-}
-
-/// Hash-based left semi-join (`anti = false`) or anti-semi-join
-/// (`anti = true`) on all common attributes.
-pub fn hash_semi_join(
-    left: &ColumnarBatch,
-    right: &ColumnarBatch,
-    anti: bool,
-) -> Result<KernelOutput> {
-    let (left_key, right_key) = join_key_columns(left.schema(), right.schema())?;
-    let left_keys = KeyVector::build(left, &left_key);
-    let right_keys = KeyVector::build(right, &right_key);
-    let index = index_rows(right, &right_key, &right_keys);
-    Ok(semi_probe(
-        left,
-        &left_key,
-        &left_keys,
-        right,
-        &right_key,
-        &right_keys,
-        &index,
-        anti,
     ))
 }
 
@@ -340,12 +306,14 @@ mod tests {
     #[test]
     fn semi_joins_partition_the_left_input() {
         let (supplies, parts) = inputs();
-        let semi = hash_semi_join(&supplies, &parts, false).unwrap();
-        let anti = hash_semi_join(&supplies, &parts, true).unwrap();
+        let build = JoinBuild::new(supplies.schema(), parts.clone()).unwrap();
+        let semi = build.probe_semi(&supplies, false).unwrap();
+        let anti = build.probe_semi(&supplies, true).unwrap();
         assert_eq!(
             semi.batch.num_rows() + anti.batch.num_rows(),
             supplies.num_rows()
         );
+        assert_eq!(semi.probes, supplies.num_rows());
         let l = supplies.to_relation().unwrap();
         let r = parts.to_relation().unwrap();
         assert_eq!(semi.batch.to_relation().unwrap(), l.semi_join(&r).unwrap());
@@ -353,6 +321,47 @@ mod tests {
             anti.batch.to_relation().unwrap(),
             l.anti_semi_join(&r).unwrap()
         );
+    }
+
+    /// Union-compatible operands: the left operand, and the right one with
+    /// its columns swapped, so the whole-row key is conformed to the
+    /// probe's attribute order.
+    fn set_inputs() -> (ColumnarBatch, ColumnarBatch) {
+        (
+            ColumnarBatch::from_relation(&relation! {
+                ["a", "b"] => [1, 10], [2, 20], [3, 30]
+            }),
+            ColumnarBatch::from_relation(&relation! {
+                ["b", "a"] => [10, 1], [40, 4]
+            }),
+        )
+    }
+
+    #[test]
+    fn intersection_is_a_whole_row_semi_join() {
+        let (l, r) = set_inputs();
+        let expected = l
+            .to_relation()
+            .unwrap()
+            .intersect(&r.to_relation().unwrap())
+            .unwrap();
+        let got = JoinBuild::new(l.schema(), r).unwrap();
+        let got = got.probe_semi(&l, false).unwrap().batch;
+        assert_eq!(got.schema(), l.schema());
+        assert_eq!(got.to_relation().unwrap(), expected);
+    }
+
+    #[test]
+    fn difference_is_a_whole_row_anti_join() {
+        let (l, r) = set_inputs();
+        let expected = l
+            .to_relation()
+            .unwrap()
+            .difference(&r.to_relation().unwrap())
+            .unwrap();
+        let got = JoinBuild::new(l.schema(), r).unwrap();
+        let got = got.probe_semi(&l, true).unwrap().batch;
+        assert_eq!(got.to_relation().unwrap(), expected);
     }
 
     #[test]
@@ -394,9 +403,17 @@ mod tests {
         assert_eq!(probes, whole.probes);
         let streamed = div_algebra::Relation::new(whole.batch.schema().clone(), rows).unwrap();
         assert_eq!(streamed, whole.batch.to_relation().unwrap());
-        // Semi/anti chunked probes agree with the one-shot kernels too.
+        // Semi/anti chunked probes agree with the reference operators.
+        let (l, r) = (
+            supplies.to_relation().unwrap(),
+            parts.to_relation().unwrap(),
+        );
         for anti in [false, true] {
-            let whole = hash_semi_join(&supplies, &parts, anti).unwrap();
+            let expected = if anti {
+                l.anti_semi_join(&r)
+            } else {
+                l.semi_join(&r)
+            };
             let mut streamed_rows = 0;
             for indices in chunks {
                 streamed_rows += build
@@ -405,7 +422,7 @@ mod tests {
                     .batch
                     .num_rows();
             }
-            assert_eq!(streamed_rows, whole.batch.num_rows(), "anti = {anti}");
+            assert_eq!(streamed_rows, expected.unwrap().len(), "anti = {anti}");
         }
     }
 

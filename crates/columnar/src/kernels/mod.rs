@@ -12,13 +12,11 @@ pub mod great_divide;
 pub mod join;
 pub mod product;
 pub mod project;
-pub mod set_ops;
 
 pub use aggregate::{hash_aggregate, StreamingAggregate};
 pub use divide::{hash_divide, quotient_schema, FrozenConsume, StreamingDivide};
 pub use filter::filter;
 pub use great_divide::{great_quotient_schema, hash_great_divide, StreamingGreatDivide};
-pub use join::{hash_natural_join, hash_semi_join, JoinBuild, KernelOutput};
-pub use product::{cross_product, cross_product_slice, theta_join};
+pub use join::{hash_natural_join, JoinBuild, KernelOutput};
+pub use product::cross_product_slice;
 pub use project::{project, rename, union};
-pub use set_ops::{difference, intersect};

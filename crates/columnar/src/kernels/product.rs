@@ -1,51 +1,36 @@
-//! Batch-native Cartesian product and nested-loop theta-join.
+//! Batch-native Cartesian product, one bounded slice at a time.
 //!
 //! The paper's product laws (Laws 8, 9, Section 5.1.5) and the theta-join
 //! definition `r1 ⋈_θ r2 = σ_θ(r1 × r2)` (Appendix A) both bottom out in the
 //! Cartesian product. The columnar product is assembled with two gathers —
 //! every left row index repeated `|right|` times and the right indices tiled
-//! `|left|` times — so no per-tuple `Value` allocation happens; the
-//! theta-join then evaluates its predicate with the vectorized
-//! [`filter`](crate::kernels::filter()) kernel (including its row-at-a-time
-//! fallback, so error and short-circuit semantics match the reference
-//! [`div_algebra::Relation::theta_join`] exactly).
+//! — so no per-tuple `Value` allocation happens. The executor's nested-loop
+//! operator crosses a few left rows at a time and, for a theta-join, runs
+//! the vectorized [`filter`](crate::kernels::filter()) kernel over each
+//! slice (including its row-at-a-time fallback, so error and short-circuit
+//! semantics match the reference [`div_algebra::Relation::theta_join`]).
 //!
-//! Duplicate safety: the product of duplicate-free inputs is duplicate-free
-//! (distinct index pairs yield distinct concatenated rows). Inputs carrying
-//! transient duplicates propagate them — like the hash-join kernels — and the
-//! executor's set-semantic boundary ([`ColumnarBatch::to_relation`])
-//! collapses them.
+//! The product of duplicate-free inputs is duplicate-free: distinct index
+//! pairs yield distinct concatenated rows.
 
 use crate::batch::ColumnarBatch;
-use crate::kernels::filter;
-use crate::kernels::join::KernelOutput;
 use crate::Result;
-use div_algebra::Predicate;
 
-/// Cartesian product `left × right`, mirroring
-/// [`div_algebra::Relation::product`].
+/// Cartesian product of a *slice* of the left operand with the whole right
+/// operand: `left[left_rows] × right`, mirroring
+/// [`div_algebra::Relation::product`] on that slice. The streaming
+/// executor's nested-loop operator serves its output in bounded slices
+/// through this kernel, so governance limits (deadlines, memory budgets)
+/// trip within one batch boundary instead of after the full
+/// `|left| · |right|` result has been materialized.
 ///
 /// # Errors
 ///
 /// The operand schemas must be attribute-disjoint, as in the reference
 /// algebra; otherwise a
 /// [`DuplicateAttribute`](div_algebra::AlgebraError::DuplicateAttribute)
-/// error is returned.
-pub fn cross_product(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<ColumnarBatch> {
-    cross_product_slice(left, 0..left.num_rows(), right)
-}
-
-/// Cartesian product of a *slice* of the left operand with the whole right
-/// operand: `left[left_rows] × right`. The streaming executor's
-/// `CrossProduct` operator serves its output in bounded slices through this
-/// kernel, so governance limits (deadlines, memory budgets) trip within one
-/// batch boundary instead of after the full `|left| · |right|` result has
-/// been materialized. `cross_product` is the `0..left.num_rows()` case.
-///
-/// # Errors
-///
-/// Same schema-disjointness requirement as [`cross_product`]. An
-/// out-of-bounds or inverted range is clamped to `left`'s row count.
+/// error is returned. An out-of-bounds or inverted range is clamped to
+/// `left`'s row count.
 pub fn cross_product_slice(
     left: &ColumnarBatch,
     left_rows: std::ops::Range<usize>,
@@ -68,25 +53,10 @@ pub fn cross_product_slice(
     Ok(ColumnarBatch::from_parts(schema, columns, l_rows * r_rows))
 }
 
-/// Nested-loop theta-join `left ⋈_θ right = σ_θ(left × right)`, mirroring
-/// [`div_algebra::Relation::theta_join`]. Reports one probe per considered
-/// row pair (`|left| · |right|`).
-pub fn theta_join(
-    left: &ColumnarBatch,
-    right: &ColumnarBatch,
-    predicate: &Predicate,
-) -> Result<KernelOutput> {
-    let product = cross_product(left, right)?;
-    let batch = filter::filter(&product, predicate)?;
-    Ok(KernelOutput {
-        batch,
-        probes: left.num_rows() * right.num_rows(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::filter;
     use div_algebra::{relation, CompareOp, Predicate};
 
     fn inputs() -> (ColumnarBatch, ColumnarBatch) {
@@ -94,6 +64,11 @@ mod tests {
             ColumnarBatch::from_relation(&relation! { ["a", "b"] => [1, 10], [2, 20] }),
             ColumnarBatch::from_relation(&relation! { ["c"] => [5], [15], [25] }),
         )
+    }
+
+    /// The whole product: every left row crossed with the right side.
+    fn cross_product(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<ColumnarBatch> {
+        cross_product_slice(left, 0..left.num_rows(), right)
     }
 
     #[test]
@@ -118,6 +93,7 @@ mod tests {
 
     #[test]
     fn theta_join_matches_reference() {
+        // σ_θ over a product slice is the theta-join the executor runs.
         let (l, r) = inputs();
         let pred = Predicate::cmp_attrs("b", CompareOp::Gt, "c");
         let expected = l
@@ -125,9 +101,8 @@ mod tests {
             .unwrap()
             .theta_join(&r.to_relation().unwrap(), &pred)
             .unwrap();
-        let out = theta_join(&l, &r, &pred).unwrap();
-        assert_eq!(out.batch.to_relation().unwrap(), expected);
-        assert_eq!(out.probes, 6);
+        let joined = filter(&cross_product(&l, &r).unwrap(), &pred).unwrap();
+        assert_eq!(joined.to_relation().unwrap(), expected);
     }
 
     #[test]
@@ -138,7 +113,8 @@ mod tests {
             .to_relation()
             .unwrap()
             .theta_join(&r.to_relation().unwrap(), &bad);
-        assert_eq!(theta_join(&l, &r, &bad).is_err(), reference.is_err());
+        let joined = filter(&cross_product(&l, &r).unwrap(), &bad);
+        assert_eq!(joined.is_err(), reference.is_err());
     }
 
     #[test]

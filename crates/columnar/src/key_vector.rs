@@ -172,15 +172,6 @@ impl KeyVector {
     pub fn exact(&self) -> bool {
         self.exact
     }
-
-    /// The codes of `indices`-selected rows, in that order — the key-vector
-    /// counterpart of [`ColumnarBatch::gather`].
-    pub fn gather(&self, indices: &[usize]) -> KeyVector {
-        KeyVector {
-            codes: indices.iter().map(|&i| self.codes[i]).collect(),
-            exact: self.exact,
-        }
-    }
 }
 
 /// Feed `apply(row, code)` the canonical code of every row of `col`,
@@ -409,15 +400,6 @@ mod tests {
         let keys = KeyVector::build(&batch, &[]);
         assert!(keys.codes().iter().all(|&c| c == COMPOSITE_SEED));
         assert!(keys_equal(&batch, &[], 0, &batch, &[], 2));
-    }
-
-    #[test]
-    fn gather_preserves_codes_and_exactness() {
-        let batch = ColumnarBatch::from_relation(&relation! { ["a"] => [10], [20], [30] });
-        let keys = KeyVector::build(&batch, &[0]);
-        let picked = keys.gather(&[2, 0]);
-        assert!(picked.exact());
-        assert_eq!(picked.codes(), &[keys.code(2), keys.code(0)]);
     }
 
     #[test]

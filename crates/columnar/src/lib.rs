@@ -17,9 +17,10 @@
 //!   [`ColumnarBatch::to_relation`]);
 //! * [`kernels`] — batch-native operators covering **every** physical plan
 //!   shape: vectorized filtering (string predicates evaluated once per
-//!   dictionary entry), projection with set-semantics deduplication, hash
-//!   natural/semi/anti joins, union/intersection/difference, Cartesian
-//!   product and theta-join, hash aggregation, and the two division
+//!   dictionary entry), projection with set-semantics deduplication, union,
+//!   hash natural/semi/anti joins (a semi/anti join on every attribute is
+//!   intersection/difference), bounded Cartesian-product slices (a
+//!   theta-join is a filtered slice), hash aggregation, and the two division
 //!   operators — a Graefe-style bitmap hash divide
 //!   ([`kernels::StreamingDivide`]) and a counting great divide
 //!   ([`kernels::StreamingGreatDivide`]), each consuming its dividend chunk

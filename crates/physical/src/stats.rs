@@ -31,7 +31,9 @@ pub struct ExecStats {
     /// Tuples produced by the root operator (the query result size).
     pub output_rows: usize,
     /// Total tuple comparisons / hash probes performed by division and join
-    /// algorithms (a proxy for CPU work).
+    /// algorithms (a proxy for CPU work). Hash joins count one per probe
+    /// row — intersection and difference included — and the nested loop
+    /// one per row pair it considers, Cartesian products included.
     pub probes: usize,
     /// Number of operator executions recorded (plan operators plus
     /// kernel-level pseudo-operators; summed across parallel partitions).

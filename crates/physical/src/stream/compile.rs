@@ -1,8 +1,8 @@
 //! Compilation: one [`BatchStream`] operator per [`PhysicalPlan`] node.
 
-use super::blocking::{AggregateStream, BlockingStream, ProductStream};
+use super::blocking::AggregateStream;
 use super::divide::DivideStream;
-use super::join::{HashJoinStream, JoinKind, ThetaJoinStream};
+use super::join::{HashJoinStream, JoinKind, NestedLoopStream};
 use super::pipeline::{FilterStream, ProjectStream, RenameStream, UnionStream};
 use super::scan::ScanStream;
 use super::{BatchStream, OpMeta, StreamContext};
@@ -144,28 +144,33 @@ impl Compiler<'_> {
                 let (left, right) = self.set_inputs(left, right, "union")?;
                 Box::new(UnionStream::new(meta, left, right))
             }
+            // With union-compatible inputs every attribute is a common one,
+            // so the semi / anti join keys whole rows: r ∩ s = r ⋉ s and
+            // r − s = r ▷ s.
             PhysicalPlan::Intersect { left, right } => {
                 let (left, right) = self.set_inputs(left, right, "intersection")?;
-                Box::new(BlockingStream::new(meta, left, right, kernels::intersect))
+                Box::new(HashJoinStream::new(meta, left, right, JoinKind::Semi))
             }
             PhysicalPlan::Difference { left, right } => {
                 let (left, right) = self.set_inputs(left, right, "difference")?;
-                Box::new(BlockingStream::new(meta, left, right, kernels::difference))
+                Box::new(HashJoinStream::new(meta, left, right, JoinKind::Anti))
             }
-            PhysicalPlan::CrossProduct { left, right } => Box::new(ProductStream::new(
+            // r × s is the predicate-free r ⋈_θ s.
+            PhysicalPlan::CrossProduct { left, right } => Box::new(NestedLoopStream::new(
                 meta,
                 self.child(left)?,
                 self.child(right)?,
+                None,
             )?),
             PhysicalPlan::NestedLoopJoin {
                 left,
                 right,
                 predicate,
-            } => Box::new(ThetaJoinStream::new(
+            } => Box::new(NestedLoopStream::new(
                 meta,
                 self.child(left)?,
                 self.child(right)?,
-                predicate.clone(),
+                Some(predicate.clone()),
             )?),
             PhysicalPlan::HashJoin { left, right }
             | PhysicalPlan::HashSemiJoin { left, right }

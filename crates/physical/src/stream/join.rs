@@ -1,4 +1,6 @@
-//! Build-probe operators: a materialized table side, a streamed probe side.
+//! Build-probe operators: a materialized right side, a streamed left side —
+//! the hybrid hash join (natural, semi, anti, and so ∩ and −) and the
+//! nested loop (⋈θ and ×).
 
 use super::spill::{
     load_spill_batch, next_resident_chunk, open_spill, repartition, spill_seed, spillable_rows,
@@ -38,6 +40,10 @@ struct JoinLeaf {
 /// Both sides are routed by the *same* seeded hash of the common attributes
 /// (in identical attribute order), so matching rows always land in the same
 /// partition pair.
+///
+/// Intersection and difference run here too, as the semi and anti join of
+/// union-compatible inputs: every attribute is a common one, so the key is
+/// the whole row in the left operand's attribute order.
 pub(super) struct HashJoinStream {
     meta: OpMeta,
     left: Box<dyn BatchStream>,
@@ -248,42 +254,52 @@ impl BatchStream for HashJoinStream {
     }
 }
 
-/// Nested-loop theta-join: the right side is materialized once, the left
-/// (probe) side streams through the theta-join kernel chunk-at-a-time.
-pub(super) struct ThetaJoinStream {
+/// Nested-loop join `left ⋈_θ right = σ_θ(left × right)`, and with no
+/// predicate the Cartesian product itself. The right side is drained and
+/// retained; the left side streams, and each left chunk is crossed with the
+/// right side `max(1, batch_size / |right|)` rows at a time
+/// ([`kernels::cross_product_slice`]), the predicate filtering each slice.
+/// An emitted batch is therefore at most `max(batch_size, |right|)` rows,
+/// and a runaway product or join is stopped by the guard at the next such
+/// slice instead of after a whole chunk's worth of pairs. One probe per
+/// pair considered.
+pub(super) struct NestedLoopStream {
     meta: OpMeta,
     left: Box<dyn BatchStream>,
     right: Box<dyn BatchStream>,
-    predicate: Predicate,
+    predicate: Option<Predicate>,
     schema: Schema,
     right_batch: Option<ColumnarBatch>,
+    /// The left chunk being crossed and its next row to cross.
+    chunk: Option<(ColumnarBatch, usize)>,
     retained: RetainedState,
 }
 
-impl ThetaJoinStream {
+impl NestedLoopStream {
     pub(super) fn new(
         meta: OpMeta,
         left: Box<dyn BatchStream>,
         right: Box<dyn BatchStream>,
-        predicate: Predicate,
-    ) -> Result<ThetaJoinStream> {
+        predicate: Option<Predicate>,
+    ) -> Result<NestedLoopStream> {
         let schema = left
             .schema()
             .concat(right.schema())
             .map_err(ExprError::from)?;
-        Ok(ThetaJoinStream {
+        Ok(NestedLoopStream {
             meta,
             left,
             right,
             predicate,
             schema,
             right_batch: None,
+            chunk: None,
             retained: RetainedState::default(),
         })
     }
 }
 
-impl BatchStream for ThetaJoinStream {
+impl BatchStream for NestedLoopStream {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -296,21 +312,43 @@ impl BatchStream for ThetaJoinStream {
             self.retained.grow_to(ctx, self.meta.id, batch.num_rows());
             self.right_batch = Some(batch);
         }
-        let right = self.right_batch.as_ref().expect("materialized above");
-        while let Some(chunk) = self.left.next_batch(ctx)? {
-            let joined = kernels::theta_join(&chunk, right, &self.predicate);
-            consumed(ctx, &chunk);
-            let KernelOutput { batch, probes } = joined.map_err(ExprError::from)?;
-            ctx.add_probes(self.meta.id, probes);
+        let right = self.right_batch.as_ref().expect("drained above");
+        let per_slice = (ctx.batch_size / right.num_rows().max(1)).max(1);
+        loop {
+            let Some((chunk, pos)) = self.chunk.as_mut() else {
+                match self.left.next_batch(ctx)? {
+                    Some(chunk) => self.chunk = Some((chunk, 0)),
+                    None => return Ok(None),
+                }
+                continue;
+            };
+            let start = *pos;
+            let end = (start + per_slice).min(chunk.num_rows());
+            *pos = end;
+            let crossed = kernels::cross_product_slice(chunk, start..end, right);
+            // Release a finished chunk before a kernel error can propagate
+            // past its accounting.
+            if end == chunk.num_rows() {
+                consumed(ctx, chunk);
+                self.chunk = None;
+            }
+            let crossed = crossed.map_err(ExprError::from)?;
+            ctx.add_probes(self.meta.id, crossed.num_rows());
+            let batch = match &self.predicate {
+                Some(predicate) => kernels::filter(&crossed, predicate).map_err(ExprError::from)?,
+                None => crossed,
+            };
             if batch.num_rows() > 0 {
                 return self.meta.emit(ctx, batch);
             }
         }
-        Ok(None)
     }
 
     fn close(&mut self, ctx: &mut StreamContext) {
         self.meta.record(ctx);
+        if let Some((chunk, _)) = self.chunk.take() {
+            consumed(ctx, &chunk);
+        }
         self.retained.release(ctx);
         self.left.close(ctx);
         self.right.close(ctx);

@@ -13,14 +13,18 @@
 //!   [`PlannerConfig::batch_size`] rows, one pull at a time: an unconsumed
 //!   stream never touches the rest of the table, and a pushed-down filter
 //!   lets the source skip chunks its zone maps exclude;
-//! * **pipelining operators** (filter, project, rename, union, the
-//!   nested-loop theta-join's probe side) transform one chunk at a time.
-//!   Projection and union keep set semantics with a streaming distinct
-//!   filter ([`div_columnar::StreamingDistinct`]) whose state is the
-//!   distinct output, never the stream;
+//! * **pipelining operators** (filter, project, rename, union) transform
+//!   one chunk at a time. Projection and union keep set semantics with a
+//!   streaming distinct filter ([`div_columnar::StreamingDistinct`]) whose
+//!   state is the distinct output, never the stream;
 //! * **hash join / semi / anti** build their right side
 //!   ([`div_columnar::kernels::JoinBuild`]) and stream the probe side
-//!   through it chunk-at-a-time;
+//!   through it chunk-at-a-time. **Intersection and difference** are the
+//!   semi and anti join of union-compatible inputs, keyed on whole rows;
+//! * **nested-loop theta-join and Cartesian product** are one operator: it
+//!   retains its right side and crosses each streamed left chunk with it a
+//!   few rows at a time, so every emission is at most
+//!   `max(batch_size, |right|)` rows;
 //! * **divide / great divide** materialize the divisor, then *consume* the
 //!   dividend chunk-at-a-time into group-id-based coverage state
 //!   ([`div_columnar::kernels::StreamingGreatDivide`]); only their output
@@ -28,13 +32,10 @@
 //! * **aggregation** *consumes* its input chunk-at-a-time into one
 //!   accumulator row per group
 //!   ([`div_columnar::kernels::StreamingAggregate`]); like the divides,
-//!   only its output is a blocking boundary;
-//! * **intersection, difference and Cartesian product** remain explicit
-//!   blocking boundaries: they buffer their inputs, run the batch kernel,
-//!   and re-chunk the result downstream.
+//!   only its output is a blocking boundary.
 //!
-//! There is exactly one operator per plan node. Hash join, divide and
-//! grouped aggregation are *hybrid*: in memory until the [`QueryGuard`]
+//! There is exactly one operator per plan node. Hash join (∩ and −
+//! included), divide and grouped aggregation are *hybrid*: in memory until the [`QueryGuard`]
 //! carries a spill budget ([`QueryGuard::spill_budget`]) that what they
 //! keep approaches — the join's build input, the divide's coverage state
 //! and the aggregate's groups (never their input, which streams under any

@@ -214,6 +214,31 @@ fn compile_errors_surface_before_execution() {
     assert!(StreamExecutor::new(&bad_divide, &c, &PlannerConfig::default()).is_err());
 }
 
+/// Intersection and difference run as semi / anti joins, which need no
+/// common schema; the compiler still insists on union-compatible inputs.
+#[test]
+fn set_operators_reject_incompatible_schemas() {
+    let c = catalog();
+    let scan = |table: &str| {
+        Box::new(PhysicalPlan::TableScan {
+            table: table.into(),
+        })
+    };
+    for set_op in [
+        PhysicalPlan::Intersect {
+            left: scan("supplies"),
+            right: scan("parts"),
+        },
+        PhysicalPlan::Difference {
+            left: scan("supplies"),
+            right: scan("parts"),
+        },
+    ] {
+        let err = StreamExecutor::new(&set_op, &c, &PlannerConfig::default()).unwrap_err();
+        assert!(err.to_string().contains("schema"), "{err}");
+    }
+}
+
 #[test]
 fn schema_is_known_before_execution_and_empty_results_keep_it() {
     let c = catalog();
@@ -241,6 +266,53 @@ fn runaway_product() -> (Catalog, div_expr::LogicalPlan) {
         .product(PlanBuilder::scan("big2"))
         .build();
     (c, logical)
+}
+
+/// `l` (2000 rows) ⋈_{a < b} `r` (500 rows): 124,750 result rows from
+/// 1,000,000 pairs, most of them from every left chunk.
+#[test]
+fn nested_loop_emissions_are_bounded_by_the_batch_size_or_the_right_side() {
+    let mut c = Catalog::new();
+    let ints = |n: i64| (0..n).map(|i| vec![i]).collect::<Vec<_>>();
+    c.register("l", Relation::from_rows(["a"], ints(2_000)).unwrap());
+    c.register("r", Relation::from_rows(["b"], ints(500)).unwrap());
+    let logical = PlanBuilder::scan("l")
+        .theta_join(
+            PlanBuilder::scan("r"),
+            div_algebra::Predicate::cmp_attrs("a", CompareOp::Lt, "b"),
+        )
+        .build();
+    let expected = evaluate(&logical, &c).unwrap();
+    let config = PlannerConfig::default();
+    let bound = config.batch_size.max(500);
+    let plan = plan_query(&logical, &config).unwrap();
+    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut got = Relation::empty(stream.schema().clone());
+    while let Some(batch) = stream.next_batch().unwrap() {
+        assert!(
+            batch.num_rows() <= bound,
+            "a {}-row batch outgrew max(batch_size, |r|) = {bound}",
+            batch.num_rows()
+        );
+        for i in 0..batch.num_rows() {
+            got.insert(batch.row(i)).unwrap();
+        }
+    }
+    assert_eq!(got, expected);
+    assert_eq!(stream.finish().probes, 2_000 * 500);
+
+    // Bounded emissions keep the footprint far below the result: a budget
+    // of 5,000 rows holds without spilling.
+    let budgeted = config.memory_budget_rows(5_000);
+    let mut stream = StreamExecutor::new(&plan, &c, &budgeted).unwrap();
+    let mut rows = 0;
+    while let Some(batch) = stream.next_batch().unwrap() {
+        rows += batch.num_rows();
+    }
+    let stats = stream.finish();
+    assert_eq!(rows, expected.len());
+    assert!(stats.peak_resident_rows <= 5_000);
+    assert_eq!(stats.resident_rows_on_finish, 0);
 }
 
 fn drain_to_error(stream: &mut StreamExecutor) -> ExprError {

@@ -15,11 +15,13 @@
 //!   verify-against-source-batch path must tell them apart.
 //!
 //! Each kernel's output relation must be byte-identical to the reference
-//! `div-algebra` operator.
+//! `div-algebra` operator. The joins, intersection and difference go
+//! through `JoinBuild`, the one join kernel the executor runs.
 
+use div_columnar::kernels::{self, JoinBuild};
 use div_columnar::key_vector::{BOOL_FALSE_CODE, NULL_CODE};
 use div_columnar::partition::{concat_batches, partition_rows};
-use div_columnar::{kernels, ColumnarBatch};
+use div_columnar::ColumnarBatch;
 use division::prelude::*;
 use proptest::prelude::*;
 
@@ -78,15 +80,15 @@ proptest! {
         let l = mixed_relation(&["k", "lv"], 1, &left);
         let r = mixed_relation(&["k", "rv"], 1, &right);
         let lb = ColumnarBatch::from_relation(&l);
-        let rb = ColumnarBatch::from_relation(&r);
-        let joined = kernels::hash_natural_join(&lb, &rb).unwrap();
+        let build = JoinBuild::new(lb.schema(), ColumnarBatch::from_relation(&r)).unwrap();
+        let joined = build.probe_natural(&lb).unwrap();
         prop_assert_eq!(
             joined.batch.to_relation().unwrap(),
             l.natural_join(&r).unwrap()
         );
-        let semi = kernels::hash_semi_join(&lb, &rb, false).unwrap();
+        let semi = build.probe_semi(&lb, false).unwrap();
         prop_assert_eq!(semi.batch.to_relation().unwrap(), l.semi_join(&r).unwrap());
-        let anti = kernels::hash_semi_join(&lb, &rb, true).unwrap();
+        let anti = build.probe_semi(&lb, true).unwrap();
         prop_assert_eq!(
             anti.batch.to_relation().unwrap(),
             l.anti_semi_join(&r).unwrap()
@@ -102,16 +104,18 @@ proptest! {
         let l = mixed_relation(&["k1", "k2", "lv"], 2, &left);
         let r = mixed_relation(&["k1", "k2", "rv"], 2, &right);
         let lb = ColumnarBatch::from_relation(&l);
-        let rb = ColumnarBatch::from_relation(&r);
-        let joined = kernels::hash_natural_join(&lb, &rb).unwrap();
+        let build = JoinBuild::new(lb.schema(), ColumnarBatch::from_relation(&r)).unwrap();
+        let joined = build.probe_natural(&lb).unwrap();
         prop_assert_eq!(
             joined.batch.to_relation().unwrap(),
             l.natural_join(&r).unwrap()
         );
     }
 
-    /// Intersection and difference (whole-row keys) agree with the
-    /// reference, including dedup of transient duplicate rows.
+    /// Intersection and difference — the semi and anti join of
+    /// union-compatible operands, keyed on whole rows — agree with the
+    /// reference. The right operand's columns are swapped, so its key is
+    /// conformed to the left operand's attribute order.
     #[test]
     fn set_ops_match_reference_on_hostile_keys(
         left in row_strategy(24),
@@ -120,13 +124,14 @@ proptest! {
         let l = mixed_relation(&["k", "v"], 1, &left);
         let r = mixed_relation(&["k", "v"], 1, &right);
         let lb = ColumnarBatch::from_relation(&l);
-        let rb = ColumnarBatch::from_relation(&r);
+        let swapped = ColumnarBatch::from_relation(&r.project(&["v", "k"]).unwrap());
+        let build = JoinBuild::new(lb.schema(), swapped).unwrap();
         prop_assert_eq!(
-            kernels::intersect(&lb, &rb).unwrap().to_relation().unwrap(),
+            build.probe_semi(&lb, false).unwrap().batch.to_relation().unwrap(),
             l.intersect(&r).unwrap()
         );
         prop_assert_eq!(
-            kernels::difference(&lb, &rb).unwrap().to_relation().unwrap(),
+            build.probe_semi(&lb, true).unwrap().batch.to_relation().unwrap(),
             l.difference(&r).unwrap()
         );
     }
@@ -282,12 +287,12 @@ fn forced_collisions_join_exactly() {
     )
     .unwrap();
     let lb = ColumnarBatch::from_relation(&left);
-    let rb = ColumnarBatch::from_relation(&right);
-    let joined = kernels::hash_natural_join(&lb, &rb).unwrap();
+    let build = JoinBuild::new(lb.schema(), ColumnarBatch::from_relation(&right)).unwrap();
+    let joined = build.probe_natural(&lb).unwrap();
     let expected = left.natural_join(&right).unwrap();
     assert_eq!(joined.batch.to_relation().unwrap(), expected);
     // Exactly the three genuine matches: the collision ints match nothing.
     assert_eq!(expected.len(), 3);
-    let semi = kernels::hash_semi_join(&lb, &rb, false).unwrap();
+    let semi = build.probe_semi(&lb, false).unwrap();
     assert_eq!(semi.batch.num_rows(), 3);
 }

@@ -172,13 +172,14 @@ fn run_guard_budget(
 fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let c = catalog();
     // Shapes whose blocking state lives in a hybrid operator (divide, great
-    // divide, hash join family, grouped aggregation) — these must
-    // demonstrably hit disk at the tightest budget. The aggregate keeps one
+    // divide, hash join family — difference and intersection included —,
+    // grouped aggregation) — these must demonstrably hit disk at the
+    // tightest budget. The aggregate keeps one
     // row per group, so where a narrowing projection's distinct store sits
     // on top of it (shape 5) that store, not the aggregate, sets the peak:
     // there the aggregate holds exactly its groups at every budget. The
     // bare aggregate (shape 10) is the one whose own state sets the peak.
-    let spillable: &[usize] = &[0, 2, 3, 10];
+    let spillable: &[usize] = &[0, 2, 3, 6, 7, 10];
     let aggregate_under_projection = 5;
     let mut spilled_shapes = 0usize;
     for (shape_idx, logical) in shapes().into_iter().enumerate() {

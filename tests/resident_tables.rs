@@ -353,8 +353,9 @@ fn aborting_mid_scan_leaks_no_resident_rows() {
         assert_eq!(stats.resident_rows_on_finish, 0);
         assert_eq!(stats.rows_scanned, 256);
 
-        // Budget trip: a blocking operator buffering the scan's chunks under a
-        // budget smaller than the table trips inside its drain.
+        // Budget trip: the intersection's hash-join build side, drained from
+        // the scan under a budget smaller than the table, trips inside its
+        // drain.
         let blocking = plan_query(
             &PlanBuilder::scan("t_abort")
                 .intersect(PlanBuilder::scan("t_abort"))
