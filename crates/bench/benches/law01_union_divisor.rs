@@ -1,11 +1,12 @@
 //! Experiment E3 (Law 1): dividing by a union of divisor partitions directly
 //! vs the pipelined form `(r1 ⋉ (r1 ÷ r'2)) ÷ r''2`, which shrinks the
-//! dividend between the two divisions.
+//! dividend between the two divisions. Both forms divide with merge-sort
+//! division, whose group-preserving output is what makes the pipelined form
+//! pay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use div_bench::division_workload;
-use div_physical::division::{divide_with, DivisionAlgorithm};
-use div_physical::ExecStats;
+use div_physical::merge;
 use division::prelude::*;
 
 fn split_divisor(divisor: &Relation, parts: usize) -> Vec<Relation> {
@@ -17,37 +18,17 @@ fn run_union_form(dividend: &Relation, partitions: &[Relation]) -> Relation {
     for p in &partitions[1..] {
         divisor = divisor.union(p).unwrap();
     }
-    let mut stats = ExecStats::default();
-    divide_with(
-        dividend,
-        &divisor,
-        DivisionAlgorithm::MergeSortDivision,
-        &mut stats,
-    )
-    .unwrap()
+    merge::divide(dividend, &divisor).unwrap()
 }
 
 fn run_pipelined_form(dividend: &Relation, partitions: &[Relation]) -> Relation {
     // Law 1 applied repeatedly: each intermediate quotient shrinks the
     // dividend via a semi-join before the next partition is processed.
-    let mut stats = ExecStats::default();
     let mut current = dividend.clone();
-    let mut quotient = divide_with(
-        &current,
-        &partitions[0],
-        DivisionAlgorithm::MergeSortDivision,
-        &mut stats,
-    )
-    .unwrap();
+    let mut quotient = merge::divide(&current, &partitions[0]).unwrap();
     for p in &partitions[1..] {
         current = current.semi_join(&quotient).unwrap();
-        quotient = divide_with(
-            &current,
-            p,
-            DivisionAlgorithm::MergeSortDivision,
-            &mut stats,
-        )
-        .unwrap();
+        quotient = merge::divide(&current, p).unwrap();
     }
     quotient
 }

@@ -23,7 +23,7 @@
 //! them and across every execution strategy. Generation is fully
 //! deterministic per seed.
 
-use div_algebra::{AggregateCall, CompareOp, Predicate, Relation, Value};
+use div_algebra::{CompareOp, Predicate, Relation, Value};
 use div_expr::{Catalog, LogicalPlan, PlanBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -572,89 +572,60 @@ impl CaseSpec {
             .count()
     }
 
-    /// The set-difference simulation of the small divide:
-    /// `π_A(r) − π_A((π_A(r) × s) − π_{A∪B}(r))`.
+    /// The set-difference simulation of the small divide
+    /// ([`PlanBuilder::difference_plan`]).
     pub fn difference_plan(&self) -> Option<LogicalPlan> {
         if self.is_great() {
             return None;
         }
-        let a = self.quotient_cols.clone();
-        let ab: Vec<String> = a.iter().chain(&self.join_cols).cloned().collect();
-        let r = self.dividend_plan();
-        let s = self.divisor_plan();
-        let entities = r.clone().project(a.clone());
-        let all_pairs = entities.clone().product(s); // schema A ++ B
-        let present = r.project(ab); // same order
-        let missing = all_pairs.difference(present).project(a);
-        Some(entities.difference(missing).build())
+        let plan = self.dividend_plan().difference_plan(
+            self.divisor_plan(),
+            &self.quotient_cols,
+            &self.join_cols,
+        );
+        Some(plan.build())
     }
 
-    /// The same simulation expressed through nested anti-semi-joins.
+    /// The same simulation expressed through nested anti-semi-joins
+    /// ([`PlanBuilder::anti_join_plan`]).
     pub fn anti_join_plan(&self) -> Option<LogicalPlan> {
         if self.is_great() {
             return None;
         }
-        let a = self.quotient_cols.clone();
-        let r = self.dividend_plan();
-        let s = self.divisor_plan();
-        let entities = r.clone().project(a.clone());
-        // Pairs (entity, required item) with no supporting dividend tuple…
-        let missing = entities.clone().product(s).anti_semi_join(r).project(a);
-        // …disqualify their entity.
-        Some(entities.anti_semi_join(missing).build())
+        let plan = self
+            .dividend_plan()
+            .anti_join_plan(self.divisor_plan(), &self.quotient_cols);
+        Some(plan.build())
     }
 
     /// The `GROUP BY` / `HAVING COUNT`-style formulation of the small
-    /// divide: `π_A(σ_{n=|s|}(γ_{A;count}(r ⋉ s)))`, with the empty-divisor
-    /// case special-cased to `π_A(r)` per the small-divide convention.
+    /// divide ([`PlanBuilder::counting_plan`]).
     pub fn counting_plan(&self) -> Option<LogicalPlan> {
         if self.is_great() {
             return None;
         }
-        let a = self.quotient_cols.clone();
-        let r = self.dividend_plan();
-        let k = self.divisor_count();
-        if k == 0 {
-            return Some(r.project(a).build());
-        }
-        let s = self.divisor_plan();
-        let count_col = &self.join_cols[0];
-        Some(
-            r.semi_join(s)
-                .group_aggregate(a.clone(), [AggregateCall::count(count_col.as_str(), "__n")])
-                .select(Predicate::eq_value("__n", Value::from(k as i64)))
-                .project(a)
-                .build(),
-        )
+        let plan = self.dividend_plan().counting_plan(
+            self.divisor_plan(),
+            &self.quotient_cols,
+            &self.join_cols,
+            self.divisor_count(),
+        );
+        Some(plan.build())
     }
 
-    /// The counting formulation of the great divide: per-(A, C) match
-    /// counts joined against per-C divisor counts, kept where equal.
+    /// The counting formulation of the great divide
+    /// ([`PlanBuilder::counting_grouped_plan`]).
     pub fn counting_grouped_plan(&self) -> Option<LogicalPlan> {
         if !self.is_great() {
             return None;
         }
-        let result = self.result_cols();
-        let count_col = &self.join_cols[0];
-        let r = self.dividend_plan();
-        let s = self.divisor_plan();
-        let matched = r
-            .natural_join(s.clone()) // on B; schema A ∪ B ∪ C
-            .group_aggregate(
-                result.clone(),
-                [AggregateCall::count(count_col.as_str(), "__n")],
-            );
-        let required = s.group_aggregate(
-            self.group_cols.clone(),
-            [AggregateCall::count(count_col.as_str(), "__m")],
+        let plan = self.dividend_plan().counting_grouped_plan(
+            self.divisor_plan(),
+            &self.quotient_cols,
+            &self.join_cols,
+            &self.group_cols,
         );
-        Some(
-            matched
-                .natural_join(required) // on C
-                .select(Predicate::cmp_attrs("__n", CompareOp::Eq, "__m"))
-                .project(result)
-                .build(),
-        )
+        Some(plan.build())
     }
 
     /// Every formulation of this case, SQL and logical.

@@ -9,11 +9,12 @@
 //!
 //! * [`algebra`] — set-semantics relational algebra with small and great
 //!   divide (reference semantics),
-//! * [`expr`] — logical plans, catalog, reference evaluator,
+//! * [`expr`] — logical plans, catalog, reference evaluator, and the
+//!   paper's division algorithm family as plans,
 //! * [`rewrite`] — the seventeen algebraic laws, theorems, rewrite engine and
 //!   cost-based optimizer,
-//! * [`physical`] — special-purpose division algorithms, physical planner
-//!   and the streaming columnar executor,
+//! * [`physical`] — physical planner and the streaming columnar executor
+//!   with its special-purpose division operators,
 //! * [`columnar`] — the columnar batch representation and vectorized
 //!   division kernels the streaming executor runs on,
 //! * [`sql`] — the `DIVIDE BY … ON` SQL dialect of Section 4,
@@ -54,8 +55,7 @@ pub mod prelude {
     pub use div_columnar::ColumnarBatch;
     pub use div_expr::{evaluate, plans_equivalent_on, Catalog, LogicalPlan, PlanBuilder};
     pub use div_physical::{
-        plan_query, DivisionAlgorithm, GreatDivideAlgorithm, OperatorId, OperatorStats,
-        PlannerConfig, QueryTrace, StreamExecutor,
+        plan_query, OperatorId, OperatorStats, PlannerConfig, QueryTrace, StreamExecutor,
     };
     pub use div_rewrite::optimizer::CostModel;
     pub use div_rewrite::{Optimizer, RewriteContext, RewriteEngine, RuleSet};

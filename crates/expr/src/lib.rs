@@ -13,7 +13,9 @@
 //! * schema inference and validation for every node,
 //! * a [`Catalog`] of named relations and a reference [`evaluate`] interpreter
 //!   that executes a plan with the set-semantics operators of `div-algebra`,
-//! * a [`PlanBuilder`] for constructing plans fluently,
+//! * a [`PlanBuilder`] for constructing plans fluently, including the
+//!   paper's division algorithm family as plans ([`division`]: the
+//!   basic-operator simulations and counting division),
 //! * tree traversal / transformation utilities used by the rewrite engine, and
 //! * an equivalence checker used by the law tests
 //!   ([`plans_equivalent_on`]).
@@ -37,6 +39,7 @@
 
 pub mod builder;
 pub mod catalog;
+pub mod division;
 pub mod equivalence;
 pub mod error;
 pub mod eval;

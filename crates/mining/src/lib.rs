@@ -13,9 +13,10 @@
 //!
 //! This crate implements
 //!
-//! * [`support`] — support counting via the great divide (several physical
-//!   algorithms) and via the SQL-style k-way join/group/count baseline used by
-//!   the literature the paper contrasts with,
+//! * [`support`] — support counting via the great divide (one plan,
+//!   `transactions ÷* candidates` then a group count, on the streaming
+//!   executor) and via the per-candidate scan baseline used by the
+//!   literature the paper contrasts with,
 //! * [`apriori`] — the full Apriori loop (candidate generation + pruning)
 //!   parameterized by the counting strategy, so the benchmark can compare
 //!   end-to-end mining runs.

@@ -1,9 +1,8 @@
 //! Support counting strategies.
 
 use div_algebra::{AggregateCall, Relation, Value};
-use div_expr::ExprError;
-use div_physical::great_divide::{great_divide_with, GreatDivideAlgorithm};
-use div_physical::ExecStats;
+use div_expr::{Catalog, ExprError, PlanBuilder};
+use div_physical::{plan_query, ExecStats, PlannerConfig, StreamExecutor};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How to count candidate supports.
@@ -11,8 +10,9 @@ use std::collections::{BTreeMap, BTreeSet};
 pub enum SupportCounting {
     /// One great divide of `transactions(tid, item)` by
     /// `candidates(item, itemset)` followed by a group count — the strategy
-    /// Section 3 of the paper advocates.
-    GreatDivide(GreatDivideAlgorithm),
+    /// Section 3 of the paper advocates — run as one plan on the streaming
+    /// executor.
+    GreatDivide,
     /// The SQL-style baseline: for each candidate itemset, a k-way
     /// self-join-like containment test per transaction (implemented as a scan
     /// over per-transaction item sets), counting matches candidate by
@@ -22,10 +22,10 @@ pub enum SupportCounting {
 
 impl SupportCounting {
     /// Short display name for benchmark output.
-    pub fn name(&self) -> String {
+    pub fn name(&self) -> &'static str {
         match self {
-            SupportCounting::GreatDivide(alg) => format!("great-divide/{}", alg.name()),
-            SupportCounting::PerCandidateScan => "per-candidate-scan".to_string(),
+            SupportCounting::GreatDivide => "great-divide",
+            SupportCounting::PerCandidateScan => "per-candidate-scan",
         }
     }
 }
@@ -44,9 +44,7 @@ pub fn count_support(
     strategy: SupportCounting,
 ) -> Result<(BTreeMap<i64, usize>, ExecStats), ExprError> {
     match strategy {
-        SupportCounting::GreatDivide(algorithm) => {
-            count_with_great_divide(transactions, candidates, algorithm)
-        }
+        SupportCounting::GreatDivide => count_with_great_divide(transactions, candidates),
         SupportCounting::PerCandidateScan => count_with_scan(transactions, candidates),
     }
 }
@@ -65,26 +63,29 @@ pub fn candidates_to_relation(candidates: &BTreeMap<i64, Vec<i64>>) -> Result<Re
 fn count_with_great_divide(
     transactions: &Relation,
     candidates: &BTreeMap<i64, Vec<i64>>,
-    algorithm: GreatDivideAlgorithm,
 ) -> Result<(BTreeMap<i64, usize>, ExecStats), ExprError> {
-    let mut stats = ExecStats::default();
     if candidates.is_empty() {
-        return Ok((BTreeMap::new(), stats));
+        return Ok((BTreeMap::new(), ExecStats::default()));
     }
-    let candidate_relation = candidates_to_relation(candidates)?;
-    // quotient(tid, itemset) = transactions ÷* candidates.
-    let quotient = great_divide_with(transactions, &candidate_relation, algorithm, &mut stats)?;
-    // support(itemset, n) = γ_{itemset; count(tid)→n}(quotient).
-    let support = quotient
-        .group_aggregate(&["itemset"], &[AggregateCall::count("tid", "n")])
-        .map_err(ExprError::from)?;
+    // support(itemset, n) = γ_{itemset; count(tid)→n}(transactions ÷* candidates).
+    let plan = PlanBuilder::values(transactions.clone())
+        .great_divide(PlanBuilder::values(candidates_to_relation(candidates)?))
+        .group_aggregate(["itemset"], [AggregateCall::count("tid", "n")])
+        .build();
+    let config = PlannerConfig::default();
+    let physical = plan_query(&plan, &config)?;
+    let catalog = Catalog::new();
+    let mut stream = StreamExecutor::new(&physical, &catalog, &config)?;
     let mut out: BTreeMap<i64, usize> = candidates.keys().map(|id| (*id, 0)).collect();
-    for t in support.tuples() {
-        let id = t.values()[0].as_int().expect("itemset ids are integers");
-        let n = t.values()[1].as_int().expect("counts are integers") as usize;
-        out.insert(id, n);
+    while let Some(batch) = stream.next_batch()? {
+        for row in 0..batch.num_rows() {
+            let t = batch.row(row);
+            let id = t.values()[0].as_int().expect("itemset ids are integers");
+            let n = t.values()[1].as_int().expect("counts are integers") as usize;
+            out.insert(id, n);
+        }
     }
-    Ok((out, stats))
+    Ok((out, stream.finish()))
 }
 
 fn count_with_scan(
@@ -147,13 +148,10 @@ mod tests {
         let expected = BTreeMap::from([(0i64, 3usize), (1, 3), (2, 1), (3, 2), (4, 0)]);
         let transactions = transactions();
         let candidates = candidates();
-        let strategies = [
+        for strategy in [
             SupportCounting::PerCandidateScan,
-            SupportCounting::GreatDivide(GreatDivideAlgorithm::GroupLoop),
-            SupportCounting::GreatDivide(GreatDivideAlgorithm::HashSets),
-            SupportCounting::GreatDivide(GreatDivideAlgorithm::SortMerge),
-        ];
-        for strategy in strategies {
+            SupportCounting::GreatDivide,
+        ] {
             let (counts, _) = count_support(&transactions, &candidates, strategy).unwrap();
             assert_eq!(counts, expected, "strategy {}", strategy.name());
         }
@@ -163,14 +161,20 @@ mod tests {
     fn mixed_size_candidates_are_counted_in_one_pass() {
         // The paper highlights that the great divide does not require all
         // candidates to have the same size k.
-        let (counts, _) = count_support(
-            &transactions(),
-            &candidates(),
-            SupportCounting::GreatDivide(GreatDivideAlgorithm::HashSets),
-        )
-        .unwrap();
+        let (counts, _) =
+            count_support(&transactions(), &candidates(), SupportCounting::GreatDivide).unwrap();
         assert_eq!(counts[&2], 1); // singleton
         assert_eq!(counts[&3], 2); // triple
+    }
+
+    #[test]
+    fn great_divide_counting_reports_the_executed_plan() {
+        let (_, stats) =
+            count_support(&transactions(), &candidates(), SupportCounting::GreatDivide).unwrap();
+        let labels: Vec<&str> = stats.operators.iter().map(|op| op.label.as_str()).collect();
+        assert!(labels.contains(&"GreatDivide[hash]"), "{labels:?}");
+        assert!(labels.contains(&"HashAggregate(itemset)"), "{labels:?}");
+        assert!(stats.probes > 0);
     }
 
     #[test]
@@ -178,7 +182,7 @@ mod tests {
         let (counts, _) = count_support(
             &transactions(),
             &BTreeMap::new(),
-            SupportCounting::GreatDivide(GreatDivideAlgorithm::HashSets),
+            SupportCounting::GreatDivide,
         )
         .unwrap();
         assert!(counts.is_empty());

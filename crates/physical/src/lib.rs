@@ -10,20 +10,9 @@
 //! quadratic size. This crate provides those operators and the scaffolding to
 //! run whole plans with them:
 //!
-//! * [`division`] — four genuine small-divide algorithms (nested-loop,
-//!   hash-division, merge-sort division, counting division) plus the
-//!   basic-operator *simulation* baseline whose intermediate blow-up the
-//!   benchmarks measure,
-//! * [`great_divide`] — group-loop, hash and sort-based algorithms for the
-//!   great divide,
 //! * [`plan`] — the physical plan tree: the paper's "mapping of logical
 //!   operators to physical operators" (Section 7),
 //! * [`planner`] — lowering from [`div_expr::LogicalPlan`],
-//! * [`parallel`] — partition-parallel *row* division following the
-//!   strategies the paper attaches to Law 2 (dividend range partitioning
-//!   under condition `c2`) and Law 13 (divisor hash partitioning on the
-//!   group attributes `C`) — a paper artifact with its own benches, not an
-//!   executor path,
 //! * [`stream`] — the Volcano-style streaming executor
 //!   ([`stream::StreamExecutor`]), the one way to run a [`PhysicalPlan`]:
 //!   scans chunk base tables into [`planner::PlannerConfig::batch_size`]-row
@@ -32,6 +21,8 @@
 //!   depth, not with the largest intermediate, and early-terminated
 //!   consumers short-circuit the scans. This is the executor behind
 //!   `div_sql`'s incremental `Cursor`,
+//! * [`merge`] — sort-merge small and great divide as row functions, the
+//!   one member of the algorithm family no streaming operator covers yet,
 //! * [`guard`] — cooperative query governance: a per-cursor
 //!   [`guard::QueryGuard`] (cancellation token, wall-clock deadline,
 //!   resident-row budget) checked at every batch boundary of the streaming
@@ -45,13 +36,13 @@
 //!   every operator; finished traces land in
 //!   [`stats::ExecStats::operators`] and feed `EXPLAIN ANALYZE`.
 //!
-//! The division algorithms are a library: callers pick one explicitly
-//! ([`division::divide_with`], [`great_divide::great_divide_with`],
-//! [`parallel`]). The streaming executor runs its own hash division, and
-//! every algorithm — and every executed plan — is validated against the
-//! reference semantics of [`div_algebra`] / [`div_expr::evaluate`] by unit
-//! tests here and by the cross-crate property tests in
-//! `tests/physical_vs_reference.rs`.
+//! The paper's algorithm family runs on the streaming executor:
+//! hash-division is its divide operator, and the basic-operator simulation
+//! and counting division are logical plans (`div_expr::division`) that run
+//! on its joins, nested loop and aggregate. Every executed plan is
+//! validated against the reference semantics of [`div_algebra`] /
+//! [`div_expr::evaluate`] by unit tests here and by the cross-crate property
+//! tests in `tests/physical_vs_reference.rs`.
 //!
 //! Running a plan on the streaming executor `div_sql`'s `Engine` serves,
 //! checked against the reference evaluator:
@@ -84,20 +75,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod division;
 pub mod failpoint;
-pub mod great_divide;
 pub mod guard;
-pub mod parallel;
+pub mod merge;
 pub mod plan;
 pub mod planner;
 pub mod stats;
 pub mod stream;
 pub mod trace;
 
-pub use division::DivisionAlgorithm;
 pub use failpoint::FailAction;
-pub use great_divide::GreatDivideAlgorithm;
 pub use guard::{CancelToken, QueryGuard};
 pub use plan::PhysicalPlan;
 pub use planner::{plan_query, PlannerConfig};

@@ -6,9 +6,9 @@
 //! has exactly one physical operator today, so the mapping is fixed; the
 //! [`PlannerConfig`] carries the execution settings of the streaming
 //! executor (chunk size, tracing, governance, spilling) that travel with a
-//! plan. The paper's algorithm comparison is not a planner choice: callers
-//! run the algorithm family of [`crate::division`] and
-//! [`crate::great_divide`] directly.
+//! plan. The paper's algorithm comparison is not a planner choice: the
+//! family's other members are logical plans of their own
+//! (`div_expr::division`), planned like any other.
 
 use crate::plan::PhysicalPlan;
 use crate::Result;

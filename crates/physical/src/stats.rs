@@ -36,7 +36,7 @@ pub struct ExecStats {
     /// one per row pair it considers, Cartesian products included.
     pub probes: usize,
     /// Number of operator executions recorded (plan operators plus
-    /// kernel-level pseudo-operators; summed across parallel partitions).
+    /// kernel-level pseudo-operators; summed across merged executions).
     pub operators_executed: usize,
     /// The per-operator span tree: one [`OperatorStats`] node per plan
     /// operator, indexed by its pre-order
@@ -44,8 +44,7 @@ pub struct ExecStats {
     /// Row/probe/retained counters are always filled; the wall-clock fields
     /// are non-zero only when tracing was enabled
     /// ([`PlannerConfig::tracing`](crate::PlannerConfig::tracing)). Empty
-    /// for kernel-level executions that never ran a plan (e.g. the
-    /// per-partition worker stats inside [`crate::parallel`]).
+    /// for statistics recorded without running a plan.
     pub operators: Vec<OperatorStats>,
     /// Peak number of executor-materialized batches simultaneously resident
     /// during a *streaming* execution ([`crate::stream`]): in-flight chunks
@@ -109,13 +108,14 @@ impl ExecStats {
         self.peak_resident_rows = self.peak_resident_rows.max(rows);
     }
 
-    /// Merge statistics from a sub-execution (e.g. a parallel partition).
+    /// Merge statistics from another execution (e.g. one phase of a
+    /// multi-plan run such as Apriori's support counting).
     ///
     /// Aggregates are summed (peaks maxed) as before. The operator trees
     /// merge structurally: if `self` has no tree, `other`'s is adopted; if
     /// both trees describe the same plan shape (same length and labels),
     /// nodes are combined pairwise (rows and probes summed, retained peaks
-    /// and times maxed — partitions run concurrently); trees of different
+    /// and times maxed); trees of different
     /// shapes keep `self`'s.
     pub fn merge(&mut self, other: &ExecStats) {
         self.rows_scanned += other.rows_scanned;

@@ -5,7 +5,6 @@
 
 use div_datagen::baskets::{self, BasketConfig};
 use div_mining::{mine_frequent_itemsets, AprioriConfig, SupportCounting};
-use division::prelude::*;
 
 fn main() {
     let config = BasketConfig {
@@ -28,7 +27,7 @@ fn main() {
 
     let min_support = config.transactions / 8;
     for counting in [
-        SupportCounting::GreatDivide(GreatDivideAlgorithm::HashSets),
+        SupportCounting::GreatDivide,
         SupportCounting::PerCandidateScan,
     ] {
         let result = mine_frequent_itemsets(

@@ -1,12 +1,29 @@
 //! Quickstart: build the paper's Figure 1 relations, run the small and great
 //! divide, apply a law with the rewrite engine, execute the plan on the
-//! streaming executor, and run one algorithm of the paper's division family
-//! explicitly.
+//! streaming executor, and run one more member of the paper's division
+//! algorithm family — counting division, a plan of its own — on the same
+//! executor.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use division::physical::{division::divide_with, ExecStats};
 use division::prelude::*;
+
+/// Plan `plan` and drain it on the streaming executor.
+fn run(plan: &LogicalPlan, catalog: &Catalog) -> Relation {
+    let config = PlannerConfig::default();
+    let physical = plan_query(plan, &config).unwrap();
+    let mut stream = StreamExecutor::new(&physical, catalog, &config).unwrap();
+    let mut result = Relation::empty(stream.schema().clone());
+    while let Some(batch) = stream.next_batch().unwrap() {
+        result = result.union(&batch.to_relation().unwrap()).unwrap();
+    }
+    let stats = stream.finish();
+    println!(
+        "executed {} operators, scanned {} rows, peak {} resident rows",
+        stats.operators_executed, stats.rows_scanned, stats.peak_resident_rows
+    );
+    result
+}
 
 fn main() {
     // Figure 1: r1 ÷ r2 = r3.
@@ -29,18 +46,9 @@ fn main() {
         r1.great_divide(&r2_groups).unwrap()
     );
 
-    // The algorithm family the paper compares is a library: each call names
-    // its algorithm.
-    let mut stats = ExecStats::default();
-    let merged = divide_with(&r1, &r2, DivisionAlgorithm::MergeSortDivision, &mut stats).unwrap();
-    println!(
-        "r1 ÷ r2 by {} ({} probes):\n{merged}",
-        DivisionAlgorithm::MergeSortDivision.name(),
-        stats.probes
-    );
-
     // The same query as a logical plan, rewritten by the laws and executed by
     // the streaming executor.
+    let divisor_count = r2.len();
     let mut catalog = Catalog::new();
     catalog.register("r1", r1);
     catalog.register("r2", r2);
@@ -59,18 +67,21 @@ fn main() {
         outcome.plan
     );
 
-    let config = PlannerConfig::default();
-    let physical = plan_query(&outcome.plan, &config).unwrap();
-    println!("physical plan:\n{physical}");
-    let mut stream = StreamExecutor::new(&physical, &catalog, &config).unwrap();
-    let mut result = Relation::empty(stream.schema().clone());
-    while let Some(batch) = stream.next_batch().unwrap() {
-        result = result.union(&batch.to_relation().unwrap()).unwrap();
-    }
-    let stats = stream.finish();
-    println!("result:\n{result}");
     println!(
-        "executed {} operators, scanned {} rows, peak {} resident rows",
-        stats.operators_executed, stats.rows_scanned, stats.peak_resident_rows
+        "physical plan:\n{}",
+        plan_query(&outcome.plan, &PlannerConfig::default()).unwrap()
+    );
+    println!("result:\n{}", run(&outcome.plan, &catalog));
+
+    // Counting division (Graefe & Cole): semi-join, count per group, keep
+    // the groups that matched all |r2| divisor rows. The same executor runs
+    // it; only the plan differs.
+    let counting = PlanBuilder::scan("r1")
+        .counting_plan(PlanBuilder::scan("r2"), &["a"], &["b"], divisor_count)
+        .build();
+    println!("counting division plan:\n{counting}");
+    println!(
+        "r1 ÷ r2 by counting division:\n{}",
+        run(&counting, &catalog)
     );
 }

@@ -8,6 +8,7 @@
 //! checks that the violating cases are exactly the ones condition `c1`
 //! rejects.
 
+use div_rewrite::laws::small_divide_union::partition_dividend_for_law2;
 use div_rewrite::preconditions;
 use division::prelude::*;
 use proptest::prelude::*;
@@ -97,15 +98,32 @@ proptest! {
         }
     }
 
-    /// Law 2 under the partition helper of the physical layer: hash
-    /// partitioning on A satisfies c2 by construction.
+    /// Law 2 under the partitioner the optimizer runs: the dividend
+    /// branches `partition_dividend_for_law2` builds (ranges of A) satisfy
+    /// c2 by construction.
     #[test]
     fn law2_hash_partitioning_always_satisfies_c2(r1 in ab_pairs(30), d in b_values(5)) {
-        let r1 = rel_ab(&r1);
-        let r2 = rel_b(&d);
-        let parts = div_physical::parallel::hash_partition(&r1, &["a"], 2).unwrap();
-        prop_assert!(preconditions::c2(&parts[0], &parts[1], &r2).unwrap()
-            || parts[0].is_empty() || parts[1].is_empty());
+        let mut catalog = Catalog::new();
+        catalog.register("r1", rel_ab(&r1));
+        catalog.register("r2", rel_b(&d));
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let partitioned = partition_dividend_for_law2(
+            &PlanBuilder::scan("r1").build(),
+            &PlanBuilder::scan("r2").build(),
+            2,
+            &ctx,
+        )
+        .unwrap();
+        // Fewer distinct A values than partitions leave nothing to split.
+        if let Some(LogicalPlan::SmallDivide { dividend, .. }) = partitioned {
+            let LogicalPlan::Union { left, right } = *dividend else {
+                panic!("two partitions are one union, got {dividend}");
+            };
+            let left = evaluate(&left, &catalog).unwrap();
+            let right = evaluate(&right, &catalog).unwrap();
+            let r2 = catalog.table("r2").unwrap();
+            prop_assert!(preconditions::c2(&left, &right, r2).unwrap());
+        }
     }
 }
 

@@ -4,7 +4,6 @@
 
 use div_datagen::baskets::{self, BasketConfig};
 use div_mining::{mine_frequent_itemsets, AprioriConfig, SupportCounting};
-use div_physical::great_divide::GreatDivideAlgorithm;
 use division::prelude::*;
 
 fn workload(seed: u64) -> (Relation, Vec<Vec<i64>>, usize) {
@@ -30,7 +29,7 @@ fn planted_itemsets_are_discovered_with_great_divide_counting() {
         &AprioriConfig {
             min_support: n_transactions / 5,
             max_size: 3,
-            counting: SupportCounting::GreatDivide(GreatDivideAlgorithm::HashSets),
+            counting: SupportCounting::GreatDivide,
         },
     )
     .unwrap();
@@ -48,34 +47,24 @@ fn planted_itemsets_are_discovered_with_great_divide_counting() {
 #[test]
 fn all_counting_strategies_find_the_same_itemsets() {
     let (transactions, _, n_transactions) = workload(23);
-    let strategies = [
-        SupportCounting::PerCandidateScan,
-        SupportCounting::GreatDivide(GreatDivideAlgorithm::GroupLoop),
-        SupportCounting::GreatDivide(GreatDivideAlgorithm::HashSets),
-        SupportCounting::GreatDivide(GreatDivideAlgorithm::SortMerge),
-    ];
     let config = |counting| AprioriConfig {
         min_support: n_transactions / 6,
         max_size: 3,
         counting,
     };
-    let reference = mine_frequent_itemsets(&transactions, &config(strategies[0])).unwrap();
+    let reference =
+        mine_frequent_itemsets(&transactions, &config(SupportCounting::PerCandidateScan)).unwrap();
     assert!(!reference.itemsets.is_empty());
-    for strategy in &strategies[1..] {
-        let result = mine_frequent_itemsets(&transactions, &config(*strategy)).unwrap();
-        assert_eq!(
-            result.itemsets,
-            reference.itemsets,
-            "strategy {} disagrees",
-            strategy.name()
-        );
-    }
+    let result =
+        mine_frequent_itemsets(&transactions, &config(SupportCounting::GreatDivide)).unwrap();
+    assert_eq!(result.itemsets, reference.itemsets);
 }
 
 #[test]
 fn support_counting_is_a_single_great_divide_plus_group_count() {
     // The quotient-then-count formulation of Section 3 expressed as a logical
-    // plan over the catalog, compared against the mining crate's counts.
+    // plan over the catalog, compared against the mining crate's counts, which
+    // run the same plan on the streaming executor and report its span tree.
     let (transactions, planted, _) = workload(37);
     let mut catalog = Catalog::new();
     catalog.register("transactions", transactions.clone());
@@ -92,12 +81,12 @@ fn support_counting_is_a_single_great_divide_plus_group_count() {
         .enumerate()
         .map(|(i, items)| (i as i64, items.clone()))
         .collect();
-    let (counts, _) = div_mining::count_support(
-        &transactions,
-        &candidate_map,
-        SupportCounting::GreatDivide(GreatDivideAlgorithm::GroupLoop),
-    )
-    .unwrap();
+    let (counts, stats) =
+        div_mining::count_support(&transactions, &candidate_map, SupportCounting::GreatDivide)
+            .unwrap();
+    let labels: Vec<&str> = stats.operators.iter().map(|op| op.label.as_str()).collect();
+    assert!(labels.contains(&"GreatDivide[hash]"), "{labels:?}");
+    assert!(labels.contains(&"HashAggregate(itemset)"), "{labels:?}");
     for tuple in support_table.tuples() {
         let itemset = tuple.values()[0].as_int().unwrap();
         let support = tuple.values()[1].as_int().unwrap() as usize;
@@ -108,7 +97,7 @@ fn support_counting_is_a_single_great_divide_plus_group_count() {
 #[test]
 fn raising_min_support_shrinks_the_result_monotonically() {
     let (transactions, _, n_transactions) = workload(51);
-    let counting = SupportCounting::GreatDivide(GreatDivideAlgorithm::HashSets);
+    let counting = SupportCounting::GreatDivide;
     let mut previous = usize::MAX;
     for divisor in [10, 5, 3, 2] {
         let result = mine_frequent_itemsets(

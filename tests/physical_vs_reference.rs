@@ -1,5 +1,6 @@
-//! Property tests: every physical division / great-divide algorithm (and the
-//! partition-parallel executions), called explicitly, agrees with the
+//! Property tests: every member of the paper's division algorithm family —
+//! the native divides, the basic-operator simulations and counting division
+//! as plans, merge-sort division as a row function — agrees with the
 //! reference set semantics of `div-algebra` on random inputs, and the
 //! streaming executor at several batch sizes returns relations
 //! byte-identical to the row-at-a-time reference evaluator
@@ -7,10 +8,7 @@
 //! every plan shape tested here.
 
 use div_columnar::ColumnarBatch;
-use div_physical::division::{divide_with, DivisionAlgorithm};
-use div_physical::great_divide::{great_divide_with, GreatDivideAlgorithm};
-use div_physical::parallel::{parallel_divide, parallel_great_divide};
-use div_physical::{ExecStats, PhysicalPlan};
+use div_physical::{merge, ExecStats, PhysicalPlan};
 use division::prelude::*;
 use proptest::prelude::*;
 
@@ -42,95 +40,64 @@ fn rel_ab(pairs: &[(i64, i64)]) -> Relation {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// All five small-divide algorithms produce the reference quotient.
+    /// Every plan of the division family, small and great, returns the
+    /// reference quotient on the streaming executor at batch sizes 1, 3 and
+    /// 1024, for the drawn divisors and for empty ones.
     #[test]
-    fn small_divide_algorithms_match_reference(
+    fn division_family_plans_match_reference(
         dividend in ab_pairs(40),
         divisor in prop::collection::vec(0..6i64, 0..6),
+        groups in prop::collection::vec((0..6i64, 0..4i64), 0..12),
     ) {
         let dividend = rel_ab(&dividend);
-        let divisor =
-            Relation::from_rows(["b"], divisor.iter().map(|b| vec![*b])).unwrap();
-        let expected = dividend.divide(&divisor).unwrap();
-        for algorithm in DivisionAlgorithm::ALL {
-            let mut stats = ExecStats::default();
-            let result = divide_with(&dividend, &divisor, algorithm, &mut stats).unwrap();
-            prop_assert_eq!(&result, &expected, "algorithm {}", algorithm.name());
+        let small = Relation::from_rows(["b"], divisor.iter().map(|b| vec![*b])).unwrap();
+        let great =
+            Relation::from_rows(["b", "c"], groups.iter().map(|(b, c)| vec![*b, *c])).unwrap();
+        for (small, great) in [
+            (small, great),
+            (Relation::empty(Schema::of(["b"])), Relation::empty(Schema::of(["b", "c"]))),
+        ] {
+            let expected_small = dividend.divide(&small).unwrap();
+            let expected_great = dividend.great_divide(&great).unwrap();
+            let mut catalog = Catalog::new();
+            catalog.register("r1", dividend.clone());
+            catalog.register("small", small);
+            catalog.register("great", great);
+            for (name, plan) in division_family_plans(&catalog) {
+                let expected = if name.starts_with("great") {
+                    &expected_great
+                } else {
+                    &expected_small
+                };
+                prop_assert_eq!(&evaluate(&plan, &catalog).unwrap(), expected, "{}", name);
+                assert_backends_agree(&plan, &catalog);
+            }
         }
     }
 
-    /// All great-divide algorithms produce the reference quotient.
+    /// Sort-merge division, small and great, returns the reference quotient.
     #[test]
-    fn great_divide_algorithms_match_reference(
-        dividend in ab_pairs(40),
-        divisor in prop::collection::vec((0..6i64, 0..4i64), 0..12),
-    ) {
-        let dividend = rel_ab(&dividend);
-        let divisor = Relation::from_rows(
-            ["b", "c"],
-            divisor.iter().map(|(b, c)| vec![*b, *c]),
-        )
-        .unwrap();
-        let expected = dividend.great_divide(&divisor).unwrap();
-        for algorithm in GreatDivideAlgorithm::ALL {
-            let mut stats = ExecStats::default();
-            let result =
-                great_divide_with(&dividend, &divisor, algorithm, &mut stats).unwrap();
-            prop_assert_eq!(&result, &expected, "algorithm {}", algorithm.name());
-        }
-    }
-
-    /// The Law-2 partition-parallel execution matches the sequential quotient
-    /// for every partition count.
-    #[test]
-    fn parallel_divide_matches_reference(
+    fn merge_division_matches_reference(
         dividend in ab_pairs(40),
         divisor in prop::collection::vec(0..6i64, 0..6),
-        partitions in 1..5usize,
+        groups in prop::collection::vec((0..6i64, 0..4i64), 0..12),
     ) {
         let dividend = rel_ab(&dividend);
-        let divisor =
-            Relation::from_rows(["b"], divisor.iter().map(|b| vec![*b])).unwrap();
-        let expected = dividend.divide(&divisor).unwrap();
-        let (result, _) = parallel_divide(
-            &dividend,
-            &divisor,
-            DivisionAlgorithm::HashDivision,
-            partitions,
-        )
-        .unwrap();
-        prop_assert_eq!(result, expected);
-    }
-
-    /// The Law-13 partition-parallel great divide matches the sequential
-    /// quotient for every partition count.
-    #[test]
-    fn parallel_great_divide_matches_reference(
-        dividend in ab_pairs(40),
-        divisor in prop::collection::vec((0..6i64, 0..4i64), 0..12),
-        partitions in 1..5usize,
-    ) {
-        let dividend = rel_ab(&dividend);
-        let divisor = Relation::from_rows(
-            ["b", "c"],
-            divisor.iter().map(|(b, c)| vec![*b, *c]),
-        )
-        .unwrap();
-        let expected = dividend.great_divide(&divisor).unwrap();
-        let (result, _) = parallel_great_divide(
-            &dividend,
-            &divisor,
-            GreatDivideAlgorithm::HashSets,
-            partitions,
-        )
-        .unwrap();
-        prop_assert_eq!(result, expected);
+        let small = Relation::from_rows(["b"], divisor.iter().map(|b| vec![*b])).unwrap();
+        let great =
+            Relation::from_rows(["b", "c"], groups.iter().map(|(b, c)| vec![*b, *c])).unwrap();
+        prop_assert_eq!(
+            merge::divide(&dividend, &small).unwrap(),
+            dividend.divide(&small).unwrap()
+        );
+        prop_assert_eq!(
+            merge::great_divide(&dividend, &great).unwrap(),
+            dividend.great_divide(&great).unwrap()
+        );
     }
 
     /// Whole physical plans (planner + streaming executor) match the logical
-    /// reference evaluator for the Q2 and great-divide query shapes, and so
-    /// does every algorithm of the family, each called explicitly on the
-    /// same tables.
+    /// reference evaluator for the Q2 and great-divide query shapes.
     #[test]
     fn physical_plans_match_logical_evaluation(
         supplies in ab_pairs(40),
@@ -150,31 +117,17 @@ proptest! {
             "grouped",
             Relation::from_rows(["p#", "c"], groups.iter().map(|(b, c)| vec![*b, *c])).unwrap(),
         );
-        let table = |name: &str| catalog.table(name).unwrap();
         let small = PlanBuilder::scan("supplies")
             .divide(PlanBuilder::scan("wanted"))
             .build();
         let expected = evaluate(&small, &catalog).unwrap();
         prop_assert_eq!(&run_plan(&small, &catalog), &expected);
-        for algorithm in DivisionAlgorithm::ALL {
-            let mut stats = ExecStats::default();
-            let result =
-                divide_with(table("supplies"), table("wanted"), algorithm, &mut stats).unwrap();
-            prop_assert_eq!(&result, &expected, "algorithm {}", algorithm.name());
-        }
 
         let great = PlanBuilder::scan("supplies")
             .great_divide(PlanBuilder::scan("grouped"))
             .build();
         let expected = evaluate(&great, &catalog).unwrap();
         prop_assert_eq!(&run_plan(&great, &catalog), &expected);
-        for algorithm in GreatDivideAlgorithm::ALL {
-            let mut stats = ExecStats::default();
-            let result =
-                great_divide_with(table("supplies"), table("grouped"), algorithm, &mut stats)
-                    .unwrap();
-            prop_assert_eq!(&result, &expected, "algorithm {}", algorithm.name());
-        }
     }
 
     /// `Relation -> ColumnarBatch -> Relation` round-trips losslessly on
@@ -213,6 +166,31 @@ proptest! {
             assert_backends_agree(&logical, &catalog);
         }
     }
+}
+
+/// The division algorithm family as plans over `r1(a, b)` and the divisors
+/// `small(b)` and `great(b, c)`: the native divides (hash-division on the
+/// streaming executor), the two basic-operator simulations and the two
+/// counting formulations. Great-divide plans are named `great…`.
+fn division_family_plans(catalog: &Catalog) -> Vec<(&'static str, LogicalPlan)> {
+    let r = || PlanBuilder::scan("r1");
+    let small = || PlanBuilder::scan("small");
+    let great = || PlanBuilder::scan("great");
+    let k = catalog.row_count("small").unwrap();
+    [
+        ("native", r().divide(small())),
+        ("difference", r().difference_plan(small(), &["a"], &["b"])),
+        ("anti-join", r().anti_join_plan(small(), &["a"])),
+        ("counting", r().counting_plan(small(), &["a"], &["b"], k)),
+        ("great-native", r().great_divide(great())),
+        (
+            "great-counting",
+            r().counting_grouped_plan(great(), &["a"], &["b"], &["c"]),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, plan)| (name, plan.build()))
+    .collect()
 }
 
 /// The plan shapes the executor-differential property sweeps: one per
@@ -460,33 +438,36 @@ fn simulation_intermediates_grow_quadratically_but_special_purpose_do_not() {
     // basic-operator simulation materializes |π_A(r1)| · |r2| tuples
     // (quadratic in the scale factor when both inputs grow), while the
     // special-purpose hash-division produces nothing beyond the quotient
-    // itself.
+    // itself. Both run as plans on the streaming executor.
     for scale in [20i64, 40, 80] {
         let (dividend, divisor) = div_bench_workload(scale, scale / 2);
-        let mut sim = ExecStats::default();
-        divide_with(
-            &dividend,
-            &divisor,
-            DivisionAlgorithm::SimulatedBasicOperators,
-            &mut sim,
-        )
-        .unwrap();
-        let mut hash = ExecStats::default();
-        divide_with(
-            &dividend,
-            &divisor,
-            DivisionAlgorithm::HashDivision,
-            &mut hash,
-        )
-        .unwrap();
+        let divisor_rows = divisor.len();
+        let mut catalog = Catalog::new();
+        catalog.register("r1", dividend);
+        catalog.register("r2", divisor);
+        let drain = |plan: LogicalPlan| {
+            let physical = plan_query(&plan, &PlannerConfig::default()).unwrap();
+            drain_stream(&physical, &catalog, PlannerConfig::DEFAULT_BATCH_SIZE)
+        };
+        let (simulated, sim) = drain(
+            PlanBuilder::scan("r1")
+                .difference_plan(PlanBuilder::scan("r2"), &["a"], &["b"])
+                .build(),
+        );
+        let (native, hash) = drain(
+            PlanBuilder::scan("r1")
+                .divide(PlanBuilder::scan("r2"))
+                .build(),
+        );
+        assert_eq!(simulated, native);
         // Exactly the quadratic product π_A(r1) × r2 ...
-        assert_eq!(sim.max_intermediate, (scale as usize) * divisor.len());
+        assert_eq!(sim.max_intermediate, (scale as usize) * divisor_rows);
         // ... which dwarfs what the special-purpose operator materializes.
         assert!(
-            sim.max_intermediate >= 10 * hash.intermediate_tuples.max(1),
+            sim.max_intermediate >= 10 * hash.max_intermediate.max(1),
             "scale {scale}: simulation {} vs hash-division {}",
             sim.max_intermediate,
-            hash.intermediate_tuples
+            hash.max_intermediate
         );
     }
 }
