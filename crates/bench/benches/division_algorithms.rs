@@ -10,11 +10,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use div_bench::division_workload;
-use div_physical::{merge, ExecStats, PhysicalPlan};
+use div_physical::{merge, ExecStats};
 use division::prelude::*;
 
-/// Every plan of the family over `r1 ÷ r2`, physically planned.
-fn family(catalog: &Catalog) -> Vec<(&'static str, PhysicalPlan)> {
+/// Every plan of the family over `r1 ÷ r2`.
+fn family(catalog: &Catalog) -> Vec<(&'static str, LogicalPlan)> {
     let r = || PlanBuilder::scan("r1");
     let s = || PlanBuilder::scan("r2");
     let k = catalog.row_count("r2").unwrap();
@@ -31,15 +31,12 @@ fn family(catalog: &Catalog) -> Vec<(&'static str, PhysicalPlan)> {
         ("simulated-anti-join", r().anti_join_plan(s(), &["a"])),
     ]
     .into_iter()
-    .map(|(name, plan)| {
-        let physical = plan_query(&plan.build(), &PlannerConfig::default()).unwrap();
-        (name, physical)
-    })
+    .map(|(name, plan)| (name, plan.build()))
     .collect()
 }
 
 /// Drain `plan` on the streaming executor and return its statistics.
-fn run(plan: &PhysicalPlan, catalog: &Catalog) -> ExecStats {
+fn run(plan: &LogicalPlan, catalog: &Catalog) -> ExecStats {
     let config = PlannerConfig::default();
     let mut stream = StreamExecutor::new(plan, catalog, &config).unwrap();
     while stream.next_batch().unwrap().is_some() {}

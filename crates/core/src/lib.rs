@@ -13,7 +13,7 @@
 //!   paper's division algorithm family as plans,
 //! * [`rewrite`] — the seventeen algebraic laws, theorems, rewrite engine and
 //!   cost-based optimizer,
-//! * [`physical`] — physical planner and the streaming columnar executor
+//! * [`physical`] — the streaming columnar executor and its configuration
 //!   with its special-purpose division operators,
 //! * [`columnar`] — the columnar batch representation and vectorized
 //!   division kernels the streaming executor runs on,
@@ -55,7 +55,7 @@ pub mod prelude {
     pub use div_columnar::ColumnarBatch;
     pub use div_expr::{evaluate, plans_equivalent_on, Catalog, LogicalPlan, PlanBuilder};
     pub use div_physical::{
-        plan_query, OperatorId, OperatorStats, PlannerConfig, QueryTrace, StreamExecutor,
+        operator_label, OperatorId, OperatorStats, PlannerConfig, QueryTrace, StreamExecutor,
     };
     pub use div_rewrite::optimizer::CostModel;
     pub use div_rewrite::{Optimizer, RewriteContext, RewriteEngine, RuleSet};
@@ -85,8 +85,7 @@ mod tests {
         let rewritten = engine.rewrite(&plan, &ctx).unwrap().plan;
         assert_eq!(evaluate(&rewritten, &catalog).unwrap(), logical);
         let config = PlannerConfig::default();
-        let physical = plan_query(&plan, &config).unwrap();
-        let mut stream = StreamExecutor::new(&physical, &catalog, &config).unwrap();
+        let mut stream = StreamExecutor::new(&plan, &catalog, &config).unwrap();
         let batch = stream.next_batch().unwrap().expect("one quotient row");
         assert_eq!(batch.to_relation().unwrap(), logical);
         assert!(stream.next_batch().unwrap().is_none());

@@ -395,35 +395,37 @@ impl LogicalPlan {
     /// `bindings` with the bound constant (see
     /// [`div_algebra::Predicate::bind_parameters`]); placeholders without a
     /// binding are left in place.
+    ///
+    /// This is the cheap half of prepared-statement execution: the
+    /// expensive parse → translate → optimize pipeline ran once, and binding
+    /// is one structural copy of the cached template.
     pub fn bind_parameters(
         &self,
         bindings: &std::collections::BTreeMap<String, div_algebra::Value>,
     ) -> LogicalPlan {
-        if !self.contains_parameters() {
-            return self.clone();
+        let bind = |child: &LogicalPlan| Box::new(child.bind_parameters(bindings));
+        match self {
+            LogicalPlan::Select { input, predicate } => LogicalPlan::Select {
+                input: bind(input),
+                predicate: predicate.bind_parameters(bindings),
+            },
+            LogicalPlan::ThetaJoin {
+                left,
+                right,
+                predicate,
+            } => LogicalPlan::ThetaJoin {
+                left: bind(left),
+                right: bind(right),
+                predicate: predicate.bind_parameters(bindings),
+            },
+            other => other.with_children(
+                other
+                    .children()
+                    .into_iter()
+                    .map(|child| child.bind_parameters(bindings))
+                    .collect(),
+            ),
         }
-        self.transform_up(&mut |node| {
-            Ok(match &node {
-                LogicalPlan::Select { input, predicate } if predicate.has_parameters() => {
-                    Transformed::Yes(LogicalPlan::Select {
-                        input: input.clone(),
-                        predicate: predicate.bind_parameters(bindings),
-                    })
-                }
-                LogicalPlan::ThetaJoin {
-                    left,
-                    right,
-                    predicate,
-                } if predicate.has_parameters() => Transformed::Yes(LogicalPlan::ThetaJoin {
-                    left: left.clone(),
-                    right: right.clone(),
-                    predicate: predicate.bind_parameters(bindings),
-                }),
-                _ => Transformed::No(node),
-            })
-        })
-        .expect("binding parameters cannot fail")
-        .into_plan()
     }
 
     /// The names of all base tables scanned by the plan (with duplicates, in
@@ -529,6 +531,32 @@ mod tests {
         assert_eq!(plan, rebuilt);
     }
 
+    /// `supplies ÷ σ[color = blue](parts)`, projected onto `s#`.
+    fn divide_sample() -> LogicalPlan {
+        PlanBuilder::scan("supplies")
+            .divide(PlanBuilder::scan("parts").select(Predicate::eq_value("color", "blue")))
+            .project(["s#"])
+            .build()
+    }
+
+    #[test]
+    fn labels_and_counts() {
+        let plan = divide_sample();
+        assert_eq!(plan.node_count(), 5);
+        assert!(plan.label().starts_with("Project"));
+        assert!(plan.explain().contains("SmallDivide (÷)"));
+        assert!(plan.to_string().contains("Scan: parts"));
+    }
+
+    #[test]
+    fn children_are_ordered_left_to_right() {
+        let plan = divide_sample();
+        let divide = plan.children()[0];
+        let kids = divide.children();
+        assert_eq!(kids[0].label(), "Scan: supplies");
+        assert!(kids[1].label().starts_with("Select"));
+    }
+
     #[test]
     fn node_count_and_scanned_tables() {
         let plan = sample_plan();
@@ -593,6 +621,37 @@ mod tests {
         assert!(text.contains("\n      Scan: supplies"));
         // Display delegates to explain.
         assert_eq!(plan.to_string(), text);
+    }
+
+    #[test]
+    fn bind_parameters_instantiates_a_template() {
+        use div_algebra::{CompareOp, Value};
+        use std::collections::BTreeMap;
+        let template = PlanBuilder::scan("parts")
+            .select(Predicate::cmp_param("color", CompareOp::Eq, "color"))
+            .theta_join(
+                PlanBuilder::scan("supplies"),
+                Predicate::cmp_param("s#", CompareOp::Lt, "max"),
+            )
+            .build();
+        assert_eq!(
+            template.parameters().into_iter().collect::<Vec<_>>(),
+            vec!["color".to_string(), "max".to_string()]
+        );
+        let bound = template.bind_parameters(&BTreeMap::from([
+            ("color".to_string(), Value::str("blue")),
+            ("max".to_string(), Value::Int(3)),
+        ]));
+        assert!(!bound.contains_parameters());
+        let text = bound.explain();
+        assert!(text.contains("ThetaJoin: s# < 3"), "{text}");
+        assert!(text.contains("Select: color = blue"), "{text}");
+        // The template itself is untouched and reusable.
+        assert_eq!(template.parameters().len(), 2);
+        // Unknown bindings leave the placeholder in place.
+        let still =
+            template.bind_parameters(&BTreeMap::from([("other".to_string(), Value::Int(1))]));
+        assert_eq!(still, template);
     }
 
     #[test]

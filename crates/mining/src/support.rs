@@ -2,7 +2,7 @@
 
 use div_algebra::{AggregateCall, Relation, Value};
 use div_expr::{Catalog, ExprError, PlanBuilder};
-use div_physical::{plan_query, ExecStats, PlannerConfig, StreamExecutor};
+use div_physical::{ExecStats, PlannerConfig, StreamExecutor};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How to count candidate supports.
@@ -73,9 +73,8 @@ fn count_with_great_divide(
         .group_aggregate(["itemset"], [AggregateCall::count("tid", "n")])
         .build();
     let config = PlannerConfig::default();
-    let physical = plan_query(&plan, &config)?;
     let catalog = Catalog::new();
-    let mut stream = StreamExecutor::new(&physical, &catalog, &config)?;
+    let mut stream = StreamExecutor::new(&plan, &catalog, &config)?;
     let mut out: BTreeMap<i64, usize> = candidates.keys().map(|id| (*id, 0)).collect();
     while let Some(batch) = stream.next_batch()? {
         for row in 0..batch.num_rows() {

@@ -10,12 +10,12 @@
 //! quadratic size. This crate provides those operators and the scaffolding to
 //! run whole plans with them:
 //!
-//! * [`plan`] — the physical plan tree: the paper's "mapping of logical
-//!   operators to physical operators" (Section 7),
-//! * [`planner`] — lowering from [`div_expr::LogicalPlan`],
 //! * [`stream`] — the Volcano-style streaming executor
-//!   ([`stream::StreamExecutor`]), the one way to run a [`PhysicalPlan`]:
-//!   scans chunk base tables into [`planner::PlannerConfig::batch_size`]-row
+//!   ([`stream::StreamExecutor`]), the one way to run a
+//!   [`div_expr::LogicalPlan`]. It compiles the optimized plan directly, one
+//!   operator per node — the paper's "mapping of logical operators to
+//!   physical operators" (Section 7), made where the stream is built. Scans
+//!   chunk base tables into [`planner::PlannerConfig::batch_size`]-row
 //!   batches, pipelineable operators transform them one at a time, and only
 //!   genuinely blocking operators buffer — memory scales with pipeline
 //!   depth, not with the largest intermediate, and early-terminated
@@ -30,7 +30,9 @@
 //! * [`failpoint`] — named fault-injection sites at operator
 //!   open/next_batch/close, armed per-test (cargo feature `failpoints`,
 //!   on by default; disarmed cost is one relaxed atomic load),
-//! * [`trace`] — the observability layer: a per-operator span tree
+//! * [`planner`] — [`PlannerConfig`], the settings a plan executes under,
+//! * [`trace`] — the observability layer: [`trace::operator_label`], the
+//!   one place operators are named, and a per-operator span tree
 //!   ([`trace::QueryTrace`]) recording rows, probes, retained state and
 //!   (when [`planner::PlannerConfig::tracing`] is on) wall-clock time for
 //!   every operator; finished traces land in
@@ -49,7 +51,7 @@
 //!
 //! ```
 //! use div_expr::{evaluate, Catalog, PlanBuilder};
-//! use div_physical::{plan_query, PlannerConfig, StreamExecutor};
+//! use div_physical::{PlannerConfig, StreamExecutor};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.register(
@@ -62,8 +64,7 @@
 //!     .build();
 //!
 //! let config = PlannerConfig::default();
-//! let plan = plan_query(&logical, &config)?;
-//! let mut stream = StreamExecutor::new(&plan, &catalog, &config)?;
+//! let mut stream = StreamExecutor::new(&logical, &catalog, &config)?;
 //! let mut streamed = div_algebra::Relation::empty(stream.schema().clone());
 //! while let Some(chunk) = stream.next_batch()? {
 //!     streamed = streamed.union(&chunk.to_relation()?)?;
@@ -78,7 +79,6 @@
 pub mod failpoint;
 pub mod guard;
 pub mod merge;
-pub mod plan;
 pub mod planner;
 pub mod stats;
 pub mod stream;
@@ -86,11 +86,27 @@ pub mod trace;
 
 pub use failpoint::FailAction;
 pub use guard::{CancelToken, QueryGuard};
-pub use plan::PhysicalPlan;
-pub use planner::{plan_query, PlannerConfig};
+pub use planner::PlannerConfig;
 pub use stats::ExecStats;
-pub use stream::{compile_stream, BatchStream, StreamContext, StreamExecutor};
-pub use trace::{OperatorId, OperatorStats, QueryTrace};
+pub use stream::{BatchStream, StreamContext, StreamExecutor};
+pub use trace::{operator_label, OperatorId, OperatorStats, QueryTrace};
 
 /// Convenient result alias (errors come from the algebra / plan layers).
 pub type Result<T> = std::result::Result<T, div_expr::ExprError>;
+
+/// The plan [`StreamExecutor`] runs: the optimized logical plan itself.
+///
+/// Kept for `benchmark/` until ROADMAP item 1 migrates it; nothing else
+/// may use this name.
+pub type PhysicalPlan = div_expr::LogicalPlan;
+
+/// Returns a copy of `plan`: the executor compiles logical plans directly.
+///
+/// Kept for `benchmark/` until ROADMAP item 1 migrates it; nothing else
+/// may call it.
+pub fn plan_query(
+    plan: &div_expr::LogicalPlan,
+    _: &PlannerConfig,
+) -> Result<div_expr::LogicalPlan> {
+    Ok(plan.clone())
+}

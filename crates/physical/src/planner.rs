@@ -1,21 +1,15 @@
-//! Lowering logical plans to physical plans.
+//! The execution settings a plan runs under.
 //!
-//! This is the second half of query optimization in the paper's terminology
-//! (Section 7): after the logical rewrite (done by `div-rewrite`), each
-//! logical operator is mapped to a physical operator. Each logical operator
-//! has exactly one physical operator today, so the mapping is fixed; the
-//! [`PlannerConfig`] carries the execution settings of the streaming
-//! executor (chunk size, tracing, governance, spilling) that travel with a
-//! plan. The paper's algorithm comparison is not a planner choice: the
-//! family's other members are logical plans of their own
-//! (`div_expr::division`), planned like any other.
+//! The streaming executor compiles the optimized [`div_expr::LogicalPlan`]
+//! directly, one operator per node ([`crate::trace::operator_label`] names
+//! them); [`PlannerConfig`] carries how that operator tree executes — chunk
+//! size, tracing, governance and spilling. The paper's algorithm comparison
+//! is not a configuration choice: the family's other members are logical
+//! plans of their own (`div_expr::division`).
 
-use crate::plan::PhysicalPlan;
-use crate::Result;
-use div_expr::LogicalPlan;
 use std::time::Duration;
 
-/// Configuration of the logical-to-physical mapping.
+/// Configuration of plan execution on the streaming executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerConfig {
     /// Chunk size of the streaming executor ([`crate::stream`]): scans emit
@@ -121,150 +115,37 @@ impl PlannerConfig {
     }
 }
 
-/// Map a logical plan to a physical plan. No lowering decision depends on
-/// the configuration: it is accepted so that a plan and the settings it will
-/// run under travel through one call.
-pub fn plan_query(logical: &LogicalPlan, _config: &PlannerConfig) -> Result<PhysicalPlan> {
-    lower(logical)
-}
-
-fn lower(logical: &LogicalPlan) -> Result<PhysicalPlan> {
-    let physical = match logical {
-        LogicalPlan::Scan { table } => PhysicalPlan::TableScan {
-            table: table.clone(),
-        },
-        LogicalPlan::Values { relation } => PhysicalPlan::Values {
-            relation: relation.clone(),
-        },
-        LogicalPlan::Select { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(lower(input)?),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project { input, attributes } => PhysicalPlan::Project {
-            input: Box::new(lower(input)?),
-            attributes: attributes.clone(),
-        },
-        LogicalPlan::Rename { input, renames } => PhysicalPlan::Rename {
-            input: Box::new(lower(input)?),
-            renames: renames.clone(),
-        },
-        LogicalPlan::Union { left, right } => PhysicalPlan::Union {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-        },
-        LogicalPlan::Intersect { left, right } => PhysicalPlan::Intersect {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-        },
-        LogicalPlan::Difference { left, right } => PhysicalPlan::Difference {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-        },
-        LogicalPlan::Product { left, right } => PhysicalPlan::CrossProduct {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-        },
-        LogicalPlan::ThetaJoin {
-            left,
-            right,
-            predicate,
-        } => PhysicalPlan::NestedLoopJoin {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::NaturalJoin { left, right } => PhysicalPlan::HashJoin {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-        },
-        LogicalPlan::SemiJoin { left, right } => PhysicalPlan::HashSemiJoin {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-        },
-        LogicalPlan::AntiSemiJoin { left, right } => PhysicalPlan::HashAntiSemiJoin {
-            left: Box::new(lower(left)?),
-            right: Box::new(lower(right)?),
-        },
-        LogicalPlan::SmallDivide { dividend, divisor } => PhysicalPlan::Divide {
-            dividend: Box::new(lower(dividend)?),
-            divisor: Box::new(lower(divisor)?),
-        },
-        LogicalPlan::GreatDivide { dividend, divisor } => PhysicalPlan::GreatDivide {
-            dividend: Box::new(lower(dividend)?),
-            divisor: Box::new(lower(divisor)?),
-        },
-        LogicalPlan::GroupAggregate {
-            input,
-            group_by,
-            aggregates,
-        } => PhysicalPlan::HashAggregate {
-            input: Box::new(lower(input)?),
-            group_by: group_by.clone(),
-            aggregates: aggregates.clone(),
-        },
-    };
-    Ok(physical)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::StreamExecutor;
+    use crate::StreamExecutor;
     use div_algebra::{relation, Relation};
     use div_expr::{evaluate, Catalog, PlanBuilder};
 
-    fn catalog() -> Catalog {
+    #[test]
+    fn natural_join_lowers_to_hash_join() {
         let mut c = Catalog::new();
         c.register(
             "supplies",
-            relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1], [2, 2], [2, 3], [3, 2] },
+            relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1], [3, 3] },
         );
         c.register(
             "parts",
-            relation! { ["p#", "color"] => [1, "blue"], [2, "blue"], [3, "red"] },
+            relation! { ["p#", "color"] => [1, "blue"], [2, "red"] },
         );
-        c
-    }
-
-    /// Drain the streaming execution of `plan` into a relation.
-    fn run(plan: &PhysicalPlan, catalog: &Catalog) -> Relation {
-        let config = PlannerConfig::default();
-        let mut stream = StreamExecutor::new(plan, catalog, &config).unwrap();
-        let mut out = Relation::empty(stream.schema().clone());
-        while let Some(batch) = stream.next_batch().unwrap() {
-            out = out.union(&batch.to_relation().unwrap()).unwrap();
-        }
-        out
-    }
-
-    #[test]
-    fn natural_join_lowers_to_hash_join() {
         let logical = PlanBuilder::scan("supplies")
             .natural_join(PlanBuilder::scan("parts"))
             .build();
-        let hash = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        assert!(matches!(hash, PhysicalPlan::HashJoin { .. }));
-        // The physical join produces the same rows as the reference semantics.
-        let c = catalog();
-        assert_eq!(run(&hash, &c), evaluate(&logical, &c).unwrap());
-    }
-
-    #[test]
-    fn every_logical_operator_kind_lowers() {
-        let c = catalog();
-        let logical = PlanBuilder::scan("supplies")
-            .rename([("p#", "part")])
-            .project(["s#", "part"])
-            .union(PlanBuilder::scan("supplies").rename([("p#", "part")]))
-            .intersect(PlanBuilder::scan("supplies").rename([("p#", "part")]))
-            .difference(PlanBuilder::values(
-                relation! { ["s#", "part"] => [99, 99] },
-            ))
-            .semi_join(PlanBuilder::scan("parts").rename([("p#", "part")]))
-            .anti_semi_join(PlanBuilder::values(relation! { ["s#"] => [3] }))
-            .group_aggregate(["s#"], [div_algebra::AggregateCall::count("part", "n")])
-            .build();
-        let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        assert_eq!(run(&physical, &c), evaluate(&logical, &c).unwrap());
+        let mut stream = StreamExecutor::new(&logical, &c, &PlannerConfig::default()).unwrap();
+        let mut got = Relation::empty(stream.schema().clone());
+        while let Some(batch) = stream.next_batch().unwrap() {
+            for i in 0..batch.num_rows() {
+                got.insert(batch.row(i)).unwrap();
+            }
+        }
+        // The natural join runs as the executor's hash join operator ...
+        assert_eq!(stream.finish().operators[0].label, "HashJoin");
+        // ... and produces the same rows as the reference semantics.
+        assert_eq!(got, evaluate(&logical, &c).unwrap());
     }
 }

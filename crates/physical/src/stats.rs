@@ -157,7 +157,7 @@ fn same_shape(a: &[OperatorStats], b: &[OperatorStats]) -> bool {
 mod tests {
     use super::*;
     use crate::trace::{OperatorId, QueryTrace};
-    use crate::PhysicalPlan;
+    use div_expr::LogicalPlan;
 
     #[test]
     fn record_distinguishes_scans_intermediates_and_root() {
@@ -203,7 +203,7 @@ mod tests {
     }
 
     fn scan_tree(rows: usize) -> Vec<OperatorStats> {
-        let plan = PhysicalPlan::TableScan { table: "t".into() };
+        let plan = LogicalPlan::Scan { table: "t".into() };
         let mut trace = QueryTrace::from_plan(&plan);
         trace.set_rows_out(OperatorId(0), rows);
         trace.finish()

@@ -1,4 +1,4 @@
-//! Compilation: one [`BatchStream`] operator per [`PhysicalPlan`] node.
+//! Compilation: one [`BatchStream`] operator per [`LogicalPlan`] node.
 
 use super::blocking::AggregateStream;
 use super::divide::DivideStream;
@@ -6,37 +6,23 @@ use super::join::{HashJoinStream, JoinKind, NestedLoopStream};
 use super::pipeline::{FilterStream, ProjectStream, RenameStream, UnionStream};
 use super::scan::ScanStream;
 use super::{BatchStream, OpMeta, StreamContext};
-use crate::plan::PhysicalPlan;
-use crate::planner::PlannerConfig;
 use crate::trace::{OperatorId, QueryTrace};
 use crate::Result;
 use div_algebra::{AlgebraError, Predicate, Schema};
 use div_columnar::{kernels, ColumnarBatch, TableSegments};
-use div_expr::{Catalog, ExprError};
+use div_expr::{Catalog, ExprError, LogicalPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Compile a physical plan into a streaming operator tree rooted at a
-/// [`BatchStream`]. Schema inference and validation happen here, before any
+/// Compile `plan` into a streaming operator tree rooted at a
+/// [`BatchStream`], traced by `trace` (which must have been built from the
+/// same plan). Schema inference and validation happen here, before any
 /// batch flows; the returned stream shares the catalog's base tables
 /// (registered rows are converted to columnar segments by the first scan
 /// compiled over them; no file is opened and no chunk is copied until it is
 /// actually pulled).
-pub fn compile_stream(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    config: &PlannerConfig,
-) -> Result<Box<dyn BatchStream>> {
-    // Standalone compilation (outside a `StreamExecutor`) discards the
-    // open-phase spans; ids are still assigned so runtime attribution works.
-    let mut trace = QueryTrace::from_plan(plan).with_timing(config.tracing);
-    compile_root(plan, catalog, &mut trace)
-}
-
-/// Compile `plan` as the root of an execution traced by `trace` (which
-/// must have been built from the same plan).
 pub(super) fn compile_root(
-    plan: &PhysicalPlan,
+    plan: &LogicalPlan,
     catalog: &Catalog,
     trace: &mut QueryTrace,
 ) -> Result<Box<dyn BatchStream>> {
@@ -57,18 +43,18 @@ struct Compiler<'a> {
 
 impl Compiler<'_> {
     /// Compile a non-root node that takes no pushdown.
-    fn child(&mut self, plan: &PhysicalPlan) -> Result<Box<dyn BatchStream>> {
+    fn child(&mut self, plan: &LogicalPlan) -> Result<Box<dyn BatchStream>> {
         self.compile(plan, false, None)
     }
 
     /// Compile one node. `pushdown` is a predicate the *immediate* plan
-    /// node may push down — only the `TableScan` arm consumes it (handing
+    /// node may push down — only the `Scan` arm consumes it (handing
     /// it to the table source, whose zone maps may then skip whole chunks);
     /// every other node ignores it, so a pushdown never crosses more than
     /// one plan edge.
     fn compile(
         &mut self,
-        plan: &PhysicalPlan,
+        plan: &LogicalPlan,
         is_root: bool,
         pushdown: Option<&Predicate>,
     ) -> Result<Box<dyn BatchStream>> {
@@ -91,8 +77,8 @@ impl Compiler<'_> {
     /// Both inputs of a set operation, checked union-compatible.
     fn set_inputs(
         &mut self,
-        left: &PhysicalPlan,
-        right: &PhysicalPlan,
+        left: &LogicalPlan,
+        right: &LogicalPlan,
         operation: &'static str,
     ) -> Result<(Box<dyn BatchStream>, Box<dyn BatchStream>)> {
         let left = self.child(left)?;
@@ -109,24 +95,24 @@ impl Compiler<'_> {
 
     fn node(
         &mut self,
-        plan: &PhysicalPlan,
+        plan: &LogicalPlan,
         meta: OpMeta,
         pushdown: Option<&Predicate>,
     ) -> Result<Box<dyn BatchStream>> {
         Ok(match plan {
-            PhysicalPlan::TableScan { table } => Box::new(ScanStream::new(
+            LogicalPlan::Scan { table } => Box::new(ScanStream::new(
                 meta,
                 self.catalog.source(table)?,
                 pushdown.cloned(),
             )),
             // Inline constants are owned by the plan, which does not outlive
             // compilation: the stream gets its own columnar copy.
-            PhysicalPlan::Values { relation } => Box::new(ScanStream::new(
+            LogicalPlan::Values { relation } => Box::new(ScanStream::new(
                 meta,
                 Arc::new(TableSegments::from_relation(relation)),
                 None,
             )),
-            PhysicalPlan::Filter { input, predicate } => {
+            LogicalPlan::Select { input, predicate } => {
                 // The filter's own predicate is offered to its child as a
                 // pushdown (consumed only by table scans, whose zone maps
                 // may then skip whole chunks). The filter still re-applies
@@ -134,35 +120,35 @@ impl Compiler<'_> {
                 let child = self.compile(input, false, Some(predicate))?;
                 Box::new(FilterStream::new(meta, child, predicate.clone()))
             }
-            PhysicalPlan::Project { input, attributes } => {
+            LogicalPlan::Project { input, attributes } => {
                 Box::new(ProjectStream::new(meta, self.child(input)?, attributes)?)
             }
-            PhysicalPlan::Rename { input, renames } => {
+            LogicalPlan::Rename { input, renames } => {
                 Box::new(RenameStream::new(meta, self.child(input)?, renames)?)
             }
-            PhysicalPlan::Union { left, right } => {
+            LogicalPlan::Union { left, right } => {
                 let (left, right) = self.set_inputs(left, right, "union")?;
                 Box::new(UnionStream::new(meta, left, right))
             }
             // With union-compatible inputs every attribute is a common one,
             // so the semi / anti join keys whole rows: r ∩ s = r ⋉ s and
             // r − s = r ▷ s.
-            PhysicalPlan::Intersect { left, right } => {
+            LogicalPlan::Intersect { left, right } => {
                 let (left, right) = self.set_inputs(left, right, "intersection")?;
                 Box::new(HashJoinStream::new(meta, left, right, JoinKind::Semi))
             }
-            PhysicalPlan::Difference { left, right } => {
+            LogicalPlan::Difference { left, right } => {
                 let (left, right) = self.set_inputs(left, right, "difference")?;
                 Box::new(HashJoinStream::new(meta, left, right, JoinKind::Anti))
             }
             // r × s is the predicate-free r ⋈_θ s.
-            PhysicalPlan::CrossProduct { left, right } => Box::new(NestedLoopStream::new(
+            LogicalPlan::Product { left, right } => Box::new(NestedLoopStream::new(
                 meta,
                 self.child(left)?,
                 self.child(right)?,
                 None,
             )?),
-            PhysicalPlan::NestedLoopJoin {
+            LogicalPlan::ThetaJoin {
                 left,
                 right,
                 predicate,
@@ -172,12 +158,12 @@ impl Compiler<'_> {
                 self.child(right)?,
                 Some(predicate.clone()),
             )?),
-            PhysicalPlan::HashJoin { left, right }
-            | PhysicalPlan::HashSemiJoin { left, right }
-            | PhysicalPlan::HashAntiSemiJoin { left, right } => {
+            LogicalPlan::NaturalJoin { left, right }
+            | LogicalPlan::SemiJoin { left, right }
+            | LogicalPlan::AntiSemiJoin { left, right } => {
                 let kind = match plan {
-                    PhysicalPlan::HashJoin { .. } => JoinKind::Natural,
-                    PhysicalPlan::HashSemiJoin { .. } => JoinKind::Semi,
+                    LogicalPlan::NaturalJoin { .. } => JoinKind::Natural,
+                    LogicalPlan::SemiJoin { .. } => JoinKind::Semi,
                     _ => JoinKind::Anti,
                 };
                 Box::new(HashJoinStream::new(
@@ -187,7 +173,7 @@ impl Compiler<'_> {
                     kind,
                 ))
             }
-            PhysicalPlan::HashAggregate {
+            LogicalPlan::GroupAggregate {
                 input,
                 group_by,
                 aggregates,
@@ -197,11 +183,11 @@ impl Compiler<'_> {
                 group_by,
                 aggregates,
             )?),
-            PhysicalPlan::Divide { dividend, divisor }
-            | PhysicalPlan::GreatDivide { dividend, divisor } => {
+            LogicalPlan::SmallDivide { dividend, divisor }
+            | LogicalPlan::GreatDivide { dividend, divisor } => {
                 let dividend = self.child(dividend)?;
                 let divisor = self.child(divisor)?;
-                let schema = if matches!(plan, PhysicalPlan::GreatDivide { .. }) {
+                let schema = if matches!(plan, LogicalPlan::GreatDivide { .. }) {
                     kernels::great_quotient_schema(dividend.schema(), divisor.schema())
                 } else {
                     kernels::quotient_schema(dividend.schema(), divisor.schema())

@@ -18,9 +18,9 @@ use div_expr::ExprError;
 /// a blocking boundary.
 ///
 /// `StreamingGreatDivide` degrades to the small divide exactly when the
-/// divisor has no attributes of its own — which is the planner's
-/// precondition for `PhysicalPlan::Divide` — so one state type serves both
-/// division nodes.
+/// divisor has no attributes of its own — which is the schema precondition
+/// of `LogicalPlan::SmallDivide` — so one state type serves both division
+/// nodes.
 ///
 /// What can outgrow a spill budget is therefore the *state*, and that is
 /// what the operator watches. When divisor + groups approach the budget

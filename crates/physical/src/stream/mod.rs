@@ -1,7 +1,7 @@
 //! The streaming (Volcano-style pull) executor: `open`/`next_batch`/`close`
 //! operators over [`ColumnarBatch`] chunks.
 //!
-//! This is the one executor of a [`PhysicalPlan`]: it compiles the plan into
+//! This is the one executor of a [`LogicalPlan`]: it compiles the plan into
 //! a tree of [`BatchStream`] operators — the classic Volcano iterator
 //! protocol (Graefe), batch-at-a-time — so memory scales with the pipeline
 //! depth rather than with the largest intermediate result. Its results are
@@ -73,14 +73,13 @@
 //! [`StreamExecutor::finish`].
 
 use crate::guard::QueryGuard;
-use crate::plan::PhysicalPlan;
 use crate::planner::PlannerConfig;
 use crate::stats::ExecStats;
-use crate::trace::{OperatorId, QueryTrace};
+use crate::trace::{operator_label, OperatorId, QueryTrace};
 use crate::Result;
 use div_algebra::Schema;
 use div_columnar::{partition, ColumnarBatch};
-use div_expr::Catalog;
+use div_expr::{Catalog, LogicalPlan};
 
 mod blocking;
 mod compile;
@@ -89,8 +88,6 @@ mod join;
 mod pipeline;
 mod scan;
 mod spill;
-
-pub use compile::compile_stream;
 
 /// Shared per-execution state threaded through every operator call:
 /// statistics, the per-operator trace, the configured chunk geometry, and
@@ -109,7 +106,7 @@ pub struct StreamContext {
 }
 
 impl StreamContext {
-    fn new(plan: &PhysicalPlan, config: &PlannerConfig, guard: QueryGuard) -> StreamContext {
+    fn new(plan: &LogicalPlan, config: &PlannerConfig, guard: QueryGuard) -> StreamContext {
         StreamContext {
             stats: ExecStats::default(),
             trace: QueryTrace::from_plan(plan).with_timing(config.tracing),
@@ -169,8 +166,8 @@ impl StreamContext {
 
 /// A pull-based operator yielding [`ColumnarBatch`] chunks.
 ///
-/// The streaming counterpart of one [`PhysicalPlan`] node. An operator is
-/// *opened* by construction ([`compile_stream`]), pulled with
+/// The streaming counterpart of one [`LogicalPlan`] node. An operator is
+/// *opened* by construction (inside [`StreamExecutor::new`]), pulled with
 /// [`BatchStream::next_batch`] until it returns `Ok(None)`, and *closed*
 /// exactly once with [`BatchStream::close`] — which records the operator's
 /// statistics (whatever it actually processed, which is the early-
@@ -203,15 +200,12 @@ struct OpMeta {
 }
 
 impl OpMeta {
-    fn new(id: OperatorId, plan: &PhysicalPlan, is_root: bool) -> OpMeta {
+    fn new(id: OperatorId, plan: &LogicalPlan, is_root: bool) -> OpMeta {
         OpMeta {
             id,
-            label: plan.label(),
+            label: operator_label(plan),
             emitted: 0,
-            is_scan: matches!(
-                plan,
-                PhysicalPlan::TableScan { .. } | PhysicalPlan::Values { .. }
-            ),
+            is_scan: matches!(plan, LogicalPlan::Scan { .. } | LogicalPlan::Values { .. }),
             is_root,
             closed: false,
             #[cfg(debug_assertions)]
@@ -434,16 +428,15 @@ impl RetainedState {
 ///
 /// ```
 /// use div_expr::{Catalog, PlanBuilder};
-/// use div_physical::{plan_query, PlannerConfig, StreamExecutor};
+/// use div_physical::{PlannerConfig, StreamExecutor};
 ///
 /// let mut catalog = Catalog::new();
 /// catalog.register(
 ///     "supplies",
 ///     div_algebra::relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1] },
 /// );
-/// let logical = PlanBuilder::scan("supplies").project(["s#"]).build();
+/// let plan = PlanBuilder::scan("supplies").project(["s#"]).build();
 /// let config = PlannerConfig::default().batch_size(2);
-/// let plan = plan_query(&logical, &config)?;
 /// let mut stream = StreamExecutor::new(&plan, &catalog, &config)?;
 /// let mut rows = 0;
 /// while let Some(batch) = stream.next_batch()? {
@@ -469,7 +462,7 @@ impl StreamExecutor {
     /// Schema inference and validation run here; execution starts with the
     /// first [`StreamExecutor::next_batch`] call.
     pub fn new(
-        plan: &PhysicalPlan,
+        plan: &LogicalPlan,
         catalog: &Catalog,
         config: &PlannerConfig,
     ) -> Result<StreamExecutor> {
@@ -481,7 +474,7 @@ impl StreamExecutor {
     /// whose deadline was armed by a caller (e.g. a serving session)
     /// rather than derived from the config at compile time.
     pub fn with_guard(
-        plan: &PhysicalPlan,
+        plan: &LogicalPlan,
         catalog: &Catalog,
         config: &PlannerConfig,
         guard: QueryGuard,

@@ -1,10 +1,9 @@
 use super::*;
 use crate::guard::CancelToken;
-use crate::planner::plan_query;
 #[cfg(feature = "failpoints")]
 use crate::FailAction;
 use div_algebra::{relation, AggregateCall, CompareOp, Relation};
-use div_expr::{evaluate, evaluate_with_stats, ExprError, PlanBuilder};
+use div_expr::{evaluate, evaluate_with_stats, ExprError, LogicalPlan, PlanBuilder};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -29,12 +28,12 @@ fn collect(stream: &mut StreamExecutor) -> Relation {
     out
 }
 
-/// Rows of every `TableScan` / `Values` leaf of `plan`: what a full drain
+/// Rows of every `Scan` / `Values` leaf of `plan`: what a full drain
 /// scans when no zone map lets a scan skip a chunk.
-fn leaf_rows(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
+fn leaf_rows(plan: &LogicalPlan, catalog: &Catalog) -> usize {
     match plan {
-        PhysicalPlan::TableScan { table } => catalog.row_count(table).unwrap(),
-        PhysicalPlan::Values { relation } => relation.len(),
+        LogicalPlan::Scan { table } => catalog.row_count(table).unwrap(),
+        LogicalPlan::Values { relation } => relation.len(),
         _ => plan.children().iter().map(|c| leaf_rows(c, catalog)).sum(),
     }
 }
@@ -53,16 +52,15 @@ fn streamed_q2_matches_the_row_backend_including_stats_totals() {
     let expected = evaluate(&logical, &c).unwrap();
     for batch_size in [1, 2, 1024] {
         let config = PlannerConfig::default().batch_size(batch_size);
-        let plan = plan_query(&logical, &config).unwrap();
-        let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+        let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
         let got = collect(&mut stream);
         let stats = stream.finish();
         assert_eq!(got, expected, "batch_size {batch_size}");
         assert_eq!(stats.output_rows, expected.len());
-        assert_eq!(stats.rows_scanned, leaf_rows(&plan, &c));
+        assert_eq!(stats.rows_scanned, leaf_rows(&logical, &c));
         assert_eq!(stats.operators[0].label, "Divide[hash]");
         // Every plan operator plus the divide kernel's pseudo-operator.
-        assert_eq!(stats.operators_executed, plan.operator_count() + 1);
+        assert_eq!(stats.operators_executed, logical.node_count() + 1);
         assert!(stats.peak_resident_batches > 0);
     }
 }
@@ -76,8 +74,7 @@ fn early_termination_short_circuits_the_scan() {
         .select(div_algebra::Predicate::cmp_value("b", CompareOp::LtEq, 6))
         .build();
     let config = PlannerConfig::default().batch_size(64);
-    let plan = plan_query(&logical, &config).unwrap();
-    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
     let first = stream.next_batch().unwrap().expect("at least one batch");
     assert!(first.num_rows() > 0);
     let stats = stream.finish();
@@ -104,8 +101,7 @@ fn deep_pipeline_keeps_peak_resident_rows_bounded_by_batch_size() {
         .project(["b"])
         .build();
     let config = PlannerConfig::default().batch_size(256);
-    let plan = plan_query(&logical, &config).unwrap();
-    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
     let got = collect(&mut stream);
     assert_eq!(got.len(), 7);
     let stats = stream.finish();
@@ -175,42 +171,57 @@ fn every_operator_shape_streams_identically_to_the_row_backend() {
         let expected = evaluate(&logical, &c).unwrap();
         for batch_size in [1, 3, 1024] {
             let config = PlannerConfig::default().batch_size(batch_size);
-            let plan = plan_query(&logical, &config).unwrap();
-            let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+            let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
             let got = collect(&mut stream);
             let stats = stream.finish();
-            assert_eq!(got, expected, "batch_size {batch_size} plan:\n{plan}");
+            assert_eq!(got, expected, "batch_size {batch_size} plan:\n{logical}");
             assert_eq!(
                 stats.output_rows,
                 expected.len(),
-                "batch_size {batch_size} plan:\n{plan}"
+                "batch_size {batch_size} plan:\n{logical}"
             );
             assert_eq!(
                 stats.rows_scanned,
-                leaf_rows(&plan, &c),
-                "batch_size {batch_size} plan:\n{plan}"
+                leaf_rows(&logical, &c),
+                "batch_size {batch_size} plan:\n{logical}"
             );
         }
     }
 }
 
+/// One multi-operator plan through every pipelining and set operator kind
+/// (rename, project, union, intersect, difference, values, semi and anti
+/// join, aggregate) against the reference evaluator.
+#[test]
+fn a_plan_of_every_operator_kind_streams_like_the_reference() {
+    let c = catalog();
+    let logical = PlanBuilder::scan("supplies")
+        .rename([("p#", "part")])
+        .project(["s#", "part"])
+        .union(PlanBuilder::scan("supplies").rename([("p#", "part")]))
+        .intersect(PlanBuilder::scan("supplies").rename([("p#", "part")]))
+        .difference(PlanBuilder::values(
+            relation! { ["s#", "part"] => [99, 99] },
+        ))
+        .semi_join(PlanBuilder::scan("parts").rename([("p#", "part")]))
+        .anti_semi_join(PlanBuilder::values(relation! { ["s#"] => [3] }))
+        .group_aggregate(["s#"], [AggregateCall::count("part", "n")])
+        .build();
+    let config = PlannerConfig::default();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
+    assert_eq!(collect(&mut stream), evaluate(&logical, &c).unwrap());
+}
+
 #[test]
 fn compile_errors_surface_before_execution() {
     let c = catalog();
-    let missing = PhysicalPlan::TableScan {
-        table: "nope".into(),
-    };
+    let missing = PlanBuilder::scan("nope").build();
     assert!(StreamExecutor::new(&missing, &c, &PlannerConfig::default()).is_err());
     // A small divide whose divisor attribute is not in the dividend is
     // rejected at compile time, before any batch flows.
-    let bad_divide = PhysicalPlan::Divide {
-        dividend: Box::new(PhysicalPlan::TableScan {
-            table: "supplies".into(),
-        }),
-        divisor: Box::new(PhysicalPlan::TableScan {
-            table: "parts".into(),
-        }),
-    };
+    let bad_divide = PlanBuilder::scan("supplies")
+        .divide(PlanBuilder::scan("parts"))
+        .build();
     assert!(StreamExecutor::new(&bad_divide, &c, &PlannerConfig::default()).is_err());
 }
 
@@ -219,20 +230,10 @@ fn compile_errors_surface_before_execution() {
 #[test]
 fn set_operators_reject_incompatible_schemas() {
     let c = catalog();
-    let scan = |table: &str| {
-        Box::new(PhysicalPlan::TableScan {
-            table: table.into(),
-        })
-    };
+    let scan = PlanBuilder::scan;
     for set_op in [
-        PhysicalPlan::Intersect {
-            left: scan("supplies"),
-            right: scan("parts"),
-        },
-        PhysicalPlan::Difference {
-            left: scan("supplies"),
-            right: scan("parts"),
-        },
+        scan("supplies").intersect(scan("parts")).build(),
+        scan("supplies").difference(scan("parts")).build(),
     ] {
         let err = StreamExecutor::new(&set_op, &c, &PlannerConfig::default()).unwrap_err();
         assert!(err.to_string().contains("schema"), "{err}");
@@ -247,8 +248,7 @@ fn schema_is_known_before_execution_and_empty_results_keep_it() {
         .project(["s#"])
         .build();
     let config = PlannerConfig::default();
-    let plan = plan_query(&logical, &config).unwrap();
-    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
     assert_eq!(stream.schema().names(), vec!["s#"]);
     assert!(stream.next_batch().unwrap().is_none());
     let stats = stream.finish();
@@ -285,8 +285,7 @@ fn nested_loop_emissions_are_bounded_by_the_batch_size_or_the_right_side() {
     let expected = evaluate(&logical, &c).unwrap();
     let config = PlannerConfig::default();
     let bound = config.batch_size.max(500);
-    let plan = plan_query(&logical, &config).unwrap();
-    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
     let mut got = Relation::empty(stream.schema().clone());
     while let Some(batch) = stream.next_batch().unwrap() {
         assert!(
@@ -304,7 +303,7 @@ fn nested_loop_emissions_are_bounded_by_the_batch_size_or_the_right_side() {
     // Bounded emissions keep the footprint far below the result: a budget
     // of 5,000 rows holds without spilling.
     let budgeted = config.memory_budget_rows(5_000);
-    let mut stream = StreamExecutor::new(&plan, &c, &budgeted).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &budgeted).unwrap();
     let mut rows = 0;
     while let Some(batch) = stream.next_batch().unwrap() {
         rows += batch.num_rows();
@@ -329,10 +328,9 @@ fn drain_to_error(stream: &mut StreamExecutor) -> ExprError {
 fn cancellation_aborts_mid_drain_and_residency_drains_to_zero() {
     let (c, logical) = runaway_product();
     let config = PlannerConfig::default().batch_size(64);
-    let plan = plan_query(&logical, &config).unwrap();
     let token = CancelToken::new();
     let guard = QueryGuard::default().with_token(token.clone());
-    let mut stream = StreamExecutor::with_guard(&plan, &c, &config, guard).unwrap();
+    let mut stream = StreamExecutor::with_guard(&logical, &c, &config, guard).unwrap();
     assert!(stream.next_batch().unwrap().is_some(), "runs until tripped");
     token.cancel();
     let err = drain_to_error(&mut stream);
@@ -349,8 +347,7 @@ fn deadline_aborts_within_one_batch_boundary() {
     let config = PlannerConfig::default()
         .batch_size(64)
         .deadline(std::time::Duration::from_millis(50));
-    let plan = plan_query(&logical, &config).unwrap();
-    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
     // The deadline was armed at construction. Let it lapse before pulling,
     // so the trip does not depend on how fast the host drains the product:
     // the very first batch boundary must observe it.
@@ -372,8 +369,7 @@ fn memory_budget_aborts_the_blocking_build_and_reports_the_operator() {
     let config = PlannerConfig::default()
         .batch_size(64)
         .memory_budget_rows(1_000);
-    let plan = plan_query(&logical, &config).unwrap();
-    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
     let err = drain_to_error(&mut stream);
     match err {
         ExprError::MemoryBudget {
@@ -401,10 +397,9 @@ fn governed_but_untripped_stream_matches_the_ungoverned_result() {
     let governed = ungoverned
         .deadline(std::time::Duration::from_secs(60))
         .memory_budget_rows(1_000_000);
-    let plan = plan_query(&logical, &ungoverned).unwrap();
-    let mut base = StreamExecutor::new(&plan, &c, &ungoverned).unwrap();
+    let mut base = StreamExecutor::new(&logical, &c, &ungoverned).unwrap();
     let expected = collect(&mut base);
-    let mut stream = StreamExecutor::new(&plan, &c, &governed).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &governed).unwrap();
     let got = collect(&mut stream);
     assert_eq!(got, expected);
     assert_eq!(stream.finish().resident_rows_on_finish, 0);
@@ -420,9 +415,8 @@ fn failpoint_error_mid_stream_leaves_no_resident_rows() {
         .natural_join(PlanBuilder::scan("parts"))
         .build();
     let config = PlannerConfig::default().batch_size(2);
-    let plan = plan_query(&logical, &config).unwrap();
     crate::failpoint::arm("HashJoin.next_batch", FailAction::Error("chaos".into()));
-    let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
     let err = drain_to_error(&mut stream);
     crate::failpoint::disarm_all();
     assert!(err.to_string().contains("failpoint HashJoin.next_batch"));
@@ -444,7 +438,7 @@ fn route_and_count(
         .batch_size(batch_size)
         .memory_budget_rows(budget)
         .spill_to_disk(true);
-    let plan = plan_query(&PlanBuilder::scan("supplies").build(), &config).unwrap();
+    let plan = PlanBuilder::scan("supplies").build();
     let mut ctx = StreamContext::new(&plan, &config, QueryGuard::from_config(&config));
     let schema = Schema::of(["k", "v"]);
     let mut manager = div_storage::SpillManager::new().unwrap();

@@ -1,9 +1,10 @@
 //! Query tracing: the per-operator span tree behind `EXPLAIN ANALYZE`.
 //!
 //! The aggregate counters of [`ExecStats`](crate::ExecStats) answer *how
-//! much* a query did; this module answers *where*. Every operator of a
-//! [`PhysicalPlan`] gets a stable [`OperatorId`] — its position in a
-//! pre-order depth-first walk of the plan tree — and an
+//! much* a query did; this module answers *where*. Every node of a
+//! [`LogicalPlan`] compiles to one operator, which gets a stable
+//! [`OperatorId`] — its position in a pre-order depth-first walk of the plan
+//! tree — a name ([`operator_label`]) and an
 //! [`OperatorStats`] node recording what that one operator did: rows in and
 //! out, hash probes, peak retained rows, and wall-clock time. Operators are
 //! identified by position, not by label, so two operators with the same
@@ -26,7 +27,7 @@
 //! differential tests can compare statistics across executions without
 //! tripping over wall-clock noise.
 
-use crate::plan::PhysicalPlan;
+use div_expr::LogicalPlan;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -35,8 +36,8 @@ use std::time::{Duration, Instant};
 /// descendants' ids, and siblings number left to right).
 ///
 /// The trace skeleton and the stream compiler assign ids with the same
-/// walk, so the id of an operator matches the line order of
-/// [`PhysicalPlan::explain`].
+/// walk, so the id of an operator matches the line order of EXPLAIN's
+/// physical plan section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct OperatorId(pub usize);
 
@@ -63,7 +64,7 @@ impl fmt::Display for OperatorId {
 pub struct OperatorStats {
     /// Pre-order position of the operator in the plan tree.
     pub id: OperatorId,
-    /// The operator's display label ([`PhysicalPlan::label`]).
+    /// The operator's display label ([`operator_label`]).
     pub label: String,
     /// Rows this operator consumed: the sum of its children's `rows_out`
     /// (`0` for scans, whose input is the catalog).
@@ -127,6 +128,33 @@ impl PartialEq for OperatorStats {
 
 impl Eq for OperatorStats {}
 
+/// The name of the streaming operator `plan`'s root node compiles to — the
+/// one place operators are named. The trace skeleton, the executor's
+/// failpoint sites (`{label}.open`, `{label}.next_batch`, `{label}.close`),
+/// `EXPLAIN`'s physical plan section and plan signatures all use it.
+pub fn operator_label(plan: &LogicalPlan) -> String {
+    match plan {
+        LogicalPlan::Scan { table } => format!("TableScan({table})"),
+        LogicalPlan::Values { relation } => format!("Values({} rows)", relation.len()),
+        LogicalPlan::Select { predicate, .. } => format!("Filter({predicate})"),
+        LogicalPlan::Project { attributes, .. } => format!("Project({})", attributes.join(", ")),
+        LogicalPlan::Rename { .. } => "Rename".to_string(),
+        LogicalPlan::Union { .. } => "Union".to_string(),
+        LogicalPlan::Intersect { .. } => "Intersect".to_string(),
+        LogicalPlan::Difference { .. } => "Difference".to_string(),
+        LogicalPlan::Product { .. } => "CrossProduct".to_string(),
+        LogicalPlan::ThetaJoin { predicate, .. } => format!("NestedLoopJoin({predicate})"),
+        LogicalPlan::NaturalJoin { .. } => "HashJoin".to_string(),
+        LogicalPlan::SemiJoin { .. } => "HashSemiJoin".to_string(),
+        LogicalPlan::AntiSemiJoin { .. } => "HashAntiSemiJoin".to_string(),
+        LogicalPlan::GroupAggregate { group_by, .. } => {
+            format!("HashAggregate({})", group_by.join(", "))
+        }
+        LogicalPlan::SmallDivide { .. } => "Divide[hash]".to_string(),
+        LogicalPlan::GreatDivide { .. } => "GreatDivide[hash]".to_string(),
+    }
+}
+
 /// The span-tree recorder for one query execution.
 ///
 /// Built from the plan before execution starts ([`QueryTrace::from_plan`]),
@@ -145,8 +173,8 @@ pub struct QueryTrace {
 impl QueryTrace {
     /// A trace skeleton for `plan`: one node per operator, ids assigned in
     /// pre-order, timing disabled.
-    pub fn from_plan(plan: &PhysicalPlan) -> QueryTrace {
-        let mut nodes = Vec::with_capacity(plan.operator_count());
+    pub fn from_plan(plan: &LogicalPlan) -> QueryTrace {
+        let mut nodes = Vec::with_capacity(plan.node_count());
         build_skeleton(plan, &mut nodes);
         QueryTrace {
             timing: false,
@@ -245,9 +273,9 @@ impl QueryTrace {
     }
 }
 
-fn build_skeleton(plan: &PhysicalPlan, nodes: &mut Vec<OperatorStats>) -> OperatorId {
+fn build_skeleton(plan: &LogicalPlan, nodes: &mut Vec<OperatorStats>) -> OperatorId {
     let id = OperatorId(nodes.len());
-    nodes.push(OperatorStats::new(id, plan.label()));
+    nodes.push(OperatorStats::new(id, operator_label(plan)));
     let children: Vec<OperatorId> = plan
         .children()
         .into_iter()
@@ -260,22 +288,54 @@ fn build_skeleton(plan: &PhysicalPlan, nodes: &mut Vec<OperatorStats>) -> Operat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_algebra::Predicate;
+    use div_algebra::{relation, AggregateCall, CompareOp, Predicate};
+    use div_expr::PlanBuilder;
 
-    fn sample() -> PhysicalPlan {
-        PhysicalPlan::Project {
-            input: Box::new(PhysicalPlan::Divide {
-                dividend: Box::new(PhysicalPlan::TableScan {
-                    table: "supplies".into(),
-                }),
-                divisor: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(PhysicalPlan::TableScan {
-                        table: "parts".into(),
-                    }),
-                    predicate: Predicate::eq_value("color", "blue"),
-                }),
-            }),
-            attributes: vec!["s#".into()],
+    fn sample() -> LogicalPlan {
+        PlanBuilder::scan("supplies")
+            .divide(PlanBuilder::scan("parts").select(Predicate::eq_value("color", "blue")))
+            .project(["s#"])
+            .build()
+    }
+
+    /// The labels are failpoint names and the benchmark's operator kinds:
+    /// one node per plan variant, each pinned to its exact string.
+    #[test]
+    fn operator_labels_are_pinned_per_variant() {
+        let scan = || PlanBuilder::scan("t");
+        let root = |plan: PlanBuilder| operator_label(&plan.build());
+        let cases = [
+            (root(scan()), "TableScan(t)"),
+            (
+                root(PlanBuilder::values(relation! { ["a"] => [1], [2] })),
+                "Values(2 rows)",
+            ),
+            (
+                root(scan().select(Predicate::cmp_value("a", CompareOp::Lt, 3))),
+                "Filter(a < 3)",
+            ),
+            (root(scan().project(["a", "b"])), "Project(a, b)"),
+            (root(scan().rename([("a", "x")])), "Rename"),
+            (root(scan().union(scan())), "Union"),
+            (root(scan().intersect(scan())), "Intersect"),
+            (root(scan().difference(scan())), "Difference"),
+            (root(scan().product(scan())), "CrossProduct"),
+            (
+                root(scan().theta_join(scan(), Predicate::cmp_attrs("a", CompareOp::Lt, "b"))),
+                "NestedLoopJoin(a < b)",
+            ),
+            (root(scan().natural_join(scan())), "HashJoin"),
+            (root(scan().semi_join(scan())), "HashSemiJoin"),
+            (root(scan().anti_semi_join(scan())), "HashAntiSemiJoin"),
+            (
+                root(scan().group_aggregate(["g"], [AggregateCall::count("a", "n")])),
+                "HashAggregate(g)",
+            ),
+            (root(scan().divide(scan())), "Divide[hash]"),
+            (root(scan().great_divide(scan())), "GreatDivide[hash]"),
+        ];
+        for (label, expected) in cases {
+            assert_eq!(label, expected);
         }
     }
 

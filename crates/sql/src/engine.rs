@@ -1,6 +1,6 @@
 //! The [`Engine`] facade: the paper's whole pipeline behind one session API.
 //!
-//! Wiring the parser straight into the physical planner would *skip the
+//! Wiring the parser straight into the executor would *skip the
 //! contribution of the paper* — the seventeen rewrite laws and the cost
 //! model that picks among the plans they generate. [`Engine::query`] runs
 //! the full pipeline with the optimizer in the loop by default:
@@ -8,7 +8,7 @@
 //! ```text
 //! SQL text ──parse──► AST ──translate──► LogicalPlan
 //!          ──optimize (laws + cost model)──► LogicalPlan
-//!          ──plan──► PhysicalPlan ──stream──► Cursor (batches, ExecStats)
+//!          ──compile to streams──► Cursor (batches, ExecStats)
 //! ```
 //!
 //! Execution is *streaming by default*: [`Engine::query`] returns a
@@ -22,7 +22,7 @@
 //! On top of the pipeline the engine adds the session features a system
 //! serving repeated traffic needs:
 //!
-//! * **A plan cache behind every SQL entry point**: the optimized physical
+//! * **A plan cache behind every SQL entry point**: the optimized logical
 //!   plan is a pure function of (SQL text, catalog snapshot), so it is
 //!   compiled once and cached under the SQL text. A repeated ad-hoc
 //!   [`Engine::query`] and an explicit [`Engine::prepare`] are answered
@@ -30,14 +30,14 @@
 //!   and both validates and executes its plan against it.
 //! * **Prepared statements** ([`Engine::prepare`]): every execution re-binds
 //!   the statement's `$name` parameters and streams the cached plan,
-//!   skipping parse, translate, optimization and planning entirely. The
+//!   skipping parse, translate and optimization entirely. The
 //!   statement records the catalog version it was compiled against and
 //!   refuses to run against a mutated catalog ([`Error::StalePlan`]).
 //! * **EXPLAIN** ([`Engine::explain`], [`Engine::explain_analyze`]): a
 //!   structured [`Explain`] report — logical plan before and after the
-//!   rewrite, the laws that fired, cost estimates, the chosen physical
-//!   operators, and (for `explain_analyze`) the measured [`ExecStats`],
-//!   including a per-operator span tree that lines cost-model estimates up
+//!   rewrite, the laws that fired, cost estimates, the physical operators
+//!   the plan compiles to, and (for `explain_analyze`) the measured
+//!   [`ExecStats`], including a per-operator span tree that lines cost-model estimates up
 //!   against actual row counts, wall time, hash probes and resident rows.
 //!
 //! The engine is also **observable**: every query updates the session-wide
@@ -81,7 +81,7 @@ use div_algebra::{Relation, Schema, Value};
 use div_columnar::ColumnarBatch;
 use div_expr::{Catalog, LogicalPlan};
 use div_physical::{
-    plan_query, ExecStats, OperatorStats, PhysicalPlan, PlannerConfig, QueryGuard, StreamExecutor,
+    operator_label, ExecStats, OperatorStats, PlannerConfig, QueryGuard, StreamExecutor,
 };
 use div_rewrite::engine::AppliedRule;
 use div_rewrite::optimizer::{CostEstimate, CostModel};
@@ -203,7 +203,7 @@ pub struct Cursor {
 }
 
 impl Cursor {
-    /// Start a streaming execution of `physical` over `catalog` — the one
+    /// Start a streaming execution of `plan` over `catalog` — the one
     /// constructor, behind [`Engine::query`], [`Engine::query_guarded`] and
     /// [`PreparedStatement::execute`]; it does *not* check for unbound
     /// parameters (the engine does). The compiled operator tree captures
@@ -212,12 +212,12 @@ impl Cursor {
     /// the guard was built, so callers should build it immediately before
     /// opening the cursor.
     pub(crate) fn over_guarded(
-        physical: &PhysicalPlan,
+        plan: &LogicalPlan,
         catalog: &Catalog,
         config: &PlannerConfig,
         guard: QueryGuard,
     ) -> Result<Cursor> {
-        let exec = StreamExecutor::with_guard(physical, catalog, config, guard)?;
+        let exec = StreamExecutor::with_guard(plan, catalog, config, guard)?;
         let schema = exec.schema().clone();
         Ok(Cursor {
             exec: Some(exec),
@@ -375,7 +375,7 @@ impl EngineBuilder {
     }
 
     /// Disable the rewrite optimizer: plans go from the translator straight
-    /// to the physical planner, like the pre-engine pipeline. Useful for
+    /// to the executor, like the pre-engine pipeline. Useful for
     /// differential testing and for measuring what the laws buy.
     pub fn without_optimizer(mut self) -> Self {
         self.optimize = false;
@@ -468,7 +468,7 @@ pub struct Engine {
     optimize: bool,
     compile_count: AtomicU64,
     metrics: Arc<EngineMetrics>,
-    /// The one way SQL text becomes a physical plan: see [`PlanCache`].
+    /// The one way SQL text becomes an executable plan: see [`PlanCache`].
     plan_cache: Mutex<PlanCache>,
 }
 
@@ -534,11 +534,11 @@ impl PlanCache {
     }
 }
 
-/// A statement compiled down to its optimized physical plan.
+/// A statement compiled down to its optimized logical plan.
 ///
 /// Produced by [`Engine::prepare`]; executed with
 /// [`PreparedStatement::execute`]. The expensive pipeline (parse → translate
-/// → optimize → plan) ran exactly once, at prepare time; each execution only
+/// → optimize) ran exactly once, at prepare time; each execution only
 /// substitutes the `$name` parameter bindings into a copy of the cached plan
 /// template and runs it.
 ///
@@ -552,7 +552,7 @@ pub struct PreparedStatement {
 #[derive(Debug)]
 struct StatementInner {
     sql: String,
-    template: Arc<PhysicalPlan>,
+    template: Arc<LogicalPlan>,
     parameters: BTreeSet<String>,
     catalog_version: u64,
     applied: Vec<AppliedRule>,
@@ -566,7 +566,6 @@ struct Compiled {
     cost_before: CostEstimate,
     cost_after: CostEstimate,
     alternatives_considered: usize,
-    physical: PhysicalPlan,
 }
 
 impl Engine {
@@ -641,7 +640,7 @@ impl Engine {
         self.optimize
     }
 
-    /// How many compilations (parse → translate → optimize → plan) this
+    /// How many compilations (parse → translate → optimize) this
     /// engine has really run. Executing a [`PreparedStatement`] does *not*
     /// compile, which is the point of preparing — and neither does a
     /// repeated ad-hoc [`Engine::query`] of the same SQL text against an
@@ -674,8 +673,8 @@ impl Engine {
     }
 
     /// A point-in-time snapshot of the session-wide metrics registry:
-    /// queries executed, rows returned, the parse/optimize/plan/execute
-    /// time split, the execution-latency histogram, plan-cache hits and
+    /// queries executed, rows returned, the parse/optimize/execute time
+    /// split, the execution-latency histogram, plan-cache hits and
     /// misses, and per-rewrite-law application counts.
     ///
     /// The snapshot renders as text ([`fmt::Display`]) or JSON
@@ -710,8 +709,8 @@ impl Engine {
     /// Open a streaming [`Cursor`] over the result of `sql`.
     ///
     /// The plan comes from the engine's plan cache: the first sight of a
-    /// SQL text (and the first after a catalog mutation) parses, translates,
-    /// optimizes and plans it; a repeated text is served the cached plan.
+    /// SQL text (and the first after a catalog mutation) parses, translates
+    /// and optimizes it; a repeated text is served the cached plan.
     ///
     /// The cursor is an iterator of columnar batches: execution proceeds
     /// only as far as the consumer pulls, so `cursor.take(1)` or an early
@@ -809,10 +808,10 @@ impl Engine {
         let query = self.parse_timed(sql)?;
         check_bindings(params, &query.parameters())?;
         let compiled = self.compile_parsed(&query, params, &catalog)?;
-        self.cursor_guarded(&compiled.physical, &catalog, &self.config, guard())
+        self.cursor_guarded(&compiled.optimized, &catalog, &self.config, guard())
     }
 
-    /// The one way SQL text becomes a physical plan: the cached statement
+    /// The one way SQL text becomes an executable plan: the cached statement
     /// for exactly this text if it was compiled against `catalog`'s version,
     /// else a fresh compilation against `catalog`, which replaces it. The
     /// caller must execute the statement on the same `catalog`.
@@ -831,7 +830,7 @@ impl Engine {
         let statement = PreparedStatement {
             inner: Arc::new(StatementInner {
                 sql: sql.to_string(),
-                template: Arc::new(compiled.physical),
+                template: Arc::new(compiled.optimized),
                 parameters,
                 catalog_version,
                 applied: compiled.applied,
@@ -854,8 +853,8 @@ impl Engine {
         self.query_with_params(sql, params)?.collect()
     }
 
-    /// Optimize, plan and execute an already-translated logical plan,
-    /// collecting the whole result.
+    /// Optimize and execute an already-translated logical plan, collecting
+    /// the whole result.
     ///
     /// This is the tail of [`Engine::query_collect`] without the SQL front
     /// end, for callers that build [`LogicalPlan`]s programmatically; use
@@ -864,8 +863,8 @@ impl Engine {
         self.stream_logical(logical)?.collect()
     }
 
-    /// Optimize and plan an already-translated logical plan, and open a
-    /// streaming [`Cursor`] over the result — the tail of [`Engine::query`]
+    /// Optimize an already-translated logical plan and open a streaming
+    /// [`Cursor`] over the result — the tail of [`Engine::query`]
     /// without the SQL front end.
     pub fn stream_logical(&self, logical: &LogicalPlan) -> Result<Cursor> {
         let catalog = self.catalog();
@@ -874,15 +873,12 @@ impl Engine {
         let optimized = self.optimize_plan(logical, &catalog)?;
         self.metrics.add_optimize(started.elapsed());
         self.metrics.record_laws(&optimized.applied);
-        let started = Instant::now();
-        let physical = plan_query(&optimized.plan, &self.config)?;
-        self.metrics.add_plan(started.elapsed());
         let guard = QueryGuard::from_config(&self.config);
-        self.cursor_guarded(&physical, &catalog, &self.config, guard)
+        self.cursor_guarded(&optimized.plan, &catalog, &self.config, guard)
     }
 
     /// Compile `sql` into a [`PreparedStatement`] holding the optimized
-    /// physical plan. See [`PreparedStatement`] for the execution contract.
+    /// logical plan. See [`PreparedStatement`] for the execution contract.
     ///
     /// The statement comes from the same bounded plan cache that serves
     /// [`Engine::query`]: a text already compiled against the unchanged
@@ -924,7 +920,7 @@ impl Engine {
     /// carries the measured [`ExecStats`]. The execution runs through the
     /// streaming path with per-operator tracing forced **on** (regardless of
     /// [`EngineBuilder::with_tracing`]), so the report annotates every
-    /// physical operator with its actual row count, wall time, hash probes
+    /// operator with its actual row count, wall time, hash probes
     /// and resident-row peak next to the cost-model estimate. Statements
     /// with parameters cannot be analyzed without bindings — pass them via
     /// [`Engine::explain_analyze_with_params`].
@@ -944,7 +940,7 @@ impl Engine {
         config.tracing = true;
         let guard = QueryGuard::from_config(&config);
         let output = self
-            .cursor_guarded(&compiled.physical, &catalog, &config, guard)?
+            .cursor_guarded(&compiled.optimized, &catalog, &config, guard)?
             .collect()?;
         Ok(self.explain_from(sql, compiled, Some(output.stats), &catalog))
     }
@@ -956,18 +952,15 @@ impl Engine {
         stats: Option<ExecStats>,
         catalog: &Catalog,
     ) -> Explain {
-        // Cardinality estimates per operator, in the same pre-order the
-        // physical plan (and the executors' OperatorId numbering) uses:
-        // `plan_query` maps logical nodes to physical operators 1:1, so a
-        // pre-order walk of the optimized logical plan lines up with the
-        // physical tree.
+        // Cardinality estimates per operator, in the pre-order the
+        // executor numbers its operators (`OperatorId`) in: one operator
+        // per node of the optimized plan.
         let ctx = RewriteContext::with_catalog(catalog);
         let model = self.optimizer.cost_model();
-        let mut estimated_rows = Vec::with_capacity(compiled.physical.operator_count());
+        let mut estimated_rows = Vec::with_capacity(compiled.optimized.node_count());
         compiled
             .optimized
             .visit(&mut |node| estimated_rows.push(model.cardinality(node, &ctx)));
-        debug_assert_eq!(estimated_rows.len(), compiled.physical.operator_count());
         Explain {
             sql: sql.to_string(),
             logical: compiled.logical,
@@ -976,7 +969,6 @@ impl Engine {
             cost_before: compiled.cost_before,
             cost_after: compiled.cost_after,
             alternatives_considered: compiled.alternatives_considered,
-            physical: compiled.physical,
             estimated_rows,
             batch_size: self.config.batch_size,
             stats,
@@ -1007,9 +999,6 @@ impl Engine {
         let optimized = self.optimize_plan(&logical, catalog)?;
         self.metrics.add_optimize(started.elapsed());
         self.metrics.record_laws(&optimized.applied);
-        let started = Instant::now();
-        let physical = plan_query(&optimized.plan, &self.config)?;
-        self.metrics.add_plan(started.elapsed());
         Ok(Compiled {
             logical,
             optimized: optimized.plan,
@@ -1017,7 +1006,6 @@ impl Engine {
             cost_before: optimized.original_cost,
             cost_after: optimized.cost,
             alternatives_considered: optimized.alternatives_considered,
-            physical,
         })
     }
 
@@ -1037,25 +1025,25 @@ impl Engine {
     }
 
     /// The cursor opener every execution path funnels into: streams a fully
-    /// bound physical plan over one catalog snapshot, rejecting plans that
-    /// still carry `$name` placeholders. Build `guard` immediately before
-    /// the call — its deadline is already running.
+    /// bound plan over one catalog snapshot, rejecting plans that still
+    /// carry `$name` placeholders. Build `guard` immediately before the
+    /// call — its deadline is already running.
     fn cursor_guarded(
         &self,
-        physical: &PhysicalPlan,
+        plan: &LogicalPlan,
         catalog: &Catalog,
         config: &PlannerConfig,
         guard: QueryGuard,
     ) -> Result<Cursor> {
-        if physical.has_parameters() {
-            let parameter = physical
+        if plan.contains_parameters() {
+            let parameter = plan
                 .parameters()
                 .into_iter()
                 .next()
-                .expect("has_parameters implies at least one name");
+                .expect("contains_parameters implies at least one name");
             return Err(Error::UnboundParameter { parameter });
         }
-        Ok(Cursor::over_guarded(physical, catalog, config, guard)?
+        Ok(Cursor::over_guarded(plan, catalog, config, guard)?
             .with_metrics(Arc::clone(&self.metrics)))
     }
 }
@@ -1084,10 +1072,10 @@ impl PreparedStatement {
         &self.inner.parameters
     }
 
-    /// The cached physical plan template (parameters still unbound). The
+    /// The cached optimized plan template (parameters still unbound). The
     /// `Arc` is shared, not copied, across [`PreparedStatement::clone`] —
     /// pointer identity demonstrates that executions reuse one compilation.
-    pub fn plan(&self) -> &Arc<PhysicalPlan> {
+    pub fn plan(&self) -> &Arc<LogicalPlan> {
         &self.inner.template
     }
 
@@ -1103,8 +1091,8 @@ impl PreparedStatement {
     }
 
     /// Bind `params` into a copy of the cached plan and open a streaming
-    /// [`Cursor`] over it on `engine` — no parsing, translation,
-    /// optimization or planning happens here. Use
+    /// [`Cursor`] over it on `engine` — no parsing, translation or
+    /// optimization happens here. Use
     /// [`PreparedStatement::execute_collect`] for the one-call
     /// materializing form.
     ///
@@ -1195,13 +1183,11 @@ pub struct Explain {
     pub cost_after: CostEstimate,
     /// Number of alternative plans the greedy search costed.
     pub alternatives_considered: usize,
-    /// The physical plan the engine would execute (parameters unbound).
-    pub physical: PhysicalPlan,
-    /// Cost-model cardinality estimate per physical operator, indexed by
-    /// the operator's pre-order (depth-first) position — the same numbering
-    /// as [`div_physical::OperatorId`] and the lines of
-    /// [`PhysicalPlan::explain`]. `explain_analyze` lines these up against
-    /// the measured per-operator row counts.
+    /// Cost-model cardinality estimate per operator, indexed by the
+    /// operator's pre-order (depth-first) position in `optimized` — the same
+    /// numbering as [`div_physical::OperatorId`] and the lines of the
+    /// rendered physical plan section. `explain_analyze` lines these up
+    /// against the measured per-operator row counts.
     pub estimated_rows: Vec<f64>,
     /// Chunk size of the streaming execution.
     pub batch_size: usize,
@@ -1230,16 +1216,16 @@ impl Explain {
             .map(|s| s.operators.as_slice())
     }
 
-    /// A canonical one-line signature of the physical plan: operator labels
-    /// in pre-order with children parenthesized, e.g.
-    /// `HashDivide(Scan r1, Scan r2)`. Two compilations of the same query
-    /// produce equal signatures iff they chose the same physical shape, so
+    /// A canonical one-line signature of the executed plan: operator labels
+    /// ([`operator_label`]) in pre-order with children parenthesized, e.g.
+    /// `Divide[hash](TableScan(r1), TableScan(r2))`. Two compilations of the
+    /// same query produce equal signatures iff they chose the same shape, so
     /// differential harnesses can compare optimizer-on vs optimizer-off
     /// plans (or assert a rewrite actually changed the shape) without
     /// string-diffing the full multi-line rendering.
     pub fn plan_signature(&self) -> String {
-        fn walk(plan: &PhysicalPlan, out: &mut String) {
-            out.push_str(&plan.label());
+        fn walk(plan: &LogicalPlan, out: &mut String) {
+            out.push_str(&operator_label(plan));
             let children = plan.children();
             if children.is_empty() {
                 return;
@@ -1254,14 +1240,14 @@ impl Explain {
             out.push(')');
         }
         let mut out = String::new();
-        walk(&self.physical, &mut out);
+        walk(&self.optimized, &mut out);
         out
     }
 
     /// Per-operator estimation error (the *q-error*: the larger of
     /// estimate and actual divided by the smaller, both clamped to ≥ 1, so
     /// a perfect estimate scores 1.0) — `Some` only when the report carries
-    /// measured stats whose span tree matches the physical plan.
+    /// measured stats whose span tree matches the optimized plan.
     ///
     /// This is the feedback signal an adaptive re-optimizer would consume;
     /// see the roadmap's "learned/adaptive re-optimization" item.
@@ -1289,13 +1275,14 @@ fn q_error(estimated: f64, actual: usize) -> f64 {
     est.max(act) / est.min(act)
 }
 
-/// Pre-order walk of the physical tree collecting `(depth, label)` pairs —
-/// the same numbering the executors assign [`div_physical::OperatorId`]s in.
-fn physical_preorder(plan: &PhysicalPlan, depth: usize, out: &mut Vec<(usize, String)>) {
-    out.push((depth, plan.label()));
+/// Write one line per operator of `plan`, indented by depth, in the
+/// pre-order the executor numbers operators in.
+fn fmt_operators(f: &mut fmt::Formatter<'_>, plan: &LogicalPlan, depth: usize) -> fmt::Result {
+    writeln!(f, "  {}{}", "  ".repeat(depth), operator_label(plan))?;
     for child in plan.children() {
-        physical_preorder(child, depth + 1, out);
+        fmt_operators(f, child, depth + 1)?;
     }
+    Ok(())
 }
 
 impl fmt::Display for Explain {
@@ -1329,9 +1316,7 @@ impl fmt::Display for Explain {
             "physical plan (execution=streaming, batch_size={}):",
             self.batch_size,
         )?;
-        for line in self.physical.explain().lines() {
-            writeln!(f, "  {line}")?;
-        }
+        fmt_operators(f, &self.optimized, 0)?;
         if let Some(stats) = &self.stats {
             writeln!(f, "execution stats:")?;
             writeln!(
@@ -1369,12 +1354,7 @@ impl Explain {
     /// actual rows next to the cost-model estimate (with the q-error),
     /// wall-clock time, hash probes and peak resident rows per operator.
     fn fmt_operator_tree(&self, f: &mut fmt::Formatter<'_>, stats: &ExecStats) -> fmt::Result {
-        if stats.operators.is_empty() {
-            return Ok(());
-        }
-        let mut shape = Vec::with_capacity(stats.operators.len());
-        physical_preorder(&self.physical, 0, &mut shape);
-        if shape.len() != stats.operators.len() {
+        if stats.operators.is_empty() || stats.operators.len() != self.optimized.node_count() {
             // A span tree from a different plan shape (should not happen
             // through the engine API); skip the annotation rather than
             // mislabel it.
@@ -1384,13 +1364,18 @@ impl Explain {
             f,
             "per-operator stats (est from cost model, err = q-error):"
         )?;
-        for (i, (depth, _)) in shape.iter().enumerate() {
-            let op = &stats.operators[i];
+        // Ids are pre-order, so a parent's depth is known before its
+        // children's.
+        let mut depths = vec![0; stats.operators.len()];
+        for (i, op) in stats.operators.iter().enumerate() {
             let est = self.estimated_rows.get(i).copied();
+            for child in &op.children {
+                depths[child.index()] = depths[i] + 1;
+            }
             write!(
                 f,
                 "  {}{} rows={}",
-                "  ".repeat(*depth),
+                "  ".repeat(depths[i]),
                 op.label,
                 op.rows_out
             )?;

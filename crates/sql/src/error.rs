@@ -16,7 +16,7 @@ use std::fmt;
 pub enum Error {
     /// The SQL text did not parse. The source [`ParseError`] is preserved.
     Parse(ParseError),
-    /// Translation, optimization, physical planning or execution failed.
+    /// Translation, optimization or execution failed.
     Plan(ExprError),
     /// The statement uses a `$parameter` for which no value was bound.
     UnboundParameter {

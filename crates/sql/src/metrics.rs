@@ -8,7 +8,7 @@
 //! * throughput counters: queries executed, rows returned, statements
 //!   prepared, prepared-plan cache hits and misses;
 //! * the pipeline time split: cumulative wall time spent parsing,
-//!   optimizing (rewrite-law search), physical planning and executing;
+//!   optimizing (rewrite-law search) and executing;
 //! * a fixed-bucket histogram of per-query execution latency;
 //! * per-rewrite-law application counts (how often each of the paper's
 //!   laws actually fired on this workload).
@@ -69,7 +69,6 @@ pub struct EngineMetrics {
     prepared_cache_misses: AtomicU64,
     parse_ns: AtomicU64,
     optimize_ns: AtomicU64,
-    plan_ns: AtomicU64,
     execute_ns: AtomicU64,
     latency_buckets: [AtomicU64; LATENCY_BUCKET_BOUNDS_NS.len()],
     law_applications: Mutex<BTreeMap<String, u64>>,
@@ -92,11 +91,6 @@ impl EngineMetrics {
 
     pub(crate) fn add_optimize(&self, elapsed: Duration) {
         self.optimize_ns
-            .fetch_add(saturating_ns(elapsed), Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_plan(&self, elapsed: Duration) {
-        self.plan_ns
             .fetch_add(saturating_ns(elapsed), Ordering::Relaxed);
     }
 
@@ -168,7 +162,6 @@ impl EngineMetrics {
             prepared_cache_misses: self.prepared_cache_misses.load(Ordering::Relaxed),
             parse_ns: self.parse_ns.load(Ordering::Relaxed),
             optimize_ns: self.optimize_ns.load(Ordering::Relaxed),
-            plan_ns: self.plan_ns.load(Ordering::Relaxed),
             execute_ns: self.execute_ns.load(Ordering::Relaxed),
             latency_buckets: self
                 .latency_buckets
@@ -208,8 +201,6 @@ pub struct MetricsSnapshot {
     pub parse_ns: u64,
     /// Cumulative wall time spent in the rewrite-law optimizer, nanoseconds.
     pub optimize_ns: u64,
-    /// Cumulative wall time spent in the physical planner, nanoseconds.
-    pub plan_ns: u64,
     /// Cumulative wall time spent executing queries (cursor open to finish),
     /// nanoseconds.
     pub execute_ns: u64,
@@ -294,7 +285,7 @@ impl MetricsSnapshot {
                 "{{\"queries_executed\": {}, \"rows_returned\": {}, ",
                 "\"statements_prepared\": {}, \"prepared_cache_hits\": {}, ",
                 "\"prepared_cache_misses\": {}, \"parse_ns\": {}, ",
-                "\"optimize_ns\": {}, \"plan_ns\": {}, \"execute_ns\": {}, ",
+                "\"optimize_ns\": {}, \"execute_ns\": {}, ",
                 "\"latency_bucket_bounds_ns\": [{}], \"latency_buckets\": [{}], ",
                 "\"queries_spilled\": {}, \"spill_partitions\": {}, ",
                 "\"spill_rows_written\": {}, \"spill_rows_read\": {}, ",
@@ -308,7 +299,6 @@ impl MetricsSnapshot {
             self.prepared_cache_misses,
             self.parse_ns,
             self.optimize_ns,
-            self.plan_ns,
             self.execute_ns,
             bounds,
             buckets,
@@ -335,10 +325,9 @@ impl fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  time split:            parse {} | optimize {} | plan {} | execute {}",
+            "  time split:            parse {} | optimize {} | execute {}",
             fmt_ns(self.parse_ns),
             fmt_ns(self.optimize_ns),
-            fmt_ns(self.plan_ns),
             fmt_ns(self.execute_ns)
         )?;
         writeln!(f, "  execution latency histogram:")?;

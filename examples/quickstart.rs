@@ -8,16 +8,17 @@
 
 use division::prelude::*;
 
-/// Plan `plan` and drain it on the streaming executor.
+/// Drain `plan` on the streaming executor.
 fn run(plan: &LogicalPlan, catalog: &Catalog) -> Relation {
     let config = PlannerConfig::default();
-    let physical = plan_query(plan, &config).unwrap();
-    let mut stream = StreamExecutor::new(&physical, catalog, &config).unwrap();
+    let mut stream = StreamExecutor::new(plan, catalog, &config).unwrap();
     let mut result = Relation::empty(stream.schema().clone());
     while let Some(batch) = stream.next_batch().unwrap() {
         result = result.union(&batch.to_relation().unwrap()).unwrap();
     }
     let stats = stream.finish();
+    let operators: Vec<&str> = stats.operators.iter().map(|op| op.label.as_str()).collect();
+    println!("physical operators (pre-order): {}", operators.join(", "));
     println!(
         "executed {} operators, scanned {} rows, peak {} resident rows",
         stats.operators_executed, stats.rows_scanned, stats.peak_resident_rows
@@ -67,10 +68,6 @@ fn main() {
         outcome.plan
     );
 
-    println!(
-        "physical plan:\n{}",
-        plan_query(&outcome.plan, &PlannerConfig::default()).unwrap()
-    );
     println!("result:\n{}", run(&outcome.plan, &catalog));
 
     // Counting division (Graefe & Cole): semi-join, count per group, keep

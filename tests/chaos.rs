@@ -22,10 +22,9 @@
 //! paths.
 
 use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
-use div_expr::{Catalog, ExprError, PlanBuilder};
+use div_expr::{Catalog, ExprError, LogicalPlan, PlanBuilder};
 use div_physical::{
-    failpoint, plan_query, ExecStats, FailAction, PhysicalPlan, PlannerConfig, QueryGuard,
-    StreamExecutor,
+    failpoint, operator_label, ExecStats, FailAction, PlannerConfig, QueryGuard, StreamExecutor,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -48,7 +47,7 @@ fn catalog() -> Catalog {
 /// scans, values, filter, project, rename, union, intersect, difference,
 /// cross product, nested-loop (theta) join, hash join, semi/anti-semi
 /// joins, aggregation, small divide and great divide.
-fn shapes() -> Vec<div_expr::LogicalPlan> {
+fn shapes() -> Vec<LogicalPlan> {
     vec![
         PlanBuilder::scan("supplies")
             .natural_join(PlanBuilder::scan("parts"))
@@ -109,16 +108,12 @@ fn shapes() -> Vec<div_expr::LogicalPlan> {
     ]
 }
 
-/// Every distinct operator label of the compiled plan, depth-first.
-fn labels(plan: &PhysicalPlan) -> BTreeSet<String> {
-    fn walk(plan: &PhysicalPlan, out: &mut BTreeSet<String>) {
-        out.insert(plan.label());
-        for child in plan.children() {
-            walk(child, out);
-        }
-    }
+/// Every distinct operator label of the compiled plan.
+fn labels(plan: &LogicalPlan) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    walk(plan, &mut out);
+    plan.visit(&mut |node| {
+        out.insert(operator_label(node));
+    });
     out
 }
 
@@ -126,7 +121,7 @@ fn labels(plan: &PhysicalPlan) -> BTreeSet<String> {
 /// or the aborting error, plus the final statistics (absent only when the
 /// pipeline failed to compile — nothing was acquired, nothing can leak).
 fn drive(
-    plan: &PhysicalPlan,
+    plan: &LogicalPlan,
     catalog: &Catalog,
     config: &PlannerConfig,
     guard: QueryGuard,
@@ -178,8 +173,8 @@ fn every_fault_site_of_every_shape_aborts_cleanly() {
     let config = PlannerConfig::default().batch_size(2);
     let mut fired = 0usize;
     let mut sites_total = 0usize;
-    for logical in shapes() {
-        let plan = plan_query(&logical, &config).unwrap();
+    let mut sites_per_shape = Vec::new();
+    for plan in shapes() {
         let (baseline, baseline_stats) = drive(&plan, &c, &config, QueryGuard::default());
         let baseline = baseline.unwrap_or_else(|err| panic!("clean run failed: {err}\n{plan}"));
         assert_eq!(
@@ -187,7 +182,9 @@ fn every_fault_site_of_every_shape_aborts_cleanly() {
             0,
             "clean run leaks?!\n{plan}"
         );
-        for label in labels(&plan) {
+        let labels = labels(&plan);
+        sites_per_shape.push(3 * labels.len());
+        for label in labels {
             for phase in ["open", "next_batch", "close"] {
                 let site = format!("{label}.{phase}");
                 sites_total += 1;
@@ -235,6 +232,9 @@ fn every_fault_site_of_every_shape_aborts_cleanly() {
             }
         }
     }
+    // Every `{label}.{phase}` site of every shape, by count: a relabelled or
+    // lost operator changes this.
+    assert_eq!(sites_per_shape, [9, 15, 12, 9, 12, 15, 6, 9, 15, 12, 6]);
     // The suite is not vacuous: the overwhelming majority of sites actually
     // observed their fault (only empty-output emission sites may not).
     assert!(
@@ -253,11 +253,7 @@ fn injected_delays_trip_an_armed_deadline() {
     failpoint::disarm_all();
     let c = catalog();
     let config = PlannerConfig::default().batch_size(2);
-    let plan = plan_query(
-        &PlanBuilder::scan("supplies").project(["s#"]).build(),
-        &config,
-    )
-    .unwrap();
+    let plan = PlanBuilder::scan("supplies").project(["s#"]).build();
     failpoint::arm(
         "TableScan(supplies).next_batch",
         FailAction::Delay(Duration::from_millis(30)),
@@ -350,9 +346,8 @@ fn spill_faults_abort_cleanly_and_leave_no_files() {
             300,
         ),
     ];
-    for (logical, rows) in plans {
-        let plan = plan_query(&logical, &config).unwrap();
-        let label = plan.label();
+    for (plan, rows) in plans {
+        let label = operator_label(&plan);
 
         // The clean run under this budget genuinely spills and cleans up.
         let (baseline, stats) = drive(&plan, &c, &config, guard());

@@ -6,8 +6,8 @@
 //! The core consistency check: for every plan shape, the per-operator tree
 //! must agree with the query-level aggregates the executor reports — scans
 //! sum to `rows_scanned`, the root matches `output_rows`, per-node probes
-//! sum to `probes` — and the tree must have exactly one node per physical
-//! operator, labelled in `PhysicalPlan::explain` pre-order.
+//! sum to `probes` — and the tree must have exactly one node per plan
+//! node, labelled by `operator_label` in pre-order.
 
 use division::prelude::*;
 use std::sync::Arc;
@@ -113,28 +113,26 @@ fn plan_shapes() -> Vec<(&'static str, LogicalPlan)> {
     ]
 }
 
-/// Pre-order `(label)` walk of a physical plan — the `OperatorId` order.
-fn preorder_labels(plan: &division::physical::PhysicalPlan) -> Vec<String> {
-    let mut out = vec![plan.label()];
-    for child in plan.children() {
-        out.extend(preorder_labels(child));
-    }
+/// Pre-order operator labels of a plan — the `OperatorId` order.
+fn preorder_labels(plan: &LogicalPlan) -> Vec<String> {
+    let mut out = Vec::new();
+    plan.visit(&mut |node| out.push(operator_label(node)));
     out
 }
 
 fn assert_tree_consistent(
     path: &str,
     shape: &str,
-    physical: &division::physical::PhysicalPlan,
+    plan: &LogicalPlan,
     stats: &division::physical::ExecStats,
 ) {
     let ops = &stats.operators;
     assert_eq!(
         ops.len(),
-        physical.operator_count(),
+        plan.node_count(),
         "{path}/{shape}: one span per operator"
     );
-    let labels = preorder_labels(physical);
+    let labels = preorder_labels(plan);
     for (i, op) in ops.iter().enumerate() {
         assert_eq!(op.id.index(), i, "{path}/{shape}: ids are pre-order");
         assert_eq!(op.label, labels[i], "{path}/{shape}: labels line up");
@@ -162,13 +160,13 @@ fn assert_tree_consistent(
     );
 }
 
-/// Drain a streaming execution of `physical` and return its stats.
+/// Drain a streaming execution of `plan` and return its stats.
 fn stream_stats(
-    physical: &division::physical::PhysicalPlan,
+    plan: &LogicalPlan,
     catalog: &Catalog,
     config: &PlannerConfig,
 ) -> division::physical::ExecStats {
-    let mut exec = StreamExecutor::new(physical, catalog, config).unwrap();
+    let mut exec = StreamExecutor::new(plan, catalog, config).unwrap();
     while exec.next_batch().unwrap().is_some() {}
     exec.finish()
 }
@@ -177,9 +175,8 @@ fn stream_stats(
 fn span_trees_reconcile_with_aggregates_on_every_path_and_shape() {
     let catalog = catalog();
     for (shape, logical) in plan_shapes() {
-        let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-        let stats = stream_stats(&physical, &catalog, &PlannerConfig::default());
-        assert_tree_consistent("streaming", shape, &physical, &stats);
+        let stats = stream_stats(&logical, &catalog, &PlannerConfig::default());
+        assert_tree_consistent("streaming", shape, &logical, &stats);
     }
 }
 
@@ -192,8 +189,7 @@ fn same_labelled_operators_keep_separate_spans() {
         .select(Predicate::eq_value("p#", 2))
         .select(Predicate::eq_value("p#", 2))
         .build();
-    let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-    let stats = stream_stats(&physical, &catalog, &PlannerConfig::default());
+    let stats = stream_stats(&logical, &catalog, &PlannerConfig::default());
     assert_eq!(stats.operators.len(), 3);
     assert_eq!(stats.operators[0].label, stats.operators[1].label);
     assert_ne!(stats.operators[0].id, stats.operators[1].id);
@@ -235,10 +231,8 @@ fn span_timing_is_gated_by_the_tracing_flag() {
                 .project(["p#"]),
         )
         .build();
-    let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
-
     // Tracing off (the default): full attribution, zero clock reads.
-    let untraced = stream_stats(&physical, &catalog, &PlannerConfig::default());
+    let untraced = stream_stats(&logical, &catalog, &PlannerConfig::default());
     assert!(
         untraced.operators.iter().all(|op| !op.timed()),
         "tracing off must record no wall time"
@@ -246,7 +240,7 @@ fn span_timing_is_gated_by_the_tracing_flag() {
     assert!(untraced.operators.iter().any(|op| op.rows_out > 0));
 
     // Tracing on: the same tree, now with spans.
-    let traced = stream_stats(&physical, &catalog, &PlannerConfig::default().tracing(true));
+    let traced = stream_stats(&logical, &catalog, &PlannerConfig::default().tracing(true));
     assert!(
         traced.operators.iter().any(|op| op.timed()),
         "tracing on must record wall time"
@@ -285,7 +279,7 @@ fn explain_analyze_lines_up_estimates_and_actuals() {
     let analyzed = engine.explain_analyze(Q2).unwrap();
     let stats = analyzed.stats.as_ref().expect("analyze measures stats");
     let operators = analyzed.operator_stats().expect("span tree present");
-    assert_eq!(operators.len(), analyzed.physical.operator_count());
+    assert_eq!(operators.len(), analyzed.optimized.node_count());
     assert_eq!(analyzed.estimated_rows.len(), operators.len());
     assert!(
         operators.iter().any(|op| op.timed()),
@@ -321,7 +315,7 @@ fn explain_analyze_lines_up_estimates_and_actuals() {
     let explained = engine.explain(Q2).unwrap();
     assert_eq!(
         explained.estimated_rows.len(),
-        explained.physical.operator_count()
+        explained.optimized.node_count()
     );
     assert!(explained.operator_stats().is_none());
     assert!(explained.estimation_errors().is_none());

@@ -23,7 +23,7 @@
 
 use div_algebra::{relation, AggregateCall, AggregateFunction, CompareOp, Predicate, Relation};
 use div_expr::{evaluate, Catalog, LogicalPlan, PlanBuilder};
-use div_physical::{plan_query, ExecStats, PlannerConfig, QueryGuard, StreamExecutor};
+use div_physical::{ExecStats, PlannerConfig, QueryGuard, StreamExecutor};
 use div_sql::{Engine, QueryOutput};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -156,8 +156,7 @@ fn run_guard_budget(
 ) -> (Relation, ExecStats) {
     let config = PlannerConfig::default().batch_size(4).spill_to_disk(true);
     let guard = QueryGuard::from_config(&config).with_budget_rows(budget);
-    let plan = plan_query(logical, &config).unwrap();
-    let mut stream = StreamExecutor::with_guard(&plan, catalog, &config, guard).unwrap();
+    let mut stream = StreamExecutor::with_guard(logical, catalog, &config, guard).unwrap();
     let mut out = Relation::empty(stream.schema().clone());
     while let Some(batch) = stream
         .next_batch()

@@ -8,18 +8,14 @@
 //! every plan shape tested here.
 
 use div_columnar::ColumnarBatch;
-use div_physical::{merge, ExecStats, PhysicalPlan};
+use div_physical::{merge, ExecStats};
 use division::prelude::*;
 use proptest::prelude::*;
 
-/// Drain a [`StreamExecutor`] over `physical` at `batch_size` into a relation.
-fn drain_stream(
-    physical: &PhysicalPlan,
-    catalog: &Catalog,
-    batch_size: usize,
-) -> (Relation, ExecStats) {
+/// Drain a [`StreamExecutor`] over `plan` at `batch_size` into a relation.
+fn drain_stream(plan: &LogicalPlan, catalog: &Catalog, batch_size: usize) -> (Relation, ExecStats) {
     let config = PlannerConfig::with_batch_size(batch_size);
-    let mut stream = StreamExecutor::new(physical, catalog, &config).unwrap();
+    let mut stream = StreamExecutor::new(plan, catalog, &config).unwrap();
     let mut out = Relation::empty(stream.schema().clone());
     while let Some(batch) = stream.next_batch().unwrap() {
         for row in 0..batch.num_rows() {
@@ -96,8 +92,8 @@ proptest! {
         );
     }
 
-    /// Whole physical plans (planner + streaming executor) match the logical
-    /// reference evaluator for the Q2 and great-divide query shapes.
+    /// Whole plans on the streaming executor match the logical reference
+    /// evaluator for the Q2 and great-divide query shapes.
     #[test]
     fn physical_plans_match_logical_evaluation(
         supplies in ab_pairs(40),
@@ -269,50 +265,48 @@ fn differential_logical_plans() -> Vec<LogicalPlan> {
     ]
 }
 
-/// Rows of every `TableScan` / `Values` leaf of `plan`: what a full drain
-/// scans when no zone map lets a scan skip a chunk.
-fn leaf_rows(plan: &PhysicalPlan, catalog: &Catalog) -> usize {
+/// Rows of every `Scan` / `Values` leaf of `plan`: what a full drain scans
+/// when no zone map lets a scan skip a chunk.
+fn leaf_rows(plan: &LogicalPlan, catalog: &Catalog) -> usize {
     match plan {
-        PhysicalPlan::TableScan { table } => catalog.row_count(table).unwrap(),
-        PhysicalPlan::Values { relation } => relation.len(),
+        LogicalPlan::Scan { table } => catalog.row_count(table).unwrap(),
+        LogicalPlan::Values { relation } => relation.len(),
         _ => plan.children().iter().map(|c| leaf_rows(c, catalog)).sum(),
     }
 }
 
-/// Plan `logical` and drain it through the streaming executor.
+/// Drain `logical` through the streaming executor.
 fn run_plan(logical: &LogicalPlan, catalog: &Catalog) -> Relation {
-    let physical = plan_query(logical, &PlannerConfig::default()).unwrap();
-    drain_stream(&physical, catalog, PlannerConfig::DEFAULT_BATCH_SIZE).0
+    drain_stream(logical, catalog, PlannerConfig::DEFAULT_BATCH_SIZE).0
 }
 
-/// Evaluate `logical` with the reference evaluator, then run its physical
-/// plan on a drained [`StreamExecutor`] at batch sizes that split, straddle
+/// Evaluate `logical` with the reference evaluator, then run it on a
+/// drained [`StreamExecutor`] at batch sizes that split, straddle
 /// and exceed the inputs, and assert byte-identical relations and consistent
 /// `ExecStats` row accounting: the output cardinality always, every leaf row
 /// scanned whenever no zone map let a pushed-down filter skip a chunk, and
 /// no resident row leaked.
 fn assert_backends_agree(logical: &LogicalPlan, catalog: &Catalog) {
     let expected = evaluate(logical, catalog).unwrap();
-    let physical = plan_query(logical, &PlannerConfig::default()).unwrap();
     for batch_size in [1usize, 3, 1024] {
         let name = format!("stream/b{batch_size}");
-        let (result, stats) = drain_stream(&physical, catalog, batch_size);
-        assert_eq!(result, expected, "{name} diverges on plan:\n{physical}");
+        let (result, stats) = drain_stream(logical, catalog, batch_size);
+        assert_eq!(result, expected, "{name} diverges on plan:\n{logical}");
         assert_eq!(
             stats.output_rows,
             expected.len(),
-            "{name}: output_rows diverge on plan:\n{physical}"
+            "{name}: output_rows diverge on plan:\n{logical}"
         );
         if stats.chunks_skipped == 0 {
             assert_eq!(
                 stats.rows_scanned,
-                leaf_rows(&physical, catalog),
-                "{name}: rows_scanned diverge on plan:\n{physical}"
+                leaf_rows(logical, catalog),
+                "{name}: rows_scanned diverge on plan:\n{logical}"
             );
         }
         assert_eq!(
             stats.resident_rows_on_finish, 0,
-            "{name}: resident rows leaked on plan:\n{physical}"
+            "{name}: resident rows leaked on plan:\n{logical}"
         );
     }
 }
@@ -336,7 +330,6 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
     );
 
     for (shape_idx, logical) in differential_logical_plans().into_iter().enumerate() {
-        let physical = plan_query(&logical, &PlannerConfig::default()).unwrap();
         let expected = evaluate(&logical, &catalog).unwrap();
         for batch_size in [1usize, 3, 4096] {
             let engine = Engine::builder(catalog.clone())
@@ -356,7 +349,7 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
             );
             assert_eq!(
                 output.stats.rows_scanned,
-                leaf_rows(&physical, &catalog),
+                leaf_rows(&logical, &catalog),
                 "shape #{shape_idx}: fully drained cursors scan everything exactly once"
             );
         }
@@ -445,10 +438,8 @@ fn simulation_intermediates_grow_quadratically_but_special_purpose_do_not() {
         let mut catalog = Catalog::new();
         catalog.register("r1", dividend);
         catalog.register("r2", divisor);
-        let drain = |plan: LogicalPlan| {
-            let physical = plan_query(&plan, &PlannerConfig::default()).unwrap();
-            drain_stream(&physical, &catalog, PlannerConfig::DEFAULT_BATCH_SIZE)
-        };
+        let drain =
+            |plan: LogicalPlan| drain_stream(&plan, &catalog, PlannerConfig::DEFAULT_BATCH_SIZE);
         let (simulated, sim) = drain(
             PlanBuilder::scan("r1")
                 .difference_plan(PlanBuilder::scan("r2"), &["a"], &["b"])

@@ -19,10 +19,9 @@
 
 use div_algebra::{CompareOp, Predicate, Relation, Value};
 use div_columnar::{partition::concat_batches, ColumnarBatch};
-use div_expr::{Catalog, ExprError, PlanBuilder};
+use div_expr::{Catalog, ExprError, LogicalPlan, PlanBuilder};
 use div_physical::{
-    failpoint, plan_query, CancelToken, ExecStats, FailAction, PhysicalPlan, PlannerConfig,
-    QueryGuard, StreamExecutor,
+    failpoint, CancelToken, ExecStats, FailAction, PlannerConfig, QueryGuard, StreamExecutor,
 };
 use div_sql::Engine;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -107,13 +106,9 @@ fn catalog_with(name: &str, residency: Residency) -> (Catalog, Option<TableFile>
     (c, Some(file))
 }
 
-fn scan_plan(table: &str, config: &PlannerConfig) -> PhysicalPlan {
-    plan_query(&PlanBuilder::scan(table).build(), config).unwrap()
-}
-
 /// Pull until the end or the first error; the statistics either way.
 fn drive(
-    plan: &PhysicalPlan,
+    plan: &LogicalPlan,
     catalog: &Catalog,
     config: &PlannerConfig,
     guard: QueryGuard,
@@ -138,7 +133,7 @@ fn scan_chunks_are_the_table_at_every_batch_size() {
         for batch_size in [1, 3, 8, 256, 1024, 4096] {
             let at = format!("{residency:?}, batch_size {batch_size}");
             let config = PlannerConfig::default().batch_size(batch_size);
-            let plan = scan_plan("t", &config);
+            let plan = PlanBuilder::scan("t").build();
             let (chunks, stats) = drive(&plan, &c, &config, QueryGuard::default());
             let chunks = chunks.unwrap();
             assert!(
@@ -168,13 +163,9 @@ fn scan_chunks_are_the_table_at_every_batch_size() {
             assert!(stats.rows_scanned < ROWS as usize, "{at}");
 
             // A bare filtered scan holds a few batches, not a source chunk.
-            let filtered = plan_query(
-                &PlanBuilder::scan("t")
-                    .select(Predicate::eq_value("b", true))
-                    .build(),
-                &config,
-            )
-            .unwrap();
+            let filtered = PlanBuilder::scan("t")
+                .select(Predicate::eq_value("b", true))
+                .build();
             let (chunks, stats) = drive(&filtered, &c, &config, QueryGuard::default());
             let rows: usize = chunks.unwrap().iter().map(ColumnarBatch::num_rows).sum();
             assert_eq!(rows, (ROWS as usize).div_ceil(3), "{at}");
@@ -238,8 +229,7 @@ fn pushed_down_filters_skip_segments_without_changing_results() {
         let reference = div_expr::evaluate(&on_nulls, &reference_catalog).unwrap_err();
         assert!(reference.to_string().contains("type error"), "{reference}");
         let config = PlannerConfig::default();
-        let plan = plan_query(&on_nulls, &config).unwrap();
-        let (result, stats) = drive(&plan, &c, &config, QueryGuard::default());
+        let (result, stats) = drive(&on_nulls, &c, &config, QueryGuard::default());
         assert_eq!(result.unwrap_err().to_string(), reference.to_string());
         assert_eq!(stats.chunks_skipped, 0, "{residency:?}");
         assert_eq!(stats.resident_rows_on_finish, 0, "{residency:?}");
@@ -321,7 +311,7 @@ fn aborting_mid_scan_leaks_no_resident_rows() {
     for residency in RESIDENCIES {
         let (c, _file) = catalog_with("t_abort", residency);
         let config = PlannerConfig::default().batch_size(256);
-        let plan = scan_plan("t_abort", &config);
+        let plan = PlanBuilder::scan("t_abort").build();
 
         // Guard trip: cancelled after the first chunk.
         let token = CancelToken::new();
@@ -356,13 +346,9 @@ fn aborting_mid_scan_leaks_no_resident_rows() {
         // Budget trip: the intersection's hash-join build side, drained from
         // the scan under a budget smaller than the table, trips inside its
         // drain.
-        let blocking = plan_query(
-            &PlanBuilder::scan("t_abort")
-                .intersect(PlanBuilder::scan("t_abort"))
-                .build(),
-            &config,
-        )
-        .unwrap();
+        let blocking = PlanBuilder::scan("t_abort")
+            .intersect(PlanBuilder::scan("t_abort"))
+            .build();
         let (result, stats) = drive(
             &blocking,
             &c,

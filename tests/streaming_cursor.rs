@@ -180,8 +180,7 @@ fn budget_free_divide_never_buffers_its_dividend() {
     let config = PlannerConfig::default().batch_size(batch_size);
     for (logical, label) in [(small, "Divide"), (great, "GreatDivide")] {
         let run = |config: PlannerConfig| {
-            let plan = plan_query(&logical, &config).unwrap();
-            let mut stream = StreamExecutor::new(&plan, &c, &config).unwrap();
+            let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
             while stream.next_batch().unwrap().is_some() {}
             stream.finish()
         };
