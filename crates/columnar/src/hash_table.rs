@@ -239,9 +239,10 @@ pub struct PairTable {
     table: KeyTable,
 }
 
-/// Pack an id pair into its injective `u64` code.
+/// Pack a `u32` pair into its injective `u64` code: `a` in the high half,
+/// `b` in the low half.
 #[inline]
-fn pair_code(a: u32, b: u32) -> u64 {
+pub(crate) fn pair_code(a: u32, b: u32) -> u64 {
     (u64::from(a) << 32) | u64::from(b)
 }
 

@@ -1,15 +1,15 @@
 //! Batch-native hash joins on the vectorized key pipeline.
 //!
 //! Keys are normalized once per batch ([`KeyVector`]) and the build side
-//! goes into an open-addressing [`GroupIndex`] plus a
-//! CSR row list — no
-//! per-row `Value` materialization, no SipHash.
+//! goes into an open-addressing [`GroupIndex`] plus, for the natural join
+//! only, a CSR row list — no per-row `Value` materialization, no SipHash.
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{index_rows_tracked, GroupIndex};
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::Result;
 use div_algebra::Schema;
+use std::sync::OnceLock;
 
 /// A kernel result: the output batch plus the probe count the executor feeds
 /// into [`ExecStats`](https://docs.rs/div-physical) (one probe per left
@@ -118,9 +118,10 @@ fn natural_probe(
 
 /// A hash-join build side prepared once and probed chunk-at-a-time — the
 /// one join kernel `div_physical::stream`'s hash join runs. The build batch
-/// is hashed and CSR-indexed exactly once; every probe chunk then streams
-/// through [`JoinBuild::probe_natural`] / [`JoinBuild::probe_semi`] without
-/// the per-call rebuild the one-shot [`hash_natural_join`] pays.
+/// is hashed exactly once, and CSR-indexed at most once, by the first
+/// natural probe; every probe chunk then streams through
+/// [`JoinBuild::probe_natural`] / [`JoinBuild::probe_semi`] without the
+/// per-call rebuild the one-shot [`hash_natural_join`] pays.
 ///
 /// The key is every attribute the two schemas share, in the probe schema's
 /// order, and inexact code matches are verified against the build batch
@@ -155,8 +156,13 @@ pub struct JoinBuild {
     build_key: Vec<usize>,
     build_keys: KeyVector,
     index: GroupIndex,
-    offsets: Vec<u32>,
-    rows_csr: Vec<u32>,
+    /// The key group of every build row, in row order.
+    gid_of: Vec<u32>,
+    /// The CSR row lists `(offsets, rows)` of every key group, laid out
+    /// from `gid_of` on the first [`JoinBuild::probe_natural`]: a semi or
+    /// anti probe needs only the index, so a build probed only that way
+    /// never builds them.
+    row_lists: OnceLock<(Vec<u32>, Vec<u32>)>,
     build_extra_idx: Vec<usize>,
     out_schema: Schema,
 }
@@ -171,15 +177,14 @@ impl JoinBuild {
         let out_schema = probe_schema.natural_union(build.schema());
         let build_keys = KeyVector::build(&build, &build_key);
         let (index, gid_of) = index_rows_tracked(&build, &build_key, &build_keys);
-        let (offsets, rows_csr) = csr_from_gids(&gid_of, index.len());
         Ok(JoinBuild {
             build,
             probe_key,
             build_key,
             build_keys,
             index,
-            offsets,
-            rows_csr,
+            gid_of,
+            row_lists: OnceLock::new(),
             build_extra_idx,
             out_schema,
         })
@@ -199,6 +204,9 @@ impl JoinBuild {
     /// Natural-join one probe chunk against the prepared build side.
     pub fn probe_natural(&self, chunk: &ColumnarBatch) -> Result<KernelOutput> {
         let chunk_keys = KeyVector::build(chunk, &self.probe_key);
+        let (offsets, rows_csr) = self
+            .row_lists
+            .get_or_init(|| csr_from_gids(&self.gid_of, self.index.len()));
         Ok(natural_probe(
             chunk,
             &self.probe_key,
@@ -207,8 +215,8 @@ impl JoinBuild {
             &self.build_key,
             &self.build_keys,
             &self.index,
-            &self.offsets,
-            &self.rows_csr,
+            offsets,
+            rows_csr,
             &self.build_extra_idx,
             self.out_schema.clone(),
         ))

@@ -23,18 +23,29 @@
 //!   and fanned out through the dictionary codes (per row: one array load),
 //! * `NULL` codes as the fixed sentinel [`NULL_CODE`],
 //! * booleans and set values code as fixed/combined hash constants,
-//! * a multi-column (composite) key folds its column codes with
+//! * a two-column key whose two values are both non-NULL ints in the `i32`
+//!   range codes as `(a as u32) << 32 | (b as u32)` — the two halves side
+//!   by side, injective like the raw-`i64` path. The choice is made per row
+//!   from the values alone, so it is the same for every encoding (`Int`
+//!   with or without a validity bitmap, `Mixed`) and every batch,
+//! * any other multi-column (composite) key folds its column codes with
 //!   [`combine`], starting from [`COMPOSITE_SEED`].
 //!
-//! Equal keys therefore always get equal codes. The converse holds only for
-//! the raw-`i64` path: every other path can collide in the `u64` code
-//! space (e.g. `Value::Int(NULL_CODE as i64)` collides with `NULL` by
-//! construction). [`KeyVector::exact`] reports which case applies, and the
+//! [`key_code`] is the value-level statement of these rules. Equal keys
+//! therefore always get equal codes. The converse holds only for the
+//! raw-`i64` and packed paths: every other path can collide in the `u64`
+//! code space (e.g. `Value::Int(NULL_CODE as i64)` collides with `NULL` by
+//! construction, and a folded code can equal a packed one).
+//! [`KeyVector::exact`] reports which case applies — a single NULL-free int
+//! column, or a two-column key every row of which was packed — and the
 //! consuming tables verify candidates against the source batches (via
-//! [`keys_equal`]) whenever either side is inexact.
+//! [`keys_equal`]) whenever either side is inexact. Partition routing hashes
+//! the folded code of every composite key, packed or not, so packing
+//! changes what the tables verify and nothing about where a row spills.
 
 use crate::batch::ColumnarBatch;
 use crate::column::{Column, StrColumn};
+use crate::hash_table::pair_code;
 use div_algebra::Value;
 
 /// Code of the SQL `NULL` key value. Public so tests can construct forced
@@ -94,6 +105,33 @@ pub fn value_code(value: &Value) -> u64 {
     }
 }
 
+/// The packed code of a two-column key, when both values fit in an `i32`:
+/// the high half is `a`'s 32 bits, the low half `b`'s. Distinct in-range
+/// pairs get distinct codes.
+#[inline]
+fn packed_code(a: i64, b: i64) -> Option<u64> {
+    let (a, b) = (i32::try_from(a).ok()?, i32::try_from(b).ok()?);
+    Some(pair_code(a as u32, b as u32))
+}
+
+/// The canonical code of a key given as its values, in key-column order —
+/// the value-level contract [`KeyVector::build`] implements for every
+/// encoding: one value codes as [`value_code`], two ints in the `i32` range
+/// pack, and anything else folds its value codes from [`COMPOSITE_SEED`].
+pub fn key_code(values: &[Value]) -> u64 {
+    if let [single] = values {
+        return value_code(single);
+    }
+    if let [Value::Int(a), Value::Int(b)] = values {
+        if let Some(code) = packed_code(*a, *b) {
+            return code;
+        }
+    }
+    values
+        .iter()
+        .fold(COMPOSITE_SEED, |acc, v| combine(acc, value_code(v)))
+}
+
 /// A batch's key columns normalized to one dense `u64` code per row.
 ///
 /// Built once per batch per operator. See the module docs for the
@@ -111,6 +149,17 @@ impl KeyVector {
     /// ([`COMPOSITE_SEED`]) — the degenerate key under which all rows are
     /// equal, matching the semantics of grouping by nothing.
     pub fn build(batch: &ColumnarBatch, key_columns: &[usize]) -> KeyVector {
+        if let [a, b] = key_columns {
+            return pair_codes(batch.column(*a), batch.column(*b));
+        }
+        KeyVector::build_folded(batch, key_columns)
+    }
+
+    /// [`KeyVector::build`] with no packed path: a two-column key folds like
+    /// any other composite key. Partition routing hashes these codes, so
+    /// which spill partition a row lands in does not depend on whether its
+    /// key packs — packing only spares the hash tables their verification.
+    pub(crate) fn build_folded(batch: &ColumnarBatch, key_columns: &[usize]) -> KeyVector {
         let rows = batch.num_rows();
         if let [single] = key_columns {
             if let Column::Int {
@@ -164,13 +213,66 @@ impl KeyVector {
         self.codes.is_empty()
     }
 
-    /// `true` when code equality *implies* key equality (the raw-`i64`
-    /// path). Two exact vectors can be matched on codes alone; if either
-    /// side is inexact, matches must be verified against the source batches
-    /// (see [`keys_equal`]).
+    /// `true` when code equality *implies* key equality: the raw-`i64`
+    /// path, or a two-column key every row of which took the packed path.
+    /// Two exact vectors can be matched on codes alone; if either side is
+    /// inexact, matches must be verified against the source batches (see
+    /// [`keys_equal`]).
     #[inline]
     pub fn exact(&self) -> bool {
         self.exact
+    }
+}
+
+/// The codes of a two-column key ([`key_code`] row by row): packed where
+/// both values are ints in the `i32` range, folded elsewhere. The vector is
+/// exact when no row folded.
+fn pair_codes(a: &Column, b: &Column) -> KeyVector {
+    let mut exact = true;
+    // The hot path: two NULL-free int columns, decided per row with no
+    // second pass.
+    if let (Some((av, None)), Some((bv, None))) = (a.as_int_slice(), b.as_int_slice()) {
+        let codes = av
+            .iter()
+            .zip(bv)
+            .map(|(&x, &y)| {
+                packed_code(x, y).unwrap_or_else(|| {
+                    exact = false;
+                    combine(combine(COMPOSITE_SEED, x as u64), y as u64)
+                })
+            })
+            .collect();
+        return KeyVector { codes, exact };
+    }
+    let mut codes = vec![COMPOSITE_SEED; a.len()];
+    for col in [a, b] {
+        for_each_code(col, |i, code| codes[i] = combine(codes[i], code));
+    }
+    for (i, code) in codes.iter_mut().enumerate() {
+        match int_at(a, i)
+            .zip(int_at(b, i))
+            .and_then(|(x, y)| packed_code(x, y))
+        {
+            Some(packed) => *code = packed,
+            None => exact = false,
+        }
+    }
+    KeyVector { codes, exact }
+}
+
+/// Row `i` of `col` when it holds a non-NULL int, whatever the encoding.
+#[inline]
+fn int_at(col: &Column, i: usize) -> Option<i64> {
+    match col {
+        Column::Int { values, validity } => validity
+            .as_ref()
+            .is_none_or(|valid| valid[i])
+            .then(|| values[i]),
+        Column::Mixed(values) => match values[i] {
+            Value::Int(v) => Some(v),
+            _ => None,
+        },
+        Column::Bool { .. } | Column::Str(_) => None,
     }
 }
 
@@ -332,6 +434,7 @@ pub fn cross_matcher<'a>(
 mod tests {
     use super::*;
     use div_algebra::{relation, Relation, Schema, Tuple};
+    use proptest::prelude::*;
 
     #[test]
     fn raw_int_columns_are_exact_and_identity_coded() {
@@ -381,17 +484,57 @@ mod tests {
 
     #[test]
     fn composite_codes_agree_across_batches_and_differ_per_key() {
+        // Two in-range ints pack: the vector is exact, and the code is the
+        // two halves side by side.
         let a = ColumnarBatch::from_relation(&relation! { ["x", "y"] => [1, 2], [2, 1] });
         let b = ColumnarBatch::from_relation(&relation! { ["y", "x"] => [2, 1] });
         let ka = KeyVector::build(&a, &[0, 1]);
         let kb = KeyVector::build(&b, &[1, 0]);
-        assert!(!ka.exact());
+        assert!(ka.exact() && kb.exact());
+        assert_eq!(ka.code(0), (1 << 32) | 2);
         assert_eq!(ka.code(0), kb.code(0), "(1, 2) codes agree across batches");
         assert_ne!(
             ka.code(0),
             ka.code(1),
             "(1, 2) vs (2, 1) is order-sensitive"
         );
+        assert_eq!(
+            KeyVector::build(&a, &[0, 1]).code(1),
+            key_code(&[Value::Int(2), Value::Int(1)])
+        );
+
+        // One NULL or one value outside the i32 range folds that row, and
+        // the vector is no longer exact; the in-range row keeps its code.
+        let big = i64::from(i32::MAX) + 1;
+        for odd in [Value::Null, Value::Int(big), Value::Int(-big - 1)] {
+            let rel = Relation::new(
+                Schema::of(["x", "y"]),
+                [
+                    Tuple::new([Value::Int(1), Value::Int(2)]),
+                    Tuple::new([Value::Int(3), odd.clone()]),
+                ],
+            )
+            .unwrap();
+            let batch = ColumnarBatch::from_relation(&rel);
+            let keys = KeyVector::build(&batch, &[0, 1]);
+            assert!(!keys.exact(), "{odd:?} folds");
+            let row = (0..2).find(|&i| batch.value_at(i, 1) == odd).unwrap();
+            let folded = combine(combine(COMPOSITE_SEED, 3), value_code(&odd));
+            assert_eq!(keys.code(row), folded, "{odd:?}");
+            assert_eq!(keys.code(1 - row), ka.code(0), "(1, 2) still packs");
+        }
+        // The i32 bounds themselves pack.
+        let bounds = Relation::new(
+            Schema::of(["x", "y"]),
+            [Tuple::new([
+                Value::Int(i32::MIN.into()),
+                Value::Int(i32::MAX.into()),
+            ])],
+        )
+        .unwrap();
+        let keys = KeyVector::build(&ColumnarBatch::from_relation(&bounds), &[0, 1]);
+        assert!(keys.exact());
+        assert_eq!(keys.code(0), 0x8000_0000_7fff_ffff);
     }
 
     #[test]
@@ -441,5 +584,98 @@ mod tests {
             value_code(&Value::set([1, 2])),
             value_code(&Value::set([1, 3]))
         );
+    }
+
+    /// Key values on both sides of the `i32` bounds, NULL and strings.
+    fn drawn_value(pick: u32) -> Value {
+        let big = i64::from(i32::MAX);
+        match pick {
+            0 => Value::Int(-3),
+            1 => Value::Int(0),
+            2 => Value::Int(7),
+            3 => Value::Int(-big - 1),
+            4 => Value::Int(-big - 2),
+            5 => Value::Int(big),
+            6 => Value::Int(big + 1),
+            7 => Value::Int(i64::MIN),
+            8 => Value::Int(i64::MAX),
+            9 => Value::Null,
+            10 => Value::str("x"),
+            _ => Value::str("y"),
+        }
+    }
+
+    /// One column over `values`, in the encoding `choice` picks among those
+    /// that can hold them: `Int` without a validity bitmap (no NULLs), `Int`
+    /// with one (ints and NULLs), or `Mixed` (anything).
+    fn encoded(values: &[Value], choice: u64) -> Column {
+        let ints: Option<Vec<Option<i64>>> = values
+            .iter()
+            .map(|v| match v {
+                Value::Int(i) => Some(Some(*i)),
+                Value::Null => Some(None),
+                _ => None,
+            })
+            .collect();
+        let Some(ints) = ints else {
+            return Column::Mixed(values.to_vec());
+        };
+        let nulls = ints.iter().any(Option::is_none);
+        match (choice % 3, nulls) {
+            (0, false) => Column::Int {
+                values: ints.iter().map(|i| i.unwrap_or(0)).collect(),
+                validity: None,
+            },
+            (1, _) | (0, true) => Column::Int {
+                values: ints.iter().map(|i| i.unwrap_or(0)).collect(),
+                validity: Some(ints.iter().map(Option::is_some).collect()),
+            },
+            _ => Column::Mixed(values.to_vec()),
+        }
+    }
+
+    fn packs(a: &Value, b: &Value) -> bool {
+        let in_range = |v: &Value| matches!(v, Value::Int(i) if i32::try_from(*i).is_ok());
+        in_range(a) && in_range(b)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Two-column keys cut into chunks, each column of each chunk in a
+        /// drawn encoding: every row's code is `key_code` of its values (so
+        /// codes agree across chunks and encodings), and a vector is exact
+        /// exactly when every one of its rows packed.
+        #[test]
+        fn two_column_codes_are_a_function_of_the_values(
+            rows in prop::collection::vec((0u32..12, 0u32..12), 0..40),
+            chunk_rows in 1usize..9,
+            encodings in 0u64..1 << 40,
+        ) {
+            let schema = Schema::of(["a", "b", "c"]);
+            for (n, chunk) in rows.chunks(chunk_rows).enumerate() {
+                let a: Vec<Value> = chunk.iter().map(|&(a, _)| drawn_value(a)).collect();
+                let b: Vec<Value> = chunk.iter().map(|&(_, b)| drawn_value(b)).collect();
+                let choice = encodings >> (2 * (n % 20));
+                // The key columns sit apart, with a bystander between them.
+                let bystander = encoded(&vec![Value::Int(0); a.len()], 0);
+                let columns = vec![encoded(&a, choice), bystander, encoded(&b, choice / 3)];
+                let batch = ColumnarBatch::from_parts(schema.clone(), columns, a.len());
+                for (cols, flip) in [([0, 2], false), ([2, 0], true)] {
+                    let keys = KeyVector::build(&batch, &cols);
+                    let mut all_packed = true;
+                    for i in 0..a.len() {
+                        let (x, y) = if flip { (&b[i], &a[i]) } else { (&a[i], &b[i]) };
+                        prop_assert_eq!(
+                            keys.code(i),
+                            key_code(&[x.clone(), y.clone()]),
+                            "row {} of {:?}", i, (x, y)
+                        );
+                        all_packed &= packs(x, y);
+                    }
+                    prop_assert_eq!(keys.exact(), all_packed, "chunk {:?}", chunk);
+                }
+            }
+        }
     }
 }

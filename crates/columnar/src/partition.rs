@@ -42,7 +42,7 @@ pub fn partition_rows(
 ) -> Vec<Vec<usize>> {
     let partitions = partitions.max(1);
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); partitions];
-    let keys = KeyVector::build(batch, key_columns);
+    let keys = KeyVector::build_folded(batch, key_columns);
     for (row, &code) in keys.codes().iter().enumerate() {
         buckets[fast_range(mix(code ^ seed), partitions)].push(row);
     }

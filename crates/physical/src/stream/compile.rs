@@ -161,17 +161,15 @@ impl Compiler<'_> {
             LogicalPlan::NaturalJoin { left, right }
             | LogicalPlan::SemiJoin { left, right }
             | LogicalPlan::AntiSemiJoin { left, right } => {
+                let (left, right) = (self.child(left)?, self.child(right)?);
                 let kind = match plan {
-                    LogicalPlan::NaturalJoin { .. } => JoinKind::Natural,
+                    LogicalPlan::NaturalJoin { .. } => {
+                        natural_join_kind(left.schema(), right.schema())
+                    }
                     LogicalPlan::SemiJoin { .. } => JoinKind::Semi,
                     _ => JoinKind::Anti,
                 };
-                Box::new(HashJoinStream::new(
-                    meta,
-                    self.child(left)?,
-                    self.child(right)?,
-                    kind,
-                ))
+                Box::new(HashJoinStream::new(meta, left, right, kind))
             }
             LogicalPlan::GroupAggregate {
                 input,
@@ -196,6 +194,19 @@ impl Compiler<'_> {
                 Box::new(DivideStream::new(meta, dividend, divisor, schema))
             }
         })
+    }
+}
+
+/// The hash join that evaluates `left ⋈ right`. A right side that adds no
+/// attribute is keyed on all of its own, so a left row matches at most one
+/// of its rows and the join only filters: under set semantics
+/// `r ⋈ s = r ⋉ s` whenever attrs(s) ⊆ attrs(r), with the same schema and
+/// row order, and the semi-join needs no row lists and no gather.
+pub(super) fn natural_join_kind(left: &Schema, right: &Schema) -> JoinKind {
+    if right.attributes().all(|a| left.contains(a.name())) {
+        JoinKind::Semi
+    } else {
+        JoinKind::Natural
     }
 }
 

@@ -189,6 +189,77 @@ fn every_operator_shape_streams_identically_to_the_row_backend() {
     }
 }
 
+/// `r ⋈ s = r ⋉ s` when attrs(s) ⊆ attrs(r): `r ⋈ r` and `r ⋈ π_A(r)`
+/// compile onto the semi-join, a right side that adds a column keeps the
+/// natural join, and all three match the reference in memory at every batch
+/// size and under a spill budget, with the probe count the natural join
+/// kernel reports for the same inputs.
+#[test]
+fn a_natural_join_whose_right_side_adds_no_attribute_runs_as_a_semi_join() {
+    use super::compile::natural_join_kind;
+    use super::join::JoinKind;
+
+    let mut c = Catalog::new();
+    let pairs: Vec<(i64, i64)> = (0..300).map(|i| (i % 40, i / 40 + i % 3)).collect();
+    let r = Relation::from_rows(["a", "b"], pairs.iter().map(|&(a, b)| vec![a, b])).unwrap();
+    c.register("r", r);
+    // Every row of `r` with a tag: the natural join adds column `t`.
+    let tags = pairs.iter().map(|&(a, b)| vec![b, a, (a + b) % 5]);
+    c.register("tags", Relation::from_rows(["b", "a", "t"], tags).unwrap());
+    let scan = PlanBuilder::scan;
+    let shapes = [
+        (scan("r").natural_join(scan("r")).build(), JoinKind::Semi),
+        (
+            scan("r").natural_join(scan("r").project(["a"])).build(),
+            JoinKind::Semi,
+        ),
+        (
+            scan("r").natural_join(scan("tags")).build(),
+            JoinKind::Natural,
+        ),
+    ];
+    for (logical, kind) in shapes {
+        let LogicalPlan::NaturalJoin { left, right } = &logical else {
+            unreachable!("every shape is a natural join");
+        };
+        let schema = |plan: &LogicalPlan| div_expr::infer_schema(plan, &c).unwrap();
+        let (left_schema, right_schema) = (schema(left), schema(right));
+        assert_eq!(natural_join_kind(&left_schema, &right_schema), kind);
+        let expected = evaluate(&logical, &c).unwrap();
+        let out_schema = left_schema.natural_union(&right_schema);
+        assert_eq!(expected.schema(), &out_schema);
+        if kind == JoinKind::Natural {
+            assert!(out_schema.arity() > left_schema.arity(), "adds a column");
+        }
+        let batch = |plan: &LogicalPlan| ColumnarBatch::from_relation(&evaluate(plan, &c).unwrap());
+        let natural_probes = div_columnar::kernels::hash_natural_join(&batch(left), &batch(right))
+            .unwrap()
+            .probes;
+        let budgeted = PlannerConfig::default()
+            .batch_size(4)
+            .memory_budget_rows(60)
+            .spill_to_disk(true);
+        let configs = [1, 3, 1024]
+            .map(|size| PlannerConfig::default().batch_size(size))
+            .into_iter()
+            .chain([budgeted]);
+        for config in configs {
+            let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
+            assert_eq!(stream.schema(), &out_schema);
+            let got = collect(&mut stream);
+            let stats = stream.finish();
+            let run = format!("{kind:?}, {config:?}, plan:\n{logical}");
+            assert_eq!(got, expected, "{run}");
+            assert_eq!(stats.operators[0].probes, natural_probes, "{run}");
+            assert_eq!(stats.resident_rows_on_finish, 0, "{run}");
+            if config.memory_budget_rows.is_some() {
+                assert!(stats.spill_partitions > 0, "never spilled: {run}");
+                assert!(stats.peak_resident_rows <= 60, "{run}");
+            }
+        }
+    }
+}
+
 /// One multi-operator plan through every pipelining and set operator kind
 /// (rename, project, union, intersect, difference, values, semi and anti
 /// join, aggregate) against the reference evaluator.

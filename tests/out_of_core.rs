@@ -1,7 +1,7 @@
 //! Out-of-core differential suite: the spilling hybrid hash operators must
 //! be *invisible* except in the statistics.
 //!
-//! * Across the eleven differential plan shapes, executions under a
+//! * Across the twelve differential plan shapes, executions under a
 //!   resident-row budget with `spill_to_disk` produce relations
 //!   byte-identical to the unbudgeted in-memory run — at an effectively
 //!   unlimited budget (spilling armed but never triggered), at the measured
@@ -61,11 +61,35 @@ fn catalog() -> Catalog {
         "grouped",
         Relation::from_rows(["p#", "c"], (0..10i64).map(|i| vec![i % 5, i % 3])).unwrap(),
     );
+    // Two-int keys on both sides of the i32 bounds: a sorted scan cuts them
+    // into chunks whose codes all pack, chunks whose codes all fold, and
+    // chunks with both, so both kinds meet in every spill partition.
+    let (low, high) = (i64::from(i32::MIN), i64::from(i32::MAX));
+    let edges = [low - 1, low, -1, 0, high, high + 1];
+    let wide: Vec<(i64, i64)> = (0..48i64)
+        .map(|i| {
+            let b = if i % 5 == 4 { i + (1 << 33) } else { i };
+            (edges[(i % 6) as usize], b)
+        })
+        .collect();
+    c.register(
+        "wide",
+        Relation::from_rows(["a", "b"], wide.iter().map(|&(a, b)| vec![a, b])).unwrap(),
+    );
+    c.register(
+        "wide_tags",
+        Relation::from_rows(
+            ["b", "a", "t"],
+            wide.iter().step_by(2).map(|&(a, b)| vec![b, a, b % 3]),
+        )
+        .unwrap(),
+    );
     c
 }
 
 /// The same eleven plan shapes the executor-differential property sweeps
-/// (`tests/physical_vs_reference.rs`), one per operator family.
+/// (`tests/physical_vs_reference.rs`), one per operator family, and a
+/// natural join on a two-int key with values outside the `i32` range.
 fn shapes() -> Vec<LogicalPlan> {
     vec![
         PlanBuilder::scan("supplies")
@@ -125,6 +149,9 @@ fn shapes() -> Vec<LogicalPlan> {
                 ],
             )
             .build(),
+        PlanBuilder::scan("wide")
+            .natural_join(PlanBuilder::scan("wide_tags"))
+            .build(),
     ]
 }
 
@@ -178,7 +205,7 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     // on top of it (shape 5) that store, not the aggregate, sets the peak:
     // there the aggregate holds exactly its groups at every budget. The
     // bare aggregate (shape 10) is the one whose own state sets the peak.
-    let spillable: &[usize] = &[0, 2, 3, 6, 7, 10];
+    let spillable: &[usize] = &[0, 2, 3, 6, 7, 10, 11];
     let aggregate_under_projection = 5;
     let mut spilled_shapes = 0usize;
     for (shape_idx, logical) in shapes().into_iter().enumerate() {
