@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use div_datagen::scenarios::{generate, ScenarioConfig, ScenarioFamily};
-use div_sql::Engine;
+use div_sql::{Engine, Request};
 
 /// Entity counts the sweep covers.
 const SCALES: [usize; 2] = [200, 1_000];
@@ -39,10 +39,25 @@ fn small_divide(c: &mut Criterion) {
             let raw = Engine::builder(data.catalog()).without_optimizer().build();
             let id = format!("{}/{entities}", family.name());
             group.bench_with_input(BenchmarkId::new("optimized", &id), &sql, |b, sql| {
-                b.iter(|| optimized.query_collect(sql).expect("query").relation.len())
+                b.iter(|| {
+                    optimized
+                        .run(Request::sql(sql))
+                        .expect("query")
+                        .collect()
+                        .expect("query")
+                        .relation
+                        .len()
+                })
             });
             group.bench_with_input(BenchmarkId::new("raw", &id), &sql, |b, sql| {
-                b.iter(|| raw.query_collect(sql).expect("query").relation.len())
+                b.iter(|| {
+                    raw.run(Request::sql(sql))
+                        .expect("query")
+                        .collect()
+                        .expect("query")
+                        .relation
+                        .len()
+                })
             });
         }
     }
@@ -58,7 +73,15 @@ fn great_divide(c: &mut Criterion) {
             let engine = Engine::new(data.catalog());
             let id = format!("{}/{entities}", family.name());
             group.bench_with_input(BenchmarkId::new("grouped", &id), &sql, |b, sql| {
-                b.iter(|| engine.query_collect(sql).expect("query").relation.len())
+                b.iter(|| {
+                    engine
+                        .run(Request::sql(sql))
+                        .expect("query")
+                        .collect()
+                        .expect("query")
+                        .relation
+                        .len()
+                })
             });
         }
     }
@@ -74,7 +97,17 @@ fn selectivity_sweep(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{selectivity:.1}")),
             &sql,
-            |b, sql| b.iter(|| engine.query_collect(sql).expect("query").relation.len()),
+            |b, sql| {
+                b.iter(|| {
+                    engine
+                        .run(Request::sql(sql))
+                        .expect("query")
+                        .collect()
+                        .expect("query")
+                        .relation
+                        .len()
+                })
+            },
         );
     }
     group.finish();

@@ -53,7 +53,10 @@ fn benches(c: &mut Criterion) {
         let stmt = engine.prepare(Q1).unwrap();
         // Both strategies compute the same result.
         assert_eq!(
-            stmt.execute_collect(&engine, &Params::new())
+            engine
+                .run(Request::prepared(&stmt))
+                .unwrap()
+                .collect()
                 .unwrap()
                 .relation,
             not_exists_baseline(&catalog)
@@ -62,7 +65,15 @@ fn benches(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("divide-by-first-class", &id),
             &suppliers,
-            |b, _| b.iter(|| stmt.execute_collect(&engine, &Params::new()).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    engine
+                        .run(Request::prepared(&stmt))
+                        .unwrap()
+                        .collect()
+                        .unwrap()
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("double-not-exists", &id),

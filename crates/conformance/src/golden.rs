@@ -34,7 +34,7 @@ use div_datagen::scenarios::{self, ScenarioConfig, ScenarioFamily};
 use div_expr::Catalog;
 use div_physical::PlannerConfig;
 use div_rewrite::{RewriteContext, RewriteEngine};
-use div_sql::{Engine, Params};
+use div_sql::{Cursor, Engine, Params, Request};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -496,7 +496,8 @@ fn run_plan_matrix(case: &GoldenCase, catalog: &Catalog) -> Result<Relation, Str
         }
         let engine = builder.build();
         let output = engine
-            .execute_logical(&law.plan)
+            .run(Request::plan(&law.plan))
+            .and_then(Cursor::collect)
             .map_err(|e| format!("{}: engine (optimize={optimize}) failed: {e}", case.name))?;
         if output.relation != reference {
             return Err(format!(
@@ -540,7 +541,8 @@ fn run_sql_matrix(case: &GoldenCase, catalog: &Catalog, sql: &str) -> Result<Rel
         let engine = builder.build();
         let label = format!("stream/opt={optimize}/b={batch}");
         let output = engine
-            .query_collect_with_params(sql, &params)
+            .run(Request::sql(sql).params(params.clone()))
+            .and_then(Cursor::collect)
             .map_err(|e| format!("{}: {label} failed: {e}", case.name))?;
         check(&label, output.relation)?;
     }

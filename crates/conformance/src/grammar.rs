@@ -180,7 +180,7 @@ pub enum QueryForm {
         /// Name/value bindings for `$name` parameters in the text.
         params: Vec<(String, Value)>,
     },
-    /// A logical plan executed through `Engine::execute_logical`.
+    /// A logical plan executed through `Engine::run(Request::plan(..))`.
     Logical(LogicalPlan),
 }
 

@@ -40,7 +40,7 @@ use div_algebra::{Relation, Value};
 use div_expr::{Catalog, LogicalPlan};
 use div_physical::{ExecStats, PlannerConfig};
 use div_rewrite::{Optimizer, RewriteContext};
-use div_sql::{Engine, Params};
+use div_sql::{Cursor, Engine, Params, Request};
 use div_storage::{TableReader, TableWriter};
 use std::fmt;
 use std::path::PathBuf;
@@ -331,17 +331,14 @@ pub fn check_case(spec: &CaseSpec) -> Result<CaseReport, Box<Mismatch>> {
                 builder = builder.without_optimizer();
             }
             let engine = builder.build();
-            let outcome = match &formulation.form {
-                QueryForm::Sql { sql, params } if params.is_empty() => {
-                    engine.query_collect(sql).map(|o| (o.relation, o.stats))
-                }
-                QueryForm::Sql { sql, params } => engine
-                    .query_collect_with_params(sql, &bind(params))
-                    .map(|o| (o.relation, o.stats)),
-                QueryForm::Logical(plan) => {
-                    engine.execute_logical(plan).map(|o| (o.relation, o.stats))
-                }
+            let request = match &formulation.form {
+                QueryForm::Sql { sql, params } => Request::sql(sql).params(bind(params)),
+                QueryForm::Logical(plan) => Request::plan(plan),
             };
+            let outcome = engine
+                .run(request)
+                .and_then(Cursor::collect)
+                .map(|o| (o.relation, o.stats));
             let (relation, stats) = match outcome {
                 Ok(output) => output,
                 // State that cannot spill (a distinct set, a product) may
@@ -433,12 +430,14 @@ fn check_rebinding(
     for value in [original.clone(), alternates.clone(), original.clone()] {
         let literal_sql = sql.replace(&format!("${name}"), &crate::grammar::sql_literal(&value));
         let expected = engine
-            .query_collect(&literal_sql)
+            .run(Request::sql(&literal_sql))
+            .and_then(Cursor::collect)
             .map_err(|e| format!("literal query `{literal_sql}` failed: {e}"))?
             .relation;
         let bound = Params::new().bind(name.clone(), value.clone());
-        let got = prepared
-            .execute_collect(&engine, &bound)
+        let got = engine
+            .run(Request::prepared(&prepared).params(bound))
+            .and_then(Cursor::collect)
             .map_err(|e| format!("prepared execution failed for {value:?}: {e}"))?
             .relation;
         if got != expected {
@@ -467,7 +466,8 @@ fn check_plan_cache(spec: &CaseSpec, catalog: &Catalog, sql: &str) -> Result<usi
     let engine = Engine::new(catalog.clone());
     let run = |round: &str, expected: &Relation| {
         let got = engine
-            .query_collect(sql)
+            .run(sql)
+            .and_then(Cursor::collect)
             .map_err(|e| format!("{round} run failed: {e}"))?
             .relation;
         if &got != expected {

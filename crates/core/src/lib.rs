@@ -61,7 +61,7 @@ pub mod prelude {
     pub use div_rewrite::{Optimizer, RewriteContext, RewriteEngine, RuleSet};
     pub use div_sql::{
         parse_query, translate_query, Cursor, Engine, EngineBuilder, EngineMetrics, Explain,
-        MetricsSnapshot, Params, PreparedStatement, QueryOutput,
+        MetricsSnapshot, Params, PreparedStatement, QueryOutput, Request,
     };
     pub use div_sql::{Error as SqlError, ParseError};
 }

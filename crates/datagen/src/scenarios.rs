@@ -422,10 +422,14 @@ mod tests {
             });
             let engine = div_sql::Engine::new(data.catalog());
             let small = engine
-                .query_collect(&data.small_divide_sql())
+                .run(div_sql::Request::sql(&data.small_divide_sql()))
+                .expect("small divide SQL runs")
+                .collect()
                 .expect("small divide SQL runs");
             let great = engine
-                .query_collect(&data.great_divide_sql())
+                .run(div_sql::Request::sql(&data.great_divide_sql()))
+                .expect("great divide SQL runs")
+                .collect()
                 .expect("great divide SQL runs");
             // Cross-check against the reference algebra.
             let expected_small = data

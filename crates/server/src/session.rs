@@ -301,22 +301,11 @@ fn poll_tick_passed(err: &io::Error) -> bool {
     )
 }
 
-/// Build the guard for one statement: the engine's configured defaults,
-/// overridden by the server's session-wide defaults, observing `token`.
-/// The deadline arms here — immediately before the cursor opens.
-fn statement_guard(engine: &Engine, config: &ServerConfig, token: CancelToken) -> QueryGuard {
-    let mut guard = QueryGuard::from_config(engine.planner_config()).with_token(token);
-    if let Some(deadline) = config.default_deadline {
-        guard = guard.with_deadline(deadline);
-    }
-    if let Some(budget) = config.default_budget_rows {
-        guard = guard.with_budget_rows(budget);
-    }
-    guard
-}
-
 /// Register a fresh cancellation token for the statement this session is
-/// about to run. The returned drop guard deregisters it on every exit path.
+/// about to run, and build its guard: the engine's configured defaults,
+/// overridden by the server's session-wide defaults, observing the token.
+/// The deadline arms here — immediately before the cursor opens. The
+/// returned drop guard deregisters the token on every exit path.
 fn arm_statement<'a>(
     session_id: u64,
     cancels: &'a CancelRegistry,
@@ -325,13 +314,18 @@ fn arm_statement<'a>(
 ) -> (QueryGuard, ArmedStatement<'a>) {
     let token = CancelToken::new();
     cancels.register(session_id, token.clone());
-    (
-        statement_guard(engine, config, token),
-        ArmedStatement {
-            registry: cancels,
-            session: session_id,
-        },
-    )
+    let mut guard = QueryGuard::from_config(engine.planner_config()).with_token(token);
+    if let Some(deadline) = config.default_deadline {
+        guard = guard.with_deadline(deadline);
+    }
+    if let Some(budget) = config.default_budget_rows {
+        guard = guard.with_budget_rows(budget);
+    }
+    let armed = ArmedStatement {
+        registry: cancels,
+        session: session_id,
+    };
+    (guard, armed)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -363,7 +357,7 @@ fn serve_request(
         }
         Request::Query(sql) => {
             let (guard, _armed) = arm_statement(session_id, cancels, engine, config);
-            match engine.query_guarded(&sql, &Params::new(), guard) {
+            match engine.run(div_sql::Request::sql(&sql).guard(guard)) {
                 Ok(cursor) => return stream_cursor(cursor, metrics, writer),
                 Err(err) => engine_error(&err, metrics, writer),
             }
@@ -396,31 +390,25 @@ fn serve_request(
                 bound = bound.bind(key, value);
             }
             let (guard, _armed) = arm_statement(session_id, cancels, engine, config);
-            match statement.execute_guarded(engine, &bound, guard.clone()) {
-                Ok(cursor) => return stream_cursor(cursor, metrics, writer),
-                Err(Error::StalePlan { .. }) => {
-                    // The catalog moved under the cached plan. Re-prepare
-                    // transparently: the client keeps its statement name and
-                    // never sees a stale result. Plan and cursor come from
-                    // one catalog snapshot, so no further mutation can make
-                    // this attempt stale in turn. It reuses the guard (same
-                    // token, same deadline arm time): to the client this is
-                    // still one statement.
-                    match engine.prepare_execute_guarded(statement.sql(), &bound, guard) {
-                        Ok((fresh, cursor)) => {
-                            ServerMetrics::bump(&metrics.stale_replans);
-                            prepared.insert(name, fresh);
-                            return stream_cursor(cursor, metrics, writer);
-                        }
-                        Err(err) => engine_error(&err, metrics, writer),
+            // A statement the catalog moved under is re-planned
+            // transparently: the client keeps its statement name and never
+            // sees a stale result.
+            let request = div_sql::Request::prepared(statement).params(bound);
+            match engine.run_fresh(request.guard(guard)) {
+                Ok((cursor, fresh)) => {
+                    if let Some(fresh) = fresh {
+                        ServerMetrics::bump(&metrics.stale_replans);
+                        prepared.insert(name, fresh);
                     }
+                    return stream_cursor(cursor, metrics, writer);
                 }
                 Err(err) => engine_error(&err, metrics, writer),
             }
         }
         Request::Explain { sql, analyze } => {
             let report = if analyze {
-                engine.explain_analyze(&sql)
+                let (guard, _armed) = arm_statement(session_id, cancels, engine, config);
+                engine.explain_analyze(div_sql::Request::sql(&sql).guard(guard))
             } else {
                 engine.explain(&sql)
             };
@@ -608,8 +596,6 @@ fn stream_cursor(
             return RequestOutcome::ClientGone;
         }
     }
-    // Fold the finished execution's spill and chunk-skip counters into the
-    // engine's metrics registry (a dropped cursor reports only its latency).
     cursor.finish_stats();
     match terminal(writer, &format!("OK {rows} rows")) {
         Ok(()) => RequestOutcome::Continue,

@@ -2,8 +2,9 @@
 //!
 //! Wiring the parser straight into the executor would *skip the
 //! contribution of the paper* — the seventeen rewrite laws and the cost
-//! model that picks among the plans they generate. [`Engine::query`] runs
-//! the full pipeline with the optimizer in the loop by default:
+//! model that picks among the plans they generate. Every statement enters
+//! through one front door, [`Engine::run`], which runs the full pipeline
+//! with the optimizer in the loop by default:
 //!
 //! ```text
 //! SQL text ──parse──► AST ──translate──► LogicalPlan
@@ -11,46 +12,41 @@
 //!          ──compile to streams──► Cursor (batches, ExecStats)
 //! ```
 //!
-//! Execution is *streaming by default*: [`Engine::query`] returns a
-//! [`Cursor`] — an iterator of [`ColumnarBatch`]es driven by the pull-based
-//! executor of [`div_physical::stream`]. Pipelineable operators run
-//! chunk-at-a-time, only genuinely blocking operators buffer, and a
-//! consumer that stops early (drop, `take(n)`) short-circuits the source
-//! scans. [`Engine::query_collect`] keeps the pre-cursor one-call shape
-//! ([`QueryOutput`]) for callers that want the whole relation at once.
+//! A [`Request`] names what to run — SQL text, a [`PreparedStatement`] or a
+//! [`LogicalPlan`] — plus optional `$name` bindings and a [`QueryGuard`].
+//! `run` returns a [`Cursor`], an iterator of [`ColumnarBatch`]es pulled
+//! from the streaming executor of [`div_physical::stream`]: only blocking
+//! operators buffer, and a consumer that stops early (drop, `take(n)`)
+//! short-circuits the source scans. [`Cursor::collect`] drains it into a
+//! [`QueryOutput`].
 //!
 //! On top of the pipeline the engine adds the session features a system
 //! serving repeated traffic needs:
 //!
-//! * **A plan cache behind every SQL entry point**: the optimized logical
-//!   plan is a pure function of (SQL text, catalog snapshot), so it is
-//!   compiled once and cached under the SQL text. A repeated ad-hoc
-//!   [`Engine::query`] and an explicit [`Engine::prepare`] are answered
-//!   from the same bounded cache; each statement takes one catalog snapshot
-//!   and both validates and executes its plan against it.
+//! * **A plan cache behind SQL text**: the optimized logical plan is a pure
+//!   function of (SQL text, catalog snapshot), so a repeated ad-hoc
+//!   statement and an explicit [`Engine::prepare`] are answered from one
+//!   bounded cache; each statement validates and executes its plan against
+//!   one catalog snapshot.
 //! * **Prepared statements** ([`Engine::prepare`]): every execution re-binds
 //!   the statement's `$name` parameters and streams the cached plan,
-//!   skipping parse, translate and optimization entirely. The
-//!   statement records the catalog version it was compiled against and
-//!   refuses to run against a mutated catalog ([`Error::StalePlan`]).
+//!   skipping parse, translate and optimization entirely. A statement
+//!   refuses to run against a mutated catalog ([`Error::StalePlan`]);
+//!   [`Engine::run_fresh`] re-plans it instead.
 //! * **EXPLAIN** ([`Engine::explain`], [`Engine::explain_analyze`]): a
 //!   structured [`Explain`] report — logical plan before and after the
 //!   rewrite, the laws that fired, cost estimates, the physical operators
 //!   the plan compiles to, and (for `explain_analyze`) the measured
-//!   [`ExecStats`], including a per-operator span tree that lines cost-model estimates up
-//!   against actual row counts, wall time, hash probes and resident rows.
+//!   [`ExecStats`] with a per-operator span tree next to the estimates.
 //!
-//! The engine is also **observable**: every query updates the session-wide
-//! [`EngineMetrics`] registry (throughput
-//! counters, pipeline time split, latency histogram, per-law application
-//! counts — read it with [`Engine::metrics`]), and per-operator wall-clock
-//! tracing can be switched on for ordinary queries with
-//! [`EngineBuilder::with_tracing`] (`explain_analyze` always traces).
+//! Every statement updates the session-wide [`EngineMetrics`] registry
+//! ([`Engine::metrics`]); per-operator wall-clock tracing is switched on
+//! with [`EngineBuilder::with_tracing`] (`explain_analyze` always traces).
 //!
 //! ```
 //! use div_algebra::relation;
 //! use div_expr::Catalog;
-//! use div_sql::{Engine, Params};
+//! use div_sql::{Engine, Params, Request};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.register("supplies", relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1] });
@@ -58,7 +54,7 @@
 //! let engine = Engine::new(catalog);
 //!
 //! // Ad-hoc query, optimizer in the loop; the cursor streams batches.
-//! let cursor = engine.query(
+//! let cursor = engine.run(
 //!     "SELECT s# FROM supplies AS s DIVIDE BY \
 //!      (SELECT p# FROM parts WHERE color = 'blue') AS p ON s.p# = p.p#",
 //! )?;
@@ -69,7 +65,8 @@
 //!     "SELECT s# FROM supplies AS s DIVIDE BY \
 //!      (SELECT p# FROM parts WHERE color = $color) AS p ON s.p# = p.p#",
 //! )?;
-//! let blue = stmt.execute_collect(&engine, &Params::new().bind("color", "blue"))?;
+//! let blue = Params::new().bind("color", "blue");
+//! let blue = engine.run(Request::prepared(&stmt).params(blue))?.collect()?;
 //! assert_eq!(blue.relation, relation! { ["s#"] => [1] });
 //! # Ok::<(), div_sql::Error>(())
 //! ```
@@ -147,14 +144,98 @@ impl Params {
 }
 
 /// The result of collecting a whole statement: the relation plus the
-/// executor's statistics. Produced by [`Cursor::collect`] and the
-/// `*_collect` compatibility shims ([`Engine::query_collect`]).
+/// executor's statistics. Produced by [`Cursor::collect`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutput {
     /// The result relation.
     pub relation: Relation,
     /// Per-operator row counts and intermediate-result sizes.
     pub stats: ExecStats,
+}
+
+/// One statement for [`Engine::run`]: what to run, its `$name` bindings and
+/// the guard it runs under.
+///
+/// ```
+/// use div_algebra::relation;
+/// use div_expr::Catalog;
+/// use div_sql::{CancelToken, Engine, Error, QueryGuard, Request};
+///
+/// let mut catalog = Catalog::new();
+/// catalog.register("parts", relation! { ["p#"] => [1], [2] });
+/// let engine = Engine::new(catalog);
+/// // A caller's guard replaces the engine's default one.
+/// let token = CancelToken::new();
+/// let guard = QueryGuard::default().with_token(token.clone());
+/// let cursor = engine.run(Request::sql("SELECT p# FROM parts").guard(guard))?;
+/// token.cancel();
+/// // The next pull observes the trip.
+/// assert!(matches!(cursor.collect(), Err(Error::Cancelled { .. })));
+/// # Ok::<(), div_sql::Error>(())
+/// ```
+#[derive(Debug)]
+pub struct Request<'a> {
+    source: Source<'a>,
+    params: Params,
+    guard: Option<QueryGuard>,
+}
+
+/// What a [`Request`] runs.
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    Sql(&'a str),
+    Prepared(&'a PreparedStatement),
+    Plan(&'a LogicalPlan),
+}
+
+impl<'a> Request<'a> {
+    fn new(source: Source<'a>) -> Self {
+        Request {
+            source,
+            params: Params::new(),
+            guard: None,
+        }
+    }
+
+    /// Run SQL text, planned through the plan cache — or, with
+    /// [`Request::params`], compiled for this request alone with the values
+    /// bound before the optimizer runs (and never cached).
+    pub fn sql(sql: &'a str) -> Self {
+        Request::new(Source::Sql(sql))
+    }
+
+    /// Run a prepared statement's cached plan with its parameters bound;
+    /// [`Error::StalePlan`] once the catalog changed ([`Engine::run_fresh`]
+    /// re-plans instead).
+    pub fn prepared(statement: &'a PreparedStatement) -> Self {
+        Request::new(Source::Prepared(statement))
+    }
+
+    /// Optimize and run a logical plan built without SQL; each run counts
+    /// as one compilation.
+    pub fn plan(plan: &'a LogicalPlan) -> Self {
+        Request::new(Source::Plan(plan))
+    }
+
+    /// Bind the statement's `$name` parameters.
+    pub fn params(mut self, params: Params) -> Self {
+        self.params = params;
+        self
+    }
+
+    /// Run under `guard` instead of the default one armed from the
+    /// [`PlannerConfig`] when the cursor opens. Build it immediately before
+    /// the run: its deadline is already running.
+    pub fn guard(mut self, guard: QueryGuard) -> Self {
+        self.guard = Some(guard);
+        self
+    }
+}
+
+impl<'a> From<&'a str> for Request<'a> {
+    fn from(sql: &'a str) -> Self {
+        Request::sql(sql)
+    }
 }
 
 /// An incrementally consumable query result: a handle on a running
@@ -168,7 +249,9 @@ pub struct QueryOutput {
 /// [`Cursor::collect`] drain the stream into a whole [`Relation`], and
 /// [`Cursor::finish_stats`] closes the execution and reports what it
 /// actually did (for an early-terminated cursor, `rows_scanned` stays below
-/// the table cardinality).
+/// the table cardinality). However it ends — collected, finished, dropped
+/// early or failed mid-stream — the execution reports its rows, latency
+/// and [`ExecStats`] to the engine's [`EngineMetrics`] exactly once.
 ///
 /// ```
 /// use div_algebra::relation;
@@ -178,7 +261,7 @@ pub struct QueryOutput {
 /// let mut catalog = Catalog::new();
 /// catalog.register("parts", relation! { ["p#", "color"] => [1, "blue"], [2, "red"] });
 /// let engine = Engine::new(catalog);
-/// let cursor = engine.query("SELECT p# FROM parts WHERE color = 'blue'")?;
+/// let cursor = engine.run("SELECT p# FROM parts WHERE color = 'blue'")?;
 /// let mut rows = 0;
 /// for batch in cursor {
 ///     rows += batch?.num_rows();
@@ -194,55 +277,24 @@ pub struct QueryOutput {
 /// serving relies on.
 #[derive(Debug)]
 pub struct Cursor {
+    /// `None` once the execution finished and reported.
     exec: Option<StreamExecutor>,
     schema: Schema,
     failed: bool,
     rows: u64,
     opened: Instant,
-    metrics: Option<Arc<EngineMetrics>>,
+    metrics: Arc<EngineMetrics>,
 }
 
 impl Cursor {
-    /// Start a streaming execution of `plan` over `catalog` — the one
-    /// constructor, behind [`Engine::query`], [`Engine::query_guarded`] and
-    /// [`PreparedStatement::execute`]; it does *not* check for unbound
-    /// parameters (the engine does). The compiled operator tree captures
-    /// shared handles to the scanned tables, so the returned cursor does
-    /// not borrow `catalog`. The guard's deadline (if any) was armed when
-    /// the guard was built, so callers should build it immediately before
-    /// opening the cursor.
-    pub(crate) fn over_guarded(
-        plan: &LogicalPlan,
-        catalog: &Catalog,
-        config: &PlannerConfig,
-        guard: QueryGuard,
-    ) -> Result<Cursor> {
-        let exec = StreamExecutor::with_guard(plan, catalog, config, guard)?;
-        let schema = exec.schema().clone();
-        Ok(Cursor {
-            exec: Some(exec),
-            schema,
-            failed: false,
-            rows: 0,
-            opened: Instant::now(),
-            metrics: None,
-        })
-    }
-
-    /// Attach the engine's metrics registry: the cursor reports its row
-    /// count and execution latency there exactly once, when it finishes
-    /// (collect, `finish_stats` or drop — whichever comes first).
-    pub(crate) fn with_metrics(mut self, metrics: Arc<EngineMetrics>) -> Cursor {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Report this execution to the metrics registry (idempotent: the
-    /// registry reference is taken on first use; [`Drop`] calls this too).
-    fn record_metrics(&mut self) {
-        if let Some(metrics) = self.metrics.take() {
-            metrics.record_execution(self.rows, self.opened.elapsed());
-        }
+    /// Close the execution and report it to the metrics registry — the one
+    /// point a cursor reports, whichever of collect, `finish_stats` or drop
+    /// comes first. `None` when it already did.
+    fn finish(&mut self) -> Option<ExecStats> {
+        let stats = self.exec.take()?.finish();
+        self.metrics
+            .record_execution(self.rows, self.opened.elapsed(), &stats);
+        Some(stats)
     }
 
     /// The result schema (available before any batch is pulled).
@@ -261,26 +313,15 @@ impl Cursor {
     /// peak-resident-batch accounting).
     pub fn collect(mut self) -> Result<QueryOutput> {
         let mut relation = Relation::empty(self.schema.clone());
-        let mut exec = self.exec.take().expect("cursor not yet finished");
-        loop {
-            match exec.next_batch() {
-                Ok(Some(batch)) => {
-                    self.rows += batch.num_rows() as u64;
-                    for i in 0..batch.num_rows() {
-                        relation
-                            .insert(batch.row(i))
-                            .map_err(div_expr::ExprError::from)?;
-                    }
-                }
-                Ok(None) => break,
-                Err(err) => return Err(err.into()),
+        for batch in self.by_ref() {
+            let batch = batch?;
+            for i in 0..batch.num_rows() {
+                relation
+                    .insert(batch.row(i))
+                    .map_err(div_expr::ExprError::from)?;
             }
         }
-        let stats = exec.finish();
-        if let Some(metrics) = &self.metrics {
-            metrics.record_exec_stats(&stats);
-        }
-        self.record_metrics();
+        let stats = self.finish().expect("cursor not yet finished");
         Ok(QueryOutput { relation, stats })
     }
 
@@ -289,12 +330,7 @@ impl Cursor {
     /// termination, `rows_scanned` stays strictly below the scanned
     /// tables' cardinality.
     pub fn finish_stats(mut self) -> ExecStats {
-        let stats = self.exec.take().expect("cursor not yet finished").finish();
-        if let Some(metrics) = &self.metrics {
-            metrics.record_exec_stats(&stats);
-        }
-        self.record_metrics();
-        stats
+        self.finish().expect("cursor not yet finished")
     }
 }
 
@@ -322,9 +358,8 @@ impl Iterator for Cursor {
 impl Drop for Cursor {
     fn drop(&mut self) {
         // An abandoned cursor (early drop, error mid-stream) still counts
-        // as one execution; `record_metrics` is a no-op when the cursor
-        // already reported on collect/finish.
-        self.record_metrics();
+        // as one execution, spill and chunk-skip counters included.
+        self.finish();
     }
 }
 
@@ -386,7 +421,7 @@ impl EngineBuilder {
     /// shorthand for [`PlannerConfig::deadline`]. The clock starts when each
     /// cursor opens; a query that outlives it aborts at its next batch
     /// boundary with [`Error::DeadlineExceeded`]. Per-query guards
-    /// ([`Engine::query_guarded`]) override this default.
+    /// ([`Request::guard`]) override this default.
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.config = self.config.deadline(deadline);
         self
@@ -396,7 +431,7 @@ impl EngineBuilder {
     /// runs — shorthand for [`PlannerConfig::memory_budget_rows`]. A query
     /// whose executor-resident footprint (in-flight batches plus blocking
     /// state) exceeds the budget aborts with [`Error::MemoryBudget`].
-    /// Per-query guards ([`Engine::query_guarded`]) override this default.
+    /// Per-query guards ([`Request::guard`]) override this default.
     pub fn with_memory_budget(mut self, budget_rows: usize) -> Self {
         self.config = self.config.memory_budget_rows(budget_rows);
         self
@@ -536,11 +571,10 @@ impl PlanCache {
 
 /// A statement compiled down to its optimized logical plan.
 ///
-/// Produced by [`Engine::prepare`]; executed with
-/// [`PreparedStatement::execute`]. The expensive pipeline (parse → translate
-/// → optimize) ran exactly once, at prepare time; each execution only
-/// substitutes the `$name` parameter bindings into a copy of the cached plan
-/// template and runs it.
+/// Produced by [`Engine::prepare`]; run with [`Request::prepared`]. The
+/// expensive pipeline (parse → translate → optimize) ran exactly once, at
+/// prepare time; each execution only substitutes the `$name` parameter
+/// bindings into a copy of the cached plan template and runs it.
 ///
 /// The statement is a handle: clones (and the engine's plan cache) share one
 /// compiled value.
@@ -558,15 +592,9 @@ struct StatementInner {
     applied: Vec<AppliedRule>,
 }
 
-/// What one compilation produced (shared by `query`, `prepare`, `explain`).
-struct Compiled {
-    logical: LogicalPlan,
-    optimized: LogicalPlan,
-    applied: Vec<AppliedRule>,
-    cost_before: CostEstimate,
-    cost_after: CostEstimate,
-    alternatives_considered: usize,
-}
+/// What one compilation produced: the translated (and bound) logical plan,
+/// and what the optimizer made of it.
+type Compiled = (LogicalPlan, OptimizedPlan);
 
 impl Engine {
     /// An engine over `catalog` with the default planner configuration, the
@@ -618,7 +646,7 @@ impl Engine {
     /// engine.mutate_catalog(|catalog| {
     ///     catalog.register("parts", relation! { ["p#"] => [1], [2] });
     /// });
-    /// assert_eq!(engine.query("SELECT p# FROM parts")?.collect_relation()?.len(), 2);
+    /// assert_eq!(engine.run("SELECT p# FROM parts")?.collect_relation()?.len(), 2);
     /// # Ok::<(), div_sql::Error>(())
     /// ```
     pub fn mutate_catalog<R>(&self, mutate: impl FnOnce(&mut Catalog) -> R) -> R {
@@ -634,7 +662,7 @@ impl Engine {
         &self.config
     }
 
-    /// `true` when the rewrite optimizer runs inside [`Engine::query`] /
+    /// `true` when the rewrite optimizer runs inside [`Engine::run`] /
     /// [`Engine::prepare`] (the default).
     pub fn optimizer_enabled(&self) -> bool {
         self.optimize
@@ -643,16 +671,16 @@ impl Engine {
     /// How many compilations (parse → translate → optimize) this
     /// engine has really run. Executing a [`PreparedStatement`] does *not*
     /// compile, which is the point of preparing — and neither does a
-    /// repeated ad-hoc [`Engine::query`] of the same SQL text against an
-    /// unchanged catalog, which is answered from the plan cache. What still
-    /// compiles every time: the first sight of a text, any text after a
-    /// catalog mutation, [`Engine::query_with_params`] with bindings,
-    /// [`Engine::stream_logical`] and `EXPLAIN`.
+    /// repeated ad-hoc run of the same SQL text against an unchanged
+    /// catalog, which is answered from the plan cache. What still compiles
+    /// every time: the first sight of a text, any text after a catalog
+    /// mutation, SQL with bound [`Request::params`], a [`Request::plan`]
+    /// and `EXPLAIN`.
     ///
     /// ```
     /// use div_algebra::relation;
     /// use div_expr::Catalog;
-    /// use div_sql::{Engine, Params};
+    /// use div_sql::{Engine, Params, Request};
     ///
     /// let mut catalog = Catalog::new();
     /// catalog.register("parts", relation! { ["p#", "color"] => [1, "blue"], [2, "red"] });
@@ -660,11 +688,12 @@ impl Engine {
     /// let stmt = engine.prepare("SELECT p# FROM parts WHERE color = $color")?;
     /// assert_eq!(engine.compile_count(), 1);
     /// for color in ["blue", "red", "blue"] {
-    ///     stmt.execute_collect(&engine, &Params::new().bind("color", color))?;
+    ///     let color = Params::new().bind("color", color);
+    ///     engine.run(Request::prepared(&stmt).params(color))?.collect()?;
     /// }
     /// assert_eq!(engine.compile_count(), 1); // still one compilation
-    /// engine.query("SELECT p# FROM parts")?;
-    /// engine.query("SELECT p# FROM parts")?; // served from the plan cache
+    /// engine.run("SELECT p# FROM parts")?;
+    /// engine.run("SELECT p# FROM parts")?; // served from the plan cache
     /// assert_eq!(engine.compile_count(), 2);
     /// # Ok::<(), div_sql::Error>(())
     /// ```
@@ -688,7 +717,7 @@ impl Engine {
     /// let mut catalog = Catalog::new();
     /// catalog.register("parts", relation! { ["p#"] => [1], [2], [3] });
     /// let engine = Engine::new(catalog);
-    /// engine.query("SELECT p# FROM parts")?.collect_relation()?;
+    /// engine.run("SELECT p# FROM parts")?.collect_relation()?;
     /// let metrics = engine.metrics();
     /// assert_eq!(metrics.queries_executed, 1);
     /// assert_eq!(metrics.rows_returned, 3);
@@ -706,17 +735,15 @@ impl Engine {
         Ok(query)
     }
 
-    /// Open a streaming [`Cursor`] over the result of `sql`.
+    /// Run one statement — the engine's one front door — and open a
+    /// streaming [`Cursor`] over its result.
     ///
-    /// The plan comes from the engine's plan cache: the first sight of a
-    /// SQL text (and the first after a catalog mutation) parses, translates
-    /// and optimizes it; a repeated text is served the cached plan.
-    ///
-    /// The cursor is an iterator of columnar batches: execution proceeds
-    /// only as far as the consumer pulls, so `cursor.take(1)` or an early
-    /// drop stops the source scans short. Collect everything with
-    /// [`Cursor::collect_relation`], or use [`Engine::query_collect`] for
-    /// the one-call materializing form.
+    /// The statement resolves its plan (see [`Request`]) against one catalog
+    /// snapshot and streams that same snapshot, even under concurrent
+    /// [`Engine::mutate_catalog`]. A plan left with an unbound `$name` is
+    /// refused ([`Error::UnboundParameter`]). Execution proceeds only as far
+    /// as the consumer pulls, so `cursor.take(1)` or an early drop stops the
+    /// source scans short.
     ///
     /// ```
     /// use div_algebra::relation;
@@ -724,94 +751,108 @@ impl Engine {
     /// use div_sql::Engine;
     ///
     /// let mut catalog = Catalog::new();
-    /// catalog.register(
-    ///     "supplies",
-    ///     relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1], [3, 1], [3, 2] },
-    /// );
+    /// catalog.register("supplies", relation! { ["s#", "p#"] => [1, 1], [2, 1], [3, 2] });
     /// let engine = Engine::new(catalog);
-    /// let mut cursor = engine.query("SELECT s# FROM supplies WHERE p# = 1")?;
+    /// let mut cursor = engine.run("SELECT s# FROM supplies WHERE p# = 1")?;
     /// assert_eq!(cursor.schema().names(), vec!["s#"]);
     /// // Batch-at-a-time consumption; each batch is a ColumnarBatch.
     /// let mut rows = 0;
     /// while let Some(batch) = cursor.next() {
     ///     rows += batch?.num_rows();
     /// }
-    /// assert_eq!(rows, 3);
+    /// assert_eq!(rows, 2);
     /// let stats = cursor.finish_stats();
-    /// assert_eq!(stats.output_rows, 3);
+    /// assert_eq!(stats.output_rows, 2);
     /// # Ok::<(), div_sql::Error>(())
     /// ```
-    ///
-    /// Statements with `$name` parameters cannot run ad hoc — prepare them
-    /// and bind values, or use [`Engine::query_with_params`].
-    pub fn query(&self, sql: &str) -> Result<Cursor> {
-        self.open(sql, &Params::new(), None)
+    pub fn run<'a>(&self, request: impl Into<Request<'a>>) -> Result<Cursor> {
+        Ok(self.run_on(request.into(), false)?.0)
     }
 
-    /// [`Engine::query`] with `$name` parameter bindings applied.
-    ///
-    /// Unlike the prepare/execute path — which must optimize with the
-    /// placeholders still unresolved — the bindings are known here, so they
-    /// are substituted into the logical plan *before* the optimizer runs and
-    /// the query gets the same rewrite search as its all-literal equivalent.
-    /// Such a plan depends on the bound values, so it is compiled for this
-    /// call alone and never cached; with no bindings this is
-    /// [`Engine::query`].
-    pub fn query_with_params(&self, sql: &str, params: &Params) -> Result<Cursor> {
-        self.open(sql, params, None)
+    /// [`Engine::run`], except that a stale [`Request::prepared`] statement
+    /// is re-planned instead of failing with [`Error::StalePlan`]: its text
+    /// goes through the plan cache against the snapshot the cursor reads,
+    /// and the fresh statement comes back with the cursor (`None` when
+    /// nothing was re-planned). A re-plan is not an explicit prepare.
+    pub fn run_fresh<'a>(
+        &self,
+        request: impl Into<Request<'a>>,
+    ) -> Result<(Cursor, Option<PreparedStatement>)> {
+        self.run_on(request.into(), true)
     }
 
-    /// [`Engine::query_with_params`] under an explicit [`QueryGuard`]:
-    /// the caller-supplied guard *replaces* the engine's config-derived
-    /// default (deadline / budget set at build time), so a serving session
-    /// can attach its own [`CancelToken`](div_physical::CancelToken) and
-    /// per-session limits. Build the guard immediately before this call —
-    /// deadlines are armed at guard construction.
-    ///
-    /// ```
-    /// use div_algebra::relation;
-    /// use div_expr::Catalog;
-    /// use div_sql::{CancelToken, Engine, Params, QueryGuard};
-    ///
-    /// let mut catalog = Catalog::new();
-    /// catalog.register("parts", relation! { ["p#"] => [1], [2] });
-    /// let engine = Engine::new(catalog);
-    /// let token = CancelToken::new();
-    /// let guard = QueryGuard::default().with_token(token.clone());
-    /// let cursor = engine.query_guarded("SELECT p# FROM parts", &Params::new(), guard)?;
-    /// token.cancel();
-    /// // The next pull observes the trip.
-    /// let err = cursor.collect().unwrap_err();
-    /// assert!(matches!(err, div_sql::Error::Cancelled { .. }));
-    /// # Ok::<(), div_sql::Error>(())
-    /// ```
-    pub fn query_guarded(&self, sql: &str, params: &Params, guard: QueryGuard) -> Result<Cursor> {
-        self.open(sql, params, Some(guard))
-    }
-
-    /// The body of every ad-hoc entry point. One snapshot for the whole
-    /// statement: the plan is validated (or compiled) against the same
-    /// catalog it then executes on, even under concurrent `mutate_catalog`.
-    /// Without a caller's `guard` the config-derived one is armed when the
-    /// cursor opens.
-    fn open(&self, sql: &str, params: &Params, guard: Option<QueryGuard>) -> Result<Cursor> {
+    /// The body of [`Engine::run`] and [`Engine::run_fresh`]: resolve the
+    /// request's plan against one catalog snapshot and open it there.
+    fn run_on(
+        &self,
+        request: Request<'_>,
+        replan_stale: bool,
+    ) -> Result<(Cursor, Option<PreparedStatement>)> {
+        let Request {
+            source,
+            params,
+            guard,
+        } = request;
         let catalog = self.catalog();
-        let guard = || guard.unwrap_or_else(|| QueryGuard::from_config(&self.config));
-        if params.is_empty() {
-            return self
-                .plan_on(sql, &catalog)?
-                .open_on(self, &catalog, params, guard());
-        }
-        // Known bindings go into the logical plan before the optimizer runs,
-        // where data-dependent laws may rely on their values: such a plan is
-        // this call's alone.
-        let query = self.parse_timed(sql)?;
-        check_bindings(params, &query.parameters())?;
-        let compiled = self.compile_parsed(&query, params, &catalog)?;
-        self.cursor_guarded(&compiled.optimized, &catalog, &self.config, guard())
+        let mut fresh = None;
+        let plan = match source {
+            Source::Sql(sql) if params.is_empty() => {
+                Arc::clone(self.plan_on(sql, &catalog)?.plan())
+            }
+            Source::Prepared(stale)
+                if replan_stale && stale.catalog_version() != catalog.version() =>
+            {
+                let statement = fresh.insert(self.plan_on(stale.sql(), &catalog)?);
+                statement.bind(&catalog, &params)?
+            }
+            Source::Prepared(statement) => statement.bind(&catalog, &params)?,
+            _ => Arc::new(self.compile(source, &params, &catalog)?.1.plan),
+        };
+        Ok((self.open(&plan, &catalog, &self.config, guard)?, fresh))
     }
 
-    /// The one way SQL text becomes an executable plan: the cached statement
+    /// Open a cursor over a fully bound `plan` on `catalog`: the one place
+    /// a statement starts executing. Rejects plans that still carry `$name`
+    /// placeholders; without a caller's `guard`, arms the one `config`
+    /// describes.
+    fn open(
+        &self,
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        config: &PlannerConfig,
+        guard: Option<QueryGuard>,
+    ) -> Result<Cursor> {
+        if plan.contains_parameters() {
+            let parameter = plan.parameters().into_iter().next().unwrap_or_default();
+            return Err(Error::UnboundParameter { parameter });
+        }
+        let guard = guard.unwrap_or_else(|| QueryGuard::from_config(config));
+        let exec = StreamExecutor::with_guard(plan, catalog, config, guard)?;
+        Ok(Cursor {
+            schema: exec.schema().clone(),
+            exec: Some(exec),
+            failed: false,
+            rows: 0,
+            opened: Instant::now(),
+            metrics: Arc::clone(&self.metrics),
+        })
+    }
+
+    /// Open a streaming [`Cursor`] over the result of `sql`: shorthand for
+    /// [`Engine::run`], kept for the `benchmark/` package, which compiles
+    /// against it until it moves to `run` (ROADMAP item 1).
+    pub fn query(&self, sql: &str) -> Result<Cursor> {
+        self.run(sql)
+    }
+
+    /// Optimize a logical plan and open a cursor over its result: shorthand
+    /// for `run(Request::plan(logical))`, kept for the `benchmark/` package
+    /// until it moves to `run` (ROADMAP item 1).
+    pub fn stream_logical(&self, logical: &LogicalPlan) -> Result<Cursor> {
+        self.run(Request::plan(logical))
+    }
+
+    /// The one way SQL text becomes a cached plan: the cached statement
     /// for exactly this text if it was compiled against `catalog`'s version,
     /// else a fresh compilation against `catalog`, which replaces it. The
     /// caller must execute the statement on the same `catalog`.
@@ -826,129 +867,72 @@ impl Engine {
         // compile it: a compilation is shorter than parking the second.
         let query = self.parse_timed(sql)?;
         let parameters = query.parameters();
-        let compiled = self.compile_parsed(&query, &Params::new(), catalog)?;
+        self.compile_count.fetch_add(1, Ordering::Relaxed);
+        let logical = translate_query(&query, catalog)?;
+        // No bindings: the placeholders survive into the cached template.
+        let (_, optimized) = self.optimize(logical, &Params::new(), catalog)?;
         let statement = PreparedStatement {
             inner: Arc::new(StatementInner {
                 sql: sql.to_string(),
-                template: Arc::new(compiled.optimized),
+                template: Arc::new(optimized.plan),
                 parameters,
                 catalog_version,
-                applied: compiled.applied,
+                applied: optimized.applied,
             }),
         };
         self.plan_cache.lock().insert(statement.clone());
         Ok(statement)
     }
 
-    /// [`Engine::query`], fully collected: the compatibility shim that
-    /// returns the pre-cursor [`QueryOutput`] (whole relation plus
-    /// statistics) in one call.
-    pub fn query_collect(&self, sql: &str) -> Result<QueryOutput> {
-        self.query(sql)?.collect()
-    }
-
-    /// [`Engine::query_with_params`], fully collected (see
-    /// [`Engine::query_collect`]).
-    pub fn query_collect_with_params(&self, sql: &str, params: &Params) -> Result<QueryOutput> {
-        self.query_with_params(sql, params)?.collect()
-    }
-
-    /// Optimize and execute an already-translated logical plan, collecting
-    /// the whole result.
-    ///
-    /// This is the tail of [`Engine::query_collect`] without the SQL front
-    /// end, for callers that build [`LogicalPlan`]s programmatically; use
-    /// [`Engine::stream_logical`] for the incremental form.
-    pub fn execute_logical(&self, logical: &LogicalPlan) -> Result<QueryOutput> {
-        self.stream_logical(logical)?.collect()
-    }
-
-    /// Optimize an already-translated logical plan and open a streaming
-    /// [`Cursor`] over the result — the tail of [`Engine::query`]
-    /// without the SQL front end.
-    pub fn stream_logical(&self, logical: &LogicalPlan) -> Result<Cursor> {
-        let catalog = self.catalog();
-        self.compile_count.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let optimized = self.optimize_plan(logical, &catalog)?;
-        self.metrics.add_optimize(started.elapsed());
-        self.metrics.record_laws(&optimized.applied);
-        let guard = QueryGuard::from_config(&self.config);
-        self.cursor_guarded(&optimized.plan, &catalog, &self.config, guard)
-    }
-
     /// Compile `sql` into a [`PreparedStatement`] holding the optimized
-    /// logical plan. See [`PreparedStatement`] for the execution contract.
-    ///
-    /// The statement comes from the same bounded plan cache that serves
-    /// [`Engine::query`]: a text already compiled against the unchanged
-    /// catalog — by an earlier `prepare` or an ad-hoc query — is not
-    /// compiled again (the returned statements share one plan `Arc`);
-    /// catalog mutations invalidate cached entries. Hits and misses are
-    /// counted in [`Engine::metrics`].
+    /// logical plan, through the plan cache that serves ad-hoc SQL: a text
+    /// already compiled against the unchanged catalog is not compiled again
+    /// (the returned statements share one plan `Arc`).
     pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
         self.metrics.record_prepare();
         self.plan_on(sql, &self.catalog())
     }
 
-    /// [`Engine::prepare`] and [`PreparedStatement::execute_guarded`] on
-    /// one catalog snapshot: the statement is current for exactly the
-    /// catalog the cursor reads, so — unlike the two calls made separately
-    /// — this cannot fail with [`Error::StalePlan`], however many
-    /// mutations land meanwhile. A serving session re-prepares a stale
-    /// statement through this entry.
-    pub fn prepare_execute_guarded(
-        &self,
-        sql: &str,
-        params: &Params,
-        guard: QueryGuard,
-    ) -> Result<(PreparedStatement, Cursor)> {
-        let catalog = self.catalog();
-        let statement = self.plan_on(sql, &catalog)?;
-        let cursor = statement.open_on(self, &catalog, params, guard)?;
-        Ok((statement, cursor))
-    }
-
     /// Compile `sql` and report the whole pipeline without executing it.
     pub fn explain(&self, sql: &str) -> Result<Explain> {
         let catalog = self.catalog();
-        let compiled = self.compile(sql, &catalog)?;
+        let compiled = self.compile(Source::Sql(sql), &Params::new(), &catalog)?;
         Ok(self.explain_from(sql, compiled, None, &catalog))
     }
 
-    /// [`Engine::explain`] plus an actual execution: the report additionally
-    /// carries the measured [`ExecStats`]. The execution runs through the
-    /// streaming path with per-operator tracing forced **on** (regardless of
-    /// [`EngineBuilder::with_tracing`]), so the report annotates every
-    /// operator with its actual row count, wall time, hash probes
-    /// and resident-row peak next to the cost-model estimate. Statements
-    /// with parameters cannot be analyzed without bindings — pass them via
-    /// [`Engine::explain_analyze_with_params`].
-    pub fn explain_analyze(&self, sql: &str) -> Result<Explain> {
-        self.explain_analyze_with_params(sql, &Params::new())
-    }
-
-    /// [`Engine::explain_analyze`] with `$name` parameter bindings applied.
-    pub fn explain_analyze_with_params(&self, sql: &str, params: &Params) -> Result<Explain> {
+    /// [`Engine::explain`] plus an actual execution of the request: the
+    /// report additionally carries the measured [`ExecStats`]. The request
+    /// is compiled afresh (a prepared statement from its text), then run
+    /// like [`Engine::run`] — under the request's guard, if any — with
+    /// per-operator tracing forced **on**, so the report annotates every
+    /// operator with its actual row count, wall time, hash probes and
+    /// resident-row peak next to the cost-model estimate.
+    pub fn explain_analyze<'a>(&self, request: impl Into<Request<'a>>) -> Result<Explain> {
+        let Request {
+            source,
+            params,
+            guard,
+        } = request.into();
         let catalog = self.catalog();
-        let query = self.parse_timed(sql)?;
-        check_bindings(params, &query.parameters())?;
-        let compiled = self.compile_parsed(&query, params, &catalog)?;
-        // Analysis is explicitly about per-operator behaviour: force the
-        // span-timing flag on for this one execution.
+        let compiled = self.compile(source, &params, &catalog)?;
         let mut config = self.config;
         config.tracing = true;
-        let guard = QueryGuard::from_config(&config);
-        let output = self
-            .cursor_guarded(&compiled.optimized, &catalog, &config, guard)?
-            .collect()?;
-        Ok(self.explain_from(sql, compiled, Some(output.stats), &catalog))
+        let stats = self
+            .open(&compiled.1.plan, &catalog, &config, guard)?
+            .collect()?
+            .stats;
+        let sql = match source {
+            Source::Sql(sql) => sql,
+            Source::Prepared(statement) => statement.sql(),
+            Source::Plan(_) => "",
+        };
+        Ok(self.explain_from(sql, compiled, Some(stats), &catalog))
     }
 
     fn explain_from(
         &self,
         sql: &str,
-        compiled: Compiled,
+        (logical, optimized): Compiled,
         stats: Option<ExecStats>,
         catalog: &Catalog,
     ) -> Explain {
@@ -957,94 +941,71 @@ impl Engine {
         // per node of the optimized plan.
         let ctx = RewriteContext::with_catalog(catalog);
         let model = self.optimizer.cost_model();
-        let mut estimated_rows = Vec::with_capacity(compiled.optimized.node_count());
-        compiled
-            .optimized
+        let mut estimated_rows = Vec::with_capacity(optimized.plan.node_count());
+        optimized
+            .plan
             .visit(&mut |node| estimated_rows.push(model.cardinality(node, &ctx)));
         Explain {
             sql: sql.to_string(),
-            logical: compiled.logical,
-            optimized: compiled.optimized,
-            applied: compiled.applied,
-            cost_before: compiled.cost_before,
-            cost_after: compiled.cost_after,
-            alternatives_considered: compiled.alternatives_considered,
-            estimated_rows,
-            batch_size: self.config.batch_size,
-            stats,
-        }
-    }
-
-    fn compile(&self, sql: &str, catalog: &Catalog) -> Result<Compiled> {
-        let query = self.parse_timed(sql)?;
-        self.compile_parsed(&query, &Params::new(), catalog)
-    }
-
-    /// The shared compile pipeline over one catalog snapshot. Known
-    /// `params` are bound into the logical plan before optimization (empty
-    /// for `prepare`, whose placeholders must survive into the cached
-    /// template).
-    fn compile_parsed(
-        &self,
-        query: &crate::Query,
-        params: &Params,
-        catalog: &Catalog,
-    ) -> Result<Compiled> {
-        self.compile_count.fetch_add(1, Ordering::Relaxed);
-        let mut logical = translate_query(query, catalog)?;
-        if !params.is_empty() {
-            logical = logical.bind_parameters(params.map());
-        }
-        let started = Instant::now();
-        let optimized = self.optimize_plan(&logical, catalog)?;
-        self.metrics.add_optimize(started.elapsed());
-        self.metrics.record_laws(&optimized.applied);
-        Ok(Compiled {
             logical,
             optimized: optimized.plan,
             applied: optimized.applied,
             cost_before: optimized.original_cost,
             cost_after: optimized.cost,
             alternatives_considered: optimized.alternatives_considered,
-        })
+            estimated_rows,
+            batch_size: self.config.batch_size,
+            stats,
+        }
     }
 
-    fn optimize_plan(&self, logical: &LogicalPlan, catalog: &Catalog) -> Result<OptimizedPlan> {
+    /// Compile a request's source afresh over one catalog snapshot, with
+    /// its known `params` bound into the logical plan before optimization.
+    fn compile(&self, source: Source<'_>, params: &Params, catalog: &Catalog) -> Result<Compiled> {
+        match source {
+            Source::Sql(sql) => {
+                let query = self.parse_timed(sql)?;
+                check_bindings(params, &query.parameters())?;
+                self.compile_count.fetch_add(1, Ordering::Relaxed);
+                self.optimize(translate_query(&query, catalog)?, params, catalog)
+            }
+            Source::Prepared(statement) => {
+                self.compile(Source::Sql(statement.sql()), params, catalog)
+            }
+            Source::Plan(plan) => {
+                check_bindings(params, &plan.parameters())?;
+                self.compile_count.fetch_add(1, Ordering::Relaxed);
+                self.optimize(plan.clone(), params, catalog)
+            }
+        }
+    }
+
+    fn optimize(
+        &self,
+        mut logical: LogicalPlan,
+        params: &Params,
+        catalog: &Catalog,
+    ) -> Result<Compiled> {
+        if !params.is_empty() {
+            logical = logical.bind_parameters(params.map());
+        }
+        let started = Instant::now();
         let ctx = RewriteContext::with_catalog(catalog);
-        if !self.optimize {
-            let cost = self.optimizer.cost_model().cost(logical, &ctx);
-            return Ok(OptimizedPlan {
+        let optimized = if self.optimize {
+            self.optimizer.optimize(&logical, &ctx)?
+        } else {
+            let cost = self.optimizer.cost_model().cost(&logical, &ctx);
+            OptimizedPlan {
                 plan: logical.clone(),
                 cost,
                 original_cost: cost,
                 alternatives_considered: 0,
                 applied: Vec::new(),
-            });
-        }
-        Ok(self.optimizer.optimize(logical, &ctx)?)
-    }
-
-    /// The cursor opener every execution path funnels into: streams a fully
-    /// bound plan over one catalog snapshot, rejecting plans that still
-    /// carry `$name` placeholders. Build `guard` immediately before the
-    /// call — its deadline is already running.
-    fn cursor_guarded(
-        &self,
-        plan: &LogicalPlan,
-        catalog: &Catalog,
-        config: &PlannerConfig,
-        guard: QueryGuard,
-    ) -> Result<Cursor> {
-        if plan.contains_parameters() {
-            let parameter = plan
-                .parameters()
-                .into_iter()
-                .next()
-                .expect("contains_parameters implies at least one name");
-            return Err(Error::UnboundParameter { parameter });
-        }
-        Ok(Cursor::over_guarded(plan, catalog, config, guard)?
-            .with_metrics(Arc::clone(&self.metrics)))
+            }
+        };
+        self.metrics.add_optimize(started.elapsed());
+        self.metrics.record_laws(&optimized.applied);
+        Ok((logical, optimized))
     }
 }
 
@@ -1091,10 +1052,10 @@ impl PreparedStatement {
     }
 
     /// Bind `params` into a copy of the cached plan and open a streaming
-    /// [`Cursor`] over it on `engine` — no parsing, translation or
-    /// optimization happens here. Use
-    /// [`PreparedStatement::execute_collect`] for the one-call
-    /// materializing form.
+    /// [`Cursor`] over it on `engine`: shorthand for
+    /// `engine.run(Request::prepared(self).params(params.clone()))`, kept
+    /// for the `benchmark/` package until it moves to `run` (ROADMAP
+    /// item 1).
     ///
     /// # Errors
     ///
@@ -1105,23 +1066,13 @@ impl PreparedStatement {
     /// * [`Error::UnboundParameter`] when a declared parameter has no
     ///   binding.
     pub fn execute(&self, engine: &Engine, params: &Params) -> Result<Cursor> {
-        let guard = QueryGuard::from_config(engine.planner_config());
-        self.execute_guarded(engine, params, guard)
+        engine.run(Request::prepared(self).params(params.clone()))
     }
 
-    /// [`PreparedStatement::execute`] under an explicit [`QueryGuard`] —
-    /// the caller's guard replaces the engine's config-derived default,
-    /// exactly as in [`Engine::query_guarded`].
-    pub fn execute_guarded(
-        &self,
-        engine: &Engine,
-        params: &Params,
-        guard: QueryGuard,
-    ) -> Result<Cursor> {
-        // One snapshot for the version check *and* the execution: a
-        // concurrent `mutate_catalog` between the two cannot slip a changed
-        // catalog under a plan that just passed validation.
-        let catalog = engine.catalog();
+    /// The plan one execution on `catalog` runs: `params` bound into a copy
+    /// of the template, once `catalog` is checked to be the version the
+    /// statement was compiled against.
+    fn bind(&self, catalog: &Catalog, params: &Params) -> Result<Arc<LogicalPlan>> {
         let catalog_version = catalog.version();
         if catalog_version != self.inner.catalog_version {
             return Err(Error::StalePlan {
@@ -1129,35 +1080,13 @@ impl PreparedStatement {
                 catalog_version,
             });
         }
-        self.open_on(engine, &catalog, params, guard)
-    }
-
-    /// Bind `params` and stream the plan over `catalog`, which the caller
-    /// has established to be the snapshot the statement was compiled
-    /// against.
-    fn open_on(
-        &self,
-        engine: &Engine,
-        catalog: &Catalog,
-        params: &Params,
-        guard: QueryGuard,
-    ) -> Result<Cursor> {
-        debug_assert_eq!(catalog.version(), self.inner.catalog_version);
         check_bindings(params, &self.inner.parameters)?;
-        let config = engine.planner_config();
         if params.is_empty() {
-            // Nothing to substitute — stream the cached template directly
-            // (`cursor_guarded` still rejects unbound placeholders).
-            return engine.cursor_guarded(&self.inner.template, catalog, config, guard);
+            // Nothing to substitute: run the cached template itself (`open`
+            // still rejects unbound placeholders).
+            return Ok(Arc::clone(&self.inner.template));
         }
-        let bound = self.inner.template.bind_parameters(params.map());
-        engine.cursor_guarded(&bound, catalog, config, guard)
-    }
-
-    /// [`PreparedStatement::execute`], fully collected into a
-    /// [`QueryOutput`].
-    pub fn execute_collect(&self, engine: &Engine, params: &Params) -> Result<QueryOutput> {
-        self.execute(engine, params)?.collect()
+        Ok(Arc::new(self.inner.template.bind_parameters(params.map())))
     }
 }
 
@@ -1168,7 +1097,7 @@ impl PreparedStatement {
 /// are part of the API contract (tools may parse them).
 #[derive(Debug, Clone)]
 pub struct Explain {
-    /// The SQL text.
+    /// The SQL text (empty for a [`Request::plan`]).
     pub sql: String,
     /// Logical plan as translated from the SQL, before any rewrite.
     pub logical: LogicalPlan,
@@ -1425,7 +1354,7 @@ mod tests {
     #[test]
     fn query_runs_the_full_pipeline() {
         let engine = Engine::new(catalog());
-        let output = engine.query_collect(Q2).unwrap();
+        let output = engine.run(Q2).unwrap().collect().unwrap();
         assert_eq!(output.relation, relation! { ["s#"] => [1], [2] });
         assert_eq!(output.stats.output_rows, 2);
         assert_eq!(engine.compile_count(), 1);
@@ -1434,7 +1363,7 @@ mod tests {
     #[test]
     fn query_rejects_unbound_and_unknown_parameters() {
         let engine = Engine::new(catalog());
-        let err = engine.query(Q2_PARAM).unwrap_err();
+        let err = engine.run(Q2_PARAM).unwrap_err();
         assert_eq!(
             err,
             Error::UnboundParameter {
@@ -1442,11 +1371,13 @@ mod tests {
             }
         );
         let err = engine
-            .query_with_params(Q2_PARAM, &Params::new().bind("colour", "blue"))
+            .run(Request::sql(Q2_PARAM).params(Params::new().bind("colour", "blue")))
             .unwrap_err();
         assert!(matches!(err, Error::UnknownParameter { .. }));
         let ok = engine
-            .query_collect_with_params(Q2_PARAM, &Params::new().bind("color", "blue"))
+            .run(Request::sql(Q2_PARAM).params(Params::new().bind("color", "blue")))
+            .unwrap()
+            .collect()
             .unwrap();
         assert_eq!(ok.relation, relation! { ["s#"] => [1], [2] });
     }
@@ -1454,9 +1385,9 @@ mod tests {
     #[test]
     fn parse_errors_surface_as_the_parse_variant() {
         let engine = Engine::new(catalog());
-        let err = engine.query("SELECT FROM WHERE").unwrap_err();
+        let err = engine.run("SELECT FROM WHERE").unwrap_err();
         assert!(matches!(err, Error::Parse(_)));
-        let err = engine.query("SELECT x FROM missing").unwrap_err();
+        let err = engine.run("SELECT x FROM missing").unwrap_err();
         assert!(matches!(
             err,
             Error::Plan(div_expr::ExprError::UnknownTable { .. })
@@ -1469,14 +1400,13 @@ mod tests {
         let stmt = engine.prepare(Q2_PARAM).unwrap();
         assert_eq!(engine.compile_count(), 1);
         assert_eq!(stmt.parameters().iter().collect::<Vec<_>>(), vec!["color"]);
-        let blue = stmt
-            .execute_collect(&engine, &Params::new().bind("color", "blue"))
-            .unwrap();
-        assert_eq!(blue.relation, relation! { ["s#"] => [1], [2] });
-        let red = stmt
-            .execute_collect(&engine, &Params::new().bind("color", "red"))
-            .unwrap();
-        assert_eq!(red.relation, relation! { ["s#"] => [2] });
+        let run = |color: &str| {
+            let params = Params::new().bind("color", color);
+            let cursor = engine.run(Request::prepared(&stmt).params(params));
+            cursor.unwrap().collect_relation().unwrap()
+        };
+        assert_eq!(run("blue"), relation! { ["s#"] => [1], [2] });
+        assert_eq!(run("red"), relation! { ["s#"] => [2] });
         assert_eq!(engine.compile_count(), 1, "executions must not recompile");
         // Missing binding → error, template unchanged.
         assert!(matches!(
@@ -1489,8 +1419,8 @@ mod tests {
     #[test]
     fn repeated_ad_hoc_queries_are_served_from_the_plan_cache() {
         let engine = Engine::new(catalog());
-        let first = engine.query_collect(Q2).unwrap();
-        let second = engine.query_collect(Q2).unwrap();
+        let first = engine.run(Q2).unwrap().collect().unwrap();
+        let second = engine.run(Q2).unwrap().collect().unwrap();
         assert_eq!(first.relation, second.relation);
         assert_eq!(engine.compile_count(), 1, "the second query is a hit");
         // `prepare` is answered from the entry the ad-hoc query filled.
@@ -1507,7 +1437,7 @@ mod tests {
     #[test]
     fn catalog_mutation_invalidates_cached_ad_hoc_plans() {
         let engine = Engine::new(catalog());
-        let before = engine.query_collect(Q2).unwrap().relation;
+        let before = engine.run(Q2).unwrap().collect().unwrap().relation;
         assert_eq!(before, relation! { ["s#"] => [1], [2] });
         engine.mutate_catalog(|c| {
             c.register(
@@ -1515,10 +1445,10 @@ mod tests {
                 relation! { ["p#", "color"] => [1, "blue"], [2, "blue"], [3, "blue"] },
             );
         });
-        let after = engine.query_collect(Q2).unwrap().relation;
+        let after = engine.run(Q2).unwrap().collect().unwrap().relation;
         assert_eq!(after, relation! { ["s#"] => [2] }, "the new rows are seen");
         assert_eq!(engine.compile_count(), 2, "the stale entry was recompiled");
-        engine.query_collect(Q2).unwrap();
+        engine.run(Q2).unwrap().collect().unwrap();
         assert_eq!(engine.compile_count(), 2, "and cached again");
     }
 
@@ -1527,7 +1457,7 @@ mod tests {
         let engine = Engine::new(catalog());
         for _ in 0..2 {
             assert_eq!(
-                engine.query(Q2_PARAM).unwrap_err(),
+                engine.run(Q2_PARAM).unwrap_err(),
                 Error::UnboundParameter {
                     parameter: "color".into()
                 }
@@ -1565,9 +1495,11 @@ mod tests {
         };
         for round in 1..=2u64 {
             let out = engine
-                .query_collect_with_params(sql, &Params::new().bind("p", 3i64))
+                .run(Request::sql(sql).params(Params::new().bind("p", 3i64)))
+                .unwrap()
+                .collect_relation()
                 .unwrap();
-            assert_eq!(out.relation, relation! { ["a"] => [1], [2], [3], [4] });
+            assert_eq!(out, relation! { ["a"] => [1], [2], [3], [4] });
             assert_eq!(
                 engine.compile_count(),
                 round,
@@ -1594,14 +1526,14 @@ mod tests {
     #[test]
     fn one_off_statements_cannot_evict_the_hot_statement() {
         let engine = Engine::new(catalog());
-        engine.query_collect(Q2).unwrap();
+        engine.run(Q2).unwrap().collect().unwrap();
         for i in 0..200 {
             let one_off = format!("SELECT s# FROM supplies WHERE p# = {i}");
-            engine.query_collect(&one_off).unwrap();
+            engine.run(one_off.as_str()).unwrap().collect().unwrap();
             if i % 100 == 99 {
                 // Touched once per 100 one-offs: recent enough to survive a
                 // cache of 128 under LRU, whatever its key sorts like.
-                engine.query_collect(Q2).unwrap();
+                engine.run(Q2).unwrap().collect().unwrap();
             }
         }
         assert_eq!(
@@ -1629,15 +1561,20 @@ mod tests {
             stale.execute(&engine, &blue),
             Err(Error::StalePlan { .. })
         ));
-        let guard = QueryGuard::from_config(engine.planner_config());
-        let (fresh, cursor) = engine
-            .prepare_execute_guarded(stale.sql(), &blue, guard)
+        let (cursor, fresh) = engine
+            .run_fresh(Request::prepared(&stale).params(blue.clone()))
             .unwrap();
         assert_eq!(
             cursor.collect_relation().unwrap(),
             relation! { ["s#"] => [1], [2] }
         );
+        let fresh = fresh.expect("the stale statement was re-planned");
         assert_eq!(fresh.catalog_version(), engine.catalog().version());
+        // A current statement runs as it is: nothing to re-plan.
+        let (_, again) = engine
+            .run_fresh(Request::prepared(&fresh).params(blue))
+            .unwrap();
+        assert!(again.is_none());
         assert_eq!(
             engine.metrics().statements_prepared,
             1,
@@ -1676,8 +1613,8 @@ mod tests {
         let engine = Engine::builder(catalog())
             .planner_config(PlannerConfig::default().batch_size(1))
             .build();
-        let expected = engine.query_collect(Q2).unwrap().relation;
-        let mut cursor = engine.query(Q2).unwrap();
+        let expected = engine.run(Q2).unwrap().collect().unwrap().relation;
+        let mut cursor = engine.run(Q2).unwrap();
         // Pull one batch, then drop every table the plan scans.
         let first = cursor.next().unwrap().unwrap();
         assert_eq!(first.num_rows(), 1);
@@ -1685,7 +1622,7 @@ mod tests {
             c.unregister("supplies").unwrap();
             c.unregister("parts").unwrap();
         });
-        assert!(engine.query(Q2).is_err(), "new statements see the drop");
+        assert!(engine.run(Q2).is_err(), "new statements see the drop");
         let mut streamed = Relation::empty(cursor.schema().clone());
         streamed.insert(first.row(0)).unwrap();
         for batch in cursor.by_ref() {
@@ -1706,7 +1643,7 @@ mod tests {
         // Every reader issues the same SQL text, so they share one plan-cache
         // entry that the mutator keeps invalidating under them.
         let engine = Arc::new(Engine::new(catalog()));
-        let expected_a = engine.query_collect(Q2).unwrap().relation;
+        let expected_a = engine.run(Q2).unwrap().collect().unwrap().relation;
         let expected_b = relation! { ["s#"] => [2] };
         let stop = Arc::new(AtomicBool::new(false));
         let mutator = {
@@ -1733,7 +1670,7 @@ mod tests {
                 let (a, b) = (expected_a.clone(), expected_b.clone());
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        let got = engine.query_collect(Q2).unwrap().relation;
+                        let got = engine.run(Q2).unwrap().collect().unwrap().relation;
                         assert!(got == a || got == b, "torn catalog state observed: {got:?}");
                     }
                 })
@@ -1808,8 +1745,8 @@ mod tests {
         // Results agree with the optimizing engine.
         let optimizing = Engine::new(catalog());
         assert_eq!(
-            engine.query_collect(sql).unwrap().relation,
-            optimizing.query_collect(sql).unwrap().relation
+            engine.run(sql).unwrap().collect().unwrap().relation,
+            optimizing.run(sql).unwrap().collect().unwrap().relation
         );
     }
 
@@ -1824,7 +1761,7 @@ mod tests {
                     .project(["p#"]),
             )
             .build();
-        let output = engine.execute_logical(&plan).unwrap();
+        let output = engine.run(Request::plan(&plan)).unwrap().collect().unwrap();
         assert_eq!(output.relation, relation! { ["s#"] => [1], [2] });
     }
 
@@ -1833,8 +1770,8 @@ mod tests {
         let engine = Engine::builder(catalog())
             .planner_config(PlannerConfig::default().batch_size(2))
             .build();
-        let expected = engine.query_collect(Q2).unwrap().relation;
-        let mut cursor = engine.query(Q2).unwrap();
+        let expected = engine.run(Q2).unwrap().collect().unwrap().relation;
+        let mut cursor = engine.run(Q2).unwrap();
         assert_eq!(cursor.schema().names(), vec!["s#"]);
         let mut streamed = Relation::empty(cursor.schema().clone());
         for batch in cursor.by_ref() {
@@ -1860,7 +1797,7 @@ mod tests {
         let engine = Engine::builder(catalog)
             .planner_config(PlannerConfig::default().batch_size(128))
             .build();
-        let mut cursor = engine.query("SELECT a FROM big WHERE b = 0").unwrap();
+        let mut cursor = engine.run("SELECT a FROM big WHERE b = 0").unwrap();
         let first: Vec<_> = cursor.by_ref().take(1).collect();
         assert_eq!(first.len(), 1);
         let stats = cursor.finish_stats();
@@ -1904,7 +1841,7 @@ mod tests {
             .planner_config(PlannerConfig::default().batch_size(64))
             .with_deadline(std::time::Duration::from_millis(50))
             .build();
-        let err = engine.query(RUNAWAY).unwrap().collect().unwrap_err();
+        let err = engine.run(RUNAWAY).unwrap().collect().unwrap_err();
         assert!(
             matches!(err, Error::DeadlineExceeded { limit_ms: 50, .. }),
             "got {err}"
@@ -1925,7 +1862,7 @@ mod tests {
             .planner_config(PlannerConfig::default().batch_size(64))
             .with_memory_budget(1_000)
             .build();
-        let err = engine.query(RUNAWAY).unwrap().collect().unwrap_err();
+        let err = engine.run(RUNAWAY).unwrap().collect().unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1943,9 +1880,7 @@ mod tests {
         let engine = Engine::new(runaway_catalog());
         let token = div_physical::CancelToken::new();
         let guard = QueryGuard::default().with_token(token.clone());
-        let mut cursor = engine
-            .query_guarded(RUNAWAY, &Params::new(), guard)
-            .unwrap();
+        let mut cursor = engine.run(Request::sql(RUNAWAY).guard(guard)).unwrap();
         assert!(cursor.next().unwrap().is_ok(), "runs until cancelled");
         token.cancel();
         let err = cursor
@@ -1963,7 +1898,7 @@ mod tests {
             .planner_config(PlannerConfig::default().batch_size(64))
             .with_memory_budget(1_000)
             .build();
-        let mut cursor = engine.query(RUNAWAY).unwrap();
+        let mut cursor = engine.run(RUNAWAY).unwrap();
         let err = cursor
             .find_map(|batch| batch.err())
             .expect("budget must trip");
@@ -1976,14 +1911,44 @@ mod tests {
     }
 
     #[test]
+    fn a_cursor_dropped_after_its_first_batch_still_reports_its_spill() {
+        let mut c = Catalog::new();
+        let rows = |groups: i64, items: i64| -> Vec<Vec<i64>> {
+            (0..groups)
+                .flat_map(|a| (0..items).map(move |b| vec![a, b]))
+                .collect()
+        };
+        c.register(
+            "supplies",
+            Relation::from_rows(["a", "b"], rows(400, 5)).unwrap(),
+        );
+        let wanted = rows(1, 5).into_iter().map(|row| vec![row[1]]);
+        c.register("wanted", Relation::from_rows(["b"], wanted).unwrap());
+        // 400 quotient groups under a 300-row budget: the divide spills.
+        let engine = Engine::builder(c)
+            .planner_config(PlannerConfig::default().batch_size(16))
+            .with_memory_budget(300)
+            .with_spill_to_disk(true)
+            .build();
+        let sql = "SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b";
+        let mut cursor = engine.run(sql).unwrap();
+        assert!(cursor.next().unwrap().is_ok());
+        drop(cursor);
+        let metrics = engine.metrics();
+        assert_eq!(metrics.queries_executed, 1);
+        assert_eq!(metrics.queries_spilled, 1);
+        assert!(metrics.spill_partitions > 0);
+    }
+
+    #[test]
     fn guarded_prepared_statement_observes_its_token() {
         let engine = Engine::new(runaway_catalog());
         let stmt = engine.prepare(RUNAWAY).unwrap();
         let token = div_physical::CancelToken::new();
         token.cancel();
         let guard = QueryGuard::default().with_token(token);
-        let err = stmt
-            .execute_guarded(&engine, &Params::new(), guard)
+        let err = engine
+            .run(Request::prepared(&stmt).guard(guard))
             .unwrap()
             .collect()
             .unwrap_err();
@@ -1993,7 +1958,7 @@ mod tests {
     #[test]
     fn ungoverned_queries_are_unaffected_by_the_governance_plumbing() {
         let engine = Engine::new(catalog());
-        let out = engine.query_collect(Q2).unwrap();
+        let out = engine.run(Q2).unwrap().collect().unwrap();
         assert_eq!(out.stats.resident_rows_on_finish, 0);
     }
 }

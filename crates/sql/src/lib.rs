@@ -14,7 +14,8 @@
 //! by the paper's queries Q1–Q3 (including derived tables and `NOT EXISTS`
 //! subqueries), a translator to [`div_expr::LogicalPlan`]s, and — most
 //! importantly — the [`Engine`] facade that runs the whole pipeline with the
-//! rewrite optimizer of `div-rewrite` in the loop by default, returns results
+//! rewrite optimizer of `div-rewrite` in the loop by default behind one
+//! front door ([`Engine::run`] of a [`Request`]), returns results
 //! as an incremental streaming [`Cursor`] (an iterator of columnar batches
 //! whose early termination short-circuits the scans), supports prepared
 //! statements ([`Engine::prepare`]), structured EXPLAIN reports
@@ -41,7 +42,7 @@
 //! catalog.register("parts", relation! { ["p#", "color"] => [1, "blue"], [2, "blue"] });
 //!
 //! let engine = Engine::new(catalog);
-//! let cursor = engine.query(
+//! let cursor = engine.run(
 //!     "SELECT s# FROM supplies AS s DIVIDE BY (SELECT p# FROM parts WHERE color = 'blue') AS p \
 //!      ON s.p# = p.p#",
 //! ).unwrap();
@@ -61,7 +62,9 @@ pub mod parser;
 
 pub use ast::{Query, SelectItem, SqlCondition, SqlOperand, TableFactor, TableReference};
 pub use div_physical::{CancelToken, QueryGuard};
-pub use engine::{Cursor, Engine, EngineBuilder, Explain, Params, PreparedStatement, QueryOutput};
+pub use engine::{
+    Cursor, Engine, EngineBuilder, Explain, Params, PreparedStatement, QueryOutput, Request,
+};
 pub use error::Error;
 pub use lexer::{tokenize, Token};
 pub use lower::translate_query;

@@ -95,9 +95,16 @@ impl EngineMetrics {
     }
 
     /// One query execution finished (successfully or not): bump the query
-    /// counter, account the returned rows and place the latency in its
-    /// histogram bucket.
-    pub(crate) fn record_execution(&self, rows: u64, elapsed: Duration) {
+    /// counter, account the returned rows, place the latency in its
+    /// histogram bucket, and fold the execution's out-of-core statistics
+    /// into the session counters — spill traffic from the hybrid hash
+    /// operators and zone-map chunk skips from table scans.
+    pub(crate) fn record_execution(
+        &self,
+        rows: u64,
+        elapsed: Duration,
+        stats: &div_physical::ExecStats,
+    ) {
         let ns = saturating_ns(elapsed);
         self.queries_executed.fetch_add(1, Ordering::Relaxed);
         self.rows_returned.fetch_add(rows, Ordering::Relaxed);
@@ -107,12 +114,6 @@ impl EngineMetrics {
             .position(|&bound| ns <= bound)
             .expect("last bound is u64::MAX");
         self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold one finished execution's out-of-core statistics into the
-    /// session counters: spill traffic from the hybrid hash operators and
-    /// zone-map chunk skips from table scans.
-    pub(crate) fn record_exec_stats(&self, stats: &div_physical::ExecStats) {
         if stats.spill_partitions > 0 {
             self.queries_spilled.fetch_add(1, Ordering::Relaxed);
             self.spill_partitions
@@ -364,12 +365,13 @@ impl fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use div_physical::ExecStats;
 
     #[test]
     fn execution_recording_fills_counters_and_histogram() {
         let metrics = EngineMetrics::default();
-        metrics.record_execution(10, Duration::from_micros(50)); // ≤100µs bucket
-        metrics.record_execution(5, Duration::from_millis(5)); // ≤10ms bucket
+        metrics.record_execution(10, Duration::from_micros(50), &ExecStats::default()); // ≤100µs bucket
+        metrics.record_execution(5, Duration::from_millis(5), &ExecStats::default()); // ≤10ms bucket
         let snap = metrics.snapshot();
         assert_eq!(snap.queries_executed, 2);
         assert_eq!(snap.rows_returned, 15);
@@ -399,7 +401,7 @@ mod tests {
     #[test]
     fn json_rendering_is_well_formed() {
         let metrics = EngineMetrics::default();
-        metrics.record_execution(3, Duration::from_micros(10));
+        metrics.record_execution(3, Duration::from_micros(10), &ExecStats::default());
         metrics.record_prepare();
         metrics.record_prepared_cache(false);
         let json = metrics.snapshot().to_json();
@@ -424,7 +426,7 @@ mod tests {
     #[test]
     fn display_lists_every_section() {
         let metrics = EngineMetrics::default();
-        metrics.record_execution(1, Duration::from_secs(2)); // >1s bucket
+        metrics.record_execution(1, Duration::from_secs(2), &ExecStats::default()); // >1s bucket
         let text = metrics.snapshot().to_string();
         assert!(text.contains("queries executed:      1"));
         assert!(text.contains("execution latency histogram:"));

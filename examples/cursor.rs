@@ -73,7 +73,11 @@ fn main() {
     // 3. Bounded memory on a deep pipeline, vs the same plan materialized by
     //    the reference evaluator.
     let deep = "SELECT p# FROM supplies WHERE s# < 1500 AND p# < 50";
-    let output = engine.query_collect(deep).expect("query runs");
+    let output = engine
+        .run(deep)
+        .expect("query runs")
+        .collect()
+        .expect("query runs");
     println!("deep pipeline `{deep}`");
     println!(
         "  streaming:     peak resident rows = {:>6} (batch_size = {})",

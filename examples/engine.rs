@@ -96,8 +96,10 @@ fn main() {
         stmt.laws_applied().len()
     );
     for color in ["blue", "red", "green", "yellow", "black"] {
-        let out = stmt
-            .execute_collect(&engine, &Params::new().bind("color", color))
+        let out = engine
+            .run(Request::prepared(&stmt).params(Params::new().bind("color", color)))
+            .expect("prepared Q2 executes")
+            .collect()
             .expect("prepared Q2 executes");
         println!("  {color}: {} suppliers", out.relation.len());
     }

@@ -73,8 +73,10 @@ fn main() {
         .prepare(stmt_sql)
         .expect("prepares again (cache hit)");
     for color in ["blue", "red", "green"] {
-        let out = stmt
-            .execute_collect(&engine, &Params::new().bind("color", color))
+        let out = engine
+            .run(Request::prepared(&stmt).params(Params::new().bind("color", color)))
+            .expect("prepared query executes")
+            .collect()
             .expect("prepared query executes");
         println!(
             "{color}: {} suppliers supply every part",

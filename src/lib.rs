@@ -6,4 +6,6 @@
 //! [`division`] facade crate, or go straight to the [`Engine`] session API).
 
 pub use division;
-pub use division::prelude::{Cursor, Engine, EngineBuilder, Explain, Params, PreparedStatement};
+pub use division::prelude::{
+    Cursor, Engine, EngineBuilder, Explain, Params, PreparedStatement, Request,
+};

@@ -14,7 +14,7 @@ use div_conformance::fuzzer::{run, FuzzConfig};
 use div_conformance::golden::{self, parse_file, render_file};
 use div_conformance::grammar::CaseSpec;
 use div_conformance::laws;
-use div_sql::{Engine, Params};
+use div_sql::{Cursor, Engine, Params, Request};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
@@ -116,77 +116,161 @@ fn fuzz_differential_smoke() {
     }
 }
 
-/// The engine's metrics registry reconciles with per-cursor stats under a
-/// generated workload: one query per generated case, counting executions,
-/// returned rows, prepared statements and plan-cache hits (every SQL entry
-/// point looks its text up in the one plan cache, ad-hoc `query` included).
+/// The engine's metrics registry reconciles with what the caller consumed,
+/// through every source a [`Request`] can name — SQL, SQL with bindings, a
+/// prepared statement, a logical plan, `run_fresh` of a stale statement and
+/// `explain_analyze` — each consumed collected, iterated and dropped after
+/// its first batch. Per mode the deltas of executions, returned rows,
+/// explicit prepares, plan-cache hits / misses and compilations are pinned.
 #[test]
 fn engine_metrics_reconcile_under_generated_workloads() {
-    // One shared catalog: the first generated spec's tables.
-    let spec = CaseSpec::generate(0x5eed);
-    let engine = Engine::new(spec.catalog());
-    let base = engine.metrics();
-
-    let mut executed = 0u64;
-    let mut rows = 0u64;
-    let adhoc_sql = spec.divide_by_sql(false);
-    for round in 0..8u64 {
-        let output = engine
-            .query_collect(&adhoc_sql)
-            .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        executed += 1;
-        rows += output.relation.len() as u64;
-        // Per-cursor stats must agree with the materialized relation.
-        assert_eq!(output.stats.output_rows, output.relation.len());
+    #[derive(Debug, PartialEq)]
+    struct Counts {
+        executed: u64,
+        rows: u64,
+        prepared: u64,
+        hits: u64,
+        misses: u64,
+        compiles: u64,
     }
-
-    // Prepared path: same SQL prepared twice → at most one miss (none when
-    // the text is the ad-hoc one, already cached), the rest cache hits.
-    let sql = spec.divide_by_sql(true);
-    let has_params = sql.contains('$');
-    let params = match spec.divisor_filter.as_ref().and_then(|f| f.param.clone()) {
-        Some(name) => {
-            let value = spec.divisor_filter.as_ref().unwrap().value.clone();
-            Params::new().bind(name, value)
+    fn counts(engine: &Engine) -> Counts {
+        let m = engine.metrics();
+        Counts {
+            executed: m.queries_executed,
+            rows: m.rows_returned,
+            prepared: m.statements_prepared,
+            hits: m.prepared_cache_hits,
+            misses: m.prepared_cache_misses,
+            compiles: engine.compile_count(),
         }
-        None => Params::new(),
-    };
-    let first = engine.prepare(&sql).expect("prepare");
-    let second = engine.prepare(&sql).expect("re-prepare");
-    for prepared in [&first, &second] {
-        let output = prepared
-            .execute_collect(&engine, &params)
-            .expect("prepared execution");
-        executed += 1;
-        rows += output.relation.len() as u64;
-        assert_eq!(output.stats.output_rows, output.relation.len());
     }
-    let _ = has_params;
+    /// Consume `cursor` the `way`-th way; the rows the caller saw.
+    fn consume(cursor: Cursor, way: usize) -> u64 {
+        match way {
+            0 => {
+                let output = cursor.collect().expect("collect");
+                assert_eq!(output.stats.output_rows, output.relation.len());
+                output.relation.len() as u64
+            }
+            1 => cursor.map(|batch| batch.unwrap().num_rows() as u64).sum(),
+            _ => {
+                let mut cursor = cursor;
+                cursor
+                    .next()
+                    .map_or(0, |batch| batch.unwrap().num_rows() as u64)
+            }
+        }
+    }
 
-    let snapshot = engine.metrics();
-    assert_eq!(
-        snapshot.queries_executed - base.queries_executed,
+    // The first generated spec whose divisor filter is a `$parameter`.
+    let spec = (0x5eed..)
+        .map(CaseSpec::generate)
+        .find(|spec| {
+            spec.divisor_filter
+                .as_ref()
+                .is_some_and(|f| f.param.is_some())
+        })
+        .expect("a parameterized spec");
+    let filter = spec.divisor_filter.clone().unwrap();
+    let params = Params::new().bind(filter.param.unwrap(), filter.value);
+    let engine = Engine::new(spec.catalog());
+    let adhoc_sql = spec.divide_by_sql(false);
+    let sql = spec.divide_by_sql(true);
+    assert_ne!(adhoc_sql, sql);
+    let query = div_sql::parse_query(&adhoc_sql).unwrap();
+    let plan = div_sql::translate_query(&query, &engine.catalog()).unwrap();
+
+    let check = |mode: &str, run: &mut dyn FnMut(usize) -> u64, expected: Counts| {
+        let before = counts(&engine);
+        let rows = (0..3).map(&mut *run).sum::<u64>();
+        let after = counts(&engine);
+        let delta = Counts {
+            executed: after.executed - before.executed,
+            rows: after.rows - before.rows,
+            prepared: after.prepared - before.prepared,
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            compiles: after.compiles - before.compiles,
+        };
+        assert_eq!(delta, Counts { rows, ..expected }, "mode {mode}");
+    };
+    let counted = |executed, prepared, hits, misses, compiles| Counts {
         executed,
-        "queries_executed diverged from the cursors actually collected"
+        rows: 0,
+        prepared,
+        hits,
+        misses,
+        compiles,
+    };
+
+    // Ad-hoc SQL: one miss compiles the text, the rest are cache hits.
+    check(
+        "sql",
+        &mut |way| consume(engine.run(adhoc_sql.as_str()).unwrap(), way),
+        counted(3, 0, 2, 1, 1),
     );
-    assert_eq!(
-        snapshot.rows_returned - base.rows_returned,
-        rows,
-        "rows_returned diverged from the relations actually materialized"
+    // Bound SQL compiles every time and never touches the cache.
+    check(
+        "sql+params",
+        &mut |way| {
+            let request = Request::sql(&sql).params(params.clone());
+            consume(engine.run(request).unwrap(), way)
+        },
+        counted(3, 0, 0, 0, 3),
     );
-    assert_eq!(snapshot.statements_prepared - base.statements_prepared, 2);
-    // Ten plan-cache lookups (8 ad-hoc + 2 prepares): one miss per distinct
-    // SQL text, everything else a hit.
-    let distinct_texts = if sql == adhoc_sql { 1 } else { 2 };
-    assert_eq!(
-        snapshot.prepared_cache_misses - base.prepared_cache_misses,
-        distinct_texts
+    // One explicit prepare (a miss that compiles); executions compile nothing.
+    let stmt = engine.prepare(&sql).unwrap();
+    check(
+        "prepared",
+        &mut |way| {
+            let request = Request::prepared(&stmt).params(params.clone());
+            consume(engine.run(request).unwrap(), way)
+        },
+        counted(3, 0, 0, 0, 0),
     );
-    assert_eq!(
-        snapshot.prepared_cache_hits - base.prepared_cache_hits,
-        10 - distinct_texts
+    assert_eq!(counts(&engine).prepared, 1);
+    // A plan compiles (optimizes) on every run.
+    check(
+        "plan",
+        &mut |way| consume(engine.run(Request::plan(&plan)).unwrap(), way),
+        counted(3, 0, 0, 0, 3),
     );
-    assert_eq!(engine.compile_count(), distinct_texts);
+    // After a mutation the statement is stale: `run` refuses it untouched,
+    // `run_fresh` re-plans its text through the cache — a miss, then hits —
+    // and is no explicit prepare.
+    engine.mutate_catalog(|c| {
+        c.register("unrelated", div_algebra::relation! { ["x"] => [1] });
+    });
+    check(
+        "stale run",
+        &mut |_| {
+            let request = Request::prepared(&stmt).params(params.clone());
+            let err = engine.run(request).unwrap_err();
+            assert!(matches!(err, div_sql::Error::StalePlan { .. }), "{err}");
+            0
+        },
+        counted(0, 0, 0, 0, 0),
+    );
+    check(
+        "run_fresh",
+        &mut |way| {
+            let request = Request::prepared(&stmt).params(params.clone());
+            let (cursor, fresh) = engine.run_fresh(request).unwrap();
+            assert!(fresh.is_some(), "the stale statement was re-planned");
+            consume(cursor, way)
+        },
+        counted(3, 0, 2, 1, 1),
+    );
+    // EXPLAIN ANALYZE compiles afresh and collects its one execution.
+    check(
+        "explain_analyze",
+        &mut |_| {
+            let request = Request::sql(&sql).params(params.clone());
+            let explain = engine.explain_analyze(request).unwrap();
+            explain.stats.expect("analyzed").output_rows as u64
+        },
+        counted(3, 0, 0, 0, 3),
+    );
 }
 
 /// Regression: preparing a query whose divisor filter is `$parameterized`
@@ -205,12 +289,16 @@ fn prepared_statements_stay_sound_when_a_binding_empties_the_divisor() {
     let sql = "SELECT * FROM r DIVIDE BY (SELECT * FROM s WHERE s.b = $p) AS d ON r.b = d.b";
     let prepared = engine.prepare(sql).expect("prepare");
     for bound in [1i64, 99, 2, 99] {
-        let got = prepared
-            .execute_collect(&engine, &Params::new().bind("p", bound))
+        let got = engine
+            .run(Request::prepared(&prepared).params(Params::new().bind("p", bound)))
+            .expect("prepared execution")
+            .collect()
             .expect("prepared execution")
             .relation;
         let literal = engine
-            .query_collect(&sql.replace("$p", &bound.to_string()))
+            .run(Request::sql(&sql.replace("$p", &bound.to_string())))
+            .expect("literal execution")
+            .collect()
             .expect("literal execution")
             .relation;
         assert_eq!(

@@ -254,13 +254,17 @@ fn span_timing_is_gated_by_the_tracing_flag() {
 fn engine_with_tracing_times_ordinary_queries() {
     let engine = Engine::builder(catalog()).with_tracing(true).build();
     let output = engine
-        .query_collect("SELECT s# FROM supplies WHERE p# = 2")
+        .run("SELECT s# FROM supplies WHERE p# = 2")
+        .unwrap()
+        .collect()
         .unwrap();
     assert!(output.stats.operators.iter().any(|op| op.timed()));
 
     let plain = Engine::new(catalog());
     let output = plain
-        .query_collect("SELECT s# FROM supplies WHERE p# = 2")
+        .run("SELECT s# FROM supplies WHERE p# = 2")
+        .unwrap()
+        .collect()
         .unwrap();
     assert!(
         output.stats.operators.iter().all(|op| !op.timed()),
@@ -327,7 +331,7 @@ fn engine_metrics_count_queries_rows_and_laws() {
     let engine = Engine::new(catalog());
     assert_eq!(engine.metrics().queries_executed, 0);
 
-    let output = engine.query_collect(Q2).unwrap();
+    let output = engine.run(Q2).unwrap().collect().unwrap();
     assert_eq!(output.relation.len(), 2);
     engine.query("SELECT s# FROM supplies").unwrap(); // dropped unread
     let snapshot = engine.metrics();
@@ -343,10 +347,12 @@ fn engine_metrics_count_queries_rows_and_laws() {
 
     // A rewriting query credits its laws.
     engine
-        .query_collect(
+        .run(
             "SELECT s#, color FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p# \
              WHERE color = 'blue'",
         )
+        .unwrap()
+        .collect()
         .unwrap();
     let snapshot = engine.metrics();
     assert!(

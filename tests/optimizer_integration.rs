@@ -250,7 +250,7 @@ fn engine_pipeline_agrees_with_the_reference_evaluator_on_law_plans() {
     let engine = Engine::new(catalog.clone());
     for plan in law_exercising_plans() {
         let expected = evaluate(&plan, &catalog).unwrap();
-        let output = engine.execute_logical(&plan).unwrap();
+        let output = engine.run(Request::plan(&plan)).unwrap().collect().unwrap();
         assert_eq!(
             output.relation, expected,
             "engine diverges from the reference on plan:\n{plan}"

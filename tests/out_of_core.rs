@@ -24,7 +24,7 @@
 use div_algebra::{relation, AggregateCall, AggregateFunction, CompareOp, Predicate, Relation};
 use div_expr::{evaluate, Catalog, LogicalPlan, PlanBuilder};
 use div_physical::{ExecStats, PlannerConfig, QueryGuard, StreamExecutor};
-use div_sql::{Engine, QueryOutput};
+use div_sql::{Engine, QueryOutput, Request};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -167,7 +167,7 @@ fn run_spilling(catalog: &Catalog, logical: &LogicalPlan, budget: usize) -> Quer
         .without_optimizer() // differential: compare the raw plan
         .build();
     engine
-        .stream_logical(logical)
+        .run(Request::plan(logical))
         .unwrap()
         .collect()
         .unwrap_or_else(|err| panic!("budget {budget} aborted instead of spilling: {err}"))
@@ -327,7 +327,11 @@ fn run_five_hundred_groups(batch_size: usize) -> QueryOutput {
         .planner_config(config)
         .without_optimizer()
         .build();
-    let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+    let output = engine
+        .run(Request::plan(&logical))
+        .unwrap()
+        .collect()
+        .unwrap();
     assert_eq!(output.relation, expected);
     assert!(
         output.stats.peak_resident_rows <= 256,
@@ -421,7 +425,11 @@ fn coverage_state_that_fits_never_touches_disk() {
             .planner_config(config)
             .without_optimizer()
             .build();
-        let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+        let output = engine
+            .run(Request::plan(&logical))
+            .unwrap()
+            .collect()
+            .unwrap();
         assert_eq!(output.relation, expected, "{label}");
         let stats = &output.stats;
         assert_eq!(stats.spill_partitions, 0, "{label}");
@@ -465,7 +473,11 @@ fn aggregate_state_that_fits_never_touches_disk() {
         .planner_config(config)
         .without_optimizer()
         .build();
-    let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+    let output = engine
+        .run(Request::plan(&logical))
+        .unwrap()
+        .collect()
+        .unwrap();
     assert_eq!(output.relation, expected);
     let stats = &output.stats;
     assert_eq!(stats.spill_partitions, 0);
@@ -506,7 +518,11 @@ fn aggregate_overflow_spills_only_the_groups_that_are_not_resident() {
         .planner_config(config)
         .without_optimizer()
         .build();
-    let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+    let output = engine
+        .run(Request::plan(&logical))
+        .unwrap()
+        .collect()
+        .unwrap();
     assert_eq!(output.relation, expected);
     let stats = &output.stats;
     assert!(
@@ -646,7 +662,11 @@ fn an_attached_file_is_a_set_so_a_grouped_count_matches_the_reference() {
         .group_aggregate(["g"], [AggregateCall::count("v", "n")])
         .build();
     let engine = Engine::builder(c.clone()).without_optimizer().build();
-    let streamed = engine.stream_logical(&logical).unwrap().collect().unwrap();
+    let streamed = engine
+        .run(Request::plan(&logical))
+        .unwrap()
+        .collect()
+        .unwrap();
     let counts = relation! { ["g", "n"] => [1, 2], [2, 2], [3, 1] };
     assert_eq!(streamed.relation, counts);
     assert_eq!(evaluate(&logical, &c).unwrap(), counts);
@@ -714,12 +734,9 @@ fn a_callers_plain_guard_keeps_the_divide_streaming() {
         .with_spill_to_disk(true)
         .build();
     let guard = QueryGuard::default().with_token(div_sql::CancelToken::new());
+    let sql = "SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b";
     let output = engine
-        .query_guarded(
-            "SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b",
-            &div_sql::Params::new(),
-            guard,
-        )
+        .run(Request::sql(sql).guard(guard))
         .unwrap()
         .collect()
         .unwrap();

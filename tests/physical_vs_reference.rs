@@ -336,7 +336,7 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
                 .planner_config(PlannerConfig::with_batch_size(batch_size))
                 .without_optimizer() // differential: compare the raw plan
                 .build();
-            let cursor = engine.stream_logical(&logical).unwrap();
+            let cursor = engine.run(Request::plan(&logical)).unwrap();
             let output = cursor.collect().unwrap();
             assert_eq!(
                 output.relation, expected,
@@ -385,7 +385,7 @@ fn cursor_take_one_short_circuits_the_source_scan() {
 #[test]
 fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
     // The optimizer-in-the-loop differential: for all eleven differential
-    // plan shapes, `Engine::execute_logical` (rewrite optimizer ON, the
+    // plan shapes, `Engine::run` of a `Request::plan` (rewrite optimizer ON, the
     // default; streaming executor) must return byte-identical relations to
     // the reference evaluator over the raw plan, at a batch size that splits
     // the inputs and one that exceeds them.
@@ -411,7 +411,11 @@ fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
                 optimizing.optimizer_enabled(),
                 "optimizer must be the default"
             );
-            let optimized_out = optimizing.execute_logical(&logical).unwrap();
+            let optimized_out = optimizing
+                .run(Request::plan(&logical))
+                .unwrap()
+                .collect()
+                .unwrap();
             assert_eq!(
                 optimized_out.relation, raw_relation,
                 "shape #{shape_idx} diverges at batch_size {batch_size}:\n{logical}"
@@ -596,13 +600,13 @@ fn sum_overflow_is_a_typed_error_on_every_path() {
             .planner_config(PlannerConfig::with_batch_size(batch_size))
             .build();
         let err = engine
-            .stream_logical(&logical)
+            .run(Request::plan(&logical))
             .unwrap()
             .collect()
             .unwrap_err();
         assert!(
             matches!(&err, SqlError::Plan(ExprError::Algebra(inner)) if is_overflow(inner)),
-            "stream_logical at batch {batch_size}: {err}"
+            "plan run at batch {batch_size}: {err}"
         );
     }
 }

@@ -23,7 +23,7 @@ use div_expr::{Catalog, ExprError, LogicalPlan, PlanBuilder};
 use div_physical::{
     failpoint, CancelToken, ExecStats, FailAction, PlannerConfig, QueryGuard, StreamExecutor,
 };
-use div_sql::Engine;
+use div_sql::{Engine, Request};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -213,7 +213,11 @@ fn pushed_down_filters_skip_segments_without_changing_results() {
                     .without_optimizer()
                     .planner_config(PlannerConfig::default().batch_size(batch_size))
                     .build();
-                let output = engine.stream_logical(&logical).unwrap().collect().unwrap();
+                let output = engine
+                    .run(Request::plan(&logical))
+                    .unwrap()
+                    .collect()
+                    .unwrap();
                 assert_eq!(output.relation, expected, "{at}");
                 assert_eq!(output.stats.chunks_skipped, skipped, "{at}");
                 assert_eq!(output.stats.rows_scanned, scanned, "{at}");

@@ -7,7 +7,7 @@
 use div_algebra::{Relation, Value};
 use div_datagen::scenarios::{generate, ScenarioConfig, ScenarioFamily};
 use div_server::{Client, ClientError, ErrorCode, RetryPolicy, Server, ServerConfig};
-use div_sql::Engine;
+use div_sql::{Engine, Request};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -428,6 +428,36 @@ fn default_memory_budget_aborts_with_the_typed_wire_error() {
     server.shutdown();
 }
 
+/// A served `EXPLAIN ANALYZE` executes its statement, so it runs under the
+/// session guard like `QUERY` and `EXECUTE`: the server-default budget
+/// aborts it. A plain `EXPLAIN` executes nothing and still answers.
+#[test]
+fn served_explain_analyze_runs_under_the_session_guard() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        runaway_engine(),
+        ServerConfig {
+            default_budget_rows: Some(2_000),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let plan = client.explain(RUNAWAY, false).unwrap();
+    assert!(plan.contains("physical plan"), "{plan}");
+    match client.explain(RUNAWAY, true).unwrap_err() {
+        ClientError::Server {
+            code: Some(ErrorCode::Memory),
+            message,
+            ..
+        } => assert!(message.contains("2000 resident rows"), "{message}"),
+        other => panic!("expected ERR MEMORY, got {other}"),
+    }
+    assert_eq!(server.metrics().budget_aborts.load(Ordering::Relaxed), 1);
+    client.close().unwrap();
+    server.shutdown();
+}
+
 /// The same server-default budget on an engine that may spill: the budget
 /// reaches the divide through the statement's guard alone (the engine's own
 /// config names none), and the statement spills instead of aborting.
@@ -526,10 +556,8 @@ fn prepared_statements_never_serve_stale_rows_across_mutation() {
     let engine = Engine::new(data.catalog());
     let sql = data.small_divide_sql();
     let stmt = engine.prepare(&sql).unwrap();
-    let before = stmt
-        .execute_collect(&engine, &div_sql::Params::new())
-        .unwrap()
-        .relation;
+    let before = engine.run(Request::prepared(&stmt)).unwrap();
+    let before = before.collect_relation().unwrap();
 
     // Shrink the divisor: the quotient can only grow.
     let shrunk = Relation::from_rows([names.item_column], vec![vec![Value::Int(100)]]).unwrap();
@@ -538,17 +566,13 @@ fn prepared_statements_never_serve_stale_rows_across_mutation() {
     });
 
     // The old handle refuses to run...
-    let err = stmt
-        .execute_collect(&engine, &div_sql::Params::new())
-        .unwrap_err();
+    let err = engine.run(Request::prepared(&stmt)).unwrap_err();
     assert!(matches!(err, div_sql::Error::StalePlan { .. }), "{err}");
 
     // ...and a fresh prepare sees exactly the post-mutation state.
     let fresh = engine.prepare(&sql).unwrap();
-    let after = fresh
-        .execute_collect(&engine, &div_sql::Params::new())
-        .unwrap()
-        .relation;
+    let after = engine.run(Request::prepared(&fresh)).unwrap();
+    let after = after.collect_relation().unwrap();
     let expected = data
         .dividend
         .divide(&Relation::from_rows([names.item_column], vec![vec![Value::Int(100)]]).unwrap())

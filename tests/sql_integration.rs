@@ -44,7 +44,7 @@ fn q1_is_a_great_divide_and_produces_per_color_suppliers() {
     let explain = engine.explain(Q1).unwrap();
     assert!(explain.logical.contains_division());
     assert!(explain.plan_signature().contains("GreatDivide[hash]"));
-    let output = engine.query_collect(Q1).unwrap();
+    let output = engine.run(Q1).unwrap().collect().unwrap();
     let expected = relation! {
         ["s#", "color"] =>
         [1, "blue"], [2, "blue"],
@@ -59,7 +59,7 @@ fn q2_is_a_small_divide_over_the_derived_divisor() {
     let explain = engine.explain(Q2).unwrap();
     assert!(format!("{}", explain.logical).contains("SmallDivide"));
     assert_eq!(
-        engine.query_collect(Q2).unwrap().relation,
+        engine.run(Q2).unwrap().collect().unwrap().relation,
         relation! { ["s#"] => [1], [2] }
     );
 }
@@ -72,8 +72,8 @@ fn q3_not_exists_formulation_matches_q1() {
     assert!(explain.logical.contains_division());
     // ... that produces the same relation as the DIVIDE BY formulation.
     assert_eq!(
-        engine.query_collect(Q3).unwrap().relation,
-        engine.query_collect(Q1).unwrap().relation
+        engine.run(Q3).unwrap().collect().unwrap().relation,
+        engine.run(Q1).unwrap().collect().unwrap().relation
     );
 }
 
@@ -82,21 +82,23 @@ fn q1_q2_q3_agree_on_generated_workloads() {
     for (suppliers, parts, coverage) in [(30, 12, 0.7), (60, 20, 0.5), (40, 16, 0.9)] {
         let engine = Engine::new(suppliers_parts_catalog(suppliers, parts, coverage));
         assert_eq!(
-            engine.query_collect(Q1).unwrap().relation,
-            engine.query_collect(Q3).unwrap().relation,
+            engine.run(Q1).unwrap().collect().unwrap().relation,
+            engine.run(Q3).unwrap().collect().unwrap().relation,
             "Q1 and Q3 disagree at scale ({suppliers}, {parts}, {coverage})"
         );
 
         // Q2 must agree with Q1 restricted to blue.
         let q1_blue: Relation = engine
-            .query_collect(Q1)
+            .run(Q1)
+            .unwrap()
+            .collect()
             .unwrap()
             .relation
             .select(&Predicate::eq_value("color", "blue"))
             .unwrap()
             .project(&["s#"])
             .unwrap();
-        assert_eq!(engine.query_collect(Q2).unwrap().relation, q1_blue);
+        assert_eq!(engine.run(Q2).unwrap().collect().unwrap().relation, q1_blue);
     }
 }
 
@@ -113,7 +115,7 @@ fn sql_plans_report_the_divide_that_ran() {
             explain.to_string().contains(label),
             "EXPLAIN names {label}:\n{explain}"
         );
-        let output = engine.query_collect(sql).unwrap();
+        let output = engine.run(sql).unwrap().collect().unwrap();
         assert!(
             output.stats.operators.iter().any(|op| op.label == label),
             "the executed span tree carries {label}"
@@ -162,8 +164,8 @@ fn engine_runs_the_optimizer_by_default_and_rewrites_divides() {
     // Byte-identical result vs the unoptimized pipeline.
     let raw = Engine::builder(catalog).without_optimizer().build();
     assert_eq!(
-        optimizing.query_collect(sql).unwrap().relation,
-        raw.query_collect(sql).unwrap().relation
+        optimizing.run(sql).unwrap().collect().unwrap().relation,
+        raw.run(sql).unwrap().collect().unwrap().relation
     );
 }
 
@@ -174,18 +176,24 @@ fn prepared_statements_reuse_one_compilation_across_bindings() {
     assert_eq!(engine.compile_count(), 1);
 
     // Three executions with different bindings, no recompilation.
-    let blue = stmt
-        .execute_collect(&engine, &Params::new().bind("color", "blue"))
+    let blue = engine
+        .run(Request::prepared(&stmt).params(Params::new().bind("color", "blue")))
+        .unwrap()
+        .collect()
         .unwrap();
     assert_eq!(blue.relation, relation! { ["s#"] => [1], [2] });
-    let red = stmt
-        .execute_collect(&engine, &Params::new().bind("color", "red"))
+    let red = engine
+        .run(Request::prepared(&stmt).params(Params::new().bind("color", "red")))
+        .unwrap()
+        .collect()
         .unwrap();
     assert_eq!(red.relation, relation! { ["s#"] => [2], [3] });
     // Empty divisor: universal quantification over the empty set holds for
     // every supplier.
-    let green = stmt
-        .execute_collect(&engine, &Params::new().bind("color", "green"))
+    let green = engine
+        .run(Request::prepared(&stmt).params(Params::new().bind("color", "green")))
+        .unwrap()
+        .collect()
         .unwrap();
     assert_eq!(green.relation, relation! { ["s#"] => [1], [2], [3] });
     assert_eq!(
@@ -196,12 +204,15 @@ fn prepared_statements_reuse_one_compilation_across_bindings() {
 
     // Plan identity: every execution binds into the same cached template.
     let before = std::sync::Arc::as_ptr(stmt.plan());
-    stmt.execute_collect(&engine, &Params::new().bind("color", "blue"))
+    engine
+        .run(Request::prepared(&stmt).params(Params::new().bind("color", "blue")))
+        .unwrap()
+        .collect()
         .unwrap();
     assert_eq!(std::sync::Arc::as_ptr(stmt.plan()), before);
 
     // The ad-hoc path answers the same bytes as the prepared path.
-    let adhoc = engine.query_collect(Q2).unwrap();
+    let adhoc = engine.run(Q2).unwrap().collect().unwrap();
     assert_eq!(adhoc.relation, blue.relation);
 }
 
@@ -212,14 +223,14 @@ fn prepared_statements_go_stale_when_the_catalog_changes() {
     engine.mutate_catalog(|c| {
         c.register("parts", relation! { ["p#", "color"] => [1, "blue"] });
     });
-    let err = stmt.execute_collect(&engine, &Params::new()).unwrap_err();
+    let err = engine.run(Request::prepared(&stmt)).unwrap_err();
     assert!(matches!(err, SqlError::StalePlan { .. }), "got {err}");
 }
 
 #[test]
 fn parse_errors_keep_their_structured_source() {
     let engine = textbook_engine();
-    let err = engine.query_collect("SELECT FROM WHERE").unwrap_err();
+    let err = engine.run("SELECT FROM WHERE").unwrap_err();
     // Assert the variant, not a substring: the ParseError must survive as a
     // typed source, not be flattened into a message.
     let SqlError::Parse(parse_err) = &err else {
@@ -235,18 +246,18 @@ fn unsupported_sql_is_rejected_with_errors() {
     let engine = textbook_engine();
     // Non-equi ON clause.
     let err = engine
-        .query_collect("SELECT s# FROM supplies AS s DIVIDE BY parts AS p ON s.p# < p.p#")
+        .run("SELECT s# FROM supplies AS s DIVIDE BY parts AS p ON s.p# < p.p#")
         .unwrap_err();
     assert!(matches!(err, SqlError::Plan(_)));
     // Unknown table: the ExprError variant survives inside the Plan variant.
-    let err = engine.query_collect("SELECT x FROM missing").unwrap_err();
+    let err = engine.run("SELECT x FROM missing").unwrap_err();
     assert!(matches!(
         err,
         SqlError::Plan(div_expr::ExprError::UnknownTable { .. })
     ));
     // A correlated subquery that is not the universal quantification pattern.
     let err = engine
-        .query_collect(
+        .run(
             "SELECT s# FROM supplies AS s1 WHERE NOT EXISTS \
              (SELECT * FROM parts AS p1 WHERE p1.p# = s1.p#)",
         )
@@ -280,7 +291,7 @@ fn engine_serves_every_batch_size() {
         let engine = Engine::builder(catalog.clone())
             .planner_config(PlannerConfig::with_batch_size(batch_size))
             .build();
-        let output = engine.query_collect(Q2).unwrap();
+        let output = engine.run(Q2).unwrap().collect().unwrap();
         assert_eq!(output.relation, expected, "batch_size {batch_size}");
         assert_eq!(output.stats.output_rows, 2);
     }

@@ -36,8 +36,8 @@ fn cursor_schema_iteration_and_collect_agree() {
         }
     }
     let streamed_stats = cursor.finish_stats();
-    // ...and another the one-call compatibility shim; both agree.
-    let collected = engine.query_collect(Q2).unwrap();
+    // ...and another collected in one call; both agree.
+    let collected = engine.run(Q2).unwrap().collect().unwrap();
     assert_eq!(streamed, collected.relation);
     assert_eq!(streamed, relation! { ["s#"] => [1], [2] });
     assert_eq!(streamed_stats.output_rows, collected.stats.output_rows);
@@ -95,7 +95,7 @@ fn deep_pipeline_peak_is_bounded_by_batch_size_not_table_size() {
         .planner_config(PlannerConfig::default().batch_size(128))
         .build();
     let sql = "SELECT b FROM big WHERE b < 12";
-    let output = engine.query_collect(sql).unwrap();
+    let output = engine.run(sql).unwrap().collect().unwrap();
     assert_eq!(output.relation.len(), 12);
     assert!(
         output.stats.peak_resident_rows <= 8 * 128,
@@ -127,7 +127,7 @@ fn blocking_operators_still_stream_their_output_in_chunks() {
     let logical = PlanBuilder::scan("big")
         .group_aggregate(["a"], [AggregateCall::count("b", "n")])
         .build();
-    let mut cursor = engine.stream_logical(&logical).unwrap();
+    let mut cursor = engine.run(Request::plan(&logical)).unwrap();
     let mut batches = 0usize;
     let mut rows = 0usize;
     for batch in cursor.by_ref() {
