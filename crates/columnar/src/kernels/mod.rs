@@ -19,4 +19,4 @@ pub use filter::filter;
 pub use great_divide::{great_quotient_schema, hash_great_divide, StreamingGreatDivide};
 pub use join::{hash_natural_join, JoinBuild, KernelOutput};
 pub use product::cross_product_slice;
-pub use project::{project, rename, union};
+pub use project::project;

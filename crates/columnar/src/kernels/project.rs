@@ -1,5 +1,4 @@
-//! Columnar projection (with set-semantics duplicate elimination) and
-//! renaming.
+//! Columnar projection (with set-semantics duplicate elimination).
 
 use crate::batch::ColumnarBatch;
 use crate::Result;
@@ -11,42 +10,6 @@ pub fn project(batch: &ColumnarBatch, attributes: &[&str]) -> Result<ColumnarBat
     let schema = batch.schema().project(attributes)?;
     let indices = batch.schema().projection_indices(attributes)?;
     Ok(batch.with_columns(schema, &indices).dedup())
-}
-
-/// Rename attributes through `(from, to)` pairs; unmatched attributes keep
-/// their names. A pure metadata operation: no column data moves.
-pub fn rename(batch: &ColumnarBatch, renames: &[(String, String)]) -> Result<ColumnarBatch> {
-    let schema = batch.schema().rename_with(|name| {
-        renames
-            .iter()
-            .find(|(from, _)| from == name)
-            .map(|(_, to)| to.clone())
-            .unwrap_or_else(|| name.to_string())
-    })?;
-    let all: Vec<usize> = (0..batch.schema().arity()).collect();
-    Ok(batch.with_columns(schema, &all))
-}
-
-/// Set union of two batches (right conformed to the left's attribute order,
-/// then deduplicated), mirroring [`div_algebra::Relation::union`].
-pub fn union(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<ColumnarBatch> {
-    use div_algebra::AlgebraError;
-    if !left.schema().is_compatible_with(right.schema()) {
-        return Err(AlgebraError::SchemaMismatch {
-            left: left.schema().to_string(),
-            right: right.schema().to_string(),
-            operation: "union",
-        });
-    }
-    let right = right.conform_to(left.schema())?;
-    let columns: Vec<_> = left
-        .columns()
-        .iter()
-        .zip(right.columns())
-        .map(|(l, r)| l.concat(r))
-        .collect();
-    let rows = left.num_rows() + right.num_rows();
-    Ok(ColumnarBatch::from_parts(left.schema().clone(), columns, rows).dedup())
 }
 
 #[cfg(test)]
@@ -65,37 +28,5 @@ mod tests {
             rel.project(&["a"]).unwrap()
         );
         assert!(project(&batch, &["z"]).is_err());
-    }
-
-    #[test]
-    fn rename_is_metadata_only() {
-        let rel = relation! { ["a", "b"] => [1, 2] };
-        let batch = ColumnarBatch::from_relation(&rel);
-        let renamed = rename(&batch, &[("b".to_string(), "b2".to_string())]).unwrap();
-        assert_eq!(renamed.schema().names(), vec!["a", "b2"]);
-        assert_eq!(
-            renamed.to_relation().unwrap(),
-            rel.rename_attribute("b", "b2").unwrap()
-        );
-    }
-
-    #[test]
-    fn union_conforms_and_deduplicates() {
-        let l = relation! { ["a", "b"] => [1, 10], [2, 20] };
-        let r = relation! { ["b", "a"] => [10, 1], [30, 3] };
-        let got = union(
-            &ColumnarBatch::from_relation(&l),
-            &ColumnarBatch::from_relation(&r),
-        )
-        .unwrap()
-        .to_relation()
-        .unwrap();
-        assert_eq!(got, l.union(&r).unwrap());
-        let bad = relation! { ["x"] => [1] };
-        assert!(union(
-            &ColumnarBatch::from_relation(&l),
-            &ColumnarBatch::from_relation(&bad)
-        )
-        .is_err());
     }
 }

@@ -17,7 +17,7 @@
 //!   [`ColumnarBatch::to_relation`]);
 //! * [`kernels`] — batch-native operators covering **every** physical plan
 //!   shape: vectorized filtering (string predicates evaluated once per
-//!   dictionary entry), projection with set-semantics deduplication, union,
+//!   dictionary entry), projection with set-semantics deduplication,
 //!   hash natural/semi/anti joins (a semi/anti join on every attribute is
 //!   intersection/difference), bounded Cartesian-product slices (a
 //!   theta-join is a filtered slice), hash aggregation, and the two division

@@ -35,8 +35,8 @@ pub struct ExecStats {
     /// row — intersection and difference included — and the nested loop
     /// one per row pair it considers, Cartesian products included.
     pub probes: usize,
-    /// Number of operator executions recorded (plan operators plus
-    /// kernel-level pseudo-operators; summed across merged executions).
+    /// Number of operator executions recorded (one per plan operator;
+    /// summed across merged executions).
     pub operators_executed: usize,
     /// The per-operator span tree: one [`OperatorStats`] node per plan
     /// operator, indexed by its pre-order

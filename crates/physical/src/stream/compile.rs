@@ -1,7 +1,6 @@
 //! Compilation: one [`BatchStream`] operator per [`LogicalPlan`] node.
 
-use super::blocking::AggregateStream;
-use super::divide::DivideStream;
+use super::grouped::GroupedStream;
 use super::join::{HashJoinStream, JoinKind, NestedLoopStream};
 use super::pipeline::{FilterStream, ProjectStream, RenameStream, UnionStream};
 use super::scan::ScanStream;
@@ -175,7 +174,7 @@ impl Compiler<'_> {
                 input,
                 group_by,
                 aggregates,
-            } => Box::new(AggregateStream::new(
+            } => Box::new(GroupedStream::aggregate(
                 meta,
                 self.child(input)?,
                 group_by,
@@ -191,7 +190,7 @@ impl Compiler<'_> {
                     kernels::quotient_schema(dividend.schema(), divisor.schema())
                 }
                 .map_err(ExprError::from)?;
-                Box::new(DivideStream::new(meta, dividend, divisor, schema))
+                Box::new(GroupedStream::divide(meta, dividend, divisor, schema)?)
             }
         })
     }

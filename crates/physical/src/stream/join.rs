@@ -3,11 +3,12 @@
 //! nested loop (⋈θ and ×).
 
 use super::spill::{
-    load_spill_batch, next_resident_chunk, open_spill, repartition, spill_seed, spillable_rows,
-    split_fanout, Drained, PartitionWriters, SpillInput, SpillSink, MAX_SPILL_LEVELS,
+    load_spill_batch, near_budget, next_resident_chunk, open_spill, spillable_rows, split_leaves,
+    PartitionWriters, SpillInput,
 };
 use super::{
-    consolidate, consumed, drain_to_batch, BatchStream, OpMeta, RetainedState, StreamContext,
+    collect_chunks, consolidate, consumed, drain_to_batch, BatchStream, OpMeta, RetainedState,
+    StreamContext,
 };
 use crate::Result;
 use div_algebra::{Predicate, Schema};
@@ -54,7 +55,7 @@ pub(super) struct HashJoinStream {
     /// Owns the spill directory for the lifetime of the serve phase.
     manager: Option<SpillManager>,
     /// Remaining on-disk (build, probe) partition pairs.
-    pairs: Vec<(SpillHandle, SpillHandle)>,
+    pairs: Vec<[SpillHandle; 2]>,
     current: Option<JoinLeaf>,
     retained: RetainedState,
 }
@@ -121,53 +122,44 @@ impl HashJoinStream {
             key_cols: &probe_keys,
         };
 
-        let sink = SpillSink::new(build_input, ctx.spill_threshold());
-        let drained = sink.drain(&mut self.right, ctx)?;
-        self.right.close(ctx);
-        let (mut manager, build_first) = match drained {
-            Drained::Buffered(chunks) => {
-                let batch = consolidate(ctx, &label, &right_schema, chunks)?;
-                let build = self.load(ctx, batch)?;
-                self.current = Some(JoinLeaf { build, probe: None });
-                return Ok(());
+        // Buffer the build side until the statement nears its spill budget.
+        let mut spilling = false;
+        let buffered = collect_chunks(ctx, |ctx| {
+            if spilling {
+                return Ok(None);
             }
-            Drained::Spilled(manager, first) => (manager, first),
-        };
+            let chunk = self.right.next_batch(ctx)?;
+            spilling = chunk.is_some() && near_budget(ctx);
+            Ok(chunk)
+        })?;
+        if !spilling {
+            self.right.close(ctx);
+            let batch = consolidate(ctx, &label, &right_schema, buffered)?;
+            let build = self.load(ctx, batch)?;
+            self.current = Some(JoinLeaf { build, probe: None });
+            return Ok(());
+        }
+        let (mut manager, build_first) = spill_build(ctx, &mut self.right, build_input, buffered)?;
+        self.right.close(ctx);
 
         // Spilled: the probe side goes to disk too, routed with the same
         // level-0 seed on the same key attributes into as many files.
-        let fanout = build_first.len();
-        let probe_first =
-            PartitionWriters::create(&mut manager, ctx, probe_input, spill_seed(0), fanout)?
-                .drain(ctx, |ctx| self.left.next_batch(ctx))?;
+        let probe_first = PartitionWriters::first_pass(&mut manager, ctx, probe_input)?
+            .drain(ctx, |ctx| self.left.next_batch(ctx))?;
 
         // A pair is a leaf when its build side — what gets loaded — fits.
-        let bound = spillable_rows(ctx);
-        let mut work: Vec<((SpillHandle, SpillHandle), usize)> = build_first
-            .into_iter()
-            .zip(probe_first)
-            .map(|pair| (pair, 1))
-            .collect();
-        while let Some(((build, probe), level)) = work.pop() {
-            // An anti-join emits every probe row of a partition whose build
-            // side is empty, so only probe-empty pairs are skippable there.
-            let skippable = match self.kind {
-                JoinKind::Anti => probe.rows() == 0,
-                _ => build.rows() == 0 || probe.rows() == 0,
-            };
-            if skippable {
-                build.delete();
-                probe.delete();
-            } else if build.rows() <= bound || level >= MAX_SPILL_LEVELS {
-                self.pairs.push((build, probe));
-            } else {
-                let seed = spill_seed(level);
-                let fanout = split_fanout(ctx, build.rows(), bound);
-                let builds = repartition(ctx, &mut manager, build_input, build, seed, fanout)?;
-                let probes = repartition(ctx, &mut manager, probe_input, probe, seed, fanout)?;
-                work.extend(builds.into_iter().zip(probes).map(|pair| (pair, level + 1)));
-            }
-        }
+        // An anti-join emits every probe row of a partition whose build
+        // side is empty, so only probe-empty pairs are skippable there.
+        let anti = self.kind == JoinKind::Anti;
+        let first = build_first.into_iter().zip(probe_first);
+        self.pairs = split_leaves(
+            ctx,
+            &mut manager,
+            [build_input, probe_input],
+            first.map(|(build, probe)| [build, probe]).collect(),
+            spillable_rows(ctx),
+            |[build, probe]| probe.rows() == 0 || (!anti && build.rows() == 0),
+        )?;
         self.manager = Some(manager);
         Ok(())
     }
@@ -177,7 +169,7 @@ impl HashJoinStream {
     fn load_leaf(
         &mut self,
         ctx: &mut StreamContext,
-        (build, probe): (SpillHandle, SpillHandle),
+        [build, probe]: [SpillHandle; 2],
     ) -> Result<JoinLeaf> {
         let batch = load_spill_batch(ctx, &self.meta.label, self.right.schema(), build)?;
         let build = self.load(ctx, batch)?;
@@ -190,6 +182,34 @@ impl HashJoinStream {
             probe: Some(cursor),
         })
     }
+}
+
+/// Partition the join's build side to disk: the chunks `buffered` holds
+/// first, then the rest of `right`, through a first pass's writers. Chunks
+/// an error leaves in the buffer are released here.
+fn spill_build(
+    ctx: &mut StreamContext,
+    right: &mut Box<dyn BatchStream>,
+    input: SpillInput,
+    buffered: Vec<ColumnarBatch>,
+) -> Result<(SpillManager, Vec<SpillHandle>)> {
+    let mut buffered = buffered.into_iter();
+    let spilled = SpillManager::new()
+        .map_err(ExprError::from)
+        .and_then(|mut manager| {
+            let first =
+                PartitionWriters::first_pass(&mut manager, ctx, input)?.drain(ctx, |ctx| {
+                    match buffered.next() {
+                        Some(chunk) => Ok(Some(chunk)),
+                        None => right.next_batch(ctx),
+                    }
+                })?;
+            Ok((manager, first))
+        });
+    for chunk in buffered {
+        consumed(ctx, &chunk);
+    }
+    spilled
 }
 
 impl BatchStream for HashJoinStream {

@@ -25,14 +25,13 @@
 //!   retains its right side and crosses each streamed left chunk with it a
 //!   few rows at a time, so every emission is at most
 //!   `max(batch_size, |right|)` rows;
-//! * **divide / great divide** materialize the divisor, then *consume* the
-//!   dividend chunk-at-a-time into group-id-based coverage state
-//!   ([`div_columnar::kernels::StreamingGreatDivide`]); only their output
-//!   is a blocking boundary;
-//! * **aggregation** *consumes* its input chunk-at-a-time into one
-//!   accumulator row per group
-//!   ([`div_columnar::kernels::StreamingAggregate`]); like the divides,
-//!   only its output is a blocking boundary.
+//! * **divide / great divide and aggregation** are one grouped operator:
+//!   it *consumes* its input chunk-at-a-time into grouped state — the
+//!   divide's group-id-based coverage state against its materialized
+//!   divisor ([`div_columnar::kernels::StreamingGreatDivide`]), the
+//!   aggregate's one accumulator row per group
+//!   ([`div_columnar::kernels::StreamingAggregate`]); only its output is a
+//!   blocking boundary.
 //!
 //! There is exactly one operator per plan node. Hash join (∩ and −
 //! included), divide and grouped aggregation are *hybrid*: in memory until the [`QueryGuard`]
@@ -47,9 +46,10 @@
 //! One file per operator family: this file holds what every operator
 //! shares (context, trait, `OpMeta`, `RetainedState`, `ChunkCursor`,
 //! the blocking-boundary drain) and the [`StreamExecutor`]; `compile.rs`
-//! maps plan nodes to operators; `scan.rs`, `pipeline.rs`, `join.rs`,
-//! `divide.rs` and `blocking.rs` are the operators; `spill.rs` is the
-//! partition-file machinery the hybrid ones share.
+//! maps plan nodes to operators; `scan.rs`, `pipeline.rs`, `join.rs` and
+//! `grouped.rs` (divide, great divide and aggregation, one operator) are
+//! the operators; `spill.rs` is the partition-file machinery and the one
+//! split loop the hybrid ones share.
 //!
 //! Statistics are one [`ExecStats::record`] per operator (scans into
 //! `rows_scanned`, the root into `output_rows`, kernel probes into
@@ -81,9 +81,8 @@ use div_algebra::Schema;
 use div_columnar::{partition, ColumnarBatch};
 use div_expr::{Catalog, LogicalPlan};
 
-mod blocking;
 mod compile;
-mod divide;
+mod grouped;
 mod join;
 mod pipeline;
 mod scan;

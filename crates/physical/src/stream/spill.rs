@@ -1,28 +1,26 @@
 //! The out-of-core half of the hybrid hash operators (join, divide / great
 //! divide, grouped aggregation): the partition files and the buffered
-//! writers that fill them, the join's sink that buffers or partitions its
-//! build input, the grouped pass the divide and the aggregate share,
-//! recursive re-partitioning and the leaf worklist those two serve from.
+//! writers that fill them, the triggers that open them, and the one split
+//! loop that turns a first pass's files into leaves that fit.
 //!
 //! This is Graefe's hybrid hash design, which the hash-division family this
 //! workspace reproduces is explicitly built on:
 //!
 //! 1. **Spill what does not fit — and only that.** Every operator watches
-//!    the thing it actually keeps. The join keeps its build input, so a
-//!    [`SpillSink`] buffers it and, when the statement's resident footprint
-//!    comes within a safety margin of the budget (two batches — the trigger
-//!    must fire *before* a child emission would trip the
+//!    the thing it actually keeps. The join keeps its build input, so it
+//!    buffers it and, when the statement's resident footprint comes within
+//!    a safety margin of the budget ([`near_budget`]: two batches — the
+//!    trigger must fire *before* a child emission would trip the
 //!    [`crate::guard::QueryGuard`], whose check lives at the emit
-//!    boundary), partitions everything buffered plus everything still
-//!    arriving. The divide and the aggregate keep grouped *state* — the
-//!    divide's divisor + quotient groups, the aggregate's one accumulator
-//!    row per group — and read their input once, so their trigger
-//!    ([`state_overflows`]) watches the state: when that nears the budget
-//!    the resident groups are frozen, keep consuming their own rows, and
-//!    only rows of groups the state has never met are partitioned. One
-//!    loop, [`grouped_pass`], does this for both, over the
-//!    [`GroupedState`] each kernel implements. With no spill budget on the
-//!    guard ([`QueryGuard::spill_budget`](crate::guard::QueryGuard::spill_budget)
+//!    boundary), drains everything buffered plus everything still arriving
+//!    through [`PartitionWriters`]. The divide and the aggregate keep
+//!    grouped *state* — the divide's divisor + quotient groups, the
+//!    aggregate's one accumulator row per group — and read their input
+//!    once, so their trigger ([`state_overflows`]) watches the state: when
+//!    that nears the budget the resident groups are frozen, keep consuming
+//!    their own rows, and only rows of groups the state has never met are
+//!    partitioned (`grouped.rs`). With no spill budget on the guard
+//!    ([`QueryGuard::spill_budget`](crate::guard::QueryGuard::spill_budget)
 //!    is `None`) no trigger ever fires — that *is* the in-memory operator;
 //!    with one, an input or a state that stays under it runs the same code
 //!    path with no IO.
@@ -41,7 +39,8 @@
 //!    the exact operator result.
 //! 3. **Recurse per partition, by its size.** Each operator states its leaf
 //!    bound as a row count (join: the build side fits; aggregate: one group
-//!    per row fits; divide: divisor plus one group per row fit). A
+//!    per row fits; divide: divisor plus one group per row fit), and
+//!    [`split_leaves`] — the one split loop all three call — applies it: a
 //!    partition over the bound is re-partitioned from disk into
 //!    [`split_fanout`] files — its row count over the bound, with headroom
 //!    for skew — under a fresh level seed
@@ -65,13 +64,9 @@
 //! [`ExecStats::spill_rows_written`]: crate::stats::ExecStats::spill_rows_written
 //! [`ExecStats::spill_rows_read`]: crate::stats::ExecStats::spill_rows_read
 
-use super::{
-    collect_chunks, consolidate, consumed, BatchStream, ChunkCursor, OpMeta, RetainedState,
-    StreamContext,
-};
+use super::{collect_chunks, consolidate, consumed, StreamContext};
 use crate::Result;
 use div_algebra::Schema;
-use div_columnar::kernels::FrozenConsume;
 use div_columnar::partition::{self, BatchAppender};
 use div_columnar::ColumnarBatch;
 use div_expr::ExprError;
@@ -90,13 +85,13 @@ const MAX_FANOUT: usize = 32;
 /// this many re-partitionings is dominated by one key value; further
 /// splitting cannot help, so it is served as-is and the budget backstop
 /// decides.
-pub(super) const MAX_SPILL_LEVELS: usize = 6;
+const MAX_SPILL_LEVELS: usize = 6;
 
 /// Routing seed for recursion level `level` (level 0 — the first, in-line
 /// partitioning pass — uses seed 0, the unseeded
 /// [`partition::partition_rows`] routing). The odd multiplier is the
 /// golden-ratio mixing constant.
-pub(super) fn spill_seed(level: usize) -> u64 {
+fn spill_seed(level: usize) -> u64 {
     (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
@@ -126,6 +121,14 @@ pub(super) fn level0_fanout(ctx: &StreamContext) -> usize {
     (spillable_rows(ctx) / ctx.batch_size()).clamp(MIN_FANOUT, MAX_FANOUT)
 }
 
+/// The join's spill trigger, and the pressure at which [`PartitionWriters`]
+/// writes a partial chunk: `true` once the statement's resident rows come
+/// within [`spill_margin`] of the spill budget.
+pub(super) fn near_budget(ctx: &StreamContext) -> bool {
+    ctx.spill_threshold()
+        .is_some_and(|threshold| ctx.resident_rows + spill_margin(ctx) > threshold)
+}
+
 /// The grouped operators' overflow trigger: `true` once the statement's
 /// resident rows — the pass's state (divisor and coverage groups, or
 /// accumulator rows) plus whatever its neighbours hold — leave less than
@@ -148,7 +151,7 @@ pub(super) fn state_overflows(ctx: &StreamContext) -> bool {
 /// with half as much again for skew, at least 2 and at most a whole-input
 /// pass's fan-out. The file's exact row count is known, so a partition
 /// barely over the bound is halved, not split seventeen ways.
-pub(super) fn split_fanout(ctx: &StreamContext, rows: usize, bound: usize) -> usize {
+fn split_fanout(ctx: &StreamContext, rows: usize, bound: usize) -> usize {
     (3 * rows)
         .div_ceil(2 * bound.max(1))
         .clamp(2, level0_fanout(ctx))
@@ -305,10 +308,7 @@ impl PartitionWriters {
         }
         // Under pressure a partial chunk is better than a budget abort:
         // largest first, so what is written is as full as it can be.
-        while ctx
-            .spill_threshold()
-            .is_some_and(|threshold| ctx.resident_rows + spill_margin(ctx) > threshold)
-        {
+        while near_budget(ctx) {
             let Some(largest) = self
                 .parts
                 .iter_mut()
@@ -320,6 +320,18 @@ impl PartitionWriters {
             largest.flush(ctx)?;
         }
         Ok(())
+    }
+
+    /// The writers of a first partitioning pass over `input`:
+    /// [`level0_fanout`] files in `manager`, routed with the level-0 seed.
+    /// Co-partitioned inputs (the join's two sides) each get their own.
+    pub(super) fn first_pass(
+        manager: &mut SpillManager,
+        ctx: &mut StreamContext,
+        input: SpillInput,
+    ) -> Result<PartitionWriters> {
+        let fanout = level0_fanout(ctx);
+        PartitionWriters::create(manager, ctx, input, spill_seed(0), fanout)
     }
 
     /// Route every (acquired) chunk `next` yields and seal the files; the
@@ -384,7 +396,7 @@ impl Partition {
 
 /// Re-partition one on-disk partition of `input` into `fanout` fresh files
 /// with the given level seed, deleting the source file.
-pub(super) fn repartition(
+fn repartition(
     ctx: &mut StreamContext,
     manager: &mut SpillManager,
     input: SpillInput,
@@ -402,301 +414,45 @@ pub(super) fn repartition(
     Ok(split)
 }
 
-/// The build-side accumulator of the hybrid join: buffers chunks in
-/// memory (they remain under their emitters' resident accounting) until
-/// the spill trigger fires, then becomes a disk router. Without a
-/// `threshold` the trigger never fires. Chunks handed to
-/// [`SpillSink::push`] are *always* balanced — buffered ones stay
-/// accounted until consumed or rolled back, routed ones are accounted in
-/// the partition buffers until they hit disk.
-pub(super) struct SpillSink<'a> {
-    input: SpillInput<'a>,
-    threshold: Option<usize>,
-    buffered: Vec<ColumnarBatch>,
-    spill: Option<(SpillManager, PartitionWriters)>,
-}
-
-/// What a drained [`SpillSink`] hands its operator.
-pub(super) enum Drained {
-    /// The trigger never fired: the chunks, still accounted.
-    Buffered(Vec<ColumnarBatch>),
-    /// The spill directory and the sealed first-pass partition files.
-    Spilled(SpillManager, Vec<SpillHandle>),
-}
-
-impl<'a> SpillSink<'a> {
-    pub(super) fn new(input: SpillInput<'a>, threshold: Option<usize>) -> SpillSink<'a> {
-        SpillSink {
-            input,
-            threshold,
-            buffered: Vec::new(),
-            spill: None,
-        }
-    }
-
-    /// Accept one child-emitted chunk (already acquired by the emitter).
-    fn push(&mut self, ctx: &mut StreamContext, chunk: ColumnarBatch) -> Result<()> {
-        if let Some((_, writers)) = self.spill.as_mut() {
-            consumed(ctx, &chunk);
-            return writers.route(ctx, &chunk);
-        }
-        self.buffered.push(chunk);
-        if let Some(threshold) = self.threshold {
-            if ctx.resident_rows + spill_margin(ctx) > threshold {
-                self.activate(ctx)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Switch to disk: create the spill directory and move everything
-    /// buffered through the partitioner. Accounting for every buffered
-    /// chunk is released here whether routing succeeds or not.
-    fn activate(&mut self, ctx: &mut StreamContext) -> Result<()> {
-        let mut manager = SpillManager::new().map_err(ExprError::from)?;
-        let fanout = level0_fanout(ctx);
-        let mut writers =
-            PartitionWriters::create(&mut manager, ctx, self.input, spill_seed(0), fanout)?;
-        let mut first_err = None;
-        for chunk in self.buffered.drain(..) {
-            consumed(ctx, &chunk);
-            if first_err.is_none() {
-                first_err = writers.route(ctx, &chunk).err();
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-        self.spill = Some((manager, writers));
-        Ok(())
-    }
-
-    /// Release the accounting of anything still buffered — whole chunks
-    /// before activation, the partition buffers after (error path).
-    fn rollback(&mut self, ctx: &mut StreamContext) {
-        for chunk in self.buffered.drain(..) {
-            consumed(ctx, &chunk);
-        }
-        if let Some((_, writers)) = self.spill.as_mut() {
-            writers.rollback(ctx);
-        }
-    }
-
-    /// Drain `child` through this sink, keeping the accounting balanced on
-    /// every error path.
-    pub(super) fn drain(
-        mut self,
-        child: &mut Box<dyn BatchStream>,
-        ctx: &mut StreamContext,
-    ) -> Result<Drained> {
-        loop {
-            let pushed = match child.next_batch(ctx) {
-                Ok(Some(chunk)) => self.push(ctx, chunk),
-                Ok(None) => break,
-                Err(err) => Err(err),
-            };
-            if let Err(err) = pushed {
-                self.rollback(ctx);
-                return Err(err);
-            }
-        }
-        Ok(match self.spill {
-            None => Drained::Buffered(self.buffered),
-            Some((manager, writers)) => Drained::Spilled(manager, writers.finish(ctx)?),
-        })
-    }
-}
-
-/// A grouped state one pass of a hybrid divide or aggregate folds its input
-/// into — the divide's coverage groups ([`StreamingGreatDivide`]), the
-/// aggregate's accumulator rows ([`StreamingAggregate`]) — and that can be
-/// *frozen*: from then on it takes only rows of the groups it holds, and
-/// hands the others back. That is what lets [`grouped_pass`] overflow
-/// without giving up the groups it already has.
+/// The one split loop of the hybrid operators: settle a first pass's
+/// co-partitioned spill files — one per partition for a grouped operator,
+/// a (build, probe) pair for the join — into leaves, returned in the order
+/// they are to be served from the back.
 ///
-/// [`StreamingGreatDivide`]: div_columnar::kernels::StreamingGreatDivide
-/// [`StreamingAggregate`]: div_columnar::kernels::StreamingAggregate
-pub(super) trait GroupedState {
-    /// Fold one chunk in, adding the groups it introduces; the kernel
-    /// probes it performed.
-    fn consume(&mut self, chunk: &ColumnarBatch) -> Result<usize>;
-    /// Fold in the rows of resident groups only; the rest are left over.
-    fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> Result<FrozenConsume>;
-    /// Groups held — the state's resident rows.
-    fn groups(&self) -> usize;
-    /// The pass's result, one row per qualifying group.
-    fn finish(self) -> Result<ColumnarBatch>;
-}
-
-/// What an overflowed pass leaves on disk: the spill directory and the
-/// sealed partition files of the rows its frozen state did not take.
-pub(super) type Overflowed = (SpillManager, Vec<SpillHandle>);
-
-/// One pass of a grouped operator: fold every (acquired) chunk
-/// `next_chunk` yields into `state` and return the acquired result.
-///
-/// `kept_rows` are rows the operator holds next to the state for the whole
-/// pass (the divide's divisor); they are counted with the groups under
-/// `retained`, and stay there when more passes follow — after an overflow,
-/// and after every leaf.
-///
-/// `overflow` — the pass's input, routed on its grouping columns — lets
-/// the pass overflow: a state that approaches the spill budget
-/// ([`state_overflows`]) is frozen, and the rows it does not take are
-/// written to the partition files returned next to the result. Resident
-/// and spilled groups are key-disjoint, so the results of the pass and of
-/// the files are disjoint too and their union is the operator's. A leaf
-/// pass gives `None`: its input was sized to fit, and the budget backstop
-/// decides about a level-capped one that does not.
-pub(super) fn grouped_pass(
+/// A partition `skip` accepts is deleted. One whose first file holds at
+/// most `bound` rows — the operator's leaf bound — or that reached
+/// [`MAX_SPILL_LEVELS`] is a leaf. Any other is re-split from disk: every
+/// file of it with the same next-level seed and [`split_fanout`] (sized
+/// from the first file), so the pieces stay co-partitioned. The worklist is
+/// LIFO. On an error the files still pending die with the manager.
+pub(super) fn split_leaves<const N: usize>(
     ctx: &mut StreamContext,
-    meta: &OpMeta,
-    retained: &mut RetainedState,
-    mut state: impl GroupedState,
-    kept_rows: usize,
-    overflow: Option<SpillInput>,
-    mut next_chunk: impl FnMut(&mut StreamContext) -> Result<Option<ColumnarBatch>>,
-) -> Result<(ColumnarBatch, Option<Overflowed>)> {
-    let mut writers: Option<(SpillManager, PartitionWriters)> = None;
-    let mut consume_all = || -> Result<()> {
-        while let Some(chunk) = next_chunk(ctx)? {
-            // Each input row is folded in once, where it is consumed: here,
-            // or in the leaf its partition file ends up in.
-            let probes = match writers.as_mut() {
-                None => {
-                    let probes = state.consume(&chunk);
-                    consumed(ctx, &chunk);
-                    probes?
-                }
-                Some((_, writers)) => {
-                    let frozen = state.consume_frozen(&chunk);
-                    consumed(ctx, &chunk);
-                    let FrozenConsume { probes, leftover } = frozen?;
-                    if leftover.len() == chunk.num_rows() {
-                        writers.route(ctx, &chunk)?;
-                    } else if !leftover.is_empty() {
-                        writers.route(ctx, &chunk.gather(&leftover))?;
-                    }
-                    probes
-                }
-            };
-            ctx.add_probes(meta.id, probes);
-            retained.grow_to(ctx, meta.id, kept_rows + state.groups());
-            // The state itself can outgrow the budget even though each
-            // consumed chunk passed its own check.
-            ctx.check_guard(&meta.label)?;
-            if let (None, Some(input)) = (writers.as_ref(), overflow) {
-                if state_overflows(ctx) {
-                    // Freeze: from here on the state takes only rows of
-                    // the groups it already holds.
-                    let mut manager = SpillManager::new().map_err(ExprError::from)?;
-                    let fanout = level0_fanout(ctx);
-                    let partitions =
-                        PartitionWriters::create(&mut manager, ctx, input, spill_seed(0), fanout)?;
-                    writers = Some((manager, partitions));
-                }
+    manager: &mut SpillManager,
+    inputs: [SpillInput; N],
+    first: Vec<[SpillHandle; N]>,
+    bound: usize,
+    skip: impl Fn(&[SpillHandle; N]) -> bool,
+) -> Result<Vec<[SpillHandle; N]>> {
+    let mut leaves = Vec::new();
+    let mut work: Vec<([SpillHandle; N], usize)> =
+        first.into_iter().map(|files| (files, 1)).collect();
+    while let Some((files, level)) = work.pop() {
+        let rows = files[0].rows();
+        if skip(&files) {
+            files.into_iter().for_each(SpillHandle::delete);
+        } else if rows <= bound || level >= MAX_SPILL_LEVELS {
+            leaves.push(files);
+        } else {
+            let (seed, fanout) = (spill_seed(level), split_fanout(ctx, rows, bound));
+            let mut splits = Vec::with_capacity(N);
+            for (input, file) in inputs.into_iter().zip(files) {
+                splits.push(repartition(ctx, manager, input, file, seed, fanout)?.into_iter());
             }
-        }
-        Ok(())
-    };
-    let spilled = match (consume_all(), writers) {
-        (Ok(()), None) => None,
-        (Ok(()), Some((manager, writers))) => Some((manager, writers.finish(ctx)?)),
-        (Err(err), writers) => {
-            // Rows still sitting in the write buffers die with the pass.
-            if let Some((_, mut writers)) = writers {
-                writers.rollback(ctx);
+            for _ in 0..fanout {
+                let files = std::array::from_fn(|i| splits[i].next().expect("one file per part"));
+                work.push((files, level + 1));
             }
-            return Err(err);
-        }
-    };
-    let result = state.finish()?;
-    let keep = if overflow.is_none() || spilled.is_some() {
-        kept_rows
-    } else {
-        0
-    };
-    retained.release(ctx);
-    retained.grow_to(ctx, meta.id, keep);
-    ctx.acquire(result.num_rows(), 1);
-    Ok((result, spilled))
-}
-
-/// What a grouped operator (divide, aggregate) serves from once its input
-/// is drained: the chunked result of the partition being served and a
-/// worklist of on-disk leaf partitions — empty when the first pass never
-/// overflowed.
-#[derive(Default)]
-pub(super) struct LeafOutput {
-    /// Owns the spill directory for the lifetime of the serve phase.
-    _manager: Option<SpillManager>,
-    leaves: Vec<SpillHandle>,
-    out: ChunkCursor,
-}
-
-impl LeafOutput {
-    /// Serve the (acquired) `result` of a first [`grouped_pass`] — and, when
-    /// it overflowed, the leaves its partition files of `input` split into:
-    /// each is recursively re-partitioned until it holds at most `bound`
-    /// rows — the operator's leaf bound — or the level cap is reached;
-    /// empty partitions are dropped.
-    pub(super) fn after_pass(
-        ctx: &mut StreamContext,
-        result: ColumnarBatch,
-        spilled: Option<Overflowed>,
-        input: SpillInput,
-        bound: usize,
-    ) -> Result<LeafOutput> {
-        let mut output = LeafOutput {
-            out: ChunkCursor::new(result),
-            ..LeafOutput::default()
-        };
-        let Some((mut manager, first)) = spilled else {
-            return Ok(output);
-        };
-        let mut work: Vec<(SpillHandle, usize)> = first.into_iter().map(|h| (h, 1)).collect();
-        while let Some((handle, level)) = work.pop() {
-            if handle.rows() == 0 {
-                handle.delete();
-            } else if handle.rows() <= bound || level >= MAX_SPILL_LEVELS {
-                output.leaves.push(handle);
-            } else {
-                let seed = spill_seed(level);
-                let fanout = split_fanout(ctx, handle.rows(), bound);
-                match repartition(ctx, &mut manager, input, handle, seed, fanout) {
-                    Ok(split) => work.extend(split.into_iter().map(|h| (h, level + 1))),
-                    Err(err) => {
-                        output.release(ctx);
-                        return Err(err);
-                    }
-                }
-            }
-        }
-        output._manager = Some(manager);
-        Ok(output)
-    }
-
-    /// The next output chunk (for the caller to `emit`), running `leaf` on
-    /// the next partition — it returns that partition's acquired result —
-    /// whenever the current result is exhausted.
-    pub(super) fn next(
-        &mut self,
-        ctx: &mut StreamContext,
-        mut leaf: impl FnMut(&mut StreamContext, SpillHandle) -> Result<ColumnarBatch>,
-    ) -> Result<Option<ColumnarBatch>> {
-        loop {
-            if let Some(chunk) = self.out.next(ctx) {
-                return Ok(Some(chunk));
-            }
-            let Some(handle) = self.leaves.pop() else {
-                return Ok(None);
-            };
-            self.out = ChunkCursor::new(leaf(ctx, handle)?);
         }
     }
-
-    /// Release the accounting of a partly served result (close path).
-    pub(super) fn release(&mut self, ctx: &mut StreamContext) {
-        self.out.release(ctx);
-    }
+    Ok(leaves)
 }

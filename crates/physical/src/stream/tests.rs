@@ -1,7 +1,5 @@
 use super::*;
 use crate::guard::CancelToken;
-#[cfg(feature = "failpoints")]
-use crate::FailAction;
 use div_algebra::{relation, AggregateCall, CompareOp, Relation};
 use div_expr::{evaluate, evaluate_with_stats, ExprError, LogicalPlan, PlanBuilder};
 
@@ -59,10 +57,24 @@ fn streamed_q2_matches_the_row_backend_including_stats_totals() {
         assert_eq!(stats.output_rows, expected.len());
         assert_eq!(stats.rows_scanned, leaf_rows(&logical, &c));
         assert_eq!(stats.operators[0].label, "Divide[hash]");
-        // Every plan operator plus the divide kernel's pseudo-operator.
-        assert_eq!(stats.operators_executed, logical.node_count() + 1);
+        assert_eq!(stats.operators_executed, logical.node_count());
         assert!(stats.peak_resident_batches > 0);
     }
+}
+
+#[test]
+fn a_root_divide_counts_no_intermediate_tuples() {
+    let mut c = catalog();
+    c.register("wanted", relation! { ["p#"] => [1], [2] });
+    let logical = PlanBuilder::scan("supplies")
+        .divide(PlanBuilder::scan("wanted"))
+        .build();
+    let mut stream = StreamExecutor::new(&logical, &c, &PlannerConfig::default()).unwrap();
+    assert_eq!(collect(&mut stream).len(), 2);
+    let stats = stream.finish();
+    // The quotient is the output; the scans' rows are scanned, not produced.
+    assert_eq!(stats.intermediate_tuples, 0);
+    assert_eq!(stats.operators_executed, 3);
 }
 
 #[test]
@@ -474,25 +486,6 @@ fn governed_but_untripped_stream_matches_the_ungoverned_result() {
     let got = collect(&mut stream);
     assert_eq!(got, expected);
     assert_eq!(stream.finish().resident_rows_on_finish, 0);
-}
-
-#[cfg(feature = "failpoints")]
-#[test]
-fn failpoint_error_mid_stream_leaves_no_resident_rows() {
-    let _serial = crate::failpoint::test_serial();
-    crate::failpoint::disarm_all();
-    let c = catalog();
-    let logical = PlanBuilder::scan("supplies")
-        .natural_join(PlanBuilder::scan("parts"))
-        .build();
-    let config = PlannerConfig::default().batch_size(2);
-    crate::failpoint::arm("HashJoin.next_batch", FailAction::Error("chaos".into()));
-    let mut stream = StreamExecutor::new(&logical, &c, &config).unwrap();
-    let err = drain_to_error(&mut stream);
-    crate::failpoint::disarm_all();
-    assert!(err.to_string().contains("failpoint HashJoin.next_batch"));
-    let stats = stream.finish();
-    assert_eq!(stats.resident_rows_on_finish, 0);
 }
 
 /// Route `chunks` chunks of `batch_size` rows (997 distinct keys in column

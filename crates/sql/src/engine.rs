@@ -41,7 +41,7 @@
 //!
 //! Every statement updates the session-wide [`EngineMetrics`] registry
 //! ([`Engine::metrics`]); per-operator wall-clock tracing is switched on
-//! with [`EngineBuilder::with_tracing`] (`explain_analyze` always traces).
+//! with [`PlannerConfig::tracing`] (`explain_analyze` always traces).
 //!
 //! ```
 //! use div_algebra::relation;
@@ -389,9 +389,11 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Replace the planner configuration (streaming `batch_size`, tracing,
-    /// governance limits). The engine always executes through
-    /// the streaming path.
+    /// Replace the planner configuration — the one place an engine's
+    /// execution knobs are set: streaming `batch_size`, tracing, and the
+    /// default deadline, memory budget and spill preference of every
+    /// statement. Per-query guards ([`Request::guard`]) override those
+    /// defaults. The engine always executes through the streaming path.
     pub fn planner_config(mut self, config: PlannerConfig) -> Self {
         self.config = config;
         self
@@ -414,54 +416,6 @@ impl EngineBuilder {
     /// differential testing and for measuring what the laws buy.
     pub fn without_optimizer(mut self) -> Self {
         self.optimize = false;
-        self
-    }
-
-    /// Set a default wall-clock deadline for every query this engine runs —
-    /// shorthand for [`PlannerConfig::deadline`]. The clock starts when each
-    /// cursor opens; a query that outlives it aborts at its next batch
-    /// boundary with [`Error::DeadlineExceeded`]. Per-query guards
-    /// ([`Request::guard`]) override this default.
-    pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.config = self.config.deadline(deadline);
-        self
-    }
-
-    /// Set a default resident-row memory budget for every query this engine
-    /// runs — shorthand for [`PlannerConfig::memory_budget_rows`]. A query
-    /// whose executor-resident footprint (in-flight batches plus blocking
-    /// state) exceeds the budget aborts with [`Error::MemoryBudget`].
-    /// Per-query guards ([`Request::guard`]) override this default.
-    pub fn with_memory_budget(mut self, budget_rows: usize) -> Self {
-        self.config = self.config.memory_budget_rows(budget_rows);
-        self
-    }
-
-    /// Let blocking hash operators spill to disk instead of aborting when
-    /// the memory budget would trip — shorthand for
-    /// [`PlannerConfig::spill_to_disk`]. It applies to any budget a
-    /// statement's guard carries — [`EngineBuilder::with_memory_budget`],
-    /// a serving session's default, a caller's guard built with
-    /// `QueryGuard::from_config(engine.planner_config())` — and is inert
-    /// without one: there is no pressure signal. Results are byte-identical
-    /// to the in-memory run; `ExecStats::spill_partitions` (and the
-    /// `spill` counters in [`crate::MetricsSnapshot`]) show whether a query
-    /// actually spilled.
-    pub fn with_spill_to_disk(mut self, spill: bool) -> Self {
-        self.config = self.config.spill_to_disk(spill);
-        self
-    }
-
-    /// Switch per-operator wall-clock tracing on (or off) for ordinary
-    /// queries — shorthand for setting [`PlannerConfig::tracing`].
-    ///
-    /// With tracing on, every execution's [`ExecStats::operators`] span tree
-    /// carries open/next/close wall time per operator. Row, probe and
-    /// resident-row attribution is always on regardless of this flag; it
-    /// only gates the clock reads. Defaults to `false`;
-    /// [`Engine::explain_analyze`] always traces its execution.
-    pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.config.tracing = tracing;
         self
     }
 
@@ -1838,8 +1792,11 @@ mod tests {
     #[test]
     fn engine_default_deadline_aborts_runaway_queries_and_frees_the_session() {
         let engine = Engine::builder(runaway_catalog())
-            .planner_config(PlannerConfig::default().batch_size(64))
-            .with_deadline(std::time::Duration::from_millis(50))
+            .planner_config(
+                PlannerConfig::default()
+                    .batch_size(64)
+                    .deadline(std::time::Duration::from_millis(50)),
+            )
             .build();
         let err = engine.run(RUNAWAY).unwrap().collect().unwrap_err();
         assert!(
@@ -1859,8 +1816,11 @@ mod tests {
     #[test]
     fn engine_default_memory_budget_aborts_runaway_queries() {
         let engine = Engine::builder(runaway_catalog())
-            .planner_config(PlannerConfig::default().batch_size(64))
-            .with_memory_budget(1_000)
+            .planner_config(
+                PlannerConfig::default()
+                    .batch_size(64)
+                    .memory_budget_rows(1_000),
+            )
             .build();
         let err = engine.run(RUNAWAY).unwrap().collect().unwrap_err();
         assert!(
@@ -1895,8 +1855,11 @@ mod tests {
         // leave the cursor's resident accounting exactly where a client
         // disconnect would — drained to zero once the cursor closes.
         let engine = Engine::builder(runaway_catalog())
-            .planner_config(PlannerConfig::default().batch_size(64))
-            .with_memory_budget(1_000)
+            .planner_config(
+                PlannerConfig::default()
+                    .batch_size(64)
+                    .memory_budget_rows(1_000),
+            )
             .build();
         let mut cursor = engine.run(RUNAWAY).unwrap();
         let err = cursor
@@ -1926,9 +1889,12 @@ mod tests {
         c.register("wanted", Relation::from_rows(["b"], wanted).unwrap());
         // 400 quotient groups under a 300-row budget: the divide spills.
         let engine = Engine::builder(c)
-            .planner_config(PlannerConfig::default().batch_size(16))
-            .with_memory_budget(300)
-            .with_spill_to_disk(true)
+            .planner_config(
+                PlannerConfig::default()
+                    .batch_size(16)
+                    .memory_budget_rows(300)
+                    .spill_to_disk(true),
+            )
             .build();
         let sql = "SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b";
         let mut cursor = engine.run(sql).unwrap();

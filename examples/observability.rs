@@ -21,7 +21,9 @@ fn main() {
     let mut catalog = Catalog::new();
     catalog.register("supplies", data.supplies);
     catalog.register("parts", data.parts);
-    let engine = Engine::builder(catalog).with_tracing(true).build();
+    let engine = Engine::builder(catalog)
+        .planner_config(PlannerConfig::default().tracing(true))
+        .build();
 
     // 1. EXPLAIN ANALYZE: the physical tree annotated per operator with
     //    actual rows, the cost model's estimated rows, the q-error between

@@ -277,6 +277,29 @@ fn injected_delays_trip_an_armed_deadline() {
     assert!(result.is_ok());
 }
 
+/// An error injected at a hash join's emission aborts the drain mid-stream,
+/// and teardown releases every resident row.
+#[test]
+fn failpoint_error_mid_stream_leaves_no_resident_rows() {
+    let _serial = failpoint::test_serial();
+    let _cleanup = DisarmOnDrop;
+    failpoint::disarm_all();
+    let plan = PlanBuilder::scan("supplies")
+        .natural_join(PlanBuilder::scan("parts"))
+        .build();
+    let config = PlannerConfig::default().batch_size(2);
+    failpoint::arm("HashJoin.next_batch", FailAction::Error("chaos".into()));
+    let guard = QueryGuard::from_config(&config);
+    let (result, stats) = drive(&plan, &catalog(), &config, guard);
+    failpoint::disarm_all();
+    let err = result.unwrap_err();
+    assert!(
+        err.to_string().contains("failpoint HashJoin.next_batch"),
+        "{err}"
+    );
+    assert_eq!(stats.unwrap().resident_rows_on_finish, 0);
+}
+
 /// Count the live spill directories this process has in the OS temp dir —
 /// the invariant under spill chaos is that this number returns to its
 /// starting value on every exit path (success *and* mid-spill abort).

@@ -252,7 +252,9 @@ fn span_timing_is_gated_by_the_tracing_flag() {
 
 #[test]
 fn engine_with_tracing_times_ordinary_queries() {
-    let engine = Engine::builder(catalog()).with_tracing(true).build();
+    let engine = Engine::builder(catalog())
+        .planner_config(PlannerConfig::default().tracing(true))
+        .build();
     let output = engine
         .run("SELECT s# FROM supplies WHERE p# = 2")
         .unwrap()

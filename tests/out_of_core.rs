@@ -194,6 +194,26 @@ fn run_guard_budget(
     (out, stream.finish())
 }
 
+/// Per shape of [`shapes`], the spill counters of its unlimited, exact-fit
+/// and tiny runs in [`spilled_runs_are_byte_identical_across_all_shapes_and_budgets`]:
+/// `(spill_partitions, spill_rows_written, spill_rows_read,
+/// peak_resident_rows)`. Results alone would not show a changed decision
+/// on when to spill, what goes to disk or at which fan-out; these do.
+const SPILL_COUNTERS: [[(usize, usize, usize, usize); 3]; 12] = [
+    [(0, 0, 0, 19), (9, 50, 50, 15), (80, 240, 240, 11)], // #0
+    [(0, 0, 0, 16), (10, 45, 45, 12), (140, 240, 240, 8)], // #1
+    [(0, 0, 0, 26), (19, 110, 110, 22), (96, 300, 300, 18)], // #2
+    [(0, 0, 0, 7), (68, 248, 218, 4), (68, 248, 218, 4)], // #3
+    [(0, 0, 0, 69), (0, 0, 0, 69), (0, 0, 0, 69)],        // #4
+    [(0, 0, 0, 24), (0, 0, 0, 24), (0, 0, 0, 24)],        // #5
+    [(0, 0, 0, 34), (12, 90, 90, 30), (10, 90, 90, 26)],  // #6
+    [(0, 0, 0, 34), (12, 90, 90, 30), (10, 90, 90, 26)],  // #7
+    [(0, 0, 0, 9), (0, 0, 0, 9), (0, 0, 0, 9)],           // #8
+    [(0, 0, 0, 10), (0, 0, 0, 10), (0, 0, 0, 10)],        // #9
+    [(0, 0, 0, 16), (9, 50, 50, 12), (80, 240, 240, 8)],  // #10
+    [(0, 0, 0, 28), (10, 72, 72, 24), (8, 72, 72, 20)],   // #11
+];
+
 #[test]
 fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let c = catalog();
@@ -208,6 +228,7 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let spillable: &[usize] = &[0, 2, 3, 6, 7, 10, 11];
     let aggregate_under_projection = 5;
     let mut spilled_shapes = 0usize;
+    let mut counters = Vec::new();
     for (shape_idx, logical) in shapes().into_iter().enumerate() {
         let expected = evaluate(&logical, &c).unwrap();
 
@@ -253,6 +274,14 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
             "shape #{shape_idx}: guard-carried budget {tiny_budget} ran differently"
         );
 
+        counters.push([&unlimited.stats, &exact.stats, &tiny.stats].map(|stats| {
+            (
+                stats.spill_partitions,
+                stats.spill_rows_written,
+                stats.spill_rows_read,
+                stats.peak_resident_rows,
+            )
+        }));
         if exact.stats.spill_partitions > 0 || tiny.stats.spill_partitions > 0 {
             spilled_shapes += 1;
             assert!(
@@ -291,6 +320,7 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
         spilled_shapes >= spillable.len(),
         "only {spilled_shapes} shapes spilled — the suite is vacuous"
     );
+    assert_eq!(counters, SPILL_COUNTERS, "spill counters per shape");
 }
 
 /// 500 quotient groups x 10 parts each = 5000 dividend rows, every group
@@ -559,8 +589,11 @@ fn attached_table_larger_than_budget_streams_through_a_served_query() {
     div_storage::TableWriter::write_relation(&path, &big, 256).unwrap();
 
     let engine = Engine::builder(Catalog::new())
-        .with_memory_budget(600)
-        .with_spill_to_disk(true)
+        .planner_config(
+            PlannerConfig::default()
+                .memory_budget_rows(600)
+                .spill_to_disk(true),
+        )
         .build();
     let server = Server::bind("127.0.0.1:0", Arc::new(engine), ServerConfig::default())
         .expect("bind ephemeral port");
@@ -729,9 +762,12 @@ fn a_callers_plain_guard_keeps_the_divide_streaming() {
     c.register("supplies", dividend);
     c.register("wanted", divisor);
     let engine = Engine::builder(c)
-        .planner_config(PlannerConfig::default().batch_size(batch_size))
-        .with_memory_budget(300)
-        .with_spill_to_disk(true)
+        .planner_config(
+            PlannerConfig::default()
+                .batch_size(batch_size)
+                .memory_budget_rows(300)
+                .spill_to_disk(true),
+        )
         .build();
     let guard = QueryGuard::default().with_token(div_sql::CancelToken::new());
     let sql = "SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b";

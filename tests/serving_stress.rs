@@ -469,8 +469,11 @@ fn default_memory_budget_spills_when_the_engine_allows_it() {
     catalog.register("wanted", divisor);
     let engine = Arc::new(
         Engine::builder(catalog)
-            .planner_config(div_physical::PlannerConfig::default().batch_size(16))
-            .with_spill_to_disk(true)
+            .planner_config(
+                div_physical::PlannerConfig::default()
+                    .batch_size(16)
+                    .spill_to_disk(true),
+            )
             .build(),
     );
     let server = Server::bind(
