@@ -7,7 +7,7 @@ use std::fmt;
 /// All operators validate their schema preconditions (the paper states them as
 /// side conditions on the relation schemas, e.g. "A and B are nonempty disjoint
 /// sets of attributes") and report violations through this type rather than
-/// panicking, so that the rewrite engine can probe applicability safely.
+/// panicking, so that the optimizer can probe applicability safely.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlgebraError {
     /// Two relations that must be union-compatible (same schema) are not.

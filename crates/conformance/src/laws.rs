@@ -4,12 +4,13 @@
 //! examples that ship as extra rules) by replaying these shapes — the same
 //! catalogs the rule unit tests use, so each shape is known to satisfy its
 //! law's precondition — through the full differential matrix and asserting
-//! that the heuristic rewrite engine actually fires the law. Golden files
-//! reference a shape by key through their `plan <key>` directive.
+//! that the optimizer's rewrite enumeration ([`Optimizer::rewrites`]) yields
+//! the law and that every rewrite it yields preserves the result. Golden
+//! files reference a shape by key through their `plan <key>` directive.
 
 use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
 use div_expr::{Catalog, LogicalPlan, PlanBuilder};
-use div_rewrite::{RewriteContext, RuleSet};
+use div_rewrite::{Optimizer, RewriteContext, RuleSet};
 
 /// A named law-trigger shape: catalog plus plan.
 pub struct LawCase {
@@ -41,12 +42,10 @@ pub fn find(key: &str) -> Option<LawCase> {
     law_cases().into_iter().find(|c| c.key == key)
 }
 
-/// Apply the case's named rule directly to its plan. The shape is built to
-/// satisfy the rule's precondition, so this must return a rewritten plan.
-/// (The full [`div_rewrite::RewriteEngine`] may fire a *different* rule first
-/// on shapes matched by more than one law — Example 2's is also a Law 9
-/// match — so law coverage is pinned by direct application, not engine
-/// traces.)
+/// Apply the case's named rule directly to the root of its plan. The shape
+/// is built to satisfy the rule's precondition, so this must return a
+/// rewritten plan. It forces one law where [`check_rewrites`] walks the
+/// rewrites the optimizer would consider.
 pub fn apply_rule(case: &LawCase) -> Result<LogicalPlan, String> {
     let catalog = case.catalog();
     let ctx = RewriteContext::with_catalog(&catalog);
@@ -62,6 +61,44 @@ pub fn apply_rule(case: &LawCase) -> Result<LogicalPlan, String> {
                 case.key, case.rule
             )
         })
+}
+
+/// Walk [`Optimizer::rewrites`] of the case's plan over `catalog`: the
+/// case's named rule must be among the rules that fire, and every rewrite
+/// must evaluate to `expected`, the original plan's result. (A shape matched
+/// by more than one law — Example 2's is also a Law 9 match — yields one
+/// candidate per law, so no other law can hide the case's own.)
+pub fn check_rewrites(
+    case: &LawCase,
+    catalog: &Catalog,
+    expected: &Relation,
+) -> Result<(), String> {
+    let ctx = RewriteContext::with_catalog(catalog);
+    let rewrites = Optimizer::new()
+        .rewrites(&case.plan, &ctx)
+        .map_err(|e| format!("{}: rewrite enumeration failed: {e}", case.key))?;
+    if !rewrites.iter().any(|r| r.rule == case.rule) {
+        let fired: Vec<&str> = rewrites.iter().map(|r| r.rule.as_str()).collect();
+        return Err(format!(
+            "{}: `{}` is not among the optimizer's rewrites {fired:?}",
+            case.key, case.rule
+        ));
+    }
+    for rewrite in &rewrites {
+        let got = div_expr::evaluate(&rewrite.plan, catalog).map_err(|e| {
+            format!(
+                "{}: `{}` rewrite evaluation failed: {e}",
+                case.key, rewrite.rule
+            )
+        })?;
+        if &got != expected {
+            return Err(format!(
+                "{}: `{}` changed the result",
+                case.key, rewrite.rule
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Figure 2's dividend/divisor pair, shared by the great-divide laws.
@@ -456,7 +493,6 @@ pub fn law_cases() -> Vec<LawCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_rewrite::{RewriteContext, RewriteEngine};
 
     #[test]
     fn every_law_shape_fires_its_law_and_preserves_semantics() {
@@ -475,19 +511,16 @@ mod tests {
                 case.key, case.rule
             );
 
-            // And the full engine (whatever rules it picks) must agree too.
+            // The optimizer must enumerate it, every rewrite it enumerates
+            // must agree, and so must the plan its greedy search keeps.
+            check_rewrites(&case, &catalog, &before).unwrap_or_else(|e| panic!("{e}"));
             let ctx = RewriteContext::with_catalog(&catalog);
-            let outcome = RewriteEngine::with_default_rules()
-                .rewrite(&case.plan, &ctx)
-                .unwrap_or_else(|e| panic!("{}: rewrite failed: {e}", case.key));
-            assert!(
-                !outcome.applied.is_empty(),
-                "{}: the engine applied no rule at all",
-                case.key
-            );
-            let after = div_expr::evaluate(&outcome.plan, &catalog)
-                .unwrap_or_else(|e| panic!("{}: rewritten evaluation failed: {e}", case.key));
-            assert_eq!(before, after, "{}: rewrite changed the result", case.key);
+            let optimized = Optimizer::new()
+                .optimize(&case.plan, &ctx)
+                .unwrap_or_else(|e| panic!("{}: optimize failed: {e}", case.key));
+            let after = div_expr::evaluate(&optimized.plan, &catalog)
+                .unwrap_or_else(|e| panic!("{}: optimized evaluation failed: {e}", case.key));
+            assert_eq!(before, after, "{}: optimizer changed the result", case.key);
         }
     }
 

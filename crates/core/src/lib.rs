@@ -11,8 +11,8 @@
 //!   divide (reference semantics),
 //! * [`expr`] — logical plans, catalog, reference evaluator, and the
 //!   paper's division algorithm family as plans,
-//! * [`rewrite`] — the seventeen algebraic laws, theorems, rewrite engine and
-//!   cost-based optimizer,
+//! * [`rewrite`] — the seventeen algebraic laws, theorems, and the
+//!   cost-based optimizer that applies them,
 //! * [`physical`] — the streaming columnar executor and its configuration
 //!   with its special-purpose division operators,
 //! * [`columnar`] — the columnar batch representation and vectorized
@@ -58,7 +58,7 @@ pub mod prelude {
         operator_label, OperatorId, OperatorStats, PlannerConfig, QueryTrace, StreamExecutor,
     };
     pub use div_rewrite::optimizer::CostModel;
-    pub use div_rewrite::{Optimizer, RewriteContext, RewriteEngine, RuleSet};
+    pub use div_rewrite::{Optimizer, RewriteContext, RuleSet};
     pub use div_sql::{
         parse_query, translate_query, Cursor, Engine, EngineBuilder, EngineMetrics, Explain,
         MetricsSnapshot, Params, PreparedStatement, QueryOutput, Request,
@@ -80,10 +80,13 @@ mod tests {
             .build();
         // Logical evaluation, rewriting and physical execution all agree.
         let logical = evaluate(&plan, &catalog).unwrap();
-        let engine = RewriteEngine::with_default_rules();
         let ctx = RewriteContext::with_catalog(&catalog);
-        let rewritten = engine.rewrite(&plan, &ctx).unwrap().plan;
-        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), logical);
+        let optimizer = Optimizer::new();
+        let optimized = optimizer.optimize(&plan, &ctx).unwrap().plan;
+        assert_eq!(evaluate(&optimized, &catalog).unwrap(), logical);
+        for rewrite in optimizer.rewrites(&plan, &ctx).unwrap() {
+            assert_eq!(evaluate(&rewrite.plan, &catalog).unwrap(), logical);
+        }
         let config = PlannerConfig::default();
         let mut stream = StreamExecutor::new(&plan, &catalog, &config).unwrap();
         let batch = stream.next_batch().unwrap().expect("one quotient row");

@@ -16,7 +16,7 @@
 //! * a [`PlanBuilder`] for constructing plans fluently, including the
 //!   paper's division algorithm family as plans ([`division`]: the
 //!   basic-operator simulations and counting division),
-//! * tree traversal / transformation utilities used by the rewrite engine, and
+//! * tree traversal / transformation utilities used by the optimizer, and
 //! * an equivalence checker used by the law tests
 //!   ([`plans_equivalent_on`]).
 //!

@@ -7,12 +7,12 @@
 //! * the side conditions the laws need (`c1`, `c2`, disjointness, foreign-key
 //!   and uniqueness preconditions) in [`preconditions`],
 //! * the three theorems of Section 5 / Appendix B in [`theorems`],
-//! * the worked rewrite derivations of Examples 1–4 in [`laws`],
-//! * a heuristic, fixpoint [`engine::RewriteEngine`] that applies the laws as
-//!   transformation rules the way a rule-based optimizer would, and
-//! * a simple cost-based [`optimizer::Optimizer`] that uses estimated
-//!   intermediate-result sizes (the quantity the paper cares about) to decide
-//!   which of the equivalent plans to keep.
+//! * the worked rewrite derivations of Examples 1–4 in [`laws`], and
+//! * a cost-based [`optimizer::Optimizer`], the one driver of the laws: it
+//!   enumerates the plans one rule application away
+//!   ([`Optimizer::rewrites`]) and greedily keeps the one with the smallest
+//!   estimated intermediate-result size (the quantity the paper cares
+//!   about), pass after pass.
 //!
 //! Every law is implemented as a [`rule::RewriteRule`] over the
 //! [`div_expr::LogicalPlan`] IR, in the direction the paper motivates as
@@ -25,23 +25,22 @@
 //! ```
 //! use div_algebra::{relation, Predicate};
 //! use div_expr::{Catalog, PlanBuilder, evaluate};
-//! use div_rewrite::engine::RewriteEngine;
-//! use div_rewrite::context::RewriteContext;
+//! use div_rewrite::{Optimizer, RewriteContext};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.register("r1", relation! { ["a", "b"] => [1, 1], [1, 2], [2, 1] });
 //! catalog.register("r2", relation! { ["b"] => [1], [2] });
 //!
-//! // σ_{a=1}(r1 ÷ r2): the engine pushes the selection below the divide (Law 3).
+//! // σ_{a=1}(r1 ÷ r2): the optimizer pushes the selection below the divide
+//! // (Law 3).
 //! let plan = PlanBuilder::scan("r1")
 //!     .divide(PlanBuilder::scan("r2"))
 //!     .select(Predicate::eq_value("a", 1))
 //!     .build();
-//! let engine = RewriteEngine::with_default_rules();
 //! let ctx = RewriteContext::with_catalog(&catalog);
-//! let outcome = engine.rewrite(&plan, &ctx).unwrap();
-//! assert!(outcome.applied.iter().any(|a| a.rule.contains("law-03")));
-//! assert_eq!(evaluate(&outcome.plan, &catalog).unwrap(),
+//! let optimized = Optimizer::new().optimize(&plan, &ctx).unwrap();
+//! assert!(optimized.applied.iter().any(|a| a.rule.contains("law-03")));
+//! assert_eq!(evaluate(&optimized.plan, &catalog).unwrap(),
 //!            evaluate(&plan, &catalog).unwrap());
 //! ```
 
@@ -49,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod context;
-pub mod engine;
 pub mod laws;
 pub mod optimizer;
 pub mod preconditions;
@@ -57,8 +55,7 @@ pub mod rule;
 pub mod theorems;
 
 pub use context::RewriteContext;
-pub use engine::{AppliedRule, RewriteEngine, RewriteOutcome};
-pub use optimizer::{CostEstimate, OptimizedPlan, Optimizer};
+pub use optimizer::{AppliedRule, CostEstimate, OptimizedPlan, Optimizer, Rewrite};
 pub use rule::{RewriteRule, RuleSet};
 
 /// Convenient result alias used throughout the crate (errors come from the

@@ -9,11 +9,33 @@
 //! rule set and keeps the cheapest one.
 
 use crate::context::RewriteContext;
-use crate::engine::AppliedRule;
 use crate::rule::RuleSet;
 use crate::Result;
 use div_expr::{LogicalPlan, Transformed};
 use std::collections::BTreeSet;
+
+/// A record of one rule application the greedy search kept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AppliedRule {
+    /// Machine-readable rule name.
+    pub rule: String,
+    /// Paper reference of the rule.
+    pub reference: String,
+    /// Greedy pass (1-based) in which the rule was applied.
+    pub pass: usize,
+}
+
+/// A plan one rule application away from the plan it was enumerated from
+/// (see [`Optimizer::rewrites`]).
+#[derive(Debug, Clone)]
+pub struct Rewrite {
+    /// The rewritten plan.
+    pub plan: LogicalPlan,
+    /// Machine-readable name of the rule that produced it.
+    pub rule: String,
+    /// Paper reference of that rule.
+    pub reference: String,
+}
 
 /// Estimated execution cost of a plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -267,18 +289,6 @@ impl Optimizer {
         Self::default()
     }
 
-    /// Replace the rule set.
-    pub fn with_rules(mut self, rules: RuleSet) -> Self {
-        self.rules = rules;
-        self
-    }
-
-    /// Replace the cost model.
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
     /// The cost model in use.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost_model
@@ -296,9 +306,9 @@ impl Optimizer {
 
         for pass in 1..=self.max_steps {
             let mut improved = false;
-            let mut round_best: Option<(Neighbour, CostEstimate)> = None;
+            let mut round_best: Option<(Rewrite, CostEstimate)> = None;
 
-            for candidate in self.neighbours(&best, ctx)? {
+            for candidate in self.rewrites(&best, ctx)? {
                 let key = format!("{}", candidate.plan);
                 if !seen.insert(key) {
                     continue;
@@ -320,8 +330,6 @@ impl Optimizer {
                         rule: candidate.rule,
                         reference: candidate.reference,
                         pass,
-                        nodes_before: best.node_count(),
-                        nodes_after: candidate.plan.node_count(),
                     });
                     best = candidate.plan;
                     best_cost = cost;
@@ -342,14 +350,17 @@ impl Optimizer {
         })
     }
 
-    /// All plans reachable from `plan` by one application of one rule at one
-    /// node, each labeled with the rule that produced it.
-    fn neighbours(&self, plan: &LogicalPlan, ctx: &RewriteContext<'_>) -> Result<Vec<Neighbour>> {
+    /// The plans one rule application away from `plan`, each labeled with
+    /// the rule that produced it: at most one per rule, in rule-set order.
+    ///
+    /// This is the one enumeration of law applications. The greedy search in
+    /// [`Optimizer::optimize`] costs these candidates, and the law tests walk
+    /// them, so both see the same rewrites. Each rule rewrites only its first
+    /// match in a bottom-up walk; a further match elsewhere in the plan is
+    /// left for a later pass to find.
+    pub fn rewrites(&self, plan: &LogicalPlan, ctx: &RewriteContext<'_>) -> Result<Vec<Rewrite>> {
         let mut out = Vec::new();
         for rule in self.rules.rules() {
-            // Apply the rule at each node independently: enumerate by walking
-            // the tree and rewriting only the first match at or below each
-            // node position.
             let mut fired = false;
             let transformed = plan.transform_up(&mut |node| {
                 if fired {
@@ -364,7 +375,7 @@ impl Optimizer {
                 }
             })?;
             if fired {
-                out.push(Neighbour {
+                out.push(Rewrite {
                     plan: transformed.into_plan(),
                     rule: rule.name().to_string(),
                     reference: rule.reference().to_string(),
@@ -373,13 +384,6 @@ impl Optimizer {
         }
         Ok(out)
     }
-}
-
-/// A candidate plan produced by one rule application during the greedy search.
-struct Neighbour {
-    plan: LogicalPlan,
-    rule: String,
-    reference: String,
 }
 
 #[cfg(test)]
@@ -402,6 +406,10 @@ mod tests {
             div_algebra::Relation::from_rows(["a", "b"], rows).unwrap(),
         );
         c.register("r2", relation! { ["b"] => [0], [1], [2], [3] });
+        c.register(
+            "r2_groups",
+            relation! { ["b", "c"] => [0, 1], [1, 1], [3, 1], [0, 2], [2, 2] },
+        );
         c
     }
 
@@ -481,12 +489,79 @@ mod tests {
             equality_selectivity: 0.5,
             ..CostModel::default()
         };
-        let optimizer = Optimizer::new().with_cost_model(model);
-        assert_eq!(optimizer.cost_model().equality_selectivity, 0.5);
         let plan = PlanBuilder::scan("r1")
             .select(Predicate::eq_value("a", 1))
             .build();
-        let est = optimizer.cost_model().cardinality(&plan, &ctx);
-        assert_eq!(est, 100.0);
+        assert_eq!(model.cardinality(&plan, &ctx), 100.0);
+    }
+
+    /// `(pass, law)` per greedy pass, e.g. `(1, "law-03")`.
+    fn passes(optimized: &OptimizedPlan) -> Vec<(usize, &str)> {
+        optimized
+            .applied
+            .iter()
+            .map(|a| (a.pass, &a.rule[..6]))
+            .collect()
+    }
+
+    #[test]
+    fn optimizer_chains_laws_across_passes() {
+        // σ_{a>2}(σ_{c=2}(r1 ÷* r2)): Law 15 pushes the c filter into the
+        // divisor, then Law 14 the a filter into the dividend.
+        let c = catalog();
+        let ctx = RewriteContext::with_catalog(&c);
+        let plan = PlanBuilder::scan("r1")
+            .great_divide(PlanBuilder::scan("r2_groups"))
+            .select(Predicate::eq_value("c", 2))
+            .select(Predicate::cmp_value("a", CompareOp::Gt, 2))
+            .build();
+        let optimized = Optimizer::new().optimize(&plan, &ctx).unwrap();
+        assert_eq!(passes(&optimized), [(1, "law-15"), (2, "law-14")]);
+        assert_eq!(optimized.applied[0].reference, "Law 15, Section 5.2.2");
+        assert!(matches!(optimized.plan, LogicalPlan::GreatDivide { .. }));
+        assert_eq!(evaluate(&optimized.plan, &c), evaluate(&plan, &c));
+    }
+
+    #[test]
+    fn optimizer_stops_after_one_law_4_rewrite() {
+        // Law 4's termination guard: its own output does not match again.
+        let c = catalog();
+        let ctx = RewriteContext::with_catalog(&c);
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2").select(Predicate::eq_value("b", 1)))
+            .build();
+        let optimized = Optimizer::new().optimize(&plan, &ctx).unwrap();
+        assert_eq!(passes(&optimized), [(1, "law-04")]);
+        assert_eq!(evaluate(&optimized.plan, &c), evaluate(&plan, &c));
+    }
+
+    #[test]
+    fn each_rule_rewrites_only_its_first_match_per_pass() {
+        // σ(r1 ÷ r2) ∪ σ'(r1 ÷ r2): Law 3 matches on both sides of the
+        // union, but yields one candidate, rewritten on the left only; the
+        // right is the next pass's rewrite.
+        let c = catalog();
+        let ctx = RewriteContext::with_catalog(&c);
+        let divide = || PlanBuilder::scan("r1").divide(PlanBuilder::scan("r2"));
+        let plan = divide()
+            .select(Predicate::cmp_value("a", CompareOp::Lt, 3))
+            .union(divide().select(Predicate::cmp_value("a", CompareOp::Gt, 40)))
+            .build();
+        let optimizer = Optimizer::new();
+        let rewrites = optimizer.rewrites(&plan, &ctx).unwrap();
+        let law3: Vec<&Rewrite> = rewrites
+            .iter()
+            .filter(|r| r.rule.starts_with("law-03"))
+            .collect();
+        assert_eq!(law3.len(), 1);
+        let LogicalPlan::Union { left, right } = &law3[0].plan else {
+            panic!("expected a union root:\n{}", law3[0].plan);
+        };
+        assert!(matches!(**left, LogicalPlan::SmallDivide { .. }));
+        assert!(matches!(**right, LogicalPlan::Select { .. }));
+
+        let optimized = optimizer.optimize(&plan, &ctx).unwrap();
+        assert_eq!(passes(&optimized), [(1, "law-03"), (2, "law-03")]);
+        assert_eq!(evaluate(&optimized.plan, &c), evaluate(&plan, &c));
     }
 }

@@ -32,68 +32,48 @@ impl fmt::Debug for dyn RewriteRule {
 }
 
 /// An ordered collection of rules.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct RuleSet {
     rules: Vec<Arc<dyn RewriteRule>>,
 }
 
 impl RuleSet {
-    /// An empty rule set.
-    pub fn empty() -> Self {
-        RuleSet { rules: Vec::new() }
-    }
-
     /// The full default rule set: every law of the paper in its useful
     /// direction, ordered so that cheap, always-beneficial rules (selection
     /// push-down, divide-elimination) run before the structural ones.
     pub fn default_rules() -> Self {
-        let mut set = RuleSet::empty();
-        // Selection push-down / replication (Laws 3, 4, 14, 15, 16).
-        set.add(laws::small_divide_selection::Law3SelectionPushdown);
-        set.add(laws::small_divide_selection::Law4DivisorSelectionReplication);
-        set.add(laws::great_divide::Law14SelectionPushdownQuotient);
-        set.add(laws::great_divide::Law15SelectionPushdownGroup);
-        set.add(laws::great_divide::Law16DivisorSelectionReplication);
-        // Division elimination via grouping metadata (Laws 11, 12).
-        set.add(laws::small_divide_grouping::Law11SingleTupleGroups);
-        set.add(laws::small_divide_grouping::Law12SingleTupleDivisorGroups);
-        // Skip work entirely (Law 7).
-        set.add(laws::small_divide_set_ops::Law7DisjointDifference);
-        // Structure-changing rules (Laws 1, 2, 5, 6, 8, 9, 13, 17).
-        set.add(laws::small_divide_union::Law1DivisorUnionToPipeline);
-        set.add(laws::small_divide_union::Law2DividendUnionSplit);
-        set.add(laws::small_divide_set_ops::Law5IntersectionSplit);
-        set.add(laws::small_divide_set_ops::Law6DifferenceSplit);
-        set.add(laws::small_divide_product::Law8ProductPushthrough);
-        set.add(laws::small_divide_product::Law9ProductElimination);
-        set.add(laws::small_divide_product::Example2CommonFactorElimination);
-        set.add(laws::great_divide::Law13DivisorUnionSplit);
-        set.add(laws::great_divide::Law17ProductPushthrough);
-        // Join interaction (Law 10, Example 4).
-        set.add(laws::small_divide_join::Law10SemiJoinCommute);
-        set.add(laws::great_divide::Example4JoinPushIn);
-        set
-    }
-
-    /// Add a rule to the end of the set.
-    pub fn add(&mut self, rule: impl RewriteRule + 'static) -> &mut Self {
-        self.rules.push(Arc::new(rule));
-        self
+        let rules: Vec<Arc<dyn RewriteRule>> = vec![
+            // Selection push-down / replication (Laws 3, 4, 14, 15, 16).
+            Arc::new(laws::small_divide_selection::Law3SelectionPushdown),
+            Arc::new(laws::small_divide_selection::Law4DivisorSelectionReplication),
+            Arc::new(laws::great_divide::Law14SelectionPushdownQuotient),
+            Arc::new(laws::great_divide::Law15SelectionPushdownGroup),
+            Arc::new(laws::great_divide::Law16DivisorSelectionReplication),
+            // Division elimination via grouping metadata (Laws 11, 12).
+            Arc::new(laws::small_divide_grouping::Law11SingleTupleGroups),
+            Arc::new(laws::small_divide_grouping::Law12SingleTupleDivisorGroups),
+            // Skip work entirely (Law 7).
+            Arc::new(laws::small_divide_set_ops::Law7DisjointDifference),
+            // Structure-changing rules (Laws 1, 2, 5, 6, 8, 9, 13, 17).
+            Arc::new(laws::small_divide_union::Law1DivisorUnionToPipeline),
+            Arc::new(laws::small_divide_union::Law2DividendUnionSplit),
+            Arc::new(laws::small_divide_set_ops::Law5IntersectionSplit),
+            Arc::new(laws::small_divide_set_ops::Law6DifferenceSplit),
+            Arc::new(laws::small_divide_product::Law8ProductPushthrough),
+            Arc::new(laws::small_divide_product::Law9ProductElimination),
+            Arc::new(laws::small_divide_product::Example2CommonFactorElimination),
+            Arc::new(laws::great_divide::Law13DivisorUnionSplit),
+            Arc::new(laws::great_divide::Law17ProductPushthrough),
+            // Join interaction (Law 10, Example 4).
+            Arc::new(laws::small_divide_join::Law10SemiJoinCommute),
+            Arc::new(laws::great_divide::Example4JoinPushIn),
+        ];
+        RuleSet { rules }
     }
 
     /// Iterate over the rules in order.
     pub fn rules(&self) -> impl Iterator<Item = &Arc<dyn RewriteRule>> + '_ {
         self.rules.iter()
-    }
-
-    /// Number of rules in the set.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// `true` when the set holds no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 
     /// Find a rule by its machine-readable name.
@@ -117,11 +97,7 @@ mod tests {
     #[test]
     fn default_rule_set_contains_all_seventeen_laws() {
         let set = RuleSet::default_rules();
-        assert!(
-            set.len() >= 17,
-            "expected at least 17 rules, got {}",
-            set.len()
-        );
+        assert_eq!(set.rules().count(), 19);
         for law in [
             "law-01", "law-02", "law-03", "law-04", "law-05", "law-06", "law-07", "law-08",
             "law-09", "law-10", "law-11", "law-12", "law-13", "law-14", "law-15", "law-16",
@@ -150,7 +126,5 @@ mod tests {
         let set = RuleSet::default_rules();
         assert!(set.find("law-03-selection-pushdown").is_some());
         assert!(set.find("not-a-rule").is_none());
-        assert!(!set.is_empty());
-        assert!(RuleSet::empty().is_empty());
     }
 }

@@ -80,9 +80,8 @@ use div_expr::{Catalog, LogicalPlan};
 use div_physical::{
     operator_label, ExecStats, OperatorStats, PlannerConfig, QueryGuard, StreamExecutor,
 };
-use div_rewrite::engine::AppliedRule;
-use div_rewrite::optimizer::{CostEstimate, CostModel};
-use div_rewrite::{OptimizedPlan, Optimizer, RewriteContext, RuleSet};
+use div_rewrite::optimizer::CostEstimate;
+use div_rewrite::{AppliedRule, OptimizedPlan, Optimizer, RewriteContext};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -368,14 +367,10 @@ impl Drop for Cursor {
 /// ```
 /// use div_expr::Catalog;
 /// use div_physical::PlannerConfig;
-/// use div_rewrite::optimizer::CostModel;
-/// use div_rewrite::RuleSet;
 /// use div_sql::Engine;
 ///
 /// let engine = Engine::builder(Catalog::new())
 ///     .planner_config(PlannerConfig::with_batch_size(256))
-///     .rule_set(RuleSet::default_rules())
-///     .cost_model(CostModel::default())
 ///     .build();
 /// assert_eq!(engine.planner_config().batch_size, 256);
 /// ```
@@ -383,8 +378,6 @@ impl Drop for Cursor {
 pub struct EngineBuilder {
     catalog: Catalog,
     config: PlannerConfig,
-    rules: RuleSet,
-    cost_model: CostModel,
     optimize: bool,
 }
 
@@ -396,18 +389,6 @@ impl EngineBuilder {
     /// defaults. The engine always executes through the streaming path.
     pub fn planner_config(mut self, config: PlannerConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Replace the rewrite rule set the optimizer searches over.
-    pub fn rule_set(mut self, rules: RuleSet) -> Self {
-        self.rules = rules;
-        self
-    }
-
-    /// Replace the cost model the optimizer ranks plans with.
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
         self
     }
 
@@ -424,9 +405,7 @@ impl EngineBuilder {
         Engine {
             catalog: RwLock::new(Arc::new(self.catalog)),
             config: self.config,
-            optimizer: Optimizer::new()
-                .with_rules(self.rules)
-                .with_cost_model(self.cost_model),
+            optimizer: Optimizer::new(),
             optimize: self.optimize,
             compile_count: AtomicU64::new(0),
             metrics: Arc::new(EngineMetrics::default()),
@@ -563,8 +542,6 @@ impl Engine {
         EngineBuilder {
             catalog,
             config: PlannerConfig::default(),
-            rules: RuleSet::default_rules(),
-            cost_model: CostModel::default(),
             optimize: true,
         }
     }
@@ -1132,8 +1109,9 @@ impl Explain {
     /// a perfect estimate scores 1.0) — `Some` only when the report carries
     /// measured stats whose span tree matches the optimized plan.
     ///
-    /// This is the feedback signal an adaptive re-optimizer would consume;
-    /// see the roadmap's "learned/adaptive re-optimization" item.
+    /// Nothing feeds this back into the optimizer: it is the signal a
+    /// calibration of [`CostModel`](div_rewrite::optimizer::CostModel) would
+    /// be checked against.
     pub fn estimation_errors(&self) -> Option<Vec<f64>> {
         let operators = self.operator_stats()?;
         if operators.len() != self.estimated_rows.len() {
@@ -1702,6 +1680,66 @@ mod tests {
             engine.run(sql).unwrap().collect().unwrap().relation,
             optimizing.run(sql).unwrap().collect().unwrap().relation
         );
+    }
+
+    /// The paper's running example relations r1 (a, b) and r2 (b).
+    fn law_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.register(
+            "r1",
+            relation! {
+                ["a", "b"] =>
+                [1, 1], [1, 4],
+                [2, 1], [2, 2], [2, 3], [2, 4],
+                [3, 1], [3, 3], [3, 4],
+                [4, 1], [4, 3],
+            },
+        );
+        c.register("r2", relation! { ["b"] => [1], [3] });
+        c
+    }
+
+    #[test]
+    fn engine_reaches_fixpoint_on_selection_pushdown() {
+        use div_algebra::{CompareOp, Predicate};
+        use div_expr::{evaluate, PlanBuilder};
+        let catalog = law_catalog();
+        let engine = Engine::new(catalog.clone());
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2"))
+            .select(Predicate::cmp_value("a", CompareOp::Gt, 2))
+            .build();
+        let explain = engine.explain_analyze(Request::plan(&plan)).unwrap();
+        assert_eq!(explain.logical, plan);
+        assert!(explain.rewritten());
+        assert!(
+            explain.laws_fired().iter().any(|n| n.starts_with("law-03")),
+            "expected the Law 3 pushdown, got: {:?}",
+            explain.laws_fired()
+        );
+        // The optimizer stopped because no law lowers the cost further, so
+        // the chosen plan is left unchanged when optimized again.
+        let again = engine
+            .explain_analyze(Request::plan(&explain.optimized))
+            .unwrap();
+        assert!(!again.rewritten(), "{:?}", again.laws_fired());
+        assert_eq!(again.optimized, explain.optimized);
+        let expected = evaluate(&plan, &catalog).unwrap();
+        assert_eq!(evaluate(&explain.optimized, &catalog).unwrap(), expected);
+        let served = engine.run(Request::plan(&plan)).unwrap().collect().unwrap();
+        assert_eq!(served.relation, expected);
+    }
+
+    #[test]
+    fn engine_is_identity_when_nothing_matches() {
+        use div_expr::PlanBuilder;
+        let engine = Engine::new(law_catalog());
+        let plan = PlanBuilder::scan("r1").project(["a"]).build();
+        let explain = engine.explain_analyze(Request::plan(&plan)).unwrap();
+        assert!(!explain.rewritten());
+        assert!(explain.applied.is_empty());
+        assert_eq!(explain.optimized, plan);
+        assert_eq!(explain.logical, plan);
     }
 
     #[test]

@@ -142,14 +142,13 @@ impl EngineMetrics {
     }
 
     /// Credit the rewrite laws the optimizer reports for one compilation.
-    pub(crate) fn record_laws(&self, applied: &[div_rewrite::engine::AppliedRule]) {
+    pub(crate) fn record_laws(&self, applied: &[div_rewrite::AppliedRule]) {
         if applied.is_empty() {
             return;
         }
-        let counts = div_rewrite::engine::count_applications(applied);
         let mut laws = self.law_applications.lock().expect("metrics lock");
-        for (rule, n) in counts {
-            *laws.entry(rule).or_insert(0) += n;
+        for a in applied {
+            *laws.entry(a.rule.clone()).or_insert(0) += 1;
         }
     }
 
@@ -383,12 +382,10 @@ mod tests {
 
     #[test]
     fn law_applications_accumulate_across_compilations() {
-        let mk = |rule: &str| div_rewrite::engine::AppliedRule {
+        let mk = |rule: &str| div_rewrite::AppliedRule {
             rule: rule.to_string(),
             reference: "Law".to_string(),
             pass: 1,
-            nodes_before: 1,
-            nodes_after: 1,
         };
         let metrics = EngineMetrics::default();
         metrics.record_laws(&[mk("law-15"), mk("law-15"), mk("law-14")]);

@@ -1,10 +1,10 @@
-//! Show the rewrite engine and the cost-based optimizer at work: the rule
-//! trace, the estimated costs, and the step-by-step derivation of Example 3.
+//! Show the cost-based optimizer at work: the rewrites it enumerates from a
+//! plan, the laws its greedy passes keep, the estimated costs, and the
+//! step-by-step derivation of Example 3.
 //!
 //! Run with `cargo run --example optimizer_explain`.
 
 use div_rewrite::laws::examples::example3_derivation;
-use div_rewrite::optimizer::CostModel;
 use division::prelude::*;
 
 fn main() {
@@ -31,17 +31,22 @@ fn main() {
     println!("original plan:\n{plan}");
 
     let ctx = RewriteContext::with_catalog(&catalog);
-    let engine = RewriteEngine::with_default_rules();
-    let outcome = engine.rewrite(&plan, &ctx).unwrap();
-    println!("rule trace:\n{}\n", outcome.trace());
-    println!("rewritten plan:\n{}", outcome.plan);
-
     let optimizer = Optimizer::new();
+    let model = optimizer.cost_model();
+    println!("rewrites one law application away (estimated cost):");
+    for rewrite in optimizer.rewrites(&plan, &ctx).unwrap() {
+        println!(
+            "  {:<45} {:>8.0}",
+            rewrite.rule,
+            model.cost(&rewrite.plan, &ctx).value()
+        );
+    }
+
     let optimized = optimizer.optimize(&plan, &ctx).unwrap();
-    let model = CostModel::default();
+    println!("optimized plan:\n{}", optimized.plan);
     println!(
         "estimated cost: original {:.0}, optimized {:.0} (speed-up {:.1}x, {} alternatives considered)",
-        model.cost(&plan, &ctx).value(),
+        optimized.original_cost.value(),
         optimized.cost.value(),
         optimized.estimated_speedup(),
         optimized.alternatives_considered,

@@ -1,5 +1,5 @@
 //! Quickstart: build the paper's Figure 1 relations, run the small and great
-//! divide, apply a law with the rewrite engine, execute the plan on the
+//! divide, let the optimizer apply a law, execute the plan on the
 //! streaming executor, and run one more member of the paper's division
 //! algorithm family — counting division, a plan of its own — on the same
 //! executor.
@@ -59,16 +59,15 @@ fn main() {
         .build();
     println!("original logical plan:\n{plan}");
 
-    let engine = RewriteEngine::with_default_rules();
     let ctx = RewriteContext::with_catalog(&catalog);
-    let outcome = engine.rewrite(&plan, &ctx).unwrap();
-    println!("applied rules:\n{}\n", outcome.trace());
+    let optimized = Optimizer::new().optimize(&plan, &ctx).unwrap();
+    println!("applied rules:\n{}\n", optimized.trace());
     println!(
-        "rewritten logical plan (Law 3 pushed the filter down):\n{}",
-        outcome.plan
+        "optimized logical plan (Law 3 pushed the filter down):\n{}",
+        optimized.plan
     );
 
-    println!("result:\n{}", run(&outcome.plan, &catalog));
+    println!("result:\n{}", run(&optimized.plan, &catalog));
 
     // Counting division (Graefe & Cole): semi-join, count per group, keep
     // the groups that matched all |r2| divisor rows. The same executor runs

@@ -523,14 +523,30 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The rewrite engine preserves semantics on randomly generated catalogs.
+// The optimizer preserves semantics on randomly generated catalogs: both the
+// plan it keeps and every rewrite it enumerates.
 // ---------------------------------------------------------------------------
+
+/// `optimize`'s plan and every candidate of `rewrites` evaluate like `plan`.
+fn assert_optimizer_preserves(plan: &LogicalPlan, catalog: &Catalog) {
+    let optimizer = Optimizer::new();
+    let ctx = RewriteContext::with_catalog(catalog);
+    let optimized = optimizer.optimize(plan, &ctx).unwrap();
+    let mut candidates = vec![("optimize".to_string(), optimized.plan)];
+    for rewrite in optimizer.rewrites(plan, &ctx).unwrap() {
+        candidates.push((rewrite.rule, rewrite.plan));
+    }
+    for (rule, candidate) in candidates {
+        let report = plans_equivalent_on(plan, &candidate, catalog).unwrap();
+        assert!(report.equivalent, "`{rule}`: {}", report.describe());
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn rewrite_engine_preserves_q2_semantics(
+    fn optimizer_preserves_q2_semantics(
         r1 in ab_pairs(30),
         d in b_values(6),
         k in 0..6i64,
@@ -542,15 +558,11 @@ proptest! {
             .divide(PlanBuilder::scan("r2"))
             .select(Predicate::cmp_value("a", CompareOp::Lt, k))
             .build();
-        let engine = RewriteEngine::with_default_rules();
-        let ctx = RewriteContext::with_catalog(&catalog);
-        let outcome = engine.rewrite(&plan, &ctx).unwrap();
-        let report = plans_equivalent_on(&plan, &outcome.plan, &catalog).unwrap();
-        prop_assert!(report.equivalent, "{}", report.describe());
+        assert_optimizer_preserves(&plan, &catalog);
     }
 
     #[test]
-    fn rewrite_engine_preserves_great_divide_semantics(
+    fn optimizer_preserves_great_divide_semantics(
         r1 in ab_pairs(30),
         d in bc_pairs(10),
         k in 0..4i64,
@@ -563,10 +575,6 @@ proptest! {
             .select(Predicate::cmp_value("c", CompareOp::Lt, k))
             .select(Predicate::cmp_value("a", CompareOp::Gt, 0))
             .build();
-        let engine = RewriteEngine::with_default_rules();
-        let ctx = RewriteContext::with_catalog(&catalog);
-        let outcome = engine.rewrite(&plan, &ctx).unwrap();
-        let report = plans_equivalent_on(&plan, &outcome.plan, &catalog).unwrap();
-        prop_assert!(report.equivalent, "{}", report.describe());
+        assert_optimizer_preserves(&plan, &catalog);
     }
 }
