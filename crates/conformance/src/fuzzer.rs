@@ -20,7 +20,7 @@
 //! | `CONFORMANCE_ARTIFACT` | path for the failing-case repro file | none    |
 
 use crate::grammar::CaseSpec;
-use crate::oracle::{check_case, Mismatch, StrategyTally, STRATEGY_NAMES};
+use crate::oracle::{absorb_all, check_case, Mismatch, Tallies, STRATEGIES};
 use crate::shrink::shrink;
 use std::path::PathBuf;
 
@@ -98,9 +98,8 @@ pub struct FuzzReport {
     pub empty_divisors: u64,
     /// Cases carrying a `$param`.
     pub parameterized: u64,
-    /// Executed / declined / spilled executions per strategy, in
-    /// [`STRATEGY_NAMES`] order.
-    pub strategies: [StrategyTally; STRATEGY_NAMES.len()],
+    /// Executed / declined / spilled executions per strategy.
+    pub strategies: Tallies,
 }
 
 impl FuzzReport {
@@ -108,13 +107,13 @@ impl FuzzReport {
     /// the fuzz drivers print, so a budgeted strategy that declines
     /// everything (or never spills) is visible in the log.
     pub fn strategy_summary(&self) -> String {
-        STRATEGY_NAMES
+        STRATEGIES
             .iter()
             .zip(&self.strategies)
-            .map(|(name, t)| {
+            .map(|(s, t)| {
                 format!(
-                    "{name} {} executed / {} declined / {} spilled",
-                    t.executed, t.declined, t.spilled
+                    "{} {} executed / {} declined / {} spilled",
+                    s.name, t.executed, t.declined, t.spilled
                 )
             })
             .collect::<Vec<_>>()
@@ -148,9 +147,7 @@ pub fn run(config: &FuzzConfig) -> Result<FuzzReport, Box<Mismatch>> {
                 report.cases += 1;
                 report.formulations += case_report.formulations;
                 report.executions += case_report.executions;
-                for (total, case) in report.strategies.iter_mut().zip(&case_report.strategies) {
-                    total.absorb(case);
-                }
+                absorb_all(&mut report.strategies, &case_report.strategies);
                 if spec.is_great() {
                     report.great_divides += 1;
                 }
@@ -222,32 +219,30 @@ mod tests {
             "great divides: {}",
             report.great_divides
         );
-        // Six unbudgeted strategies per formulation, at least one
+        // Every unbudgeted strategy answers every formulation, at least one
         // formulation per case.
-        assert!(report.executions > 6 * 60);
-        let tally = |strategy: &str| {
-            report.strategies[STRATEGY_NAMES
-                .iter()
-                .position(|name| *name == strategy)
-                .expect("a strategy of the matrix")]
-        };
-        // Attached tables answer everything registered ones do.
-        let attached = tally("stream/raw/b3/attached");
-        assert_eq!(
-            (attached.executed, attached.declined),
-            (report.formulations, 0),
-            "{}",
-            report.strategy_summary()
-        );
-        // The budgeted strategy must do all three: answer in memory, answer
-        // after spilling, and decline.
-        let spill = tally("stream/raw/b3/spill");
-        assert!(spill.spilled > 0, "{}", report.strategy_summary());
-        assert!(
-            spill.executed > spill.spilled,
-            "{}",
-            report.strategy_summary()
-        );
-        assert!(spill.declined > 0, "{}", report.strategy_summary());
+        let unbudgeted = STRATEGIES.iter().filter(|s| s.budget.is_none()).count();
+        assert!(report.executions > unbudgeted * 60);
+        let summary = report.strategy_summary();
+        for (strategy, tally) in STRATEGIES.iter().zip(&report.strategies) {
+            if strategy.attached {
+                // Attached tables answer every formulation registered ones
+                // answer, declining only under a budget.
+                assert_eq!(
+                    tally.executed + tally.declined,
+                    report.formulations,
+                    "{summary}"
+                );
+            }
+            if strategy.budget.is_some() {
+                // A budgeted strategy must do all three: answer in memory,
+                // answer after spilling, and decline.
+                assert!(tally.spilled > 0, "{summary}");
+                assert!(tally.executed > tally.spilled, "{summary}");
+                assert!(tally.declined > 0, "{summary}");
+            } else {
+                assert_eq!(tally.declined, 0, "{summary}");
+            }
+        }
     }
 }

@@ -21,20 +21,21 @@
 //! double-quoted strings. Exactly one of `plan`, `query` or `scenario` (whose
 //! `divide=small|great` key implies the query) drives the case.
 //!
-//! The runner executes each case across the differential matrix — streaming
-//! engine with and without the optimizer at batch sizes 1024 and 3 —
-//! asserts every strategy agrees,
-//! and compares the agreed result against the `expect` block. Running with
+//! The runner executes each case under every strategy of the oracle's one
+//! execution matrix ([`oracle::STRATEGIES`]: optimizer on and off, batch
+//! sizes 1024 and 3, a spilling memory budget, attached `.divcol` files),
+//! asserts every strategy equals the reference evaluator, and compares the
+//! reference result against the `expect` block. Running with
 //! `CONFORMANCE_BLESS=1` re-records the `expect` blocks in place instead.
 
 use crate::grammar::CaseSpec;
 use crate::laws;
+use crate::oracle::{self, absorb_all, Catalogs, Tallies};
 use div_algebra::{Relation, Value};
 use div_datagen::scenarios::{self, ScenarioConfig, ScenarioFamily};
-use div_expr::Catalog;
-use div_physical::PlannerConfig;
-use div_sql::{Cursor, Engine, Params, Request};
-use std::collections::BTreeSet;
+use div_expr::{Catalog, LogicalPlan};
+use div_sql::Request;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -422,123 +423,74 @@ pub fn render_file(file: &GoldenFile) -> String {
 // Execution
 // ---------------------------------------------------------------------------
 
-fn catalog_and_sql(case: &GoldenCase) -> Result<(Catalog, Option<String>), String> {
+/// The case's catalog and the plan it checks, with the SQL the engine runs
+/// (`None`: the engine runs the plan itself, a law-registry shape).
+fn statement(case: &GoldenCase) -> Result<(Catalog, LogicalPlan, Option<String>), String> {
     if let Some(key) = &case.plan_key {
         let law = laws::find(key).ok_or_else(|| format!("unknown law key: {key}"))?;
-        return Ok((law.catalog(), None));
+        return Ok((law.catalog(), law.plan, None));
     }
-    if let Some((config, divide)) = &case.scenario {
-        let data = scenarios::generate(config);
-        let sql = match divide {
-            ScenarioDivide::Small => data.small_divide_sql(),
-            ScenarioDivide::Great => data.great_divide_sql(),
-        };
-        return Ok((data.catalog(), Some(sql)));
-    }
-    let mut catalog = Catalog::new();
-    for table in &case.tables {
-        let relation = Relation::from_rows(
-            table.columns.iter().map(|c| c.as_str()),
-            table.rows.iter().cloned(),
-        )
-        .map_err(|e| format!("{}: bad table {}: {e}", case.name, table.name))?;
-        catalog.register(table.name.as_str(), relation);
-    }
-    let sql = case
-        .query
-        .clone()
-        .ok_or_else(|| format!("{}: no plan, scenario or query", case.name))?;
-    Ok((catalog, Some(sql)))
-}
-
-/// Run one case through the differential matrix; all strategies must agree.
-/// Returns the agreed result relation.
-pub fn run_case(case: &GoldenCase) -> Result<Relation, String> {
-    let (catalog, sql) = catalog_and_sql(case)?;
-    match sql {
-        Some(sql) => run_sql_matrix(case, &catalog, &sql),
-        None => run_plan_matrix(case, &catalog),
-    }
-}
-
-fn run_plan_matrix(case: &GoldenCase, catalog: &Catalog) -> Result<Relation, String> {
-    let key = case.plan_key.as_deref().expect("plan case");
-    let law = laws::find(key).expect("checked in catalog_and_sql");
-    let reference = div_expr::evaluate(&law.plan, catalog)
-        .map_err(|e| format!("{}: evaluation failed: {e}", case.name))?;
-
-    // The case's law must match its trigger shape and preserve the result.
-    let direct = laws::apply_rule(&law)?;
-    let after_direct = div_expr::evaluate(&direct, catalog)
-        .map_err(|e| format!("{}: direct rewrite evaluation failed: {e}", case.name))?;
-    if after_direct != reference {
-        return Err(format!("{}: `{}` changed the result", case.name, law.rule));
-    }
-
-    // The optimizer must enumerate the law among its rewrites, and every
-    // rewrite it enumerates on this shape must preserve the result.
-    laws::check_rewrites(&law, catalog, &reference)?;
-
-    // Engine paths, optimizer on and off.
-    for optimize in [true, false] {
-        let mut builder = Engine::builder(catalog.clone());
-        if !optimize {
-            builder = builder.without_optimizer();
+    let (catalog, sql) = match &case.scenario {
+        Some((config, divide)) => {
+            let data = scenarios::generate(config);
+            let sql = match divide {
+                ScenarioDivide::Small => data.small_divide_sql(),
+                ScenarioDivide::Great => data.great_divide_sql(),
+            };
+            (data.catalog(), sql)
         }
-        let engine = builder.build();
-        let output = engine
-            .run(Request::plan(&law.plan))
-            .and_then(Cursor::collect)
-            .map_err(|e| format!("{}: engine (optimize={optimize}) failed: {e}", case.name))?;
-        if output.relation != reference {
-            return Err(format!(
-                "{}: engine (optimize={optimize}) result diverged",
-                case.name
-            ));
-        }
-    }
-    Ok(reference)
-}
-
-fn run_sql_matrix(case: &GoldenCase, catalog: &Catalog, sql: &str) -> Result<Relation, String> {
-    let mut params = Params::new();
-    for (name, value) in &case.params {
-        params = params.bind(name.clone(), value.clone());
-    }
-    let mut reference: Option<Relation> = None;
-    let mut check = |label: &str, relation: Relation| -> Result<(), String> {
-        match &reference {
-            None => {
-                reference = Some(relation);
-                Ok(())
+        None => {
+            let mut catalog = Catalog::new();
+            for table in &case.tables {
+                let relation = Relation::from_rows(
+                    table.columns.iter().map(|c| c.as_str()),
+                    table.rows.iter().cloned(),
+                )
+                .map_err(|e| format!("bad table {}: {e}", table.name))?;
+                catalog.register(table.name.as_str(), relation);
             }
-            Some(r) if *r == relation => Ok(()),
-            Some(r) => Err(format!(
-                "{}: strategy {label} diverged ({} vs {} rows)",
-                case.name,
-                relation.len(),
-                r.len()
-            )),
+            let sql = case.query.clone().ok_or("no plan, scenario or query")?;
+            (catalog, sql)
         }
     };
+    let query = div_sql::parse_query(&sql).map_err(|e| format!("`{sql}`: {e}"))?;
+    let bindings: BTreeMap<String, Value> = case.params.iter().cloned().collect();
+    let plan = div_sql::translate_query(&query, &catalog)
+        .map_err(|e| format!("`{sql}`: {e}"))?
+        .bind_parameters(&bindings);
+    Ok((catalog, plan, Some(sql)))
+}
 
-    // Streaming engine: optimizer {on, off} × batch size {1024, 3}.
-    for (optimize, batch) in [(true, 1024), (true, 3), (false, 3), (false, 1024)] {
-        let mut builder =
-            Engine::builder(catalog.clone()).planner_config(PlannerConfig::with_batch_size(batch));
-        if !optimize {
-            builder = builder.without_optimizer();
+/// Run one case under every strategy of the oracle's table
+/// ([`oracle::check_statement`]); every strategy must equal the reference
+/// evaluator over the case's plan, its parameters bound. A `plan` case's
+/// law must also match its trigger shape and preserve the result, and every
+/// rewrite the optimizer enumerates on the shape must preserve it too.
+/// Returns the reference result and the per-strategy tallies.
+pub fn run_case(case: &GoldenCase) -> Result<(Relation, Tallies), String> {
+    let fail = |detail: String| format!("{}: {detail}", case.name);
+    let (catalog, plan, sql) = statement(case).map_err(fail)?;
+    let expected =
+        div_expr::evaluate(&plan, &catalog).map_err(|e| fail(format!("evaluation failed: {e}")))?;
+    if let Some(law) = case.plan_key.as_deref().and_then(laws::find) {
+        let direct = laws::apply_rule(&law)?;
+        let after_direct = div_expr::evaluate(&direct, &catalog)
+            .map_err(|e| fail(format!("direct rewrite evaluation failed: {e}")))?;
+        if after_direct != expected {
+            return Err(fail(format!("`{}` changed the result", law.rule)));
         }
-        let engine = builder.build();
-        let label = format!("stream/opt={optimize}/b={batch}");
-        let output = engine
-            .run(Request::sql(sql).params(params.clone()))
-            .and_then(Cursor::collect)
-            .map_err(|e| format!("{}: {label} failed: {e}", case.name))?;
-        check(&label, output.relation)?;
+        laws::check_rewrites(&law, &catalog, &expected)?;
     }
 
-    Ok(reference.expect("at least one strategy ran"))
+    let catalogs = Catalogs::new(&catalog).map_err(fail)?;
+    let params = oracle::bind(&case.params);
+    let request = || match &sql {
+        Some(sql) => Request::sql(sql).params(params.clone()),
+        None => Request::plan(&plan),
+    };
+    let tallies = oracle::check_statement(&catalogs, &plan, request, &expected)
+        .map_err(|(strategy, detail)| fail(format!("strategy {strategy}: {detail}")))?;
+    Ok((expected, tallies))
 }
 
 // ---------------------------------------------------------------------------
@@ -552,6 +504,8 @@ pub struct FileReport {
     pub cases: usize,
     /// Laws covered by the file's `law` annotations.
     pub laws: BTreeSet<u8>,
+    /// Executed / declined / spilled runs per strategy over the file.
+    pub strategies: Tallies,
 }
 
 /// `true` when `CONFORMANCE_BLESS` requests re-recording.
@@ -575,7 +529,7 @@ pub fn run_file(path: &Path) -> Result<FileReport, String> {
         if !seen.insert(case.name.clone()) {
             return Err(format!("{name}: duplicate case name {}", case.name));
         }
-        let actual = run_case(case)?;
+        let (actual, tallies) = run_case(case)?;
         let actual = Expected::from_relation(&actual);
         if bless {
             case.expected = Some(actual);
@@ -598,6 +552,7 @@ pub fn run_file(path: &Path) -> Result<FileReport, String> {
         }
         report.cases += 1;
         report.laws.extend(case.laws.iter().copied());
+        absorb_all(&mut report.strategies, &tallies);
     }
     if bless {
         std::fs::write(path, render_file(&file)).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -1001,7 +956,7 @@ mod tests {
             ],
             "SELECT * FROM r DIVIDE BY s ON r.b = s.b",
         );
-        let relation = run_case(&case).unwrap_or_else(|e| panic!("{e}"));
+        let (relation, _) = run_case(&case).unwrap_or_else(|e| panic!("{e}"));
         let expected = Expected::from_relation(&relation);
         assert_eq!(expected.columns, vec!["a".to_string()]);
         assert_eq!(expected.rows, vec![vec![Value::from(1i64)]]);

@@ -9,16 +9,19 @@
 //!   catalogs plus every equivalent *formulation* of the same quotient
 //!   (`DIVIDE BY`, double `NOT EXISTS`, set-difference, anti-join,
 //!   `γ`-count, `$param`ized variants).
-//! * [`oracle`] — executes each formulation across {optimizer-on,
-//!   optimizer-off} × {streaming at batch size 1024 and 3, row},
-//!   asserting byte-identical relations and `ExecStats` / span-tree
-//!   invariants.
+//! * [`oracle`] — the one execution matrix ([`oracle::STRATEGIES`]:
+//!   optimizer on and off, streaming at batch sizes 1024 and 3, a spilling
+//!   memory budget, attached `.divcol` files, and the reference evaluator
+//!   over the optimized plan) and the differential oracle that runs each
+//!   formulation under every strategy, asserting byte-identical relations
+//!   and `ExecStats` / span-tree invariants.
 //! * [`shrink`] — greedy case minimization once a mismatch is found.
 //! * [`fuzzer`] — the seeded fuzz loop behind `tests/conformance.rs`, the
 //!   `conformance_fuzz` binary and the CI smoke job; honors
 //!   `CONFORMANCE_SEED`, `CONFORMANCE_CASES` and `CONFORMANCE_ARTIFACT`.
 //! * [`golden`] — the `.slt`-style golden-file format under `tests/golden/`
-//!   and its record/check runner (`CONFORMANCE_BLESS=1` re-records).
+//!   and its record/check runner, which runs every case under the same
+//!   strategies (`CONFORMANCE_BLESS=1` re-records).
 //! * [`laws`] — one named logical-plan shape per rewrite law of the paper,
 //!   used by the golden corpus to pin coverage of all 17 laws.
 

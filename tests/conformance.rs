@@ -14,6 +14,7 @@ use div_conformance::fuzzer::{run, FuzzConfig};
 use div_conformance::golden::{self, parse_file, render_file};
 use div_conformance::grammar::CaseSpec;
 use div_conformance::laws;
+use div_conformance::oracle::{absorb_all, StrategyTally, Tallies, STRATEGIES};
 use div_sql::{Cursor, Engine, Params, Request};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -24,9 +25,21 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
-/// Every checked-in golden file parses, replays through the full
-/// differential matrix, and matches its recorded expectations; the corpus
-/// holds at least 100 cases and covers all 17 laws.
+/// What each budgeted strategy does over the golden corpus's 109 cases:
+/// answers in memory, answers after spilling, or declines. A changed spill
+/// decision on a recorded case fails here, as `tests/out_of_core.rs` pins
+/// the spill counters of its own shapes.
+const GOLDEN_BUDGETED_TALLY: StrategyTally = StrategyTally {
+    executed: 98,
+    declined: 11,
+    spilled: 33,
+};
+
+/// Every checked-in golden file parses, replays under every strategy of the
+/// oracle's table, and matches its recorded expectations; the corpus holds
+/// at least 100 cases and covers all 17 laws, every unbudgeted strategy
+/// answers every case, and each budgeted one reads
+/// [`GOLDEN_BUDGETED_TALLY`].
 #[test]
 fn golden_suite_passes_and_covers_all_laws() {
     let files = golden::golden_files(&golden_dir());
@@ -37,10 +50,28 @@ fn golden_suite_passes_and_covers_all_laws() {
     );
     let mut cases = 0;
     let mut laws_covered = BTreeSet::new();
+    let mut tallies = Tallies::default();
     for path in files {
         let report = golden::run_file(&path).unwrap_or_else(|e| panic!("{e}"));
         cases += report.cases;
         laws_covered.extend(report.laws);
+        absorb_all(&mut tallies, &report.strategies);
+    }
+    for (strategy, tally) in STRATEGIES.iter().zip(&tallies) {
+        eprintln!(
+            "golden {}: {} executed / {} declined / {} spilled",
+            strategy.name, tally.executed, tally.declined, tally.spilled
+        );
+    }
+    for (strategy, tally) in STRATEGIES.iter().zip(&tallies) {
+        let expected = match strategy.budget {
+            Some(_) => GOLDEN_BUDGETED_TALLY,
+            None => StrategyTally {
+                executed: cases,
+                ..StrategyTally::default()
+            },
+        };
+        assert_eq!(*tally, expected, "{}", strategy.name);
     }
     assert!(cases >= 100, "golden corpus has only {cases} cases");
     for law in 1..=17u8 {
