@@ -57,7 +57,7 @@ pub use error::AlgebraError;
 pub use ops::aggregate::{AggregateCall, AggregateFunction};
 pub use predicate::{CompareOp, Predicate};
 pub use relation::Relation;
-pub use schema::{Attribute, Schema};
+pub use schema::{Attribute, DivisionPartition, Schema};
 pub use tuple::Tuple;
 pub use value::Value;
 

@@ -147,14 +147,7 @@ impl Relation {
         group_by: &[&str],
         aggregates: &[AggregateCall],
     ) -> Result<Relation> {
-        let mut out_names: Vec<String> = group_by.iter().map(|s| s.to_string()).collect();
-        for agg in aggregates {
-            // Validate the input attribute exists even for COUNT.
-            self.schema().require(&agg.input)?;
-            out_names.push(agg.output.clone());
-        }
-        let out_schema = Schema::new(out_names)?;
-        let mut out = Relation::empty(out_schema);
+        let mut out = Relation::empty(self.schema().aggregate(group_by, aggregates)?);
 
         if self.is_empty() {
             return Ok(out);

@@ -18,7 +18,8 @@
 //!
 //! ## Attribute-set conventions
 //!
-//! Following Section 2, the attribute sets are derived from the schemas:
+//! Following Section 2, the attribute sets are derived from the schemas
+//! ([`Schema::divide_partition`], [`Schema::great_divide_partition`]):
 //! for `r1 ÷ r2` the divisor attributes `B` are **all** attributes of `r2`
 //! (which must all occur in `r1`), and the quotient attributes are
 //! `A = R1 − B`. For `r1 ÷* r2` the shared attributes are
@@ -35,90 +36,10 @@
 //! convention). An empty great-divide divisor has no groups and therefore
 //! yields an empty quotient.
 
-use crate::{AlgebraError, Relation, Result, Schema, Tuple};
+use crate::{Relation, Result, Schema, Tuple};
 use std::collections::BTreeSet;
 
-/// The attribute partition of a small division `r1 ÷ r2`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DivisionAttributes {
-    /// Quotient attributes `A` (dividend-only), in dividend order.
-    pub quotient: Vec<String>,
-    /// Shared attributes `B` (all divisor attributes), in divisor order.
-    pub shared: Vec<String>,
-}
-
-/// The attribute partition of a great division `r1 ÷* r2`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GreatDivisionAttributes {
-    /// Quotient attributes `A` from the dividend, in dividend order.
-    pub quotient: Vec<String>,
-    /// Shared attributes `B`, in divisor order.
-    pub shared: Vec<String>,
-    /// Divisor group attributes `C`, in divisor order.
-    pub group: Vec<String>,
-}
-
 impl Relation {
-    /// Determine the `A`/`B` attribute sets for `self ÷ divisor` and validate
-    /// the schema preconditions of Section 2.1.
-    pub fn division_attributes(&self, divisor: &Relation) -> Result<DivisionAttributes> {
-        let shared: Vec<String> = divisor
-            .schema()
-            .names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        if shared.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason: "the divisor must have at least one attribute (B nonempty)".to_string(),
-            });
-        }
-        for b in &shared {
-            if !self.schema().contains(b) {
-                return Err(AlgebraError::InvalidDivision {
-                    reason: format!(
-                        "divisor attribute `{b}` does not occur in the dividend schema {}",
-                        self.schema()
-                    ),
-                });
-            }
-        }
-        let quotient = self.schema().difference_attributes(divisor.schema());
-        if quotient.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason:
-                    "the dividend must have at least one attribute not in the divisor (A nonempty)"
-                        .to_string(),
-            });
-        }
-        Ok(DivisionAttributes { quotient, shared })
-    }
-
-    /// Determine the `A`/`B`/`C` attribute sets for `self ÷* divisor` and
-    /// validate the schema preconditions of Section 2.2.
-    pub fn great_division_attributes(&self, divisor: &Relation) -> Result<GreatDivisionAttributes> {
-        let shared = self.schema().common_attributes(divisor.schema());
-        if shared.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason: "dividend and divisor must share at least one attribute (B nonempty)"
-                    .to_string(),
-            });
-        }
-        let quotient = self.schema().difference_attributes(divisor.schema());
-        if quotient.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason: "the dividend must have at least one attribute of its own (A nonempty)"
-                    .to_string(),
-            });
-        }
-        let group = divisor.schema().difference_attributes(self.schema());
-        Ok(GreatDivisionAttributes {
-            quotient,
-            shared,
-            group,
-        })
-    }
-
     // ------------------------------------------------------------------
     // Small divide
     // ------------------------------------------------------------------
@@ -135,7 +56,7 @@ impl Relation {
     /// assert_eq!(r1.divide(&r2).unwrap(), relation! { ["a"] => [2] });
     /// ```
     pub fn divide(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.division_attributes(divisor)?;
+        let attrs = self.schema().divide_partition(divisor.schema())?;
         let a_refs: Vec<&str> = attrs.quotient.iter().map(String::as_str).collect();
         let b_refs: Vec<&str> = attrs.shared.iter().map(String::as_str).collect();
         let a_idx = self.schema().projection_indices(&a_refs)?;
@@ -147,8 +68,7 @@ impl Relation {
             .cloned()
             .collect();
 
-        let out_schema = self.schema().project(&a_refs)?;
-        let mut out = Relation::empty(out_schema);
+        let mut out = Relation::empty(attrs.output());
         for (key, members) in self.group_by_indices(&a_idx) {
             let b_values: BTreeSet<Tuple> = members.iter().map(|t| t.project(&b_idx)).collect();
             if divisor_set.is_subset(&b_values) {
@@ -161,7 +81,7 @@ impl Relation {
     /// Small divide following Codd's tuple-calculus Definition 1:
     /// `{t | t = t1.A ∧ t1 ∈ r1 ∧ r2 ⊆ i_{r1}(t)}`.
     pub fn divide_codd(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.division_attributes(divisor)?;
+        let attrs = self.schema().divide_partition(divisor.schema())?;
         let a_refs: Vec<&str> = attrs.quotient.iter().map(String::as_str).collect();
         let b_refs: Vec<&str> = attrs.shared.iter().map(String::as_str).collect();
         let a_idx = self.schema().projection_indices(&a_refs)?;
@@ -172,8 +92,7 @@ impl Relation {
             .cloned()
             .collect();
 
-        let out_schema = self.schema().project(&a_refs)?;
-        let mut out = Relation::empty(out_schema);
+        let mut out = Relation::empty(attrs.output());
         for t1 in self.tuples() {
             let key = t1.project(&a_idx);
             let image = self.image_set(&a_idx, &b_idx, &key);
@@ -187,7 +106,7 @@ impl Relation {
     /// Small divide following Healy's algebraic Definition 2:
     /// `π_A(r1) − π_A((π_A(r1) × r2) − r1)`.
     pub fn divide_healy(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.division_attributes(divisor)?;
+        let attrs = self.schema().divide_partition(divisor.schema())?;
         let a_refs: Vec<&str> = attrs.quotient.iter().map(String::as_str).collect();
         let candidates = self.project(&a_refs)?;
         // (π_A(r1) × r2) has schema A ∪ B; conform `self` to that layout for
@@ -201,7 +120,7 @@ impl Relation {
     /// Small divide following Maier's Definition 3:
     /// `⋂_{t ∈ r2} π_A(σ_{B=t}(r1))`.
     pub fn divide_maier(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.division_attributes(divisor)?;
+        let attrs = self.schema().divide_partition(divisor.schema())?;
         let a_refs: Vec<&str> = attrs.quotient.iter().map(String::as_str).collect();
         let b_refs: Vec<&str> = attrs.shared.iter().map(String::as_str).collect();
         // Intersection over an empty divisor: by convention π_A(r1).
@@ -239,7 +158,7 @@ impl Relation {
     /// assert_eq!(r1.great_divide(&r2).unwrap(), r3);
     /// ```
     pub fn great_divide(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.great_division_attributes(divisor)?;
+        let attrs = self.schema().great_divide_partition(divisor.schema())?;
         if attrs.group.is_empty() {
             return self.divide(divisor);
         }
@@ -262,10 +181,7 @@ impl Relation {
             })
             .collect();
 
-        let mut out_names: Vec<&str> = a_refs.clone();
-        out_names.extend(c_refs.iter().copied());
-        let out_schema = Schema::new(out_names)?;
-        let mut out = Relation::empty(out_schema);
+        let mut out = Relation::empty(attrs.output());
 
         for (c_value, members) in divisor.group_by_indices(&dsr_c_idx) {
             let divisor_b: BTreeSet<Tuple> =
@@ -282,17 +198,14 @@ impl Relation {
     /// Great divide via Definition 4 (set containment division):
     /// `⋃_{t ∈ π_C(r2)} (r1 ÷ π_B(σ_{C=t}(r2))) × (t)`.
     pub fn great_divide_set_containment(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.great_division_attributes(divisor)?;
+        let attrs = self.schema().great_divide_partition(divisor.schema())?;
         if attrs.group.is_empty() {
             return self.divide(divisor);
         }
-        let a_refs: Vec<&str> = attrs.quotient.iter().map(String::as_str).collect();
         let b_refs: Vec<&str> = attrs.shared.iter().map(String::as_str).collect();
         let c_refs: Vec<&str> = attrs.group.iter().map(String::as_str).collect();
 
-        let mut out_names: Vec<&str> = a_refs.clone();
-        out_names.extend(c_refs.iter().copied());
-        let out_schema = Schema::new(out_names)?;
+        let out_schema = attrs.output();
         let mut out = Relation::empty(out_schema.clone());
 
         let c_values = divisor.project(&c_refs)?;
@@ -308,7 +221,7 @@ impl Relation {
     /// Great divide via Demolombe's Definition 5 (generalized division):
     /// `(π_A(r1) × π_C(r2)) − π_{A∪C}((π_A(r1) × r2) − (r1 × π_C(r2)))`.
     pub fn great_divide_demolombe(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.great_division_attributes(divisor)?;
+        let attrs = self.schema().great_divide_partition(divisor.schema())?;
         if attrs.group.is_empty() {
             return self.divide_healy(divisor);
         }
@@ -328,7 +241,7 @@ impl Relation {
     /// Great divide via Todd's Definition 6:
     /// `(π_A(r1) × π_C(r2)) − π_{A∪C}((π_A(r1) × r2) − (r1 ⋈ r2))`.
     pub fn great_divide_todd(&self, divisor: &Relation) -> Result<Relation> {
-        let attrs = self.great_division_attributes(divisor)?;
+        let attrs = self.schema().great_divide_partition(divisor.schema())?;
         if attrs.group.is_empty() {
             return self.divide_healy(divisor);
         }

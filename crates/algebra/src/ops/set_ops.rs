@@ -4,17 +4,11 @@
 //! right operand is conformed to the left operand's attribute order before the
 //! tuple sets are combined, so `R(a, b) ∪ S(b, a)` is accepted.
 
-use crate::{AlgebraError, Relation, Result};
+use crate::{Relation, Result};
 
 impl Relation {
     fn check_compatible(&self, other: &Relation, operation: &'static str) -> Result<Relation> {
-        if !self.schema().is_compatible_with(other.schema()) {
-            return Err(AlgebraError::SchemaMismatch {
-                left: self.schema().to_string(),
-                right: other.schema().to_string(),
-                operation,
-            });
-        }
+        self.schema().set_operation(other.schema(), operation)?;
         other.conform_to(self.schema())
     }
 

@@ -275,35 +275,33 @@ impl Predicate {
     /// neither.
     pub fn referenced_attributes(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.collect_attributes(&mut out);
+        self.all_attributes(&mut |attr| {
+            out.insert(attr.to_string());
+            true
+        });
         out
     }
 
-    fn collect_attributes(&self, out: &mut BTreeSet<String>) {
+    /// `true` when `holds` is true of every attribute reference (in
+    /// predicate order, stopping at the first it is false of) — a check
+    /// that allocates nothing.
+    pub fn all_attributes(&self, holds: &mut impl FnMut(&str) -> bool) -> bool {
         match self {
-            Predicate::True | Predicate::False => {}
+            Predicate::True | Predicate::False => true,
             Predicate::CompareValue { attribute, .. }
-            | Predicate::CompareParameter { attribute, .. } => {
-                out.insert(attribute.clone());
-            }
-            Predicate::CompareAttributes { left, right, .. } => {
-                out.insert(left.clone());
-                out.insert(right.clone());
-            }
+            | Predicate::CompareParameter { attribute, .. } => holds(attribute),
+            Predicate::CompareAttributes { left, right, .. } => holds(left) && holds(right),
             Predicate::And(l, r) | Predicate::Or(l, r) => {
-                l.collect_attributes(out);
-                r.collect_attributes(out);
+                l.all_attributes(holds) && r.all_attributes(holds)
             }
-            Predicate::Not(inner) => inner.collect_attributes(out),
+            Predicate::Not(inner) => inner.all_attributes(holds),
         }
     }
 
     /// `true` when every attribute referenced by this predicate is contained in
     /// `attributes` — i.e. this predicate is a `p(X)` for `X = attributes`.
     pub fn only_references(&self, attributes: &[&str]) -> bool {
-        self.referenced_attributes()
-            .iter()
-            .all(|a| attributes.contains(&a.as_str()))
+        self.all_attributes(&mut |attr| attributes.contains(&attr))
     }
 
     /// Rewrite every attribute reference through `f` (used when plans rename

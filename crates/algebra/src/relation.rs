@@ -150,24 +150,18 @@ impl Relation {
         })
     }
 
-    /// Rename every attribute through `f`, keeping tuples unchanged.
-    pub fn rename_with(&self, f: impl FnMut(&str) -> String) -> Result<Relation> {
+    /// Apply the `(from, to)` pairs of `renames` ([`Schema::rename`]),
+    /// keeping tuples unchanged.
+    pub fn rename(&self, renames: &[(String, String)]) -> Result<Relation> {
         Ok(Relation {
-            schema: self.schema.rename_with(f)?,
+            schema: self.schema.rename(renames)?,
             tuples: self.tuples.clone(),
         })
     }
 
     /// Rename a single attribute.
     pub fn rename_attribute(&self, from: &str, to: &str) -> Result<Relation> {
-        self.schema.require(from)?;
-        self.rename_with(|n| {
-            if n == from {
-                to.to_string()
-            } else {
-                n.to_string()
-            }
-        })
+        self.rename(&[(from.to_string(), to.to_string())])
     }
 
     /// The *image set* of the paper (Definition 1): the set of `B`-projections

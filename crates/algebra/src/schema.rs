@@ -1,6 +1,10 @@
-//! Relation schemas: ordered lists of named attributes.
+//! Relation schemas: ordered lists of named attributes, and every
+//! operator's schema rule — its output schema and its preconditions:
+//! projection, set operations, product, renaming, grouping and the division
+//! partitions of Section 2. The plan layer (`div_expr::node_schema`), the
+//! reference operators and the columnar kernels all take them from here.
 
-use crate::{AlgebraError, Result};
+use crate::{AggregateCall, AlgebraError, Result};
 use std::fmt;
 
 /// A single named attribute of a relation schema.
@@ -143,6 +147,24 @@ impl Schema {
         self.arity() == other.arity() && self.attributes.iter().all(|a| other.contains(a.name()))
     }
 
+    /// The schema of the set operation `self ∪ other`, `self ∩ other` or
+    /// `self − other` (`operation` names it): `self`'s.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgebraError::SchemaMismatch`] unless the operands are
+    /// union-compatible.
+    pub fn set_operation(&self, other: &Schema, operation: &'static str) -> Result<Schema> {
+        if !self.is_compatible_with(other) {
+            return Err(AlgebraError::SchemaMismatch {
+                left: self.to_string(),
+                right: other.to_string(),
+                operation,
+            });
+        }
+        Ok(self.clone())
+    }
+
     /// `true` when no attribute name is shared with `other`.
     pub fn is_disjoint_from(&self, other: &Schema) -> bool {
         self.attributes.iter().all(|a| !other.contains(a.name()))
@@ -213,6 +235,98 @@ impl Schema {
         Ok(Schema { attributes })
     }
 
+    /// Schema with each `(from, to)` pair of `renames` applied (the first
+    /// pair naming an attribute wins).
+    ///
+    /// # Errors
+    ///
+    /// [`AlgebraError::UnknownAttribute`] if some `from` is not in `self`,
+    /// [`AlgebraError::DuplicateAttribute`] if two attributes end up with
+    /// one name.
+    pub fn rename(&self, renames: &[(String, String)]) -> Result<Schema> {
+        for (from, _) in renames {
+            self.require(from)?;
+        }
+        self.rename_with(|name| {
+            let renamed = renames.iter().find(|(from, _)| from == name);
+            renamed.map_or(name, |(_, to)| to).to_string()
+        })
+    }
+
+    /// The schema of `γ_{group_by; aggregates}` over `self`: the grouping
+    /// attributes, then the aggregate outputs.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgebraError::UnknownAttribute`] if a grouping attribute or an
+    /// aggregate input (even `COUNT`'s) is not in `self`,
+    /// [`AlgebraError::DuplicateAttribute`] if two outputs share a name.
+    pub fn aggregate(&self, group_by: &[&str], aggregates: &[AggregateCall]) -> Result<Schema> {
+        let inputs = aggregates.iter().map(|agg| agg.input.as_str());
+        for name in group_by.iter().copied().chain(inputs) {
+            self.require(name)?;
+        }
+        let outputs = aggregates.iter().map(|agg| agg.output.as_str());
+        Schema::new(group_by.iter().copied().chain(outputs))
+    }
+
+    /// The partition of the small divide `self ÷ divisor` (Section 2.1):
+    /// `B` is every divisor attribute, `A` the rest of `self`.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgebraError::InvalidDivision`] unless `B` is nonempty and
+    /// contained in `self` and `A` is nonempty.
+    pub fn divide_partition(&self, divisor: &Schema) -> Result<DivisionPartition> {
+        if divisor.is_empty() {
+            return invalid_division("the divisor must have at least one attribute (B nonempty)");
+        }
+        if let Some(b) = divisor.attributes().find(|b| !self.contains(b.name())) {
+            return invalid_division(format!(
+                "divisor attribute `{b}` does not occur in the dividend schema {self}"
+            ));
+        }
+        let quotient = self.difference_attributes(divisor);
+        if quotient.is_empty() {
+            return invalid_division(
+                "the dividend must have at least one attribute not in the divisor (A nonempty)",
+            );
+        }
+        let shared = divisor.names().into_iter().map(String::from).collect();
+        Ok(DivisionPartition {
+            quotient,
+            shared,
+            group: Vec::new(),
+        })
+    }
+
+    /// The partition of the great divide `self ÷* divisor` (Section 2.2):
+    /// `B = self ∩ divisor`, `A = self − B`, `C = divisor − B`.
+    ///
+    /// # Errors
+    ///
+    /// [`AlgebraError::InvalidDivision`] unless `A` and `B` are nonempty.
+    /// An empty `C` is allowed: the great divide is then the small one.
+    pub fn great_divide_partition(&self, divisor: &Schema) -> Result<DivisionPartition> {
+        let shared = self.common_attributes(divisor);
+        if shared.is_empty() {
+            return invalid_division(
+                "dividend and divisor must share at least one attribute (B nonempty)",
+            );
+        }
+        let quotient = self.difference_attributes(divisor);
+        if quotient.is_empty() {
+            return invalid_division(
+                "the dividend must have at least one attribute of its own (A nonempty)",
+            );
+        }
+        Ok(DivisionPartition {
+            quotient,
+            shared,
+            group: divisor.difference_attributes(self),
+        })
+    }
+
     /// Schema with each attribute renamed through `f`.
     pub fn rename_with(&self, mut f: impl FnMut(&str) -> String) -> Result<Schema> {
         Schema::new(self.attributes.iter().map(|a| f(a.name())))
@@ -230,6 +344,36 @@ impl Schema {
         }
         Schema { attributes }
     }
+}
+
+/// The attribute partition of a division, from
+/// [`Schema::divide_partition`] or [`Schema::great_divide_partition`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DivisionPartition {
+    /// Quotient attributes `A` (dividend-only), in dividend order.
+    pub quotient: Vec<String>,
+    /// Shared attributes `B`: in divisor order for the small divide, in
+    /// dividend order for the great divide.
+    pub shared: Vec<String>,
+    /// Divisor group attributes `C` (divisor-only), in divisor order; empty
+    /// for the small divide.
+    pub group: Vec<String>,
+}
+
+impl DivisionPartition {
+    /// The division's output schema: `A`, then `C`.
+    pub fn output(&self) -> Schema {
+        let names = self.quotient.iter().chain(&self.group);
+        Schema {
+            attributes: names.map(|name| Attribute::new(name.as_str())).collect(),
+        }
+    }
+}
+
+fn invalid_division<T>(reason: impl Into<String>) -> Result<T> {
+    Err(AlgebraError::InvalidDivision {
+        reason: reason.into(),
+    })
 }
 
 impl fmt::Display for Schema {
@@ -319,6 +463,68 @@ mod tests {
         let s = Schema::of(["a", "b"]);
         let renamed = s.rename_with(|n| format!("r1.{n}")).unwrap();
         assert_eq!(renamed.names(), vec!["r1.a", "r1.b"]);
+    }
+
+    #[test]
+    fn division_partitions_follow_section_2() {
+        let dividend = Schema::of(["a", "b1", "b2"]);
+        let small = dividend
+            .divide_partition(&Schema::of(["b2", "b1"]))
+            .unwrap();
+        assert_eq!(small.quotient, vec!["a"]);
+        assert_eq!(small.shared, vec!["b2", "b1"]);
+        assert!(small.group.is_empty());
+        assert_eq!(small.output().names(), vec!["a"]);
+
+        let great = dividend
+            .great_divide_partition(&Schema::of(["c", "b1"]))
+            .unwrap();
+        assert_eq!(great.quotient, vec!["a", "b2"]);
+        assert_eq!(great.shared, vec!["b1"]);
+        assert_eq!(great.output().names(), vec!["a", "b2", "c"]);
+
+        let invalid = |result: Result<DivisionPartition>| {
+            matches!(result, Err(AlgebraError::InvalidDivision { .. }))
+        };
+        // B empty, B outside the dividend, A empty.
+        assert!(invalid(dividend.divide_partition(&Schema::empty())));
+        assert!(invalid(dividend.divide_partition(&Schema::of(["c"]))));
+        assert!(invalid(dividend.divide_partition(&dividend)));
+        assert!(invalid(dividend.great_divide_partition(&Schema::of(["c"]))));
+        assert!(invalid(
+            Schema::of(["b1"]).great_divide_partition(&Schema::of(["b1", "c"]))
+        ));
+    }
+
+    #[test]
+    fn rename_aggregate_and_set_operation_validate_their_inputs() {
+        let s = Schema::of(["a", "b"]);
+        let to = |from: &str, to: &str| vec![(from.to_string(), to.to_string())];
+        assert_eq!(s.rename(&to("a", "x")).unwrap().names(), vec!["x", "b"]);
+        assert!(matches!(
+            s.rename(&to("zz", "x")).unwrap_err(),
+            AlgebraError::UnknownAttribute { .. }
+        ));
+        assert!(matches!(
+            s.rename(&to("a", "b")).unwrap_err(),
+            AlgebraError::DuplicateAttribute { .. }
+        ));
+
+        let count = |input: &str, output: &str| [AggregateCall::count(input, output)];
+        let grouped = s.aggregate(&["a"], &count("b", "n")).unwrap();
+        assert_eq!(grouped.names(), vec!["a", "n"]);
+        assert!(s.aggregate(&["zz"], &count("b", "n")).is_err());
+        assert!(s.aggregate(&["a"], &count("zz", "n")).is_err());
+        assert!(s.aggregate(&["a"], &count("b", "a")).is_err());
+
+        assert_eq!(
+            s.set_operation(&Schema::of(["b", "a"]), "union"),
+            Ok(s.clone())
+        );
+        assert!(matches!(
+            s.set_operation(&Schema::of(["a"]), "union").unwrap_err(),
+            AlgebraError::SchemaMismatch { .. }
+        ));
     }
 
     #[test]

@@ -91,20 +91,17 @@ enum AccState {
 
 impl StreamingAggregate {
     /// Prepare `γ_{group_by; aggregates}` over chunks carrying
-    /// `input_schema`. Every attribute is validated here, and the output
-    /// schema — the grouping attributes, then the aggregate outputs — fixed.
+    /// `input_schema`, whose output schema ([`Schema::aggregate`]) is the
+    /// grouping attributes, then the aggregate outputs.
     pub fn new(
         input_schema: &Schema,
         group_by: &[&str],
         aggregates: &[AggregateCall],
     ) -> Result<StreamingAggregate> {
-        let mut names: Vec<&str> = group_by.to_vec();
+        let schema = input_schema.aggregate(group_by, aggregates)?;
         let mut accumulators = Vec::with_capacity(aggregates.len());
         for agg in aggregates {
-            // The input attribute must exist even for COUNT, like the
-            // reference operator.
             let input = input_schema.require(&agg.input)?;
-            names.push(&agg.output);
             let state = match agg.function {
                 AggregateFunction::Count => AccState::Count(Vec::new()),
                 AggregateFunction::Sum => AccState::Sum(Vec::new()),
@@ -115,18 +112,12 @@ impl StreamingAggregate {
             };
             accumulators.push(Accumulator { input, state });
         }
-        let schema = Schema::new(names)?;
         let key_cols = input_schema.projection_indices(group_by)?;
         Ok(StreamingAggregate {
             schema,
             groups: GroupStore::new(input_schema.project(group_by)?, key_cols),
             accumulators,
         })
-    }
-
-    /// The output schema: grouping attributes, then aggregate outputs.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
     }
 
     /// Input columns of the grouping attributes.

@@ -24,53 +24,43 @@ use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::GroupStore;
 use crate::Result;
-use div_algebra::{AlgebraError, Schema};
+use div_algebra::{DivisionPartition, Schema};
 
-/// The `A`/`B` attribute partition of a division over batch schemas,
-/// mirroring [`div_algebra::Relation::division_attributes`].
+/// A division's attribute partition ([`Schema::divide_partition`],
+/// [`Schema::great_divide_partition`]) as column indices of its inputs.
 pub(crate) struct DivideLayout {
     /// Indices of `A` in the dividend schema (dividend order).
     pub dividend_a: Vec<usize>,
-    /// Indices of `B` in the dividend schema (divisor attribute order).
+    /// Indices of `B` in the dividend schema (the partition's `B` order).
     pub dividend_b: Vec<usize>,
-    /// Indices of `B` in the divisor schema (divisor attribute order).
+    /// Indices of `B` in the divisor schema (the partition's `B` order).
     pub divisor_b: Vec<usize>,
-    /// Quotient attribute names `A`.
-    pub quotient: Vec<String>,
+    /// Indices of `C` in the divisor schema; empty for the small divide.
+    pub divisor_c: Vec<usize>,
+    /// The schema of the dividend groups: `A`.
+    pub key_schema: Schema,
 }
 
 impl DivideLayout {
-    pub(crate) fn resolve(dividend: &Schema, divisor: &Schema) -> Result<Self> {
-        let shared: Vec<String> = divisor.names().iter().map(|s| s.to_string()).collect();
-        if shared.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason: "the divisor must have at least one attribute (B nonempty)".to_string(),
-            });
+    pub(crate) fn new(
+        partition: &DivisionPartition,
+        dividend: &Schema,
+        divisor: &Schema,
+    ) -> Result<Self> {
+        fn refs(names: &[String]) -> Vec<&str> {
+            names.iter().map(String::as_str).collect()
         }
-        for b in &shared {
-            if !dividend.contains(b) {
-                return Err(AlgebraError::InvalidDivision {
-                    reason: format!(
-                        "divisor attribute `{b}` does not occur in the dividend schema {dividend}"
-                    ),
-                });
-            }
-        }
-        let quotient = dividend.difference_attributes(divisor);
-        if quotient.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason:
-                    "the dividend must have at least one attribute not in the divisor (A nonempty)"
-                        .to_string(),
-            });
-        }
-        let shared_refs: Vec<&str> = shared.iter().map(String::as_str).collect();
-        let quotient_refs: Vec<&str> = quotient.iter().map(String::as_str).collect();
+        let (a, b, c) = (
+            refs(&partition.quotient),
+            refs(&partition.shared),
+            refs(&partition.group),
+        );
         Ok(DivideLayout {
-            dividend_a: dividend.projection_indices(&quotient_refs)?,
-            dividend_b: dividend.projection_indices(&shared_refs)?,
-            divisor_b: divisor.projection_indices(&shared_refs)?,
-            quotient,
+            dividend_a: dividend.projection_indices(&a)?,
+            dividend_b: dividend.projection_indices(&b)?,
+            divisor_b: divisor.projection_indices(&b)?,
+            divisor_c: divisor.projection_indices(&c)?,
+            key_schema: dividend.project(&a)?,
         })
     }
 }
@@ -109,16 +99,6 @@ pub fn hash_divide(dividend: &ColumnarBatch, divisor: &ColumnarBatch) -> Result<
         batch: state.finish(),
         probes,
     })
-}
-
-/// The quotient schema of `dividend ÷ divisor`, with the same validation
-/// the kernel applies (`B` nonempty and contained in the dividend, `A`
-/// nonempty) — lets a streaming executor infer and validate operator
-/// schemas before any batch flows.
-pub fn quotient_schema(dividend: &Schema, divisor: &Schema) -> Result<Schema> {
-    let layout = DivideLayout::resolve(dividend, divisor)?;
-    let quotient_refs: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
-    dividend.project(&quotient_refs)
 }
 
 /// What a frozen consume ([`StreamingDivide::consume_frozen`],
@@ -181,9 +161,8 @@ impl StreamingDivide {
     /// Prepare a divide of chunks carrying `dividend_schema` by the fully
     /// materialized `divisor`.
     pub fn new(dividend_schema: &Schema, divisor: ColumnarBatch) -> Result<StreamingDivide> {
-        let layout = DivideLayout::resolve(dividend_schema, divisor.schema())?;
-        let quotient_refs: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
-        let key_schema = dividend_schema.project(&quotient_refs)?;
+        let partition = dividend_schema.divide_partition(divisor.schema())?;
+        let layout = DivideLayout::new(&partition, dividend_schema, divisor.schema())?;
         let divisor_b_keys = KeyVector::build(&divisor, &layout.divisor_b);
         let b_index = index_rows(&divisor, &layout.divisor_b, &divisor_b_keys);
         let divisor_len = b_index.len();
@@ -195,7 +174,7 @@ impl StreamingDivide {
             b_index,
             divisor_len,
             words: divisor_len.div_ceil(64),
-            a_store: GroupStore::new(key_schema, layout.dividend_a),
+            a_store: GroupStore::new(layout.key_schema, layout.dividend_a),
             states: Vec::new(),
         })
     }

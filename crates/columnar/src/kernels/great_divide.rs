@@ -27,54 +27,12 @@
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{GroupIndex, PairTable};
-use crate::kernels::divide::{FrozenConsume, StreamingDivide};
+use crate::kernels::divide::{DivideLayout, FrozenConsume, StreamingDivide};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::GroupStore;
 use crate::Result;
-use div_algebra::{AlgebraError, Schema};
-
-struct GreatDivideLayout {
-    dividend_a: Vec<usize>,
-    dividend_b: Vec<usize>,
-    divisor_b: Vec<usize>,
-    divisor_c: Vec<usize>,
-    quotient: Vec<String>,
-    group: Vec<String>,
-}
-
-impl GreatDivideLayout {
-    /// Mirror of [`div_algebra::Relation::great_division_attributes`] over
-    /// batch schemas.
-    fn resolve(dividend: &Schema, divisor: &Schema) -> Result<Self> {
-        let shared = dividend.common_attributes(divisor);
-        if shared.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason: "dividend and divisor must share at least one attribute (B nonempty)"
-                    .to_string(),
-            });
-        }
-        let quotient = dividend.difference_attributes(divisor);
-        if quotient.is_empty() {
-            return Err(AlgebraError::InvalidDivision {
-                reason: "the dividend must have at least one attribute of its own (A nonempty)"
-                    .to_string(),
-            });
-        }
-        let group = divisor.difference_attributes(dividend);
-        let shared_refs: Vec<&str> = shared.iter().map(String::as_str).collect();
-        let quotient_refs: Vec<&str> = quotient.iter().map(String::as_str).collect();
-        let group_refs: Vec<&str> = group.iter().map(String::as_str).collect();
-        Ok(GreatDivideLayout {
-            dividend_a: dividend.projection_indices(&quotient_refs)?,
-            dividend_b: dividend.projection_indices(&shared_refs)?,
-            divisor_b: divisor.projection_indices(&shared_refs)?,
-            divisor_c: divisor.projection_indices(&group_refs)?,
-            quotient,
-            group,
-        })
-    }
-}
+use div_algebra::Schema;
 
 /// Batch-native great divide `dividend ÷* divisor`: [`StreamingGreatDivide`]
 /// over the deduplicated divisor, fed the deduplicated dividend as one
@@ -86,23 +44,9 @@ pub fn hash_great_divide(
     let mut state = StreamingGreatDivide::new(dividend.schema(), divisor.dedup())?;
     let probes = state.consume(&dividend.dedup());
     Ok(KernelOutput {
-        batch: state.finish()?,
+        batch: state.finish(),
         probes,
     })
-}
-
-/// The output schema of `dividend ÷* divisor` (quotient attributes `A`
-/// then group attributes `C`), with the kernel's validation applied — the
-/// schema-inference companion of
-/// [`quotient_schema`](crate::kernels::divide::quotient_schema).
-pub fn great_quotient_schema(dividend: &Schema, divisor: &Schema) -> Result<Schema> {
-    let layout = GreatDivideLayout::resolve(dividend, divisor)?;
-    if layout.group.is_empty() {
-        return crate::kernels::divide::quotient_schema(dividend, divisor);
-    }
-    let mut out_names: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
-    out_names.extend(layout.group.iter().map(String::as_str));
-    Schema::new(out_names)
 }
 
 /// Great divide with a prebuilt divisor and a *streamed* dividend — the
@@ -139,8 +83,7 @@ pub struct GreatDivideState {
     dividend_b: Vec<usize>,
     divisor_b: Vec<usize>,
     divisor_c: Vec<usize>,
-    group: Vec<String>,
-    quotient: Vec<String>,
+    out_schema: Schema,
     divisor_b_keys: KeyVector,
     b_ids: GroupIndex,
     c_groups: GroupIndex,
@@ -156,15 +99,14 @@ impl StreamingGreatDivide {
     /// Prepare a great divide of chunks carrying `dividend_schema` by the
     /// fully materialized `divisor`.
     pub fn new(dividend_schema: &Schema, divisor: ColumnarBatch) -> Result<StreamingGreatDivide> {
-        let layout = GreatDivideLayout::resolve(dividend_schema, divisor.schema())?;
-        if layout.group.is_empty() {
+        let partition = dividend_schema.great_divide_partition(divisor.schema())?;
+        if partition.group.is_empty() {
             return Ok(StreamingGreatDivide::Small(Box::new(StreamingDivide::new(
                 dividend_schema,
                 divisor,
             )?)));
         }
-        let quotient_refs: Vec<&str> = layout.quotient.iter().map(String::as_str).collect();
-        let key_schema = dividend_schema.project(&quotient_refs)?;
+        let layout = DivideLayout::new(&partition, dividend_schema, divisor.schema())?;
 
         // Divisor-side prep: dense ids for the distinct `B` values and `C`
         // groups, sizes, and the inverted `B id -> divisor group ids` lists.
@@ -213,14 +155,13 @@ impl StreamingGreatDivide {
             dividend_b: layout.dividend_b,
             divisor_b: layout.divisor_b,
             divisor_c: layout.divisor_c,
-            group: layout.group,
-            quotient: layout.quotient,
+            out_schema: partition.output(),
             divisor_b_keys,
             b_ids,
             c_groups,
             c_size,
             groups_of_b,
-            a_store: GroupStore::new(key_schema, layout.dividend_a),
+            a_store: GroupStore::new(layout.key_schema, layout.dividend_a),
             counters: PairTable::with_capacity(0),
             counter_pairs: Vec::new(),
             counts: Vec::new(),
@@ -257,9 +198,9 @@ impl StreamingGreatDivide {
 
     /// Emit the quotient pairs `(A group, C group)` whose counters reached
     /// the group size.
-    pub fn finish(self) -> Result<ColumnarBatch> {
+    pub fn finish(self) -> ColumnarBatch {
         match self {
-            StreamingGreatDivide::Small(divide) => Ok(divide.finish()),
+            StreamingGreatDivide::Small(divide) => divide.finish(),
             StreamingGreatDivide::Great(state) => state.finish(),
         }
     }
@@ -309,7 +250,7 @@ impl GreatDivideState {
         }
     }
 
-    fn finish(self) -> Result<ColumnarBatch> {
+    fn finish(self) -> ColumnarBatch {
         let mut qualifying: Vec<(u32, u32)> = self
             .counter_pairs
             .iter()
@@ -329,10 +270,7 @@ impl GreatDivideState {
             .iter()
             .map(|&(_, c_gid)| self.c_groups.first_row(c_gid))
             .collect();
-        let mut out_names: Vec<&str> = self.quotient.iter().map(String::as_str).collect();
-        out_names.extend(self.group.iter().map(String::as_str));
-        let out_schema = Schema::new(out_names)?;
-        let mut columns = Vec::with_capacity(out_schema.arity());
+        let mut columns = Vec::with_capacity(self.out_schema.arity());
         for c in 0..representatives.schema().arity() {
             columns.push(representatives.column(c).gather(&dividend_rows));
         }
@@ -340,7 +278,7 @@ impl GreatDivideState {
             columns.push(self.divisor.column(c).gather(&divisor_group_rows));
         }
         let out_rows = qualifying.len();
-        Ok(ColumnarBatch::from_parts(out_schema, columns, out_rows))
+        ColumnarBatch::from_parts(self.out_schema, columns, out_rows)
     }
 }
 
@@ -530,8 +468,8 @@ pub(crate) mod tests {
             for chunk in &leftovers {
                 probes += overflow.consume(chunk);
             }
-            let resident = resident.finish().unwrap();
-            let overflow = overflow.finish().unwrap();
+            let resident = resident.finish();
+            let overflow = overflow.finish();
             prop_assert_eq!(probes, whole.probes);
             prop_assert_eq!(
                 resident.num_rows() + overflow.num_rows(),
@@ -581,7 +519,11 @@ pub(crate) mod tests {
             let whole = hash_great_divide(&dividend, &divisor).unwrap();
             assert_eq!(whole.batch.to_relation().unwrap(), expected);
             assert_eq!(
-                great_quotient_schema(dividend.schema(), divisor.schema()).unwrap(),
+                dividend
+                    .schema()
+                    .great_divide_partition(divisor.schema())
+                    .unwrap()
+                    .output(),
                 *whole.batch.schema()
             );
             for chunk_size in [1, 3, 100] {
@@ -593,7 +535,7 @@ pub(crate) mod tests {
                     .sum();
                 assert_eq!(probes, whole.probes, "chunking changes no probe count");
                 assert_eq!(
-                    streaming.finish().unwrap().to_relation().unwrap(),
+                    streaming.finish().to_relation().unwrap(),
                     expected,
                     "chunk size {chunk_size}"
                 );

@@ -14,9 +14,9 @@ pub mod product;
 pub mod project;
 
 pub use aggregate::{hash_aggregate, StreamingAggregate};
-pub use divide::{hash_divide, quotient_schema, FrozenConsume, StreamingDivide};
+pub use divide::{hash_divide, FrozenConsume, StreamingDivide};
 pub use filter::filter;
-pub use great_divide::{great_quotient_schema, hash_great_divide, StreamingGreatDivide};
+pub use great_divide::{hash_great_divide, StreamingGreatDivide};
 pub use join::{hash_natural_join, JoinBuild, KernelOutput};
 pub use product::cross_product_slice;
 pub use project::project;

@@ -310,13 +310,12 @@ impl Catalog {
         let from = self.table(from_table)?.project(from_attributes)?;
         let to = self.table(to_table)?.project(to_attributes)?;
         // Conform attribute names so the subset test can run.
-        let renamed = from.rename_with(|n| {
-            let idx = from_attributes
-                .iter()
-                .position(|a| *a == n)
-                .expect("projected attr");
-            to_attributes[idx].to_string()
-        })?;
+        let renames: Vec<(String, String)> = from_attributes
+            .iter()
+            .zip(to_attributes)
+            .map(|(from, to)| (from.to_string(), to.to_string()))
+            .collect();
+        let renamed = from.rename(&renames)?;
         if !renamed.is_subset_of(&to)? {
             return Err(ExprError::invalid(format!(
                 "foreign key violation: {from_table}({}) contains values not present in {to_table}({})",

@@ -9,8 +9,8 @@
 //! the paper's argument that division must be a first-class operator
 //! (simulations produce quadratic intermediates, see Section 6 and \[25\]).
 
-use crate::{Catalog, ExprError, LogicalPlan, Result};
-use div_algebra::Relation;
+use crate::{node_schema, Catalog, LogicalPlan, Result};
+use div_algebra::{Relation, Schema};
 use std::collections::BTreeMap;
 
 /// Execution statistics of one [`evaluate_with_stats`] call.
@@ -52,75 +52,47 @@ pub fn evaluate_with_stats(plan: &LogicalPlan, catalog: &Catalog) -> Result<(Rel
     Ok((result, stats))
 }
 
+/// Evaluate `plan`'s children, validate the node over their schemas
+/// ([`node_schema`]) and only then compute it — so an invalid plan is
+/// refused whatever its data, empty inputs included.
 fn eval_node(plan: &LogicalPlan, catalog: &Catalog, stats: &mut EvalStats) -> Result<Relation> {
-    let result: Relation = match plan {
-        LogicalPlan::Scan { table } => catalog.table(table)?.clone(),
-        LogicalPlan::Values { relation } => relation.clone(),
-        LogicalPlan::Select { input, predicate } => {
-            eval_node(input, catalog, stats)?.select(predicate)?
+    let inputs = plan
+        .children()
+        .into_iter()
+        .map(|child| eval_node(child, catalog, stats))
+        .collect::<Result<Vec<_>>>()?;
+    let schemas: Vec<&Schema> = inputs.iter().map(Relation::schema).collect();
+    node_schema(plan, &schemas, catalog)?;
+    let result = match (plan, inputs.as_slice()) {
+        (LogicalPlan::Scan { table }, []) => catalog.table(table)?.clone(),
+        (LogicalPlan::Values { relation }, []) => relation.clone(),
+        (LogicalPlan::Select { predicate, .. }, [input]) => input.select(predicate)?,
+        (LogicalPlan::Project { attributes, .. }, [input]) => input.project_owned(attributes)?,
+        (LogicalPlan::Rename { renames, .. }, [input]) => input.rename(renames)?,
+        (LogicalPlan::Union { .. }, [left, right]) => left.union(right)?,
+        (LogicalPlan::Intersect { .. }, [left, right]) => left.intersect(right)?,
+        (LogicalPlan::Difference { .. }, [left, right]) => left.difference(right)?,
+        (LogicalPlan::Product { .. }, [left, right]) => left.product(right)?,
+        (LogicalPlan::ThetaJoin { predicate, .. }, [left, right]) => {
+            left.theta_join(right, predicate)?
         }
-        LogicalPlan::Project { input, attributes } => {
-            eval_node(input, catalog, stats)?.project_owned(attributes)?
-        }
-        LogicalPlan::Rename { input, renames } => {
-            let rel = eval_node(input, catalog, stats)?;
-            for (from, _) in renames {
-                if !rel.schema().contains(from) {
-                    return Err(ExprError::invalid(format!(
-                        "rename references `{from}` which is not in the input schema {}",
-                        rel.schema()
-                    )));
-                }
-            }
-            rel.rename_with(|name| {
-                renames
-                    .iter()
-                    .find(|(from, _)| from == name)
-                    .map(|(_, to)| to.clone())
-                    .unwrap_or_else(|| name.to_string())
-            })?
-        }
-        LogicalPlan::Union { left, right } => {
-            eval_node(left, catalog, stats)?.union(&eval_node(right, catalog, stats)?)?
-        }
-        LogicalPlan::Intersect { left, right } => {
-            eval_node(left, catalog, stats)?.intersect(&eval_node(right, catalog, stats)?)?
-        }
-        LogicalPlan::Difference { left, right } => {
-            eval_node(left, catalog, stats)?.difference(&eval_node(right, catalog, stats)?)?
-        }
-        LogicalPlan::Product { left, right } => {
-            eval_node(left, catalog, stats)?.product(&eval_node(right, catalog, stats)?)?
-        }
-        LogicalPlan::ThetaJoin {
-            left,
-            right,
-            predicate,
-        } => eval_node(left, catalog, stats)?
-            .theta_join(&eval_node(right, catalog, stats)?, predicate)?,
-        LogicalPlan::NaturalJoin { left, right } => {
-            eval_node(left, catalog, stats)?.natural_join(&eval_node(right, catalog, stats)?)?
-        }
-        LogicalPlan::SemiJoin { left, right } => {
-            eval_node(left, catalog, stats)?.semi_join(&eval_node(right, catalog, stats)?)?
-        }
-        LogicalPlan::AntiSemiJoin { left, right } => {
-            eval_node(left, catalog, stats)?.anti_semi_join(&eval_node(right, catalog, stats)?)?
-        }
-        LogicalPlan::SmallDivide { dividend, divisor } => {
-            eval_node(dividend, catalog, stats)?.divide(&eval_node(divisor, catalog, stats)?)?
-        }
-        LogicalPlan::GreatDivide { dividend, divisor } => eval_node(dividend, catalog, stats)?
-            .great_divide(&eval_node(divisor, catalog, stats)?)?,
-        LogicalPlan::GroupAggregate {
-            input,
-            group_by,
-            aggregates,
-        } => {
-            let rel = eval_node(input, catalog, stats)?;
+        (LogicalPlan::NaturalJoin { .. }, [left, right]) => left.natural_join(right)?,
+        (LogicalPlan::SemiJoin { .. }, [left, right]) => left.semi_join(right)?,
+        (LogicalPlan::AntiSemiJoin { .. }, [left, right]) => left.anti_semi_join(right)?,
+        (LogicalPlan::SmallDivide { .. }, [dividend, divisor]) => dividend.divide(divisor)?,
+        (LogicalPlan::GreatDivide { .. }, [dividend, divisor]) => dividend.great_divide(divisor)?,
+        (
+            LogicalPlan::GroupAggregate {
+                group_by,
+                aggregates,
+                ..
+            },
+            [input],
+        ) => {
             let refs: Vec<&str> = group_by.iter().map(String::as_str).collect();
-            rel.group_aggregate(&refs, aggregates)?
+            input.group_aggregate(&refs, aggregates)?
         }
+        _ => unreachable!("one input per child"),
     };
     stats.record(plan, &result);
     Ok(result)

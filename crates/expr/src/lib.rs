@@ -10,7 +10,12 @@
 //!   [`LogicalPlan::GreatDivide`] as first-class nodes (the paper's central
 //!   requirement: the optimizer must be able to reason about division
 //!   directly, not only about its simulation),
-//! * schema inference and validation for every node,
+//! * one plan-validity rule, [`node_schema`]: a node and its children's
+//!   schemas in, the node's output schema or its one typed error out (the
+//!   operators' own rules are [`div_algebra::Schema`]'s). [`infer_schema`]
+//!   is its recursion, and the reference [`evaluate`] and the streaming
+//!   executor call it node by node before computing anything, so all three
+//!   refuse the same plans with the same error, whatever the data,
 //! * a [`Catalog`] of named relations and a reference [`evaluate`] interpreter
 //!   that executes a plan with the set-semantics operators of `div-algebra`,
 //! * a [`PlanBuilder`] for constructing plans fluently, including the
@@ -54,7 +59,7 @@ pub use error::ExprError;
 pub use eval::{evaluate, evaluate_with_stats, EvalStats};
 pub use external::{ChunkScan, TableSource};
 pub use plan::{LogicalPlan, Transformed};
-pub use schema::{infer_schema, SchemaProvider};
+pub use schema::{infer_schema, node_schema, SchemaProvider};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ExprError>;

@@ -1,7 +1,9 @@
-//! Output schema inference for logical plans.
+//! Output schema inference for logical plans: the one per-node rule
+//! ([`node_schema`]) and its recursion ([`infer_schema`]).
 
 use crate::{ExprError, LogicalPlan, Result};
-use div_algebra::Schema;
+use div_algebra::{Predicate, Schema};
+use std::borrow::Borrow;
 
 /// Source of base-table schemas, implemented by [`Catalog`](crate::Catalog)
 /// and by the planner test fixtures.
@@ -21,166 +23,101 @@ impl SchemaProvider for EmptyProvider {
     }
 }
 
-/// Infer the output schema of `plan`, validating attribute references and the
-/// schema preconditions of every operator along the way.
-///
-/// The division nodes enforce the schema rules of Section 2 of the paper:
-/// for `SmallDivide` every divisor attribute must occur in the dividend and the
-/// quotient attribute set `A` must be nonempty; for `GreatDivide` the shared
-/// attribute set `B` must be nonempty and the output schema is `A ∪ C`.
+/// Infer the output schema of `plan`: [`node_schema`] over every node,
+/// bottom-up, so the first invalid node (children first, left before right)
+/// is the one reported.
 pub fn infer_schema(plan: &LogicalPlan, provider: &dyn SchemaProvider) -> Result<Schema> {
-    match plan {
+    match plan.children()[..] {
+        [] => node_schema::<Schema>(plan, &[], provider),
+        [child] => node_schema(plan, &[infer_schema(child, provider)?], provider),
+        [left, right] => {
+            let left = infer_schema(left, provider)?;
+            node_schema(plan, &[left, infer_schema(right, provider)?], provider)
+        }
+        _ => unreachable!("a plan node has at most two children"),
+    }
+}
+
+/// The output schema of one plan node, given the output schemas of its
+/// children (`inputs`, in [`LogicalPlan::children`] order), or the error
+/// that makes the node invalid. This is the one plan-validity rule: schema
+/// inference and the reference evaluator call it on every node, the
+/// streaming executor on every inner node (a scan's schema is its table's),
+/// before they compute anything.
+///
+/// The operators' own rules — projection, renaming, set operations,
+/// product, grouping and the division partitions of Section 2 — are
+/// [`Schema`]'s, and their errors are [`ExprError::Algebra`]. The one rule
+/// a plan adds on top — a predicate names attributes of its input — is an
+/// [`ExprError::InvalidPlan`].
+///
+/// # Panics
+///
+/// If `inputs` holds fewer schemas than `node` has children.
+pub fn node_schema<S: Borrow<Schema>>(
+    node: &LogicalPlan,
+    inputs: &[S],
+    provider: &dyn SchemaProvider,
+) -> Result<Schema> {
+    let input = |i: usize| inputs[i].borrow();
+    Ok(match node {
         LogicalPlan::Scan { table } => {
             provider
                 .table_schema(table)
                 .ok_or_else(|| ExprError::UnknownTable {
                     table: table.clone(),
-                })
+                })?
         }
-        LogicalPlan::Values { relation } => Ok(relation.schema().clone()),
-        LogicalPlan::Select { input, predicate } => {
-            let schema = infer_schema(input, provider)?;
-            for attr in predicate.referenced_attributes() {
-                if !schema.contains(&attr) {
-                    return Err(ExprError::invalid(format!(
-                        "selection predicate references `{attr}` which is not in the input schema {schema}"
-                    )));
-                }
-            }
-            Ok(schema)
+        LogicalPlan::Values { relation } => relation.schema().clone(),
+        LogicalPlan::Select { predicate, .. } => {
+            check_predicate(predicate, input(0), "selection predicate", "input")?;
+            input(0).clone()
         }
-        LogicalPlan::Project { input, attributes } => {
-            let schema = infer_schema(input, provider)?;
+        LogicalPlan::Project { attributes, .. } => {
             let refs: Vec<&str> = attributes.iter().map(String::as_str).collect();
-            schema.project(&refs).map_err(ExprError::from)
+            input(0).project(&refs)?
         }
-        LogicalPlan::Rename { input, renames } => {
-            let schema = infer_schema(input, provider)?;
-            for (from, _) in renames {
-                if !schema.contains(from) {
-                    return Err(ExprError::invalid(format!(
-                        "rename references `{from}` which is not in the input schema {schema}"
-                    )));
-                }
-            }
-            schema
-                .rename_with(|name| {
-                    renames
-                        .iter()
-                        .find(|(from, _)| from == name)
-                        .map(|(_, to)| to.clone())
-                        .unwrap_or_else(|| name.to_string())
-                })
-                .map_err(ExprError::from)
+        LogicalPlan::Rename { renames, .. } => input(0).rename(renames)?,
+        LogicalPlan::Union { .. } => input(0).set_operation(input(1), "union")?,
+        LogicalPlan::Intersect { .. } => input(0).set_operation(input(1), "intersection")?,
+        LogicalPlan::Difference { .. } => input(0).set_operation(input(1), "difference")?,
+        LogicalPlan::Product { .. } => input(0).concat(input(1))?,
+        LogicalPlan::ThetaJoin { predicate, .. } => {
+            let combined = input(0).concat(input(1))?;
+            check_predicate(predicate, &combined, "join predicate", "combined")?;
+            combined
         }
-        LogicalPlan::Union { left, right }
-        | LogicalPlan::Intersect { left, right }
-        | LogicalPlan::Difference { left, right } => {
-            let ls = infer_schema(left, provider)?;
-            let rs = infer_schema(right, provider)?;
-            if !ls.is_compatible_with(&rs) {
-                return Err(ExprError::invalid(format!(
-                    "{} operands must be union-compatible, got {ls} and {rs}",
-                    plan.name()
-                )));
-            }
-            Ok(ls)
-        }
-        LogicalPlan::Product { left, right } | LogicalPlan::ThetaJoin { left, right, .. } => {
-            let ls = infer_schema(left, provider)?;
-            let rs = infer_schema(right, provider)?;
-            let combined = ls.concat(&rs).map_err(ExprError::from)?;
-            if let LogicalPlan::ThetaJoin { predicate, .. } = plan {
-                for attr in predicate.referenced_attributes() {
-                    if !combined.contains(&attr) {
-                        return Err(ExprError::invalid(format!(
-                            "join predicate references `{attr}` which is not in the combined schema {combined}"
-                        )));
-                    }
-                }
-            }
-            Ok(combined)
-        }
-        LogicalPlan::NaturalJoin { left, right } => {
-            let ls = infer_schema(left, provider)?;
-            let rs = infer_schema(right, provider)?;
-            Ok(ls.natural_union(&rs))
-        }
-        LogicalPlan::SemiJoin { left, right } | LogicalPlan::AntiSemiJoin { left, right } => {
-            // Output schema is the left schema; the right operand only filters.
-            let ls = infer_schema(left, provider)?;
-            infer_schema(right, provider)?;
-            Ok(ls)
-        }
-        LogicalPlan::SmallDivide { dividend, divisor } => {
-            let ds = infer_schema(dividend, provider)?;
-            let vs = infer_schema(divisor, provider)?;
-            if vs.is_empty() {
-                return Err(ExprError::invalid(
-                    "small divide requires a divisor with at least one attribute",
-                ));
-            }
-            for b in vs.names() {
-                if !ds.contains(b) {
-                    return Err(ExprError::invalid(format!(
-                        "divisor attribute `{b}` does not occur in the dividend schema {ds}"
-                    )));
-                }
-            }
-            let quotient = ds.difference_attributes(&vs);
-            if quotient.is_empty() {
-                return Err(ExprError::invalid(
-                    "small divide requires the dividend to have at least one attribute of its own (A nonempty)",
-                ));
-            }
-            let refs: Vec<&str> = quotient.iter().map(String::as_str).collect();
-            ds.project(&refs).map_err(ExprError::from)
-        }
-        LogicalPlan::GreatDivide { dividend, divisor } => {
-            let ds = infer_schema(dividend, provider)?;
-            let vs = infer_schema(divisor, provider)?;
-            let shared = ds.common_attributes(&vs);
-            if shared.is_empty() {
-                return Err(ExprError::invalid(
-                    "great divide requires the dividend and divisor to share at least one attribute (B nonempty)",
-                ));
-            }
-            let quotient = ds.difference_attributes(&vs);
-            if quotient.is_empty() {
-                return Err(ExprError::invalid(
-                    "great divide requires the dividend to have at least one attribute of its own (A nonempty)",
-                ));
-            }
-            let group = vs.difference_attributes(&ds);
-            let mut names: Vec<&str> = quotient.iter().map(String::as_str).collect();
-            names.extend(group.iter().map(String::as_str));
-            Schema::new(names).map_err(ExprError::from)
-        }
+        LogicalPlan::NaturalJoin { .. } => input(0).natural_union(input(1)),
+        // The right operand only filters.
+        LogicalPlan::SemiJoin { .. } | LogicalPlan::AntiSemiJoin { .. } => input(0).clone(),
+        LogicalPlan::SmallDivide { .. } => input(0).divide_partition(input(1))?.output(),
+        LogicalPlan::GreatDivide { .. } => input(0).great_divide_partition(input(1))?.output(),
         LogicalPlan::GroupAggregate {
-            input,
             group_by,
             aggregates,
+            ..
         } => {
-            let schema = infer_schema(input, provider)?;
-            for g in group_by {
-                if !schema.contains(g) {
-                    return Err(ExprError::invalid(format!(
-                        "grouping attribute `{g}` is not in the input schema {schema}"
-                    )));
-                }
-            }
-            for agg in aggregates {
-                if !schema.contains(&agg.input) {
-                    return Err(ExprError::invalid(format!(
-                        "aggregate input `{}` is not in the input schema {schema}",
-                        agg.input
-                    )));
-                }
-            }
-            let mut names: Vec<String> = group_by.clone();
-            names.extend(aggregates.iter().map(|a| a.output.clone()));
-            Schema::new(names).map_err(ExprError::from)
+            let refs: Vec<&str> = group_by.iter().map(String::as_str).collect();
+            input(0).aggregate(&refs, aggregates)?
         }
+    })
+}
+
+/// Every attribute `predicate` names must be in `schema`.
+fn check_predicate(predicate: &Predicate, schema: &Schema, what: &str, whose: &str) -> Result<()> {
+    let mut missing = None;
+    predicate.all_attributes(&mut |attr| {
+        let found = schema.contains(attr);
+        if !found {
+            missing = Some(attr.to_string());
+        }
+        found
+    });
+    match missing {
+        Some(attr) => Err(ExprError::invalid(format!(
+            "{what} references `{attr}` which is not in the {whose} schema {schema}"
+        ))),
+        None => Ok(()),
     }
 }
 

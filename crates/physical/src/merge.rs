@@ -16,36 +16,30 @@
 //! (`div_expr::division`) that the streaming executor runs.
 
 use crate::Result;
-use div_algebra::{Relation, Schema, Tuple};
+use div_algebra::{DivisionPartition, Relation, Tuple};
 use div_expr::ExprError;
 use std::collections::BTreeMap;
 
 /// `dividend ÷ divisor` by merge-sort division.
 pub fn divide(dividend: &Relation, divisor: &Relation) -> Result<Relation> {
-    let attrs = dividend
-        .division_attributes(divisor)
-        .map_err(ExprError::from)?;
-    merge_divide(dividend, divisor, &attrs.quotient, &attrs.shared, &[])
+    let partition = dividend.schema().divide_partition(divisor.schema());
+    merge_divide(dividend, divisor, &partition.map_err(ExprError::from)?)
 }
 
 /// `dividend ÷* divisor` by sort-merge containment tests, one per pair of
 /// divisor group and dividend group. A divisor without group attributes `C`
 /// makes it the small divide.
 pub fn great_divide(dividend: &Relation, divisor: &Relation) -> Result<Relation> {
-    let attrs = dividend
-        .great_division_attributes(divisor)
-        .map_err(ExprError::from)?;
-    let (a, b, c) = (&attrs.quotient, &attrs.shared, &attrs.group);
-    merge_divide(dividend, divisor, a, b, c)
+    let partition = dividend.schema().great_divide_partition(divisor.schema());
+    merge_divide(dividend, divisor, &partition.map_err(ExprError::from)?)
 }
 
 fn merge_divide(
     dividend: &Relation,
     divisor: &Relation,
-    a: &[String],
-    b: &[String],
-    c: &[String],
+    partition: &DivisionPartition,
 ) -> Result<Relation> {
+    let (a, b, c) = (&partition.quotient, &partition.shared, &partition.group);
     let dividend_groups = sorted_runs(dividend, a, b)?;
     let mut divisor_groups = sorted_runs(divisor, c, b)?;
     if c.is_empty() {
@@ -53,8 +47,7 @@ fn merge_divide(
         // empty (then every dividend group qualifies).
         divisor_groups.entry(Tuple::empty()).or_default();
     }
-    let out_names = a.iter().chain(c).map(String::as_str);
-    let mut out = Relation::empty(Schema::new(out_names).map_err(ExprError::from)?);
+    let mut out = Relation::empty(partition.output());
     for (c_value, needed) in &divisor_groups {
         for (a_value, have) in &dividend_groups {
             // Merge-based subset test over two sorted runs.
@@ -105,7 +98,7 @@ fn sorted_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_algebra::relation;
+    use div_algebra::{relation, Schema};
 
     fn figure1_dividend() -> Relation {
         relation! {

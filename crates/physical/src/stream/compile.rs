@@ -7,16 +7,16 @@ use super::scan::ScanStream;
 use super::{BatchStream, OpMeta, StreamContext};
 use crate::trace::{OperatorId, QueryTrace};
 use crate::Result;
-use div_algebra::{AlgebraError, Predicate, Schema};
-use div_columnar::{kernels, ColumnarBatch, TableSegments};
-use div_expr::{Catalog, ExprError, LogicalPlan};
+use div_algebra::{Predicate, Schema};
+use div_columnar::{ColumnarBatch, TableSegments};
+use div_expr::{node_schema, Catalog, LogicalPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Compile `plan` into a streaming operator tree rooted at a
 /// [`BatchStream`], traced by `trace` (which must have been built from the
-/// same plan). Schema inference and validation happen here, before any
-/// batch flows; the returned stream shares the catalog's base tables
+/// same plan). Every node is validated here, before any batch flows; the
+/// returned stream shares the catalog's base tables
 /// (registered rows are converted to columnar segments by the first scan
 /// compiled over them; no file is opened and no chunk is copied until it is
 /// actually pulled).
@@ -41,11 +41,6 @@ struct Compiler<'a> {
 }
 
 impl Compiler<'_> {
-    /// Compile a non-root node that takes no pushdown.
-    fn child(&mut self, plan: &LogicalPlan) -> Result<Box<dyn BatchStream>> {
-        self.compile(plan, false, None)
-    }
-
     /// Compile one node. `pushdown` is a predicate the *immediate* plan
     /// node may push down — only the `Scan` arm consumes it (handing
     /// it to the table source, whose zone maps may then skip whole chunks);
@@ -73,124 +68,94 @@ impl Compiler<'_> {
         Ok(stream)
     }
 
-    /// Both inputs of a set operation, checked union-compatible.
-    fn set_inputs(
-        &mut self,
-        left: &LogicalPlan,
-        right: &LogicalPlan,
-        operation: &'static str,
-    ) -> Result<(Box<dyn BatchStream>, Box<dyn BatchStream>)> {
-        let left = self.child(left)?;
-        let right = self.child(right)?;
-        if !left.schema().is_compatible_with(right.schema()) {
-            return Err(ExprError::from(AlgebraError::SchemaMismatch {
-                left: left.schema().to_string(),
-                right: right.schema().to_string(),
-                operation,
-            }));
-        }
-        Ok((left, right))
-    }
-
+    /// Build a leaf's operator, whose schema is its source's; or compile an
+    /// inner node's children, take the node's schema from theirs
+    /// ([`node_schema`], the rule every layer shares, so a plan the
+    /// reference refuses is refused here, before any batch flows) and build
+    /// the node's operator over them.
     fn node(
         &mut self,
         plan: &LogicalPlan,
         meta: OpMeta,
         pushdown: Option<&Predicate>,
     ) -> Result<Box<dyn BatchStream>> {
-        Ok(match plan {
-            LogicalPlan::Scan { table } => Box::new(ScanStream::new(
-                meta,
-                self.catalog.source(table)?,
-                pushdown.cloned(),
-            )),
+        match plan {
+            LogicalPlan::Scan { table } => {
+                let source = self.catalog.source(table)?;
+                return Ok(Box::new(ScanStream::new(meta, source, pushdown.cloned())));
+            }
             // Inline constants are owned by the plan, which does not outlive
             // compilation: the stream gets its own columnar copy.
-            LogicalPlan::Values { relation } => Box::new(ScanStream::new(
-                meta,
-                Arc::new(TableSegments::from_relation(relation)),
-                None,
-            )),
-            LogicalPlan::Select { input, predicate } => {
-                // The filter's own predicate is offered to its child as a
-                // pushdown (consumed only by table scans, whose zone maps
-                // may then skip whole chunks). The filter still re-applies
-                // the predicate — chunk skipping is conservative, not exact.
-                let child = self.compile(input, false, Some(predicate))?;
-                Box::new(FilterStream::new(meta, child, predicate.clone()))
+            LogicalPlan::Values { relation } => {
+                let source = Arc::new(TableSegments::from_relation(relation));
+                return Ok(Box::new(ScanStream::new(meta, source, None)));
             }
-            LogicalPlan::Project { input, attributes } => {
-                Box::new(ProjectStream::new(meta, self.child(input)?, attributes)?)
+            _ => {}
+        }
+        // The filter's own predicate is offered to its child as a pushdown
+        // (consumed only by table scans, whose zone maps may then skip
+        // whole chunks). The filter still re-applies the predicate — chunk
+        // skipping is conservative, not exact.
+        let child_pushdown = match plan {
+            LogicalPlan::Select { predicate, .. } => Some(predicate),
+            _ => None,
+        };
+        let mut inputs = Vec::with_capacity(2);
+        for child in plan.children() {
+            inputs.push(self.compile(child, false, child_pushdown)?);
+        }
+        let schemas: Vec<&Schema> = inputs.iter().map(|input| input.schema()).collect();
+        let schema = node_schema(plan, &schemas, self.catalog)?;
+        let mut inputs = inputs.into_iter();
+        let mut input = || inputs.next().expect("one stream per child");
+        Ok(match plan {
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {
+                unreachable!("leaves are built above")
             }
-            LogicalPlan::Rename { input, renames } => {
-                Box::new(RenameStream::new(meta, self.child(input)?, renames)?)
+            LogicalPlan::Select { predicate, .. } => {
+                Box::new(FilterStream::new(meta, input(), predicate.clone()))
             }
-            LogicalPlan::Union { left, right } => {
-                let (left, right) = self.set_inputs(left, right, "union")?;
-                Box::new(UnionStream::new(meta, left, right))
-            }
+            LogicalPlan::Project { .. } => Box::new(ProjectStream::new(meta, input(), schema)?),
+            LogicalPlan::Rename { .. } => Box::new(RenameStream::new(meta, input(), schema)),
+            LogicalPlan::Union { .. } => Box::new(UnionStream::new(meta, input(), input(), schema)),
             // With union-compatible inputs every attribute is a common one,
             // so the semi / anti join keys whole rows: r ∩ s = r ⋉ s and
             // r − s = r ▷ s.
-            LogicalPlan::Intersect { left, right } => {
-                let (left, right) = self.set_inputs(left, right, "intersection")?;
-                Box::new(HashJoinStream::new(meta, left, right, JoinKind::Semi))
-            }
-            LogicalPlan::Difference { left, right } => {
-                let (left, right) = self.set_inputs(left, right, "difference")?;
-                Box::new(HashJoinStream::new(meta, left, right, JoinKind::Anti))
+            LogicalPlan::Intersect { .. } | LogicalPlan::SemiJoin { .. } => Box::new(
+                HashJoinStream::new(meta, input(), input(), JoinKind::Semi, schema),
+            ),
+            LogicalPlan::Difference { .. } | LogicalPlan::AntiSemiJoin { .. } => Box::new(
+                HashJoinStream::new(meta, input(), input(), JoinKind::Anti, schema),
+            ),
+            LogicalPlan::NaturalJoin { .. } => {
+                let (left, right) = (input(), input());
+                let kind = natural_join_kind(left.schema(), right.schema());
+                Box::new(HashJoinStream::new(meta, left, right, kind, schema))
             }
             // r × s is the predicate-free r ⋈_θ s.
-            LogicalPlan::Product { left, right } => Box::new(NestedLoopStream::new(
-                meta,
-                self.child(left)?,
-                self.child(right)?,
-                None,
-            )?),
-            LogicalPlan::ThetaJoin {
-                left,
-                right,
-                predicate,
-            } => Box::new(NestedLoopStream::new(
-                meta,
-                self.child(left)?,
-                self.child(right)?,
-                Some(predicate.clone()),
-            )?),
-            LogicalPlan::NaturalJoin { left, right }
-            | LogicalPlan::SemiJoin { left, right }
-            | LogicalPlan::AntiSemiJoin { left, right } => {
-                let (left, right) = (self.child(left)?, self.child(right)?);
-                let kind = match plan {
-                    LogicalPlan::NaturalJoin { .. } => {
-                        natural_join_kind(left.schema(), right.schema())
-                    }
-                    LogicalPlan::SemiJoin { .. } => JoinKind::Semi,
-                    _ => JoinKind::Anti,
-                };
-                Box::new(HashJoinStream::new(meta, left, right, kind))
+            LogicalPlan::Product { .. } => {
+                Box::new(NestedLoopStream::new(meta, input(), input(), None, schema))
             }
+            LogicalPlan::ThetaJoin { predicate, .. } => Box::new(NestedLoopStream::new(
+                meta,
+                input(),
+                input(),
+                Some(predicate.clone()),
+                schema,
+            )),
             LogicalPlan::GroupAggregate {
-                input,
                 group_by,
                 aggregates,
+                ..
             } => Box::new(GroupedStream::aggregate(
                 meta,
-                self.child(input)?,
+                input(),
+                schema,
                 group_by,
                 aggregates,
             )?),
-            LogicalPlan::SmallDivide { dividend, divisor }
-            | LogicalPlan::GreatDivide { dividend, divisor } => {
-                let dividend = self.child(dividend)?;
-                let divisor = self.child(divisor)?;
-                let schema = if matches!(plan, LogicalPlan::GreatDivide { .. }) {
-                    kernels::great_quotient_schema(dividend.schema(), divisor.schema())
-                } else {
-                    kernels::quotient_schema(dividend.schema(), divisor.schema())
-                }
-                .map_err(ExprError::from)?;
-                Box::new(GroupedStream::divide(meta, dividend, divisor, schema)?)
+            LogicalPlan::SmallDivide { .. } | LogicalPlan::GreatDivide { .. } => {
+                Box::new(GroupedStream::divide(meta, input(), input(), schema))
             }
         })
     }

@@ -98,7 +98,7 @@ impl GroupedState for StreamingGreatDivide {
     }
 
     fn finish(self: Box<Self>) -> Result<ColumnarBatch> {
-        StreamingGreatDivide::finish(*self).map_err(ExprError::from)
+        Ok(StreamingGreatDivide::finish(*self))
     }
 }
 
@@ -130,39 +130,32 @@ impl GroupedStream {
     pub(super) fn aggregate(
         meta: OpMeta,
         input: Box<dyn BatchStream>,
+        schema: Schema,
         group_by: &[String],
         aggregates: &[AggregateCall],
     ) -> Result<GroupedStream> {
         let refs: Vec<&str> = group_by.iter().map(String::as_str).collect();
         let blank =
             StreamingAggregate::new(input.schema(), &refs, aggregates).map_err(ExprError::from)?;
-        let (schema, key_cols) = (blank.schema().clone(), blank.key_cols().to_vec());
-        Ok(GroupedStream::new(
-            meta,
-            input,
-            Grouping::Aggregate(blank),
-            schema,
-            key_cols,
-        ))
+        let key_cols = blank.key_cols().to_vec();
+        let grouping = Grouping::Aggregate(blank);
+        Ok(GroupedStream::new(meta, input, grouping, schema, key_cols))
     }
 
+    /// `schema` is the quotient's, `A` then `C`: the dividend's attributes
+    /// in it are the grouping (quotient) attributes `A`.
     pub(super) fn divide(
         meta: OpMeta,
         dividend: Box<dyn BatchStream>,
         divisor: Box<dyn BatchStream>,
         schema: Schema,
-    ) -> Result<GroupedStream> {
-        // The quotient attributes: dividend attributes the divisor lacks.
-        let key_names = dividend.schema().difference_attributes(divisor.schema());
-        let key_refs: Vec<&str> = key_names.iter().map(String::as_str).collect();
-        let key_cols = dividend
-            .schema()
-            .projection_indices(&key_refs)
-            .map_err(ExprError::from)?;
+    ) -> GroupedStream {
+        let key_cols = schema
+            .attributes()
+            .filter_map(|a| dividend.schema().index_of(a.name()))
+            .collect();
         let grouping = Grouping::Divide(divisor, None);
-        Ok(GroupedStream::new(
-            meta, dividend, grouping, schema, key_cols,
-        ))
+        GroupedStream::new(meta, dividend, grouping, schema, key_cols)
     }
 
     fn new(

@@ -66,11 +66,8 @@ impl HashJoinStream {
         left: Box<dyn BatchStream>,
         right: Box<dyn BatchStream>,
         kind: JoinKind,
+        schema: Schema,
     ) -> HashJoinStream {
-        let schema = match kind {
-            JoinKind::Natural => left.schema().natural_union(right.schema()),
-            _ => left.schema().clone(),
-        };
         HashJoinStream {
             meta,
             left,
@@ -301,12 +298,9 @@ impl NestedLoopStream {
         left: Box<dyn BatchStream>,
         right: Box<dyn BatchStream>,
         predicate: Option<Predicate>,
-    ) -> Result<NestedLoopStream> {
-        let schema = left
-            .schema()
-            .concat(right.schema())
-            .map_err(ExprError::from)?;
-        Ok(NestedLoopStream {
+        schema: Schema,
+    ) -> NestedLoopStream {
+        NestedLoopStream {
             meta,
             left,
             right,
@@ -315,7 +309,7 @@ impl NestedLoopStream {
             right_batch: None,
             chunk: None,
             retained: RetainedState::default(),
-        })
+        }
     }
 }
 

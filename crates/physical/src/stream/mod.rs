@@ -521,12 +521,6 @@ impl StreamExecutor {
         }
     }
 
-    /// The statistics accumulated so far (operator totals are only recorded
-    /// on [`StreamExecutor::finish`]).
-    pub fn stats(&self) -> &ExecStats {
-        &self.ctx.stats
-    }
-
     /// Close the operator tree (recording every operator's totals — the
     /// rows each operator *actually* processed, which for an
     /// early-terminated stream is less than the full input), finalize the

@@ -63,16 +63,10 @@ pub(super) struct ProjectStream {
 }
 
 impl ProjectStream {
-    pub(super) fn new(
-        meta: OpMeta,
-        child: Box<dyn BatchStream>,
-        attributes: &[String],
-    ) -> Result<Self> {
-        let refs: Vec<&str> = attributes.iter().map(String::as_str).collect();
-        let schema = child.schema().project(&refs).map_err(ExprError::from)?;
+    pub(super) fn new(meta: OpMeta, child: Box<dyn BatchStream>, schema: Schema) -> Result<Self> {
         let indices = child
             .schema()
-            .projection_indices(&refs)
+            .projection_indices(&schema.names())
             .map_err(ExprError::from)?;
         // A projection that keeps every column (in any order) of a
         // duplicate-free stream stays duplicate-free — only a narrowing
@@ -130,26 +124,12 @@ pub(super) struct RenameStream {
 }
 
 impl RenameStream {
-    pub(super) fn new(
-        meta: OpMeta,
-        child: Box<dyn BatchStream>,
-        renames: &[(String, String)],
-    ) -> Result<Self> {
-        let schema = child
-            .schema()
-            .rename_with(|name| {
-                renames
-                    .iter()
-                    .find(|(from, _)| from == name)
-                    .map(|(_, to)| to.clone())
-                    .unwrap_or_else(|| name.to_string())
-            })
-            .map_err(ExprError::from)?;
-        Ok(RenameStream {
+    pub(super) fn new(meta: OpMeta, child: Box<dyn BatchStream>, schema: Schema) -> Self {
+        RenameStream {
             meta,
             child,
             schema,
-        })
+        }
     }
 }
 
@@ -193,13 +173,12 @@ pub(super) struct UnionStream {
 }
 
 impl UnionStream {
-    /// The inputs must already be checked union-compatible.
     pub(super) fn new(
         meta: OpMeta,
         left: Box<dyn BatchStream>,
         right: Box<dyn BatchStream>,
+        schema: Schema,
     ) -> Self {
-        let schema = left.schema().clone();
         UnionStream {
             meta,
             left,

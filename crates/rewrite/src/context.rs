@@ -2,7 +2,7 @@
 //! (optionally) the data itself for data-dependent preconditions.
 
 use crate::Result;
-use div_algebra::{Relation, Schema};
+use div_algebra::{DivisionPartition, Relation, Schema};
 use div_expr::{evaluate, infer_schema, Catalog, LogicalPlan, SchemaProvider};
 
 /// Everything a rewrite rule may consult while deciding whether it applies.
@@ -66,6 +66,30 @@ impl<'a> RewriteContext<'a> {
             Some(catalog) => infer_schema(plan, catalog).ok(),
             None => infer_schema(plan, &NoTables).ok(),
         }
+    }
+
+    /// The partition of `dividend ÷ divisor` ([`Schema::divide_partition`]),
+    /// or `None` when a schema does not resolve or the division is invalid:
+    /// no rule fires on an invalid plan.
+    pub fn divide_partition(
+        &self,
+        dividend: &LogicalPlan,
+        divisor: &LogicalPlan,
+    ) -> Option<DivisionPartition> {
+        let (dividend, divisor) = (self.schema_of(dividend)?, self.schema_of(divisor)?);
+        dividend.divide_partition(&divisor).ok()
+    }
+
+    /// The partition of `dividend ÷* divisor`
+    /// ([`Schema::great_divide_partition`]), or `None` like
+    /// [`RewriteContext::divide_partition`].
+    pub fn great_divide_partition(
+        &self,
+        dividend: &LogicalPlan,
+        divisor: &LogicalPlan,
+    ) -> Option<DivisionPartition> {
+        let (dividend, divisor) = (self.schema_of(dividend)?, self.schema_of(divisor)?);
+        dividend.great_divide_partition(&divisor).ok()
     }
 
     /// Evaluate `plan` for a data-dependent precondition check. Returns

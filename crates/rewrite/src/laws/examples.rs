@@ -8,7 +8,7 @@
 //! plan constructors (and, for Example 3, as a step-by-step derivation) so the
 //! examples, tests and benchmarks can reproduce Figures 6 and 9.
 
-use super::helpers::{refs, small_divide_attrs};
+use super::helpers::refs;
 use crate::context::RewriteContext;
 use crate::Result;
 use div_algebra::{CompareOp, Predicate};
@@ -34,7 +34,7 @@ pub fn example1_rewrite(
     divisor: &LogicalPlan,
     ctx: &RewriteContext<'_>,
 ) -> Result<Option<LogicalPlan>> {
-    let Some(attrs) = small_divide_attrs(ctx, dividend, divisor) else {
+    let Some(attrs) = ctx.divide_partition(dividend, divisor) else {
         return Ok(None);
     };
     if !predicate.only_references(&refs(&attrs.shared)) {

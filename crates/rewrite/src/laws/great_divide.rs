@@ -1,7 +1,7 @@
 //! Section 5.2 — laws for the great divide (Laws 13–17) and the join push-in
 //! rewrite of Example 4.
 
-use super::helpers::{great_divide_attrs, refs};
+use super::helpers::refs;
 use crate::context::RewriteContext;
 use crate::preconditions;
 use crate::rule::RewriteRule;
@@ -32,14 +32,14 @@ impl RewriteRule for Law13DivisorUnionSplit {
         let LogicalPlan::Union { left, right } = divisor.as_ref() else {
             return Ok(None);
         };
-        let Some(attrs) = great_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.great_divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         if attrs.group.is_empty() {
             return Ok(None);
         }
-        if great_divide_attrs(ctx, dividend, left).is_none()
-            || great_divide_attrs(ctx, dividend, right).is_none()
+        if ctx.great_divide_partition(dividend, left).is_none()
+            || ctx.great_divide_partition(dividend, right).is_none()
         {
             return Ok(None);
         }
@@ -86,7 +86,7 @@ impl RewriteRule for Law14SelectionPushdownQuotient {
         let LogicalPlan::GreatDivide { dividend, divisor } = input.as_ref() else {
             return Ok(None);
         };
-        let Some(attrs) = great_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.great_divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         if !predicate.only_references(&refs(&attrs.quotient)) {
@@ -122,7 +122,7 @@ impl RewriteRule for Law15SelectionPushdownGroup {
         let LogicalPlan::GreatDivide { dividend, divisor } = input.as_ref() else {
             return Ok(None);
         };
-        let Some(attrs) = great_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.great_divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         if attrs.group.is_empty() || !predicate.only_references(&refs(&attrs.group)) {
@@ -163,13 +163,16 @@ impl RewriteRule for Law16DivisorSelectionReplication {
         else {
             return Ok(None);
         };
-        let Some(attrs) = great_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.great_divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         if !predicate.only_references(&refs(&attrs.shared)) {
             return Ok(None);
         }
-        if great_divide_attrs(ctx, dividend, divisor_input).is_none() {
+        if ctx
+            .great_divide_partition(dividend, divisor_input)
+            .is_none()
+        {
             return Ok(None);
         }
         if let LogicalPlan::Select {
@@ -226,7 +229,7 @@ impl RewriteRule for Law17ProductPushthrough {
             return Ok(None);
         }
         // The right factor alone must still form a valid great divide.
-        if great_divide_attrs(ctx, right, divisor).is_none() {
+        if ctx.great_divide_partition(right, divisor).is_none() {
             return Ok(None);
         }
         Ok(Some(LogicalPlan::Product {
@@ -272,7 +275,7 @@ impl RewriteRule for Example4JoinPushIn {
         };
         let (Some(outer_schema), Some(attrs)) = (
             ctx.schema_of(left),
-            great_divide_attrs(ctx, dividend, divisor),
+            ctx.great_divide_partition(dividend, divisor),
         ) else {
             return Ok(None);
         };

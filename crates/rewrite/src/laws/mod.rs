@@ -24,73 +24,6 @@ pub mod small_divide_union;
 pub(crate) mod helpers {
     //! Schema bookkeeping shared by the rules.
 
-    use crate::context::RewriteContext;
-    use div_expr::LogicalPlan;
-
-    /// The `A`/`B` attribute sets of a small divide, derived from schemas.
-    pub struct SmallDivideAttrs {
-        /// Quotient attributes `A` (dividend-only).
-        pub quotient: Vec<String>,
-        /// Divisor attributes `B`.
-        pub shared: Vec<String>,
-    }
-
-    /// The `A`/`B`/`C` attribute sets of a great divide, derived from schemas.
-    pub struct GreatDivideAttrs {
-        /// Quotient attributes `A` (dividend-only).
-        pub quotient: Vec<String>,
-        /// Shared attributes `B`.
-        pub shared: Vec<String>,
-        /// Divisor group attributes `C` (divisor-only).
-        pub group: Vec<String>,
-    }
-
-    /// Compute the attribute partition of `dividend ÷ divisor`, or `None` if
-    /// the schemas cannot be resolved or violate the operator's preconditions
-    /// (in which case no rule should fire — the plan is already invalid and
-    /// evaluation will report the error).
-    pub fn small_divide_attrs(
-        ctx: &RewriteContext<'_>,
-        dividend: &LogicalPlan,
-        divisor: &LogicalPlan,
-    ) -> Option<SmallDivideAttrs> {
-        let ds = ctx.schema_of(dividend)?;
-        let vs = ctx.schema_of(divisor)?;
-        if vs.is_empty() || !vs.names().iter().all(|n| ds.contains(n)) {
-            return None;
-        }
-        let quotient = ds.difference_attributes(&vs);
-        if quotient.is_empty() {
-            return None;
-        }
-        let shared = vs.names().iter().map(|s| s.to_string()).collect();
-        Some(SmallDivideAttrs { quotient, shared })
-    }
-
-    /// Compute the attribute partition of `dividend ÷* divisor`, or `None`.
-    pub fn great_divide_attrs(
-        ctx: &RewriteContext<'_>,
-        dividend: &LogicalPlan,
-        divisor: &LogicalPlan,
-    ) -> Option<GreatDivideAttrs> {
-        let ds = ctx.schema_of(dividend)?;
-        let vs = ctx.schema_of(divisor)?;
-        let shared = ds.common_attributes(&vs);
-        if shared.is_empty() {
-            return None;
-        }
-        let quotient = ds.difference_attributes(&vs);
-        if quotient.is_empty() {
-            return None;
-        }
-        let group = vs.difference_attributes(&ds);
-        Some(GreatDivideAttrs {
-            quotient,
-            shared,
-            group,
-        })
-    }
-
     /// Shorthand for string-slice views of owned attribute lists.
     pub fn refs(names: &[String]) -> Vec<&str> {
         names.iter().map(String::as_str).collect()

@@ -18,7 +18,7 @@
 //! laws have "rather restrictive prerequisites" and are aimed at special
 //! purpose systems.
 
-use super::helpers::{refs, small_divide_attrs};
+use super::helpers::refs;
 use crate::context::RewriteContext;
 use crate::preconditions;
 use crate::rule::RewriteRule;
@@ -60,7 +60,7 @@ impl RewriteRule for Law11SingleTupleGroups {
         else {
             return Ok(None);
         };
-        let Some(attrs) = small_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         // Law 11 shape: the grouping attributes are the quotient attributes A,
@@ -129,7 +129,7 @@ impl RewriteRule for Law12SingleTupleDivisorGroups {
         else {
             return Ok(None);
         };
-        let Some(attrs) = small_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         // Law 12 shape: the grouping attributes are the shared attributes B,

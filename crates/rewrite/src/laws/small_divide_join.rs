@@ -3,7 +3,7 @@
 //! The worked derivation of Example 3 (eliminating the theta-join from the
 //! dividend) lives in [`super::examples`].
 
-use super::helpers::{refs, small_divide_attrs};
+use super::helpers::refs;
 use crate::context::RewriteContext;
 use crate::rule::RewriteRule;
 use crate::Result;
@@ -38,7 +38,7 @@ impl RewriteRule for Law10SemiJoinCommute {
         let LogicalPlan::SmallDivide { dividend, divisor } = left.as_ref() else {
             return Ok(None);
         };
-        let Some(attrs) = small_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         let Some(r3_schema) = ctx.schema_of(right) else {

@@ -1,7 +1,6 @@
 //! Section 5.1.5 — Cartesian-product laws for the small divide
 //! (Laws 8 and 9, plus the common-factor elimination of Example 2).
 
-use super::helpers::small_divide_attrs;
 use crate::context::RewriteContext;
 use crate::preconditions;
 use crate::rule::RewriteRule;
@@ -49,7 +48,7 @@ impl RewriteRule for Law8ProductPushthrough {
         }
         // The right factor must itself be a valid dividend for the divisor
         // (this also ensures its own quotient attribute set A2 is nonempty).
-        if small_divide_attrs(ctx, right, divisor).is_none() {
+        if ctx.divide_partition(right, divisor).is_none() {
             return Ok(None);
         }
         Ok(Some(LogicalPlan::Product {
@@ -202,7 +201,7 @@ impl RewriteRule for Example2CommonFactorElimination {
                 continue;
             }
             // The remaining operands must still form a valid division.
-            if small_divide_attrs(ctx, keep_dividend, keep_divisor).is_none() {
+            if ctx.divide_partition(keep_dividend, keep_divisor).is_none() {
                 continue;
             }
             // s must be nonempty for the cancellation to be sound.

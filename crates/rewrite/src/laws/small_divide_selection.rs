@@ -1,6 +1,6 @@
 //! Section 5.1.2 — selection laws for the small divide (Laws 3 and 4).
 
-use super::helpers::{refs, small_divide_attrs};
+use super::helpers::refs;
 use crate::context::RewriteContext;
 use crate::rule::RewriteRule;
 use crate::Result;
@@ -28,7 +28,7 @@ impl RewriteRule for Law3SelectionPushdown {
         let LogicalPlan::SmallDivide { dividend, divisor } = input.as_ref() else {
             return Ok(None);
         };
-        let Some(attrs) = small_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         if !predicate.only_references(&refs(&attrs.quotient)) {
@@ -74,7 +74,7 @@ impl RewriteRule for Law4DivisorSelectionReplication {
         else {
             return Ok(None);
         };
-        let Some(attrs) = small_divide_attrs(ctx, dividend, divisor) else {
+        let Some(attrs) = ctx.divide_partition(dividend, divisor) else {
             return Ok(None);
         };
         // p must be a p(B): it may only mention divisor attributes. Because the
@@ -85,7 +85,7 @@ impl RewriteRule for Law4DivisorSelectionReplication {
             return Ok(None);
         }
         // The inner divisor (before selection) must still be a valid divisor.
-        if small_divide_attrs(ctx, dividend, divisor_input).is_none() {
+        if ctx.divide_partition(dividend, divisor_input).is_none() {
             return Ok(None);
         }
         // Termination guard: don't re-apply if the dividend already carries

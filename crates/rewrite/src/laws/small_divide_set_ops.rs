@@ -1,7 +1,7 @@
 //! Sections 5.1.3 and 5.1.4 — intersection and difference laws for the small
 //! divide (Laws 5, 6 and 7).
 
-use super::helpers::{refs, small_divide_attrs};
+use super::helpers::refs;
 use crate::context::RewriteContext;
 use crate::preconditions;
 use crate::rule::RewriteRule;
@@ -31,8 +31,8 @@ impl RewriteRule for Law5IntersectionSplit {
         let LogicalPlan::Intersect { left, right } = dividend.as_ref() else {
             return Ok(None);
         };
-        if small_divide_attrs(ctx, left, divisor).is_none()
-            || small_divide_attrs(ctx, right, divisor).is_none()
+        if ctx.divide_partition(left, divisor).is_none()
+            || ctx.divide_partition(right, divisor).is_none()
         {
             return Ok(None);
         }
@@ -85,10 +85,10 @@ impl RewriteRule for Law6DifferenceSplit {
         let LogicalPlan::Difference { left, right } = dividend.as_ref() else {
             return Ok(None);
         };
-        let Some(attrs) = small_divide_attrs(ctx, left, divisor) else {
+        let Some(attrs) = ctx.divide_partition(left, divisor) else {
             return Ok(None);
         };
-        if small_divide_attrs(ctx, right, divisor).is_none() {
+        if ctx.divide_partition(right, divisor).is_none() {
             return Ok(None);
         }
         // Recognize σ_{p'(A)}(r) and σ_{p''(A)}(r) over the same input.
@@ -186,10 +186,10 @@ impl RewriteRule for Law7DisjointDifference {
         if v1 != v2 {
             return Ok(None);
         }
-        let Some(attrs) = small_divide_attrs(ctx, d1, v1) else {
+        let Some(attrs) = ctx.divide_partition(d1, v1) else {
             return Ok(None);
         };
-        if small_divide_attrs(ctx, d2, v2).is_none() {
+        if ctx.divide_partition(d2, v2).is_none() {
             return Ok(None);
         }
         let (Some(left_rel), Some(right_rel)) = (ctx.try_evaluate(d1)?, ctx.try_evaluate(d2)?)

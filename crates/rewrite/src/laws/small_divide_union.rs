@@ -1,6 +1,5 @@
 //! Section 5.1.1 — union laws for the small divide (Laws 1 and 2).
 
-use super::helpers::small_divide_attrs;
 use crate::context::RewriteContext;
 use crate::preconditions;
 use crate::rule::RewriteRule;
@@ -33,8 +32,8 @@ impl RewriteRule for Law1DivisorUnionToPipeline {
             return Ok(None);
         };
         // Validate that both halves are usable divisors for this dividend.
-        if small_divide_attrs(ctx, dividend, left).is_none()
-            || small_divide_attrs(ctx, dividend, right).is_none()
+        if ctx.divide_partition(dividend, left).is_none()
+            || ctx.divide_partition(dividend, right).is_none()
         {
             return Ok(None);
         }
@@ -81,8 +80,8 @@ impl RewriteRule for Law2DividendUnionSplit {
         let LogicalPlan::Union { left, right } = dividend.as_ref() else {
             return Ok(None);
         };
-        if small_divide_attrs(ctx, left, divisor).is_none()
-            || small_divide_attrs(ctx, right, divisor).is_none()
+        if ctx.divide_partition(left, divisor).is_none()
+            || ctx.divide_partition(right, divisor).is_none()
         {
             return Ok(None);
         }
@@ -132,7 +131,7 @@ pub fn partition_dividend_for_law2(
     if n < 2 {
         return Ok(None);
     }
-    let Some(attrs) = small_divide_attrs(ctx, dividend, divisor) else {
+    let Some(attrs) = ctx.divide_partition(dividend, divisor) else {
         return Ok(None);
     };
     let Some(dividend_rel) = ctx.try_evaluate(dividend)? else {

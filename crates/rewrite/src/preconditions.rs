@@ -24,11 +24,11 @@ use std::collections::BTreeSet;
 /// In other words: no quotient value may need tuples *from both partitions* to
 /// cover the divisor (the situation of Figure 5).
 pub fn c1(r1_prime: &Relation, r1_double: &Relation, r2: &Relation) -> Result<bool, AlgebraError> {
-    let attrs = r1_prime.division_attributes(r2)?;
+    let attrs = r1_prime.schema().divide_partition(r2.schema())?;
     let a_refs: Vec<&str> = attrs.quotient.iter().map(String::as_str).collect();
     let b_refs: Vec<&str> = attrs.shared.iter().map(String::as_str).collect();
     // The same schema rules must hold for the second partition.
-    r1_double.division_attributes(r2)?;
+    r1_double.schema().divide_partition(r2.schema())?;
 
     let divisor: BTreeSet<Tuple> = r2
         .conform_to(&div_algebra::Schema::new(b_refs.iter().copied())?)?
@@ -61,7 +61,7 @@ pub fn c1(r1_prime: &Relation, r1_double: &Relation, r2: &Relation) -> Result<bo
 /// in practice (e.g. for range-partitioned scans); see also
 /// `c2_implies_c1` in the tests.
 pub fn c2(r1_prime: &Relation, r1_double: &Relation, r2: &Relation) -> Result<bool, AlgebraError> {
-    let attrs = r1_prime.division_attributes(r2)?;
+    let attrs = r1_prime.schema().divide_partition(r2.schema())?;
     let a_refs: Vec<&str> = attrs.quotient.iter().map(String::as_str).collect();
     projections_disjoint(r1_prime, r1_double, &a_refs)
 }

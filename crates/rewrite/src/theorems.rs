@@ -39,9 +39,12 @@ pub fn theorem2_swapped_is_invalid(
     divisor: &Relation,
 ) -> Result<bool, AlgebraError> {
     // The original direction must be valid ...
-    dividend.division_attributes(divisor)?;
+    dividend.schema().divide_partition(divisor.schema())?;
     // ... and the swapped direction must be rejected.
-    Ok(divisor.division_attributes(dividend).is_err())
+    Ok(divisor
+        .schema()
+        .divide_partition(dividend.schema())
+        .is_err())
 }
 
 /// The attribute-set argument of Theorem 3: interpreting the schemas as sets,

@@ -271,7 +271,7 @@ fn lower_divide_by(
     // The quotient exposes the dividend's quotient attributes under the
     // dividend binding and the divisor's group attributes under the divisor
     // binding.
-    let quotient_schema = infer_schema(&plan, catalog)?;
+    let quotient = infer_schema(&plan, catalog)?;
     let mut bindings = Vec::new();
     for (binding, schema) in dividend_lowered
         .bindings
@@ -281,7 +281,7 @@ fn lower_divide_by(
         let visible: Vec<&str> = schema
             .names()
             .into_iter()
-            .filter(|n| quotient_schema.contains(n))
+            .filter(|n| quotient.contains(n))
             .collect();
         if !visible.is_empty() {
             bindings.push((binding.clone(), Schema::new(visible)?));

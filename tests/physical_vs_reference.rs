@@ -610,3 +610,170 @@ fn sum_overflow_is_a_typed_error_on_every_path() {
         );
     }
 }
+
+/// What one path made of a plan: its output schema, or its error.
+type Outcome = Result<Schema, div_expr::ExprError>;
+
+fn stream_outcome(plan: &LogicalPlan, catalog: &Catalog) -> Outcome {
+    let mut stream = StreamExecutor::new(plan, catalog, &PlannerConfig::default())?;
+    while stream.next_batch()?.is_some() {}
+    Ok(stream.schema().clone())
+}
+
+fn engine_outcome(plan: &LogicalPlan, catalog: &Catalog) -> Outcome {
+    let engine = Engine::new(catalog.clone());
+    let run = || -> Result<Schema, SqlError> {
+        let cursor = engine.run(Request::plan(plan))?;
+        let schema = cursor.schema().clone();
+        cursor.collect()?;
+        Ok(schema)
+    };
+    run().map_err(|err| match err {
+        SqlError::Plan(err) => err,
+        other => panic!("engine: not a plan error: {other}"),
+    })
+}
+
+#[test]
+fn invalid_plans_are_refused_on_every_path() {
+    use div_expr::infer_schema;
+    let scan = PlanBuilder::scan;
+    let no_attributes: [&str; 0] = [];
+    // One valid plan per `LogicalPlan` variant.
+    let valid: Vec<(&str, PlanBuilder)> = vec![
+        ("scan", scan("r")),
+        ("values", PlanBuilder::values(relation! { ["x"] => [1] })),
+        ("select", scan("r").select(Predicate::eq_value("a", 1))),
+        ("project", scan("r").project(["b"])),
+        ("rename", scan("r").rename([("a", "x")])),
+        ("union", scan("r").union(scan("r"))),
+        ("intersect", scan("r").intersect(scan("r"))),
+        ("difference", scan("r").difference(scan("r"))),
+        ("product", scan("r").product(scan("p"))),
+        (
+            "theta join",
+            scan("r").theta_join(scan("p"), Predicate::cmp_attrs("a", CompareOp::Lt, "c")),
+        ),
+        ("natural join", scan("r").natural_join(scan("q"))),
+        ("semi join", scan("r").semi_join(scan("q"))),
+        ("anti semi join", scan("r").anti_semi_join(scan("q"))),
+        ("small divide", scan("r").divide(scan("s"))),
+        ("great divide", scan("r").great_divide(scan("q"))),
+        (
+            "aggregate",
+            scan("r").group_aggregate(["a"], [AggregateCall::count("b", "n")]),
+        ),
+    ];
+    // At least one invalid plan per variant that can be invalid (a
+    // `Values` node cannot): every schema precondition, and an invalid
+    // input under each operator that has no precondition of its own.
+    let invalid: Vec<(&str, PlanBuilder)> = vec![
+        ("unknown table", scan("nope")),
+        ("rename source", scan("r").rename([("zz", "q")])),
+        ("rename target", scan("r").rename([("a", "b")])),
+        (
+            "selection attribute",
+            scan("r").select(Predicate::eq_value("zz", 1)),
+        ),
+        ("projection attribute", scan("r").project(["zz"])),
+        (
+            "theta-join attribute",
+            scan("r").theta_join(scan("p"), Predicate::eq_value("zz", 1)),
+        ),
+        (
+            "theta-join shared name",
+            scan("r").theta_join(scan("q"), Predicate::cmp_attrs("a", CompareOp::Lt, "c")),
+        ),
+        (
+            "group-by attribute",
+            scan("r").group_aggregate(["zz"], [AggregateCall::count("b", "n")]),
+        ),
+        (
+            "aggregate input",
+            scan("r").group_aggregate(["a"], [AggregateCall::sum("zz", "n")]),
+        ),
+        (
+            "aggregate output",
+            scan("r").group_aggregate(["a"], [AggregateCall::count("b", "a")]),
+        ),
+        ("union-incompatible", scan("r").union(scan("q"))),
+        ("intersect-incompatible", scan("r").intersect(scan("q"))),
+        ("difference-incompatible", scan("r").difference(scan("q"))),
+        ("product shared name", scan("r").product(scan("q"))),
+        (
+            "join over an invalid input",
+            scan("r").natural_join(scan("q").select(Predicate::eq_value("zz", 1))),
+        ),
+        (
+            "semi join over an invalid input",
+            scan("r").semi_join(scan("q").project(["zz"])),
+        ),
+        (
+            "anti join over an invalid input",
+            scan("r").anti_semi_join(scan("q").rename([("zz", "y")])),
+        ),
+        (
+            "small divide: B empty",
+            scan("r").divide(scan("s").project(no_attributes)),
+        ),
+        (
+            "small divide: B outside the dividend",
+            scan("r").divide(scan("q")),
+        ),
+        (
+            "small divide: A empty",
+            scan("r").project(["b"]).divide(scan("s")),
+        ),
+        ("great divide: B empty", scan("r").great_divide(scan("p"))),
+        (
+            "great divide: A empty",
+            scan("r").project(["b"]).great_divide(scan("q")),
+        ),
+    ];
+    let full = [
+        ("r", relation! { ["a", "b"] => [1, 1], [1, 2], [2, 1] }),
+        ("s", relation! { ["b"] => [1], [2] }),
+        ("q", relation! { ["b", "c"] => [1, 7], [2, 7], [1, 8] }),
+        ("p", relation! { ["c", "d"] => [7, 0], [8, 1] }),
+    ];
+    let mut mismatches = Vec::new();
+    for empty in [true, false] {
+        let mut catalog = Catalog::new();
+        for (name, rows) in &full {
+            let rows = if empty {
+                Relation::empty(rows.schema().clone())
+            } else {
+                rows.clone()
+            };
+            catalog.register(*name, rows);
+        }
+        let valid_cases = valid.iter().map(|case| (case, true));
+        let cases = valid_cases.chain(invalid.iter().map(|case| (case, false)));
+        for ((label, plan), is_valid) in cases {
+            let plan = plan.clone().build();
+            let inferred = infer_schema(&plan, &catalog);
+            let evaluated = evaluate(&plan, &catalog).map(|rel| rel.schema().clone());
+            let streamed = stream_outcome(&plan, &catalog);
+            let served = engine_outcome(&plan, &catalog);
+            let case = format!(
+                "{label} over the {} catalog: {plan}",
+                ["full", "empty"][usize::from(empty)]
+            );
+            for (path, outcome) in [
+                ("evaluate", evaluated),
+                ("StreamExecutor", streamed),
+                ("Engine::run", served),
+            ] {
+                if outcome != inferred {
+                    mismatches.push(format!(
+                        "{path} {outcome:?} vs infer_schema {inferred:?}, {case}"
+                    ));
+                }
+            }
+            if inferred.is_ok() != is_valid {
+                mismatches.push(format!("infer_schema {inferred:?}, {case}"));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
