@@ -1,8 +1,8 @@
 //! Columnar batches: a schema plus typed column vectors.
 
 use crate::column::Column;
-use crate::hash_table::GroupIndex;
-use crate::key_vector::{cross_matcher, KeyVector};
+use crate::hash_table::index_rows;
+use crate::key_vector::KeyVector;
 use crate::Result;
 use div_algebra::{AlgebraError, Relation, Schema, Tuple, Value};
 use std::ops::Range;
@@ -181,20 +181,13 @@ impl ColumnarBatch {
 
     /// Deduplicate rows, keeping first occurrences in order (set semantics).
     /// Runs on the vectorized key pipeline: whole-row keys are normalized
-    /// once ([`KeyVector`]) and interned into an open-addressing
-    /// [`GroupIndex`] — no per-row key materialization.
+    /// once ([`KeyVector`]) and indexed into a
+    /// [`GroupIndex`](crate::GroupIndex), whose first rows are the
+    /// survivors — no per-row key materialization.
     pub fn dedup(&self) -> ColumnarBatch {
         let all_columns: Vec<usize> = (0..self.columns.len()).collect();
         let keys = KeyVector::build(self, &all_columns);
-        let same_row = cross_matcher(self, &all_columns, &keys, self, &all_columns, &keys);
-        let mut seen = GroupIndex::with_capacity(self.rows);
-        let mut keep: Vec<usize> = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            let (_, is_new) = seen.intern(keys.code(i), i, |other| same_row(i, other));
-            if is_new {
-                keep.push(i);
-            }
-        }
+        let keep: Vec<usize> = index_rows(self, &all_columns, &keys).first_rows().collect();
         if keep.len() == self.rows {
             self.clone()
         } else {

@@ -15,7 +15,23 @@
 //! [`GroupIndex`] layers the ubiquitous pattern on top: assign dense group
 //! ids in first-occurrence order and remember each group's representative
 //! row — the shape behind grouping, deduplication, divisor-id assignment
-//! and join builds.
+//! and join builds. It is built once from a whole key vector
+//! ([`index_rows`] / [`index_rows_tracked`]), in one of two forms:
+//!
+//! * **dense** — when the vector is exact and its codes span a compact
+//!   range, the group ids live in a direct-addressed `u32` array indexed
+//!   by the key itself (Graefe 1989: over a small key domain hash-division's
+//!   table becomes an array). One key column is one axis, the raw `i64`;
+//!   two packed key columns are two `i32` axes. A lookup is a bounds check
+//!   and one load;
+//! * **hashed** — a [`KeyTable`], for everything else.
+//!
+//! The rule has no knob: dense exactly when its array takes no more bytes
+//! than the table it replaces (`cells × 4 B ≤ capacity × 12 B`), and the
+//! range arithmetic is checked, so a range that overflows stays hashed.
+//! Verification is the same in both forms: a lookup hands its candidate to
+//! the caller's `same_key`, so a folded probe code that decodes onto an
+//! occupied dense cell is rejected exactly as a hashed tag collision is.
 
 use crate::key_vector::KeyVector;
 
@@ -48,9 +64,7 @@ pub struct KeyTable {
 impl KeyTable {
     /// A table pre-sized for `expected` entries (no rehash below that).
     pub fn with_capacity(expected: usize) -> KeyTable {
-        let capacity = (expected.saturating_mul(8) / 7 + 1)
-            .next_power_of_two()
-            .max(8);
+        let capacity = KeyTable::capacity_for(expected);
         KeyTable {
             codes: vec![0; capacity],
             payloads: vec![EMPTY; capacity],
@@ -59,6 +73,24 @@ impl KeyTable {
             len: 0,
             limit: capacity / 8 * 7,
         }
+    }
+
+    /// The slot count of a table pre-sized for `expected` entries.
+    fn capacity_for(expected: usize) -> usize {
+        (expected.saturating_mul(8) / 7 + 1)
+            .next_power_of_two()
+            .max(8)
+    }
+
+    /// Bytes a table pre-sized for `expected` entries allocates: one code
+    /// and one payload per slot.
+    fn bytes_for(expected: usize) -> usize {
+        KeyTable::capacity_for(expected).saturating_mul(size_of::<u64>() + size_of::<u32>())
+    }
+
+    /// Bytes the table holds on the heap.
+    fn heap_bytes(&self) -> usize {
+        self.codes.capacity() * size_of::<u64>() + self.payloads.capacity() * size_of::<u32>()
     }
 
     /// Number of stored entries.
@@ -159,27 +191,34 @@ impl KeyTable {
 /// Dense group ids in first-occurrence order, with one representative row
 /// per group — the shared shape of grouping, deduplication and hash-build
 /// phases.
+///
+/// Built only from a whole [`KeyVector`], by [`index_rows`] or
+/// [`index_rows_tracked`], and never grown afterwards. The builder picks
+/// one of two internal forms (see the module docs); group ids, first rows
+/// and lookups are the same in both.
 #[derive(Debug, Clone)]
 pub struct GroupIndex {
-    table: KeyTable,
+    slots: Slots,
     first_row: Vec<u32>,
 }
 
-impl GroupIndex {
-    /// An index pre-sized for `expected` distinct keys.
-    pub fn with_capacity(expected: usize) -> GroupIndex {
-        GroupIndex {
-            table: KeyTable::with_capacity(expected),
-            first_row: Vec::with_capacity(expected),
-        }
-    }
+/// Where a [`GroupIndex`] keeps its key → group id map.
+#[derive(Debug, Clone)]
+enum Slots {
+    /// Open addressing over the codes: any key vector.
+    Hashed(KeyTable),
+    /// One group id (or [`EMPTY`]) per key of a compact range, indexed by
+    /// the key itself.
+    Dense { gids: Vec<u32>, range: KeyRange },
+}
 
-    /// Number of distinct groups seen so far.
+impl GroupIndex {
+    /// Number of distinct groups.
     pub fn len(&self) -> usize {
         self.first_row.len()
     }
 
-    /// `true` when no group has been interned.
+    /// `true` when the index holds no group.
     pub fn is_empty(&self) -> bool {
         self.first_row.is_empty()
     }
@@ -195,39 +234,154 @@ impl GroupIndex {
         self.first_row.iter().map(|&r| r as usize)
     }
 
-    /// Intern `row`'s key: return its group id, assigning the next dense id
-    /// on first sight. `same_key` verifies a candidate group by comparing
-    /// `row` against the group's representative row (pass `|_| true` when
-    /// the key vector is exact).
-    #[inline]
-    pub fn intern(
-        &mut self,
-        code: u64,
-        row: usize,
-        mut same_key: impl FnMut(usize) -> bool,
-    ) -> (u32, bool) {
-        // Row indices are stored as u32; a silent `as` wrap on a ≥ 2^32-row
-        // batch would point representatives at the wrong rows. Fail loudly
-        // instead (release builds included).
-        let row = u32::try_from(row).expect("key pipeline batches are limited to u32::MAX rows");
-        let next = self.first_row.len() as u32;
-        let first_row = &self.first_row;
-        let (gid, is_new) = self
-            .table
-            .get_or_insert(code, next, |gid| same_key(first_row[gid as usize] as usize));
-        if is_new {
-            self.first_row.push(row);
-        }
-        (gid, is_new)
+    /// Bytes the index holds on the heap: its slots and its first rows.
+    pub fn heap_bytes(&self) -> usize {
+        let slots = match &self.slots {
+            Slots::Hashed(table) => table.heap_bytes(),
+            Slots::Dense { gids, .. } => gids.capacity() * size_of::<u32>(),
+        };
+        slots + self.first_row.capacity() * size_of::<u32>()
     }
 
     /// The group id of a (possibly foreign) key with this `code`, verifying
     /// candidates via `same_key` against the group's representative row.
+    /// In the dense form a code outside the range, or on an empty cell,
+    /// is absent; a code on an occupied cell is verified like a hashed tag
+    /// match, so a folded code that decodes onto a stored key is rejected.
     #[inline]
     pub fn get(&self, code: u64, mut same_key: impl FnMut(usize) -> bool) -> Option<u32> {
-        self.table
-            .get(code, |gid| same_key(self.first_row[gid as usize] as usize))
+        match &self.slots {
+            Slots::Hashed(table) => {
+                table.get(code, |gid| same_key(self.first_row[gid as usize] as usize))
+            }
+            Slots::Dense { gids, range } => {
+                let gid = gids[range.slot(code)?];
+                (gid != EMPTY && same_key(self.first_row[gid as usize] as usize)).then_some(gid)
+            }
+        }
     }
+
+    /// `true` when the index took the dense form.
+    #[cfg(test)]
+    pub(crate) fn is_dense(&self) -> bool {
+        matches!(self.slots, Slots::Dense { .. })
+    }
+}
+
+/// A row index as stored in a [`GroupIndex`]. A silent `as` wrap on a
+/// ≥ 2^32-row batch would point representatives at the wrong rows, so
+/// this fails loudly instead (release builds included).
+#[inline]
+fn row_id(row: usize) -> u32 {
+    u32::try_from(row).expect("key pipeline batches are limited to u32::MAX rows")
+}
+
+/// The compact code range of an exact key vector, and the cell each code
+/// in it maps to. The axes come from the key arity: one key column codes
+/// as the raw `i64`, and two key columns of an exact vector pack two
+/// `i32` halves, the high half the major axis.
+#[derive(Debug, Clone, Copy)]
+enum KeyRange {
+    /// One int key column: cells `min ..= min + cells - 1`.
+    Int { min: i64, cells: usize },
+    /// Two packed int key columns: `hi_span × lo_span` cells.
+    Pair {
+        min_hi: i32,
+        hi_span: usize,
+        min_lo: i32,
+        lo_span: usize,
+    },
+}
+
+impl KeyRange {
+    /// The range of `keys` over `key_arity` columns, or `None` when the
+    /// vector is inexact or empty, the arity has no axes, or the cell count
+    /// does not fit a `usize` (`i64::MIN` with `i64::MAX`, or two full
+    /// `i32` axes on a 64-bit target).
+    fn of(key_arity: usize, keys: &KeyVector) -> Option<KeyRange> {
+        if !keys.exact() || keys.is_empty() {
+            return None;
+        }
+        let codes = keys.codes();
+        match key_arity {
+            1 => {
+                let (min, max) = codes.iter().fold((i64::MAX, i64::MIN), |(min, max), &c| {
+                    (min.min(c as i64), max.max(c as i64))
+                });
+                let span = max.checked_sub(min)?.checked_add(1)?;
+                Some(KeyRange::Int {
+                    min,
+                    cells: usize::try_from(span).ok()?,
+                })
+            }
+            2 => {
+                let (mut min_hi, mut max_hi) = (i32::MAX, i32::MIN);
+                let (mut min_lo, mut max_lo) = (i32::MAX, i32::MIN);
+                for &code in codes {
+                    let (hi, lo) = ((code >> 32) as u32 as i32, code as u32 as i32);
+                    (min_hi, max_hi) = (min_hi.min(hi), max_hi.max(hi));
+                    (min_lo, max_lo) = (min_lo.min(lo), max_lo.max(lo));
+                }
+                let span =
+                    |min: i32, max: i32| usize::try_from(i64::from(max) - i64::from(min) + 1);
+                let (hi_span, lo_span) = (span(min_hi, max_hi).ok()?, span(min_lo, max_lo).ok()?);
+                // `cells` multiplies the spans unchecked: refuse them here
+                // when the product does not fit.
+                hi_span.checked_mul(lo_span)?;
+                Some(KeyRange::Pair {
+                    min_hi,
+                    hi_span,
+                    min_lo,
+                    lo_span,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Number of cells the range spans.
+    fn cells(&self) -> usize {
+        match *self {
+            KeyRange::Int { cells, .. } => cells,
+            KeyRange::Pair {
+                hi_span, lo_span, ..
+            } => hi_span * lo_span,
+        }
+    }
+
+    /// The cell of `code`, or `None` when it lies outside the range. The
+    /// offsets are taken with wrapping subtraction and compared unsigned:
+    /// a value below the minimum wraps past every span, so no code outside
+    /// the range is ever taken for one inside it.
+    #[inline]
+    fn slot(&self, code: u64) -> Option<usize> {
+        match *self {
+            KeyRange::Int { min, cells } => {
+                let offset = code.wrapping_sub(min as u64);
+                (offset < cells as u64).then_some(offset as usize)
+            }
+            KeyRange::Pair {
+                min_hi,
+                hi_span,
+                min_lo,
+                lo_span,
+            } => {
+                let hi = ((code >> 32) as u32).wrapping_sub(min_hi as u32) as usize;
+                let lo = (code as u32).wrapping_sub(min_lo as u32) as usize;
+                (hi < hi_span && lo < lo_span).then_some(hi * lo_span + lo)
+            }
+        }
+    }
+}
+
+/// The selection rule: the dense form's `u32` array may take no more bytes
+/// than the [`KeyTable`] the hashed form would allocate for the same rows
+/// (`cells ≤ 3 × capacity`), so it never costs more memory than the form
+/// it replaces.
+fn dense_fits(cells: usize, rows: usize) -> bool {
+    cells
+        .checked_mul(size_of::<u32>())
+        .is_some_and(|bytes| bytes <= KeyTable::bytes_for(rows))
 }
 
 /// Dense slot ids for `(u32, u32)` id pairs packed into injective `u64`
@@ -291,29 +445,81 @@ pub fn fast_range(hash: u64, buckets: usize) -> usize {
     ((u128::from(hash) * buckets as u128) >> 64) as usize
 }
 
-/// The intern loop shared by [`index_rows`] and [`index_rows_tracked`]:
-/// one pass over the key vector, verifying inexact matches against `batch`
-/// over `key_columns`, reporting each row's group id to `on_row`.
+/// The one whole-vector builder behind [`index_rows`] and
+/// [`index_rows_tracked`]: one min/max pass picks the form (the dense form
+/// when the vector is exact, its range compact and [`dense_fits`]), then
+/// one pass over the key vector reports each row's group id to `on_row`.
 fn index_rows_inner(
+    batch: &crate::ColumnarBatch,
+    key_columns: &[usize],
+    keys: &KeyVector,
+    on_row: impl FnMut(u32),
+) -> GroupIndex {
+    match KeyRange::of(key_columns.len(), keys) {
+        Some(range) if dense_fits(range.cells(), keys.len()) => index_dense(range, keys, on_row),
+        _ => index_hashed(batch, key_columns, keys, on_row),
+    }
+}
+
+/// The hashed form: intern every row into a [`KeyTable`], verifying
+/// inexact matches against the group's representative row of `batch` over
+/// `key_columns`.
+fn index_hashed(
     batch: &crate::ColumnarBatch,
     key_columns: &[usize],
     keys: &KeyVector,
     mut on_row: impl FnMut(u32),
 ) -> GroupIndex {
-    let rows = keys.len();
     let same_key =
         crate::key_vector::cross_matcher(batch, key_columns, keys, batch, key_columns, keys);
-    let mut index = GroupIndex::with_capacity(rows);
-    for row in 0..rows {
-        let (gid, _) = index.intern(keys.code(row), row, |other| same_key(row, other));
+    let mut table = KeyTable::with_capacity(keys.len());
+    let mut first_row: Vec<u32> = Vec::with_capacity(keys.len());
+    for (row, &code) in keys.codes().iter().enumerate() {
+        let next = first_row.len() as u32;
+        let (gid, is_new) = table.get_or_insert(code, next, |gid| {
+            same_key(row, first_row[gid as usize] as usize)
+        });
+        if is_new {
+            first_row.push(row_id(row));
+        }
         on_row(gid);
     }
-    index
+    GroupIndex {
+        slots: Slots::Hashed(table),
+        first_row,
+    }
 }
 
-/// Build a [`GroupIndex`] over every row of a key vector, verifying inexact
-/// matches against `batch` over `key_columns` — the common build phase of
-/// the hash kernels, factored once.
+/// The dense form: one cell per key of `range`. The vector is exact, so
+/// distinct keys land in distinct cells and the build verifies nothing.
+fn index_dense(range: KeyRange, keys: &KeyVector, mut on_row: impl FnMut(u32)) -> GroupIndex {
+    let mut gids = vec![EMPTY; range.cells()];
+    let mut first_row = Vec::with_capacity(keys.len());
+    for (row, &code) in keys.codes().iter().enumerate() {
+        let slot = range
+            .slot(code)
+            .expect("a build code lies in its own range");
+        let cell = &mut gids[slot];
+        if *cell == EMPTY {
+            let gid = first_row.len() as u32;
+            // As in `KeyTable::get_or_insert`: an id equal to the sentinel
+            // would read as an empty cell.
+            assert_ne!(gid, EMPTY, "group ids exclude the sentinel");
+            *cell = gid;
+            first_row.push(row_id(row));
+        }
+        on_row(*cell);
+    }
+    GroupIndex {
+        slots: Slots::Dense { gids, range },
+        first_row,
+    }
+}
+
+/// Build a [`GroupIndex`] over every row of a key vector, in its dense or
+/// hashed form (see the module docs), verifying inexact matches against
+/// `batch` over `key_columns` — the common build phase of the hash
+/// kernels, factored once.
 pub fn index_rows(
     batch: &crate::ColumnarBatch,
     key_columns: &[usize],
@@ -334,12 +540,35 @@ pub fn index_rows_tracked(
     (index, gid_of)
 }
 
+/// [`index_rows_tracked`] in a forced form, whatever the selection rule
+/// says: the hashed form always, the dense form when the vector has a
+/// range of at most 2^20 cells (`None` otherwise, so a test never
+/// allocates a range the rule would refuse for its size).
+#[cfg(test)]
+pub(crate) fn index_rows_forced(
+    batch: &crate::ColumnarBatch,
+    key_columns: &[usize],
+    keys: &KeyVector,
+    dense: bool,
+) -> Option<(GroupIndex, Vec<u32>)> {
+    let mut gid_of = Vec::with_capacity(keys.len());
+    let index = if dense {
+        let range = KeyRange::of(key_columns.len(), keys).filter(|r| r.cells() <= 1 << 20)?;
+        index_dense(range, keys, |gid| gid_of.push(gid))
+    } else {
+        index_hashed(batch, key_columns, keys, |gid| gid_of.push(gid))
+    };
+    Some((index, gid_of))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key_vector::KeyVector;
+    use crate::column::Column;
+    use crate::key_vector::{cross_matcher, keys_equal, KeyVector};
     use crate::ColumnarBatch;
-    use div_algebra::relation;
+    use div_algebra::{relation, Schema, Value};
+    use proptest::prelude::*;
 
     #[test]
     fn get_or_insert_finds_and_inserts() {
@@ -392,6 +621,171 @@ mod tests {
         assert_eq!(index.first_row(1), 2);
         assert_eq!(index.first_row(2), 4);
         assert_eq!(index.get(keys.code(1), |_| true), Some(0));
+    }
+
+    /// A batch of `key_arity` key columns over `rows`, each column in the
+    /// encoding `Column::from_values` picks (NULL-free ints: no bitmap).
+    fn key_batch(key_arity: usize, rows: &[[Value; 2]]) -> ColumnarBatch {
+        let names = ["k1", "k2"];
+        let columns = (0..key_arity)
+            .map(|c| Column::from_values(rows.iter().map(|row| &row[c])))
+            .collect();
+        ColumnarBatch::from_parts(
+            Schema::of(names[..key_arity].iter().copied()),
+            columns,
+            rows.len(),
+        )
+    }
+
+    fn ints(rows: &[[i64; 2]]) -> Vec<[Value; 2]> {
+        rows.iter()
+            .map(|&[a, b]| [Value::Int(a), Value::Int(b)])
+            .collect()
+    }
+
+    /// The form [`index_rows`] picks for `rows` over `key_arity` columns.
+    fn picks_dense(key_arity: usize, rows: &[[Value; 2]]) -> bool {
+        let batch = key_batch(key_arity, rows);
+        let cols: Vec<usize> = (0..key_arity).collect();
+        index_rows(&batch, &cols, &KeyVector::build(&batch, &cols)).is_dense()
+    }
+
+    #[test]
+    fn the_rule_switches_forms_at_three_times_the_table_capacity() {
+        for rows in [2usize, 7, 8, 100, 1000] {
+            let limit = 3 * KeyTable::capacity_for(rows);
+            assert_eq!(
+                limit * size_of::<u32>(),
+                KeyTable::bytes_for(rows),
+                "cells x 4 B against capacity x 12 B"
+            );
+            // `rows` distinct keys spanning exactly `limit`, then one more
+            // cell.
+            for (span, dense) in [(limit, true), (limit + 1, false)] {
+                let mut keys: Vec<[i64; 2]> = (0..rows as i64 - 1).map(|k| [k, 0]).collect();
+                keys.push([span as i64 - 1, 0]);
+                assert_eq!(
+                    picks_dense(1, &ints(&keys)),
+                    dense,
+                    "{rows} rows, {span} cells"
+                );
+            }
+        }
+        // Two packed columns: 2 rows give a capacity of 8, so 3 x 8 = 24
+        // cells fit and 5 x 5 = 25 do not.
+        assert!(picks_dense(2, &ints(&[[0, 0], [2, 7]])));
+        assert!(!picks_dense(2, &ints(&[[0, 0], [4, 4]])));
+    }
+
+    #[test]
+    fn ranges_that_overflow_pick_the_hashed_form() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        for keys in [[min, max], [min, -1], [0, max], [-1, max]] {
+            let rows = ints(&[[keys[0], 0], [keys[1], 0]]);
+            let batch = key_batch(1, &rows);
+            let vector = KeyVector::build(&batch, &[0]);
+            assert!(vector.exact());
+            assert!(KeyRange::of(1, &vector).is_none(), "{keys:?}");
+            let index = index_rows(&batch, &[0], &vector);
+            assert!(!index.is_dense());
+            assert_eq!(index.get(keys[0] as u64, |_| true), Some(0));
+            assert_eq!(index.get(keys[1] as u64, |_| true), Some(1));
+            assert_eq!(index.len(), 2);
+        }
+        // Two full `i32` axes: 2^32 x 2^32 cells overflow a 64-bit usize.
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let batch = key_batch(2, &ints(&[[lo, lo], [hi, hi]]));
+        let vector = KeyVector::build(&batch, &[0, 1]);
+        assert!(vector.exact());
+        assert!(KeyRange::of(2, &vector).is_none());
+        assert!(!index_rows(&batch, &[0, 1], &vector).is_dense());
+    }
+
+    /// Key values: a compact int range (picks `0..=10`, the last one a
+    /// far in-range outlier), then values an exact build never holds: an
+    /// int outside `i32`, NULL, a string and the `i64` bounds.
+    fn drawn(pick: u32) -> Value {
+        match pick {
+            0..=9 => Value::Int(i64::from(pick) - 3),
+            10 => Value::Int(100),
+            11 => Value::Int(i64::from(i32::MAX) + 1),
+            12 => Value::Null,
+            13 => Value::str("x"),
+            14 => Value::Int(i64::MIN),
+            _ => Value::Int(i64::MAX),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Both forms over the same key vector: identical group ids, first
+        /// rows and lookups for present, absent and out-of-range keys and
+        /// raw codes. An inexact build has no dense form, and the rule
+        /// picks the hashed one.
+        #[test]
+        fn both_forms_answer_alike(
+            build in prop::collection::vec((0u32..16, 0u32..16), 0..40),
+            probe in prop::collection::vec((0u32..16, 0u32..16), 0..40),
+            key_arity in 1usize..3,
+            hostile_build in 0u32..2,
+        ) {
+            let clamp = |pick: u32| if hostile_build == 1 { pick } else { pick % 11 };
+            let build: Vec<[Value; 2]> =
+                build.iter().map(|&(a, b)| [drawn(clamp(a)), drawn(clamp(b))]).collect();
+            let probe: Vec<[Value; 2]> =
+                probe.iter().map(|&(a, b)| [drawn(a), drawn(b)]).collect();
+            let cols: Vec<usize> = (0..key_arity).collect();
+            let (build, probe) = (key_batch(key_arity, &build), key_batch(key_arity, &probe));
+            let (build_keys, probe_keys) =
+                (KeyVector::build(&build, &cols), KeyVector::build(&probe, &cols));
+
+            let (hashed, hashed_gids) =
+                index_rows_forced(&build, &cols, &build_keys, false).unwrap();
+            let chosen = index_rows(&build, &cols, &build_keys);
+            let range = KeyRange::of(key_arity, &build_keys);
+            prop_assert!(range.is_none() || build_keys.exact());
+            prop_assert_eq!(
+                chosen.is_dense(),
+                range.is_some_and(|r| dense_fits(r.cells(), build.num_rows()))
+            );
+            let Some((dense, dense_gids)) = index_rows_forced(&build, &cols, &build_keys, true)
+            else {
+                // The next case (the property body runs in the case loop).
+                continue;
+            };
+            prop_assert!(dense.is_dense() && !hashed.is_dense());
+            prop_assert_eq!(dense.len(), hashed.len());
+            prop_assert_eq!(dense.first_rows().collect::<Vec<_>>(), hashed.first_rows().collect::<Vec<_>>());
+            prop_assert_eq!(&dense_gids, &hashed_gids);
+            prop_assert_eq!(chosen.len(), hashed.len());
+
+            // Keys: the probe rows, verified against the build batch.
+            let same = cross_matcher(&probe, &cols, &probe_keys, &build, &cols, &build_keys);
+            for row in 0..probe.num_rows() {
+                let code = probe_keys.code(row);
+                let want = (0..build.num_rows())
+                    .find(|&b| keys_equal(&probe, &cols, row, &build, &cols, b))
+                    .map(|b| hashed_gids[b]);
+                prop_assert_eq!(hashed.get(code, |other| same(row, other)), want);
+                prop_assert_eq!(dense.get(code, |other| same(row, other)), want);
+            }
+            // Raw codes, matched on codes alone (both sides exact): every
+            // build code and its neighbours on each axis, and the extremes.
+            let mut codes = vec![0, u64::MAX, 1 << 63, (1 << 63) - 1];
+            for &code in build_keys.codes() {
+                for delta in [1, 1 << 32] {
+                    codes.extend([code, code.wrapping_add(delta), code.wrapping_sub(delta)]);
+                }
+            }
+            for code in codes {
+                prop_assert_eq!(dense.get(code, |_| true), hashed.get(code, |_| true), "code {:#x}", code);
+                // A candidate the matcher rejects is absent in both forms:
+                // an occupied cell is no match by itself.
+                prop_assert_eq!(dense.get(code, |_| false), None);
+                prop_assert_eq!(hashed.get(code, |_| false), None);
+            }
+        }
     }
 
     #[test]

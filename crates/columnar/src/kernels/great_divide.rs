@@ -26,7 +26,7 @@
 //! through the public API, so it deduplicates both at the wrapper.
 
 use crate::batch::ColumnarBatch;
-use crate::hash_table::{GroupIndex, PairTable};
+use crate::hash_table::{index_rows_tracked, GroupIndex, PairTable};
 use crate::kernels::divide::{DivideLayout, FrozenConsume, StreamingDivide};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
@@ -112,43 +112,15 @@ impl StreamingGreatDivide {
         // groups, sizes, and the inverted `B id -> divisor group ids` lists.
         let divisor_b_keys = KeyVector::build(&divisor, &layout.divisor_b);
         let c_keys = KeyVector::build(&divisor, &layout.divisor_c);
-        let divisor_rows = divisor.num_rows();
-        let mut b_ids = GroupIndex::with_capacity(divisor_rows);
-        let mut c_groups = GroupIndex::with_capacity(divisor_rows);
-        let mut c_size: Vec<u32> = Vec::new();
-        let mut groups_of_b: Vec<Vec<u32>> = Vec::new();
-        {
-            let same_divisor_b = cross_matcher(
-                &divisor,
-                &layout.divisor_b,
-                &divisor_b_keys,
-                &divisor,
-                &layout.divisor_b,
-                &divisor_b_keys,
-            );
-            let same_c = cross_matcher(
-                &divisor,
-                &layout.divisor_c,
-                &c_keys,
-                &divisor,
-                &layout.divisor_c,
-                &c_keys,
-            );
-            for i in 0..divisor_rows {
-                let (b_id, b_new) =
-                    b_ids.intern(divisor_b_keys.code(i), i, |other| same_divisor_b(i, other));
-                if b_new {
-                    groups_of_b.push(Vec::new());
-                }
-                let (c_gid, c_new) = c_groups.intern(c_keys.code(i), i, |other| same_c(i, other));
-                if c_new {
-                    c_size.push(0);
-                }
-                // The divisor is a set over `B ∪ C`: every row is a new
-                // (B, C) pair.
-                c_size[c_gid as usize] += 1;
-                groups_of_b[b_id as usize].push(c_gid);
-            }
+        let (b_ids, b_of) = index_rows_tracked(&divisor, &layout.divisor_b, &divisor_b_keys);
+        let (c_groups, c_of) = index_rows_tracked(&divisor, &layout.divisor_c, &c_keys);
+        let mut c_size = vec![0u32; c_groups.len()];
+        let mut groups_of_b: Vec<Vec<u32>> = vec![Vec::new(); b_ids.len()];
+        for (&b_id, &c_gid) in b_of.iter().zip(&c_of) {
+            // The divisor is a set over `B ∪ C`: every row is a new
+            // (B, C) pair.
+            c_size[c_gid as usize] += 1;
+            groups_of_b[b_id as usize].push(c_gid);
         }
         Ok(StreamingGreatDivide::Great(Box::new(GreatDivideState {
             divisor,

@@ -1,8 +1,11 @@
 //! Batch-native hash joins on the vectorized key pipeline.
 //!
 //! Keys are normalized once per batch ([`KeyVector`]) and the build side
-//! goes into an open-addressing [`GroupIndex`] plus, for the natural join
-//! only, a CSR row list — no per-row `Value` materialization, no SipHash.
+//! goes into a [`GroupIndex`] plus, for the natural join only, a CSR row
+//! list — no per-row `Value` materialization, no SipHash. The index is a
+//! direct-addressed array when the build keys are exact ints over a
+//! compact range (the `(s#, p#)` keys of the paper's workloads) and an
+//! open-addressing table otherwise; the probe loops are the same for both.
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{index_rows_tracked, GroupIndex};
@@ -118,8 +121,9 @@ fn natural_probe(
 
 /// A hash-join build side prepared once and probed chunk-at-a-time — the
 /// one join kernel `div_physical::stream`'s hash join runs. The build batch
-/// is hashed exactly once, and CSR-indexed at most once, by the first
-/// natural probe; every probe chunk then streams through
+/// is indexed exactly once ([`index_rows_tracked`] picks the dense or the
+/// hashed form of the [`GroupIndex`]), and CSR-indexed at most once, by the
+/// first natural probe; every probe chunk then streams through
 /// [`JoinBuild::probe_natural`] / [`JoinBuild::probe_semi`] without the
 /// per-call rebuild the one-shot [`hash_natural_join`] pays.
 ///
@@ -199,6 +203,21 @@ impl JoinBuild {
     /// Number of rows in the retained build side.
     pub fn build_rows(&self) -> usize {
         self.build.num_rows()
+    }
+
+    /// Bytes the build holds on the heap beside its build batch: the key
+    /// codes, the index, the rows' group ids and, once a natural probe has
+    /// laid them out, the CSR row lists.
+    pub fn heap_bytes(&self) -> usize {
+        let u32s = |v: &Vec<u32>| v.capacity() * size_of::<u32>();
+        let row_lists = self
+            .row_lists
+            .get()
+            .map_or(0, |(offsets, rows)| u32s(offsets) + u32s(rows));
+        size_of_val(self.build_keys.codes())
+            + self.index.heap_bytes()
+            + u32s(&self.gid_of)
+            + row_lists
     }
 
     /// Natural-join one probe chunk against the prepared build side.
@@ -285,6 +304,7 @@ pub fn hash_natural_join(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash_table::index_rows_forced;
     use div_algebra::relation;
 
     fn inputs() -> (ColumnarBatch, ColumnarBatch) {
@@ -454,5 +474,50 @@ mod tests {
                 div_algebra::Value::Int(30)
             ]
         );
+    }
+
+    /// The benchmark's join shape, `supplies ⋈ supplies` over the
+    /// suppliers-parts tables at 6000 × 50 (seed 9001): the `(s#, p#)`
+    /// build keys are exact over 6000 × 50 cells, so the index is dense,
+    /// and it takes fewer bytes than the hashed form of the same rows. An
+    /// every-17th-row slice — the size of one spilled join leaf — spreads
+    /// fewer rows over the same cells and stays hashed.
+    #[test]
+    fn the_benchmark_join_builds_a_dense_index_in_less_memory() {
+        use div_datagen::suppliers_parts::{generate, SuppliersPartsConfig};
+        let supplies = generate(&SuppliersPartsConfig {
+            suppliers: 6000,
+            parts: 50,
+            colors: 4,
+            coverage: 0.5,
+            full_suppliers: 0.05,
+            seed: 9001,
+        })
+        .supplies;
+        let batch = ColumnarBatch::from_relation(&supplies);
+        let build = JoinBuild::new(batch.schema(), batch.clone()).unwrap();
+        assert!(build.build_keys.exact());
+        assert!(build.index.is_dense(), "{} rows", batch.num_rows());
+        let (hashed, gid_of) =
+            index_rows_forced(&batch, &build.build_key, &build.build_keys, false).unwrap();
+        assert_eq!(gid_of, build.gid_of);
+        assert!(
+            build.index.heap_bytes() < hashed.heap_bytes(),
+            "dense {} B, hashed {} B",
+            build.index.heap_bytes(),
+            hashed.heap_bytes()
+        );
+        let rest = build.heap_bytes() - build.index.heap_bytes();
+        assert!(build.heap_bytes() < rest + hashed.heap_bytes());
+        // The CSR row lists count once a natural probe lays them out.
+        let before = build.heap_bytes();
+        build.probe_natural(&batch.slice(0..1)).unwrap();
+        assert!(build.heap_bytes() > before);
+
+        let leaf: Vec<usize> = (0..batch.num_rows()).step_by(17).collect();
+        let leaf = batch.gather(&leaf);
+        let build = JoinBuild::new(batch.schema(), leaf).unwrap();
+        assert!(build.build_keys.exact());
+        assert!(!build.index.is_dense(), "{} rows", build.build_rows());
     }
 }

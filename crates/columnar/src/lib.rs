@@ -40,9 +40,10 @@
 //!   hash-consuming kernel runs on: [`KeyVector`] normalizes a batch's key
 //!   columns **once per batch** into dense `u64` codes (raw-`i64` fast
 //!   path, per-dictionary-entry string hashing, NULL sentinel, composite
-//!   fold) and the open-addressing [`KeyTable`]/[`GroupIndex`] consume the
-//!   codes with stored-code tags plus verify-on-collision — no `Value` is
-//!   cloned and no `Vec` is allocated per row.
+//!   fold), and [`GroupIndex`] — a direct-addressed array over exact keys
+//!   of a compact range, an open-addressing [`KeyTable`] otherwise —
+//!   consumes the codes with verify-on-collision — no `Value` is cloned
+//!   and no `Vec` is allocated per row.
 //!
 //! The executor that walks physical plans lives in `div-physical`
 //! (`StreamExecutor`); this crate deliberately depends only on

@@ -17,6 +17,13 @@
 //! Each kernel's output relation must be byte-identical to the reference
 //! `div-algebra` operator. The joins, intersection and difference go
 //! through `JoinBuild`, the one join kernel the executor runs.
+//!
+//! A build side whose keys are exact ints over a compact range is indexed
+//! by a direct-addressed array instead of a hash table. The `dense_*`
+//! properties draw their build keys from such a range, so `JoinBuild`, the
+//! divisor indexes and `dedup` take that form, while the probe sides still
+//! carry NULLs, ints outside `i32` and strings; a planted probe whose
+//! folded code decodes onto an occupied array cell must not match.
 
 use div_columnar::kernels::{self, JoinBuild};
 use div_columnar::key_vector::{BOOL_FALSE_CODE, NULL_CODE};
@@ -238,6 +245,242 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// A probe-side key value: an int of the build side's compact range, NULL, an int outside `i32` (its two-column keys fold)
+/// or a string.
+fn probe_value(kind: u32, payload: i64) -> Value {
+    match kind % 6 {
+        0 => Value::Null,
+        1 => Value::Int(payload + (1 << 40)),
+        2 => Value::str(["blue", "red"][(payload % 2) as usize]),
+        _ => Value::Int(payload),
+    }
+}
+
+/// A relation over `names`: the first `key_arity` columns are keys — ints
+/// of a compact range on the build side (`0..6`, and `0..4` for a second
+/// column: 24 cells, which every build of seven or more rows indexes
+/// densely), drawn by [`probe_value`] on the probe side — and the rest
+/// hold small ints.
+fn keyed_relation(
+    names: &[&str],
+    key_arity: usize,
+    rows: &[(u32, i64, i64)],
+    probe_side: bool,
+) -> Relation {
+    let tuples = rows.iter().map(|&(kind, payload, tail)| {
+        Tuple::new((0..names.len()).map(|c| {
+            let payload = if c == 0 {
+                payload
+            } else {
+                (payload + tail) % 4
+            };
+            match c {
+                c if c >= key_arity => Value::Int(tail),
+                _ if probe_side => probe_value(kind.wrapping_add(c as u32), payload),
+                _ => Value::Int(payload),
+            }
+        }))
+    });
+    Relation::new(Schema::of(names.iter().copied()), tuples).unwrap()
+}
+
+fn keyed_rows(max_rows: usize) -> impl Strategy<Value = Rows> {
+    prop::collection::vec((0..12u32, 0..6i64, 0..4i64), 0..max_rows)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// ⋈, ⋉ and ▷ over a dense build on one or two key columns agree with
+    /// the reference, whatever the probe side holds.
+    #[test]
+    fn dense_builds_join_like_the_reference(
+        left in keyed_rows(30),
+        right in keyed_rows(24),
+        key_arity in 1..3usize,
+    ) {
+        let (left_names, right_names) = if key_arity == 1 {
+            (&["k1", "lv"][..], &["k1", "rv"][..])
+        } else {
+            (&["k1", "k2", "lv"][..], &["k1", "k2", "rv"][..])
+        };
+        let l = keyed_relation(left_names, key_arity, &left, true);
+        let r = keyed_relation(right_names, key_arity, &right, false);
+        let lb = ColumnarBatch::from_relation(&l);
+        let build = JoinBuild::new(lb.schema(), ColumnarBatch::from_relation(&r)).unwrap();
+        prop_assert_eq!(
+            build.probe_natural(&lb).unwrap().batch.to_relation().unwrap(),
+            l.natural_join(&r).unwrap()
+        );
+        prop_assert_eq!(
+            build.probe_semi(&lb, false).unwrap().batch.to_relation().unwrap(),
+            l.semi_join(&r).unwrap()
+        );
+        prop_assert_eq!(
+            build.probe_semi(&lb, true).unwrap().batch.to_relation().unwrap(),
+            l.anti_semi_join(&r).unwrap()
+        );
+        prop_assert_eq!(
+            kernels::hash_natural_join(&lb, &ColumnarBatch::from_relation(&r))
+                .unwrap()
+                .batch
+                .to_relation()
+                .unwrap(),
+            l.natural_join(&r).unwrap()
+        );
+    }
+
+    /// ∩ and − over a dense whole-row build (two int columns, the right
+    /// operand's swapped) agree with the reference.
+    #[test]
+    fn dense_builds_intersect_and_subtract_like_the_reference(
+        left in keyed_rows(30),
+        right in keyed_rows(24),
+    ) {
+        let l = keyed_relation(&["k", "v"], 2, &left, true);
+        let r = keyed_relation(&["k", "v"], 2, &right, false);
+        let lb = ColumnarBatch::from_relation(&l);
+        let swapped = ColumnarBatch::from_relation(&r.project(&["v", "k"]).unwrap());
+        let build = JoinBuild::new(lb.schema(), swapped).unwrap();
+        prop_assert_eq!(
+            build.probe_semi(&lb, false).unwrap().batch.to_relation().unwrap(),
+            l.intersect(&r).unwrap()
+        );
+        prop_assert_eq!(
+            build.probe_semi(&lb, true).unwrap().batch.to_relation().unwrap(),
+            l.difference(&r).unwrap()
+        );
+    }
+
+    /// ÷ and ÷* by a divisor whose `B` (and `C`) values are a compact int
+    /// range agree with the reference on a hostile dividend.
+    #[test]
+    fn dense_divisors_divide_like_the_reference(
+        dividend in keyed_rows(40),
+        divisor in keyed_rows(8),
+    ) {
+        let dividend = keyed_relation(&["b", "a"], 1, &dividend, true);
+        let dividend_batch = ColumnarBatch::from_relation(&dividend);
+        let small = keyed_relation(&["b"], 1, &divisor, false);
+        prop_assert_eq!(
+            kernels::hash_divide(&dividend_batch, &ColumnarBatch::from_relation(&small))
+                .unwrap()
+                .batch
+                .to_relation()
+                .unwrap(),
+            dividend.divide(&small).unwrap()
+        );
+        let great = keyed_relation(&["b", "c"], 2, &divisor, false);
+        prop_assert_eq!(
+            kernels::hash_great_divide(&dividend_batch, &ColumnarBatch::from_relation(&great))
+                .unwrap()
+                .batch
+                .to_relation()
+                .unwrap(),
+            dividend.great_divide(&great).unwrap()
+        );
+    }
+
+    /// Dedup over compact int rows (one or two columns) is exact.
+    #[test]
+    fn dense_dedup_is_exact(rows in keyed_rows(30), key_arity in 1..3usize) {
+        let names = if key_arity == 1 { &["k"][..] } else { &["k", "v"][..] };
+        let rel = keyed_relation(names, key_arity, &rows, false);
+        let batch = ColumnarBatch::from_relation(&rel);
+        let n = batch.num_rows();
+        let doubled: Vec<usize> = (0..n).chain(0..n).collect();
+        let deduped = batch.gather(&doubled).dedup();
+        prop_assert_eq!(deduped.num_rows(), n);
+        prop_assert_eq!(deduped.to_relation().unwrap(), rel);
+    }
+}
+
+/// Probe keys whose inexact codes equal a stored key's code, so they
+/// decode onto an occupied cell of the dense build: a NULL against the
+/// int `NULL_CODE` (one column), and a folded `(NULL, 7)` against the two
+/// ints its code unpacks to (two columns). Verification rejects both; the
+/// genuine keys still match.
+#[test]
+fn folded_probe_codes_on_occupied_dense_cells_do_not_match() {
+    use div_columnar::key_vector::key_code;
+    let folded = key_code(&[Value::Null, Value::Int(7)]);
+    let (hi, lo) = (
+        i64::from((folded >> 32) as u32 as i32),
+        i64::from(folded as u32 as i32),
+    );
+    let cases = [
+        (
+            vec![vec![Value::Null], vec![Value::Int(NULL_CODE as i64 + 1)]],
+            vec![
+                vec![Value::Int(NULL_CODE as i64)],
+                vec![Value::Int(NULL_CODE as i64 + 1)],
+            ],
+        ),
+        (
+            vec![
+                vec![Value::Null, Value::Int(7)],
+                vec![Value::Int(hi ^ 1), Value::Int(lo)],
+            ],
+            vec![
+                vec![Value::Int(hi), Value::Int(lo)],
+                vec![Value::Int(hi), Value::Int(lo ^ 1)],
+                vec![Value::Int(hi ^ 1), Value::Int(lo)],
+            ],
+        ),
+    ];
+    for (probe, build) in cases {
+        let arity = probe[0].len();
+        let names = &["k1", "k2"][..arity];
+        let relation = |rows: Vec<Vec<Value>>| {
+            Relation::new(
+                Schema::of(names.iter().copied()),
+                rows.into_iter().map(Tuple::new),
+            )
+            .unwrap()
+        };
+        let (l, r) = (relation(probe), relation(build));
+        let (lb, rb) = (
+            ColumnarBatch::from_relation(&l),
+            ColumnarBatch::from_relation(&r),
+        );
+        let cols: Vec<usize> = (0..arity).collect();
+        let (lk, rk) = (
+            div_columnar::KeyVector::build(&lb, &cols),
+            div_columnar::KeyVector::build(&rb, &cols),
+        );
+        assert!(rk.exact() && !lk.exact(), "{l:?}");
+        // The plant: the first probe row's code is a stored key's code.
+        let planted = (0..lb.num_rows())
+            .find(|&i| matches!(lb.value_at(i, 0), Value::Null))
+            .unwrap();
+        assert!(rk.codes().contains(&lk.code(planted)), "{l:?}");
+        let build = JoinBuild::new(lb.schema(), rb).unwrap();
+        let semi = build
+            .probe_semi(&lb, false)
+            .unwrap()
+            .batch
+            .to_relation()
+            .unwrap();
+        assert_eq!(semi, l.semi_join(&r).unwrap());
+        assert_eq!(semi.len(), 1, "only the genuine key matches: {semi:?}");
+        assert!(!semi.contains(&lb.row(planted)));
+        let anti = build
+            .probe_semi(&lb, true)
+            .unwrap()
+            .batch
+            .to_relation()
+            .unwrap();
+        assert_eq!(anti, l.anti_semi_join(&r).unwrap());
+        let joined = build
+            .probe_natural(&lb)
+            .unwrap()
+            .batch
+            .to_relation()
+            .unwrap();
+        assert_eq!(joined, l.natural_join(&r).unwrap());
     }
 }
 
