@@ -41,10 +41,21 @@ pub fn partition_rows(
     seed: u64,
 ) -> Vec<Vec<usize>> {
     let partitions = partitions.max(1);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); partitions];
     let keys = KeyVector::build_folded(batch, key_columns);
-    for (row, &code) in keys.codes().iter().enumerate() {
-        buckets[fast_range(mix(code ^ seed), partitions)].push(row);
+    let routes: Vec<usize> = keys
+        .codes()
+        .iter()
+        .map(|&code| fast_range(mix(code ^ seed), partitions))
+        .collect();
+    // A count pass sizes every bucket exactly, so the routing pass below
+    // never grows one.
+    let mut counts = vec![0usize; partitions];
+    for &p in &routes {
+        counts[p] += 1;
+    }
+    let mut buckets: Vec<Vec<usize>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for (row, &p) in routes.iter().enumerate() {
+        buckets[p].push(row);
     }
     buckets
 }

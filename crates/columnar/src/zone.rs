@@ -46,19 +46,41 @@ pub enum ColumnZone {
 pub fn column_zone(column: &Column) -> ColumnZone {
     match column {
         Column::Int { values, validity } => {
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            let mut null_count = 0u64;
-            let mut seen = false;
-            for (i, &v) in values.iter().enumerate() {
-                if validity.as_ref().is_some_and(|mask| !mask[i]) {
-                    null_count += 1;
-                } else {
-                    min = min.min(v);
-                    max = max.max(v);
-                    seen = true;
+            let (min, max, null_count, seen) = match validity {
+                // Without a mask every value counts, so there is no
+                // per-value validity test, and four independent lanes keep
+                // each compare from waiting on the one before it.
+                None => {
+                    let (quads, tail) = values.as_chunks::<4>();
+                    let mut lo = [i64::MAX; 4];
+                    let mut hi = [i64::MIN; 4];
+                    for quad in quads {
+                        for lane in 0..4 {
+                            lo[lane] = lo[lane].min(quad[lane]);
+                            hi[lane] = hi[lane].max(quad[lane]);
+                        }
+                    }
+                    let min = lo
+                        .into_iter()
+                        .chain(tail.iter().copied())
+                        .fold(i64::MAX, i64::min);
+                    let max = hi
+                        .into_iter()
+                        .chain(tail.iter().copied())
+                        .fold(i64::MIN, i64::max);
+                    (min, max, 0, !values.is_empty())
                 }
-            }
+                Some(mask) => values.iter().zip(mask).fold(
+                    (i64::MAX, i64::MIN, 0u64, false),
+                    |(lo, hi, nulls, seen), (&v, &valid)| {
+                        if valid {
+                            (lo.min(v), hi.max(v), nulls, true)
+                        } else {
+                            (lo, hi, nulls + 1, seen)
+                        }
+                    },
+                ),
+            };
             if seen {
                 ColumnZone::Int {
                     min,
@@ -182,6 +204,41 @@ mod tests {
                 null_count: 0
             }
         );
+    }
+
+    #[test]
+    fn int_zones_find_the_extremes_in_every_lane_and_the_tail() {
+        for len in 0..=9usize {
+            for at in 0..len {
+                let mut values = vec![0i64; len];
+                values[at] = -5;
+                values[len - 1 - at] = 9;
+                if len == 1 {
+                    values[0] = 3;
+                }
+                let (min, max) = (*values.iter().min().unwrap(), *values.iter().max().unwrap());
+                let unmasked = Column::Int {
+                    values: values.clone(),
+                    validity: None,
+                };
+                let masked = Column::Int {
+                    values,
+                    validity: Some(vec![true; len]),
+                };
+                let expected = ColumnZone::Int {
+                    min,
+                    max,
+                    null_count: 0,
+                };
+                assert_eq!(column_zone(&unmasked), expected, "len {len} at {at}");
+                assert_eq!(column_zone(&masked), expected, "len {len} at {at}");
+            }
+        }
+        let empty = Column::Int {
+            values: Vec::new(),
+            validity: None,
+        };
+        assert_eq!(column_zone(&empty), ColumnZone::None);
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! (`ByteReader::backed`) before anything is allocated for it: a file
 //! cannot make the reader reserve more than a small multiple of its own
 //! size (run-length columns aside, which expand to the chunk's row count
-//! only after their runs are checked to add up to it).
+//! only after their runs are checked to add up to it, and the reader
+//! refuses a chunk of more than [`MAX_CHUNK_ROWS`](crate::MAX_CHUNK_ROWS)
+//! rows before decoding it). Nested sets are refused beyond
+//! [`MAX_SET_DEPTH`] levels, by the writer and the reader alike, so a
+//! crafted value cannot recurse the reader's stack away.
 
 use crate::{Result, StorageError};
 use div_algebra::{Schema, Value};
@@ -74,14 +78,19 @@ impl<'a> ByteReader<'a> {
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
+        let slice = self
             .pos
             .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
+            .and_then(|end| self.buf.get(self.pos..end))
             .ok_or_else(|| self.corrupt("bytes"))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
+        self.pos += n;
         Ok(slice)
+    }
+
+    /// The next `N` bytes, as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = self.take(N)?;
+        bytes.try_into().map_err(|_| self.corrupt("bytes"))
     }
 
     /// `count` items of `width` bytes each, as one slice.
@@ -99,7 +108,7 @@ impl<'a> ByteReader<'a> {
     /// the process.
     pub(crate) fn backed(&self, count: usize, min_bytes: usize) -> Result<usize> {
         match count.checked_mul(min_bytes) {
-            Some(n) if n <= self.buf.len() - self.pos => Ok(count),
+            Some(n) if n <= self.buf.len().saturating_sub(self.pos) => Ok(count),
             _ => Err(self.corrupt(&format!("count {count} ({min_bytes} B each)"))),
         }
     }
@@ -111,23 +120,24 @@ impl<'a> ByteReader<'a> {
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     pub(crate) fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn str(&mut self) -> Result<String> {
@@ -179,131 +189,96 @@ fn read_validity(r: &mut ByteReader<'_>, rows: usize) -> Result<Option<Vec<bool>
     }
 }
 
+/// Set nesting the format holds: a set may sit inside at most this many
+/// enclosing sets. The writer refuses a deeper value and the reader a file
+/// that claims one, so decoding a value recurses a bounded number of times.
+pub const MAX_SET_DEPTH: usize = 64;
+
 /// Count the runs a run-length encoding would need.
 fn run_count<T: PartialEq>(values: &[T]) -> usize {
-    let mut runs = 0;
-    let mut prev: Option<&T> = None;
-    for v in values {
-        if prev != Some(v) {
-            runs += 1;
-            prev = Some(v);
-        }
+    if values.is_empty() {
+        return 0;
     }
-    runs
+    1 + values
+        .windows(2)
+        .filter(|pair| matches!(pair, [a, b] if a != b))
+        .count()
 }
 
-/// RLE-or-plain encode a `i64` slice: `u8` encoding tag, then either the
-/// raw values or `(u32 run_len, i64 value)` pairs, whichever is smaller.
-fn put_i64s(buf: &mut Vec<u8>, values: &[i64]) {
+/// RLE-or-plain encode a slice of `W`-byte values: `u8` encoding tag, then
+/// either the raw values or `(u32 run_len, value)` pairs, whichever is
+/// smaller (plain on a tie).
+fn put_runs_or_plain<T: Copy + PartialEq, const W: usize>(
+    buf: &mut Vec<u8>,
+    values: &[T],
+    le: fn(T) -> [u8; W],
+) {
     let runs = run_count(values);
-    if runs * 12 < values.len() * 8 {
+    if runs * (4 + W) < values.len() * W {
         put_u8(buf, ENC_RLE);
         put_u32(buf, runs as u32);
-        let mut i = 0;
-        while i < values.len() {
-            let mut j = i + 1;
-            while j < values.len() && values[j] == values[i] {
-                j += 1;
+        for run in values.chunk_by(|a, b| a == b) {
+            if let Some(&v) = run.first() {
+                put_u32(buf, run.len() as u32);
+                buf.extend_from_slice(&le(v));
             }
-            put_u32(buf, (j - i) as u32);
-            put_i64(buf, values[i]);
-            i = j;
         }
     } else {
+        // One slice copy: the buffer grows once, then each value fills its
+        // own `W` bytes.
         put_u8(buf, ENC_PLAIN);
-        for &v in values {
-            put_i64(buf, v);
+        let start = buf.len();
+        buf.resize(start + values.len() * W, 0);
+        for (dst, &v) in buf[start..].chunks_exact_mut(W).zip(values) {
+            dst.copy_from_slice(&le(v));
         }
     }
 }
 
-/// Split a run-length encoding (`u32` run count, then `(u32 len, value)`
-/// runs of `run_width` bytes) into its runs, after checking that the run
-/// lengths add up to exactly `rows` — so the caller's `rows`-sized
+/// Decode `rows` values of `W` bytes, plain or run-length encoded (`u32`
+/// run count, then `(u32 len, value)` runs). The run lengths must add up
+/// to exactly `rows` before the column is allocated — so the `rows`-sized
 /// allocation is what the runs fill, whatever the file claims.
-fn read_runs<'a>(
-    r: &mut ByteReader<'a>,
+fn read_runs_or_plain<T: Copy, const W: usize>(
+    r: &mut ByteReader<'_>,
     rows: usize,
-    run_width: usize,
     column: &str,
-) -> Result<impl Iterator<Item = (usize, &'a [u8])>> {
-    let runs = r.u32()? as usize;
-    let runs = r
-        .take_items(runs, run_width)?
-        .chunks_exact(run_width)
-        .map(|run| {
-            let (len, value) = run.split_at(4);
-            let len = u32::from_le_bytes(len.try_into().expect("a run starts with a u32"));
-            (len as usize, value)
-        });
-    let total: u64 = runs.clone().map(|(len, _)| len as u64).sum();
-    if total != rows as u64 {
-        return Err(StorageError::Corrupt {
-            context: format!("rle runs cover {total} of {rows} rows in {column} column"),
-        });
-    }
-    Ok(runs)
-}
-
-fn read_i64s(r: &mut ByteReader<'_>, rows: usize) -> Result<Vec<i64>> {
-    let value = |b: &[u8]| i64::from_le_bytes(b.try_into().expect("8-byte value"));
+    from_le: fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
     match r.u8()? {
-        ENC_PLAIN => Ok(r.take_items(rows, 8)?.chunks_exact(8).map(value).collect()),
+        ENC_PLAIN => {
+            let (values, _) = r.take_items(rows, W)?.as_chunks::<W>();
+            Ok(values.iter().map(|&v| from_le(v)).collect())
+        }
         ENC_RLE => {
+            let runs = r.u32()? as usize;
+            let bytes = r.take_items(runs, 4 + W)?;
+            let mut total = 0u64;
+            let mut lengths = ByteReader::new(bytes, "rle runs");
+            for _ in 0..runs {
+                total += lengths.u32()? as u64;
+                lengths.take(W)?;
+            }
+            if total != rows as u64 {
+                return Err(StorageError::Corrupt {
+                    context: format!("rle runs cover {total} of {rows} rows in {column} column"),
+                });
+            }
             let mut out = Vec::with_capacity(rows);
-            for (len, v) in read_runs(r, rows, 12, "int")? {
-                out.extend(std::iter::repeat_n(value(v), len));
+            let mut runs_reader = ByteReader::new(bytes, "rle runs");
+            for _ in 0..runs {
+                let len = runs_reader.u32()? as usize;
+                out.extend(std::iter::repeat_n(from_le(runs_reader.array()?), len));
             }
             Ok(out)
         }
         _ => Err(StorageError::Corrupt {
-            context: "invalid int encoding tag".into(),
+            context: format!("invalid {column} encoding tag"),
         }),
     }
 }
 
-/// RLE-or-plain encode a `u32` slice (dictionary codes).
-fn put_u32s(buf: &mut Vec<u8>, values: &[u32]) {
-    let runs = run_count(values);
-    if runs * 8 < values.len() * 4 {
-        put_u8(buf, ENC_RLE);
-        put_u32(buf, runs as u32);
-        let mut i = 0;
-        while i < values.len() {
-            let mut j = i + 1;
-            while j < values.len() && values[j] == values[i] {
-                j += 1;
-            }
-            put_u32(buf, (j - i) as u32);
-            put_u32(buf, values[i]);
-            i = j;
-        }
-    } else {
-        put_u8(buf, ENC_PLAIN);
-        for &v in values {
-            put_u32(buf, v);
-        }
-    }
-}
-
-fn read_u32s(r: &mut ByteReader<'_>, rows: usize) -> Result<Vec<u32>> {
-    let value = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte value"));
-    match r.u8()? {
-        ENC_PLAIN => Ok(r.take_items(rows, 4)?.chunks_exact(4).map(value).collect()),
-        ENC_RLE => {
-            let mut out = Vec::with_capacity(rows);
-            for (len, v) in read_runs(r, rows, 8, "code")? {
-                out.extend(std::iter::repeat_n(value(v), len));
-            }
-            Ok(out)
-        }
-        _ => Err(StorageError::Corrupt {
-            context: "invalid code encoding tag".into(),
-        }),
-    }
-}
-
-fn put_value(buf: &mut Vec<u8>, value: &Value) {
+fn put_value(buf: &mut Vec<u8>, value: &Value, depth: usize) -> Result<()> {
     match value {
         Value::Null => put_u8(buf, VAL_NULL),
         Value::Bool(b) => {
@@ -319,26 +294,36 @@ fn put_value(buf: &mut Vec<u8>, value: &Value) {
             put_str(buf, s);
         }
         Value::Set(items) => {
+            if depth > MAX_SET_DEPTH {
+                return Err(StorageError::Schema {
+                    reason: format!("a set nests deeper than {MAX_SET_DEPTH} levels"),
+                });
+            }
             put_u8(buf, VAL_SET);
             put_u32(buf, items.len() as u32);
             for item in items {
-                put_value(buf, item);
+                put_value(buf, item, depth + 1)?;
             }
         }
     }
+    Ok(())
 }
 
-fn read_value(r: &mut ByteReader<'_>) -> Result<Value> {
+/// Decode one value at set nesting `depth` (0 outside any set).
+fn read_value(r: &mut ByteReader<'_>, depth: usize) -> Result<Value> {
     match r.u8()? {
         VAL_NULL => Ok(Value::Null),
         VAL_BOOL => Ok(Value::Bool(r.u8()? != 0)),
         VAL_INT => Ok(Value::Int(r.i64()?)),
         VAL_STR => Ok(Value::Str(r.str()?.into())),
+        VAL_SET if depth > MAX_SET_DEPTH => Err(StorageError::Corrupt {
+            context: format!("a set nests deeper than {MAX_SET_DEPTH} levels"),
+        }),
         VAL_SET => {
-            let len = r.u32()? as usize;
+            let len = r.count(1)?;
             let mut items = std::collections::BTreeSet::new();
             for _ in 0..len {
-                items.insert(read_value(r)?);
+                items.insert(read_value(r, depth + 1)?);
             }
             Ok(Value::Set(items))
         }
@@ -349,12 +334,13 @@ fn read_value(r: &mut ByteReader<'_>) -> Result<Value> {
 }
 
 /// Serialize one column (of a chunk with a known row count) into `buf`.
-pub(crate) fn put_column(buf: &mut Vec<u8>, column: &Column) {
+/// Fails only on a set nested deeper than [`MAX_SET_DEPTH`].
+pub(crate) fn put_column(buf: &mut Vec<u8>, column: &Column) -> Result<()> {
     match column {
         Column::Int { values, validity } => {
             put_u8(buf, COL_INT);
             put_validity(buf, validity);
-            put_i64s(buf, values);
+            put_runs_or_plain(buf, values, i64::to_le_bytes);
         }
         Column::Bool { values, validity } => {
             put_u8(buf, COL_BOOL);
@@ -368,15 +354,16 @@ pub(crate) fn put_column(buf: &mut Vec<u8>, column: &Column) {
             for entry in &col.dict {
                 put_str(buf, entry);
             }
-            put_u32s(buf, &col.codes);
+            put_runs_or_plain(buf, &col.codes, u32::to_le_bytes);
         }
         Column::Mixed(values) => {
             put_u8(buf, COL_MIXED);
             for value in values {
-                put_value(buf, value);
+                put_value(buf, value, 0)?;
             }
         }
     }
+    Ok(())
 }
 
 /// Decode one column of `rows` rows.
@@ -384,7 +371,7 @@ pub(crate) fn read_column(r: &mut ByteReader<'_>, rows: usize) -> Result<Column>
     match r.u8()? {
         COL_INT => {
             let validity = read_validity(r, rows)?;
-            let values = read_i64s(r, rows)?;
+            let values = read_runs_or_plain(r, rows, "int", i64::from_le_bytes)?;
             Ok(Column::Int { values, validity })
         }
         COL_BOOL => {
@@ -399,7 +386,7 @@ pub(crate) fn read_column(r: &mut ByteReader<'_>, rows: usize) -> Result<Column>
             for _ in 0..dict_len {
                 dict.push(r.str()?.into());
             }
-            let codes = read_u32s(r, rows)?;
+            let codes = read_runs_or_plain(r, rows, "code", u32::from_le_bytes)?;
             if codes.iter().any(|&c| c as usize >= dict_len.max(1)) {
                 return Err(StorageError::Corrupt {
                     context: "dictionary code out of range".into(),
@@ -414,7 +401,7 @@ pub(crate) fn read_column(r: &mut ByteReader<'_>, rows: usize) -> Result<Column>
         COL_MIXED => {
             let mut values = Vec::with_capacity(r.backed(rows, 1)?);
             for _ in 0..rows {
-                values.push(read_value(r)?);
+                values.push(read_value(r, 0)?);
             }
             Ok(Column::Mixed(values))
         }
@@ -424,13 +411,18 @@ pub(crate) fn read_column(r: &mut ByteReader<'_>, rows: usize) -> Result<Column>
     }
 }
 
-/// Encode a whole chunk (all columns, back to back) into a fresh buffer.
-pub(crate) fn encode_chunk(batch: &ColumnarBatch) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// Encode a whole chunk (all columns, back to back) into `buf`, replacing
+/// its contents. The buffer is grown once, to what the chunk's plain
+/// columns would take (a validity byte and 8 value bytes a row per
+/// column), so a caller that keeps one buffer across chunks allocates only
+/// for the first, and for a later chunk with long strings.
+pub(crate) fn encode_chunk(batch: &ColumnarBatch, buf: &mut Vec<u8>) -> Result<()> {
+    buf.clear();
+    buf.reserve(batch.columns().len() * (16 + 9 * batch.num_rows()));
     for column in batch.columns() {
-        put_column(&mut buf, column);
+        put_column(buf, column)?;
     }
-    buf
+    Ok(())
 }
 
 /// Decode a chunk payload into a batch of `rows` rows over `schema`.
@@ -506,11 +498,213 @@ pub(crate) fn read_zone(r: &mut ByteReader<'_>) -> Result<ColumnZone> {
 mod tests {
     use super::*;
     use div_algebra::relation;
+    use proptest::prelude::*;
+
+    fn encode(batch: &ColumnarBatch) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_chunk(batch, &mut buf).unwrap();
+        buf
+    }
 
     fn round_trip(batch: &ColumnarBatch) {
-        let bytes = encode_chunk(batch);
+        let bytes = encode(batch);
         let back = decode_chunk(&bytes, batch.schema(), batch.num_rows()).unwrap();
         assert_eq!(&back, batch);
+    }
+
+    /// The per-value encoder `encode_chunk` replaced: one `extend_from_slice`
+    /// per value and a run loop that compares each value with its run's
+    /// first. Kept as the oracle the slice-copy encoder must match byte for
+    /// byte.
+    mod per_value {
+        use super::super::*;
+
+        fn run_count<T: PartialEq>(values: &[T]) -> usize {
+            let mut runs = 0;
+            let mut prev: Option<&T> = None;
+            for v in values {
+                if prev != Some(v) {
+                    runs += 1;
+                    prev = Some(v);
+                }
+            }
+            runs
+        }
+
+        fn put_i64s(buf: &mut Vec<u8>, values: &[i64]) {
+            let runs = run_count(values);
+            if runs * 12 < values.len() * 8 {
+                put_u8(buf, ENC_RLE);
+                put_u32(buf, runs as u32);
+                let mut i = 0;
+                while i < values.len() {
+                    let mut j = i + 1;
+                    while j < values.len() && values[j] == values[i] {
+                        j += 1;
+                    }
+                    put_u32(buf, (j - i) as u32);
+                    put_i64(buf, values[i]);
+                    i = j;
+                }
+            } else {
+                put_u8(buf, ENC_PLAIN);
+                for &v in values {
+                    put_i64(buf, v);
+                }
+            }
+        }
+
+        fn put_u32s(buf: &mut Vec<u8>, values: &[u32]) {
+            let runs = run_count(values);
+            if runs * 8 < values.len() * 4 {
+                put_u8(buf, ENC_RLE);
+                put_u32(buf, runs as u32);
+                let mut i = 0;
+                while i < values.len() {
+                    let mut j = i + 1;
+                    while j < values.len() && values[j] == values[i] {
+                        j += 1;
+                    }
+                    put_u32(buf, (j - i) as u32);
+                    put_u32(buf, values[i]);
+                    i = j;
+                }
+            } else {
+                put_u8(buf, ENC_PLAIN);
+                for &v in values {
+                    put_u32(buf, v);
+                }
+            }
+        }
+
+        fn put_value(buf: &mut Vec<u8>, value: &Value) {
+            match value {
+                Value::Null => put_u8(buf, VAL_NULL),
+                Value::Bool(b) => {
+                    put_u8(buf, VAL_BOOL);
+                    put_u8(buf, *b as u8);
+                }
+                Value::Int(i) => {
+                    put_u8(buf, VAL_INT);
+                    put_i64(buf, *i);
+                }
+                Value::Str(s) => {
+                    put_u8(buf, VAL_STR);
+                    put_str(buf, s);
+                }
+                Value::Set(items) => {
+                    put_u8(buf, VAL_SET);
+                    put_u32(buf, items.len() as u32);
+                    for item in items {
+                        put_value(buf, item);
+                    }
+                }
+            }
+        }
+
+        pub(super) fn encode_chunk(batch: &ColumnarBatch) -> Vec<u8> {
+            let mut buf = Vec::new();
+            for column in batch.columns() {
+                match column {
+                    Column::Int { values, validity } => {
+                        put_u8(&mut buf, COL_INT);
+                        put_validity(&mut buf, validity);
+                        put_i64s(&mut buf, values);
+                    }
+                    Column::Bool { values, validity } => {
+                        put_u8(&mut buf, COL_BOOL);
+                        put_validity(&mut buf, validity);
+                        buf.extend(values.iter().map(|&b| b as u8));
+                    }
+                    Column::Str(col) => {
+                        put_u8(&mut buf, COL_STR);
+                        put_validity(&mut buf, &col.validity);
+                        put_u32(&mut buf, col.dict.len() as u32);
+                        for entry in &col.dict {
+                            put_str(&mut buf, entry);
+                        }
+                        put_u32s(&mut buf, &col.codes);
+                    }
+                    Column::Mixed(values) => {
+                        put_u8(&mut buf, COL_MIXED);
+                        for value in values {
+                            put_value(&mut buf, value);
+                        }
+                    }
+                }
+            }
+            buf
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The slice-copy encoder writes the bytes the per-value one did,
+        /// over int, string, bool and mixed columns with and without NULLs.
+        /// The rows are runs of `1..6` equal values, so a column comes out
+        /// plain, run-length encoded or at the tie between the two.
+        #[test]
+        fn encode_chunk_writes_the_per_value_encoders_bytes(
+            runs in prop::collection::vec((-3i64..4, 1usize..6, 0u32..4), 0..40),
+            masked in 0u32..2,
+        ) {
+            let mut values = Vec::new();
+            let mut valid = Vec::new();
+            for &(value, len, null) in &runs {
+                values.extend(std::iter::repeat_n(value, len));
+                valid.extend(std::iter::repeat_n(masked == 0 || null != 0, len));
+            }
+            let rows = values.len();
+            let validity = (masked == 1).then(|| valid.clone());
+            let codes: Vec<u32> = values.iter().map(|&v| (v + 3) as u32).collect();
+            let mixed = values
+                .iter()
+                .zip(&valid)
+                .map(|(&v, &ok)| match (ok, v.rem_euclid(3)) {
+                    (false, _) => Value::Null,
+                    (true, 0) => Value::Int(v),
+                    (true, 1) => Value::str(format!("s{v}")),
+                    (true, _) => Value::set([v, v + 1]),
+                })
+                .collect();
+            let batch = ColumnarBatch::from_parts(
+                Schema::of(["i", "s", "b", "m"]),
+                vec![
+                    Column::Int { values: values.clone(), validity: validity.clone() },
+                    Column::Str(StrColumn {
+                        dict: (-3..4).map(|v| format!("v{v}").into()).collect(),
+                        codes,
+                        validity: validity.clone(),
+                    }),
+                    Column::Bool { values: values.iter().map(|&v| v > 0).collect(), validity },
+                    Column::Mixed(mixed),
+                ],
+                rows,
+            );
+            prop_assert_eq!(encode(&batch), per_value::encode_chunk(&batch));
+        }
+    }
+
+    #[test]
+    fn the_run_length_tie_is_plain_in_both_encoders() {
+        // `runs × 12 == len × 8`: 4 runs over 6 ints is a tie, which stays
+        // plain; one value more is run-length encoded.
+        for values in [vec![1, 1, 2, 3, 3, 4], vec![1, 1, 2, 3, 3, 4, 4]] {
+            let batch = ColumnarBatch::from_parts(
+                Schema::of(["a"]),
+                vec![Column::Int {
+                    values: values.clone(),
+                    validity: None,
+                }],
+                values.len(),
+            );
+            let bytes = encode(&batch);
+            assert_eq!(bytes, per_value::encode_chunk(&batch));
+            let tie = values.len() == 6;
+            assert_eq!(bytes[2], if tie { ENC_PLAIN } else { ENC_RLE });
+            round_trip(&batch);
+        }
     }
 
     #[test]
@@ -539,10 +733,50 @@ mod tests {
         let rows: Vec<Vec<i64>> = (0..512).map(|i| vec![7, i]).collect();
         let rel = div_algebra::Relation::from_rows(["c", "u"], rows).unwrap();
         let batch = ColumnarBatch::from_relation(&rel);
-        let bytes = encode_chunk(&batch);
+        let bytes = encode(&batch);
         // The constant column must collapse to one run: far below the
         // 512 * 8 bytes the plain form would need for each column.
         assert!(bytes.len() < 512 * 8 + 512 * 2);
         round_trip(&batch);
+    }
+
+    /// A value of sets nested `depth` levels deep around an int.
+    fn nested(depth: usize) -> Value {
+        (0..depth).fold(Value::Int(7), |inner, _| {
+            Value::Set(std::collections::BTreeSet::from([inner]))
+        })
+    }
+
+    #[test]
+    fn sets_nest_up_to_the_cap_and_no_deeper() {
+        let column = |depth| {
+            ColumnarBatch::from_parts(
+                Schema::of(["m"]),
+                vec![Column::Mixed(vec![nested(depth)])],
+                1,
+            )
+        };
+        // A set may sit inside MAX_SET_DEPTH others: MAX_SET_DEPTH + 1
+        // levels of sets round-trip, one more is refused by the writer.
+        round_trip(&column(MAX_SET_DEPTH + 1));
+        let mut buf = Vec::new();
+        assert!(matches!(
+            encode_chunk(&column(MAX_SET_DEPTH + 2), &mut buf),
+            Err(StorageError::Schema { .. })
+        ));
+        // The reader refuses the same depth in crafted bytes, and a depth
+        // that would exhaust the stack stops at the cap.
+        for depth in [MAX_SET_DEPTH + 2, 1_000_000] {
+            let mut bytes = vec![COL_MIXED];
+            for _ in 0..depth {
+                bytes.push(VAL_SET);
+                bytes.extend_from_slice(&1u32.to_le_bytes());
+            }
+            bytes.push(VAL_NULL);
+            assert!(matches!(
+                decode_chunk(&bytes, &Schema::of(["m"]), 1),
+                Err(StorageError::Corrupt { .. })
+            ));
+        }
     }
 }

@@ -28,7 +28,7 @@
 //! typed [`StorageError`], which converts into
 //! [`div_expr::ExprError::Storage`] at the engine boundary.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checksum;
@@ -37,8 +37,9 @@ pub mod spill;
 pub mod table;
 
 pub use checksum::crc32;
+pub use codec::MAX_SET_DEPTH;
 pub use spill::{SpillHandle, SpillManager, SpillWriter};
-pub use table::{TableReader, TableScanCursor, TableWriter};
+pub use table::{TableReader, TableScanCursor, TableWriter, MAX_CHUNK_ROWS};
 
 // Zone maps and the default chunk size are shared with the resident
 // segments of in-memory tables, so they live in `div-columnar`.
@@ -82,7 +83,8 @@ pub enum StorageError {
         /// What failed to decode.
         context: String,
     },
-    /// A schema-level misuse (e.g. writing a batch with the wrong schema).
+    /// A batch the table cannot take: its schema is not the table's, or a
+    /// value nests sets deeper than [`MAX_SET_DEPTH`].
     Schema {
         /// Human-readable description.
         reason: String,

@@ -13,7 +13,9 @@
 //! payload, and a per-column zone map ([`ColumnZone`]). The trailing
 //! `len`/`crc`/magic triplet lets a reader locate and validate the footer
 //! from the end of the file without scanning the chunks; the chunk CRCs are
-//! verified lazily, as each chunk is read.
+//! verified lazily, as each chunk is read. A chunk holds at most
+//! [`MAX_CHUNK_ROWS`] rows: the writer splits a larger batch, and the
+//! reader refuses a footer that claims more before decoding anything.
 //!
 //! Any flipped byte anywhere in the file surfaces as a typed
 //! [`StorageError`]: chunk bytes via the chunk CRC, footer bytes via the
@@ -29,12 +31,20 @@ use div_expr::{ChunkScan, ExprError, TableSource};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Leading and trailing file magic (`DIVCOL` + format version digits).
 pub const MAGIC: [u8; 8] = *b"DIVCOL01";
 /// Footer payload version. Since version 2 a file holds a set: its writer
 /// refuses a repeated row, so a file of an earlier version is not read.
 const FORMAT_VERSION: u16 = 2;
+
+/// The most rows one chunk holds. The writer cuts a larger batch into
+/// chunks of at most this many rows, and the reader refuses a footer entry
+/// above it as [`StorageError::Corrupt`]: a run-length column expands to
+/// its chunk's row count from a 12-byte run, so the cap is what bounds the
+/// rows a crafted chunk can make the reader allocate.
+pub const MAX_CHUNK_ROWS: usize = 1 << 16;
 
 fn io_err(context: &str, err: std::io::Error) -> StorageError {
     StorageError::Io {
@@ -76,6 +86,8 @@ pub struct TableWriter {
     /// The rows written so far; `None` when they are distinct by
     /// construction ([`TableWriter::create_unchecked`]).
     written: Option<GroupStore>,
+    /// The encoding buffer, reused by every chunk.
+    payload: Vec<u8>,
 }
 
 impl TableWriter {
@@ -104,6 +116,7 @@ impl TableWriter {
             rows: 0,
             chunks: Vec::new(),
             written: None,
+            payload: Vec::new(),
         })
     }
 
@@ -117,9 +130,13 @@ impl TableWriter {
         self.rows
     }
 
-    /// Append one batch as one chunk. Empty batches are ignored; the batch
-    /// schema must equal the writer's schema, and no row of it may have
-    /// been written before.
+    /// Append one batch as one chunk, or as several of at most
+    /// [`MAX_CHUNK_ROWS`] rows when it is longer. Empty batches are
+    /// ignored; the batch schema must equal the writer's schema, and no row
+    /// of it may have been written before. A refused batch leaves no trace;
+    /// after any other error (an IO failure, a set nested deeper than
+    /// [`MAX_SET_DEPTH`](crate::codec::MAX_SET_DEPTH)) part of it may be
+    /// written, and the file should be abandoned.
     pub fn write_batch(&mut self, batch: &ColumnarBatch) -> Result<()> {
         if batch.schema() != &self.schema {
             return Err(StorageError::Schema {
@@ -130,11 +147,44 @@ impl TableWriter {
                 ),
             });
         }
-        if batch.num_rows() == 0 {
+        let rows = batch.num_rows();
+        if rows > MAX_CHUNK_ROWS {
+            // Refuse a repeat before the first piece is written; each piece
+            // is then new to the rows written before it.
+            self.refuse_repeats(batch)?;
+            for start in (0..rows).step_by(MAX_CHUNK_ROWS) {
+                self.write_batch(&batch.slice(start..rows.min(start + MAX_CHUNK_ROWS)))?;
+            }
             return Ok(());
         }
+        if rows == 0 {
+            return Ok(());
+        }
+        codec::encode_chunk(batch, &mut self.payload)?;
+        self.refuse_repeats(batch)?;
         if let Some(written) = &mut self.written {
-            // Check before interning, so a refused batch leaves no trace.
+            written.intern_chunk(batch);
+        }
+        let zones = batch.columns().iter().map(column_zone).collect();
+        self.chunks.push(ChunkMeta {
+            offset: self.offset,
+            len: self.payload.len() as u64,
+            rows: rows as u32,
+            crc: crc32(&self.payload),
+            zones,
+        });
+        self.file
+            .write_all(&self.payload)
+            .map_err(|e| io_err("write chunk", e))?;
+        self.offset += self.payload.len() as u64;
+        self.rows += rows as u64;
+        Ok(())
+    }
+
+    /// [`StorageError::DuplicateRow`] when `batch` repeats a row of itself
+    /// or of an earlier batch (never, for an unchecked writer).
+    fn refuse_repeats(&self, batch: &ColumnarBatch) -> Result<()> {
+        if let Some(written) = &self.written {
             if batch.dedup().num_rows() < batch.num_rows()
                 || written.lookup_chunk(batch).iter().any(Option::is_some)
             {
@@ -142,22 +192,7 @@ impl TableWriter {
                     context: self.path.display().to_string(),
                 });
             }
-            written.intern_chunk(batch);
         }
-        let payload = codec::encode_chunk(batch);
-        let zones = batch.columns().iter().map(column_zone).collect();
-        self.chunks.push(ChunkMeta {
-            offset: self.offset,
-            len: payload.len() as u64,
-            rows: batch.num_rows() as u32,
-            crc: crc32(&payload),
-            zones,
-        });
-        self.file
-            .write_all(&payload)
-            .map_err(|e| io_err("write chunk", e))?;
-        self.offset += payload.len() as u64;
-        self.rows += batch.num_rows() as u64;
         Ok(())
     }
 
@@ -227,7 +262,8 @@ pub struct TableReader {
     path: PathBuf,
     schema: Schema,
     rows: u64,
-    chunks: Vec<ChunkMeta>,
+    /// The chunk index, shared with every scan of this reader.
+    chunks: Arc<[ChunkMeta]>,
 }
 
 impl TableReader {
@@ -307,6 +343,13 @@ impl TableReader {
             let len = fr.u64()?;
             let chunk_rows = fr.u32()?;
             let crc = fr.u32()?;
+            if chunk_rows as usize > MAX_CHUNK_ROWS {
+                return Err(StorageError::Corrupt {
+                    context: format!(
+                        "{display}: a chunk of {chunk_rows} rows (at most {MAX_CHUNK_ROWS})"
+                    ),
+                });
+            }
             let mut zones = Vec::with_capacity(fr.backed(arity, 1)?);
             for _ in 0..arity {
                 zones.push(codec::read_zone(&mut fr)?);
@@ -334,7 +377,7 @@ impl TableReader {
             path,
             schema,
             rows,
-            chunks,
+            chunks: chunks.into(),
         })
     }
 
@@ -358,16 +401,24 @@ impl TableReader {
         self.chunks.len()
     }
 
-    /// Read, CRC-check and decode chunk `index` through the supplied file
-    /// handle (scans keep their own handle; see [`TableScanCursor`]).
-    fn read_chunk_with(&self, file: &mut File, index: usize) -> Result<ColumnarBatch> {
-        let meta = &self.chunks[index];
+    /// Read chunk `index` (described by `meta`) through the supplied file
+    /// handle into `payload`, CRC-check it and decode it. Scans keep their
+    /// own handle and buffer (see [`TableScanCursor`]): the buffer's
+    /// allocation serves every chunk, and only the bytes by which a chunk
+    /// outgrows the one before it are zero-filled.
+    fn read_chunk(
+        &self,
+        file: &mut File,
+        index: usize,
+        meta: &ChunkMeta,
+        payload: &mut Vec<u8>,
+    ) -> Result<ColumnarBatch> {
         file.seek(SeekFrom::Start(meta.offset))
             .map_err(|e| io_err("seek chunk", e))?;
-        let mut payload = vec![0u8; meta.len as usize];
-        file.read_exact(&mut payload)
+        payload.resize(meta.len as usize, 0);
+        file.read_exact(payload)
             .map_err(|e| io_err("read chunk", e))?;
-        let actual = crc32(&payload);
+        let actual = crc32(payload);
         if actual != meta.crc {
             return Err(StorageError::ChecksumMismatch {
                 context: format!("{}: chunk {index}", self.path.display()),
@@ -375,14 +426,7 @@ impl TableReader {
                 actual,
             });
         }
-        codec::decode_chunk(&payload, &self.schema, meta.rows as usize)
-    }
-
-    /// Read and decode chunk `index` with a one-shot file handle.
-    pub fn read_chunk(&self, index: usize) -> Result<ColumnarBatch> {
-        let mut file = File::open(&self.path)
-            .map_err(|e| io_err(&format!("open {}", self.path.display()), e))?;
-        self.read_chunk_with(&mut file, index)
+        codec::decode_chunk(payload, &self.schema, meta.rows as usize)
     }
 
     /// Open a chunk-at-a-time cursor, optionally skipping chunks whose zone
@@ -395,12 +439,13 @@ impl TableReader {
                 path: self.path.clone(),
                 schema: self.schema.clone(),
                 rows: self.rows,
-                chunks: self.chunks.clone(),
+                chunks: Arc::clone(&self.chunks),
             },
             file,
             predicate: predicate.cloned(),
             next: 0,
             skipped: 0,
+            payload: Vec::new(),
         })
     }
 
@@ -428,22 +473,26 @@ pub struct TableScanCursor {
     predicate: Option<Predicate>,
     next: usize,
     skipped: usize,
+    /// The buffer every chunk is read into, reused across chunks.
+    payload: Vec<u8>,
 }
 
 impl TableScanCursor {
     /// The next chunk that may contain matching rows, or `None` at the end.
     pub fn next_chunk(&mut self) -> Result<Option<ColumnarBatch>> {
-        while self.next < self.reader.chunks.len() {
+        while let Some(meta) = self.reader.chunks.get(self.next) {
             let index = self.next;
             self.next += 1;
             if let Some(predicate) = &self.predicate {
-                let meta = &self.reader.chunks[index];
                 if !chunk_may_match(predicate, &self.reader.schema, &meta.zones) {
                     self.skipped += 1;
                     continue;
                 }
             }
-            return Ok(Some(self.reader.read_chunk_with(&mut self.file, index)?));
+            return self
+                .reader
+                .read_chunk(&mut self.file, index, meta, &mut self.payload)
+                .map(Some);
         }
         Ok(None)
     }
@@ -578,6 +627,51 @@ mod tests {
         let reader = TableReader::open(&path).unwrap();
         assert_eq!(reader.row_count(), 4);
         assert_eq!(reader.to_relation().unwrap().len(), 4);
+    }
+
+    /// A one-column int batch of `values`.
+    fn ints(values: Vec<i64>) -> ColumnarBatch {
+        let rows = values.len();
+        ColumnarBatch::from_parts(
+            Schema::of(["x"]),
+            vec![div_columnar::Column::Int {
+                values,
+                validity: None,
+            }],
+            rows,
+        )
+    }
+
+    #[test]
+    fn a_batch_longer_than_a_chunk_is_split_and_checked_whole() {
+        let path = temp_path("split.divt");
+        let rows = 2 * MAX_CHUNK_ROWS + 5;
+        let mut writer = TableWriter::create(&path, Schema::of(["x"])).unwrap();
+        // A repeat in the last piece refuses the whole batch up front.
+        let mut repeating: Vec<i64> = (0..rows as i64).collect();
+        repeating[rows - 1] = 0;
+        assert!(matches!(
+            writer.write_batch(&ints(repeating)),
+            Err(StorageError::DuplicateRow { .. })
+        ));
+        assert_eq!(writer.rows(), 0);
+        let batch = ints((0..rows as i64).collect());
+        writer.write_batch(&batch).unwrap();
+        writer.finish().unwrap();
+        let reader = TableReader::open(&path).unwrap();
+        assert_eq!(reader.chunk_count(), 3);
+        assert_eq!(reader.row_count(), rows);
+        let mut cursor = reader.scan(None).unwrap();
+        let mut chunks = Vec::new();
+        while let Some(chunk) = cursor.next_chunk().unwrap() {
+            chunks.push(chunk);
+        }
+        let sizes: Vec<usize> = chunks.iter().map(ColumnarBatch::num_rows).collect();
+        assert_eq!(sizes, vec![MAX_CHUNK_ROWS, MAX_CHUNK_ROWS, 5]);
+        assert_eq!(
+            div_columnar::partition::concat_batches(&chunks).unwrap(),
+            batch
+        );
     }
 
     #[test]

@@ -17,7 +17,13 @@
 //!   tag, validity flag, encoding tag, run count, dictionary length) to 0,
 //!   1, its maximum and its true value ± 1, recomputes the chunk and footer
 //!   CRCs, and requires `open` plus a full drain to return either the
-//!   footer's row count or a typed error — never a panic or an abort.
+//!   footer's row count or a typed error — never a panic or an abort. The
+//!   mutated fields include every run length of a run-length column. Two
+//!   crafts need more than one field or more bytes, so they are assembled
+//!   whole: a one-run column claiming up to `u32::MAX` rows (refused above
+//!   [`MAX_CHUNK_ROWS`] before anything is decoded), and sets nested past
+//!   [`MAX_SET_DEPTH`], a million levels deep included (refused at the cap,
+//!   not by exhausting the stack).
 //! * **Format pin** — a fixed relation is written to the same bytes as by
 //!   every earlier build of format version 2 (length and whole-file CRC,
 //!   computed bit by bit here), so files written before still open.
@@ -26,7 +32,7 @@
 //!   matching rows.
 
 use div_algebra::{relation, CompareOp, Predicate, Relation, Value};
-use div_storage::{crc32, StorageError, TableReader, TableWriter};
+use div_storage::{crc32, StorageError, TableReader, TableWriter, MAX_CHUNK_ROWS, MAX_SET_DEPTH};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -271,7 +277,10 @@ fn file_fields(file: &[u8]) -> (Vec<Field>, Vec<Extent>, std::ops::Range<usize>)
                 w.pos += rows * width;
             } else {
                 let runs = w.field(name("run count"), 4, chunk) as usize;
-                w.pos += runs * run_width;
+                for run in 0..runs {
+                    w.field(name(&format!("run {run} length")), 4, chunk);
+                    w.pos += run_width - 4;
+                }
             }
         }
         assert_eq!(w.pos, extent.end, "the walk covers chunk {c}");
@@ -318,6 +327,7 @@ fn crafted_counts_and_tags_are_typed_errors_never_aborts() {
     let (fields, chunks, footer) = file_fields(&pristine);
     for what in [
         "run count",
+        "run 0 length",
         "dictionary length",
         "validity flag",
         "encoding tag",
@@ -371,6 +381,120 @@ fn crafted_counts_and_tags_are_typed_errors_never_aborts() {
         }
     }
     assert!(rejected > 0, "the sweep must reject something");
+}
+
+/// A whole file of one column `m` whose zones are all empty, assembled
+/// byte by byte: header magic, the chunk payloads, the footer (version,
+/// schema, total rows, each chunk's offset, length, rows, CRC and zone tag)
+/// and the trailer. `chunks` are `(rows, payload)` pairs.
+fn assemble(chunks: &[(u32, Vec<u8>)]) -> Vec<u8> {
+    let mut file = b"DIVCOL01".to_vec();
+    let mut footer = Vec::new();
+    footer.extend_from_slice(&2u16.to_le_bytes());
+    footer.extend_from_slice(&1u32.to_le_bytes());
+    footer.extend_from_slice(&1u32.to_le_bytes());
+    footer.push(b'm');
+    let total: u64 = chunks.iter().map(|&(rows, _)| rows as u64).sum();
+    footer.extend_from_slice(&total.to_le_bytes());
+    footer.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+    for (rows, payload) in chunks {
+        footer.extend_from_slice(&(file.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        footer.extend_from_slice(&rows.to_le_bytes());
+        footer.extend_from_slice(&crc32(payload).to_le_bytes());
+        footer.push(0);
+        file.extend_from_slice(payload);
+    }
+    file.extend_from_slice(&footer);
+    file.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+    file.extend_from_slice(&crc32(&footer).to_le_bytes());
+    file.extend_from_slice(b"DIVCOL01");
+    file
+}
+
+/// A `Mixed` column payload of one value: sets nested `depth` levels deep
+/// around a NULL.
+fn nested_sets(depth: usize) -> Vec<u8> {
+    let mut payload = vec![3];
+    for _ in 0..depth {
+        payload.push(4);
+        payload.extend_from_slice(&1u32.to_le_bytes());
+    }
+    payload.push(0);
+    payload
+}
+
+#[test]
+fn crafted_row_counts_and_nesting_stop_at_the_caps() {
+    let path = temp_path("craft");
+    let _cleanup = RemoveOnDrop(path.clone());
+    let drain_bytes = |file: &[u8]| {
+        std::fs::write(&path, file).unwrap();
+        std::panic::catch_unwind(|| drain(&path)).expect("the reader panicked")
+    };
+
+    // The assembler writes what the writer does (a bool column has no
+    // zone), so the crafts below differ from a real file only where meant.
+    let bools = relation! { ["m"] => [true], [false] };
+    TableWriter::write_relation(&path, &bools, 1).unwrap();
+    let written = std::fs::read(&path).unwrap();
+    assert_eq!(
+        assemble(&[(1, vec![1, 0, 0]), (1, vec![1, 0, 1])]),
+        written,
+        "the assembler matches the writer"
+    );
+
+    // One 12-byte run claiming `rows` rows of an int column.
+    let one_run = |rows: u32| {
+        let mut payload = vec![0, 0, 1];
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&rows.to_le_bytes());
+        payload.extend_from_slice(&7i64.to_le_bytes());
+        assemble(&[(rows, payload)])
+    };
+    let cap = MAX_CHUNK_ROWS as u32;
+    assert_eq!(drain_bytes(&one_run(cap)), Ok((cap as usize, cap as usize)));
+    for rows in [cap + 1, u32::MAX] {
+        assert!(
+            matches!(
+                drain_bytes(&one_run(rows)),
+                Err(StorageError::Corrupt { .. })
+            ),
+            "a chunk of {rows} rows is refused"
+        );
+    }
+
+    // A set may sit inside MAX_SET_DEPTH others, and no deeper.
+    let deep = |depth| assemble(&[(1, nested_sets(depth))]);
+    assert_eq!(drain_bytes(&deep(MAX_SET_DEPTH + 1)), Ok((1, 1)));
+    for depth in [MAX_SET_DEPTH + 2, 1_000_000] {
+        assert!(
+            matches!(drain_bytes(&deep(depth)), Err(StorageError::Corrupt { .. })),
+            "sets nested {depth} deep are refused"
+        );
+    }
+}
+
+#[test]
+fn the_writer_refuses_sets_nested_past_the_cap() {
+    let path = temp_path("nest");
+    let _cleanup = RemoveOnDrop(path.clone());
+    let nested = |depth: usize| {
+        (0..depth).fold(Value::Int(1), |inner, _| {
+            Value::Set(std::collections::BTreeSet::from([inner]))
+        })
+    };
+    let relation = |depth| Relation::from_rows(["m"], vec![vec![nested(depth)]]).unwrap();
+    let fits = relation(MAX_SET_DEPTH + 1);
+    TableWriter::write_relation(&path, &fits, 4).unwrap();
+    assert_eq!(
+        TableReader::open(&path).unwrap().to_relation().unwrap(),
+        fits
+    );
+    assert!(matches!(
+        TableWriter::write_relation(&path, &relation(MAX_SET_DEPTH + 2), 4),
+        Err(StorageError::Schema { .. })
+    ));
 }
 
 /// CRC-32/IEEE by its definition, one bit at a time, independent of the
