@@ -28,8 +28,7 @@
 
 use crate::batch::ColumnarBatch;
 use crate::column::Column;
-use crate::kernels::divide::FrozenConsume;
-use crate::stream::GroupStore;
+use crate::stream::{FrozenConsume, GroupStore};
 use crate::Result;
 use div_algebra::{AggregateCall, AggregateFunction, Schema, Value};
 
@@ -236,7 +235,7 @@ impl AccState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::great_divide::tests::{batch_of, key_value};
+    use crate::kernels::test_rows::{batch_of, key_value};
     use div_algebra::{relation, AlgebraError, Relation};
     use proptest::prelude::*;
 

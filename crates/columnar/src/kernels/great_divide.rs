@@ -1,36 +1,42 @@
-//! Batch-native great divide (`÷*`) on the vectorized key pipeline.
+//! Batch-native division (`÷` and `÷*`) on the vectorized key pipeline.
 //!
-//! Counting formulation: give every distinct shared `B`-value a dense id,
-//! group the divisor by its `C` attributes into id-sets, invert that into a
-//! `B-id -> divisor groups` index, then stream the dividend once — each
-//! dividend row bumps a counter for every divisor group its `B`-value belongs
-//! to. A `(dividend group, divisor group)` pair qualifies exactly when its
-//! counter reaches the divisor group's size. Work is proportional to
-//! `|dividend| * avg(groups per B-value)` instead of the pairwise
-//! `|A-groups| * |C-groups|` subset tests of the row algorithms. There is
-//! one implementation, [`StreamingGreatDivide`], which takes the dividend
-//! chunk by chunk; [`hash_great_divide`] is that kernel fed the whole
-//! dividend as its only chunk.
+//! Counting formulation (Graefe & Cole 1995 for the small divide, Rantzau
+//! et al. 2003 for the great divide): give every distinct shared `B`-value
+//! a dense id, group the divisor by its `C` attributes into id-sets, invert
+//! that into a `B-id -> divisor groups` index, then stream the dividend
+//! once — each dividend row bumps a counter for every divisor group its
+//! `B`-value belongs to. A `(dividend group, divisor group)` pair qualifies
+//! exactly when its counter reaches the divisor group's size. Work is
+//! proportional to `|dividend| * avg(groups per B-value)` instead of the
+//! pairwise `|A-groups| * |C-groups|` subset tests of the row algorithms.
 //!
-//! All grouping runs over [`KeyVector`] codes in open-addressing tables;
-//! the `(A, C)` counters pack the dense ids into injective `u64` codes
-//! consumed by a [`PairTable`], so the dividend stream allocates nothing per
-//! row.
+//! The small divide is the great divide with no group attributes `C`
+//! (Darwen & Date): one divisor group, the whole divisor — even an empty
+//! one, which every dividend group covers vacuously. There is one
+//! implementation, [`StreamingGreatDivide`], which takes the dividend chunk
+//! by chunk and serves both operators; [`hash_great_divide`] and
+//! [`hash_divide`](crate::kernels::hash_divide) are that kernel fed the
+//! whole deduplicated dividend as its only chunk.
+//!
+//! All grouping runs over [`KeyVector`] codes in open-addressing tables, so
+//! the dividend stream allocates nothing per row. With at most one divisor
+//! group the counters are one `u32` cell per dividend group; otherwise the
+//! `(A, C)` pairs pack their dense ids into injective `u64` codes consumed
+//! by a [`PairTable`].
 //!
 //! Set inputs: a counter counts every dividend row it is shown, and a group
 //! size every divisor row, so a repeated `(A, B)` or `(B, C)` pair would
 //! inflate them. [`StreamingGreatDivide`] trusts both inputs to be sets —
 //! every stream of the executor is duplicate-free, which debug builds assert
 //! at every operator's emit, and the dividend's attributes are exactly `A ∪
-//! B`, the divisor's exactly `B ∪ C`. [`hash_great_divide`] takes any batches
-//! through the public API, so it deduplicates both at the wrapper.
+//! B`, the divisor's exactly `B ∪ C`. The one-shot wrappers take any
+//! batches through the public API, so they deduplicate both.
 
 use crate::batch::ColumnarBatch;
 use crate::hash_table::{index_rows_tracked, GroupIndex, PairTable};
-use crate::kernels::divide::{DivideLayout, FrozenConsume, StreamingDivide};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
-use crate::stream::GroupStore;
+use crate::stream::{FrozenConsume, GroupStore};
 use crate::Result;
 use div_algebra::Schema;
 
@@ -49,36 +55,29 @@ pub fn hash_great_divide(
     })
 }
 
-/// Great divide with a prebuilt divisor and a *streamed* dividend — the
-/// counting formulation with its dividend pass cut into chunks. The
-/// divisor-side indexes (`B` ids, `C` groups, the inverted
-/// `B → groups` lists) are built once at construction; every
-/// [`StreamingGreatDivide::consume`] call folds one dividend chunk into the
-/// id-based `(A, C)` coverage counters, which survive across chunks because
-/// they key on dense ids rather than rows. Like [`StreamingDivide`], the
-/// output is emitted only by [`StreamingGreatDivide::finish`], and the
-/// dividend-group set can be frozen
-/// ([`StreamingGreatDivide::consume_frozen`]) so that only rows of resident
-/// groups are counted and the rest are handed back.
+/// Division with a prebuilt divisor and a *streamed* dividend — the
+/// counting formulation with its dividend pass cut into chunks, behind both
+/// `÷` and `÷*` of `div_physical::stream`. The divisor-side indexes (`B`
+/// ids, `C` groups, the inverted `B → groups` lists) are built once at
+/// construction; every [`StreamingGreatDivide::consume`] call folds one
+/// dividend chunk into the id-based `(A, C)` coverage counters, which
+/// survive across chunks because they key on dense ids rather than rows.
+/// Retained state is one representative row per dividend group plus its
+/// counters, so memory is bounded by the group count, not the dividend
+/// size. The quotient is only known once the whole dividend has been
+/// consumed: [`StreamingGreatDivide::finish`] emits it, making the
+/// operator's *output* (but not its input) a blocking boundary.
 ///
-/// With no group attributes `C` the operator *is* the small divide (Darwen
-/// & Date), and this type transparently degrades to [`StreamingDivide`].
+/// When even the group set is too much to keep, the state can be *frozen*:
+/// [`StreamingGreatDivide::consume_frozen`] keeps counting the rows of the
+/// groups it holds and hands the others back, so a caller can divide those
+/// elsewhere — quotient partitioning with one partition resident.
 ///
 /// Precondition: the divisor and the dividend chunks taken together are
 /// sets — no row is shown twice, within a chunk or across chunks (see the
 /// module docs).
 #[derive(Debug)]
-pub enum StreamingGreatDivide {
-    /// Degenerate form: the divisor has no `C` attributes.
-    Small(Box<StreamingDivide>),
-    /// The counting great divide proper.
-    Great(Box<GreatDivideState>),
-}
-
-/// Cross-chunk state of the counting great divide (see
-/// [`StreamingGreatDivide`]).
-#[derive(Debug)]
-pub struct GreatDivideState {
+pub struct StreamingGreatDivide {
     divisor: ColumnarBatch,
     dividend_b: Vec<usize>,
     divisor_b: Vec<usize>,
@@ -90,31 +89,50 @@ pub struct GreatDivideState {
     c_size: Vec<u32>,
     groups_of_b: Vec<Vec<u32>>,
     a_store: GroupStore,
-    counters: PairTable,
-    counter_pairs: Vec<(u32, u32)>,
+    /// The `(A group, C group)` coverage counters. With at most one divisor
+    /// group (`pairs` is `None`) every dividend group has its cells,
+    /// `a_gid × groups + c_gid`, from its interning on; otherwise there is a
+    /// cell per pair met, slotted in first-occurrence order.
     counts: Vec<u32>,
+    pairs: Option<(PairTable, Vec<(u32, u32)>)>,
 }
 
 impl StreamingGreatDivide {
-    /// Prepare a great divide of chunks carrying `dividend_schema` by the
-    /// fully materialized `divisor`.
+    /// Prepare a division of chunks carrying `dividend_schema` by the fully
+    /// materialized `divisor`: the great divide, which is the small divide
+    /// when the divisor has no attributes of its own.
     pub fn new(dividend_schema: &Schema, divisor: ColumnarBatch) -> Result<StreamingGreatDivide> {
         let partition = dividend_schema.great_divide_partition(divisor.schema())?;
-        if partition.group.is_empty() {
-            return Ok(StreamingGreatDivide::Small(Box::new(StreamingDivide::new(
-                dividend_schema,
-                divisor,
-            )?)));
+        // The partition as column indices: `A` in dividend order, `B` in the
+        // partition's order on both sides.
+        fn names(names: &[String]) -> Vec<&str> {
+            names.iter().map(String::as_str).collect()
         }
-        let layout = DivideLayout::new(&partition, dividend_schema, divisor.schema())?;
+        let (a, b) = (names(&partition.quotient), names(&partition.shared));
+        let dividend_b = dividend_schema.projection_indices(&b)?;
+        let divisor_b = divisor.schema().projection_indices(&b)?;
+        let divisor_c = divisor
+            .schema()
+            .projection_indices(&names(&partition.group))?;
+        let a_store = GroupStore::new(
+            dividend_schema.project(&a)?,
+            dividend_schema.projection_indices(&a)?,
+        );
 
         // Divisor-side prep: dense ids for the distinct `B` values and `C`
         // groups, sizes, and the inverted `B id -> divisor group ids` lists.
-        let divisor_b_keys = KeyVector::build(&divisor, &layout.divisor_b);
-        let c_keys = KeyVector::build(&divisor, &layout.divisor_c);
-        let (b_ids, b_of) = index_rows_tracked(&divisor, &layout.divisor_b, &divisor_b_keys);
-        let (c_groups, c_of) = index_rows_tracked(&divisor, &layout.divisor_c, &c_keys);
-        let mut c_size = vec![0u32; c_groups.len()];
+        let divisor_b_keys = KeyVector::build(&divisor, &divisor_b);
+        let c_keys = KeyVector::build(&divisor, &divisor_c);
+        let (b_ids, b_of) = index_rows_tracked(&divisor, &divisor_b, &divisor_b_keys);
+        let (c_groups, c_of) = index_rows_tracked(&divisor, &divisor_c, &c_keys);
+        // With no `C` the whole divisor is one group, even when it is empty:
+        // every dividend group then covers it vacuously.
+        let groups = if divisor_c.is_empty() {
+            1
+        } else {
+            c_groups.len()
+        };
+        let mut c_size = vec![0u32; groups];
         let mut groups_of_b: Vec<Vec<u32>> = vec![Vec::new(); b_ids.len()];
         for (&b_id, &c_gid) in b_of.iter().zip(&c_of) {
             // The divisor is a set over `B ∪ C`: every row is a new
@@ -122,80 +140,59 @@ impl StreamingGreatDivide {
             c_size[c_gid as usize] += 1;
             groups_of_b[b_id as usize].push(c_gid);
         }
-        Ok(StreamingGreatDivide::Great(Box::new(GreatDivideState {
+        let pairs = (groups > 1).then(|| (PairTable::with_capacity(0), Vec::new()));
+        Ok(StreamingGreatDivide {
             divisor,
-            dividend_b: layout.dividend_b,
-            divisor_b: layout.divisor_b,
-            divisor_c: layout.divisor_c,
+            dividend_b,
+            divisor_b,
+            divisor_c,
             out_schema: partition.output(),
             divisor_b_keys,
             b_ids,
             c_groups,
             c_size,
             groups_of_b,
-            a_store: GroupStore::new(layout.key_schema, layout.dividend_a),
-            counters: PairTable::with_capacity(0),
-            counter_pairs: Vec::new(),
+            a_store,
             counts: Vec::new(),
-        })))
+            pairs,
+        })
     }
 
     /// Fold one dividend chunk into the coverage counters. Returns the
-    /// probes performed (one per chunk row).
+    /// probes performed: one per chunk row, or none for an empty divisor.
     pub fn consume(&mut self, chunk: &ColumnarBatch) -> usize {
-        match self {
-            StreamingGreatDivide::Small(divide) => divide.consume(chunk),
-            StreamingGreatDivide::Great(state) => state.consume(chunk),
-        }
-    }
-
-    /// [`StreamingGreatDivide::consume`] with the group set frozen (see
-    /// [`StreamingDivide::consume_frozen`]): rows of dividend groups seen
-    /// before are counted, rows of unseen groups are handed back as
-    /// [`FrozenConsume::leftover`] and no group is added.
-    pub fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> FrozenConsume {
-        match self {
-            StreamingGreatDivide::Small(divide) => divide.consume_frozen(chunk),
-            StreamingGreatDivide::Great(state) => state.consume_frozen(chunk),
-        }
-    }
-
-    /// Number of dividend groups retained so far.
-    pub fn groups(&self) -> usize {
-        match self {
-            StreamingGreatDivide::Small(divide) => divide.groups(),
-            StreamingGreatDivide::Great(state) => state.a_store.len(),
-        }
-    }
-
-    /// Emit the quotient pairs `(A group, C group)` whose counters reached
-    /// the group size.
-    pub fn finish(self) -> ColumnarBatch {
-        match self {
-            StreamingGreatDivide::Small(divide) => divide.finish(),
-            StreamingGreatDivide::Great(state) => state.finish(),
-        }
-    }
-}
-
-impl GreatDivideState {
-    fn consume(&mut self, chunk: &ColumnarBatch) -> usize {
         let interned = self.a_store.intern_chunk(chunk);
-        self.count(chunk, |row| Some(interned.gids[row]));
-        chunk.num_rows()
+        if self.pairs.is_none() {
+            self.counts
+                .resize(self.a_store.len() * self.c_size.len(), 0);
+        }
+        self.count(chunk, |row| Some(interned.gids[row]))
     }
 
-    /// The frozen counterpart of `consume`: only rows of groups already in
-    /// `a_store` are counted; the rest are reported back untouched.
-    fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> FrozenConsume {
+    /// [`StreamingGreatDivide::consume`] with the group set *frozen*: rows
+    /// of dividend groups seen before are counted as usual, rows of unseen
+    /// groups are handed back as [`FrozenConsume::leftover`] and no group is
+    /// added. This is the resident half of quotient partitioning (Law 2):
+    /// every group this state holds stays complete as long as it is shown
+    /// the whole dividend, while the leftover rows — key-disjoint from every
+    /// resident group — can be divided elsewhere and the two quotients
+    /// unioned.
+    pub fn consume_frozen(&mut self, chunk: &ColumnarBatch) -> FrozenConsume {
         let found = self.a_store.lookup_chunk(chunk);
-        self.count(chunk, |row| found[row]);
-        FrozenConsume::of(&found)
+        let probes = self.count(chunk, |row| found[row]);
+        FrozenConsume {
+            probes,
+            ..FrozenConsume::of(&found)
+        }
     }
 
     /// Bump the `(A, C)` coverage counters for every chunk row `gid_of`
-    /// assigns to a dividend group.
-    fn count(&mut self, chunk: &ColumnarBatch, gid_of: impl Fn(usize) -> Option<u32>) {
+    /// assigns to a dividend group. Returns the probes: one per such row,
+    /// none for an empty divisor, which has nothing to look up.
+    fn count(&mut self, chunk: &ColumnarBatch, gid_of: impl Fn(usize) -> Option<u32>) -> usize {
+        if self.b_ids.is_empty() {
+            return 0;
+        }
         let b_keys = KeyVector::build(chunk, &self.dividend_b);
         let same_b = cross_matcher(
             chunk,
@@ -205,49 +202,74 @@ impl GreatDivideState {
             &self.divisor_b,
             &self.divisor_b_keys,
         );
+        let mut probes = 0;
         for row in 0..chunk.num_rows() {
             let Some(a_gid) = gid_of(row) else { continue };
+            probes += 1;
             let b_id = self.b_ids.get(b_keys.code(row), |other| same_b(row, other));
             // The dividend is a set over `A ∪ B`: each row is a new (A, B)
             // pair and counts once.
             let Some(b_id) = b_id else { continue };
             for &c_gid in &self.groups_of_b[b_id as usize] {
-                let (slot, is_new) = self.counters.intern(a_gid, c_gid);
-                if is_new {
-                    self.counter_pairs.push((a_gid, c_gid));
-                    self.counts.push(0);
-                }
-                self.counts[slot as usize] += 1;
+                let cell = match &mut self.pairs {
+                    None => a_gid as usize * self.c_size.len() + c_gid as usize,
+                    Some((slots, pairs)) => {
+                        let (slot, is_new) = slots.intern(a_gid, c_gid);
+                        if is_new {
+                            pairs.push((a_gid, c_gid));
+                            self.counts.push(0);
+                        }
+                        slot as usize
+                    }
+                };
+                self.counts[cell] += 1;
             }
         }
+        probes
     }
 
-    fn finish(self) -> ColumnarBatch {
-        let mut qualifying: Vec<(u32, u32)> = self
-            .counter_pairs
-            .iter()
-            .zip(&self.counts)
-            .filter_map(|(&(a_gid, c_gid), &count)| {
-                (count == self.c_size[c_gid as usize]).then_some((a_gid, c_gid))
-            })
-            .collect();
-        qualifying.sort_unstable();
+    /// Number of dividend groups retained so far.
+    pub fn groups(&self) -> usize {
+        self.a_store.len()
+    }
 
+    /// Emit the quotient: the pairs `(A group, C group)` whose counters
+    /// reached the divisor group's size, in group-id order.
+    pub fn finish(self) -> ColumnarBatch {
+        let groups = self.c_size.len();
+        let pairs = match self.pairs {
+            None => (0..self.counts.len())
+                .map(|cell| ((cell / groups) as u32, (cell % groups) as u32))
+                .collect(),
+            Some((_, pairs)) => pairs,
+        };
+        let mut qualifying: Vec<(u32, u32)> = pairs
+            .into_iter()
+            .zip(&self.counts)
+            .filter(|&((_, c_gid), &count)| count == self.c_size[c_gid as usize])
+            .map(|(pair, _)| pair)
+            .collect();
+        // Group-id order; the dense cells are laid out in it already.
+        qualifying.sort_unstable();
         let representatives = self.a_store.rows();
         let dividend_rows: Vec<usize> = qualifying
             .iter()
             .map(|&(a_gid, _)| a_gid as usize)
             .collect();
-        let divisor_group_rows: Vec<usize> = qualifying
-            .iter()
-            .map(|&(_, c_gid)| self.c_groups.first_row(c_gid))
-            .collect();
         let mut columns = Vec::with_capacity(self.out_schema.arity());
         for c in 0..representatives.schema().arity() {
             columns.push(representatives.column(c).gather(&dividend_rows));
         }
-        for &c in &self.divisor_c {
-            columns.push(self.divisor.column(c).gather(&divisor_group_rows));
+        // Only a divisor with `C` has group rows to gather: the one group of
+        // an empty divisor has none.
+        if !self.divisor_c.is_empty() {
+            let divisor_group_rows: Vec<usize> = qualifying
+                .iter()
+                .map(|&(_, c_gid)| self.c_groups.first_row(c_gid))
+                .collect();
+            for &c in &self.divisor_c {
+                columns.push(self.divisor.column(c).gather(&divisor_group_rows));
+            }
         }
         let out_rows = qualifying.len();
         ColumnarBatch::from_parts(self.out_schema, columns, out_rows)
@@ -255,10 +277,9 @@ impl GreatDivideState {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use crate::kernels::divide::tests::chunks_of;
-    use crate::Column;
+    use crate::kernels::test_rows::{batch_of, chunks_of, key_value};
     use div_algebra::{relation, Relation, Value};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -346,28 +367,6 @@ pub(crate) mod tests {
         let dividend = ColumnarBatch::from_relation(&relation! { ["a", "b"] => [1, 1] });
         let disjoint = ColumnarBatch::from_relation(&relation! { ["x", "y"] => [1, 1] });
         assert!(hash_great_divide(&dividend, &disjoint).is_err());
-    }
-
-    /// A batch straight from values (NULLs included), each column's
-    /// representation picked by [`Column::from_values`] — so one chunk's
-    /// column may be typed where the next one's is not.
-    pub(crate) fn batch_of(names: &[&str], rows: &[Vec<Value>]) -> ColumnarBatch {
-        let columns = (0..names.len())
-            .map(|c| Column::from_values(rows.iter().map(|row| &row[c]).collect::<Vec<_>>()))
-            .collect();
-        ColumnarBatch::from_parts(Schema::of(names.iter().copied()), columns, rows.len())
-    }
-
-    /// `0` is NULL; everything else an int or — `strings` — a dictionary
-    /// string, so key codes are inexact and matches are verified.
-    pub(crate) fn key_value(v: u32, strings: bool) -> Value {
-        match (v, strings) {
-            (0, _) => Value::Null,
-            (v, false) => Value::Int(i64::from(v)),
-            (v, true) => {
-                Value::str(["", "ann", "bob", "cy", "dee", "eve", "fay", "gus"][v as usize])
-            }
-        }
     }
 
     proptest! {
@@ -461,7 +460,9 @@ pub(crate) mod tests {
 
     #[test]
     fn streaming_great_divide_matches_the_one_shot_kernel() {
-        let cases: Vec<(Relation, Relation)> = vec![
+        // (dividend, divisor, probes): one probe per dividend row, none
+        // for an empty divisor.
+        let cases: Vec<(Relation, Relation, usize)> = vec![
             (
                 relation! {
                     ["a", "b"] =>
@@ -470,19 +471,34 @@ pub(crate) mod tests {
                     [3, 1], [3, 3], [3, 4],
                 },
                 relation! { ["b", "c"] => [1, 1], [2, 1], [4, 1], [1, 2], [3, 2] },
+                9,
             ),
             // Degenerate divisor (no C attributes): the small divide.
             (
                 relation! { ["a", "b"] => [1, 1], [1, 2], [2, 1] },
                 relation! { ["b"] => [1], [2] },
+                3,
             ),
-            // Empty divisor.
+            // One divisor group with C: the dense counters.
+            (
+                relation! { ["a", "b"] => [1, 1], [1, 2], [2, 2], [3, 3] },
+                relation! { ["b", "c"] => [1, 5], [2, 5] },
+                4,
+            ),
+            // Empty divisor with C: no groups, an empty quotient.
             (
                 relation! { ["a", "b"] => [1, 1] },
                 Relation::empty(div_algebra::Schema::of(["b", "c"])),
+                0,
+            ),
+            // Empty divisor without C: one empty group, every `a` qualifies.
+            (
+                relation! { ["a", "b"] => [1, 1], [2, 2] },
+                Relation::empty(div_algebra::Schema::of(["b"])),
+                0,
             ),
         ];
-        for (dividend, divisor) in cases {
+        for (dividend, divisor, probes) in cases {
             // The one-shot kernel is the streaming one fed a single chunk,
             // so both are held against the reference, not each other.
             let expected = dividend.great_divide(&divisor).unwrap();
@@ -490,6 +506,7 @@ pub(crate) mod tests {
             let divisor = ColumnarBatch::from_relation(&divisor);
             let whole = hash_great_divide(&dividend, &divisor).unwrap();
             assert_eq!(whole.batch.to_relation().unwrap(), expected);
+            assert_eq!(whole.probes, probes);
             assert_eq!(
                 dividend
                     .schema()
@@ -501,11 +518,11 @@ pub(crate) mod tests {
             for chunk_size in [1, 3, 100] {
                 let mut streaming =
                     StreamingGreatDivide::new(dividend.schema(), divisor.clone()).unwrap();
-                let probes: usize = chunks_of(&dividend, chunk_size)
+                let streamed: usize = chunks_of(&dividend, chunk_size)
                     .iter()
                     .map(|chunk| streaming.consume(chunk))
                     .sum();
-                assert_eq!(probes, whole.probes, "chunking changes no probe count");
+                assert_eq!(streamed, probes, "chunking changes no probe count");
                 assert_eq!(
                     streaming.finish().to_relation().unwrap(),
                     expected,

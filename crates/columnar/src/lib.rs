@@ -20,13 +20,13 @@
 //!   dictionary entry), projection with set-semantics deduplication,
 //!   hash natural/semi/anti joins (a semi/anti join on every attribute is
 //!   intersection/difference), bounded Cartesian-product slices (a
-//!   theta-join is a filtered slice), hash aggregation, and the two division
-//!   operators — a Graefe-style bitmap hash divide
-//!   ([`kernels::StreamingDivide`]) and a counting great divide
-//!   ([`kernels::StreamingGreatDivide`]), each consuming its dividend chunk
-//!   by chunk, with [`kernels::hash_divide`] / [`kernels::hash_great_divide`]
-//!   the same kernels fed one chunk — all working on column slices with a
-//!   primitive `i64` fast path;
+//!   theta-join is a filtered slice), hash aggregation, and one counting
+//!   division kernel for both division operators
+//!   ([`kernels::StreamingGreatDivide`]; the small divide is its case with
+//!   one divisor group) consuming its dividend chunk by chunk, with
+//!   [`kernels::hash_divide`] / [`kernels::hash_great_divide`] that kernel
+//!   fed one chunk — all working on column slices with a primitive `i64`
+//!   fast path;
 //! * [`segment`] / [`zone`] — the resident columnar form of an in-memory
 //!   table ([`TableSegments`]: 1024-row chunks converted once and shared
 //!   by every scan, each with per-column min/max [`ColumnZone`]s) and the
@@ -86,7 +86,7 @@ pub use column::{Column, StrColumn};
 pub use hash_table::{GroupIndex, KeyTable};
 pub use key_vector::KeyVector;
 pub use segment::{Segment, TableSegments, DEFAULT_CHUNK_ROWS};
-pub use stream::{GroupStore, StreamingDistinct};
+pub use stream::{FrozenConsume, GroupStore, StreamingDistinct};
 pub use zone::{chunk_may_match, column_zone, ColumnZone};
 
 /// Result alias: columnar kernels report the same errors as the reference

@@ -199,6 +199,35 @@ impl GroupStore {
     }
 }
 
+/// What a frozen consume did with one chunk: the grouped states
+/// ([`StreamingGreatDivide::consume_frozen`](crate::kernels::StreamingGreatDivide::consume_frozen),
+/// [`StreamingAggregate::consume_frozen`](crate::kernels::StreamingAggregate::consume_frozen))
+/// fold in the rows [`GroupStore::lookup_chunk`] resolves and hand the rest
+/// back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrozenConsume {
+    /// Probes performed: one per row that was consumed (with the same
+    /// empty-divisor exception as the unfrozen consume).
+    pub probes: usize,
+    /// The chunk rows that were *not* consumed — their grouping value
+    /// belongs to no resident group — in chunk order.
+    pub leftover: Vec<usize>,
+}
+
+impl FrozenConsume {
+    /// From a chunk-wise group lookup: rows that resolved to a group were
+    /// consumed (one probe each), the others are left over.
+    pub(crate) fn of(found: &[Option<u32>]) -> FrozenConsume {
+        let leftover: Vec<usize> = (0..found.len())
+            .filter(|&row| found[row].is_none())
+            .collect();
+        FrozenConsume {
+            probes: found.len() - leftover.len(),
+            leftover,
+        }
+    }
+}
+
 /// Streaming set-semantics deduplication over whole rows.
 ///
 /// Feed chunks with [`StreamingDistinct::push`]; each call returns the rows

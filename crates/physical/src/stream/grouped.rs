@@ -10,8 +10,8 @@ use super::{
 };
 use crate::Result;
 use div_algebra::{AggregateCall, Schema};
-use div_columnar::kernels::{FrozenConsume, StreamingAggregate, StreamingGreatDivide};
-use div_columnar::ColumnarBatch;
+use div_columnar::kernels::{StreamingAggregate, StreamingGreatDivide};
+use div_columnar::{ColumnarBatch, FrozenConsume};
 use div_expr::ExprError;
 use div_storage::{SpillHandle, SpillManager};
 
@@ -23,10 +23,10 @@ use div_storage::{SpillHandle, SpillManager};
 /// ([`StreamingAggregate`]). The result is only known at the end, so the
 /// output is a blocking boundary.
 ///
-/// `StreamingGreatDivide` degrades to the small divide exactly when the
-/// divisor has no attributes of its own — which is the schema precondition
-/// of `LogicalPlan::SmallDivide` — so one state type serves both division
-/// nodes.
+/// `StreamingGreatDivide` is the small divide when the divisor has no
+/// attributes of its own — which is the schema precondition of
+/// `LogicalPlan::SmallDivide`: the whole divisor is then its one divisor
+/// group — so one state type serves both division nodes.
 ///
 /// What can outgrow a spill budget is therefore the *state*, and that is
 /// what the operator watches. When it approaches the budget

@@ -26,9 +26,10 @@
 //!   few rows at a time, so every emission is at most
 //!   `max(batch_size, |right|)` rows;
 //! * **divide / great divide and aggregation** are one grouped operator:
-//!   it *consumes* its input chunk-at-a-time into grouped state — the
-//!   divide's group-id-based coverage state against its materialized
-//!   divisor ([`div_columnar::kernels::StreamingGreatDivide`]), the
+//!   it *consumes* its input chunk-at-a-time into grouped state — both
+//!   divides' group-id-based coverage counters against their materialized
+//!   divisor (one kernel, [`div_columnar::kernels::StreamingGreatDivide`];
+//!   the small divide is its one-divisor-group case), the
 //!   aggregate's one accumulator row per group
 //!   ([`div_columnar::kernels::StreamingAggregate`]); only its output is a
 //!   blocking boundary.
