@@ -107,15 +107,6 @@ impl Relation {
         Ok(self.tuples.insert(tuple))
     }
 
-    /// Insert a row of plain values.
-    pub fn insert_row<I, V>(&mut self, row: I) -> Result<bool>
-    where
-        I: IntoIterator<Item = V>,
-        V: Into<Value>,
-    {
-        self.insert(Tuple::new(row))
-    }
-
     /// The value of attribute `name` in `tuple` (which must belong to this
     /// relation's schema).
     pub fn value_of<'t>(&self, tuple: &'t Tuple, name: &str) -> Result<&'t Value> {

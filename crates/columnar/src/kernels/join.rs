@@ -70,62 +70,13 @@ fn extra_attributes<'a>(probe: &Schema, build: &'a Schema) -> Vec<&'a str> {
         .collect()
 }
 
-/// The shared natural-join probe loop: stream `left` against a prebuilt
-/// (`index`, CSR) over `right`, gathering left columns plus the
-/// build-side-only columns.
-#[allow(clippy::too_many_arguments)]
-fn natural_probe(
-    left: &ColumnarBatch,
-    left_key: &[usize],
-    left_keys: &KeyVector,
-    right: &ColumnarBatch,
-    right_key: &[usize],
-    right_keys: &KeyVector,
-    index: &GroupIndex,
-    offsets: &[u32],
-    rows_csr: &[u32],
-    right_extra_idx: &[usize],
-    out_schema: Schema,
-) -> KernelOutput {
-    let same_key = cross_matcher(left, left_key, left_keys, right, right_key, right_keys);
-    let mut left_indices: Vec<usize> = Vec::new();
-    let mut right_indices: Vec<usize> = Vec::new();
-    let mut probes = 0usize;
-    for i in 0..left.num_rows() {
-        probes += 1;
-        let found = index.get(left_keys.code(i), |other| same_key(i, other));
-        if let Some(gid) = found {
-            let (start, end) = (offsets[gid as usize], offsets[gid as usize + 1]);
-            for &j in &rows_csr[start as usize..end as usize] {
-                left_indices.push(i);
-                right_indices.push(j as usize);
-            }
-        }
-    }
-    let mut columns: Vec<_> = left
-        .columns()
-        .iter()
-        .map(|c| c.gather(&left_indices))
-        .collect();
-    columns.extend(
-        right_extra_idx
-            .iter()
-            .map(|&c| right.column(c).gather(&right_indices)),
-    );
-    let rows = left_indices.len();
-    KernelOutput {
-        batch: ColumnarBatch::from_parts(out_schema, columns, rows),
-        probes,
-    }
-}
-
 /// A hash-join build side prepared once and probed chunk-at-a-time — the
 /// one join kernel `div_physical::stream`'s hash join runs. The build batch
 /// is indexed exactly once ([`index_rows_tracked`] picks the dense or the
 /// hashed form of the [`GroupIndex`]), and CSR-indexed at most once, by the
 /// first natural probe; every probe chunk then streams through
-/// [`JoinBuild::probe_natural`] / [`JoinBuild::probe_semi`] without the
-/// per-call rebuild the one-shot [`hash_natural_join`] pays.
+/// [`JoinBuild::probe_natural`] / [`JoinBuild::probe_semi`]; the one-shot
+/// [`hash_natural_join`] is a build fed one probe.
 ///
 /// The key is every attribute the two schemas share, in the probe schema's
 /// order, and inexact code matches are verified against the build batch
@@ -220,25 +171,50 @@ impl JoinBuild {
             + row_lists
     }
 
-    /// Natural-join one probe chunk against the prepared build side.
+    /// Natural-join one probe chunk against the prepared build side,
+    /// gathering the chunk's columns plus the build-side-only columns.
     pub fn probe_natural(&self, chunk: &ColumnarBatch) -> Result<KernelOutput> {
         let chunk_keys = KeyVector::build(chunk, &self.probe_key);
         let (offsets, rows_csr) = self
             .row_lists
             .get_or_init(|| csr_from_gids(&self.gid_of, self.index.len()));
-        Ok(natural_probe(
+        let same_key = cross_matcher(
             chunk,
             &self.probe_key,
             &chunk_keys,
             &self.build,
             &self.build_key,
             &self.build_keys,
-            &self.index,
-            offsets,
-            rows_csr,
-            &self.build_extra_idx,
-            self.out_schema.clone(),
-        ))
+        );
+        let mut probe_indices: Vec<usize> = Vec::new();
+        let mut build_indices: Vec<usize> = Vec::new();
+        for i in 0..chunk.num_rows() {
+            let found = self
+                .index
+                .get(chunk_keys.code(i), |other| same_key(i, other));
+            if let Some(gid) = found {
+                let (start, end) = (offsets[gid as usize], offsets[gid as usize + 1]);
+                for &j in &rows_csr[start as usize..end as usize] {
+                    probe_indices.push(i);
+                    build_indices.push(j as usize);
+                }
+            }
+        }
+        let mut columns: Vec<_> = chunk
+            .columns()
+            .iter()
+            .map(|c| c.gather(&probe_indices))
+            .collect();
+        columns.extend(
+            self.build_extra_idx
+                .iter()
+                .map(|&c| self.build.column(c).gather(&build_indices)),
+        );
+        let rows = probe_indices.len();
+        Ok(KernelOutput {
+            batch: ColumnarBatch::from_parts(self.out_schema.clone(), columns, rows),
+            probes: chunk.num_rows(),
+        })
     }
 
     /// Semi-join (`anti = false`) or anti-semi-join (`anti = true`) one
@@ -275,30 +251,7 @@ impl JoinBuild {
 /// (including the output schema: left attributes, then right-only
 /// attributes).
 pub fn hash_natural_join(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<KernelOutput> {
-    let (left_key, right_key) = join_key_columns(left.schema(), right.schema())?;
-    let left_keys = KeyVector::build(left, &left_key);
-    let right_keys = KeyVector::build(right, &right_key);
-    let right_extra = extra_attributes(left.schema(), right.schema());
-    let right_extra_idx = right.projection_indices(&right_extra)?;
-
-    // Build: dense group ids over the right rows, then a CSR layout listing
-    // each group's rows in ascending order. Probe with the whole left side.
-    let (index, gid_of) = index_rows_tracked(right, &right_key, &right_keys);
-    let (offsets, rows_csr) = csr_from_gids(&gid_of, index.len());
-    let out_schema = left.schema().natural_union(right.schema());
-    Ok(natural_probe(
-        left,
-        &left_key,
-        &left_keys,
-        right,
-        &right_key,
-        &right_keys,
-        &index,
-        &offsets,
-        &rows_csr,
-        &right_extra_idx,
-        out_schema,
-    ))
+    JoinBuild::new(left.schema(), right.clone())?.probe_natural(left)
 }
 
 #[cfg(test)]

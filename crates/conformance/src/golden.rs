@@ -1,10 +1,12 @@
 //! The SQLLogicTest-style golden-file format and runner.
 //!
-//! Golden files live under `tests/golden/*.slt`. A file is a sequence of
-//! blank-line-separated *case blocks*; a block is a run of line directives:
+//! The checked-in files under `tests/golden/*.slt` are the golden corpus:
+//! nothing in code defines or regenerates its cases. A file is a sequence
+//! of blank-line-separated *case blocks*; a block is a run of line
+//! directives:
 //!
 //! ```text
-//! case law04-divisor-selection        # begins a case; names must be unique
+//! case law04-divisor-selection        # begins a case; names are unique per file
 //! law 4                               # paper law(s) the case covers
 //! table r1 a b                        # declare a base table (column names)
 //! row r1 1|2                          # one tuple; values are |-separated
@@ -18,17 +20,33 @@
 //! ```
 //!
 //! Values render as `NULL`, `true`/`false`, decimal integers, or
-//! double-quoted strings. Exactly one of `plan`, `query` or `scenario` (whose
-//! `divide=small|great` key implies the query) drives the case.
+//! double-quoted strings. [`parse_file`] refuses, with a `file:line`
+//! error, any block that breaks these rules:
+//!
+//! * case names are unique within a file;
+//! * exactly one of `plan`, `query` or `scenario` (whose
+//!   `divide=small|great` key implies the query) gives the case its
+//!   statement;
+//! * `table` / `row` and `param` appear only in a `query` case;
+//! * each table name is declared once per case;
+//! * `law` is a paper law number, `1..=17`.
 //!
 //! The runner executes each case under every strategy of the oracle's one
 //! execution matrix ([`oracle::STRATEGIES`]: optimizer on and off, batch
 //! sizes 1024 and 3, a spilling memory budget, attached `.divcol` files),
 //! asserts every strategy equals the reference evaluator, and compares the
 //! reference result against the `expect` block. Running with
-//! `CONFORMANCE_BLESS=1` re-records the `expect` blocks in place instead.
+//! `CONFORMANCE_BLESS=1` re-records the `expect` blocks in place instead,
+//! in canonical rendering ([`render_file`]).
+//!
+//! To add a case:
+//!
+//! 1. write its block in the right file, without an `expect`;
+//! 2. run `CONFORMANCE_BLESS=1 cargo test -q --test conformance
+//!    golden_suite_passes_and_covers_all_laws`;
+//! 3. review the diff, and update `GOLDEN_BUDGETED_TALLY` in
+//!    `tests/conformance.rs` if it moved.
 
-use crate::grammar::CaseSpec;
 use crate::laws;
 use crate::oracle::{self, absorb_all, Catalogs, Tallies};
 use div_algebra::{Relation, Value};
@@ -84,7 +102,7 @@ pub struct GoldenTable {
 }
 
 /// One golden case.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GoldenCase {
     /// Unique (per corpus) case name.
     pub name: String,
@@ -102,21 +120,6 @@ pub struct GoldenCase {
     pub params: Vec<(String, Value)>,
     /// Expected result; `None` until recorded.
     pub expected: Option<Expected>,
-}
-
-impl GoldenCase {
-    fn new(name: &str) -> GoldenCase {
-        GoldenCase {
-            name: name.to_string(),
-            laws: Vec::new(),
-            tables: Vec::new(),
-            scenario: None,
-            plan_key: None,
-            query: None,
-            params: Vec::new(),
-            expected: None,
-        }
-    }
 }
 
 /// A corpus file: name plus its cases.
@@ -182,15 +185,40 @@ fn parse_row(line: &str) -> Result<Vec<Value>, String> {
 // Parsing and rendering
 // ---------------------------------------------------------------------------
 
-/// Parse a golden file.
+/// The directive that gives `case` its statement — `plan`, `query` or
+/// `scenario` — if one has been read.
+fn statement_kind(case: &GoldenCase) -> Option<&'static str> {
+    [
+        ("plan", case.plan_key.is_some()),
+        ("query", case.query.is_some()),
+        ("scenario", case.scenario.is_some()),
+    ]
+    .into_iter()
+    .find_map(|(directive, set)| set.then_some(directive))
+}
+
+/// Parse a golden file, refusing anything outside the documented format
+/// with a `file:line` error (see the module doc for the rules).
 pub fn parse_file(name: &str, text: &str) -> Result<GoldenFile, String> {
     let mut file = GoldenFile {
         name: name.to_string(),
         comment: String::new(),
         cases: Vec::new(),
     };
-    let mut current: Option<GoldenCase> = None;
+    // The open case and the line of its `case` directive.
+    let mut current: Option<(GoldenCase, usize)> = None;
     let mut in_expect = false;
+    let close = |open: Option<(GoldenCase, usize)>, cases: &mut Vec<GoldenCase>| match open {
+        Some((case, _)) if statement_kind(&case).is_some() => {
+            cases.push(case);
+            Ok(())
+        }
+        Some((case, line)) => Err(format!(
+            "{name}:{line}: case {} has none of `plan`, `query` or `scenario`",
+            case.name
+        )),
+        None => Ok(()),
+    };
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim_end();
         let at = |msg: String| format!("{name}:{}: {msg}", idx + 1);
@@ -211,17 +239,22 @@ pub fn parse_file(name: &str, text: &str) -> Result<GoldenFile, String> {
             None => (line, ""),
         };
         if keyword == "case" {
-            if let Some(done) = current.take() {
-                file.cases.push(done);
-            }
+            close(current.take(), &mut file.cases)?;
             if rest.is_empty() {
                 return Err(at("`case` needs a name".to_string()));
             }
-            current = Some(GoldenCase::new(rest));
+            if file.cases.iter().any(|c| c.name == rest) {
+                return Err(at(format!("case {rest} is named twice")));
+            }
+            let case = GoldenCase {
+                name: rest.to_string(),
+                ..GoldenCase::default()
+            };
+            current = Some((case, idx + 1));
             in_expect = false;
             continue;
         }
-        let case = current
+        let (case, _) = current
             .as_mut()
             .ok_or_else(|| at(format!("directive outside a case: {line}")))?;
         if in_expect {
@@ -238,11 +271,21 @@ pub fn parse_file(name: &str, text: &str) -> Result<GoldenFile, String> {
             expected.rows.push(row);
             continue;
         }
+        if matches!(keyword, "plan" | "query" | "scenario") {
+            if let Some(first) = statement_kind(case) {
+                return Err(at(format!(
+                    "`{keyword}` after `{first}`: a case has exactly one of \
+                     `plan`, `query` or `scenario`"
+                )));
+            }
+        }
         match keyword {
             "law" => {
-                let n: u8 = rest
-                    .parse()
-                    .map_err(|_| at(format!("bad law number: {rest}")))?;
+                let n = rest
+                    .parse::<u8>()
+                    .ok()
+                    .filter(|n| (1..=17).contains(n))
+                    .ok_or_else(|| at(format!("bad law number: {rest} (not 1..=17)")))?;
                 case.laws.push(n);
             }
             "table" => {
@@ -253,6 +296,9 @@ pub fn parse_file(name: &str, text: &str) -> Result<GoldenFile, String> {
                 let columns: Vec<String> = parts.map(|c| c.to_string()).collect();
                 if columns.is_empty() {
                     return Err(at(format!("table {tname} has no columns")));
+                }
+                if case.tables.iter().any(|t| t.name == tname) {
+                    return Err(at(format!("table {tname} is declared twice")));
                 }
                 case.tables.push(GoldenTable {
                     name: tname.to_string(),
@@ -304,10 +350,17 @@ pub fn parse_file(name: &str, text: &str) -> Result<GoldenFile, String> {
             }
             other => return Err(at(format!("unknown directive: {other}"))),
         }
+        // Inline tables and parameters belong to a `query` case; checked
+        // after every directive, so either order of the two lines fails.
+        if let Some(kind @ ("plan" | "scenario")) = statement_kind(case) {
+            if !case.tables.is_empty() || !case.params.is_empty() {
+                return Err(at(format!(
+                    "`table` and `param` need a `query` case, not a `{kind}` one"
+                )));
+            }
+        }
     }
-    if let Some(done) = current.take() {
-        file.cases.push(done);
-    }
+    close(current.take(), &mut file.cases)?;
     Ok(file)
 }
 
@@ -524,11 +577,7 @@ pub fn run_file(path: &Path) -> Result<FileReport, String> {
     let mut file = parse_file(&name, &text)?;
     let bless = blessing();
     let mut report = FileReport::default();
-    let mut seen = BTreeSet::new();
     for case in &mut file.cases {
-        if !seen.insert(case.name.clone()) {
-            return Err(format!("{name}: duplicate case name {}", case.name));
-        }
         let (actual, tallies) = run_case(case)?;
         let actual = Expected::from_relation(&actual);
         if bless {
@@ -573,337 +622,6 @@ pub fn golden_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-// ---------------------------------------------------------------------------
-// The default corpus
-// ---------------------------------------------------------------------------
-
-/// The code-defined corpus skeleton (no `expect` blocks — those are recorded
-/// by a bless run). `tests/golden/` holds the blessed rendering.
-pub fn default_corpus() -> Vec<GoldenFile> {
-    let mut corpus = Vec::new();
-    corpus.push(laws_file());
-    corpus.push(edge_cases_file());
-    corpus.push(params_file());
-    for family in ScenarioFamily::ALL {
-        corpus.push(scenario_file(family));
-    }
-    corpus.push(fuzz_seeds_file());
-    corpus
-}
-
-fn laws_file() -> GoldenFile {
-    let mut cases = Vec::new();
-    for law in laws::law_cases() {
-        let mut case = GoldenCase::new(law.key);
-        case.laws = law.law_number.into_iter().collect();
-        case.plan_key = Some(law.key.to_string());
-        cases.push(case);
-    }
-    GoldenFile {
-        name: "laws.slt".to_string(),
-        comment: "One case per rewrite law (plus the worked examples): the \
-                  registry shape must fire its law among the optimizer's \
-                  rewrites, and every rewrite must evaluate identically."
-            .to_string(),
-        cases,
-    }
-}
-
-fn table(name: &str, columns: &[&str], rows: &[&[i64]]) -> GoldenTable {
-    GoldenTable {
-        name: name.to_string(),
-        columns: columns.iter().map(|c| c.to_string()).collect(),
-        rows: rows
-            .iter()
-            .map(|r| r.iter().map(|&v| Value::from(v)).collect())
-            .collect(),
-    }
-}
-
-fn sql_case(name: &str, tables: Vec<GoldenTable>, query: &str) -> GoldenCase {
-    let mut case = GoldenCase::new(name);
-    case.tables = tables;
-    case.query = Some(query.to_string());
-    case
-}
-
-fn edge_cases_file() -> GoldenFile {
-    let mut cases = Vec::new();
-    let r = |rows: &[&[i64]]| table("r", &["a", "b"], rows);
-    let s = |rows: &[&[i64]]| table("s", &["b"], rows);
-    let small = "SELECT * FROM r DIVIDE BY s ON r.b = s.b";
-
-    // Small divide with an empty divisor: every entity qualifies (π_A(r)).
-    cases.push(sql_case(
-        "empty-divisor-small",
-        vec![r(&[&[1, 1], &[2, 1], &[2, 2]]), s(&[])],
-        small,
-    ));
-    // Great divide with an empty divisor: empty quotient.
-    {
-        let mut case = sql_case(
-            "empty-divisor-great",
-            vec![
-                table("r", &["a", "b"], &[&[1, 1], &[2, 2]]),
-                table("s", &["b", "c"], &[]),
-            ],
-            "SELECT * FROM r DIVIDE BY s ON r.b = s.b",
-        );
-        case.laws.push(13);
-        cases.push(case);
-    }
-    cases.push(sql_case(
-        "empty-dividend",
-        vec![r(&[]), s(&[&[1], &[2]])],
-        small,
-    ));
-    cases.push(sql_case("empty-both", vec![r(&[]), s(&[])], small));
-    cases.push(sql_case(
-        "single-row-match",
-        vec![r(&[&[7, 3]]), s(&[&[3]])],
-        small,
-    ));
-    cases.push(sql_case(
-        "single-row-miss",
-        vec![r(&[&[7, 3]]), s(&[&[4]])],
-        small,
-    ));
-    // All join keys NULL on the dividend side: no entity can cover a
-    // non-NULL divisor.
-    {
-        let mut t = table("r", &["a", "b"], &[]);
-        t.rows = vec![
-            vec![Value::from(1), Value::Null],
-            vec![Value::from(2), Value::Null],
-        ];
-        cases.push(sql_case("all-null-keys", vec![t, s(&[&[1]])], small));
-    }
-    // NULL keys on both sides: tuple equality treats NULL = NULL as a match.
-    {
-        let mut dividend = table("r", &["a", "b"], &[]);
-        dividend.rows = vec![
-            vec![Value::from(1), Value::Null],
-            vec![Value::from(1), Value::from(3)],
-            vec![Value::from(2), Value::from(3)],
-        ];
-        let mut divisor = table("s", &["b"], &[&[3]]);
-        divisor.rows.push(vec![Value::Null]);
-        cases.push(sql_case(
-            "null-matches-null",
-            vec![dividend, divisor],
-            small,
-        ));
-    }
-    // Duplicates collapse under set semantics; DISTINCT is a no-op on top.
-    cases.push(sql_case(
-        "distinct-idempotent",
-        vec![r(&[&[1, 1], &[1, 2], &[2, 1], &[2, 2]]), s(&[&[1], &[2]])],
-        "SELECT DISTINCT r.a FROM r DIVIDE BY s ON r.b = s.b",
-    ));
-    // Divisor strictly larger than any entity's item set.
-    cases.push(sql_case(
-        "divisor-superset",
-        vec![r(&[&[1, 1], &[2, 2]]), s(&[&[1], &[2], &[3]])],
-        small,
-    ));
-    // Every entity covers the divisor.
-    cases.push(sql_case(
-        "all-qualify",
-        vec![r(&[&[1, 1], &[1, 2], &[2, 1], &[2, 2]]), s(&[&[1], &[2]])],
-        small,
-    ));
-    // Quotient-side selection above the division (Law 3's SQL shape).
-    {
-        let mut case = sql_case(
-            "selection-above",
-            vec![
-                r(&[&[1, 1], &[1, 2], &[2, 1], &[2, 2], &[3, 1]]),
-                s(&[&[1], &[2]]),
-            ],
-            "SELECT * FROM r DIVIDE BY s ON r.b = s.b WHERE r.a >= 2",
-        );
-        case.laws.push(3);
-        cases.push(case);
-    }
-    // Divisor-side selection (Law 4's SQL shape), via a derived table.
-    {
-        let mut case = sql_case(
-            "selection-divisor",
-            vec![r(&[&[1, 1], &[1, 2], &[2, 1]]), s(&[&[1], &[2], &[9]])],
-            "SELECT * FROM r DIVIDE BY (SELECT * FROM s WHERE s.b <= 2) AS d ON r.b = d.b",
-        );
-        case.laws.push(4);
-        cases.push(case);
-    }
-    // Great divide, single group, matching the small divide on that group.
-    {
-        let mut case = sql_case(
-            "great-single-group",
-            vec![
-                table("r", &["a", "b"], &[&[1, 1], &[1, 2], &[2, 1]]),
-                table("s", &["b", "c"], &[&[1, 5], &[2, 5]]),
-            ],
-            "SELECT * FROM r DIVIDE BY s ON r.b = s.b",
-        );
-        case.laws.push(14);
-        cases.push(case);
-    }
-    // Double NOT EXISTS — the classic Query 3 formulation.
-    {
-        let case = sql_case(
-            "not-exists-q3",
-            vec![
-                table(
-                    "enrolled",
-                    &["student", "course"],
-                    &[&[1, 10], &[1, 11], &[2, 10], &[3, 10], &[3, 11]],
-                ),
-                table(
-                    "required",
-                    &["course", "program"],
-                    &[&[10, 1], &[11, 1], &[10, 2]],
-                ),
-            ],
-            "SELECT DISTINCT x1.student, y1.program FROM enrolled AS x1, required AS y1 \
-             WHERE NOT EXISTS (SELECT * FROM required AS y2 WHERE y2.program = y1.program \
-             AND NOT EXISTS (SELECT * FROM enrolled AS x2 WHERE x2.course = y2.course \
-             AND x2.student = x1.student))",
-        );
-        cases.push(case);
-    }
-    GoldenFile {
-        name: "edge_cases.slt".to_string(),
-        comment: "Hand-written boundary cases: empty divisor/dividend, NULL \
-                  join keys, single rows, duplicate collapsing, selections on \
-                  either side, and the double-NOT-EXISTS formulation."
-            .to_string(),
-        cases,
-    }
-}
-
-fn params_file() -> GoldenFile {
-    let mut cases = Vec::new();
-    let catalog = || {
-        vec![
-            table(
-                "r",
-                &["a", "b"],
-                &[&[1, 1], &[1, 2], &[1, 3], &[2, 1], &[2, 2], &[3, 1]],
-            ),
-            table("s", &["b"], &[&[1], &[2], &[3]]),
-        ]
-    };
-    let query = "SELECT * FROM r DIVIDE BY (SELECT * FROM s WHERE s.b <= $p0) AS d ON r.b = d.b";
-    for (idx, bound) in [0i64, 1, 2, 3].into_iter().enumerate() {
-        let mut case = sql_case(&format!("rebind-int-{idx}"), catalog(), query);
-        case.params.push(("p0".to_string(), Value::from(bound)));
-        cases.push(case);
-    }
-    // String-typed parameter against a string item column.
-    let flags = || {
-        let mut service = table("service_flag", &["service", "flag"], &[]);
-        for (s, f) in [("api", 1), ("api", 2), ("web", 1), ("web", 3), ("cron", 2)] {
-            service.rows.push(vec![Value::from(s), Value::from(f)]);
-        }
-        let mut wanted = table("wanted", &["service"], &[]);
-        for s in ["api", "web"] {
-            wanted.rows.push(vec![Value::from(s)]);
-        }
-        vec![service, wanted]
-    };
-    for (idx, flag) in [1i64, 3].into_iter().enumerate() {
-        let mut case = sql_case(
-            &format!("rebind-divisor-{idx}"),
-            flags(),
-            "SELECT * FROM service_flag DIVIDE BY \
-             (SELECT * FROM wanted WHERE wanted.service != $svc) AS d \
-             ON service_flag.service = d.service",
-        );
-        case.params.push((
-            "svc".to_string(),
-            Value::from(if flag == 1 { "cron" } else { "api" }),
-        ));
-        cases.push(case);
-    }
-    GoldenFile {
-        name: "params.slt".to_string(),
-        comment: "Parameterized divisor filters: the same prepared shape \
-                  re-blessed under different bindings (rebinding within one \
-                  prepared statement is covered by the fuzz oracle)."
-            .to_string(),
-        cases,
-    }
-}
-
-fn scenario_file(family: ScenarioFamily) -> GoldenFile {
-    let mut cases = Vec::new();
-    let configs = [
-        (7u64, 24usize, 6usize, 0.5f64, 0.0f64),
-        (8, 30, 8, 0.7, 0.0),
-        (9, 18, 5, 0.4, 0.2),
-        (10, 36, 7, 0.6, 0.1),
-    ];
-    for (idx, (seed, entities, items, membership, nulls)) in configs.into_iter().enumerate() {
-        for divide in [ScenarioDivide::Small, ScenarioDivide::Great] {
-            let config = ScenarioConfig {
-                family,
-                entities,
-                items,
-                groups: 3,
-                membership,
-                skew: 0.8,
-                divisor_selectivity: 0.5,
-                null_density: nulls,
-                full_entities: 0.15,
-                seed,
-            };
-            let suffix = match divide {
-                ScenarioDivide::Small => "small",
-                ScenarioDivide::Great => "great",
-            };
-            let mut case = GoldenCase::new(&format!("{}-{idx}-{suffix}", family.name()));
-            case.scenario = Some((config, divide));
-            cases.push(case);
-        }
-    }
-    GoldenFile {
-        name: format!("scenarios_{}.slt", family.name()),
-        comment: format!(
-            "The `{}` workload family from div-datagen, small and great \
-             divides over varying cardinality, membership and null density.",
-            family.name()
-        ),
-        cases,
-    }
-}
-
-fn fuzz_seeds_file() -> GoldenFile {
-    let mut cases = Vec::new();
-    let mut seed = 9000u64;
-    while cases.len() < 45 {
-        let spec = CaseSpec::generate(seed);
-        seed += 1;
-        let mut case = GoldenCase::new(&format!("seed-{:#x}", spec.seed));
-        for t in [&spec.dividend, &spec.divisor] {
-            case.tables.push(GoldenTable {
-                name: t.name.clone(),
-                columns: t.columns.iter().map(|c| c.name.clone()).collect(),
-                rows: t.rows.clone(),
-            });
-        }
-        case.query = Some(spec.divide_by_sql(false));
-        cases.push(case);
-    }
-    GoldenFile {
-        name: "fuzz_seeds.slt".to_string(),
-        comment: "Pinned grammar-generated cases (seeds 0x2328…): the fuzzer's \
-                  DIVIDE BY rendering frozen against regressions. Re-record \
-                  with CONFORMANCE_BLESS=1."
-            .to_string(),
-        cases,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,41 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn files_round_trip_through_render_and_parse() {
-        for file in default_corpus() {
-            let text = render_file(&file);
-            let parsed = parse_file(&file.name, &text).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(parsed.cases.len(), file.cases.len(), "{}", file.name);
-            // Render → parse → render is a fixpoint.
-            assert_eq!(render_file(&parsed), text, "{}", file.name);
-        }
-    }
-
-    #[test]
-    fn corpus_is_large_and_covers_every_law() {
-        let corpus = default_corpus();
-        let total: usize = corpus.iter().map(|f| f.cases.len()).sum();
-        assert!(total >= 100, "corpus has only {total} cases");
-        let laws: BTreeSet<u8> = corpus
-            .iter()
-            .flat_map(|f| f.cases.iter())
-            .flat_map(|c| c.laws.iter().copied())
-            .collect();
-        for n in 1..=17u8 {
-            assert!(laws.contains(&n), "law {n} uncovered by corpus annotations");
-        }
-    }
-
-    #[test]
     fn a_recorded_case_checks_clean_and_detects_tampering() {
-        let mut case = sql_case(
-            "t",
-            vec![
-                table("r", &["a", "b"], &[&[1, 1], &[1, 2], &[2, 1]]),
-                table("s", &["b"], &[&[1], &[2]]),
-            ],
-            "SELECT * FROM r DIVIDE BY s ON r.b = s.b",
-        );
+        let text = "case t\ntable r a b\nrow r 1|1\nrow r 1|2\nrow r 2|1\n\
+                    table s b\nrow s 1\nrow s 2\nquery SELECT * FROM r DIVIDE BY s ON r.b = s.b\n";
+        let mut case = parse_file("t.slt", text).unwrap().cases.remove(0);
         let (relation, _) = run_case(&case).unwrap_or_else(|e| panic!("{e}"));
         let expected = Expected::from_relation(&relation);
         assert_eq!(expected.columns, vec!["a".to_string()]);
@@ -965,5 +652,64 @@ mod tests {
         let mut tampered = case.expected.clone().unwrap();
         tampered.rows.push(vec![Value::from(9i64)]);
         assert_ne!(Some(tampered), case.expected);
+    }
+
+    /// `parse_file`'s error for `text`, which must name `line`.
+    fn refusal(text: &str, line: usize) -> String {
+        let err = parse_file("bad.slt", text).expect_err("the parser must refuse this case");
+        assert!(err.starts_with(&format!("bad.slt:{line}: ")), "{err}");
+        err
+    }
+
+    #[test]
+    fn a_case_with_two_statements_is_refused() {
+        let err = refusal("case c\nplan law01\nquery SELECT * FROM r1\n", 3);
+        assert!(err.contains("exactly one of"), "{err}");
+        refusal("case c\nscenario rbac seed=7\nplan law01\n", 3);
+        refusal("case c\nplan law01\nplan law02\n", 3);
+    }
+
+    #[test]
+    fn a_case_with_no_statement_is_refused() {
+        let err = refusal("case ok\nplan law01\n\ncase c\nlaw 1\nexpect a\n", 4);
+        assert!(err.contains("none of"), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_case_name_is_refused() {
+        let err = refusal("case c\nplan law01\n\ncase c\nplan law02\n", 4);
+        assert!(err.contains("case c is named twice"), "{err}");
+    }
+
+    #[test]
+    fn a_table_declared_twice_is_refused() {
+        let err = refusal(
+            "case c\ntable r a b\nrow r 1|1\ntable r a b\nquery SELECT * FROM r\n",
+            4,
+        );
+        assert!(err.contains("table r is declared twice"), "{err}");
+        // The same name in two cases is two tables.
+        let text = "case c1\ntable r a\nquery SELECT * FROM r\n\n\
+                    case c2\ntable r a\nquery SELECT * FROM r\n";
+        assert_eq!(parse_file("ok.slt", text).unwrap().cases.len(), 2);
+    }
+
+    #[test]
+    fn a_param_outside_a_query_case_is_refused() {
+        let err = refusal("case c\nplan law01\nparam p0 3\n", 3);
+        assert!(err.contains("need a `query` case"), "{err}");
+        // Either order of the two lines.
+        refusal("case c\nparam p0 3\nscenario rbac seed=7\n", 3);
+        refusal("case c\ntable r a\nplan law01\n", 3);
+    }
+
+    #[test]
+    fn a_law_outside_the_papers_seventeen_is_refused() {
+        for bad in ["0", "18", "99", "x"] {
+            let err = refusal(&format!("case c\nlaw {bad}\nplan law01\n"), 2);
+            assert!(err.contains("bad law number"), "{err}");
+        }
+        let text = "case c\nlaw 17\nplan law17\n";
+        assert_eq!(parse_file("ok.slt", text).unwrap().cases[0].laws, [17]);
     }
 }

@@ -19,9 +19,11 @@
 //! * [`fuzzer`] — the seeded fuzz loop behind `tests/conformance.rs`, the
 //!   `conformance_fuzz` binary and the CI smoke job; honors
 //!   `CONFORMANCE_SEED`, `CONFORMANCE_CASES` and `CONFORMANCE_ARTIFACT`.
-//! * [`golden`] — the `.slt`-style golden-file format under `tests/golden/`
-//!   and its record/check runner, which runs every case under the same
-//!   strategies (`CONFORMANCE_BLESS=1` re-records).
+//! * [`golden`] — the `.slt`-style golden-file format and its record/check
+//!   runner, which runs every case under the same strategies. The
+//!   checked-in files under `tests/golden/` are the only definition of the
+//!   corpus; `CONFORMANCE_BLESS=1 cargo test --test conformance`
+//!   re-records their `expect` blocks.
 //! * [`laws`] — one named logical-plan shape per rewrite law of the paper,
 //!   used by the golden corpus to pin coverage of all 17 laws.
 

@@ -11,9 +11,7 @@
 //! The registry is process-global, so tests arming failpoints must
 //! serialize (the chaos suite takes a suite-level mutex) and disarm in a
 //! drop guard. The disarmed fast path is one relaxed atomic load — no site
-//! string is even formatted — so the hooks stay in production builds; the
-//! whole module compiles to inert stubs when the `failpoints` cargo
-//! feature (on by default) is disabled.
+//! string is even formatted — so the hooks are always compiled in.
 //!
 //! Injected errors surface as [`div_expr::ExprError::InvalidPlan`] with a
 //! `failpoint <site>` reason, reaching wire clients as `ERR PLAN` — a
@@ -21,6 +19,9 @@
 //! not a bespoke one.
 
 use div_expr::ExprError;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// What an armed failpoint does when execution reaches it.
@@ -32,125 +33,84 @@ pub enum FailAction {
     Delay(Duration),
 }
 
-#[cfg(feature = "failpoints")]
-mod imp {
-    use super::FailAction;
-    use div_expr::ExprError;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+/// Count of currently armed sites: the disarmed fast path is this one
+/// relaxed load.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
+static SITES: Mutex<Option<HashMap<String, FailAction>>> = Mutex::new(None);
 
-    /// Count of currently armed sites: the disarmed fast path is this one
-    /// relaxed load.
-    static ARMED: AtomicUsize = AtomicUsize::new(0);
-    static SITES: Mutex<Option<HashMap<String, FailAction>>> = Mutex::new(None);
-
-    fn lock_sites() -> std::sync::MutexGuard<'static, Option<HashMap<String, FailAction>>> {
-        // A panic while holding this lock can only come from a poisoned
-        // assertion in a test; the registry itself stays consistent.
-        SITES
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    pub(super) fn arm(site: &str, action: FailAction) {
-        let mut sites = lock_sites();
-        let map = sites.get_or_insert_with(HashMap::new);
-        if map.insert(site.to_string(), action).is_none() {
-            ARMED.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    pub(super) fn disarm(site: &str) {
-        let mut sites = lock_sites();
-        if let Some(map) = sites.as_mut() {
-            if map.remove(site).is_some() {
-                ARMED.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    pub(super) fn disarm_all() {
-        let mut sites = lock_sites();
-        if let Some(map) = sites.as_mut() {
-            ARMED.fetch_sub(map.len(), Ordering::SeqCst);
-            map.clear();
-        }
-    }
-
-    pub(super) fn hit(label: &str, phase: &str) -> Result<(), ExprError> {
-        if ARMED.load(Ordering::Relaxed) == 0 {
-            return Ok(());
-        }
-        let site = format!("{label}.{phase}");
-        let action = lock_sites()
-            .as_ref()
-            .and_then(|map| map.get(&site).cloned());
-        match action {
-            None => Ok(()),
-            Some(FailAction::Delay(pause)) => {
-                std::thread::sleep(pause);
-                Ok(())
-            }
-            Some(FailAction::Error(message)) => {
-                Err(ExprError::invalid(format!("failpoint {site}: {message}")))
-            }
-        }
-    }
-}
-
-#[cfg(not(feature = "failpoints"))]
-mod imp {
-    use super::FailAction;
-    use div_expr::ExprError;
-
-    pub(super) fn arm(_site: &str, _action: FailAction) {}
-    pub(super) fn disarm(_site: &str) {}
-    pub(super) fn disarm_all() {}
-
-    #[inline(always)]
-    pub(super) fn hit(_label: &str, _phase: &str) -> Result<(), ExprError> {
-        Ok(())
-    }
+fn lock_sites() -> MutexGuard<'static, Option<HashMap<String, FailAction>>> {
+    // A panic while holding this lock can only come from a poisoned
+    // assertion in a test; the registry itself stays consistent.
+    SITES
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Arm the named site (`"<operator label>.<open|next_batch|close>"`) with
-/// an action. Re-arming an armed site replaces its action. A no-op without
-/// the `failpoints` feature.
+/// an action. Re-arming an armed site replaces its action.
 pub fn arm(site: &str, action: FailAction) {
-    imp::arm(site, action);
+    let mut sites = lock_sites();
+    let map = sites.get_or_insert_with(HashMap::new);
+    if map.insert(site.to_string(), action).is_none() {
+        ARMED.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
 /// Disarm one site. A no-op if the site is not armed.
 pub fn disarm(site: &str) {
-    imp::disarm(site);
+    let mut sites = lock_sites();
+    if let Some(map) = sites.as_mut() {
+        if map.remove(site).is_some() {
+            ARMED.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Disarm every site — call from a test's drop guard so a failed assertion
 /// cannot leak an armed fault into the next test.
 pub fn disarm_all() {
-    imp::disarm_all();
+    let mut sites = lock_sites();
+    if let Some(map) = sites.as_mut() {
+        ARMED.fetch_sub(map.len(), Ordering::SeqCst);
+        map.clear();
+    }
 }
 
 /// Executor-side hook: evaluate the site `"{label}.{phase}"`. Returns the
 /// armed error, sleeps through an armed delay, or passes. The disarmed
 /// path costs one relaxed atomic load.
 pub fn hit(label: &str, phase: &str) -> Result<(), ExprError> {
-    imp::hit(label, phase)
+    if ARMED.load(Ordering::Relaxed) == 0 {
+        return Ok(());
+    }
+    let site = format!("{label}.{phase}");
+    let action = lock_sites()
+        .as_ref()
+        .and_then(|map| map.get(&site).cloned());
+    match action {
+        None => Ok(()),
+        Some(FailAction::Delay(pause)) => {
+            std::thread::sleep(pause);
+            Ok(())
+        }
+        Some(FailAction::Error(message)) => {
+            Err(ExprError::invalid(format!("failpoint {site}: {message}")))
+        }
+    }
 }
 
 /// Serialize tests that arm failpoints: the registry is process-global, so
 /// concurrent arming tests would see each other's faults. Hold the returned
 /// guard for the duration of the test (a poisoned lock — a previous test
 /// panicked — is recovered, since [`disarm_all`] restores a clean slate).
-pub fn test_serial() -> std::sync::MutexGuard<'static, ()> {
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+pub fn test_serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-#[cfg(all(test, feature = "failpoints"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Instant;

@@ -28,8 +28,8 @@
 //!   resident-row budget) checked at every batch boundary of the streaming
 //!   executor,
 //! * [`failpoint`] — named fault-injection sites at operator
-//!   open/next_batch/close, armed per-test (cargo feature `failpoints`,
-//!   on by default; disarmed cost is one relaxed atomic load),
+//!   open/next_batch/close, armed per-test (always compiled in; the
+//!   disarmed cost is one relaxed atomic load),
 //! * [`planner`] — [`PlannerConfig`], the settings a plan executes under,
 //! * [`trace`] — the observability layer: [`trace::operator_label`], the
 //!   one place operators are named, and a per-operator span tree

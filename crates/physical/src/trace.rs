@@ -188,11 +188,6 @@ impl QueryTrace {
         self
     }
 
-    /// `true` when wall-clock spans are being recorded.
-    pub fn timing_enabled(&self) -> bool {
-        self.timing
-    }
-
     /// Start a span: `Some(now)` when timing is enabled, `None` (and no
     /// clock read) otherwise. Pair with one of the `add_*` phase methods.
     pub fn span_start(&self) -> Option<Instant> {

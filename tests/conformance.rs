@@ -1,6 +1,10 @@
 //! The conformance suite: golden corpus, differential fuzz smoke, and
 //! engine-metrics reconciliation under generated workloads.
 //!
+//! The golden corpus is the checked-in `tests/golden/*.slt` files and
+//! nothing else; `div_conformance::golden` documents the format and how
+//! to add a case.
+//!
 //! Environment knobs (see `crates/conformance`):
 //!
 //! * `CONFORMANCE_SEED` — base fuzz seed (decimal or `0x…`); a failing run
@@ -8,7 +12,9 @@
 //! * `CONFORMANCE_CASES` — fuzz case count (default here: 300; CI's smoke
 //!   job and `scripts/fuzz_smoke.sh` run far more).
 //! * `CONFORMANCE_ARTIFACT` — where to write the failing-case repro file.
-//! * `CONFORMANCE_BLESS=1` — re-record the golden `expect` blocks in place.
+//! * `CONFORMANCE_BLESS=1` — re-record the golden `expect` blocks in place
+//!   (the one way to record them: `CONFORMANCE_BLESS=1 cargo test -q
+//!   --test conformance golden_suite_passes_and_covers_all_laws`).
 
 use div_conformance::fuzzer::{run, FuzzConfig};
 use div_conformance::golden::{self, parse_file, render_file};
@@ -82,24 +88,24 @@ fn golden_suite_passes_and_covers_all_laws() {
     }
 }
 
-/// The checked-in corpus stays in sync with the code-defined skeleton in
-/// `div_conformance::golden::default_corpus` — same files, same case names
-/// in the same order. (Re-record with `CONFORMANCE_BLESS=1` after editing
-/// the skeleton.)
+/// Every law-registry shape has exactly one golden case in `laws.slt`,
+/// `plan <key>`, annotated `law <n>` exactly when the shape is the paper's
+/// law `n`: a shape added to [`laws::law_cases`] without a recorded case
+/// fails here.
 #[test]
-fn golden_corpus_matches_the_code_defined_skeleton() {
-    for skeleton in golden::default_corpus() {
-        let path = golden_dir().join(&skeleton.name);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (bless the corpus first)", path.display()));
-        let on_disk = parse_file(&skeleton.name, &text).unwrap_or_else(|e| panic!("{e}"));
-        let disk_names: Vec<&str> = on_disk.cases.iter().map(|c| c.name.as_str()).collect();
-        let skeleton_names: Vec<&str> = skeleton.cases.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(
-            disk_names, skeleton_names,
-            "{}: case list diverged from default_corpus()",
-            skeleton.name
-        );
+fn every_law_registry_shape_has_one_golden_case() {
+    let path = golden_dir().join("laws.slt");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let file = parse_file("laws.slt", &text).unwrap_or_else(|e| panic!("{e}"));
+    for law in laws::law_cases() {
+        let cases: Vec<_> = file
+            .cases
+            .iter()
+            .filter(|c| c.plan_key.as_deref() == Some(law.key))
+            .collect();
+        assert_eq!(cases.len(), 1, "laws.slt: cases with `plan {}`", law.key);
+        let annotated: Vec<u8> = law.law_number.into_iter().collect();
+        assert_eq!(cases[0].laws, annotated, "laws.slt: `law` of {}", law.key);
     }
 }
 
