@@ -19,15 +19,29 @@
 //! optimizer rewrote with the reference evaluator, so an optimizer bug shows
 //! apart from an executor bug.
 //!
-//! [`Strategy::run`] runs one statement under one strategy and demands a
-//! result byte-identical to the expected relation, `ExecStats` / span-tree
-//! consistency ([`check_stats`]), and — under a budget — a peak within the
-//! budget and nothing left resident; over an attached catalog, no table
-//! loaded into it. A budgeted strategy may instead *decline* with the typed
-//! memory-budget error (a plan whose state cannot spill: a distinct set, a
-//! product), which is tallied, never compared. [`check_statement`] runs a
-//! statement down the whole table; [`check_case`] and the golden runner
-//! ([`crate::golden`]) both call it.
+//! [`Strategy::run`] runs one statement under one strategy. `reference/opt`
+//! must evaluate the optimized plan to the expected relation. Every
+//! `stream/…` run must pass each of these checks:
+//!
+//! * the result is byte-identical to the expected relation;
+//! * `ExecStats` / span-tree consistency ([`check_stats`]): `output_rows`
+//!   is the result's size, a non-empty result had a resident batch, the
+//!   operators are in pre-order with one parent each, the root's `rows_out`
+//!   is `output_rows`, and no filter, projection, rename or intersection
+//!   grows its input;
+//! * `resident_rows_on_finish` is 0, budget or not;
+//! * under a budget, `peak_resident_rows` is within it;
+//! * with the optimizer off and no chunk skipped by a zone map,
+//!   `rows_scanned` is the row count of the plan's `Scan` / `Values` leaves:
+//!   every leaf is drained exactly once (an optimized plan is exempt, as
+//!   Law 13 may replicate a scan);
+//! * over an attached catalog, no table is loaded into it.
+//!
+//! A budgeted strategy may instead *decline* with the typed memory-budget
+//! error (a plan whose state cannot spill: a distinct set, a product), which
+//! is tallied, never compared. [`check_statement`] runs a statement down the
+//! whole table; [`check_case`], the golden runner ([`crate::golden`]) and
+//! [`check_plan`], the one entry point for a bare logical plan, all call it.
 //!
 //! For one [`CaseSpec`], [`check_case`] computes the reference quotient with
 //! the interpreting evaluator ([`div_expr::evaluate`]), runs every
@@ -305,11 +319,26 @@ impl Strategy {
             ));
         }
         check_stats(&stats, &relation)?;
+        if stats.resident_rows_on_finish != 0 {
+            return Err(format!(
+                "resident_rows_on_finish = {}",
+                stats.resident_rows_on_finish
+            ));
+        }
         if let Some(budget) = self.budget {
-            if stats.peak_resident_rows > budget || stats.resident_rows_on_finish != 0 {
+            if stats.peak_resident_rows > budget {
                 return Err(format!(
-                    "budget {budget}: peak_resident_rows = {}, resident_rows_on_finish = {}",
-                    stats.peak_resident_rows, stats.resident_rows_on_finish
+                    "budget {budget}: peak_resident_rows = {}",
+                    stats.peak_resident_rows
+                ));
+            }
+        }
+        if !self.optimize && stats.chunks_skipped == 0 {
+            let leaves = leaf_rows(plan, &catalogs.registered)?;
+            if stats.rows_scanned != leaves {
+                return Err(format!(
+                    "rows_scanned = {} but the leaves hold {leaves}",
+                    stats.rows_scanned
                 ));
             }
         }
@@ -340,6 +369,31 @@ pub fn check_statement<'a>(
             .map_err(|detail| (strategy.name, detail))?;
     }
     Ok(tallies)
+}
+
+/// Run a logical plan over `catalog` down the whole table against the
+/// reference evaluator's result for it. `Err` names the strategy that
+/// failed, how, and the plan.
+pub fn check_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<Tallies, String> {
+    let expected = div_expr::evaluate(plan, catalog)
+        .map_err(|e| format!("reference evaluation failed: {e}\nplan:\n{plan}"))?;
+    let catalogs = Catalogs::new(catalog)?;
+    check_statement(&catalogs, plan, || Request::plan(plan), &expected)
+        .map_err(|(strategy, detail)| format!("strategy {strategy}: {detail}\nplan:\n{plan}"))
+}
+
+/// Rows of every `Scan` / `Values` leaf of `plan`: what a full drain of the
+/// unoptimized plan scans when no zone map lets a scan skip a chunk.
+fn leaf_rows(plan: &LogicalPlan, catalog: &Catalog) -> Result<usize, String> {
+    match plan {
+        LogicalPlan::Scan { table } => catalog.row_count(table).map_err(|e| e.to_string()),
+        LogicalPlan::Values { relation } => Ok(relation.len()),
+        _ => plan
+            .children()
+            .into_iter()
+            .map(|c| leaf_rows(c, catalog))
+            .sum(),
+    }
 }
 
 /// Run one case through the full matrix. `Ok` carries execution tallies;

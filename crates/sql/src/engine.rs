@@ -1779,28 +1779,6 @@ mod tests {
     }
 
     #[test]
-    fn early_terminated_cursor_short_circuits_the_scan() {
-        let mut catalog = Catalog::new();
-        let rows: Vec<Vec<i64>> = (0..5_000).map(|i| vec![i, i % 3]).collect();
-        catalog.register(
-            "big",
-            div_algebra::Relation::from_rows(["a", "b"], rows).unwrap(),
-        );
-        let engine = Engine::builder(catalog)
-            .planner_config(PlannerConfig::default().batch_size(128))
-            .build();
-        let mut cursor = engine.run("SELECT a FROM big WHERE b = 0").unwrap();
-        let first: Vec<_> = cursor.by_ref().take(1).collect();
-        assert_eq!(first.len(), 1);
-        let stats = cursor.finish_stats();
-        assert!(
-            stats.rows_scanned < 5_000,
-            "take(1) must stop the scan short, scanned {}",
-            stats.rows_scanned
-        );
-    }
-
-    #[test]
     fn explain_analyze_reports_streaming_peaks() {
         let engine = Engine::new(catalog());
         let analyzed = engine.explain_analyze(Q2).unwrap();

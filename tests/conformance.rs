@@ -21,6 +21,7 @@ use div_conformance::golden::{self, parse_file, render_file};
 use div_conformance::grammar::CaseSpec;
 use div_conformance::laws;
 use div_conformance::oracle::{absorb_all, StrategyTally, Tallies, STRATEGIES};
+use div_rewrite::RuleSet;
 use div_sql::{Cursor, Engine, Params, Request};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -107,6 +108,20 @@ fn every_law_registry_shape_has_one_golden_case() {
         let annotated: Vec<u8> = law.law_number.into_iter().collect();
         assert_eq!(cases[0].laws, annotated, "laws.slt: `law` of {}", law.key);
     }
+}
+
+/// The law registry and the optimizer's default rule set name the same
+/// rules: a rule added without a registry shape (and so without a golden
+/// case that makes it fire) fails here, as does a shape for a rule that is
+/// gone.
+#[test]
+fn the_law_registry_covers_exactly_the_default_rules() {
+    let cases = laws::law_cases();
+    let registry: BTreeSet<&str> = cases.iter().map(|law| law.rule).collect();
+    assert_eq!(registry.len(), cases.len(), "one shape per rule");
+    let rules = RuleSet::default_rules();
+    let default_rules: BTreeSet<&str> = rules.rules().map(|rule| rule.name()).collect();
+    assert_eq!(registry, default_rules);
 }
 
 /// Golden files are a rendering fixpoint: parse → render reproduces the
