@@ -4,7 +4,7 @@
 //! definition (footnote 1), and the special-case Laws 11 and 12 where the
 //! dividend is itself the output of an aggregation (`r1 = AγF(X)→B(r0)`).
 
-use crate::{AlgebraError, Relation, Result, Schema, Tuple, Value};
+use crate::{AlgebraError, Relation, Result, Tuple, Value};
 
 /// An aggregate function applied to one attribute of each group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,16 +168,6 @@ impl Relation {
         }
         Ok(out)
     }
-
-    /// `γ_{count(attr)→out}(r)` without grouping attributes: a one-tuple
-    /// relation holding the cardinality of `r` projected on nothing — i.e. the
-    /// global count. Used by Law 11/12's case analysis
-    /// (`σ_{c=0}(γ_{count(B)→c}(r2))`).
-    pub fn global_count(&self, attr: &str, out: &str) -> Result<Relation> {
-        self.schema().require(attr)?;
-        let schema = Schema::new([out])?;
-        Relation::new(schema, [Tuple::new([self.len() as i64])])
-    }
 }
 
 #[cfg(test)]
@@ -287,19 +277,5 @@ mod tests {
         assert!(r
             .group_aggregate(&["g"], &[AggregateCall::count("zz", "c")])
             .is_err());
-    }
-
-    #[test]
-    fn global_count_counts_tuples() {
-        let r2 = relation! { ["b"] => [1], [3] };
-        assert_eq!(
-            r2.global_count("b", "c").unwrap(),
-            relation! { ["c"] => [2] }
-        );
-        let empty = relation! { ["b"] => };
-        assert_eq!(
-            empty.global_count("b", "c").unwrap(),
-            relation! { ["c"] => [0] }
-        );
     }
 }

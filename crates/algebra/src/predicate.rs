@@ -426,24 +426,6 @@ impl Predicate {
             Predicate::Not(inner) => Predicate::Not(Box::new(inner.bind_parameters(bindings))),
         }
     }
-
-    /// If this predicate is a pure conjunction of attribute equalities, return
-    /// the list of `(left, right)` pairs; otherwise `None`.
-    pub fn as_equi_join_pairs(&self) -> Option<Vec<(String, String)>> {
-        let mut pairs = Vec::new();
-        for c in self.conjuncts() {
-            match c {
-                Predicate::CompareAttributes {
-                    left,
-                    op: CompareOp::Eq,
-                    right,
-                } => pairs.push((left.clone(), right.clone())),
-                Predicate::True => {}
-                _ => return None,
-            }
-        }
-        Some(pairs)
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -564,20 +546,6 @@ mod tests {
             let t = Tuple::new(row);
             assert_eq!(n.eval(&s, &t).unwrap(), !p.eval(&s, &t).unwrap());
         }
-    }
-
-    #[test]
-    fn equi_join_pair_detection() {
-        let p = Predicate::eq_attrs("b", "b2").and(Predicate::eq_attrs("c", "c2"));
-        assert_eq!(
-            p.as_equi_join_pairs().unwrap(),
-            vec![
-                ("b".to_string(), "b2".to_string()),
-                ("c".to_string(), "c2".to_string())
-            ]
-        );
-        let q = Predicate::eq_attrs("b", "b2").and(Predicate::cmp_value("c", CompareOp::Lt, 3));
-        assert!(q.as_equi_join_pairs().is_none());
     }
 
     #[test]

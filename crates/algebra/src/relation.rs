@@ -107,16 +107,6 @@ impl Relation {
         Ok(self.tuples.insert(tuple))
     }
 
-    /// The value of attribute `name` in `tuple` (which must belong to this
-    /// relation's schema).
-    pub fn value_of<'t>(&self, tuple: &'t Tuple, name: &str) -> Result<&'t Value> {
-        let idx = self.schema.require(name)?;
-        tuple.get(idx).ok_or(AlgebraError::ArityMismatch {
-            expected: self.schema.arity(),
-            actual: tuple.arity(),
-        })
-    }
-
     /// Reorder this relation's attribute layout to match `target` (which must
     /// be union-compatible). Used so that set operations can accept operands
     /// whose attributes are declared in different orders.
@@ -299,14 +289,6 @@ mod tests {
         assert!(r.insert(Tuple::new([1])).is_err());
         assert!(r.insert(Tuple::new([1, 2])).unwrap());
         assert!(!r.insert(Tuple::new([1, 2])).unwrap());
-    }
-
-    #[test]
-    fn value_of_reads_named_attribute() {
-        let r = relation! { ["s#", "color"] => [1, "blue"] };
-        let t = r.tuples().next().unwrap().clone();
-        assert_eq!(r.value_of(&t, "color").unwrap(), &Value::str("blue"));
-        assert!(r.value_of(&t, "p#").is_err());
     }
 
     #[test]

@@ -61,22 +61,6 @@ impl Value {
         }
     }
 
-    /// The boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The set payload, if this is a [`Value::Set`].
-    pub fn as_set(&self) -> Option<&BTreeSet<Value>> {
-        match self {
-            Value::Set(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// `true` when both values are of the same variant, which is the weak
     /// notion of type compatibility used by predicate evaluation.
     pub fn same_kind(&self, other: &Value) -> bool {
@@ -176,9 +160,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_str(), None);
         assert_eq!(Value::str("x").as_str(), Some("x"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        let s = Value::set([1, 2, 3]);
-        assert_eq!(s.as_set().unwrap().len(), 3);
     }
 
     #[test]

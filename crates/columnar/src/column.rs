@@ -177,26 +177,6 @@ impl Column {
         self.len() == 0
     }
 
-    /// `true` when row `i` is NULL.
-    pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            Column::Int { validity, .. } | Column::Bool { validity, .. } => {
-                matches!(validity, Some(v) if !v[i])
-            }
-            Column::Str(s) => matches!(&s.validity, Some(v) if !v[i]),
-            Column::Mixed(values) => values[i] == Value::Null,
-        }
-    }
-
-    /// `true` when no row of the column is NULL.
-    pub fn all_valid(&self) -> bool {
-        match self {
-            Column::Int { validity, .. } | Column::Bool { validity, .. } => validity.is_none(),
-            Column::Str(s) => s.validity.is_none(),
-            Column::Mixed(values) => values.iter().all(|v| *v != Value::Null),
-        }
-    }
-
     /// The row `i` value as an owned [`Value`] (NULL rows yield
     /// [`Value::Null`]).
     pub fn value(&self, i: usize) -> Value {
@@ -500,8 +480,6 @@ mod tests {
         let values = vec![Value::Int(3), Value::Null, Value::Int(-1)];
         let col = Column::from_values(values.iter());
         assert!(matches!(col, Column::Int { .. }));
-        assert!(!col.all_valid());
-        assert!(col.is_null(1));
         assert_eq!((0..3).map(|i| col.value(i)).collect::<Vec<_>>(), values);
     }
 

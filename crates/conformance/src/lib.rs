@@ -13,9 +13,9 @@
 //!   optimizer on and off, streaming at batch sizes 1024 and 3, a spilling
 //!   memory budget, attached `.divcol` files, and the reference evaluator
 //!   over the optimized plan) and the differential oracle that runs each
-//!   formulation — or, through [`oracle::check_plan`], any logical plan —
-//!   under every strategy, asserting byte-identical relations and
-//!   `ExecStats` / span-tree invariants.
+//!   formulation — or, through [`oracle::check_plan`], any logical plan,
+//!   such as the executor suites' shape catalogue [`oracle::shapes`] — under
+//!   every strategy, asserting byte-identical relations and `ExecStats` / span-tree invariants.
 //! * [`shrink`] — greedy case minimization once a mismatch is found.
 //! * [`fuzzer`] — the seeded fuzz loop behind `tests/conformance.rs`, the
 //!   `conformance_fuzz` binary and the CI smoke job; honors

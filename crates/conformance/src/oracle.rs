@@ -26,9 +26,12 @@
 //! * the result is byte-identical to the expected relation;
 //! * `ExecStats` / span-tree consistency ([`check_stats`]): `output_rows`
 //!   is the result's size, a non-empty result had a resident batch, the
-//!   operators are in pre-order with one parent each, the root's `rows_out`
-//!   is `output_rows`, and no filter, projection, rename or intersection
-//!   grows its input;
+//!   spans are in pre-order with one parent each — with the optimizer off,
+//!   one span per plan node, labelled by [`operator_label`] —, each span's
+//!   `rows_in` is its children's `rows_out`, the root's `rows_out` is
+//!   `output_rows`, the scan and `Values` spans sum to `rows_scanned`, the
+//!   span probes sum to `probes`, and no filter, projection, rename or
+//!   intersection grows its input;
 //! * `resident_rows_on_finish` is 0, budget or not;
 //! * under a budget, `peak_resident_rows` is within it;
 //! * with the optimizer off and no chunk skipped by a zone map,
@@ -43,6 +46,9 @@
 //! whole table; [`check_case`], the golden runner ([`crate::golden`]) and
 //! [`check_plan`], the one entry point for a bare logical plan, all call it.
 //!
+//! [`shapes`] over [`shape_catalog`] is the one plan-shape catalogue every
+//! executor suite (differential, out-of-core, chaos, observability) runs.
+//!
 //! For one [`CaseSpec`], [`check_case`] computes the reference quotient with
 //! the interpreting evaluator ([`div_expr::evaluate`]), runs every
 //! formulation of the case through the table, and further demands:
@@ -55,9 +61,9 @@
 //!   matching snapshot every time.
 
 use crate::grammar::{CaseSpec, QueryForm};
-use div_algebra::{Relation, Value};
-use div_expr::{Catalog, LogicalPlan};
-use div_physical::{ExecStats, PlannerConfig};
+use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation, Value};
+use div_expr::{Catalog, LogicalPlan, PlanBuilder};
+use div_physical::{operator_label, ExecStats, PlannerConfig};
 use div_rewrite::{Optimizer, RewriteContext};
 use div_sql::{Cursor, Engine, Params, Request};
 use div_storage::{TableReader, TableWriter};
@@ -318,7 +324,7 @@ impl Strategy {
                 render(&relation),
             ));
         }
-        check_stats(&stats, &relation)?;
+        check_stats(&stats, &relation, (!self.optimize).then_some(plan))?;
         if stats.resident_rows_on_finish != 0 {
             return Err(format!(
                 "resident_rows_on_finish = {}",
@@ -371,20 +377,19 @@ pub fn check_statement<'a>(
     Ok(tallies)
 }
 
-/// Run a logical plan over `catalog` down the whole table against the
+/// Run a logical plan over `catalogs` down the whole table against the
 /// reference evaluator's result for it. `Err` names the strategy that
 /// failed, how, and the plan.
-pub fn check_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<Tallies, String> {
-    let expected = div_expr::evaluate(plan, catalog)
+pub fn check_plan(catalogs: &Catalogs, plan: &LogicalPlan) -> Result<Tallies, String> {
+    let expected = div_expr::evaluate(plan, &catalogs.registered)
         .map_err(|e| format!("reference evaluation failed: {e}\nplan:\n{plan}"))?;
-    let catalogs = Catalogs::new(catalog)?;
-    check_statement(&catalogs, plan, || Request::plan(plan), &expected)
+    check_statement(catalogs, plan, || Request::plan(plan), &expected)
         .map_err(|(strategy, detail)| format!("strategy {strategy}: {detail}\nplan:\n{plan}"))
 }
 
 /// Rows of every `Scan` / `Values` leaf of `plan`: what a full drain of the
 /// unoptimized plan scans when no zone map lets a scan skip a chunk.
-fn leaf_rows(plan: &LogicalPlan, catalog: &Catalog) -> Result<usize, String> {
+pub fn leaf_rows(plan: &LogicalPlan, catalog: &Catalog) -> Result<usize, String> {
     match plan {
         LogicalPlan::Scan { table } => catalog.row_count(table).map_err(|e| e.to_string()),
         LogicalPlan::Values { relation } => Ok(relation.len()),
@@ -394,6 +399,134 @@ fn leaf_rows(plan: &LogicalPlan, catalog: &Catalog) -> Result<usize, String> {
             .map(|c| leaf_rows(c, catalog))
             .sum(),
     }
+}
+
+/// The fixed catalog [`shapes`] run over: `supplies(s#, p#)`, 60 rows in
+/// twelve quotient groups of five parts out of six; `wanted(p#)`, three
+/// parts; `grouped(p#, c)`, ten rows in three divisor groups. Big enough
+/// that the blocking operators hold real state under a small budget.
+pub fn shape_catalog() -> Catalog {
+    let rows = |names: [&str; 2], rows: Vec<Vec<i64>>| Relation::from_rows(names, rows).unwrap();
+    let supplies = (0..12).flat_map(|s| (0..5).map(move |p| vec![s, (s + p) % 6]));
+    let mut catalog = Catalog::new();
+    catalog.register("supplies", rows(["s#", "p#"], supplies.collect()));
+    catalog.register("wanted", relation! { ["p#"] => [1], [2], [3] });
+    let grouped = (0..10).map(|i| vec![i % 5, i % 3]).collect();
+    catalog.register("grouped", rows(["p#", "c"], grouped));
+    catalog
+}
+
+/// The plan-shape catalogue every executor suite runs, by name, over
+/// [`shape_catalog`] or a random catalog of its three tables (the shapes
+/// read nothing else but `Values` leaves): one shape per operator family,
+/// two stacked identical filters a label-keyed view could not tell apart, a
+/// filter chain, a union of two `Values` leaves and a chain through every
+/// pipelining and set operator kind — together, every operator kind.
+pub fn shapes() -> Vec<(&'static str, LogicalPlan)> {
+    use CompareOp::{GtEq, Lt, LtEq};
+    let (scan, values) = (PlanBuilder::scan, PlanBuilder::values);
+    let (supplies, wanted) = (|| scan("supplies"), || scan("wanted"));
+    let renamed = |table, to| scan(table).rename([("p#", to)]);
+    let cmp = |attribute, op, value: i64| Predicate::cmp_value(attribute, op, value);
+    let count = |attribute| AggregateCall::count(attribute, "n");
+    let part = || renamed("supplies", "part");
+    [
+        ("divide", supplies().divide(wanted())),
+        (
+            "filtered_divide",
+            supplies()
+                .select(cmp("s#", Lt, 9))
+                .divide(wanted())
+                .project(["s#"]),
+        ),
+        ("great_divide", supplies().great_divide(scan("grouped"))),
+        (
+            "join_project",
+            supplies().natural_join(wanted()).project(["s#", "p#"]),
+        ),
+        (
+            "semi_anti_union",
+            supplies()
+                .semi_join(wanted())
+                .union(supplies().anti_semi_join(wanted())),
+        ),
+        (
+            "aggregate_project",
+            supplies()
+                .group_aggregate(["s#"], [count("p#")])
+                .project(["s#"]),
+        ),
+        (
+            "difference",
+            renamed("supplies", "x").difference(renamed("supplies", "x").select(cmp("x", GtEq, 3))),
+        ),
+        (
+            "intersect",
+            supplies().intersect(supplies().select(cmp("p#", Lt, 3))),
+        ),
+        (
+            "product",
+            renamed("wanted", "x").product(renamed("wanted", "y")),
+        ),
+        (
+            "theta_join",
+            supplies().theta_join(
+                renamed("wanted", "w"),
+                Predicate::cmp_attrs("p#", LtEq, "w"),
+            ),
+        ),
+        (
+            "sum_per_group",
+            supplies().group_aggregate(["s#"], [count("p#"), AggregateCall::sum("p#", "total")]),
+        ),
+        (
+            "join_adds_a_column",
+            supplies().natural_join(scan("grouped")),
+        ),
+        (
+            "difference_values",
+            renamed("supplies", "x").difference(values(relation! { ["s#", "x"] => [1, 1] })),
+        ),
+        (
+            "every_operator_kind",
+            part()
+                .project(["s#", "part"])
+                .union(part())
+                .intersect(part())
+                .difference(values(relation! { ["s#", "part"] => [99, 99] }))
+                .semi_join(renamed("wanted", "part"))
+                .anti_semi_join(values(relation! { ["s#"] => [3] }))
+                .group_aggregate(["s#"], [count("part")]),
+        ),
+        (
+            "stacked_identical_filters",
+            supplies()
+                .select(Predicate::eq_value("p#", 2))
+                .select(Predicate::eq_value("p#", 2)),
+        ),
+        (
+            "filter_chain",
+            supplies()
+                .select(cmp("s#", GtEq, 1))
+                .select(cmp("p#", LtEq, 3))
+                .project(["s#"]),
+        ),
+        (
+            "values_union",
+            values(relation! { ["k"] => [1], [2] }).union(values(relation! { ["k"] => [2], [3] })),
+        ),
+        (
+            "divide_by_filtered_divisor",
+            supplies().divide(
+                scan("grouped")
+                    .select(Predicate::eq_value("c", 1))
+                    .project(["p#"]),
+            ),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, plan)| (name, plan.build()))
+    .collect()
 }
 
 /// Run one case through the full matrix. `Ok` carries execution tallies;
@@ -596,8 +729,15 @@ pub(crate) fn bind(params: &[(String, Value)]) -> Params {
     bound
 }
 
-/// `ExecStats` / span-tree invariants shared by every executing strategy.
-pub fn check_stats(stats: &ExecStats, relation: &Relation) -> Result<(), String> {
+/// `ExecStats` / span-tree invariants shared by every executing run.
+/// `plan` is the executed plan where it is known (the optimizer off): then
+/// the tree must hold one span per plan node, labelled by
+/// [`operator_label`] in pre-order.
+pub fn check_stats(
+    stats: &ExecStats,
+    relation: &Relation,
+    plan: Option<&LogicalPlan>,
+) -> Result<(), String> {
     if stats.output_rows != relation.len() {
         return Err(format!(
             "output_rows = {} but the result has {} tuples",
@@ -610,16 +750,19 @@ pub fn check_stats(stats: &ExecStats, relation: &Relation) -> Result<(), String>
     }
 
     let ops = &stats.operators;
-    if ops.is_empty() {
-        return Ok(());
+    if let Some(plan) = plan {
+        let mut labels = Vec::with_capacity(ops.len());
+        plan.visit(&mut |node| labels.push(operator_label(node)));
+        let spans: Vec<&str> = ops.iter().map(|op| op.label.as_str()).collect();
+        if spans != labels {
+            return Err(format!(
+                "the spans {spans:?} are not the plan's nodes {labels:?} in pre-order"
+            ));
+        }
     }
-    let max_probe = ops.iter().map(|o| o.probes).max().unwrap_or(0);
-    if stats.probes < max_probe {
-        return Err(format!(
-            "aggregate probes ({}) below a single operator's probes ({max_probe})",
-            stats.probes
-        ));
-    }
+    let Some(root) = ops.first() else {
+        return Err("the run reported no spans".to_string());
+    };
     let mut seen_as_child = vec![false; ops.len()];
     for (i, op) in ops.iter().enumerate() {
         if op.id.0 != i {
@@ -637,14 +780,13 @@ pub fn check_stats(stats: &ExecStats, relation: &Relation) -> Result<(), String>
             }
             seen_as_child[child.0] = true;
         }
-    }
-    if ops[0].rows_out != stats.output_rows {
-        return Err(format!(
-            "root operator {} reports rows_out = {} but output_rows = {}",
-            ops[0].label, ops[0].rows_out, stats.output_rows
-        ));
-    }
-    for op in ops {
+        let from_children: usize = op.children.iter().map(|c| ops[c.0].rows_out).sum();
+        if op.rows_in != from_children {
+            return Err(format!(
+                "operator {i} ({}) reports rows_in = {} but its children emitted {from_children}",
+                op.label, op.rows_in
+            ));
+        }
         let monotone = ["Filter", "Project", "Rename", "Intersect"]
             .iter()
             .any(|p| op.label.starts_with(p));
@@ -654,6 +796,30 @@ pub fn check_stats(stats: &ExecStats, relation: &Relation) -> Result<(), String>
                 op.label, op.rows_in, op.rows_out
             ));
         }
+    }
+    if root.rows_out != stats.output_rows {
+        return Err(format!(
+            "root operator {} reports rows_out = {} but output_rows = {}",
+            root.label, root.rows_out, stats.output_rows
+        ));
+    }
+    let scanned: usize = ops
+        .iter()
+        .filter(|op| op.label.starts_with("TableScan(") || op.label.starts_with("Values("))
+        .map(|op| op.rows_out)
+        .sum();
+    if scanned != stats.rows_scanned {
+        return Err(format!(
+            "the scan spans emitted {scanned} rows but rows_scanned = {}",
+            stats.rows_scanned
+        ));
+    }
+    let probes: usize = ops.iter().map(|op| op.probes).sum();
+    if probes != stats.probes {
+        return Err(format!(
+            "the span probes sum to {probes} but probes = {}",
+            stats.probes
+        ));
     }
     Ok(())
 }

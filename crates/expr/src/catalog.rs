@@ -254,11 +254,6 @@ impl Catalog {
             .filter_map(|(n, entry)| Some((n.as_str(), entry.rows.get()?.as_ref())))
     }
 
-    /// Number of registered tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Declare a uniqueness constraint on `table(attributes)`.
     ///
     /// The constraint is validated against the current contents of the table
@@ -396,7 +391,6 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let c = catalog();
-        assert_eq!(c.table_count(), 2);
         assert!(c.contains_table("parts"));
         assert_eq!(c.table("supplies").unwrap().len(), 3);
         assert!(matches!(

@@ -43,8 +43,8 @@ pub struct PlannerConfig {
     /// partitioned-hash operators that consult the *guard*: they stay in
     /// memory while their build input fits, partition it to disk (via
     /// `div-storage` spill files) when any budget the guard carries —
-    /// [`PlannerConfig::memory_budget_rows`], a serving session's default,
-    /// a caller's own — would trip, and recurse per partition (Graefe's
+    /// [`PlannerConfig::memory_budget_rows`] (served statements included)
+    /// or a caller's own — would trip, and recurse per partition (Graefe's
     /// hybrid hash-division design). Without a budget the flag is inert.
     /// Defaults to `false`: a budget aborts with
     /// [`div_expr::ExprError::MemoryBudget`].

@@ -41,7 +41,7 @@
 //! and the aggregate's groups (never their input, which streams under any
 //! guard) — and from then on what does not fit is partitioned to disk and
 //! served partition by partition (`spill.rs`). The guard — wherever its
-//! budget came from: the config, a serving session's default, a caller — is
+//! budget came from: the config (served statements included), a caller — is
 //! the only thing that decides; compilation never looks at it.
 //!
 //! One file per operator family: this file holds what every operator

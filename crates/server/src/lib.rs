@@ -30,9 +30,8 @@
 //! * **Lifecycle governance**: every statement runs under a
 //!   [`div_sql::QueryGuard`] — a per-statement cancellation token
 //!   (`SESSION` reports the id, `CANCEL <id>` from any other connection
-//!   trips it), plus the server-wide default deadline and resident-row
-//!   budget of [`ServerConfig::default_deadline`] /
-//!   [`ServerConfig::default_budget_rows`]. Aborts surface as the typed,
+//!   trips it), plus the deadline and resident-row budget of the engine's
+//!   `PlannerConfig`, armed when the statement starts. Aborts surface as the typed,
 //!   non-retryable wire codes `CANCELLED`, `DEADLINE` and `MEMORY`, and
 //!   the worker is freed at the next batch boundary. The bundled
 //!   [`Client`] can retry the *retryable* codes with jittered exponential

@@ -40,15 +40,6 @@ pub struct ServerConfig {
     /// Maximum bytes of one request line; longer requests are answered
     /// with `ERR TOO_LARGE` and the connection is closed.
     pub max_request_bytes: usize,
-    /// Default wall-clock deadline for every statement a session runs.
-    /// A statement that outlives it aborts at its next batch boundary with
-    /// `ERR DEADLINE`. `None` (the default) leaves statements governed
-    /// only by the engine's own configuration.
-    pub default_deadline: Option<Duration>,
-    /// Default resident-row memory budget for every statement a session
-    /// runs; exceeding it aborts the statement with `ERR MEMORY`. `None`
-    /// (the default) defers to the engine's own configuration.
-    pub default_budget_rows: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -58,8 +49,6 @@ impl Default for ServerConfig {
             queue_depth: 16,
             read_timeout: Duration::from_secs(30),
             max_request_bytes: 64 * 1024,
-            default_deadline: None,
-            default_budget_rows: None,
         }
     }
 }

@@ -199,7 +199,6 @@ pub(crate) fn run_session(
                     &line,
                     session_id,
                     engine,
-                    config,
                     metrics,
                     cancels,
                     &mut prepared,
@@ -302,25 +301,18 @@ fn poll_tick_passed(err: &io::Error) -> bool {
 }
 
 /// Register a fresh cancellation token for the statement this session is
-/// about to run, and build its guard: the engine's configured defaults,
-/// overridden by the server's session-wide defaults, observing the token.
-/// The deadline arms here — immediately before the cursor opens. The
-/// returned drop guard deregisters the token on every exit path.
+/// about to run, and build its guard: the engine's configured deadline,
+/// budget and spilling, observing the token. The deadline arms here —
+/// immediately before the cursor opens. The returned drop guard
+/// deregisters the token on every exit path.
 fn arm_statement<'a>(
     session_id: u64,
     cancels: &'a CancelRegistry,
     engine: &Engine,
-    config: &ServerConfig,
 ) -> (QueryGuard, ArmedStatement<'a>) {
     let token = CancelToken::new();
     cancels.register(session_id, token.clone());
-    let mut guard = QueryGuard::from_config(engine.planner_config()).with_token(token);
-    if let Some(deadline) = config.default_deadline {
-        guard = guard.with_deadline(deadline);
-    }
-    if let Some(budget) = config.default_budget_rows {
-        guard = guard.with_budget_rows(budget);
-    }
+    let guard = QueryGuard::from_config(engine.planner_config()).with_token(token);
     let armed = ArmedStatement {
         registry: cancels,
         session: session_id,
@@ -328,12 +320,10 @@ fn arm_statement<'a>(
     (guard, armed)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn serve_request(
     line: &str,
     session_id: u64,
     engine: &Engine,
-    config: &ServerConfig,
     metrics: &ServerMetrics,
     cancels: &CancelRegistry,
     prepared: &mut HashMap<String, PreparedStatement>,
@@ -356,7 +346,7 @@ fn serve_request(
             return RequestOutcome::CloseSession;
         }
         Request::Query(sql) => {
-            let (guard, _armed) = arm_statement(session_id, cancels, engine, config);
+            let (guard, _armed) = arm_statement(session_id, cancels, engine);
             match engine.run(div_sql::Request::sql(&sql).guard(guard)) {
                 Ok(cursor) => return stream_cursor(cursor, metrics, writer),
                 Err(err) => engine_error(&err, metrics, writer),
@@ -389,7 +379,7 @@ fn serve_request(
             for (key, value) in params {
                 bound = bound.bind(key, value);
             }
-            let (guard, _armed) = arm_statement(session_id, cancels, engine, config);
+            let (guard, _armed) = arm_statement(session_id, cancels, engine);
             // A statement the catalog moved under is re-planned
             // transparently: the client keeps its statement name and never
             // sees a stale result.
@@ -407,7 +397,7 @@ fn serve_request(
         }
         Request::Explain { sql, analyze } => {
             let report = if analyze {
-                let (guard, _armed) = arm_statement(session_id, cancels, engine, config);
+                let (guard, _armed) = arm_statement(session_id, cancels, engine);
                 engine.explain_analyze(div_sql::Request::sql(&sql).guard(guard))
             } else {
                 engine.explain(&sql)

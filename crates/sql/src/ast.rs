@@ -133,17 +133,6 @@ pub enum TableFactor {
     },
 }
 
-impl TableFactor {
-    /// The alias if present, otherwise the base-table name (derived tables
-    /// without alias have no name).
-    pub fn binding_name(&self) -> Option<&str> {
-        match self {
-            TableFactor::Table { name, alias } => Some(alias.as_deref().unwrap_or(name)),
-            TableFactor::Derived { alias, .. } => alias.as_deref(),
-        }
-    }
-}
-
 /// A table reference in the `FROM` clause: a plain factor or the paper's
 /// `<quotient>` production.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,20 +257,6 @@ mod tests {
     fn column_refs_display() {
         assert_eq!(ColumnRef::bare("s#").to_string(), "s#");
         assert_eq!(ColumnRef::qualified("s", "p#").to_string(), "s.p#");
-    }
-
-    #[test]
-    fn binding_names() {
-        let t = TableFactor::Table {
-            name: "supplies".into(),
-            alias: Some("s".into()),
-        };
-        assert_eq!(t.binding_name(), Some("s"));
-        let bare = TableFactor::Table {
-            name: "parts".into(),
-            alias: None,
-        };
-        assert_eq!(bare.binding_name(), Some("parts"));
     }
 
     #[test]

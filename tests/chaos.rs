@@ -1,9 +1,11 @@
 //! Chaos suite: fault injection at every operator boundary of every plan
 //! shape.
 //!
-//! For each of the eleven plan shapes below, every `{label}.{phase}` site
-//! the compiled physical plan exposes is armed in turn with an error
-//! failpoint, and the streaming executor is driven to its terminal state.
+//! For every shape of the oracle's catalogue (`div_conformance::oracle::shapes`,
+//! which together compile to every streaming operator), every
+//! `{label}.{phase}` site the compiled physical plan exposes is armed in
+//! turn with an error failpoint, and the streaming executor is driven to
+//! its terminal state.
 //! The governance invariants under test:
 //!
 //! * **no panics** — every fault surfaces as a typed `Err`, never an
@@ -21,7 +23,8 @@
 //! on [`div_physical::failpoint::test_serial`] and disarms in all exit
 //! paths.
 
-use div_algebra::{relation, AggregateCall, CompareOp, Predicate, Relation};
+use div_algebra::{relation, AggregateCall, Relation};
+use div_conformance::oracle::{shape_catalog, shapes};
 use div_expr::{Catalog, ExprError, LogicalPlan, PlanBuilder};
 use div_physical::{
     failpoint, operator_label, ExecStats, FailAction, PlannerConfig, QueryGuard, StreamExecutor,
@@ -29,84 +32,6 @@ use div_physical::{
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(
-        "supplies",
-        relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1], [2, 2], [2, 3], [3, 2] },
-    );
-    c.register(
-        "parts",
-        relation! { ["p#", "color"] => [1, "blue"], [2, "blue"], [3, "red"] },
-    );
-    c
-}
-
-/// Eleven logical shapes that together compile to every streaming operator:
-/// scans, values, filter, project, rename, union, intersect, difference,
-/// cross product, nested-loop (theta) join, hash join, semi/anti-semi
-/// joins, aggregation, small divide and great divide.
-fn shapes() -> Vec<LogicalPlan> {
-    vec![
-        PlanBuilder::scan("supplies")
-            .natural_join(PlanBuilder::scan("parts"))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .semi_join(PlanBuilder::scan("parts"))
-            .union(PlanBuilder::scan("supplies").anti_semi_join(PlanBuilder::scan("parts")))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .rename([("p#", "x")])
-            .difference(PlanBuilder::values(relation! { ["s#", "x"] => [1, 1] }))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .intersect(PlanBuilder::scan("supplies").select(Predicate::cmp_value(
-                "p#",
-                CompareOp::Lt,
-                3,
-            )))
-            .build(),
-        PlanBuilder::scan("parts")
-            .project(["p#"])
-            .rename([("p#", "x")])
-            .product(
-                PlanBuilder::scan("parts")
-                    .project(["p#"])
-                    .rename([("p#", "y")]),
-            )
-            .build(),
-        PlanBuilder::scan("supplies")
-            .theta_join(
-                PlanBuilder::scan("parts")
-                    .rename([("p#", "q")])
-                    .project(["q"]),
-                Predicate::cmp_attrs("p#", CompareOp::Lt, "q"),
-            )
-            .build(),
-        PlanBuilder::scan("supplies")
-            .group_aggregate(["s#"], [AggregateCall::count("p#", "n")])
-            .build(),
-        PlanBuilder::scan("supplies")
-            .great_divide(PlanBuilder::scan("parts"))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .divide(
-                PlanBuilder::scan("parts")
-                    .select(Predicate::eq_value("color", "blue"))
-                    .project(["p#"]),
-            )
-            .build(),
-        PlanBuilder::scan("supplies")
-            .select(Predicate::cmp_value("s#", CompareOp::GtEq, 1))
-            .select(Predicate::cmp_value("p#", CompareOp::LtEq, 3))
-            .project(["s#"])
-            .build(),
-        PlanBuilder::values(relation! { ["k"] => [1], [2] })
-            .union(PlanBuilder::values(relation! { ["k"] => [2], [3] }))
-            .build(),
-    ]
-}
 
 /// Every distinct operator label of the compiled plan.
 fn labels(plan: &LogicalPlan) -> BTreeSet<String> {
@@ -168,13 +93,13 @@ fn every_fault_site_of_every_shape_aborts_cleanly() {
     let _serial = failpoint::test_serial();
     let _cleanup = DisarmOnDrop;
     failpoint::disarm_all();
-    let c = catalog();
+    let c = shape_catalog();
     // Small batches so multi-batch pipelines exercise mid-stream faults.
     let config = PlannerConfig::default().batch_size(2);
     let mut fired = 0usize;
     let mut sites_total = 0usize;
     let mut sites_per_shape = Vec::new();
-    for plan in shapes() {
+    for (_, plan) in shapes() {
         let (baseline, baseline_stats) = drive(&plan, &c, &config, QueryGuard::default());
         let baseline = baseline.unwrap_or_else(|err| panic!("clean run failed: {err}\n{plan}"));
         assert_eq!(
@@ -234,7 +159,10 @@ fn every_fault_site_of_every_shape_aborts_cleanly() {
     }
     // Every `{label}.{phase}` site of every shape, by count: a relabelled or
     // lost operator changes this.
-    assert_eq!(sites_per_shape, [9, 15, 12, 9, 12, 15, 6, 9, 15, 12, 6]);
+    assert_eq!(
+        sites_per_shape,
+        [9, 15, 9, 12, 15, 9, 12, 9, 9, 12, 6, 9, 12, 33, 6, 12, 6, 15]
+    );
     // The suite is not vacuous: the overwhelming majority of sites actually
     // observed their fault (only empty-output emission sites may not).
     assert!(
@@ -251,7 +179,7 @@ fn injected_delays_trip_an_armed_deadline() {
     let _serial = failpoint::test_serial();
     let _cleanup = DisarmOnDrop;
     failpoint::disarm_all();
-    let c = catalog();
+    let c = shape_catalog();
     let config = PlannerConfig::default().batch_size(2);
     let plan = PlanBuilder::scan("supplies").project(["s#"]).build();
     failpoint::arm(
@@ -285,12 +213,12 @@ fn failpoint_error_mid_stream_leaves_no_resident_rows() {
     let _cleanup = DisarmOnDrop;
     failpoint::disarm_all();
     let plan = PlanBuilder::scan("supplies")
-        .natural_join(PlanBuilder::scan("parts"))
+        .natural_join(PlanBuilder::scan("grouped"))
         .build();
     let config = PlannerConfig::default().batch_size(2);
     failpoint::arm("HashJoin.next_batch", FailAction::Error("chaos".into()));
     let guard = QueryGuard::from_config(&config);
-    let (result, stats) = drive(&plan, &catalog(), &config, guard);
+    let (result, stats) = drive(&plan, &shape_catalog(), &config, guard);
     failpoint::disarm_all();
     let err = result.unwrap_err();
     assert!(
@@ -479,7 +407,7 @@ fn injected_faults_surface_over_the_wire_and_the_session_survives() {
 
     let server = Server::bind(
         "127.0.0.1:0",
-        Arc::new(Engine::new(catalog())),
+        Arc::new(Engine::new(shape_catalog())),
         ServerConfig::default(),
     )
     .expect("bind ephemeral port");

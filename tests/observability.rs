@@ -3,199 +3,49 @@
 //! report, and the engine's session metrics registry — exercised through
 //! the public facade only.
 //!
-//! The core consistency check: for every plan shape, the per-operator tree
-//! must agree with the query-level aggregates the executor reports — scans
-//! sum to `rows_scanned`, the root matches `output_rows`, per-node probes
-//! sum to `probes` — and the tree must have exactly one node per plan
-//! node, labelled by `operator_label` in pre-order.
+//! The span-tree consistency facts — one span per plan node, labelled by
+//! `operator_label` in pre-order, each `rows_in` the sum of the children's
+//! outputs, scans summing to `rows_scanned`, the root matching
+//! `output_rows`, per-span probes summing to `probes` — are the oracle's
+//! `check_stats` (`div_conformance::oracle`), which every differential run
+//! makes; here every shape of the oracle's catalogue is also checked with
+//! span timing on, which the oracle's matrix does not run.
 
+use div_conformance::oracle::{check_stats, shape_catalog, shapes};
 use division::prelude::*;
 use std::sync::Arc;
 
-fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(
-        "supplies",
-        relation! { ["s#", "p#"] => [1, 1], [1, 2], [2, 1], [2, 2], [2, 3], [3, 2] },
-    );
-    c.register(
-        "others",
-        relation! { ["s#", "p#"] => [1, 1], [4, 2], [5, 3] },
-    );
-    c.register(
-        "parts",
-        relation! { ["p#", "color"] => [1, "blue"], [2, "blue"], [3, "red"] },
-    );
-    c.register("colors", relation! { ["color"] => ["blue"], ["red"] });
-    c
-}
-
-/// The plan-shape sweep: one representative per operator family, plus the
-/// collision shape (two identically-labelled filters) a label-keyed view
-/// could not tell apart.
-fn plan_shapes() -> Vec<(&'static str, LogicalPlan)> {
-    let blue_parts = || {
-        PlanBuilder::scan("parts")
-            .select(Predicate::eq_value("color", "blue"))
-            .project(["p#"])
-    };
-    vec![
-        ("scan", PlanBuilder::scan("supplies").build()),
-        (
-            "filter",
-            PlanBuilder::scan("supplies")
-                .select(Predicate::eq_value("p#", 2))
-                .build(),
-        ),
-        (
-            "project",
-            PlanBuilder::scan("supplies").project(["s#"]).build(),
-        ),
-        (
-            "stacked_identical_filters",
-            PlanBuilder::scan("supplies")
-                .select(Predicate::eq_value("p#", 2))
-                .select(Predicate::eq_value("p#", 2))
-                .build(),
-        ),
-        (
-            "union",
-            PlanBuilder::scan("supplies")
-                .union(PlanBuilder::scan("others"))
-                .build(),
-        ),
-        (
-            "intersect",
-            PlanBuilder::scan("supplies")
-                .intersect(PlanBuilder::scan("others"))
-                .build(),
-        ),
-        (
-            "difference",
-            PlanBuilder::scan("supplies")
-                .difference(PlanBuilder::scan("others"))
-                .build(),
-        ),
-        (
-            "product",
-            PlanBuilder::scan("supplies")
-                .product(PlanBuilder::scan("colors"))
-                .build(),
-        ),
-        (
-            "natural_join",
-            PlanBuilder::scan("supplies")
-                .natural_join(PlanBuilder::scan("parts"))
-                .build(),
-        ),
-        (
-            "semi_join",
-            PlanBuilder::scan("supplies")
-                .semi_join(blue_parts())
-                .build(),
-        ),
-        (
-            "divide",
-            PlanBuilder::scan("supplies").divide(blue_parts()).build(),
-        ),
-        (
-            "great_divide",
-            PlanBuilder::scan("supplies")
-                .great_divide(PlanBuilder::scan("parts"))
-                .build(),
-        ),
-        (
-            "aggregate",
-            PlanBuilder::scan("supplies")
-                .group_aggregate(["s#"], [AggregateCall::count("p#", "n")])
-                .build(),
-        ),
-    ]
-}
-
-/// Pre-order operator labels of a plan — the `OperatorId` order.
-fn preorder_labels(plan: &LogicalPlan) -> Vec<String> {
-    let mut out = Vec::new();
-    plan.visit(&mut |node| out.push(operator_label(node)));
-    out
-}
-
-fn assert_tree_consistent(
-    path: &str,
-    shape: &str,
-    plan: &LogicalPlan,
-    stats: &division::physical::ExecStats,
-) {
-    let ops = &stats.operators;
-    assert_eq!(
-        ops.len(),
-        plan.node_count(),
-        "{path}/{shape}: one span per operator"
-    );
-    let labels = preorder_labels(plan);
-    for (i, op) in ops.iter().enumerate() {
-        assert_eq!(op.id.index(), i, "{path}/{shape}: ids are pre-order");
-        assert_eq!(op.label, labels[i], "{path}/{shape}: labels line up");
-        // rows_in is derived: the sum of the children's outputs.
-        let from_children: usize = op.children.iter().map(|c| ops[c.index()].rows_out).sum();
-        assert_eq!(op.rows_in, from_children, "{path}/{shape}: rows_in");
-    }
-    let scanned: usize = ops
-        .iter()
-        .filter(|op| op.label.starts_with("TableScan(") || op.label.starts_with("Values("))
-        .map(|op| op.rows_out)
-        .sum();
-    assert_eq!(
-        scanned, stats.rows_scanned,
-        "{path}/{shape}: scan spans sum to rows_scanned"
-    );
-    assert_eq!(
-        ops[0].rows_out, stats.output_rows,
-        "{path}/{shape}: root span matches output_rows"
-    );
-    let probes: usize = ops.iter().map(|op| op.probes).sum();
-    assert_eq!(
-        probes, stats.probes,
-        "{path}/{shape}: per-span probes sum to the aggregate"
-    );
-}
-
-/// Drain a streaming execution of `plan` and return its stats.
-fn stream_stats(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    config: &PlannerConfig,
-) -> division::physical::ExecStats {
-    let mut exec = StreamExecutor::new(plan, catalog, config).unwrap();
-    while exec.next_batch().unwrap().is_some() {}
-    exec.finish()
-}
-
-#[test]
-fn span_trees_reconcile_with_aggregates_on_every_path_and_shape() {
-    let catalog = catalog();
-    for (shape, logical) in plan_shapes() {
-        let stats = stream_stats(&logical, &catalog, &PlannerConfig::default());
-        assert_tree_consistent("streaming", shape, &logical, &stats);
-    }
+/// Drain `plan` over the oracle's shape catalog through an optimizer-off
+/// engine, with span timing on or off.
+fn run_raw(plan: &LogicalPlan, tracing: bool) -> QueryOutput {
+    Engine::builder(shape_catalog())
+        .planner_config(PlannerConfig::default().tracing(tracing))
+        .without_optimizer()
+        .build()
+        .run(Request::plan(plan))
+        .unwrap()
+        .collect()
+        .unwrap()
 }
 
 #[test]
 fn same_labelled_operators_keep_separate_spans() {
     // Two stacked identical filters: a label-keyed view would merge them
     // into one entry; the span tree must not.
-    let catalog = catalog();
-    let logical = PlanBuilder::scan("supplies")
-        .select(Predicate::eq_value("p#", 2))
-        .select(Predicate::eq_value("p#", 2))
-        .build();
-    let stats = stream_stats(&logical, &catalog, &PlannerConfig::default());
-    assert_eq!(stats.operators.len(), 3);
-    assert_eq!(stats.operators[0].label, stats.operators[1].label);
-    assert_ne!(stats.operators[0].id, stats.operators[1].id);
-    // Both filters pass the same 3 rows, but they are attributed per node…
-    assert_eq!(stats.operators[0].rows_out, 3);
-    assert_eq!(stats.operators[1].rows_out, 3);
+    let (_, logical) = shapes()
+        .into_iter()
+        .find(|(name, _)| *name == "stacked_identical_filters")
+        .unwrap();
+    let output = run_raw(&logical, false);
+    let ops = &output.stats.operators;
+    assert_eq!(ops.len(), 3);
+    assert_eq!(ops[0].label, ops[1].label);
+    assert_ne!(ops[0].id, ops[1].id);
+    // Both filters pass the same rows, but they are attributed per node…
+    let passed = output.relation.len();
+    assert!(passed > 0);
+    assert_eq!(ops[0].rows_out, passed);
+    assert_eq!(ops[1].rows_out, passed);
 }
 
 #[test]
@@ -223,36 +73,34 @@ fn early_terminated_cursors_report_partial_spans() {
 
 #[test]
 fn span_timing_is_gated_by_the_tracing_flag() {
-    let catalog = catalog();
-    let logical = PlanBuilder::scan("supplies")
-        .divide(
-            PlanBuilder::scan("parts")
-                .select(Predicate::eq_value("color", "blue"))
-                .project(["p#"]),
-        )
-        .build();
-    // Tracing off (the default): full attribution, zero clock reads.
-    let untraced = stream_stats(&logical, &catalog, &PlannerConfig::default());
-    assert!(
-        untraced.operators.iter().all(|op| !op.timed()),
-        "tracing off must record no wall time"
-    );
-    assert!(untraced.operators.iter().any(|op| op.rows_out > 0));
+    for (name, logical) in shapes() {
+        let [untraced, traced] = [false, true].map(|tracing| {
+            let output = run_raw(&logical, tracing);
+            check_stats(&output.stats, &output.relation, Some(&logical))
+                .unwrap_or_else(|e| panic!("{name}, tracing {tracing}: {e}"));
+            output.stats
+        });
+        // Tracing off (the default): full attribution, zero clock reads.
+        assert!(
+            untraced.operators.iter().all(|op| !op.timed()),
+            "{name}: tracing off must record no wall time"
+        );
+        assert!(untraced.operators.iter().any(|op| op.rows_out > 0));
 
-    // Tracing on: the same tree, now with spans.
-    let traced = stream_stats(&logical, &catalog, &PlannerConfig::default().tracing(true));
-    assert!(
-        traced.operators.iter().any(|op| op.timed()),
-        "tracing on must record wall time"
-    );
-    // The wall-clock fields are excluded from equality, so the traced and
-    // untraced trees compare equal node for node.
-    assert_eq!(untraced.operators, traced.operators);
+        // Tracing on: the same tree, now with spans.
+        assert!(
+            traced.operators.iter().any(|op| op.timed()),
+            "{name}: tracing on must record wall time"
+        );
+        // The wall-clock fields are excluded from equality, so the traced
+        // and untraced trees compare equal node for node.
+        assert_eq!(untraced.operators, traced.operators, "{name}");
+    }
 }
 
 #[test]
 fn engine_with_tracing_times_ordinary_queries() {
-    let engine = Engine::builder(catalog())
+    let engine = Engine::builder(shape_catalog())
         .planner_config(PlannerConfig::default().tracing(true))
         .build();
     let output = engine
@@ -262,7 +110,7 @@ fn engine_with_tracing_times_ordinary_queries() {
         .unwrap();
     assert!(output.stats.operators.iter().any(|op| op.timed()));
 
-    let plain = Engine::new(catalog());
+    let plain = Engine::new(shape_catalog());
     let output = plain
         .run("SELECT s# FROM supplies WHERE p# = 2")
         .unwrap()
@@ -275,13 +123,13 @@ fn engine_with_tracing_times_ordinary_queries() {
 }
 
 const Q2: &str = "SELECT s# FROM supplies AS s DIVIDE BY \
-                  (SELECT p# FROM parts WHERE color = 'blue') AS p ON s.p# = p.p#";
+                  (SELECT p# FROM grouped WHERE c = 1) AS p ON s.p# = p.p#";
 
 #[test]
 fn explain_analyze_lines_up_estimates_and_actuals() {
     // Tracing stays off on the engine; explain_analyze forces it on for
     // its one execution.
-    let engine = Engine::new(catalog());
+    let engine = Engine::new(shape_catalog());
     let analyzed = engine.explain_analyze(Q2).unwrap();
     let stats = analyzed.stats.as_ref().expect("analyze measures stats");
     let operators = analyzed.operator_stats().expect("span tree present");
@@ -315,7 +163,7 @@ fn explain_analyze_lines_up_estimates_and_actuals() {
     assert!(rendered.contains(" time="));
     assert!(rendered.contains(" probes="));
     assert!(rendered.contains(" resident="));
-    assert_eq!(stats.output_rows, 2);
+    assert_eq!(stats.output_rows, 6);
 
     // Plain explain carries the estimates but no measured spans.
     let explained = engine.explain(Q2).unwrap();
@@ -330,15 +178,15 @@ fn explain_analyze_lines_up_estimates_and_actuals() {
 
 #[test]
 fn engine_metrics_count_queries_rows_and_laws() {
-    let engine = Engine::new(catalog());
+    let engine = Engine::new(shape_catalog());
     assert_eq!(engine.metrics().queries_executed, 0);
 
     let output = engine.run(Q2).unwrap().collect().unwrap();
-    assert_eq!(output.relation.len(), 2);
+    assert_eq!(output.relation.len(), 6);
     engine.query("SELECT s# FROM supplies").unwrap(); // dropped unread
     let snapshot = engine.metrics();
     assert_eq!(snapshot.queries_executed, 2);
-    assert_eq!(snapshot.rows_returned, 2, "dropped cursor returned no rows");
+    assert_eq!(snapshot.rows_returned, 6, "dropped cursor returned no rows");
     assert_eq!(
         snapshot.latency_buckets.iter().sum::<u64>(),
         2,
@@ -350,8 +198,8 @@ fn engine_metrics_count_queries_rows_and_laws() {
     // A rewriting query credits its laws.
     engine
         .run(
-            "SELECT s#, color FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p# \
-             WHERE color = 'blue'",
+            "SELECT s#, c FROM supplies AS s DIVIDE BY grouped AS g ON s.p# = g.p# \
+             WHERE c = 1",
         )
         .unwrap()
         .collect()
@@ -370,7 +218,7 @@ fn engine_metrics_count_queries_rows_and_laws() {
 
 #[test]
 fn prepared_statement_cache_counts_hits_and_misses() {
-    let engine = Engine::new(catalog());
+    let engine = Engine::new(shape_catalog());
     let first = engine.prepare(Q2).unwrap();
     let second = engine.prepare(Q2).unwrap();
     assert_eq!(engine.compile_count(), 1, "second prepare is a cache hit");

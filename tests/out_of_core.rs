@@ -1,7 +1,9 @@
 //! Out-of-core differential suite: the spilling hybrid hash operators must
 //! be *invisible* except in the statistics.
 //!
-//! * Across the twelve differential plan shapes, executions under a
+//! * Across every shape of the oracle's catalogue
+//!   (`div_conformance::oracle::shapes`) and a natural join on a two-int
+//!   key outside the `i32` range, executions under a
 //!   resident-row budget with `spill_to_disk` produce relations
 //!   byte-identical to the unbudgeted in-memory run — at an effectively
 //!   unlimited budget (spilling armed but never triggered), at the measured
@@ -21,7 +23,8 @@
 //!   zone-map chunk skipping. Neither planning nor streaming loads the file
 //!   into the catalog, and `DROP` does not read what it drops.
 
-use div_algebra::{relation, AggregateCall, AggregateFunction, CompareOp, Predicate, Relation};
+use div_algebra::{relation, AggregateCall, AggregateFunction, Relation};
+use div_conformance::oracle::{shape_catalog, shapes};
 use div_expr::{evaluate, Catalog, LogicalPlan, PlanBuilder};
 use div_physical::{ExecStats, PlannerConfig, QueryGuard, StreamExecutor};
 use div_sql::{Engine, QueryOutput, Request};
@@ -44,26 +47,12 @@ impl Drop for RemoveOnDrop {
     }
 }
 
-/// A catalog big enough that blocking operators hold real state: 60
-/// dividend rows, a 3-element divisor, a 10-row grouped divisor.
+/// The oracle's shape catalog, plus two tables with two-int keys on both
+/// sides of the `i32` bounds: a sorted scan cuts them into chunks whose
+/// codes all pack, chunks whose codes all fold, and chunks with both, so
+/// both kinds meet in every spill partition.
 fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.register(
-        "supplies",
-        Relation::from_rows(
-            ["s#", "p#"],
-            (0..12i64).flat_map(|s| (0..5i64).map(move |p| vec![s, (s + p) % 6])),
-        )
-        .unwrap(),
-    );
-    c.register("wanted", relation! { ["p#"] => [1], [2], [3] });
-    c.register(
-        "grouped",
-        Relation::from_rows(["p#", "c"], (0..10i64).map(|i| vec![i % 5, i % 3])).unwrap(),
-    );
-    // Two-int keys on both sides of the i32 bounds: a sorted scan cuts them
-    // into chunks whose codes all pack, chunks whose codes all fold, and
-    // chunks with both, so both kinds meet in every spill partition.
+    let mut c = shape_catalog();
     let (low, high) = (i64::from(i32::MIN), i64::from(i32::MAX));
     let edges = [low - 1, low, -1, 0, high, high + 1];
     let wide: Vec<(i64, i64)> = (0..48i64)
@@ -87,74 +76,6 @@ fn catalog() -> Catalog {
     c
 }
 
-/// The same eleven plan shapes the executor-differential property sweeps
-/// (`tests/physical_vs_reference.rs`), one per operator family, and a
-/// natural join on a two-int key with values outside the `i32` range.
-fn shapes() -> Vec<LogicalPlan> {
-    vec![
-        PlanBuilder::scan("supplies")
-            .divide(PlanBuilder::scan("wanted"))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .select(Predicate::cmp_value("s#", CompareOp::Lt, 9))
-            .divide(PlanBuilder::scan("wanted"))
-            .project(["s#"])
-            .build(),
-        PlanBuilder::scan("supplies")
-            .great_divide(PlanBuilder::scan("grouped"))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .natural_join(PlanBuilder::scan("wanted"))
-            .project(["s#", "p#"])
-            .build(),
-        PlanBuilder::scan("supplies")
-            .semi_join(PlanBuilder::scan("wanted"))
-            .union(PlanBuilder::scan("supplies").anti_semi_join(PlanBuilder::scan("wanted")))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .group_aggregate(["s#"], [AggregateCall::count("p#", "n")])
-            .project(["s#"])
-            .build(),
-        PlanBuilder::scan("supplies")
-            .rename([("p#", "x")])
-            .difference(
-                PlanBuilder::scan("supplies")
-                    .rename([("p#", "x")])
-                    .select(Predicate::cmp_value("x", CompareOp::GtEq, 3)),
-            )
-            .build(),
-        PlanBuilder::scan("supplies")
-            .intersect(PlanBuilder::scan("supplies").select(Predicate::cmp_value(
-                "p#",
-                CompareOp::Lt,
-                3,
-            )))
-            .build(),
-        PlanBuilder::scan("wanted")
-            .rename([("p#", "x")])
-            .product(PlanBuilder::scan("wanted").rename([("p#", "y")]))
-            .build(),
-        PlanBuilder::scan("supplies")
-            .theta_join(
-                PlanBuilder::scan("wanted").rename([("p#", "w")]),
-                Predicate::cmp_attrs("p#", CompareOp::LtEq, "w"),
-            )
-            .build(),
-        PlanBuilder::scan("supplies")
-            .group_aggregate(
-                ["s#"],
-                [
-                    AggregateCall::count("p#", "n"),
-                    AggregateCall::sum("p#", "total"),
-                ],
-            )
-            .build(),
-        PlanBuilder::scan("wide")
-            .natural_join(PlanBuilder::scan("wide_tags"))
-            .build(),
-    ]
-}
-
 /// Run `logical` through a streaming `Cursor` under the given budget with
 /// spilling enabled.
 fn run_spilling(catalog: &Catalog, logical: &LogicalPlan, budget: usize) -> QueryOutput {
@@ -174,8 +95,8 @@ fn run_spilling(catalog: &Catalog, logical: &LogicalPlan, budget: usize) -> Quer
 }
 
 /// The same run with the budget carried by the guard alone: the config
-/// asks for spilling but names no budget — the shape `div_server`'s
-/// `statement_guard` builds from `ServerConfig::default_budget_rows`.
+/// asks for spilling but names no budget — what a caller gets by passing
+/// its own guard with `Request::guard`.
 fn run_guard_budget(
     catalog: &Catalog,
     logical: &LogicalPlan,
@@ -194,84 +115,109 @@ fn run_guard_budget(
     (out, stream.finish())
 }
 
-/// Per shape of [`shapes`], the spill counters of its unlimited, exact-fit
-/// and tiny runs in [`spilled_runs_are_byte_identical_across_all_shapes_and_budgets`]:
+/// Per shape, in the order of the oracle's catalogue and then the wide-key
+/// join, the spill counters of its unlimited, exact-fit and tiny runs in
+/// [`spilled_runs_are_byte_identical_across_all_shapes_and_budgets`]:
 /// `(spill_partitions, spill_rows_written, spill_rows_read,
 /// peak_resident_rows)`. Results alone would not show a changed decision
 /// on when to spill, what goes to disk or at which fan-out; these do.
-const SPILL_COUNTERS: [[(usize, usize, usize, usize); 3]; 12] = [
-    [(0, 0, 0, 19), (9, 50, 50, 15), (80, 240, 240, 11)], // #0
-    [(0, 0, 0, 16), (10, 45, 45, 12), (140, 240, 240, 8)], // #1
-    [(0, 0, 0, 26), (19, 110, 110, 22), (96, 300, 300, 18)], // #2
-    [(0, 0, 0, 7), (68, 248, 218, 4), (68, 248, 218, 4)], // #3
-    [(0, 0, 0, 69), (0, 0, 0, 69), (0, 0, 0, 69)],        // #4
-    [(0, 0, 0, 24), (0, 0, 0, 24), (0, 0, 0, 24)],        // #5
-    [(0, 0, 0, 34), (12, 90, 90, 30), (10, 90, 90, 26)],  // #6
-    [(0, 0, 0, 34), (12, 90, 90, 30), (10, 90, 90, 26)],  // #7
-    [(0, 0, 0, 9), (0, 0, 0, 9), (0, 0, 0, 9)],           // #8
-    [(0, 0, 0, 10), (0, 0, 0, 10), (0, 0, 0, 10)],        // #9
-    [(0, 0, 0, 16), (9, 50, 50, 12), (80, 240, 240, 8)],  // #10
-    [(0, 0, 0, 28), (10, 72, 72, 24), (8, 72, 72, 20)],   // #11
+const SPILL_COUNTERS: [[(usize, usize, usize, usize); 3]; 19] = [
+    [(0, 0, 0, 19), (9, 50, 50, 15), (80, 240, 240, 11)], // divide
+    [(0, 0, 0, 16), (10, 45, 45, 12), (140, 240, 240, 8)], // filtered_divide
+    [(0, 0, 0, 26), (19, 110, 110, 22), (96, 300, 300, 18)], // great_divide
+    [(0, 0, 0, 7), (68, 248, 218, 4), (68, 248, 218, 4)], // join_project
+    [(0, 0, 0, 69), (0, 0, 0, 69), (0, 0, 0, 69)],        // semi_anti_union
+    [(0, 0, 0, 24), (0, 0, 0, 24), (0, 0, 0, 24)],        // aggregate_project
+    [(0, 0, 0, 34), (12, 90, 90, 30), (10, 90, 90, 26)],  // difference
+    [(0, 0, 0, 34), (12, 90, 90, 30), (10, 90, 90, 26)],  // intersect
+    [(0, 0, 0, 9), (0, 0, 0, 9), (0, 0, 0, 9)],           // product
+    [(0, 0, 0, 10), (0, 0, 0, 10), (0, 0, 0, 10)],        // theta_join
+    [(0, 0, 0, 16), (9, 50, 50, 12), (80, 240, 240, 8)],  // sum_per_group
+    [(0, 0, 0, 18), (0, 0, 0, 18), (0, 0, 0, 18)],        // join_adds_a_column
+    [(0, 0, 0, 5), (28, 111, 111, 4), (28, 111, 111, 4)], // difference_values
+    [(0, 0, 0, 140), (32, 12, 12, 139), (32, 12, 12, 139)], // every_operator_kind
+    [(0, 0, 0, 4), (0, 0, 0, 4), (0, 0, 0, 4)],           // stacked_identical_filters
+    [(0, 0, 0, 15), (0, 0, 0, 15), (0, 0, 0, 15)],        // filter_chain
+    [(0, 0, 0, 4), (0, 0, 0, 4), (0, 0, 0, 4)],           // values_union
+    [(0, 0, 0, 19), (9, 50, 50, 15), (80, 240, 240, 11)], // divide_by_filtered_divisor
+    [(0, 0, 0, 28), (10, 72, 72, 24), (8, 72, 72, 20)],   // wide_key_join
 ];
 
 #[test]
 fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
     let c = catalog();
+    let mut all = shapes();
+    all.push((
+        "wide_key_join",
+        PlanBuilder::scan("wide")
+            .natural_join(PlanBuilder::scan("wide_tags"))
+            .build(),
+    ));
     // Shapes whose blocking state lives in a hybrid operator (divide, great
     // divide, hash join family — difference and intersection included —,
     // grouped aggregation) — these must demonstrably hit disk at the
-    // tightest budget. The aggregate keeps one
-    // row per group, so where a narrowing projection's distinct store sits
-    // on top of it (shape 5) that store, not the aggregate, sets the peak:
-    // there the aggregate holds exactly its groups at every budget. The
-    // bare aggregate (shape 10) is the one whose own state sets the peak.
-    let spillable: &[usize] = &[0, 2, 3, 6, 7, 10, 11];
-    let aggregate_under_projection = 5;
+    // tightest budget. The aggregate keeps one row per group, so where a
+    // narrowing projection's distinct store sits on top of it
+    // (`aggregate_project`) that store, not the aggregate, sets the peak:
+    // there the aggregate holds exactly its groups at every budget. The bare
+    // aggregate (`sum_per_group`) is the one whose own state sets the peak.
+    let spillable = [
+        "divide",
+        "great_divide",
+        "join_project",
+        "difference",
+        "intersect",
+        "sum_per_group",
+        "difference_values",
+        "every_operator_kind",
+        "divide_by_filtered_divisor",
+        "wide_key_join",
+    ];
     let mut spilled_shapes = 0usize;
     let mut counters = Vec::new();
-    for (shape_idx, logical) in shapes().into_iter().enumerate() {
-        let expected = evaluate(&logical, &c).unwrap();
+    for (shape, logical) in &all {
+        let expected = evaluate(logical, &c).unwrap();
 
         // Unlimited: spilling is armed but must never activate, and the
         // result is the in-memory one.
-        let unlimited = run_spilling(&c, &logical, 1_000_000);
-        assert_eq!(unlimited.relation, expected, "shape #{shape_idx} unlimited");
+        let unlimited = run_spilling(&c, logical, 1_000_000);
+        assert_eq!(unlimited.relation, expected, "{shape} unlimited");
         assert_eq!(
             unlimited.stats.spill_partitions, 0,
-            "shape #{shape_idx} spilled under an unlimited budget"
+            "{shape} spilled under an unlimited budget"
         );
         let in_memory_peak = unlimited.stats.peak_resident_rows;
 
         // Exact fit: budget = the measured in-memory peak. Proactive
         // spilling (the trigger fires a margin *before* the budget) keeps
         // the run alive and the peak pinned at or under the budget.
-        let exact = run_spilling(&c, &logical, in_memory_peak);
-        assert_eq!(exact.relation, expected, "shape #{shape_idx} exact-fit");
+        let exact = run_spilling(&c, logical, in_memory_peak);
+        assert_eq!(exact.relation, expected, "{shape} exact-fit");
         assert!(
             exact.stats.peak_resident_rows <= in_memory_peak,
-            "shape #{shape_idx}: peak {} exceeds exact-fit budget {in_memory_peak}",
+            "{shape}: peak {} exceeds exact-fit budget {in_memory_peak}",
             exact.stats.peak_resident_rows
         );
 
         // Tiny: budget = the spilled run's own peak, the tightest budget
         // this plan can provably run under.
         let tiny_budget = exact.stats.peak_resident_rows.max(1);
-        let tiny = run_spilling(&c, &logical, tiny_budget);
-        assert_eq!(tiny.relation, expected, "shape #{shape_idx} tiny");
+        let tiny = run_spilling(&c, logical, tiny_budget);
+        assert_eq!(tiny.relation, expected, "{shape} tiny");
         assert!(
             tiny.stats.peak_resident_rows <= tiny_budget,
-            "shape #{shape_idx}: peak {} exceeds tiny budget {tiny_budget}",
+            "{shape}: peak {} exceeds tiny budget {tiny_budget}",
             tiny.stats.peak_resident_rows
         );
 
         // Where the budget came from must not matter: the hybrid operators
         // consult the guard, never the config.
-        let (relation, guarded) = run_guard_budget(&c, &logical, tiny_budget);
-        assert_eq!(relation, expected, "shape #{shape_idx} guard-carried");
+        let (relation, guarded) = run_guard_budget(&c, logical, tiny_budget);
+        assert_eq!(relation, expected, "{shape} guard-carried");
         assert_eq!(
             (guarded.peak_resident_rows, guarded.spill_partitions),
             (tiny.stats.peak_resident_rows, tiny.stats.spill_partitions),
-            "shape #{shape_idx}: guard-carried budget {tiny_budget} ran differently"
+            "{shape}: guard-carried budget {tiny_budget} ran differently"
         );
 
         counters.push([&unlimited.stats, &exact.stats, &tiny.stats].map(|stats| {
@@ -286,16 +232,16 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
             spilled_shapes += 1;
             assert!(
                 exact.stats.spill_rows_written + tiny.stats.spill_rows_written > 0,
-                "shape #{shape_idx}: partitions without rows"
+                "{shape}: partitions without rows"
             );
         }
-        if spillable.contains(&shape_idx) {
+        if spillable.contains(shape) {
             assert!(
                 tiny.stats.spill_partitions > 0,
-                "shape #{shape_idx} (spillable) never hit disk at budget {tiny_budget}"
+                "{shape} (spillable) never hit disk at budget {tiny_budget}"
             );
         }
-        if shape_idx == aggregate_under_projection {
+        if *shape == "aggregate_project" {
             // The projection keeps one row per group, so the result counts
             // the groups.
             for (run, stats) in [
@@ -307,11 +253,11 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
                     .operators
                     .iter()
                     .find(|op| op.label.starts_with("HashAggregate"))
-                    .expect("shape #5 aggregates");
+                    .expect("the shape aggregates");
                 assert_eq!(
                     node.peak_retained_rows,
                     expected.len(),
-                    "shape #{shape_idx} {run}: the aggregate kept more than its groups"
+                    "{shape} {run}: the aggregate kept more than its groups"
                 );
             }
         }
@@ -320,7 +266,8 @@ fn spilled_runs_are_byte_identical_across_all_shapes_and_budgets() {
         spilled_shapes >= spillable.len(),
         "only {spilled_shapes} shapes spilled — the suite is vacuous"
     );
-    assert_eq!(counters, SPILL_COUNTERS, "spill counters per shape");
+    let names: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+    assert_eq!(counters, SPILL_COUNTERS, "spill counters of {names:?}");
 }
 
 /// 500 quotient groups x 10 parts each = 5000 dividend rows, every group

@@ -2,7 +2,9 @@
 //! the native divides, the basic-operator simulations and counting division
 //! as plans, merge-sort division as a row function — agrees with the
 //! reference set semantics of `div-algebra` on random inputs, and every plan
-//! shape tested here runs down the differential oracle's execution matrix
+//! tested here — the division family and every shape of the oracle's
+//! catalogue (`div_conformance::oracle::shapes`), over its fixed catalog and
+//! over random ones — runs down the differential oracle's execution matrix
 //! (`div_conformance::oracle::STRATEGIES`: the `Engine` with the optimizer
 //! on and off at batch sizes 1024 and 3, a spilling budget, attached
 //! `.divcol` tables, the reference evaluator over the optimized plan),
@@ -10,14 +12,16 @@
 //! evaluator (`div_expr::evaluate`) with the oracle's `ExecStats` checks.
 
 use div_columnar::ColumnarBatch;
-use div_conformance::oracle::check_plan;
+use div_conformance::oracle::{
+    check_plan, check_stats, leaf_rows, shape_catalog, shapes, Catalogs,
+};
 use div_physical::merge;
 use division::prelude::*;
 use proptest::prelude::*;
 
 /// Run `plan` down the oracle's whole execution matrix; panic on a mismatch.
-fn check(plan: &LogicalPlan, catalog: &Catalog) {
-    check_plan(catalog, plan).unwrap_or_else(|e| panic!("{e}"));
+fn check(plan: &LogicalPlan, catalogs: &Catalogs) {
+    check_plan(catalogs, plan).unwrap_or_else(|e| panic!("{e}"));
 }
 
 fn ab_pairs(max_rows: usize) -> impl Strategy<Value = Vec<(i64, i64)>> {
@@ -54,6 +58,7 @@ proptest! {
             catalog.register("r1", dividend.clone());
             catalog.register("small", small);
             catalog.register("great", great);
+            let catalogs = Catalogs::new(&catalog).unwrap();
             for (name, plan) in division_family_plans(&catalog) {
                 let expected = if name.starts_with("great") {
                     &expected_great
@@ -61,7 +66,7 @@ proptest! {
                     &expected_small
                 };
                 prop_assert_eq!(&evaluate(&plan, &catalog).unwrap(), expected, "{}", name);
-                check(&plan, &catalog);
+                check(&plan, &catalogs);
             }
         }
     }
@@ -97,7 +102,7 @@ proptest! {
         prop_assert_eq!(batch.to_relation().unwrap(), relation);
     }
 
-    /// Every differential plan shape returns the row-at-a-time reference
+    /// Every shape of the catalogue returns the row-at-a-time reference
     /// evaluator's relation under every strategy of the oracle, over random
     /// catalogs.
     #[test]
@@ -119,8 +124,9 @@ proptest! {
             "grouped",
             Relation::from_rows(["p#", "c"], groups.iter().map(|(b, c)| vec![*b, *c])).unwrap(),
         );
-        for logical in differential_logical_plans() {
-            check(&logical, &catalog);
+        let catalogs = Catalogs::new(&catalog).unwrap();
+        for (name, logical) in shapes() {
+            check_plan(&catalogs, &logical).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 }
@@ -150,108 +156,6 @@ fn division_family_plans(catalog: &Catalog) -> Vec<(&'static str, LogicalPlan)> 
     .collect()
 }
 
-/// The plan shapes the executor-differential property sweeps over
-/// `supplies(s#, p#)`, `wanted(p#)` and `grouped(p#, c)`: one per operator
-/// family (divides, filter and projection, natural joins with and without a
-/// column from the right side, semi and anti joins with union, aggregation,
-/// difference against a table and against a `Values` leaf, intersection,
-/// Cartesian product, theta-join), plus one chain through every pipelining
-/// and set operator kind.
-fn differential_logical_plans() -> Vec<LogicalPlan> {
-    let q2 = PlanBuilder::scan("supplies")
-        .divide(PlanBuilder::scan("wanted"))
-        .build();
-    let filtered_divide = PlanBuilder::scan("supplies")
-        .select(Predicate::cmp_value("s#", CompareOp::Lt, 4))
-        .divide(PlanBuilder::scan("wanted"))
-        .project(["s#"])
-        .build();
-    let great = PlanBuilder::scan("supplies")
-        .great_divide(PlanBuilder::scan("grouped"))
-        .build();
-    let join_project = PlanBuilder::scan("supplies")
-        .natural_join(PlanBuilder::scan("wanted"))
-        .project(["s#", "p#"])
-        .build();
-    let join_adds_a_column = PlanBuilder::scan("supplies")
-        .natural_join(PlanBuilder::scan("grouped"))
-        .build();
-    let semi_union = PlanBuilder::scan("supplies")
-        .semi_join(PlanBuilder::scan("wanted"))
-        .union(PlanBuilder::scan("supplies").anti_semi_join(PlanBuilder::scan("wanted")))
-        .build();
-    let aggregate = PlanBuilder::scan("supplies")
-        .group_aggregate(["s#"], [AggregateCall::count("p#", "n")])
-        .project(["s#"])
-        .build();
-    let difference = PlanBuilder::scan("supplies")
-        .rename([("p#", "x")])
-        .difference(
-            PlanBuilder::scan("supplies")
-                .rename([("p#", "x")])
-                .select(Predicate::cmp_value("x", CompareOp::GtEq, 3)),
-        )
-        .build();
-    let difference_values = PlanBuilder::scan("supplies")
-        .rename([("p#", "x")])
-        .difference(PlanBuilder::values(relation! { ["s#", "x"] => [1, 1] }))
-        .build();
-    let intersect = PlanBuilder::scan("supplies")
-        .intersect(PlanBuilder::scan("supplies").select(Predicate::cmp_value(
-            "p#",
-            CompareOp::Lt,
-            3,
-        )))
-        .build();
-    let product = PlanBuilder::scan("wanted")
-        .rename([("p#", "x")])
-        .product(PlanBuilder::scan("wanted").rename([("p#", "y")]))
-        .build();
-    let theta = PlanBuilder::scan("supplies")
-        .theta_join(
-            PlanBuilder::scan("wanted").rename([("p#", "w")]),
-            Predicate::cmp_attrs("p#", CompareOp::LtEq, "w"),
-        )
-        .build();
-    let sum_per_group = PlanBuilder::scan("supplies")
-        .group_aggregate(
-            ["s#"],
-            [
-                AggregateCall::count("p#", "n"),
-                AggregateCall::sum("p#", "total"),
-            ],
-        )
-        .build();
-    let part = || PlanBuilder::scan("supplies").rename([("p#", "part")]);
-    let every_operator_kind = part()
-        .project(["s#", "part"])
-        .union(part())
-        .intersect(part())
-        .difference(PlanBuilder::values(
-            relation! { ["s#", "part"] => [99, 99] },
-        ))
-        .semi_join(PlanBuilder::scan("wanted").rename([("p#", "part")]))
-        .anti_semi_join(PlanBuilder::values(relation! { ["s#"] => [3] }))
-        .group_aggregate(["s#"], [AggregateCall::count("part", "n")])
-        .build();
-    vec![
-        q2,
-        filtered_divide,
-        great,
-        join_project,
-        semi_union,
-        aggregate,
-        difference,
-        intersect,
-        product,
-        theta,
-        sum_per_group,
-        join_adds_a_column,
-        difference_values,
-        every_operator_kind,
-    ]
-}
-
 #[test]
 fn cursor_take_one_short_circuits_the_source_scan() {
     // The early-termination acceptance criterion: `cursor.take(1)` must
@@ -278,41 +182,17 @@ fn cursor_take_one_short_circuits_the_source_scan() {
     assert_eq!(stats.rows_scanned, 512);
 }
 
-/// The fixed `supplies` / `wanted` / `grouped` catalog the every-shape
-/// differentials run over.
-fn shape_catalog() -> Catalog {
-    let mut catalog = Catalog::new();
-    catalog.register(
-        "supplies",
-        relation! { ["s#", "p#"] => [1, 1], [1, 2], [1, 3], [2, 1], [2, 2], [3, 2], [4, 1], [4, 3] },
-    );
-    catalog.register("wanted", relation! { ["p#"] => [1], [2] });
-    catalog.register(
-        "grouped",
-        relation! { ["p#", "c"] => [1, 1], [2, 1], [1, 2], [3, 2], [2, 3] },
-    );
-    catalog
-}
-
-/// Rows of every `Scan` / `Values` leaf of `plan`: what a full drain scans.
-fn leaf_rows(plan: &LogicalPlan, catalog: &Catalog) -> usize {
-    match plan {
-        LogicalPlan::Scan { table } => catalog.row_count(table).unwrap(),
-        LogicalPlan::Values { relation } => relation.len(),
-        _ => plan.children().iter().map(|c| leaf_rows(c, catalog)).sum(),
-    }
-}
-
 #[test]
 fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
-    // The streaming-API differential: for every differential plan shape,
+    // The streaming-API differential: for every shape of the catalogue,
     // across chunk geometries (batch sizes that divide, straddle and exceed
     // the inputs, including the one-row batch the oracle's matrix lacks),
     // the relation collected from an `Engine` `Cursor` must be
-    // byte-identical to the reference evaluator's, with matching
-    // `output_rows`, and a fully drained cursor scans every leaf row once.
+    // byte-identical to the reference evaluator's, with the oracle's
+    // `ExecStats` / span-tree checks, and a fully drained cursor scans every
+    // leaf row once.
     let catalog = shape_catalog();
-    for (shape_idx, logical) in differential_logical_plans().into_iter().enumerate() {
+    for (name, logical) in shapes() {
         let expected = evaluate(&logical, &catalog).unwrap();
         for batch_size in [1usize, 3, 4096] {
             let engine = Engine::builder(catalog.clone())
@@ -326,32 +206,46 @@ fn cursor_streams_byte_identically_to_the_row_backend_on_every_shape() {
                 .unwrap();
             assert_eq!(
                 output.relation, expected,
-                "shape #{shape_idx} diverges at batch_size {batch_size}:\n{logical}"
+                "{name} diverges at batch_size {batch_size}:\n{logical}"
             );
-            assert_eq!(
-                output.stats.output_rows,
-                expected.len(),
-                "shape #{shape_idx}: output_rows diverge at batch_size {batch_size}"
-            );
+            check_stats(&output.stats, &output.relation, Some(&logical))
+                .unwrap_or_else(|e| panic!("{name} at batch_size {batch_size}: {e}"));
             assert_eq!(
                 output.stats.rows_scanned,
-                leaf_rows(&logical, &catalog),
-                "shape #{shape_idx}: fully drained cursors scan everything exactly once"
+                leaf_rows(&logical, &catalog).unwrap(),
+                "{name}: fully drained cursors scan everything exactly once"
             );
         }
     }
 }
 
 #[test]
+fn the_shape_catalogue_reaches_every_operator_label() {
+    // The sixteen labels `trace::tests::operator_labels_are_pinned_per_variant`
+    // pins, one per plan variant, by the name before their arguments.
+    let mut kinds = std::collections::BTreeSet::new();
+    for (_, plan) in shapes() {
+        plan.visit(&mut |node| {
+            let label = operator_label(node);
+            kinds.insert(label[..label.find(['(', '[']).unwrap_or(label.len())].to_string());
+        });
+    }
+    let pinned = "CrossProduct Difference Divide Filter GreatDivide HashAggregate \
+                  HashAntiSemiJoin HashJoin HashSemiJoin Intersect NestedLoopJoin Project \
+                  Rename TableScan Union Values";
+    assert!(kinds.iter().eq(pinned.split(' ')), "{kinds:?}");
+}
+
+#[test]
 fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
-    // Every differential shape down the oracle's matrix: the `Engine` with
-    // the optimizer on and off, at batch sizes that split and exceed the
-    // inputs, spilling and over attached tables, and the reference
+    // Every shape of the catalogue down the oracle's matrix: the `Engine`
+    // with the optimizer on and off, at batch sizes that split and exceed
+    // the inputs, spilling and over attached tables, and the reference
     // evaluator over the optimized plan, each against the reference
     // evaluator over the raw plan.
-    let catalog = shape_catalog();
-    for (shape_idx, logical) in differential_logical_plans().into_iter().enumerate() {
-        check_plan(&catalog, &logical).unwrap_or_else(|e| panic!("shape #{shape_idx}: {e}"));
+    let catalogs = Catalogs::new(&shape_catalog()).unwrap();
+    for (name, logical) in shapes() {
+        check_plan(&catalogs, &logical).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -439,7 +333,7 @@ fn backends_agree_on_the_suppliers_parts_generator() {
                 .project(["p#"]),
         )
         .build();
-    check(&logical, &catalog);
+    check(&logical, &Catalogs::new(&catalog).unwrap());
 }
 
 #[test]
@@ -480,8 +374,9 @@ fn all_strategies_agree_on_skewed_zipf_baskets() {
                 .project(["item"]),
         )
         .build();
+    let catalogs = Catalogs::new(&catalog).unwrap();
     for logical in [law13, law2] {
-        check(&logical, &catalog);
+        check(&logical, &catalogs);
     }
 }
 

@@ -6,6 +6,7 @@
 
 use div_algebra::{Relation, Value};
 use div_datagen::scenarios::{generate, ScenarioConfig, ScenarioFamily};
+use div_physical::PlannerConfig;
 use div_server::{Client, ClientError, ErrorCode, RetryPolicy, Server, ServerConfig};
 use div_sql::{Engine, Request};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -280,29 +281,29 @@ fn served_execute_never_reports_stale_plan_under_back_to_back_mutations() {
 }
 
 /// Two 1500-row tables whose cross product (2.25M rows) takes long enough
-/// to stream that governance limits reliably trip mid-flight.
-fn runaway_engine() -> Arc<Engine> {
+/// to stream that governance limits reliably trip mid-flight, under an
+/// engine configured with `config`.
+fn runaway_engine(config: PlannerConfig) -> Arc<Engine> {
     let mut catalog = div_expr::Catalog::new();
     let rows = |n: i64| (0..n).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>();
     catalog.register("l", Relation::from_rows(["a"], rows(1500)).unwrap());
     catalog.register("r", Relation::from_rows(["b"], rows(1500)).unwrap());
-    Arc::new(Engine::new(catalog))
+    Arc::new(Engine::builder(catalog).planner_config(config).build())
 }
 
 const RUNAWAY: &str = "SELECT a, b FROM l, r";
 
-/// The headline acceptance scenario: a runaway cross product under a 50ms
-/// server-default deadline aborts within one batch boundary with the typed
+/// The headline acceptance scenario: a runaway cross product under the
+/// engine's 50ms deadline aborts within one batch boundary with the typed
 /// `DEADLINE` error, the worker is freed, and a follow-up query on the same
 /// connection succeeds.
 #[test]
 fn runaway_cross_product_aborts_on_deadline_and_frees_the_worker() {
     let server = Server::bind(
         "127.0.0.1:0",
-        runaway_engine(),
+        runaway_engine(PlannerConfig::default().deadline(Duration::from_millis(50))),
         ServerConfig {
             workers: 2,
-            default_deadline: Some(Duration::from_millis(50)),
             ..ServerConfig::default()
         },
     )
@@ -347,8 +348,12 @@ fn runaway_cross_product_aborts_on_deadline_and_frees_the_worker() {
 /// session stays healthy.
 #[test]
 fn cancel_from_another_connection_aborts_an_in_flight_statement() {
-    let server = Server::bind("127.0.0.1:0", runaway_engine(), ServerConfig::default())
-        .expect("bind ephemeral port");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        runaway_engine(PlannerConfig::default()),
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     let mut victim = Client::connect(addr).unwrap();
@@ -393,20 +398,16 @@ fn cancel_from_another_connection_aborts_an_in_flight_statement() {
     server.shutdown();
 }
 
-/// A server-default resident-row budget aborts the runaway statement with
-/// the typed `MEMORY` error carrying budget and observed footprint.
+/// The engine's resident-row budget aborts the served runaway statement
+/// with the typed `MEMORY` error carrying budget and observed footprint.
 #[test]
 fn default_memory_budget_aborts_with_the_typed_wire_error() {
     let server = Server::bind(
         "127.0.0.1:0",
-        runaway_engine(),
-        ServerConfig {
-            // Above one default batch (1024 rows), below the product's
-            // retained build side — small statements pass, the runaway
-            // trips.
-            default_budget_rows: Some(2_000),
-            ..ServerConfig::default()
-        },
+        // Above one default batch (1024 rows), below the product's retained
+        // build side — small statements pass, the runaway trips.
+        runaway_engine(PlannerConfig::default().memory_budget_rows(2_000)),
+        ServerConfig::default(),
     )
     .expect("bind ephemeral port");
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -429,17 +430,14 @@ fn default_memory_budget_aborts_with_the_typed_wire_error() {
 }
 
 /// A served `EXPLAIN ANALYZE` executes its statement, so it runs under the
-/// session guard like `QUERY` and `EXECUTE`: the server-default budget
-/// aborts it. A plain `EXPLAIN` executes nothing and still answers.
+/// session guard like `QUERY` and `EXECUTE`: the engine's budget aborts it.
+/// A plain `EXPLAIN` executes nothing and still answers.
 #[test]
 fn served_explain_analyze_runs_under_the_session_guard() {
     let server = Server::bind(
         "127.0.0.1:0",
-        runaway_engine(),
-        ServerConfig {
-            default_budget_rows: Some(2_000),
-            ..ServerConfig::default()
-        },
+        runaway_engine(PlannerConfig::default().memory_budget_rows(2_000)),
+        ServerConfig::default(),
     )
     .expect("bind ephemeral port");
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -458,9 +456,9 @@ fn served_explain_analyze_runs_under_the_session_guard() {
     server.shutdown();
 }
 
-/// The same server-default budget on an engine that may spill: the budget
-/// reaches the divide through the statement's guard alone (the engine's own
-/// config names none), and the statement spills instead of aborting.
+/// The same engine budget on an engine that may spill: the served
+/// statement's guard carries it to the divide, and the statement spills
+/// instead of aborting.
 #[test]
 fn default_memory_budget_spills_when_the_engine_allows_it() {
     let (dividend, divisor) = div_bench::division_workload(400, 5, 1);
@@ -470,22 +468,16 @@ fn default_memory_budget_spills_when_the_engine_allows_it() {
     let engine = Arc::new(
         Engine::builder(catalog)
             .planner_config(
-                div_physical::PlannerConfig::default()
+                PlannerConfig::default()
                     .batch_size(16)
+                    // Well under the 2,000-row dividend.
+                    .memory_budget_rows(300)
                     .spill_to_disk(true),
             )
             .build(),
     );
-    let server = Server::bind(
-        "127.0.0.1:0",
-        Arc::clone(&engine),
-        ServerConfig {
-            // Well under the 2,000-row dividend.
-            default_budget_rows: Some(300),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&engine), ServerConfig::default())
+        .expect("bind ephemeral port");
     let mut client = Client::connect(server.local_addr()).unwrap();
     let result = client
         .query("SELECT a FROM supplies AS s DIVIDE BY wanted AS w ON s.b = w.b")
