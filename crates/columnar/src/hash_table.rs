@@ -32,12 +32,25 @@
 //! Verification is the same in both forms: a lookup hands its candidate to
 //! the caller's `same_key`, so a folded probe code that decodes onto an
 //! occupied dense cell is rejected exactly as a hashed tag collision is.
+//!
+//! The same two forms serve state that grows chunk by chunk. A
+//! [`GroupStore`](crate::GroupStore) keeps its key → group id map in the
+//! same slots and learns the key range from the chunks themselves: the grow
+//! step (`Slots::grow_for`) widens the range to cover each exact chunk, by
+//! at least its current span on each side it grows, so keys arriving in
+//! descending or ascending order cost O(log range) re-layouts; an inexact
+//! chunk, or a range the rule refuses, triggers the migrate step
+//! (`Slots::migrate`), which moves every occupied cell's code into a
+//! [`KeyTable`] once. The great divide's `(A, C)` coverage counters make the
+//! same one-way choice between one `u32` per pair and a [`PairTable`].
+//! `FormRule` is the one place either choice is made: a dense array may
+//! take no more bytes than the hashed form it stands in for would hold.
 
 use crate::key_vector::KeyVector;
 
 /// Slot sentinel: no entry. Payloads must therefore be `< u32::MAX`, which
 /// row indices and dense group ids always are for in-memory batches.
-const EMPTY: u32 = u32::MAX;
+pub(crate) const EMPTY: u32 = u32::MAX;
 
 /// Multiplier for Fibonacci hashing (2^64 / φ, odd). Raw-`i64` codes are
 /// consecutive small integers in the paper's workloads; one multiply
@@ -89,7 +102,7 @@ impl KeyTable {
     }
 
     /// Bytes the table holds on the heap.
-    fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.codes.capacity() * size_of::<u64>() + self.payloads.capacity() * size_of::<u32>()
     }
 
@@ -158,11 +171,55 @@ impl KeyTable {
         }
     }
 
-    /// Double the slot array and re-place every entry. Entries are already
-    /// pairwise-distinct keys, so re-placement needs no verification.
+    /// Add `n` to the payload stored for `code`, or store `n` for it: the
+    /// payload as a count. Codes must be injective (nothing is verified).
+    #[inline]
+    fn add(&mut self, code: u64, n: u32) {
+        let mut idx = self.bucket(code);
+        loop {
+            let payload = self.payloads[idx];
+            if payload == EMPTY {
+                self.get_or_insert(code, n, |_| true);
+                return;
+            }
+            if self.codes[idx] == code {
+                // A count reaching the sentinel would read as an empty slot.
+                let sum = payload.checked_add(n).filter(|&sum| sum != EMPTY);
+                self.payloads[idx] = sum.expect("counts stay below the sentinel");
+                return;
+            }
+            idx = (idx + 1) & self.mask;
+        }
+    }
+
+    /// Every stored `(code, payload)`, in slot order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.codes
+            .iter()
+            .zip(&self.payloads)
+            .filter(|&(_, &payload)| payload != EMPTY)
+            .map(|(&code, &payload)| (code, payload))
+    }
+
+    /// Pre-size the table for `additional` more entries, so inserting them
+    /// never rehashes.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let capacity = KeyTable::capacity_for(self.len.saturating_add(additional));
+        if capacity > self.mask + 1 {
+            self.rehash(capacity);
+        }
+    }
+
+    /// Double the slot array.
     #[cold]
     fn grow(&mut self) {
-        let capacity = (self.mask + 1) * 2;
+        self.rehash((self.mask + 1) * 2);
+    }
+
+    /// Re-place every entry in a slot array of `capacity` slots. Entries
+    /// are already pairwise-distinct keys, so re-placement needs no
+    /// verification.
+    fn rehash(&mut self, capacity: usize) {
         let mut codes = vec![0u64; capacity];
         let mut payloads = vec![EMPTY; capacity];
         let mask = capacity - 1;
@@ -202,14 +259,119 @@ pub struct GroupIndex {
     first_row: Vec<u32>,
 }
 
-/// Where a [`GroupIndex`] keeps its key → group id map.
+/// Where a [`GroupIndex`] or a [`GroupStore`](crate::GroupStore) keeps its
+/// key → group id map.
 #[derive(Debug, Clone)]
-enum Slots {
+pub(crate) enum Slots {
     /// Open addressing over the codes: any key vector.
     Hashed(KeyTable),
     /// One group id (or [`EMPTY`]) per key of a compact range, indexed by
-    /// the key itself.
+    /// the key itself. Only exact codes are ever stored.
     Dense { gids: Vec<u32>, range: KeyRange },
+}
+
+impl Slots {
+    /// An empty map for keys of `key_arity` columns that will grow chunk by
+    /// chunk: dense with no cell yet when the arity has axes (one or two
+    /// columns), hashed otherwise.
+    pub(crate) fn empty(key_arity: usize) -> Slots {
+        match KeyRange::empty(key_arity) {
+            Some(range) => Slots::Dense {
+                gids: Vec::new(),
+                range,
+            },
+            None => Slots::Hashed(KeyTable::with_capacity(0)),
+        }
+    }
+
+    /// The payload stored for `code`, verifying candidates with `is_match`.
+    /// In the dense form a code outside the range, or on an empty cell, is
+    /// absent; a code on an occupied cell is verified like a hashed tag
+    /// match, so a folded code that decodes onto a stored key is rejected.
+    #[inline]
+    pub(crate) fn get(&self, code: u64, mut is_match: impl FnMut(u32) -> bool) -> Option<u32> {
+        match self {
+            Slots::Hashed(table) => table.get(code, is_match),
+            Slots::Dense { gids, range } => {
+                let gid = gids[range.slot(code)?];
+                (gid != EMPTY && is_match(gid)).then_some(gid)
+            }
+        }
+    }
+
+    /// The grow step, before a chunk with `keys` over `key_arity` columns is
+    /// inserted on top of `entries` entries. The hashed form pre-sizes for
+    /// the chunk. The dense form keeps its range when it covers the chunk;
+    /// otherwise it widens the range to cover it — by at least the current
+    /// span on each side it grows, or exactly when that slack is more than
+    /// `rule` admits for `entries` plus the chunk's rows — and re-lays its
+    /// cells out. An inexact chunk, or a chunk no admitted range covers,
+    /// migrates the map to the hashed form instead.
+    pub(crate) fn grow_for(
+        &mut self,
+        key_arity: usize,
+        keys: &KeyVector,
+        entries: usize,
+        rule: FormRule,
+    ) {
+        if keys.is_empty() {
+            return;
+        }
+        let entries = entries.saturating_add(keys.len());
+        let (gids, range) = match self {
+            Slots::Hashed(table) => return table.reserve(keys.len()),
+            Slots::Dense { gids, range } => (gids, range),
+        };
+        let Some(chunk) = KeyRange::of(key_arity, keys) else {
+            return self.migrate(entries);
+        };
+        if range.cover(&chunk, false) == Some(*range) {
+            return;
+        }
+        let limit = rule.dense_cells(entries);
+        let widened = [true, false]
+            .into_iter()
+            .filter_map(|slack| range.cover(&chunk, slack))
+            .find(|wider| wider.cells() <= limit);
+        let Some(wider) = widened else {
+            return self.migrate(entries);
+        };
+        let mut cells = vec![EMPTY; wider.cells()];
+        if !gids.is_empty() {
+            // Both layouts are row-major, the narrower one a block inside
+            // the wider: copy it row by row from where its first cell lands.
+            let first = wider.slot(range.code(0));
+            let first = first.expect("a widened range covers the narrower");
+            for (row, run) in gids.chunks(range.row_len()).enumerate() {
+                let at = first + row * wider.row_len();
+                cells[at..at + run.len()].copy_from_slice(run);
+            }
+        }
+        (*gids, *range) = (cells, wider);
+    }
+
+    /// The migrate step: move every occupied cell's code into a [`KeyTable`]
+    /// pre-sized for `entries`, once. A hashed map stays as it is.
+    pub(crate) fn migrate(&mut self, entries: usize) {
+        if let Slots::Dense { gids, range } = self {
+            let mut table = KeyTable::with_capacity(entries);
+            for (cell, &gid) in gids.iter().enumerate() {
+                if gid != EMPTY {
+                    // Distinct cells hold distinct keys: nothing to verify.
+                    table.get_or_insert(range.code(cell), gid, |_| true);
+                }
+            }
+            *self = Slots::Hashed(table);
+        }
+    }
+
+    /// Bytes the map holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Slots::Hashed(table) => table.heap_bytes(),
+            Slots::Dense { gids, .. } => gids.capacity() * size_of::<u32>(),
+        }
+    }
 }
 
 impl GroupIndex {
@@ -236,11 +398,7 @@ impl GroupIndex {
 
     /// Bytes the index holds on the heap: its slots and its first rows.
     pub fn heap_bytes(&self) -> usize {
-        let slots = match &self.slots {
-            Slots::Hashed(table) => table.heap_bytes(),
-            Slots::Dense { gids, .. } => gids.capacity() * size_of::<u32>(),
-        };
-        slots + self.first_row.capacity() * size_of::<u32>()
+        self.slots.heap_bytes() + self.first_row.capacity() * size_of::<u32>()
     }
 
     /// The group id of a (possibly foreign) key with this `code`, verifying
@@ -250,15 +408,8 @@ impl GroupIndex {
     /// match, so a folded code that decodes onto a stored key is rejected.
     #[inline]
     pub fn get(&self, code: u64, mut same_key: impl FnMut(usize) -> bool) -> Option<u32> {
-        match &self.slots {
-            Slots::Hashed(table) => {
-                table.get(code, |gid| same_key(self.first_row[gid as usize] as usize))
-            }
-            Slots::Dense { gids, range } => {
-                let gid = gids[range.slot(code)?];
-                (gid != EMPTY && same_key(self.first_row[gid as usize] as usize)).then_some(gid)
-            }
-        }
+        self.slots
+            .get(code, |gid| same_key(self.first_row[gid as usize] as usize))
     }
 
     /// `true` when the index took the dense form.
@@ -280,8 +431,8 @@ fn row_id(row: usize) -> u32 {
 /// in it maps to. The axes come from the key arity: one key column codes
 /// as the raw `i64`, and two key columns of an exact vector pack two
 /// `i32` halves, the high half the major axis.
-#[derive(Debug, Clone, Copy)]
-enum KeyRange {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyRange {
     /// One int key column: cells `min ..= min + cells - 1`.
     Int { min: i64, cells: usize },
     /// Two packed int key columns: `hi_span × lo_span` cells.
@@ -339,6 +490,94 @@ impl KeyRange {
         }
     }
 
+    /// The range of no cell over `key_arity` columns, which a growing map
+    /// widens chunk by chunk; `None` when the arity has no axes.
+    fn empty(key_arity: usize) -> Option<KeyRange> {
+        match key_arity {
+            1 => Some(KeyRange::Int { min: 0, cells: 0 }),
+            2 => Some(KeyRange::Pair {
+                min_hi: 0,
+                hi_span: 0,
+                min_lo: 0,
+                lo_span: 0,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The smallest range over the same axes covering `self` and `other`,
+    /// or — with `slack` — one that also extends each axis by at least its
+    /// current span on each side `other` lies beyond, clamped to the axis'
+    /// domain. `None` when the cells overflow a `usize`. An empty `self`
+    /// widens to `other` exactly.
+    fn cover(&self, other: &KeyRange, slack: bool) -> Option<KeyRange> {
+        if self.cells() == 0 {
+            return Some(*other);
+        }
+        match (*self, *other) {
+            (KeyRange::Int { min, cells }, KeyRange::Int { min: at, cells: n }) => {
+                let (min, cells) = cover_axis((min, cells), (at, n), i64::MIN, i64::MAX, slack)?;
+                Some(KeyRange::Int { min, cells })
+            }
+            (
+                KeyRange::Pair {
+                    min_hi,
+                    hi_span,
+                    min_lo,
+                    lo_span,
+                },
+                KeyRange::Pair {
+                    min_hi: at_hi,
+                    hi_span: n_hi,
+                    min_lo: at_lo,
+                    lo_span: n_lo,
+                },
+            ) => {
+                let axis = |(min, span): (i32, usize), (at, n): (i32, usize)| {
+                    let (lo, hi) = (i32::MIN.into(), i32::MAX.into());
+                    let (min, span) =
+                        cover_axis((min.into(), span), (at.into(), n), lo, hi, slack)?;
+                    Some((i32::try_from(min).ok()?, span))
+                };
+                let (min_hi, hi_span) = axis((min_hi, hi_span), (at_hi, n_hi))?;
+                let (min_lo, lo_span) = axis((min_lo, lo_span), (at_lo, n_lo))?;
+                hi_span.checked_mul(lo_span)?;
+                Some(KeyRange::Pair {
+                    min_hi,
+                    hi_span,
+                    min_lo,
+                    lo_span,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// The code whose cell is `cell`: the inverse of [`KeyRange::slot`].
+    fn code(&self, cell: usize) -> u64 {
+        match *self {
+            KeyRange::Int { min, .. } => (min as u64).wrapping_add(cell as u64),
+            KeyRange::Pair {
+                min_hi,
+                min_lo,
+                lo_span,
+                ..
+            } => pair_code(
+                (min_hi as u32).wrapping_add((cell / lo_span) as u32),
+                (min_lo as u32).wrapping_add((cell % lo_span) as u32),
+            ),
+        }
+    }
+
+    /// Cells per row of the row-major layout: all of them for one int
+    /// column, one low-axis span for two packed columns.
+    fn row_len(&self) -> usize {
+        match *self {
+            KeyRange::Int { cells, .. } => cells,
+            KeyRange::Pair { lo_span, .. } => lo_span,
+        }
+    }
+
     /// Number of cells the range spans.
     fn cells(&self) -> usize {
         match *self {
@@ -354,7 +593,7 @@ impl KeyRange {
     /// a value below the minimum wraps past every span, so no code outside
     /// the range is ever taken for one inside it.
     #[inline]
-    fn slot(&self, code: u64) -> Option<usize> {
+    pub(crate) fn slot(&self, code: u64) -> Option<usize> {
         match *self {
             KeyRange::Int { min, cells } => {
                 let offset = code.wrapping_sub(min as u64);
@@ -374,19 +613,70 @@ impl KeyRange {
     }
 }
 
-/// The selection rule: the dense form's `u32` array may take no more bytes
-/// than the [`KeyTable`] the hashed form would allocate for the same rows
-/// (`cells ≤ 3 × capacity`), so it never costs more memory than the form
-/// it replaces.
-fn dense_fits(cells: usize, rows: usize) -> bool {
-    cells
-        .checked_mul(size_of::<u32>())
-        .is_some_and(|bytes| bytes <= KeyTable::bytes_for(rows))
+/// One axis `[min, min + span)` widened to cover `[at, at + n)` within the
+/// domain `lo ..= hi`: exactly, or with `slack` by at least `span` more on
+/// each side it grows. `None` when the span overflows a `usize`.
+fn cover_axis(
+    (min, span): (i64, usize),
+    (at, n): (i64, usize),
+    lo: i64,
+    hi: i64,
+    slack: bool,
+) -> Option<(i64, usize)> {
+    let (start, end) = (i128::from(min), i128::from(min) + span as i128);
+    let (at, at_end) = (i128::from(at), i128::from(at) + n as i128);
+    let pad = if slack { span as i128 } else { 0 };
+    let start = if at < start {
+        at.min(start - pad).max(lo.into())
+    } else {
+        start
+    };
+    let end = if at_end > end {
+        at_end.max(end + pad).min(i128::from(hi) + 1)
+    } else {
+        end
+    };
+    Some((
+        i64::try_from(start).ok()?,
+        usize::try_from(end - start).ok()?,
+    ))
 }
 
-/// Dense slot ids for `(u32, u32)` id pairs packed into injective `u64`
-/// codes — the allocation-free replacement for the `HashMap<(u32, u32), _>`
-/// coverage counters of the counting great divide. Pair codes are
+/// The one selection rule between a dense array and a hashed form: the
+/// dense form's `u32` cells may take no more bytes than the hashed form it
+/// stands in for would hold, so it never costs more memory than the form
+/// it replaces. Tests force either form through the other variants.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FormRule {
+    /// Dense while `cells × 4 B` is at most the hashed form's bytes.
+    Memory,
+    /// Dense whenever the keys allow it, up to 2^20 cells.
+    #[cfg(test)]
+    Dense,
+    /// Never dense.
+    #[cfg(test)]
+    Hashed,
+}
+
+impl FormRule {
+    /// The most cells a dense array may take in place of a [`KeyTable`]
+    /// pre-sized for `entries` entries (`cells × 4 B ≤ capacity × 12 B`):
+    /// a key → group id map for that many keys, or hashed coverage counters
+    /// (a [`PairTable`]) for that many pairs.
+    pub(crate) fn dense_cells(self, entries: usize) -> usize {
+        match self {
+            FormRule::Memory => KeyTable::bytes_for(entries) / size_of::<u32>(),
+            #[cfg(test)]
+            FormRule::Dense => 1 << 20,
+            #[cfg(test)]
+            FormRule::Hashed => 0,
+        }
+    }
+}
+
+/// A count per `(u32, u32)` id pair met, the pair packed into an injective
+/// `u64` code and the count kept as the slot's payload — the hashed form of
+/// the counting great divide's `(A, C)` coverage counters. Pair codes are
 /// injective, so membership needs no verification.
 #[derive(Debug, Clone)]
 pub struct PairTable {
@@ -408,6 +698,16 @@ impl PairTable {
         }
     }
 
+    /// Pre-size the table for `additional` more pairs.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.table.reserve(additional);
+    }
+
+    /// Bytes the table holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes()
+    }
+
     /// Number of stored pairs.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -418,12 +718,18 @@ impl PairTable {
         self.table.is_empty()
     }
 
-    /// Map the pair to a dense slot id (first-occurrence order), for use as
-    /// an index into caller-side per-pair state. Returns `(slot, is_new)`.
+    /// Add `n` (non-zero) to the count of the pair `(a, b)`, storing the
+    /// pair on its first count.
     #[inline]
-    pub fn intern(&mut self, a: u32, b: u32) -> (u32, bool) {
-        let next = self.table.len() as u32;
-        self.table.get_or_insert(pair_code(a, b), next, |_| true)
+    pub fn add(&mut self, a: u32, b: u32, n: u32) {
+        self.table.add(pair_code(a, b), n);
+    }
+
+    /// Every stored pair with its count, in no particular order.
+    pub fn counts(&self) -> impl Iterator<Item = ((u32, u32), u32)> + '_ {
+        self.table
+            .entries()
+            .map(|(code, count)| (((code >> 32) as u32, code as u32), count))
     }
 }
 
@@ -447,16 +753,19 @@ pub fn fast_range(hash: u64, buckets: usize) -> usize {
 
 /// The one whole-vector builder behind [`index_rows`] and
 /// [`index_rows_tracked`]: one min/max pass picks the form (the dense form
-/// when the vector is exact, its range compact and [`dense_fits`]), then
+/// when the vector is exact and `rule` admits its range for its rows), then
 /// one pass over the key vector reports each row's group id to `on_row`.
 fn index_rows_inner(
     batch: &crate::ColumnarBatch,
     key_columns: &[usize],
     keys: &KeyVector,
+    rule: FormRule,
     on_row: impl FnMut(u32),
 ) -> GroupIndex {
     match KeyRange::of(key_columns.len(), keys) {
-        Some(range) if dense_fits(range.cells(), keys.len()) => index_dense(range, keys, on_row),
+        Some(range) if range.cells() <= rule.dense_cells(keys.len()) => {
+            index_dense(range, keys, on_row)
+        }
         _ => index_hashed(batch, key_columns, keys, on_row),
     }
 }
@@ -525,7 +834,7 @@ pub fn index_rows(
     key_columns: &[usize],
     keys: &KeyVector,
 ) -> GroupIndex {
-    index_rows_inner(batch, key_columns, keys, |_| {})
+    index_rows_inner(batch, key_columns, keys, FormRule::Memory, |_| {})
 }
 
 /// [`index_rows`], additionally returning each row's group id (in row
@@ -536,7 +845,9 @@ pub fn index_rows_tracked(
     keys: &KeyVector,
 ) -> (GroupIndex, Vec<u32>) {
     let mut gid_of = Vec::with_capacity(keys.len());
-    let index = index_rows_inner(batch, key_columns, keys, |gid| gid_of.push(gid));
+    let index = index_rows_inner(batch, key_columns, keys, FormRule::Memory, |gid| {
+        gid_of.push(gid)
+    });
     (index, gid_of)
 }
 
@@ -551,14 +862,14 @@ pub(crate) fn index_rows_forced(
     keys: &KeyVector,
     dense: bool,
 ) -> Option<(GroupIndex, Vec<u32>)> {
-    let mut gid_of = Vec::with_capacity(keys.len());
-    let index = if dense {
-        let range = KeyRange::of(key_columns.len(), keys).filter(|r| r.cells() <= 1 << 20)?;
-        index_dense(range, keys, |gid| gid_of.push(gid))
+    let rule = if dense {
+        FormRule::Dense
     } else {
-        index_hashed(batch, key_columns, keys, |gid| gid_of.push(gid))
+        FormRule::Hashed
     };
-    Some((index, gid_of))
+    let mut gid_of = Vec::with_capacity(keys.len());
+    let index = index_rows_inner(batch, key_columns, keys, rule, |gid| gid_of.push(gid));
+    (index.is_dense() == dense).then_some((index, gid_of))
 }
 
 #[cfg(test)]
@@ -747,7 +1058,7 @@ mod tests {
             prop_assert!(range.is_none() || build_keys.exact());
             prop_assert_eq!(
                 chosen.is_dense(),
-                range.is_some_and(|r| dense_fits(r.cells(), build.num_rows()))
+                range.is_some_and(|r| r.cells() <= FormRule::Memory.dense_cells(build.num_rows()))
             );
             let Some((dense, dense_gids)) = index_rows_forced(&build, &cols, &build_keys, true)
             else {
@@ -790,15 +1101,22 @@ mod tests {
 
     #[test]
     fn pair_table_dedups_and_interns() {
-        let mut pairs = PairTable::with_capacity(2);
-        assert!(pairs.intern(1, 2).1);
-        assert!(!pairs.intern(1, 2).1);
-        assert!(pairs.intern(2, 1).1, "order matters");
-        assert_eq!(pairs.len(), 2);
-        let mut interned = PairTable::with_capacity(2);
-        assert_eq!(interned.intern(7, 7), (0, true));
-        assert_eq!(interned.intern(7, 8), (1, true));
-        assert_eq!(interned.intern(7, 7), (0, false));
+        let mut pairs = PairTable::with_capacity(0);
+        pairs.add(1, 2, 1);
+        pairs.add(1, 2, 3);
+        pairs.add(2, 1, 1);
+        for a in 0..20 {
+            pairs.add(a, u32::MAX, 2);
+        }
+        assert_eq!(
+            pairs.len(),
+            22,
+            "order matters, and growth keeps every pair"
+        );
+        let mut counts: Vec<_> = pairs.counts().collect();
+        counts.sort_unstable();
+        assert_eq!(counts[..2], [((0, u32::MAX), 2), ((1, 2), 4)]);
+        assert!(counts.contains(&((2, 1), 1)));
     }
 
     #[test]

@@ -18,11 +18,17 @@
 //! [`hash_divide`](crate::kernels::hash_divide) are that kernel fed the
 //! whole deduplicated dividend as its only chunk.
 //!
-//! All grouping runs over [`KeyVector`] codes in open-addressing tables, so
-//! the dividend stream allocates nothing per row. With at most one divisor
-//! group the counters are one `u32` cell per dividend group; otherwise the
-//! `(A, C)` pairs pack their dense ids into injective `u64` codes consumed
-//! by a [`PairTable`].
+//! All grouping runs over [`KeyVector`] codes, so the dividend stream
+//! allocates nothing per row. The `(A, C)` coverage counters are one `u32`
+//! cell per pair, `a_gid × groups_C + c_gid` — both ids are already dense —
+//! for every divisor shape, the small divide included, while those cells
+//! take no more bytes than the hashed counters would hold. A growing `A`
+//! that breaks this rule (many sparse candidates, as in itemset mining)
+//! moves the non-zero cells, once and in `(a_gid, c_gid)` order, to a
+//! [`PairTable`] over the pairs met, which packs the two ids into injective
+//! `u64` codes and keeps each pair's count in its slot. Both forms emit the
+//! same quotient rows in the same order: `finish` walks the dense cells in
+//! group-id order and sorts the hashed pairs into it.
 //!
 //! Set inputs: a counter counts every dividend row it is shown, and a group
 //! size every divisor row, so a repeated `(A, B)` or `(B, C)` pair would
@@ -33,7 +39,7 @@
 //! batches through the public API, so they deduplicate both.
 
 use crate::batch::ColumnarBatch;
-use crate::hash_table::{index_rows_tracked, GroupIndex, PairTable};
+use crate::hash_table::{index_rows_tracked, FormRule, GroupIndex, PairTable};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::{FrozenConsume, GroupStore};
@@ -87,14 +93,23 @@ pub struct StreamingGreatDivide {
     b_ids: GroupIndex,
     c_groups: GroupIndex,
     c_size: Vec<u32>,
-    groups_of_b: Vec<Vec<u32>>,
+    /// The divisor groups holding each `B` value, as one CSR pair: those of
+    /// `b_id` are `b_groups[b_offsets[b_id]..b_offsets[b_id + 1]]`.
+    b_offsets: Vec<u32>,
+    b_groups: Vec<u32>,
     a_store: GroupStore,
-    /// The `(A group, C group)` coverage counters. With at most one divisor
-    /// group (`pairs` is `None`) every dividend group has its cells,
-    /// `a_gid × groups + c_gid`, from its interning on; otherwise there is a
-    /// cell per pair met, slotted in first-occurrence order.
-    counts: Vec<u32>,
-    pairs: Option<(PairTable, Vec<(u32, u32)>)>,
+    counters: Counters,
+    rule: FormRule,
+}
+
+/// The `(A group, C group)` coverage counters of a [`StreamingGreatDivide`].
+#[derive(Debug)]
+enum Counters {
+    /// A cell per pair of every dividend group interned, `a_gid ×
+    /// groups_C + c_gid`; `met` counts the non-zero cells.
+    Dense { counts: Vec<u32>, met: usize },
+    /// A count per pair met, kept in a hash table.
+    Hashed(PairTable),
 }
 
 impl StreamingGreatDivide {
@@ -102,6 +117,16 @@ impl StreamingGreatDivide {
     /// materialized `divisor`: the great divide, which is the small divide
     /// when the divisor has no attributes of its own.
     pub fn new(dividend_schema: &Schema, divisor: ColumnarBatch) -> Result<StreamingGreatDivide> {
+        StreamingGreatDivide::with_rule(dividend_schema, divisor, FormRule::Memory)
+    }
+
+    /// [`StreamingGreatDivide::new`] choosing the form of its counters and
+    /// of its dividend groups' map by `rule`.
+    fn with_rule(
+        dividend_schema: &Schema,
+        divisor: ColumnarBatch,
+        rule: FormRule,
+    ) -> Result<StreamingGreatDivide> {
         let partition = dividend_schema.great_divide_partition(divisor.schema())?;
         // The partition as column indices: `A` in dividend order, `B` in the
         // partition's order on both sides.
@@ -114,9 +139,10 @@ impl StreamingGreatDivide {
         let divisor_c = divisor
             .schema()
             .projection_indices(&names(&partition.group))?;
-        let a_store = GroupStore::new(
+        let a_store = GroupStore::with_rule(
             dividend_schema.project(&a)?,
             dividend_schema.projection_indices(&a)?,
+            rule,
         );
 
         // Divisor-side prep: dense ids for the distinct `B` values and `C`
@@ -132,15 +158,23 @@ impl StreamingGreatDivide {
         } else {
             c_groups.len()
         };
+        // The divisor is a set over `B ∪ C`: every row is a new (B, C) pair,
+        // one more member of its group and one more group of its `B`.
         let mut c_size = vec![0u32; groups];
-        let mut groups_of_b: Vec<Vec<u32>> = vec![Vec::new(); b_ids.len()];
+        let mut b_offsets = vec![0u32; b_ids.len() + 1];
         for (&b_id, &c_gid) in b_of.iter().zip(&c_of) {
-            // The divisor is a set over `B ∪ C`: every row is a new
-            // (B, C) pair.
             c_size[c_gid as usize] += 1;
-            groups_of_b[b_id as usize].push(c_gid);
+            b_offsets[b_id as usize + 1] += 1;
         }
-        let pairs = (groups > 1).then(|| (PairTable::with_capacity(0), Vec::new()));
+        for b_id in 0..b_ids.len() {
+            b_offsets[b_id + 1] += b_offsets[b_id];
+        }
+        let mut next = b_offsets.clone();
+        let mut b_groups = vec![0u32; b_of.len()];
+        for (&b_id, &c_gid) in b_of.iter().zip(&c_of) {
+            b_groups[next[b_id as usize] as usize] = c_gid;
+            next[b_id as usize] += 1;
+        }
         Ok(StreamingGreatDivide {
             divisor,
             dividend_b,
@@ -151,10 +185,14 @@ impl StreamingGreatDivide {
             b_ids,
             c_groups,
             c_size,
-            groups_of_b,
+            b_offsets,
+            b_groups,
             a_store,
-            counts: Vec::new(),
-            pairs,
+            counters: Counters::Dense {
+                counts: Vec::new(),
+                met: 0,
+            },
+            rule,
         })
     }
 
@@ -162,10 +200,7 @@ impl StreamingGreatDivide {
     /// probes performed: one per chunk row, or none for an empty divisor.
     pub fn consume(&mut self, chunk: &ColumnarBatch) -> usize {
         let interned = self.a_store.intern_chunk(chunk);
-        if self.pairs.is_none() {
-            self.counts
-                .resize(self.a_store.len() * self.c_size.len(), 0);
-        }
+        self.fit_counters(chunk.num_rows());
         self.count(chunk, |row| Some(interned.gids[row]))
     }
 
@@ -186,6 +221,52 @@ impl StreamingGreatDivide {
         }
     }
 
+    /// Make room for a chunk of `rows` rows whose new dividend groups are
+    /// interned already. The dense counters grow to a cell for every pair
+    /// of every dividend group while the rule admits those cells against
+    /// the hashed counters for the pairs met plus one per chunk row (a bound
+    /// on what the hashed form holds after the chunk); once it does not,
+    /// they migrate. The hashed counters pre-size for the chunk. An empty
+    /// divisor counts nothing and keeps no counter.
+    fn fit_counters(&mut self, rows: usize) {
+        if self.b_ids.is_empty() {
+            return;
+        }
+        match &mut self.counters {
+            Counters::Dense { counts, met } => {
+                let cells = self.a_store.len().saturating_mul(self.c_size.len());
+                if cells <= counts.len() {
+                    return;
+                }
+                let limit = self.rule.dense_cells(met.saturating_add(rows));
+                if cells > limit {
+                    return self.migrate_counters(rows);
+                }
+                // Amortized growth, capped where the rule stops admitting.
+                let capacity = cells.max(counts.len() * 2).min(limit);
+                counts.reserve_exact(capacity - counts.len());
+                counts.resize(cells, 0);
+            }
+            Counters::Hashed(pairs) => pairs.reserve(rows),
+        }
+    }
+
+    /// Move the dense counters' non-zero cells to the hashed form, in
+    /// `(a_gid, c_gid)` order, pre-sized for a chunk of `rows` more rows.
+    fn migrate_counters(&mut self, rows: usize) {
+        let Counters::Dense { counts, met } = &self.counters else {
+            return;
+        };
+        let stride = self.c_size.len();
+        let mut pairs = PairTable::with_capacity(met + rows);
+        for (cell, &count) in counts.iter().enumerate() {
+            if count > 0 {
+                pairs.add((cell / stride) as u32, (cell % stride) as u32, count);
+            }
+        }
+        self.counters = Counters::Hashed(pairs);
+    }
+
     /// Bump the `(A, C)` coverage counters for every chunk row `gid_of`
     /// assigns to a dividend group. Returns the probes: one per such row,
     /// none for an empty divisor, which has nothing to look up.
@@ -202,27 +283,29 @@ impl StreamingGreatDivide {
             &self.divisor_b,
             &self.divisor_b_keys,
         );
+        let stride = self.c_size.len();
         let mut probes = 0;
         for row in 0..chunk.num_rows() {
             let Some(a_gid) = gid_of(row) else { continue };
             probes += 1;
             let b_id = self.b_ids.get(b_keys.code(row), |other| same_b(row, other));
-            // The dividend is a set over `A ∪ B`: each row is a new (A, B)
-            // pair and counts once.
-            let Some(b_id) = b_id else { continue };
-            for &c_gid in &self.groups_of_b[b_id as usize] {
-                let cell = match &mut self.pairs {
-                    None => a_gid as usize * self.c_size.len() + c_gid as usize,
-                    Some((slots, pairs)) => {
-                        let (slot, is_new) = slots.intern(a_gid, c_gid);
-                        if is_new {
-                            pairs.push((a_gid, c_gid));
-                            self.counts.push(0);
-                        }
-                        slot as usize
+            let Some(b) = b_id else { continue };
+            let c_gids = &self.b_groups
+                [self.b_offsets[b as usize] as usize..self.b_offsets[b as usize + 1] as usize];
+            match &mut self.counters {
+                Counters::Dense { counts, met } => {
+                    let base = a_gid as usize * stride;
+                    for &c_gid in c_gids {
+                        let count = &mut counts[base + c_gid as usize];
+                        *met += usize::from(*count == 0);
+                        *count += 1;
                     }
-                };
-                self.counts[cell] += 1;
+                }
+                Counters::Hashed(pairs) => {
+                    for &c_gid in c_gids {
+                        pairs.add(a_gid, c_gid, 1);
+                    }
+                }
             }
         }
         probes
@@ -233,24 +316,59 @@ impl StreamingGreatDivide {
         self.a_store.len()
     }
 
+    /// `true` while the coverage counters are the dense array.
+    #[cfg(test)]
+    fn counters_dense(&self) -> bool {
+        matches!(self.counters, Counters::Dense { .. })
+    }
+
+    /// Bytes the state holds on the heap beside its divisor batch and its
+    /// dividend groups' retained representatives: the dividend groups' map,
+    /// the divisor-side indexes and group sizes, and the counters.
+    pub fn heap_bytes(&self) -> usize {
+        let u32s = |v: &Vec<u32>| v.capacity() * size_of::<u32>();
+        let counters = match &self.counters {
+            Counters::Dense { counts, .. } => u32s(counts),
+            Counters::Hashed(pairs) => pairs.heap_bytes(),
+        };
+        self.a_store.heap_bytes()
+            + size_of_val(self.divisor_b_keys.codes())
+            + self.b_ids.heap_bytes()
+            + self.c_groups.heap_bytes()
+            + u32s(&self.c_size)
+            + u32s(&self.b_offsets)
+            + u32s(&self.b_groups)
+            + counters
+    }
+
     /// Emit the quotient: the pairs `(A group, C group)` whose counters
     /// reached the divisor group's size, in group-id order.
     pub fn finish(self) -> ColumnarBatch {
         let groups = self.c_size.len();
-        let pairs = match self.pairs {
-            None => (0..self.counts.len())
-                .map(|cell| ((cell / groups) as u32, (cell % groups) as u32))
-                .collect(),
-            Some((_, pairs)) => pairs,
+        let qualifying: Vec<(u32, u32)> = if self.b_ids.is_empty() {
+            // An empty divisor: every dividend group covers its one empty
+            // group vacuously, and a divisor with `C` has no group at all.
+            (0..self.a_store.len() as u32)
+                .flat_map(|a_gid| (0..groups as u32).map(move |c_gid| (a_gid, c_gid)))
+                .collect()
+        } else {
+            match self.counters {
+                // The cells are laid out in group-id order.
+                Counters::Dense { counts, .. } => (0..counts.len())
+                    .filter(|&cell| counts[cell] == self.c_size[cell % groups])
+                    .map(|cell| ((cell / groups) as u32, (cell % groups) as u32))
+                    .collect(),
+                Counters::Hashed(pairs) => {
+                    let mut qualifying: Vec<(u32, u32)> = pairs
+                        .counts()
+                        .filter(|&((_, c_gid), count)| count == self.c_size[c_gid as usize])
+                        .map(|(pair, _)| pair)
+                        .collect();
+                    qualifying.sort_unstable();
+                    qualifying
+                }
+            }
         };
-        let mut qualifying: Vec<(u32, u32)> = pairs
-            .into_iter()
-            .zip(&self.counts)
-            .filter(|&((_, c_gid), &count)| count == self.c_size[c_gid as usize])
-            .map(|(pair, _)| pair)
-            .collect();
-        // Group-id order; the dense cells are laid out in it already.
-        qualifying.sort_unstable();
         let representatives = self.a_store.rows();
         let dividend_rows: Vec<usize> = qualifying
             .iter()
@@ -377,7 +495,9 @@ mod tests {
         /// resident groups, divide the leftover rows with a fresh state —
         /// the two quotients are disjoint and their union is the unfrozen
         /// kernel's (itself the reference operator's), and every dividend
-        /// row is probed exactly once.
+        /// row is probed exactly once. Each counter form runs it: the
+        /// rule's, dense-forced, hashed-forced, and dense-forced with a
+        /// migration to the hashed form at the freeze.
         #[test]
         fn frozen_consume_plus_leftover_is_the_whole_quotient(
             dividend in prop::collection::vec((0u32..8, 0u32..5), 0..60),
@@ -385,7 +505,9 @@ mod tests {
             shape in 0u32..4,
             chunk_rows in 1usize..7,
             freeze in 0usize..12,
+            form in 0usize..4,
         ) {
+            let rule = [FormRule::Memory, FormRule::Dense, FormRule::Hashed, FormRule::Dense][form];
             // The streaming state's inputs are sets; `key_value` is
             // injective, so distinct pairs make distinct rows.
             let set = |pairs: Vec<(u32, u32)>| pairs.into_iter().collect::<BTreeSet<_>>();
@@ -416,8 +538,11 @@ mod tests {
             };
             prop_assert_eq!(whole.batch.to_relation().unwrap(), reference.unwrap());
 
-            let mut resident =
-                StreamingGreatDivide::new(whole_dividend.schema(), divisor.clone()).unwrap();
+            let state = || {
+                StreamingGreatDivide::with_rule(whole_dividend.schema(), divisor.clone(), rule)
+                    .unwrap()
+            };
+            let mut resident = state();
             let mut probes = 0;
             let mut leftovers = Vec::new();
             // Each chunk is built from its own values, so string chunks
@@ -427,6 +552,10 @@ mod tests {
                 if n < freeze {
                     probes += resident.consume(&chunk);
                 } else {
+                    if n == freeze && form == 3 {
+                        resident.migrate_counters(0);
+                        prop_assert!(!resident.counters_dense());
+                    }
                     let groups = resident.groups();
                     let frozen = resident.consume_frozen(&chunk);
                     prop_assert_eq!(resident.groups(), groups, "a frozen state grew");
@@ -434,8 +563,7 @@ mod tests {
                     leftovers.push(chunk.gather(&frozen.leftover));
                 }
             }
-            let mut overflow =
-                StreamingGreatDivide::new(whole_dividend.schema(), divisor.clone()).unwrap();
+            let mut overflow = state();
             for chunk in &leftovers {
                 probes += overflow.consume(chunk);
             }
@@ -456,6 +584,102 @@ mod tests {
                 whole.batch.to_relation().unwrap()
             );
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The same chunks through a rule-chosen and a hashed-forced state:
+        /// after every chunk the chosen state holds no more heap bytes, and
+        /// both emit the reference quotient. `A` ranges over a compact or a
+        /// sparse domain and `C` over up to 40 groups, so the chosen
+        /// counters stay dense on some inputs and migrate on others.
+        #[test]
+        fn the_chosen_state_never_holds_more_than_the_hashed(
+            dividend in prop::collection::vec((0u32..64, 0u32..12), 0..150),
+            divisor in prop::collection::vec((0u32..12, 0u32..40), 1..40),
+            sparse in 0u32..2,
+            chunk_rows in 1usize..40,
+        ) {
+            let a_value = |a: u32| Value::Int(if sparse == 1 { i64::from(a) << 24 } else { i64::from(a) });
+            let set = |pairs: Vec<(u32, u32)>| pairs.into_iter().collect::<BTreeSet<_>>();
+            let int = |v: u32| Value::Int(i64::from(v));
+            let dividend_rows: Vec<Vec<Value>> =
+                set(dividend).into_iter().map(|(a, b)| vec![a_value(a), int(b)]).collect();
+            let divisor_rows: Vec<Vec<Value>> =
+                set(divisor).into_iter().map(|(b, c)| vec![int(b), int(c)]).collect();
+            let divisor = batch_of(&["b", "c"], &divisor_rows);
+            let whole = batch_of(&["a", "b"], &dividend_rows);
+            let [mut chosen, mut hashed] = [FormRule::Memory, FormRule::Hashed]
+                .map(|rule| StreamingGreatDivide::with_rule(whole.schema(), divisor.clone(), rule).unwrap());
+            for chunk in chunks_of(&whole, chunk_rows) {
+                prop_assert_eq!(chosen.consume(&chunk), hashed.consume(&chunk));
+                prop_assert!(
+                    chosen.heap_bytes() <= hashed.heap_bytes(),
+                    "the chosen state holds {} bytes, the hashed {}",
+                    chosen.heap_bytes(),
+                    hashed.heap_bytes()
+                );
+            }
+            let reference = whole
+                .to_relation()
+                .unwrap()
+                .great_divide(&divisor.to_relation().unwrap())
+                .unwrap();
+            prop_assert_eq!(chosen.finish().to_relation().unwrap(), reference.clone());
+            prop_assert_eq!(hashed.finish().to_relation().unwrap(), reference);
+        }
+    }
+
+    /// The rule's boundary on the two workloads it is for. A Q1-shaped
+    /// division (`supplies ÷* parts` over four colours) keeps dense counters
+    /// and a dense dividend-group map through every chunk. A mining-shaped
+    /// one (few transactions, thousands of two-item candidates) meets a
+    /// small share of its `(A, C)` cells, so its counters go hashed. Both
+    /// give the reference quotient.
+    #[test]
+    fn q1_shapes_stay_dense_and_mining_shapes_go_hashed() {
+        use div_datagen::suppliers_parts::{generate, SuppliersPartsConfig};
+        let data = generate(&SuppliersPartsConfig {
+            suppliers: 600,
+            parts: 50,
+            colors: 4,
+            ..SuppliersPartsConfig::default()
+        });
+        let supplies = ColumnarBatch::from_relation(&data.supplies);
+        let mut q1 =
+            StreamingGreatDivide::new(supplies.schema(), ColumnarBatch::from_relation(&data.parts))
+                .unwrap();
+        for chunk in chunks_of(&supplies, 1024) {
+            q1.consume(&chunk);
+            assert!(q1.counters_dense() && q1.a_store.is_dense());
+        }
+        let expected = data.supplies.great_divide(&data.parts).unwrap();
+        assert_eq!(q1.finish().to_relation().unwrap(), expected);
+
+        let transactions = Relation::from_rows(
+            ["tid", "item"],
+            (0..300i64).flat_map(|tid| (0..4).map(move |k| [tid, (tid * 7 + k * 31) % 200])),
+        )
+        .unwrap();
+        let candidates = Relation::from_rows(
+            ["item", "itemset"],
+            (0..4000i64).flat_map(|set| [[set % 200, set], [(set * 7 + 3) % 200, set]]),
+        )
+        .unwrap();
+        let transactions_batch = ColumnarBatch::from_relation(&transactions);
+        let mut mining = StreamingGreatDivide::new(
+            transactions_batch.schema(),
+            ColumnarBatch::from_relation(&candidates),
+        )
+        .unwrap();
+        for chunk in chunks_of(&transactions_batch, 1024) {
+            mining.consume(&chunk);
+        }
+        assert!(!mining.counters_dense());
+        let expected = transactions.great_divide(&candidates).unwrap();
+        assert!(!expected.is_empty());
+        assert_eq!(mining.finish().to_relation().unwrap(), expected);
     }
 
     #[test]

@@ -14,13 +14,26 @@
 //! retained rows. Memory is proportional to the number of distinct groups —
 //! the floor any grouping operator has to pay — never to the stream length.
 //!
+//! Its key → group id map takes the two forms of
+//! [`GroupIndex`](crate::GroupIndex), with the key range learnt from the
+//! chunks rather than known up front. While every chunk interned is exact —
+//! one NULL-free int column, or two int columns that all pack — the map is
+//! a direct-addressed `u32` array over a range each chunk widens to cover
+//! its keys (by at least the current span on each side it grows, so a
+//! descending or ascending key stream re-lays the array out O(log range)
+//! times). The array stays dense while its cells take no more bytes than a
+//! [`KeyTable`](crate::KeyTable) pre-sized for the groups plus the chunk's
+//! rows would; an inexact chunk (strings, NULLs, mixed values) or a range
+//! that breaks the rule moves the map to that table once. Group ids are
+//! first-occurrence in both forms, so nothing downstream sees which one ran.
+//!
 //! [`StreamingDistinct`] layers set-semantics deduplication on top: feed it
 //! chunks, get back the rows never seen before. It is the state behind the
 //! streaming projection and union operators of `div_physical::stream`.
 
 use crate::batch::ColumnarBatch;
 use crate::column::Column;
-use crate::hash_table::KeyTable;
+use crate::hash_table::{FormRule, Slots, EMPTY};
 use crate::key_vector::{keys_equal, KeyVector};
 use div_algebra::Schema;
 
@@ -66,9 +79,12 @@ pub struct GroupStore {
     /// first global gid of segment `i`.
     segments: Vec<ColumnarBatch>,
     seg_starts: Vec<u32>,
-    table: KeyTable,
+    /// Key → group id: dense while every chunk was exact and the rule
+    /// admits the learnt range, hashed from then on.
+    slots: Slots,
     groups: u32,
     store_exact: bool,
+    rule: FormRule,
 }
 
 impl GroupStore {
@@ -76,21 +92,32 @@ impl GroupStore {
     /// schema); `key_schema` names those columns, in the same order, and
     /// becomes the schema of [`GroupStore::rows`].
     pub fn new(key_schema: Schema, key_cols: Vec<usize>) -> GroupStore {
+        GroupStore::with_rule(key_schema, key_cols, FormRule::Memory)
+    }
+
+    /// [`GroupStore::new`] choosing its map's form by `rule`.
+    pub(crate) fn with_rule(
+        key_schema: Schema,
+        key_cols: Vec<usize>,
+        rule: FormRule,
+    ) -> GroupStore {
         assert_eq!(
             key_schema.arity(),
             key_cols.len(),
             "key schema/column arity mismatch"
         );
         let store_cols = (0..key_cols.len()).collect();
+        let slots = Slots::empty(key_cols.len());
         GroupStore {
             key_schema,
             key_cols,
             store_cols,
             segments: Vec::new(),
             seg_starts: Vec::new(),
-            table: KeyTable::with_capacity(0),
+            slots,
             groups: 0,
             store_exact: true,
+            rule,
         }
     }
 
@@ -109,6 +136,19 @@ impl GroupStore {
         &self.key_cols
     }
 
+    /// Bytes the store holds on the heap beside its retained
+    /// representatives: its key → group id map, in either form, and the
+    /// segment starts.
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.heap_bytes() + self.seg_starts.capacity() * size_of::<u32>()
+    }
+
+    /// `true` while the key → group id map is the dense array.
+    #[cfg(test)]
+    pub(crate) fn is_dense(&self) -> bool {
+        matches!(self.slots, Slots::Dense { .. })
+    }
+
     /// Locate the retained representative of `gid`.
     fn locate(&self, gid: u32) -> (&ColumnarBatch, usize) {
         let seg = self.seg_starts.partition_point(|&start| start <= gid) - 1;
@@ -120,37 +160,68 @@ impl GroupStore {
     pub fn intern_chunk(&mut self, chunk: &ColumnarBatch) -> ChunkInterned {
         let rows = chunk.num_rows();
         let keys = KeyVector::build(chunk, &self.key_cols);
+        self.slots
+            .grow_for(self.key_cols.len(), &keys, self.len(), self.rule);
         let verify = !(keys.exact() && self.store_exact);
         let base = self.groups;
         let mut pending: Vec<usize> = Vec::new();
         let mut gids = Vec::with_capacity(rows);
         let mut fresh = Vec::with_capacity(rows);
-        for row in 0..rows {
-            let next = base + pending.len() as u32;
-            // Disjoint field borrows: the verification closure reads the
-            // retained segments while the table is borrowed mutably.
-            let segments = &self.segments;
-            let seg_starts = &self.seg_starts;
-            let key_cols = &self.key_cols;
-            let store_cols = &self.store_cols;
-            let pending_rows = &pending;
-            let (gid, is_new) = self.table.get_or_insert(keys.code(row), next, |gid| {
-                if !verify {
-                    return true;
+        match &mut self.slots {
+            // `grow_for` kept the map dense, so the chunk is exact and its
+            // range covered: each key owns one cell, and nothing needs
+            // verifying.
+            Slots::Dense { gids: cells, range } => {
+                for (row, &code) in keys.codes().iter().enumerate() {
+                    let cell = &mut cells[range.slot(code).expect("the range covers the chunk")];
+                    let is_new = *cell == EMPTY;
+                    if is_new {
+                        *cell = base + pending.len() as u32;
+                        // As in `KeyTable::get_or_insert`: an id equal to
+                        // the sentinel would read as an empty cell.
+                        assert_ne!(*cell, EMPTY, "group ids exclude the sentinel");
+                        pending.push(row);
+                    }
+                    gids.push(*cell);
+                    fresh.push(is_new);
                 }
-                if gid >= base {
-                    let other = pending_rows[(gid - base) as usize];
-                    return keys_equal(chunk, key_cols, row, chunk, key_cols, other);
-                }
-                let seg = seg_starts.partition_point(|&start| start <= gid) - 1;
-                let local = (gid - seg_starts[seg]) as usize;
-                keys_equal(chunk, key_cols, row, &segments[seg], store_cols, local)
-            });
-            if is_new {
-                pending.push(row);
             }
-            gids.push(gid);
-            fresh.push(is_new);
+            Slots::Hashed(table) => {
+                for row in 0..rows {
+                    let next = base + pending.len() as u32;
+                    let (gid, is_new) = table.get_or_insert(keys.code(row), next, |gid| {
+                        if !verify {
+                            return true;
+                        }
+                        if gid >= base {
+                            let other = pending[(gid - base) as usize];
+                            return keys_equal(
+                                chunk,
+                                &self.key_cols,
+                                row,
+                                chunk,
+                                &self.key_cols,
+                                other,
+                            );
+                        }
+                        let seg = self.seg_starts.partition_point(|&start| start <= gid) - 1;
+                        let local = (gid - self.seg_starts[seg]) as usize;
+                        keys_equal(
+                            chunk,
+                            &self.key_cols,
+                            row,
+                            &self.segments[seg],
+                            &self.store_cols,
+                            local,
+                        )
+                    });
+                    if is_new {
+                        pending.push(row);
+                    }
+                    gids.push(gid);
+                    fresh.push(is_new);
+                }
+            }
         }
         if !pending.is_empty() {
             let columns: Vec<Column> = self
@@ -174,13 +245,16 @@ impl GroupStore {
     /// id previously assigned to its key, or `None` for a key this store has
     /// never seen. One [`KeyVector`] per chunk and the same
     /// verify-on-inexact-code path as [`GroupStore::intern_chunk`] — the
-    /// read-only half of it, for an operator whose group set is frozen.
+    /// read-only half of it, for an operator whose group set is frozen. In
+    /// the dense form an inexact probe code that lands on an occupied cell
+    /// is verified against the cell's representative, as a hashed tag match
+    /// is.
     pub fn lookup_chunk(&self, chunk: &ColumnarBatch) -> Vec<Option<u32>> {
         let keys = KeyVector::build(chunk, &self.key_cols);
         let verify = !(keys.exact() && self.store_exact);
         (0..chunk.num_rows())
             .map(|row| {
-                self.table.get(keys.code(row), |gid| {
+                self.slots.get(keys.code(row), |gid| {
                     if !verify {
                         return true;
                     }
@@ -272,7 +346,11 @@ impl StreamingDistinct {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_algebra::{relation, Relation};
+    use crate::kernels::test_rows::batch_of;
+    use crate::key_vector::{key_code, NULL_CODE};
+    use div_algebra::{relation, Relation, Tuple, Value};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn chunk(rel: &Relation) -> ColumnarBatch {
         ColumnarBatch::from_relation(rel)
@@ -344,5 +422,199 @@ mod tests {
         assert_eq!(c1.gids, vec![0]);
         assert_eq!(c2.gids, vec![0, 1]);
         assert_eq!(store.len(), 2);
+    }
+
+    /// A key value of a chunk of `kind`: compact ints around `base` (kinds
+    /// 0–2, so the learnt range grows up and down as `base` moves), sparse
+    /// jumps and `i64` / `i32` extremes (3), NULLs among compact ints (4),
+    /// strings among compact ints (5). Kinds 4 and 5 make a chunk inexact.
+    fn chunk_value(kind: u32, base: i64, pick: u32) -> Value {
+        let compact = Value::Int(base * 8 + i64::from(pick % 8));
+        match (kind, pick % 10) {
+            (0..=2, _) => compact,
+            (3, p) => Value::Int(
+                [
+                    i64::MIN,
+                    i64::MAX,
+                    i32::MIN.into(),
+                    i32::MAX.into(),
+                    i64::from(i32::MAX) + 1,
+                    1 << 40,
+                    -(1 << 40),
+                    1 << 20,
+                    -(1 << 20),
+                    0,
+                ][p as usize],
+            ),
+            (4, 0..=2) => Value::Null,
+            (5, 0..=3) => Value::str(["ann", "bob", "cy", "dee"][(pick % 4) as usize]),
+            _ => compact,
+        }
+    }
+
+    /// Chunks over keys of `arity` columns (named `k1`, `k2`) plus one
+    /// payload column, each built from its own values, so string chunks
+    /// carry their own dictionaries.
+    fn key_chunk(arity: usize, kind: u32, base: i64, picks: &[(u32, u32)]) -> ColumnarBatch {
+        let rows: Vec<Vec<Value>> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| {
+                let keys = [chunk_value(kind, base, a), chunk_value(kind, base, b)];
+                let mut row = keys[..arity].to_vec();
+                row.push(Value::Int(i as i64));
+                row
+            })
+            .collect();
+        batch_of(&[&["k1", "k2"][..arity], &["v"][..]].concat(), &rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Dense-forced, hashed-forced and rule-chosen stores, fed the same
+        /// chunks (ranges growing both ways, sparse jumps, extremes, and
+        /// NULL or string chunks that migrate a dense store mid-stream),
+        /// give the first-occurrence ids of a reference map, the same
+        /// `fresh` flags, representatives and lookups — probes with
+        /// foreign-dictionary strings and NULLs included. After every
+        /// chunk the chosen form holds no more bytes than the hashed one.
+        #[test]
+        fn every_form_interns_and_looks_up_alike(
+            arity in 1usize..3,
+            chunks in prop::collection::vec(
+                (0u32..6, -4i64..5, prop::collection::vec((0u32..40, 0u32..40), 0..12)),
+                0..10,
+            ),
+            probe in (0u32..6, -4i64..5, prop::collection::vec((0u32..40, 0u32..40), 0..16)),
+        ) {
+            let key_cols: Vec<usize> = (0..arity).collect();
+            let schema = Schema::of(["k1", "k2"][..arity].iter().copied());
+            let mut stores = [FormRule::Memory, FormRule::Dense, FormRule::Hashed]
+                .map(|rule| GroupStore::with_rule(schema.clone(), key_cols.clone(), rule));
+            let mut reference: HashMap<Tuple, u32> = HashMap::new();
+            let mut keys: Vec<Tuple> = Vec::new();
+            for (kind, base, picks) in &chunks {
+                let chunk = key_chunk(arity, *kind, *base, picks);
+                let (mut want_gids, mut want_fresh) = (Vec::new(), Vec::new());
+                for row in 0..chunk.num_rows() {
+                    let key = Tuple::new((0..arity).map(|c| chunk.column(c).value(row)));
+                    let fresh = !reference.contains_key(&key);
+                    if fresh {
+                        reference.insert(key.clone(), keys.len() as u32);
+                        keys.push(key.clone());
+                    }
+                    want_gids.push(reference[&key]);
+                    want_fresh.push(fresh);
+                }
+                for store in &mut stores {
+                    let interned = store.intern_chunk(&chunk);
+                    prop_assert_eq!(&interned.gids, &want_gids);
+                    prop_assert_eq!(&interned.fresh, &want_fresh);
+                    prop_assert_eq!(store.len(), keys.len());
+                }
+                let [chosen, _, hashed] = &stores;
+                prop_assert!(
+                    chosen.heap_bytes() <= hashed.heap_bytes(),
+                    "the chosen form holds {} bytes, the hashed {}",
+                    chosen.heap_bytes(),
+                    hashed.heap_bytes()
+                );
+                prop_assert!(!hashed.is_dense() || hashed.is_empty());
+            }
+            let (kind, base, picks) = &probe;
+            let probe = key_chunk(arity, *kind, *base, picks);
+            let want: Vec<Option<u32>> = (0..probe.num_rows())
+                .map(|row| {
+                    let key = Tuple::new((0..arity).map(|c| probe.column(c).value(row)));
+                    reference.get(&key).copied()
+                })
+                .collect();
+            for store in &stores {
+                let rows = store.rows();
+                prop_assert_eq!(rows.num_rows(), keys.len());
+                for (gid, key) in keys.iter().enumerate() {
+                    prop_assert_eq!(&rows.row(gid), key);
+                }
+                prop_assert_eq!(store.lookup_chunk(&probe), want.clone());
+            }
+        }
+    }
+
+    /// Inexact probe codes that equal a stored key's code land on an
+    /// occupied cell of a dense store: a NULL against the int `NULL_CODE`
+    /// (one column), and a folded `(NULL, 7)` against the two ints its code
+    /// unpacks to (two columns). Verification rejects both; the genuine
+    /// keys still resolve.
+    #[test]
+    fn folded_probe_codes_on_occupied_dense_cells_do_not_match() {
+        let folded = key_code(&[Value::Null, Value::Int(7)]);
+        let (hi, lo) = (
+            i64::from((folded >> 32) as u32 as i32),
+            i64::from(folded as u32 as i32),
+        );
+        let planted: [(&[&str], Vec<Value>, Vec<Value>); 2] = [
+            (
+                &["k"],
+                vec![Value::Int(NULL_CODE as i64)],
+                vec![Value::Null],
+            ),
+            (
+                &["k1", "k2"],
+                vec![Value::Int(hi), Value::Int(lo)],
+                vec![Value::Null, Value::Int(7)],
+            ),
+        ];
+        for (names, stored, probe) in planted {
+            let cols: Vec<usize> = (0..names.len()).collect();
+            let mut store = GroupStore::new(Schema::of(names.iter().copied()), cols);
+            store.intern_chunk(&batch_of(names, std::slice::from_ref(&stored)));
+            assert!(store.is_dense(), "{names:?}");
+            let probe = batch_of(names, &[probe, stored]);
+            assert_eq!(store.lookup_chunk(&probe), vec![None, Some(0)], "{names:?}");
+        }
+    }
+
+    /// The dense store follows a key stream that grows downwards, then
+    /// upwards, and moves to the hashed form once, for good, at the first
+    /// inexact chunk or at a jump the rule refuses.
+    #[test]
+    fn the_dense_store_learns_its_range_and_migrates_once() {
+        let ints = |keys: &[i64]| {
+            let rows: Vec<Vec<Value>> = keys.iter().map(|&k| vec![Value::Int(k)]).collect();
+            batch_of(&["k"], &rows)
+        };
+        // Sixteen consecutive keys a chunk: 63 × 16 .. 64 × 16 first, down
+        // to 0 .. 16, then up from 64 × 16 to 128 × 16.
+        let learn = |store: &mut GroupStore| {
+            for t in (0..64).rev().chain(64..128) {
+                store.intern_chunk(&ints(&(t * 16..t * 16 + 16).collect::<Vec<_>>()));
+                assert!(store.is_dense(), "chunk {t}");
+            }
+            assert_eq!(store.len(), 2048);
+        };
+        let mut store = GroupStore::new(Schema::of(["k"]), vec![0]);
+        learn(&mut store);
+        assert_eq!(
+            store.lookup_chunk(&ints(&[0, 1008, 2047, 2048])),
+            vec![Some(1008), Some(0), Some(2047), None]
+        );
+        store.intern_chunk(&batch_of(&["k"], &[vec![Value::str("x")]]));
+        assert!(!store.is_dense(), "a string chunk migrates");
+        store.intern_chunk(&ints(&[1, 2]));
+        assert!(!store.is_dense(), "the migration is one-way");
+        assert_eq!(
+            store.lookup_chunk(&ints(&[0, 1008, 2048])),
+            vec![Some(1008), Some(0), None]
+        );
+
+        let mut store = GroupStore::new(Schema::of(["k"]), vec![0]);
+        learn(&mut store);
+        store.intern_chunk(&ints(&[1 << 40]));
+        assert!(!store.is_dense(), "a sparse jump migrates");
+        assert_eq!(
+            store.lookup_chunk(&ints(&[1 << 40, 5])),
+            vec![Some(2048), Some(1013)]
+        );
     }
 }

@@ -24,11 +24,19 @@
 //! divisor indexes and `dedup` take that form, while the probe sides still
 //! carry NULLs, ints outside `i32` and strings; a planted probe whose
 //! folded code decodes onto an occupied array cell must not match.
+//!
+//! The streaming states learn that range chunk by chunk instead: the great
+//! divide's `(A, C)` counters and the `GroupStore` under the divides, the
+//! aggregate and the distinct filter stay dense over compact ints fed in
+//! ascending or descending order, and move to their hashed forms on a
+//! hostile chunk or a range too sparse for the memory rule. The
+//! `dense_counters_*` and `dense_stores_*` properties feed them such
+//! streams.
 
-use div_columnar::kernels::{self, JoinBuild};
+use div_columnar::kernels::{self, JoinBuild, StreamingAggregate, StreamingGreatDivide};
 use div_columnar::key_vector::{BOOL_FALSE_CODE, NULL_CODE};
 use div_columnar::partition::{concat_batches, partition_rows};
-use div_columnar::ColumnarBatch;
+use div_columnar::{ColumnarBatch, StreamingDistinct};
 use division::prelude::*;
 use proptest::prelude::*;
 
@@ -395,6 +403,103 @@ proptest! {
         let deduped = batch.gather(&doubled).dedup();
         prop_assert_eq!(deduped.num_rows(), n);
         prop_assert_eq!(deduped.to_relation().unwrap(), rel);
+    }
+}
+
+/// `batch`'s rows in `chunk_rows`-row chunks, in row order or — `reverse`
+/// — backwards, so a sorted key column grows upwards or downwards.
+fn chunked(batch: &ColumnarBatch, chunk_rows: usize, reverse: bool) -> Vec<ColumnarBatch> {
+    let mut rows: Vec<usize> = (0..batch.num_rows()).collect();
+    if reverse {
+        rows.reverse();
+    }
+    rows.chunks(chunk_rows)
+        .map(|rows| batch.gather(rows))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// ÷* by a divisor with two or more `C` groups over compact ints, the
+    /// dividend streamed in chunks with its `A` values rising or falling:
+    /// compact int `A`s keep the counters and the dividend-group map dense,
+    /// and a hostile dividend (NULLs, strings, ints outside `i32` among the
+    /// `A` values) moves the map to its hashed form mid-stream. The
+    /// quotient is the reference's either way.
+    #[test]
+    fn dense_counters_divide_like_the_reference(
+        dividend in keyed_rows(60),
+        divisor in prop::collection::vec((0..4i64, 0..3i64), 0..10),
+        hostile in 0..2u32,
+        chunk_rows in 1..16usize,
+        reverse in 0..2u32,
+    ) {
+        let dividend = keyed_relation(&["a", "b"], 1, &dividend, hostile == 1);
+        let divisor_rows = divisor.into_iter().chain([(0, 0), (1, 1)]).map(|(b, c)| [b, c]);
+        let divisor = Relation::from_rows(["b", "c"], divisor_rows).unwrap();
+        let dividend_batch = ColumnarBatch::from_relation(&dividend);
+        let mut state = StreamingGreatDivide::new(
+            dividend_batch.schema(),
+            ColumnarBatch::from_relation(&divisor),
+        )
+        .unwrap();
+        for chunk in chunked(&dividend_batch, chunk_rows, reverse == 1) {
+            state.consume(&chunk);
+        }
+        prop_assert_eq!(
+            state.finish().to_relation().unwrap(),
+            dividend.great_divide(&divisor).unwrap()
+        );
+    }
+
+    /// The aggregate and the distinct filter over one or two int key
+    /// columns, streamed in chunks: keys `stride` apart make a compact
+    /// range (stride 1), one that grows past the memory rule (stride
+    /// 1000) or sit in between, rising or falling with the chunks; a
+    /// hostile stream mixes NULLs, strings and ints outside `i32` in. Groups
+    /// and distinct rows are the reference's.
+    #[test]
+    fn dense_stores_group_like_the_reference(
+        rows in keyed_rows(40),
+        key_arity in 1..3usize,
+        stride in 0..3usize,
+        hostile in 0..2u32,
+        chunk_rows in 1..16usize,
+        reverse in 0..2u32,
+    ) {
+        let names = if key_arity == 1 { &["k", "v"][..] } else { &["k", "k2", "v"][..] };
+        let rel = keyed_relation(names, key_arity, &rows, hostile == 1);
+        let stride = [1i64, 7, 1000][stride];
+        let spread = Relation::new(
+            rel.schema().clone(),
+            rel.tuples().map(|t| {
+                Tuple::new(t.values().iter().map(|v| match v {
+                    Value::Int(i) if i.abs() < 1 << 20 => Value::Int(i * stride),
+                    other => other.clone(),
+                }))
+            }),
+        )
+        .unwrap();
+        let batch = ColumnarBatch::from_relation(&spread);
+        let keys = &names[..key_arity];
+        let aggregates = [AggregateCall::count("v", "n"), AggregateCall::sum("v", "total")];
+        let mut aggregate = StreamingAggregate::new(batch.schema(), keys, &aggregates).unwrap();
+        let mut distinct = StreamingDistinct::new(batch.schema().clone());
+        let mut kept = Vec::new();
+        for chunk in chunked(&batch, chunk_rows, reverse == 1) {
+            aggregate.consume(&chunk).unwrap();
+            // Every chunk twice: the second time nothing is new.
+            let fresh = distinct.push(&chunk);
+            prop_assert_eq!(distinct.push(&chunk).num_rows(), 0);
+            kept.extend((0..fresh.num_rows()).map(|row| fresh.row(row)));
+        }
+        prop_assert_eq!(
+            aggregate.finish().unwrap().to_relation().unwrap(),
+            spread.group_aggregate(keys, &aggregates).unwrap()
+        );
+        prop_assert_eq!(kept.len(), spread.len());
+        prop_assert_eq!(Relation::new(spread.schema().clone(), kept).unwrap(), spread);
     }
 }
 
