@@ -19,23 +19,34 @@
 //! ([`index_rows`] / [`index_rows_tracked`]), in one of two forms:
 //!
 //! * **dense** — when the vector is exact and its codes span a compact
-//!   range, the group ids live in a direct-addressed `u32` array indexed
-//!   by the key itself (Graefe 1989: over a small key domain hash-division's
-//!   table becomes an array). One key column is one axis, the raw `i64`;
-//!   two packed key columns are two `i32` axes. A lookup is a bounds check
-//!   and one load;
+//!   range, the group ids live in a direct-addressed array indexed by the
+//!   key itself (Graefe 1989: over a small key domain hash-division's table
+//!   becomes an array). One key column is one axis, the raw `i64`; two
+//!   packed key columns are two `i32` axes. A lookup is a bounds check and
+//!   one load. A vector of fewer than 255 rows has fewer than 255 groups,
+//!   so its cells are bytes holding `gid + 1`, 0 for an empty cell; a
+//!   larger one takes `u32` cells;
 //! * **hashed** — a [`KeyTable`], for everything else.
 //!
-//! The rule has no knob: dense exactly when its array takes no more bytes
-//! than the table it replaces (`cells × 4 B ≤ capacity × 12 B`), and the
-//! range arithmetic is checked, so a range that overflows stays hashed.
-//! Verification is the same in both forms: a lookup hands its candidate to
-//! the caller's `same_key`, so a folded probe code that decodes onto an
-//! occupied dense cell is rejected exactly as a hashed tag collision is.
+//! A build that only semi and anti probes read needs no group ids at all:
+//! `KeySet` keeps one bit per cell of an exact vector's range, which is
+//! all hash-division keeps per divisor tuple.
+//!
+//! The rule has no knob: an array is dense exactly when it takes no more
+//! bytes than the table it replaces, each cell priced at the bits it needs
+//! (`cells × bits ≤ capacity × 12 B × 8`: three cells per table slot at
+//! `u32`, twelve at a byte, 96 at a bit), and the range arithmetic is
+//! checked, so a range that overflows stays hashed. Verification is the
+//! same in both forms: a lookup hands its candidate to the caller's
+//! `same_key`, so a folded probe code that decodes onto an occupied dense
+//! cell is rejected exactly as a hashed tag collision is. A `KeySet` has
+//! no representative to verify against; its caller asks it only about
+//! probe rows whose own code is exact.
 //!
 //! The same two forms serve state that grows chunk by chunk. A
 //! [`GroupStore`](crate::GroupStore) keeps its key → group id map in the
-//! same slots and learns the key range from the chunks themselves: the grow
+//! same slots, in `u32` cells (its group count has no bound in advance), and
+//! learns the key range from the chunks themselves: the grow
 //! step (`Slots::grow_for`) widens the range to cover each exact chunk, by
 //! at least its current span on each side it grows, so keys arriving in
 //! descending or ascending order cost O(log range) re-layouts; an inexact
@@ -268,6 +279,9 @@ pub(crate) enum Slots {
     /// One group id (or [`EMPTY`]) per key of a compact range, indexed by
     /// the key itself. Only exact codes are ever stored.
     Dense { gids: Vec<u32>, range: KeyRange },
+    /// [`Slots::Dense`] in byte cells holding `gid + 1` (0: empty), for an
+    /// index of fewer than 255 groups. Only a whole-vector build takes it.
+    Bytes { cells: Vec<u8>, range: KeyRange },
 }
 
 impl Slots {
@@ -290,13 +304,12 @@ impl Slots {
     /// match, so a folded code that decodes onto a stored key is rejected.
     #[inline]
     pub(crate) fn get(&self, code: u64, mut is_match: impl FnMut(u32) -> bool) -> Option<u32> {
-        match self {
-            Slots::Hashed(table) => table.get(code, is_match),
-            Slots::Dense { gids, range } => {
-                let gid = gids[range.slot(code)?];
-                (gid != EMPTY && is_match(gid)).then_some(gid)
-            }
-        }
+        let gid = match self {
+            Slots::Hashed(table) => return table.get(code, is_match),
+            Slots::Dense { gids, range } => Some(gids[range.slot(code)?]).filter(|&g| g != EMPTY),
+            Slots::Bytes { cells, range } => cells[range.slot(code)?].checked_sub(1).map(u32::from),
+        }?;
+        is_match(gid).then_some(gid)
     }
 
     /// The grow step, before a chunk with `keys` over `key_arity` columns is
@@ -321,6 +334,7 @@ impl Slots {
         let (gids, range) = match self {
             Slots::Hashed(table) => return table.reserve(keys.len()),
             Slots::Dense { gids, range } => (gids, range),
+            Slots::Bytes { .. } => unreachable!("only a whole-vector index takes byte cells"),
         };
         let Some(chunk) = KeyRange::of(key_arity, keys) else {
             return self.migrate(entries);
@@ -328,7 +342,7 @@ impl Slots {
         if range.cover(&chunk, false) == Some(*range) {
             return;
         }
-        let limit = rule.dense_cells(entries);
+        let limit = rule.dense_cells(entries, u32::BITS);
         let widened = [true, false]
             .into_iter()
             .filter_map(|slack| range.cover(&chunk, slack))
@@ -370,6 +384,7 @@ impl Slots {
         match self {
             Slots::Hashed(table) => table.heap_bytes(),
             Slots::Dense { gids, .. } => gids.capacity() * size_of::<u32>(),
+            Slots::Bytes { cells, .. } => cells.capacity(),
         }
     }
 }
@@ -415,7 +430,17 @@ impl GroupIndex {
     /// `true` when the index took the dense form.
     #[cfg(test)]
     pub(crate) fn is_dense(&self) -> bool {
-        matches!(self.slots, Slots::Dense { .. })
+        self.cell_bits().is_some()
+    }
+
+    /// The bits of a dense cell, or `None` in the hashed form.
+    #[cfg(test)]
+    pub(crate) fn cell_bits(&self) -> Option<u32> {
+        match self.slots {
+            Slots::Hashed(_) => None,
+            Slots::Dense { .. } => Some(u32::BITS),
+            Slots::Bytes { .. } => Some(u8::BITS),
+        }
     }
 }
 
@@ -643,34 +668,93 @@ fn cover_axis(
 }
 
 /// The one selection rule between a dense array and a hashed form: the
-/// dense form's `u32` cells may take no more bytes than the hashed form it
-/// stands in for would hold, so it never costs more memory than the form
-/// it replaces. Tests force either form through the other variants.
+/// dense form's cells, each priced at the bits it needs, may take no more
+/// bytes than the hashed form it stands in for would hold, so it never
+/// costs more memory than the form it replaces. Tests force either form
+/// through the other variants.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FormRule {
-    /// Dense while `cells × 4 B` is at most the hashed form's bytes.
+    /// Dense while `cells × bits ≤ 8 ×` the hashed form's bytes.
     Memory,
-    /// Dense whenever the keys allow it, up to 2^20 cells.
+    /// Dense whenever the keys allow it, up to 2^20 cells (byte index
+    /// cells below 255 rows).
     #[cfg(test)]
     Dense,
+    /// [`FormRule::Dense`] with `u32` index cells at any row count.
+    #[cfg(test)]
+    Wide,
     /// Never dense.
     #[cfg(test)]
     Hashed,
 }
 
 impl FormRule {
-    /// The most cells a dense array may take in place of a [`KeyTable`]
-    /// pre-sized for `entries` entries (`cells × 4 B ≤ capacity × 12 B`):
-    /// a key → group id map for that many keys, or hashed coverage counters
-    /// (a [`PairTable`]) for that many pairs.
-    pub(crate) fn dense_cells(self, entries: usize) -> usize {
+    /// The most cells of `cell_bits` bits a dense array may take in place
+    /// of a [`KeyTable`] pre-sized for `entries` entries
+    /// (`cells × bits ≤ capacity × 12 B × 8`): a key → group id map or a
+    /// key set for that many keys, or hashed coverage counters (a
+    /// [`PairTable`]) for that many pairs.
+    pub(crate) fn dense_cells(self, entries: usize, cell_bits: u32) -> usize {
         match self {
-            FormRule::Memory => KeyTable::bytes_for(entries) / size_of::<u32>(),
+            FormRule::Memory => KeyTable::bytes_for(entries).saturating_mul(8) / cell_bits as usize,
             #[cfg(test)]
-            FormRule::Dense => 1 << 20,
+            FormRule::Dense | FormRule::Wide => 1 << 20,
             #[cfg(test)]
             FormRule::Hashed => 0,
         }
+    }
+
+    /// The bits of a dense index cell over a vector of `rows` rows: a byte
+    /// below 255 rows (at most 254 groups, stored as `gid + 1`), else `u32`.
+    fn index_cell_bits(self, rows: usize) -> u32 {
+        match self {
+            #[cfg(test)]
+            FormRule::Wide => u32::BITS,
+            _ if rows < usize::from(u8::MAX) => u8::BITS,
+            _ => u32::BITS,
+        }
+    }
+}
+
+/// The keys of an exact key vector, one bit per cell of their range: the
+/// form of a join build that only semi and anti probes read, which need to
+/// know whether a key was built and nothing else. There is no group id and
+/// no representative row, so a code is a member only as the exact code of
+/// its key; the caller asks about no other probe row.
+#[derive(Debug, Clone)]
+pub(crate) struct KeySet {
+    words: Vec<u64>,
+    range: KeyRange,
+}
+
+impl KeySet {
+    /// The set of `keys` over `key_arity` columns, or `None` when the
+    /// vector is inexact or empty, its arity has no axes, or `rule` does not
+    /// admit its range at one bit a cell.
+    pub(crate) fn of(key_arity: usize, keys: &KeyVector, rule: FormRule) -> Option<KeySet> {
+        let range = KeyRange::of(key_arity, keys)
+            .filter(|range| range.cells() <= rule.dense_cells(keys.len(), 1))?;
+        let mut words = vec![0u64; range.cells().div_ceil(64)];
+        for &code in keys.codes() {
+            let slot = range
+                .slot(code)
+                .expect("a build code lies in its own range");
+            words[slot >> 6] |= 1 << (slot & 63);
+        }
+        Some(KeySet { words, range })
+    }
+
+    /// `true` when the exact code `code` was built.
+    #[inline]
+    pub(crate) fn contains(&self, code: u64) -> bool {
+        self.range
+            .slot(code)
+            .is_some_and(|slot| self.words[slot >> 6] >> (slot & 63) & 1 == 1)
+    }
+
+    /// Bytes the set holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<u64>()
     }
 }
 
@@ -753,8 +837,9 @@ pub fn fast_range(hash: u64, buckets: usize) -> usize {
 
 /// The one whole-vector builder behind [`index_rows`] and
 /// [`index_rows_tracked`]: one min/max pass picks the form (the dense form
-/// when the vector is exact and `rule` admits its range for its rows), then
-/// one pass over the key vector reports each row's group id to `on_row`.
+/// when the vector is exact and `rule` admits its range for its rows, in
+/// the cells [`FormRule::index_cell_bits`] gives), then one pass over the
+/// key vector reports each row's group id to `on_row`.
 fn index_rows_inner(
     batch: &crate::ColumnarBatch,
     key_columns: &[usize],
@@ -762,12 +847,26 @@ fn index_rows_inner(
     rule: FormRule,
     on_row: impl FnMut(u32),
 ) -> GroupIndex {
-    match KeyRange::of(key_columns.len(), keys) {
-        Some(range) if range.cells() <= rule.dense_cells(keys.len()) => {
-            index_dense(range, keys, on_row)
+    let bits = rule.index_cell_bits(keys.len());
+    let Some(range) = KeyRange::of(key_columns.len(), keys)
+        .filter(|range| range.cells() <= rule.dense_cells(keys.len(), bits))
+    else {
+        return index_hashed(batch, key_columns, keys, on_row);
+    };
+    let (gids, first_row) = index_dense(range, keys, on_row);
+    let slots = if bits == u8::BITS {
+        let cells = gids.iter().map(|&gid| match gid {
+            EMPTY => 0,
+            gid => u8::try_from(gid + 1).expect("byte cells hold fewer than 255 groups"),
+        });
+        Slots::Bytes {
+            cells: cells.collect(),
+            range,
         }
-        _ => index_hashed(batch, key_columns, keys, on_row),
-    }
+    } else {
+        Slots::Dense { gids, range }
+    };
+    GroupIndex { slots, first_row }
 }
 
 /// The hashed form: intern every row into a [`KeyTable`], verifying
@@ -799,9 +898,14 @@ fn index_hashed(
     }
 }
 
-/// The dense form: one cell per key of `range`. The vector is exact, so
-/// distinct keys land in distinct cells and the build verifies nothing.
-fn index_dense(range: KeyRange, keys: &KeyVector, mut on_row: impl FnMut(u32)) -> GroupIndex {
+/// The dense form's `u32` group ids, one cell per key of `range`, and
+/// first rows. The vector is exact, so distinct keys land in distinct cells
+/// and the build verifies nothing.
+fn index_dense(
+    range: KeyRange,
+    keys: &KeyVector,
+    mut on_row: impl FnMut(u32),
+) -> (Vec<u32>, Vec<u32>) {
     let mut gids = vec![EMPTY; range.cells()];
     let mut first_row = Vec::with_capacity(keys.len());
     for (row, &code) in keys.codes().iter().enumerate() {
@@ -819,10 +923,7 @@ fn index_dense(range: KeyRange, keys: &KeyVector, mut on_row: impl FnMut(u32)) -
         }
         on_row(*cell);
     }
-    GroupIndex {
-        slots: Slots::Dense { gids, range },
-        first_row,
-    }
+    (gids, first_row)
 }
 
 /// Build a [`GroupIndex`] over every row of a key vector, in its dense or
@@ -844,31 +945,35 @@ pub fn index_rows_tracked(
     key_columns: &[usize],
     keys: &KeyVector,
 ) -> (GroupIndex, Vec<u32>) {
+    index_rows_ruled(batch, key_columns, keys, FormRule::Memory)
+}
+
+/// [`index_rows_tracked`] with its form chosen by `rule`.
+pub(crate) fn index_rows_ruled(
+    batch: &crate::ColumnarBatch,
+    key_columns: &[usize],
+    keys: &KeyVector,
+    rule: FormRule,
+) -> (GroupIndex, Vec<u32>) {
     let mut gid_of = Vec::with_capacity(keys.len());
-    let index = index_rows_inner(batch, key_columns, keys, FormRule::Memory, |gid| {
-        gid_of.push(gid)
-    });
+    let index = index_rows_inner(batch, key_columns, keys, rule, |gid| gid_of.push(gid));
     (index, gid_of)
 }
 
 /// [`index_rows_tracked`] in a forced form, whatever the selection rule
-/// says: the hashed form always, the dense form when the vector has a
-/// range of at most 2^20 cells (`None` otherwise, so a test never
-/// allocates a range the rule would refuse for its size).
+/// says: hashed under [`FormRule::Hashed`], and under the dense rules the
+/// dense form when the vector has a range of at most 2^20 cells (`None`
+/// otherwise, so a test never allocates a range the rule would refuse for
+/// its size).
 #[cfg(test)]
 pub(crate) fn index_rows_forced(
     batch: &crate::ColumnarBatch,
     key_columns: &[usize],
     keys: &KeyVector,
-    dense: bool,
+    rule: FormRule,
 ) -> Option<(GroupIndex, Vec<u32>)> {
-    let rule = if dense {
-        FormRule::Dense
-    } else {
-        FormRule::Hashed
-    };
-    let mut gid_of = Vec::with_capacity(keys.len());
-    let index = index_rows_inner(batch, key_columns, keys, rule, |gid| gid_of.push(gid));
+    let (index, gid_of) = index_rows_ruled(batch, key_columns, keys, rule);
+    let dense = !matches!(rule, FormRule::Hashed);
     (index.is_dense() == dense).then_some((index, gid_of))
 }
 
@@ -876,7 +981,7 @@ pub(crate) fn index_rows_forced(
 mod tests {
     use super::*;
     use crate::column::Column;
-    use crate::key_vector::{cross_matcher, keys_equal, KeyVector};
+    use crate::key_vector::{cross_matcher, exact_row, keys_equal, KeyVector};
     use crate::ColumnarBatch;
     use div_algebra::{relation, Schema, Value};
     use proptest::prelude::*;
@@ -954,38 +1059,106 @@ mod tests {
             .collect()
     }
 
-    /// The form [`index_rows`] picks for `rows` over `key_arity` columns.
-    fn picks_dense(key_arity: usize, rows: &[[Value; 2]]) -> bool {
+    /// The cell bits of the form [`index_rows`] picks for `rows` over
+    /// `key_arity` columns (`None`: hashed), and whether a key set takes them.
+    fn picks(key_arity: usize, rows: &[[Value; 2]]) -> (Option<u32>, bool) {
         let batch = key_batch(key_arity, rows);
         let cols: Vec<usize> = (0..key_arity).collect();
-        index_rows(&batch, &cols, &KeyVector::build(&batch, &cols)).is_dense()
+        let keys = KeyVector::build(&batch, &cols);
+        let set = KeySet::of(key_arity, &keys, FormRule::Memory);
+        (index_rows(&batch, &cols, &keys).cell_bits(), set.is_some())
     }
 
+    /// `rows` distinct one-column keys spanning `span` cells.
+    fn spanning(rows: usize, span: usize) -> Vec<[Value; 2]> {
+        let mut keys: Vec<[i64; 2]> = (0..rows as i64 - 1).map(|k| [k, 0]).collect();
+        keys.push([span as i64 - 1, 0]);
+        ints(&keys)
+    }
+
+    /// At `u32` cells the rule admits three cells per table slot, at byte
+    /// cells (below 255 rows) twelve and at one bit (a key set) 96: each
+    /// width's array then takes exactly the table's bytes.
     #[test]
     fn the_rule_switches_forms_at_three_times_the_table_capacity() {
-        for rows in [2usize, 7, 8, 100, 1000] {
-            let limit = 3 * KeyTable::capacity_for(rows);
-            assert_eq!(
-                limit * size_of::<u32>(),
-                KeyTable::bytes_for(rows),
-                "cells x 4 B against capacity x 12 B"
-            );
-            // `rows` distinct keys spanning exactly `limit`, then one more
-            // cell.
-            for (span, dense) in [(limit, true), (limit + 1, false)] {
-                let mut keys: Vec<[i64; 2]> = (0..rows as i64 - 1).map(|k| [k, 0]).collect();
-                keys.push([span as i64 - 1, 0]);
+        for rows in [2usize, 7, 8, 100, 254, 255, 1000] {
+            let bits = if rows < 255 { u8::BITS } else { u32::BITS };
+            for width in [bits, 1] {
+                let limit = 96 / width as usize * KeyTable::capacity_for(rows);
                 assert_eq!(
-                    picks_dense(1, &ints(&keys)),
-                    dense,
-                    "{rows} rows, {span} cells"
+                    limit * width as usize,
+                    KeyTable::bytes_for(rows) * 8,
+                    "cells x bits against capacity x 12 B"
                 );
+                assert_eq!(FormRule::Memory.dense_cells(rows, width), limit);
+                // `rows` distinct keys spanning exactly `limit`, then one
+                // more cell.
+                for (span, dense) in [(limit, true), (limit + 1, false)] {
+                    let (cell_bits, set) = picks(1, &spanning(rows, span));
+                    let picked = if width == 1 {
+                        set
+                    } else {
+                        cell_bits == Some(bits)
+                    };
+                    assert_eq!(picked, dense, "{rows} rows, {span} cells of {width} bits");
+                    assert!(
+                        cell_bits.is_none() || set,
+                        "a key set fits where an index does"
+                    );
+                }
             }
         }
-        // Two packed columns: 2 rows give a capacity of 8, so 3 x 8 = 24
-        // cells fit and 5 x 5 = 25 do not.
-        assert!(picks_dense(2, &ints(&[[0, 0], [2, 7]])));
-        assert!(!picks_dense(2, &ints(&[[0, 0], [4, 4]])));
+        assert_eq!(3 * KeyTable::capacity_for(255), 1536);
+        assert_eq!(
+            picks(1, &spanning(254, 1537)).0,
+            Some(u8::BITS),
+            "254 rows over 1,537 cells take byte cells"
+        );
+        assert_eq!(
+            picks(1, &spanning(255, 1537)).0,
+            None,
+            "255 rows stay hashed"
+        );
+        // Two packed columns: 2 rows give a capacity of 8, so 12 x 8 = 96
+        // byte cells fit and 10 x 10 = 100 do not; a key set takes 768.
+        assert_eq!(picks(2, &ints(&[[0, 0], [7, 11]])), (Some(u8::BITS), true));
+        assert_eq!(picks(2, &ints(&[[0, 0], [9, 9]])), (None, true));
+        assert_eq!(picks(2, &ints(&[[0, 0], [23, 31]])), (None, true));
+        assert_eq!(picks(2, &ints(&[[0, 0], [24, 31]])), (None, false));
+    }
+
+    /// Byte cells end below 255 rows: 254 distinct keys put the largest
+    /// group id a byte cell takes (253, stored as 254) in one, 255 and 256
+    /// keys take `u32` cells. Every form answers every key, and the chosen
+    /// one holds no more bytes than the hashed. An empty build is hashed
+    /// and holds nothing.
+    #[test]
+    fn byte_cells_end_below_255_rows() {
+        for rows in [254usize, 255, 256] {
+            let keys: Vec<[i64; 2]> = (0..rows as i64).map(|k| [k, 0]).collect();
+            let batch = key_batch(1, &ints(&keys));
+            let vector = KeyVector::build(&batch, &[0]);
+            let (chosen, gid_of) = index_rows_ruled(&batch, &[0], &vector, FormRule::Memory);
+            let bits = if rows < 255 { u8::BITS } else { u32::BITS };
+            assert_eq!(chosen.cell_bits(), Some(bits), "{rows} rows");
+            assert_eq!(gid_of, (0..rows as u32).collect::<Vec<_>>());
+            let (hashed, _) = index_rows_forced(&batch, &[0], &vector, FormRule::Hashed).unwrap();
+            let (wide, _) = index_rows_forced(&batch, &[0], &vector, FormRule::Wide).unwrap();
+            assert_eq!(wide.cell_bits(), Some(u32::BITS));
+            assert!(chosen.heap_bytes() <= hashed.heap_bytes());
+            for key in 0..rows as u64 + 2 {
+                let want = (key < rows as u64).then_some(key as u32);
+                for index in [&chosen, &hashed, &wide] {
+                    assert_eq!(index.get(key, |_| true), want, "{rows} rows, key {key}");
+                }
+            }
+        }
+        let empty = key_batch(1, &[]);
+        let vector = KeyVector::build(&empty, &[0]);
+        let index = index_rows(&empty, &[0], &vector);
+        assert!(index.is_empty() && !index.is_dense());
+        assert_eq!(index.get(0, |_| true), None);
+        assert!(KeySet::of(1, &vector, FormRule::Dense).is_none());
     }
 
     #[test]
@@ -1030,10 +1203,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Both forms over the same key vector: identical group ids, first
-        /// rows and lookups for present, absent and out-of-range keys and
-        /// raw codes. An inexact build has no dense form, and the rule
-        /// picks the hashed one.
+        /// Every form over the same key vector — hashed, byte cells, `u32`
+        /// cells and the key set: identical group ids, first rows and
+        /// lookups for present, absent and out-of-range keys and raw codes.
+        /// An inexact build has no dense form, and the rule picks the
+        /// hashed one; whatever it picks holds no more bytes than the
+        /// hashed form.
         #[test]
         fn both_forms_answer_alike(
             build in prop::collection::vec((0u32..16, 0u32..16), 0..40),
@@ -1052,34 +1227,51 @@ mod tests {
                 (KeyVector::build(&build, &cols), KeyVector::build(&probe, &cols));
 
             let (hashed, hashed_gids) =
-                index_rows_forced(&build, &cols, &build_keys, false).unwrap();
+                index_rows_forced(&build, &cols, &build_keys, FormRule::Hashed).unwrap();
             let chosen = index_rows(&build, &cols, &build_keys);
             let range = KeyRange::of(key_arity, &build_keys);
             prop_assert!(range.is_none() || build_keys.exact());
-            prop_assert_eq!(
-                chosen.is_dense(),
-                range.is_some_and(|r| r.cells() <= FormRule::Memory.dense_cells(build.num_rows()))
-            );
-            let Some((dense, dense_gids)) = index_rows_forced(&build, &cols, &build_keys, true)
-            else {
+            // Fewer than 255 rows: the rule prices byte cells.
+            let admits = |bits| {
+                range.is_some_and(|r| r.cells() <= FormRule::Memory.dense_cells(build.num_rows(), bits))
+            };
+            prop_assert_eq!(chosen.cell_bits(), admits(u8::BITS).then_some(u8::BITS));
+            prop_assert!(chosen.heap_bytes() <= hashed.heap_bytes());
+            let chosen_set = KeySet::of(key_arity, &build_keys, FormRule::Memory);
+            prop_assert_eq!(chosen_set.is_some(), admits(1));
+            if let Some(set) = &chosen_set {
+                prop_assert!(set.heap_bytes() <= hashed.heap_bytes());
+            }
+            prop_assert_eq!(chosen.len(), hashed.len());
+            let (Some((bytes, bytes_gids)), Some((wide, wide_gids)), Some(set)) = (
+                index_rows_forced(&build, &cols, &build_keys, FormRule::Dense),
+                index_rows_forced(&build, &cols, &build_keys, FormRule::Wide),
+                KeySet::of(key_arity, &build_keys, FormRule::Dense),
+            ) else {
                 // The next case (the property body runs in the case loop).
                 continue;
             };
-            prop_assert!(dense.is_dense() && !hashed.is_dense());
-            prop_assert_eq!(dense.len(), hashed.len());
-            prop_assert_eq!(dense.first_rows().collect::<Vec<_>>(), hashed.first_rows().collect::<Vec<_>>());
-            prop_assert_eq!(&dense_gids, &hashed_gids);
-            prop_assert_eq!(chosen.len(), hashed.len());
+            prop_assert_eq!(bytes.cell_bits(), Some(u8::BITS));
+            prop_assert_eq!(wide.cell_bits(), Some(u32::BITS));
+            for (dense, dense_gids) in [(&bytes, &bytes_gids), (&wide, &wide_gids)] {
+                prop_assert_eq!(dense.len(), hashed.len());
+                prop_assert_eq!(dense.first_rows().collect::<Vec<_>>(), hashed.first_rows().collect::<Vec<_>>());
+                prop_assert_eq!(dense_gids, &hashed_gids);
+            }
 
-            // Keys: the probe rows, verified against the build batch.
+            // Keys: the probe rows, verified against the build batch; the
+            // key set is asked only about rows whose own code is exact.
             let same = cross_matcher(&probe, &cols, &probe_keys, &build, &cols, &build_keys);
             for row in 0..probe.num_rows() {
                 let code = probe_keys.code(row);
                 let want = (0..build.num_rows())
                     .find(|&b| keys_equal(&probe, &cols, row, &build, &cols, b))
                     .map(|b| hashed_gids[b]);
-                prop_assert_eq!(hashed.get(code, |other| same(row, other)), want);
-                prop_assert_eq!(dense.get(code, |other| same(row, other)), want);
+                for index in [&hashed, &bytes, &wide] {
+                    prop_assert_eq!(index.get(code, |other| same(row, other)), want);
+                }
+                let present = set.contains(code) && exact_row(&probe, &cols, row);
+                prop_assert_eq!(present, want.is_some());
             }
             // Raw codes, matched on codes alone (both sides exact): every
             // build code and its neighbours on each axis, and the extremes.
@@ -1090,11 +1282,15 @@ mod tests {
                 }
             }
             for code in codes {
-                prop_assert_eq!(dense.get(code, |_| true), hashed.get(code, |_| true), "code {:#x}", code);
-                // A candidate the matcher rejects is absent in both forms:
+                let want = hashed.get(code, |_| true);
+                prop_assert_eq!(bytes.get(code, |_| true), want, "code {:#x}", code);
+                prop_assert_eq!(wide.get(code, |_| true), want, "code {:#x}", code);
+                prop_assert_eq!(set.contains(code), want.is_some(), "code {:#x}", code);
+                // A candidate the matcher rejects is absent in every form:
                 // an occupied cell is no match by itself.
-                prop_assert_eq!(dense.get(code, |_| false), None);
-                prop_assert_eq!(hashed.get(code, |_| false), None);
+                for index in [&hashed, &bytes, &wide] {
+                    prop_assert_eq!(index.get(code, |_| false), None);
+                }
             }
         }
     }

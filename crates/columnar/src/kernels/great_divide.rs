@@ -39,7 +39,7 @@
 //! batches through the public API, so they deduplicate both.
 
 use crate::batch::ColumnarBatch;
-use crate::hash_table::{index_rows_tracked, FormRule, GroupIndex, PairTable};
+use crate::hash_table::{index_rows_ruled, FormRule, GroupIndex, PairTable};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::{FrozenConsume, GroupStore};
@@ -120,8 +120,8 @@ impl StreamingGreatDivide {
         StreamingGreatDivide::with_rule(dividend_schema, divisor, FormRule::Memory)
     }
 
-    /// [`StreamingGreatDivide::new`] choosing the form of its counters and
-    /// of its dividend groups' map by `rule`.
+    /// [`StreamingGreatDivide::new`] choosing the form of its counters, of
+    /// its dividend groups' map and of its divisor indexes by `rule`.
     fn with_rule(
         dividend_schema: &Schema,
         divisor: ColumnarBatch,
@@ -149,8 +149,8 @@ impl StreamingGreatDivide {
         // groups, sizes, and the inverted `B id -> divisor group ids` lists.
         let divisor_b_keys = KeyVector::build(&divisor, &divisor_b);
         let c_keys = KeyVector::build(&divisor, &divisor_c);
-        let (b_ids, b_of) = index_rows_tracked(&divisor, &divisor_b, &divisor_b_keys);
-        let (c_groups, c_of) = index_rows_tracked(&divisor, &divisor_c, &c_keys);
+        let (b_ids, b_of) = index_rows_ruled(&divisor, &divisor_b, &divisor_b_keys, rule);
+        let (c_groups, c_of) = index_rows_ruled(&divisor, &divisor_c, &c_keys, rule);
         // With no `C` the whole divisor is one group, even when it is empty:
         // every dividend group then covers it vacuously.
         let groups = if divisor_c.is_empty() {
@@ -238,7 +238,7 @@ impl StreamingGreatDivide {
                 if cells <= counts.len() {
                     return;
                 }
-                let limit = self.rule.dense_cells(met.saturating_add(rows));
+                let limit = self.rule.dense_cells(met.saturating_add(rows), u32::BITS);
                 if cells > limit {
                     return self.migrate_counters(rows);
                 }

@@ -6,13 +6,15 @@
 //! direct-addressed array when the build keys are exact ints over a
 //! compact range (the `(s#, p#)` keys of the paper's workloads) and an
 //! open-addressing table otherwise; the probe loops are the same for both.
+//! A build only semi and anti probes read (⋉, ▷, ∩ and −) keeps one
+//! presence bit per key over exact compact keys, as hash-division keeps one
+//! bit per divisor tuple.
 
 use crate::batch::ColumnarBatch;
-use crate::hash_table::{index_rows_tracked, GroupIndex};
-use crate::key_vector::{cross_matcher, KeyVector};
+use crate::hash_table::{index_rows_ruled, FormRule, GroupIndex, KeySet};
+use crate::key_vector::{cross_matcher, exact_row, KeyVector};
 use crate::Result;
 use div_algebra::Schema;
-use std::sync::OnceLock;
 
 /// A kernel result: the output batch plus the probe count the executor feeds
 /// into [`ExecStats`](https://docs.rs/div-physical) (one probe per left
@@ -72,11 +74,18 @@ fn extra_attributes<'a>(probe: &Schema, build: &'a Schema) -> Vec<&'a str> {
 
 /// A hash-join build side prepared once and probed chunk-at-a-time — the
 /// one join kernel `div_physical::stream`'s hash join runs. The build batch
-/// is indexed exactly once ([`index_rows_tracked`] picks the dense or the
-/// hashed form of the [`GroupIndex`]), and CSR-indexed at most once, by the
-/// first natural probe; every probe chunk then streams through
-/// [`JoinBuild::probe_natural`] / [`JoinBuild::probe_semi`]; the one-shot
-/// [`hash_natural_join`] is a build fed one probe.
+/// is indexed exactly once, in the form its probes need, and every probe
+/// chunk then streams through [`JoinBuild::probe_natural`] /
+/// [`JoinBuild::probe_semi`]; the one-shot [`hash_natural_join`] is a build
+/// fed one probe.
+///
+/// [`JoinBuild::new`] keeps the build batch, a dense or hashed
+/// [`GroupIndex`] of its keys and the CSR row lists a natural probe gathers
+/// from. [`JoinBuild::semi`], for semi and anti probes only, keeps one bit
+/// per key when the keys are exact and the memory rule admits their range
+/// at one bit a cell, and nothing else; a probe row is present when its own
+/// key codes exactly and its bit is set (a NULL, string, folded or
+/// out-of-`i32` key equals no key of an all-int build).
 ///
 /// The key is every attribute the two schemas share, in the probe schema's
 /// order, and inexact code matches are verified against the build batch
@@ -106,40 +115,81 @@ fn extra_attributes<'a>(probe: &Schema, build: &'a Schema) -> Vec<&'a str> {
 /// ```
 #[derive(Debug)]
 pub struct JoinBuild {
-    build: ColumnarBatch,
     probe_key: Vec<usize>,
-    build_key: Vec<usize>,
-    build_keys: KeyVector,
-    index: GroupIndex,
-    /// The key group of every build row, in row order.
-    gid_of: Vec<u32>,
-    /// The CSR row lists `(offsets, rows)` of every key group, laid out
-    /// from `gid_of` on the first [`JoinBuild::probe_natural`]: a semi or
-    /// anti probe needs only the index, so a build probed only that way
-    /// never builds them.
-    row_lists: OnceLock<(Vec<u32>, Vec<u32>)>,
+    keys: BuildKeys,
     build_extra_idx: Vec<usize>,
     out_schema: Schema,
 }
 
+/// What a [`JoinBuild`] keeps of its build side.
+#[derive(Debug)]
+enum BuildKeys {
+    /// The build batch with its keys indexed by group.
+    Groups(Box<Groups>),
+    /// The keys of an exact semi build, one bit each.
+    Present(KeySet),
+}
+
+/// A build batch with its keys indexed by group.
+#[derive(Debug)]
+struct Groups {
+    build: ColumnarBatch,
+    build_key: Vec<usize>,
+    build_keys: KeyVector,
+    index: GroupIndex,
+    /// The CSR row lists `(offsets, rows)` of every key group; `None` in a
+    /// semi build.
+    row_lists: Option<(Vec<u32>, Vec<u32>)>,
+}
+
 impl JoinBuild {
     /// Hash `build` on the attributes it shares with `probe_schema` (the
-    /// schema every later probe chunk must carry).
+    /// schema every later probe chunk must carry), for any probe.
     pub fn new(probe_schema: &Schema, build: ColumnarBatch) -> Result<JoinBuild> {
+        JoinBuild::with_rule(probe_schema, build, true, FormRule::Memory)
+    }
+
+    /// [`JoinBuild::new`] for semi and anti probes only: a presence bit set
+    /// when the keys allow it (see the type docs).
+    pub fn semi(probe_schema: &Schema, build: ColumnarBatch) -> Result<JoinBuild> {
+        JoinBuild::with_rule(probe_schema, build, false, FormRule::Memory)
+    }
+
+    /// A build for natural probes too (`natural`) or only semi and anti
+    /// ones, its form chosen by `rule`.
+    pub(crate) fn with_rule(
+        probe_schema: &Schema,
+        build: ColumnarBatch,
+        natural: bool,
+        rule: FormRule,
+    ) -> Result<JoinBuild> {
         let (probe_key, build_key) = join_key_columns(probe_schema, build.schema())?;
         let build_extra = extra_attributes(probe_schema, build.schema());
         let build_extra_idx = build.projection_indices(&build_extra)?;
         let out_schema = probe_schema.natural_union(build.schema());
         let build_keys = KeyVector::build(&build, &build_key);
-        let (index, gid_of) = index_rows_tracked(&build, &build_key, &build_keys);
+        let presence = if natural {
+            None
+        } else {
+            KeySet::of(build_key.len(), &build_keys, rule)
+        };
+        let keys = match presence {
+            Some(set) => BuildKeys::Present(set),
+            None => {
+                let (index, gid_of) = index_rows_ruled(&build, &build_key, &build_keys, rule);
+                let row_lists = natural.then(|| csr_from_gids(&gid_of, index.len()));
+                BuildKeys::Groups(Box::new(Groups {
+                    build,
+                    build_key,
+                    build_keys,
+                    index,
+                    row_lists,
+                }))
+            }
+        };
         Ok(JoinBuild {
-            build,
             probe_key,
-            build_key,
-            build_keys,
-            index,
-            gid_of,
-            row_lists: OnceLock::new(),
+            keys,
             build_extra_idx,
             out_schema,
         })
@@ -151,48 +201,51 @@ impl JoinBuild {
         &self.out_schema
     }
 
-    /// Number of rows in the retained build side.
-    pub fn build_rows(&self) -> usize {
-        self.build.num_rows()
-    }
-
     /// Bytes the build holds on the heap beside its build batch: the key
-    /// codes, the index, the rows' group ids and, once a natural probe has
-    /// laid them out, the CSR row lists.
+    /// codes, the index and the CSR row lists, or the presence bits alone.
     pub fn heap_bytes(&self) -> usize {
         let u32s = |v: &Vec<u32>| v.capacity() * size_of::<u32>();
-        let row_lists = self
-            .row_lists
-            .get()
-            .map_or(0, |(offsets, rows)| u32s(offsets) + u32s(rows));
-        size_of_val(self.build_keys.codes())
-            + self.index.heap_bytes()
-            + u32s(&self.gid_of)
-            + row_lists
+        match &self.keys {
+            BuildKeys::Groups(groups) => {
+                let row_lists = groups
+                    .row_lists
+                    .as_ref()
+                    .map_or(0, |(offsets, rows)| u32s(offsets) + u32s(rows));
+                size_of_val(groups.build_keys.codes()) + groups.index.heap_bytes() + row_lists
+            }
+            BuildKeys::Present(set) => set.heap_bytes(),
+        }
     }
 
     /// Natural-join one probe chunk against the prepared build side,
     /// gathering the chunk's columns plus the build-side-only columns.
+    ///
+    /// # Panics
+    ///
+    /// On a build made by [`JoinBuild::semi`].
     pub fn probe_natural(&self, chunk: &ColumnarBatch) -> Result<KernelOutput> {
+        let natural = match &self.keys {
+            BuildKeys::Groups(groups) => groups.row_lists.as_ref().map(|lists| (groups, lists)),
+            BuildKeys::Present(_) => None,
+        };
+        let (groups, (offsets, rows_csr)) =
+            natural.expect("a semi build answers semi and anti probes only");
         let chunk_keys = KeyVector::build(chunk, &self.probe_key);
-        let (offsets, rows_csr) = self
-            .row_lists
-            .get_or_init(|| csr_from_gids(&self.gid_of, self.index.len()));
         let same_key = cross_matcher(
             chunk,
             &self.probe_key,
             &chunk_keys,
-            &self.build,
-            &self.build_key,
-            &self.build_keys,
+            &groups.build,
+            &groups.build_key,
+            &groups.build_keys,
         );
         let mut probe_indices: Vec<usize> = Vec::new();
         let mut build_indices: Vec<usize> = Vec::new();
         for i in 0..chunk.num_rows() {
-            let found = self
+            if let Some(gid) = groups
                 .index
-                .get(chunk_keys.code(i), |other| same_key(i, other));
-            if let Some(gid) = found {
+                .get(chunk_keys.code(i), |other| same_key(i, other))
+            {
                 let (start, end) = (offsets[gid as usize], offsets[gid as usize + 1]);
                 for &j in &rows_csr[start as usize..end as usize] {
                     probe_indices.push(i);
@@ -208,7 +261,7 @@ impl JoinBuild {
         columns.extend(
             self.build_extra_idx
                 .iter()
-                .map(|&c| self.build.column(c).gather(&build_indices)),
+                .map(|&c| groups.build.column(c).gather(&build_indices)),
         );
         let rows = probe_indices.len();
         Ok(KernelOutput {
@@ -219,29 +272,45 @@ impl JoinBuild {
 
     /// Semi-join (`anti = false`) or anti-semi-join (`anti = true`) one
     /// probe chunk against the prepared build side: keep the chunk rows
-    /// whose key does (does not) appear in it, one probe per row.
-    pub fn probe_semi(&self, chunk: &ColumnarBatch, anti: bool) -> Result<KernelOutput> {
-        let chunk_keys = KeyVector::build(chunk, &self.probe_key);
-        let same_key = cross_matcher(
-            chunk,
-            &self.probe_key,
-            &chunk_keys,
-            &self.build,
-            &self.build_key,
-            &self.build_keys,
-        );
-        let mask: Vec<bool> = (0..chunk.num_rows())
-            .map(|i| {
-                let matched = self
-                    .index
-                    .get(chunk_keys.code(i), |other| same_key(i, other))
-                    .is_some();
-                matched != anti
-            })
-            .collect();
+    /// whose key does (does not) appear in it, one probe per row. A chunk
+    /// that keeps every row is passed on as it is.
+    pub fn probe_semi(&self, chunk: ColumnarBatch, anti: bool) -> Result<KernelOutput> {
+        fn keep(rows: usize, anti: bool, present: impl Fn(usize) -> bool) -> Vec<bool> {
+            (0..rows).map(|i| present(i) != anti).collect()
+        }
+        let rows = chunk.num_rows();
+        let chunk_keys = KeyVector::build(&chunk, &self.probe_key);
+        let mask = match &self.keys {
+            BuildKeys::Present(set) => {
+                let exact = chunk_keys.exact();
+                keep(rows, anti, |i| {
+                    set.contains(chunk_keys.code(i))
+                        && (exact || exact_row(&chunk, &self.probe_key, i))
+                })
+            }
+            BuildKeys::Groups(groups) => {
+                let same_key = cross_matcher(
+                    &chunk,
+                    &self.probe_key,
+                    &chunk_keys,
+                    &groups.build,
+                    &groups.build_key,
+                    &groups.build_keys,
+                );
+                keep(rows, anti, |i| {
+                    let code = chunk_keys.code(i);
+                    groups.index.get(code, |other| same_key(i, other)).is_some()
+                })
+            }
+        };
+        let batch = if mask.iter().all(|&keep| keep) {
+            chunk
+        } else {
+            chunk.select_by_mask(&mask)
+        };
         Ok(KernelOutput {
-            batch: chunk.select_by_mask(&mask),
-            probes: chunk.num_rows(),
+            batch,
+            probes: rows,
         })
     }
 }
@@ -258,7 +327,8 @@ pub fn hash_natural_join(left: &ColumnarBatch, right: &ColumnarBatch) -> Result<
 mod tests {
     use super::*;
     use crate::hash_table::index_rows_forced;
-    use div_algebra::relation;
+    use div_algebra::{relation, Value};
+    use proptest::prelude::*;
 
     fn inputs() -> (ColumnarBatch, ColumnarBatch) {
         (
@@ -287,21 +357,23 @@ mod tests {
     #[test]
     fn semi_joins_partition_the_left_input() {
         let (supplies, parts) = inputs();
-        let build = JoinBuild::new(supplies.schema(), parts.clone()).unwrap();
-        let semi = build.probe_semi(&supplies, false).unwrap();
-        let anti = build.probe_semi(&supplies, true).unwrap();
-        assert_eq!(
-            semi.batch.num_rows() + anti.batch.num_rows(),
-            supplies.num_rows()
-        );
-        assert_eq!(semi.probes, supplies.num_rows());
         let l = supplies.to_relation().unwrap();
         let r = parts.to_relation().unwrap();
-        assert_eq!(semi.batch.to_relation().unwrap(), l.semi_join(&r).unwrap());
-        assert_eq!(
-            anti.batch.to_relation().unwrap(),
-            l.anti_semi_join(&r).unwrap()
-        );
+        for build in [JoinBuild::new, JoinBuild::semi] {
+            let build = build(supplies.schema(), parts.clone()).unwrap();
+            let semi = build.probe_semi(supplies.clone(), false).unwrap();
+            let anti = build.probe_semi(supplies.clone(), true).unwrap();
+            assert_eq!(
+                semi.batch.num_rows() + anti.batch.num_rows(),
+                supplies.num_rows()
+            );
+            assert_eq!(semi.probes, supplies.num_rows());
+            assert_eq!(semi.batch.to_relation().unwrap(), l.semi_join(&r).unwrap());
+            assert_eq!(
+                anti.batch.to_relation().unwrap(),
+                l.anti_semi_join(&r).unwrap()
+            );
+        }
     }
 
     /// Union-compatible operands: the left operand, and the right one with
@@ -326,8 +398,8 @@ mod tests {
             .unwrap()
             .intersect(&r.to_relation().unwrap())
             .unwrap();
-        let got = JoinBuild::new(l.schema(), r).unwrap();
-        let got = got.probe_semi(&l, false).unwrap().batch;
+        let got = JoinBuild::semi(l.schema(), r).unwrap();
+        let got = got.probe_semi(l.clone(), false).unwrap().batch;
         assert_eq!(got.schema(), l.schema());
         assert_eq!(got.to_relation().unwrap(), expected);
     }
@@ -340,8 +412,8 @@ mod tests {
             .unwrap()
             .difference(&r.to_relation().unwrap())
             .unwrap();
-        let got = JoinBuild::new(l.schema(), r).unwrap();
-        let got = got.probe_semi(&l, true).unwrap().batch;
+        let got = JoinBuild::semi(l.schema(), r).unwrap();
+        let got = got.probe_semi(l.clone(), true).unwrap().batch;
         assert_eq!(got.to_relation().unwrap(), expected);
     }
 
@@ -366,7 +438,6 @@ mod tests {
     fn join_build_probed_in_chunks_matches_the_one_shot_kernels() {
         let (supplies, parts) = inputs();
         let build = JoinBuild::new(supplies.schema(), parts.clone()).unwrap();
-        assert_eq!(build.build_rows(), parts.num_rows());
         let whole = hash_natural_join(&supplies, &parts).unwrap();
         assert_eq!(build.out_schema(), whole.batch.schema());
         // Probe in three uneven chunks; concatenated output must equal the
@@ -398,7 +469,7 @@ mod tests {
             let mut streamed_rows = 0;
             for indices in chunks {
                 streamed_rows += build
-                    .probe_semi(&supplies.gather(indices), anti)
+                    .probe_semi(supplies.gather(indices), anti)
                     .unwrap()
                     .batch
                     .num_rows();
@@ -429,48 +500,197 @@ mod tests {
         );
     }
 
-    /// The benchmark's join shape, `supplies ⋈ supplies` over the
-    /// suppliers-parts tables at 6000 × 50 (seed 9001): the `(s#, p#)`
-    /// build keys are exact over 6000 × 50 cells, so the index is dense,
-    /// and it takes fewer bytes than the hashed form of the same rows. An
-    /// every-17th-row slice — the size of one spilled join leaf — spreads
-    /// fewer rows over the same cells and stays hashed.
-    #[test]
-    fn the_benchmark_join_builds_a_dense_index_in_less_memory() {
+    /// The benchmark's tables, `(supplies, parts)`: the suppliers-parts
+    /// tables at 6000 × 50 over four colours (seed 9001).
+    fn benchmark_tables() -> (ColumnarBatch, ColumnarBatch) {
         use div_datagen::suppliers_parts::{generate, SuppliersPartsConfig};
-        let supplies = generate(&SuppliersPartsConfig {
+        let data = generate(&SuppliersPartsConfig {
             suppliers: 6000,
             parts: 50,
             colors: 4,
             coverage: 0.5,
             full_suppliers: 0.05,
             seed: 9001,
-        })
-        .supplies;
-        let batch = ColumnarBatch::from_relation(&supplies);
+        });
+        (
+            ColumnarBatch::from_relation(&data.supplies),
+            ColumnarBatch::from_relation(&data.parts),
+        )
+    }
+
+    /// The group index a build keeps, or `None` for a presence set.
+    fn index_of(build: &JoinBuild) -> Option<&GroupIndex> {
+        match &build.keys {
+            BuildKeys::Groups(groups) => Some(&groups.index),
+            BuildKeys::Present(_) => None,
+        }
+    }
+
+    /// The benchmark's join shape, `supplies ⋈ supplies`: the `(s#, p#)`
+    /// build keys are exact over 6000 × 50 cells, so a natural build's
+    /// index is dense in `u32` cells, and it takes fewer bytes than the
+    /// hashed form of the same rows. An every-17th-row slice — the size of
+    /// one spilled join leaf — spreads fewer rows over the same cells and
+    /// stays hashed.
+    #[test]
+    fn the_benchmark_join_builds_a_dense_index_in_less_memory() {
+        let (batch, _) = benchmark_tables();
         let build = JoinBuild::new(batch.schema(), batch.clone()).unwrap();
-        assert!(build.build_keys.exact());
-        assert!(build.index.is_dense(), "{} rows", batch.num_rows());
-        let (hashed, gid_of) =
-            index_rows_forced(&batch, &build.build_key, &build.build_keys, false).unwrap();
-        assert_eq!(gid_of, build.gid_of);
+        let BuildKeys::Groups(groups) = &build.keys else {
+            panic!("a natural build keeps its group index");
+        };
+        let Groups {
+            build_key,
+            build_keys,
+            index,
+            ..
+        } = &**groups;
+        assert!(build_keys.exact());
+        assert_eq!(
+            index.cell_bits(),
+            Some(u32::BITS),
+            "{} rows",
+            batch.num_rows()
+        );
+        let (hashed, _) =
+            index_rows_forced(&batch, build_key, build_keys, FormRule::Hashed).unwrap();
         assert!(
-            build.index.heap_bytes() < hashed.heap_bytes(),
+            index.heap_bytes() < hashed.heap_bytes(),
             "dense {} B, hashed {} B",
-            build.index.heap_bytes(),
+            index.heap_bytes(),
             hashed.heap_bytes()
         );
-        let rest = build.heap_bytes() - build.index.heap_bytes();
-        assert!(build.heap_bytes() < rest + hashed.heap_bytes());
-        // The CSR row lists count once a natural probe lays them out.
-        let before = build.heap_bytes();
-        build.probe_natural(&batch.slice(0..1)).unwrap();
-        assert!(build.heap_bytes() > before);
+        let hashed_build =
+            JoinBuild::with_rule(batch.schema(), batch.clone(), true, FormRule::Hashed).unwrap();
+        assert!(build.heap_bytes() < hashed_build.heap_bytes());
 
         let leaf: Vec<usize> = (0..batch.num_rows()).step_by(17).collect();
-        let leaf = batch.gather(&leaf);
-        let build = JoinBuild::new(batch.schema(), leaf).unwrap();
-        assert!(build.build_keys.exact());
-        assert!(!build.index.is_dense(), "{} rows", build.build_rows());
+        let build = JoinBuild::new(batch.schema(), batch.gather(&leaf)).unwrap();
+        assert!(!index_of(&build).unwrap().is_dense(), "{} rows", leaf.len());
+    }
+
+    /// The narrow forms the benchmark's shapes take. The small divide's
+    /// divisor, the 13 blue parts (`p#` 0, 4, …, 48: 49 cells), is indexed
+    /// in byte cells. `supplies` built on `(s#, p#)` for a semi probe keeps
+    /// one bit per cell of its 300,000-cell range, and so do one level-0
+    /// hash partition of it and an every-17th-row slice (what a spilled
+    /// semi join loads per leaf) — each in fewer bytes than its hashed
+    /// build, and answering like it.
+    #[test]
+    fn the_benchmark_shapes_take_narrow_forms() {
+        use crate::kernels::filter;
+        use div_algebra::Predicate;
+        let (supplies, parts) = benchmark_tables();
+        let blue = filter(&parts, &Predicate::eq_value("color", "blue")).unwrap();
+        let blue = blue.with_columns(Schema::of(["p#"]), &[0]);
+        let keys = KeyVector::build(&blue, &[0]);
+        let index = crate::hash_table::index_rows(&blue, &[0], &keys);
+        assert_eq!((index.len(), index.cell_bits()), (13, Some(u8::BITS)));
+        assert_eq!(index.heap_bytes(), 49 + 13 * size_of::<u32>());
+
+        let level0 = crate::partition::partition_rows(&supplies, &[0, 1], 32, 0);
+        let leaf: Vec<usize> = (0..supplies.num_rows()).step_by(17).collect();
+        let probe = supplies.slice(0..4096);
+        for build_side in [
+            supplies.clone(),
+            supplies.gather(&level0[0]),
+            supplies.gather(&leaf),
+        ] {
+            let rows = build_side.num_rows();
+            let build = JoinBuild::semi(supplies.schema(), build_side.clone()).unwrap();
+            assert!(index_of(&build).is_none(), "{rows} rows");
+            assert!(
+                build.heap_bytes() <= 300_000usize.div_ceil(64) * 8,
+                "{rows} rows"
+            );
+            let hashed =
+                JoinBuild::with_rule(supplies.schema(), build_side, false, FormRule::Hashed)
+                    .unwrap();
+            assert!(build.heap_bytes() < hashed.heap_bytes(), "{rows} rows");
+            for anti in [false, true] {
+                assert_eq!(
+                    build
+                        .probe_semi(probe.clone(), anti)
+                        .unwrap()
+                        .batch
+                        .to_relation(),
+                    hashed
+                        .probe_semi(probe.clone(), anti)
+                        .unwrap()
+                        .batch
+                        .to_relation(),
+                );
+            }
+        }
+    }
+
+    /// A drawn key: a compact int (picks `0..=8`), or one an all-int build
+    /// never holds — an int outside `i32`, NULL, a string.
+    fn drawn(pick: u32) -> Value {
+        match pick {
+            0..=8 => Value::Int(i64::from(pick) * 3),
+            9 => Value::Int(1 << 40),
+            10 => Value::Null,
+            _ => Value::str("x"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// A semi build and a natural build as the rule picks them, against
+        /// their hashed forms: the chosen build holds no more heap bytes,
+        /// and ⋈, ⋉ and ▷ answer alike. Compact int builds take the
+        /// presence form, hostile ones (NULLs, strings, pairs outside
+        /// `i32`) the group index.
+        #[test]
+        fn chosen_builds_never_hold_more_than_the_hashed(
+            build in prop::collection::vec((0u32..12, 0u32..12), 0..40),
+            probe in prop::collection::vec((0u32..12, 0u32..12), 0..40),
+            key_arity in 1usize..3,
+            hostile_build in 0u32..2,
+        ) {
+            let clamp = |pick: u32| if hostile_build == 1 { pick } else { pick % 9 };
+            // One key column and a column of each side's own, or a
+            // whole-row key of two columns (∩ and −).
+            let batch = |rows: &[(u32, u32)], pick: &dyn Fn(u32) -> u32, own: &str| {
+                let names = if key_arity == 1 { ["k1", own] } else { ["k1", "k2"] };
+                let rows = rows.iter().map(|&(a, b)| {
+                    let second = if key_arity == 1 { Value::Int(i64::from(b)) } else { drawn(pick(b)) };
+                    div_algebra::Tuple::new([drawn(pick(a)), second])
+                });
+                ColumnarBatch::from_relation(&div_algebra::Relation::new(Schema::of(names), rows).unwrap())
+            };
+            let (build, probe) = (batch(&build, &clamp, "rv"), batch(&probe, &|p| p, "lv"));
+            let (l, r) = (probe.to_relation().unwrap(), build.to_relation().unwrap());
+            for natural in [false, true] {
+                let [chosen, hashed] = [FormRule::Memory, FormRule::Hashed].map(|rule| {
+                    JoinBuild::with_rule(probe.schema(), build.clone(), natural, rule).unwrap()
+                });
+                prop_assert!(
+                    chosen.heap_bytes() <= hashed.heap_bytes(),
+                    "natural {}: chosen {} B, hashed {} B",
+                    natural,
+                    chosen.heap_bytes(),
+                    hashed.heap_bytes()
+                );
+                for build in [&chosen, &hashed] {
+                    prop_assert_eq!(
+                        build.probe_semi(probe.clone(), false).unwrap().batch.to_relation().unwrap(),
+                        l.semi_join(&r).unwrap()
+                    );
+                    prop_assert_eq!(
+                        build.probe_semi(probe.clone(), true).unwrap().batch.to_relation().unwrap(),
+                        l.anti_semi_join(&r).unwrap()
+                    );
+                    if natural {
+                        prop_assert_eq!(
+                            build.probe_natural(&probe).unwrap().batch.to_relation().unwrap(),
+                            l.natural_join(&r).unwrap()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

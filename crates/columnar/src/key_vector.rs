@@ -260,6 +260,22 @@ fn pair_codes(a: &Column, b: &Column) -> KeyVector {
     KeyVector { codes, exact }
 }
 
+/// `true` when row `row` of `batch` codes exactly over `key_columns`: one
+/// non-NULL int, or two ints in the `i32` range (the packed path). An exact
+/// vector holds only such rows; in an inexact one they are the rows whose
+/// code still is their key.
+pub(crate) fn exact_row(batch: &ColumnarBatch, key_columns: &[usize], row: usize) -> bool {
+    let int = |col: &usize| int_at(batch.column(*col), row);
+    match key_columns {
+        [a] => int(a).is_some(),
+        [a, b] => int(a)
+            .zip(int(b))
+            .and_then(|(x, y)| packed_code(x, y))
+            .is_some(),
+        _ => false,
+    }
+}
+
 /// Row `i` of `col` when it holds a non-NULL int, whatever the encoding.
 #[inline]
 fn int_at(col: &Column, i: usize) -> Option<i64> {

@@ -186,6 +186,7 @@ impl GroupStore {
                     fresh.push(is_new);
                 }
             }
+            Slots::Bytes { .. } => unreachable!("only a whole-vector index takes byte cells"),
             Slots::Hashed(table) => {
                 for row in 0..rows {
                     let next = base + pending.len() as u32;

@@ -1,6 +1,7 @@
 //! Build-probe operators: a materialized right side, a streamed left side —
 //! the hybrid hash join (natural, semi, anti, and so ∩ and −) and the
-//! nested loop (⋈θ and ×).
+//! nested loop (⋈θ and ×). A semi or anti join, resident or per spilled
+//! partition, builds with [`JoinBuild::semi`]: one bit per key if it can.
 
 use super::spill::{
     load_spill_batch, near_budget, next_resident_chunk, open_spill, spillable_rows, split_leaves,
@@ -82,11 +83,15 @@ impl HashJoinStream {
         }
     }
 
-    /// Move a consolidated (acquired) build batch into a [`JoinBuild`],
+    /// Move a consolidated (acquired) build batch into a [`JoinBuild`] —
+    /// for a semi or anti join one its probes only test keys against —
     /// keeping its accounting under the retained state.
     fn load(&mut self, ctx: &mut StreamContext, batch: ColumnarBatch) -> Result<JoinBuild> {
         let rows = batch.num_rows();
-        let build = JoinBuild::new(self.left.schema(), batch);
+        let build = match self.kind {
+            JoinKind::Natural => JoinBuild::new(self.left.schema(), batch),
+            JoinKind::Semi | JoinKind::Anti => JoinBuild::semi(self.left.schema(), batch),
+        };
         ctx.release(rows, 1);
         let build = build.map_err(ExprError::from)?;
         self.retained.grow_to(ctx, self.meta.id, rows);
@@ -242,14 +247,15 @@ impl BatchStream for HashJoinStream {
                     }
                 },
             };
+            // The probed chunk is finished with either way — release it
+            // before a kernel error can propagate past its accounting. A
+            // semi or anti probe that keeps every row passes the chunk on.
+            consumed(ctx, &chunk);
             let probed = match self.kind {
                 JoinKind::Natural => leaf.build.probe_natural(&chunk),
-                JoinKind::Semi => leaf.build.probe_semi(&chunk, false),
-                JoinKind::Anti => leaf.build.probe_semi(&chunk, true),
+                JoinKind::Semi => leaf.build.probe_semi(chunk, false),
+                JoinKind::Anti => leaf.build.probe_semi(chunk, true),
             };
-            // The probed chunk is finished with either way — release it
-            // before a kernel error can propagate past its accounting.
-            consumed(ctx, &chunk);
             let KernelOutput { batch, probes } = probed.map_err(ExprError::from)?;
             ctx.add_probes(self.meta.id, probes);
             if batch.num_rows() > 0 {

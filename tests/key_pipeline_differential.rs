@@ -101,9 +101,9 @@ proptest! {
             joined.batch.to_relation().unwrap(),
             l.natural_join(&r).unwrap()
         );
-        let semi = build.probe_semi(&lb, false).unwrap();
+        let semi = build.probe_semi(lb.clone(), false).unwrap();
         prop_assert_eq!(semi.batch.to_relation().unwrap(), l.semi_join(&r).unwrap());
-        let anti = build.probe_semi(&lb, true).unwrap();
+        let anti = build.probe_semi(lb.clone(), true).unwrap();
         prop_assert_eq!(
             anti.batch.to_relation().unwrap(),
             l.anti_semi_join(&r).unwrap()
@@ -142,11 +142,11 @@ proptest! {
         let swapped = ColumnarBatch::from_relation(&r.project(&["v", "k"]).unwrap());
         let build = JoinBuild::new(lb.schema(), swapped).unwrap();
         prop_assert_eq!(
-            build.probe_semi(&lb, false).unwrap().batch.to_relation().unwrap(),
+            build.probe_semi(lb.clone(), false).unwrap().batch.to_relation().unwrap(),
             l.intersect(&r).unwrap()
         );
         prop_assert_eq!(
-            build.probe_semi(&lb, true).unwrap().batch.to_relation().unwrap(),
+            build.probe_semi(lb.clone(), true).unwrap().batch.to_relation().unwrap(),
             l.difference(&r).unwrap()
         );
     }
@@ -324,11 +324,11 @@ proptest! {
             l.natural_join(&r).unwrap()
         );
         prop_assert_eq!(
-            build.probe_semi(&lb, false).unwrap().batch.to_relation().unwrap(),
+            build.probe_semi(lb.clone(), false).unwrap().batch.to_relation().unwrap(),
             l.semi_join(&r).unwrap()
         );
         prop_assert_eq!(
-            build.probe_semi(&lb, true).unwrap().batch.to_relation().unwrap(),
+            build.probe_semi(lb.clone(), true).unwrap().batch.to_relation().unwrap(),
             l.anti_semi_join(&r).unwrap()
         );
         prop_assert_eq!(
@@ -354,11 +354,11 @@ proptest! {
         let swapped = ColumnarBatch::from_relation(&r.project(&["v", "k"]).unwrap());
         let build = JoinBuild::new(lb.schema(), swapped).unwrap();
         prop_assert_eq!(
-            build.probe_semi(&lb, false).unwrap().batch.to_relation().unwrap(),
+            build.probe_semi(lb.clone(), false).unwrap().batch.to_relation().unwrap(),
             l.intersect(&r).unwrap()
         );
         prop_assert_eq!(
-            build.probe_semi(&lb, true).unwrap().batch.to_relation().unwrap(),
+            build.probe_semi(lb.clone(), true).unwrap().batch.to_relation().unwrap(),
             l.difference(&r).unwrap()
         );
     }
@@ -403,6 +403,126 @@ proptest! {
         let deduped = batch.gather(&doubled).dedup();
         prop_assert_eq!(deduped.num_rows(), n);
         prop_assert_eq!(deduped.to_relation().unwrap(), rel);
+    }
+}
+
+/// Where a presence build's compact range starts: at 0, or — `planted` —
+/// on the code a hostile probe key folds to, `NULL` for one key column and
+/// `(NULL, 7)` unpacked for two, so that key's code lands on a set bit.
+fn presence_origin(key_arity: usize, planted: bool) -> [i64; 2] {
+    let folded = div_columnar::key_vector::key_code(&[Value::Null, Value::Int(7)]);
+    match (planted, key_arity) {
+        (false, _) => [0, 0],
+        (true, 1) => [NULL_CODE as i64, 0],
+        (true, _) => [
+            i64::from((folded >> 32) as u32 as i32),
+            i64::from(folded as u32 as i32),
+        ],
+    }
+}
+
+/// `payload` cells from `origin`, towards zero so a pair stays in `i32`.
+fn near(origin: i64, payload: i64) -> i64 {
+    if origin > 0 {
+        origin - payload
+    } else {
+        origin + payload
+    }
+}
+
+/// A presence build's side (`probe_side` false) or a probe side over
+/// `names`, whose first `key_arity` columns are keys of the range at
+/// `origin`. The build side holds only those ints, and always the origin's
+/// own cell. A probe key is NULL, a string (which turns its column `Mixed`),
+/// an int outside `i32` or an int of the range; the planted hostile key
+/// (`NULL`, or `(NULL, 7)`) is always one of its rows.
+fn presence_relation(
+    names: &[&str],
+    key_arity: usize,
+    rows: &[(u32, i64, i64)],
+    origin: [i64; 2],
+    probe_side: bool,
+) -> Relation {
+    let key = |c: usize, kind: u32, payload: i64| match kind % 7 {
+        0 if probe_side => Value::Null,
+        1 if probe_side => Value::Int(payload + (1 << 40)),
+        2 if probe_side => Value::str(["blue", "red"][(payload % 2) as usize]),
+        _ => Value::Int(near(origin[c], payload)),
+    };
+    let planted = if probe_side { (0, 0, 0) } else { (3, 0, 0) };
+    let mut tuples: Vec<Tuple> = rows
+        .iter()
+        .chain([&planted])
+        .map(|&(kind, payload, tail)| {
+            Tuple::new((0..names.len()).map(|c| match c {
+                0 if c < key_arity => key(c, kind, payload),
+                _ if c < key_arity => key(c, kind.wrapping_add(c as u32), (payload + tail) % 4),
+                _ => Value::Int(tail),
+            }))
+        })
+        .collect();
+    if probe_side && key_arity == 2 {
+        let extra = (2..names.len()).map(|_| Value::Int(0));
+        tuples.push(Tuple::new(
+            [Value::Null, Value::Int(7)].into_iter().chain(extra),
+        ));
+    }
+    Relation::new(Schema::of(names.iter().copied()), tuples).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// ⋉, ▷, ∩ and − over a semi build of exact compact keys — one word of
+    /// presence bits — agree with the reference, whatever the probe side
+    /// holds: NULLs, strings, `Mixed`-encoded ints, pairs outside `i32`,
+    /// and keys whose folded code lands on a set bit.
+    #[test]
+    fn presence_builds_semi_join_like_the_reference(
+        left in keyed_rows(30),
+        right in keyed_rows(24),
+        key_arity in 1..3usize,
+        planted in 0..2u32,
+    ) {
+        let origin = presence_origin(key_arity, planted == 1);
+        let (left_names, right_names) = if key_arity == 1 {
+            (&["k1", "lv"][..], &["k1", "rv"][..])
+        } else {
+            (&["k1", "k2", "lv"][..], &["k1", "k2", "rv"][..])
+        };
+        let l = presence_relation(left_names, key_arity, &left, origin, true);
+        let r = presence_relation(right_names, key_arity, &right, origin, false);
+        let lb = ColumnarBatch::from_relation(&l);
+        let build = JoinBuild::semi(lb.schema(), ColumnarBatch::from_relation(&r)).unwrap();
+        prop_assert_eq!(build.heap_bytes(), 8, "one word of presence bits");
+        prop_assert_eq!(
+            build.probe_semi(lb.clone(), false).unwrap().batch.to_relation().unwrap(),
+            l.semi_join(&r).unwrap()
+        );
+        prop_assert_eq!(
+            build.probe_semi(lb.clone(), true).unwrap().batch.to_relation().unwrap(),
+            l.anti_semi_join(&r).unwrap()
+        );
+        // ∩ and − are the semi and anti join on whole rows, the build's
+        // columns swapped.
+        let (l, r) = (
+            l.project(&left_names[..key_arity]).unwrap(),
+            r.project(&left_names[..key_arity]).unwrap(),
+        );
+        let lb = ColumnarBatch::from_relation(&l);
+        let mut swapped: Vec<&str> = left_names[..key_arity].to_vec();
+        swapped.reverse();
+        let build = ColumnarBatch::from_relation(&r.project(&swapped).unwrap());
+        let build = JoinBuild::semi(lb.schema(), build).unwrap();
+        prop_assert_eq!(build.heap_bytes(), 8, "one word of presence bits");
+        prop_assert_eq!(
+            build.probe_semi(lb.clone(), false).unwrap().batch.to_relation().unwrap(),
+            l.intersect(&r).unwrap()
+        );
+        prop_assert_eq!(
+            build.probe_semi(lb.clone(), true).unwrap().batch.to_relation().unwrap(),
+            l.difference(&r).unwrap()
+        );
     }
 }
 
@@ -562,23 +682,29 @@ fn folded_probe_codes_on_occupied_dense_cells_do_not_match() {
             .find(|&i| matches!(lb.value_at(i, 0), Value::Null))
             .unwrap();
         assert!(rk.codes().contains(&lk.code(planted)), "{l:?}");
+        // The semi build is a presence set: the planted code lands on a set
+        // bit, and only the probe row's own inexact key keeps it out.
+        let presence = JoinBuild::semi(lb.schema(), rb.clone()).unwrap();
+        assert_eq!(presence.heap_bytes(), 8, "one word of presence bits");
         let build = JoinBuild::new(lb.schema(), rb).unwrap();
-        let semi = build
-            .probe_semi(&lb, false)
-            .unwrap()
-            .batch
-            .to_relation()
-            .unwrap();
-        assert_eq!(semi, l.semi_join(&r).unwrap());
-        assert_eq!(semi.len(), 1, "only the genuine key matches: {semi:?}");
-        assert!(!semi.contains(&lb.row(planted)));
-        let anti = build
-            .probe_semi(&lb, true)
-            .unwrap()
-            .batch
-            .to_relation()
-            .unwrap();
-        assert_eq!(anti, l.anti_semi_join(&r).unwrap());
+        for build in [&presence, &build] {
+            let semi = build
+                .probe_semi(lb.clone(), false)
+                .unwrap()
+                .batch
+                .to_relation()
+                .unwrap();
+            assert_eq!(semi, l.semi_join(&r).unwrap());
+            assert_eq!(semi.len(), 1, "only the genuine key matches: {semi:?}");
+            assert!(!semi.contains(&lb.row(planted)));
+            let anti = build
+                .probe_semi(lb.clone(), true)
+                .unwrap()
+                .batch
+                .to_relation()
+                .unwrap();
+            assert_eq!(anti, l.anti_semi_join(&r).unwrap());
+        }
         let joined = build
             .probe_natural(&lb)
             .unwrap()
@@ -641,6 +767,6 @@ fn forced_collisions_join_exactly() {
     assert_eq!(joined.batch.to_relation().unwrap(), expected);
     // Exactly the three genuine matches: the collision ints match nothing.
     assert_eq!(expected.len(), 3);
-    let semi = build.probe_semi(&lb, false).unwrap();
+    let semi = build.probe_semi(lb.clone(), false).unwrap();
     assert_eq!(semi.batch.num_rows(), 3);
 }
