@@ -878,8 +878,9 @@ fn index_hashed(
     keys: &KeyVector,
     mut on_row: impl FnMut(u32),
 ) -> GroupIndex {
+    let exact = keys.exact();
     let same_key =
-        crate::key_vector::cross_matcher(batch, key_columns, keys, batch, key_columns, keys);
+        crate::key_vector::cross_matcher(batch, key_columns, exact, batch, key_columns, exact);
     let mut table = KeyTable::with_capacity(keys.len());
     let mut first_row: Vec<u32> = Vec::with_capacity(keys.len());
     for (row, &code) in keys.codes().iter().enumerate() {
@@ -1261,7 +1262,7 @@ mod tests {
 
             // Keys: the probe rows, verified against the build batch; the
             // key set is asked only about rows whose own code is exact.
-            let same = cross_matcher(&probe, &cols, &probe_keys, &build, &cols, &build_keys);
+            let same = cross_matcher(&probe, &cols, probe_keys.exact(), &build, &cols, build_keys.exact());
             for row in 0..probe.num_rows() {
                 let code = probe_keys.code(row);
                 let want = (0..build.num_rows())

@@ -89,7 +89,8 @@ pub struct StreamingGreatDivide {
     divisor_b: Vec<usize>,
     divisor_c: Vec<usize>,
     out_schema: Schema,
-    divisor_b_keys: KeyVector,
+    /// Whether every divisor `B` key codes exactly.
+    divisor_b_exact: bool,
     b_ids: GroupIndex,
     c_groups: GroupIndex,
     c_size: Vec<u32>,
@@ -181,7 +182,7 @@ impl StreamingGreatDivide {
             divisor_b,
             divisor_c,
             out_schema: partition.output(),
-            divisor_b_keys,
+            divisor_b_exact: divisor_b_keys.exact(),
             b_ids,
             c_groups,
             c_size,
@@ -278,10 +279,10 @@ impl StreamingGreatDivide {
         let same_b = cross_matcher(
             chunk,
             &self.dividend_b,
-            &b_keys,
+            b_keys.exact(),
             &self.divisor,
             &self.divisor_b,
-            &self.divisor_b_keys,
+            self.divisor_b_exact,
         );
         let stride = self.c_size.len();
         let mut probes = 0;
@@ -332,7 +333,6 @@ impl StreamingGreatDivide {
             Counters::Hashed(pairs) => pairs.heap_bytes(),
         };
         self.a_store.heap_bytes()
-            + size_of_val(self.divisor_b_keys.codes())
             + self.b_ids.heap_bytes()
             + self.c_groups.heap_bytes()
             + u32s(&self.c_size)

@@ -135,7 +135,9 @@ enum BuildKeys {
 struct Groups {
     build: ColumnarBatch,
     build_key: Vec<usize>,
-    build_keys: KeyVector,
+    /// Whether every build key codes exactly, so that a probe row whose own
+    /// key codes exactly needs no column compare.
+    exact: bool,
     index: GroupIndex,
     /// The CSR row lists `(offsets, rows)` of every key group; `None` in a
     /// semi build.
@@ -181,7 +183,7 @@ impl JoinBuild {
                 BuildKeys::Groups(Box::new(Groups {
                     build,
                     build_key,
-                    build_keys,
+                    exact: build_keys.exact(),
                     index,
                     row_lists,
                 }))
@@ -201,8 +203,8 @@ impl JoinBuild {
         &self.out_schema
     }
 
-    /// Bytes the build holds on the heap beside its build batch: the key
-    /// codes, the index and the CSR row lists, or the presence bits alone.
+    /// Bytes the build holds on the heap beside its build batch: the index
+    /// and the CSR row lists, or the presence bits alone.
     pub fn heap_bytes(&self) -> usize {
         let u32s = |v: &Vec<u32>| v.capacity() * size_of::<u32>();
         match &self.keys {
@@ -211,7 +213,7 @@ impl JoinBuild {
                     .row_lists
                     .as_ref()
                     .map_or(0, |(offsets, rows)| u32s(offsets) + u32s(rows));
-                size_of_val(groups.build_keys.codes()) + groups.index.heap_bytes() + row_lists
+                groups.index.heap_bytes() + row_lists
             }
             BuildKeys::Present(set) => set.heap_bytes(),
         }
@@ -234,10 +236,10 @@ impl JoinBuild {
         let same_key = cross_matcher(
             chunk,
             &self.probe_key,
-            &chunk_keys,
+            chunk_keys.exact(),
             &groups.build,
             &groups.build_key,
-            &groups.build_keys,
+            groups.exact,
         );
         let mut probe_indices: Vec<usize> = Vec::new();
         let mut build_indices: Vec<usize> = Vec::new();
@@ -292,10 +294,10 @@ impl JoinBuild {
                 let same_key = cross_matcher(
                     &chunk,
                     &self.probe_key,
-                    &chunk_keys,
+                    chunk_keys.exact(),
                     &groups.build,
                     &groups.build_key,
-                    &groups.build_keys,
+                    groups.exact,
                 );
                 keep(rows, anti, |i| {
                     let code = chunk_keys.code(i);
@@ -541,19 +543,20 @@ mod tests {
         };
         let Groups {
             build_key,
-            build_keys,
+            exact,
             index,
             ..
         } = &**groups;
-        assert!(build_keys.exact());
+        assert!(exact);
         assert_eq!(
             index.cell_bits(),
             Some(u32::BITS),
             "{} rows",
             batch.num_rows()
         );
+        let build_keys = KeyVector::build(&batch, build_key);
         let (hashed, _) =
-            index_rows_forced(&batch, build_key, build_keys, FormRule::Hashed).unwrap();
+            index_rows_forced(&batch, build_key, &build_keys, FormRule::Hashed).unwrap();
         assert!(
             index.heap_bytes() < hashed.heap_bytes(),
             "dense {} B, hashed {} B",

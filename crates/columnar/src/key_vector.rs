@@ -425,22 +425,22 @@ pub fn keys_equal(
 }
 
 /// Build the key-equality predicate for a probe/build pairing, computing
-/// the verification requirement **once** from both vectors' exactness:
-/// `pred(probe_row, candidate_row)` is trivially `true` when both sides
-/// are exact (code equality is key equality) and a column-wise compare
-/// otherwise. Pairing the batch/column-list/vector triples here — instead
-/// of hand-spelling `!verify || keys_equal(..)` at every table call site —
-/// makes a mismatched pairing impossible to write per row. Pass the same
-/// triple twice for self-batch grouping.
+/// the verification requirement **once** from both key vectors' exactness
+/// ([`KeyVector::exact`]): `pred(probe_row, candidate_row)` is trivially
+/// `true` when both sides are exact (code equality is key equality) and a
+/// column-wise compare otherwise. Pairing the batch/column-list/exactness
+/// triples here — instead of hand-spelling `!verify || keys_equal(..)` at
+/// every table call site — makes a mismatched pairing impossible to write
+/// per row. Pass the same triple twice for self-batch grouping.
 pub fn cross_matcher<'a>(
     probe: &'a ColumnarBatch,
     probe_cols: &'a [usize],
-    probe_keys: &KeyVector,
+    probe_exact: bool,
     build: &'a ColumnarBatch,
     build_cols: &'a [usize],
-    build_keys: &KeyVector,
+    build_exact: bool,
 ) -> impl Fn(usize, usize) -> bool + 'a {
-    let verify = !(probe_keys.exact() && build_keys.exact());
+    let verify = !(probe_exact && build_exact);
     move |row, candidate| {
         !verify || keys_equal(probe, probe_cols, row, build, build_cols, candidate)
     }

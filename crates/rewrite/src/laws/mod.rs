@@ -22,7 +22,19 @@ pub mod small_divide_set_ops;
 pub mod small_divide_union;
 
 pub(crate) mod helpers {
-    //! Schema bookkeeping shared by the rules.
+    //! Schema bookkeeping and checks shared by the rules.
+
+    use crate::context::RewriteContext;
+    use crate::Result;
+    use div_expr::LogicalPlan;
+
+    /// Whether the data shows `divisor` non-empty. Laws 4, 5 and 6 do not
+    /// hold on an empty divisor (`r1 ÷ ∅ = π_A(r1)` keeps every candidate),
+    /// so they fire only when this is known: never without data access, nor
+    /// while an unbound `$parameter` defers the divisor to execution.
+    pub fn divisor_known_nonempty(ctx: &RewriteContext<'_>, divisor: &LogicalPlan) -> Result<bool> {
+        Ok(ctx.try_evaluate(divisor)?.is_some_and(|d| !d.is_empty()))
+    }
 
     /// Shorthand for string-slice views of owned attribute lists.
     pub fn refs(names: &[String]) -> Vec<&str> {

@@ -103,9 +103,13 @@ impl RewriteRule for Law11SingleTupleGroups {
 /// **Law 12**: for a dividend `r1 = Bγf(X)→A(r0)` with `r2.B ⊆ π_B(r1)`,
 ///
 /// ```text
-/// r1 ÷ r2 = π_A(r1 ⋉ r2)   if that relation has exactly one tuple
+/// r1 ÷ r2 = π_A(r1)        if |r2| = 0
+///         = π_A(r1 ⋉ r2)   if that relation has exactly one tuple
 ///         = ∅               otherwise
 /// ```
+///
+/// (The paper states only the last two cases; `r1 ÷ ∅ = π_A(r1)` in
+/// `div_algebra`, as in Law 11's first case.)
 pub struct Law12SingleTupleDivisorGroups;
 
 impl RewriteRule for Law12SingleTupleDivisorGroups {
@@ -169,7 +173,12 @@ impl RewriteRule for Law12SingleTupleDivisorGroups {
             .semi_join(&divisor_rel)
             .and_then(|r| r.project(&refs(&attrs.quotient)))
             .map_err(ExprError::from)?;
-        let rewritten = if semi_rel.len() == 1 && !divisor_rel.is_empty() {
+        let rewritten = if divisor_rel.is_empty() {
+            LogicalPlan::Project {
+                input: dividend.clone(),
+                attributes: attrs.quotient.clone(),
+            }
+        } else if semi_rel.len() == 1 {
             semi
         } else {
             empty_quotient(ctx, dividend, &refs(&attrs.quotient))?

@@ -1,6 +1,6 @@
 //! Section 5.1.2 — selection laws for the small divide (Laws 3 and 4).
 
-use super::helpers::refs;
+use super::helpers::{divisor_known_nonempty, refs};
 use crate::context::RewriteContext;
 use crate::rule::RewriteRule;
 use crate::Result;
@@ -51,7 +51,8 @@ impl RewriteRule for Law3SelectionPushdown {
 /// dividend tuples failing it can never match a divisor tuple, so removing
 /// them early shrinks the expensive input. The rule declines when the dividend
 /// is already wrapped in exactly this selection, which keeps the fixpoint loop
-/// of the engine terminating.
+/// of the engine terminating, and unless the data shows the filtered divisor
+/// non-empty: on `σ_{p(B)}(r2) = ∅` the two sides differ.
 pub struct Law4DivisorSelectionReplication;
 
 impl RewriteRule for Law4DivisorSelectionReplication {
@@ -99,18 +100,8 @@ impl RewriteRule for Law4DivisorSelectionReplication {
                 return Ok(None);
             }
         }
-        // Empty-divisor edge case (see DESIGN.md): with σ_{p(B)}(r2) = ∅ the
-        // two sides differ, so when the data can be consulted and the filtered
-        // divisor turns out to be empty the rule declines. Without data access
-        // the rule follows the paper's implicit nonempty-divisor assumption.
-        if let Some(filtered) = ctx.try_evaluate(divisor)? {
-            if filtered.is_empty() {
-                return Ok(None);
-            }
-        } else if divisor.contains_parameters() {
-            // An unbound `$parameter` defers the filter to execution time:
-            // non-emptiness can never be established while preparing, and a
-            // later binding may empty the divisor, so the rewrite is unsound.
+        // With σ_{p(B)}(r2) = ∅ the two sides differ.
+        if !divisor_known_nonempty(ctx, divisor)? {
             return Ok(None);
         }
         Ok(Some(LogicalPlan::SmallDivide {

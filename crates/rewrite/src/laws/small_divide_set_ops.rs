@@ -1,7 +1,7 @@
 //! Sections 5.1.3 and 5.1.4 — intersection and difference laws for the small
 //! divide (Laws 5, 6 and 7).
 
-use super::helpers::refs;
+use super::helpers::{divisor_known_nonempty, refs};
 use crate::context::RewriteContext;
 use crate::preconditions;
 use crate::rule::RewriteRule;
@@ -12,7 +12,8 @@ use div_expr::{ExprError, LogicalPlan};
 ///
 /// Applied left-to-right: a division whose dividend is an intersection is
 /// split into an intersection of two (typically much cheaper, independently
-/// executable) divisions. No precondition.
+/// executable) divisions. The law fails on an empty divisor, so the rule
+/// fires only when the data shows `r2` non-empty.
 pub struct Law5IntersectionSplit;
 
 impl RewriteRule for Law5IntersectionSplit {
@@ -36,14 +37,8 @@ impl RewriteRule for Law5IntersectionSplit {
         {
             return Ok(None);
         }
-        // Empty-divisor edge case (see DESIGN.md): with r2 = ∅ the law does
-        // not hold, so decline if the data shows an empty divisor — or if an
-        // unbound `$parameter` keeps it from being checked until execution.
-        if let Some(divisor_rel) = ctx.try_evaluate(divisor)? {
-            if divisor_rel.is_empty() {
-                return Ok(None);
-            }
-        } else if divisor.contains_parameters() {
+        // With r2 = ∅ the law does not hold.
+        if !divisor_known_nonempty(ctx, divisor)? {
             return Ok(None);
         }
         Ok(Some(LogicalPlan::Intersect {
@@ -66,7 +61,8 @@ impl RewriteRule for Law5IntersectionSplit {
 /// two selections over the *same* input with predicates over quotient
 /// attributes only — and establishes the containment either syntactically
 /// (`p''` is a conjunction extending `p'`) or, when data checks are allowed,
-/// by evaluating both selections.
+/// by evaluating both selections. Either way it needs the data to show the
+/// divisor non-empty, as Law 5 does.
 pub struct Law6DifferenceSplit;
 
 impl RewriteRule for Law6DifferenceSplit {
@@ -126,13 +122,8 @@ impl RewriteRule for Law6DifferenceSplit {
         if !contained {
             return Ok(None);
         }
-        // Empty-divisor edge case (see DESIGN.md), as for Laws 4 and 5 — and
-        // the same decline when `$parameter`s defer the check to execution.
-        if let Some(divisor_rel) = ctx.try_evaluate(divisor)? {
-            if divisor_rel.is_empty() {
-                return Ok(None);
-            }
-        } else if divisor.contains_parameters() {
+        // With r2 = ∅ the law does not hold, as for Laws 4 and 5.
+        if !divisor_known_nonempty(ctx, divisor)? {
             return Ok(None);
         }
         Ok(Some(LogicalPlan::Difference {
@@ -250,9 +241,10 @@ mod tests {
     #[test]
     fn law6_splits_nested_selections_syntactically() {
         let catalog = catalog();
-        // Metadata-only context: the syntactic implication (p'' = p' ∧ …) must
-        // be enough for the rule to fire.
-        let ctx = RewriteContext::with_metadata_only(&catalog);
+        // The syntactic implication (p'' = p' ∧ …) establishes the
+        // containment; only the empty-divisor check reads the data, so
+        // without data access the rule declines.
+        let ctx = RewriteContext::with_catalog(&catalog);
         let p_prime = Predicate::cmp_value("a", CompareOp::Gt, 1);
         let p_double = p_prime
             .clone()
@@ -271,6 +263,11 @@ mod tests {
             evaluate(&rewritten, &catalog).unwrap(),
             evaluate(&plan, &catalog).unwrap()
         );
+        let meta_ctx = RewriteContext::with_metadata_only(&catalog);
+        assert!(Law6DifferenceSplit
+            .apply(&plan, &meta_ctx)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -12,8 +12,9 @@ use std::sync::Arc;
 /// A rule is asked to rewrite one plan *node* (it can inspect the node's whole
 /// subtree). It returns `Ok(Some(new_plan))` when it applies, `Ok(None)` when
 /// it does not; it must only return a plan that is equivalent to the input on
-/// every database satisfying the rule's preconditions — the property tests in
-/// `tests/law_properties.rs` enforce exactly this.
+/// every database satisfying the rule's preconditions — `tests/law_small_scope.rs`
+/// checks exactly this on every small database of each rule's registry shape,
+/// and the property tests in `tests/law_properties.rs` on random ones.
 pub trait RewriteRule: Send + Sync {
     /// Stable machine-readable name, e.g. `"law-03-selection-pushdown"`.
     fn name(&self) -> &'static str;
