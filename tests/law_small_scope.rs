@@ -7,27 +7,35 @@
 //! and on each one runs [`laws::check_rewrites`], the check the golden
 //! runner uses too: every rewrite [`Optimizer::rewrites`] yields must differ
 //! from the plan and evaluate to the plan's result, both with data access
-//! and without it ([`RewriteContext::with_metadata_only`]). Empty and
-//! singleton relations are in every enumeration by construction.
+//! and without it ([`RewriteContext::with_metadata_only`]); and the plan
+//! [`Optimizer::optimize`] keeps with data access, the engine's context, must
+//! evaluate to it too. Empty and singleton relations are in every
+//! enumeration by construction.
 //!
 //! Each attribute's domain puts a value on each side of every constant the
 //! shape compares it with (`a > 1` and `a > 9` give `{1, 5, 10}`); an
 //! attribute compared with no constant takes `{1, 3}`. The `pins!` table
 //! fixes, per shape, how many databases there are, on how many of them the
 //! shape's own rule fires (so a precondition that weakens or tightens moves
-//! a count), and whether it fires without data access (on every database or
-//! on none). Then the executor half: each scanned table emptied in turn,
-//! the others from the registry catalog, down every [`oracle::STRATEGIES`]
-//! row, so the optimizer-on rows run rewritten plans over empty inputs.
+//! a count), on how many `optimize` changes the plan, and whether the rule
+//! fires without data access (on every database or on none). Then the
+//! executor half: each scanned table emptied in turn, the others from the
+//! registry catalog, down every [`oracle::STRATEGIES`] row, so the
+//! optimizer-on rows run rewritten plans over empty inputs.
 //!
-//! Example 1, a plan constructor with no rule and so no registry shape, is
-//! checked the same way at the end. `tests/law_properties.rs` checks each
-//! law's equation on random catalogs larger than the enumeration.
+//! The tests at the end enumerate databases the same way for what has no
+//! registry shape: Example 1's plan constructor, Law 2's preconditions `c1`
+//! and `c2` and its partitioner, and `optimize` on a great divide under two
+//! selections. `tests/mutants.toml` lists the broken rules and preconditions
+//! this file must catch (`scripts/mutation_check.py` runs it).
 
 use div_conformance::laws;
 use div_conformance::oracle::{self, Catalogs};
 use div_rewrite::laws::examples::example1_rewrite;
+use div_rewrite::laws::small_divide_union::partition_dividend_for_law2;
+use div_rewrite::preconditions;
 use division::prelude::*;
+use std::collections::BTreeMap;
 
 /// The most databases one shape may enumerate.
 const MAX_DATABASES: usize = 1 << 16;
@@ -37,19 +45,22 @@ struct Pin {
     key: &'static str,
     databases: usize,
     fires: usize,
+    optimized: usize,
     metadata_only: bool,
 }
 
 /// One test per registry shape, named after the law's equation, and the
 /// `PINS` table: databases enumerated, databases on which the shape's own
-/// rule fires, and whether it fires under
-/// [`RewriteContext::with_metadata_only`] (then on every database).
+/// rule fires, databases on which `optimize` changes the plan, and whether
+/// the rule fires under [`RewriteContext::with_metadata_only`] (then on
+/// every database).
 macro_rules! pins {
-    ($($test:ident: $key:literal, $databases:literal, $fires:literal, $metadata_only:literal;)*) => {
+    ($($test:ident: $key:literal, $databases:literal, $fires:literal, $optimized:literal, $metadata_only:literal;)*) => {
         const PINS: &[Pin] = &[$(Pin {
             key: $key,
             databases: $databases,
             fires: $fires,
+            optimized: $optimized,
             metadata_only: $metadata_only,
         }),*];
         $(#[test]
@@ -60,25 +71,25 @@ macro_rules! pins {
 }
 
 pins! {
-    law1_divisor_union:                  "law01",    256,   256, true;
-    law2_dividend_union:                 "law02",   1024,   964, false;
-    law3_selection_pushdown:             "law03",     64,    64, true;
-    law4_divisor_selection_replication:  "law04",     64,    32, false;
-    law5_intersection:                   "law05",     64,    48, false;
-    law6_difference_of_nested_selections: "law06",   256,   192, false;
-    law7_disjoint_difference:            "law07",     64,    64, false;
-    law8_product_pushthrough:            "law08",    256,   256, true;
-    law9_product_elimination:            "law09",   1024,   384, false;
-    law10_semijoin_commutes:             "law10",    256,   256, true;
-    law11_singleton_groups:              "law11",     64,    64, false;
-    law12_singleton_divisor_groups:      "law12",     64,    49, false;
-    law13_divisor_union:                 "law13",   4096,   784, false;
-    law14_selection_pushdown_quotient:   "law14",    256,   256, true;
-    law15_selection_pushdown_group:      "law15",    256,   256, true;
-    law16_divisor_selection_replication: "law16",    256,   256, true;
-    law17_product_pushthrough:           "law17",   1024,  1024, true;
-    example2_common_factor:              "example2", 256,   192, false;
-    example4_join_push_in:               "example4", 1024, 1024, true;
+    law1_divisor_union:                  "law01",    256,   256,   11, true;
+    law2_dividend_union:                 "law02",   1024,   964,  414, false;
+    law3_selection_pushdown:             "law03",     64,    64,   64, true;
+    law4_divisor_selection_replication:  "law04",     64,    32,   30, false;
+    law5_intersection:                   "law05",     64,    48,    0, false;
+    law6_difference_of_nested_selections: "law06",   256,   192,    0, false;
+    law7_disjoint_difference:            "law07",     64,    64,   64, false;
+    law8_product_pushthrough:            "law08",    256,   256,  148, true;
+    law9_product_elimination:            "law09",   1024,   384,  359, false;
+    law10_semijoin_commutes:             "law10",    256,   256,  176, true;
+    law11_singleton_groups:              "law11",     64,    64,   64, false;
+    law12_singleton_divisor_groups:      "law12",     64,    49,   49, false;
+    law13_divisor_union:                 "law13",   4096,   784,   20, false;
+    law14_selection_pushdown_quotient:   "law14",    256,   256,  256, true;
+    law15_selection_pushdown_group:      "law15",    256,   256,  256, true;
+    law16_divisor_selection_replication: "law16",    256,   256,  240, true;
+    law17_product_pushthrough:           "law17",   1024,  1024,  592, true;
+    example2_common_factor:              "example2", 256,   192,  192, false;
+    example4_join_push_in:               "example4", 1024, 1024, 1024, true;
 }
 
 /// The shapes whose law fails when the division's divisor is empty, and
@@ -117,16 +128,20 @@ fn check_shape(key: &str) {
     let pin = PINS.iter().find(|pin| pin.key == key).expect("pinned");
     let exclusion = EMPTY_DIVISOR.iter().find(|(shape, _)| *shape == key);
     let spaces = spaces(&case.plan, &case.catalog());
-    let (mut databases, mut fires, mut metadata_fires) = (0, 0, 0);
+    let (mut databases, mut fires, mut optimized, mut metadata_fires) = (0, 0, 0, 0);
     for catalog in databases_over(&spaces) {
         let expected = evaluate(&case.plan, &catalog).expect("the plan evaluates");
-        let check = |ctx: RewriteContext<'_>| {
-            let fired = laws::check_rewrites(&case, &ctx, &expected)
+        let check = |ctx: &RewriteContext<'_>| {
+            let fired = laws::check_rewrites(&case, ctx, &expected)
                 .unwrap_or_else(|e| panic!("{e}\non the database\n{}", render(&catalog)));
             fired.iter().any(|rule| rule == case.rule)
         };
         databases += 1;
-        if check(RewriteContext::with_catalog(&catalog)) {
+        let ctx = RewriteContext::with_catalog(&catalog);
+        if !optimize(&case.plan, &ctx, &expected).is_empty() {
+            optimized += 1;
+        }
+        if check(&ctx) {
             fires += 1;
             if let Some((_, why)) = exclusion {
                 assert!(
@@ -137,14 +152,14 @@ fn check_shape(key: &str) {
                 );
             }
         }
-        if check(RewriteContext::with_metadata_only(&catalog)) {
+        if check(&RewriteContext::with_metadata_only(&catalog)) {
             metadata_fires += 1;
         }
     }
     assert_eq!(
-        (databases, fires),
-        (pin.databases, pin.fires),
-        "{key}: (databases, fires of `{}`)",
+        (databases, fires, optimized),
+        (pin.databases, pin.fires, pin.optimized),
+        "{key}: (databases, fires of `{}`, plans `optimize` changed)",
         case.rule
     );
     assert_eq!(
@@ -162,6 +177,22 @@ fn check_shape(key: &str) {
         oracle::check_plan(&catalogs, &case.plan)
             .unwrap_or_else(|e| panic!("{key} with `{}` empty: {e}", space.name));
     }
+}
+
+/// Optimize `plan` as the engine does and require the plan it keeps to
+/// evaluate to `expected`; returns the rules it applied, in order.
+fn optimize(plan: &LogicalPlan, ctx: &RewriteContext<'_>, expected: &Relation) -> Vec<String> {
+    let catalog = ctx.catalog().expect("a catalog");
+    let optimized = Optimizer::new().optimize(plan, ctx).expect("optimize");
+    let got = evaluate(&optimized.plan, catalog).expect("the optimized plan evaluates");
+    assert_eq!(
+        &got,
+        expected,
+        "`optimize` changed the result:\n{}\non the database\n{}",
+        optimized.trace(),
+        render(catalog)
+    );
+    optimized.applied.into_iter().map(|a| a.rule).collect()
 }
 
 /// Whether the divisor of the shape's root division is empty.
@@ -336,6 +367,17 @@ fn domains_split_every_constant() {
     assert_eq!(domain("b", &law04), [2, 3]);
 }
 
+/// A catalog of empty tables, one per `(name, attributes)`: the schemas
+/// [`spaces`] enumerates for a plan that has no registry shape.
+fn schemas(tables: &[(&str, &[&str])]) -> Catalog {
+    let mut catalog = Catalog::new();
+    for (name, attributes) in tables {
+        let schema = Schema::of(attributes.iter().copied());
+        catalog.register(*name, Relation::empty(schema));
+    }
+    catalog
+}
+
 /// Example 1 has no rule: its plan constructor against
 /// `σ_{b<3}(r1) ÷ r2` over every database of `r1` and `r2`.
 #[test]
@@ -343,9 +385,7 @@ fn example1_dividend_b_selection() {
     let p = Predicate::cmp_value("b", CompareOp::Lt, 3);
     let (r1, r2) = (PlanBuilder::scan("r1"), PlanBuilder::scan("r2"));
     let plan = r1.clone().select(p.clone()).divide(r2.clone()).build();
-    let mut schemas = Catalog::new();
-    schemas.register("r1", Relation::empty(Schema::of(["a", "b"])));
-    schemas.register("r2", Relation::empty(Schema::of(["b"])));
+    let schemas = schemas(&[("r1", &["a", "b"]), ("r2", &["b"])]);
     let mut databases = 0;
     for catalog in databases_over(&spaces(&plan, &schemas)) {
         let ctx = RewriteContext::with_catalog(&catalog);
@@ -361,4 +401,99 @@ fn example1_dividend_b_selection() {
         databases += 1;
     }
     assert_eq!(databases, 64);
+}
+
+/// Law 2's preconditions over the `law02` databases: `c2 ⇒ c1`; where `c1`
+/// holds the split `(low ÷ r2) ∪ (high ÷ r2)` is the union's quotient, and
+/// where it fails the split still lies within it. The rule tests `c2` and
+/// falls back to `c1`, so it fires wherever `c1` holds (the `law02` pin).
+#[test]
+fn law2_preconditions() {
+    let case = laws::find("law02").expect("law02");
+    let r2 = PlanBuilder::scan("r2");
+    let split = (PlanBuilder::scan("low").divide(r2.clone()))
+        .union(PlanBuilder::scan("high").divide(r2))
+        .build();
+    let (mut databases, mut c1s, mut c2s) = (0, 0, 0);
+    for catalog in databases_over(&spaces(&case.plan, &case.catalog())) {
+        let table = |name| catalog.table(name).expect("enumerated");
+        let (low, high, r2) = (table("low"), table("high"), table("r2"));
+        let c1 = preconditions::c1(low, high, r2).unwrap();
+        let c2 = preconditions::c2(low, high, r2).unwrap();
+        let whole = evaluate(&case.plan, &catalog).unwrap();
+        let split = evaluate(&split, &catalog).unwrap();
+        let database = render(&catalog);
+        assert!(c1 || !c2, "c2 without c1 on\n{database}");
+        if c1 {
+            assert_eq!(split, whole, "c1 holds on\n{database}");
+        } else {
+            assert!(split.is_subset_of(&whole).unwrap(), "on\n{database}");
+        }
+        databases += 1;
+        c1s += usize::from(c1);
+        c2s += usize::from(c2);
+    }
+    assert_eq!((databases, c1s, c2s), (1024, 964, 196));
+}
+
+/// The partitioner the optimizer's Law 2 path uses: where it splits
+/// `r1 ÷ r2` (two distinct `a` values or more), its two branches satisfy
+/// `c2` by construction.
+#[test]
+fn law2_hash_partitioning_always_satisfies_c2() {
+    let (r1, r2) = (
+        PlanBuilder::scan("r1").build(),
+        PlanBuilder::scan("r2").build(),
+    );
+    let plan = PlanBuilder::scan("r1")
+        .divide(PlanBuilder::scan("r2"))
+        .build();
+    let schemas = schemas(&[("r1", &["a", "b"]), ("r2", &["b"])]);
+    let (mut databases, mut splits) = (0, 0);
+    for catalog in databases_over(&spaces(&plan, &schemas)) {
+        databases += 1;
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let Some(partitioned) = partition_dividend_for_law2(&r1, &r2, 2, &ctx).unwrap() else {
+            continue;
+        };
+        let LogicalPlan::SmallDivide { dividend, .. } = partitioned else {
+            panic!("the partitioner divides, got {partitioned}");
+        };
+        let LogicalPlan::Union { left, right } = *dividend else {
+            panic!("two partitions are one union, got {dividend}");
+        };
+        let (left, right) = (evaluate(&left, &catalog), evaluate(&right, &catalog));
+        let divisor = catalog.table("r2").unwrap();
+        assert!(
+            preconditions::c2(&left.unwrap(), &right.unwrap(), divisor).unwrap(),
+            "on the database\n{}",
+            render(&catalog)
+        );
+        splits += 1;
+    }
+    assert_eq!((databases, splits), (64, 36));
+}
+
+/// `optimize` on `σ_{a>2}(σ_{c=2}(r1 ÷* r2))`, which no registry shape
+/// has: two selections for Laws 15 and 14 to push down one after the other.
+#[test]
+fn optimizer_preserves_great_divide_semantics() {
+    let plan = PlanBuilder::scan("r1")
+        .great_divide(PlanBuilder::scan("r2"))
+        .select(Predicate::eq_value("c", 2))
+        .select(Predicate::cmp_value("a", CompareOp::Gt, 2))
+        .build();
+    let schemas = schemas(&[("r1", &["a", "b"]), ("r2", &["b", "c"])]);
+    let mut traces: BTreeMap<Vec<String>, usize> = BTreeMap::new();
+    for catalog in databases_over(&spaces(&plan, &schemas)) {
+        let expected = evaluate(&plan, &catalog).unwrap();
+        let applied = optimize(&plan, &RewriteContext::with_catalog(&catalog), &expected);
+        *traces.entry(applied).or_default() += 1;
+    }
+    let law14_15 = [
+        "law-15-great-selection-pushdown-group",
+        "law-14-great-selection-pushdown-quotient",
+    ];
+    let expected = BTreeMap::from([(vec![], 16), (law14_15.map(String::from).to_vec(), 240)]);
+    assert_eq!(traces, expected);
 }
