@@ -111,7 +111,7 @@ fn select_tables() -> Vec<(&'static str, Relation)> {
     ]
 }
 
-/// The set-operation catalog of Laws 5–7.
+/// The set-operation catalog of the Law 5–7 unit tests.
 fn set_ops_tables() -> Vec<(&'static str, Relation)> {
     vec![
         (

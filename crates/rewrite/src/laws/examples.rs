@@ -298,6 +298,7 @@ mod tests {
             },
         );
         c.register("r2", relation! { ["b"] => [1], [3], [4] });
+        c.register("r2_small", relation! { ["b"] => [1], [2] });
         c
     }
 
@@ -316,6 +317,53 @@ mod tests {
         c.register("r_star_star", relation! { ["b2"] => [1], [2], [4] });
         c.register("r2", relation! { ["b1", "b2"] => [1, 4], [3, 4] });
         c
+    }
+
+    #[test]
+    fn example1_reproduces_figure_6() {
+        let catalog = figure6_catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let dividend = PlanBuilder::scan("r1").build();
+        let divisor = PlanBuilder::scan("r2").build();
+        let p = Predicate::cmp_value("b", CompareOp::Lt, 3);
+
+        let original = LogicalPlan::SmallDivide {
+            dividend: Box::new(LogicalPlan::Select {
+                input: Box::new(dividend.clone()),
+                predicate: p.clone(),
+            }),
+            divisor: Box::new(divisor.clone()),
+        };
+        let rewritten = example1_rewrite(&dividend, &p, &divisor, &ctx)
+            .unwrap()
+            .expect("example 1 should apply");
+        // Figure 6(e)/(i): both sides are empty because σ_{b≥3}(r2) ≠ ∅.
+        assert!(evaluate(&original, &catalog).unwrap().is_empty());
+        assert!(evaluate(&rewritten, &catalog).unwrap().is_empty());
+    }
+
+    #[test]
+    fn example1_nonempty_case() {
+        // With divisor {1, 2} the negated selection is empty and the rewrite
+        // must agree with the original non-empty quotient.
+        let catalog = figure6_catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let dividend = PlanBuilder::scan("r1").build();
+        let divisor = PlanBuilder::scan("r2_small").build();
+        let p = Predicate::cmp_value("b", CompareOp::Lt, 3);
+        let original = LogicalPlan::SmallDivide {
+            dividend: Box::new(LogicalPlan::Select {
+                input: Box::new(dividend.clone()),
+                predicate: p.clone(),
+            }),
+            divisor: Box::new(divisor.clone()),
+        };
+        let rewritten = example1_rewrite(&dividend, &p, &divisor, &ctx)
+            .unwrap()
+            .unwrap();
+        let expected = relation! { ["a"] => [2] };
+        assert_eq!(evaluate(&original, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
     }
 
     #[test]

@@ -313,7 +313,7 @@ mod tests {
     use div_algebra::{relation, Predicate};
     use div_expr::{evaluate, Catalog, PlanBuilder};
 
-    /// Figure 2 data plus the outer relation of Example 4.
+    /// Figure 2 data plus the extra relations used by the great-divide laws.
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         c.register(
@@ -329,8 +329,83 @@ mod tests {
             "r2",
             relation! { ["b", "c"] => [1, 1], [2, 1], [4, 1], [1, 2], [3, 2] },
         );
+        c.register("r2_c1", relation! { ["b", "c"] => [1, 1], [2, 1], [4, 1] });
+        c.register("r2_c2", relation! { ["b", "c"] => [1, 2], [3, 2] });
+        c.register("r2_c_overlap", relation! { ["b", "c"] => [1, 1], [3, 1] });
         c.register("outer", relation! { ["a1"] => [2], [99] });
+        c.register("factor", relation! { ["d"] => [10], [20] });
         c
+    }
+
+    #[test]
+    fn law13_splits_divisor_partitions_with_disjoint_groups() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .great_divide(PlanBuilder::scan("r2_c1").union(PlanBuilder::scan("r2_c2")))
+            .build();
+        let rewritten = Law13DivisorUnionSplit
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 13 should apply");
+        assert!(matches!(rewritten, LogicalPlan::Union { .. }));
+        // Both sides produce Figure 2(c).
+        let expected = relation! { ["a", "c"] => [2, 1], [2, 2], [3, 2] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
+    }
+
+    #[test]
+    fn law13_declines_when_group_values_overlap() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .great_divide(PlanBuilder::scan("r2_c1").union(PlanBuilder::scan("r2_c_overlap")))
+            .build();
+        assert!(Law13DivisorUnionSplit.apply(&plan, &ctx).unwrap().is_none());
+    }
+
+    #[test]
+    fn law14_pushes_quotient_filter_into_dividend() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .great_divide(PlanBuilder::scan("r2"))
+            .select(Predicate::eq_value("a", 2))
+            .build();
+        let rewritten = Law14SelectionPushdownQuotient
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 14 should apply");
+        assert!(matches!(rewritten, LogicalPlan::GreatDivide { .. }));
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
+    }
+
+    #[test]
+    fn law15_pushes_group_filter_into_divisor() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .great_divide(PlanBuilder::scan("r2"))
+            .select(Predicate::eq_value("c", 2))
+            .build();
+        let rewritten = Law15SelectionPushdownGroup
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 15 should apply");
+        match &rewritten {
+            LogicalPlan::GreatDivide { divisor, .. } => {
+                assert!(matches!(divisor.as_ref(), LogicalPlan::Select { .. }));
+            }
+            other => panic!("unexpected rewrite {other:?}"),
+        }
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
     }
 
     #[test]
@@ -374,6 +449,50 @@ mod tests {
             .apply(&rewritten, &ctx)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn law17_pushes_division_into_product_factor() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("factor")
+            .product(PlanBuilder::scan("r1"))
+            .great_divide(PlanBuilder::scan("r2"))
+            .build();
+        let rewritten = Law17ProductPushthrough
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 17 should apply");
+        assert!(matches!(rewritten, LogicalPlan::Product { .. }));
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
+    }
+
+    #[test]
+    fn example4_pushes_selective_join_into_dividend() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("outer")
+            .theta_join(
+                PlanBuilder::scan("r1").great_divide(PlanBuilder::scan("r2")),
+                Predicate::eq_attrs("a1", "a"),
+            )
+            .build();
+        let rewritten = Example4JoinPushIn
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("example 4 should apply");
+        match &rewritten {
+            LogicalPlan::GreatDivide { dividend, .. } => {
+                assert!(matches!(dividend.as_ref(), LogicalPlan::ThetaJoin { .. }));
+            }
+            other => panic!("unexpected rewrite {other:?}"),
+        }
+        let expected = relation! { ["a1", "a", "c"] => [2, 2, 1], [2, 2, 2] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
     }
 
     #[test]

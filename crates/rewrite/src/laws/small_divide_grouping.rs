@@ -207,9 +207,9 @@ fn empty_quotient(
 mod tests {
     use super::*;
     use div_algebra::{relation, AggregateCall};
-    use div_expr::{Catalog, PlanBuilder};
+    use div_expr::{evaluate, Catalog, PlanBuilder};
 
-    /// Figure 10 base data.
+    /// Figure 10 / Figure 11 base data.
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
         c.register(
@@ -222,11 +222,73 @@ mod tests {
             },
         );
         c.register("r2_fig10", relation! { ["b"] => [4] });
+        c.register("r2_two", relation! { ["b"] => [4], [6] });
+        c.register("r2_empty", relation! { ["b"] => });
+        c.register(
+            "r0_fig11",
+            relation! {
+                ["x", "b"] =>
+                [1, 1], [1, 2], [1, 3],
+                [2, 1], [2, 3],
+                [3, 1], [3, 3], [3, 4],
+            },
+        );
+        c.register("r2_fig11", relation! { ["b"] => [1], [3] });
+        c.register("r2_fig11_bad", relation! { ["b"] => [1], [9] });
+        c.register("r2_fig11_mixed", relation! { ["b"] => [1], [2] });
         c
     }
 
     fn figure10_dividend() -> PlanBuilder {
         PlanBuilder::scan("r0_fig10").group_aggregate(["a"], [AggregateCall::sum("x", "b")])
+    }
+
+    fn figure11_dividend() -> PlanBuilder {
+        PlanBuilder::scan("r0_fig11").group_aggregate(["b"], [AggregateCall::sum("x", "a")])
+    }
+
+    #[test]
+    fn law11_single_tuple_divisor_becomes_semi_join() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = figure10_dividend()
+            .divide(PlanBuilder::scan("r2_fig10"))
+            .build();
+        let rewritten = Law11SingleTupleGroups
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 11 should apply");
+        // Figure 10(e): quotient = {2}.
+        let expected = relation! { ["a"] => [2] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
+        assert!(!rewritten.contains_division());
+    }
+
+    #[test]
+    fn law11_empty_divisor_keeps_all_groups() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = figure10_dividend()
+            .divide(PlanBuilder::scan("r2_empty"))
+            .build();
+        let rewritten = Law11SingleTupleGroups.apply(&plan, &ctx).unwrap().unwrap();
+        let expected = relation! { ["a"] => [1], [2], [3] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
+    }
+
+    #[test]
+    fn law11_multi_tuple_divisor_is_empty() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = figure10_dividend()
+            .divide(PlanBuilder::scan("r2_two"))
+            .build();
+        let rewritten = Law11SingleTupleGroups.apply(&plan, &ctx).unwrap().unwrap();
+        assert!(evaluate(&plan, &catalog).unwrap().is_empty());
+        assert!(evaluate(&rewritten, &catalog).unwrap().is_empty());
+        assert!(matches!(rewritten, LogicalPlan::Values { .. }));
     }
 
     #[test]
@@ -248,6 +310,55 @@ mod tests {
             .build();
         assert!(Law11SingleTupleGroups
             .apply(&plain, &ctx)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn law12_matches_figure_11() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = figure11_dividend()
+            .divide(PlanBuilder::scan("r2_fig11"))
+            .build();
+        let rewritten = Law12SingleTupleDivisorGroups
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 12 should apply");
+        // Figure 11(e): quotient = {6}.
+        let expected = relation! { ["a"] => [6] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
+        assert!(!rewritten.contains_division());
+    }
+
+    #[test]
+    fn law12_empty_when_quotient_candidates_disagree() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        // Divisor {1, 2}: group b=1 has a=6, group b=2 has a=1 — no single
+        // a value covers both, so the quotient is empty.
+        let plan = figure11_dividend()
+            .divide(PlanBuilder::scan("r2_fig11_mixed"))
+            .build();
+        let rewritten = Law12SingleTupleDivisorGroups
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 12 should apply");
+        assert!(evaluate(&plan, &catalog).unwrap().is_empty());
+        assert!(evaluate(&rewritten, &catalog).unwrap().is_empty());
+    }
+
+    #[test]
+    fn law12_declines_without_foreign_key() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        // Divisor value 9 does not reference any dividend group.
+        let plan = figure11_dividend()
+            .divide(PlanBuilder::scan("r2_fig11_bad"))
+            .build();
+        assert!(Law12SingleTupleDivisorGroups
+            .apply(&plan, &ctx)
             .unwrap()
             .is_none());
     }

@@ -64,7 +64,7 @@ impl RewriteRule for Law10SemiJoinCommute {
 mod tests {
     use super::*;
     use div_algebra::relation;
-    use div_expr::{Catalog, PlanBuilder};
+    use div_expr::{evaluate, Catalog, PlanBuilder};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -82,6 +82,30 @@ mod tests {
         c.register("r3", relation! { ["a"] => [3], [4], [99] });
         c.register("r3_other", relation! { ["z"] => [3] });
         c
+    }
+
+    #[test]
+    fn law10_commutes_semi_join_below_division() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2"))
+            .semi_join(PlanBuilder::scan("r3"))
+            .build();
+        let rewritten = Law10SemiJoinCommute
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 10 should apply");
+        match &rewritten {
+            LogicalPlan::SmallDivide { dividend, .. } => {
+                assert!(matches!(dividend.as_ref(), LogicalPlan::SemiJoin { .. }));
+            }
+            other => panic!("unexpected rewrite {other:?}"),
+        }
+        // (r1 ÷ r2) ⋉ r3 = {2, 3, 4} ⋉ {3, 4, 99} = {3, 4}.
+        let expected = relation! { ["a"] => [3], [4] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
     }
 
     #[test]
@@ -103,5 +127,16 @@ mod tests {
             .semi_join(PlanBuilder::scan("r3"))
             .build();
         assert!(Law10SemiJoinCommute.apply(&plan, &ctx).unwrap().is_none());
+    }
+
+    #[test]
+    fn law10_works_without_data_access() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_metadata_only(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2"))
+            .semi_join(PlanBuilder::scan("r3"))
+            .build();
+        assert!(Law10SemiJoinCommute.apply(&plan, &ctx).unwrap().is_some());
     }
 }

@@ -222,11 +222,24 @@ impl RewriteRule for Example2CommonFactorElimination {
 mod tests {
     use super::*;
     use div_algebra::relation;
-    use div_expr::{Catalog, PlanBuilder};
+    use div_expr::{evaluate, Catalog, PlanBuilder};
 
-    /// Figure 8 data (Law 9).
+    /// Figure 7 data (Law 8) and Figure 8 data (Law 9).
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
+        // Figure 7.
+        c.register("r_star_7", relation! { ["a1"] => [1], [2] });
+        c.register(
+            "r_star_star_7",
+            relation! {
+                ["a2", "b"] =>
+                [1, 1], [1, 2], [1, 3],
+                [2, 1], [2, 3],
+                [3, 2], [3, 3],
+            },
+        );
+        c.register("r2_7", relation! { ["b"] => [2], [3] });
+        // Figure 8.
         c.register(
             "r_star_8",
             relation! {
@@ -242,6 +255,25 @@ mod tests {
     }
 
     #[test]
+    fn law8_pushes_division_into_the_product_factor() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r_star_7")
+            .product(PlanBuilder::scan("r_star_star_7"))
+            .divide(PlanBuilder::scan("r2_7"))
+            .build();
+        let rewritten = Law8ProductPushthrough
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 8 should apply");
+        assert!(matches!(rewritten, LogicalPlan::Product { .. }));
+        // Figure 7(f): the result is {1, 2} × {1, 3}.
+        let expected = relation! { ["a1", "a2"] => [1, 1], [1, 3], [2, 1], [2, 3] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
+    }
+
+    #[test]
     fn law8_declines_when_divisor_spans_both_factors() {
         let catalog = catalog();
         let ctx = RewriteContext::with_catalog(&catalog);
@@ -251,6 +283,32 @@ mod tests {
             .divide(PlanBuilder::scan("r2_8"))
             .build();
         assert!(Law8ProductPushthrough.apply(&plan, &ctx).unwrap().is_none());
+    }
+
+    #[test]
+    fn law9_eliminates_the_product_and_projects_the_divisor() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r_star_8")
+            .product(PlanBuilder::scan("r_star_star_8"))
+            .divide(PlanBuilder::scan("r2_8"))
+            .build();
+        let rewritten = Law9ProductElimination
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 9 should apply");
+        // The rewritten dividend no longer contains the product.
+        match &rewritten {
+            LogicalPlan::SmallDivide { dividend, divisor } => {
+                assert!(matches!(dividend.as_ref(), LogicalPlan::Scan { .. }));
+                assert!(matches!(divisor.as_ref(), LogicalPlan::Project { .. }));
+            }
+            other => panic!("unexpected rewrite {other:?}"),
+        }
+        // Figure 8(g): r3 = {1, 3}.
+        let expected = relation! { ["a"] => [1], [3] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
     }
 
     #[test]
@@ -265,5 +323,62 @@ mod tests {
             .divide(PlanBuilder::scan("r2_8"))
             .build();
         assert!(Law9ProductElimination.apply(&plan, &ctx).unwrap().is_some());
+    }
+
+    #[test]
+    fn law9_declines_when_projection_not_contained() {
+        let mut catalog = catalog();
+        // Divisor contains b2 = 9, which r**1 does not.
+        catalog.register("r2_bad", relation! { ["b1", "b2"] => [1, 9] });
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r_star_8")
+            .product(PlanBuilder::scan("r_star_star_8"))
+            .divide(PlanBuilder::scan("r2_bad"))
+            .build();
+        assert!(Law9ProductElimination.apply(&plan, &ctx).unwrap().is_none());
+    }
+
+    #[test]
+    fn example2_cancels_the_common_factor() {
+        let mut catalog = Catalog::new();
+        catalog.register("r1", relation! { ["a", "b1"] => [1, 1], [1, 2], [2, 1] });
+        catalog.register("r2", relation! { ["b1"] => [1], [2] });
+        catalog.register("s", relation! { ["b2"] => [7], [8] });
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .product(PlanBuilder::scan("s"))
+            .divide(PlanBuilder::scan("r2").product(PlanBuilder::scan("s")))
+            .build();
+        let rewritten = Example2CommonFactorElimination
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("example 2 should apply");
+        let expected = relation! { ["a"] => [1] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
+        // The cancelled plan is exactly r1 ÷ r2.
+        assert_eq!(
+            rewritten,
+            PlanBuilder::scan("r1")
+                .divide(PlanBuilder::scan("r2"))
+                .build()
+        );
+    }
+
+    #[test]
+    fn example2_declines_for_empty_shared_factor() {
+        let mut catalog = Catalog::new();
+        catalog.register("r1", relation! { ["a", "b1"] => [1, 1] });
+        catalog.register("r2", relation! { ["b1"] => [1] });
+        catalog.register("s", relation! { ["b2"] => });
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .product(PlanBuilder::scan("s"))
+            .divide(PlanBuilder::scan("r2").product(PlanBuilder::scan("s")))
+            .build();
+        assert!(Example2CommonFactorElimination
+            .apply(&plan, &ctx)
+            .unwrap()
+            .is_none());
     }
 }

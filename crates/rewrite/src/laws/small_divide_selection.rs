@@ -117,8 +117,8 @@ impl RewriteRule for Law4DivisorSelectionReplication {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_algebra::{relation, Predicate};
-    use div_expr::{Catalog, PlanBuilder};
+    use div_algebra::{relation, CompareOp, Predicate};
+    use div_expr::{evaluate, Catalog, PlanBuilder};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -137,6 +137,26 @@ mod tests {
     }
 
     #[test]
+    fn law3_pushes_quotient_selection_into_dividend() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2"))
+            .select(Predicate::cmp_value("a", CompareOp::Gt, 2))
+            .build();
+        let rewritten = Law3SelectionPushdown
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 3 should apply");
+        // Division is now the root; the selection moved below it.
+        assert!(matches!(rewritten, LogicalPlan::SmallDivide { .. }));
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
+    }
+
+    #[test]
     fn law3_declines_for_divisor_attribute_predicates() {
         let catalog = catalog();
         let ctx = RewriteContext::with_catalog(&catalog);
@@ -147,6 +167,40 @@ mod tests {
             .select(Predicate::eq_value("b", 1))
             .build();
         assert!(Law3SelectionPushdown.apply(&plan, &ctx).unwrap().is_none());
+    }
+
+    #[test]
+    fn law3_works_without_data_access() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_metadata_only(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2"))
+            .select(Predicate::eq_value("a", 2))
+            .build();
+        assert!(Law3SelectionPushdown.apply(&plan, &ctx).unwrap().is_some());
+    }
+
+    #[test]
+    fn law4_replicates_divisor_selection_to_dividend() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2").select(Predicate::cmp_value("b", CompareOp::Lt, 3)))
+            .build();
+        let rewritten = Law4DivisorSelectionReplication
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 4 should apply");
+        match &rewritten {
+            LogicalPlan::SmallDivide { dividend, .. } => {
+                assert!(matches!(dividend.as_ref(), LogicalPlan::Select { .. }));
+            }
+            other => panic!("unexpected rewrite {other:?}"),
+        }
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
     }
 
     #[test]

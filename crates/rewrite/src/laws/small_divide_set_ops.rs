@@ -201,7 +201,7 @@ impl RewriteRule for Law7DisjointDifference {
 mod tests {
     use super::*;
     use div_algebra::{relation, CompareOp, Predicate};
-    use div_expr::{Catalog, PlanBuilder};
+    use div_expr::{evaluate, Catalog, PlanBuilder};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -218,6 +218,56 @@ mod tests {
         );
         c.register("r2", relation! { ["b"] => [1], [3] });
         c
+    }
+
+    #[test]
+    fn law5_splits_intersection_dividends() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let lhs = PlanBuilder::scan("r1").select(Predicate::cmp_value("a", CompareOp::LtEq, 5));
+        let rhs = PlanBuilder::scan("r1").select(Predicate::cmp_value("b", CompareOp::LtEq, 3));
+        let plan = lhs.intersect(rhs).divide(PlanBuilder::scan("r2")).build();
+        let rewritten = Law5IntersectionSplit
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 5 should apply");
+        assert!(matches!(rewritten, LogicalPlan::Intersect { .. }));
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
+    }
+
+    #[test]
+    fn law6_splits_nested_selections_syntactically() {
+        let catalog = catalog();
+        // The syntactic implication (p'' = p' ∧ …) establishes the
+        // containment; only the empty-divisor check reads the data, so
+        // without data access the rule declines.
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let p_prime = Predicate::cmp_value("a", CompareOp::Gt, 1);
+        let p_double = p_prime
+            .clone()
+            .and(Predicate::cmp_value("a", CompareOp::Gt, 9));
+        let plan = PlanBuilder::scan("r1")
+            .select(p_prime)
+            .difference(PlanBuilder::scan("r1").select(p_double))
+            .divide(PlanBuilder::scan("r2"))
+            .build();
+        let rewritten = Law6DifferenceSplit
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 6 should apply");
+        assert!(matches!(rewritten, LogicalPlan::Difference { .. }));
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
+        let meta_ctx = RewriteContext::with_metadata_only(&catalog);
+        assert!(Law6DifferenceSplit
+            .apply(&plan, &meta_ctx)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -255,6 +305,30 @@ mod tests {
             .divide(PlanBuilder::scan("r2"))
             .build();
         assert!(Law6DifferenceSplit.apply(&plan, &ctx).unwrap().is_none());
+    }
+
+    #[test]
+    fn law7_skips_the_second_division() {
+        let catalog = catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        // The paper's example: σ_{a≤10}(r1) ÷ r2 − σ_{a>10}(r1) ÷ r2.
+        let low = PlanBuilder::scan("r1").select(Predicate::cmp_value("a", CompareOp::LtEq, 10));
+        let high = PlanBuilder::scan("r1").select(Predicate::cmp_value("a", CompareOp::Gt, 10));
+        let plan = low
+            .clone()
+            .divide(PlanBuilder::scan("r2"))
+            .difference(high.divide(PlanBuilder::scan("r2")))
+            .build();
+        let rewritten = Law7DisjointDifference
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 7 should apply");
+        // The rewritten plan is just the left division.
+        assert!(matches!(rewritten, LogicalPlan::SmallDivide { .. }));
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
     }
 
     #[test]

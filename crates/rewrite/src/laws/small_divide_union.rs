@@ -201,7 +201,28 @@ mod tests {
             },
         );
         c.register("r2_prime", relation! { ["b"] => [1], [3] });
+        c.register("r2_double", relation! { ["b"] => [3], [4] });
         c
+    }
+
+    #[test]
+    fn law1_rewrites_divisor_union_and_preserves_result() {
+        let catalog = figure4_catalog();
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .divide(PlanBuilder::scan("r2_prime").union(PlanBuilder::scan("r2_double")))
+            .build();
+        let rewritten = Law1DivisorUnionToPipeline
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 1 should apply");
+        // The rewritten plan is the right-hand side of Law 1 ...
+        assert!(matches!(rewritten, LogicalPlan::SmallDivide { .. }));
+        assert_eq!(rewritten.node_count(), 7);
+        // ... and both sides evaluate to Figure 4(g): {2, 3}.
+        let expected = relation! { ["a"] => [2], [3] };
+        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
+        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
     }
 
     #[test]
@@ -215,6 +236,63 @@ mod tests {
             .apply(&plan, &ctx)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn law2_applies_when_c2_holds() {
+        let mut catalog = Catalog::new();
+        catalog.register("low", relation! { ["a", "b"] => [1, 1], [1, 3], [2, 1] });
+        catalog.register("high", relation! { ["a", "b"] => [3, 1], [3, 3] });
+        catalog.register("r2", relation! { ["b"] => [1], [3] });
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("low")
+            .union(PlanBuilder::scan("high"))
+            .divide(PlanBuilder::scan("r2"))
+            .build();
+        let rewritten = Law2DividendUnionSplit
+            .apply(&plan, &ctx)
+            .unwrap()
+            .expect("law 2 should apply");
+        assert!(matches!(rewritten, LogicalPlan::Union { .. }));
+        assert_eq!(
+            evaluate(&rewritten, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
+    }
+
+    #[test]
+    fn law2_declines_on_figure_5_partitions() {
+        // Figure 5: the precondition is violated, the rule must not fire.
+        let mut catalog = Catalog::new();
+        catalog.register("p1", relation! { ["a", "b"] => [1, 1], [1, 2], [1, 3] });
+        catalog.register("p2", relation! { ["a", "b"] => [1, 2], [1, 4] });
+        catalog.register("r2", relation! { ["b"] => [1], [4] });
+        let ctx = RewriteContext::with_catalog(&catalog);
+        let plan = PlanBuilder::scan("p1")
+            .union(PlanBuilder::scan("p2"))
+            .divide(PlanBuilder::scan("r2"))
+            .build();
+        assert!(Law2DividendUnionSplit.apply(&plan, &ctx).unwrap().is_none());
+        // Sanity: splitting would indeed change the result.
+        let wrong = PlanBuilder::scan("p1")
+            .divide(PlanBuilder::scan("r2"))
+            .union(PlanBuilder::scan("p2").divide(PlanBuilder::scan("r2")))
+            .build();
+        assert_ne!(
+            evaluate(&wrong, &catalog).unwrap(),
+            evaluate(&plan, &catalog).unwrap()
+        );
+    }
+
+    #[test]
+    fn law2_requires_data_access() {
+        let catalog = figure4_catalog();
+        let ctx = RewriteContext::with_metadata_only(&catalog);
+        let plan = PlanBuilder::scan("r1")
+            .union(PlanBuilder::scan("r1"))
+            .divide(PlanBuilder::scan("r2_prime"))
+            .build();
+        assert!(Law2DividendUnionSplit.apply(&plan, &ctx).unwrap().is_none());
     }
 
     #[test]

@@ -14,7 +14,8 @@ use std::sync::Arc;
 /// it does not; it must only return a plan that is equivalent to the input on
 /// every database satisfying the rule's preconditions — `tests/law_small_scope.rs`
 /// checks exactly this on every small database of each rule's registry shape,
-/// and `tests/mutants.toml` lists the broken rules it must catch.
+/// the property tests in `tests/law_properties.rs` on random ones, and
+/// `tests/mutants.toml` lists the broken rules they must catch.
 pub trait RewriteRule: Send + Sync {
     /// Stable machine-readable name, e.g. `"law-03-selection-pushdown"`.
     fn name(&self) -> &'static str;

@@ -1,16 +1,15 @@
-//! Property-based tests of every law in the paper.
+//! Property-based tests of the laws in the paper, on random relations.
 //!
 //! Each property generates random relations (small integer domains keep the
 //! group structure interesting), enforces the law's precondition *by
 //! construction* where one is required, and checks that the left- and
-//! right-hand sides of the equivalence produce identical relations. Where the
-//! paper exhibits a precondition violation (Law 2 / Figure 5) the test also
-//! checks that the violating cases are exactly the ones condition `c1`
-//! rejects. No case is skipped: the one data condition under which laws
-//! fail, Laws 4–6 on an empty divisor, is named in
-//! [`law_unless_empty_divisor`], which checks `r ÷ ∅ = π_A(r)` there.
+//! right-hand sides of the equivalence produce identical relations. Law 2's
+//! preconditions and partitioner are checked over every small database in
+//! `tests/law_small_scope.rs`, which also checks every rule exhaustively; these
+//! random catalogs are larger than its databases. No case is skipped: the one
+//! data condition under which laws fail, Laws 4–6 on an empty divisor, is
+//! named in [`law_unless_empty_divisor`], which checks `r ÷ ∅ = π_A(r)` there.
 
-use div_rewrite::laws::small_divide_union::partition_dividend_for_law2;
 use div_rewrite::preconditions;
 use division::prelude::*;
 use proptest::prelude::*;
@@ -83,62 +82,6 @@ proptest! {
         let inner = r1.divide(&r2_prime).unwrap();
         let rhs = r1.semi_join(&inner).unwrap().divide(&r2_double).unwrap();
         prop_assert_eq!(lhs, rhs);
-    }
-
-    /// Law 2 holds whenever condition c1 holds; c2 implies c1.
-    #[test]
-    fn law2_dividend_union(p1 in ab_pairs(20), p2 in ab_pairs(20), d in b_values(5)) {
-        let r1_prime = rel_ab(&p1);
-        let r1_double = rel_ab(&p2);
-        let r2 = rel_b(&d);
-        let c1 = preconditions::c1(&r1_prime, &r1_double, &r2).unwrap();
-        let c2 = preconditions::c2(&r1_prime, &r1_double, &r2).unwrap();
-        // c2 is the stricter condition.
-        if c2 {
-            prop_assert!(c1);
-        }
-        let lhs = r1_prime.union(&r1_double).unwrap().divide(&r2).unwrap();
-        let rhs = r1_prime
-            .divide(&r2)
-            .unwrap()
-            .union(&r1_double.divide(&r2).unwrap())
-            .unwrap();
-        if c1 {
-            prop_assert_eq!(lhs, rhs);
-        } else {
-            // When c1 fails the two sides may differ, but the right-hand side
-            // is always a subset of the left (splitting can only lose
-            // quotients, never invent them).
-            prop_assert!(rhs.is_subset_of(&lhs).unwrap());
-        }
-    }
-
-    /// Law 2 under the partitioner the optimizer runs: the dividend
-    /// branches `partition_dividend_for_law2` builds (ranges of A) satisfy
-    /// c2 by construction.
-    #[test]
-    fn law2_hash_partitioning_always_satisfies_c2(r1 in ab_pairs(30), d in b_values(5)) {
-        let mut catalog = Catalog::new();
-        catalog.register("r1", rel_ab(&r1));
-        catalog.register("r2", rel_b(&d));
-        let ctx = RewriteContext::with_catalog(&catalog);
-        let partitioned = partition_dividend_for_law2(
-            &PlanBuilder::scan("r1").build(),
-            &PlanBuilder::scan("r2").build(),
-            2,
-            &ctx,
-        )
-        .unwrap();
-        // Fewer distinct A values than partitions leave nothing to split.
-        if let Some(LogicalPlan::SmallDivide { dividend, .. }) = partitioned {
-            let LogicalPlan::Union { left, right } = *dividend else {
-                panic!("two partitions are one union, got {dividend}");
-            };
-            let left = evaluate(&left, &catalog).unwrap();
-            let right = evaluate(&right, &catalog).unwrap();
-            let r2 = catalog.table("r2").unwrap();
-            prop_assert!(preconditions::c2(&left, &right, r2).unwrap());
-        }
     }
 }
 
@@ -562,23 +505,6 @@ proptest! {
         let plan = PlanBuilder::scan("r1")
             .divide(PlanBuilder::scan("r2"))
             .select(Predicate::cmp_value("a", CompareOp::Lt, k))
-            .build();
-        assert_optimizer_preserves(&plan, &catalog);
-    }
-
-    #[test]
-    fn optimizer_preserves_great_divide_semantics(
-        r1 in ab_pairs(30),
-        d in bc_pairs(10),
-        k in 0..4i64,
-    ) {
-        let mut catalog = Catalog::new();
-        catalog.register("r1", rel_ab(&r1));
-        catalog.register("r2", rel_bc(&d));
-        let plan = PlanBuilder::scan("r1")
-            .great_divide(PlanBuilder::scan("r2"))
-            .select(Predicate::cmp_value("c", CompareOp::Lt, k))
-            .select(Predicate::cmp_value("a", CompareOp::Gt, 0))
             .build();
         assert_optimizer_preserves(&plan, &catalog);
     }

@@ -26,8 +26,10 @@
 //! The tests at the end enumerate databases the same way for what has no
 //! registry shape: Example 1's plan constructor, Law 2's preconditions `c1`
 //! and `c2` and its partitioner, and `optimize` on a great divide under two
-//! selections. `tests/mutants.toml` lists the broken rules and preconditions
-//! this file must catch (`scripts/mutation_check.py` runs it).
+//! selections. `tests/law_properties.rs` checks each law's equation on
+//! random catalogs larger than the enumeration. `tests/mutants.toml` lists
+//! the broken rules and preconditions this file must catch
+//! (`scripts/mutation_check.py` runs it).
 
 use div_conformance::laws;
 use div_conformance::oracle::{self, Catalogs};
