@@ -10,7 +10,8 @@
 //! * the basic operators — union, intersection, difference, Cartesian product,
 //!   projection, selection,
 //! * the derived join family — theta-join, natural join, left semi-join,
-//!   left anti-semi-join, left outer join,
+//!   left anti-semi-join (the left outer join, which no law uses, is left
+//!   out),
 //! * grouping with aggregation,
 //! * **small divide** (`÷`, Codd's relational division) in all three textbook
 //!   formulations (Codd, Healy, Maier),

@@ -1,7 +1,7 @@
-//! The join family: theta-join, natural join, left semi-join, left
-//! anti-semi-join and left outer join (Appendix A of the paper).
+//! The join family: theta-join, natural join, left semi-join and left
+//! anti-semi-join (Appendix A of the paper).
 
-use crate::{Predicate, Relation, Result, Tuple, Value};
+use crate::{Predicate, Relation, Result};
 
 impl Relation {
     /// Theta-join `r1 ⋈_θ r2 = σ_θ(r1 × r2)`.
@@ -64,20 +64,6 @@ impl Relation {
     /// Left anti-semi-join `r1 ▷ r2 = r1 − (r1 ⋉ r2)`.
     pub fn anti_semi_join(&self, other: &Relation) -> Result<Relation> {
         self.difference(&self.semi_join(other)?)
-    }
-
-    /// Left outer join `r1 ⟕ r2 = (r1 ⋈ r2) ∪ ((r1 ▷ r2) × (NULL, …, NULL))`,
-    /// padding dangling `r1` tuples with NULLs for `r2`'s extra attributes.
-    pub fn left_outer_join(&self, other: &Relation) -> Result<Relation> {
-        let joined = self.natural_join(other)?;
-        let dangling = self.anti_semi_join(other)?;
-        let extra_count = joined.schema().arity() - self.schema().arity();
-        let mut out = joined;
-        for t in dangling.tuples() {
-            let padded = t.concat(&Tuple::new(vec![Value::Null; extra_count]));
-            out.insert(padded)?;
-        }
-        Ok(out)
     }
 }
 
@@ -171,16 +157,6 @@ mod tests {
         assert_eq!(semi.union(&anti).unwrap(), r1);
         assert!(semi.intersect(&anti).unwrap().is_empty());
         assert_eq!(anti.len(), 2);
-    }
-
-    #[test]
-    fn left_outer_join_pads_dangling_tuples_with_null() {
-        let suppliers = relation! { ["s#"] => [1], [2], [3] };
-        let supplies = relation! { ["s#", "p#"] => [1, 10], [1, 20], [2, 10] };
-        let outer = suppliers.left_outer_join(&supplies).unwrap();
-        assert_eq!(outer.schema().names(), vec!["s#", "p#"]);
-        assert_eq!(outer.len(), 4);
-        assert!(outer.contains(&Tuple::new([Value::Int(3), Value::Null])));
     }
 
     #[test]

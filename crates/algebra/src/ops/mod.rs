@@ -6,7 +6,6 @@
 //! * [`project_select`] — projection and selection,
 //! * [`product`] — Cartesian product,
 //! * [`join`] — theta-join, natural join, semi-join, anti-semi-join,
-//!   left outer join,
 //! * [`aggregate`] — the grouping operator `GγF`,
 //! * [`division`] — small divide (Definitions 1–3) and great divide
 //!   (Definitions 4–6),

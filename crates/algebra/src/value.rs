@@ -16,8 +16,8 @@ use std::fmt;
 /// reference operator implementations rely on.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
-    /// The SQL-style NULL used only to pad dangling tuples of the left outer
-    /// join (Appendix A); no other operator produces or consumes it.
+    /// The SQL-style NULL. No operator produces it: it enters only with a
+    /// relation's data.
     Null,
     /// Boolean value.
     Bool(bool),

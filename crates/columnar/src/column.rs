@@ -10,7 +10,7 @@ use std::ops::Range;
 /// every attribute is a small integer (`s#`, `p#`, `a`, `b`, `tid`, `item`) or
 /// a low-cardinality string (`color`), so the hot representations are a plain
 /// `Vec<i64>` and a dictionary of distinct strings with a `Vec<u32>` of codes.
-/// `NULL`s (produced only by the left outer join) are tracked in an optional
+/// `NULL`s (which only a relation's data brings in) are tracked in an optional
 /// validity mask so the common all-valid case costs nothing. Columns that mix
 /// value kinds or hold set-valued attributes fall back to [`Column::Mixed`],
 /// which keeps the conversion from [`div_algebra::Relation`] lossless for

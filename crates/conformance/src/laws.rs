@@ -53,7 +53,7 @@ pub fn check_rewrites(
     ctx: &RewriteContext<'_>,
     expected: &Relation,
 ) -> Result<Vec<String>, String> {
-    let catalog = (ctx.catalog()).ok_or_else(|| format!("{}: no catalog to check on", case.key))?;
+    let catalog = ctx.catalog();
     let rewrites = Optimizer::new()
         .rewrites(&case.plan, ctx)
         .map_err(|e| format!("{}: rewrite enumeration failed: {e}", case.key))?;

@@ -1,39 +1,11 @@
-//! Horizontal partitioning helpers for the parallel-law experiments.
-//!
-//! Law 2 requires dividend partitions that satisfy condition `c2` (disjoint
-//! quotient prefixes); Law 13 requires divisor partitions with disjoint group
-//! values. Range partitioning on the respective key attribute guarantees both
-//! by construction, which is exactly the "two parallel index scans" strategy
-//! the paper sketches in Section 5.1.1.
+//! Horizontal partitioning for the parallel-law experiments: Law 1 divides
+//! by the parts of a divisor split any way at all, so round-robin suffices.
 
-use div_algebra::{AlgebraError, Relation, Value};
+use div_algebra::{AlgebraError, Relation};
 
-/// Split `relation` into `n` partitions by ranges of the distinct values of
-/// `attribute`. Every partition keeps the full schema; the union of the
-/// partitions is the input and their `attribute` projections are pairwise
-/// disjoint.
-pub fn range_partition(
-    relation: &Relation,
-    attribute: &str,
-    n: usize,
-) -> Result<Vec<Relation>, AlgebraError> {
-    let n = n.max(1);
-    let values: Vec<Value> = relation.column(attribute)?.into_iter().collect();
-    let idx = relation.schema().require(attribute)?;
-    let chunk = values.len().div_ceil(n).max(1);
-    let mut partitions = vec![Relation::empty(relation.schema().clone()); n];
-    for t in relation.tuples() {
-        let v = &t.values()[idx];
-        let rank = values.binary_search(v).unwrap_or_else(|i| i);
-        let bucket = (rank / chunk).min(n - 1);
-        partitions[bucket].insert(t.clone())?;
-    }
-    Ok(partitions)
-}
-
-/// Split a relation into `n` partitions round-robin (no disjointness
-/// guarantees — used as the *negative* fixture for precondition tests, e.g. to
-/// produce partitions that violate `c2`).
+/// Split a relation into `n` partitions round-robin. The partitions cover
+/// the input but guarantee no disjointness: they may share key values (and
+/// so violate, e.g., Law 2's `c2`).
 pub fn round_robin_partition(relation: &Relation, n: usize) -> Result<Vec<Relation>, AlgebraError> {
     let n = n.max(1);
     let mut partitions = vec![Relation::empty(relation.schema().clone()); n];
@@ -46,7 +18,6 @@ pub fn round_robin_partition(relation: &Relation, n: usize) -> Result<Vec<Relati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use div_algebra::relation;
 
     fn sample() -> Relation {
         let mut rows = Vec::new();
@@ -59,33 +30,6 @@ mod tests {
     }
 
     #[test]
-    fn range_partition_covers_input_with_disjoint_keys() {
-        let rel = sample();
-        let parts = range_partition(&rel, "a", 4).unwrap();
-        assert_eq!(parts.len(), 4);
-        let mut union = Relation::empty(rel.schema().clone());
-        for p in &parts {
-            union = union.union(p).unwrap();
-        }
-        assert_eq!(union, rel);
-        for i in 0..parts.len() {
-            for j in (i + 1)..parts.len() {
-                let a_i = parts[i].project(&["a"]).unwrap();
-                let a_j = parts[j].project(&["a"]).unwrap();
-                assert!(a_i.intersect(&a_j).unwrap().is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn range_partition_single_bucket_is_identity() {
-        let rel = sample();
-        let parts = range_partition(&rel, "a", 1).unwrap();
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0], rel);
-    }
-
-    #[test]
     fn round_robin_partitions_overlap_on_keys() {
         let rel = sample();
         let parts = round_robin_partition(&rel, 2).unwrap();
@@ -93,11 +37,5 @@ mod tests {
         let a_1 = parts[1].project(&["a"]).unwrap();
         // Round-robin deliberately breaks key disjointness.
         assert!(!a_0.intersect(&a_1).unwrap().is_empty());
-    }
-
-    #[test]
-    fn unknown_attribute_errors() {
-        let rel = relation! { ["a"] => [1] };
-        assert!(range_partition(&rel, "zz", 2).is_err());
     }
 }

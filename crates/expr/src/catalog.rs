@@ -3,10 +3,11 @@
 //!
 //! Laws 9, 11 and 12 have preconditions that cannot be read off the query
 //! alone: Law 12 requires that "`r2.B` is a foreign key referencing `r1.B`",
-//! Law 9's Example 3 uses the fact that "`r**1.b2` is a unique attribute and
-//! `r2.b2` is a foreign key that references `r**1`". The catalog therefore
-//! tracks declared unique keys and foreign keys alongside the table data so
-//! the rewrite rules can check these preconditions the way a real optimizer
+//! and Law 9's Example 3 uses the fact that "`r2.b2` is a foreign key that
+//! references `r**1`" (the example's other fact, that `r**1.b2` is unique,
+//! holds by set semantics for the one-attribute `r**1(b2)`). The catalog
+//! therefore tracks declared foreign keys alongside the table data so the
+//! rewrite rules can check these preconditions the way a real optimizer
 //! would (from schema metadata, not by scanning the data).
 
 use crate::{ExprError, Result, SchemaProvider, TableSource};
@@ -111,7 +112,6 @@ impl TableEntry {
 #[derive(Debug, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, TableEntry>,
-    unique_keys: BTreeMap<String, Vec<Vec<String>>>,
     foreign_keys: Vec<ForeignKey>,
     version: u64,
 }
@@ -120,7 +120,6 @@ impl Default for Catalog {
     fn default() -> Self {
         Catalog {
             tables: BTreeMap::new(),
-            unique_keys: BTreeMap::new(),
             foreign_keys: Vec::new(),
             version: next_version(),
         }
@@ -205,7 +204,6 @@ impl Catalog {
     pub fn unregister(&mut self, name: &str) -> Result<()> {
         self.entry(name)?;
         self.tables.remove(name);
-        self.unique_keys.remove(name);
         self.foreign_keys
             .retain(|fk| fk.from_table != name && fk.to_table != name);
         self.version = next_version();
@@ -252,41 +250,6 @@ impl Catalog {
         self.tables
             .iter()
             .filter_map(|(n, entry)| Some((n.as_str(), entry.rows.get()?.as_ref())))
-    }
-
-    /// Declare a uniqueness constraint on `table(attributes)`.
-    ///
-    /// The constraint is validated against the current contents of the table
-    /// (a real system would enforce it on writes).
-    pub fn declare_unique(&mut self, table: &str, attributes: &[&str]) -> Result<()> {
-        let rel = self.table(table)?;
-        let projected = rel.project(attributes)?;
-        if projected.len() != rel.len() {
-            return Err(ExprError::invalid(format!(
-                "cannot declare {table}({}) unique: {} tuples share key values",
-                attributes.join(", "),
-                rel.len() - projected.len()
-            )));
-        }
-        self.unique_keys
-            .entry(table.to_string())
-            .or_default()
-            .push(attributes.iter().map(|s| s.to_string()).collect());
-        self.version = next_version();
-        Ok(())
-    }
-
-    /// `true` if `attributes` is a declared unique key of `table`.
-    pub fn is_unique(&self, table: &str, attributes: &[&str]) -> bool {
-        self.unique_keys
-            .get(table)
-            .map(|keys| {
-                keys.iter().any(|key| {
-                    key.len() == attributes.len()
-                        && key.iter().all(|k| attributes.contains(&k.as_str()))
-                })
-            })
-            .unwrap_or(false)
     }
 
     /// Declare a foreign key and validate it against the current data.
@@ -410,16 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn unique_declaration_is_validated() {
-        let mut c = catalog();
-        c.declare_unique("parts", &["p#"]).unwrap();
-        assert!(c.is_unique("parts", &["p#"]));
-        assert!(!c.is_unique("parts", &["color"]));
-        // s# is not unique in supplies (supplier 1 appears twice).
-        assert!(c.declare_unique("supplies", &["s#"]).is_err());
-    }
-
-    #[test]
     fn foreign_key_declaration_is_validated() {
         let mut c = catalog();
         c.declare_foreign_key("supplies", &["p#"], "parts", &["p#"])
@@ -446,11 +399,14 @@ mod tests {
         c.register("parts", relation! { ["p#", "color"] => [1, "blue"] });
         let v2 = c.version();
         assert_ne!(v1, v2);
-        c.declare_unique("parts", &["p#"]).unwrap();
+        c.declare_foreign_key("parts", &["p#"], "parts", &["p#"])
+            .unwrap();
         let v3 = c.version();
         assert_ne!(v2, v3);
         // Failed declarations do not bump the version.
-        assert!(c.declare_unique("missing", &["x"]).is_err());
+        assert!(c
+            .declare_foreign_key("missing", &["x"], "parts", &["p#"])
+            .is_err());
         assert_eq!(c.version(), v3);
         // A clone starts at the same stamp (identical contents) and diverges
         // on its first mutation, leaving the original untouched.
@@ -471,13 +427,11 @@ mod tests {
     #[test]
     fn unregister_removes_table_and_its_constraints() {
         let mut c = catalog();
-        c.declare_unique("parts", &["p#"]).unwrap();
         c.declare_foreign_key("supplies", &["p#"], "parts", &["p#"])
             .unwrap();
         let before = c.version();
         c.unregister("parts").unwrap();
         assert!(!c.contains_table("parts"));
-        assert!(!c.is_unique("parts", &["p#"]));
         assert!(c.foreign_keys().is_empty());
         assert_ne!(c.version(), before);
         assert!(matches!(

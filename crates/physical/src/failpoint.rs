@@ -21,7 +21,7 @@
 use div_expr::ExprError;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// What an armed failpoint does when execution reaches it.
@@ -41,9 +41,7 @@ static SITES: Mutex<Option<HashMap<String, FailAction>>> = Mutex::new(None);
 fn lock_sites() -> MutexGuard<'static, Option<HashMap<String, FailAction>>> {
     // A panic while holding this lock can only come from a poisoned
     // assertion in a test; the registry itself stays consistent.
-    SITES
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    SITES.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Arm the named site (`"<operator label>.<open|next_batch|close>"`) with
@@ -105,9 +103,7 @@ pub fn hit(label: &str, phase: &str) -> Result<(), ExprError> {
 /// panicked — is recovered, since [`disarm_all`] restores a clean slate).
 pub fn test_serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

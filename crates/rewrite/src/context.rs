@@ -1,9 +1,10 @@
-//! The context available to rewrite rules: schemas, integrity metadata and
-//! (optionally) the data itself for data-dependent preconditions.
+//! The context available to rewrite rules: a catalog's schemas and declared
+//! foreign keys, and — under [`RewriteContext::with_catalog`] — its data for
+//! data-dependent preconditions.
 
 use crate::Result;
 use div_algebra::{DivisionPartition, Relation, Schema};
-use div_expr::{evaluate, infer_schema, Catalog, LogicalPlan, SchemaProvider};
+use div_expr::{evaluate, infer_schema, Catalog, LogicalPlan};
 
 /// Everything a rewrite rule may consult while deciding whether it applies.
 ///
@@ -16,23 +17,15 @@ use div_expr::{evaluate, infer_schema, Catalog, LogicalPlan, SchemaProvider};
 /// the moral equivalent of an optimizer consulting statistics or running a
 /// cheap subquery — by evaluating the relevant subplans.
 pub struct RewriteContext<'a> {
-    catalog: Option<&'a Catalog>,
+    catalog: &'a Catalog,
     allow_data_checks: bool,
 }
 
 impl<'a> RewriteContext<'a> {
-    /// A context with no catalog at all: only purely structural rules fire.
-    pub fn schema_only() -> Self {
-        RewriteContext {
-            catalog: None,
-            allow_data_checks: false,
-        }
-    }
-
     /// A context backed by a catalog, with data-dependent checks enabled.
     pub fn with_catalog(catalog: &'a Catalog) -> Self {
         RewriteContext {
-            catalog: Some(catalog),
+            catalog,
             allow_data_checks: true,
         }
     }
@@ -42,30 +35,27 @@ impl<'a> RewriteContext<'a> {
     /// at plan time).
     pub fn with_metadata_only(catalog: &'a Catalog) -> Self {
         RewriteContext {
-            catalog: Some(catalog),
+            catalog,
             allow_data_checks: false,
         }
     }
 
-    /// The underlying catalog, if any.
-    pub fn catalog(&self) -> Option<&Catalog> {
+    /// The underlying catalog.
+    pub fn catalog(&self) -> &Catalog {
         self.catalog
     }
 
     /// Whether rules may evaluate subplans to check data-dependent
     /// preconditions.
     pub fn allow_data_checks(&self) -> bool {
-        self.allow_data_checks && self.catalog.is_some()
+        self.allow_data_checks
     }
 
     /// Infer the output schema of `plan`. Returns `None` when the schema
-    /// cannot be resolved (e.g. a scan of an unregistered table in a
-    /// schema-only context) — rules treat that as "rule does not apply".
+    /// cannot be resolved (e.g. a scan of an unregistered table) — rules
+    /// treat that as "rule does not apply".
     pub fn schema_of(&self, plan: &LogicalPlan) -> Option<Schema> {
-        match self.catalog {
-            Some(catalog) => infer_schema(plan, catalog).ok(),
-            None => infer_schema(plan, &NoTables).ok(),
-        }
+        infer_schema(plan, self.catalog).ok()
     }
 
     /// The partition of `dividend ÷ divisor` ([`Schema::divide_partition`]),
@@ -101,17 +91,7 @@ impl<'a> RewriteContext<'a> {
         if !self.allow_data_checks() || plan.contains_parameters() {
             return Ok(None);
         }
-        let catalog = self.catalog.expect("allow_data_checks implies catalog");
-        Ok(Some(evaluate(plan, catalog)?))
-    }
-
-    /// `true` if `attributes` is a declared unique key of the base table
-    /// scanned by `plan` (only recognised when `plan` is a plain scan).
-    pub fn is_unique_key(&self, plan: &LogicalPlan, attributes: &[&str]) -> bool {
-        match (self.catalog, plan) {
-            (Some(catalog), LogicalPlan::Scan { table }) => catalog.is_unique(table, attributes),
-            _ => false,
-        }
+        Ok(Some(evaluate(plan, self.catalog)?))
     }
 
     /// `true` if a foreign key from the base table scanned by `from` to the
@@ -123,23 +103,13 @@ impl<'a> RewriteContext<'a> {
         to: &LogicalPlan,
         to_attributes: &[&str],
     ) -> bool {
-        match (self.catalog, from, to) {
-            (
-                Some(catalog),
-                LogicalPlan::Scan { table: from_table },
-                LogicalPlan::Scan { table: to_table },
-            ) => catalog.has_foreign_key(from_table, from_attributes, to_table, to_attributes),
+        match (from, to) {
+            (LogicalPlan::Scan { table: from_table }, LogicalPlan::Scan { table: to_table }) => {
+                self.catalog
+                    .has_foreign_key(from_table, from_attributes, to_table, to_attributes)
+            }
             _ => false,
         }
-    }
-}
-
-/// Schema provider with no tables, used when the context has no catalog.
-struct NoTables;
-
-impl SchemaProvider for NoTables {
-    fn table_schema(&self, _name: &str) -> Option<Schema> {
-        None
     }
 }
 
@@ -153,20 +123,8 @@ mod tests {
         let mut c = Catalog::new();
         c.register("r1", relation! { ["a", "b"] => [1, 1], [2, 1] });
         c.register("r2", relation! { ["b"] => [1] });
-        c.declare_unique("r2", &["b"]).unwrap();
         c.declare_foreign_key("r1", &["b"], "r2", &["b"]).unwrap();
         c
-    }
-
-    #[test]
-    fn schema_only_context_resolves_values_but_not_scans() {
-        let ctx = RewriteContext::schema_only();
-        let values = PlanBuilder::values(relation! { ["x"] => [1] }).build();
-        assert!(ctx.schema_of(&values).is_some());
-        let scan = PlanBuilder::scan("r1").build();
-        assert!(ctx.schema_of(&scan).is_none());
-        assert!(!ctx.allow_data_checks());
-        assert!(ctx.try_evaluate(&values).unwrap().is_none());
     }
 
     #[test]
@@ -188,7 +146,6 @@ mod tests {
         assert!(ctx.try_evaluate(&scan).unwrap().is_none());
         // ... but still exposes declared constraints.
         let r2 = PlanBuilder::scan("r2").build();
-        assert!(ctx.is_unique_key(&r2, &["b"]));
         assert!(ctx.has_foreign_key(&scan, &["b"], &r2, &["b"]));
     }
 
@@ -196,7 +153,8 @@ mod tests {
     fn constraint_lookups_require_plain_scans() {
         let c = catalog();
         let ctx = RewriteContext::with_catalog(&c);
+        let scan = PlanBuilder::scan("r1").build();
         let projected = PlanBuilder::scan("r2").project(["b"]).build();
-        assert!(!ctx.is_unique_key(&projected, &["b"]));
+        assert!(!ctx.has_foreign_key(&scan, &["b"], &projected, &["b"]));
     }
 }

@@ -68,10 +68,12 @@ impl RewriteRule for Law8ProductPushthrough {
 /// Applied left-to-right: the product factor `r**1` and the `B2` part of the
 /// divisor disappear entirely. The containment precondition is established
 /// either from a declared foreign key (`r2.B2 → r**1`) or, when permitted, by
-/// checking the data. As noted in the module tests, the law needs `r**1 ≠ ∅`
-/// when the divisor is empty; the rule therefore additionally verifies that
-/// `r**1` is nonempty (a foreign key with at least one referencing row, or a
-/// data check).
+/// checking the data. The law also needs `r**1 ≠ ∅` when the divisor is empty
+/// (`tests/law_small_scope.rs::law9_product_elimination` finds the small
+/// databases where it fails without, and the `tests/mutants.toml` entry "Law
+/// 9 without its containment / r**1 != {} check" drops the check); the rule
+/// therefore additionally verifies that `r**1` is nonempty (a foreign key
+/// with at least one referencing row, or a data check).
 pub struct Law9ProductElimination;
 
 impl RewriteRule for Law9ProductElimination {

@@ -133,7 +133,7 @@ impl CostModel {
         match plan {
             LogicalPlan::Scan { table } => ctx
                 .catalog()
-                .and_then(|c| c.row_count(table).ok())
+                .row_count(table)
                 .map(|rows| rows as f64)
                 .unwrap_or(Self::DEFAULT_TABLE_CARDINALITY),
             LogicalPlan::Values { relation } => relation.len() as f64,

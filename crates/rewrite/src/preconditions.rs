@@ -98,23 +98,15 @@ pub fn law9_projection_contained(
 
 /// Law 11's structural precondition: every group of the dividend defined by
 /// the quotient attributes `A` contains exactly one tuple (which holds by
-/// construction when the dividend is `Aγf(X)→B(r0)`).
+/// construction when the dividend is `Aγf(X)→B(r0)`). Over the divisor
+/// attributes `B` it is Law 12's: every `B` value of the dividend occurs in
+/// exactly one tuple (as when the dividend is `Bγf(X)→A(r0)`).
 pub fn quotient_groups_are_singletons(
     dividend: &Relation,
     quotient_attrs: &[&str],
 ) -> Result<bool, AlgebraError> {
     let projected = dividend.project(quotient_attrs)?;
     Ok(projected.len() == dividend.len())
-}
-
-/// Law 12's structural precondition: every divisor-attribute value `B` of the
-/// dividend occurs in exactly one tuple (which holds by construction when the
-/// dividend is `Bγf(X)→A(r0)`).
-pub fn divisor_groups_are_singletons(
-    dividend: &Relation,
-    shared_attrs: &[&str],
-) -> Result<bool, AlgebraError> {
-    quotient_groups_are_singletons(dividend, shared_attrs)
 }
 
 /// Law 12's referential precondition: `r2.B ⊆ π_B(r1)` — the divisor values
@@ -227,7 +219,7 @@ mod tests {
         assert!(quotient_groups_are_singletons(&r1, &["a"]).unwrap());
         // Figure 11(b): groups by b are singletons.
         let r1b = relation! { ["a", "b"] => [6, 1], [1, 2], [6, 3], [3, 4] };
-        assert!(divisor_groups_are_singletons(&r1b, &["b"]).unwrap());
+        assert!(quotient_groups_are_singletons(&r1b, &["b"]).unwrap());
         // A non-singleton case.
         let multi = relation! { ["a", "b"] => [1, 1], [1, 2] };
         assert!(!quotient_groups_are_singletons(&multi, &["a"]).unwrap());

@@ -16,12 +16,12 @@
 use crate::metrics::ServerMetrics;
 use crate::protocol::{err_line, ErrorCode};
 use crate::session::{run_session, CancelRegistry};
-use crossbeam::channel::{self, TrySendError};
 use div_sql::Engine;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -78,7 +78,9 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(ServerMetrics::default());
         let cancels = Arc::new(CancelRegistry::default());
-        let (tx, rx) = channel::bounded::<TcpStream>(config.queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
+        // The workers take turns on the one receiver.
+        let rx = Arc::new(Mutex::new(rx));
 
         // A failed worker spawn (thread exhaustion, resource limits)
         // degrades the pool instead of panicking out of `bind`; only a
@@ -87,7 +89,7 @@ impl Server {
         let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(config.workers.max(1));
         let mut spawn_failure: Option<io::Error> = None;
         for i in 0..config.workers.max(1) {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let engine = Arc::clone(&engine);
             let config = config.clone();
             let metrics = Arc::clone(&metrics);
@@ -98,8 +100,12 @@ impl Server {
                 .spawn(move || {
                     // recv fails only when the accept loop dropped the
                     // sender: shutdown. A session already handed over is
-                    // served to completion (graceful drain).
-                    while let Ok(stream) = rx.recv() {
+                    // served to completion (graceful drain). The
+                    // connection is taken in its own statement so the
+                    // receiver's lock is released before the session runs.
+                    loop {
+                        let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                        let Ok(stream) = next else { break };
                         run_session(stream, &engine, &config, &metrics, &shutdown, &cancels);
                     }
                 });
@@ -151,7 +157,7 @@ impl Server {
 
 fn accept_loop(
     listener: TcpListener,
-    tx: channel::Sender<TcpStream>,
+    tx: SyncSender<TcpStream>,
     shutdown: &AtomicBool,
     metrics: &ServerMetrics,
 ) {

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Process-wide session id source: ids stay unique across every server a
@@ -41,9 +41,7 @@ pub(crate) struct CancelRegistry {
 
 impl CancelRegistry {
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, CancelToken>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn register(&self, session: u64, token: CancelToken) {

@@ -82,11 +82,10 @@ use div_physical::{
 };
 use div_rewrite::optimizer::CostEstimate;
 use div_rewrite::{AppliedRule, OptimizedPlan, Optimizer, RewriteContext};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Result alias of the engine API.
@@ -553,7 +552,7 @@ impl Engine {
     /// change a handle already taken, so a caller that binds the snapshot
     /// once sees one consistent catalog version across any number of reads.
     pub fn catalog(&self) -> Arc<Catalog> {
-        Arc::clone(&self.catalog.read())
+        Arc::clone(&self.catalog.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Apply a catalog mutation atomically and swap in the successor
@@ -581,7 +580,7 @@ impl Engine {
     /// # Ok::<(), div_sql::Error>(())
     /// ```
     pub fn mutate_catalog<R>(&self, mutate: impl FnOnce(&mut Catalog) -> R) -> R {
-        let mut slot = self.catalog.write();
+        let mut slot = self.catalog.write().unwrap_or_else(PoisonError::into_inner);
         let mut next = Catalog::clone(&slot);
         let out = mutate(&mut next);
         *slot = Arc::new(next);
@@ -789,7 +788,11 @@ impl Engine {
     /// caller must execute the statement on the same `catalog`.
     fn plan_on(&self, sql: &str, catalog: &Arc<Catalog>) -> Result<PreparedStatement> {
         let catalog_version = catalog.version();
-        let cached = self.plan_cache.lock().get(sql, catalog_version);
+        let cached = self
+            .plan_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(sql, catalog_version);
         self.metrics.record_prepared_cache(cached.is_some());
         if let Some(statement) = cached {
             return Ok(statement);
@@ -811,7 +814,10 @@ impl Engine {
                 applied: optimized.applied,
             }),
         };
-        self.plan_cache.lock().insert(statement.clone());
+        self.plan_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(statement.clone());
         Ok(statement)
     }
 
@@ -1474,7 +1480,7 @@ mod tests {
             "the hot statement compiled once"
         );
         assert_eq!(
-            engine.plan_cache.lock().entries.len(),
+            engine.plan_cache.lock().unwrap().entries.len(),
             PREPARED_CACHE_CAPACITY,
             "the cache stays bounded"
         );
@@ -1512,6 +1518,35 @@ mod tests {
             1,
             "not an explicit prepare"
         );
+    }
+
+    #[test]
+    fn a_panicking_catalog_mutation_leaves_the_engine_serving() {
+        let engine = Engine::new(catalog());
+        let before = engine.catalog();
+        let expected = engine.run(Q2).unwrap().collect_relation().unwrap();
+        // The closure panics while `mutate_catalog` holds the write lock,
+        // which poisons it.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.mutate_catalog(|_| panic!("mutation fails halfway"))
+        }));
+        assert!(unwound.is_err());
+        assert!(engine.catalog.is_poisoned());
+        assert!(
+            Arc::ptr_eq(&engine.catalog(), &before),
+            "snapshot unchanged"
+        );
+        assert_eq!(engine.catalog().version(), before.version());
+        assert_eq!(
+            engine.run(Q2).unwrap().collect_relation().unwrap(),
+            expected
+        );
+        let stmt = engine.prepare(Q2).unwrap();
+        assert_eq!(stmt.catalog_version(), before.version());
+        engine.mutate_catalog(|c| {
+            c.register("new_table", relation! { ["x"] => [1] });
+        });
+        assert_ne!(engine.catalog().version(), before.version());
     }
 
     #[test]

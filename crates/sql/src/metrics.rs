@@ -42,7 +42,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Inclusive upper bounds of the execution-latency histogram buckets, in
@@ -146,7 +146,10 @@ impl EngineMetrics {
         if applied.is_empty() {
             return;
         }
-        let mut laws = self.law_applications.lock().expect("metrics lock");
+        let mut laws = self
+            .law_applications
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         for a in applied {
             *laws.entry(a.rule.clone()).or_insert(0) += 1;
         }
@@ -168,7 +171,11 @@ impl EngineMetrics {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-            law_applications: self.law_applications.lock().expect("metrics lock").clone(),
+            law_applications: self
+                .law_applications
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone(),
             queries_spilled: self.queries_spilled.load(Ordering::Relaxed),
             spill_partitions: self.spill_partitions.load(Ordering::Relaxed),
             spill_rows_written: self.spill_rows_written.load(Ordering::Relaxed),

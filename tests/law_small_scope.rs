@@ -184,7 +184,7 @@ fn check_shape(key: &str) {
 /// Optimize `plan` as the engine does and require the plan it keeps to
 /// evaluate to `expected`; returns the rules it applied, in order.
 fn optimize(plan: &LogicalPlan, ctx: &RewriteContext<'_>, expected: &Relation) -> Vec<String> {
-    let catalog = ctx.catalog().expect("a catalog");
+    let catalog = ctx.catalog();
     let optimized = Optimizer::new().optimize(plan, ctx).expect("optimize");
     let got = evaluate(&optimized.plan, catalog).expect("the optimized plan evaluates");
     assert_eq!(
