@@ -281,8 +281,10 @@ impl Column {
 /// the first time either side has one); `Str` columns extend the dictionary
 /// in first-occurrence order through one lookup map that lives as long as
 /// the appender, so no chunk re-hashes the dictionary accumulated so far;
-/// the first kind mismatch turns the accumulator into [`Column::Mixed`],
-/// which it then stays.
+/// the first kind mismatch turns a non-empty accumulator into
+/// [`Column::Mixed`], which it then stays. An empty accumulator takes the
+/// kind of the first rows appended to it, so a [`ColumnAppender::clear`]ed
+/// one starts over as a fresh one would, keeping its allocations.
 #[derive(Debug)]
 pub(crate) struct ColumnAppender {
     column: Column,
@@ -328,6 +330,70 @@ impl ColumnAppender {
         }
     }
 
+    /// Empty the accumulated column, keeping its allocations: the next
+    /// append decides its kind anew, as the first one into a fresh
+    /// appender does.
+    pub(crate) fn clear(&mut self) {
+        match &mut self.column {
+            Column::Int { values, validity } => {
+                values.clear();
+                *validity = None;
+            }
+            Column::Bool { values, validity } => {
+                values.clear();
+                *validity = None;
+            }
+            Column::Str(s) => {
+                s.dict.clear();
+                s.codes.clear();
+                s.validity = None;
+            }
+            Column::Mixed(values) => values.clear(),
+        }
+        if let Some(lookup) = &mut self.lookup {
+            lookup.clear();
+        }
+    }
+
+    /// Give an empty accumulator the kind of `other` when it has another
+    /// one, so that appending to it never degrades to [`Column::Mixed`].
+    fn adopt_kind(&mut self, other: &Column) {
+        if !self.column.is_empty()
+            || std::mem::discriminant(&self.column) == std::mem::discriminant(other)
+        {
+            return;
+        }
+        self.column = match other {
+            Column::Int { .. } => Column::Int {
+                values: Vec::new(),
+                validity: None,
+            },
+            Column::Bool { .. } => Column::Bool {
+                values: Vec::new(),
+                validity: None,
+            },
+            Column::Str(_) => Column::Str(StrColumn {
+                dict: Vec::new(),
+                codes: Vec::new(),
+                validity: None,
+            }),
+            Column::Mixed(_) => Column::Mixed(Vec::new()),
+        };
+        self.lookup = None;
+    }
+
+    /// Move the accumulated column out, leaving the appender empty; hand
+    /// it back with [`ColumnAppender::restore`] to reuse its allocations.
+    pub(crate) fn take_column(&mut self) -> Column {
+        std::mem::replace(&mut self.column, Column::Mixed(Vec::new()))
+    }
+
+    /// Put back a column [`ColumnAppender::take_column`] moved out, cleared.
+    pub(crate) fn restore(&mut self, column: Column) {
+        self.column = column;
+        self.clear();
+    }
+
     /// Reserve room for `additional` more rows.
     pub(crate) fn reserve(&mut self, additional: usize) {
         match &mut self.column {
@@ -340,6 +406,7 @@ impl ColumnAppender {
 
     /// Append the rows of `other`.
     pub(crate) fn append(&mut self, other: &Column) {
+        self.adopt_kind(other);
         match (&mut self.column, other) {
             (
                 Column::Int { values, validity },
@@ -403,6 +470,7 @@ impl ColumnAppender {
     /// string column only takes over the dictionary entries the gathered
     /// rows use.
     pub(crate) fn append_gather(&mut self, other: &Column, indices: &[usize]) {
+        self.adopt_kind(other);
         match (&mut self.column, other) {
             (
                 Column::Int { values, validity },

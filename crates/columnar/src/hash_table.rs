@@ -342,12 +342,7 @@ impl Slots {
         if range.cover(&chunk, false) == Some(*range) {
             return;
         }
-        let limit = rule.dense_cells(entries, u32::BITS);
-        let widened = [true, false]
-            .into_iter()
-            .filter_map(|slack| range.cover(&chunk, slack))
-            .find(|wider| wider.cells() <= limit);
-        let Some(wider) = widened else {
+        let Some(wider) = range.widened(&chunk, rule.dense_cells(entries, u32::BITS)) else {
             return self.migrate(entries);
         };
         let mut cells = vec![EMPTY; wider.cells()];
@@ -425,6 +420,68 @@ impl GroupIndex {
     pub fn get(&self, code: u64, mut same_key: impl FnMut(usize) -> bool) -> Option<u32> {
         self.slots
             .get(code, |gid| same_key(self.first_row[gid as usize] as usize))
+    }
+
+    /// An empty index that grows chunk by chunk ([`GroupIndex::intern`]):
+    /// dense with no cell yet when keys of `key_arity` columns have axes,
+    /// hashed otherwise. It keeps `u32` cells, as a
+    /// [`GroupStore`](crate::GroupStore) does.
+    pub(crate) fn growing(key_arity: usize) -> GroupIndex {
+        GroupIndex {
+            slots: Slots::empty(key_arity),
+            first_row: Vec::new(),
+        }
+    }
+
+    /// Intern one chunk of a growing index: `keys` over `key_arity`
+    /// columns, the chunk's first row being row `base` of everything
+    /// interned. The grow step ([`Slots::grow_for`], under `rule`) runs
+    /// first; then each row gets its group id, new groups in
+    /// first-occurrence order with the row as representative, reported to
+    /// `on_row` in row order. `same_key(row, candidate)` verifies a hashed
+    /// code match between chunk row `row` and the representative row
+    /// `candidate` (numbered from the first chunk), so it may only answer
+    /// `true` without looking when every key interned and the chunk's are
+    /// exact.
+    pub(crate) fn intern(
+        &mut self,
+        key_arity: usize,
+        keys: &KeyVector,
+        base: usize,
+        rule: FormRule,
+        mut same_key: impl FnMut(usize, usize) -> bool,
+        mut on_row: impl FnMut(u32),
+    ) {
+        self.slots.grow_for(key_arity, keys, self.len(), rule);
+        let first_row = &mut self.first_row;
+        match &mut self.slots {
+            // `grow_for` kept the map dense, so the chunk is exact and its
+            // range covered: each key owns one cell, nothing to verify.
+            Slots::Dense { gids, range } => {
+                for (row, &code) in keys.codes().iter().enumerate() {
+                    let cell = &mut gids[range.slot(code).expect("the range covers the chunk")];
+                    if *cell == EMPTY {
+                        *cell = first_row.len() as u32;
+                        assert_ne!(*cell, EMPTY, "group ids exclude the sentinel");
+                        first_row.push(row_id(base + row));
+                    }
+                    on_row(*cell);
+                }
+            }
+            Slots::Bytes { .. } => unreachable!("only a whole-vector index takes byte cells"),
+            Slots::Hashed(table) => {
+                for (row, &code) in keys.codes().iter().enumerate() {
+                    let next = first_row.len() as u32;
+                    let (gid, is_new) = table.get_or_insert(code, next, |gid| {
+                        same_key(row, first_row[gid as usize] as usize)
+                    });
+                    if is_new {
+                        first_row.push(row_id(base + row));
+                    }
+                    on_row(gid);
+                }
+            }
+        }
     }
 
     /// `true` when the index took the dense form.
@@ -578,6 +635,17 @@ impl KeyRange {
         }
     }
 
+    /// The grow step's new range for a chunk of range `chunk` that `self`
+    /// does not cover: widened by at least the current span on each side
+    /// it grows, or exactly when that slack takes more than `limit` cells;
+    /// `None` when even the exact cover does.
+    fn widened(&self, chunk: &KeyRange, limit: usize) -> Option<KeyRange> {
+        [true, false]
+            .into_iter()
+            .filter_map(|slack| self.cover(chunk, slack))
+            .find(|wider| wider.cells() <= limit)
+    }
+
     /// The code whose cell is `cell`: the inverse of [`KeyRange::slot`].
     fn code(&self, cell: usize) -> u64 {
         match *self {
@@ -716,6 +784,29 @@ impl FormRule {
     }
 }
 
+/// The `len ≤ 64` bits of `words` from bit `start` on, lowest first.
+fn read_bits(words: &[u64], start: usize, len: usize) -> u64 {
+    let (word, bit) = (start / 64, start % 64);
+    let mut bits = words[word] >> bit;
+    if bit + len > 64 {
+        bits |= words[word + 1] << (64 - bit);
+    }
+    if len < 64 {
+        bits &= (1 << len) - 1;
+    }
+    bits
+}
+
+/// Set the bits of `bits` (`len ≤ 64` of them) in `words` from bit `start`
+/// on.
+fn or_bits(words: &mut [u64], start: usize, len: usize, bits: u64) {
+    let (word, bit) = (start / 64, start % 64);
+    words[word] |= bits << bit;
+    if bit + len > 64 {
+        words[word + 1] |= bits >> (64 - bit);
+    }
+}
+
 /// The keys of an exact key vector, one bit per cell of their range: the
 /// form of a join build that only semi and anti probes read, which need to
 /// know whether a key was built and nothing else. There is no group id and
@@ -725,23 +816,124 @@ impl FormRule {
 pub(crate) struct KeySet {
     words: Vec<u64>,
     range: KeyRange,
+    /// Keys held: the bits set.
+    keys: usize,
 }
 
 impl KeySet {
-    /// The set of `keys` over `key_arity` columns, or `None` when the
-    /// vector is inexact or empty, its arity has no axes, or `rule` does not
-    /// admit its range at one bit a cell.
-    pub(crate) fn of(key_arity: usize, keys: &KeyVector, rule: FormRule) -> Option<KeySet> {
-        let range = KeyRange::of(key_arity, keys)
-            .filter(|range| range.cells() <= rule.dense_cells(keys.len(), 1))?;
-        let mut words = vec![0u64; range.cells().div_ceil(64)];
-        for &code in keys.codes() {
-            let slot = range
-                .slot(code)
-                .expect("a build code lies in its own range");
-            words[slot >> 6] |= 1 << (slot & 63);
+    /// An empty set that grows chunk by chunk ([`KeySet::insert`]), or
+    /// `None` when keys of `key_arity` columns have no axes.
+    pub(crate) fn growing(key_arity: usize) -> Option<KeySet> {
+        Some(KeySet {
+            words: Vec::new(),
+            range: KeyRange::empty(key_arity)?,
+            keys: 0,
+        })
+    }
+
+    /// Add one chunk's `keys` over `key_arity` columns to a set that holds
+    /// `entries` keys so far. A range that does not cover the chunk widens
+    /// as a growing map's does (`Slots::grow_for`), at one bit a cell under
+    /// `rule`, and the bits are laid out anew. `false`, with the set
+    /// unchanged, when the chunk is inexact or no range the rule admits
+    /// covers it: the keys then need another form.
+    pub(crate) fn insert(
+        &mut self,
+        key_arity: usize,
+        keys: &KeyVector,
+        entries: usize,
+        rule: FormRule,
+    ) -> bool {
+        if keys.is_empty() {
+            return true;
         }
-        Some(KeySet { words, range })
+        let Some(chunk) = KeyRange::of(key_arity, keys) else {
+            return false;
+        };
+        if self.range.cover(&chunk, false) != Some(self.range) {
+            let limit = rule.dense_cells(entries.saturating_add(keys.len()), 1);
+            let Some(wider) = self.range.widened(&chunk, limit) else {
+                return false;
+            };
+            let mut words = vec![0u64; wider.cells().div_ceil(64)];
+            if self.range.cells() > 0 {
+                // Both layouts are row-major, the narrower one a block
+                // inside the wider: copy it row by row, a word at a time,
+                // from where its first cell lands.
+                let first = wider.slot(self.range.code(0));
+                let first = first.expect("a widened range covers the narrower");
+                let (row_len, stride) = (self.range.row_len(), wider.row_len());
+                for row in 0..self.range.cells() / row_len {
+                    let (from, to) = (row * row_len, first + row * stride);
+                    for at in (0..row_len).step_by(64) {
+                        let len = (row_len - at).min(64);
+                        or_bits(
+                            &mut words,
+                            to + at,
+                            len,
+                            read_bits(&self.words, from + at, len),
+                        );
+                    }
+                }
+            }
+            (self.words, self.range) = (words, wider);
+        }
+        for &code in keys.codes() {
+            let slot = self.range.slot(code).expect("the range covers the chunk");
+            let (word, bit) = (&mut self.words[slot >> 6], 1 << (slot & 63));
+            self.keys += usize::from(*word & bit == 0);
+            *word |= bit;
+        }
+        true
+    }
+
+    /// Keys held.
+    pub(crate) fn len(&self) -> usize {
+        self.keys
+    }
+
+    /// Words of bits held.
+    pub(crate) fn words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// Up to `n` codes of the keys held, in cell order from cell `*cell`
+    /// on, moving `*cell` past them: the exact codes the keys were
+    /// inserted with.
+    pub(crate) fn next_codes(&self, cell: &mut usize, n: usize) -> Vec<u64> {
+        let mut codes = Vec::with_capacity(n.min(self.keys));
+        let mut at = *cell >> 6;
+        let mut rest = self
+            .words
+            .get(at)
+            .map_or(0, |&word| word & (u64::MAX << (*cell & 63)));
+        while codes.len() < n {
+            if rest == 0 {
+                at += 1;
+                match self.words.get(at) {
+                    Some(&word) => rest = word,
+                    None => break,
+                }
+                continue;
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            codes.push(self.range.code(at * 64 + bit));
+            *cell = at * 64 + bit + 1;
+        }
+        if codes.len() < n {
+            *cell = self.words.len() * 64;
+        }
+        codes
+    }
+
+    /// The set of one whole vector's `keys`, or `None` when the vector is
+    /// inexact or empty, its arity has no axes, or `rule` does not admit its
+    /// range at one bit a cell.
+    #[cfg(test)]
+    pub(crate) fn of(key_arity: usize, keys: &KeyVector, rule: FormRule) -> Option<KeySet> {
+        let mut set = KeySet::growing(key_arity)?;
+        (!keys.is_empty() && set.insert(key_arity, keys, 0, rule)).then_some(set)
     }
 
     /// `true` when the exact code `code` was built.

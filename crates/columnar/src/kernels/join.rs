@@ -1,18 +1,21 @@
 //! Batch-native hash joins on the vectorized key pipeline.
 //!
-//! Keys are normalized once per batch ([`KeyVector`]) and the build side
+//! Keys are normalized once per chunk ([`KeyVector`]) and the build side
 //! goes into a [`GroupIndex`] plus, for the natural join only, a CSR row
-//! list — no per-row `Value` materialization, no SipHash. The index is a
-//! direct-addressed array when the build keys are exact ints over a
-//! compact range (the `(s#, p#)` keys of the paper's workloads) and an
+//! list — no per-row `Value` materialization, no SipHash. The build is fed
+//! chunk by chunk ([`JoinBuilder`]) and keeps the chunks as they came, so
+//! the build side is never concatenated. The index is a direct-addressed
+//! array while the build keys are exact ints over a compact range (the
+//! `(s#, p#)` keys of the paper's workloads), learnt chunk by chunk, and an
 //! open-addressing table otherwise; the probe loops are the same for both.
 //! A build only semi and anti probes read (⋉, ▷, ∩ and −) keeps one
 //! presence bit per key over exact compact keys, as hash-division keeps one
 //! bit per divisor tuple.
 
 use crate::batch::ColumnarBatch;
-use crate::hash_table::{index_rows_ruled, FormRule, GroupIndex, KeySet};
-use crate::key_vector::{cross_matcher, exact_row, KeyVector};
+use crate::column::{Column, ColumnAppender};
+use crate::hash_table::{FormRule, GroupIndex, KeySet};
+use crate::key_vector::{exact_row, keys_equal, KeyVector};
 use crate::Result;
 use div_algebra::Schema;
 
@@ -72,23 +75,424 @@ fn extra_attributes<'a>(probe: &Schema, build: &'a Schema) -> Vec<&'a str> {
         .collect()
 }
 
-/// A hash-join build side prepared once and probed chunk-at-a-time — the
-/// one join kernel `div_physical::stream`'s hash join runs. The build batch
-/// is indexed exactly once, in the form its probes need, and every probe
-/// chunk then streams through [`JoinBuild::probe_natural`] /
-/// [`JoinBuild::probe_semi`]; the one-shot [`hash_natural_join`] is a build
-/// fed one probe.
+/// The build chunks in arrival order, their rows numbered across them.
+#[derive(Debug, Default)]
+struct Segments {
+    chunks: Vec<ColumnarBatch>,
+    /// The number of the first row of every chunk.
+    starts: Vec<usize>,
+    rows: usize,
+}
+
+impl Segments {
+    fn push(&mut self, chunk: ColumnarBatch) {
+        self.starts.push(self.rows);
+        self.rows += chunk.num_rows();
+        self.chunks.push(chunk);
+    }
+
+    /// The chunk holding row `row`, and the row's place in it.
+    fn locate(&self, row: usize) -> (&ColumnarBatch, usize) {
+        let at = self.starts.partition_point(|&start| start <= row) - 1;
+        (&self.chunks[at], row - self.starts[at])
+    }
+}
+
+/// A hash-join build side fed one chunk at a time, then sealed into the
+/// [`JoinBuild`] probes stream through ([`JoinBuilder::finish`]).
 ///
-/// [`JoinBuild::new`] keeps the build batch, a dense or hashed
-/// [`GroupIndex`] of its keys and the CSR row lists a natural probe gathers
-/// from. [`JoinBuild::semi`], for semi and anti probes only, keeps one bit
-/// per key when the keys are exact and the memory rule admits their range
-/// at one bit a cell, and nothing else; a probe row is present when its own
-/// key codes exactly and its bit is set (a NULL, string, folded or
-/// out-of-`i32` key equals no key of an all-int build).
+/// Every chunk is interned as it arrives: the index learns its dense range
+/// chunk by chunk, with the grow step of a
+/// [`GroupStore`](crate::GroupStore), and the build side is never
+/// concatenated. A natural build keeps its chunks as they came and appends
+/// its build-side-only columns, which its probes gather.
+///
+/// A semi build keeps one presence bit per key ([`KeySet`]) while the keys
+/// are exact and the memory rule admits their range at one bit a cell. Its
+/// chunks are worth nothing to a probe then: when the build side has no
+/// column but its key, the bits give every row back, so it keeps no chunk
+/// and holds its bits alone ([`JoinBuilder::held_rows`] counts their
+/// words); otherwise it keeps them until it is sealed. The first chunk the
+/// bits cannot take moves the build to the group index — over the rows the
+/// bits give back, or the chunks kept — and so does a set of bits that
+/// comes to outweigh its keys.
+#[derive(Debug)]
+pub struct JoinBuilder {
+    probe_key: Vec<usize>,
+    build_key: Vec<usize>,
+    build_extra_idx: Vec<usize>,
+    build_schema: Schema,
+    out_schema: Schema,
+    extra_schema: Schema,
+    rule: FormRule,
+    segments: Segments,
+    keys: Growing,
+    /// Rows pushed.
+    rows: usize,
+    /// Whether every build column is a key column, so presence bits give
+    /// the rows back.
+    keys_only: bool,
+    /// The build-side-only columns of every row (natural builds only).
+    extras: Option<Vec<ColumnAppender>>,
+}
+
+/// The key state of a [`JoinBuilder`].
+#[derive(Debug)]
+enum Growing {
+    /// A semi build's presence bits.
+    Present(KeySet),
+    /// Group ids, and for a natural build every row's group id.
+    Groups {
+        index: GroupIndex,
+        /// Whether every key interned codes exactly.
+        exact: bool,
+        gid_of: Option<Vec<u32>>,
+    },
+}
+
+impl JoinBuilder {
+    /// An empty build of chunks carrying `build_schema`, keyed on the
+    /// attributes it shares with `probe_schema` (the schema every probe
+    /// chunk must carry): for any probe when `natural`, else for semi and
+    /// anti probes only.
+    pub fn new(probe_schema: &Schema, build_schema: &Schema, natural: bool) -> Result<JoinBuilder> {
+        JoinBuilder::with_rule(probe_schema, build_schema, natural, FormRule::Memory)
+    }
+
+    /// [`JoinBuilder::new`] with its forms chosen by `rule`.
+    pub(crate) fn with_rule(
+        probe_schema: &Schema,
+        build_schema: &Schema,
+        natural: bool,
+        rule: FormRule,
+    ) -> Result<JoinBuilder> {
+        let (probe_key, build_key) = join_key_columns(probe_schema, build_schema)?;
+        let build_extra = extra_attributes(probe_schema, build_schema);
+        let build_extra_idx = build_schema.projection_indices(&build_extra)?;
+        let extras = natural.then(|| {
+            let empty = || {
+                ColumnAppender::new(Column::Int {
+                    values: Vec::new(),
+                    validity: None,
+                })
+            };
+            build_extra_idx.iter().map(|_| empty()).collect()
+        });
+        let keys = match KeySet::growing(build_key.len()).filter(|_| !natural) {
+            Some(set) => Growing::Present(set),
+            None => Growing::groups(build_key.len(), natural),
+        };
+        Ok(JoinBuilder {
+            out_schema: probe_schema.natural_union(build_schema),
+            extra_schema: build_schema.project(&build_extra)?,
+            build_schema: build_schema.clone(),
+            keys_only: build_extra.is_empty(),
+            probe_key,
+            build_key,
+            build_extra_idx,
+            rule,
+            segments: Segments::default(),
+            keys,
+            rows: 0,
+            extras,
+        })
+    }
+
+    /// Rows pushed so far.
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// What the build holds, in rows: its presence bits' words when they
+    /// stand in for its rows, else the rows it keeps.
+    pub fn held_rows(&self) -> usize {
+        match &self.keys {
+            Growing::Present(set) if self.keys_only => set.words(),
+            _ => self.segments.rows,
+        }
+    }
+
+    /// The rows a move to the group index would give back from the
+    /// presence bits: one per key held, when the bits stand in for the
+    /// rows, else none.
+    pub fn key_rows(&self) -> usize {
+        match &self.keys {
+            Growing::Present(set) if self.keys_only => set.len(),
+            _ => 0,
+        }
+    }
+
+    /// Intern one build chunk, keeping it when the build needs it.
+    pub fn push(&mut self, chunk: ColumnarBatch) {
+        if let Err(chunk) = self.try_push(chunk) {
+            self.to_groups();
+            let pushed = self.try_push(chunk);
+            debug_assert!(pushed.is_ok(), "a group index takes every chunk");
+        }
+    }
+
+    /// [`JoinBuilder::push`], unless the presence bits cannot take the
+    /// chunk and stand in for rows: the move to the group index would then
+    /// give [`JoinBuilder::key_rows`] rows back at once, so the chunk is
+    /// handed back for the caller to decide ([`JoinBuilder::to_groups`], or
+    /// [`JoinBuilder::into_chunks`]).
+    pub fn try_push(&mut self, chunk: ColumnarBatch) -> std::result::Result<(), ColumnarBatch> {
+        if chunk.num_rows() == 0 {
+            return Ok(());
+        }
+        let keys = KeyVector::build(&chunk, &self.build_key);
+        if let Growing::Present(set) = &mut self.keys {
+            if set.insert(self.build_key.len(), &keys, self.rows, self.rule) {
+                self.rows += chunk.num_rows();
+                if !self.keys_only {
+                    self.segments.push(chunk);
+                } else if set.words() > set.len() {
+                    // The bits outweigh the rows they stand for.
+                    self.to_groups();
+                }
+                return Ok(());
+            }
+            if self.key_rows() > 0 {
+                return Err(chunk);
+            }
+            self.to_groups();
+        }
+        self.rows += chunk.num_rows();
+        let base = self.segments.rows;
+        if let Some(extras) = &mut self.extras {
+            for (acc, &col) in extras.iter_mut().zip(&self.build_extra_idx) {
+                acc.append(chunk.column(col));
+            }
+        }
+        self.segments.push(chunk);
+        self.intern(&keys, base);
+        Ok(())
+    }
+
+    /// Move a presence build to the group index: intern the rows its bits
+    /// give back, or the chunks it kept. A no-op on a group index.
+    pub fn to_groups(&mut self) {
+        let Growing::Present(set) = &self.keys else {
+            return;
+        };
+        if self.keys_only {
+            let rows = key_batch(set, &self.build_schema, &self.build_key, &mut 0, usize::MAX);
+            if let Some(rows) = rows {
+                self.segments.push(rows);
+            }
+        }
+        self.keys = Growing::groups(self.build_key.len(), false);
+        for at in 0..self.segments.chunks.len() {
+            let keys = KeyVector::build(&self.segments.chunks[at], &self.build_key);
+            self.intern(&keys, self.segments.starts[at]);
+        }
+    }
+
+    /// Intern the keys of the kept chunk whose first row is `base` into the
+    /// group index.
+    fn intern(&mut self, keys: &KeyVector, base: usize) {
+        let Growing::Groups {
+            index,
+            exact,
+            gid_of,
+        } = &mut self.keys
+        else {
+            unreachable!("the presence bits intern in `try_push`")
+        };
+        *exact &= keys.exact();
+        let (segments, build_key) = (&self.segments, &self.build_key);
+        let (chunk, _) = segments.locate(base);
+        let verify = !*exact;
+        index.intern(
+            build_key.len(),
+            keys,
+            base,
+            self.rule,
+            |row, candidate| {
+                let (other, at) = segments.locate(candidate);
+                !verify || keys_equal(chunk, build_key, row, other, build_key, at)
+            },
+            |gid| {
+                if let Some(gid_of) = gid_of.as_mut() {
+                    gid_of.push(gid);
+                }
+            },
+        );
+    }
+
+    /// Give the build up for its rows: the chunks it kept, or the rows its
+    /// presence bits give back, made `chunk_rows` at a time as they are
+    /// pulled — what a hybrid join re-partitions when it stops holding its
+    /// build side whole.
+    pub fn into_chunks(self, chunk_rows: usize) -> BuildChunks {
+        match self.keys {
+            Growing::Present(set) if self.keys_only => BuildChunks(Source::Keys {
+                set,
+                schema: self.build_schema,
+                build_key: self.build_key,
+                chunk_rows,
+                cell: 0,
+            }),
+            _ => BuildChunks(Source::Kept(self.segments.chunks.into_iter())),
+        }
+    }
+
+    /// Seal the build for probing.
+    pub fn finish(self) -> JoinBuild {
+        let keys = match self.keys {
+            Growing::Present(set) => BuildKeys::Present(set),
+            Growing::Groups {
+                index,
+                exact,
+                gid_of,
+            } => {
+                let row_lists = gid_of.map(|gid_of| csr_from_gids(&gid_of, index.len()));
+                let extras = self.extras.map(|extras| {
+                    let columns = extras.into_iter().map(ColumnAppender::finish).collect();
+                    ColumnarBatch::from_parts(self.extra_schema, columns, self.segments.rows)
+                });
+                BuildKeys::Groups(Box::new(Groups {
+                    segments: self.segments,
+                    build_key: self.build_key,
+                    exact,
+                    index,
+                    row_lists,
+                    extras,
+                }))
+            }
+        };
+        JoinBuild {
+            probe_key: self.probe_key,
+            keys,
+            out_schema: self.out_schema,
+        }
+    }
+}
+
+/// The rows of a build given up by [`JoinBuilder::into_chunks`]: the chunks
+/// it kept, or the rows its presence bits give back, made as they are
+/// pulled.
+#[derive(Debug)]
+pub struct BuildChunks(Source);
+
+#[derive(Debug)]
+enum Source {
+    /// Chunks the build kept, in arrival order.
+    Kept(std::vec::IntoIter<ColumnarBatch>),
+    /// Presence bits, their rows made `chunk_rows` at a time in key order
+    /// from cell `cell` on.
+    Keys {
+        set: KeySet,
+        schema: Schema,
+        build_key: Vec<usize>,
+        chunk_rows: usize,
+        cell: usize,
+    },
+}
+
+impl BuildChunks {
+    /// The chunks still to come that the build kept, and so are already
+    /// held in memory; none for rows made anew.
+    pub fn kept(&self) -> &[ColumnarBatch] {
+        match &self.0 {
+            Source::Kept(chunks) => chunks.as_slice(),
+            Source::Keys { .. } => &[],
+        }
+    }
+}
+
+impl Iterator for BuildChunks {
+    type Item = ColumnarBatch;
+
+    fn next(&mut self) -> Option<ColumnarBatch> {
+        match &mut self.0 {
+            Source::Kept(chunks) => chunks.next(),
+            Source::Keys {
+                set,
+                schema,
+                build_key,
+                chunk_rows,
+                cell,
+            } => key_batch(set, schema, build_key, cell, *chunk_rows),
+        }
+    }
+}
+
+/// The next up to `chunk_rows` keys `set` holds from cell `*cell` on, as
+/// rows over `schema` — whose columns are all key columns, `build_key[i]`
+/// the place of key column `i` — or `None` past the last key. The codes
+/// are exact, so each decodes to one int, or to two packed `i32` halves.
+fn key_batch(
+    set: &KeySet,
+    schema: &Schema,
+    build_key: &[usize],
+    cell: &mut usize,
+    chunk_rows: usize,
+) -> Option<ColumnarBatch> {
+    let codes = set.next_codes(cell, chunk_rows.max(1));
+    if codes.is_empty() {
+        return None;
+    }
+    let columns: Vec<Vec<i64>> = match build_key.len() {
+        1 => vec![codes.iter().map(|&code| code as i64).collect()],
+        2 => vec![
+            codes
+                .iter()
+                .map(|&code| i64::from((code >> 32) as u32 as i32))
+                .collect(),
+            codes
+                .iter()
+                .map(|&code| i64::from(code as u32 as i32))
+                .collect(),
+        ],
+        _ => unreachable!("presence bits key one or two columns"),
+    };
+    let mut placed: Vec<Option<Column>> = vec![None; build_key.len()];
+    for (values, &at) in columns.into_iter().zip(build_key) {
+        placed[at] = Some(Column::Int {
+            values,
+            validity: None,
+        });
+    }
+    let placed = placed
+        .into_iter()
+        .map(|c| c.expect("every column is a key"));
+    Some(ColumnarBatch::from_parts(
+        schema.clone(),
+        placed.collect(),
+        codes.len(),
+    ))
+}
+
+impl Growing {
+    /// An empty group index, tracking every row's group for a natural
+    /// build.
+    fn groups(key_arity: usize, natural: bool) -> Growing {
+        Growing::Groups {
+            index: GroupIndex::growing(key_arity),
+            exact: true,
+            gid_of: natural.then(Vec::new),
+        }
+    }
+}
+
+/// A hash-join build side prepared for probing chunk-at-a-time — the one
+/// join kernel `div_physical::stream`'s hash join runs. A [`JoinBuilder`]
+/// indexes the build chunks once, in the form its probes need, and every
+/// probe chunk then streams through [`JoinBuild::probe_natural`] /
+/// [`JoinBuild::probe_semi`]; the one-shot [`hash_natural_join`] is a
+/// one-chunk build fed one probe.
+///
+/// A natural build keeps its chunks, a dense or hashed [`GroupIndex`] of
+/// their keys, the CSR row lists a natural probe gathers from and the
+/// build-side-only columns. A semi build, for semi and anti probes only,
+/// keeps one bit per key when the keys are exact and the memory rule admits
+/// their range at one bit a cell, and nothing else; a probe row is present
+/// when its own key codes exactly and its bit is set (a NULL, string,
+/// folded or out-of-`i32` key equals no key of an all-int build).
 ///
 /// The key is every attribute the two schemas share, in the probe schema's
-/// order, and inexact code matches are verified against the build batch
+/// order, and inexact code matches are verified against the build chunks
 /// ([`keys_equal`](crate::key_vector::keys_equal)). For union-compatible
 /// schemas the shared attributes are all of them, so
 /// [`JoinBuild::probe_semi`] keys whole rows: it is set intersection, and
@@ -117,23 +521,22 @@ fn extra_attributes<'a>(probe: &Schema, build: &'a Schema) -> Vec<&'a str> {
 pub struct JoinBuild {
     probe_key: Vec<usize>,
     keys: BuildKeys,
-    build_extra_idx: Vec<usize>,
     out_schema: Schema,
 }
 
 /// What a [`JoinBuild`] keeps of its build side.
 #[derive(Debug)]
 enum BuildKeys {
-    /// The build batch with its keys indexed by group.
+    /// The build chunks with their keys indexed by group.
     Groups(Box<Groups>),
     /// The keys of an exact semi build, one bit each.
     Present(KeySet),
 }
 
-/// A build batch with its keys indexed by group.
+/// Build chunks with their keys indexed by group.
 #[derive(Debug)]
 struct Groups {
-    build: ColumnarBatch,
+    segments: Segments,
     build_key: Vec<usize>,
     /// Whether every build key codes exactly, so that a probe row whose own
     /// key codes exactly needs no column compare.
@@ -142,11 +545,36 @@ struct Groups {
     /// The CSR row lists `(offsets, rows)` of every key group; `None` in a
     /// semi build.
     row_lists: Option<(Vec<u32>, Vec<u32>)>,
+    /// The build-side-only columns of every row; `None` in a semi build.
+    extras: Option<ColumnarBatch>,
+}
+
+impl Groups {
+    /// The group of probe row `row` of `chunk`, whose key columns are
+    /// `probe_key` and codes `keys`.
+    #[inline]
+    fn group_of(
+        &self,
+        chunk: &ColumnarBatch,
+        probe_key: &[usize],
+        keys: &KeyVector,
+        row: usize,
+    ) -> Option<u32> {
+        let verify = !(self.exact && keys.exact());
+        self.index.get(keys.code(row), |candidate| {
+            if !verify {
+                return true;
+            }
+            let (build, at) = self.segments.locate(candidate);
+            keys_equal(chunk, probe_key, row, build, &self.build_key, at)
+        })
+    }
 }
 
 impl JoinBuild {
     /// Hash `build` on the attributes it shares with `probe_schema` (the
-    /// schema every later probe chunk must carry), for any probe.
+    /// schema every later probe chunk must carry), for any probe: a
+    /// [`JoinBuilder`] fed the one chunk.
     pub fn new(probe_schema: &Schema, build: ColumnarBatch) -> Result<JoinBuild> {
         JoinBuild::with_rule(probe_schema, build, true, FormRule::Memory)
     }
@@ -157,44 +585,17 @@ impl JoinBuild {
         JoinBuild::with_rule(probe_schema, build, false, FormRule::Memory)
     }
 
-    /// A build for natural probes too (`natural`) or only semi and anti
-    /// ones, its form chosen by `rule`.
+    /// A one-chunk build for natural probes too (`natural`) or only semi
+    /// and anti ones, its form chosen by `rule`.
     pub(crate) fn with_rule(
         probe_schema: &Schema,
         build: ColumnarBatch,
         natural: bool,
         rule: FormRule,
     ) -> Result<JoinBuild> {
-        let (probe_key, build_key) = join_key_columns(probe_schema, build.schema())?;
-        let build_extra = extra_attributes(probe_schema, build.schema());
-        let build_extra_idx = build.projection_indices(&build_extra)?;
-        let out_schema = probe_schema.natural_union(build.schema());
-        let build_keys = KeyVector::build(&build, &build_key);
-        let presence = if natural {
-            None
-        } else {
-            KeySet::of(build_key.len(), &build_keys, rule)
-        };
-        let keys = match presence {
-            Some(set) => BuildKeys::Present(set),
-            None => {
-                let (index, gid_of) = index_rows_ruled(&build, &build_key, &build_keys, rule);
-                let row_lists = natural.then(|| csr_from_gids(&gid_of, index.len()));
-                BuildKeys::Groups(Box::new(Groups {
-                    build,
-                    build_key,
-                    exact: build_keys.exact(),
-                    index,
-                    row_lists,
-                }))
-            }
-        };
-        Ok(JoinBuild {
-            probe_key,
-            keys,
-            build_extra_idx,
-            out_schema,
-        })
+        let mut builder = JoinBuilder::with_rule(probe_schema, build.schema(), natural, rule)?;
+        builder.push(build);
+        Ok(builder.finish())
     }
 
     /// The natural-join output schema (probe attributes, then
@@ -203,7 +604,7 @@ impl JoinBuild {
         &self.out_schema
     }
 
-    /// Bytes the build holds on the heap beside its build batch: the index
+    /// Bytes the build holds on the heap beside its build rows: the index
     /// and the CSR row lists, or the presence bits alone.
     pub fn heap_bytes(&self) -> usize {
         let u32s = |v: &Vec<u32>| v.capacity() * size_of::<u32>();
@@ -224,7 +625,7 @@ impl JoinBuild {
     ///
     /// # Panics
     ///
-    /// On a build made by [`JoinBuild::semi`].
+    /// On a build made for semi and anti probes only.
     pub fn probe_natural(&self, chunk: &ColumnarBatch) -> Result<KernelOutput> {
         let natural = match &self.keys {
             BuildKeys::Groups(groups) => groups.row_lists.as_ref().map(|lists| (groups, lists)),
@@ -233,21 +634,10 @@ impl JoinBuild {
         let (groups, (offsets, rows_csr)) =
             natural.expect("a semi build answers semi and anti probes only");
         let chunk_keys = KeyVector::build(chunk, &self.probe_key);
-        let same_key = cross_matcher(
-            chunk,
-            &self.probe_key,
-            chunk_keys.exact(),
-            &groups.build,
-            &groups.build_key,
-            groups.exact,
-        );
         let mut probe_indices: Vec<usize> = Vec::new();
         let mut build_indices: Vec<usize> = Vec::new();
         for i in 0..chunk.num_rows() {
-            if let Some(gid) = groups
-                .index
-                .get(chunk_keys.code(i), |other| same_key(i, other))
-            {
+            if let Some(gid) = groups.group_of(chunk, &self.probe_key, &chunk_keys, i) {
                 let (start, end) = (offsets[gid as usize], offsets[gid as usize + 1]);
                 for &j in &rows_csr[start as usize..end as usize] {
                     probe_indices.push(i);
@@ -260,11 +650,8 @@ impl JoinBuild {
             .iter()
             .map(|c| c.gather(&probe_indices))
             .collect();
-        columns.extend(
-            self.build_extra_idx
-                .iter()
-                .map(|&c| groups.build.column(c).gather(&build_indices)),
-        );
+        let extras = groups.extras.as_ref().expect("a natural build keeps them");
+        columns.extend(extras.columns().iter().map(|c| c.gather(&build_indices)));
         let rows = probe_indices.len();
         Ok(KernelOutput {
             batch: ColumnarBatch::from_parts(self.out_schema.clone(), columns, rows),
@@ -290,20 +677,11 @@ impl JoinBuild {
                         && (exact || exact_row(&chunk, &self.probe_key, i))
                 })
             }
-            BuildKeys::Groups(groups) => {
-                let same_key = cross_matcher(
-                    &chunk,
-                    &self.probe_key,
-                    chunk_keys.exact(),
-                    &groups.build,
-                    &groups.build_key,
-                    groups.exact,
-                );
-                keep(rows, anti, |i| {
-                    let code = chunk_keys.code(i);
-                    groups.index.get(code, |other| same_key(i, other)).is_some()
-                })
-            }
+            BuildKeys::Groups(groups) => keep(rows, anti, |i| {
+                groups
+                    .group_of(&chunk, &self.probe_key, &chunk_keys, i)
+                    .is_some()
+            }),
         };
         let batch = if mask.iter().all(|&keep| keep) {
             chunk
@@ -596,7 +974,7 @@ mod tests {
         let probe = supplies.slice(0..4096);
         for build_side in [
             supplies.clone(),
-            supplies.gather(&level0[0]),
+            supplies.gather(level0.rows(0)),
             supplies.gather(&leaf),
         ] {
             let rows = build_side.num_rows();
@@ -692,6 +1070,87 @@ mod tests {
                             l.natural_join(&r).unwrap()
                         );
                     }
+                }
+            }
+        }
+
+        /// A build fed in chunks — cut anywhere, its keys ascending,
+        /// descending or shuffled, so the learnt range widens on either
+        /// side, and hostile rows arriving after compact ones, so a presence
+        /// build moves to the group index midway — answers ⋈, ⋉ and ▷ as the
+        /// reference operators do, and given up it gives back exactly its
+        /// rows, whether it kept its chunks or holds bits alone.
+        #[test]
+        fn chunked_builds_answer_like_the_reference(
+            build in prop::collection::vec((0u32..12, 0u32..12), 0..48),
+            probe in prop::collection::vec((0u32..12, 0u32..12), 0..24),
+            cuts in prop::collection::vec(0usize..48, 0..6),
+            order in 0u32..3,
+            key_arity in 1usize..3,
+            hostile_tail in 0u32..2,
+        ) {
+            let mut build = build;
+            match order {
+                0 => build.sort_unstable(),
+                1 => build.sort_unstable_by(|a, b| b.cmp(a)),
+                _ => {}
+            }
+            // Compact keys first; with `hostile_tail` the later rows may
+            // hold any drawn key.
+            let tail = build.len() / 2;
+            let pick = |row: usize, pick: u32| {
+                if hostile_tail == 1 && row >= tail { pick } else { pick % 9 }
+            };
+            // One key column beside a column of each side's own, or a
+            // whole-row key of two columns: a build side that is its key
+            // alone.
+            let row = |at: usize, (a, b): (u32, u32), pick: &dyn Fn(usize, u32) -> u32| {
+                let second = if key_arity == 1 { Value::Int(i64::from(b)) } else { drawn(pick(at, b)) };
+                vec![drawn(pick(at, a)), second]
+            };
+            // The rows in the order drawn, each once.
+            let batch = |own: &str, rows: Vec<Vec<Value>>| {
+                let mut seen = std::collections::BTreeSet::new();
+                let rows: Vec<Vec<Value>> = rows.into_iter().filter(|r| seen.insert(r.clone())).collect();
+                let columns = (0..2).map(|c| Column::from_values(rows.iter().map(|r| &r[c]))).collect();
+                let names = if key_arity == 1 { ["k1", own] } else { ["k1", "k2"] };
+                ColumnarBatch::from_parts(Schema::of(names), columns, rows.len())
+            };
+            let build = batch("rv", build.iter().enumerate().map(|(at, &p)| row(at, p, &pick)).collect());
+            let probe = batch("lv", probe.iter().enumerate().map(|(at, &p)| row(at, p, &|_, p| p)).collect());
+            let (l, r) = (probe.to_relation().unwrap(), build.to_relation().unwrap());
+            let rows = build.num_rows();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(rows)).chain([0, rows]).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let chunks: Vec<ColumnarBatch> = cuts.windows(2).map(|w| build.slice(w[0]..w[1])).collect();
+            for natural in [false, true] {
+                let fed = || {
+                    let mut builder = JoinBuilder::new(probe.schema(), build.schema(), natural).unwrap();
+                    for chunk in &chunks {
+                        builder.push(chunk.clone());
+                    }
+                    builder
+                };
+                let mut given = div_algebra::Relation::empty(build.schema().clone());
+                for chunk in fed().into_chunks(4) {
+                    given = given.union(&chunk.to_relation().unwrap()).unwrap();
+                }
+                prop_assert_eq!(&given, &r);
+                let sealed = fed().finish();
+                prop_assert_eq!(
+                    sealed.probe_semi(probe.clone(), false).unwrap().batch.to_relation().unwrap(),
+                    l.semi_join(&r).unwrap()
+                );
+                prop_assert_eq!(
+                    sealed.probe_semi(probe.clone(), true).unwrap().batch.to_relation().unwrap(),
+                    l.anti_semi_join(&r).unwrap()
+                );
+                if natural {
+                    prop_assert_eq!(
+                        sealed.probe_natural(&probe).unwrap().batch.to_relation().unwrap(),
+                        l.natural_join(&r).unwrap()
+                    );
                 }
             }
         }

@@ -17,7 +17,7 @@ pub use aggregate::{hash_aggregate, StreamingAggregate};
 pub use divide::hash_divide;
 pub use filter::filter;
 pub use great_divide::{hash_great_divide, StreamingGreatDivide};
-pub use join::{hash_natural_join, JoinBuild, KernelOutput};
+pub use join::{hash_natural_join, BuildChunks, JoinBuild, JoinBuilder, KernelOutput};
 pub use product::cross_product_slice;
 pub use project::project;
 

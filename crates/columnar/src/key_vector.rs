@@ -160,36 +160,13 @@ impl KeyVector {
     /// which spill partition a row lands in does not depend on whether its
     /// key packs — packing only spares the hash tables their verification.
     pub(crate) fn build_folded(batch: &ColumnarBatch, key_columns: &[usize]) -> KeyVector {
-        let rows = batch.num_rows();
-        if let [single] = key_columns {
-            if let Column::Int {
-                values,
-                validity: None,
-            } = batch.column(*single)
-            {
-                // Raw-i64 fast path: the code *is* the key (injective).
-                return KeyVector {
-                    codes: values.iter().map(|&v| v as u64).collect(),
-                    exact: true,
-                };
-            }
-            let mut codes = vec![0u64; rows];
-            for_each_code(batch.column(*single), |i, code| codes[i] = code);
-            return KeyVector {
-                codes,
-                exact: false,
-            };
-        }
-        let mut codes = vec![COMPOSITE_SEED; rows];
-        for &col in key_columns {
-            for_each_code(batch.column(col), |i, code| {
-                codes[i] = combine(codes[i], code)
-            });
-        }
-        KeyVector {
-            codes,
-            exact: false,
-        }
+        let mut codes = Vec::new();
+        folded_codes_into(batch, key_columns, &mut codes);
+        let exact = matches!(
+            key_columns,
+            [single] if matches!(batch.column(*single), Column::Int { validity: None, .. })
+        );
+        KeyVector { codes, exact }
     }
 
     /// The code of row `row`.
@@ -221,6 +198,49 @@ impl KeyVector {
     #[inline]
     pub fn exact(&self) -> bool {
         self.exact
+    }
+}
+
+/// The codes of [`KeyVector::build_folded`], written into `codes` (its
+/// contents replaced, its allocation kept): one int column's raw values,
+/// any other key's column codes folded from [`COMPOSITE_SEED`] — row by
+/// row in one pass when every key column is a NULL-free int column.
+pub(crate) fn folded_codes_into(
+    batch: &ColumnarBatch,
+    key_columns: &[usize],
+    codes: &mut Vec<u64>,
+) {
+    codes.clear();
+    let ints: Option<Vec<&[i64]>> = key_columns
+        .iter()
+        .map(|&col| match batch.column(col) {
+            Column::Int {
+                values,
+                validity: None,
+            } => Some(values.as_slice()),
+            _ => None,
+        })
+        .collect();
+    match (key_columns, ints.as_deref()) {
+        // Raw-i64 fast path: the code *is* the key (injective).
+        ([_], Some([values])) => codes.extend(values.iter().map(|&v| v as u64)),
+        ([single], None) => {
+            codes.resize(batch.num_rows(), 0);
+            for_each_code(batch.column(*single), |i, code| codes[i] = code);
+        }
+        (_, Some([a, b])) => codes.extend(
+            a.iter()
+                .zip(*b)
+                .map(|(&a, &b)| combine(combine(COMPOSITE_SEED, a as u64), b as u64)),
+        ),
+        _ => {
+            codes.resize(batch.num_rows(), COMPOSITE_SEED);
+            for &col in key_columns {
+                for_each_code(batch.column(col), |i, code| {
+                    codes[i] = combine(codes[i], code)
+                });
+            }
+        }
     }
 }
 

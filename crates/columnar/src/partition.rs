@@ -1,91 +1,156 @@
 //! Hash routing of a batch's rows, and the linear concatenation that drains
 //! chunks back into one batch.
 //!
-//! [`partition_rows`] is the routing decision: the key columns are
-//! normalized **once per batch** into a [`KeyVector`] (no per-row hasher
-//! construction, no per-row key materialization) and each code is routed
-//! with a splitmix-mixed multiply-based fast reduction (no modulo bias), so
-//! rows agreeing on the key always land in the same bucket regardless of
-//! the batch's column encodings — the disjointness quotient partitioning
-//! (Law 2 with condition `c2`, Section 5.1.1 of the paper) requires. A seed
-//! re-randomizes the routing per recursion level, and [`BatchAppender`] is
-//! the per-partition accumulator — together the spilling operators' write
-//! path.
+//! [`Routing`] is the routing decision: the key columns are normalized
+//! **once per batch** into [`KeyVector`](crate::KeyVector) codes (no
+//! per-row hasher construction, no per-row key materialization), each code is routed with a
+//! splitmix-mixed multiply-based fast reduction (no modulo bias), and one
+//! counting sort lists every partition's rows, in buffers the next batch
+//! reuses. Rows agreeing on the key always land in the same partition
+//! regardless of the batch's column encodings — the disjointness quotient
+//! partitioning (Law 2 with condition `c2`, Section 5.1.1 of the paper)
+//! requires. A seed re-randomizes the routing per recursion level, and
+//! [`BatchAppender`] is the per-partition accumulator, emptied and refilled
+//! in place — together the spilling operators' write path.
 
 use crate::batch::ColumnarBatch;
-use crate::column::ColumnAppender;
+use crate::column::{Column, ColumnAppender};
 use crate::hash_table::{fast_range, mix};
-use crate::key_vector::KeyVector;
+use crate::key_vector::folded_codes_into;
 use div_algebra::Schema;
 
-/// The routing decision alone: `result[p]` lists, in row order, the rows of
-/// `batch` that belong to partition `p` of `partitions` (clamped to at least
-/// 1). Rows with equal keys land in the same bucket and every row lands in
-/// exactly one; with an empty `key_columns` list every row hashes
-/// identically, so all rows land in one bucket. Nothing is gathered, so a
-/// caller that appends the rows somewhere else (the spill writers'
-/// per-partition buffers, via [`BatchAppender::append_rows`]) copies each
-/// row once.
+/// The routing of one batch's rows to partitions, kept for reuse: routing
+/// the next batch refills the same buffers instead of allocating a list
+/// per partition.
+///
+/// After [`Routing::route`], [`Routing::rows`]`(p)` lists, in row order,
+/// the rows that belong to partition `p`. Rows with equal keys land in the
+/// same partition and every row lands in exactly one; with an empty key
+/// column list every row hashes identically, so all rows land in one.
+/// Nothing is gathered, so a caller that appends the rows somewhere else
+/// (the spill writers' per-partition buffers, via
+/// [`BatchAppender::append_rows`]) copies each row once.
 ///
 /// The seed is folded into every key code before mixing. It exists for
 /// *recursive* partitioning (Graefe-style hybrid hash spilling): all rows of
 /// one level-`n` partition share a routing hash by construction, so
 /// re-partitioning them with the same function would put everything back
-/// into a single bucket. Deriving a fresh seed per recursion level
+/// into a single partition. Deriving a fresh seed per recursion level
 /// re-randomizes the routing while preserving the key disjointness
 /// guarantee (equal keys still land together, at every level).
+#[derive(Debug, Clone, Default)]
+pub struct Routing {
+    /// The folded key code of every row, then its partition, in row order.
+    codes: Vec<u64>,
+    /// `starts[p]..starts[p + 1]` indexes partition `p`'s rows in `rows`.
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl Routing {
+    /// Route every row of `batch` by its `key_columns` to one of
+    /// `partitions` partitions (clamped to at least 1) under `seed`,
+    /// replacing the previous routing.
+    pub fn route(
+        &mut self,
+        batch: &ColumnarBatch,
+        key_columns: &[usize],
+        partitions: usize,
+        seed: u64,
+    ) {
+        let partitions = partitions.max(1);
+        folded_codes_into(batch, key_columns, &mut self.codes);
+        // A counting sort: route and count, turn the counts into starts,
+        // place.
+        self.starts.clear();
+        self.starts.resize(partitions + 1, 0);
+        for code in &mut self.codes {
+            let p = fast_range(mix(*code ^ seed), partitions);
+            self.starts[p + 1] += 1;
+            *code = p as u64;
+        }
+        for p in 0..partitions {
+            self.starts[p + 1] += self.starts[p];
+        }
+        self.rows.resize(self.codes.len(), 0);
+        for (row, &p) in self.codes.iter().enumerate() {
+            // `starts[p]` is the next free slot of partition `p` while
+            // placing; it ends at partition `p + 1`'s start.
+            let p = p as usize;
+            self.rows[self.starts[p]] = row;
+            self.starts[p] += 1;
+        }
+        self.starts.rotate_right(1);
+        self.starts[0] = 0;
+    }
+
+    /// The number of partitions of the last routing.
+    pub fn partitions(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// The rows of partition `partition`, in row order.
+    pub fn rows(&self, partition: usize) -> &[usize] {
+        &self.rows[self.starts[partition]..self.starts[partition + 1]]
+    }
+
+    /// Every partition's rows, in partition order.
+    pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        (0..self.partitions()).map(|p| self.rows(p))
+    }
+}
+
+/// One routing of `batch`, in a fresh [`Routing`] (see there).
 pub fn partition_rows(
     batch: &ColumnarBatch,
     key_columns: &[usize],
     partitions: usize,
     seed: u64,
-) -> Vec<Vec<usize>> {
-    let partitions = partitions.max(1);
-    let keys = KeyVector::build_folded(batch, key_columns);
-    let routes: Vec<usize> = keys
-        .codes()
-        .iter()
-        .map(|&code| fast_range(mix(code ^ seed), partitions))
-        .collect();
-    // A count pass sizes every bucket exactly, so the routing pass below
-    // never grows one.
-    let mut counts = vec![0usize; partitions];
-    for &p in &routes {
-        counts[p] += 1;
-    }
-    let mut buckets: Vec<Vec<usize>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for (row, &p) in routes.iter().enumerate() {
-        buckets[p].push(row);
-    }
-    buckets
+) -> Routing {
+    let mut routing = Routing::default();
+    routing.route(batch, key_columns, partitions, seed);
+    routing
 }
 
-/// A batch that grows in place: rows picked out of other batches are
-/// appended straight onto its columns (each row copied once — the
-/// gather-into-the-accumulator counterpart of [`concat_batches`]), and
-/// [`BatchAppender::take`] hands the accumulated rows over as one
-/// [`ColumnarBatch`]. The spill writers keep one per partition file so that
-/// what reaches disk is full chunks, not one sliver per routed batch.
+/// A batch that grows in place and is emptied in place: rows picked out of
+/// other batches are appended straight onto its columns (each row copied
+/// once — the gather-into-the-accumulator counterpart of
+/// [`concat_batches`]), and [`BatchAppender::flush`] lends the accumulated
+/// rows out as one [`ColumnarBatch`] and then empties the columns, keeping
+/// their allocations for the next rows. The spill writers keep one per
+/// partition file so that what reaches disk is full chunks, not one sliver
+/// per routed batch, and no flush regrows a buffer from nothing.
 #[derive(Debug)]
 pub struct BatchAppender {
     schema: Schema,
-    /// `None` while empty: the first append decides each column's
-    /// representation, exactly as a gather of those rows would.
-    columns: Option<Vec<ColumnAppender>>,
+    /// Empty columns take the kind of the first rows appended to them,
+    /// exactly as a gather of those rows would.
+    columns: Vec<ColumnAppender>,
     rows: usize,
 }
 
 impl BatchAppender {
-    /// An empty appender for batches of `schema`.
-    pub fn new(schema: Schema) -> BatchAppender {
+    /// An empty appender for batches of `schema`, with room for `capacity`
+    /// rows before any column grows.
+    pub fn with_capacity(schema: Schema, capacity: usize) -> BatchAppender {
+        let columns = (0..schema.arity())
+            .map(|_| {
+                let mut column = ColumnAppender::new(Column::Int {
+                    values: Vec::new(),
+                    validity: None,
+                });
+                column.reserve(capacity);
+                column
+            })
+            .collect();
         BatchAppender {
             schema,
-            columns: None,
+            columns,
             rows: 0,
         }
     }
 
-    /// Rows accumulated since the last [`BatchAppender::take`].
+    /// Rows accumulated since the appender was last emptied.
     pub fn num_rows(&self) -> usize {
         self.rows
     }
@@ -97,36 +162,30 @@ impl BatchAppender {
     /// Panics when `batch` does not carry this appender's schema.
     pub fn append_rows(&mut self, batch: &ColumnarBatch, rows: &[usize]) {
         assert_eq!(batch.schema(), &self.schema, "partition schema drift");
-        match &mut self.columns {
-            Some(columns) => {
-                for (acc, col) in columns.iter_mut().zip(batch.columns()) {
-                    acc.append_gather(col, rows);
-                }
-            }
-            None => {
-                self.columns = Some(
-                    batch
-                        .columns()
-                        .iter()
-                        .map(|col| ColumnAppender::new(col.gather(rows)))
-                        .collect(),
-                );
-            }
+        for (acc, col) in self.columns.iter_mut().zip(batch.columns()) {
+            acc.append_gather(col, rows);
         }
         self.rows += rows.len();
     }
 
-    /// The accumulated rows as one batch; the appender is empty afterwards.
-    pub fn take(&mut self) -> ColumnarBatch {
+    /// Lend the accumulated rows to `f` as one batch, then empty the
+    /// appender (whatever `f` returns), keeping the columns' allocations.
+    pub fn flush<R>(&mut self, f: impl FnOnce(&ColumnarBatch) -> R) -> R {
+        let columns = self.columns.iter_mut().map(ColumnAppender::take_column);
         let rows = std::mem::take(&mut self.rows);
-        match self.columns.take() {
-            Some(columns) => ColumnarBatch::from_parts(
-                self.schema.clone(),
-                columns.into_iter().map(ColumnAppender::finish).collect(),
-                rows,
-            ),
-            None => ColumnarBatch::empty(self.schema.clone()),
+        let batch = ColumnarBatch::from_parts(self.schema.clone(), columns.collect(), rows);
+        let out = f(&batch);
+        let (_, columns, _) = batch.into_parts();
+        for (acc, column) in self.columns.iter_mut().zip(columns) {
+            acc.restore(column);
         }
+        out
+    }
+
+    /// Drop the accumulated rows, keeping the columns' allocations.
+    pub fn clear(&mut self) {
+        self.columns.iter_mut().for_each(ColumnAppender::clear);
+        self.rows = 0;
     }
 }
 
@@ -202,7 +261,7 @@ mod tests {
     }
 
     /// Every row is in exactly one bucket and no key is in two.
-    fn assert_partition(batch: &ColumnarBatch, keys: &[usize], routed: &[Vec<usize>]) {
+    fn assert_partition(batch: &ColumnarBatch, keys: &[usize], routed: &Routing) {
         let mut rows: Vec<usize> = routed.iter().flatten().copied().collect();
         rows.sort_unstable();
         assert_eq!(rows, (0..batch.num_rows()).collect::<Vec<_>>());
@@ -221,7 +280,7 @@ mod tests {
     fn hash_partition_is_a_partition_with_disjoint_keys() {
         let batch = sample();
         let routed = partition_rows(&batch, &[0], 4, 0);
-        assert_eq!(routed.len(), 4);
+        assert_eq!(routed.partitions(), 4);
         // Key disjointness (the laws' precondition): the same `a` value never
         // appears in two different partitions.
         assert_partition(&batch, &[0], &routed);
@@ -333,7 +392,7 @@ mod tests {
             take_every in 1usize..4,
         ) {
             let schema = div_algebra::Schema::of(["i", "b", "s", "m"]);
-            let mut appender = BatchAppender::new(schema.clone());
+            let mut appender = BatchAppender::with_capacity(schema.clone(), 4);
             let mut picked: Vec<ColumnarBatch> = Vec::new();
             for (n, &(rows, seed)) in parts.iter().enumerate() {
                 let columns = (0..4)
@@ -349,7 +408,7 @@ mod tests {
                 if (n + 1) % take_every == 0 || n + 1 == parts.len() {
                     let expected = concat_batches(&picked).unwrap();
                     prop_assert_eq!(appender.num_rows(), expected.num_rows());
-                    let got = appender.take();
+                    let got = appender.flush(ColumnarBatch::clone);
                     prop_assert_eq!(got.num_rows(), expected.num_rows());
                     for row in 0..expected.num_rows() {
                         prop_assert_eq!(got.row(row), expected.row(row));
@@ -366,13 +425,11 @@ mod tests {
         let batch = sample();
         let routed = partition_rows(&batch, &[0], 5, 0);
         let reseeded = partition_rows(&batch, &[0], 5, 0x9E37_79B9_7F4A_7C15);
-        assert_eq!((routed.len(), reseeded.len()), (5, 5));
-        assert_ne!(routed, reseeded);
+        assert_eq!((routed.partitions(), reseeded.partitions()), (5, 5));
+        assert!(routed.iter().ne(reseeded.iter()));
         assert_partition(&batch, &[0], &reseeded);
-        assert_eq!(
-            BatchAppender::new(batch.schema().clone()).take().num_rows(),
-            0
-        );
+        let mut empty = BatchAppender::with_capacity(batch.schema().clone(), 4);
+        assert_eq!(empty.flush(ColumnarBatch::num_rows), 0);
     }
 
     #[test]
@@ -428,7 +485,7 @@ mod tests {
         let batch = sample();
         let occupied: Vec<usize> = partition_rows(&batch, &[], 4, 0)
             .iter()
-            .map(Vec::len)
+            .map(<[usize]>::len)
             .filter(|&n| n > 0)
             .collect();
         assert_eq!(occupied, vec![batch.num_rows()]);

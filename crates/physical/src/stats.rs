@@ -144,6 +144,13 @@ impl ExecStats {
                 mine.time_open_ns = mine.time_open_ns.max(theirs.time_open_ns);
                 mine.time_next_ns = mine.time_next_ns.max(theirs.time_next_ns);
                 mine.time_close_ns = mine.time_close_ns.max(theirs.time_close_ns);
+                if mine.phases.is_empty() {
+                    mine.phases = theirs.phases.clone();
+                } else if mine.phases.len() == theirs.phases.len() {
+                    for ((_, mine), (_, theirs)) in mine.phases.iter_mut().zip(&theirs.phases) {
+                        *mine = (*mine).max(*theirs);
+                    }
+                }
             }
         }
     }

@@ -336,10 +336,14 @@ fn grouped_pass(
                     let frozen = state.consume_frozen(&chunk);
                     consumed(ctx, &chunk);
                     let FrozenConsume { probes, leftover } = frozen?;
-                    if leftover.len() == chunk.num_rows() {
-                        writers.route(ctx, &chunk)?;
-                    } else if !leftover.is_empty() {
-                        writers.route(ctx, &chunk.gather(&leftover))?;
+                    let spilled = if leftover.len() == chunk.num_rows() {
+                        Some(chunk)
+                    } else {
+                        (!leftover.is_empty()).then(|| chunk.gather(&leftover))
+                    };
+                    if let Some(spilled) = spilled {
+                        writers.route(ctx, spilled)?;
+                        writers.relieve(ctx)?;
                     }
                     probes
                 }
@@ -354,7 +358,7 @@ fn grouped_pass(
                     // Freeze: from here on the state takes only rows of
                     // the groups it already holds.
                     let mut manager = SpillManager::new().map_err(ExprError::from)?;
-                    let partitions = PartitionWriters::first_pass(&mut manager, ctx, input)?;
+                    let partitions = PartitionWriters::first_pass(&mut manager, ctx, input, false)?;
                     writers = Some((manager, partitions));
                 }
             }

@@ -7,13 +7,17 @@
 //! workspace reproduces is explicitly built on:
 //!
 //! 1. **Spill what does not fit — and only that.** Every operator watches
-//!    the thing it actually keeps. The join keeps its build input, so it
-//!    buffers it and, when the statement's resident footprint comes within
-//!    a safety margin of the budget ([`near_budget`]: two batches — the
-//!    trigger must fire *before* a child emission would trip the
-//!    [`crate::guard::QueryGuard`], whose check lives at the emit
-//!    boundary), drains everything buffered plus everything still arriving
-//!    through [`PartitionWriters`]. The divide and the aggregate keep
+//!    the thing it actually keeps. The join keeps its build input,
+//!    interned chunk by chunk (a semi or anti build whose build side is its
+//!    key alone keeps presence bits and no rows), and when the statement's
+//!    resident footprint comes within a safety margin of the budget
+//!    ([`near_budget`]: two batches — the trigger must fire *before* a
+//!    child emission would trip the [`crate::guard::QueryGuard`], whose
+//!    check lives at the emit boundary) it turns hybrid: what it holds and
+//!    everything still arriving are routed through [`PartitionWriters`]
+//!    whose partition 0 stays resident ([`keeps_partition_resident`]) —
+//!    built in memory, its probe rows probed at once and never written —
+//!    while the other partitions go to disk. The divide and the aggregate keep
 //!    grouped *state* — the divide's divisor + quotient groups, the
 //!    aggregate's one accumulator row per group — and read their input
 //!    once, so their trigger ([`state_overflows`]) watches the state: when
@@ -44,7 +48,7 @@
 //!    partition over the bound is re-partitioned from disk into
 //!    [`split_fanout`] files — its row count over the bound, with headroom
 //!    for skew — under a fresh level seed
-//!    ([`div_columnar::partition::partition_rows`] — all rows of one
+//!    ([`div_columnar::partition::Routing`] — all rows of one
 //!    partition share their level-0 routing hash, so recursion *must*
 //!    re-seed), up to [`MAX_SPILL_LEVELS`]; a level-capped partition (every
 //!    row sharing one key) is served anyway and the budget backstop aborts
@@ -64,10 +68,10 @@
 //! [`ExecStats::spill_rows_written`]: crate::stats::ExecStats::spill_rows_written
 //! [`ExecStats::spill_rows_read`]: crate::stats::ExecStats::spill_rows_read
 
-use super::{collect_chunks, consolidate, consumed, StreamContext};
+use super::{consumed, StreamContext};
 use crate::Result;
 use div_algebra::Schema;
-use div_columnar::partition::{self, BatchAppender};
+use div_columnar::partition::{BatchAppender, Routing};
 use div_columnar::ColumnarBatch;
 use div_expr::ExprError;
 use div_storage::{SpillHandle, SpillManager, SpillWriter, TableScanCursor};
@@ -89,7 +93,7 @@ const MAX_SPILL_LEVELS: usize = 6;
 
 /// Routing seed for recursion level `level` (level 0 — the first, in-line
 /// partitioning pass — uses seed 0, the unseeded
-/// [`partition::partition_rows`] routing). The odd multiplier is the
+/// [`Routing::route`]). The odd multiplier is the
 /// golden-ratio mixing constant.
 fn spill_seed(level: usize) -> u64 {
     (level as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -119,6 +123,14 @@ pub(super) fn spillable_rows(ctx: &StreamContext) -> usize {
 /// count instead ([`split_fanout`]).
 pub(super) fn level0_fanout(ctx: &StreamContext) -> usize {
     (spillable_rows(ctx) / ctx.batch_size()).clamp(MIN_FANOUT, MAX_FANOUT)
+}
+
+/// Whether a hash join that turns hybrid keeps partition 0 resident: only
+/// when the spill budget holds more than [`MIN_FANOUT`] full-chunk write
+/// buffers. At the floor the buffers alone may take all of it, and a
+/// resident partition would leave the operators above the join no room.
+pub(super) fn keeps_partition_resident(ctx: &StreamContext) -> bool {
+    spillable_rows(ctx) / ctx.batch_size() > MIN_FANOUT
 }
 
 /// The join's spill trigger, and the pressure at which [`PartitionWriters`]
@@ -203,22 +215,6 @@ pub(super) fn next_resident_chunk(
     Ok(chunk)
 }
 
-/// Load a whole spill file into one consolidated, accounted batch (the
-/// blocking-boundary hand-off of [`super::drain_to_batch`], from disk) and
-/// delete the file. `label` is the operator the guard blames.
-pub(super) fn load_spill_batch(
-    ctx: &mut StreamContext,
-    label: &str,
-    schema: &Schema,
-    handle: SpillHandle,
-) -> Result<ColumnarBatch> {
-    let mut cursor = open_spill(&handle)?;
-    let chunks = collect_chunks(ctx, |ctx| next_resident_chunk(ctx, label, &mut cursor))?;
-    drop(cursor);
-    handle.delete();
-    consolidate(ctx, label, schema, chunks)
-}
-
 /// One partitioned input of a hybrid operator: whose it is (the operator
 /// label the guard blames), its schema, and the key columns it is routed on.
 #[derive(Clone, Copy)]
@@ -228,61 +224,84 @@ pub(super) struct SpillInput<'a> {
     pub(super) key_cols: &'a [usize],
 }
 
-/// One partition of a pass: its spill file and the rows routed to it that
-/// have not been written yet.
+/// One partition of a pass: its spill file — none while the partition is
+/// resident — and the rows routed to it that have not been written yet.
 struct Partition {
-    writer: SpillWriter,
+    writer: Option<SpillWriter>,
     buffer: BatchAppender,
 }
 
-/// One fan-out's worth of open spill files plus the routing that feeds
-/// them: rows are distributed by the seeded hash of their key columns and
-/// coalesced per partition, so what reaches a file is a full `batch_size`-row
-/// chunk — or, when the statement's resident rows come within the margin of
-/// the budget, the largest buffer there is. The buffered rows are resident
-/// rows like any other: acquired as they are appended, released as they are
-/// written, and rolled back by [`PartitionWriters::rollback`] when the pass
-/// dies. Because the flush follows the *measured* footprint, the buffers
-/// only ever use memory nobody else holds: under a tiny budget, or next to
-/// a neighbour's state, they shrink towards unbuffered writes instead of
-/// tripping the guard.
+/// One fan-out's worth of partitions plus the routing that feeds them:
+/// rows are distributed by the seeded hash of their key columns, once per
+/// chunk ([`Routing`], reused chunk after chunk), and coalesced per
+/// partition in buffers that keep their allocations from flush to flush,
+/// so what reaches a file is a full `batch_size`-row chunk — or, when the
+/// statement's resident rows come within the margin of the budget, the
+/// largest buffer there is ([`PartitionWriters::relieve`]). The buffered
+/// rows are resident rows like any other: acquired as they are appended,
+/// released as they are written, and rolled back by
+/// [`PartitionWriters::rollback`] when the pass dies. Because the flush
+/// follows the *measured* footprint, the buffers only ever use memory
+/// nobody else holds: under a tiny budget, or next to a neighbour's state,
+/// they shrink towards unbuffered writes instead of tripping the guard.
+///
+/// A hybrid hash join's pass keeps partition 0 *resident*: it has no file
+/// and no buffer, and [`PartitionWriters::route`] hands its rows back to the
+/// operator, which builds or probes them in memory — until
+/// [`PartitionWriters::evict`] sends it to disk like the others.
 pub(super) struct PartitionWriters {
     parts: Vec<Partition>,
     key_cols: Vec<usize>,
     seed: u64,
+    routing: Routing,
+    schema: Schema,
 }
 
 impl PartitionWriters {
-    pub(super) fn create(
+    /// `fanout` partitions of `input` routed under `seed`, each with a
+    /// file in `manager` — but partition 0 when it is `resident`.
+    fn create(
         manager: &mut SpillManager,
         ctx: &mut StreamContext,
         input: SpillInput,
         seed: u64,
         fanout: usize,
+        resident: bool,
     ) -> Result<PartitionWriters> {
         let mut parts = Vec::with_capacity(fanout);
-        for _ in 0..fanout {
+        for p in 0..fanout {
+            let spilled = !(resident && p == 0);
+            let writer = match spilled {
+                true => Some(spill_file(manager, ctx, input.schema)?),
+                false => None,
+            };
+            let capacity = if spilled { ctx.batch_size() } else { 0 };
             parts.push(Partition {
-                writer: manager
-                    .create_file(input.schema.clone())
-                    .map_err(ExprError::from)?,
-                buffer: BatchAppender::new(input.schema.clone()),
+                writer,
+                buffer: BatchAppender::with_capacity(input.schema.clone(), capacity),
             });
-            ctx.stats.spill_partitions += 1;
         }
         Ok(PartitionWriters {
             parts,
             key_cols: input.key_cols.to_vec(),
             seed,
+            routing: Routing::default(),
+            schema: input.schema.clone(),
         })
     }
 
     /// Route one chunk into the partition buffers, writing out what is
-    /// full. The chunk itself must no longer be accounted — a caller holding
-    /// an acquired chunk releases it first, so a routed row is counted
-    /// once, wherever it currently sits. On an error the buffers are rolled
-    /// back here.
-    pub(super) fn route(&mut self, ctx: &mut StreamContext, chunk: &ColumnarBatch) -> Result<()> {
+    /// full, and hand back the rows of a resident partition, if any —
+    /// unaccounted, in chunk order. The chunk itself must no longer be
+    /// accounted — a caller holding an acquired chunk releases it first, so
+    /// a routed row is counted once, wherever it currently sits. Buffers
+    /// are only written early by [`PartitionWriters::relieve`]. On an error
+    /// the buffers are rolled back here.
+    pub(super) fn route(
+        &mut self,
+        ctx: &mut StreamContext,
+        chunk: ColumnarBatch,
+    ) -> Result<Option<ColumnarBatch>> {
         let routed = self.try_route(ctx, chunk);
         if routed.is_err() {
             self.rollback(ctx);
@@ -290,24 +309,31 @@ impl PartitionWriters {
         routed
     }
 
-    fn try_route(&mut self, ctx: &mut StreamContext, chunk: &ColumnarBatch) -> Result<()> {
-        let full = ctx.batch_size();
-        let buckets = partition::partition_rows(chunk, &self.key_cols, self.parts.len(), self.seed);
-        for (part, rows) in self.parts.iter_mut().zip(&buckets) {
-            let mut rows = rows.as_slice();
-            while !rows.is_empty() {
-                let space = full - part.buffer.num_rows();
-                let (fitting, rest) = rows.split_at(space.min(rows.len()));
-                ctx.acquire(fitting.len(), usize::from(part.buffer.num_rows() == 0));
-                part.buffer.append_rows(chunk, fitting);
-                if part.buffer.num_rows() == full {
-                    part.flush(ctx)?;
-                }
-                rows = rest;
+    fn try_route(
+        &mut self,
+        ctx: &mut StreamContext,
+        chunk: ColumnarBatch,
+    ) -> Result<Option<ColumnarBatch>> {
+        let routing = &mut self.routing;
+        routing.route(&chunk, &self.key_cols, self.parts.len(), self.seed);
+        let resident = self.parts[0].writer.is_none();
+        if resident && routing.rows(0).len() == chunk.num_rows() {
+            return Ok(Some(chunk));
+        }
+        for (p, part) in self.parts.iter_mut().enumerate() {
+            if part.writer.is_some() {
+                part.append(ctx, &chunk, routing.rows(p))?;
             }
         }
-        // Under pressure a partial chunk is better than a budget abort:
-        // largest first, so what is written is as full as it can be.
+        let rows = routing.rows(0);
+        Ok((resident && !rows.is_empty()).then(|| chunk.gather(rows)))
+    }
+
+    /// Under pressure a partial chunk is better than a budget abort: write
+    /// the largest buffer there is while the statement's resident rows
+    /// stay within the margin of the budget, so what is written is as full
+    /// as it can be. On an error the buffers are rolled back here.
+    pub(super) fn relieve(&mut self, ctx: &mut StreamContext) -> Result<()> {
         while near_budget(ctx) {
             let Some(largest) = self
                 .parts
@@ -317,26 +343,56 @@ impl PartitionWriters {
             else {
                 break;
             };
-            largest.flush(ctx)?;
+            if let Err(err) = largest.flush(ctx) {
+                self.rollback(ctx);
+                return Err(err);
+            }
         }
         Ok(())
     }
 
+    /// Send a resident partition 0 to disk: give it a file in `manager` and
+    /// write `chunks` — its rows so far, no longer accounted — through its
+    /// buffer. From here on its rows are routed like any other partition's.
+    /// On an error the buffers are rolled back here.
+    pub(super) fn evict(
+        &mut self,
+        manager: &mut SpillManager,
+        ctx: &mut StreamContext,
+        chunks: impl IntoIterator<Item = ColumnarBatch>,
+    ) -> Result<()> {
+        let evicted = spill_file(manager, ctx, &self.schema).and_then(|writer| {
+            let part = &mut self.parts[0];
+            part.writer = Some(writer);
+            chunks.into_iter().try_for_each(|chunk| {
+                let rows: Vec<usize> = (0..chunk.num_rows()).collect();
+                part.append(ctx, &chunk, &rows)
+            })
+        });
+        if evicted.is_err() {
+            self.rollback(ctx);
+        }
+        evicted
+    }
+
     /// The writers of a first partitioning pass over `input`:
-    /// [`level0_fanout`] files in `manager`, routed with the level-0 seed.
+    /// [`level0_fanout`] partitions routed with the level-0 seed, partition
+    /// 0 `resident` or with a file in `manager` like the others.
     /// Co-partitioned inputs (the join's two sides) each get their own.
     pub(super) fn first_pass(
         manager: &mut SpillManager,
         ctx: &mut StreamContext,
         input: SpillInput,
+        resident: bool,
     ) -> Result<PartitionWriters> {
         let fanout = level0_fanout(ctx);
-        PartitionWriters::create(manager, ctx, input, spill_seed(0), fanout)
+        PartitionWriters::create(manager, ctx, input, spill_seed(0), fanout, resident)
     }
 
     /// Route every (acquired) chunk `next` yields and seal the files; the
-    /// buffers' accounting is rolled back whichever step fails.
-    pub(super) fn drain(
+    /// buffers' accounting is rolled back whichever step fails. For passes
+    /// with no resident partition.
+    fn drain(
         mut self,
         ctx: &mut StreamContext,
         mut next: impl FnMut(&mut StreamContext) -> Result<Option<ColumnarBatch>>,
@@ -345,7 +401,9 @@ impl PartitionWriters {
             match next(ctx) {
                 Ok(Some(chunk)) => {
                     consumed(ctx, &chunk);
-                    self.route(ctx, &chunk)?;
+                    let resident = self.route(ctx, chunk)?;
+                    debug_assert!(resident.is_none(), "a drained pass spills every partition");
+                    self.relieve(ctx)?;
                 }
                 Ok(None) => return self.finish(ctx),
                 Err(err) => {
@@ -356,8 +414,8 @@ impl PartitionWriters {
         }
     }
 
-    /// Write out what is still buffered and seal all files into readable
-    /// handles (in partition order).
+    /// Write out what is still buffered and seal the files into readable
+    /// handles, in partition order — a resident partition has none.
     pub(super) fn finish(mut self, ctx: &mut StreamContext) -> Result<Vec<SpillHandle>> {
         let flushed = self
             .parts
@@ -370,7 +428,8 @@ impl PartitionWriters {
         }
         self.parts
             .into_iter()
-            .map(|part| part.writer.finish().map_err(ExprError::from))
+            .filter_map(|part| part.writer)
+            .map(|writer| writer.finish().map_err(ExprError::from))
             .collect()
     }
 
@@ -378,19 +437,58 @@ impl PartitionWriters {
     /// idempotent).
     pub(super) fn rollback(&mut self, ctx: &mut StreamContext) {
         for part in &mut self.parts {
-            let rows = part.buffer.take().num_rows();
+            let rows = part.buffer.num_rows();
+            part.buffer.clear();
             ctx.release(rows, usize::from(rows > 0));
         }
     }
 }
 
+/// A fresh partition file of `schema` in `manager`, counted.
+fn spill_file(
+    manager: &mut SpillManager,
+    ctx: &mut StreamContext,
+    schema: &Schema,
+) -> Result<SpillWriter> {
+    let writer = manager
+        .create_file(schema.clone())
+        .map_err(ExprError::from)?;
+    ctx.stats.spill_partitions += 1;
+    Ok(writer)
+}
+
 impl Partition {
+    /// Append `rows` of `chunk` to the buffer, writing a chunk each time it
+    /// holds `batch_size` rows.
+    fn append(
+        &mut self,
+        ctx: &mut StreamContext,
+        chunk: &ColumnarBatch,
+        mut rows: &[usize],
+    ) -> Result<()> {
+        let full = ctx.batch_size();
+        while !rows.is_empty() {
+            let space = full - self.buffer.num_rows();
+            let (fitting, rest) = rows.split_at(space.min(rows.len()));
+            ctx.acquire(fitting.len(), usize::from(self.buffer.num_rows() == 0));
+            self.buffer.append_rows(chunk, fitting);
+            if self.buffer.num_rows() == full {
+                self.flush(ctx)?;
+            }
+            rows = rest;
+        }
+        Ok(())
+    }
+
     /// Write the buffered rows as one chunk. They leave the buffer — and
     /// the accounting — whether or not the write succeeds.
     fn flush(&mut self, ctx: &mut StreamContext) -> Result<()> {
-        let batch = self.buffer.take();
-        ctx.release(batch.num_rows(), 1);
-        spill_write(ctx, &mut self.writer, &batch)
+        let writer = self
+            .writer
+            .as_mut()
+            .expect("a resident partition buffers nothing");
+        ctx.release(self.buffer.num_rows(), 1);
+        self.buffer.flush(|batch| spill_write(ctx, writer, batch))
     }
 }
 
@@ -404,7 +502,7 @@ fn repartition(
     seed: u64,
     fanout: usize,
 ) -> Result<Vec<SpillHandle>> {
-    let writers = PartitionWriters::create(manager, ctx, input, seed, fanout)?;
+    let writers = PartitionWriters::create(manager, ctx, input, seed, fanout, false)?;
     let mut cursor = open_spill(&handle)?;
     let split = writers.drain(ctx, |ctx| {
         next_resident_chunk(ctx, input.label, &mut cursor)

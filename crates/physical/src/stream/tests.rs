@@ -70,8 +70,9 @@ fn a_root_divide_counts_no_intermediate_tuples() {
 /// `r ⋈ s = r ⋉ s` when attrs(s) ⊆ attrs(r): `r ⋈ r` and `r ⋈ π_A(r)`
 /// compile onto the semi-join, a right side that adds a column keeps the
 /// natural join, and all three match the reference in memory at every batch
-/// size and under a spill budget, with the probe count the natural join
-/// kernel reports for the same inputs.
+/// size and under a spill budget — which only the natural join, whose build
+/// keeps rows, spills under — with the probe count the natural join kernel
+/// reports for the same inputs.
 #[test]
 fn a_natural_join_whose_right_side_adds_no_attribute_runs_as_a_semi_join() {
     use super::compile::natural_join_kind;
@@ -131,7 +132,10 @@ fn a_natural_join_whose_right_side_adds_no_attribute_runs_as_a_semi_join() {
             assert_eq!(stats.operators[0].probes, natural_probes, "{run}");
             assert_eq!(stats.resident_rows_on_finish, 0, "{run}");
             if config.memory_budget_rows.is_some() {
-                assert!(stats.spill_partitions > 0, "never spilled: {run}");
+                // The semi-join's build side is its key alone, so it holds a
+                // few words of presence bits; the natural join keeps rows.
+                let spilled = stats.spill_partitions > 0;
+                assert_eq!(spilled, kind == JoinKind::Natural, "{run}");
                 assert!(stats.peak_resident_rows <= 60, "{run}");
             }
         }
@@ -356,7 +360,7 @@ fn route_and_count(
         key_cols: &[0],
     };
     let mut writers =
-        spill::PartitionWriters::create(&mut manager, &mut ctx, input, 0, fanout).unwrap();
+        spill::PartitionWriters::first_pass(&mut manager, &mut ctx, input, false).unwrap();
     let mut routed = Vec::new();
     for c in 0..chunks {
         let rows: Vec<Vec<i64>> = (0..batch_size)
@@ -369,7 +373,8 @@ fn route_and_count(
             .collect();
         routed.extend(rows.iter().map(|row| row[1]));
         let chunk = ColumnarBatch::from_relation(&Relation::from_rows(["k", "v"], rows).unwrap());
-        writers.route(&mut ctx, &chunk).unwrap();
+        assert!(writers.route(&mut ctx, chunk).unwrap().is_none());
+        writers.relieve(&mut ctx).unwrap();
         assert!(
             ctx.resident_rows + spill::spill_margin(&ctx) <= budget,
             "write buffers hold {} rows under budget {budget}",

@@ -57,9 +57,9 @@ impl fmt::Display for OperatorId {
 /// What one operator did during one execution: the per-node counterpart of
 /// the query-level aggregates in [`ExecStats`](crate::ExecStats).
 ///
-/// `PartialEq`/`Eq` ignore the `time_*_ns` fields: row counts, probes and
-/// retained state are deterministic and comparable across executions, wall
-/// time is not.
+/// `PartialEq`/`Eq` ignore the `time_*_ns` fields and the `phases`: row
+/// counts, probes and retained state are deterministic and comparable
+/// across executions, wall time is not.
 #[derive(Debug, Clone, Default)]
 pub struct OperatorStats {
     /// Pre-order position of the operator in the plan tree.
@@ -87,6 +87,11 @@ pub struct OperatorStats {
     /// Nanoseconds spent closing the operator, inclusive of children.
     /// `0` when tracing is off.
     pub time_close_ns: u64,
+    /// Named parts of this operator's own work, in nanoseconds, when
+    /// tracing is on and the operator splits its time (a hash join:
+    /// `partition`, `read`, `build`, `probe`); empty otherwise. Its
+    /// children's time is in none of them.
+    pub phases: Vec<(&'static str, u64)>,
     /// Ids of this operator's children, left to right.
     pub children: Vec<OperatorId>,
 }
@@ -241,6 +246,14 @@ impl QueryTrace {
     pub fn add_next(&mut self, id: OperatorId, elapsed: Duration) {
         if let Some(node) = self.node(id) {
             node.time_next_ns += elapsed.as_nanos() as u64;
+        }
+    }
+
+    /// Set the named parts of this operator's own work (see
+    /// [`OperatorStats::phases`]).
+    pub fn set_phases(&mut self, id: OperatorId, phases: Vec<(&'static str, u64)>) {
+        if let Some(node) = self.node(id) {
+            node.phases = phases;
         }
     }
 

@@ -96,19 +96,6 @@ pub fn law9_projection_contained(
     projected.is_subset_of(r_star_star)
 }
 
-/// Law 11's structural precondition: every group of the dividend defined by
-/// the quotient attributes `A` contains exactly one tuple (which holds by
-/// construction when the dividend is `Aγf(X)→B(r0)`). Over the divisor
-/// attributes `B` it is Law 12's: every `B` value of the dividend occurs in
-/// exactly one tuple (as when the dividend is `Bγf(X)→A(r0)`).
-pub fn quotient_groups_are_singletons(
-    dividend: &Relation,
-    quotient_attrs: &[&str],
-) -> Result<bool, AlgebraError> {
-    let projected = dividend.project(quotient_attrs)?;
-    Ok(projected.len() == dividend.len())
-}
-
 /// Law 12's referential precondition: `r2.B ⊆ π_B(r1)` — the divisor values
 /// form a foreign key into the dividend.
 pub fn divisor_references_dividend(
@@ -210,19 +197,6 @@ mod tests {
         assert!(law9_projection_contained(&r_star_star, &r2).unwrap());
         let r2_bad = relation! { ["b1", "b2"] => [1, 9] };
         assert!(!law9_projection_contained(&r_star_star, &r2_bad).unwrap());
-    }
-
-    #[test]
-    fn law11_and_law12_singleton_checks() {
-        // Figure 10(b): groups by a are singletons.
-        let r1 = relation! { ["a", "b"] => [1, 6], [2, 4], [3, 8] };
-        assert!(quotient_groups_are_singletons(&r1, &["a"]).unwrap());
-        // Figure 11(b): groups by b are singletons.
-        let r1b = relation! { ["a", "b"] => [6, 1], [1, 2], [6, 3], [3, 4] };
-        assert!(quotient_groups_are_singletons(&r1b, &["b"]).unwrap());
-        // A non-singleton case.
-        let multi = relation! { ["a", "b"] => [1, 1], [1, 2] };
-        assert!(!quotient_groups_are_singletons(&multi, &["a"]).unwrap());
     }
 
     #[test]

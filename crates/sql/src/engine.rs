@@ -1254,13 +1254,17 @@ impl Explain {
                     q_error(est, op.rows_out)
                 )?;
             }
-            writeln!(
+            write!(
                 f,
                 " time={} probes={} resident={}",
                 crate::metrics::fmt_ns(op.total_time_ns()),
                 op.probes,
                 op.peak_retained_rows
             )?;
+            for (phase, ns) in &op.phases {
+                write!(f, " {phase}={}", crate::metrics::fmt_ns(*ns))?;
+            }
+            writeln!(f)?;
         }
         Ok(())
     }

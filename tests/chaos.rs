@@ -265,40 +265,57 @@ fn spill_faults_abort_cleanly_and_leave_no_files() {
         "wanted",
         Relation::from_rows(["p#"], (0..5i64).map(|p| vec![p])).unwrap(),
     );
-    let config = PlannerConfig::default()
-        .batch_size(4)
-        .memory_budget_rows(24)
-        .spill_to_disk(true);
-    let guard = || div_physical::QueryGuard::from_config(&config);
+    c.register(
+        "shipments",
+        Relation::from_rows(
+            ["s#", "p#", "qty"],
+            (0..60i64).flat_map(|s| (0..5i64).map(move |p| vec![s, p, 5 * s + p])),
+        )
+        .unwrap(),
+    );
     let dirs_before = live_spill_dirs();
     // Two ways of having rows in flight when the fault lands. The divide's
     // 60 groups + 5 divisor rows, and the aggregate's 60 groups, overflow
     // the 24-row budget, so their first write happens in the frozen pass —
     // resident groups held, unseen groups' rows sitting in the partition
-    // buffers. The self-join's build side is partitioned whole, and its
-    // first write finds the other partitions' buffers occupied.
+    // buffers. The join keeps its build side's rows (`qty` is a column of
+    // that side alone). Under 24 rows, four write buffers' worth, it
+    // partitions everything; under 160 it turns hybrid: its first write
+    // finds the resident partition's build holding rows and the other
+    // partitions' buffers occupied, and the partition stays resident on
+    // both sides. A fault at an operator's own emission lands, for the
+    // join, in its probe pass: the resident partition's rows are being
+    // probed while the left side's buffers hold rows.
+    let join = || {
+        PlanBuilder::scan("supplies")
+            .natural_join(PlanBuilder::scan("shipments"))
+            .build()
+    };
     let plans = [
         (
             PlanBuilder::scan("supplies")
                 .divide(PlanBuilder::scan("wanted"))
                 .build(),
             60,
+            24,
         ),
         (
             PlanBuilder::scan("supplies")
                 .group_aggregate(["s#"], [AggregateCall::count("p#", "n")])
                 .build(),
             60,
+            24,
         ),
-        (
-            PlanBuilder::scan("supplies")
-                .natural_join(PlanBuilder::scan("supplies"))
-                .build(),
-            300,
-        ),
+        (join(), 300, 24),
+        (join(), 300, 160),
     ];
-    for (plan, rows) in plans {
+    for (plan, rows, budget) in plans {
         let label = operator_label(&plan);
+        let config = PlannerConfig::default()
+            .batch_size(4)
+            .memory_budget_rows(budget)
+            .spill_to_disk(true);
+        let guard = || div_physical::QueryGuard::from_config(&config);
 
         // The clean run under this budget genuinely spills and cleans up.
         let (baseline, stats) = drive(&plan, &c, &config, guard());
@@ -307,17 +324,27 @@ fn spill_faults_abort_cleanly_and_leave_no_files() {
         let stats = stats.unwrap();
         assert!(
             stats.spill_partitions > 0,
-            "{label}: budget 24 must force spilling"
+            "{label}: budget {budget} must force spilling"
         );
-        assert!(stats.peak_resident_rows <= 24, "{label}");
+        assert!(stats.peak_resident_rows <= budget, "{label}");
         assert_eq!(stats.resident_rows_on_finish, 0, "{label}");
+        if budget == 160 {
+            // Partition 0 stayed resident on both sides: its rows were
+            // never written.
+            assert!(
+                stats.spill_rows_written < 2 * rows,
+                "{label}: {} rows written",
+                stats.spill_rows_written
+            );
+        }
         assert_eq!(
             live_spill_dirs(),
             dirs_before,
             "{label}: clean run leaked spill dirs"
         );
 
-        for site in ["spill.write", "spill.read"] {
+        let emit = format!("{label}.next_batch");
+        for site in ["spill.write", "spill.read", emit.as_str()] {
             failpoint::arm(site, FailAction::Error("spill chaos".into()));
             let (result, stats) = drive(&plan, &c, &config, guard());
             failpoint::disarm(site);

@@ -231,7 +231,7 @@ proptest! {
         let rel = mixed_relation(&["k", "v"], 1, &rows);
         let batch = ColumnarBatch::from_relation(&rel);
         let routed = partition_rows(&batch, &[0], partitions, seed);
-        prop_assert_eq!(routed.len(), partitions);
+        prop_assert_eq!(routed.partitions(), partitions);
         let mut all: Vec<usize> = routed.iter().flatten().copied().collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..batch.num_rows()).collect::<Vec<_>>());

@@ -98,6 +98,51 @@ fn span_timing_is_gated_by_the_tracing_flag() {
     }
 }
 
+/// Under tracing a spilling hash join splits its span into the time it
+/// spends partitioning, reading partitions back, building and probing;
+/// an untraced run splits nothing, and `EXPLAIN ANALYZE` prints the split.
+#[test]
+fn a_spilling_join_splits_its_span_into_phases() {
+    let mut catalog = Catalog::new();
+    let rows = |f: fn(i64) -> i64| (0..400i64).map(move |k| vec![k, f(k)]);
+    catalog.register("r", Relation::from_rows(["k", "v"], rows(|k| -k)).unwrap());
+    catalog.register(
+        "s",
+        Relation::from_rows(["k", "w"], rows(|k| 2 * k)).unwrap(),
+    );
+    let plan = PlanBuilder::scan("r")
+        .natural_join(PlanBuilder::scan("s"))
+        .build();
+    let engine = |tracing: bool| {
+        let config = PlannerConfig::default()
+            .batch_size(16)
+            .memory_budget_rows(160)
+            .spill_to_disk(true)
+            .tracing(tracing);
+        Engine::builder(catalog.clone())
+            .planner_config(config)
+            .without_optimizer()
+            .build()
+    };
+    let phases = |tracing: bool| {
+        let output = engine(tracing)
+            .run(Request::plan(&plan))
+            .unwrap()
+            .collect()
+            .unwrap();
+        assert!(output.stats.spill_partitions > 0, "the join spills");
+        output.stats.operators[0].phases.clone()
+    };
+    assert!(phases(false).is_empty(), "untraced runs split nothing");
+    let traced = phases(true);
+    let names: Vec<&str> = traced.iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, ["partition", "read", "build", "probe"]);
+    assert!(traced.iter().all(|&(_, ns)| ns > 0), "{traced:?}");
+    let analyzed = engine(false).explain_analyze(Request::plan(&plan)).unwrap();
+    let rendered = analyzed.to_string();
+    assert!(rendered.contains(" partition="), "{rendered}");
+}
+
 #[test]
 fn engine_with_tracing_times_ordinary_queries() {
     let engine = Engine::builder(shape_catalog())
