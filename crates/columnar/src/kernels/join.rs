@@ -107,7 +107,7 @@ impl Segments {
 /// concatenated. A natural build keeps its chunks as they came and appends
 /// its build-side-only columns, which its probes gather.
 ///
-/// A semi build keeps one presence bit per key ([`KeySet`]) while the keys
+/// A semi build keeps one presence bit per key (a `KeySet`) while the keys
 /// are exact and the memory rule admits their range at one bit a cell. Its
 /// chunks are worth nothing to a probe then: when the build side has no
 /// column but its key, the bits give every row back, so it keeps no chunk
@@ -493,7 +493,7 @@ impl Growing {
 ///
 /// The key is every attribute the two schemas share, in the probe schema's
 /// order, and inexact code matches are verified against the build chunks
-/// ([`keys_equal`](crate::key_vector::keys_equal)). For union-compatible
+/// ([`keys_equal`]). For union-compatible
 /// schemas the shared attributes are all of them, so
 /// [`JoinBuild::probe_semi`] keys whole rows: it is set intersection, and
 /// with `anti` set difference, whatever the build side's column order.

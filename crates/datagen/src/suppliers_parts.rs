@@ -50,6 +50,16 @@ pub struct SuppliersPartsData {
     pub parts: Relation,
 }
 
+impl SuppliersPartsData {
+    /// A catalog holding both tables under the names queries Q1–Q3 use.
+    pub fn catalog(self) -> div_expr::Catalog {
+        let mut catalog = div_expr::Catalog::new();
+        catalog.register("supplies", self.supplies);
+        catalog.register("parts", self.parts);
+        catalog
+    }
+}
+
 /// Names of the colors used by the generator (cycled when
 /// `config.colors` exceeds the list length the names get a numeric suffix).
 pub const COLOR_NAMES: [&str; 6] = ["blue", "red", "green", "yellow", "black", "white"];

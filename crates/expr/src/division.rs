@@ -1,8 +1,9 @@
 //! The paper's division algorithm family, as logical plans.
 //!
 //! Section 1.1 and Section 6 argue that division needs a special-purpose
-//! operator, because every formulation in the basic algebra builds
-//! intermediates of quadratic size (Leinders & Van den Bussche, PODS 2005).
+//! operator: its basic-algebra formulations build quadratic intermediates
+//! (Leinders & Van den Bussche, PODS 2005) on a sparse dividend — exponent 2
+//! in `tests/complexity.rs` — while a dense one keeps every plan linear.
 //! The genuine operators are [`PlanBuilder::divide`] and
 //! [`PlanBuilder::great_divide`]; the builders here spell out the
 //! alternatives the paper compares them with, so any executor that runs
@@ -30,8 +31,8 @@ fn names(attributes: &[impl AsRef<str>]) -> Vec<String> {
 impl PlanBuilder {
     /// Healy's simulation of the small divide by the basic operators,
     /// `π_A(r) − π_A((π_A(r) × s) − π_{A∪B}(r))`. Its product holds
-    /// `|π_A(r)| · |s|` rows: the quadratic intermediate that makes the
-    /// paper ask for a special-purpose operator.
+    /// `|π_A(r)| · |s|` rows, quadratic when groups are small against `s`:
+    /// the intermediate that makes the paper ask for a special-purpose operator.
     pub fn difference_plan(
         self,
         divisor: PlanBuilder,

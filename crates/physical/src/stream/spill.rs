@@ -518,11 +518,12 @@ fn repartition(
 /// they are to be served from the back.
 ///
 /// A partition `skip` accepts is deleted. One whose first file holds at
-/// most `bound` rows — the operator's leaf bound — or that reached
-/// [`MAX_SPILL_LEVELS`] is a leaf. Any other is re-split from disk: every
-/// file of it with the same next-level seed and [`split_fanout`] (sized
-/// from the first file), so the pieces stay co-partitioned. The worklist is
-/// LIFO. On an error the files still pending die with the manager.
+/// most `bound` rows (the operator's leaf bound, floored at one row: a file
+/// of one row cannot shrink) or that reached [`MAX_SPILL_LEVELS`] is a leaf.
+/// Any other is re-split from disk: every file of it with the same
+/// next-level seed and [`split_fanout`] (sized from the first file), so the
+/// pieces stay co-partitioned. The worklist is LIFO. On an error the files
+/// still pending die with the manager.
 pub(super) fn split_leaves<const N: usize>(
     ctx: &mut StreamContext,
     manager: &mut SpillManager,
@@ -538,7 +539,7 @@ pub(super) fn split_leaves<const N: usize>(
         let rows = files[0].rows();
         if skip(&files) {
             files.into_iter().for_each(SpillHandle::delete);
-        } else if rows <= bound || level >= MAX_SPILL_LEVELS {
+        } else if rows <= bound.max(1) || level >= MAX_SPILL_LEVELS {
             leaves.push(files);
         } else {
             let (seed, fanout) = (spill_seed(level), split_fanout(ctx, rows, bound));

@@ -329,40 +329,9 @@ mod tests {
             "r2",
             relation! { ["b", "c"] => [1, 1], [2, 1], [4, 1], [1, 2], [3, 2] },
         );
-        c.register("r2_c1", relation! { ["b", "c"] => [1, 1], [2, 1], [4, 1] });
-        c.register("r2_c2", relation! { ["b", "c"] => [1, 2], [3, 2] });
-        c.register("r2_c_overlap", relation! { ["b", "c"] => [1, 1], [3, 1] });
         c.register("outer", relation! { ["a1"] => [2], [99] });
         c.register("factor", relation! { ["d"] => [10], [20] });
         c
-    }
-
-    #[test]
-    fn law13_splits_divisor_partitions_with_disjoint_groups() {
-        let catalog = catalog();
-        let ctx = RewriteContext::with_catalog(&catalog);
-        let plan = PlanBuilder::scan("r1")
-            .great_divide(PlanBuilder::scan("r2_c1").union(PlanBuilder::scan("r2_c2")))
-            .build();
-        let rewritten = Law13DivisorUnionSplit
-            .apply(&plan, &ctx)
-            .unwrap()
-            .expect("law 13 should apply");
-        assert!(matches!(rewritten, LogicalPlan::Union { .. }));
-        // Both sides produce Figure 2(c).
-        let expected = relation! { ["a", "c"] => [2, 1], [2, 2], [3, 2] };
-        assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
-        assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
-    }
-
-    #[test]
-    fn law13_declines_when_group_values_overlap() {
-        let catalog = catalog();
-        let ctx = RewriteContext::with_catalog(&catalog);
-        let plan = PlanBuilder::scan("r1")
-            .great_divide(PlanBuilder::scan("r2_c1").union(PlanBuilder::scan("r2_c_overlap")))
-            .build();
-        assert!(Law13DivisorUnionSplit.apply(&plan, &ctx).unwrap().is_none());
     }
 
     #[test]

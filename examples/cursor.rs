@@ -25,9 +25,7 @@ fn main() {
         seed: 7,
     });
     let table_rows = data.supplies.len();
-    let mut catalog = Catalog::new();
-    catalog.register("supplies", data.supplies);
-    catalog.register("parts", data.parts);
+    let catalog = data.catalog();
     let engine = Engine::builder(catalog)
         .planner_config(PlannerConfig::default().batch_size(1024))
         .build();

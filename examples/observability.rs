@@ -18,9 +18,7 @@ fn main() {
         full_suppliers: 0.04,
         seed: 42,
     });
-    let mut catalog = Catalog::new();
-    catalog.register("supplies", data.supplies);
-    catalog.register("parts", data.parts);
+    let catalog = data.catalog();
     let engine = Engine::builder(catalog)
         .planner_config(PlannerConfig::default().tracing(true))
         .build();

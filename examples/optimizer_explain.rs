@@ -17,9 +17,7 @@ fn main() {
         full_suppliers: 0.05,
         seed: 17,
     });
-    let mut catalog = Catalog::new();
-    catalog.register("supplies", data.supplies);
-    catalog.register("parts", data.parts);
+    let catalog = data.catalog();
 
     // σ_{color='blue'}(supplies ÷* parts), the "suppliers of all parts per
     // color" query restricted to one color after the fact.

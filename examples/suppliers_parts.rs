@@ -24,9 +24,7 @@ fn main() {
         full_suppliers: 0.2,
         seed: 7,
     });
-    let mut catalog = Catalog::new();
-    catalog.register("supplies", data.supplies);
-    catalog.register("parts", data.parts);
+    let catalog = data.catalog();
     println!("parts:\n{}", catalog.table("parts").unwrap());
 
     for (name, sql) in [("Q1", Q1), ("Q2", Q2), ("Q3", Q3)] {

@@ -9,7 +9,7 @@
 //! rewrites, every rewrite must preserve the result, and the shape runs
 //! down every strategy of the differential oracle (`tests/conformance.rs`).
 
-use div_bench::suppliers_parts_catalog;
+use div_datagen::suppliers_parts_catalog;
 use div_rewrite::laws::examples::example3_derivation;
 use div_rewrite::laws::small_divide_union::partition_dividend_for_law2;
 use division::prelude::*;

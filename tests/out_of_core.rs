@@ -125,16 +125,16 @@ const SPILL_COUNTERS: [[(usize, usize, usize, usize); 3]; 19] = [
     [(0, 0, 0, 19), (9, 50, 50, 15), (80, 240, 240, 11)], // divide
     [(0, 0, 0, 16), (10, 45, 45, 12), (140, 240, 240, 8)], // filtered_divide
     [(0, 0, 0, 26), (19, 110, 110, 22), (96, 300, 300, 18)], // great_divide
-    [(0, 0, 0, 5), (68, 248, 218, 4), (68, 248, 218, 4)], // join_project
+    [(0, 0, 0, 5), (8, 63, 43, 4), (8, 63, 43, 4)],       // join_project
     [(0, 0, 0, 65), (0, 0, 0, 65), (0, 0, 0, 65)],        // semi_anti_union
     [(0, 0, 0, 24), (0, 0, 0, 24), (0, 0, 0, 24)],        // aggregate_project
-    [(0, 0, 0, 5), (460, 478, 478, 4), (460, 478, 478, 4)], // difference
-    [(0, 0, 0, 5), (470, 476, 448, 4), (470, 476, 448, 4)], // intersect
+    [(0, 0, 0, 5), (168, 294, 294, 4), (168, 294, 294, 4)], // difference
+    [(0, 0, 0, 5), (134, 267, 259, 4), (134, 267, 259, 4)], // intersect
     [(0, 0, 0, 9), (0, 0, 0, 9), (0, 0, 0, 9)],           // product
     [(0, 0, 0, 10), (0, 0, 0, 10), (0, 0, 0, 10)],        // theta_join
     [(0, 0, 0, 16), (9, 50, 50, 12), (80, 240, 240, 8)],  // sum_per_group
     [(0, 0, 0, 18), (0, 0, 0, 18), (0, 0, 0, 18)],        // join_adds_a_column
-    [(0, 0, 0, 5), (28, 111, 111, 4), (28, 111, 111, 4)], // difference_values
+    [(0, 0, 0, 5), (8, 61, 61, 4), (8, 61, 61, 4)],       // difference_values
     [(0, 0, 0, 80), (18, 7, 7, 79), (17, 7, 7, 79)],      // every_operator_kind
     [(0, 0, 0, 4), (0, 0, 0, 4), (0, 0, 0, 4)],           // stacked_identical_filters
     [(0, 0, 0, 15), (0, 0, 0, 15), (0, 0, 0, 15)],        // filter_chain
@@ -485,8 +485,8 @@ fn coverage_state_that_fits_never_touches_disk() {
     // but in 200 quotient groups: divisor + groups is 300 rows of state,
     // which fits, so the dividend streams through and nothing is written.
     let (groups, parts, batch_size, budget) = (200, 100, 64, 1_000);
-    let (dividend, wanted) = div_bench::division_workload(groups as i64, parts as i64, 1);
-    let (_, grouped) = div_bench::great_divide_workload(1, parts as i64, 4, 25);
+    let (dividend, wanted) = div_datagen::division_workload(groups as i64, parts as i64, 1);
+    let (_, grouped) = div_datagen::great_divide_workload(1, parts as i64, 4, 25);
     assert!(dividend.len() >= 20_000);
     let mut c = Catalog::new();
     c.register("supplies", dividend);
@@ -534,7 +534,7 @@ fn aggregate_state_that_fits_never_touches_disk() {
     // but in 200 groups: the aggregate keeps one accumulator row per group,
     // so the input streams through and nothing is written.
     let (groups, parts, batch_size, budget) = (200, 100, 64, 1_000);
-    let (supplies, _) = div_bench::division_workload(groups as i64, parts as i64, 1);
+    let (supplies, _) = div_datagen::division_workload(groups as i64, parts as i64, 1);
     assert_eq!(supplies.len(), groups * parts);
     let mut c = Catalog::new();
     c.register("supplies", supplies);
@@ -810,7 +810,7 @@ fn a_callers_plain_guard_keeps_the_divide_streaming() {
     // nothing can spill, so the divide must consume its 2,000-row dividend
     // straight into coverage state instead of buffering it.
     let (groups, parts, batch_size) = (400, 5, 16);
-    let (dividend, divisor) = div_bench::division_workload(groups as i64, parts as i64, 1);
+    let (dividend, divisor) = div_datagen::division_workload(groups as i64, parts as i64, 1);
     let mut c = Catalog::new();
     c.register("supplies", dividend);
     c.register("wanted", divisor);

@@ -251,36 +251,32 @@ fn engine_optimizer_matches_raw_plans_on_every_shape_and_strategy() {
 
 #[test]
 fn simulation_intermediates_grow_quadratically_but_special_purpose_do_not() {
-    // The paper's core performance argument (Sections 1 and 6): the
-    // basic-operator simulation materializes |π_A(r1)| · |r2| tuples
-    // (quadratic in the scale factor when both inputs grow), while the
-    // special-purpose hash-division produces nothing beyond the quotient
-    // itself. Both run as plans on the streaming executor.
+    // The paper's core performance argument (Sections 1 and 6), through the
+    // engine: the basic-operator simulation materializes |π_A(r1)| · |r2|
+    // tuples (quadratic in the scale factor when both inputs grow), while
+    // hash-division builds nothing beyond the quotient itself.
+    // `tests/complexity.rs` pins the growth exponents.
     for scale in [20i64, 40, 80] {
-        let (dividend, divisor) = div_bench_workload(scale, scale / 2);
+        let (dividend, divisor) = div_datagen::division_workload(scale, scale / 2, 3);
         let divisor_rows = divisor.len();
         let mut catalog = Catalog::new();
-        catalog.register("r1", dividend);
-        catalog.register("r2", divisor);
+        catalog.register("r1", dividend).register("r2", divisor);
         let engine = Engine::builder(catalog).without_optimizer().build();
-        let drain = |plan: LogicalPlan| {
-            let output = engine.run(Request::plan(&plan)).unwrap().collect().unwrap();
+        let drain = |plan: PlanBuilder| {
+            let output = engine
+                .run(Request::plan(&plan.build()))
+                .unwrap()
+                .collect()
+                .unwrap();
             (output.relation, output.stats)
         };
-        let (simulated, sim) = drain(
-            PlanBuilder::scan("r1")
-                .difference_plan(PlanBuilder::scan("r2"), &["a"], &["b"])
-                .build(),
-        );
-        let (native, hash) = drain(
-            PlanBuilder::scan("r1")
-                .divide(PlanBuilder::scan("r2"))
-                .build(),
-        );
+        let (r1, r2) = (|| PlanBuilder::scan("r1"), || PlanBuilder::scan("r2"));
+        let (simulated, sim) = drain(r1().difference_plan(r2(), &["a"], &["b"]));
+        let (native, hash) = drain(r1().divide(r2()));
         assert_eq!(simulated, native);
-        // Exactly the quadratic product π_A(r1) × r2 ...
+        // Exactly the quadratic product π_A(r1) × r2, which dwarfs what the
+        // special-purpose operator materializes.
         assert_eq!(sim.max_intermediate, (scale as usize) * divisor_rows);
-        // ... which dwarfs what the special-purpose operator materializes.
         assert!(
             sim.max_intermediate >= 10 * hash.max_intermediate.max(1),
             "scale {scale}: simulation {} vs hash-division {}",
@@ -325,7 +321,7 @@ fn columnar_roundtrip_covers_every_value_kind() {
 #[test]
 fn backends_agree_on_the_suppliers_parts_generator() {
     // The generated workload the benches sweep: Q2 with a string filter.
-    let catalog = div_bench::suppliers_parts_catalog(120, 30, 0.5);
+    let catalog = div_datagen::suppliers_parts_catalog(120, 30, 0.5);
     let logical = PlanBuilder::scan("supplies")
         .divide(
             PlanBuilder::scan("parts")
@@ -378,24 +374,6 @@ fn all_strategies_agree_on_skewed_zipf_baskets() {
     for logical in [law13, law2] {
         check(&logical, &catalogs);
     }
-}
-
-/// Local copy of the bench workload shape (kept independent of the bench
-/// crate so the test exercises the public API only).
-fn div_bench_workload(groups: i64, items: i64) -> (Relation, Relation) {
-    let mut dividend_rows = Vec::new();
-    for g in 0..groups {
-        for i in 0..items {
-            if g % 3 == 0 || i % 2 == 0 {
-                dividend_rows.push(vec![g, i]);
-            }
-        }
-    }
-    let divisor_rows: Vec<Vec<i64>> = (0..items).map(|i| vec![i]).collect();
-    (
-        Relation::from_rows(["a", "b"], dividend_rows).unwrap(),
-        Relation::from_rows(["b"], divisor_rows).unwrap(),
-    )
 }
 
 #[test]

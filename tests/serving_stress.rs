@@ -461,7 +461,7 @@ fn served_explain_analyze_runs_under_the_session_guard() {
 /// instead of aborting.
 #[test]
 fn default_memory_budget_spills_when_the_engine_allows_it() {
-    let (dividend, divisor) = div_bench::division_workload(400, 5, 1);
+    let (dividend, divisor) = div_datagen::division_workload(400, 5, 1);
     let mut catalog = div_expr::Catalog::new();
     catalog.register("supplies", dividend);
     catalog.register("wanted", divisor);

@@ -2,7 +2,7 @@
 //! optimize (laws + cost model) → plan → execute, on both the paper's
 //! textbook database and generated workloads.
 
-use div_bench::suppliers_parts_catalog;
+use div_datagen::suppliers_parts_catalog;
 use div_sql::{parse_query, translate_query, Error as SqlError, Explain};
 use division::prelude::*;
 use std::error::Error as _;

@@ -151,9 +151,9 @@ fn budget_free_divide_never_buffers_its_dividend() {
     // divide consumes the dividend into coverage state, so the executor
     // holds divisor + groups + a few in-flight chunks — never the dividend.
     let (groups, parts, batch_size) = (200, 100, 64);
-    let (dividend, wanted) = div_bench::division_workload(groups as i64, parts as i64, 1);
+    let (dividend, wanted) = div_datagen::division_workload(groups as i64, parts as i64, 1);
     // A great-divide divisor over the same parts: 4 groups of 25.
-    let (_, grouped) = div_bench::great_divide_workload(1, parts as i64, 4, 25);
+    let (_, grouped) = div_datagen::great_divide_workload(1, parts as i64, 4, 25);
     assert!(dividend.len() >= 20_000);
     let mut c = Catalog::new();
     c.register("supplies", dividend);
