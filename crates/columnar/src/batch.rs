@@ -1,7 +1,7 @@
 //! Columnar batches: a schema plus typed column vectors.
 
 use crate::column::Column;
-use crate::hash_table::index_rows;
+use crate::hash_table::{FormRule, GroupIndex};
 use crate::key_vector::KeyVector;
 use crate::Result;
 use div_algebra::{AlgebraError, Relation, Schema, Tuple, Value};
@@ -182,12 +182,13 @@ impl ColumnarBatch {
     /// Deduplicate rows, keeping first occurrences in order (set semantics).
     /// Runs on the vectorized key pipeline: whole-row keys are normalized
     /// once ([`KeyVector`]) and indexed into a
-    /// [`GroupIndex`](crate::GroupIndex), whose first rows are the
+    /// [`GroupIndex`], whose first rows are the
     /// survivors — no per-row key materialization.
     pub fn dedup(&self) -> ColumnarBatch {
         let all_columns: Vec<usize> = (0..self.columns.len()).collect();
         let keys = KeyVector::build(self, &all_columns);
-        let keep: Vec<usize> = index_rows(self, &all_columns, &keys).first_rows().collect();
+        let index = GroupIndex::of(self, &all_columns, &keys, FormRule::Memory, |_| {});
+        let keep: Vec<usize> = index.first_rows().collect();
         if keep.len() == self.rows {
             self.clone()
         } else {
@@ -209,6 +210,32 @@ impl ColumnarBatch {
         let names = target.names();
         let indices = self.schema.projection_indices(&names)?;
         Ok(self.with_columns(target.clone(), &indices))
+    }
+}
+
+/// Batches in arrival order, their rows numbered across them: the chunks a
+/// join build keeps, the representatives a [`GroupStore`](crate::GroupStore)
+/// retains (row `g` is group `g`'s).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Segments {
+    pub(crate) chunks: Vec<ColumnarBatch>,
+    /// The number of the first row of every chunk.
+    pub(crate) starts: Vec<usize>,
+    /// Rows held.
+    pub(crate) rows: usize,
+}
+
+impl Segments {
+    pub(crate) fn push(&mut self, chunk: ColumnarBatch) {
+        self.starts.push(self.rows);
+        self.rows += chunk.num_rows();
+        self.chunks.push(chunk);
+    }
+
+    /// The chunk holding row `row`, and the row's place in it.
+    pub(crate) fn locate(&self, row: usize) -> (&ColumnarBatch, usize) {
+        let at = self.starts.partition_point(|&start| start <= row) - 1;
+        (&self.chunks[at], row - self.starts[at])
     }
 }
 

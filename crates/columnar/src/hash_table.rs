@@ -15,17 +15,18 @@
 //! [`GroupIndex`] layers the ubiquitous pattern on top: assign dense group
 //! ids in first-occurrence order and remember each group's representative
 //! row — the shape behind grouping, deduplication, divisor-id assignment
-//! and join builds. It is built once from a whole key vector
-//! ([`index_rows`] / [`index_rows_tracked`]), in one of two forms:
+//! and join builds. A join build grows one chunk by chunk; a whole key
+//! vector is the same growing index fed once (`GroupIndex::of`). Either
+//! way the key → group id map takes one of two forms:
 //!
-//! * **dense** — when the vector is exact and its codes span a compact
+//! * **dense** — when the keys are exact and their codes span a compact
 //!   range, the group ids live in a direct-addressed array indexed by the
 //!   key itself (Graefe 1989: over a small key domain hash-division's table
 //!   becomes an array). One key column is one axis, the raw `i64`; two
 //!   packed key columns are two `i32` axes. A lookup is a bounds check and
-//!   one load. A vector of fewer than 255 rows has fewer than 255 groups,
-//!   so its cells are bytes holding `gid + 1`, 0 for an empty cell; a
-//!   larger one takes `u32` cells;
+//!   one load. A whole vector of fewer than 255 rows has fewer than 255
+//!   groups, so its cells are narrowed to bytes holding `gid + 1`, 0 for an
+//!   empty cell; every other index keeps `u32` cells;
 //! * **hashed** — a [`KeyTable`], for everything else.
 //!
 //! A build that only semi and anti probes read needs no group ids at all:
@@ -43,19 +44,19 @@
 //! no representative to verify against; its caller asks it only about
 //! probe rows whose own code is exact.
 //!
-//! The same two forms serve state that grows chunk by chunk. A
-//! [`GroupStore`](crate::GroupStore) keeps its key → group id map in the
-//! same slots, in `u32` cells (its group count has no bound in advance), and
-//! learns the key range from the chunks themselves: the grow
-//! step (`Slots::grow_for`) widens the range to cover each exact chunk, by
-//! at least its current span on each side it grows, so keys arriving in
-//! descending or ascending order cost O(log range) re-layouts; an inexact
-//! chunk, or a range the rule refuses, triggers the migrate step
-//! (`Slots::migrate`), which moves every occupied cell's code into a
-//! [`KeyTable`] once. The great divide's `(A, C)` coverage counters make the
-//! same one-way choice between one `u32` per pair and a [`PairTable`].
-//! `FormRule` is the one place either choice is made: a dense array may
-//! take no more bytes than the hashed form it stands in for would hold.
+//! One loop assigns every group id: `Slots::intern`, under a
+//! `GroupIndex`, a [`GroupStore`](crate::GroupStore) (dividend, aggregate
+//! and distinct groups) and nothing else. It learns the key range from the
+//! chunks themselves: the grow step (`Slots::grow_for`) widens the range to
+//! cover each exact chunk, by at least its current span on each side it
+//! grows, so keys arriving in descending or ascending order cost
+//! O(log range) re-layouts; an inexact chunk, or a range the rule refuses,
+//! triggers the migrate step (`Slots::migrate`), which moves every occupied
+//! cell's code into a [`KeyTable`] once. The great divide's `(A, C)`
+//! coverage counters make the same one-way choice between one `u32` per
+//! pair and a [`PairTable`]. `FormRule` is the one place either choice is
+//! made: a dense array may take no more bytes than the hashed form it
+//! stands in for would hold.
 
 use crate::key_vector::KeyVector;
 
@@ -260,10 +261,10 @@ impl KeyTable {
 /// per group — the shared shape of grouping, deduplication and hash-build
 /// phases.
 ///
-/// Built only from a whole [`KeyVector`], by [`index_rows`] or
-/// [`index_rows_tracked`], and never grown afterwards. The builder picks
-/// one of two internal forms (see the module docs); group ids, first rows
-/// and lookups are the same in both.
+/// It grows chunk by chunk (a join build, `GroupIndex::intern`), or is
+/// fed one whole [`KeyVector`] once (`GroupIndex::of`). Its map takes one
+/// of two internal forms (see the module docs); group ids, first rows and
+/// lookups are the same in both.
 #[derive(Debug, Clone)]
 pub struct GroupIndex {
     slots: Slots,
@@ -280,8 +281,19 @@ pub(crate) enum Slots {
     /// the key itself. Only exact codes are ever stored.
     Dense { gids: Vec<u32>, range: KeyRange },
     /// [`Slots::Dense`] in byte cells holding `gid + 1` (0: empty), for an
-    /// index of fewer than 255 groups. Only a whole-vector build takes it.
+    /// index of fewer than 255 groups. Only a whole-vector index is narrowed
+    /// to it, and it grows no further.
     Bytes { cells: Vec<u8>, range: KeyRange },
+}
+
+/// The representative a hashed code match is verified against in
+/// [`Slots::intern`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rep {
+    /// The row of the chunk being interned that opened the group.
+    Row(usize),
+    /// A group interned before the chunk.
+    Group(u32),
 }
 
 impl Slots {
@@ -312,49 +324,91 @@ impl Slots {
         is_match(gid).then_some(gid)
     }
 
-    /// The grow step, before a chunk with `keys` over `key_arity` columns is
-    /// inserted on top of `entries` entries. The hashed form pre-sizes for
-    /// the chunk. The dense form keeps its range when it covers the chunk;
-    /// otherwise it widens the range to cover it — by at least the current
-    /// span on each side it grows, or exactly when that slack is more than
-    /// `rule` admits for `entries` plus the chunk's rows — and re-lays its
-    /// cells out. An inexact chunk, or a chunk no admitted range covers,
-    /// migrates the map to the hashed form instead.
-    pub(crate) fn grow_for(
+    /// Intern one chunk's `keys` into a map of `groups` groups: the one
+    /// loop that assigns group ids. The grow step ([`Slots::grow_for`],
+    /// under `rule` at `cell_bits` a dense cell) runs first; then each row
+    /// gets its group id, reported to `on_row` in row order, new groups
+    /// numbered on from `groups` in first-occurrence order. A hashed code
+    /// match between chunk row `row` and an earlier key is verified by
+    /// `same_key(row, rep)`, so it may only answer `true` without looking
+    /// when every key interned and the chunk's are exact. Returns the rows
+    /// that opened groups, in order.
+    pub(crate) fn intern(
         &mut self,
-        key_arity: usize,
         keys: &KeyVector,
-        entries: usize,
+        groups: usize,
         rule: FormRule,
-    ) {
+        cell_bits: u32,
+        mut same_key: impl FnMut(usize, Rep) -> bool,
+        mut on_row: impl FnMut(u32),
+    ) -> Vec<usize> {
+        self.grow_for(keys, groups, rule, cell_bits);
+        let mut opened: Vec<usize> = Vec::new();
+        match self {
+            // `grow_for` kept the map dense, so the chunk is exact and its
+            // range covered: each key owns one cell, nothing to verify.
+            Slots::Dense { gids, range } => {
+                for (row, &code) in keys.codes().iter().enumerate() {
+                    let cell = &mut gids[range.slot(code).expect("the range covers the chunk")];
+                    if *cell == EMPTY {
+                        *cell = group_id(groups + opened.len());
+                        opened.push(row);
+                    }
+                    on_row(*cell);
+                }
+            }
+            Slots::Bytes { .. } => unreachable!("byte cells narrow a whole-vector index"),
+            Slots::Hashed(table) => {
+                for (row, &code) in keys.codes().iter().enumerate() {
+                    let next = group_id(groups + opened.len());
+                    let (gid, is_new) = table.get_or_insert(code, next, |gid| {
+                        let rep = match (gid as usize).checked_sub(groups) {
+                            Some(at) => Rep::Row(opened[at]),
+                            None => Rep::Group(gid),
+                        };
+                        same_key(row, rep)
+                    });
+                    if is_new {
+                        opened.push(row);
+                    }
+                    on_row(gid);
+                }
+            }
+        }
+        opened
+    }
+
+    /// The grow step, before a chunk with `keys` is interned on top of
+    /// `entries` entries. The hashed form pre-sizes for the chunk. The
+    /// dense form keeps its range when it covers the chunk; otherwise it
+    /// widens the range to cover it — by at least the current span on each
+    /// side it grows, or exactly when that slack is more than `rule` admits
+    /// at `cell_bits` a cell for `entries` plus the chunk's rows — and
+    /// re-lays its cells out. An inexact chunk, or a chunk no admitted
+    /// range covers, migrates the map to the hashed form instead.
+    fn grow_for(&mut self, keys: &KeyVector, entries: usize, rule: FormRule, cell_bits: u32) {
         if keys.is_empty() {
             return;
         }
         let entries = entries.saturating_add(keys.len());
-        let (gids, range) = match self {
-            Slots::Hashed(table) => return table.reserve(keys.len()),
-            Slots::Dense { gids, range } => (gids, range),
-            Slots::Bytes { .. } => unreachable!("only a whole-vector index takes byte cells"),
+        let Slots::Dense { gids, range } = self else {
+            if let Slots::Hashed(table) = self {
+                table.reserve(keys.len());
+            }
+            return;
         };
-        let Some(chunk) = KeyRange::of(key_arity, keys) else {
+        let Some(chunk) = KeyRange::of(range.arity(), keys) else {
             return self.migrate(entries);
         };
         if range.cover(&chunk, false) == Some(*range) {
             return;
         }
-        let Some(wider) = range.widened(&chunk, rule.dense_cells(entries, u32::BITS)) else {
+        let Some(wider) = range.widened(&chunk, rule.dense_cells(entries, cell_bits)) else {
             return self.migrate(entries);
         };
         let mut cells = vec![EMPTY; wider.cells()];
-        if !gids.is_empty() {
-            // Both layouts are row-major, the narrower one a block inside
-            // the wider: copy it row by row from where its first cell lands.
-            let first = wider.slot(range.code(0));
-            let first = first.expect("a widened range covers the narrower");
-            for (row, run) in gids.chunks(range.row_len()).enumerate() {
-                let at = first + row * wider.row_len();
-                cells[at..at + run.len()].copy_from_slice(run);
-            }
+        for (from, to, len) in range.runs_in(&wider) {
+            cells[to..to + len].copy_from_slice(&gids[from..from + len]);
         }
         (*gids, *range) = (cells, wider);
     }
@@ -374,6 +428,20 @@ impl Slots {
         }
     }
 
+    /// Narrow a dense map's `u32` cells to byte cells holding `gid + 1`.
+    fn narrow(&mut self) {
+        if let Slots::Dense { gids, range } = self {
+            let cells = gids.iter().map(|&gid| match gid {
+                EMPTY => 0,
+                gid => u8::try_from(gid + 1).expect("byte cells hold fewer than 255 groups"),
+            });
+            *self = Slots::Bytes {
+                cells: cells.collect(),
+                range: *range,
+            };
+        }
+    }
+
     /// Bytes the map holds on the heap.
     pub(crate) fn heap_bytes(&self) -> usize {
         match self {
@@ -382,9 +450,56 @@ impl Slots {
             Slots::Bytes { cells, .. } => cells.capacity(),
         }
     }
+
+    /// `true` while the map is a dense array.
+    #[cfg(test)]
+    pub(crate) fn is_dense(&self) -> bool {
+        self.cell_bits().is_some()
+    }
+
+    /// The bits of a dense cell, or `None` in the hashed form.
+    #[cfg(test)]
+    fn cell_bits(&self) -> Option<u32> {
+        match self {
+            Slots::Hashed(_) => None,
+            Slots::Dense { .. } => Some(u32::BITS),
+            Slots::Bytes { .. } => Some(u8::BITS),
+        }
+    }
 }
 
 impl GroupIndex {
+    /// The index of one whole key vector: `keys` of `batch` over
+    /// `key_columns`, fed once to a growing index whose grow step prices a
+    /// dense cell at [`FormRule::index_cell_bits`] for its rows under
+    /// `rule`, then narrowed to byte cells when that width is a byte.
+    /// Inexact matches are verified against `batch`; each row's group id
+    /// goes to `on_row`. An empty vector is hashed.
+    pub(crate) fn of(
+        batch: &crate::ColumnarBatch,
+        key_columns: &[usize],
+        keys: &KeyVector,
+        rule: FormRule,
+        on_row: impl FnMut(u32),
+    ) -> GroupIndex {
+        let mut index = GroupIndex {
+            slots: Slots::empty(key_columns.len()),
+            first_row: Vec::with_capacity(keys.len()),
+        };
+        if keys.is_empty() {
+            index.slots.migrate(0);
+        }
+        let exact = keys.exact();
+        let same_key =
+            crate::key_vector::cross_matcher(batch, key_columns, exact, batch, key_columns, exact);
+        let bits = rule.index_cell_bits(keys.len());
+        index.intern(keys, 0, rule, bits, same_key, on_row);
+        if bits == u8::BITS {
+            index.slots.narrow();
+        }
+        index
+    }
+
     /// Number of distinct groups.
     pub fn len(&self) -> usize {
         self.first_row.len()
@@ -424,8 +539,7 @@ impl GroupIndex {
 
     /// An empty index that grows chunk by chunk ([`GroupIndex::intern`]):
     /// dense with no cell yet when keys of `key_arity` columns have axes,
-    /// hashed otherwise. It keeps `u32` cells, as a
-    /// [`GroupStore`](crate::GroupStore) does.
+    /// hashed otherwise.
     pub(crate) fn growing(key_arity: usize) -> GroupIndex {
         GroupIndex {
             slots: Slots::empty(key_arity),
@@ -433,71 +547,47 @@ impl GroupIndex {
         }
     }
 
-    /// Intern one chunk of a growing index: `keys` over `key_arity`
-    /// columns, the chunk's first row being row `base` of everything
-    /// interned. The grow step ([`Slots::grow_for`], under `rule`) runs
-    /// first; then each row gets its group id, new groups in
-    /// first-occurrence order with the row as representative, reported to
-    /// `on_row` in row order. `same_key(row, candidate)` verifies a hashed
-    /// code match between chunk row `row` and the representative row
-    /// `candidate` (numbered from the first chunk), so it may only answer
-    /// `true` without looking when every key interned and the chunk's are
-    /// exact.
+    /// Intern one chunk's `keys` ([`Slots::intern`] at `cell_bits` a dense
+    /// cell under `rule`), the chunk's first row being row `base` of
+    /// everything interned, and append the rows that opened groups as their
+    /// representatives. `same_key(row, candidate)` verifies a hashed code
+    /// match between chunk row `row` and the representative row `candidate`
+    /// (numbered from the first chunk).
     pub(crate) fn intern(
         &mut self,
-        key_arity: usize,
         keys: &KeyVector,
         base: usize,
         rule: FormRule,
+        cell_bits: u32,
         mut same_key: impl FnMut(usize, usize) -> bool,
-        mut on_row: impl FnMut(u32),
+        on_row: impl FnMut(u32),
     ) {
-        self.slots.grow_for(key_arity, keys, self.len(), rule);
-        let first_row = &mut self.first_row;
-        match &mut self.slots {
-            // `grow_for` kept the map dense, so the chunk is exact and its
-            // range covered: each key owns one cell, nothing to verify.
-            Slots::Dense { gids, range } => {
-                for (row, &code) in keys.codes().iter().enumerate() {
-                    let cell = &mut gids[range.slot(code).expect("the range covers the chunk")];
-                    if *cell == EMPTY {
-                        *cell = first_row.len() as u32;
-                        assert_ne!(*cell, EMPTY, "group ids exclude the sentinel");
-                        first_row.push(row_id(base + row));
-                    }
-                    on_row(*cell);
-                }
-            }
-            Slots::Bytes { .. } => unreachable!("only a whole-vector index takes byte cells"),
-            Slots::Hashed(table) => {
-                for (row, &code) in keys.codes().iter().enumerate() {
-                    let next = first_row.len() as u32;
-                    let (gid, is_new) = table.get_or_insert(code, next, |gid| {
-                        same_key(row, first_row[gid as usize] as usize)
-                    });
-                    if is_new {
-                        first_row.push(row_id(base + row));
-                    }
-                    on_row(gid);
-                }
-            }
-        }
+        let first_row = &self.first_row;
+        let opened = self.slots.intern(
+            keys,
+            first_row.len(),
+            rule,
+            cell_bits,
+            |row, rep| match rep {
+                Rep::Row(at) => same_key(row, base + at),
+                Rep::Group(gid) => same_key(row, first_row[gid as usize] as usize),
+            },
+            on_row,
+        );
+        let opened = opened.into_iter().map(|row| row_id(base + row));
+        self.first_row.extend(opened);
     }
 
     /// `true` when the index took the dense form.
     #[cfg(test)]
     pub(crate) fn is_dense(&self) -> bool {
-        self.cell_bits().is_some()
+        self.slots.is_dense()
     }
 
     /// The bits of a dense cell, or `None` in the hashed form.
     #[cfg(test)]
     pub(crate) fn cell_bits(&self) -> Option<u32> {
-        match self.slots {
-            Slots::Hashed(_) => None,
-            Slots::Dense { .. } => Some(u32::BITS),
-            Slots::Bytes { .. } => Some(u8::BITS),
-        }
+        self.slots.cell_bits()
     }
 }
 
@@ -507,6 +597,14 @@ impl GroupIndex {
 #[inline]
 fn row_id(row: usize) -> u32 {
     u32::try_from(row).expect("key pipeline batches are limited to u32::MAX rows")
+}
+
+/// The group id numbered `n`: a `u32` other than the sentinel, which would
+/// read as an empty cell or slot.
+#[inline]
+fn group_id(n: usize) -> u32 {
+    let gid = u32::try_from(n).ok().filter(|&gid| gid != EMPTY);
+    gid.expect("group ids exclude the sentinel")
 }
 
 /// The compact code range of an exact key vector, and the cell each code
@@ -671,6 +769,34 @@ impl KeyRange {
         }
     }
 
+    /// The key columns the range's axes stand for.
+    fn arity(&self) -> usize {
+        match self {
+            KeyRange::Int { .. } => 1,
+            KeyRange::Pair { .. } => 2,
+        }
+    }
+
+    /// The re-layout of the grow step: both layouts are row-major, `self` a
+    /// block inside `wider`, which covers it. Yields `(from, to, len)` per
+    /// row of `self`: `len` cells starting at cell `from` of `self` land
+    /// from cell `to` of `wider` on. An empty range yields nothing.
+    fn runs_in(&self, wider: &KeyRange) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (row_len, stride) = (self.row_len(), wider.row_len());
+        let rows = if self.cells() == 0 {
+            0
+        } else {
+            self.cells() / row_len
+        };
+        let first = match rows {
+            0 => 0,
+            _ => wider
+                .slot(self.code(0))
+                .expect("a widened range covers the narrower"),
+        };
+        (0..rows).map(move |row| (row * row_len, first + row * stride, row_len))
+    }
+
     /// Number of cells the range spans.
     fn cells(&self) -> usize {
         match *self {
@@ -831,23 +957,17 @@ impl KeySet {
         })
     }
 
-    /// Add one chunk's `keys` over `key_arity` columns to a set that holds
-    /// `entries` keys so far. A range that does not cover the chunk widens
-    /// as a growing map's does (`Slots::grow_for`), at one bit a cell under
-    /// `rule`, and the bits are laid out anew. `false`, with the set
-    /// unchanged, when the chunk is inexact or no range the rule admits
-    /// covers it: the keys then need another form.
-    pub(crate) fn insert(
-        &mut self,
-        key_arity: usize,
-        keys: &KeyVector,
-        entries: usize,
-        rule: FormRule,
-    ) -> bool {
+    /// Add one chunk's `keys` to a set that holds `entries` keys so far. A
+    /// range that does not cover the chunk widens as a growing map's does
+    /// (`Slots::grow_for`), at one bit a cell under `rule`, and the bits are
+    /// laid out anew. `false`, with the set unchanged, when the chunk is
+    /// inexact or no range the rule admits covers it: the keys then need
+    /// another form.
+    pub(crate) fn insert(&mut self, keys: &KeyVector, entries: usize, rule: FormRule) -> bool {
         if keys.is_empty() {
             return true;
         }
-        let Some(chunk) = KeyRange::of(key_arity, keys) else {
+        let Some(chunk) = KeyRange::of(self.range.arity(), keys) else {
             return false;
         };
         if self.range.cover(&chunk, false) != Some(self.range) {
@@ -856,24 +976,12 @@ impl KeySet {
                 return false;
             };
             let mut words = vec![0u64; wider.cells().div_ceil(64)];
-            if self.range.cells() > 0 {
-                // Both layouts are row-major, the narrower one a block
-                // inside the wider: copy it row by row, a word at a time,
-                // from where its first cell lands.
-                let first = wider.slot(self.range.code(0));
-                let first = first.expect("a widened range covers the narrower");
-                let (row_len, stride) = (self.range.row_len(), wider.row_len());
-                for row in 0..self.range.cells() / row_len {
-                    let (from, to) = (row * row_len, first + row * stride);
-                    for at in (0..row_len).step_by(64) {
-                        let len = (row_len - at).min(64);
-                        or_bits(
-                            &mut words,
-                            to + at,
-                            len,
-                            read_bits(&self.words, from + at, len),
-                        );
-                    }
+            for (from, to, len) in self.range.runs_in(&wider) {
+                // A word at a time.
+                for at in (0..len).step_by(64) {
+                    let n = (len - at).min(64);
+                    let bits = read_bits(&self.words, from + at, n);
+                    or_bits(&mut words, to + at, n, bits);
                 }
             }
             (self.words, self.range) = (words, wider);
@@ -933,7 +1041,7 @@ impl KeySet {
     #[cfg(test)]
     pub(crate) fn of(key_arity: usize, keys: &KeyVector, rule: FormRule) -> Option<KeySet> {
         let mut set = KeySet::growing(key_arity)?;
-        (!keys.is_empty() && set.insert(key_arity, keys, 0, rule)).then_some(set)
+        (!keys.is_empty() && set.insert(keys, 0, rule)).then_some(set)
     }
 
     /// `true` when the exact code `code` was built.
@@ -1027,137 +1135,11 @@ pub fn fast_range(hash: u64, buckets: usize) -> usize {
     ((u128::from(hash) * buckets as u128) >> 64) as usize
 }
 
-/// The one whole-vector builder behind [`index_rows`] and
-/// [`index_rows_tracked`]: one min/max pass picks the form (the dense form
-/// when the vector is exact and `rule` admits its range for its rows, in
-/// the cells [`FormRule::index_cell_bits`] gives), then one pass over the
-/// key vector reports each row's group id to `on_row`.
-fn index_rows_inner(
-    batch: &crate::ColumnarBatch,
-    key_columns: &[usize],
-    keys: &KeyVector,
-    rule: FormRule,
-    on_row: impl FnMut(u32),
-) -> GroupIndex {
-    let bits = rule.index_cell_bits(keys.len());
-    let Some(range) = KeyRange::of(key_columns.len(), keys)
-        .filter(|range| range.cells() <= rule.dense_cells(keys.len(), bits))
-    else {
-        return index_hashed(batch, key_columns, keys, on_row);
-    };
-    let (gids, first_row) = index_dense(range, keys, on_row);
-    let slots = if bits == u8::BITS {
-        let cells = gids.iter().map(|&gid| match gid {
-            EMPTY => 0,
-            gid => u8::try_from(gid + 1).expect("byte cells hold fewer than 255 groups"),
-        });
-        Slots::Bytes {
-            cells: cells.collect(),
-            range,
-        }
-    } else {
-        Slots::Dense { gids, range }
-    };
-    GroupIndex { slots, first_row }
-}
-
-/// The hashed form: intern every row into a [`KeyTable`], verifying
-/// inexact matches against the group's representative row of `batch` over
-/// `key_columns`.
-fn index_hashed(
-    batch: &crate::ColumnarBatch,
-    key_columns: &[usize],
-    keys: &KeyVector,
-    mut on_row: impl FnMut(u32),
-) -> GroupIndex {
-    let exact = keys.exact();
-    let same_key =
-        crate::key_vector::cross_matcher(batch, key_columns, exact, batch, key_columns, exact);
-    let mut table = KeyTable::with_capacity(keys.len());
-    let mut first_row: Vec<u32> = Vec::with_capacity(keys.len());
-    for (row, &code) in keys.codes().iter().enumerate() {
-        let next = first_row.len() as u32;
-        let (gid, is_new) = table.get_or_insert(code, next, |gid| {
-            same_key(row, first_row[gid as usize] as usize)
-        });
-        if is_new {
-            first_row.push(row_id(row));
-        }
-        on_row(gid);
-    }
-    GroupIndex {
-        slots: Slots::Hashed(table),
-        first_row,
-    }
-}
-
-/// The dense form's `u32` group ids, one cell per key of `range`, and
-/// first rows. The vector is exact, so distinct keys land in distinct cells
-/// and the build verifies nothing.
-fn index_dense(
-    range: KeyRange,
-    keys: &KeyVector,
-    mut on_row: impl FnMut(u32),
-) -> (Vec<u32>, Vec<u32>) {
-    let mut gids = vec![EMPTY; range.cells()];
-    let mut first_row = Vec::with_capacity(keys.len());
-    for (row, &code) in keys.codes().iter().enumerate() {
-        let slot = range
-            .slot(code)
-            .expect("a build code lies in its own range");
-        let cell = &mut gids[slot];
-        if *cell == EMPTY {
-            let gid = first_row.len() as u32;
-            // As in `KeyTable::get_or_insert`: an id equal to the sentinel
-            // would read as an empty cell.
-            assert_ne!(gid, EMPTY, "group ids exclude the sentinel");
-            *cell = gid;
-            first_row.push(row_id(row));
-        }
-        on_row(*cell);
-    }
-    (gids, first_row)
-}
-
-/// Build a [`GroupIndex`] over every row of a key vector, in its dense or
-/// hashed form (see the module docs), verifying inexact matches against
-/// `batch` over `key_columns` — the common build phase of the hash
-/// kernels, factored once.
-pub fn index_rows(
-    batch: &crate::ColumnarBatch,
-    key_columns: &[usize],
-    keys: &KeyVector,
-) -> GroupIndex {
-    index_rows_inner(batch, key_columns, keys, FormRule::Memory, |_| {})
-}
-
-/// [`index_rows`], additionally returning each row's group id (in row
-/// order) — the build shape the natural join's CSR row lists need.
-pub fn index_rows_tracked(
-    batch: &crate::ColumnarBatch,
-    key_columns: &[usize],
-    keys: &KeyVector,
-) -> (GroupIndex, Vec<u32>) {
-    index_rows_ruled(batch, key_columns, keys, FormRule::Memory)
-}
-
-/// [`index_rows_tracked`] with its form chosen by `rule`.
-pub(crate) fn index_rows_ruled(
-    batch: &crate::ColumnarBatch,
-    key_columns: &[usize],
-    keys: &KeyVector,
-    rule: FormRule,
-) -> (GroupIndex, Vec<u32>) {
-    let mut gid_of = Vec::with_capacity(keys.len());
-    let index = index_rows_inner(batch, key_columns, keys, rule, |gid| gid_of.push(gid));
-    (index, gid_of)
-}
-
-/// [`index_rows_tracked`] in a forced form, whatever the selection rule
-/// says: hashed under [`FormRule::Hashed`], and under the dense rules the
-/// dense form when the vector has a range of at most 2^20 cells (`None`
-/// otherwise, so a test never allocates a range the rule would refuse for
-/// its size).
+/// A whole-vector index ([`GroupIndex::of`]) and its rows' group ids in a
+/// forced form, whatever the selection rule says: hashed under
+/// [`FormRule::Hashed`], and under the dense rules the dense form when the
+/// vector has a range of at most 2^20 cells (`None` otherwise, so a test
+/// never allocates a range the rule would refuse for its size).
 #[cfg(test)]
 pub(crate) fn index_rows_forced(
     batch: &crate::ColumnarBatch,
@@ -1165,7 +1147,8 @@ pub(crate) fn index_rows_forced(
     keys: &KeyVector,
     rule: FormRule,
 ) -> Option<(GroupIndex, Vec<u32>)> {
-    let (index, gid_of) = index_rows_ruled(batch, key_columns, keys, rule);
+    let mut gid_of = Vec::with_capacity(keys.len());
+    let index = GroupIndex::of(batch, key_columns, keys, rule, |gid| gid_of.push(gid));
     let dense = !matches!(rule, FormRule::Hashed);
     (index.is_dense() == dense).then_some((index, gid_of))
 }
@@ -1224,7 +1207,7 @@ mod tests {
         });
         // Relation order is sorted: rows are (1,1),(1,2),(2,1),(2,2),(3,1).
         let keys = KeyVector::build(&batch, &[0]);
-        let index = index_rows(&batch, &[0], &keys);
+        let index = GroupIndex::of(&batch, &[0], &keys, FormRule::Memory, |_| {});
         assert_eq!(index.len(), 3);
         assert_eq!(index.first_row(0), 0);
         assert_eq!(index.first_row(1), 2);
@@ -1252,14 +1235,17 @@ mod tests {
             .collect()
     }
 
-    /// The cell bits of the form [`index_rows`] picks for `rows` over
+    /// The cell bits of the form [`GroupIndex::of`] picks for `rows` over
     /// `key_arity` columns (`None`: hashed), and whether a key set takes them.
     fn picks(key_arity: usize, rows: &[[Value; 2]]) -> (Option<u32>, bool) {
         let batch = key_batch(key_arity, rows);
         let cols: Vec<usize> = (0..key_arity).collect();
         let keys = KeyVector::build(&batch, &cols);
         let set = KeySet::of(key_arity, &keys, FormRule::Memory);
-        (index_rows(&batch, &cols, &keys).cell_bits(), set.is_some())
+        (
+            GroupIndex::of(&batch, &cols, &keys, FormRule::Memory, |_| {}).cell_bits(),
+            set.is_some(),
+        )
     }
 
     /// `rows` distinct one-column keys spanning `span` cells.
@@ -1331,7 +1317,8 @@ mod tests {
             let keys: Vec<[i64; 2]> = (0..rows as i64).map(|k| [k, 0]).collect();
             let batch = key_batch(1, &ints(&keys));
             let vector = KeyVector::build(&batch, &[0]);
-            let (chosen, gid_of) = index_rows_ruled(&batch, &[0], &vector, FormRule::Memory);
+            let (chosen, gid_of) =
+                index_rows_forced(&batch, &[0], &vector, FormRule::Memory).unwrap();
             let bits = if rows < 255 { u8::BITS } else { u32::BITS };
             assert_eq!(chosen.cell_bits(), Some(bits), "{rows} rows");
             assert_eq!(gid_of, (0..rows as u32).collect::<Vec<_>>());
@@ -1348,7 +1335,7 @@ mod tests {
         }
         let empty = key_batch(1, &[]);
         let vector = KeyVector::build(&empty, &[0]);
-        let index = index_rows(&empty, &[0], &vector);
+        let index = GroupIndex::of(&empty, &[0], &vector, FormRule::Memory, |_| {});
         assert!(index.is_empty() && !index.is_dense());
         assert_eq!(index.get(0, |_| true), None);
         assert!(KeySet::of(1, &vector, FormRule::Dense).is_none());
@@ -1363,7 +1350,7 @@ mod tests {
             let vector = KeyVector::build(&batch, &[0]);
             assert!(vector.exact());
             assert!(KeyRange::of(1, &vector).is_none(), "{keys:?}");
-            let index = index_rows(&batch, &[0], &vector);
+            let index = GroupIndex::of(&batch, &[0], &vector, FormRule::Memory, |_| {});
             assert!(!index.is_dense());
             assert_eq!(index.get(keys[0] as u64, |_| true), Some(0));
             assert_eq!(index.get(keys[1] as u64, |_| true), Some(1));
@@ -1375,7 +1362,7 @@ mod tests {
         let vector = KeyVector::build(&batch, &[0, 1]);
         assert!(vector.exact());
         assert!(KeyRange::of(2, &vector).is_none());
-        assert!(!index_rows(&batch, &[0, 1], &vector).is_dense());
+        assert!(!GroupIndex::of(&batch, &[0, 1], &vector, FormRule::Memory, |_| {}).is_dense());
     }
 
     /// Key values: a compact int range (picks `0..=10`, the last one a
@@ -1421,7 +1408,7 @@ mod tests {
 
             let (hashed, hashed_gids) =
                 index_rows_forced(&build, &cols, &build_keys, FormRule::Hashed).unwrap();
-            let chosen = index_rows(&build, &cols, &build_keys);
+            let chosen = GroupIndex::of(&build, &cols, &build_keys, FormRule::Memory, |_| {});
             let range = KeyRange::of(key_arity, &build_keys);
             prop_assert!(range.is_none() || build_keys.exact());
             // Fewer than 255 rows: the rule prices byte cells.

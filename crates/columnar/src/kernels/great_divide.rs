@@ -39,7 +39,7 @@
 //! batches through the public API, so they deduplicate both.
 
 use crate::batch::ColumnarBatch;
-use crate::hash_table::{index_rows_ruled, FormRule, GroupIndex, PairTable};
+use crate::hash_table::{FormRule, GroupIndex, PairTable};
 use crate::kernels::join::KernelOutput;
 use crate::key_vector::{cross_matcher, KeyVector};
 use crate::stream::{FrozenConsume, GroupStore};
@@ -148,10 +148,11 @@ impl StreamingGreatDivide {
 
         // Divisor-side prep: dense ids for the distinct `B` values and `C`
         // groups, sizes, and the inverted `B id -> divisor group ids` lists.
-        let divisor_b_keys = KeyVector::build(&divisor, &divisor_b);
+        let b_keys = KeyVector::build(&divisor, &divisor_b);
         let c_keys = KeyVector::build(&divisor, &divisor_c);
-        let (b_ids, b_of) = index_rows_ruled(&divisor, &divisor_b, &divisor_b_keys, rule);
-        let (c_groups, c_of) = index_rows_ruled(&divisor, &divisor_c, &c_keys, rule);
+        let (mut b_of, mut c_of) = (Vec::new(), Vec::new());
+        let b_ids = GroupIndex::of(&divisor, &divisor_b, &b_keys, rule, |g| b_of.push(g));
+        let c_groups = GroupIndex::of(&divisor, &divisor_c, &c_keys, rule, |g| c_of.push(g));
         // With no `C` the whole divisor is one group, even when it is empty:
         // every dividend group then covers it vacuously.
         let groups = if divisor_c.is_empty() {
@@ -182,7 +183,7 @@ impl StreamingGreatDivide {
             divisor_b,
             divisor_c,
             out_schema: partition.output(),
-            divisor_b_exact: divisor_b_keys.exact(),
+            divisor_b_exact: b_keys.exact(),
             b_ids,
             c_groups,
             c_size,

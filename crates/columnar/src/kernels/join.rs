@@ -12,7 +12,7 @@
 //! presence bit per key over exact compact keys, as hash-division keeps one
 //! bit per divisor tuple.
 
-use crate::batch::ColumnarBatch;
+use crate::batch::{ColumnarBatch, Segments};
 use crate::column::{Column, ColumnAppender};
 use crate::hash_table::{FormRule, GroupIndex, KeySet};
 use crate::key_vector::{exact_row, keys_equal, KeyVector};
@@ -73,29 +73,6 @@ fn extra_attributes<'a>(probe: &Schema, build: &'a Schema) -> Vec<&'a str> {
         .into_iter()
         .filter(|n| !probe.contains(n))
         .collect()
-}
-
-/// The build chunks in arrival order, their rows numbered across them.
-#[derive(Debug, Default)]
-struct Segments {
-    chunks: Vec<ColumnarBatch>,
-    /// The number of the first row of every chunk.
-    starts: Vec<usize>,
-    rows: usize,
-}
-
-impl Segments {
-    fn push(&mut self, chunk: ColumnarBatch) {
-        self.starts.push(self.rows);
-        self.rows += chunk.num_rows();
-        self.chunks.push(chunk);
-    }
-
-    /// The chunk holding row `row`, and the row's place in it.
-    fn locate(&self, row: usize) -> (&ColumnarBatch, usize) {
-        let at = self.starts.partition_point(|&start| start <= row) - 1;
-        (&self.chunks[at], row - self.starts[at])
-    }
 }
 
 /// A hash-join build side fed one chunk at a time, then sealed into the
@@ -242,7 +219,7 @@ impl JoinBuilder {
         }
         let keys = KeyVector::build(&chunk, &self.build_key);
         if let Growing::Present(set) = &mut self.keys {
-            if set.insert(self.build_key.len(), &keys, self.rows, self.rule) {
+            if set.insert(&keys, self.rows, self.rule) {
                 self.rows += chunk.num_rows();
                 if !self.keys_only {
                     self.segments.push(chunk);
@@ -304,10 +281,10 @@ impl JoinBuilder {
         let (chunk, _) = segments.locate(base);
         let verify = !*exact;
         index.intern(
-            build_key.len(),
             keys,
             base,
             self.rule,
+            u32::BITS,
             |row, candidate| {
                 let (other, at) = segments.locate(candidate);
                 !verify || keys_equal(chunk, build_key, row, other, build_key, at)
@@ -965,7 +942,7 @@ mod tests {
         let blue = filter(&parts, &Predicate::eq_value("color", "blue")).unwrap();
         let blue = blue.with_columns(Schema::of(["p#"]), &[0]);
         let keys = KeyVector::build(&blue, &[0]);
-        let index = crate::hash_table::index_rows(&blue, &[0], &keys);
+        let index = GroupIndex::of(&blue, &[0], &keys, FormRule::Memory, |_| {});
         assert_eq!((index.len(), index.cell_bits()), (13, Some(u8::BITS)));
         assert_eq!(index.heap_bytes(), 49 + 13 * size_of::<u32>());
 

@@ -40,10 +40,12 @@
 //!   hash-consuming kernel runs on: [`KeyVector`] normalizes a batch's key
 //!   columns **once per batch** into dense `u64` codes (raw-`i64` fast
 //!   path, per-dictionary-entry string hashing, NULL sentinel, composite
-//!   fold), and [`GroupIndex`] — a direct-addressed array over exact keys
-//!   of a compact range, an open-addressing [`KeyTable`] otherwise —
-//!   consumes the codes with verify-on-collision — no `Value` is cloned
-//!   and no `Vec` is allocated per row.
+//!   fold), and one interning loop assigns first-occurrence group ids over
+//!   the codes, with verify-on-collision, in a direct-addressed array over
+//!   exact keys of a compact range or an open-addressing [`KeyTable`]
+//!   otherwise: under a [`GroupIndex`] (a join build chunk by chunk, or a
+//!   whole key vector at once) and a [`GroupStore`] (grouping state across
+//!   chunks) — no `Value` is cloned and no `Vec` is allocated per row.
 //!
 //! The executor that walks physical plans lives in `div-physical`
 //! (`StreamExecutor`); this crate deliberately depends only on

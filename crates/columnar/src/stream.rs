@@ -3,37 +3,31 @@
 //! The batch kernels of [`kernels`](crate::kernels) assume they see an
 //! operator's whole input as one [`ColumnarBatch`]; a streaming executor
 //! feeds them *chunks* instead. Grouping-shaped state (distinct filters, the
-//! divide's quotient groups) must then survive across chunks — which the
-//! per-batch [`GroupIndex`](crate::GroupIndex) cannot do, because its
-//! verify-on-collision step compares candidate rows against *the batch that
-//! interned them*, and that batch is gone by the next chunk.
+//! divide's quotient groups, aggregate groups) must then survive across
+//! chunks, and a code match must be verified against a group's key even
+//! after the chunk that opened the group is gone.
 //!
-//! [`GroupStore`] is the cross-batch counterpart: it interns one chunk at a
-//! time, *retains the key columns of every group representative* in
-//! append-only segments, and verifies inexact code matches against those
-//! retained rows. Memory is proportional to the number of distinct groups —
-//! the floor any grouping operator has to pay — never to the stream length.
+//! [`GroupStore`] is that state: it interns one chunk at a time, *retains
+//! the key columns of every group representative* in append-only segments,
+//! and verifies inexact code matches against those retained rows. Memory is
+//! proportional to the number of distinct groups — the floor any grouping
+//! operator has to pay — never to the stream length.
 //!
-//! Its key → group id map takes the two forms of
-//! [`GroupIndex`](crate::GroupIndex), with the key range learnt from the
-//! chunks rather than known up front. While every chunk interned is exact —
-//! one NULL-free int column, or two int columns that all pack — the map is
-//! a direct-addressed `u32` array over a range each chunk widens to cover
-//! its keys (by at least the current span on each side it grows, so a
-//! descending or ascending key stream re-lays the array out O(log range)
-//! times). The array stays dense while its cells take no more bytes than a
-//! [`KeyTable`](crate::KeyTable) pre-sized for the groups plus the chunk's
-//! rows would; an inexact chunk (strings, NULLs, mixed values) or a range
-//! that breaks the rule moves the map to that table once. Group ids are
-//! first-occurrence in both forms, so nothing downstream sees which one ran.
+//! Its group ids come from the same loop as a
+//! [`GroupIndex`](crate::GroupIndex)'s (`Slots::intern`; see
+//! [`hash_table`](crate::hash_table)), in `u32` cells: a dense array over a
+//! key range learnt from the chunks while every chunk is exact and the
+//! memory rule admits the range, a [`KeyTable`](crate::KeyTable) from the
+//! first chunk on that is not. Group ids are first-occurrence in both
+//! forms, so nothing downstream sees which one ran.
 //!
 //! [`StreamingDistinct`] layers set-semantics deduplication on top: feed it
 //! chunks, get back the rows never seen before. It is the state behind the
 //! streaming projection and union operators of `div_physical::stream`.
 
-use crate::batch::ColumnarBatch;
+use crate::batch::{ColumnarBatch, Segments};
 use crate::column::Column;
-use crate::hash_table::{FormRule, Slots, EMPTY};
+use crate::hash_table::{FormRule, Rep, Slots};
 use crate::key_vector::{keys_equal, KeyVector};
 use div_algebra::Schema;
 
@@ -74,15 +68,12 @@ pub struct GroupStore {
     key_schema: Schema,
     key_cols: Vec<usize>,
     store_cols: Vec<usize>,
-    /// Retained group representatives (key columns only), appended one
-    /// segment per chunk that introduced groups; `seg_starts[i]` is the
-    /// first global gid of segment `i`.
-    segments: Vec<ColumnarBatch>,
-    seg_starts: Vec<u32>,
+    /// Retained group representatives (key columns only), one segment per
+    /// chunk that opened groups: row `g` is group `g`'s.
+    reps: Segments,
     /// Key → group id: dense while every chunk was exact and the rule
     /// admits the learnt range, hashed from then on.
     slots: Slots,
-    groups: u32,
     store_exact: bool,
     rule: FormRule,
 }
@@ -112,10 +103,8 @@ impl GroupStore {
             key_schema,
             key_cols,
             store_cols,
-            segments: Vec::new(),
-            seg_starts: Vec::new(),
+            reps: Segments::default(),
             slots,
-            groups: 0,
             store_exact: true,
             rule,
         }
@@ -123,12 +112,12 @@ impl GroupStore {
 
     /// Number of distinct groups interned so far.
     pub fn len(&self) -> usize {
-        self.groups as usize
+        self.reps.rows
     }
 
     /// `true` when no group has been interned.
     pub fn is_empty(&self) -> bool {
-        self.groups == 0
+        self.reps.rows == 0
     }
 
     /// The chunk columns this store groups on.
@@ -140,19 +129,13 @@ impl GroupStore {
     /// representatives: its key → group id map, in either form, and the
     /// segment starts.
     pub fn heap_bytes(&self) -> usize {
-        self.slots.heap_bytes() + self.seg_starts.capacity() * size_of::<u32>()
+        self.slots.heap_bytes() + self.reps.starts.capacity() * size_of::<usize>()
     }
 
     /// `true` while the key → group id map is the dense array.
     #[cfg(test)]
     pub(crate) fn is_dense(&self) -> bool {
-        matches!(self.slots, Slots::Dense { .. })
-    }
-
-    /// Locate the retained representative of `gid`.
-    fn locate(&self, gid: u32) -> (&ColumnarBatch, usize) {
-        let seg = self.seg_starts.partition_point(|&start| start <= gid) - 1;
-        (&self.segments[seg], (gid - self.seg_starts[seg]) as usize)
+        self.slots.is_dense()
     }
 
     /// Intern every row of `chunk`, assigning global group ids and
@@ -160,83 +143,38 @@ impl GroupStore {
     pub fn intern_chunk(&mut self, chunk: &ColumnarBatch) -> ChunkInterned {
         let rows = chunk.num_rows();
         let keys = KeyVector::build(chunk, &self.key_cols);
-        self.slots
-            .grow_for(self.key_cols.len(), &keys, self.len(), self.rule);
         let verify = !(keys.exact() && self.store_exact);
-        let base = self.groups;
-        let mut pending: Vec<usize> = Vec::new();
+        let base = self.len();
         let mut gids = Vec::with_capacity(rows);
-        let mut fresh = Vec::with_capacity(rows);
-        match &mut self.slots {
-            // `grow_for` kept the map dense, so the chunk is exact and its
-            // range covered: each key owns one cell, and nothing needs
-            // verifying.
-            Slots::Dense { gids: cells, range } => {
-                for (row, &code) in keys.codes().iter().enumerate() {
-                    let cell = &mut cells[range.slot(code).expect("the range covers the chunk")];
-                    let is_new = *cell == EMPTY;
-                    if is_new {
-                        *cell = base + pending.len() as u32;
-                        // As in `KeyTable::get_or_insert`: an id equal to
-                        // the sentinel would read as an empty cell.
-                        assert_ne!(*cell, EMPTY, "group ids exclude the sentinel");
-                        pending.push(row);
-                    }
-                    gids.push(*cell);
-                    fresh.push(is_new);
-                }
-            }
-            Slots::Bytes { .. } => unreachable!("only a whole-vector index takes byte cells"),
-            Slots::Hashed(table) => {
-                for row in 0..rows {
-                    let next = base + pending.len() as u32;
-                    let (gid, is_new) = table.get_or_insert(keys.code(row), next, |gid| {
-                        if !verify {
-                            return true;
+        let (reps, key_cols, store_cols) = (&self.reps, &self.key_cols, &self.store_cols);
+        let opened = self.slots.intern(
+            &keys,
+            base,
+            self.rule,
+            u32::BITS,
+            |row, rep| {
+                !verify
+                    || match rep {
+                        Rep::Row(other) => keys_equal(chunk, key_cols, row, chunk, key_cols, other),
+                        Rep::Group(gid) => {
+                            let (segment, local) = reps.locate(gid as usize);
+                            keys_equal(chunk, key_cols, row, segment, store_cols, local)
                         }
-                        if gid >= base {
-                            let other = pending[(gid - base) as usize];
-                            return keys_equal(
-                                chunk,
-                                &self.key_cols,
-                                row,
-                                chunk,
-                                &self.key_cols,
-                                other,
-                            );
-                        }
-                        let seg = self.seg_starts.partition_point(|&start| start <= gid) - 1;
-                        let local = (gid - self.seg_starts[seg]) as usize;
-                        keys_equal(
-                            chunk,
-                            &self.key_cols,
-                            row,
-                            &self.segments[seg],
-                            &self.store_cols,
-                            local,
-                        )
-                    });
-                    if is_new {
-                        pending.push(row);
                     }
-                    gids.push(gid);
-                    fresh.push(is_new);
-                }
-            }
+            },
+            |gid| gids.push(gid),
+        );
+        let mut fresh = vec![false; rows];
+        for &row in &opened {
+            fresh[row] = true;
         }
-        if !pending.is_empty() {
-            let columns: Vec<Column> = self
-                .key_cols
+        if !opened.is_empty() {
+            let columns: Vec<Column> = key_cols
                 .iter()
-                .map(|&c| chunk.column(c).gather(&pending))
+                .map(|&c| chunk.column(c).gather(&opened))
                 .collect();
-            self.segments.push(ColumnarBatch::from_parts(
-                self.key_schema.clone(),
-                columns,
-                pending.len(),
-            ));
-            self.seg_starts.push(base);
-            self.groups = base + pending.len() as u32;
+            let reps = ColumnarBatch::from_parts(self.key_schema.clone(), columns, opened.len());
+            self.reps.push(reps);
             self.store_exact = self.store_exact && keys.exact();
         }
         ChunkInterned { gids, fresh }
@@ -259,7 +197,7 @@ impl GroupStore {
                     if !verify {
                         return true;
                     }
-                    let (segment, local) = self.locate(gid);
+                    let (segment, local) = self.reps.locate(gid as usize);
                     keys_equal(chunk, &self.key_cols, row, segment, &self.store_cols, local)
                 })
             })
@@ -269,7 +207,7 @@ impl GroupStore {
     /// All group representatives (key columns only), one row per group in
     /// group-id order, under the store's key schema.
     pub fn rows(&self) -> ColumnarBatch {
-        crate::partition::concat_batches(&self.segments)
+        crate::partition::concat_batches(&self.reps.chunks)
             .unwrap_or_else(|| ColumnarBatch::empty(self.key_schema.clone()))
     }
 }

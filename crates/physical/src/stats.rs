@@ -122,6 +122,7 @@ impl ExecStats {
         self.intermediate_tuples += other.intermediate_tuples;
         self.max_intermediate = self.max_intermediate.max(other.max_intermediate);
         self.probes += other.probes;
+        self.output_rows += other.output_rows;
         self.operators_executed += other.operators_executed;
         self.peak_resident_batches = self.peak_resident_batches.max(other.peak_resident_batches);
         self.peak_resident_rows = self.peak_resident_rows.max(other.peak_resident_rows);
@@ -184,11 +185,13 @@ mod tests {
         let mut a = ExecStats::default();
         a.record(10, true, false);
         a.record(5, false, false);
+        a.record(3, false, true);
         a.add_probes(7);
         a.note_resident(2, 100);
         let mut b = ExecStats::default();
         b.record(20, true, false);
         b.record(50, false, false);
+        b.record(4, false, true);
         b.add_probes(3);
         b.note_resident(5, 60);
         a.merge(&b);
@@ -196,6 +199,7 @@ mod tests {
         assert_eq!(a.intermediate_tuples, 55);
         assert_eq!(a.max_intermediate, 50);
         assert_eq!(a.probes, 10);
+        assert_eq!(a.output_rows, 7);
         assert_eq!(a.peak_resident_batches, 5);
         assert_eq!(a.peak_resident_rows, 100);
     }

@@ -232,8 +232,6 @@ mod tests {
             },
         );
         c.register("r2_fig11", relation! { ["b"] => [1], [3] });
-        c.register("r2_fig11_bad", relation! { ["b"] => [1], [9] });
-        c.register("r2_fig11_mixed", relation! { ["b"] => [1], [2] });
         c
     }
 
@@ -284,37 +282,6 @@ mod tests {
         assert_eq!(evaluate(&plan, &catalog).unwrap(), expected);
         assert_eq!(evaluate(&rewritten, &catalog).unwrap(), expected);
         assert!(!rewritten.contains_division());
-    }
-
-    #[test]
-    fn law12_empty_when_quotient_candidates_disagree() {
-        let catalog = catalog();
-        let ctx = RewriteContext::with_catalog(&catalog);
-        // Divisor {1, 2}: group b=1 has a=6, group b=2 has a=1 — no single
-        // a value covers both, so the quotient is empty.
-        let plan = figure11_dividend()
-            .divide(PlanBuilder::scan("r2_fig11_mixed"))
-            .build();
-        let rewritten = Law12SingleTupleDivisorGroups
-            .apply(&plan, &ctx)
-            .unwrap()
-            .expect("law 12 should apply");
-        assert!(evaluate(&plan, &catalog).unwrap().is_empty());
-        assert!(evaluate(&rewritten, &catalog).unwrap().is_empty());
-    }
-
-    #[test]
-    fn law12_declines_without_foreign_key() {
-        let catalog = catalog();
-        let ctx = RewriteContext::with_catalog(&catalog);
-        // Divisor value 9 does not reference any dividend group.
-        let plan = figure11_dividend()
-            .divide(PlanBuilder::scan("r2_fig11_bad"))
-            .build();
-        assert!(Law12SingleTupleDivisorGroups
-            .apply(&plan, &ctx)
-            .unwrap()
-            .is_none());
     }
 
     #[test]
